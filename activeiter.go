@@ -149,8 +149,9 @@ type Options struct {
 	// coordinator: the query budget splits across this many
 	// retrain-after-labels rounds over one sticky worker session — round
 	// 1 ships each shard once, later rounds ship only the new oracle
-	// labels to the workers already holding the shard warm. ≤ 1 means
-	// the single-shot dispatch. The other aligners ignore it.
+	// labels to the workers already holding the shard warm. 0 and 1 are
+	// the same run: one round, the single-shot dispatch. The other
+	// aligners ignore it.
 	Rounds int
 	// ShardRetries (DistributedAligner only) is how many times a failed
 	// shard is re-dispatched on a fresh connection — with capped
@@ -165,7 +166,8 @@ type Options struct {
 	// HedgeAfter (DistributedAligner only), when positive, enables
 	// straggler hedging: a shard in flight longer than
 	// max(HedgeAfter, 2×P90 of completed shards) is raced on a second
-	// connection and the first finish wins. Zero disables hedging.
+	// connection and the first finish wins, in every round of a
+	// multi-round run too. Zero disables hedging.
 	HedgeAfter time.Duration
 	// NoFallback (DistributedAligner only) disables graceful
 	// degradation: by default a shard that exhausts its transport

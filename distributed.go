@@ -101,12 +101,15 @@ func NewDistributed(pair *AlignedPair, opts Options, transport ShardTransport) (
 // of the wire and is queried through label round-trip frames, so remote
 // workers never see ground truth beyond their shard's training anchors.
 //
-// With Options.Rounds > 1 the active loop lifts to the coordinator: the
-// budget splits across that many rounds over one sticky worker session,
-// each round's oracle answers are fed back into the stable plan as fixed
-// labels, and every round after the first ships only those label deltas
-// to the workers already holding the shards warm (see
-// Metrics().CacheHits and DeltaBytes for the audit).
+// The run is max(Options.Rounds, 1) rounds over one sticky worker
+// session: the budget splits across the rounds, each round's oracle
+// answers are fed back into the stable plan as fixed labels, and every
+// round after the first ships only those label deltas to the workers
+// already holding the shards warm (see Metrics().CacheHits and
+// DeltaBytes for the audit). The final round's merged result (which
+// carries every queried link across rounds) is the alignment; its
+// Reports accumulate one entry per shard per round, so QueryCount spans
+// the whole run's oracle spend whatever the round count.
 func (da *DistributedAligner) Align(trainPos, candidates []Anchor, oracle Oracle) (*PartitionedResult, error) {
 	if len(trainPos) == 0 {
 		return nil, core.ErrNoPositives
@@ -124,40 +127,19 @@ func (da *DistributedAligner) Align(trainPos, candidates []Anchor, oracle Oracle
 	if err != nil {
 		return nil, err
 	}
-	if da.opts.Rounds > 1 {
-		return da.alignSession(plan, oracle)
-	}
 	dopts := da.opts.distribOptions()
 	// The facade's base counter is already warm from planning; exporting
 	// the seed from it costs matrix reads, not recounts.
-	dopts.Base = da.base
-	coord := &distrib.Coordinator{
-		Transport: da.transport,
-		Opts:      dopts,
-	}
-	res, metrics, err := coord.Run(da.pair, plan, oracle)
-	if err != nil {
-		return nil, err
-	}
-	da.metrics = metrics
-	return res, nil
-}
-
-// alignSession drives the multi-round sticky-session protocol: rebudget
-// the stable plan per round, run it, feed the round's oracle labels back
-// as prelabels for the next. The final round's merged result (which
-// carries every queried link across rounds) is the alignment; its
-// Reports accumulate one entry per shard per round, so QueryCount spans
-// the whole session's oracle spend, matching the single-shot contract.
-func (da *DistributedAligner) alignSession(plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
-	dopts := da.opts.distribOptions()
 	dopts.Base = da.base
 	sess, err := distrib.NewSession(da.transport, da.pair, dopts)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	rounds := da.opts.Rounds
+	// A failed round's audit is still the run's audit: Metrics must show
+	// the attempts and retries that led to the abort.
+	defer func() { da.metrics = sess.Metrics() }()
+	rounds := max(da.opts.Rounds, 1)
 	var res *PartitionedResult
 	var reports []PartitionReport
 	for r := 0; r < rounds; r++ {
@@ -172,12 +154,11 @@ func (da *DistributedAligner) alignSession(plan *partition.Plan, oracle Oracle) 
 		}
 	}
 	res.Reports = reports
-	da.metrics = sess.Metrics()
 	return res, nil
 }
 
-// Metrics returns the transport audit of the last Align call (nil
-// before the first).
+// Metrics returns the transport audit of the last Align call — of a
+// failed one too — and nil before the first.
 func (da *DistributedAligner) Metrics() *DistributedMetrics { return da.metrics }
 
 // distribOptions maps the facade options onto the coordinator's,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/distrib"
@@ -198,6 +199,47 @@ func TestDistributedRoundsSession(t *testing.T) {
 	}
 }
 
+// TestDistributedRoundsZeroEqualsOne is the facade twin of distrib's
+// TestSingleShotEqualsOneRoundSession: Options{Rounds: 0} (single-shot
+// dispatch) and Options{Rounds: 1} (a one-round session) are the same
+// run — same alignment, same per-shard models, same oracle spend, same
+// transport audit shape.
+func TestDistributedRoundsZeroEqualsOne(t *testing.T) {
+	pair, trainPos, testPos, neg := testFixture(t)
+	candidates := append(append([]Anchor{}, testPos...), neg...)
+	pool := append(append([]Anchor{}, trainPos...), candidates...)
+	oracle := NewTruthOracle(pair)
+
+	run := func(rounds int) (*PartitionedResult, *DistributedMetrics) {
+		t.Helper()
+		da, err := NewDistributed(pair, Options{Budget: 10, Seed: 3, Partitions: 3, Workers: 2, Rounds: rounds}, NewLoopbackTransport())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := da.Align(trainPos, candidates, oracle)
+		if err != nil {
+			t.Fatalf("Rounds=%d: %v", rounds, err)
+		}
+		return res, da.Metrics()
+	}
+	zero, zm := run(0)
+	one, om := run(1)
+	assertSameAsPartitioned(t, one, zero, pool)
+	if !reflect.DeepEqual(one.ShardWeights, zero.ShardWeights) {
+		t.Errorf("shard weights diverge: Rounds=1 %v, Rounds=0 %v", one.ShardWeights, zero.ShardWeights)
+	}
+	if len(one.Reports) != len(zero.Reports) {
+		t.Errorf("Rounds=1 carries %d part reports, Rounds=0 %d", len(one.Reports), len(zero.Reports))
+	}
+	if zm == nil || om == nil {
+		t.Fatalf("metrics missing: Rounds=0 %+v, Rounds=1 %+v", zm, om)
+	}
+	if om.Queries != zm.Queries || om.Retries != zm.Retries || om.Fallbacks != zm.Fallbacks ||
+		om.CacheHits != zm.CacheHits || len(om.Shards) != len(zm.Shards) {
+		t.Errorf("transport audit diverges: Rounds=1 %+v, Rounds=0 %+v", om, zm)
+	}
+}
+
 // TestOptionsRoundsValidation: negative Rounds is rejected up front.
 func TestOptionsRoundsValidation(t *testing.T) {
 	pair, _, _, _ := testFixture(t)
@@ -257,5 +299,44 @@ func TestDistributedFallbackKnobs(t *testing.T) {
 	}
 	if _, err := da.Align(trainPos, candidates, oracle); err == nil {
 		t.Error("NoFallback over a dead transport should fail the run")
+	}
+	// The failed run's audit must be visible: non-nil, this run's (no
+	// fallbacks — the previous aligner's had three), with the attempts of
+	// the shard that exhausted its budget.
+	m = da.Metrics()
+	if m == nil {
+		t.Fatal("Metrics() is nil after a failed Align")
+	}
+	if m.Fallbacks != 0 || m.Retries != 0 {
+		t.Errorf("failed run under NoFallback and ShardRetries=-1 reports retries=%d fallbacks=%d", m.Retries, m.Fallbacks)
+	}
+	attempts := 0
+	for _, sm := range m.Shards {
+		attempts += sm.Attempts
+	}
+	if len(m.Shards) != opts.Partitions || attempts == 0 {
+		t.Errorf("failed run's per-shard audit: %+v, want %d shards with the failed attempts counted", m.Shards, opts.Partitions)
+	}
+
+	// One retry allowed: the abort comes after two attempts on some shard,
+	// and the retry is in the audit.
+	opts.ShardRetries = 1
+	da, err = NewDistributed(pair, opts, unreachableTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := da.Align(trainPos, candidates, oracle); err == nil {
+		t.Fatal("NoFallback over a dead transport should fail the run")
+	}
+	m = da.Metrics()
+	if m == nil || m.Retries == 0 {
+		t.Fatalf("failed run's retries are not visible: %+v", m)
+	}
+	exhausted := false
+	for _, sm := range m.Shards {
+		exhausted = exhausted || sm.Attempts == 2
+	}
+	if !exhausted {
+		t.Errorf("no shard shows the exhausted attempt count: %+v", m.Shards)
 	}
 }

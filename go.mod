@@ -1,3 +1,3 @@
 module github.com/activeiter/activeiter
 
-go 1.21
+go 1.22

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +15,8 @@ import (
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
-// Options configures a coordinator run.
+// Options configures a Session — and so a Coordinator.Run, which is a
+// one-round Session. Every knob applies to every round.
 type Options struct {
 	// Train is the training configuration shipped with every job.
 	Train TrainConfig
@@ -50,11 +49,6 @@ type Options struct {
 	// by construction: the loopback worker runs the identical
 	// partition.PreparePart+Train path as a remote one.
 	NoFallback bool
-	// NoExtract ships every shard with the full pair (identity maps)
-	// instead of its extracted neighborhood — the bytes-on-wire baseline
-	// and the fallback for schemas ExtractShard refuses. Ignored when
-	// seed shipping is active (seeded jobs carry no networks at all).
-	NoExtract bool
 	// Base, when set, is a warm counter over the run's pair whose
 	// anchor-free count layer becomes the warm-counter seed (the facade
 	// passes its planning counter, so the export is a cache read). Nil
@@ -62,23 +56,24 @@ type Options struct {
 	// per shard × worker. Ignored under NoSeed.
 	Base *metadiag.Counter
 	// NoSeed disables warm-counter seed shipping: every job carries its
-	// extracted (or full) networks and cold-counts on the worker — the
-	// v4 wire behavior, the bytes/wall-clock baseline, and the mode for
-	// tests that exercise extraction itself.
+	// extracted networks (the full pair for a schema ExtractShard
+	// refuses) and cold-counts on the worker — the v4 wire behavior, the
+	// bytes/wall-clock baseline, and the mode for tests that exercise
+	// extraction itself.
 	NoSeed bool
-	// DeltaMaxLabels (sessions only) caps the label delta a JobRef may
-	// carry: a shard whose accumulated unsent labels exceed it re-ships
-	// as a full Job instead (an oversized delta plus a warm re-train can
-	// cost more than a cold job). 0 means the default (4096); negative
-	// disables delta shipping entirely — every round ships full jobs,
-	// which is the session property-test baseline. Coordinator.Run
-	// ignores it.
+	// DeltaMaxLabels caps the label delta a JobRef may carry: a shard
+	// whose accumulated unsent labels exceed it re-ships as a full Job
+	// instead (an oversized delta plus a warm re-train can cost more than
+	// a cold job). 0 means the default (4096); negative disables delta
+	// shipping entirely — every round ships full jobs, which is the
+	// session property-test baseline. A first round has nothing warm to
+	// reference, so it ships full jobs whatever the value.
 	DeltaMaxLabels int
 	// OnProgress, when set, receives worker progress frames (from
 	// concurrent goroutines; the callback must be thread-safe).
 	OnProgress func(Progress)
-	// Tracer, when set, records the run's span tree: a root span per run
-	// (or session round), per-attempt shard spans on their own tracks —
+	// Tracer, when set, records the span tree: a root span per round
+	// ("round N"), per-attempt shard spans on their own tracks —
 	// hedges and fallbacks included — and the worker-side prepare/train/
 	// votes spans shipped back on Done frames, stitched under their
 	// coordinator parents. Nil (the default) disables tracing; jobs then
@@ -107,9 +102,9 @@ type ShardMetrics struct {
 	Hedged bool
 }
 
-// Metrics is a run's transport audit: what crossed the wire. For a
-// Session, Run returns the round's metrics and Session.Metrics the
-// running totals.
+// Metrics is a round's transport audit: what crossed the wire.
+// Session.Run (and Coordinator.Run) returns the round's metrics,
+// Session.Metrics the running totals.
 type Metrics struct {
 	Shards      []ShardMetrics
 	JobBytes    int64 // total full-job frame bytes, successful attempts only
@@ -121,10 +116,10 @@ type Metrics struct {
 	// labeling cost. Equals Result.QueryCount only on retry-free runs.
 	Queries int
 	Retries int // shard re-dispatches after failures
-	// CacheHits/CacheMisses count JobRef verdicts (sessions only): a
-	// miss is a JobRef the worker could not serve warm — worker restart,
-	// eviction, fingerprint-collision defense — answered by a full-Job
-	// re-ship.
+	// CacheHits/CacheMisses count JobRef verdicts (rounds after a
+	// session's first): a miss is a JobRef the worker could not serve
+	// warm — worker restart, eviction, fingerprint-collision defense —
+	// answered by a full-Job re-ship.
 	CacheHits   int
 	CacheMisses int
 	// Fallbacks counts shards that degraded to the in-process loopback
@@ -158,9 +153,11 @@ func (m *Metrics) add(o *Metrics) {
 	m.SeedShips += o.SeedShips
 }
 
-// Coordinator dispatches shard jobs over a transport and reconciles the
-// returned vote streams into one globally one-to-one result. A zero
-// Coordinator is not usable; set Transport.
+// Coordinator is the single-shot entry point: Run dispatches a plan's
+// shard jobs over the transport once and reconciles the returned vote
+// streams into one globally one-to-one result. It holds no dispatch
+// logic of its own — Run is a one-round Session. A zero Coordinator is
+// not usable; set Transport.
 type Coordinator struct {
 	Transport Transport
 	Opts      Options
@@ -196,14 +193,19 @@ type shardResult struct {
 	report    partition.PartReport
 	weights   []float64 // the shard's trained model, from its Done frame
 	jobBytes  int64     // full Job frame bytes written
-	refBytes  int64     // JobRef frame bytes written (sessions; hit or missed attempt)
+	refBytes  int64     // JobRef frame bytes written (hit or missed attempt)
 	readBytes int64
 	extracted bool
-	fallback  bool       // produced by the in-process degradation path
-	spans     []WireSpan // worker-side spans off the Done frame (tracing only)
+	fallback  bool // produced by the in-process degradation path
+	// cacheHit/deltaLabels: the shard re-ran warm off a JobRef carrying
+	// this many new labels.
+	cacheHit    bool
+	deltaLabels int
+	state       *sessionShard // the session cache entry the attempt ran from
+	spans       []WireSpan    // worker-side spans off the Done frame (tracing only)
 }
 
-// Retry/deadline defaults shared by Coordinator and Session.
+// Retry/deadline defaults.
 const (
 	// defaultShardTimeout is the per-attempt deadline when
 	// Options.ShardTimeout is zero — generous against real shard
@@ -244,379 +246,16 @@ func armDeadline(conn io.ReadWriteCloser, d time.Duration) (disarm func()) {
 }
 
 // Run executes every shard of the plan on remote workers and merges
-// their votes. The pair must be the ORIGINAL aligned pair the plan was
-// built against; oracle may be nil when the plan's total budget is
-// zero. Votes are committed to the merger only when a shard's Done
-// frame arrives, so a shard that dies mid-stream retries from scratch
-// without double-voting; within that rule the reconciliation is
-// streaming — shards commit as they finish, in any order, and the
-// merged result is order-independent.
+// their votes: a Session opened for the call, run for one round and
+// closed. The pair must be the ORIGINAL aligned pair the plan was built
+// against; oracle may be nil when the plan's total budget is zero.
 func (c *Coordinator) Run(pair *hetnet.AlignedPair, plan *partition.Plan, oracle active.Oracle) (*partition.Result, *Metrics, error) {
-	if c.Transport == nil {
-		return nil, nil, fmt.Errorf("distrib: nil transport")
+	s, err := NewSession(c.Transport, pair, c.Opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	if pair == nil {
-		return nil, nil, fmt.Errorf("distrib: nil pair")
-	}
-	if plan == nil || len(plan.Parts) == 0 {
-		return nil, nil, fmt.Errorf("distrib: empty plan")
-	}
-	totalBudget := 0
-	for i := range plan.Parts {
-		totalBudget += plan.Parts[i].Budget
-	}
-	if totalBudget > 0 && oracle == nil {
-		return nil, nil, fmt.Errorf("distrib: plan carries budget %d but no oracle", totalBudget)
-	}
-	start := time.Now()
-
-	k := len(plan.Parts)
-	workers := c.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	retries := c.Opts.Retries
-	if retries == 0 {
-		retries = 2
-	} else if retries < 0 {
-		retries = 0
-	}
-	shardTimeout := c.Opts.ShardTimeout
-	if shardTimeout == 0 {
-		shardTimeout = defaultShardTimeout
-	} else if shardTimeout < 0 {
-		shardTimeout = 0
-	}
-
-	tr := c.Opts.Tracer
-	runSpan := tr.Start("run", 0)
-	runSpan.Annotate("shards", fmt.Sprintf("%d", k))
-
-	run := &runState{
-		coord:   c,
-		pair:    pair,
-		plan:    plan,
-		tracer:  tr,
-		runSpan: runSpan.ID(),
-		// Worst-case enqueues per shard: the initial dispatch, one
-		// requeue per retry, one hedge duplicate, one fallback dispatch —
-		// sized so no enqueue under the state mutex can ever block.
-		oracle:       oracle,
-		jobs:         make(chan int, k*(retries+4)),
-		attempts:     make([]int, k),
-		inflight:     make([]int, k),
-		started:      make([]time.Time, k),
-		done:         make([]bool, k),
-		hedged:       make([]bool, k),
-		fellBack:     make([]bool, k),
-		active:       make(map[int][]io.ReadWriteCloser, k),
-		retries:      retries,
-		shardTimeout: shardTimeout,
-		results:      make([]*shardResult, k),
-		merger:       partition.NewMerger(),
-		sleep:        time.Sleep,
-		jitter:       rand.New(rand.NewSource(c.Opts.Train.Seed ^ 0x5DEECE66D)),
-	}
-	if !c.Opts.NoSeed {
-		// Built eagerly, once, before the worker loops: every connection
-		// ships (or ref-hits) the same pre-encoded body. A seed that
-		// fails to build degrades the run to unseeded v4-style shipping
-		// rather than aborting — the jobs are self-contained either way.
-		if fp, body, err := buildSeed(pair, c.Opts.Base, c.Opts.Train, tr.TraceID()); err == nil {
-			run.seedFP, run.seedBody = fp, body
-		}
-	}
-	for i := 0; i < k; i++ {
-		run.jobs <- i
-	}
-	run.outstanding = k
-
-	if c.Opts.HedgeAfter > 0 {
-		run.stopHedge = make(chan struct{})
-		go run.hedgeMonitor(c.Opts.HedgeAfter)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run.workerLoop()
-		}()
-	}
-	wg.Wait()
-
-	metrics := run.buildMetrics()
-	metrics.publish()
-	if run.err != nil {
-		// The error still carries metrics: a caller diagnosing an aborted
-		// run needs the attempt counts and retry totals of the shards
-		// that failed, not just the ones that made it.
-		runSpan.End()
-		return nil, metrics, run.err
-	}
-	var reports []partition.PartReport
-	weights := make(map[int][]float64, len(run.results))
-	for i, sr := range run.results {
-		if sr == nil {
-			runSpan.End()
-			return nil, metrics, fmt.Errorf("distrib: shard %d never completed", i)
-		}
-		reports = append(reports, sr.report)
-		weights[plan.Parts[i].Index] = sr.weights
-	}
-	rec := tr.Start("reconcile", runSpan.ID())
-	res := run.merger.Finish()
-	rec.End()
-	res.Reports = reports
-	res.ShardWeights = weights
-	res.Elapsed = time.Since(start)
-	runSpan.End()
-	return res, metrics, nil
-}
-
-// buildMetrics assembles the run's transport audit. Safe to call after
-// the worker loops exit (no concurrent mutation); on an aborted run the
-// per-shard entries of failed shards carry their final attempt counts
-// with zero byte tallies.
-func (r *runState) buildMetrics() *Metrics {
-	m := &Metrics{Retries: r.totalRetries, Fallbacks: r.totalFallbacks, Hedges: r.totalHedges}
-	for i, sr := range r.results {
-		sm := ShardMetrics{
-			Shard:    r.plan.Parts[i].Index,
-			Attempts: r.attempts[i],
-			Hedged:   r.hedged[i],
-		}
-		if sr != nil {
-			sm.JobBytes = sr.jobBytes
-			sm.Extracted = sr.extracted
-			sm.Fallback = sr.fallback
-			m.JobBytes += sr.jobBytes
-			m.ResultBytes += sr.readBytes
-		} else {
-			sm.Fallback = r.fellBack[i]
-		}
-		m.Shards = append(m.Shards, sm)
-	}
-	m.Queries = int(r.queries.Load())
-	m.SeedBytes = r.seedBytes.Load()
-	m.SeedShips = int(r.seedShips.Load())
-	return m
-}
-
-// runState is the shared dispatch state of one Run.
-type runState struct {
-	coord  *Coordinator
-	pair   *hetnet.AlignedPair
-	plan   *partition.Plan
-	oracle active.Oracle
-
-	jobs         chan int
-	retries      int
-	shardTimeout time.Duration
-	stopHedge    chan struct{} // non-nil when hedging; closed by finish
-	sleep        func(time.Duration)
-
-	// tracer/runSpan carry the run's trace context; a nil tracer (the
-	// default) makes every span call a no-op and keeps wire trace IDs
-	// zero.
-	tracer  *telemetry.Tracer
-	runSpan uint64
-
-	// seedFP/seedBody are the run's pre-encoded warm-counter seed; a nil
-	// body means the run ships unseeded (NoSeed, or the seed failed to
-	// build). seedBytes/seedShips audit the negotiations.
-	seedFP    uint64
-	seedBody  []byte
-	seedGate  seedGate
-	seedBytes atomic.Int64
-	seedShips atomic.Int64
-
-	oracleMu sync.Mutex // serializes oracle access across connections
-	// queries counts every oracle round-trip actually answered —
-	// including those of failed shard attempts whose votes were
-	// discarded, since the oracle (a paid labeler, a CountingOracle) was
-	// really consulted.
-	queries atomic.Int64
-
-	mu       sync.Mutex
-	attempts []int
-	inflight []int       // concurrent attempts per shard (hedging)
-	started  []time.Time // earliest running attempt's start, zero when idle
-	done     []bool      // committed — late duplicates are discarded
-	hedged   []bool      // a hedge was dispatched (one per shard, ever)
-	fellBack []bool      // the in-process fallback was dispatched
-	// active tracks every live attempt's connection per shard so the
-	// winning attempt can cancel the losers.
-	active         map[int][]io.ReadWriteCloser
-	durations      []time.Duration // committed shard durations, for the hedge percentile
-	results        []*shardResult
-	merger         *partition.Merger // commits stream in as shards finish
-	outstanding    int
-	totalRetries   int
-	totalFallbacks int
-	totalHedges    int
-	jitter         *rand.Rand // seeded backoff jitter, guarded by mu
-	err            error
-	closed         bool
-}
-
-// finish closes the job channel exactly once so worker loops drain, and
-// stops the hedge monitor. Callers hold r.mu.
-func (r *runState) finish() {
-	if !r.closed {
-		r.closed = true
-		close(r.jobs)
-		if r.stopHedge != nil {
-			close(r.stopHedge)
-		}
-	}
-}
-
-// workerLoop owns one (lazily dialed) connection and executes queued
-// shards on it until the queue closes. A shard failure burns the
-// connection — the next shard dials fresh — and requeues the shard with
-// backoff until its attempt budget runs out, which degrades the shard
-// to the in-process fallback (or aborts the run under NoFallback).
-func (r *runState) workerLoop() {
-	var conn io.ReadWriteCloser
-	var connSeeded bool // the current conn completed seed negotiation
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	for shard := range r.jobs {
-		r.mu.Lock()
-		if r.err != nil || r.done[shard] {
-			// Aborted run, or a hedged duplicate whose twin already
-			// committed: drain without executing.
-			r.mu.Unlock()
-			continue
-		}
-		r.attempts[shard]++
-		attempt := r.attempts[shard]
-		isFallback := r.fellBack[shard]
-		// A duplicate picked up while the first attempt is still in
-		// flight is a hedge — the monitor enqueued it while inflight was
-		// nonzero, and only hedges dispatch that way.
-		isHedge := r.inflight[shard] > 0
-		// A hedge dispatches immediately; a retry of a dead attempt backs
-		// off first (capped exponential + jitter) so a flapping transport
-		// is probed, not hammered.
-		var delay time.Duration
-		if !isHedge && attempt > 1 && !isFallback {
-			delay = r.backoff(attempt - 1)
-		}
-		if r.inflight[shard] == 0 {
-			r.started[shard] = time.Now()
-		}
-		r.inflight[shard]++
-		r.mu.Unlock()
-
-		if delay > 0 {
-			r.sleep(delay)
-		}
-
-		// Each attempt renders on its own trace track — hedges and
-		// fallbacks get suffixed tracks so concurrent twins never overlap
-		// on one row.
-		track := fmt.Sprintf("shard %d", r.plan.Parts[shard].Index)
-		if isHedge {
-			track += " (hedge)"
-		}
-		if isFallback {
-			track += " (fallback)"
-		}
-
-		var sr *shardResult
-		var err error
-		if isFallback {
-			sr, err = r.runInProcess(shard, track, attempt)
-		} else {
-			if conn == nil {
-				conn, err = r.dialVia(r.coord.Transport)
-				connSeeded = false
-			}
-			if err == nil && r.seedBody != nil && !connSeeded {
-				// Seed negotiation happens once per connection, before its
-				// first job, under the shard deadline. A failed negotiation
-				// burns the conn like any shard failure — the retry redials
-				// and renegotiates.
-				err = r.seedConn(conn)
-				connSeeded = err == nil
-				if err != nil {
-					conn.Close()
-					conn = nil
-				}
-			}
-			if err == nil {
-				r.track(shard, conn)
-				sr, err = r.runShard(conn, shard, connSeeded, track, attempt)
-				r.untrack(shard, conn)
-				r.reportHealth(conn, err == nil)
-				if err != nil {
-					conn.Close()
-					conn = nil
-				}
-			}
-		}
-
-		r.mu.Lock()
-		r.inflight[shard]--
-		if r.inflight[shard] == 0 {
-			r.started[shard] = time.Time{}
-		}
-		r.mu.Unlock()
-		if err != nil {
-			r.fail(shard, err)
-			continue
-		}
-		r.commit(shard, sr)
-	}
-}
-
-// track registers an attempt's connection so a winning hedge twin can
-// cancel it; untrack removes it when the attempt ends on its own.
-func (r *runState) track(shard int, conn io.ReadWriteCloser) {
-	r.mu.Lock()
-	r.active[shard] = append(r.active[shard], conn)
-	r.mu.Unlock()
-}
-
-func (r *runState) untrack(shard int, conn io.ReadWriteCloser) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	live := r.active[shard][:0]
-	for _, c := range r.active[shard] {
-		if c != conn {
-			live = append(live, c)
-		}
-	}
-	r.active[shard] = live
-}
-
-// reportHealth attributes an attempt's outcome to its worker when both
-// the conn and the transport support identification — the TCP
-// transport's quarantine feed. Optional-interface probing keeps the
-// Transport contract at one method.
-func (r *runState) reportHealth(conn io.ReadWriteCloser, ok bool) {
-	wc, canID := conn.(interface{ WorkerID() string })
-	hr, canReport := r.coord.Transport.(interface{ ReportWorker(string, bool) })
-	if canID && canReport {
-		if id := wc.WorkerID(); id != "" {
-			hr.ReportWorker(id, ok)
-		}
-	}
-}
-
-// backoff returns the retry delay before attempt n+1; callers hold r.mu
-// (which also guards the RNG).
-func (r *runState) backoff(n int) time.Duration {
-	return backoffDelay(r.jitter, n)
+	defer s.Close()
+	return s.Run(plan, oracle)
 }
 
 // backoffDelay is the jittered, capped exponential delay before retry n
@@ -631,246 +270,19 @@ func backoffDelay(rng *rand.Rand, n int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }
 
-// commit folds a completed attempt into the merged result. Commit is
-// transactional per shard: the votes only reach the merger once the
-// Done frame proved the stream complete, so a retried shard never
-// double-votes — and with hedging, only the FIRST completed attempt
-// commits; the loser's result is discarded and its connection cancelled.
-func (r *runState) commit(shard int, sr *shardResult) {
-	r.mu.Lock()
-	if r.done[shard] {
-		r.mu.Unlock()
-		return
-	}
-	r.done[shard] = true
-	for _, v := range sr.votes {
-		r.merger.Add(v)
-	}
-	sr.votes = nil
-	r.results[shard] = sr
-	if t0 := r.started[shard]; !t0.IsZero() {
-		r.durations = append(r.durations, time.Since(t0))
-	}
-	// Losing twins (the attempt registry minus nobody — the winner
-	// untracked itself before committing) get a Cancel frame and a
-	// close, off-lock: a worker blocked on an oracle answer aborts
-	// promptly, one deep in training notices at its next write.
-	losers := append([]io.ReadWriteCloser(nil), r.active[shard]...)
-	r.outstanding--
-	if r.outstanding == 0 {
-		r.finish()
-	}
-	partIndex := r.plan.Parts[shard].Index
-	r.mu.Unlock()
-	for _, c := range losers {
-		go func(c io.ReadWriteCloser) {
-			_ = WriteFrame(c, FrameCancel, &Cancel{Shard: partIndex})
-			c.Close()
-		}(c)
-	}
-}
-
-// hedgeMonitor watches for stragglers: a shard whose sole attempt has
-// been in flight longer than the hedge threshold is re-enqueued once,
-// so a second worker races it. The threshold adapts — twice the P90 of
-// completed shard durations, floored at hedgeAfter — because "straggler"
-// only means something relative to how long shards actually take.
-func (r *runState) hedgeMonitor(hedgeAfter time.Duration) {
-	period := hedgeAfter / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stopHedge:
-			return
-		case <-tick.C:
-		}
-		r.mu.Lock()
-		threshold := hedgeAfter
-		if n := len(r.durations); n >= 3 {
-			sorted := append([]time.Duration(nil), r.durations...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			if p90 := 2 * sorted[n*9/10]; p90 > threshold {
-				threshold = p90
-			}
-		}
-		for shard, t0 := range r.started {
-			if t0.IsZero() || r.done[shard] || r.hedged[shard] || r.inflight[shard] != 1 || r.closed {
-				continue
-			}
-			if time.Since(t0) >= threshold {
-				r.hedged[shard] = true
-				r.totalHedges++
-				r.jobs <- shard
-			}
-		}
-		r.mu.Unlock()
-	}
-}
-
-// dialVia opens and handshakes a connection over the given transport
-// (the run's own, or the private loopback of the fallback path).
-func (r *runState) dialVia(t Transport) (io.ReadWriteCloser, error) {
-	return dialWorker(t)
-}
-
-// dialWorker opens and handshakes a worker connection — the shared
-// coordinator-speaks-first protocol of single-shot runs, sessions, and
-// the fallback path.
-func dialWorker(t Transport) (io.ReadWriteCloser, error) {
-	conn, err := t.Dial()
-	if err != nil {
-		return nil, err
-	}
+// handshake runs the coordinator-speaks-first Hello exchange on a
+// freshly dialed worker connection.
+func handshake(conn io.ReadWriter) error {
 	if err := WriteFrame(conn, FrameHello, &Hello{Role: "coordinator"}); err != nil {
-		conn.Close()
-		return nil, err
+		return err
 	}
-	if err := ReadExpect(conn, FrameHello, &Hello{}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return conn, nil
-}
-
-// fail requeues the shard, degrades it to the in-process fallback when
-// its transport attempts are spent, or aborts the run when even the
-// fallback failed (or NoFallback forbids it).
-func (r *runState) fail(shard int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.done[shard] {
-		// Run already over, or a cancelled hedge loser reporting the
-		// conn its winner closed — nothing to recover.
-		return
-	}
-	if r.attempts[shard] <= r.retries {
-		r.totalRetries++
-		logger.Debug("shard attempt failed, retrying",
-			"shard", r.plan.Parts[shard].Index, "attempt", r.attempts[shard], "err", err)
-		r.jobs <- shard
-		return
-	}
-	if !r.coord.Opts.NoFallback && !r.fellBack[shard] {
-		// Degradation ladder's last rung: the transport gave up on this
-		// shard, so run it in-process over a private loopback worker —
-		// the identical partition.PreparePart+Train path, so the merged
-		// result is bit-identical to a healthy run's.
-		r.fellBack[shard] = true
-		r.totalFallbacks++
-		r.jobs <- shard
-		return
-	}
-	r.err = fmt.Errorf("distrib: shard %d failed after %d attempts: %w", shard, r.attempts[shard], err)
-	r.finish()
-}
-
-// seedConn negotiates the run's warm-counter seed on a fresh
-// connection, under the shard deadline, and folds the bytes into the
-// run's audit. The first negotiation is gated so concurrent dials into
-// a shared worker process ship one seed, not one per connection.
-func (r *runState) seedConn(conn io.ReadWriteCloser) error {
-	if release := r.seedGate.wait(); release != nil {
-		defer release()
-	}
-	disarm := armDeadline(conn, r.shardTimeout)
-	defer disarm()
-	n, shipped, err := negotiateSeed(conn, r.seedFP, r.seedBody)
-	r.seedBytes.Add(n)
-	if shipped && err == nil {
-		r.seedShips.Add(1)
-	}
-	return err
-}
-
-// runInProcess executes the shard over a private loopback transport —
-// graceful degradation when the real transport is down or the shard
-// exhausted its retries. The private connection negotiates the seed
-// like any other (the loopback worker shares the process-wide seed
-// cache, so at most the first fallback ships it).
-func (r *runState) runInProcess(shard int, track string, attempt int) (*shardResult, error) {
-	logger.Warn("shard degraded to in-process fallback",
-		"shard", r.plan.Parts[shard].Index, "attempt", attempt)
-	conn, err := r.dialVia(Loopback{})
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	seeded := false
-	if r.seedBody != nil {
-		if err := r.seedConn(conn); err != nil {
-			return nil, err
-		}
-		seeded = true
-	}
-	sr, err := r.runShard(conn, shard, seeded, track, attempt)
-	if err != nil {
-		return nil, err
-	}
-	sr.fallback = true
-	return sr, nil
-}
-
-// runShard ships one job and consumes its frame stream to completion,
-// bounded by the per-shard deadline. On a seeded connection the job is
-// a seeded one — original indices, no networks; otherwise the v4-style
-// extracted (or full) self-contained job.
-func (r *runState) runShard(conn io.ReadWriteCloser, shard int, seeded bool, track string, attempt int) (*shardResult, error) {
-	part := &r.plan.Parts[shard]
-	sp := r.tracer.Start(fmt.Sprintf("shard %d", part.Index), r.runSpan)
-	sp.SetTrack(track)
-	sp.Annotate("attempt", fmt.Sprintf("%d", attempt))
-	defer sp.End()
-	var job *Job
-	var extracted bool
-	if seeded {
-		job = NewSeededJob(r.pair, part, r.coord.Opts.Train, r.seedFP)
-	} else {
-		ex := r.tracer.Start("extract", sp.ID())
-		ex.SetTrack(track)
-		sh := buildShard(r.pair, part, r.coord.Opts.NoExtract)
-		job = NewJob(sh, r.coord.Opts.Train)
-		extracted = sh.Extracted()
-		ex.End()
-	}
-	// The attempt span is the wire-propagated parent: the worker's
-	// prepare/train/votes spans hang under it, so a hedge twin's worker
-	// spans land under the hedge attempt, not the original.
-	job.TraceID = r.tracer.TraceID()
-	job.SpanID = sp.ID()
-
-	disarm := armDeadline(conn, r.shardTimeout)
-	defer disarm()
-	ship := r.tracer.Start("ship", sp.ID())
-	ship.SetTrack(track)
-	cw := &countingWriter{w: conn}
-	if err := WriteFrame(cw, FrameJob, job); err != nil {
-		return nil, err
-	}
-	ship.Annotate("bytes", fmt.Sprintf("%d", cw.n))
-	ship.End()
-	sr := &shardResult{jobBytes: cw.n, extracted: extracted}
-	env := &streamEnv{
-		oracle: r.oracle, oracleMu: &r.oracleMu, queries: &r.queries,
-		onProgress: r.coord.Opts.OnProgress,
-	}
-	if err := collectShard(conn, part.Index, env, sr); err != nil {
-		return nil, err
-	}
-	ingestWorkerSpans(r.tracer, track, sr.spans)
-	return sr, nil
+	return ReadExpect(conn, FrameHello, &Hello{})
 }
 
 // buildShard packages a part for the wire: extracted down to its feature
-// closure, or the full pair when extraction is disabled or the schema is
-// outside the extractor's closure argument (not fatal — ship it all).
-func buildShard(pair *hetnet.AlignedPair, part *partition.Part, noExtract bool) *partition.Shard {
-	if noExtract {
-		return partition.FullShard(pair, part)
-	}
+// closure, or the full pair when the schema is outside the extractor's
+// closure argument (not fatal — ship it all).
+func buildShard(pair *hetnet.AlignedPair, part *partition.Part) *partition.Shard {
 	sh, err := partition.ExtractShard(pair, part)
 	if err != nil {
 		return partition.FullShard(pair, part)
@@ -891,8 +303,7 @@ type streamEnv struct {
 
 // collectShard consumes one shard's frame stream — votes, progress,
 // oracle round-trips — through to its Done frame, accumulating into sr.
-// It is shared by the single-shot coordinator and the session: the
-// response protocol is identical whether the request was a Job or a
+// The response protocol is identical whether the request was a Job or a
 // cache-hit JobRef.
 func collectShard(conn io.ReadWriter, partIndex int, env *streamEnv, sr *shardResult) error {
 	cr := &countingReader{r: conn}

@@ -84,6 +84,12 @@ func newDistFixture(t testing.TB, k, budget int) *distFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newDistFixtureOn(t, pair, k, budget)
+}
+
+// newDistFixtureOn is newDistFixture over a caller-supplied pair.
+func newDistFixtureOn(t testing.TB, pair *hetnet.AlignedPair, k, budget int) *distFixture {
+	t.Helper()
 	n := len(pair.Anchors) / 2
 	trainPos := pair.Anchors[:n]
 	testPos := pair.Anchors[n:]
@@ -186,25 +192,47 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestNoExtractMatchesToo checks the full-pair (NoExtract) path merges
-// identically — and costs measurably more bytes on the wire than the
-// extracted path, which is the point of shard extraction. NoSeed keeps
-// the unseeded job paths under test: with seed shipping on, both modes
-// collapse to identical network-free seeded jobs.
-func TestNoExtractMatchesToo(t *testing.T) {
+// TestUnextractableSchemaShipsFullPair reaches the full-pair fallback
+// the way production does: a pair declaring one link type outside the
+// extractor's social/authorship/attribute closure makes ExtractShard
+// refuse, so an unseeded run ships every shard with the whole pair
+// (identity maps) — and must still merge to exactly partition.Align's
+// alignment, at measurably more bytes than the extracted path costs on
+// the same pair without the extra type. NoSeed keeps the unseeded job
+// paths under test: seeded jobs carry no networks at all.
+func TestUnextractableSchemaShipsFullPair(t *testing.T) {
 	fx := newDistFixture(t, 3, 0)
 	extracted := &Coordinator{Transport: Loopback{}, Opts: Options{Train: fx.train, Workers: 2, NoSeed: true}}
 	resE, mE, err := extracted.Run(fx.pair, fx.plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := &Coordinator{Transport: Loopback{}, Opts: Options{Train: fx.train, Workers: 2, NoExtract: true, NoSeed: true}}
-	resF, mF, err := full.Run(fx.pair, fx.plan, nil)
+	assertSameAlignment(t, resE, fx.ref, fx.plan)
+
+	opaque, err := datagen.Generate(datagen.Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAlignment(t, resE, fx.ref, fx.plan)
-	assertSameAlignment(t, resF, fx.ref, fx.plan)
+	for _, g := range []*hetnet.Network{opaque.G1, opaque.G2} {
+		if err := g.DeclareLink("near", hetnet.Location, hetnet.Location); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fxF := newDistFixtureOn(t, opaque, 3, 0)
+	if _, err := partition.ExtractShard(fxF.pair, &fxF.plan.Parts[0]); err == nil {
+		t.Fatal("ExtractShard accepted a location→location link type; the fallback is not under test")
+	}
+	full := &Coordinator{Transport: Loopback{}, Opts: Options{Train: fxF.train, Workers: 2, NoSeed: true}}
+	resF, mF, err := full.Run(fxF.pair, fxF.plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAlignment(t, resF, fxF.ref, fxF.plan)
+	for _, sm := range mF.Shards {
+		if sm.Extracted {
+			t.Errorf("shard %d reports Extracted on an unextractable schema", sm.Shard)
+		}
+	}
 	if mE.JobBytes >= mF.JobBytes {
 		t.Errorf("extraction did not shrink jobs: extracted %d bytes, full %d bytes", mE.JobBytes, mF.JobBytes)
 	}

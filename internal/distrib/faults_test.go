@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,13 +279,18 @@ func TestNegativeRetriesDisablesRetry(t *testing.T) {
 // Done wins and the result is unchanged.
 // ---------------------------------------------------------------------
 
-// slowFirstTransport delays every read on the FIRST dialed connection,
-// manufacturing exactly one straggler.
+// slowFirstTransport delays every read on the FIRST dialed connection
+// while armed, manufacturing exactly one straggler — from the start, or
+// (armed between rounds) in a later round of a session.
 type slowFirstTransport struct {
 	inner Transport
 	delay time.Duration
-	mu    sync.Mutex
-	dials int
+	armed atomic.Bool
+	// sawCancel records a Cancel frame header written to the slow
+	// connection — the loser's abandon notice.
+	sawCancel atomic.Bool
+	mu        sync.Mutex
+	dials     int
 }
 
 func (tr *slowFirstTransport) Dial() (io.ReadWriteCloser, error) {
@@ -297,46 +303,109 @@ func (tr *slowFirstTransport) Dial() (io.ReadWriteCloser, error) {
 	tr.dials++
 	tr.mu.Unlock()
 	if first {
-		return &slowConn{ReadWriteCloser: conn, delay: tr.delay}, nil
+		return &slowConn{ReadWriteCloser: conn, tr: tr}, nil
 	}
 	return conn, nil
 }
 
-// slowConn sleeps before every read. It deliberately hides deadline
-// methods so the straggler is not rescued by a timeout first.
+// slowConn sleeps before every read while its transport is armed. It
+// deliberately hides deadline methods so the straggler is not rescued by
+// a timeout first.
 type slowConn struct {
 	io.ReadWriteCloser
-	delay time.Duration
+	tr *slowFirstTransport
 }
 
 func (c *slowConn) Read(p []byte) (int, error) {
-	time.Sleep(c.delay)
+	if c.tr.armed.Load() {
+		time.Sleep(c.tr.delay)
+	}
 	return c.ReadWriteCloser.Read(p)
 }
 
+func (c *slowConn) Write(p []byte) (int, error) {
+	// A frame opens with its own 8-byte header write: length, "AI",
+	// version, type.
+	if len(p) == 8 && p[4] == 'A' && p[5] == 'I' && FrameType(p[7]) == FrameCancel {
+		c.tr.sawCancel.Store(true)
+	}
+	return c.ReadWriteCloser.Write(p)
+}
+
 func TestHedgingRacesStragglers(t *testing.T) {
-	fx := newDistFixture(t, 2, 0)
-	tr := &slowFirstTransport{inner: Loopback{}, delay: 30 * time.Millisecond}
-	coord := &Coordinator{Transport: tr, Opts: Options{
-		Train: fx.train, Workers: 2, HedgeAfter: 20 * time.Millisecond,
-	}}
-	res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
-	if err != nil {
-		t.Fatalf("hedged run failed: %v", err)
-	}
-	assertSameAlignment(t, res, fx.ref, fx.plan)
-	if m.Hedges == 0 {
-		t.Fatal("no hedge dispatched for the straggling connection")
-	}
-	hedged := 0
-	for _, sm := range m.Shards {
-		if sm.Hedged {
-			hedged++
+	assertHedged := func(t *testing.T, m *Metrics) {
+		t.Helper()
+		if m.Hedges == 0 {
+			t.Fatal("no hedge dispatched for the straggling connection")
+		}
+		hedged := 0
+		for _, sm := range m.Shards {
+			if sm.Hedged {
+				hedged++
+			}
+		}
+		if hedged == 0 {
+			t.Error("Hedges counted but no shard marked Hedged")
 		}
 	}
-	if hedged == 0 {
-		t.Error("Hedges counted but no shard marked Hedged")
-	}
+
+	t.Run("single-shot", func(t *testing.T) {
+		fx := newDistFixture(t, 2, 0)
+		tr := &slowFirstTransport{inner: Loopback{}, delay: 30 * time.Millisecond}
+		tr.armed.Store(true)
+		coord := &Coordinator{Transport: tr, Opts: Options{
+			Train: fx.train, Workers: 2, HedgeAfter: 20 * time.Millisecond,
+		}}
+		res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
+		if err != nil {
+			t.Fatalf("hedged run failed: %v", err)
+		}
+		assertSameAlignment(t, res, fx.ref, fx.plan)
+		assertHedged(t, m)
+	})
+
+	// The same straggler, but in round 2 of a session: the slow
+	// connection holds a shard warm from a healthy round 1, stalls on its
+	// JobRef re-run, and is raced by a cold full-Job twin on the other
+	// slot. First Done wins, the loser is cancelled, and the votes equal
+	// the unhedged session's.
+	t.Run("session-round-2", func(t *testing.T) {
+		fx := newDistFixture(t, 2, 8)
+		unhedged, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 0, 2, 8, 2)
+
+		tr := &slowFirstTransport{inner: Loopback{}, delay: 30 * time.Millisecond}
+		plan := fx.freshPlan(t, 8)
+		sess, err := NewSession(tr, fx.pair, Options{
+			Train: fx.train, Workers: 2, HedgeAfter: 20 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		plan.Rebudget(partition.RoundBudget(8, 2, 0))
+		res, m1, err := sess.Run(plan, fx.oracle)
+		if err != nil {
+			t.Fatalf("round 1: %v", err)
+		}
+		if m1.Hedges != 0 {
+			t.Fatalf("healthy round 1 hedged %d times", m1.Hedges)
+		}
+		plan.AppendLabels(res.QueriedLabels())
+		tr.armed.Store(true)
+		plan.Rebudget(partition.RoundBudget(8, 2, 1))
+		res, m2, err := sess.Run(plan, fx.oracle)
+		if err != nil {
+			t.Fatalf("hedged round 2: %v", err)
+		}
+		assertSameAlignment(t, res, unhedged, fx.plan)
+		assertHedged(t, m2)
+		// The Cancel is written off the dispatch path; give it a moment.
+		for deadline := time.Now().Add(5 * time.Second); !tr.sawCancel.Load(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the losing attempt's connection never got a Cancel frame")
+			}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -362,7 +431,7 @@ func TestWorkerCancelMidQueryKeepsServing(t *testing.T) {
 	if part.Budget == 0 {
 		t.Fatal("fixture shard carries no budget; the worker would never query")
 	}
-	job := NewJob(buildShard(fx.pair, part, false), fx.train)
+	job := NewJob(buildShard(fx.pair, part), fx.train)
 	if err := WriteFrame(here, FrameJob, job); err != nil {
 		t.Fatal(err)
 	}
@@ -455,31 +524,80 @@ func TestHealthBoardQuarantine(t *testing.T) {
 }
 
 func TestTCPDialSkipsQuarantined(t *testing.T) {
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-	bad, good := ln1.Addr().String(), ln2.Addr().String()
-
-	tr := &TCP{Addrs: []string{bad, good}, QuarantineAfter: 1}
-	tr.ReportWorker(bad, false)
-	for i := 0; i < 3; i++ {
-		conn, err := tr.Dial()
+	listen := func(t *testing.T) net.Listener {
+		t.Helper()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
+			t.Fatal(err)
 		}
-		id := conn.(interface{ WorkerID() string }).WorkerID()
-		conn.Close()
-		if id != good {
-			t.Errorf("dial %d routed to quarantined worker %s", i, id)
+		t.Cleanup(func() { ln.Close() })
+		return ln
+	}
+	assertSkipped := func(t *testing.T, tr *TCP, bad, good string) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			conn, err := tr.Dial()
+			if err != nil {
+				t.Fatalf("dial %d: %v", i, err)
+			}
+			id := conn.(interface{ WorkerID() string }).WorkerID()
+			conn.Close()
+			if id != good {
+				t.Errorf("dial %d routed to quarantined worker %s", i, id)
+			}
 		}
 	}
+
+	t.Run("reported", func(t *testing.T) {
+		bad, good := listen(t).Addr().String(), listen(t).Addr().String()
+		tr := &TCP{Addrs: []string{bad, good}, QuarantineAfter: 1}
+		tr.ReportWorker(bad, false)
+		assertSkipped(t, tr, bad, good)
+	})
+
+	// The board fed by a session instead of by hand: one address accepts
+	// connections and hangs up (a crashed worker behind a live port), the
+	// other is a real worker. Two failed attempts on the bad address
+	// inside the session must bench it, and the session still converges
+	// on the healthy worker.
+	t.Run("session-feeds-board", func(t *testing.T) {
+		badLn, goodLn := listen(t), listen(t)
+		go func() {
+			for {
+				conn, err := badLn.Accept()
+				if err != nil {
+					return
+				}
+				conn.Close()
+			}
+		}()
+		go func() {
+			for {
+				conn, err := goodLn.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					_ = Serve(conn)
+				}()
+			}
+		}()
+		bad, good := badLn.Addr().String(), goodLn.Addr().String()
+
+		fx := newDistFixture(t, 3, 12)
+		full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 0, 2, 12, 2)
+		tr := &TCP{Addrs: []string{bad, good}, QuarantineAfter: 2}
+		res, _, cum := runRoundsOnPlan(t, fx, tr, 0, 2, 12, 2)
+		assertSameAlignment(t, res, full, fx.plan)
+		if cum.Retries < 2 {
+			t.Errorf("Retries = %d, want the bad worker's two failed attempts", cum.Retries)
+		}
+		if !tr.board().quarantined(bad) {
+			t.Fatal("the session never benched the worker that failed QuarantineAfter attempts")
+		}
+		assertSkipped(t, tr, bad, good)
+	})
 }
 
 // ---------------------------------------------------------------------

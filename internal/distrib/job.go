@@ -83,8 +83,8 @@ type TrainConfig struct {
 
 // NewJob packages an extracted shard with the run's training
 // configuration as a wire job. The shard's prelabels (if any) ship in
-// sub-pair indices; Fingerprint is left zero — session coordinators
-// stamp it via ComputeFingerprint to opt the worker into caching.
+// sub-pair indices; Fingerprint is left zero — the Session stamps it
+// via ComputeFingerprint to opt the worker into caching.
 func NewJob(shard *partition.Shard, cfg TrainConfig) *Job {
 	j := &Job{
 		Shard:      shard.Part.Index,
@@ -236,10 +236,7 @@ func JobSizes(pair *hetnet.AlignedPair, plan *partition.Plan, cfg TrainConfig, e
 		part := &plan.Parts[i]
 		var sh *partition.Shard
 		if extract {
-			var err error
-			if sh, err = partition.ExtractShard(pair, part); err != nil {
-				sh = partition.FullShard(pair, part)
-			}
+			sh = buildShard(pair, part)
 		} else {
 			sh = partition.FullShard(pair, part)
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,22 +26,28 @@ const roundSeedStride = 2_038_074_743
 // Options.DeltaMaxLabels is zero.
 const defaultDeltaMaxLabels = 4096
 
-// Session runs multi-round distributed alignment over a stable shard
-// plan with sticky shard routing: connections stay open across rounds,
-// each shard is routed back to the worker connection that already holds
-// its fingerprinted state, and a repeat round ships a JobRef (the label
+// Session is the shard dispatcher: it runs rounds of distributed
+// alignment over a stable shard plan — one round for a single-shot run
+// (Coordinator.Run), one per retrain for an active loop — with sticky
+// shard routing. Connections stay open across rounds, each shard is
+// routed back to the worker connection that already holds its
+// fingerprinted state, and a repeat round ships a JobRef (the label
 // delta since the last run) instead of the full job. Extraction and job
 // serialization are paid once per shard on the coordinator, counting and
 // feature extraction once per shard on the worker; every later round
 // costs bytes proportional to its new labels.
 //
-// The fallback ladder keeps sessions exactly as reliable as single-shot
-// runs: a JobRef the worker cannot serve warm (restarted process,
-// evicted cache entry, colliding fingerprint) is answered by a full-Job
-// re-ship on the same connection; a broken connection burns its cached
-// fingerprints and the shard retries cold on a fresh dial, up to
-// Options.Retries. Either way the votes that come back are identical —
-// delta-shipped rounds are property-tested bit-equal to full re-ship.
+// Every round rides one recovery ladder: a JobRef the worker cannot
+// serve warm (restarted process, evicted cache entry, colliding
+// fingerprint) is answered by a full-Job re-ship on the same
+// connection; a failed attempt burns its connection and the shard
+// requeues — with backoff, cold, for whichever slot is free — up to
+// Options.Retries; a shard out of retries runs in-process over a private
+// loopback worker (unless NoFallback); a straggler is raced by a hedge
+// twin on another slot (HedgeAfter), first Done wins. Whichever rung
+// answers, the votes are identical — delta-shipped rounds are
+// property-tested bit-equal to full re-ship, and faulted runs to healthy
+// ones.
 //
 // Use one Session per (pair, plan) lifetime: Run may be called once per
 // active-learning round, with the caller growing the plan's prelabels
@@ -54,11 +61,11 @@ type Session struct {
 
 	round int
 	slots []*sessionSlot
-	// shardsMu guards the shards map itself; each entry is only ever
-	// touched by the slot goroutine its shard is assigned to.
-	shardsMu sync.Mutex
-	shards   map[int]*sessionShard
-	cum      Metrics
+	// mu guards the shards map and every entry's home/sent — a shard and
+	// its hedge twin run on two slots at once.
+	mu     sync.Mutex
+	shards map[int]*sessionShard
+	cum    Metrics
 
 	// seedFP/seedBody are built once on the first Run (nil body =
 	// unseeded session); slots negotiate per connection and renegotiate
@@ -68,16 +75,18 @@ type Session struct {
 	seedBody []byte
 	seedGate seedGate
 
-	oracleMu sync.Mutex
-	queries  atomic.Int64
+	oracleMu sync.Mutex // serializes oracle access across connections
 }
 
-// sessionSlot is one persistent worker connection and the shard states
-// it holds warm.
+// sessionSlot is one worker connection — dialed lazily, kept until an
+// attempt on it fails — and the shard states it holds warm. Only the
+// goroutine running the slot touches it.
 type sessionSlot struct {
-	conn   io.ReadWriteCloser
-	seeded bool           // this connection completed seed negotiation
-	holds  map[int]uint64 // part index → fingerprint run warm on this connection
+	index     int // position in Session.slots; -1 for a fallback's private slot
+	transport Transport
+	conn      io.ReadWriteCloser
+	seeded    bool           // this connection completed seed negotiation
+	holds     map[int]uint64 // part index → fingerprint run warm on this connection
 }
 
 // sessionShard is the coordinator-side cache of one shard: the one-time
@@ -85,8 +94,7 @@ type sessionSlot struct {
 // the label log has been shipped to the current holder.
 type sessionShard struct {
 	shard    *partition.Shard // nil when seeded — no extraction, indices stay global
-	seeded   bool
-	template *Job // job with zero prelabels; per-round copies override the mutables
+	template *Job             // job with zero prelabels; per-round copies override the mutables
 	fp       uint64
 	partSig  uint64 // TrainPos/Candidates content hash: detects plan drift between rounds
 	sent     int    // prelabels already held by the home connection
@@ -103,7 +111,7 @@ func (st *sessionShard) extracted() bool {
 // template's index space: identity for seeded shards, the extraction
 // forward maps otherwise.
 func (st *sessionShard) labels(log []partition.LabeledLink) ([]partition.LabeledLink, error) {
-	if st.seeded {
+	if st.shard == nil {
 		return log, nil
 	}
 	return st.shard.RemapLabels(log)
@@ -129,7 +137,8 @@ func NewSession(transport Transport, pair *hetnet.AlignedPair, opts Options) (*S
 // Round returns how many rounds have completed.
 func (s *Session) Round() int { return s.round }
 
-// Metrics returns the running totals across every completed round.
+// Metrics returns the running totals across every round run so far,
+// aborted ones included.
 func (s *Session) Metrics() *Metrics {
 	m := s.cum
 	m.Shards = append([]ShardMetrics(nil), s.cum.Shards...)
@@ -142,19 +151,31 @@ func (s *Session) Metrics() *Metrics {
 func (s *Session) Close() error {
 	var first error
 	for _, slot := range s.slots {
-		if slot.conn != nil {
-			if err := slot.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-			slot.conn = nil
-			slot.seeded = false
-			slot.holds = make(map[int]uint64)
+		if err := s.dropConn(slot); err != nil && first == nil {
+			first = err
 		}
 	}
-	for _, st := range s.shards {
-		st.home = -1
-	}
 	return first
+}
+
+// dropConn closes a slot's connection and forgets the warm state that
+// died with it.
+func (s *Session) dropConn(slot *sessionSlot) error {
+	var err error
+	if slot.conn != nil {
+		err = slot.conn.Close()
+		slot.conn = nil
+	}
+	slot.seeded = false
+	s.mu.Lock()
+	for idx := range slot.holds {
+		if st := s.shards[idx]; st != nil && st.home == slot.index {
+			st.home = -1
+		}
+	}
+	s.mu.Unlock()
+	slot.holds = make(map[int]uint64)
+	return err
 }
 
 // Run executes one round of the plan: every shard trains on a worker
@@ -162,8 +183,19 @@ func (s *Session) Close() error {
 // into one globally one-to-one result. The plan must be the same object
 // family across rounds — same parts, with prelabels appended and budget
 // re-split between calls; a part whose pool changed is detected by
-// content hash and re-ships cold. Returns the round's result and the
-// round's metrics (cumulative totals via Metrics).
+// content hash and re-ships cold. oracle may be nil when the plan's
+// total budget is zero.
+//
+// Votes are committed to the merger only when a shard's Done frame
+// arrives, so a shard that dies mid-stream retries from scratch without
+// double-voting; within that rule the reconciliation is streaming —
+// shards commit as they finish, in any order, and the merged result is
+// order-independent.
+//
+// Returns the round's result and the round's metrics (cumulative totals
+// via Metrics). An aborted round still returns its metrics: every shard
+// is listed with its final attempt count, which is what a caller
+// diagnosing the abort needs.
 func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Result, *Metrics, error) {
 	if plan == nil || len(plan.Parts) == 0 {
 		return nil, nil, fmt.Errorf("distrib: empty plan")
@@ -178,8 +210,10 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 	start := time.Now()
 
 	// The seed is a property of the pair and training config, both fixed
-	// for the session's lifetime — build (and encode) it exactly once. A
-	// failed build degrades every round to unseeded shipping.
+	// for the session's lifetime — build (and encode) it exactly once,
+	// before any slot dials: every connection ships (or ref-hits) the same
+	// body. A failed build degrades every round to unseeded shipping
+	// rather than aborting — the jobs are self-contained either way.
 	s.seedOnce.Do(func() {
 		if s.opts.NoSeed {
 			return
@@ -198,7 +232,7 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		workers = k
 	}
 	for len(s.slots) < workers {
-		s.slots = append(s.slots, &sessionSlot{holds: make(map[int]uint64)})
+		s.slots = append(s.slots, &sessionSlot{index: len(s.slots), transport: s.transport, holds: make(map[int]uint64)})
 	}
 	retries := s.opts.Retries
 	if retries == 0 {
@@ -213,30 +247,9 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		shardTimeout = 0
 	}
 
-	// Sticky slot assignment: a shard whose state a connection holds goes
-	// back to that connection; the rest balance across the least-loaded
-	// slots.
-	assign := make([][]int, len(s.slots))
-	for i := range plan.Parts {
-		if st := s.shards[plan.Parts[i].Index]; st != nil && st.home >= 0 && st.home < len(assign) {
-			assign[st.home] = append(assign[st.home], i)
-		}
-	}
-	for i := range plan.Parts {
-		if st := s.shards[plan.Parts[i].Index]; st != nil && st.home >= 0 && st.home < len(assign) {
-			continue
-		}
-		best := 0
-		for sl := 1; sl < len(assign); sl++ {
-			if len(assign[sl]) < len(assign[best]) {
-				best = sl
-			}
-		}
-		assign[best] = append(assign[best], i)
-	}
-
 	tr := s.opts.Tracer
 	roundSpan := tr.Start(fmt.Sprintf("round %d", s.round), 0)
+	defer roundSpan.End()
 	roundSpan.Annotate("shards", fmt.Sprintf("%d", k))
 
 	rr := &sessionRound{
@@ -246,66 +259,67 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		seed:         s.opts.Train.Seed + int64(s.round)*roundSeedStride,
 		retries:      retries,
 		shardTimeout: shardTimeout,
-		sleep:        time.Sleep,
-		jitter:       rand.New(rand.NewSource(s.opts.Train.Seed ^ 0x5DEECE66D ^ int64(s.round))),
-		results:      make([]*shardResult, k),
-		shardMs:      make([]ShardMetrics, k),
-		merger:       partition.NewMerger(),
 		tracer:       tr,
 		roundSpan:    roundSpan.ID(),
+		// Worst-case enqueues per shard: the initial dispatch, one requeue
+		// per retry, one hedge duplicate, one fallback dispatch — sized so
+		// no enqueue under the state mutex can ever block.
+		queue:       make(chan int, k*(retries+4)),
+		stop:        make(chan struct{}),
+		attempts:    make([]int, k),
+		inflight:    make([]int, k),
+		started:     make([]time.Time, k),
+		done:        make([]bool, k),
+		hedged:      make([]bool, k),
+		fellBack:    make([]bool, k),
+		active:      make(map[int][]io.ReadWriteCloser, k),
+		results:     make([]*shardResult, k),
+		merger:      partition.NewMerger(),
+		outstanding: k,
+		jitter:      rand.New(rand.NewSource(s.opts.Train.Seed ^ 0x5DEECE66D ^ int64(s.round))),
 	}
-	queriesBefore := s.queries.Load()
+
+	// Sticky preference: a shard whose state a connection holds warm goes
+	// straight back to that slot; every other shard — all of them in a
+	// first round — feeds the shared queue, which the slots drain as they
+	// come free (list scheduling).
+	held := make([][]int, len(s.slots))
+	for i := range plan.Parts {
+		if st := s.shards[plan.Parts[i].Index]; st != nil && st.home >= 0 {
+			held[st.home] = append(held[st.home], i)
+		} else {
+			rr.queue <- i
+		}
+	}
 
 	var wg sync.WaitGroup
-	for sl := range s.slots {
-		if len(assign[sl]) == 0 {
-			continue
-		}
+	if s.opts.HedgeAfter > 0 {
 		wg.Add(1)
-		go func(sl int, shards []int) {
+		go func() {
 			defer wg.Done()
-			rr.slotLoop(sl, shards)
-		}(sl, assign[sl])
+			rr.hedgeMonitor(s.opts.HedgeAfter)
+		}()
+	}
+	for sl, slot := range s.slots {
+		wg.Add(1)
+		go func(slot *sessionSlot, held []int) {
+			defer wg.Done()
+			rr.slotLoop(slot, held)
+		}(slot, held[sl])
 	}
 	wg.Wait()
 
-	metrics := &Metrics{Retries: rr.totalRetries, Fallbacks: rr.totalFallbacks}
-	metrics.Queries = int(s.queries.Load() - queriesBefore)
-	metrics.CacheMisses = rr.misses
-	metrics.SeedBytes = rr.seedBytes.Load()
-	metrics.SeedShips = int(rr.seedShips.Load())
+	metrics := rr.buildMetrics()
+	metrics.publish()
+	s.cum.add(metrics)
 	if rr.err != nil {
-		roundSpan.End()
-		metrics.publish()
-		// Failed rounds still surface their audit — attempt counts and
-		// retry totals are exactly what a caller needs to diagnose the
-		// abort. Per-shard entries carry whatever was recorded before the
-		// round died.
-		for i := range rr.shardMs {
-			if rr.shardMs[i].Attempts > 0 {
-				metrics.Shards = append(metrics.Shards, rr.shardMs[i])
-			}
-		}
 		return nil, metrics, rr.err
 	}
-
-	var reports []partition.PartReport
-	weights := make(map[int][]float64, len(rr.results))
+	reports := make([]partition.PartReport, k)
+	weights := make(map[int][]float64, k)
 	for i, sr := range rr.results {
-		if sr == nil {
-			roundSpan.End()
-			metrics.publish()
-			return nil, metrics, fmt.Errorf("distrib: shard %d never completed", plan.Parts[i].Index)
-		}
-		reports = append(reports, sr.report)
+		reports[i] = sr.report
 		weights[plan.Parts[i].Index] = sr.weights
-		metrics.Shards = append(metrics.Shards, rr.shardMs[i])
-		if rr.shardMs[i].CacheHit {
-			metrics.CacheHits++
-		}
-		metrics.JobBytes += sr.jobBytes
-		metrics.DeltaBytes += sr.refBytes
-		metrics.ResultBytes += sr.readBytes
 	}
 	rec := tr.Start("reconcile", roundSpan.ID())
 	res := rr.merger.Finish()
@@ -313,40 +327,345 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 	res.Reports = reports
 	res.ShardWeights = weights
 	res.Elapsed = time.Since(start)
-	roundSpan.End()
-	metrics.publish()
-	s.cum.add(metrics)
 	s.round++
 	return res, metrics, nil
 }
 
-// sessionRound is one Run's shared state.
+// sessionRound is the shared dispatch state of one Run.
 type sessionRound struct {
 	s            *Session
 	plan         *partition.Plan
 	oracle       active.Oracle
-	seed         int64
+	seed         int64 // this round's training seed
 	retries      int
 	shardTimeout time.Duration
-	sleep        func(time.Duration)
 
-	seedBytes atomic.Int64
-	seedShips atomic.Int64
-
-	// tracer/roundSpan carry the round's trace context (nil tracer =
-	// tracing off, zero wire IDs).
+	// tracer/roundSpan carry the round's trace context; a nil tracer (the
+	// default) makes every span call a no-op and keeps wire trace IDs
+	// zero.
 	tracer    *telemetry.Tracer
 	roundSpan uint64
 
-	mu             sync.Mutex
+	// queue feeds the slots every dispatch that has no warm home: first
+	// attempts of un-homed shards, retries, hedge twins, fallbacks. stop
+	// is closed with it and ends the hedge monitor.
+	queue chan int
+	stop  chan struct{}
+
+	// queries counts every oracle round-trip actually answered —
+	// including those of failed shard attempts whose votes were
+	// discarded, since the oracle (a paid labeler, a CountingOracle) was
+	// really consulted. seedBytes/seedShips audit the seed negotiations.
+	queries   atomic.Int64
+	seedBytes atomic.Int64
+	seedShips atomic.Int64
+
+	mu       sync.Mutex
+	attempts []int
+	inflight []int       // concurrent attempts per shard (hedging)
+	started  []time.Time // earliest running attempt's start, zero when idle
+	done     []bool      // committed — late duplicates are discarded
+	hedged   []bool      // a hedge was dispatched (one per shard, ever)
+	fellBack []bool      // the in-process fallback was dispatched
+	// active tracks every live attempt's connection per shard so the
+	// winning attempt can cancel the losers.
+	active         map[int][]io.ReadWriteCloser
+	durations      []time.Duration // committed shard durations, for the hedge percentile
 	results        []*shardResult
-	shardMs        []ShardMetrics
-	merger         *partition.Merger
+	merger         *partition.Merger // commits stream in as shards finish
+	outstanding    int
 	misses         int
 	totalRetries   int
 	totalFallbacks int
-	jitter         *rand.Rand // guarded by mu
+	totalHedges    int
+	jitter         *rand.Rand // seeded backoff jitter, guarded by mu
 	err            error
+	closed         bool
+}
+
+// buildMetrics assembles the round's transport audit. Safe to call after
+// the slot loops exit (no concurrent mutation); on an aborted round the
+// per-shard entries of failed shards carry their final attempt counts
+// with zero byte tallies.
+func (rr *sessionRound) buildMetrics() *Metrics {
+	m := &Metrics{
+		Retries: rr.totalRetries, Fallbacks: rr.totalFallbacks, Hedges: rr.totalHedges,
+		CacheMisses: rr.misses,
+		Queries:     int(rr.queries.Load()),
+		SeedBytes:   rr.seedBytes.Load(),
+		SeedShips:   int(rr.seedShips.Load()),
+	}
+	for i, sr := range rr.results {
+		sm := ShardMetrics{
+			Shard:    rr.plan.Parts[i].Index,
+			Attempts: rr.attempts[i],
+			Hedged:   rr.hedged[i],
+			Fallback: rr.fellBack[i],
+		}
+		if sr != nil {
+			sm.JobBytes = sr.jobBytes + sr.refBytes
+			sm.Extracted = sr.extracted
+			sm.Fallback = sr.fallback
+			sm.CacheHit = sr.cacheHit
+			sm.DeltaLabels = sr.deltaLabels
+			m.JobBytes += sr.jobBytes
+			m.DeltaBytes += sr.refBytes
+			m.ResultBytes += sr.readBytes
+			if sr.cacheHit {
+				m.CacheHits++
+			}
+		}
+		m.Shards = append(m.Shards, sm)
+	}
+	return m
+}
+
+// finish closes the queue exactly once so the slot loops drain, and
+// stops the hedge monitor. Callers hold rr.mu.
+func (rr *sessionRound) finish() {
+	if !rr.closed {
+		rr.closed = true
+		close(rr.queue)
+		close(rr.stop)
+	}
+}
+
+// slotLoop runs one slot for the round: first the shards its connection
+// holds warm, then whatever the shared queue hands out, until the round
+// finishes.
+func (rr *sessionRound) slotLoop(slot *sessionSlot, held []int) {
+	for _, i := range held {
+		rr.attempt(slot, i)
+	}
+	for i := range rr.queue {
+		rr.attempt(slot, i)
+	}
+}
+
+// attempt runs one dispatch of the plan's i-th part on the slot and
+// settles it: commit on success; on failure burn the connection and
+// requeue the shard (with backoff on its next dispatch) until its
+// attempt budget runs out, which degrades it to the in-process fallback
+// — or aborts the round under NoFallback.
+func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
+	rr.mu.Lock()
+	if rr.err != nil || rr.done[i] {
+		// Aborted round, or a duplicate whose twin already committed:
+		// drain without executing.
+		rr.mu.Unlock()
+		return
+	}
+	rr.attempts[i]++
+	try := rr.attempts[i]
+	isFallback := rr.fellBack[i]
+	// A duplicate picked up while the first attempt is still in flight is
+	// a hedge — the monitor enqueued it while inflight was nonzero, and
+	// only hedges dispatch that way.
+	isHedge := rr.inflight[i] > 0
+	// A hedge dispatches immediately; a retry of a dead attempt backs off
+	// first (capped exponential + jitter, slept in the retrying slot) so
+	// a flapping transport is probed, not hammered by every slot at once.
+	var delay time.Duration
+	if !isHedge && try > 1 && !isFallback {
+		delay = backoffDelay(rr.jitter, try-1)
+	}
+	if rr.inflight[i] == 0 {
+		rr.started[i] = time.Now()
+	}
+	rr.inflight[i]++
+	rr.mu.Unlock()
+	time.Sleep(delay)
+
+	// Each attempt renders on its own trace track — hedges and fallbacks
+	// get suffixed tracks so concurrent twins never overlap on one row.
+	partIndex := rr.plan.Parts[i].Index
+	track := fmt.Sprintf("shard %d", partIndex)
+	if isHedge {
+		track += " (hedge)"
+	}
+	if isFallback {
+		// Degradation ladder's last rung: the transport gave up on this
+		// shard, so it runs over a private loopback worker — the identical
+		// partition.PreparePart+Train path, so the merged result is
+		// bit-identical to a healthy run's. The private connection
+		// negotiates the seed like any other (the loopback worker shares
+		// the process-wide seed cache) and dies with the attempt.
+		logger.Warn("shard degraded to in-process fallback", "shard", partIndex, "attempt", try)
+		track += " (fallback)"
+		slot = &sessionSlot{index: -1, transport: Loopback{}, holds: make(map[int]uint64)}
+		defer rr.s.dropConn(slot)
+	}
+	sr, err := rr.runShard(slot, i, track, try)
+	if slot.conn != nil {
+		rr.reportHealth(slot, err == nil)
+	}
+
+	rr.mu.Lock()
+	rr.inflight[i]--
+	if rr.inflight[i] == 0 {
+		rr.started[i] = time.Time{}
+	}
+	rr.mu.Unlock()
+	if err != nil {
+		rr.s.dropConn(slot)
+		rr.fail(i, err)
+		return
+	}
+	sr.fallback = isFallback
+	if !rr.commit(slot, i, sr) {
+		// Lost the race to a twin, which is closing this connection.
+		rr.s.dropConn(slot)
+	}
+}
+
+// track registers an attempt's connection so a winning hedge twin can
+// cancel it; untrack removes it when the attempt ends on its own.
+func (rr *sessionRound) track(i int, conn io.ReadWriteCloser) {
+	rr.mu.Lock()
+	rr.active[i] = append(rr.active[i], conn)
+	rr.mu.Unlock()
+}
+
+func (rr *sessionRound) untrack(i int, conn io.ReadWriteCloser) {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	live := rr.active[i][:0]
+	for _, c := range rr.active[i] {
+		if c != conn {
+			live = append(live, c)
+		}
+	}
+	rr.active[i] = live
+}
+
+// reportHealth attributes an attempt's outcome to its worker when both
+// the conn and the transport support identification — the TCP
+// transport's quarantine feed. Optional-interface probing keeps the
+// Transport contract at one method.
+func (rr *sessionRound) reportHealth(slot *sessionSlot, ok bool) {
+	wc, canID := slot.conn.(interface{ WorkerID() string })
+	hr, canReport := slot.transport.(interface{ ReportWorker(string, bool) })
+	if canID && canReport {
+		if id := wc.WorkerID(); id != "" {
+			hr.ReportWorker(id, ok)
+		}
+	}
+}
+
+// commit folds a completed attempt into the merged result and reports
+// whether it won. Commit is transactional per shard: the votes only
+// reach the merger once the Done frame proved the stream complete, so a
+// retried shard never double-votes — and with hedging, only the FIRST
+// completed attempt commits; the loser's result is discarded and its
+// connection cancelled. The winner's slot becomes the shard's warm home.
+func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) bool {
+	part := &rr.plan.Parts[i]
+	rr.mu.Lock()
+	if rr.done[i] {
+		rr.mu.Unlock()
+		return false
+	}
+	rr.done[i] = true
+	for _, v := range sr.votes {
+		rr.merger.Add(v)
+	}
+	sr.votes = nil
+	rr.results[i] = sr
+	if t0 := rr.started[i]; !t0.IsZero() {
+		rr.durations = append(rr.durations, time.Since(t0))
+	}
+	// Losing twins (the attempt registry minus nobody — the winner
+	// untracked itself before committing) get a Cancel frame and a
+	// close, off-lock: a worker blocked on an oracle answer aborts
+	// promptly, one deep in training notices at its next write.
+	losers := append([]io.ReadWriteCloser(nil), rr.active[i]...)
+	rr.outstanding--
+	if rr.outstanding == 0 {
+		rr.finish()
+	}
+	rr.mu.Unlock()
+
+	rr.s.mu.Lock()
+	sr.state.home = slot.index
+	sr.state.sent = len(part.Prelabeled)
+	rr.s.mu.Unlock()
+	slot.holds[part.Index] = sr.state.fp
+	for _, c := range losers {
+		go func(c io.ReadWriteCloser) {
+			_ = WriteFrame(c, FrameCancel, &Cancel{Shard: part.Index})
+			c.Close()
+		}(c)
+	}
+	return true
+}
+
+// hedgeMonitor watches for stragglers: a shard whose sole attempt has
+// been in flight longer than the hedge threshold is re-enqueued once,
+// so a second slot races it. The threshold adapts — twice the P90 of
+// completed shard durations, floored at hedgeAfter — because "straggler"
+// only means something relative to how long shards actually take.
+func (rr *sessionRound) hedgeMonitor(hedgeAfter time.Duration) {
+	period := hedgeAfter / 4
+	if period < time.Millisecond {
+		period = time.Millisecond
+	}
+	tick := time.NewTicker(period)
+	defer tick.Stop()
+	for {
+		select {
+		case <-rr.stop:
+			return
+		case <-tick.C:
+		}
+		rr.mu.Lock()
+		threshold := hedgeAfter
+		if n := len(rr.durations); n >= 3 {
+			sorted := append([]time.Duration(nil), rr.durations...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			if p90 := 2 * sorted[n*9/10]; p90 > threshold {
+				threshold = p90
+			}
+		}
+		for i, t0 := range rr.started {
+			if t0.IsZero() || rr.done[i] || rr.hedged[i] || rr.inflight[i] != 1 || rr.closed {
+				continue
+			}
+			if time.Since(t0) >= threshold {
+				rr.hedged[i] = true
+				rr.totalHedges++
+				rr.queue <- i
+			}
+		}
+		rr.mu.Unlock()
+	}
+}
+
+// fail requeues the shard, degrades it to the in-process fallback when
+// its transport attempts are spent, or aborts the round when even the
+// fallback failed (or NoFallback forbids it).
+func (rr *sessionRound) fail(i int, err error) {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	if rr.closed || rr.done[i] {
+		// Round already over, or a cancelled hedge loser reporting the
+		// conn its winner closed — nothing to recover.
+		return
+	}
+	if rr.attempts[i] <= rr.retries {
+		rr.totalRetries++
+		logger.Debug("shard attempt failed, retrying",
+			"shard", rr.plan.Parts[i].Index, "attempt", rr.attempts[i], "err", err)
+		rr.queue <- i
+		return
+	}
+	if !rr.s.opts.NoFallback && !rr.fellBack[i] {
+		rr.fellBack[i] = true
+		rr.totalFallbacks++
+		rr.queue <- i
+		return
+	}
+	rr.err = fmt.Errorf("distrib: shard %d failed after %d attempts: %w", rr.plan.Parts[i].Index, rr.attempts[i], err)
+	rr.finish()
 }
 
 // seedConn negotiates the session's seed on a fresh connection, under
@@ -367,279 +686,125 @@ func (rr *sessionRound) seedConn(conn io.ReadWriteCloser) error {
 	return err
 }
 
-// aborted reports (under mu) whether the round already failed.
-func (rr *sessionRound) aborted() bool {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	return rr.err != nil
-}
-
-// slotLoop runs one connection's shard list sequentially, retrying each
-// shard on a fresh connection (with capped exponential backoff) until
-// its attempt budget runs out, then degrading to the in-process
-// fallback before giving up on the round. Reconnect hardening is built
-// into the retry itself: a dropped sticky connection burns its warm
-// state, so the retry redials, replays the handshake, and re-ships the
-// shard cold — the fallback ladder from JobRef to full Job to fresh
-// connection.
-func (rr *sessionRound) slotLoop(sl int, shards []int) {
-	slot := rr.s.slots[sl]
-	for _, i := range shards {
-		attempts := 0
-		for {
-			if rr.aborted() {
-				return
-			}
-			attempts++
-			if attempts > 1 {
-				rr.mu.Lock()
-				delay := backoffDelay(rr.jitter, attempts-1)
-				rr.mu.Unlock()
-				rr.sleep(delay)
-			}
-			sr, sm, err := rr.runShard(slot, sl, i)
-			if err == nil {
-				sm.Attempts = attempts
-				rr.commit(i, sr, sm)
-				break
-			}
-			// A failure burns the connection and everything it held warm.
-			rr.dropConn(slot)
-			if attempts > rr.retries {
-				if !rr.s.opts.NoFallback {
-					// Transport attempts are spent: degrade to the in-process
-					// loopback path rather than aborting the whole round.
-					attempts++
-					fsr, fsm, ferr := rr.runFallback(i)
-					if ferr == nil {
-						fsm.Attempts = attempts
-						rr.mu.Lock()
-						rr.totalFallbacks++
-						rr.mu.Unlock()
-						rr.commit(i, fsr, fsm)
-						break
-					}
-					err = ferr
-				}
-				rr.mu.Lock()
-				rr.shardMs[i].Shard = rr.plan.Parts[i].Index
-				rr.shardMs[i].Attempts = attempts
-				rr.mu.Unlock()
-				rr.fail(fmt.Errorf("distrib: shard %d failed after %d attempts: %w", rr.plan.Parts[i].Index, attempts, err))
-				return
-			}
-			rr.mu.Lock()
-			rr.totalRetries++
-			rr.mu.Unlock()
-		}
-	}
-}
-
-// runFallback executes the plan's i-th part in-process over a private
-// loopback worker — the same degradation rung as the single-shot
-// coordinator's. The job ships with its full prelabel log and a zero
-// fingerprint (the private connection dies immediately, so caching
-// would be waste); the loopback worker runs the identical
-// partition.PreparePart+Train path, so the votes are bit-identical to a
-// healthy remote run's.
-func (rr *sessionRound) runFallback(i int) (*shardResult, ShardMetrics, error) {
-	part := &rr.plan.Parts[i]
-	st := rr.shardState(i)
-	sm := ShardMetrics{Shard: part.Index, Extracted: st.extracted(), Fallback: true}
-	logger.Warn("session shard degraded to in-process fallback", "shard", part.Index)
-	track := fmt.Sprintf("shard %d (fallback)", part.Index)
-	sp := rr.tracer.Start(fmt.Sprintf("shard %d", part.Index), rr.roundSpan)
-	sp.SetTrack(track)
-	defer sp.End()
-	conn, err := dialWorker(Loopback{})
-	if err != nil {
-		return nil, sm, err
-	}
-	defer conn.Close()
-	if st.seeded {
-		// The template references the seed, so the private loopback conn
-		// must negotiate it too (the in-process worker shares the global
-		// seed cache — after the first ship this is a few-byte ref-hit).
-		if err := rr.seedConn(conn); err != nil {
-			return nil, sm, err
-		}
-	}
-	disarm := armDeadline(conn, rr.shardTimeout)
-	defer disarm()
-
-	job := *st.template
-	job.Budget = part.Budget
-	job.Seed = rr.seed
-	job.Fingerprint = 0
-	job.TraceID = rr.tracer.TraceID()
-	job.SpanID = sp.ID()
-	pre, err := st.labels(part.Prelabeled)
-	if err != nil {
-		return nil, sm, err
-	}
-	job.Prelabeled = WireLabels(pre)
-
-	sr := &shardResult{extracted: st.extracted(), fallback: true}
-	cw := &countingWriter{w: conn}
-	if err := WriteFrame(cw, FrameJob, &job); err != nil {
-		return nil, sm, err
-	}
-	sr.jobBytes = cw.n
-	env := &streamEnv{
-		oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.s.queries,
-		onProgress: rr.s.opts.OnProgress,
-	}
-	if err := collectShard(conn, part.Index, env, sr); err != nil {
-		return nil, sm, err
-	}
-	ingestWorkerSpans(rr.tracer, track, sr.spans)
-	sm.JobBytes = sr.jobBytes
-	return sr, sm, nil
-}
-
-// dropConn closes a slot's connection and forgets its warm state.
-func (rr *sessionRound) dropConn(slot *sessionSlot) {
-	if slot.conn != nil {
-		slot.conn.Close()
-		slot.conn = nil
-	}
-	slot.seeded = false
-	rr.s.shardsMu.Lock()
-	for idx := range slot.holds {
-		if st := rr.s.shards[idx]; st != nil {
-			st.home = -1
-		}
-	}
-	rr.s.shardsMu.Unlock()
-	slot.holds = make(map[int]uint64)
-}
-
-// commit streams a completed shard's votes into the merger.
-func (rr *sessionRound) commit(i int, sr *shardResult, sm ShardMetrics) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	for _, v := range sr.votes {
-		rr.merger.Add(v)
-	}
-	sr.votes = nil
-	rr.results[i] = sr
-	rr.shardMs[i] = sm
-}
-
-func (rr *sessionRound) fail(err error) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if rr.err == nil {
-		rr.err = err
-	}
-}
-
 // shardState returns (building if needed) the session cache entry for
-// the plan's i-th part, re-extracting when the part's pool changed since
-// it was cached.
-func (rr *sessionRound) shardState(i int) *sessionShard {
+// the plan's i-th part, rebuilding when the part's pool changed since it
+// was cached. An unseeded build traces its extraction under parent.
+func (rr *sessionRound) shardState(i int, parent uint64, track string) *sessionShard {
 	part := &rr.plan.Parts[i]
 	sig := partSignature(part)
-	rr.s.shardsMu.Lock()
+	rr.s.mu.Lock()
 	st := rr.s.shards[part.Index]
-	rr.s.shardsMu.Unlock()
+	rr.s.mu.Unlock()
 	if st != nil && st.partSig == sig {
 		return st
 	}
 	// Build outside the lock: extraction and encoding are the expensive
-	// one-time costs, and no two slots ever build the same part.
+	// one-time costs. The template is the one-time serialization cost:
+	// per-round copies only swap the round mutables.
+	st = &sessionShard{partSig: sig, home: -1}
 	if rr.s.seedBody != nil {
-		// Seeded session: no extraction, no networks — the template is a
-		// few columns of pool indices against the connection's seed.
-		template := NewSeededJob(rr.s.pair, part, rr.s.opts.Train, rr.s.seedFP)
-		template.Prelabeled = nil
-		st = &sessionShard{
-			seeded:   true,
-			template: template,
-			fp:       template.ComputeFingerprint(),
-			partSig:  sig,
-			home:     -1,
-		}
-		rr.s.shardsMu.Lock()
-		rr.s.shards[part.Index] = st
-		rr.s.shardsMu.Unlock()
-		return st
+		// Seeded: no extraction, no networks — the template is a few
+		// columns of pool indices against the connection's seed.
+		st.template = NewSeededJob(rr.s.pair, part, rr.s.opts.Train, rr.s.seedFP)
+	} else {
+		ex := rr.tracer.Start("extract", parent)
+		ex.SetTrack(track)
+		st.shard = buildShard(rr.s.pair, part)
+		st.template = NewJob(st.shard, rr.s.opts.Train)
+		ex.End()
 	}
-	sh := buildShard(rr.s.pair, part, rr.s.opts.NoExtract)
-	// The template is the one-time serialization cost: networks encoded
-	// once, per-round copies only swap the round mutables.
-	template := NewJob(sh, rr.s.opts.Train)
-	template.Prelabeled = nil
-	st = &sessionShard{
-		shard:    sh,
-		template: template,
-		fp:       template.ComputeFingerprint(),
-		partSig:  sig,
-		home:     -1,
+	st.template.Prelabeled = nil
+	st.fp = st.template.ComputeFingerprint()
+	rr.s.mu.Lock()
+	defer rr.s.mu.Unlock()
+	if cur := rr.s.shards[part.Index]; cur != nil && cur.partSig == sig {
+		return cur // a hedge twin built it first
 	}
-	rr.s.shardsMu.Lock()
 	rr.s.shards[part.Index] = st
-	rr.s.shardsMu.Unlock()
 	return st
 }
 
-// runShard executes the plan's i-th part on the slot's connection,
+// runShard executes the plan's i-th part on the slot's connection —
+// dialed, handshaken and seed-negotiated first when the slot has none —
 // delta-shipped when the connection holds the shard warm and the delta
-// is within bounds, as a full job otherwise.
-func (rr *sessionRound) runShard(slot *sessionSlot, sl, i int) (*shardResult, ShardMetrics, error) {
+// is within bounds, as a full job otherwise, and consumes the response
+// stream to its Done frame. An error leaves the connection in an unknown
+// state; the caller burns it.
+func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt int) (*shardResult, error) {
 	part := &rr.plan.Parts[i]
-	st := rr.shardState(i)
-	sm := ShardMetrics{Shard: part.Index, Extracted: st.extracted()}
-	track := fmt.Sprintf("shard %d", part.Index)
+	// The attempt span is the wire-propagated parent: the worker's
+	// prepare/train/votes spans hang under it, so a hedge twin's worker
+	// spans land under the hedge attempt, not the original.
 	sp := rr.tracer.Start(fmt.Sprintf("shard %d", part.Index), rr.roundSpan)
 	sp.SetTrack(track)
+	sp.Annotate("attempt", fmt.Sprintf("%d", attempt))
 	defer sp.End()
+	st := rr.shardState(i, sp.ID(), track)
 
 	if slot.conn == nil {
-		conn, err := dialWorker(rr.s.transport)
+		conn, err := slot.transport.Dial()
 		if err != nil {
-			return nil, sm, err
+			return nil, err
 		}
 		slot.conn = conn
+		if err := handshake(conn); err != nil {
+			return nil, err
+		}
 	}
+	conn := slot.conn
 	if rr.s.seedBody != nil && !slot.seeded {
-		// One negotiation per (re)dialed connection; a failure burns the
-		// conn via the caller's retry ladder, which redials and
-		// renegotiates.
-		if err := rr.seedConn(slot.conn); err != nil {
-			return nil, sm, err
+		// One negotiation per (re)dialed connection, before its first job.
+		// A failure burns the conn like any shard failure — the retry
+		// redials and renegotiates.
+		if err := rr.seedConn(conn); err != nil {
+			return nil, err
 		}
 		slot.seeded = true
 	}
-	conn := slot.conn
+	rr.track(i, conn)
+	defer rr.untrack(i, conn)
 	// The per-shard deadline spans the whole dispatch — JobRef, CacheAck,
 	// any full-Job fallback, the response stream — and is disarmed before
 	// the (persistent) connection moves on to its next shard.
 	disarm := armDeadline(conn, rr.shardTimeout)
 	defer disarm()
 	env := &streamEnv{
-		oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.s.queries,
+		oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.queries,
 		onProgress: rr.s.opts.OnProgress,
 	}
+	// ship writes one request frame under a traced "ship" span and
+	// returns its size.
+	ship := func(typ FrameType, frame any) (int64, error) {
+		span := rr.tracer.Start("ship", sp.ID())
+		span.SetTrack(track)
+		defer span.End()
+		cw := &countingWriter{w: conn}
+		err := WriteFrame(cw, typ, frame)
+		span.Annotate("bytes", fmt.Sprintf("%d", cw.n))
+		return cw.n, err
+	}
 
-	delta := part.Prelabeled[min(st.sent, len(part.Prelabeled)):]
+	rr.s.mu.Lock()
+	home, sent := st.home, st.sent
+	rr.s.mu.Unlock()
+	delta := part.Prelabeled[min(sent, len(part.Prelabeled)):]
 	deltaCap := rr.s.opts.DeltaMaxLabels
 	if deltaCap == 0 {
 		deltaCap = defaultDeltaMaxLabels
 	}
-	tryDelta := st.home == sl && slot.holds[part.Index] == st.fp &&
+	tryDelta := home == slot.index && slot.holds[part.Index] == st.fp &&
 		deltaCap > 0 && len(delta) <= deltaCap
 
 	// One shardResult spans the whole dispatch, so a missed JobRef
 	// attempt's bytes (frame out, CacheAck back) stay in the audit.
-	sr := &shardResult{extracted: st.extracted()}
+	sr := &shardResult{extracted: st.extracted(), state: st}
 
 	if tryDelta {
 		wireDelta, err := st.labels(delta)
 		if err != nil {
-			return nil, sm, err
+			return nil, err
 		}
-		ref := &JobRef{
+		sr.refBytes, err = ship(FrameJobRef, &JobRef{
 			Shard:       part.Index,
 			Fingerprint: st.fp,
 			AddLabels:   WireLabels(wireDelta),
@@ -647,28 +812,24 @@ func (rr *sessionRound) runShard(slot *sessionSlot, sl, i int) (*shardResult, Sh
 			Seed:        rr.seed,
 			TraceID:     rr.tracer.TraceID(),
 			SpanID:      sp.ID(),
+		})
+		if err != nil {
+			return nil, err
 		}
-		cw := &countingWriter{w: conn}
-		if err := WriteFrame(cw, FrameJobRef, ref); err != nil {
-			return nil, sm, err
-		}
-		sr.refBytes += cw.n
 		cr := &countingReader{r: conn}
 		var ack CacheAck
 		if err := ReadExpect(cr, FrameCacheAck, &ack); err != nil {
-			return nil, sm, err
+			return nil, err
 		}
 		sr.readBytes += cr.n
 		if ack.Hit {
 			if err := collectShard(conn, part.Index, env, sr); err != nil {
-				return nil, sm, err
+				return nil, err
 			}
 			ingestWorkerSpans(rr.tracer, track, sr.spans)
-			st.sent = len(part.Prelabeled)
-			sm.CacheHit = true
-			sm.DeltaLabels = len(delta)
-			sm.JobBytes = sr.refBytes
-			return sr, sm, nil
+			sr.cacheHit = true
+			sr.deltaLabels = len(delta)
+			return sr, nil
 		}
 		// Miss: the worker no longer holds the shard (restart, eviction,
 		// collision defense). Fall through to a full re-ship on the same
@@ -676,7 +837,6 @@ func (rr *sessionRound) runShard(slot *sessionSlot, sl, i int) (*shardResult, Sh
 		rr.mu.Lock()
 		rr.misses++
 		rr.mu.Unlock()
-		st.home = -1
 		delete(slot.holds, part.Index)
 	}
 
@@ -689,24 +849,17 @@ func (rr *sessionRound) runShard(slot *sessionSlot, sl, i int) (*shardResult, Sh
 	job.SpanID = sp.ID()
 	pre, err := st.labels(part.Prelabeled)
 	if err != nil {
-		return nil, sm, err
+		return nil, err
 	}
 	job.Prelabeled = WireLabels(pre)
-
-	cw := &countingWriter{w: conn}
-	if err := WriteFrame(cw, FrameJob, &job); err != nil {
-		return nil, sm, err
+	if sr.jobBytes, err = ship(FrameJob, &job); err != nil {
+		return nil, err
 	}
-	sr.jobBytes = cw.n
 	if err := collectShard(conn, part.Index, env, sr); err != nil {
-		return nil, sm, err
+		return nil, err
 	}
 	ingestWorkerSpans(rr.tracer, track, sr.spans)
-	st.home = sl
-	st.sent = len(part.Prelabeled)
-	slot.holds[part.Index] = st.fp
-	sm.JobBytes = sr.jobBytes + sr.refBytes
-	return sr, sm, nil
+	return sr, nil
 }
 
 // partSignature hashes a part's pool content (TrainPos + Candidates) to

@@ -1,11 +1,14 @@
 package distrib
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/activeiter/activeiter/internal/partition"
 )
@@ -322,6 +325,90 @@ func drainToDone(t *testing.T, conn io.ReadWriter) {
 			var je JobError
 			_ = DecodeBody(body, &je)
 			t.Fatalf("worker failed: %s", je.Msg)
+		}
+	}
+}
+
+// TestSingleShotEqualsOneRoundSession pins that a single-shot
+// Coordinator.Run and a one-round Session over the same plan are one
+// computation: identical alignment, per-shard weights and query spend,
+// over loopback and subprocess workers, K ∈ {1, 3}, with and without an
+// active budget, healthy and under the chaos keystone's fault plan. The
+// scripted mode also pins the recovery audit: flakyTransport keys its
+// faults by dial ordinal, so with one worker slot and K×m dead dials
+// every shard loses exactly m attempts under any dispatch order, and
+// Retries/Fallbacks must agree (m = 2 over a retry budget of 1 puts
+// every shard through retry and then fallback).
+func TestSingleShotEqualsOneRoundSession(t *testing.T) {
+	inners := []struct {
+		name  string
+		inner Transport
+	}{{"loopback", Loopback{}}}
+	if exe, err := os.Executable(); err == nil && !testing.Short() {
+		inners = append(inners, struct {
+			name  string
+			inner Transport
+		}{"subprocess", &Exec{
+			Cmd: exe, Env: append(os.Environ(), workerEnv+"=1"), Stderr: os.Stderr,
+			ShutdownGrace: 500 * time.Millisecond,
+		}})
+	}
+	for _, k := range []int{1, 3} {
+		for _, budget := range []int{0, 12} {
+			fx := newDistFixture(t, k, budget)
+			faults := []struct {
+				name  string
+				opts  Options
+				wrap  func(Transport) Transport
+				audit bool // Retries/Fallbacks are schedule-independent
+			}{
+				{"healthy", Options{Train: fx.train, Workers: 2},
+					func(in Transport) Transport { return in }, true},
+				{"chaos", Options{Train: fx.train, Workers: 2, Retries: 4, ShardTimeout: 2 * time.Second},
+					func(in Transport) Transport {
+						return &ChaosTransport{Inner: in, Opts: ChaosOptions{
+							Seed: 7, RefuseRate: 0.15, DropRate: 0.30, CorruptRate: 0.15, CrashRate: 0.10,
+							MaxDelay: time.Millisecond,
+						}}
+					}, false},
+				{"scripted", Options{Train: fx.train, Workers: 1, Retries: 1},
+					func(in Transport) Transport { return &flakyTransport{inner: in, fails: 2 * k} }, true},
+			}
+			for _, in := range inners {
+				for _, f := range faults {
+					t.Run(fmt.Sprintf("%s/k%d/b%d/%s", in.name, k, budget, f.name), func(t *testing.T) {
+						coord := &Coordinator{Transport: f.wrap(in.inner), Opts: f.opts}
+						single, sm, err := coord.Run(fx.pair, fx.plan, fx.oracle)
+						if err != nil {
+							t.Fatalf("single-shot: %v", err)
+						}
+						sess, err := NewSession(f.wrap(in.inner), fx.pair, f.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer sess.Close()
+						round, rm, err := sess.Run(fx.plan, fx.oracle)
+						if err != nil {
+							t.Fatalf("one-round session: %v", err)
+						}
+						assertSameAlignment(t, round, single, fx.plan)
+						assertSameAlignment(t, single, fx.ref, fx.plan)
+						if !reflect.DeepEqual(round.ShardWeights, single.ShardWeights) {
+							t.Errorf("shard weights diverge: session %v, single-shot %v", round.ShardWeights, single.ShardWeights)
+						}
+						if round.QueryCount() != single.QueryCount() {
+							t.Errorf("QueryCount: session %d, single-shot %d", round.QueryCount(), single.QueryCount())
+						}
+						if f.audit && (rm.Retries != sm.Retries || rm.Fallbacks != sm.Fallbacks) {
+							t.Errorf("recovery audit diverges: session retries=%d fallbacks=%d, single-shot retries=%d fallbacks=%d",
+								rm.Retries, rm.Fallbacks, sm.Retries, sm.Fallbacks)
+						}
+						if f.name == "scripted" && (sm.Retries != k || sm.Fallbacks != k) {
+							t.Errorf("scripted plan: retries=%d fallbacks=%d, want %d each", sm.Retries, sm.Fallbacks, k)
+						}
+					})
+				}
+			}
 		}
 	}
 }

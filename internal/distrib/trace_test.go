@@ -42,12 +42,12 @@ func TestCoordinatorTracePropagation(t *testing.T) {
 
 	spans := tr.Spans()
 	coordSpans, workerSpans := spanIndex(spans)
-	if len(coordSpans["run"]) != 1 {
-		t.Fatalf("want exactly one run span, got %d", len(coordSpans["run"]))
+	if len(coordSpans["round 0"]) != 1 {
+		t.Fatalf("want exactly one round span, got %d", len(coordSpans["round 0"]))
 	}
-	runID := coordSpans["run"][0].ID
+	runID := coordSpans["round 0"][0].ID
 
-	// One shard span per part, parented under the run span.
+	// One shard span per part, parented under the round span.
 	shardSpanID := map[uint64]string{}
 	for i := range fx.plan.Parts {
 		name := fmt.Sprintf("shard %d", fx.plan.Parts[i].Index)
@@ -57,7 +57,7 @@ func TestCoordinatorTracePropagation(t *testing.T) {
 		}
 		for _, sp := range got {
 			if sp.Parent != runID {
-				t.Errorf("%s span parent %#x, want run span %#x", name, sp.Parent, runID)
+				t.Errorf("%s span parent %#x, want round span %#x", name, sp.Parent, runID)
 			}
 			shardSpanID[sp.ID] = name
 		}

@@ -18,6 +18,7 @@ package hetnet
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/activeiter/activeiter/internal/sparse"
 )
@@ -64,9 +65,13 @@ type linkTable struct {
 // Network is a mutable attributed heterogeneous network. The zero value
 // is not usable; create one with NewNetwork.
 type Network struct {
-	name      string
-	nodes     map[NodeType]*nodeTable
-	links     map[LinkType]*linkTable
+	name  string
+	nodes map[NodeType]*nodeTable
+	links map[LinkType]*linkTable
+	// adjMu guards adjCache: a built network is read from many goroutines
+	// at once (parallel Recompute, loopback workers sharing one pair), and
+	// Adjacency fills the cache on first use.
+	adjMu     sync.Mutex
 	adjCache  map[LinkType]*sparse.CSR
 	nodeOrder []NodeType // registration order, for deterministic iteration
 	linkOrder []LinkType
@@ -195,7 +200,9 @@ func (g *Network) AddLink(lt LinkType, from, to int) error {
 	}
 	t.from = append(t.from, from)
 	t.to = append(t.to, to)
+	g.adjMu.Lock()
 	delete(g.adjCache, lt)
+	g.adjMu.Unlock()
 	return nil
 }
 
@@ -218,8 +225,12 @@ func (g *Network) LinkCount(lt LinkType) int {
 
 // Adjacency returns the 0/1 adjacency matrix of link type lt, shaped
 // |src type| × |dst type|. Parallel edges collapse to a single 1. The
-// matrix is cached until the next AddLink of the same type.
+// matrix is cached until the next AddLink of the same type. Safe for
+// concurrent use on a network that is no longer being mutated; the first
+// caller per link type builds under the lock, so a matrix is built once.
 func (g *Network) Adjacency(lt LinkType) (*sparse.CSR, error) {
+	g.adjMu.Lock()
+	defer g.adjMu.Unlock()
 	if m, ok := g.adjCache[lt]; ok {
 		return m, nil
 	}

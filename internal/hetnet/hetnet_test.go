@@ -2,7 +2,10 @@ package hetnet
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 func TestAddNodeInterning(t *testing.T) {
@@ -122,6 +125,49 @@ func TestAdjacency(t *testing.T) {
 	}
 	if adj2.At(2, 0) != 1 {
 		t.Error("adjacency cache not invalidated after AddLink")
+	}
+}
+
+// TestAdjacencyConcurrentColdCache is the -race regression for the
+// adjacency cache: N goroutines ask a fresh network for every link type
+// at once (what a parallel Recompute on a cold counter does), and all of
+// them must see the one cached matrix per type.
+func TestAdjacencyConcurrentColdCache(t *testing.T) {
+	g := NewSocialNetwork("tw")
+	for _, id := range []string{"a", "b", "c"} {
+		g.AddNode(User, id)
+		if err := g.AddLinkByID(Write, id, "p-"+id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustLink(t, g, Follow, 0, 1)
+	mustLink(t, g, Follow, 1, 2)
+
+	const goroutines = 8
+	types := g.LinkTypes()
+	got := make([][]*sparse.CSR, goroutines)
+	var wg sync.WaitGroup
+	for n := 0; n < goroutines; n++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for _, lt := range types {
+				m, err := g.Adjacency(lt)
+				if err != nil {
+					t.Errorf("Adjacency(%s): %v", lt, err)
+					return
+				}
+				got[n] = append(got[n], m)
+			}
+		}(n)
+	}
+	wg.Wait()
+	for n := 1; n < goroutines; n++ {
+		for k := range types {
+			if len(got[n]) != len(types) || got[n][k] != got[0][k] {
+				t.Fatalf("goroutine %d got a different %s matrix than goroutine 0", n, types[k])
+			}
+		}
 	}
 }
 

@@ -35,17 +35,21 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 		indexes[k] = newTestIndex(t, g.marker, g.shift)
 	}
 	// genMarker records, per published generation, which fixture it
-	// serves. Only the swapper writes; readers look up generations they
-	// observed AFTER the swap published them, so a plain sync.Map is
-	// race-free by construction.
+	// serves. Only the swapper writes, and it records a generation BEFORE
+	// the swap that makes it visible (the store stamps generations 1, 2,
+	// … in swap order), so a reader can never observe an unrecorded one.
 	var genMarker sync.Map
+	var published uint64
 	publish := func(k int) {
 		// Each swap builds a fresh Index (generations are stamped at
 		// swap time, and sharing one Index across swaps would mutate
 		// .Generation under readers).
 		ix := newTestIndex(t, stressGens[k].marker, stressGens[k].shift)
-		gen := st.Swap(ix)
-		genMarker.Store(gen, k)
+		published++
+		genMarker.Store(published, k)
+		if gen := st.Swap(ix); gen != published {
+			t.Errorf("swap %d stamped generation %d", published, gen)
+		}
 	}
 	publish(0)
 
