@@ -167,21 +167,25 @@ func BenchmarkAblationMatching(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-func BenchmarkSpGEMM(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	mk := func(r, c int, density float64) *sparse.CSR {
-		bd := sparse.NewBuilder(r, c)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				if rng.Float64() < density {
-					bd.Add(i, j, 1)
-				}
+// benchCSR fills an r×c matrix at the given density with values drawn
+// from val.
+func benchCSR(rng *rand.Rand, r, c int, density float64, val func() float64) *sparse.CSR {
+	bd := sparse.NewBuilder(r, c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			if rng.Float64() < density {
+				bd.Add(i, j, val())
 			}
 		}
-		return bd.Build()
 	}
-	a := mk(500, 500, 0.02)
-	c := mk(500, 500, 0.02)
+	return bd.Build()
+}
+
+func BenchmarkSpGEMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	one := func() float64 { return 1 }
+	a := benchCSR(rng, 500, 500, 0.02, one)
+	c := benchCSR(rng, 500, 500, 0.02, one)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sparse.MatMul(a, c)
@@ -190,6 +194,29 @@ func BenchmarkSpGEMM(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sparse.MatMulParallel(a, c)
+		}
+	})
+}
+
+// BenchmarkMatMulTopK times a truncated product shaped like the
+// partition planner's propagation step — a row-normalized follow
+// operator times a 16-per-row similarity, whose untruncated product is
+// near-dense — fused against product-then-truncate.
+func BenchmarkMatMulTopK(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	const k = 16
+	w := benchCSR(rng, 1000, 1000, 0.03, rng.Float64)
+	r := benchCSR(rng, 1000, 1000, 0.2, rng.Float64).TopKPerRow(k)
+	b.Run("fused", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sparse.MatMulTopK(w, r, k)
+		}
+	})
+	b.Run("unfused", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sparse.MatMulParallel(w, r).TopKPerRow(k)
 		}
 	})
 }
@@ -352,8 +379,8 @@ func benchProblem(b *testing.B, pair *AlignedPair, nTrain int) (core.Problem, Or
 
 // BenchmarkPartitionedAlignment compares one monolithic alignment pass
 // against the partitioned pipeline at several K on the small dataset —
-// the PR 2 scalability artifact (BENCH_PR2.json records the large-pair
-// runs from cmd/experiments -exp scalability).
+// the PR 2 scalability artifact (large-pair runs come from
+// cmd/experiments -exp scalability; gated figures from go run ./bench).
 func BenchmarkPartitionedAlignment(b *testing.B) {
 	pair, err := datagen.Generate(datagen.Small())
 	if err != nil {
@@ -394,8 +421,9 @@ func BenchmarkPartitionedAlignment(b *testing.B) {
 // transport and serialization overhead against the in-process
 // partitioned path it is property-tested equal to: the same K-shard
 // plan executed on counter forks vs shipped (extracted, serialized) to
-// loopback wire workers — the PR 3 artifact (BENCH_PR3.json records the
-// large-pair and subprocess runs from cmd/experiments -exp distributed).
+// loopback wire workers — the PR 3 artifact (large-pair and subprocess
+// runs come from cmd/experiments -exp distributed; gated figures from
+// go run ./bench).
 func BenchmarkDistributedLoopback(b *testing.B) {
 	pair, err := datagen.Generate(datagen.Small())
 	if err != nil {

@@ -1,6 +1,5 @@
-// Command experiments regenerates the paper's tables and figures
-// (BENCH_PR*.json record measured outputs and the paper-vs-measured
-// comparison).
+// Command experiments regenerates the paper's tables and figures.
+// Performance is measured by the repository benchmark, go run ./bench.
 //
 // Usage:
 //

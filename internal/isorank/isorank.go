@@ -105,10 +105,11 @@ func Similarity(pair *hetnet.AlignedPair, cfg Config) (r *sparse.CSR, hasAttr bo
 	}
 
 	r = prior
+	w2t := w2.T()
 	for it := 0; it < cfg.Iterations; it++ {
 		iters = it + 1
 		// R' = α · W1 R W2ᵀ + (1−α) H.
-		prop := sparse.MatMulParallel(sparse.MatMulParallel(w1, r), w2.T())
+		prop := sparse.MatMulParallel(sparse.MatMulParallel(w1, r), w2t)
 		next := sparse.Add(prop.Scale(cfg.Alpha), prior.Scale(1-cfg.Alpha))
 		next = renormalize(next)
 		delta := maxAbsDiff(next, r)

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -13,6 +15,7 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
+	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 // fixture generates the tiny pair and a train/candidate split shaped
@@ -461,6 +464,110 @@ func TestMergeVotesOracleNegativeWins(t *testing.T) {
 			if anchors[i] != want[i] {
 				t.Fatalf("shift %d: merged anchors %v, want %v", shift, anchors, want)
 			}
+		}
+	}
+}
+
+// planFingerprint hashes everything a Plan decides: every part's index,
+// training anchors, candidates in order and budget, plus the overlap
+// count and the similarity-seeded flag.
+func planFingerprint(p *Plan) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	putAnchors := func(as []hetnet.Anchor) {
+		put(len(as))
+		for _, a := range as {
+			put(a.I)
+			put(a.J)
+		}
+	}
+	put(len(p.Parts))
+	for _, part := range p.Parts {
+		put(part.Index)
+		putAnchors(part.TrainPos)
+		putAnchors(part.Candidates)
+		put(part.Budget)
+	}
+	put(p.Overlapped)
+	if p.SimilaritySeeded {
+		put(1)
+	} else {
+		put(0)
+	}
+	return h.Sum64()
+}
+
+// TestPlanFingerprintStable pins Plan output bit for bit across kernel
+// changes underneath the planner's coarse-similarity seed. The constants
+// were captured on the commit before the planner moved from
+// MatMulParallel(...).TopKPerRow(...) to the fused sparse.MatMulTopK.
+func TestPlanFingerprintStable(t *testing.T) {
+	want := map[[2]int64]uint64{
+		{7, 2}:  0xaf2e1fe972e51ce0,
+		{7, 4}:  0x7c0f82c6481b16cc,
+		{11, 2}: 0x528d5db702e7b6f1,
+		{11, 4}: 0xefb556fc2fe1d9bb,
+	}
+	for _, seed := range []int64{7, 11} {
+		cfg := datagen.Small()
+		cfg.Seed = seed
+		pair, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(pair.Anchors) / 10
+		trainPos, testPos := pair.Anchors[:n], pair.Anchors[n:]
+		neg, err := eval.SampleNegatives(pair, 10*len(pair.Anchors), rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidates := append(append([]hetnet.Anchor{}, testPos...), neg...)
+		pl, err := NewPlanner(newBase(t, pair))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 4} {
+			plan, err := pl.Plan(trainPos, candidates, 100, Config{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plan.SimilaritySeeded || len(plan.Parts) != k {
+				t.Fatalf("seed %d K=%d: fixture lost its signal (seeded=%v, parts=%d)", seed, k, plan.SimilaritySeeded, len(plan.Parts))
+			}
+			if got := planFingerprint(plan); got != want[[2]int64{seed, int64(k)}] {
+				t.Errorf("seed %d K=%d: plan fingerprint %#x, want %#x", seed, k, got, want[[2]int64{seed, int64(k)}])
+			}
+		}
+	}
+}
+
+// TestSimilarityMatchesUnfusedPropagation recomputes the planner's
+// coarse similarity the long way — full products, then TopKPerRow — and
+// requires the fused MatMulTopK propagation to equal it bit for bit.
+func TestSimilarityMatchesUnfusedPropagation(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPlanner(newBase(t, pair))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.prior == nil {
+		t.Fatal("fixture carries no attribute prior")
+	}
+	want := pl.prior
+	for it := 1; it <= 3; it++ {
+		prop := sparse.MatMulParallel(pl.w1, want).TopKPerRow(coarseTopM)
+		prop = sparse.MatMulParallel(prop, pl.w2.T()).TopKPerRow(coarseTopM)
+		want = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
+		want = want.Scale(1 / want.Sum())
+		if got := pl.similarity(it); !got.Equal(want) {
+			t.Fatalf("%d iterations: fused similarity differs from the unfused propagation", it)
 		}
 	}
 }

@@ -487,12 +487,15 @@ func (pl *Planner) similarity(iters int) *sparse.CSR {
 		return r
 	}
 	r := pl.prior
+	w2t := pl.w2.T()
 	for it := 0; it < iters; it++ {
 		// Truncate between the two products too: without it the second
 		// SpGEMM's output is near-dense (every neighbor of a neighbor),
-		// which at crawl scale costs tens of seconds per iteration.
-		prop := sparse.MatMulParallel(pl.w1, r).TopKPerRow(coarseTopM)
-		prop = sparse.MatMulParallel(prop, pl.w2.T()).TopKPerRow(coarseTopM)
+		// which at crawl scale costs tens of seconds per iteration. The
+		// fused kernel selects each row's top entries off the SpGEMM
+		// accumulator, so neither near-dense product is ever stored.
+		prop := sparse.MatMulTopK(pl.w1, r, coarseTopM)
+		prop = sparse.MatMulTopK(prop, w2t, coarseTopM)
 		r = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
 		if s := r.Sum(); s > 0 {
 			r = r.Scale(1 / s)
@@ -560,35 +563,19 @@ func (pl *Planner) foldSimilarity(trainPos []hetnet.Anchor, groups [][]int, iter
 // ~10⁸ entries through a builder only to throw almost all of them away.
 func truncatedScores(p *metadiag.Proximity, topM int) *sparse.CSR {
 	rows, cols := p.Counts.Dims()
-	b := sparse.NewBuilder(rows, cols)
-	type entry struct {
-		j int
-		s float64
-	}
-	var scratch []entry
-	for i := 0; i < rows; i++ {
+	var js []int
+	var scores []float64
+	return sparse.TopKRows(rows, cols, topM, func(i int) ([]int, []float64) {
 		colIdx, vals := p.Counts.RowSlice(i)
-		scratch = scratch[:0]
+		js, scores = js[:0], scores[:0]
 		for k, j := range colIdx {
-			denom := p.RowSums[i] + p.ColSums[j]
-			if denom > 0 {
-				scratch = append(scratch, entry{j: j, s: 2 * vals[k] / denom})
+			if denom := p.RowSums[i] + p.ColSums[j]; denom > 0 {
+				js = append(js, j)
+				scores = append(scores, 2*vals[k]/denom)
 			}
 		}
-		if len(scratch) > topM {
-			sort.Slice(scratch, func(a, b int) bool {
-				if scratch[a].s != scratch[b].s {
-					return scratch[a].s > scratch[b].s
-				}
-				return scratch[a].j < scratch[b].j
-			})
-			scratch = scratch[:topM]
-		}
-		for _, e := range scratch {
-			b.Add(i, e.j, e.s)
-		}
-	}
-	return b.Build()
+		return js, scores
+	})
 }
 
 // invHop maps a BFS distance to a (0,1] affinity; unreachable → 0.

@@ -31,54 +31,52 @@ func MatMulParallel(a, b *CSR) *CSR {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("sparse: MatMulParallel dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.rows {
-		workers = a.rows
-	}
-	if workers <= 1 || a.rows < 64 {
-		return MatMul(a, b)
-	}
-	type block struct {
-		lo, hi int
-		rowLen []int
-		colIdx []int
-		val    []float64
-	}
-	blocks := make([]block, workers)
-	var wg sync.WaitGroup
-	chunk := (a.rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.rows {
-			hi = a.rows
+	return rowBlocks(a.rows, b.cols, func(lo, hi int, rowLen []int) ([]int, []float64) {
+		return mulRows(a, b, lo, hi, rowLen)
+	})
+}
+
+// rowBlocks assembles a rows×cols matrix from a row kernel: kernel(lo,
+// hi, rowLen) returns the concatenated entries of rows [lo, hi) and
+// their per-row counts in rowLen (length hi-lo). Outputs of 64 rows or
+// more are cut into one contiguous block per GOMAXPROCS worker and the
+// blocks stitched in order; smaller ones are a single serial call.
+func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []int, val []float64)) *CSR {
+	out := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
+	rowLen := make([]int, rows)
+	if workers := runtime.GOMAXPROCS(0); workers <= 1 || rows < 64 {
+		out.colIdx, out.val = kernel(0, rows, rowLen)
+	} else {
+		chunk := (rows + workers - 1) / workers
+		type block struct {
+			colIdx []int
+			val    []float64
 		}
-		if lo >= hi {
-			blocks[w] = block{lo: lo, hi: lo}
-			continue
+		blocks := make([]block, (rows+chunk-1)/chunk)
+		var wg sync.WaitGroup
+		for w := range blocks {
+			lo := w * chunk
+			hi := min(lo+chunk, rows)
+			wg.Add(1)
+			go func(w, lo, hi int) {
+				defer wg.Done()
+				blocks[w].colIdx, blocks[w].val = kernel(lo, hi, rowLen[lo:hi])
+			}(w, lo, hi)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			blk := block{lo: lo, hi: hi, rowLen: make([]int, hi-lo)}
-			blk.colIdx, blk.val = mulRows(a, b, lo, hi, blk.rowLen)
-			blocks[w] = blk
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := &CSR{rows: a.rows, cols: b.cols, rowPtr: make([]int, a.rows+1)}
-	total := 0
-	for _, blk := range blocks {
-		total += len(blk.val)
-	}
-	out.colIdx = make([]int, 0, total)
-	out.val = make([]float64, 0, total)
-	for _, blk := range blocks {
-		for i := blk.lo; i < blk.hi; i++ {
-			out.rowPtr[i+1] = out.rowPtr[i] + blk.rowLen[i-blk.lo]
+		wg.Wait()
+		total := 0
+		for _, blk := range blocks {
+			total += len(blk.val)
 		}
-		out.colIdx = append(out.colIdx, blk.colIdx...)
-		out.val = append(out.val, blk.val...)
+		out.colIdx = make([]int, 0, total)
+		out.val = make([]float64, 0, total)
+		for _, blk := range blocks {
+			out.colIdx = append(out.colIdx, blk.colIdx...)
+			out.val = append(out.val, blk.val...)
+		}
+	}
+	for i, n := range rowLen {
+		out.rowPtr[i+1] = out.rowPtr[i] + n
 	}
 	return out
 }

@@ -41,6 +41,38 @@ func getWorkspace(cols int) *gemmWorkspace {
 
 func putWorkspace(w *gemmWorkspace) { gemmPool.Put(w) }
 
+// accumulate runs Gustavson's inner loops for row i of a·b: afterwards
+// w.live lists the columns the row touched (in first-touch order),
+// w.acc[j] holds their sums, and [minJ, maxJ] spans them (b.cols, -1 for
+// an untouched row). Every kernel over a·b goes through here, so they
+// all add a row's terms in the same order and produce the same floats.
+func (w *gemmWorkspace) accumulate(a, b *CSR, i int) (minJ, maxJ int) {
+	w.gen++
+	gen := w.gen
+	live := w.live[:0]
+	minJ, maxJ = b.cols, -1
+	for ka := a.rowPtr[i]; ka < a.rowPtr[i+1]; ka++ {
+		k, av := a.colIdx[ka], a.val[ka]
+		for kb := b.rowPtr[k]; kb < b.rowPtr[k+1]; kb++ {
+			j := b.colIdx[kb]
+			if w.mark[j] != gen {
+				w.mark[j] = gen
+				w.acc[j] = 0
+				live = append(live, j)
+				if j < minJ {
+					minJ = j
+				}
+				if j > maxJ {
+					maxJ = j
+				}
+			}
+			w.acc[j] += av * b.val[kb]
+		}
+	}
+	w.live = live
+	return minJ, maxJ
+}
+
 // mulRows computes rows [lo, hi) of a·b, returning the concatenated
 // column indices and values plus per-row entry counts in rowLen (which
 // must have length hi-lo). Surviving entries per row are emitted in
@@ -55,29 +87,8 @@ func mulRows(a, b *CSR, lo, hi int, rowLen []int) (colIdx []int, val []float64) 
 	w := getWorkspace(b.cols)
 	defer putWorkspace(w)
 	for i := lo; i < hi; i++ {
-		w.gen++
-		gen := w.gen
-		live := w.live[:0]
-		minJ, maxJ := b.cols, -1
-		for ka := a.rowPtr[i]; ka < a.rowPtr[i+1]; ka++ {
-			k, av := a.colIdx[ka], a.val[ka]
-			for kb := b.rowPtr[k]; kb < b.rowPtr[k+1]; kb++ {
-				j := b.colIdx[kb]
-				if w.mark[j] != gen {
-					w.mark[j] = gen
-					w.acc[j] = 0
-					live = append(live, j)
-					if j < minJ {
-						minJ = j
-					}
-					if j > maxJ {
-						maxJ = j
-					}
-				}
-				w.acc[j] += av * b.val[kb]
-			}
-		}
-		w.live = live
+		minJ, maxJ := w.accumulate(a, b, i)
+		live, gen := w.live, w.gen
 		n := 0
 		if len(live) > 0 {
 			if span := maxJ - minJ + 1; span <= 4*len(live) {
