@@ -18,10 +18,12 @@
 // linear algebra, the heterogeneous network store, the meta diagram
 // algebra and counting engine, cardinality-constrained matching, the SVM
 // baseline, and the experiment harness that regenerates every table and
-// figure of the paper (see cmd/experiments). Beyond the single-pair
-// Aligner, PartitionedAligner shards large candidate spaces across
-// in-process pipelines and DistributedAligner ships those shards to
-// worker processes — multi-round active learning included
+// figure of the paper (see cmd/experiments). There is one alignment
+// pipeline — prepare a part's features, train it, reconcile — under
+// three constructors: New runs the whole pool as a single part on a
+// long-lived counter, NewPartitioned shards it across in-process forks,
+// and NewDistributed ships the same shards to worker processes; the two
+// sharded constructors return one type and share one multi-round driver
 // (Options.Rounds). A trained alignment persists as a serving artifact
 // (BuildSnapshot/WriteSnapshot/OpenSnapshot) that cmd/alignd answers
 // match/candidate/score queries from online. docs/ARCHITECTURE.md
@@ -37,9 +39,10 @@ import (
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
+	"github.com/activeiter/activeiter/internal/distrib"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
-	"github.com/activeiter/activeiter/internal/schema"
+	"github.com/activeiter/activeiter/internal/partition"
 )
 
 // Re-exported data model types. Aliases keep the internal packages as the
@@ -106,11 +109,11 @@ type StrategyKind string
 const (
 	// StrategyConflict is the paper's conflict-aware false-negative
 	// strategy (the default).
-	StrategyConflict StrategyKind = "conflict"
+	StrategyConflict StrategyKind = distrib.StrategyConflict
 	// StrategyRandom queries uniformly (the ActiveIter-Rand baseline).
-	StrategyRandom StrategyKind = "random"
+	StrategyRandom StrategyKind = distrib.StrategyRandom
 	// StrategyUncertainty queries the scores nearest the threshold.
-	StrategyUncertainty StrategyKind = "uncertainty"
+	StrategyUncertainty StrategyKind = distrib.StrategyUncertainty
 )
 
 // Options configures an Aligner. The zero value is a usable default:
@@ -137,21 +140,22 @@ type Options struct {
 	// Seed drives every random choice; fixed seed ⇒ identical runs.
 	Seed int64
 	// Partitions splits the candidate space into this many overlapping
-	// partitions when aligning through PartitionedAligner or
-	// DistributedAligner; ≤ 1 means monolithic. Plain Aligner ignores it.
+	// shards under NewPartitioned and NewDistributed; ≤ 1 is a single
+	// shard. New always aligns the whole pool as one part.
 	Partitions int
-	// Workers caps shard-execution concurrency: concurrent partition
-	// pipelines in PartitionedAligner, concurrent worker connections in
-	// DistributedAligner. 0 means min(partitions, GOMAXPROCS). Plain
-	// Aligner ignores it.
+	// Workers caps shard-execution concurrency under the sharded
+	// constructors: concurrent part pipelines in-process, concurrent
+	// worker connections when distributed. 0 means
+	// min(partitions, GOMAXPROCS).
 	Workers int
-	// Rounds (DistributedAligner only) lifts the active loop to the
-	// coordinator: the query budget splits across this many
-	// retrain-after-labels rounds over one sticky worker session — round
-	// 1 ships each shard once, later rounds ship only the new oracle
-	// labels to the workers already holding the shard warm. 0 and 1 are
-	// the same run: one round, the single-shot dispatch. The other
-	// aligners ignore it.
+	// Rounds lifts the active loop to the sharded driver: the query
+	// budget splits across this many retrain-after-labels rounds over
+	// one stable plan, each round's oracle answers entering the next as
+	// fixed labels. In-process every round re-runs the part pipelines;
+	// distributed, the rounds share one sticky worker session — round 1
+	// ships each shard once, later rounds ship only the new labels to
+	// the workers already holding the shard warm. 0 and 1 are the same
+	// run: one round, the single-shot dispatch.
 	Rounds int
 	// ShardRetries (DistributedAligner only) is how many times a failed
 	// shard is re-dispatched on a fresh connection — with capped
@@ -194,9 +198,6 @@ func Ptr[T any](v T) *T { return &v }
 // misinterpreted downstream (a negative budget, for instance, skips
 // core's oracle validation because only Budget > 0 is checked there).
 func (o Options) validate() error {
-	if _, err := o.strategy(); err != nil {
-		return err
-	}
 	switch {
 	case o.Budget < 0:
 		return fmt.Errorf("activeiter: negative Budget %d (use 0 to disable active learning)", o.Budget)
@@ -224,27 +225,57 @@ func (o Options) validate() error {
 	return nil
 }
 
-func (o Options) strategy() (active.Strategy, error) {
-	switch o.Strategy {
-	case "", StrategyConflict:
-		return active.Conflict{}, nil
-	case StrategyRandom:
-		return active.Random{}, nil
-	case StrategyUncertainty:
-		return active.Uncertainty{}, nil
-	default:
-		return nil, fmt.Errorf("activeiter: unknown strategy %q", o.Strategy)
+// trainConfig is the single Options→training mapping: the wire-safe
+// configuration remote workers receive, and — resolved through
+// distrib's name tables (resolve) — what every in-process pipeline
+// trains on and what snapshot provenance records.
+func (o Options) trainConfig() distrib.TrainConfig {
+	cfg := distrib.TrainConfig{
+		FeatureSet: distrib.FeaturesFull,
+		Strategy:   string(o.Strategy),
+		C:          o.C,
+		Threshold:  o.Threshold,
+		BatchSize:  o.BatchSize,
+		Exact:      o.ExactSelection,
+		Seed:       o.Seed,
 	}
+	switch o.Features {
+	case PathFeatures:
+		cfg.FeatureSet = distrib.FeaturesPaths
+	case ExtendedFeatures:
+		cfg.FeatureSet = distrib.FeaturesExtended
+	}
+	if cfg.Strategy == "" {
+		cfg.Strategy = distrib.StrategyConflict
+	}
+	return cfg
+}
+
+// resolve validates the options and resolves trainConfig into the
+// diagram library and training configuration the part pipelines run —
+// the one place an unknown strategy is rejected.
+func (o Options) resolve() (partition.TrainOptions, error) {
+	if err := o.validate(); err != nil {
+		return partition.TrainOptions{}, err
+	}
+	train, err := o.trainConfig().TrainOptions()
+	if err != nil {
+		// trainConfig only emits known feature-set names; the strategy is
+		// the caller's string.
+		return train, fmt.Errorf("activeiter: unknown strategy %q", o.Strategy)
+	}
+	train.Workers = o.Workers
+	return train, nil
 }
 
 // Aligner runs meta diagram feature extraction and the ActiveIter
 // training loop over one aligned pair. Create it once per pair; Align
 // may be called repeatedly with different training folds.
 type Aligner struct {
-	pair      *AlignedPair
 	counter   *metadiag.Counter
 	extractor *metadiag.Extractor
 	opts      Options
+	train     partition.TrainOptions // opts, resolved
 	panel     *OraclePanel
 }
 
@@ -253,7 +284,8 @@ func New(pair *AlignedPair, opts Options) (*Aligner, error) {
 	if pair == nil {
 		return nil, errors.New("activeiter: nil pair")
 	}
-	if err := opts.validate(); err != nil {
+	train, err := opts.resolve()
+	if err != nil {
 		return nil, err
 	}
 	counter, err := metadiag.NewCounter(pair)
@@ -261,23 +293,11 @@ func New(pair *AlignedPair, opts Options) (*Aligner, error) {
 		return nil, err
 	}
 	return &Aligner{
-		pair:      pair,
 		counter:   counter,
-		extractor: metadiag.NewExtractor(counter, opts.features(), true),
+		extractor: metadiag.NewExtractor(counter, train.Features, true),
 		opts:      opts,
+		train:     train,
 	}, nil
-}
-
-// features resolves the configured feature list.
-func (o Options) features() []schema.Named {
-	switch o.Features {
-	case PathFeatures:
-		return schema.StandardLibrary().PathsOnly()
-	case ExtendedFeatures:
-		return schema.ExtendedLibrary().All()
-	default:
-		return schema.StandardLibrary().All()
-	}
 }
 
 // FeatureNames returns the feature vector layout (diagram IDs plus the
@@ -306,7 +326,7 @@ func (a *Aligner) CandidatePairs(trainPos []Anchor, perUser int) ([]Anchor, erro
 	if err := a.extractor.Recompute(); err != nil {
 		return nil, err
 	}
-	return a.counter.Candidates(a.opts.features(), perUser)
+	return a.counter.Candidates(a.train.Features, perUser)
 }
 
 // Result is a completed alignment run.
@@ -363,11 +383,23 @@ func (r *Result) Predictor(threshold float64) (*Predictor, error) {
 // pool (test positives and sampled negatives); trainPos links are added
 // to the pool automatically. The oracle may be nil when Budget is 0.
 func (a *Aligner) Align(trainPos []Anchor, candidates []Anchor, oracle Oracle) (*Result, error) {
-	return a.align(trainPos, candidates, oracle, nil)
+	return a.AlignPrelabeled(trainPos, candidates, oracle, nil)
 }
 
-// align is the shared core of Align and AlignPrelabeled.
-func (a *Aligner) align(trainPos []Anchor, candidates []Anchor, oracle Oracle, pre []WeightedLabel) (*Result, error) {
+// AlignPrelabeled is Align with confidence-weighted labels from an
+// earlier panel run fixed into the pool before training: each weighted
+// label enters the problem the way an in-run oracle answer would
+// (fixed for the whole run, excluded from query selection and from
+// this run's budget), carrying WeightedLabel.Value() — the
+// trust-weighted soft label — as its target. Links absent from
+// candidates are added to the pool; links already in trainPos keep
+// their ground-truth status.
+//
+// The whole pool runs as one part (index 0, the full budget) through
+// the prepare and train halves every shard runs, on the aligner's
+// long-lived counter and extractor so repeated folds reuse the
+// attribute-only counts.
+func (a *Aligner) AlignPrelabeled(trainPos, candidates []Anchor, oracle Oracle, pre []WeightedLabel) (*Result, error) {
 	if len(trainPos) == 0 {
 		return nil, core.ErrNoPositives
 	}
@@ -376,65 +408,28 @@ func (a *Aligner) align(trainPos []Anchor, candidates []Anchor, oracle Oracle, p
 		return nil, err
 	}
 	a.panel = panel
+	part := &partition.Part{
+		TrainPos: trainPos,
+		// Prelabeled links absent from candidates join the pool behind
+		// them (the part pipeline dedups the rest); the cap keeps the
+		// appends off the caller's array.
+		Candidates: candidates[:len(candidates):len(candidates)],
+		Budget:     a.opts.Budget,
+		Prelabeled: prelabels(trainPos, pre),
+	}
+	for _, l := range part.Prelabeled {
+		part.Candidates = append(part.Candidates, l.Link)
+	}
 	// The meta paths may only traverse *known* anchors: restrict the
-	// counter to the training positives and recompute features.
+	// counter to the training positives before features are recomputed.
 	a.counter.SetAnchors(trainPos)
-	if err := a.extractor.Recompute(); err != nil {
-		return nil, err
-	}
-	links := make([]Anchor, 0, len(trainPos)+len(candidates))
-	links = append(links, trainPos...)
-	seen := make(map[int64]bool, len(links))
-	for _, l := range trainPos {
-		seen[hetnet.Key(l.I, l.J)] = true
-	}
-	for _, l := range candidates {
-		if !seen[hetnet.Key(l.I, l.J)] {
-			seen[hetnet.Key(l.I, l.J)] = true
-			links = append(links, l)
-		}
-	}
-	for _, wl := range pre {
-		if !seen[hetnet.Key(wl.Link.I, wl.Link.J)] {
-			seen[hetnet.Key(wl.Link.I, wl.Link.J)] = true
-			links = append(links, wl.Link)
-		}
-	}
-	x, err := a.extractor.FeatureMatrix(links)
+	prep, err := partition.PrepareWith(a.extractor, part)
 	if err != nil {
 		return nil, err
 	}
-	labeled := make([]int, len(trainPos))
-	for i := range labeled {
-		labeled[i] = i
-	}
-	strategy, err := a.opts.strategy()
+	res, err := prep.Train(part, a.train.Core, oracle)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
-		C:              a.opts.C,
-		Threshold:      a.opts.Threshold,
-		Budget:         a.opts.Budget,
-		BatchSize:      a.opts.BatchSize,
-		Strategy:       strategy,
-		ExactSelection: a.opts.ExactSelection,
-		Seed:           a.opts.Seed,
-	}
-	if a.opts.Budget == 0 {
-		cfg.Strategy = nil
-	}
-	preIdx, preY := mapPrelabels(links, len(trainPos), pre)
-	res, err := core.Train(core.Problem{
-		Links:       links,
-		X:           x,
-		LabeledPos:  labeled,
-		Prelabeled:  preIdx,
-		PrelabeledY: preY,
-		Oracle:      oracle,
-	}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{inner: res, links: links}, nil
+	return &Result{inner: res, links: prep.Links}, nil
 }

@@ -4,9 +4,10 @@ package activeiter
 // (run `go test -bench=. -benchmem`), plus micro-benchmarks for the
 // substrates that dominate the pipeline. EXPERIMENTS.md records the
 // regenerated artifacts; cmd/experiments produces the full-size runs.
+// Facade-level timings (sharded, distributed, snapshot load, serving)
+// are `go run ./bench` workloads, not benchmarks here.
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -20,7 +21,6 @@ import (
 	"github.com/activeiter/activeiter/internal/matching"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
-	"github.com/activeiter/activeiter/internal/snapshot"
 	"github.com/activeiter/activeiter/internal/sparse"
 )
 
@@ -376,264 +376,3 @@ func benchProblem(b *testing.B, pair *AlignedPair, nTrain int) (core.Problem, Or
 	}
 	return core.Problem{Links: links, X: x, LabeledPos: labeled}, NewTruthOracle(pair)
 }
-
-// BenchmarkPartitionedAlignment compares one monolithic alignment pass
-// against the partitioned pipeline at several K on the small dataset —
-// the PR 2 scalability artifact (large-pair runs come from
-// cmd/experiments -exp scalability; gated figures from go run ./bench).
-func BenchmarkPartitionedAlignment(b *testing.B) {
-	pair, err := datagen.Generate(datagen.Small())
-	if err != nil {
-		b.Fatal(err)
-	}
-	anchors := pair.Anchors
-	trainPos := anchors[:len(anchors)/2]
-	rng := rand.New(rand.NewSource(17))
-	neg, err := eval.SampleNegatives(pair, 10*len(anchors), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	candidates := append(append([]Anchor{}, anchors[len(anchors)/2:]...), neg...)
-	for _, k := range []int{1, 4} {
-		name := "monolithic"
-		if k > 1 {
-			name = "partitioned-K4"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				al, err := NewPartitioned(pair, Options{Seed: 9, Partitions: k})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := al.Align(trainPos, candidates, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.PredictedAnchors()) == 0 {
-					b.Fatal("no predictions")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDistributedLoopback measures the distributed pipeline's
-// transport and serialization overhead against the in-process
-// partitioned path it is property-tested equal to: the same K-shard
-// plan executed on counter forks vs shipped (extracted, serialized) to
-// loopback wire workers — the PR 3 artifact (large-pair and subprocess
-// runs come from cmd/experiments -exp distributed; gated figures from
-// go run ./bench).
-func BenchmarkDistributedLoopback(b *testing.B) {
-	pair, err := datagen.Generate(datagen.Small())
-	if err != nil {
-		b.Fatal(err)
-	}
-	anchors := pair.Anchors
-	trainPos := anchors[:len(anchors)/2]
-	rng := rand.New(rand.NewSource(17))
-	neg, err := eval.SampleNegatives(pair, 10*len(anchors), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	candidates := append(append([]Anchor{}, anchors[len(anchors)/2:]...), neg...)
-	opts := Options{Seed: 9, Partitions: 4}
-	b.Run("in-process-K4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			al, err := NewPartitioned(pair, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := al.Align(trainPos, candidates, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.PredictedAnchors()) == 0 {
-				b.Fatal("no predictions")
-			}
-		}
-	})
-	b.Run("loopback-K4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			al, err := NewDistributed(pair, opts, NewLoopbackTransport())
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := al.Align(trainPos, candidates, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.PredictedAnchors()) == 0 {
-				b.Fatal("no predictions")
-			}
-			if al.Metrics().JobBytes == 0 {
-				b.Fatal("no bytes crossed the wire")
-			}
-			m := al.Metrics()
-			b.ReportMetric(float64(m.JobBytes), "job-bytes")
-			b.ReportMetric(float64(m.JobBytes)/float64(len(m.Shards)), "job-bytes/shard")
-			b.ReportMetric(float64(m.SeedBytes), "seed-bytes")
-		}
-	})
-}
-
-// BenchmarkDistributedSessionRounds measures the sticky-session active
-// loop — the PR 4 artifact: a 3-round retrain over one worker session
-// with JobRef delta shipping, against the same rounds re-shipping full
-// jobs (what PR 3's dispatch would pay per retrain). The reported
-// job-bytes/delta-bytes split is the point: delta rounds move the
-// per-retrain wire cost from the shard size to the label delta.
-func BenchmarkDistributedSessionRounds(b *testing.B) {
-	pair, err := datagen.Generate(datagen.Small())
-	if err != nil {
-		b.Fatal(err)
-	}
-	anchors := pair.Anchors
-	trainPos := anchors[:len(anchors)/2]
-	rng := rand.New(rand.NewSource(17))
-	neg, err := eval.SampleNegatives(pair, 10*len(anchors), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	candidates := append(append([]Anchor{}, anchors[len(anchors)/2:]...), neg...)
-	oracle := NewTruthOracle(pair)
-	run := func(b *testing.B, opts Options) {
-		for i := 0; i < b.N; i++ {
-			al, err := NewDistributed(pair, opts, NewLoopbackTransport())
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := al.Align(trainPos, candidates, oracle)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.PredictedAnchors()) == 0 {
-				b.Fatal("no predictions")
-			}
-			m := al.Metrics()
-			b.ReportMetric(float64(m.JobBytes), "job-bytes")
-			b.ReportMetric(float64(m.DeltaBytes), "delta-bytes")
-			b.ReportMetric(float64(m.CacheHits), "cache-hits")
-		}
-	}
-	b.Run("single-shot-K4", func(b *testing.B) {
-		run(b, Options{Seed: 9, Partitions: 4, Budget: 30})
-	})
-	b.Run("session-3rounds-delta-K4", func(b *testing.B) {
-		run(b, Options{Seed: 9, Partitions: 4, Budget: 30, Rounds: 3})
-	})
-}
-
-// snapshotBenchFixture trains one tiny monolithic alignment and
-// serializes its snapshot, shared across the serving benchmarks.
-var (
-	snapBenchOnce sync.Once
-	snapBenchRaw  []byte
-	snapBenchErr  error
-)
-
-func snapshotBenchBytes(b *testing.B) []byte {
-	b.Helper()
-	snapBenchOnce.Do(func() {
-		pair := tinyPair(b)
-		anchors := pair.Anchors
-		nTrain := len(anchors) / 4
-		trainPos, testPos := anchors[:nTrain], anchors[nTrain:]
-		rng := rand.New(rand.NewSource(11))
-		neg, err := eval.SampleNegatives(pair, 10*len(anchors), rng)
-		if err != nil {
-			snapBenchErr = err
-			return
-		}
-		cands := append(append([]Anchor{}, testPos...), neg...)
-		opts := Options{Seed: 1}
-		a, err := New(pair, opts)
-		if err != nil {
-			snapBenchErr = err
-			return
-		}
-		res, err := a.Align(trainPos, cands, nil)
-		if err != nil {
-			snapBenchErr = err
-			return
-		}
-		snap, err := BuildSnapshot(SnapshotMonolithic, pair, res, opts)
-		if err != nil {
-			snapBenchErr = err
-			return
-		}
-		var buf bytes.Buffer
-		if err := snap.Write(&buf); err != nil {
-			snapBenchErr = err
-			return
-		}
-		snapBenchRaw = buf.Bytes()
-	})
-	if snapBenchErr != nil {
-		b.Fatal(snapBenchErr)
-	}
-	return snapBenchRaw
-}
-
-// BenchmarkSnapshotLoad measures the serving cold-start path: decode a
-// snapshot artifact and build the read-optimized index — the cost of
-// an alignd start or reload.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	raw := snapshotBenchBytes(b)
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap, err := snapshot.Read(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := NewServeIndex(snap); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeTopK measures the hot query path — matched-partner
-// lookup plus top-k candidate ranking — single-goroutine and across
-// GOMAXPROCS clients (the index is immutable, so parallel should scale
-// near-linearly).
-func BenchmarkServeTopK(b *testing.B) {
-	raw := snapshotBenchBytes(b)
-	snap, err := snapshot.Read(bytes.NewReader(raw))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := NewServeIndex(snap)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n1 := len(snap.Meta.Users1)
-	// A package-level sink keeps the lookups from being optimized away;
-	// correctness of MatchFor/CandidatesFor belongs to the tests, not
-	// here (b.Fatal is illegal from RunParallel worker goroutines).
-	query := func(u int32) int {
-		m, _ := ix.MatchFor(1, u)
-		return int(m.Index) + len(ix.CandidatesFor(1, u, 5))
-	}
-	b.Run("single", func(b *testing.B) {
-		sum := 0
-		for i := 0; i < b.N; i++ {
-			sum += query(int32(i % n1))
-		}
-		benchSink = sum
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			u := int32(0)
-			sum := 0
-			for pb.Next() {
-				sum += query(u % int32(n1))
-				u++
-			}
-			benchSink = sum
-		})
-	})
-}
-
-// benchSink defeats dead-code elimination in the serving benchmarks.
-var benchSink int

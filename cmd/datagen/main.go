@@ -9,70 +9,63 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	activeiter "github.com/activeiter/activeiter"
+	"github.com/activeiter/activeiter/internal/datagen"
 )
 
 func main() {
-	preset := flag.String("preset", "small", "dataset preset: tiny, small, paper, full, xl")
-	seed := flag.Int64("seed", 0, "override the preset's seed when non-zero")
-	out := flag.String("out", "", "output file (default stdout)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
+		os.Exit(1)
+	}
+}
 
-	cfg, err := presetConfig(*preset)
+// run is main minus the exit code, for the command's smoke tests.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	preset := fs.String("preset", "small", "dataset preset: tiny, small, paper, full, xl")
+	seed := fs.Int64("seed", 0, "override the preset's seed when non-zero")
+	out := fs.String("out", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	cfg, err := datagen.Preset(*preset)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
 	pair, err := activeiter.GenerateDataset(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+		f, ferr := os.Create(*out)
+		if ferr != nil {
+			return ferr
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		w = f
 	}
 	if err := activeiter.WriteAlignedJSON(pair, w); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "generated: %s\n", pair.G1.Stats())
-	fmt.Fprintf(os.Stderr, "           %s\n", pair.G2.Stats())
-	fmt.Fprintf(os.Stderr, "           anchors=%d\n", len(pair.Anchors))
-}
-
-func presetConfig(name string) (activeiter.GeneratorConfig, error) {
-	switch name {
-	case "tiny":
-		return activeiter.TinyDataset(), nil
-	case "small":
-		return activeiter.SmallDataset(), nil
-	case "paper":
-		return activeiter.PaperShapeDataset(), nil
-	case "full":
-		return activeiter.FullScaleDataset(), nil
-	case "xl":
-		return activeiter.XLScaleDataset(), nil
-	default:
-		return activeiter.GeneratorConfig{}, fmt.Errorf("unknown preset %q (want tiny, small, paper, full or xl)", name)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "datagen:", err)
-	os.Exit(1)
+	fmt.Fprintf(stderr, "generated: %s\n", pair.G1.Stats())
+	fmt.Fprintf(stderr, "           %s\n", pair.G2.Stats())
+	fmt.Fprintf(stderr, "           anchors=%d\n", len(pair.Anchors))
+	return nil
 }

@@ -275,36 +275,29 @@ func runSaveSnapshot(pre experiments.Preset, cfg experiments.DistributedConfig, 
 
 	var res activeiter.AlignmentResult
 	start := time.Now()
-	switch proto.Facade {
-	case activeiter.SnapshotMonolithic:
+	if proto.Facade == activeiter.SnapshotMonolithic {
 		a, err := activeiter.New(pair, opts)
 		if err != nil {
 			return err
 		}
-		res, err = a.Align(trainPos, cands, oracle)
+		if res, err = a.Align(trainPos, cands, oracle); err != nil {
+			return err
+		}
+	} else {
+		// Both sharded constructors return the one sharded aligner; the
+		// facade only decides where its shards run.
+		var sa *activeiter.PartitionedAligner
+		if proto.Facade == activeiter.SnapshotPartitioned {
+			sa, err = activeiter.NewPartitioned(pair, opts)
+		} else if cfg.WorkerCmd != "" {
+			sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewWorkerProcessTransport(cfg.WorkerCmd, cfg.WorkerArgs...))
+		} else {
+			sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewLoopbackTransport())
+		}
 		if err != nil {
 			return err
 		}
-	case activeiter.SnapshotPartitioned:
-		pa, err := activeiter.NewPartitioned(pair, opts)
-		if err != nil {
-			return err
-		}
-		res, err = pa.Align(trainPos, cands, oracle)
-		if err != nil {
-			return err
-		}
-	default:
-		transport := activeiter.NewLoopbackTransport()
-		if cfg.WorkerCmd != "" {
-			transport = activeiter.NewWorkerProcessTransport(cfg.WorkerCmd, cfg.WorkerArgs...)
-		}
-		da, err := activeiter.NewDistributed(pair, opts, transport)
-		if err != nil {
-			return err
-		}
-		res, err = da.Align(trainPos, cands, oracle)
-		if err != nil {
+		if res, err = sa.Align(trainPos, cands, oracle); err != nil {
 			return err
 		}
 	}

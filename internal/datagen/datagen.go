@@ -121,6 +121,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Preset resolves a preset by the name the commands accept.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "tiny":
+		return Tiny(), nil
+	case "small":
+		return Small(), nil
+	case "paper":
+		return PaperShape(), nil
+	case "full":
+		return FullScale(), nil
+	case "xl":
+		return XLScale(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown preset %q (want tiny, small, paper, full or xl)", name)
+	}
+}
+
 // Tiny returns a preset small enough for unit tests (runs in
 // milliseconds).
 func Tiny() Config {

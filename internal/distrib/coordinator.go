@@ -3,7 +3,6 @@ package distrib
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -256,18 +255,6 @@ func (c *Coordinator) Run(pair *hetnet.AlignedPair, plan *partition.Plan, oracle
 	}
 	defer s.Close()
 	return s.Run(plan, oracle)
-}
-
-// backoffDelay is the jittered, capped exponential delay before retry n
-// (n ≥ 1): base×2ⁿ⁻¹ scaled by a uniform [0.5, 1.5) factor from the
-// seeded RNG — retries spread out deterministically for a fixed seed.
-// The caller guards the RNG.
-func backoffDelay(rng *rand.Rand, n int) time.Duration {
-	d := retryBackoffBase << uint(n-1)
-	if d > retryBackoffCap || d <= 0 {
-		d = retryBackoffCap
-	}
-	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }
 
 // handshake runs the coordinator-speaks-first Hello exchange on a

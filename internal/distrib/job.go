@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"github.com/activeiter/activeiter/internal/active"
+	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/schema"
@@ -81,6 +82,30 @@ type TrainConfig struct {
 	Seed int64
 }
 
+// TrainOptions resolves the wire-safe configuration into the one the
+// shard pipeline runs on — the single place a feature-set or strategy
+// name becomes a diagram library or an active.Strategy, for in-process
+// forks and remote workers alike. Core.Budget stays zero: every part
+// trains on its own plan-assigned slice.
+func (c TrainConfig) TrainOptions() (partition.TrainOptions, error) {
+	feats, err := ResolveFeatures(c.FeatureSet)
+	if err != nil {
+		return partition.TrainOptions{}, err
+	}
+	strategy, err := ResolveStrategy(c.Strategy)
+	if err != nil {
+		return partition.TrainOptions{}, err
+	}
+	return partition.TrainOptions{Features: feats, Core: core.Config{
+		C:              c.C,
+		Threshold:      c.Threshold,
+		BatchSize:      c.BatchSize,
+		Strategy:       strategy,
+		ExactSelection: c.Exact,
+		Seed:           c.Seed,
+	}}, nil
+}
+
 // NewJob packages an extracted shard with the run's training
 // configuration as a wire job. The shard's prelabels (if any) ship in
 // sub-pair indices; Fingerprint is left zero — the Session stamps it
@@ -96,19 +121,32 @@ func NewJob(shard *partition.Shard, cfg TrainConfig) *Job {
 		Prelabeled: WireLabels(shard.Part.Prelabeled),
 		InvUsers1:  shard.InvUsers1,
 		InvUsers2:  shard.InvUsers2,
-		FeatureSet: cfg.FeatureSet,
-		Strategy:   cfg.Strategy,
-		C:          cfg.C,
-		BatchSize:  cfg.BatchSize,
-		Exact:      cfg.Exact,
 		Budget:     shard.Part.Budget,
-		Seed:       cfg.Seed,
 	}
+	return j.setTrain(cfg)
+}
+
+// setTrain flattens the run's training configuration onto the job.
+func (j *Job) setTrain(cfg TrainConfig) *Job {
+	j.FeatureSet, j.Strategy = cfg.FeatureSet, cfg.Strategy
+	j.C, j.BatchSize, j.Exact, j.Seed = cfg.C, cfg.BatchSize, cfg.Exact, cfg.Seed
 	if cfg.Threshold != nil {
-		j.Threshold = *cfg.Threshold
-		j.HasThreshold = true
+		j.Threshold, j.HasThreshold = *cfg.Threshold, true
 	}
 	return j
+}
+
+// trainConfig is setTrain's inverse: the configuration the worker
+// resolves (TrainOptions) exactly as the in-process executor does.
+func (j *Job) trainConfig() TrainConfig {
+	cfg := TrainConfig{
+		FeatureSet: j.FeatureSet, Strategy: j.Strategy,
+		C: j.C, BatchSize: j.BatchSize, Exact: j.Exact, Seed: j.Seed,
+	}
+	if j.HasThreshold {
+		cfg.Threshold = &j.Threshold
+	}
+	return cfg
 }
 
 // WireLabels converts partition labels (already in the job's index

@@ -201,19 +201,9 @@ func NewSeededJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfi
 		TrainPos:   part.TrainPos,
 		Candidates: part.Candidates,
 		Prelabeled: WireLabels(part.Prelabeled),
-		FeatureSet: cfg.FeatureSet,
-		Strategy:   cfg.Strategy,
-		C:          cfg.C,
-		BatchSize:  cfg.BatchSize,
-		Exact:      cfg.Exact,
 		Budget:     part.Budget,
-		Seed:       cfg.Seed,
 	}
-	if cfg.Threshold != nil {
-		j.Threshold = *cfg.Threshold
-		j.HasThreshold = true
-	}
-	return j
+	return j.setTrain(cfg)
 }
 
 // seededPart validates a seeded job against the seed's pair and builds

@@ -14,13 +14,9 @@ import (
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/partition"
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
-
-// roundSeedStride separates the per-round training seeds of a session,
-// the same way partition's per-shard stride separates shards. Round 0
-// keeps the configured seed unchanged.
-const roundSeedStride = 2_038_074_743
 
 // defaultDeltaMaxLabels is the JobRef label-delta cap when
 // Options.DeltaMaxLabels is zero.
@@ -256,7 +252,7 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		s:            s,
 		plan:         plan,
 		oracle:       oracle,
-		seed:         s.opts.Train.Seed + int64(s.round)*roundSeedStride,
+		seed:         partition.RoundSeed(s.opts.Train.Seed, s.round),
 		retries:      retries,
 		shardTimeout: shardTimeout,
 		tracer:       tr,
@@ -467,7 +463,7 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 	// a flapping transport is probed, not hammered by every slot at once.
 	var delay time.Duration
 	if !isHedge && try > 1 && !isFallback {
-		delay = backoffDelay(rr.jitter, try-1)
+		delay = retry.Backoff(retryBackoffBase, retryBackoffCap, try-1, rr.jitter.Float64())
 	}
 	if rr.inflight[i] == 0 {
 		rr.started[i] = time.Now()

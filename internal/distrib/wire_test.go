@@ -140,7 +140,7 @@ func goldenFrames(t testing.TB) []struct {
 			}}},
 		{"error", FrameError, &JobError{Shard: 1, Msg: "boom"}},
 		{"jobref", FrameJobRef, &JobRef{Shard: 1, Fingerprint: 0xfeedc0dedeadbeef,
-			AddLabels: []WireLabel{{I: 4, J: 5, Label: 1}, {I: 5, J: 4, Label: 0}}, Budget: 2, Seed: 2019 + roundSeedStride,
+			AddLabels: []WireLabel{{I: 4, J: 5, Label: 1}, {I: 5, J: 4, Label: 0}}, Budget: 2, Seed: partition.RoundSeed(2019, 1),
 			TraceID: 0x1122334455667788, SpanID: 0x99aabbcd}},
 		{"cacheack", FrameCacheAck, &CacheAck{Shard: 1, Fingerprint: 0xfeedc0dedeadbeef, Hit: true}},
 		{"cancel", FrameCancel, &Cancel{Shard: 1}},

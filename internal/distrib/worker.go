@@ -11,7 +11,6 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
-	"github.com/activeiter/activeiter/internal/schema"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
@@ -148,9 +147,8 @@ type preparedShard struct {
 	job      *Job // carries config + inverse maps; Prelabeled mirrors part.Prelabeled
 	part     *partition.Part
 	prepared *partition.Prepared
-	feats    []schema.Named
-	strategy active.Strategy
-	n1, n2   int // the job's index space bounds (sub-pair, or pair when seeded)
+	train    core.Config // the job's resolved training configuration
+	n1, n2   int         // the job's index space bounds (sub-pair, or pair when seeded)
 }
 
 // shardCache is a tiny LRU of prepared shards keyed by job fingerprint.
@@ -308,11 +306,7 @@ func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 	} else if pair, part, err = job.DecodeShard(); err != nil {
 		return err
 	}
-	feats, err := ResolveFeatures(job.FeatureSet)
-	if err != nil {
-		return err
-	}
-	strategy, err := ResolveStrategy(job.Strategy)
+	train, err := job.trainConfig().TrainOptions()
 	if err != nil {
 		return err
 	}
@@ -329,12 +323,12 @@ func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 		return err
 	}
 	counter.SetAnchors(part.TrainPos)
-	prepared, err := partition.PreparePart(counter, part, feats)
+	prepared, err := partition.PreparePart(counter, part, train.Features)
 	if err != nil {
 		return err
 	}
 	ps := &preparedShard{
-		job: job, part: part, prepared: prepared, feats: feats, strategy: strategy,
+		job: job, part: part, prepared: prepared, train: train.Core,
 		n1: pair.G1.NodeCount(pair.AnchorType), n2: pair.G2.NodeCount(pair.AnchorType),
 	}
 	prep.Annotate("seeded", fmt.Sprintf("%v", seed != nil))
@@ -392,17 +386,8 @@ func runJobRef(conn io.ReadWriter, ref *JobRef, cache *shardCache) (err error) {
 func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int64, t0 time.Time, tr *telemetry.Tracer, parent uint64) error {
 	job := ps.job
 	ps.part.Budget = budget
-	cfg := core.Config{
-		C:              job.C,
-		BatchSize:      job.BatchSize,
-		Strategy:       ps.strategy,
-		ExactSelection: job.Exact,
-		Seed:           seed,
-	}
-	if job.HasThreshold {
-		th := job.Threshold
-		cfg.Threshold = &th
-	}
+	cfg := ps.train
+	cfg.Seed = seed
 	var oracle active.Oracle
 	if budget > 0 {
 		oracle = &wireOracle{conn: conn, shard: job.Shard, inv1: job.InvUsers1, inv2: job.InvUsers2}

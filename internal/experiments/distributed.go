@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
-	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/distrib"
 	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/partition"
-	"github.com/activeiter/activeiter/internal/schema"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
@@ -155,16 +153,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 	// re-planning cheap.
 	var planner *partition.Planner
 	newPlan := func() (*partition.Plan, error) {
-		if k > 1 && len(trainPos) > 1 {
-			if planner == nil {
-				var err error
-				if planner, err = partition.NewPlanner(base); err != nil {
-					return nil, err
-				}
-			}
-			return planner.Plan(trainPos, candidates, budget, partition.Config{K: k})
-		}
-		return partition.BuildPlan(base, trainPos, candidates, budget, partition.Config{K: k})
+		return partition.PlanCached(base, &planner, trainPos, candidates, budget, partition.Config{K: k})
 	}
 	plan, err := newPlan()
 	if err != nil {
@@ -200,16 +189,14 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 
 	var points []DistributedPoint
 
-	// In-process reference: the PartitionedAligner path.
-	var strat active.Strategy
-	if budget > 0 {
-		strat = active.Conflict{}
+	// In-process reference: the NewPartitioned path, resolved from the
+	// same TrainConfig the distributed modes ship.
+	inprocTrain, err := train.TrainOptions()
+	if err != nil {
+		return nil, err
 	}
-	inproc, err := partition.Align(base, plan, partition.TrainOptions{
-		Features: schema.StandardLibrary().All(),
-		Core:     core.Config{Budget: budget, Strategy: strat, Seed: pre.Seed},
-		Workers:  workers,
-	}, oracle)
+	inprocTrain.Workers = workers
+	inproc, err := partition.Align(base, plan, inprocTrain, oracle)
 	if err != nil {
 		return nil, fmt.Errorf("distributed: in-process reference: %w", err)
 	}

@@ -86,13 +86,11 @@ func RunScalabilityPoints(pre Preset, ks []int) ([]ScalabilityPoint, error) {
 			return nil, fmt.Errorf("scalability K=%d: %w", k, err)
 		}
 		planTime := time.Since(t0)
-		var strat active.Strategy
-		if budget > 0 {
-			strat = active.Conflict{}
-		}
+		// A part whose budget slice is zero trains without a strategy;
+		// the part pipeline sees to that itself.
 		res, err := partition.Align(base, plan, partition.TrainOptions{
 			Features: schema.StandardLibrary().All(),
-			Core:     core.Config{Budget: budget, Strategy: strat, Seed: pre.Seed},
+			Core:     core.Config{Strategy: active.Conflict{}, Seed: pre.Seed},
 			Workers:  workers,
 		}, oracle)
 		if err != nil {

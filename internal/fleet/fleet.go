@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/serve"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
@@ -366,11 +367,7 @@ func (rt *Router) backoff(attempt int) time.Duration {
 	rt.rngMu.Lock()
 	f := rt.rng.Float64()
 	rt.rngMu.Unlock()
-	d := retryBackoffBase << uint(attempt-1)
-	if d > retryBackoffCap || d <= 0 {
-		d = retryBackoffCap
-	}
-	return time.Duration(float64(d) * (0.5 + f))
+	return retry.Backoff(retryBackoffBase, retryBackoffCap, attempt, f)
 }
 
 // proxied is a captured backend response, replayable verbatim.

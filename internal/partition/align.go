@@ -24,9 +24,9 @@ const seedStride = 1_000_003
 type TrainOptions struct {
 	// Features is the meta diagram feature list every partition extracts.
 	Features []schema.Named
-	// Core is the training configuration. Core.Budget is the TOTAL query
-	// budget — each partition runs with its plan-assigned slice of it —
-	// and Core.Seed is the base seed, offset per partition.
+	// Core is the training configuration. Core.Budget is not read — each
+	// partition trains on its plan-assigned Part.Budget — and Core.Seed
+	// is the base seed, offset per partition.
 	Core core.Config
 	// Workers caps concurrent partition pipelines; default
 	// min(K, GOMAXPROCS). Callers stacking Align under their own worker
@@ -247,14 +247,14 @@ func runPart(base *metadiag.Counter, part *Part, opts TrainOptions, oracle activ
 }
 
 // TrainPart runs one shard's counter→extractor→training pipeline on a
-// counter whose anchors are already restricted to part.TrainPos. The
-// body deliberately mirrors the monolithic Aligner.Align: recompute
-// features, assemble the deduplicated pool (TrainPos first, then
-// candidates in order), and train on the part's budget slice with the
-// part-offset seed. It is shared by the in-process path (on a Fork of
-// the base counter) and the distributed worker (on a fresh counter over
-// the shard's extracted sub-pair) — any divergence between the two
-// pipelines would break their property-tested equality.
+// counter whose anchors are already restricted to part.TrainPos:
+// recompute features, assemble the deduplicated pool (TrainPos first,
+// then candidates in order), and train on the part's budget slice with
+// the part-offset seed. Every executor runs these two halves — the
+// in-process path on a Fork of the base counter, the distributed worker
+// on a seeded fork or a fresh counter over the shard's extracted
+// sub-pair, the monolithic Aligner as a single part on its long-lived
+// counter — so there is one pipeline to keep right.
 func TrainPart(counter *metadiag.Counter, part *Part, opts TrainOptions, oracle active.Oracle) ([]hetnet.Anchor, *core.Result, error) {
 	prep, err := PreparePart(counter, part, opts.Features)
 	if err != nil {
@@ -287,7 +287,13 @@ type Prepared struct {
 // and returns the reusable Prepared state. The counter's anchors must
 // already be restricted to part.TrainPos.
 func PreparePart(counter *metadiag.Counter, part *Part, features []schema.Named) (*Prepared, error) {
-	ext := metadiag.NewExtractor(counter, features, true)
+	return PrepareWith(metadiag.NewExtractor(counter, features, true), part)
+}
+
+// PrepareWith is PreparePart on a caller-owned extractor, which it
+// recomputes against the counter's current anchors — for a caller that
+// keeps reading feature vectors from the extractor after training.
+func PrepareWith(ext *metadiag.Extractor, part *Part) (*Prepared, error) {
 	if err := ext.Recompute(); err != nil {
 		return nil, err
 	}

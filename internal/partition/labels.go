@@ -98,3 +98,12 @@ func RoundBudget(total, rounds, r int) int {
 	}
 	return b
 }
+
+// roundSeedStride separates the per-round training seeds of a
+// multi-round run, the same way seedStride separates shards.
+const roundSeedStride = 2_038_074_743
+
+// RoundSeed is round r's base training seed. Round 0 keeps the
+// configured seed unchanged, so a one-round run is the single-shot run;
+// like RoundBudget, every multi-round driver must use this one rule.
+func RoundSeed(seed int64, r int) int64 { return seed + int64(r)*roundSeedStride }

@@ -201,10 +201,17 @@ func NewPlanner(base *metadiag.Counter) (*Planner, error) {
 
 // BuildPlan is the one-shot convenience wrapper: derive the planner
 // inputs and shard once. Callers planning repeatedly over the same pair
-// (per fold, per method, per K) should hold a Planner instead. A K ≤ 1
-// request skips input derivation entirely — the monolithic plan needs
-// none of it.
+// (per fold, per method, per K) should hold a Planner or use PlanCached.
 func BuildPlan(base *metadiag.Counter, trainPos, candidates []hetnet.Anchor, totalBudget int, cfg Config) (*Plan, error) {
+	var pl *Planner
+	return PlanCached(base, &pl, trainPos, candidates, totalBudget, cfg)
+}
+
+// PlanCached is BuildPlan with the planner kept in *cache across calls:
+// the fold-independent inputs are derived on the first request that
+// needs them and reused by every later one. A K ≤ 1 request skips input
+// derivation entirely — the monolithic plan needs none of it.
+func PlanCached(base *metadiag.Counter, cache **Planner, trainPos, candidates []hetnet.Anchor, totalBudget int, cfg Config) (*Plan, error) {
 	cfg = cfg.withDefaults()
 	if base == nil {
 		return nil, fmt.Errorf("partition: nil base counter")
@@ -215,11 +222,14 @@ func BuildPlan(base *metadiag.Counter, trainPos, candidates []hetnet.Anchor, tot
 	if cfg.K == 1 || len(trainPos) == 1 {
 		return monolithicPlan(trainPos, candidates, totalBudget), nil
 	}
-	pl, err := NewPlanner(base)
-	if err != nil {
-		return nil, err
+	if *cache == nil {
+		pl, err := NewPlanner(base)
+		if err != nil {
+			return nil, err
+		}
+		*cache = pl
 	}
-	return pl.Plan(trainPos, candidates, totalBudget, cfg)
+	return (*cache).Plan(trainPos, candidates, totalBudget, cfg)
 }
 
 func validatePlanInputs(trainPos []hetnet.Anchor, totalBudget int) error {

@@ -54,45 +54,27 @@ func (o Options) wrapOracle(truth Oracle) (Oracle, *OraclePanel, error) {
 	return p, p, nil
 }
 
-// mapPrelabels maps weighted labels onto pool indices for
-// core.Problem.Prelabeled. Links also present in trainPos (the first
-// nTrain pool entries) are skipped — they are already fixed ground
-// truth — as are duplicate claims on one link (first wins).
-func mapPrelabels(links []Anchor, nTrain int, pre []WeightedLabel) ([]int, []float64) {
+// prelabels turns weighted labels into the fixed labels of the
+// aligner's single part, each carrying WeightedLabel.Value() as its
+// target. Links also present in trainPos are skipped — they are already
+// fixed ground truth — as are duplicate claims on one link (first
+// wins).
+func prelabels(trainPos []Anchor, pre []WeightedLabel) []LabeledLink {
 	if len(pre) == 0 {
-		return nil, nil
+		return nil
 	}
-	index := make(map[int64]int, len(links))
-	for idx, l := range links {
-		if _, ok := index[hetnet.Key(l.I, l.J)]; !ok {
-			index[hetnet.Key(l.I, l.J)] = idx
-		}
+	seen := make(map[int64]bool, len(trainPos)+len(pre))
+	for _, l := range trainPos {
+		seen[hetnet.Key(l.I, l.J)] = true
 	}
-	taken := make(map[int]bool, len(pre))
-	var preIdx []int
-	var preY []float64
+	var out []LabeledLink
 	for _, wl := range pre {
-		idx, ok := index[hetnet.Key(wl.Link.I, wl.Link.J)]
-		if !ok || idx < nTrain || taken[idx] {
-			continue
+		if k := hetnet.Key(wl.Link.I, wl.Link.J); !seen[k] {
+			seen[k] = true
+			out = append(out, LabeledLink{Link: wl.Link, Label: wl.Value()})
 		}
-		taken[idx] = true
-		preIdx = append(preIdx, idx)
-		preY = append(preY, wl.Value())
 	}
-	return preIdx, preY
-}
-
-// AlignPrelabeled is Align with confidence-weighted labels from an
-// earlier panel run fixed into the pool before training: each weighted
-// label enters the problem the way an in-run oracle answer would
-// (fixed for the whole run, excluded from query selection and from
-// this run's budget), carrying WeightedLabel.Value() — the
-// trust-weighted soft label — as its target. Links absent from
-// candidates are added to the pool; links already in trainPos keep
-// their ground-truth status.
-func (a *Aligner) AlignPrelabeled(trainPos, candidates []Anchor, oracle Oracle, pre []WeightedLabel) (*Result, error) {
-	return a.align(trainPos, candidates, oracle, pre)
+	return out
 }
 
 // Panel returns the labeler panel of the last Align call — its trust
@@ -102,8 +84,4 @@ func (a *Aligner) Panel() *OraclePanel { return a.panel }
 
 // Panel returns the labeler panel of the last Align call (nil when
 // Options.OracleConfig is unset or Align has not run).
-func (pa *PartitionedAligner) Panel() *OraclePanel { return pa.panel }
-
-// Panel returns the labeler panel of the last Align call (nil when
-// Options.OracleConfig is unset or Align has not run).
-func (da *DistributedAligner) Panel() *OraclePanel { return da.panel }
+func (sa *shardedAligner) Panel() *OraclePanel { return sa.panel }

@@ -3,125 +3,193 @@ package activeiter
 import (
 	"errors"
 
-	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
+	"github.com/activeiter/activeiter/internal/distrib"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
 )
 
-// PartitionedResult is a merged partitioned alignment: the globally
-// one-to-one predicted anchors plus per-partition audit reports. It
+// PartitionedResult is a merged sharded alignment: the globally
+// one-to-one predicted anchors plus per-shard audit reports. It
 // satisfies the same read-side contract as Result (Label, WasQueried,
 // PredictedAnchors), so EvaluateAlignment scores both uniformly.
 type PartitionedResult = partition.Result
 
-// PartitionReport is the audit trail of one partition's pipeline.
+// PartitionReport is the audit trail of one shard's pipeline.
 type PartitionReport = partition.PartReport
 
-// PartitionedAligner scales alignment past one monolithic training loop:
-// it shards the candidate space into Options.Partitions overlapping
-// partitions (seeded by coarse IsoRank-style similarity plus
-// training-anchor locality), runs the counter→extractor→training
-// pipeline per partition concurrently on forked counters sharing one
-// attribute-only count cache, splits the active-learning budget across
-// partitions proportionally to their candidate share, and merges the
-// per-partition predictions into one globally one-to-one result via
-// score-greedy union-find reconciliation.
+// shardedAligner is the one sharded driver behind NewPartitioned and
+// NewDistributed. It scales alignment past one monolithic training
+// loop: the candidate space is sharded into Options.Partitions
+// overlapping parts (seeded by coarse IsoRank-style similarity plus
+// training-anchor locality), the active-learning budget is split across
+// them proportionally to their candidate share, every part runs the
+// counter→extractor→training pipeline, and the per-part predictions
+// merge into one globally one-to-one result via score-greedy union-find
+// reconciliation. The constructors differ only in where the parts run
+// (see open).
 //
 // With Options.Partitions ≤ 1 the result is identical to Aligner.Align
-// — the partitioned pipeline is a strict generalization.
-type PartitionedAligner struct {
-	pair    *AlignedPair
-	base    *metadiag.Counter
-	opts    Options
-	planner *partition.Planner // lazy; only needed when Partitions > 1
-	panel   *OraclePanel
+// — the sharded pipeline is a strict generalization.
+type shardedAligner struct {
+	pair      *AlignedPair
+	base      *metadiag.Counter
+	opts      Options
+	train     partition.TrainOptions // opts, resolved: what in-process parts run
+	transport ShardTransport         // nil: parts run in-process on forks of base
+	planner   *partition.Planner     // lazy; only needed when Partitions > 1
+	panel     *OraclePanel
+	metrics   *DistributedMetrics
 }
 
-// NewPartitioned builds a partitioned aligner over the pair. The number
-// of partitions comes from Options.Partitions.
-func NewPartitioned(pair *AlignedPair, opts Options) (*PartitionedAligner, error) {
+// PartitionedAligner runs its shards concurrently in this process, on
+// forks of one base counter sharing its attribute-only count cache. It
+// is the sharded aligner NewDistributed also returns; its methods are
+// Align(trainPos, candidates, oracle), Panel() and Metrics() (nil
+// here: in-process runs cross no wire).
+type PartitionedAligner = shardedAligner
+
+func newSharded(pair *AlignedPair, opts Options, transport ShardTransport) (*shardedAligner, error) {
 	if pair == nil {
 		return nil, errors.New("activeiter: nil pair")
 	}
-	if err := opts.validate(); err != nil {
+	train, err := opts.resolve()
+	if err != nil {
 		return nil, err
 	}
 	base, err := metadiag.NewCounter(pair)
 	if err != nil {
 		return nil, err
 	}
-	return &PartitionedAligner{pair: pair, base: base, opts: opts}, nil
+	return &shardedAligner{pair: pair, base: base, opts: opts, train: train, transport: transport}, nil
 }
 
-// Align shards candidates into partitions, trains every partition
-// concurrently on trainPos ∩ partition, and reconciles. The oracle may
-// be nil when Budget is 0. Semantics match Aligner.Align: trainPos links
-// join each partition's pool automatically, and the union of partition
-// pools covers every candidate.
+// NewPartitioned builds a sharded aligner over the pair whose shards
+// run in-process. The number of shards comes from Options.Partitions.
+func NewPartitioned(pair *AlignedPair, opts Options) (*PartitionedAligner, error) {
+	return newSharded(pair, opts, nil)
+}
+
+// Align shards candidates into parts, trains every part on trainPos ∩
+// part, and reconciles. The oracle may be nil when Budget is 0.
+// Semantics match Aligner.Align: trainPos links join each part's pool
+// automatically, and the union of part pools covers every candidate.
+//
+// The run is max(Options.Rounds, 1) rounds over one stable plan: the
+// budget splits across the rounds and each round's oracle answers are
+// fed back into the plan as fixed labels for the next. The final
+// round's merged result (which carries every queried link across
+// rounds) is the alignment; its Reports accumulate one entry per shard
+// per round, so QueryCount spans the whole run's oracle spend whatever
+// the round count. A distributed run keeps one sticky worker session
+// across the rounds, shipping only label deltas after the first (see
+// Metrics().CacheHits and DeltaBytes for the audit); its oracle stays
+// on this side of the wire and is queried through label round-trip
+// frames, so remote workers never see ground truth beyond their shard's
+// training anchors.
 //
 // Reproducibility: with Partitions > 1 oracle queries arrive in
 // nondeterministic order across the concurrent shard pipelines. Runs
 // remain identical for a fixed Seed as long as the oracle answers as a
-// pure function of the queried link — true of NewTruthOracle and the
-// hash-seeded NoisyOracle. Supply an order-dependent oracle only with
+// pure function of the queried link — true of NewTruthOracle, the
+// hash-seeded NoisyOracle and the Options.OracleConfig panel (whose
+// verdicts therefore also survive session retries and label deltas
+// unchanged). Supply an order-dependent oracle only with
 // Partitions ≤ 1.
-func (pa *PartitionedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle Oracle) (*PartitionedResult, error) {
+func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle Oracle) (*PartitionedResult, error) {
 	if len(trainPos) == 0 {
 		return nil, core.ErrNoPositives
 	}
-	// A panel answers as a pure lock-guarded function of the link, so it
-	// satisfies the concurrent-pipeline oracle contract below.
-	oracle, panel, err := pa.opts.wrapOracle(oracle)
+	oracle, panel, err := sa.opts.wrapOracle(oracle)
 	if err != nil {
 		return nil, err
 	}
-	pa.panel = panel
-	plan, err := planShards(pa.base, &pa.planner, pa.opts, trainPos, candidates)
+	sa.panel = panel
+	plan, err := sa.planShards(trainPos, candidates)
 	if err != nil {
 		return nil, err
 	}
-	return partition.Align(pa.base, plan, partition.TrainOptions{
-		Features: pa.opts.features(),
-		Workers:  pa.opts.Workers,
-		Core: core.Config{
-			C:              pa.opts.C,
-			Threshold:      pa.opts.Threshold,
-			Budget:         pa.opts.Budget,
-			BatchSize:      pa.opts.BatchSize,
-			Strategy:       mustStrategy(pa.opts),
-			ExactSelection: pa.opts.ExactSelection,
-			Seed:           pa.opts.Seed,
-		},
-	}, oracle)
-}
-
-// planShards is the shard planning shared by PartitionedAligner and
-// DistributedAligner — same plan in, same alignment out is the
-// property the two paths are tested against, so they must never plan
-// differently. Repeated Align calls (cross-validation folds,
-// retraining after new labels) reuse one cached planner's
-// fold-independent inputs through the *planner slot.
-func planShards(base *metadiag.Counter, planner **partition.Planner, opts Options, trainPos, candidates []Anchor) (*partition.Plan, error) {
-	if opts.Partitions > 1 && len(trainPos) > 1 {
-		if *planner == nil {
-			pl, err := partition.NewPlanner(base)
-			if err != nil {
-				return nil, err
-			}
-			*planner = pl
+	run, done, err := sa.open()
+	if err != nil {
+		return nil, err
+	}
+	// A failed round's audit is still the run's audit: Metrics must show
+	// the attempts and retries that led to the abort.
+	defer done()
+	rounds := max(sa.opts.Rounds, 1)
+	var res *PartitionedResult
+	var reports []PartitionReport
+	for r := 0; r < rounds; r++ {
+		plan.Rebudget(partition.RoundBudget(sa.opts.Budget, rounds, r))
+		if res, err = run(r, plan, oracle); err != nil {
+			return nil, err
 		}
-		return (*planner).Plan(trainPos, candidates, opts.Budget, partition.Config{K: opts.Partitions})
+		reports = append(reports, res.Reports...)
+		if r < rounds-1 {
+			plan.AppendLabels(res.QueriedLabels())
+		}
 	}
-	return partition.BuildPlan(base, trainPos, candidates, opts.Budget, partition.Config{K: opts.Partitions})
+	res.Reports = reports
+	return res, nil
 }
 
-// mustStrategy resolves the configured strategy; Options were validated
-// in NewPartitioned, so failure is impossible here.
-func mustStrategy(opts Options) active.Strategy {
-	s, err := opts.strategy()
-	if err != nil {
-		panic(err)
+// Metrics returns the transport audit of the last distributed Align
+// call — of a failed one too. It is nil before the first call and for
+// in-process runs, which cross no wire.
+func (sa *shardedAligner) Metrics() *DistributedMetrics { return sa.metrics }
+
+// planShards is the one shard planning both executors align — same plan
+// in, same alignment out is the property they are tested against.
+// Repeated Align calls (cross-validation folds, retraining after new
+// labels) reuse the cached planner's fold-independent inputs.
+func (sa *shardedAligner) planShards(trainPos, candidates []Anchor) (*partition.Plan, error) {
+	return partition.PlanCached(sa.base, &sa.planner, trainPos, candidates, sa.opts.Budget, partition.Config{K: sa.opts.Partitions})
+}
+
+// executor runs round r of an Align call: every part of the plan trains
+// once and the votes are reconciled.
+type executor func(r int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error)
+
+// open picks the executor the constructor chose — in-process forks, or
+// one sticky worker session over the transport — and the done that
+// releases it and records the run's transport audit (none without a
+// wire).
+func (sa *shardedAligner) open() (run executor, done func(), err error) {
+	if sa.transport == nil {
+		return sa.runForks, func() { sa.metrics = nil }, nil
 	}
-	return s
+	// The session carries the fault-tolerance knobs (retries, deadlines,
+	// hedging, degradation) alongside the one training configuration.
+	sess, err := distrib.NewSession(sa.transport, sa.pair, distrib.Options{
+		Train:        sa.opts.trainConfig(),
+		Workers:      sa.opts.Workers,
+		Retries:      sa.opts.ShardRetries,
+		ShardTimeout: sa.opts.ShardTimeout,
+		HedgeAfter:   sa.opts.HedgeAfter,
+		NoFallback:   sa.opts.NoFallback,
+		// Already warm from planning: exporting the worker seed from it
+		// costs matrix reads, not recounts.
+		Base: sa.base,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	run = func(_ int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
+		res, _, err := sess.Run(plan, oracle) // the session counts its own rounds
+		return res, err
+	}
+	done = func() {
+		sess.Close()
+		sa.metrics = sess.Metrics()
+	}
+	return run, done, nil
+}
+
+// runForks is the in-process executor: concurrent part pipelines on
+// forks of the base counter, re-run every round on the round's seed —
+// exactly what a session's workers train with.
+func (sa *shardedAligner) runForks(r int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
+	train := sa.train
+	train.Core.Seed = partition.RoundSeed(train.Core.Seed, r)
+	return partition.Align(sa.base, plan, train, oracle)
 }

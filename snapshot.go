@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/serve"
 	"github.com/activeiter/activeiter/internal/snapshot"
 )
@@ -48,20 +49,27 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 	if pair == nil {
 		return nil, fmt.Errorf("activeiter: nil pair")
 	}
-	if err := opts.validate(); err != nil {
+	train, err := opts.resolve()
+	if err != nil {
 		return nil, err
 	}
+	cfg := opts.trainConfig()
 	meta := snapshot.Meta{
 		CreatedUnix: time.Now().Unix(),
-		Notation:    notationOf(opts),
-		Features:    featuresName(opts.Features),
-		Strategy:    strategyName(opts.Strategy),
-		Threshold:   thresholdOf(opts),
-		Seed:        opts.Seed,
-		Budget:      opts.Budget,
-		BatchSize:   opts.BatchSize,
-		Partitions:  opts.Partitions,
-		Rounds:      opts.Rounds,
+		// The layout the persisted weight vectors are parallel to: what
+		// Aligner.FeatureNames() reports (Names never reads the counter).
+		Notation:   metadiag.NewExtractor(nil, train.Features, true).Names(),
+		Features:   cfg.FeatureSet,
+		Strategy:   cfg.Strategy,
+		Threshold:  0.5, // the paper's cutoff unless Options overrides it
+		Seed:       opts.Seed,
+		Budget:     opts.Budget,
+		BatchSize:  opts.BatchSize,
+		Partitions: opts.Partitions,
+		Rounds:     opts.Rounds,
+	}
+	if opts.Threshold != nil {
+		meta.Threshold = *opts.Threshold
 	}
 
 	var model snapshot.Model
@@ -144,44 +152,3 @@ func OpenSnapshot(path string) (*Snapshot, error) { return snapshot.OpenFile(pat
 
 // NewServeIndex builds the serving index from a snapshot.
 func NewServeIndex(s *Snapshot) (*ServeIndex, error) { return serve.NewIndex(s) }
-
-// notationOf is the feature vector layout Options trains: the diagram
-// IDs in extraction order plus the trailing bias — identical to
-// Aligner.FeatureNames(), which is what the persisted weight vectors
-// are parallel to.
-func notationOf(opts Options) []string {
-	feats := opts.features()
-	out := make([]string, 0, len(feats)+1)
-	for _, f := range feats {
-		out = append(out, f.ID)
-	}
-	return append(out, "BIAS")
-}
-
-// featuresName is the wire/provenance name of a feature set.
-func featuresName(fs FeatureSet) string {
-	switch fs {
-	case PathFeatures:
-		return "paths"
-	case ExtendedFeatures:
-		return "extended"
-	default:
-		return "full"
-	}
-}
-
-// strategyName is the provenance name of a query strategy.
-func strategyName(s StrategyKind) string {
-	if s == "" {
-		return string(StrategyConflict)
-	}
-	return string(s)
-}
-
-// thresholdOf resolves the effective selection cutoff.
-func thresholdOf(opts Options) float64 {
-	if opts.Threshold != nil {
-		return *opts.Threshold
-	}
-	return 0.5
-}
