@@ -348,6 +348,49 @@ func BenchmarkGreedySelection(b *testing.B) {
 	}
 }
 
+// BenchmarkQuerySelection times one query round's ranking over a pool
+// the size of a default-preset fold: the conflict rule's fill and the
+// uncertainty baseline each read k = 5 of ~7,000 unlabeled links.
+func BenchmarkQuerySelection(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	st := &active.State{}
+	for idx := 0; idx < 7000; idx++ {
+		st.Links = append(st.Links, Anchor{I: rng.Intn(1000), J: rng.Intn(1000)})
+		st.Scores = append(st.Scores, rng.Float64())
+		st.Labels = append(st.Labels, 0)
+	}
+	for name, s := range map[string]active.Strategy{"conflict-fill": active.Conflict{}, "uncertainty": active.Uncertainty{}} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := s.Select(st, 5, rng); len(got) != 5 {
+					b.Fatalf("selected %d links", len(got))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHadamard times the endpoint join on rows of similar length
+// and on a short follow-count row against a much longer attribute-count
+// row.
+func BenchmarkHadamard(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	one := func() float64 { return 1 }
+	long := benchCSR(rng, 1000, 1000, 0.55, one)
+	for name, short := range map[string]*sparse.CSR{
+		"balanced": benchCSR(rng, 1000, 1000, 0.55, one),
+		"skewed":   benchCSR(rng, 1000, 1000, 0.02, one),
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sparse.Hadamard(short, long)
+			}
+		})
+	}
+}
+
 // benchProblem builds a training problem over the tiny pair with real
 // meta diagram features.
 func benchProblem(b *testing.B, pair *AlignedPair, nTrain int) (core.Problem, Oracle) {

@@ -11,6 +11,7 @@
 package active
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -99,7 +100,8 @@ type State struct {
 }
 
 // Strategy selects up to k unlabeled links (by index into State.Links)
-// to query. Implementations must not mutate the state.
+// to query. Implementations must not mutate the state, nor keep its
+// slices past the call: the training loop refills them every round.
 type Strategy interface {
 	Name() string
 	Select(st *State, k int, rng *rand.Rand) []int
@@ -211,27 +213,75 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 // fillTopScoredNegatives appends the highest-scored unqueried negatives
 // until len(out) == k or candidates run out.
 func fillTopScoredNegatives(st *State, k int, out []int, taken map[int]bool) []int {
-	type scored struct {
-		idx int
-		y   float64
+	return append(out, topRanked(len(st.Labels), k-len(out), func(idx int) (float64, bool) {
+		return st.Scores[idx], st.Labels[idx] == 0 && !taken[idx]
+	})...)
+}
+
+// ranked is one link under selection: its index into State.Links and
+// the key it is ranked by.
+type ranked struct {
+	idx int
+	key float64
+}
+
+// below reports whether a ranks after b: the larger key first, ties to
+// the smaller index, and a NaN key after every number — a strict total
+// order whatever the scores are.
+func (a ranked) below(b ranked) bool {
+	aNaN, bNaN := a.key != a.key, b.key != b.key
+	switch {
+	case aNaN != bNaN:
+		return aNaN
+	case !aNaN && a.key != b.key:
+		return a.key < b.key
+	default:
+		return a.idx > b.idx
 	}
-	var rest []scored
-	for idx, lab := range st.Labels {
-		if lab == 0 && !taken[idx] {
-			rest = append(rest, scored{idx: idx, y: st.Scores[idx]})
+}
+
+// worstFirst is a container/heap of ranked links whose root is the one
+// ranking last.
+type worstFirst []ranked
+
+func (h worstFirst) Len() int           { return len(h) }
+func (h worstFirst) Less(i, j int) bool { return h[i].below(h[j]) }
+func (h worstFirst) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *worstFirst) Push(x any)        { *h = append(*h, x.(ranked)) }
+func (h *worstFirst) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// topRanked is the one bounded selection the ranking strategies share:
+// of the links 0..n-1 that key admits, the k best under ranked.below,
+// best first. It keeps a heap of the k best seen so far (root = the
+// worst kept), so a round reads the pool once in O(n·log k) and orders
+// only what it returns; a key may be NaN or ±Inf.
+func topRanked(n, k int, key func(idx int) (float64, bool)) []int {
+	if k <= 0 {
+		return nil
+	}
+	var h worstFirst
+	for idx := 0; idx < n; idx++ {
+		y, ok := key(idx)
+		if !ok {
+			continue
+		}
+		switch e := (ranked{idx: idx, key: y}); {
+		case len(h) < k:
+			heap.Push(&h, e)
+		case h[0].below(e):
+			h[0] = e
+			heap.Fix(&h, 0)
 		}
 	}
-	sort.Slice(rest, func(a, b int) bool {
-		if rest[a].y != rest[b].y {
-			return rest[a].y > rest[b].y
-		}
-		return rest[a].idx < rest[b].idx
-	})
-	for _, s := range rest {
-		if len(out) == k {
-			break
-		}
-		out = append(out, s.idx)
+	// Popping yields the worst kept first: fill the answer back to front.
+	out := make([]int, len(h))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(&h).(ranked).idx
 	}
 	return out
 }
@@ -277,28 +327,10 @@ func (u Uncertainty) Select(st *State, k int, rng *rand.Rand) []int {
 	if u.Threshold != 0 {
 		thr = u.Threshold
 	}
-	type scored struct {
-		idx  int
-		dist float64
-	}
-	all := make([]scored, len(st.Links))
-	for idx := range st.Links {
-		all[idx] = scored{idx: idx, dist: absF(st.Scores[idx] - thr)}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].dist != all[b].dist {
-			return all[a].dist < all[b].dist
-		}
-		return all[a].idx < all[b].idx
+	// Closest first: rank by negated distance to the threshold.
+	return topRanked(len(st.Links), k, func(idx int) (float64, bool) {
+		return -absF(st.Scores[idx] - thr), true
 	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].idx
-	}
-	return out
 }
 
 func absF(x float64) float64 {

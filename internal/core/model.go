@@ -243,14 +243,19 @@ func Train(p Problem, cfg Config) (*Result, error) {
 		return linalg.RidgeSolve(sub, subY, cfg.C)
 	}
 
-	// Scratch buffers reused across every internal iteration: the
-	// candidate list, the score vector, and the next-label vector. The
+	// Scratch buffers reused across every internal iteration and query
+	// round: the candidate list, the score vector, the next-label vector
+	// and the strategy's view of the unlabeled links (grown by the first
+	// query round, so a run that never queries never pays for it). The
 	// candidate loop runs O(folds × rounds × iterations) times per
 	// experiment cell, so per-iteration allocation here was a dominant
 	// GC cost.
 	scores = make(linalg.Vector, n)
 	nextY := make(linalg.Vector, n)
 	cands := make([]matching.Candidate, 0, n)
+	var stLinks []hetnet.Anchor
+	var stScores, stLabels []float64
+	var stIdx []int
 
 	// internalConverge runs step (1) to a label fixpoint.
 	internalConverge := func(trace *RoundTrace) error {
@@ -325,9 +330,7 @@ func Train(p Problem, cfg Config) (*Result, error) {
 			break
 		}
 		// (2) query batch over the unlabeled links.
-		var stLinks []hetnet.Anchor
-		var stScores, stLabels []float64
-		var stIdx []int
+		stLinks, stScores, stLabels, stIdx = stLinks[:0], stScores[:0], stLabels[:0], stIdx[:0]
 		for idx := 0; idx < n; idx++ {
 			if kind[idx] != kindUnlabeled {
 				continue

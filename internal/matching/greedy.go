@@ -15,8 +15,9 @@
 package matching
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Candidate is a scored candidate anchor link. Payload carries the
@@ -79,32 +80,28 @@ func finite(x float64) bool {
 // are skipped. The returned slice preserves the descending-score pick
 // order. This is the ½-approximation greedy of reference [21]; with
 // threshold ½ it greedily maximizes Σ(2ŷ−1).
+//
+// Only candidates that can be selected — finite score above threshold —
+// are ordered; the rest of the pool, usually nearly all of it, is read
+// once and never sorted. No score exceeds a NaN threshold, so a NaN
+// threshold selects nothing.
 func Greedy(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
 	if occ == nil {
 		occ = NewOccupied()
 	}
-	order := make([]int, 0, len(cands))
+	var order []int
 	for i, c := range cands {
-		if finite(c.Score) {
+		if finite(c.Score) && c.Score > threshold {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := cands[order[a]], cands[order[b]]
-		if ca.Score != cb.Score {
-			return ca.Score > cb.Score
-		}
-		if ca.I != cb.I {
-			return ca.I < cb.I
-		}
-		return ca.J < cb.J
+	slices.SortFunc(order, func(a, b int) int {
+		ca, cb := cands[a], cands[b]
+		return cmp.Or(cmp.Compare(cb.Score, ca.Score), cmp.Compare(ca.I, cb.I), cmp.Compare(ca.J, cb.J))
 	})
 	var out []Candidate
 	for _, k := range order {
 		c := cands[k]
-		if c.Score <= threshold {
-			break // sorted: everything after is below threshold too
-		}
 		if !occ.Free(c.I, c.J) {
 			continue
 		}

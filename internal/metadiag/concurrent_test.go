@@ -252,6 +252,80 @@ func TestConcurrentExtractorRecompute(t *testing.T) {
 	}
 }
 
+// TestSharedProximityAcrossForks: an anchor-free proximity is one object
+// for the whole counter family — forks racing on a cold entry, and on
+// its lazily built Score lookup, all end up with the same pointer and
+// the same scores — whether the count was derived locally or installed
+// by SeedInto. Anchor-dependent proximities stay per call.
+func TestSharedProximityAcrossForks(t *testing.T) {
+	pair := genPair(t)
+	base, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := base.ExportSeed(schema.StandardLibrary().All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seeded.SeedInto(seed); err != nil {
+		t.Fatal(err)
+	}
+	shared := schema.AttributeDiagram(hetnet.At, hetnet.Checkin)
+	private := schema.FollowPath(1)
+	for name, root := range map[string]*Counter{"derived": base, "seeded": seeded} {
+		const workers = 8
+		got := make([]*Proximity, workers)
+		scores := make([][20]float64, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				fork := root.Fork()
+				fork.SetAnchors(pair.Anchors[:1+w])
+				p, err := fork.Proximity(shared)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = p
+				for i := range scores[w] {
+					scores[w][i] = p.Score(i, (i+w)%20)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := range got {
+			if got[w] != got[0] {
+				t.Fatalf("%s: fork %d got its own copy of an anchor-free proximity", name, w)
+			}
+		}
+		want := NewProximity(got[0].Counts)
+		for w := range scores {
+			for i, s := range scores[w] {
+				if fresh := want.Score(i, (i+w)%20); s != fresh {
+					t.Fatalf("%s: fork %d read Score(%d,%d) = %v, a fresh proximity says %v", name, w, i, (i+w)%20, s, fresh)
+				}
+			}
+		}
+		a, err := root.Proximity(private)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := root.Proximity(private)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b {
+			t.Fatalf("%s: anchor-dependent proximity was cached", name)
+		}
+	}
+}
+
 // TestFeatureMatrixParallelMatchesSerial checks the row-parallel
 // FeatureMatrix against serial row-by-row construction on a pool large
 // enough to cross the fan-out threshold.

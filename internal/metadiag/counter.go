@@ -79,6 +79,10 @@ type sharedState struct {
 	mu     sync.Mutex
 	counts map[string]*sparse.CSR // anchor-free counts, per notation
 	flight map[string]*inflight
+	// prox holds the proximity structure of each anchor-free count, keyed
+	// by the cached matrix it wraps: those counts never change, so their
+	// marginals are computed once per counter family, not once per fold.
+	prox map[*sparse.CSR]*Proximity
 }
 
 // Counter evaluates diagram count matrices over an aligned network pair.
@@ -116,6 +120,7 @@ func NewCounter(pair *hetnet.AlignedPair) (*Counter, error) {
 		adjCache: make(map[string]*sparse.CSR),
 		counts:   make(map[string]*sparse.CSR),
 		flight:   make(map[string]*inflight),
+		prox:     make(map[*sparse.CSR]*Proximity),
 	}
 	for _, t := range hetnet.AttributeTypes {
 		v := &vocabulary{index: make(map[string]int)}
@@ -440,6 +445,9 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 		}
 		return sparse.Chain(parts...), nil
 	case schema.Parallel:
+		if m, ok, err := c.jointStack(v); ok || err != nil {
+			return m, err
+		}
 		var acc *sparse.CSR
 		for _, p := range v.Parts {
 			pm, err := c.eval(p)
@@ -456,4 +464,46 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 	default:
 		return nil, fmt.Errorf("metadiag: cannot evaluate diagram type %T", d)
 	}
+}
+
+// jointStack evaluates a Parallel whose every part is a two-edge,
+// anchor-free Series X→mₖ→Y — the stacked attribute round trips of
+// Ψ^a², a post pair "sharing both a timestamp and a location" — as one
+// product through the joint middle tuple (sparse.MatMulHadamard), so
+// the result costs the flops of its own entries and no per-attribute
+// X×Y count is built or cached. It reports false when some part has
+// another shape, before evaluating anything, or when the exact flop
+// comparison prefers the separate products; compute then evaluates the
+// parts one by one. Both sides are read from the adjacency cache — the
+// X side along its traversal, the Y side against it, which is the
+// orientation the joint product joins — so the result is cached under
+// the Parallel's own notation exactly as before.
+func (c *Counter) jointStack(d schema.Parallel) (*sparse.CSR, bool, error) {
+	edges := make([][2]schema.Edge, len(d.Parts))
+	for k, p := range d.Parts {
+		s, ok := p.(schema.Series)
+		if !ok || len(s.Parts) != 2 {
+			return nil, false, nil
+		}
+		for side, sp := range s.Parts {
+			e, ok := sp.(schema.Edge)
+			if !ok || e.Rel == schema.Anchor {
+				return nil, false, nil
+			}
+			edges[k][side] = e
+		}
+	}
+	as, bts := make([]*sparse.CSR, len(edges)), make([]*sparse.CSR, len(edges))
+	for k, e := range edges {
+		var err error
+		if as[k], err = c.adjacencyOriented(e[0]); err != nil {
+			return nil, false, err
+		}
+		back := schema.Edge{Rel: e[1].Rel, From: e[1].To, To: e[1].From, Forward: !e[1].Forward}
+		if bts[k], err = c.adjacencyOriented(back); err != nil {
+			return nil, false, err
+		}
+	}
+	m, ok := sparse.MatMulHadamard(as, bts)
+	return m, ok, nil
 }

@@ -73,11 +73,34 @@ func (p *Proximity) ScoreMatrix() *sparse.CSR {
 	return b.Build()
 }
 
-// Proximity computes the proximity structure for diagram d.
+// Proximity computes the proximity structure for diagram d. For an
+// anchor-free diagram the structure is shared: every fork asking for it
+// gets the one Proximity cached beside the shared count, whether that
+// count was derived here or installed by SeedInto. Anchor-dependent
+// structures are built per call.
 func (c *Counter) Proximity(d schema.Diagram) (*Proximity, error) {
 	counts, err := c.Count(d)
 	if err != nil {
 		return nil, err
 	}
-	return NewProximity(counts), nil
+	if UsesAnchor(d) {
+		return NewProximity(counts), nil
+	}
+	sh := c.sh
+	sh.mu.Lock()
+	p, ok := sh.prox[counts]
+	sh.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	// Built outside the lock; when two forks race, both results are
+	// identical and the first stored one wins.
+	p = NewProximity(counts)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if prev, ok := sh.prox[counts]; ok {
+		return prev, nil
+	}
+	sh.prox[counts] = p
+	return p, nil
 }

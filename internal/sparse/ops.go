@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // MatMul returns the sparse product a·b using Gustavson's row-by-row
@@ -11,59 +12,122 @@ import (
 // inner-dimension mismatch. For an adjacency chain this computes meta
 // path instance counts: (a·b)(i,j) = Σₖ a(i,k)·b(k,j) = number of
 // two-hop walks.
-func MatMul(a, b *CSR) *CSR {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("sparse: MatMul dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := &CSR{rows: a.rows, cols: b.cols, rowPtr: make([]int, a.rows+1)}
-	rowLen := make([]int, a.rows)
-	out.colIdx, out.val = mulRows(a, b, 0, a.rows, rowLen)
-	for i, n := range rowLen {
-		out.rowPtr[i+1] = out.rowPtr[i] + n
-	}
-	return out
-}
+func MatMul(a, b *CSR) *CSR { return matMul(a, b, 1) }
 
 // MatMulParallel computes a·b splitting row blocks across GOMAXPROCS
 // workers. It returns the same result as MatMul; use it for large chains
 // such as the post-attribute products in meta path P5/P6.
-func MatMulParallel(a, b *CSR) *CSR {
+func MatMulParallel(a, b *CSR) *CSR { return matMul(a, b, runtime.GOMAXPROCS(0)) }
+
+// matMul is the two-pass product behind MatMul and MatMulParallel. The
+// symbolic pass counts each row's distinct columns into rowPtr, one
+// prefix sum turns the counts into offsets and sizes colIdx and val
+// exactly, and the numeric pass has every row block write its rows
+// straight into their final slots from its own goroutine — the output is
+// allocated once and written once, with no per-block slices and no
+// stitch copy. Only a product in which some sum cancelled to exactly
+// zero is touched again, to squeeze those entries out.
+func matMul(a, b *CSR, workers int) *CSR {
 	if a.cols != b.rows {
-		panic(fmt.Sprintf("sparse: MatMulParallel dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
+		panic(fmt.Sprintf("sparse: MatMul dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	return rowBlocks(a.rows, b.cols, func(lo, hi int, rowLen []int) ([]int, []float64) {
-		return mulRows(a, b, lo, hi, rowLen)
+	out := &CSR{rows: a.rows, cols: b.cols, rowPtr: make([]int, a.rows+1)}
+	chunk := blockRows(a.rows, workers)
+	eachBlock(a.rows, chunk, func(lo, hi int) {
+		w := getWorkspace(b.cols)
+		defer putWorkspace(w)
+		for i := lo; i < hi; i++ {
+			out.rowPtr[i+1] = w.countRow(a, b, i)
+		}
 	})
+	for i := 0; i < a.rows; i++ {
+		out.rowPtr[i+1] += out.rowPtr[i]
+	}
+	out.colIdx = make([]int, out.rowPtr[a.rows])
+	out.val = make([]float64, out.rowPtr[a.rows])
+	var zeros atomic.Bool
+	eachBlock(a.rows, chunk, func(lo, hi int) {
+		w := getWorkspace(b.cols)
+		defer putWorkspace(w)
+		for i := lo; i < hi; i++ {
+			p, q := out.rowPtr[i], out.rowPtr[i+1]
+			if w.mulRow(a, b, i, out.colIdx[p:q], out.val[p:q]) {
+				zeros.Store(true)
+			}
+		}
+	})
+	if zeros.Load() {
+		out.dropZeros()
+	}
+	return out
 }
 
-// rowBlocks assembles a rows×cols matrix from a row kernel: kernel(lo,
-// hi, rowLen) returns the concatenated entries of rows [lo, hi) and
-// their per-row counts in rowLen (length hi-lo). Outputs of 64 rows or
-// more are cut into one contiguous block per GOMAXPROCS worker and the
-// blocks stitched in order; smaller ones are a single serial call.
+// blockRows returns how many rows each concurrent block of a rows-row
+// kernel takes: all of them for one worker or fewer than 64 rows,
+// otherwise an even share per worker.
+func blockRows(rows, workers int) int {
+	if workers <= 1 || rows < 64 {
+		return rows
+	}
+	return (rows + workers - 1) / workers
+}
+
+// eachBlock runs fn over [0, rows) in contiguous blocks of chunk rows —
+// inline when one block covers everything, otherwise one goroutine per
+// block — and returns when every block is done.
+func eachBlock(rows, chunk int, fn func(lo, hi int)) {
+	if chunk >= rows {
+		fn(0, rows)
+		return
+	}
+	var wg sync.WaitGroup
+	for lo := 0; lo < rows; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+chunk, rows))
+	}
+	wg.Wait()
+}
+
+// dropZeros squeezes stored zeros out of m in place, keeping row and
+// column order.
+func (m *CSR) dropZeros() {
+	n, lo := 0, 0
+	for i := 0; i < m.rows; i++ {
+		hi := m.rowPtr[i+1]
+		for k := lo; k < hi; k++ {
+			if m.val[k] != 0 {
+				m.colIdx[n], m.val[n] = m.colIdx[k], m.val[k]
+				n++
+			}
+		}
+		m.rowPtr[i+1], lo = n, hi
+	}
+	m.colIdx, m.val = m.colIdx[:n], m.val[:n]
+}
+
+// rowBlocks assembles a rows×cols matrix from a row kernel whose output
+// size is not known up front: kernel(lo, hi, rowLen) returns the
+// concatenated entries of rows [lo, hi) and their per-row counts in
+// rowLen (length hi-lo). Blocks are cut as for MatMulParallel and
+// stitched in order.
 func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []int, val []float64)) *CSR {
 	out := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
 	rowLen := make([]int, rows)
-	if workers := runtime.GOMAXPROCS(0); workers <= 1 || rows < 64 {
+	if chunk := blockRows(rows, runtime.GOMAXPROCS(0)); chunk >= rows {
 		out.colIdx, out.val = kernel(0, rows, rowLen)
 	} else {
-		chunk := (rows + workers - 1) / workers
 		type block struct {
 			colIdx []int
 			val    []float64
 		}
 		blocks := make([]block, (rows+chunk-1)/chunk)
-		var wg sync.WaitGroup
-		for w := range blocks {
-			lo := w * chunk
-			hi := min(lo+chunk, rows)
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				blocks[w].colIdx, blocks[w].val = kernel(lo, hi, rowLen[lo:hi])
-			}(w, lo, hi)
-		}
-		wg.Wait()
+		eachBlock(rows, chunk, func(lo, hi int) {
+			blk := &blocks[lo/chunk]
+			blk.colIdx, blk.val = kernel(lo, hi, rowLen[lo:hi])
+		})
 		total := 0
 		for _, blk := range blocks {
 			total += len(blk.val)
@@ -83,24 +147,29 @@ func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []i
 
 // Hadamard returns the elementwise product a ⊙ b. Shapes must match. The
 // result stores entries only where both inputs are non-zero — exactly the
-// "both path patterns present" semantics of meta diagram stacking.
+// "both path patterns present" semantics of meta diagram stacking. The
+// output is sized once from Σᵢ min(|aᵢ|, |bᵢ|) and each row pair is
+// intersected by a two-pointer merge.
 func Hadamard(a, b *CSR) *CSR {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("sparse: Hadamard shape mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := &CSR{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
-	var colIdx []int
-	var val []float64
+	bound := 0
 	for i := 0; i < a.rows; i++ {
-		ka, kb := a.rowPtr[i], b.rowPtr[i]
-		endA, endB := a.rowPtr[i+1], b.rowPtr[i+1]
-		for ka < endA && kb < endB {
-			ja, jb := a.colIdx[ka], b.colIdx[kb]
-			switch {
+		bound += min(a.rowPtr[i+1]-a.rowPtr[i], b.rowPtr[i+1]-b.rowPtr[i])
+	}
+	colIdx, val := make([]int, bound), make([]float64, bound)
+	n := 0
+	for i := 0; i < a.rows; i++ {
+		ac, av := a.RowSlice(i)
+		bc, bv := b.RowSlice(i)
+		for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
+			switch ja, jb := ac[ka], bc[kb]; {
 			case ja == jb:
-				if v := a.val[ka] * b.val[kb]; v != 0 {
-					colIdx = append(colIdx, ja)
-					val = append(val, v)
+				if v := av[ka] * bv[kb]; v != 0 {
+					colIdx[n], val[n] = ja, v
+					n++
 				}
 				ka++
 				kb++
@@ -110,10 +179,9 @@ func Hadamard(a, b *CSR) *CSR {
 				kb++
 			}
 		}
-		out.rowPtr[i+1] = len(val)
+		out.rowPtr[i+1] = n
 	}
-	out.colIdx = colIdx
-	out.val = val
+	out.colIdx, out.val = colIdx[:n], val[:n]
 	return out
 }
 

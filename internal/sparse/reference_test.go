@@ -1,0 +1,242 @@
+package sparse
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// The kernels below are the append-grown implementations MatMul,
+// MatMulParallel and Hadamard had before they became write-once. They
+// stay as the differential reference: the production kernels must equal
+// them entry for entry (same columns, same floats, same order).
+
+// referenceMulRows computes rows [lo, hi) of a·b by growing its output
+// with append, one row at a time.
+func referenceMulRows(a, b *CSR, lo, hi int, rowLen []int) (colIdx []int, val []float64) {
+	w := getWorkspace(b.cols)
+	defer putWorkspace(w)
+	for i := lo; i < hi; i++ {
+		minJ, maxJ := w.accumulate(a, b, i)
+		live, gen := w.live, w.gen
+		n := 0
+		if len(live) > 0 {
+			if span := maxJ - minJ + 1; span <= 4*len(live) {
+				for j := minJ; j <= maxJ; j++ {
+					if w.mark[j] == gen && w.acc[j] != 0 {
+						colIdx = append(colIdx, j)
+						val = append(val, w.acc[j])
+						n++
+					}
+				}
+			} else {
+				sortLive(live)
+				for _, j := range live {
+					if w.acc[j] != 0 {
+						colIdx = append(colIdx, j)
+						val = append(val, w.acc[j])
+						n++
+					}
+				}
+			}
+		}
+		rowLen[i-lo] = n
+	}
+	return colIdx, val
+}
+
+func referenceMatMul(a, b *CSR) *CSR {
+	out := &CSR{rows: a.rows, cols: b.cols, rowPtr: make([]int, a.rows+1)}
+	rowLen := make([]int, a.rows)
+	out.colIdx, out.val = referenceMulRows(a, b, 0, a.rows, rowLen)
+	for i, n := range rowLen {
+		out.rowPtr[i+1] = out.rowPtr[i] + n
+	}
+	return out
+}
+
+// referenceHadamard is the plain two-pointer merge with append-grown
+// output.
+func referenceHadamard(a, b *CSR) *CSR {
+	out := &CSR{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
+	for i := 0; i < a.rows; i++ {
+		ka, kb := a.rowPtr[i], b.rowPtr[i]
+		endA, endB := a.rowPtr[i+1], b.rowPtr[i+1]
+		for ka < endA && kb < endB {
+			ja, jb := a.colIdx[ka], b.colIdx[kb]
+			switch {
+			case ja == jb:
+				if v := a.val[ka] * b.val[kb]; v != 0 {
+					out.colIdx = append(out.colIdx, ja)
+					out.val = append(out.val, v)
+				}
+				ka++
+				kb++
+			case ja < jb:
+				ka++
+			default:
+				kb++
+			}
+		}
+		out.rowPtr[i+1] = len(out.val)
+	}
+	return out
+}
+
+// abs returns m with every stored value replaced by its magnitude, so a
+// product of abs matrices has the structure of the signed product
+// before any cancellation.
+func abs(m *CSR) *CSR {
+	out := m.Clone()
+	for k, v := range out.val {
+		if v < 0 {
+			out.val[k] = -v
+		}
+	}
+	return out
+}
+
+// checkMatMulAgainstReference requires both production products to
+// equal the reference and to own exactly the storage they use whenever
+// no entry cancelled to zero.
+func checkMatMulAgainstReference(t *testing.T, a, b *CSR) {
+	t.Helper()
+	want := referenceMatMul(a, b)
+	cancelled := referenceMatMul(abs(a), abs(b)).NNZ() != want.NNZ()
+	for name, got := range map[string]*CSR{"MatMul": MatMul(a, b), "MatMulParallel": MatMulParallel(a, b)} {
+		checkWellFormed(t, got)
+		if !got.Equal(want) {
+			t.Fatalf("%s(%v, %v) differs from the append-grown reference", name, a, b)
+		}
+		if !cancelled && (cap(got.colIdx) != len(got.colIdx) || cap(got.val) != len(got.val)) {
+			t.Fatalf("%s(%v, %v): nothing cancelled but cap(colIdx)=%d cap(val)=%d for %d entries",
+				name, a, b, cap(got.colIdx), cap(got.val), got.NNZ())
+		}
+	}
+}
+
+// TestMatMulMatchesReference sweeps shapes × densities with values in
+// ±{1..4} — ties, exact cancellation, empty rows and columns — at
+// GOMAXPROCS 4 so products of 64 rows or more take the parallel path.
+func TestMatMulMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(18))
+	shapes := [][3]int{{0, 3, 4}, {4, 0, 3}, {4, 3, 0}, {1, 1, 1}, {3, 5, 4}, {17, 9, 23}, {63, 20, 40},
+		{64, 64, 64}, {70, 1, 70}, {128, 40, 8}, {200, 30, 300}, {257, 90, 31}}
+	sawCancel := false
+	for _, sh := range shapes {
+		for _, d := range []float64{0, 0.01, 0.1, 0.5, 0.95} {
+			a := randCSR(rng, sh[0], sh[1], d)
+			b := randCSR(rng, sh[1], sh[2], d)
+			checkMatMulAgainstReference(t, a, b)
+			checkMatMulAgainstReference(t, abs(a), abs(b))
+			if referenceMatMul(abs(a), abs(b)).NNZ() != referenceMatMul(a, b).NNZ() {
+				sawCancel = true
+			}
+		}
+	}
+	if !sawCancel {
+		t.Fatal("fixture lost its cancelling products")
+	}
+}
+
+// TestMatMulCancelledRowsCompact pins the shortfall path on a product
+// whose every row loses entries: [1 -1]·[[1 1 0],[1 0 1]] = [0 1 -1].
+func TestMatMulCancelledRowsCompact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const rows = 130
+	ab, bb := NewBuilder(rows, 2), NewBuilder(2, 3)
+	for i := 0; i < rows; i++ {
+		ab.Add(i, 0, 1)
+		ab.Add(i, 1, -1)
+	}
+	bb.Add(0, 0, 1)
+	bb.Add(0, 1, 1)
+	bb.Add(1, 0, 1)
+	bb.Add(1, 2, 1)
+	a, b := ab.Build(), bb.Build()
+	checkMatMulAgainstReference(t, a, b)
+	if got := MatMulParallel(a, b); got.NNZ() != 2*rows || got.At(rows-1, 0) != 0 || got.At(rows-1, 2) != -1 {
+		t.Fatalf("cancelled product: nnz %d, last row %v", got.NNZ(), got.ToDense()[3*(rows-1):])
+	}
+}
+
+// TestMatMulAllocatesOnlyItsOutput bounds a product's allocations by
+// its output — the matrix header, rowPtr, colIdx and val — plus the two
+// pass closures and the cancellation flag, plus a workspace when the
+// pool had none to lend. The append-grown kernel made 55 on this pair.
+func TestMatMulAllocatesOnlyItsOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	a := abs(randCSR(rng, 300, 200, 0.05))
+	b := abs(randCSR(rng, 200, 400, 0.05))
+	const output, passes, workspace = 4, 3, 4
+	for name, mul := range map[string]func(a, b *CSR) *CSR{"MatMul": MatMul, "MatMulParallel": MatMulParallel} {
+		if n := testing.AllocsPerRun(20, func() { mul(a, b) }); n > output+passes+workspace {
+			t.Errorf("%s allocates %.1f objects per product, want at most %d", name, n, output+passes+workspace)
+		}
+	}
+}
+
+// skewedPair returns two same-shape matrices whose rows mix similar
+// lengths, one side many times the other (either way round), and empty
+// rows, so the Σ min(|aᵢ|, |bᵢ|) bound is tight on some rows and loose
+// on others.
+func skewedPair(rng *rand.Rand, rows, cols int) (a, b *CSR) {
+	ab, bb := NewBuilder(rows, cols), NewBuilder(rows, cols)
+	fill := func(bd *Builder, i int, density float64) {
+		for j := 0; j < cols; j++ {
+			if rng.Float64() < density {
+				v := float64(rng.Intn(4) + 1)
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				bd.Add(i, j, v)
+			}
+		}
+	}
+	dens := [][2]float64{{0.3, 0.3}, {0.9, 0.02}, {0.02, 0.9}, {0, 0.5}, {0.5, 0}, {1, 0.1}, {0.005, 1}}
+	for i := 0; i < rows; i++ {
+		d := dens[rng.Intn(len(dens))]
+		fill(ab, i, d[0])
+		fill(bb, i, d[1])
+	}
+	return ab.Build(), bb.Build()
+}
+
+// TestHadamardMatchesReference checks the presized Hadamard against the
+// append-grown merge, both operand orders.
+func TestHadamardMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, sh := range [][2]int{{0, 5}, {5, 0}, {1, 1}, {7, 40}, {30, 300}, {12, 1000}} {
+		for trial := 0; trial < 8; trial++ {
+			a, b := skewedPair(rng, sh[0], sh[1])
+			want := referenceHadamard(a, b)
+			got := Hadamard(a, b)
+			checkWellFormed(t, got)
+			if !got.Equal(want) {
+				t.Fatalf("shape %v trial %d: Hadamard differs from the two-pointer reference", sh, trial)
+			}
+			if rev := Hadamard(b, a); !rev.Equal(want) {
+				t.Fatalf("shape %v trial %d: Hadamard(b, a) differs from Hadamard(a, b)", sh, trial)
+			}
+		}
+	}
+}
+
+// FuzzMatMul derives two operands from the fuzzed shape, density and
+// seed and checks the two-pass products against referenceMulRows.
+func FuzzMatMul(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(4), uint8(5), uint8(128))
+	f.Add(int64(2), uint8(70), uint8(9), uint8(30), uint8(40))
+	f.Add(int64(3), uint8(200), uint8(1), uint8(200), uint8(250))
+	f.Add(int64(4), uint8(64), uint8(64), uint8(64), uint8(5))
+	f.Add(int64(5), uint8(0), uint8(7), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, rows, inner, cols, density uint8) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		rng := rand.New(rand.NewSource(seed))
+		d := float64(density) / 255
+		a := randCSR(rng, int(rows), int(inner), d)
+		b := randCSR(rng, int(inner), int(cols), d)
+		checkMatMulAgainstReference(t, a, b)
+	})
+}

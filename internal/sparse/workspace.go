@@ -73,46 +73,58 @@ func (w *gemmWorkspace) accumulate(a, b *CSR, i int) (minJ, maxJ int) {
 	return minJ, maxJ
 }
 
-// mulRows computes rows [lo, hi) of a·b, returning the concatenated
-// column indices and values plus per-row entry counts in rowLen (which
-// must have length hi-lo). Surviving entries per row are emitted in
-// increasing column order.
-//
-// Compaction avoids the former unconditional sort.Ints: rows whose live
-// columns cover a tight span are emitted by scanning [minJ, maxJ]
-// against the mark array (O(span) with no comparison sort), and only
-// genuinely scattered rows fall back to sorting, with insertion sort for
-// short lists.
-func mulRows(a, b *CSR, lo, hi int, rowLen []int) (colIdx []int, val []float64) {
-	w := getWorkspace(b.cols)
-	defer putWorkspace(w)
-	for i := lo; i < hi; i++ {
-		minJ, maxJ := w.accumulate(a, b, i)
-		live, gen := w.live, w.gen
-		n := 0
-		if len(live) > 0 {
-			if span := maxJ - minJ + 1; span <= 4*len(live) {
-				for j := minJ; j <= maxJ; j++ {
-					if w.mark[j] == gen && w.acc[j] != 0 {
-						colIdx = append(colIdx, j)
-						val = append(val, w.acc[j])
-						n++
-					}
-				}
-			} else {
-				sortLive(live)
-				for _, j := range live {
-					if w.acc[j] != 0 {
-						colIdx = append(colIdx, j)
-						val = append(val, w.acc[j])
-						n++
-					}
-				}
+// countRow is the symbolic half of a product row: accumulate's
+// mark-stamp loop without the multiply, returning how many distinct
+// columns row i of a·b touches.
+func (w *gemmWorkspace) countRow(a, b *CSR, i int) int {
+	w.gen++
+	gen, n := w.gen, 0
+	for ka := a.rowPtr[i]; ka < a.rowPtr[i+1]; ka++ {
+		k := a.colIdx[ka]
+		for kb := b.rowPtr[k]; kb < b.rowPtr[k+1]; kb++ {
+			if j := b.colIdx[kb]; w.mark[j] != gen {
+				w.mark[j] = gen
+				n++
 			}
 		}
-		rowLen[i-lo] = n
 	}
-	return colIdx, val
+	return n
+}
+
+// mulRow is the numeric half: it accumulates row i of a·b and writes
+// every column the row touched, in increasing column order, to colIdx
+// and val — the row's final slots, countRow(a, b, i) long. A sum that
+// cancelled to exactly zero is written as a stored zero and reported,
+// for the caller to squeeze out (CSR.dropZeros) once the product is
+// complete.
+//
+// Rows whose live columns cover a tight span are emitted by scanning
+// [minJ, maxJ] against the mark array (O(span) with no comparison
+// sort); only genuinely scattered rows fall back to sorting, with
+// insertion sort for short lists.
+func (w *gemmWorkspace) mulRow(a, b *CSR, i int, colIdx []int, val []float64) (zeros bool) {
+	minJ, maxJ := w.accumulate(a, b, i)
+	live, gen := w.live, w.gen
+	if len(live) == 0 {
+		return false
+	}
+	if span := maxJ - minJ + 1; span <= 4*len(live) {
+		n := 0
+		for j := minJ; j <= maxJ; j++ {
+			if w.mark[j] == gen {
+				colIdx[n], val[n] = j, w.acc[j]
+				zeros = zeros || w.acc[j] == 0
+				n++
+			}
+		}
+	} else {
+		sortLive(live)
+		for n, j := range live {
+			colIdx[n], val[n] = j, w.acc[j]
+			zeros = zeros || w.acc[j] == 0
+		}
+	}
+	return zeros
 }
 
 // sortLive orders a live-column list, using insertion sort below the
