@@ -144,7 +144,7 @@ func TestSeedShipsNothingInSharedProcess(t *testing.T) {
 // connection into the same process must then hit without a ship.
 func TestSeedShipInstallAck(t *testing.T) {
 	pair := fixturePair(t)
-	fp, body, err := buildSeed(pair, nil, TrainConfig{FeatureSet: FeaturesFull}, 0)
+	fp, body, _, err := buildSeed(pair, nil, TrainConfig{FeatureSet: FeaturesFull}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,23 @@
 //
 // The per-connection negotiation is SeedRef → CacheAck(Shard −1) →
 // [Seed], before the first job: workers cache installed seeds process-
-// wide under the seed fingerprint, so a redial (or a second connection
-// of the same run) answers the SeedRef with a hit and ships nothing.
+// wide under the seed fingerprint, so a second connection into the same
+// worker process — another slot of the run, another session, a redial
+// of a TCP or loopback worker whose process survived — answers the
+// SeedRef with a hit and ships nothing. That is a property of the
+// process, not of the run: over Exec every dial is a new process with an
+// empty cache, so a redial after a burnt connection ships again.
 package distrib
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -76,28 +83,31 @@ func seedFingerprint(g1, g2 *WireNetwork, anchorType, featureSet string) uint64 
 
 // buildSeed exports the pair's warm-counter seed and pre-encodes its
 // frame body once per run. base, when non-nil, must be a counter over
-// pair (the facade hands over its own, already warm from planning); nil
-// cold-counts — still once per run, not once per shard×worker.
-func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig, traceID uint64) (fp uint64, body []byte, err error) {
+// pair (the facade hands over its own, shared with planning); nil
+// cold-counts — still once per run, not once per shard×worker. The
+// counter the seed came from is returned as installed: it is what this
+// process's seed cache now holds under fp, and what the session hands
+// back to seedCacheEvict when it closes.
+func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig, traceID uint64) (fp uint64, body []byte, installed *metadiag.Counter, err error) {
 	feats, err := ResolveFeatures(cfg.FeatureSet)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	if base == nil {
 		if base, err = metadiag.NewCounter(pair); err != nil {
-			return 0, nil, err
+			return 0, nil, nil, err
 		}
 	}
 	seed, err := base.ExportSeed(feats)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	ws := &WireSeed{
 		AnchorType: string(pair.AnchorType),
 		G1:         EncodeNetwork(pair.G1),
 		G2:         EncodeNetwork(pair.G2),
 		Entries:    seed.Entries,
-		// The body is encoded once per run, before any connection exists,
+		// The body is encoded once per run and shared by every connection,
 		// so the seed carries the run's trace ID with no per-negotiation
 		// span: the worker correlates its install log by trace ID.
 		TraceID: traceID,
@@ -109,9 +119,10 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 	// counter the coordinator already holds — zero bytes shipped, zero
 	// re-derivation, and exactly the fork the in-process facade performs.
 	// Remote workers are unaffected; the entry is two pointers, not a
-	// copy.
+	// copy — but those pointers keep the whole count layer alive, which is
+	// why Session.Close takes the entry out again.
 	seedCachePut(ws.Fingerprint, &seedEntry{pair: pair, counter: base})
-	return ws.Fingerprint, ws.appendBody(nil), nil
+	return ws.Fingerprint, ws.appendBody(nil), base, nil
 }
 
 // negotiateSeed runs the coordinator side of the per-connection seed
@@ -140,13 +151,14 @@ func negotiateSeed(conn io.ReadWriter, fp uint64, body []byte) (n int64, shipped
 		return cw.n, true, fmt.Errorf("distrib: %w", err)
 	}
 	// Block until the worker confirms the install. Writing the body only
-	// proves the bytes left this side; decoding and installing a large
-	// seed takes seconds, and if the seed gate opened on write-completion
-	// the follower connections would negotiate inside that window, miss
-	// the still-empty cache, and re-ship — the exact race the gate
-	// exists to close. A failed install surfaces here as the worker's
-	// Error frame (ReadExpect converts it), burning the connection
-	// during negotiation instead of poisoning the first job stream.
+	// proves the bytes left this side; until the ack the seed is not
+	// resident, and a job sent now would fail on a missing seed. The
+	// worker holds every other connection's SeedRef for this fingerprint
+	// until the same moment (seedClaim), so the ack is also what lets
+	// them answer with a hit instead of a second ship. A failed install
+	// surfaces here as the worker's Error frame (ReadExpect converts it),
+	// burning the connection during negotiation instead of poisoning the
+	// first job stream.
 	if err := ReadExpect(conn, FrameCacheAck, &ack); err != nil {
 		return cw.n, true, err
 	}
@@ -154,40 +166,6 @@ func negotiateSeed(conn io.ReadWriter, fp uint64, body []byte) (n int64, shipped
 		return cw.n, true, fmt.Errorf("distrib: seed install ack %016x hit=%v, want %016x hit", ack.Fingerprint, ack.Hit, fp)
 	}
 	return cw.n, true, nil
-}
-
-// seedGate serializes a run's FIRST seed negotiation. Without it, N
-// concurrent fresh dials all offer the seed before any worker has
-// finished installing it, and every one misses and ships its own copy
-// — N×hundreds-of-MB for workers that share a process (loopback, many
-// connections to one TCP worker). With it, the first connection
-// negotiates alone; by the time the rest proceed, a shared-process
-// worker answers their SeedRef with a hit. Per-process workers
-// (subprocess transport) still ship once each, concurrently, after the
-// gate opens. Correctness never depends on the dedup: if the first
-// negotiation fails, followers simply negotiate on their own.
-type seedGate struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-// wait claims the gate: the first caller proceeds immediately and must
-// call the returned release when its negotiation finishes (success or
-// not); later callers block until then and get a nil release. The
-// first negotiation runs under a connection deadline, so the gate
-// cannot wedge its followers.
-func (g *seedGate) wait() (release func()) {
-	g.mu.Lock()
-	if g.ch == nil {
-		ch := make(chan struct{})
-		g.ch = ch
-		g.mu.Unlock()
-		return func() { close(ch) }
-	}
-	ch := g.ch
-	g.mu.Unlock()
-	<-ch
-	return nil
 }
 
 // NewSeededJob packages a plan part as a seeded wire job: original
@@ -258,12 +236,27 @@ const DefaultSeedCacheSize = 2
 
 // The installed-seed cache is process-global, not per-connection:
 // loopback transports dial many short-lived connections into one
-// process, and the whole point is to install once.
+// process, and the whole point is to install once. seedPending is its
+// in-flight half: the fingerprints some connection has been told to
+// ship (its SeedRef was acked with a miss) and has not installed yet.
 var (
-	seedMu    sync.Mutex
-	seedLRU   []uint64
-	seedCache = map[uint64]*seedEntry{}
+	seedMu      sync.Mutex
+	seedLRU     []uint64
+	seedCache   = map[uint64]*seedEntry{}
+	seedPending = map[uint64]*pendingSeed{}
 )
+
+// pendingSeed is one install in flight. owner identifies the worker
+// connection whose coordinator is shipping the body; done is closed when
+// that install finishes or the owner's connection ends without one.
+type pendingSeed struct {
+	owner *seedOwner
+	done  chan struct{}
+}
+
+// seedOwner is a worker connection's identity in seedPending — a
+// distinct address per Serve call, nothing more.
+type seedOwner struct{ _ byte }
 
 func seedCacheGet(fp uint64) *seedEntry {
 	seedMu.Lock()
@@ -291,9 +284,72 @@ func seedCachePut(fp uint64, e *seedEntry) {
 	seedCache[fp] = e
 	seedTouch(fp)
 	for len(seedCache) > DefaultSeedCacheSize {
-		old := seedLRU[0]
-		seedLRU = seedLRU[1:]
-		delete(seedCache, old)
+		seedForget(seedLRU[0])
+	}
+}
+
+// seedForget drops fp from the cache and its LRU order. Callers hold
+// seedMu.
+func seedForget(fp uint64) {
+	delete(seedCache, fp)
+	seedLRU = slices.DeleteFunc(seedLRU, func(f uint64) bool { return f == fp })
+}
+
+// seedCacheEvict removes the entry buildSeed pre-installed under fp, if
+// it is still the resident one. The comparison is on the counter: an
+// entry some later session (or a shipped install) put there in the
+// meantime is theirs to keep. A concurrent session on the same pair
+// whose entry goes this way heals through the ordinary miss → ship path.
+func seedCacheEvict(fp uint64, counter *metadiag.Counter) {
+	seedMu.Lock()
+	defer seedMu.Unlock()
+	if e := seedCache[fp]; e != nil && e.counter == counter {
+		seedForget(fp)
+	}
+}
+
+// seedClaim answers a SeedRef on the worker side: true when fp is
+// resident (ack a hit), false when the asking connection must be shipped
+// the body (ack a miss) — and then fp stays pending on owner until
+// seedRelease. A connection that asks while fp is pending on another one
+// waits here for that install instead of being told to ship a second
+// copy: N fresh connections into one worker process cost one body,
+// whichever sessions they belong to. If the owner's connection ends
+// first, the first waiter to wake becomes the owner.
+func seedClaim(fp uint64, owner *seedOwner) (hit bool) {
+	for {
+		seedMu.Lock()
+		if seedCache[fp] != nil {
+			seedTouch(fp)
+			seedMu.Unlock()
+			return true
+		}
+		p := seedPending[fp]
+		if p == nil {
+			seedPending[fp] = &pendingSeed{owner: owner, done: make(chan struct{})}
+		}
+		seedMu.Unlock()
+		if p == nil || p.owner == owner {
+			return false
+		}
+		// The owner negotiates under its coordinator's shard deadline, so
+		// this wait ends with that install, that deadline, or that
+		// connection — whichever comes first.
+		<-p.done
+	}
+}
+
+// seedRelease ends whatever claims owner holds — after its install,
+// failed or not, and when its connection ends for any reason — and wakes
+// whoever waited on them.
+func seedRelease(owner *seedOwner) {
+	seedMu.Lock()
+	defer seedMu.Unlock()
+	for fp, p := range seedPending {
+		if p.owner == owner {
+			delete(seedPending, fp)
+			close(p.done)
+		}
 	}
 }
 
@@ -344,6 +400,23 @@ func installSeed(ws *WireSeed) error {
 // as uvarints; a flag byte keeps raw float64 as the general-case
 // fallback.
 func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
+	ints, top := true, 0.0
+	for _, v := range e.Val {
+		if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
+			ints = false
+			break
+		}
+		top = max(top, v)
+	}
+	// One allocation for the whole segment: no row length or column gap
+	// exceeds Cols and no value exceeds top, which bounds every varint's
+	// width. A matrix that breaks those rules only outgrows the hint.
+	idxWidth, valWidth := uvarintLen(uint64(e.Cols)), 8
+	if ints {
+		valWidth = uvarintLen(uint64(top))
+	}
+	b = slices.Grow(b, len(e.Key)+3*binary.MaxVarintLen64+1+
+		(len(e.RowPtr)+len(e.ColIdx))*idxWidth+len(e.Val)*valWidth)
 	b = framing.AppendString(b, e.Key)
 	b = framing.AppendVarint(b, int64(e.Rows))
 	b = framing.AppendVarint(b, int64(e.Cols))
@@ -355,13 +428,6 @@ func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
 			c := e.ColIdx[k]
 			b = framing.AppendUvarint(b, uint64(c-prev))
 			prev = c
-		}
-	}
-	ints := true
-	for _, v := range e.Val {
-		if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
-			ints = false
-			break
 		}
 	}
 	b = framing.AppendBool(b, ints)
@@ -377,10 +443,35 @@ func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
 	return b
 }
 
+// uvarintLen is the encoded size of v in bytes.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// uvarintAt decodes the uvarint at b[p:] and returns the position after
+// it; next < 0 reports a truncated or overlong value. The decode loops
+// below read one-byte values themselves and come here for the rest.
+func uvarintAt(b []byte, p int) (v uint64, next int) {
+	v, n := binary.Uvarint(b[p:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, p + n
+}
+
+// seedTruncated is the error of a seed segment that ends, or overflows a
+// varint, before its declared content does.
+func seedTruncated(what string) error {
+	return fmt.Errorf("%w: %s", framing.ErrTruncated, what)
+}
+
 // decodeSeedEntry is the inverse; structural trust is deferred to
 // sparse.FromRaw inside SeedInto (shape, monotone rowPtr, in-range
 // strictly-increasing columns), so only allocation bounds are enforced
-// here.
+// here. A seed is millions of mostly one-byte varints, so the segment is
+// walked with a local cursor instead of a framing.Dec call per value,
+// and twice: a counting pass over the index section finds every row's
+// length — and so the exact column count — before the column array is
+// made, so nothing is grown and nothing allocated is larger than the
+// bytes that were actually there to fill it.
 func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 	var e metadiag.SeedEntry
 	d := framing.NewDec(seg)
@@ -394,41 +485,104 @@ func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 	if d.Err() != nil {
 		return e, d.Err()
 	}
+	b := seg[len(seg)-d.Remaining():]
+
+	// Counting pass: read each row's length, step over that many column
+	// varints by their terminator bytes (high bit clear).
 	rowPtr := make([]int, e.Rows+1)
-	var colIdx []int
-	nnz := 0
-	for r := 0; r < e.Rows && d.Err() == nil; r++ {
-		n := d.Uvarint()
-		if n > uint64(d.Remaining()) {
-			d.Fail("seed row length")
-			break
+	p, nnz := 0, 0
+	for r := 0; r < e.Rows; r++ {
+		if p == len(b) {
+			return e, seedTruncated("seed row length")
 		}
-		prev := 0
-		for k := uint64(0); k < n; k++ {
-			prev += int(d.Uvarint())
-			colIdx = append(colIdx, prev)
+		n := uint64(b[p])
+		p++
+		if n >= 0x80 {
+			if n, p = uvarintAt(b, p-1); p < 0 {
+				return e, seedTruncated("seed row length")
+			}
+		}
+		if n > uint64(len(b)-p) {
+			return e, seedTruncated("seed row length")
+		}
+		for left := int(n); left > 0; p++ {
+			if p == len(b) {
+				return e, seedTruncated("seed column run")
+			}
+			if b[p] < 0x80 {
+				left--
+			}
 		}
 		nnz += int(n)
 		rowPtr[r+1] = nnz
 	}
-	ints := d.Bool()
-	if d.Err() != nil {
-		return e, d.Err()
+	values := p
+
+	// Decode pass: the counting pass proved every varint below ends inside
+	// b, so only an overlong one can still fail.
+	colIdx := make([]int, nnz)
+	p = 0
+	for r := 0; r < e.Rows; r++ {
+		for b[p] >= 0x80 { // the row length, already read
+			p++
+		}
+		p++
+		prev := 0
+		for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
+			gap := uint64(b[p])
+			p++
+			if gap >= 0x80 {
+				if gap, p = uvarintAt(b, p-1); p < 0 {
+					return e, seedTruncated("seed column gap")
+				}
+			}
+			prev += int(gap)
+			colIdx[k] = prev
+		}
+	}
+
+	// Values: a strict flag byte, then nnz uvarints or nnz packed floats.
+	p = values
+	if p == len(b) {
+		return e, seedTruncated("seed value flag")
+	}
+	if b[p] > 1 {
+		return e, fmt.Errorf("framing: bool byte %d", b[p])
+	}
+	ints := b[p] == 1
+	p++
+	width := 8
+	if ints {
+		width = 1
+	}
+	if nnz > (len(b)-p)/width {
+		return e, seedTruncated("seed values")
 	}
 	val := make([]float64, nnz)
 	if ints {
 		for k := range val {
-			val[k] = float64(d.Uvarint())
+			if p == len(b) {
+				return e, seedTruncated("seed values")
+			}
+			v := uint64(b[p])
+			p++
+			if v >= 0x80 {
+				if v, p = uvarintAt(b, p-1); p < 0 {
+					return e, seedTruncated("seed values")
+				}
+			}
+			val[k] = float64(v)
 		}
 	} else {
 		for k := range val {
-			val[k] = d.Float64()
+			val[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[p:]))
+			p += 8
 		}
 	}
-	e.RowPtr, e.ColIdx, e.Val = rowPtr, colIdx, val
-	if err := d.Done(); err != nil {
-		return e, err
+	if p != len(b) {
+		return e, fmt.Errorf("framing: %d trailing bytes after seed entry", len(b)-p)
 	}
+	e.RowPtr, e.ColIdx, e.Val = rowPtr, colIdx, val
 	return e, nil
 }
 
@@ -476,6 +630,11 @@ func (ws *WireSeed) appendBody(b []byte) []byte {
 	parallelFor(len(ws.Entries), func(i int) {
 		segs[i] = appendSeedEntry(nil, &ws.Entries[i])
 	})
+	rest := 2 * binary.MaxVarintLen64 // the trace tail
+	for _, seg := range segs {
+		rest += binary.MaxVarintLen64 + len(seg)
+	}
+	b = slices.Grow(b, rest)
 	for _, seg := range segs {
 		b = framing.AppendBytes(b, seg)
 	}

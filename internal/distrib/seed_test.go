@@ -1,0 +1,393 @@
+package distrib
+
+import (
+	"math"
+	"math/rand"
+	"net"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/activeiter/activeiter/internal/datagen"
+	"github.com/activeiter/activeiter/internal/metadiag"
+)
+
+// resetSeedCache empties the process-wide seed cache, as a freshly
+// started worker process would find it.
+func resetSeedCache() {
+	seedMu.Lock()
+	seedCache = map[uint64]*seedEntry{}
+	seedLRU = nil
+	seedMu.Unlock()
+}
+
+// randomSeedEntry draws a CSR matrix with the shapes the codec has to
+// tell apart: empty rows, an empty matrix, wide column gaps, and one of
+// three value runs — small integers, integers at and beyond the 2^53
+// packing limit, arbitrary floats.
+func randomSeedEntry(rng *rand.Rand, maxRows, maxCols int) metadiag.SeedEntry {
+	e := metadiag.SeedEntry{Key: "Ψ" + string(rune('a'+rng.Intn(26))), Rows: rng.Intn(maxRows + 1), Cols: 1 + rng.Intn(maxCols)}
+	if rng.Intn(8) == 0 {
+		e.Rows = 0
+	}
+	e.RowPtr = make([]int, e.Rows+1)
+	density := rng.Float64() * rng.Float64()
+	kind := rng.Intn(3)
+	for r := 0; r < e.Rows; r++ {
+		if rng.Intn(4) > 0 { // a quarter of the rows stay empty
+			for c := 0; c < e.Cols; c++ {
+				if rng.Float64() < density {
+					e.ColIdx = append(e.ColIdx, c)
+					var v float64
+					switch kind {
+					case 0:
+						v = float64(rng.Intn(300))
+					case 1:
+						v = float64(uint64(1)<<53 - 2 + uint64(rng.Intn(4))) // straddles the limit
+					default:
+						v = rng.NormFloat64() * 1e3
+					}
+					e.Val = append(e.Val, v)
+				}
+			}
+		}
+		e.RowPtr[r+1] = len(e.ColIdx)
+	}
+	return e
+}
+
+// sameSeedEntry compares two decoded entries; a nil and an empty array
+// are the same array.
+func sameSeedEntry(a, b metadiag.SeedEntry) bool {
+	sameVals := slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+	return a.Key == b.Key && a.Rows == b.Rows && a.Cols == b.Cols &&
+		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) && sameVals
+}
+
+// TestSeedDecodeMatchesReference holds the two-pass decoder to the one
+// it replaced: equal output on every valid segment, and an error from
+// both on every truncated prefix of one.
+func TestSeedDecodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 300; trial++ {
+		// Every third matrix is small enough to walk all its prefixes.
+		small := trial%3 == 0
+		e := randomSeedEntry(rng, 40, 5000)
+		if small {
+			e = randomSeedEntry(rng, 6, 200)
+		}
+		seg := appendSeedEntry(nil, &e)
+		got, err := decodeSeedEntry(seg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := referenceDecodeSeedEntry(seg)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
+		if !sameSeedEntry(got, want) || !sameSeedEntry(got, e) {
+			t.Fatalf("trial %d: decoded entry differs from the reference decoder's or from the input", trial)
+		}
+		if cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
+			t.Fatalf("trial %d: arrays not exactly sized: colIdx %d/%d, val %d/%d",
+				trial, len(got.ColIdx), cap(got.ColIdx), len(got.Val), cap(got.Val))
+		}
+		for cut := 0; small && cut < len(seg); cut++ {
+			_, gerr := decodeSeedEntry(seg[:cut:cut])
+			_, werr := referenceDecodeSeedEntry(seg[:cut:cut])
+			if gerr == nil || werr == nil {
+				t.Fatalf("trial %d: truncation at %d/%d accepted (new %v, reference %v)", trial, cut, len(seg), gerr, werr)
+			}
+		}
+	}
+}
+
+// TestSeedEntryDecodeAllocs: decoding one entry allocates the key, the
+// three arrays and nothing that grows with the matrix — it used to be
+// one reallocation per doubling of the column array.
+func TestSeedEntryDecodeAllocs(t *testing.T) {
+	e := metadiag.SeedEntry{Key: "Ψ", Rows: 1000, Cols: 4000, RowPtr: make([]int, 1001)}
+	for r := 0; r < e.Rows; r++ {
+		for c := r % 7; c < e.Cols && len(e.ColIdx) < (r+1)*100; c += 31 {
+			e.ColIdx = append(e.ColIdx, c)
+			e.Val = append(e.Val, float64(c%300))
+		}
+		e.RowPtr[r+1] = len(e.ColIdx)
+	}
+	if len(e.ColIdx) != 100_000 {
+		t.Fatalf("fixture has %d entries, want 100000", len(e.ColIdx))
+	}
+	seg := appendSeedEntry(nil, &e)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := decodeSeedEntry(seg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("decodeSeedEntry allocated %.0f objects for a 100k-entry matrix, want ≤ 6", allocs)
+	}
+}
+
+// FuzzSeedBody: the seed body decoder reads bytes a socket delivered. It
+// must never panic, never allocate more than a fixed multiple of what it
+// was given (every declared count is checked against the bytes that
+// remain before anything is sized by it), and its entry decoder must
+// agree with the reference decoder on every input.
+func FuzzSeedBody(f *testing.F) {
+	f.Add(fixtureSeed(f).appendBody(nil))
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 4; i++ {
+		e := randomSeedEntry(rng, 6, 200)
+		f.Add(appendSeedEntry(nil, &e))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var ws WireSeed
+		_ = ws.decodeBody(data)
+		got, gerr := decodeSeedEntry(data)
+		runtime.ReadMemStats(&after)
+		// Worst case is a body of one-byte segments: a SeedEntry header,
+		// a slice header, an error slot and a wrapped error per input byte.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(512*len(data)+1<<16); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		want, werr := referenceDecodeSeedEntry(data)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("entry decoder verdicts differ: new %v, reference %v", gerr, werr)
+		}
+		if gerr == nil && !sameSeedEntry(got, want) {
+			t.Fatal("entry decoders accept the input and disagree on its content")
+		}
+	})
+}
+
+// seedDial opens a handshaken connection into an in-process worker.
+func seedDial(t *testing.T) net.Conn {
+	t.Helper()
+	c, w := net.Pipe()
+	go Serve(w)
+	t.Cleanup(func() { c.Close() })
+	if err := handshake(c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestConcurrentSeedRefsShipOnce: the dedup of concurrent seed offers
+// lives in the worker process. N fresh connections offering one
+// fingerprint at once into an empty cache cost one body, and a
+// connection that was told to ship and then died hands the job to a
+// waiter instead of wedging it.
+func TestConcurrentSeedRefsShipOnce(t *testing.T) {
+	fp, body, _, err := buildSeed(fixturePair(t), nil, TrainConfig{FeatureSet: FeaturesFull}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+
+	// negotiateAll runs the coordinator side on every connection at once
+	// and reports how many shipped the body.
+	negotiateAll := func(t *testing.T, conns []net.Conn) (ships int) {
+		t.Helper()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for _, c := range conns {
+			wg.Add(1)
+			go func(c net.Conn) {
+				defer wg.Done()
+				_, shipped, err := negotiateSeed(c, fp, body)
+				if err != nil {
+					t.Errorf("negotiate: %v", err)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if shipped {
+					ships++
+				}
+			}(c)
+		}
+		wg.Wait()
+		return ships
+	}
+
+	t.Run("burst", func(t *testing.T) {
+		resetSeedCache()
+		conns := make([]net.Conn, n)
+		for i := range conns {
+			conns[i] = seedDial(t)
+		}
+		if ships := negotiateAll(t, conns); ships != 1 {
+			t.Fatalf("%d connections shipped %d bodies, want 1 ship and %d hits", n, ships, n-1)
+		}
+		if seedCacheGet(fp) == nil {
+			t.Fatal("seed not resident after the burst")
+		}
+	})
+
+	t.Run("owner-dies", func(t *testing.T) {
+		resetSeedCache()
+		// The owner is told to ship and never does.
+		owner := seedDial(t)
+		if err := WriteFrame(owner, FrameSeedRef, &SeedRef{Fingerprint: fp}); err != nil {
+			t.Fatal(err)
+		}
+		var ack CacheAck
+		if err := ReadExpect(owner, FrameCacheAck, &ack); err != nil || ack.Hit {
+			t.Fatalf("owner's offer into an empty cache: hit=%v err=%v, want a miss", ack.Hit, err)
+		}
+		// A second connection's offer is held, not answered, while the
+		// first one's install is pending: the write returns once the worker
+		// has taken the frame off the (synchronous) pipe, and no ack
+		// follows.
+		waiter := seedDial(t)
+		if err := WriteFrame(waiter, FrameSeedRef, &SeedRef{Fingerprint: fp}); err != nil {
+			t.Fatal(err)
+		}
+		waiter.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		if _, _, err := ReadFrame(waiter); err == nil {
+			t.Fatal("offer answered while another connection's install was pending")
+		}
+		waiter.SetReadDeadline(time.Time{})
+		// More offers pile up behind the same pending install, then the
+		// owner goes away: exactly one of the rest ships.
+		conns := make([]net.Conn, n-2)
+		for i := range conns {
+			conns[i] = seedDial(t)
+		}
+		done := make(chan int)
+		go func() { done <- negotiateAll(t, conns) }()
+		owner.Close()
+		if err := ReadExpect(waiter, FrameCacheAck, &ack); err != nil {
+			t.Fatal(err)
+		}
+		ships := 0
+		if !ack.Hit {
+			// The held connection took the install over; the rest now wait
+			// on it.
+			if err := codec.WriteFrame(waiter, byte(FrameSeed), body); err != nil {
+				t.Fatal(err)
+			}
+			if err := ReadExpect(waiter, FrameCacheAck, &ack); err != nil || !ack.Hit {
+				t.Fatalf("install ack: hit=%v err=%v", ack.Hit, err)
+			}
+			ships++
+		}
+		ships += <-done
+		if ships != 1 {
+			t.Fatalf("after the owner died the body shipped %d times, want 1", ships)
+		}
+		if seedCacheGet(fp) == nil {
+			t.Fatal("seed not resident after the take-over")
+		}
+		seedMu.Lock()
+		pending := len(seedPending)
+		seedMu.Unlock()
+		if pending != 0 {
+			t.Fatalf("%d installs still pending after every connection settled", pending)
+		}
+	})
+}
+
+// TestSessionCloseEvictsSeed: a session's warm counter leaves the
+// process-wide seed cache with the session, so a process that ran one
+// does not keep its count layer alive — and the next session on the same
+// pair pre-installs its own and still ships nothing to same-process
+// workers.
+func TestSessionCloseEvictsSeed(t *testing.T) {
+	resetSeedCache()
+	fx := newDistFixture(t, 3, 0)
+	for round := 1; round <= 2; round++ {
+		sess, err := NewSession(Loopback{}, fx.pair, Options{Train: fx.train, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := sess.Run(fx.plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAlignment(t, res, fx.ref, fx.plan)
+		fp := sess.seedFP
+		if e := seedCacheGet(fp); e == nil || e.counter != sess.seedBase {
+			t.Fatalf("session %d: its counter is not the resident seed while it is open", round)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if seedCacheGet(fp) != nil {
+			t.Fatalf("session %d: seed still resident after Close", round)
+		}
+		if m := sess.Metrics(); m.SeedShips != 0 || m.SeedBytes <= 0 {
+			t.Fatalf("session %d: %d ships, %d seed bytes; want 0 ships and the SeedRef bytes", round, m.SeedShips, m.SeedBytes)
+		}
+	}
+
+	// An entry somebody else put under the fingerprint is not the
+	// session's to evict.
+	sess, err := NewSession(Loopback{}, fx.pair, Options{Train: fx.train, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Run(fx.plan, nil); err != nil {
+		t.Fatal(err)
+	}
+	other := &seedEntry{pair: fx.pair, counter: fx.base}
+	seedCachePut(sess.seedFP, other)
+	sess.Close()
+	if seedCacheGet(sess.seedFP) != other {
+		t.Fatal("Close evicted an entry another session installed")
+	}
+	resetSeedCache()
+}
+
+// benchDefaultSeed is the seed every shard_subproc op of the repository
+// benchmark ships: the pair of its `default` preset (bench/config.go —
+// PaperShape with more posts per user) at seed 101.
+func benchDefaultSeed(b *testing.B) *WireSeed {
+	b.Helper()
+	cfg := datagen.PaperShape()
+	cfg.Seed, cfg.PostsPerUser1, cfg.PostsPerUser2 = 101, 10, 6
+	pair, err := datagen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, body, _, err := buildSeed(pair, nil, TrainConfig{FeatureSet: FeaturesFull}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resetSeedCache()
+	var ws WireSeed
+	if err := ws.decodeBody(body); err != nil {
+		b.Fatal(err)
+	}
+	return &ws
+}
+
+// BenchmarkSeedCodec times the two halves of shipping the default pair's
+// real seed: the coordinator's encode and one worker's decode.
+func BenchmarkSeedCodec(b *testing.B) {
+	ws := benchDefaultSeed(b)
+	body := ws.appendBody(nil)
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			body = ws.appendBody(nil)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var out WireSeed
+			if err := out.decodeBody(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

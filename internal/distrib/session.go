@@ -13,6 +13,7 @@ import (
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/telemetry"
@@ -63,26 +64,50 @@ type Session struct {
 	shards map[int]*sessionShard
 	cum    Metrics
 
-	// seedFP/seedBody are built once on the first Run (nil body =
-	// unseeded session); slots negotiate per connection and renegotiate
-	// after a drop.
+	// seedFP/seedBody are built once (ensureSeed; nil body = unseeded
+	// session); every connection offers the same body, again after a
+	// redial. seedBase is the counter that build pre-installed in this
+	// process's seed cache.
 	seedOnce sync.Once
 	seedFP   uint64
 	seedBody []byte
-	seedGate seedGate
+	seedBase *metadiag.Counter
+	// seedBytes/seedShips audit the seed negotiations no round has
+	// reported yet: connections are made inside rounds and ahead of them,
+	// and the next round to finish takes what has accumulated.
+	seedBytes atomic.Int64
+	seedShips atomic.Int64
 
 	oracleMu sync.Mutex // serializes oracle access across connections
 }
 
-// sessionSlot is one worker connection — dialed lazily, kept until an
-// attempt on it fails — and the shard states it holds warm. Only the
-// goroutine running the slot touches it.
+// sessionSlot is one worker connection — connected ahead of the first
+// round or on the slot's first dispatch, kept until an attempt on it
+// fails — and the shard states it holds warm. Only one goroutine touches
+// it at a time: the round's slot loop, or the connect that ConnectAhead
+// started and every other user waits out first (await).
 type sessionSlot struct {
-	index     int // position in Session.slots; -1 for a fallback's private slot
-	transport Transport
-	conn      io.ReadWriteCloser
-	seeded    bool           // this connection completed seed negotiation
-	holds     map[int]uint64 // part index → fingerprint run warm on this connection
+	index      int // position in Session.slots; -1 for a fallback's private slot
+	transport  Transport
+	conn       io.ReadWriteCloser // non-nil: handshaken and, in a seeded session, seed-negotiated
+	holds      map[int]uint64     // part index → fingerprint run warm on this connection
+	connecting chan struct{}      // closed when the ahead-of-time connect settles; nil without one
+}
+
+// await blocks until the slot's ahead-of-time connect, if any, has
+// settled one way or the other.
+func (slot *sessionSlot) await() {
+	if slot.connecting != nil {
+		<-slot.connecting
+	}
+}
+
+// track names the slot's row in a trace.
+func (slot *sessionSlot) track() string {
+	if slot.index < 0 {
+		return "slot (fallback)"
+	}
+	return fmt.Sprintf("slot %d", slot.index)
 }
 
 // sessionShard is the coordinator-side cache of one shard: the one-time
@@ -114,7 +139,8 @@ func (st *sessionShard) labels(log []partition.LabeledLink) ([]partition.Labeled
 }
 
 // NewSession opens a sticky shard session for the pair over the
-// transport. Connections are dialed lazily on the first Run.
+// transport. Nothing is dialed yet: a slot connects on its first
+// dispatch, unless ConnectAhead started it earlier.
 func NewSession(transport Transport, pair *hetnet.AlignedPair, opts Options) (*Session, error) {
 	if transport == nil {
 		return nil, fmt.Errorf("distrib: nil transport")
@@ -134,24 +160,165 @@ func NewSession(transport Transport, pair *hetnet.AlignedPair, opts Options) (*S
 func (s *Session) Round() int { return s.round }
 
 // Metrics returns the running totals across every round run so far,
-// aborted ones included.
+// aborted ones included, plus the seed negotiations of connections no
+// round has reported yet.
 func (s *Session) Metrics() *Metrics {
 	m := s.cum
 	m.Shards = append([]ShardMetrics(nil), s.cum.Shards...)
+	m.SeedBytes += s.seedBytes.Load()
+	m.SeedShips += int(s.seedShips.Load())
 	return &m
 }
 
-// Close tears down the worker connections. The session keeps its
-// coordinator-side shard cache, but a Run after Close redials and
-// re-ships cold (the workers' warm state died with the connections).
+// Close tears down the worker connections — all at once, so N worker
+// processes exit side by side instead of each being waited for in turn —
+// and takes the session's warm counter back out of this process's seed
+// cache. The session keeps its coordinator-side shard cache, but a Run
+// after Close redials and re-ships cold (the workers' warm state died
+// with the connections).
 func (s *Session) Close() error {
-	var first error
-	for _, slot := range s.slots {
-		if err := s.dropConn(slot); err != nil && first == nil {
-			first = err
+	errs := make([]error, len(s.slots))
+	var wg sync.WaitGroup
+	for i, slot := range s.slots {
+		wg.Add(1)
+		go func(i int, slot *sessionSlot) {
+			defer wg.Done()
+			slot.await()
+			errs[i] = s.dropConn(slot)
+		}(i, slot)
+	}
+	wg.Wait()
+	if s.seedBase != nil {
+		seedCacheEvict(s.seedFP, s.seedBase)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
+}
+
+// workerCap is the most worker connections the session keeps.
+func (s *Session) workerCap() int {
+	if s.opts.Workers > 0 {
+		return s.opts.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// shardTimeout resolves Options.ShardTimeout; 0 means no deadline.
+func (s *Session) shardTimeout() time.Duration {
+	switch d := s.opts.ShardTimeout; {
+	case d == 0:
+		return defaultShardTimeout
+	case d < 0:
+		return 0
+	default:
+		return d
+	}
+}
+
+// growSlots makes sure the session has at least n slots.
+func (s *Session) growSlots(n int) {
+	for len(s.slots) < n {
+		s.slots = append(s.slots, &sessionSlot{index: len(s.slots), transport: s.transport, holds: make(map[int]uint64)})
+	}
+}
+
+// ConnectAhead starts connecting the worker slots a plan of the given
+// shard count will use — min(shards, Options.Workers) of them — and
+// returns at once, so the caller can go on to build that plan while the
+// workers start, handshake and install the seed. Each slot connects
+// through the same function a dispatch uses when it finds the slot cold,
+// under the same deadline and into the same audit; the first Run waits
+// for each slot's connect to settle before giving it work. A connect
+// that fails leaves its slot cold, and the slot's first dispatch redials
+// exactly as after a burnt connection. Like Run, not safe for concurrent
+// use; Close waits for (and then closes) whatever was started.
+func (s *Session) ConnectAhead(shards int) {
+	n := max(0, min(shards, s.workerCap()))
+	s.growSlots(n)
+	for _, slot := range s.slots[:n] {
+		if slot.connecting != nil || slot.conn != nil {
+			continue
+		}
+		slot.connecting = make(chan struct{})
+		go func(slot *sessionSlot) {
+			defer close(slot.connecting)
+			if err := s.connect(slot, 0); err != nil {
+				logger.Debug("ahead-of-time connect failed, slot stays cold", "slot", slot.index, "err", err)
+				if slot.conn != nil {
+					reportHealth(slot, false)
+				}
+				s.dropConn(slot)
+			}
+		}(slot)
+	}
+}
+
+// ensureSeed exports and encodes the session's seed, once. The seed is a
+// property of the pair and training config, both fixed for the session's
+// lifetime, so every connection ships (or ref-hits) the same body. A
+// failed build degrades every round to unseeded shipping rather than
+// aborting — the jobs are self-contained either way.
+func (s *Session) ensureSeed() {
+	s.seedOnce.Do(func() {
+		if s.opts.NoSeed {
+			return
+		}
+		if fp, body, base, err := buildSeed(s.pair, s.opts.Base, s.opts.Train, s.opts.Tracer.TraceID()); err == nil {
+			s.seedFP, s.seedBody, s.seedBase = fp, body, base
+		}
+	})
+}
+
+// connect gives the slot a live connection: dialed, handshaken and — in
+// a seeded session — seed-negotiated, recorded as one "connect" span on
+// the slot's own track under parent. It is the only way a session
+// connection comes to exist. An error may leave a half-made connection in
+// slot.conn; the caller burns it.
+func (s *Session) connect(slot *sessionSlot, parent uint64) error {
+	sp := s.opts.Tracer.Start("connect", parent)
+	sp.SetTrack(slot.track())
+	defer sp.End()
+	conn, err := slot.transport.Dial()
+	if err != nil {
+		return err
+	}
+	slot.conn = conn
+	// One deadline spans Hello and the seed negotiation, install ack
+	// included: a worker that never answers becomes a failed connect.
+	disarm := armDeadline(conn, s.shardTimeout())
+	defer disarm()
+	if err := handshake(conn); err != nil {
+		return err
+	}
+	// Ahead of the first round this is where the seed gets built: by the
+	// first connection to get this far, while the other workers are still
+	// starting.
+	s.ensureSeed()
+	if s.seedBody == nil {
+		sp.Annotate("seed", "off")
+		return nil
+	}
+	offered := time.Now()
+	n, shipped, err := negotiateSeed(conn, s.seedFP, s.seedBody)
+	s.seedBytes.Add(n)
+	sp.Annotate("bytes", fmt.Sprintf("%d", n))
+	// Offer to install ack; what precedes it in the span is process start,
+	// Hello and any wait for the seed build.
+	sp.Annotate("negotiate_ms", fmt.Sprintf("%.1f", time.Since(offered).Seconds()*1e3))
+	if err != nil {
+		return err
+	}
+	if shipped {
+		s.seedShips.Add(1)
+		sp.Annotate("seed", "ship")
+	} else {
+		sp.Annotate("seed", "hit")
+	}
+	return nil
 }
 
 // dropConn closes a slot's connection and forgets the warm state that
@@ -162,7 +329,6 @@ func (s *Session) dropConn(slot *sessionSlot) error {
 		err = slot.conn.Close()
 		slot.conn = nil
 	}
-	slot.seeded = false
 	s.mu.Lock()
 	for idx := range slot.holds {
 		if st := s.shards[idx]; st != nil && st.home == slot.index {
@@ -205,42 +371,18 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 	}
 	start := time.Now()
 
-	// The seed is a property of the pair and training config, both fixed
-	// for the session's lifetime — build (and encode) it exactly once,
-	// before any slot dials: every connection ships (or ref-hits) the same
-	// body. A failed build degrades every round to unseeded shipping
-	// rather than aborting — the jobs are self-contained either way.
-	s.seedOnce.Do(func() {
-		if s.opts.NoSeed {
-			return
-		}
-		if fp, body, err := buildSeed(s.pair, s.opts.Base, s.opts.Train, s.opts.Tracer.TraceID()); err == nil {
-			s.seedFP, s.seedBody = fp, body
-		}
-	})
+	// Before any slot runs: a build that nothing ahead of the round has
+	// done yet belongs to no shard attempt's clock (the hedge monitor
+	// reads those).
+	s.ensureSeed()
 
 	k := len(plan.Parts)
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	for len(s.slots) < workers {
-		s.slots = append(s.slots, &sessionSlot{index: len(s.slots), transport: s.transport, holds: make(map[int]uint64)})
-	}
+	s.growSlots(min(s.workerCap(), k))
 	retries := s.opts.Retries
 	if retries == 0 {
 		retries = 2
 	} else if retries < 0 {
 		retries = 0
-	}
-	shardTimeout := s.opts.ShardTimeout
-	if shardTimeout == 0 {
-		shardTimeout = defaultShardTimeout
-	} else if shardTimeout < 0 {
-		shardTimeout = 0
 	}
 
 	tr := s.opts.Tracer
@@ -254,7 +396,7 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		oracle:       oracle,
 		seed:         partition.RoundSeed(s.opts.Train.Seed, s.round),
 		retries:      retries,
-		shardTimeout: shardTimeout,
+		shardTimeout: s.shardTimeout(),
 		tracer:       tr,
 		roundSpan:    roundSpan.ID(),
 		// Worst-case enqueues per shard: the initial dispatch, one requeue
@@ -351,10 +493,8 @@ type sessionRound struct {
 	// queries counts every oracle round-trip actually answered —
 	// including those of failed shard attempts whose votes were
 	// discarded, since the oracle (a paid labeler, a CountingOracle) was
-	// really consulted. seedBytes/seedShips audit the seed negotiations.
-	queries   atomic.Int64
-	seedBytes atomic.Int64
-	seedShips atomic.Int64
+	// really consulted.
+	queries atomic.Int64
 
 	mu       sync.Mutex
 	attempts []int
@@ -388,8 +528,10 @@ func (rr *sessionRound) buildMetrics() *Metrics {
 		Retries: rr.totalRetries, Fallbacks: rr.totalFallbacks, Hedges: rr.totalHedges,
 		CacheMisses: rr.misses,
 		Queries:     int(rr.queries.Load()),
-		SeedBytes:   rr.seedBytes.Load(),
-		SeedShips:   int(rr.seedShips.Load()),
+		// Every negotiation since the last round reported, ahead-of-time
+		// connects included.
+		SeedBytes: rr.s.seedBytes.Swap(0),
+		SeedShips: int(rr.s.seedShips.Swap(0)),
 	}
 	for i, sr := range rr.results {
 		sm := ShardMetrics{
@@ -428,8 +570,11 @@ func (rr *sessionRound) finish() {
 
 // slotLoop runs one slot for the round: first the shards its connection
 // holds warm, then whatever the shared queue hands out, until the round
-// finishes.
+// finishes. A slot still connecting ahead of time takes nothing off the
+// queue until that settles — a shard is better off with a slot that is
+// ready.
 func (rr *sessionRound) slotLoop(slot *sessionSlot, held []int) {
+	slot.await()
 	for _, i := range held {
 		rr.attempt(slot, i)
 	}
@@ -493,7 +638,7 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 	}
 	sr, err := rr.runShard(slot, i, track, try)
 	if slot.conn != nil {
-		rr.reportHealth(slot, err == nil)
+		reportHealth(slot, err == nil)
 	}
 
 	rr.mu.Lock()
@@ -538,7 +683,7 @@ func (rr *sessionRound) untrack(i int, conn io.ReadWriteCloser) {
 // the conn and the transport support identification — the TCP
 // transport's quarantine feed. Optional-interface probing keeps the
 // Transport contract at one method.
-func (rr *sessionRound) reportHealth(slot *sessionSlot, ok bool) {
+func reportHealth(slot *sessionSlot, ok bool) {
 	wc, canID := slot.conn.(interface{ WorkerID() string })
 	hr, canReport := slot.transport.(interface{ ReportWorker(string, bool) })
 	if canID && canReport {
@@ -664,24 +809,6 @@ func (rr *sessionRound) fail(i int, err error) {
 	rr.finish()
 }
 
-// seedConn negotiates the session's seed on a fresh connection, under
-// the shard deadline, folding the bytes into the round's audit. The
-// session's first negotiation is gated so the initial burst of dials
-// into a shared worker process ships one seed, not one per connection.
-func (rr *sessionRound) seedConn(conn io.ReadWriteCloser) error {
-	if release := rr.s.seedGate.wait(); release != nil {
-		defer release()
-	}
-	disarm := armDeadline(conn, rr.shardTimeout)
-	defer disarm()
-	n, shipped, err := negotiateSeed(conn, rr.s.seedFP, rr.s.seedBody)
-	rr.seedBytes.Add(n)
-	if shipped && err == nil {
-		rr.seedShips.Add(1)
-	}
-	return err
-}
-
 // shardState returns (building if needed) the session cache entry for
 // the plan's i-th part, rebuilding when the part's pool changed since it
 // was cached. An unseeded build traces its extraction under parent.
@@ -721,11 +848,11 @@ func (rr *sessionRound) shardState(i int, parent uint64, track string) *sessionS
 }
 
 // runShard executes the plan's i-th part on the slot's connection —
-// dialed, handshaken and seed-negotiated first when the slot has none —
-// delta-shipped when the connection holds the shard warm and the delta
-// is within bounds, as a full job otherwise, and consumes the response
-// stream to its Done frame. An error leaves the connection in an unknown
-// state; the caller burns it.
+// connected first when the slot has none — delta-shipped when the
+// connection holds the shard warm and the delta is within bounds, as a
+// full job otherwise, and consumes the response stream to its Done
+// frame. An error leaves the connection in an unknown state; the caller
+// burns it.
 func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt int) (*shardResult, error) {
 	part := &rr.plan.Parts[i]
 	// The attempt span is the wire-propagated parent: the worker's
@@ -735,28 +862,15 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	sp.SetTrack(track)
 	sp.Annotate("attempt", fmt.Sprintf("%d", attempt))
 	defer sp.End()
-	st := rr.shardState(i, sp.ID(), track)
-
 	if slot.conn == nil {
-		conn, err := slot.transport.Dial()
-		if err != nil {
-			return nil, err
-		}
-		slot.conn = conn
-		if err := handshake(conn); err != nil {
+		// A failure burns the conn like any shard failure — the retry
+		// redials and renegotiates.
+		if err := rr.s.connect(slot, sp.ID()); err != nil {
 			return nil, err
 		}
 	}
 	conn := slot.conn
-	if rr.s.seedBody != nil && !slot.seeded {
-		// One negotiation per (re)dialed connection, before its first job.
-		// A failure burns the conn like any shard failure — the retry
-		// redials and renegotiates.
-		if err := rr.seedConn(conn); err != nil {
-			return nil, err
-		}
-		slot.seeded = true
-	}
+	st := rr.shardState(i, sp.ID(), track)
 	rr.track(i, conn)
 	defer rr.untrack(i, conn)
 	// The per-shard deadline spans the whole dispatch — JobRef, CacheAck,

@@ -99,7 +99,7 @@ func fixtureJob(t testing.TB) *Job {
 // back, so the golden pins exactly what a run would ship.
 func fixtureSeed(t testing.TB) *WireSeed {
 	t.Helper()
-	_, body, err := buildSeed(fixturePair(t), nil, TrainConfig{FeatureSet: FeaturesFull}, 0x1122334455667788)
+	_, body, _, err := buildSeed(fixturePair(t), nil, TrainConfig{FeatureSet: FeaturesFull}, 0x1122334455667788)
 	if err != nil {
 		t.Fatal(err)
 	}

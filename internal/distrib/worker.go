@@ -59,6 +59,10 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 		return err
 	}
 	cache := newShardCache(cacheSize)
+	// A seed this connection was told to ship stays pending on it until
+	// the install — or until the connection ends, however it ends.
+	owner := new(seedOwner)
+	defer seedRelease(owner)
 	for {
 		typ, body, err := ReadFrame(conn)
 		if err == io.EOF {
@@ -109,7 +113,10 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 			if err := DecodeBody(body, &ref); err != nil {
 				return fmt.Errorf("distrib: decode seed ref: %w", err)
 			}
-			hit := seedCacheGet(ref.Fingerprint) != nil
+			// A miss makes this connection the one shipping the seed; a
+			// SeedRef that finds another connection already doing so waits
+			// for that install and then hits (seedClaim).
+			hit := seedClaim(ref.Fingerprint, owner)
 			if err := WriteFrame(conn, FrameCacheAck, &CacheAck{Shard: -1, Fingerprint: ref.Fingerprint, Hit: hit}); err != nil {
 				return err
 			}
@@ -117,16 +124,20 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 			// A decode failure here means a codec bug, not a bad seed —
 			// the CRC already vouched for the bytes — so it kills the
 			// connection. A successful install is confirmed with a
-			// CacheAck (the coordinator blocks on it, keeping its seed
-			// gate closed until the seed is actually resident); an install
-			// failure (hostile entries) is reported as an Error frame with
-			// the no-shard sentinel, which the coordinator's negotiation
-			// read converts into a retried (self-healing) connection.
+			// CacheAck (the coordinator blocks on it: no job may reference
+			// the seed before it is resident); an install failure (hostile
+			// entries) is reported as an Error frame with the no-shard
+			// sentinel, which the coordinator's negotiation read converts
+			// into a retried (self-healing) connection. Either way the
+			// connections waiting on this install are let go: after a
+			// success they hit, after a failure one of them ships next.
 			var ws WireSeed
 			if err := DecodeBody(body, &ws); err != nil {
 				return fmt.Errorf("distrib: decode seed: %w", err)
 			}
-			if err := installSeed(&ws); err != nil {
+			err := installSeed(&ws)
+			seedRelease(owner)
+			if err != nil {
 				if werr := WriteFrame(conn, FrameError, &JobError{Shard: -1, Msg: err.Error()}); werr != nil {
 					return werr
 				}

@@ -105,17 +105,21 @@ func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle O
 		return nil, err
 	}
 	sa.panel = panel
-	plan, err := sa.planShards(trainPos, candidates)
-	if err != nil {
-		return nil, err
-	}
-	run, done, err := sa.open()
+	// The executor opens before the plan exists: a worker session starts
+	// its workers, and they install the counter seed, while this side
+	// plans — neither needs the other's result, only the shard count the
+	// plan cannot exceed.
+	run, done, err := sa.open(min(max(sa.opts.Partitions, 1), len(trainPos)))
 	if err != nil {
 		return nil, err
 	}
 	// A failed round's audit is still the run's audit: Metrics must show
 	// the attempts and retries that led to the abort.
 	defer done()
+	plan, err := sa.planShards(trainPos, candidates)
+	if err != nil {
+		return nil, err
+	}
 	rounds := max(sa.opts.Rounds, 1)
 	var res *PartitionedResult
 	var reports []PartitionReport
@@ -151,10 +155,11 @@ func (sa *shardedAligner) planShards(trainPos, candidates []Anchor) (*partition.
 type executor func(r int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error)
 
 // open picks the executor the constructor chose — in-process forks, or
-// one sticky worker session over the transport — and the done that
+// one sticky worker session over the transport, already connecting the
+// workers a plan of up to shards parts will use — and the done that
 // releases it and records the run's transport audit (none without a
 // wire).
-func (sa *shardedAligner) open() (run executor, done func(), err error) {
+func (sa *shardedAligner) open(shards int) (run executor, done func(), err error) {
 	if sa.transport == nil {
 		return sa.runForks, func() { sa.metrics = nil }, nil
 	}
@@ -167,13 +172,14 @@ func (sa *shardedAligner) open() (run executor, done func(), err error) {
 		ShardTimeout: sa.opts.ShardTimeout,
 		HedgeAfter:   sa.opts.HedgeAfter,
 		NoFallback:   sa.opts.NoFallback,
-		// Already warm from planning: exporting the worker seed from it
-		// costs matrix reads, not recounts.
+		// Shared with planning, which runs beside the seed export: each
+		// count either of them needs is evaluated once, whoever asks first.
 		Base: sa.base,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	sess.ConnectAhead(shards)
 	run = func(_ int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
 		res, _, err := sess.Run(plan, oracle) // the session counts its own rounds
 		return res, err
