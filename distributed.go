@@ -50,16 +50,15 @@ func ListenAndServeWorker(addr string) error { return distrib.ListenAndServe(add
 // DistributedAligner fans shard alignment out across processes: it
 // plans candidate-space shards exactly like PartitionedAligner — it is
 // the same type — but ships its warm anchor-free count cache once per
-// worker connection so jobs reduce to a few kilobytes of pool indices
-// (workers fork the seeded counter instead of re-counting; shard
-// extraction remains the fallback when seeding is off), answers the
+// worker process so jobs reduce to a few kilobytes of pool indices
+// (workers fork the seeded counter instead of re-counting), answers the
 // workers' oracle queries, and reconciles the returned vote streams
 // into one globally one-to-one result.
 //
 // For the same Options (seed, partitions, budget, rounds) a distributed
-// run produces the same alignment as an in-process one — shard
-// extraction preserves features exactly, the workers run the identical
-// per-shard pipeline, and the reconciliation is order-independent. The
+// run produces the same alignment as an in-process one — the shipped
+// counts are exact, the workers run the identical per-shard pipeline on
+// forks of them, and the reconciliation is order-independent. The
 // difference is where shards execute: forks in one process vs worker
 // processes on any number of machines. Its methods are
 // Align(trainPos, candidates, oracle), Panel() and Metrics(), the

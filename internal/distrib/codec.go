@@ -1,12 +1,12 @@
-// Columnar wire codec for the hot frames. Gob's self-describing streams
-// cost a type descriptor plus per-field framing on every frame; the
-// frames that dominate a run's bytes — Job (networks, pools, inverse
-// maps), Votes (the whole candidate pool back), Done (weight vectors),
-// JobRef (label deltas) and the warm-counter Seed — encode here as flat
-// struct-of-arrays columns over internal/framing primitives instead.
-// Index slices become varint columns, float payloads pack as raw
-// little-endian runs, and parallel arrays (I/J/Label) are written column
-// by column so the varints of like-valued fields sit together.
+// Columnar wire codec: every frame body is a flat struct-of-arrays
+// layout over internal/framing primitives — no type descriptors, no
+// per-field framing. Index slices become varint columns, float payloads
+// pack as raw little-endian runs, and parallel arrays (I/J/Label) are
+// written column by column so the varints of like-valued fields sit
+// together. The frames that dominate a run's bytes are Votes (the whole
+// candidate pool back), Done (weight vectors), Job and JobRef (pools and
+// label deltas) and the warm-counter Seed (seed.go); the control frames
+// are one to four scalars each.
 //
 // The layouts are part of the wire contract (Version history in
 // wire.go, field tables in docs/WIRE.md): any change to an appendBody /
@@ -23,6 +23,15 @@ import (
 	"github.com/activeiter/activeiter/internal/framing"
 	"github.com/activeiter/activeiter/internal/hetnet"
 )
+
+// finish ends a body decode: the cursor's sticky error, or bytes left
+// over after the last field, fail the frame.
+func finish(d *framing.Dec, frame string) error {
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("distrib: %s frame: %w", frame, err)
+	}
+	return nil
+}
 
 // appendAnchors writes an anchor list as an I column then a J column.
 func appendAnchors(b []byte, as []hetnet.Anchor) []byte {
@@ -151,25 +160,16 @@ func (w *WireNetwork) decodeFrom(d *framing.Dec) {
 	}
 }
 
-// Job body: scalars, then (for unseeded jobs only) the two networks,
-// then the pool and label columns, then the training configuration.
-// A job with a non-zero SeedFP never carries networks or inverse maps —
-// the flag byte after SeedFP records which shape was written.
+// Job body: scalars, the pool and label columns, then the training
+// configuration and the trace-context tail (two bytes when zero).
 func (j *Job) appendBody(b []byte) []byte {
 	b = framing.AppendVarint(b, int64(j.Shard))
 	b = framing.AppendUvarint(b, j.Fingerprint)
 	b = framing.AppendUvarint(b, j.SeedFP)
-	b = framing.AppendBool(b, j.SeedFP == 0)
-	if j.SeedFP == 0 {
-		b = j.G1.appendTo(b)
-		b = j.G2.appendTo(b)
-	}
 	b = framing.AppendString(b, j.AnchorType)
 	b = appendAnchors(b, j.TrainPos)
 	b = appendAnchors(b, j.Candidates)
 	b = appendWireLabels(b, j.Prelabeled)
-	b = framing.AppendInt32s(b, j.InvUsers1)
-	b = framing.AppendInt32s(b, j.InvUsers2)
 	b = framing.AppendString(b, j.FeatureSet)
 	b = framing.AppendString(b, j.Strategy)
 	b = framing.AppendFloat64(b, j.C)
@@ -179,7 +179,6 @@ func (j *Job) appendBody(b []byte) []byte {
 	b = framing.AppendVarint(b, int64(j.BatchSize))
 	b = framing.AppendBool(b, j.Exact)
 	b = framing.AppendVarint(b, j.Seed)
-	// v6 trace-context tail: two uvarints, two bytes total when zero.
 	b = framing.AppendUvarint(b, j.TraceID)
 	b = framing.AppendUvarint(b, j.SpanID)
 	return b
@@ -190,16 +189,10 @@ func (j *Job) decodeBody(body []byte) error {
 	j.Shard = d.Int()
 	j.Fingerprint = d.Uvarint()
 	j.SeedFP = d.Uvarint()
-	if d.Bool() {
-		j.G1.decodeFrom(d)
-		j.G2.decodeFrom(d)
-	}
 	j.AnchorType = d.String()
 	j.TrainPos = decodeAnchors(d)
 	j.Candidates = decodeAnchors(d)
 	j.Prelabeled = decodeWireLabels(d)
-	j.InvUsers1 = d.Int32s()
-	j.InvUsers2 = d.Int32s()
 	j.FeatureSet = d.String()
 	j.Strategy = d.String()
 	j.C = d.Float64()
@@ -211,10 +204,7 @@ func (j *Job) decodeBody(body []byte) error {
 	j.Seed = d.Varint()
 	j.TraceID = d.Uvarint()
 	j.SpanID = d.Uvarint()
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("distrib: job frame: %w", err)
-	}
-	return nil
+	return finish(d, "job")
 }
 
 // JobRef body: scalars plus the label-delta columns.
@@ -238,10 +228,7 @@ func (r *JobRef) decodeBody(body []byte) error {
 	r.Seed = d.Varint()
 	r.TraceID = d.Uvarint()
 	r.SpanID = d.Uvarint()
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("distrib: job-ref frame: %w", err)
-	}
-	return nil
+	return finish(d, "job-ref")
 }
 
 // Votes body: shard, then I/J varint columns, Label/Score packed
@@ -310,10 +297,7 @@ func (v *Votes) decodeBody(body []byte) error {
 			v.Votes = vs
 		}
 	}
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("distrib: votes frame: %w", err)
-	}
-	return nil
+	return finish(d, "votes")
 }
 
 // Done body: report scalars, the packed weight vector, then the v6
@@ -366,8 +350,89 @@ func (dn *Done) decodeBody(body []byte) error {
 			dn.Spans = spans
 		}
 	}
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("distrib: done frame: %w", err)
-	}
-	return nil
+	return finish(d, "done")
+}
+
+// Control-frame bodies: the struct's fields in declaration order, ints as
+// varints, fingerprints and sequence numbers as uvarints.
+
+func (h *Hello) appendBody(b []byte) []byte { return framing.AppendString(b, h.Role) }
+
+func (h *Hello) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	h.Role = d.String()
+	return finish(d, "hello")
+}
+
+func (p *Progress) appendBody(b []byte) []byte {
+	b = framing.AppendVarint(b, int64(p.Shard))
+	b = framing.AppendString(b, p.Stage)
+	return framing.AppendVarint(b, int64(p.Queries))
+}
+
+func (p *Progress) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	p.Shard, p.Stage, p.Queries = d.Int(), d.String(), d.Int()
+	return finish(d, "progress")
+}
+
+func (q *Query) appendBody(b []byte) []byte {
+	b = framing.AppendVarint(b, int64(q.Shard))
+	b = framing.AppendUvarint(b, q.Seq)
+	b = framing.AppendVarint(b, int64(q.I))
+	return framing.AppendVarint(b, int64(q.J))
+}
+
+func (q *Query) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	q.Shard, q.Seq, q.I, q.J = d.Int(), d.Uvarint(), int32(d.Varint()), int32(d.Varint())
+	return finish(d, "query")
+}
+
+func (a *Answer) appendBody(b []byte) []byte {
+	return framing.AppendFloat64(framing.AppendUvarint(b, a.Seq), a.Label)
+}
+
+func (a *Answer) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	a.Seq, a.Label = d.Uvarint(), d.Float64()
+	return finish(d, "answer")
+}
+
+func (c *CacheAck) appendBody(b []byte) []byte {
+	b = framing.AppendVarint(b, int64(c.Shard))
+	b = framing.AppendUvarint(b, c.Fingerprint)
+	return framing.AppendBool(b, c.Hit)
+}
+
+func (c *CacheAck) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	c.Shard, c.Fingerprint, c.Hit = d.Int(), d.Uvarint(), d.Bool()
+	return finish(d, "cache-ack")
+}
+
+func (c *Cancel) appendBody(b []byte) []byte { return framing.AppendVarint(b, int64(c.Shard)) }
+
+func (c *Cancel) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	c.Shard = d.Int()
+	return finish(d, "cancel")
+}
+
+func (e *JobError) appendBody(b []byte) []byte {
+	return framing.AppendString(framing.AppendVarint(b, int64(e.Shard)), e.Msg)
+}
+
+func (e *JobError) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	e.Shard, e.Msg = d.Int(), d.String()
+	return finish(d, "error")
+}
+
+func (r *SeedRef) appendBody(b []byte) []byte { return framing.AppendUvarint(b, r.Fingerprint) }
+
+func (r *SeedRef) decodeBody(body []byte) error {
+	d := framing.NewDec(body)
+	r.Fingerprint = d.Uvarint()
+	return finish(d, "seed-ref")
 }

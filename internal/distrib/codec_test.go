@@ -1,7 +1,11 @@
 package distrib
 
 import (
+	"bytes"
+	"math"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,17 +15,16 @@ import (
 
 // TestColumnarEmptyRoundTrip pins the degenerate shapes the columnar
 // codec must distinguish from corruption: empty vote batches, a Done
-// with no weights, a seeded job whose optional columns are all empty.
+// with no weights, a job whose optional columns are all empty.
 func TestColumnarEmptyRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		enc  interface{ appendBody([]byte) []byte }
-		dec  frameDecoder
+		name     string
+		enc, dec Payload
 	}{
 		{"votes", &Votes{Shard: 3}, &Votes{}},
 		{"done", &Done{Shard: 2}, &Done{}},
 		{"jobref", &JobRef{Shard: 1, Fingerprint: 7}, &JobRef{}},
-		{"seeded-job", &Job{Shard: 0, SeedFP: 9, Budget: 1}, &Job{}},
+		{"job", &Job{Shard: 0, SeedFP: 9, Budget: 1}, &Job{}},
 	} {
 		body := tc.enc.appendBody(nil)
 		if err := tc.dec.decodeBody(body); err != nil {
@@ -30,48 +33,34 @@ func TestColumnarEmptyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarRejectsTrailingBytes: every hot-frame decoder must reject
-// a body with unconsumed bytes — a length desync must not pass as a
+// fresh returns a zero payload of p's type to decode into.
+func fresh(p Payload) Payload {
+	return reflect.New(reflect.TypeOf(p).Elem()).Interface().(Payload)
+}
+
+// TestColumnarRejectsTrailingBytes: every frame decoder must reject a
+// body with unconsumed bytes — a length desync must not pass as a
 // shorter valid frame.
 func TestColumnarRejectsTrailingBytes(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		enc  interface{ appendBody([]byte) []byte }
-		dec  func() frameDecoder
-	}{
-		{"job", fixtureJob(t), func() frameDecoder { return &Job{} }},
-		{"votes", &Votes{Shard: 1, Votes: []Vote{{I: 1, J: 2, Label: 1, Score: 0.5}}}, func() frameDecoder { return &Votes{} }},
-		{"done", &Done{Shard: 1, W: []float64{1, 2}}, func() frameDecoder { return &Done{} }},
-		{"jobref", &JobRef{Shard: 1, Fingerprint: 7}, func() frameDecoder { return &JobRef{} }},
-		{"seed", fixtureSeed(t), func() frameDecoder { return &WireSeed{} }},
-	} {
-		body := tc.enc.appendBody(nil)
-		if err := tc.dec().decodeBody(body); err != nil {
+	for _, tc := range goldenFrames(t) {
+		body := tc.payload.appendBody(nil)
+		if err := fresh(tc.payload).decodeBody(body); err != nil {
 			t.Fatalf("%s: pristine body rejected: %v", tc.name, err)
 		}
-		if err := tc.dec().decodeBody(append(body, 0)); err == nil {
+		if err := fresh(tc.payload).decodeBody(append(body, 0)); err == nil {
 			t.Errorf("%s: trailing byte accepted", tc.name)
 		}
 	}
 }
 
-// TestColumnarTruncationNeverPanics walks every prefix of each hot
-// frame's body through its decoder: truncation must surface as an
-// error, never a panic or a silent success.
+// TestColumnarTruncationNeverPanics walks every prefix of each frame's
+// body through its decoder: truncation must surface as an error, never a
+// panic or a silent success.
 func TestColumnarTruncationNeverPanics(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		enc  interface{ appendBody([]byte) []byte }
-		dec  func() frameDecoder
-	}{
-		{"job", fixtureJob(t), func() frameDecoder { return &Job{} }},
-		{"votes", &Votes{Shard: 1, Votes: []Vote{{I: 4, J: 5, Label: 1, Score: 0.91, Queried: true}}}, func() frameDecoder { return &Votes{} }},
-		{"done", &Done{Shard: 1, Queries: 3, W: []float64{0.25, -1}}, func() frameDecoder { return &Done{} }},
-		{"seed", fixtureSeed(t), func() frameDecoder { return &WireSeed{} }},
-	} {
-		body := tc.enc.appendBody(nil)
+	for _, tc := range goldenFrames(t) {
+		body := tc.payload.appendBody(nil)
 		for cut := 0; cut < len(body); cut++ {
-			if err := tc.dec().decodeBody(body[:cut:cut]); err == nil {
+			if err := fresh(tc.payload).decodeBody(body[:cut:cut]); err == nil {
 				t.Errorf("%s: truncation at %d/%d accepted", tc.name, cut, len(body))
 			}
 		}
@@ -221,4 +210,81 @@ func TestSeedEntryRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// coldPayload returns a zero payload for the control frame types, nil
+// for the rest.
+func coldPayload(typ FrameType) Payload {
+	switch typ {
+	case FrameHello:
+		return &Hello{}
+	case FrameProgress:
+		return &Progress{}
+	case FrameQuery:
+		return &Query{}
+	case FrameAnswer:
+		return &Answer{}
+	case FrameCacheAck:
+		return &CacheAck{}
+	case FrameCancel:
+		return &Cancel{}
+	case FrameError:
+		return &JobError{}
+	case FrameSeedRef:
+		return &SeedRef{}
+	}
+	return nil
+}
+
+// FuzzColdFrames: the control-frame decoders read bytes a socket
+// delivered. On any input they must not panic and must not allocate more
+// than a fixed multiple of what they were given; and whatever they accept
+// they must re-encode canonically — decode → encode → decode gives the
+// same value and the same bytes again (the input itself may differ: a
+// varint has non-minimal spellings).
+func FuzzColdFrames(f *testing.F) {
+	for _, tc := range goldenFrames(f) {
+		if coldPayload(tc.typ) != nil {
+			f.Add(uint8(tc.typ), tc.payload.appendBody(nil))
+		}
+	}
+	f.Add(uint8(FrameHello), []byte{})
+	f.Fuzz(func(t *testing.T, typ uint8, data []byte) {
+		first := coldPayload(FrameType(typ))
+		if first == nil {
+			t.Skip()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := first.decodeBody(data)
+		runtime.ReadMemStats(&after)
+		// A decoded string costs its bytes once and an error a wrapped
+		// message; the constant absorbs what the fuzz engine's own
+		// goroutines allocate meanwhile (TotalAlloc is process-wide).
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+1<<16); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		enc := first.appendBody(nil)
+		second := coldPayload(FrameType(typ))
+		if err := second.decodeBody(enc); err != nil {
+			t.Fatalf("re-encoded body rejected: %v", err)
+		}
+		if !reflect.DeepEqual(first, second) && !bothNaN(first, second) {
+			t.Fatalf("decode → encode → decode moved the value: %+v, then %+v", first, second)
+		}
+		if again := second.appendBody(nil); !bytes.Equal(again, enc) {
+			t.Fatalf("encoding is not a fixed point: %x, then %x", enc, again)
+		}
+	})
+}
+
+// bothNaN excuses the one value DeepEqual cannot match to itself: an
+// Answer whose label is NaN on both sides.
+func bothNaN(a, b Payload) bool {
+	x, ok := a.(*Answer)
+	y, _ := b.(*Answer)
+	return ok && x.Seq == y.Seq && math.IsNaN(x.Label) && math.IsNaN(y.Label)
 }

@@ -52,14 +52,8 @@ type Options struct {
 	// anchor-free count layer becomes the warm-counter seed (the facade
 	// passes its planning counter, so the export is a cache read). Nil
 	// derives the seed by cold-counting — still once per run, not once
-	// per shard × worker. Ignored under NoSeed.
+	// per shard × worker.
 	Base *metadiag.Counter
-	// NoSeed disables warm-counter seed shipping: every job carries its
-	// extracted networks (the full pair for a schema ExtractShard
-	// refuses) and cold-counts on the worker — the v4 wire behavior, the
-	// bytes/wall-clock baseline, and the mode for tests that exercise
-	// extraction itself.
-	NoSeed bool
 	// DeltaMaxLabels caps the label delta a JobRef may carry: a shard
 	// whose accumulated unsent labels exceed it re-ships as a full Job
 	// instead (an oversized delta plus a warm re-train can cost more than
@@ -83,10 +77,9 @@ type Options struct {
 // ShardMetrics records one shard's wire cost; attempts > 1 means the
 // shard was retried.
 type ShardMetrics struct {
-	Shard     int
-	JobBytes  int64 // job frame bytes, last successful attempt
-	Attempts  int
-	Extracted bool
+	Shard    int
+	JobBytes int64 // job frame bytes, last successful attempt
+	Attempts int
 	// CacheHit and DeltaLabels describe session delta shipping: the
 	// shard re-ran from the worker's warm cache, carrying this many new
 	// labels. On a hit JobBytes is the JobRef frame's size; on a missed
@@ -194,7 +187,6 @@ type shardResult struct {
 	jobBytes  int64     // full Job frame bytes written
 	refBytes  int64     // JobRef frame bytes written (hit or missed attempt)
 	readBytes int64
-	extracted bool
 	fallback  bool // produced by the in-process degradation path
 	// cacheHit/deltaLabels: the shard re-ran warm off a JobRef carrying
 	// this many new labels.
@@ -264,17 +256,6 @@ func handshake(conn io.ReadWriter) error {
 		return err
 	}
 	return ReadExpect(conn, FrameHello, &Hello{})
-}
-
-// buildShard packages a part for the wire: extracted down to its feature
-// closure, or the full pair when the schema is outside the extractor's
-// closure argument (not fatal — ship it all).
-func buildShard(pair *hetnet.AlignedPair, part *partition.Part) *partition.Shard {
-	sh, err := partition.ExtractShard(pair, part)
-	if err != nil {
-		return partition.FullShard(pair, part)
-	}
-	return sh
 }
 
 // streamEnv is the coordinator-side context for consuming one shard's

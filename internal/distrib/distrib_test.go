@@ -170,7 +170,7 @@ func assertSameAlignment(t *testing.T, got, want *partition.Result, plan *partit
 
 // TestLoopbackMatchesInProcess is the core distributed-equality
 // property over the in-process loopback transport, with active
-// learning exercising oracle round-trips: shard extraction, wire
+// learning exercising oracle round-trips: seed negotiation, wire
 // serialization, remote training and streaming reconciliation must
 // reproduce partition.Align exactly.
 func TestLoopbackMatchesInProcess(t *testing.T) {
@@ -192,23 +192,14 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestUnextractableSchemaShipsFullPair reaches the full-pair fallback
-// the way production does: a pair declaring one link type outside the
-// extractor's social/authorship/attribute closure makes ExtractShard
-// refuse, so an unseeded run ships every shard with the whole pair
-// (identity maps) — and must still merge to exactly partition.Align's
-// alignment, at measurably more bytes than the extracted path costs on
-// the same pair without the extra type. NoSeed keeps the unseeded job
-// paths under test: seeded jobs carry no networks at all.
-func TestUnextractableSchemaShipsFullPair(t *testing.T) {
-	fx := newDistFixture(t, 3, 0)
-	extracted := &Coordinator{Transport: Loopback{}, Opts: Options{Train: fx.train, Workers: 2, NoSeed: true}}
-	resE, mE, err := extracted.Run(fx.pair, fx.plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAlignment(t, resE, fx.ref, fx.plan)
-
+// TestUnreadLinkTypeRidesTheSeed: a pair with a link type no feature
+// reads — location→location, outside the social/authorship/attribute
+// shape any per-shard cut of the networks could reason about — aligns
+// exactly like partition.Align. Nothing is cut per shard: the whole pair,
+// that link table included, rides the seed once. Over loopback the
+// worker forks the coordinator's own counter; over a real worker process
+// the table crosses the wire and is rebuilt there.
+func TestUnreadLinkTypeRidesTheSeed(t *testing.T) {
 	opaque, err := datagen.Generate(datagen.Tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -217,24 +208,27 @@ func TestUnextractableSchemaShipsFullPair(t *testing.T) {
 		if err := g.DeclareLink("near", hetnet.Location, hetnet.Location); err != nil {
 			t.Fatal(err)
 		}
-	}
-	fxF := newDistFixtureOn(t, opaque, 3, 0)
-	if _, err := partition.ExtractShard(fxF.pair, &fxF.plan.Parts[0]); err == nil {
-		t.Fatal("ExtractShard accepted a location→location link type; the fallback is not under test")
-	}
-	full := &Coordinator{Transport: Loopback{}, Opts: Options{Train: fxF.train, Workers: 2, NoSeed: true}}
-	resF, mF, err := full.Run(fxF.pair, fxF.plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAlignment(t, resF, fxF.ref, fxF.plan)
-	for _, sm := range mF.Shards {
-		if sm.Extracted {
-			t.Errorf("shard %d reports Extracted on an unextractable schema", sm.Shard)
+		if err := g.AddLink("near", 0, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if mE.JobBytes >= mF.JobBytes {
-		t.Errorf("extraction did not shrink jobs: extracted %d bytes, full %d bytes", mE.JobBytes, mF.JobBytes)
+	fx := newDistFixtureOn(t, opaque, 3, 0)
+	transports := map[string]Transport{"loopback": Loopback{}}
+	if exe, err := os.Executable(); err == nil && !testing.Short() {
+		transports["subprocess"] = &Exec{Cmd: exe, Env: append(os.Environ(), workerEnv+"=1"), Stderr: os.Stderr}
+	}
+	for name, tr := range transports {
+		t.Run(name, func(t *testing.T) {
+			coord := &Coordinator{Transport: tr, Opts: Options{Train: fx.train, Workers: 2}}
+			res, m, err := coord.Run(fx.pair, fx.plan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameAlignment(t, res, fx.ref, fx.plan)
+			if shipped := m.SeedShips > 0; shipped != (name == "subprocess") {
+				t.Errorf("seed ships = %d over %s", m.SeedShips, name)
+			}
+		})
 	}
 }
 

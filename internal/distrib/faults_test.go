@@ -279,8 +279,8 @@ func TestNegativeRetriesDisablesRetry(t *testing.T) {
 // Done wins and the result is unchanged.
 // ---------------------------------------------------------------------
 
-// slowFirstTransport delays every read on the FIRST dialed connection
-// while armed, manufacturing exactly one straggler — from the start, or
+// slowFirstTransport makes the FIRST dialed connection a straggler while
+// armed: its worker takes a job and then goes quiet — from the start, or
 // (armed between rounds) in a later round of a session.
 type slowFirstTransport struct {
 	inner Transport
@@ -303,22 +303,33 @@ func (tr *slowFirstTransport) Dial() (io.ReadWriteCloser, error) {
 	tr.dials++
 	tr.mu.Unlock()
 	if first {
-		return &slowConn{ReadWriteCloser: conn, tr: tr}, nil
+		return &slowConn{ReadWriteCloser: conn, tr: tr, closed: make(chan struct{})}, nil
 	}
 	return conn, nil
 }
 
-// slowConn sleeps before every read while its transport is armed. It
+// slowConn holds back every read that follows a Job or JobRef written
+// while its transport is armed, for delay or until the coordinator
+// abandons the connection — whichever comes first, so the round is over
+// as soon as the winning twin gives up on the loser. Stalling only once a
+// job is in flight keeps the handshake and seed negotiation healthy: what
+// straggles is a shard attempt, which the round tracks and can cancel. It
 // deliberately hides deadline methods so the straggler is not rescued by
 // a timeout first.
 type slowConn struct {
 	io.ReadWriteCloser
-	tr *slowFirstTransport
+	tr        *slowFirstTransport
+	stalled   atomic.Bool
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 func (c *slowConn) Read(p []byte) (int, error) {
-	if c.tr.armed.Load() {
-		time.Sleep(c.tr.delay)
+	if c.stalled.Load() {
+		select {
+		case <-time.After(c.tr.delay):
+		case <-c.closed:
+		}
 	}
 	return c.ReadWriteCloser.Read(p)
 }
@@ -326,11 +337,40 @@ func (c *slowConn) Read(p []byte) (int, error) {
 func (c *slowConn) Write(p []byte) (int, error) {
 	// A frame opens with its own 8-byte header write: length, "AI",
 	// version, type.
-	if len(p) == 8 && p[4] == 'A' && p[5] == 'I' && FrameType(p[7]) == FrameCancel {
-		c.tr.sawCancel.Store(true)
+	if len(p) == 8 && p[4] == 'A' && p[5] == 'I' {
+		switch FrameType(p[7]) {
+		case FrameCancel:
+			// The abandon notice is advisory and the coordinator closes the
+			// connection right after it, so the connection ends here. Putting
+			// the notice on the pipe instead would race the attempt's own
+			// Answer writes for it: net.Pipe is synchronous, and a worker that
+			// reads half of each frame answers with an Error frame nobody is
+			// reading — both ends blocked in a write until the shard deadline.
+			c.tr.sawCancel.Store(true)
+			c.Close()
+			return 0, io.ErrClosedPipe
+		case FrameJob, FrameJobRef:
+			c.stalled.Store(c.tr.armed.Load())
+		}
 	}
 	return c.ReadWriteCloser.Write(p)
 }
+
+func (c *slowConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.ReadWriteCloser.Close()
+}
+
+// A healthy shard of the tiny fixture trains in milliseconds — tens of
+// them under the race detector on a busy two-core box, which is what
+// made a 20 ms threshold hedge healthy rounds. hedgeAfter leaves that two
+// orders of magnitude; stragglerDelay is long enough that the twin,
+// dispatched at hedgeAfter plus at most a quarter of it, always finishes
+// first — and is never waited out, because the winner closes the loser.
+const (
+	hedgeAfter     = time.Second
+	stragglerDelay = 10 * time.Second
+)
 
 func TestHedgingRacesStragglers(t *testing.T) {
 	assertHedged := func(t *testing.T, m *Metrics) {
@@ -351,10 +391,10 @@ func TestHedgingRacesStragglers(t *testing.T) {
 
 	t.Run("single-shot", func(t *testing.T) {
 		fx := newDistFixture(t, 2, 0)
-		tr := &slowFirstTransport{inner: Loopback{}, delay: 30 * time.Millisecond}
+		tr := &slowFirstTransport{inner: Loopback{}, delay: stragglerDelay}
 		tr.armed.Store(true)
 		coord := &Coordinator{Transport: tr, Opts: Options{
-			Train: fx.train, Workers: 2, HedgeAfter: 20 * time.Millisecond,
+			Train: fx.train, Workers: 2, HedgeAfter: hedgeAfter,
 		}}
 		res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
 		if err != nil {
@@ -373,10 +413,10 @@ func TestHedgingRacesStragglers(t *testing.T) {
 		fx := newDistFixture(t, 2, 8)
 		unhedged, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 0, 2, 8, 2)
 
-		tr := &slowFirstTransport{inner: Loopback{}, delay: 30 * time.Millisecond}
+		tr := &slowFirstTransport{inner: Loopback{}, delay: stragglerDelay}
 		plan := fx.freshPlan(t, 8)
 		sess, err := NewSession(tr, fx.pair, Options{
-			Train: fx.train, Workers: 2, HedgeAfter: 20 * time.Millisecond,
+			Train: fx.train, Workers: 2, HedgeAfter: hedgeAfter,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -416,22 +456,12 @@ func TestHedgingRacesStragglers(t *testing.T) {
 
 func TestWorkerCancelMidQueryKeepsServing(t *testing.T) {
 	fx := newDistFixture(t, 2, 6)
-	here, there := net.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- Serve(there) }()
-	defer here.Close()
-
-	if err := WriteFrame(here, FrameHello, &Hello{Role: "coordinator"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadExpect(here, FrameHello, &Hello{}); err != nil {
-		t.Fatal(err)
-	}
+	here := dialSeeded(t, fx.pair, fx.train)
 	part := &fx.plan.Parts[0]
 	if part.Budget == 0 {
 		t.Fatal("fixture shard carries no budget; the worker would never query")
 	}
-	job := NewJob(buildShard(fx.pair, part), fx.train)
+	job := NewJob(fx.pair, part, fx.train, here.fp)
 	if err := WriteFrame(here, FrameJob, job); err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +502,7 @@ func TestWorkerCancelMidQueryKeepsServing(t *testing.T) {
 			t.Fatal("budget-free job queried the oracle")
 		case FrameDone:
 			here.Close()
-			if err := <-served; err != nil && err != io.EOF && !strings.Contains(err.Error(), "closed pipe") {
+			if err := <-here.served; err != nil && err != io.EOF && !strings.Contains(err.Error(), "closed pipe") {
 				t.Errorf("serve loop ended badly: %v", err)
 			}
 			return

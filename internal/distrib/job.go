@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"io"
 	"math"
 
 	"github.com/activeiter/activeiter/internal/active"
@@ -106,24 +105,53 @@ func (c TrainConfig) TrainOptions() (partition.TrainOptions, error) {
 	}}, nil
 }
 
-// NewJob packages an extracted shard with the run's training
-// configuration as a wire job. The shard's prelabels (if any) ship in
-// sub-pair indices; Fingerprint is left zero — the Session stamps it
-// via ComputeFingerprint to opt the worker into caching.
-func NewJob(shard *partition.Shard, cfg TrainConfig) *Job {
+// NewJob packages a plan part as a wire job against the seed named by
+// seedFP: the part's pool and prelabels as they stand, in original pair
+// indices. Fingerprint is left zero — the Session stamps it via
+// ComputeFingerprint to opt the worker into caching.
+func NewJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfig, seedFP uint64) *Job {
 	j := &Job{
-		Shard:      shard.Part.Index,
-		G1:         EncodeNetwork(shard.Pair.G1),
-		G2:         EncodeNetwork(shard.Pair.G2),
-		AnchorType: string(shard.Pair.AnchorType),
-		TrainPos:   shard.Part.TrainPos,
-		Candidates: shard.Part.Candidates,
-		Prelabeled: WireLabels(shard.Part.Prelabeled),
-		InvUsers1:  shard.InvUsers1,
-		InvUsers2:  shard.InvUsers2,
-		Budget:     shard.Part.Budget,
+		Shard:      part.Index,
+		SeedFP:     seedFP,
+		AnchorType: string(pair.AnchorType),
+		TrainPos:   part.TrainPos,
+		Candidates: part.Candidates,
+		Prelabeled: WireLabels(part.Prelabeled),
+		Budget:     part.Budget,
 	}
 	return j.setTrain(cfg)
+}
+
+// part validates the job against the pair of the seed it names and
+// builds the plan part the pipeline trains.
+func (j *Job) part(pair *hetnet.AlignedPair) (*partition.Part, error) {
+	if j.AnchorType != "" && j.AnchorType != string(pair.AnchorType) {
+		return nil, fmt.Errorf("distrib: job shard %d anchor type %q, seed has %q", j.Shard, j.AnchorType, pair.AnchorType)
+	}
+	n1 := pair.G1.NodeCount(pair.AnchorType)
+	n2 := pair.G2.NodeCount(pair.AnchorType)
+	for _, a := range j.TrainPos {
+		if a.I < 0 || a.I >= n1 || a.J < 0 || a.J >= n2 {
+			return nil, fmt.Errorf("distrib: job shard %d: anchor (%d,%d) out of range", j.Shard, a.I, a.J)
+		}
+	}
+	for _, c := range j.Candidates {
+		if c.I < 0 || c.I >= n1 || c.J < 0 || c.J >= n2 {
+			return nil, fmt.Errorf("distrib: job shard %d: candidate (%d,%d) out of range", j.Shard, c.I, c.J)
+		}
+	}
+	for _, l := range j.Prelabeled {
+		if l.I < 0 || int(l.I) >= n1 || l.J < 0 || int(l.J) >= n2 {
+			return nil, fmt.Errorf("distrib: job shard %d: prelabel (%d,%d) out of range", j.Shard, l.I, l.J)
+		}
+	}
+	return &partition.Part{
+		Index:      j.Shard,
+		TrainPos:   j.TrainPos,
+		Candidates: j.Candidates,
+		Budget:     j.Budget,
+		Prelabeled: partLabels(j.Prelabeled),
+	}, nil
 }
 
 // setTrain flattens the run's training configuration onto the job.
@@ -149,8 +177,7 @@ func (j *Job) trainConfig() TrainConfig {
 	return cfg
 }
 
-// WireLabels converts partition labels (already in the job's index
-// space) to their wire form.
+// WireLabels converts partition labels to their wire form.
 func WireLabels(labels []partition.LabeledLink) []WireLabel {
 	if len(labels) == 0 {
 		return nil
@@ -174,11 +201,8 @@ func partLabels(labels []WireLabel) []partition.LabeledLink {
 	return out
 }
 
-// fingerprintHasher feeds length-delimited primitives into FNV-1a. Gob
-// is deliberately NOT used here: gob streams embed type IDs assigned
-// from process-global encode history, so equal values can encode to
-// different bytes in different processes — fine for the self-describing
-// frames, fatal for a fingerprint two runs must agree on.
+// fingerprintHasher feeds length-delimited primitives into FNV-1a, field
+// by field, so two processes holding equal values agree on the hash.
 type fingerprintHasher struct{ h hash.Hash64 }
 
 func (f *fingerprintHasher) u64(v uint64) {
@@ -197,50 +221,21 @@ func (f *fingerprintHasher) anchors(as []hetnet.Anchor) {
 		f.u64(uint64(uint32(a.J)))
 	}
 }
-func (f *fingerprintHasher) ints(vs []int32) {
-	f.u64(uint64(len(vs)))
-	for _, v := range vs {
-		f.u64(uint64(uint32(v)))
-	}
-}
-func (f *fingerprintHasher) network(w *WireNetwork) {
-	f.str(w.Name)
-	f.u64(uint64(len(w.NodeTypes)))
-	for k, t := range w.NodeTypes {
-		f.str(t)
-		f.u64(uint64(len(w.NodeIDs[k])))
-		for _, id := range w.NodeIDs[k] {
-			f.str(id)
-		}
-	}
-	f.u64(uint64(len(w.LinkTypes)))
-	for k, t := range w.LinkTypes {
-		f.str(t)
-		f.str(w.LinkSrc[k])
-		f.str(w.LinkDst[k])
-		f.ints(w.LinkFrom[k])
-		f.ints(w.LinkTo[k])
-	}
-}
 
-// ComputeFingerprint hashes the job's shard-stable content: the sub-pair
-// networks (or the seed fingerprint standing in for them), the pool,
-// the inverse maps, and the training configuration. Budget, Seed and
-// Prelabeled — the per-round mutables — stay out, so
-// every round of a stable plan hashes identically, which is the whole
-// point. The result keys the worker-side shard cache; it is a cache key,
-// not an authenticator. Never returns 0 (the "no caching" sentinel).
+// ComputeFingerprint hashes the job's shard-stable content: the seed
+// fingerprint standing in for the networks, the pool, and the training
+// configuration. Budget, Seed and Prelabeled — the per-round mutables —
+// stay out, so every round of a stable plan hashes identically, which is
+// the whole point. The result keys the worker-side shard cache; it is a
+// cache key, not an authenticator. Never returns 0 (the "no caching"
+// sentinel).
 func (j *Job) ComputeFingerprint() uint64 {
 	f := &fingerprintHasher{h: fnv.New64a()}
 	f.u64(uint64(uint32(j.Shard)))
-	f.network(&j.G1)
-	f.network(&j.G2)
+	f.u64(j.SeedFP)
 	f.str(j.AnchorType)
 	f.anchors(j.TrainPos)
 	f.anchors(j.Candidates)
-	f.ints(j.InvUsers1)
-	f.ints(j.InvUsers2)
-	f.u64(j.SeedFP)
 	f.str(j.FeatureSet)
 	f.str(j.Strategy)
 	f.u64(math.Float64bits(j.C))
@@ -260,78 +255,4 @@ func (j *Job) ComputeFingerprint() uint64 {
 		return s
 	}
 	return 1
-}
-
-// JobSizes measures, per shard of the plan, the serialized job frame in
-// bytes — with neighborhood extraction when extract is true, shipping
-// the full pair otherwise — without dispatching anything. A run's real
-// shipped bytes come from Metrics.JobBytes; this exists to price the
-// counterfactual (what would the OTHER mode have cost), so callers only
-// pay extraction+serialization for the variant they ask about.
-func JobSizes(pair *hetnet.AlignedPair, plan *partition.Plan, cfg TrainConfig, extract bool) ([]int64, error) {
-	var sizes []int64
-	for i := range plan.Parts {
-		part := &plan.Parts[i]
-		var sh *partition.Shard
-		if extract {
-			sh = buildShard(pair, part)
-		} else {
-			sh = partition.FullShard(pair, part)
-		}
-		cw := &countingWriter{w: io.Discard}
-		if err := WriteFrame(cw, FrameJob, NewJob(sh, cfg)); err != nil {
-			return nil, err
-		}
-		sizes = append(sizes, cw.n)
-	}
-	return sizes, nil
-}
-
-// DecodeShard rebuilds the job's sub-pair and part on the worker side,
-// validating networks, anchors and inverse maps.
-func (j *Job) DecodeShard() (*hetnet.AlignedPair, *partition.Part, error) {
-	g1, err := j.G1.Decode()
-	if err != nil {
-		return nil, nil, err
-	}
-	g2, err := j.G2.Decode()
-	if err != nil {
-		return nil, nil, err
-	}
-	pair := hetnet.NewAlignedPair(g1, g2)
-	if j.AnchorType != "" {
-		pair.AnchorType = hetnet.NodeType(j.AnchorType)
-	}
-	for _, a := range j.TrainPos {
-		if err := pair.AddAnchor(a.I, a.J); err != nil {
-			return nil, nil, fmt.Errorf("distrib: job shard %d: %w", j.Shard, err)
-		}
-	}
-	if err := pair.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("distrib: job shard %d: %w", j.Shard, err)
-	}
-	n1 := g1.NodeCount(pair.AnchorType)
-	n2 := g2.NodeCount(pair.AnchorType)
-	if len(j.InvUsers1) != n1 || len(j.InvUsers2) != n2 {
-		return nil, nil, fmt.Errorf("distrib: job shard %d: inverse maps (%d,%d) do not match user counts (%d,%d)",
-			j.Shard, len(j.InvUsers1), len(j.InvUsers2), n1, n2)
-	}
-	for _, c := range j.Candidates {
-		if c.I < 0 || c.I >= n1 || c.J < 0 || c.J >= n2 {
-			return nil, nil, fmt.Errorf("distrib: job shard %d: candidate (%d,%d) out of range", j.Shard, c.I, c.J)
-		}
-	}
-	for _, l := range j.Prelabeled {
-		if l.I < 0 || int(l.I) >= n1 || l.J < 0 || int(l.J) >= n2 {
-			return nil, nil, fmt.Errorf("distrib: job shard %d: prelabel (%d,%d) out of range", j.Shard, l.I, l.J)
-		}
-	}
-	part := &partition.Part{
-		Index:      j.Shard,
-		TrainPos:   j.TrainPos,
-		Candidates: j.Candidates,
-		Budget:     j.Budget,
-		Prelabeled: partLabels(j.Prelabeled),
-	}
-	return pair, part, nil
 }

@@ -1,12 +1,14 @@
-// Warm-counter seed shipping. A v4 run re-derived the expensive
-// anchor-free count layer (the attribute meta-path products) from
-// scratch on every worker for every shard — the dominant cost of the
-// distributed gap. A v5 coordinator exports that layer once
-// (metadiag.ExportSeed, from the facade's already-warm base counter when
-// available), ships it once per connection, and every job after that is
-// a few kilobytes of pool indices: the worker forks its seeded counter
-// exactly like the in-process PartitionedAligner forks its base, so the
-// votes are bit-identical by construction.
+// Warm-counter seed shipping — how every job gets its networks and its
+// counts. The expensive anchor-free count layer (the attribute meta-path
+// products, which by Lemma 2 never read an anchor) is a function of the
+// pair alone, so the coordinator exports it once (metadiag.ExportSeed,
+// from the facade's already-warm base counter when available) and ships
+// it, with the pair's networks, once per worker process. Every job after
+// that is a few kilobytes of pool indices against it: the worker forks
+// its seeded counter exactly like the in-process PartitionedAligner forks
+// its base, so the votes are bit-identical by construction. There is no
+// other job shape — a session that cannot build its seed fails with that
+// error (Session.Run) instead of shipping something else.
 //
 // The per-connection negotiation is SeedRef → CacheAck(Shard −1) →
 // [Seed], before the first job: workers cache installed seeds process-
@@ -33,7 +35,6 @@ import (
 	"github.com/activeiter/activeiter/internal/framing"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
-	"github.com/activeiter/activeiter/internal/partition"
 )
 
 // SeedRef offers a warm-counter seed to a freshly dialed worker. The
@@ -47,7 +48,7 @@ type SeedRef struct {
 // WireSeed is the warm-counter seed body: the ORIGINAL pair's networks
 // plus the anchor-free count matrices of the run's feature library. A
 // worker installs it once (networks decoded, a counter built and
-// seeded) and serves every seeded job of any shard from forks of that
+// seeded) and serves every job of any shard from forks of that
 // counter. Entries are independent byte segments on the wire so encode
 // and decode parallelize across GOMAXPROCS.
 type WireSeed struct {
@@ -63,17 +64,17 @@ type WireSeed struct {
 }
 
 // seedFingerprint names a seed by its replay-relevant content: the
-// networks, the anchor type, and the feature set whose library the
-// entries cover. The count matrices themselves are a deterministic
-// function of those inputs, so they stay out of the hash — which is
-// what lets a worker that derived the layer locally (or got it from an
-// earlier run of the same pair) answer a SeedRef with a hit. Never
-// returns 0 (the "unseeded" sentinel).
-func seedFingerprint(g1, g2 *WireNetwork, anchorType, featureSet string) uint64 {
+// networks (by their structural fingerprints), the anchor type, and the
+// feature set whose library the entries cover. The count matrices
+// themselves are a deterministic function of those inputs, so they stay
+// out of the hash — which is what lets a worker that got the layer from
+// an earlier run of the same pair answer a SeedRef with a hit. Never
+// returns 0, which no job may name.
+func seedFingerprint(pair *hetnet.AlignedPair, featureSet string) uint64 {
 	f := &fingerprintHasher{h: fnv.New64a()}
-	f.network(g1)
-	f.network(g2)
-	f.str(anchorType)
+	f.u64(pair.G1.Fingerprint())
+	f.u64(pair.G2.Fingerprint())
+	f.str(string(pair.AnchorType))
 	f.str(featureSet)
 	if s := f.h.Sum64(); s != 0 {
 		return s
@@ -103,16 +104,16 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 		return 0, nil, nil, err
 	}
 	ws := &WireSeed{
-		AnchorType: string(pair.AnchorType),
-		G1:         EncodeNetwork(pair.G1),
-		G2:         EncodeNetwork(pair.G2),
-		Entries:    seed.Entries,
+		Fingerprint: seedFingerprint(pair, cfg.FeatureSet),
+		AnchorType:  string(pair.AnchorType),
+		G1:          EncodeNetwork(pair.G1),
+		G2:          EncodeNetwork(pair.G2),
+		Entries:     seed.Entries,
 		// The body is encoded once per run and shared by every connection,
 		// so the seed carries the run's trace ID with no per-negotiation
 		// span: the worker correlates its install log by trace ID.
 		TraceID: traceID,
 	}
-	ws.Fingerprint = seedFingerprint(&ws.G1, &ws.G2, ws.AnchorType, cfg.FeatureSet)
 	// Pre-install the warm counter into this process's seed cache:
 	// workers sharing the coordinator's process (loopback, in-process
 	// fallback) then answer every SeedRef with a hit and fork the very
@@ -166,57 +167,6 @@ func negotiateSeed(conn io.ReadWriter, fp uint64, body []byte) (n int64, shipped
 		return cw.n, true, fmt.Errorf("distrib: seed install ack %016x hit=%v, want %016x hit", ack.Fingerprint, ack.Hit, fp)
 	}
 	return cw.n, true, nil
-}
-
-// NewSeededJob packages a plan part as a seeded wire job: original
-// indices throughout, no networks, no inverse maps — the worker
-// resolves the pair and counter from the connection's seed.
-func NewSeededJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfig, seedFP uint64) *Job {
-	j := &Job{
-		Shard:      part.Index,
-		SeedFP:     seedFP,
-		AnchorType: string(pair.AnchorType),
-		TrainPos:   part.TrainPos,
-		Candidates: part.Candidates,
-		Prelabeled: WireLabels(part.Prelabeled),
-		Budget:     part.Budget,
-	}
-	return j.setTrain(cfg)
-}
-
-// seededPart validates a seeded job against the seed's pair and builds
-// its part. The job must not carry what the seed already provides.
-func (j *Job) seededPart(pair *hetnet.AlignedPair) (*partition.Part, error) {
-	if len(j.InvUsers1) != 0 || len(j.InvUsers2) != 0 {
-		return nil, fmt.Errorf("distrib: seeded job shard %d carries inverse maps", j.Shard)
-	}
-	if j.AnchorType != "" && j.AnchorType != string(pair.AnchorType) {
-		return nil, fmt.Errorf("distrib: seeded job shard %d anchor type %q, seed has %q", j.Shard, j.AnchorType, pair.AnchorType)
-	}
-	n1 := pair.G1.NodeCount(pair.AnchorType)
-	n2 := pair.G2.NodeCount(pair.AnchorType)
-	for _, a := range j.TrainPos {
-		if a.I < 0 || a.I >= n1 || a.J < 0 || a.J >= n2 {
-			return nil, fmt.Errorf("distrib: seeded job shard %d: anchor (%d,%d) out of range", j.Shard, a.I, a.J)
-		}
-	}
-	for _, c := range j.Candidates {
-		if c.I < 0 || c.I >= n1 || c.J < 0 || c.J >= n2 {
-			return nil, fmt.Errorf("distrib: seeded job shard %d: candidate (%d,%d) out of range", j.Shard, c.I, c.J)
-		}
-	}
-	for _, l := range j.Prelabeled {
-		if l.I < 0 || int(l.I) >= n1 || l.J < 0 || int(l.J) >= n2 {
-			return nil, fmt.Errorf("distrib: seeded job shard %d: prelabel (%d,%d) out of range", j.Shard, l.I, l.J)
-		}
-	}
-	return &partition.Part{
-		Index:      j.Shard,
-		TrainPos:   j.TrainPos,
-		Candidates: j.Candidates,
-		Budget:     j.Budget,
-		Prelabeled: partLabels(j.Prelabeled),
-	}, nil
 }
 
 // seedEntry is one installed seed on the worker side: the decoded pair
@@ -665,8 +615,8 @@ func (ws *WireSeed) decodeBody(body []byte) error {
 	}
 	ws.TraceID = d.Uvarint()
 	ws.SpanID = d.Uvarint()
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("distrib: seed frame: %w", err)
+	if err := finish(d, "seed"); err != nil {
+		return err
 	}
 	ws.Entries = make([]metadiag.SeedEntry, n)
 	errs := make([]error, n)

@@ -6,11 +6,13 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/datagen"
+	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 )
 
@@ -167,16 +169,120 @@ func FuzzSeedBody(f *testing.F) {
 	})
 }
 
-// seedDial opens a handshaken connection into an in-process worker.
-func seedDial(t *testing.T) net.Conn {
+// workerDial opens a handshaken connection into an in-process worker;
+// served receives Serve's return once the connection ends.
+func workerDial(t *testing.T) (net.Conn, <-chan error) {
 	t.Helper()
 	c, w := net.Pipe()
-	go Serve(w)
+	served := make(chan error, 1)
+	go func() { served <- Serve(w) }()
 	t.Cleanup(func() { c.Close() })
 	if err := handshake(c); err != nil {
 		t.Fatal(err)
 	}
+	return c, served
+}
+
+// seedDial is workerDial for tests that only drive the connection.
+func seedDial(t *testing.T) net.Conn {
+	t.Helper()
+	c, _ := workerDial(t)
 	return c
+}
+
+// seededWorker is a connection into an in-process worker that holds a
+// seed: what every test that writes raw Job frames starts from.
+type seededWorker struct {
+	net.Conn
+	fp     uint64       // the installed seed — what a Job's SeedFP must name
+	served <-chan error // Serve's return, once the connection ends
+}
+
+// dialSeeded brings a worker connection to where Session.connect leaves
+// one — Hello exchanged, the pair's seed built by buildSeed and offered
+// through the real negotiateSeed — without a session around it.
+func dialSeeded(t *testing.T, pair *hetnet.AlignedPair, cfg TrainConfig) *seededWorker {
+	t.Helper()
+	fp, body, _, err := buildSeed(pair, nil, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, served := workerDial(t)
+	if _, _, err := negotiateSeed(c, fp, body); err != nil {
+		t.Fatal(err)
+	}
+	return &seededWorker{Conn: c, fp: fp, served: served}
+}
+
+// TestJobWithoutInstalledSeedIsRefused: a job is only a pool of indices
+// into a seed, so one that names none (SeedFP 0) or one this process does
+// not hold is answered with an Error frame — and the connection keeps
+// serving: the same job naming the installed seed then runs to Done.
+func TestJobWithoutInstalledSeedIsRefused(t *testing.T) {
+	w := dialSeeded(t, fixturePair(t), TrainConfig{FeatureSet: FeaturesFull})
+	job := fixtureJob(t)
+	job.Budget = 0 // no oracle round-trips to answer by hand
+	for _, fp := range []uint64{0, w.fp ^ 1} {
+		bad := *job
+		bad.SeedFP = fp
+		if err := WriteFrame(w, FrameJob, &bad); err != nil {
+			t.Fatal(err)
+		}
+		var je JobError
+		if err := ReadExpect(w, FrameError, &je); err != nil {
+			t.Fatalf("seed %016x: %v", fp, err)
+		}
+		if je.Shard != job.Shard || !strings.Contains(je.Msg, "not installed here") {
+			t.Fatalf("seed %016x: error frame %+v", fp, je)
+		}
+	}
+	job.SeedFP = w.fp
+	if err := WriteFrame(w, FrameJob, job); err != nil {
+		t.Fatal(err)
+	}
+	drainToDone(t, w)
+}
+
+// TestSeedBuildErrorFailsTheRun: a seed that cannot be built is the
+// run's one clear error. It comes back from round 1 (and every later
+// Run) wrapped once, with nothing spent on it — no redial, no hedge, no
+// fallback worker, which would need the same seed — and slots connected
+// ahead of the plan stay cold.
+func TestSeedBuildErrorFailsTheRun(t *testing.T) {
+	fx := newDistFixture(t, 3, 0)
+	bad := fx.train
+	bad.FeatureSet = "bogus"
+	tt := &trackingTransport{inner: Loopback{}}
+	sess, err := NewSession(tt, fx.pair, Options{Train: bad, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	sess.ConnectAhead(fx.k)
+	for round := 1; round <= 2; round++ {
+		res, _, err := sess.Run(fx.plan, nil)
+		if err == nil || res != nil {
+			t.Fatalf("round %d: run with an unbuildable seed returned %v, %v", round, res, err)
+		}
+		if want := `distrib: seed: distrib: unknown feature set "bogus"`; err.Error() != want {
+			t.Fatalf("round %d: error %q, want %q", round, err, want)
+		}
+	}
+	if m := sess.Metrics(); m.Retries != 0 || m.Fallbacks != 0 || m.Hedges != 0 || len(m.Shards) != 0 {
+		t.Errorf("recovery was spent on a seed error: %+v", m)
+	}
+	for _, slot := range sess.slots {
+		slot.await()
+		if slot.conn != nil {
+			t.Errorf("slot %d kept a connection it could not seed", slot.index)
+		}
+	}
+	tt.mu.Lock()
+	dials := len(tt.conns)
+	tt.mu.Unlock()
+	if dials > 2 {
+		t.Errorf("%d dials for 2 ahead-of-time connects: something redialed", dials)
+	}
 }
 
 // TestConcurrentSeedRefsShipOnce: the dedup of concurrent seed offers

@@ -29,10 +29,10 @@ const defaultDeltaMaxLabels = 4096
 // shard routing. Connections stay open across rounds, each shard is
 // routed back to the worker connection that already holds its
 // fingerprinted state, and a repeat round ships a JobRef (the label
-// delta since the last run) instead of the full job. Extraction and job
-// serialization are paid once per shard on the coordinator, counting and
-// feature extraction once per shard on the worker; every later round
-// costs bytes proportional to its new labels.
+// delta since the last run) instead of the full job. The seed is built
+// once per session and installed once per worker process, counting and
+// feature extraction are paid once per shard on the worker; every later
+// round costs bytes proportional to its new labels.
 //
 // Every round rides one recovery ladder: a JobRef the worker cannot
 // serve warm (restarted process, evicted cache entry, colliding
@@ -64,14 +64,16 @@ type Session struct {
 	shards map[int]*sessionShard
 	cum    Metrics
 
-	// seedFP/seedBody are built once (ensureSeed; nil body = unseeded
-	// session); every connection offers the same body, again after a
-	// redial. seedBase is the counter that build pre-installed in this
-	// process's seed cache.
+	// seedFP/seedBody are built once (ensureSeed); every connection offers
+	// the same body, again after a redial. seedBase is the counter that
+	// build pre-installed in this process's seed cache. seedErr is the
+	// build's failure: no job can ship without a seed, so it is every
+	// Run's error.
 	seedOnce sync.Once
 	seedFP   uint64
 	seedBody []byte
 	seedBase *metadiag.Counter
+	seedErr  error
 	// seedBytes/seedShips audit the seed negotiations no round has
 	// reported yet: connections are made inside rounds and ahead of them,
 	// and the next round to finish takes what has accumulated.
@@ -89,7 +91,7 @@ type Session struct {
 type sessionSlot struct {
 	index      int // position in Session.slots; -1 for a fallback's private slot
 	transport  Transport
-	conn       io.ReadWriteCloser // non-nil: handshaken and, in a seeded session, seed-negotiated
+	conn       io.ReadWriteCloser // non-nil: handshaken and seed-negotiated
 	holds      map[int]uint64     // part index → fingerprint run warm on this connection
 	connecting chan struct{}      // closed when the ahead-of-time connect settles; nil without one
 }
@@ -110,32 +112,15 @@ func (slot *sessionSlot) track() string {
 	return fmt.Sprintf("slot %d", slot.index)
 }
 
-// sessionShard is the coordinator-side cache of one shard: the one-time
-// extraction (unseeded sessions only), its fingerprint, and how much of
-// the label log has been shipped to the current holder.
+// sessionShard is the coordinator-side cache of one shard: its job
+// template and fingerprint, and how much of the label log has been
+// shipped to the current holder.
 type sessionShard struct {
-	shard    *partition.Shard // nil when seeded — no extraction, indices stay global
-	template *Job             // job with zero prelabels; per-round copies override the mutables
+	template *Job // job with zero prelabels; per-round copies override the mutables
 	fp       uint64
 	partSig  uint64 // TrainPos/Candidates content hash: detects plan drift between rounds
 	sent     int    // prelabels already held by the home connection
 	home     int    // slot index holding fp, -1 when none
-}
-
-// extracted reports whether the shard shipped as an extracted sub-pair
-// (never for seeded shards, which ship no networks at all).
-func (st *sessionShard) extracted() bool {
-	return st.shard != nil && st.shard.Extracted()
-}
-
-// labels maps a slice of the part's (global-index) label log into the
-// template's index space: identity for seeded shards, the extraction
-// forward maps otherwise.
-func (st *sessionShard) labels(log []partition.LabeledLink) ([]partition.LabeledLink, error) {
-	if st.shard == nil {
-		return log, nil
-	}
-	return st.shard.RemapLabels(log)
 }
 
 // NewSession opens a sticky shard session for the pair over the
@@ -257,27 +242,29 @@ func (s *Session) ConnectAhead(shards int) {
 	}
 }
 
-// ensureSeed exports and encodes the session's seed, once. The seed is a
-// property of the pair and training config, both fixed for the session's
-// lifetime, so every connection ships (or ref-hits) the same body. A
-// failed build degrades every round to unseeded shipping rather than
-// aborting — the jobs are self-contained either way.
-func (s *Session) ensureSeed() {
+// ensureSeed exports and encodes the session's seed, once, and reports
+// that build's error ever after. The seed is a property of the pair and
+// training config, both fixed for the session's lifetime, so every
+// connection ships (or ref-hits) the same body — and a build that failed
+// here would fail the same way anywhere else (the in-process fallback
+// worker needs the same seed), so it is not retried.
+func (s *Session) ensureSeed() error {
 	s.seedOnce.Do(func() {
-		if s.opts.NoSeed {
+		fp, body, base, err := buildSeed(s.pair, s.opts.Base, s.opts.Train, s.opts.Tracer.TraceID())
+		if err != nil {
+			s.seedErr = fmt.Errorf("distrib: seed: %w", err)
 			return
 		}
-		if fp, body, base, err := buildSeed(s.pair, s.opts.Base, s.opts.Train, s.opts.Tracer.TraceID()); err == nil {
-			s.seedFP, s.seedBody, s.seedBase = fp, body, base
-		}
+		s.seedFP, s.seedBody, s.seedBase = fp, body, base
 	})
+	return s.seedErr
 }
 
-// connect gives the slot a live connection: dialed, handshaken and — in
-// a seeded session — seed-negotiated, recorded as one "connect" span on
-// the slot's own track under parent. It is the only way a session
-// connection comes to exist. An error may leave a half-made connection in
-// slot.conn; the caller burns it.
+// connect gives the slot a live connection: dialed, handshaken and
+// seed-negotiated, recorded as one "connect" span on the slot's own
+// track under parent. It is the only way a session connection comes to
+// exist. An error may leave a half-made connection in slot.conn; the
+// caller burns it.
 func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	sp := s.opts.Tracer.Start("connect", parent)
 	sp.SetTrack(slot.track())
@@ -296,11 +283,11 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	}
 	// Ahead of the first round this is where the seed gets built: by the
 	// first connection to get this far, while the other workers are still
-	// starting.
-	s.ensureSeed()
-	if s.seedBody == nil {
-		sp.Annotate("seed", "off")
-		return nil
+	// starting. A build failure is the coordinator's, not this worker's:
+	// the connection goes back unjudged and the slot stays cold.
+	if err := s.ensureSeed(); err != nil {
+		s.dropConn(slot)
+		return err
 	}
 	offered := time.Now()
 	n, shipped, err := negotiateSeed(conn, s.seedFP, s.seedBody)
@@ -357,7 +344,9 @@ func (s *Session) dropConn(slot *sessionSlot) error {
 // Returns the round's result and the round's metrics (cumulative totals
 // via Metrics). An aborted round still returns its metrics: every shard
 // is listed with its final attempt count, which is what a caller
-// diagnosing the abort needs.
+// diagnosing the abort needs. A session whose seed cannot be built
+// returns that error ("distrib: seed: …") from every Run before anything
+// is dispatched — no retry, hedge or fallback could do better.
 func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Result, *Metrics, error) {
 	if plan == nil || len(plan.Parts) == 0 {
 		return nil, nil, fmt.Errorf("distrib: empty plan")
@@ -373,8 +362,10 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 
 	// Before any slot runs: a build that nothing ahead of the round has
 	// done yet belongs to no shard attempt's clock (the hedge monitor
-	// reads those).
-	s.ensureSeed()
+	// reads those) — and a failed one spends no attempt at all.
+	if err := s.ensureSeed(); err != nil {
+		return nil, nil, err
+	}
 
 	k := len(plan.Parts)
 	s.growSlots(min(s.workerCap(), k))
@@ -542,7 +533,6 @@ func (rr *sessionRound) buildMetrics() *Metrics {
 		}
 		if sr != nil {
 			sm.JobBytes = sr.jobBytes + sr.refBytes
-			sm.Extracted = sr.extracted
 			sm.Fallback = sr.fallback
 			sm.CacheHit = sr.cacheHit
 			sm.DeltaLabels = sr.deltaLabels
@@ -811,8 +801,8 @@ func (rr *sessionRound) fail(i int, err error) {
 
 // shardState returns (building if needed) the session cache entry for
 // the plan's i-th part, rebuilding when the part's pool changed since it
-// was cached. An unseeded build traces its extraction under parent.
-func (rr *sessionRound) shardState(i int, parent uint64, track string) *sessionShard {
+// was cached.
+func (rr *sessionRound) shardState(i int) *sessionShard {
 	part := &rr.plan.Parts[i]
 	sig := partSignature(part)
 	rr.s.mu.Lock()
@@ -821,21 +811,10 @@ func (rr *sessionRound) shardState(i int, parent uint64, track string) *sessionS
 	if st != nil && st.partSig == sig {
 		return st
 	}
-	// Build outside the lock: extraction and encoding are the expensive
-	// one-time costs. The template is the one-time serialization cost:
-	// per-round copies only swap the round mutables.
-	st = &sessionShard{partSig: sig, home: -1}
-	if rr.s.seedBody != nil {
-		// Seeded: no extraction, no networks — the template is a few
-		// columns of pool indices against the connection's seed.
-		st.template = NewSeededJob(rr.s.pair, part, rr.s.opts.Train, rr.s.seedFP)
-	} else {
-		ex := rr.tracer.Start("extract", parent)
-		ex.SetTrack(track)
-		st.shard = buildShard(rr.s.pair, part)
-		st.template = NewJob(st.shard, rr.s.opts.Train)
-		ex.End()
-	}
+	// Build outside the lock — the fingerprint hashes the whole pool. The
+	// template is a few columns of pool indices against the session's
+	// seed; per-round copies only swap the round mutables.
+	st = &sessionShard{partSig: sig, home: -1, template: NewJob(rr.s.pair, part, rr.s.opts.Train, rr.s.seedFP)}
 	st.template.Prelabeled = nil
 	st.fp = st.template.ComputeFingerprint()
 	rr.s.mu.Lock()
@@ -870,7 +849,7 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 		}
 	}
 	conn := slot.conn
-	st := rr.shardState(i, sp.ID(), track)
+	st := rr.shardState(i)
 	rr.track(i, conn)
 	defer rr.untrack(i, conn)
 	// The per-shard deadline spans the whole dispatch — JobRef, CacheAck,
@@ -884,7 +863,7 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	}
 	// ship writes one request frame under a traced "ship" span and
 	// returns its size.
-	ship := func(typ FrameType, frame any) (int64, error) {
+	ship := func(typ FrameType, frame Payload) (int64, error) {
 		span := rr.tracer.Start("ship", sp.ID())
 		span.SetTrack(track)
 		defer span.End()
@@ -907,17 +886,14 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 
 	// One shardResult spans the whole dispatch, so a missed JobRef
 	// attempt's bytes (frame out, CacheAck back) stay in the audit.
-	sr := &shardResult{extracted: st.extracted(), state: st}
+	sr := &shardResult{state: st}
+	var err error
 
 	if tryDelta {
-		wireDelta, err := st.labels(delta)
-		if err != nil {
-			return nil, err
-		}
 		sr.refBytes, err = ship(FrameJobRef, &JobRef{
 			Shard:       part.Index,
 			Fingerprint: st.fp,
-			AddLabels:   WireLabels(wireDelta),
+			AddLabels:   WireLabels(delta),
 			Budget:      part.Budget,
 			Seed:        rr.seed,
 			TraceID:     rr.tracer.TraceID(),
@@ -957,11 +933,7 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	job.Fingerprint = st.fp
 	job.TraceID = rr.tracer.TraceID()
 	job.SpanID = sp.ID()
-	pre, err := st.labels(part.Prelabeled)
-	if err != nil {
-		return nil, err
-	}
-	job.Prelabeled = WireLabels(pre)
+	job.Prelabeled = WireLabels(part.Prelabeled)
 	if sr.jobBytes, err = ship(FrameJob, &job); err != nil {
 		return nil, err
 	}
@@ -973,8 +945,8 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 }
 
 // partSignature hashes a part's pool content (TrainPos + Candidates) to
-// detect a plan that drifted between rounds — such a shard re-extracts
-// and re-ships cold rather than reusing stale state.
+// detect a plan that drifted between rounds — such a shard re-ships cold
+// rather than reusing stale state.
 func partSignature(part *partition.Part) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

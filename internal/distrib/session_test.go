@@ -259,17 +259,7 @@ func TestSessionOversizedDeltaFallsBack(t *testing.T) {
 // (an engineered collision) must miss — reusing it would train the wrong
 // shard — while the rightful shard still hits.
 func TestWorkerFingerprintCollisionMisses(t *testing.T) {
-	here, there := net.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- Serve(there) }()
-	defer here.Close()
-
-	if err := WriteFrame(here, FrameHello, &Hello{Role: "coordinator"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadExpect(here, FrameHello, &Hello{}); err != nil {
-		t.Fatal(err)
-	}
+	here := dialSeeded(t, fixturePair(t), TrainConfig{FeatureSet: FeaturesFull})
 
 	job := fixtureJob(t)
 	job.Budget = 0 // no oracle round-trips to answer by hand
@@ -304,7 +294,7 @@ func TestWorkerFingerprintCollisionMisses(t *testing.T) {
 	drainToDone(t, here)
 
 	here.Close()
-	if err := <-served; err != nil && err != io.EOF {
+	if err := <-here.served; err != nil && err != io.EOF {
 		t.Fatalf("worker serve loop: %v", err)
 	}
 }

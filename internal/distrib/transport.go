@@ -25,8 +25,9 @@ type Transport interface {
 
 // Loopback serves every dialed connection with an in-process worker
 // goroutine over a synchronous pipe. The worker still speaks the full
-// wire protocol — loopback runs exercise serialization, extraction and
-// reconciliation end to end, minus process isolation.
+// wire protocol — loopback runs exercise seed negotiation, serialization
+// and reconciliation end to end, minus process isolation (and minus the
+// seed body: the worker shares the coordinator's seed cache).
 type Loopback struct{}
 
 // loopbackConn tags the coordinator half so Close also reaps the

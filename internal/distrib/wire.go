@@ -1,13 +1,15 @@
 // Package distrib fans shard alignment out across processes: a
-// coordinator serializes each partition.Shard as a wire-format job,
-// dispatches it to workers over a pluggable transport (in-process
-// loopback, stdio pipes to subprocesses, TCP), answers the workers'
-// oracle queries, and reconciles the returned vote streams incrementally
-// through the partition.Merger / multinet score-greedy union-find. The
-// per-shard pipeline a worker runs is partition.TrainPart — the same
-// code the in-process path runs on counter forks — so a distributed run
-// is property-tested identical to PartitionedAligner for the same seed
-// and shard plan.
+// coordinator ships its warm anchor-free count layer to each worker once
+// (the seed, see seed.go), then serializes each partition.Part as a
+// wire-format job of pool indices against that seed, dispatches it to
+// workers over a pluggable transport (in-process loopback, stdio pipes to
+// subprocesses, TCP), answers the workers' oracle queries, and reconciles
+// the returned vote streams incrementally through the partition.Merger /
+// multinet score-greedy union-find. The per-shard pipeline a worker runs
+// is partition.PreparePart + Train on a fork of the seeded counter — the
+// same code the in-process path runs on forks of its base counter — so a
+// distributed run is property-tested identical to PartitionedAligner for
+// the same seed and shard plan.
 //
 // # Wire format
 //
@@ -19,46 +21,46 @@
 //	│ big endian  │ 2 bytes │ 1B   1B  │ length − 8 bytes │ 4 bytes │
 //	└─────────────┴─────────┴──────────┴──────────────────┴─────────┘
 //
-// Payloads come in two flavors. The hot frames — Job, JobRef, Votes,
-// Done, and the warm-counter Seed — are hand-rolled flat columnar
-// layouts (internal/framing put/get primitives: varint scalars, packed
-// float64 runs, struct-of-arrays columns; see codec.go and docs/WIRE.md
-// for the field tables). The cold control frames — Hello, Progress,
-// Query, Answer, CacheAck, Error, Cancel, SeedRef — stay self-contained
-// gob documents (a fresh encoder per frame), where gob's self-describing
-// overhead is noise. Either way a frame decodes independently of every
-// other frame, so frames survive reordering across connections, and
-// corrupt or foreign streams fail fast on the magic/version check
-// instead of deep inside a decoder. A version bump is a
-// wire-compatibility statement: readers reject frames of any other
-// version (ErrVersionMismatch) rather than guess at field semantics.
-// The CRC-32C trailer covers the type byte and payload: a byte flipped
-// in transit is a detected ErrChecksum — the coordinator burns the
-// connection and retries the shard — never silently different votes.
+// Payloads come in one flavor: every frame type hand-rolls its body as a
+// flat columnar layout over the internal/framing put/get primitives
+// (varint scalars, packed float64 runs, struct-of-arrays columns; see
+// codec.go and docs/WIRE.md for the field tables), and every decoder
+// rejects trailing bytes. Equal payloads encode to equal bytes, a frame
+// decodes independently of every other frame, so frames survive
+// reordering across connections, and corrupt or foreign streams fail
+// fast on the magic/version check instead of deep inside a decoder. A
+// version bump is a wire-compatibility statement: readers reject frames
+// of any other version (ErrVersionMismatch) rather than guess at field
+// semantics. The CRC-32C trailer covers the type byte and payload: a
+// byte flipped in transit is a detected ErrChecksum — the coordinator
+// burns the connection and retries the shard — never silently different
+// votes.
+//
+// There is one index space: every index in every frame — a job's pool
+// and prelabels, a JobRef's label delta, queries, votes — is an ORIGINAL
+// pair index into the seed's networks.
 //
 // The conversation is strictly request-driven: the coordinator sends
-// Hello then one Job (or JobRef, see below) per shard; the worker
-// answers with any number of Progress, Query (oracle round-trips,
-// answered by Answer frames) and Votes frames, terminated by exactly one
-// Done or Error frame.
+// Hello, negotiates the seed (SeedRef, then Seed on a miss), then one Job
+// (or JobRef, see below) per shard; the worker answers with any number of
+// Progress, Query (oracle round-trips, answered by Answer frames) and
+// Votes frames, terminated by exactly one Done or Error frame.
 //
 // # Sticky sessions
 //
 // A multi-round session (active-learning retraining over a stable shard
-// plan) avoids re-shipping unchanged shards: every Job carries a
+// plan) avoids re-preparing unchanged shards: every Job carries a
 // Fingerprint of its shard-stable content, a long-lived worker caches
-// the prepared shard (decoded sub-pair, warmed counter, feature matrix)
-// under that fingerprint, and later rounds send a JobRef — fingerprint
-// plus the round's label delta — instead of the multi-megabyte Job. The
-// worker acknowledges with CacheAck: on a hit it re-runs training on the
-// warm state immediately; on a miss (restarted worker, evicted entry,
-// colliding fingerprint) the coordinator falls back to a full Job. See
-// docs/WIRE.md for the complete frame catalog and session lifecycle.
+// the prepared shard (forked counter, feature matrix) under that
+// fingerprint, and later rounds send a JobRef — fingerprint plus the
+// round's label delta — instead of the Job. The worker acknowledges with
+// CacheAck: on a hit it re-runs training on the warm state immediately;
+// on a miss (restarted worker, evicted entry, colliding fingerprint) the
+// coordinator falls back to a full Job. See docs/WIRE.md for the
+// complete frame catalog and session lifecycle.
 package distrib
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -92,11 +94,18 @@ import (
 //	    spans parent under the coordinator's per-attempt spans; Done
 //	    grows a span column carrying the worker's prepare/train/votes
 //	    spans back to the coordinator's trace file.
-const Version = 6
+//	7 — PR 20: one job shape, one payload discipline. The self-contained
+//	    (unseeded) Job leaves: no unseeded flag byte, no G1/G2 networks,
+//	    no inverse user-map columns — every job names a seed and every
+//	    index on the wire is an original pair index. The eight control
+//	    frames (Hello, Progress, Query, Answer, CacheAck, Error, Cancel,
+//	    SeedRef) switch from gob to columnar bodies like the rest.
+const Version = 7
 
 // maxFrameSize bounds a frame's declared length so a corrupt or hostile
-// length prefix cannot OOM the reader. Jobs carry whole sub-networks;
-// 1 GiB is far above any realistic shard and far below pathology.
+// length prefix cannot OOM the reader. The seed carries the pair's whole
+// anchor-free count layer; 1 GiB is far above any realistic one and far
+// below pathology.
 const maxFrameSize = 1 << 30
 
 // codec is the distrib instance of the shared framing discipline: the
@@ -164,11 +173,12 @@ type Hello struct {
 }
 
 // WireNetwork is the deterministic interchange form of a
-// hetnet.Network: node tables as ID lists in registration order, links
-// as declared endpoint types plus parallel index arrays. Unlike the
-// map-keyed JSON/gob interchange of hetnet, every field is a slice in a
-// canonical order, so encoding the same network twice yields identical
-// bytes — which is what makes golden-file wire tests possible.
+// hetnet.Network, as the Seed frame carries it: node tables as ID lists
+// in registration order, links as declared endpoint types plus parallel
+// index arrays. Unlike the map-keyed JSON interchange of hetnet, every
+// field is a slice in a canonical order, so encoding the same network
+// twice yields identical bytes — which is what makes golden-file wire
+// tests possible.
 type WireNetwork struct {
 	Name      string
 	NodeTypes []string
@@ -243,39 +253,34 @@ func (w *WireNetwork) Decode() (*hetnet.Network, error) {
 	return g, nil
 }
 
-// Job is one shard job: the extracted sub-pair, the shard's pool in
-// sub-pair index space, the training configuration, and the inverse
-// user maps the worker uses to vote (and query) in original indices.
+// Job is one shard job: the shard's pool as indices into the pair of the
+// seed it names, plus the training configuration. It carries no network
+// data — the worker resolves the pair and the warm counter from the seed
+// its connection negotiated.
 type Job struct {
 	// Shard is the Part.Index — it offsets the training seed and tags
 	// every frame the worker sends back.
 	Shard int
-	// G1, G2 and AnchorType describe the (extracted) sub-pair.
-	G1, G2     WireNetwork
+	// AnchorType must match the seed pair's; a mismatch fails the job.
 	AnchorType string
-	// SeedFP, when non-zero, names the warm-counter seed (shipped per
-	// connection via SeedRef/Seed) this job's indices are relative to:
-	// the job omits G1/G2 and the inverse maps, every index is an
-	// ORIGINAL pair index, and the worker forks the seeded counter
-	// instead of decoding networks and cold-counting. Zero is a
-	// self-contained v4-style job.
+	// SeedFP names the warm-counter seed (shipped per connection via
+	// SeedRef/Seed) the job's indices are relative to; the worker forks the
+	// seeded counter. A job whose SeedFP is zero, or not installed on the
+	// worker, is rejected.
 	SeedFP uint64
-	// TrainPos and Candidates are the shard pool in sub-pair indices.
+	// TrainPos and Candidates are the shard pool.
 	TrainPos   []hetnet.Anchor
 	Candidates []hetnet.Anchor
-	// Prelabeled carries oracle labels from earlier session rounds, in
-	// sub-pair indices; the worker trains them as fixed queried labels.
-	// Empty outside sessions (and in every round-1 job).
+	// Prelabeled carries oracle labels from earlier session rounds; the
+	// worker trains them as fixed queried labels. Empty in every round-1
+	// job.
 	Prelabeled []WireLabel
-	// Fingerprint identifies the shard-stable content (sub-pair, pool,
+	// Fingerprint identifies the shard-stable content (seed, pool,
 	// training configuration — everything except Prelabeled, Budget and
 	// Seed). Non-zero invites the worker to cache the prepared shard so a
-	// later JobRef with the same fingerprint re-runs warm; zero (a PR 3
-	// single-shot coordinator) disables caching.
+	// later JobRef with the same fingerprint re-runs warm; zero disables
+	// caching.
 	Fingerprint uint64
-	// InvUsers1/InvUsers2 map sub-pair user indices back to original
-	// pair indices.
-	InvUsers1, InvUsers2 []int32
 	// Training configuration, mirroring partition.TrainOptions flattened
 	// into wire-safe scalars.
 	FeatureSet   string // "full", "paths", "extended"
@@ -297,10 +302,8 @@ type Job struct {
 	SpanID  uint64
 }
 
-// WireLabel is one oracle-labeled link in the index space of the frame
-// carrying it: sub-pair indices in Job.Prelabeled and JobRef.AddLabels
-// (the coordinator remaps through the shard's forward maps before
-// shipping), original indices never.
+// WireLabel is one oracle-labeled link, in original pair indices like
+// everything else on the wire.
 type WireLabel struct {
 	I, J  int32
 	Label float64
@@ -310,14 +313,14 @@ type WireLabel struct {
 // fingerprint names the cached prepared state, AddLabels is the label
 // delta since the last run of that fingerprint on this connection, and
 // Budget/Seed are this round's training knobs. Everything else — the
-// sub-pair, the pool, the training configuration — is resolved from the
-// worker's cache, which is what makes a delta round cost bytes
+// pool, the forked counter, the training configuration — is resolved
+// from the worker's cache, which is what makes a delta round cost bytes
 // proportional to the new labels instead of the shard.
 type JobRef struct {
 	Shard       int
 	Fingerprint uint64
 	// AddLabels are the prelabels the cached shard has not seen yet, in
-	// sub-pair indices, canonical (I, J) order.
+	// canonical (I, J) order.
 	AddLabels []WireLabel
 	// Budget is this round's query budget slice for the shard.
 	Budget int
@@ -425,40 +428,25 @@ type JobError struct {
 	Msg   string
 }
 
-// frameAppender is implemented by hot-frame payloads that hand-roll
-// their bodies as flat columnar layouts (codec.go); everything else
-// falls back to gob. WriteFrame probes it so call sites stay payload-
-// agnostic.
-type frameAppender interface{ appendBody(b []byte) []byte }
+// Payload is a frame body. Every payload struct above (and WireSeed)
+// implements it on its pointer, hand-rolling its layout in codec.go; the
+// unexported methods keep the set closed, so a frame can only ever carry
+// a body whose layout this package versions.
+type Payload interface {
+	appendBody(b []byte) []byte
+	decodeBody(body []byte) error
+}
 
-// frameDecoder is the decode half of frameAppender, probed by
-// DecodeBody.
-type frameDecoder interface{ decodeBody(body []byte) error }
-
-// WriteFrame encodes payload as one length-prefixed frame. The payload
-// must be one of the frame payload structs above (pass hot-frame
-// payloads by pointer so their columnar codec is picked up).
-func WriteFrame(w io.Writer, typ FrameType, payload any) error {
-	var body []byte
-	if fa, ok := payload.(frameAppender); ok {
-		body = fa.appendBody(nil)
-	} else {
-		// Cold frames are self-contained gob documents: a fresh encoder
-		// per frame keeps them independently decodable.
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-			return fmt.Errorf("distrib: encode %v frame: %w", typ, err)
-		}
-		body = buf.Bytes()
-	}
-	if err := codec.WriteFrame(w, byte(typ), body); err != nil {
+// WriteFrame encodes payload as one length-prefixed frame.
+func WriteFrame(w io.Writer, typ FrameType, payload Payload) error {
+	if err := codec.WriteFrame(w, byte(typ), payload.appendBody(nil)); err != nil {
 		return fmt.Errorf("distrib: %w", err)
 	}
 	return nil
 }
 
 // ReadFrame reads one frame header and returns its type plus the raw
-// gob body for DecodeBody. io.EOF is returned untouched on a clean
+// body for DecodeBody. io.EOF is returned untouched on a clean
 // end-of-stream boundary. Hostile-input handling (length bounds,
 // magic/version validation before any allocation, body draining on
 // header errors) is the shared framing codec's.
@@ -474,20 +462,14 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 }
 
 // DecodeBody decodes a frame body returned by ReadFrame into the
-// payload struct matching its type (columnar for the hot frames, gob
-// otherwise). Decode into a zero value: the columnar decoders assign
-// every field but do not clear stale state.
-func DecodeBody(body []byte, into any) error {
-	if fd, ok := into.(frameDecoder); ok {
-		return fd.decodeBody(body)
-	}
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(into)
-}
+// payload struct matching its type. Decode into a zero value: the
+// decoders assign every field but do not clear stale state.
+func DecodeBody(body []byte, into Payload) error { return into.decodeBody(body) }
 
 // ReadExpect reads one frame and requires the given type, decoding into
 // `into`. An Error frame is surfaced as its message; anything else is a
 // protocol violation.
-func ReadExpect(r io.Reader, want FrameType, into any) error {
+func ReadExpect(r io.Reader, want FrameType, into Payload) error {
 	typ, body, err := ReadFrame(r)
 	if err != nil {
 		return err

@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
@@ -59,7 +58,8 @@ func fixturePair(t testing.TB) *hetnet.AlignedPair {
 	return pair
 }
 
-// fixtureJob extracts shard 1 of a two-part split of the fixture pair.
+// fixtureJob is shard 1 of a two-part split of the fixture pair, as a
+// session would ship it: against the fixture pair's seed.
 func fixtureJob(t testing.TB) *Job {
 	t.Helper()
 	pair := fixturePair(t)
@@ -69,25 +69,21 @@ func fixtureJob(t testing.TB) *Job {
 		Candidates: []hetnet.Anchor{{I: 4, J: 5}, {I: 5, J: 4}, {I: 6, J: 6}},
 		Budget:     3,
 	}
-	shard, err := partition.ExtractShard(pair, part)
-	if err != nil {
-		t.Fatal(err)
-	}
 	half := 0.5
-	job := NewJob(shard, TrainConfig{
+	job := NewJob(pair, part, TrainConfig{
 		FeatureSet: FeaturesFull,
 		Strategy:   StrategyConflict,
 		C:          1,
 		Threshold:  &half,
 		BatchSize:  5,
 		Seed:       2019,
-	})
+	}, seedFingerprint(pair, FeaturesFull))
 	// Session fields ride on the same frame: a prelabel from an earlier
 	// round (a pool candidate the oracle answered) and the shard-stable
 	// fingerprint.
 	job.Prelabeled = []WireLabel{{I: 4, J: 5, Label: 1}}
 	job.Fingerprint = job.ComputeFingerprint()
-	// Trace context rides the v6 tail; it is per-attempt state, so it
+	// Trace context rides the frame's tail; it is per-attempt state, so it
 	// must not perturb the fingerprint computed above.
 	job.TraceID = 0x1122334455667788
 	job.SpanID = 0x99aabbcc
@@ -115,12 +111,12 @@ func fixtureSeed(t testing.TB) *WireSeed {
 func goldenFrames(t testing.TB) []struct {
 	name    string
 	typ     FrameType
-	payload any
+	payload Payload
 } {
 	return []struct {
 		name    string
 		typ     FrameType
-		payload any
+		payload Payload
 	}{
 		{"hello", FrameHello, &Hello{Role: "coordinator"}},
 		{"job", FrameJob, fixtureJob(t)},
@@ -150,25 +146,22 @@ func goldenFrames(t testing.TB) []struct {
 }
 
 // TestWireGolden pins wire compatibility against recorded frames: every
-// golden file holds bytes a Version-1 coordinator/worker actually wrote,
-// and the current reader must still decode each one into the expected
-// payload. Any change that breaks decoding (field rename or retype,
-// header layout, encoder swap) fails here and forces a deliberate
-// Version bump — regenerate with -update after bumping. Byte-for-byte
-// re-encoding is deliberately NOT asserted: gob assigns wire type IDs
-// from a process-global counter, so equal payloads can encode with
-// different (self-describing, mutually decodable) type IDs depending on
-// encode history.
+// golden file holds the bytes a current-version peer writes for a
+// representative payload, and they must keep decoding into that payload
+// AND keep being what the payload encodes to, byte for byte — every body
+// is a deterministic columnar layout. Any change that moves a byte (field
+// added, reordered or retyped, header layout) fails here and forces a
+// deliberate Version bump — regenerate with -update after bumping.
 func TestWireGolden(t *testing.T) {
 	for _, tc := range goldenFrames(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "frame_"+tc.name+".golden")
+			var enc bytes.Buffer
+			if err := WriteFrame(&enc, tc.typ, tc.payload); err != nil {
+				t.Fatal(err)
+			}
 			if *update {
-				var buf bytes.Buffer
-				if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -183,37 +176,23 @@ func TestWireGolden(t *testing.T) {
 			if typ != tc.typ {
 				t.Fatalf("golden frame type %d, want %d", typ, tc.typ)
 			}
-			// Decode into a fresh value of the payload's type and compare
-			// structurally. The expected payload is normalized through one
-			// encode/decode cycle first: gob flattens empty slices to nil,
-			// and that normalization is part of the format, not a change.
-			got := reflect.New(reflect.TypeOf(tc.payload).Elem()).Interface()
+			got := fresh(tc.payload)
 			if err := DecodeBody(body, got); err != nil {
 				t.Fatalf("golden payload undecodable — bump Version and regenerate with -update: %v", err)
 			}
-			var norm bytes.Buffer
-			if err := WriteFrame(&norm, tc.typ, tc.payload); err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(got, tc.payload) {
+				t.Errorf("golden payload decodes differently:\n got: %+v\nwant: %+v", got, tc.payload)
 			}
-			_, normBody, err := ReadFrame(&norm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := reflect.New(reflect.TypeOf(tc.payload).Elem()).Interface()
-			if err := DecodeBody(normBody, want); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("golden payload decodes differently:\n got: %+v\nwant: %+v", got, want)
+			if !bytes.Equal(enc.Bytes(), raw) {
+				t.Errorf("payload no longer encodes to the golden bytes — bump Version and regenerate with -update:\n got: %x\nwant: %x", enc.Bytes(), raw)
 			}
 		})
 	}
 }
 
 // TestWireRoundTrip decodes each golden frame and checks the payloads
-// survive: the job's sub-pair rebuilds into a valid aligned pair whose
-// pool links translate back through the inverse maps, and scored votes
-// round-trip exactly.
+// survive: the job validates against the fixture pair into the part it
+// was built from, and scored votes round-trip exactly.
 func TestWireRoundTrip(t *testing.T) {
 	for _, tc := range goldenFrames(t) {
 		var buf bytes.Buffer
@@ -234,12 +213,9 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			orig := tc.payload.(*Job)
-			pair, part, err := j.DecodeShard()
+			part, err := j.part(fixturePair(t))
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got := pair.G1.NodeCount(hetnet.User); got != len(orig.InvUsers1) {
-				t.Errorf("job round-trip: G1 has %d users, want %d", got, len(orig.InvUsers1))
 			}
 			if len(part.Candidates) != len(orig.Candidates) {
 				t.Errorf("job round-trip: %d candidates, want %d", len(part.Candidates), len(orig.Candidates))
@@ -281,80 +257,61 @@ func TestWireVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestWireV4Skew pins the cross-version contract the v5 codec bump
-// leans on: a well-formed v4 frame — gob body, valid CRC, only the
-// version byte differs — must fail with ErrVersionMismatch before any
-// payload decoding. A v4 Job body is gob where v5 expects columnar
-// bytes; without the version gate it would be fed to the columnar
-// decoder and mis-decode instead of failing loudly.
-func TestWireV4Skew(t *testing.T) {
-	v4 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 4, MaxFrame: maxFrameSize, Checksum: true}
-	for _, tc := range []struct {
-		name string
-		typ  FrameType
-		body any
-	}{
-		{"hello", FrameHello, &Hello{Role: "worker"}},
-		{"job", FrameJob, fixtureJob(t)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var body bytes.Buffer
-			if err := gob.NewEncoder(&body).Encode(tc.body); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := v4.WriteFrame(&buf, byte(tc.typ), body.Bytes()); err != nil {
-				t.Fatal(err)
-			}
-			_, _, err := ReadFrame(&buf)
-			if !errors.Is(err, ErrVersionMismatch) {
-				t.Fatalf("v4 frame: got %v, want ErrVersionMismatch", err)
-			}
-		})
+// assertRecordedFrameRefused feeds the reader a frame an earlier protocol
+// version actually wrote — that version's golden, kept from git history
+// under testdata/ — and requires ErrVersionMismatch from ReadFrame, which
+// is before any body decode.
+func assertRecordedFrameRefused(t *testing.T, file string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("%s: got %v, want ErrVersionMismatch", file, err)
 	}
 }
 
-// TestWireV5Skew pins the v6 bump's cross-version contract: a
-// well-formed v5 frame — same columnar body layout minus the trace
-// tail, valid CRC — must fail with ErrVersionMismatch before payload
-// decoding. Without the version gate a v5 Job body would reach the v6
-// decoder, which demands the TraceID/SpanID tail and would mis-read the
-// frame (or, worse, accept a truncated interpretation) instead of
-// failing loudly.
-func TestWireV5Skew(t *testing.T) {
-	v5 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 5, MaxFrame: maxFrameSize, Checksum: true}
-	job := fixtureJob(t)
-	// A v5 writer had no trace fields; its body ended where the v6 tail
-	// begins. Encode with zero trace context and drop the two 1-byte
-	// zero uvarints to reproduce the exact v5 body.
-	job.TraceID, job.SpanID = 0, 0
-	v5Body := job.appendBody(nil)
-	v5Body = v5Body[:len(v5Body)-2]
-	var buf bytes.Buffer
-	if err := v5.WriteFrame(&buf, byte(FrameJob), v5Body); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := ReadFrame(&buf)
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("v5 frame: got %v, want ErrVersionMismatch", err)
-	}
+// TestWireV4Skew pins the cross-version contract the v5 codec bump
+// leans on: a well-formed v4 frame — gob body, valid CRC — must fail
+// with ErrVersionMismatch before any payload decoding. Without the
+// version gate its gob bytes would be fed to a columnar decoder and
+// mis-decode instead of failing loudly.
+func TestWireV4Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v4_frame_hello.bin")
+	assertRecordedFrameRefused(t, "v4_frame_job.bin")
+}
 
-	// And the inverse skew: a v6 frame offered to a v5 reader is refused
-	// the same way — the gate cuts both directions.
-	var v6buf bytes.Buffer
-	if err := WriteFrame(&v6buf, FrameHello, &Hello{Role: "worker"}); err != nil {
+// TestWireV5Skew: a v5 Job — columnar like today's, but self-contained
+// and without the trace tail — is refused the same way, and the gate
+// cuts both directions: a current frame offered to a v5 reader is
+// refused too.
+func TestWireV5Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v5_frame_job.bin")
+
+	v5 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 5, MaxFrame: maxFrameSize, Checksum: true}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, FrameHello, &Hello{Role: "worker"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v5.ReadFrame(&v6buf); !errors.Is(err, framing.ErrVersionMismatch) {
-		t.Fatalf("v6 frame at v5 reader: got %v, want ErrVersionMismatch", err)
+	if _, _, err := v5.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
+		t.Fatalf("current frame at v5 reader: got %v, want ErrVersionMismatch", err)
 	}
+}
+
+// TestWireV6Skew pins the v7 bump: a recorded v6 Job — the self-contained
+// shape, with its unseeded flag, networks and inverse-map columns — never
+// reaches the v7 decoder, which has no such fields and would misread the
+// networks as the pool.
+func TestWireV6Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v6_frame_job.bin")
 }
 
 // TestWireDetectsCorruption is the integrity contract behind the chaos
 // tolerance story: flipping ANY payload byte of a frame must surface as
 // ErrChecksum, never as a silently different decoded value. Without the
-// CRC-32C trailer a flipped byte inside a gob-encoded vote score would
-// decode cleanly and poison the merged alignment.
+// CRC-32C trailer a flipped byte inside a packed vote score would decode
+// cleanly and poison the merged alignment.
 func TestWireDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, FrameVotes, &Votes{Shard: 1, Votes: []Vote{{I: 4, J: 5, Label: 1, Score: 0.91}}}); err != nil {

@@ -9,7 +9,6 @@ import (
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/hetnet"
-	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
@@ -19,25 +18,26 @@ import (
 const voteBatchSize = 4096
 
 // DefaultShardCacheSize is how many prepared shards a worker connection
-// keeps warm for JobRef re-runs. Each entry holds a decoded sub-pair,
-// its counter (with the shared attribute-only count layer) and the
-// pool's feature matrix — megabytes at crawl scale — so the cache is
-// LRU-bounded; a session's shards-per-worker is far below this in any
+// keeps warm for JobRef re-runs. Each entry holds a forked counter (its
+// anchor-dependent layer; the attribute-only layer is the seed's, shared)
+// and the pool's feature matrix — megabytes at crawl scale — so the cache
+// is LRU-bounded; a session's shards-per-worker is far below this in any
 // sane plan, and an eviction only costs a full-Job re-ship.
 const DefaultShardCacheSize = 32
 
-// Serve runs the worker side of one connection: handshake, then a loop
-// of job → (progress/query/votes)* → done until the coordinator closes
-// the stream. A job-level failure is reported as an Error frame and the
-// loop continues — the connection only dies on wire-level failures.
+// Serve runs the worker side of one connection: handshake, seed
+// negotiation, then a loop of job → (progress/query/votes)* → done until
+// the coordinator closes the stream. A job-level failure is reported as
+// an Error frame and the loop continues — the connection only dies on
+// wire-level failures.
 //
-// Jobs are self-contained (each carries its own sub-pair), so a worker
-// serves shards of different runs back to back with no setup. What a
-// connection does keep is the shard cache: a fingerprinted job's
-// prepared state (sub-pair, warmed counter, feature matrix, accumulated
-// labels) is retained so a session's later rounds can re-run it via a
-// JobRef frame carrying only the label delta — counting and feature
-// extraction are paid once per shard, not once per round.
+// A job names the installed seed it runs against, so a worker serves
+// shards of different runs back to back as long as their seeds are
+// resident. What a connection itself keeps is the shard cache: a
+// fingerprinted job's prepared state (forked counter, feature matrix,
+// accumulated labels) is retained so a session's later rounds can re-run
+// it via a JobRef frame carrying only the label delta — counting and
+// feature extraction are paid once per shard, not once per round.
 func Serve(conn io.ReadWriter) error {
 	return ServeCache(conn, DefaultShardCacheSize)
 }
@@ -151,15 +151,13 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 }
 
 // preparedShard is one job's reusable pipeline state: everything that is
-// a function of the fingerprint (sub-pair, counter, prepared features)
-// plus the mutable label state that accumulates across a session's
-// rounds.
+// a function of the fingerprint (pool, counter, prepared features) plus
+// the mutable label state that accumulates across a session's rounds.
 type preparedShard struct {
-	job      *Job // carries config + inverse maps; Prelabeled mirrors part.Prelabeled
-	part     *partition.Part
+	part     *partition.Part // Index is the job's shard; Prelabeled grows by each JobRef's delta
 	prepared *partition.Prepared
 	train    core.Config // the job's resolved training configuration
-	n1, n2   int         // the job's index space bounds (sub-pair, or pair when seeded)
+	n1, n2   int         // the seed pair's user counts: the bounds of every index
 }
 
 // shardCache is a tiny LRU of prepared shards keyed by job fingerprint.
@@ -214,15 +212,11 @@ func (c *shardCache) put(fp uint64, ps *preparedShard) {
 type wireAbort struct{ err error }
 
 // wireOracle answers oracle queries by round-tripping them to the
-// coordinator, translating the worker's sub-pair indices to original
-// indices first — the coordinator (and its human or truth oracle) only
-// speaks the original pair.
+// coordinator, where the human or truth oracle lives.
 type wireOracle struct {
 	conn  io.ReadWriter
 	shard int
 	seq   uint64
-	inv1  []int32
-	inv2  []int32
 }
 
 // errCancelled unwinds a job the coordinator abandoned mid-stream (a
@@ -231,19 +225,9 @@ type wireOracle struct {
 // the connection for the next job.
 var errCancelled = errors.New("distrib: job cancelled by coordinator")
 
-// translate maps a job-space index through an inverse user map; an
-// empty map is the identity — seeded jobs already speak original
-// indices and ship no maps at all.
-func translate(inv []int32, v int) int32 {
-	if len(inv) == 0 {
-		return int32(v)
-	}
-	return inv[v]
-}
-
 func (o *wireOracle) Label(a hetnet.Anchor) float64 {
 	o.seq++
-	q := &Query{Shard: o.shard, Seq: o.seq, I: translate(o.inv1, a.I), J: translate(o.inv2, a.J)}
+	q := &Query{Shard: o.shard, Seq: o.seq, I: int32(a.I), J: int32(a.J)}
 	if err := WriteFrame(o.conn, FrameQuery, q); err != nil {
 		panic(wireAbort{err})
 	}
@@ -288,7 +272,7 @@ func rethrowWire(err *error) {
 	}
 }
 
-// runJob executes one shard job — decode (or seed-fork), prepare,
+// runJob executes one shard job — fork the seed's counter, prepare,
 // train, stream — and caches the prepared state under the job's
 // fingerprint. It returns the error to report as an Error frame;
 // wire-level failures panic through wireAbort and are rethrown to kill
@@ -298,23 +282,17 @@ func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 	t0 := time.Now()
 	tr := childTracer(job.TraceID, job.SpanID)
 	prep := tr.Start("prepare", job.SpanID)
-	var pair *hetnet.AlignedPair
-	var part *partition.Part
-	var seed *seedEntry
-	if job.SeedFP != 0 {
-		// Seeded job: the pair and the warm counter come from the
-		// connection-negotiated seed; the job is just a pool in original
-		// indices. A missing seed means the coordinator and worker
-		// disagree about this connection's state — fail the shard, and
-		// the retry redial renegotiates.
-		if seed = seedCacheGet(job.SeedFP); seed == nil {
-			return fmt.Errorf("distrib: job shard %d references seed %016x, not installed here", job.Shard, job.SeedFP)
-		}
-		pair = seed.pair
-		if part, err = job.seededPart(pair); err != nil {
-			return err
-		}
-	} else if pair, part, err = job.DecodeShard(); err != nil {
+	// The pair and the warm counter come from the connection-negotiated
+	// seed; the job is just a pool of indices into it. A job that names no
+	// seed is malformed; a missing one means the coordinator and worker
+	// disagree about this connection's state — fail the shard either way,
+	// and the retry redial renegotiates.
+	seed := seedCacheGet(job.SeedFP)
+	if job.SeedFP == 0 || seed == nil {
+		return fmt.Errorf("distrib: job shard %d references seed %016x, not installed here", job.Shard, job.SeedFP)
+	}
+	part, err := job.part(seed.pair)
+	if err != nil {
 		return err
 	}
 	train, err := job.trainConfig().TrainOptions()
@@ -324,25 +302,20 @@ func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: job.Shard, Stage: "counting"}); err != nil {
 		return err
 	}
-	var counter *metadiag.Counter
-	if seed != nil {
-		// Fork shares the seeded anchor-free layer — literally the
-		// in-process PartitionedAligner path, which is what makes seeded
-		// votes bit-identical by construction.
-		counter = seed.counter.Fork()
-	} else if counter, err = metadiag.NewCounter(pair); err != nil {
-		return err
-	}
+	// Fork shares the seeded anchor-free layer — literally the in-process
+	// PartitionedAligner path, which is what makes the votes bit-identical
+	// by construction.
+	counter := seed.counter.Fork()
 	counter.SetAnchors(part.TrainPos)
 	prepared, err := partition.PreparePart(counter, part, train.Features)
 	if err != nil {
 		return err
 	}
+	pair := seed.pair
 	ps := &preparedShard{
-		job: job, part: part, prepared: prepared, train: train.Core,
+		part: part, prepared: prepared, train: train.Core,
 		n1: pair.G1.NodeCount(pair.AnchorType), n2: pair.G2.NodeCount(pair.AnchorType),
 	}
-	prep.Annotate("seeded", fmt.Sprintf("%v", seed != nil))
 	prep.End()
 	if err := trainAndStream(conn, ps, job.Budget, job.Seed, t0, tr, job.SpanID); err != nil {
 		return err
@@ -363,7 +336,7 @@ func runJobRef(conn io.ReadWriter, ref *JobRef, cache *shardCache) (err error) {
 	// A fingerprint that resolves to a different shard index is a
 	// collision (or a confused coordinator); reusing the state would
 	// train the wrong shard, so it must miss.
-	hit := ps != nil && ps.job.Shard == ref.Shard
+	hit := ps != nil && ps.part.Index == ref.Shard
 	if err := WriteFrame(conn, FrameCacheAck, &CacheAck{Shard: ref.Shard, Fingerprint: ref.Fingerprint, Hit: hit}); err != nil {
 		panic(wireAbort{err})
 	}
@@ -383,8 +356,6 @@ func runJobRef(conn io.ReadWriter, ref *JobRef, cache *shardCache) (err error) {
 	// training error afterwards is fine (the labels are real either way)
 	// and a wire failure kills the connection and the cache with it.
 	ps.part.Prelabeled = append(ps.part.Prelabeled, partLabels(ref.AddLabels)...)
-	ps.job.Prelabeled = append(ps.job.Prelabeled, ref.AddLabels...)
-	ps.part.Budget = ref.Budget
 	return trainAndStream(conn, ps, ref.Budget, ref.Seed, t0, childTracer(ref.TraceID, ref.SpanID), ref.SpanID)
 }
 
@@ -395,15 +366,15 @@ func runJobRef(conn io.ReadWriter, ref *JobRef, cache *shardCache) (err error) {
 // under parent — the coordinator's wire-propagated attempt span — and
 // ships everything recorded this job back on the Done frame.
 func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int64, t0 time.Time, tr *telemetry.Tracer, parent uint64) error {
-	job := ps.job
+	shard := ps.part.Index
 	ps.part.Budget = budget
 	cfg := ps.train
 	cfg.Seed = seed
 	var oracle active.Oracle
 	if budget > 0 {
-		oracle = &wireOracle{conn: conn, shard: job.Shard, inv1: job.InvUsers1, inv2: job.InvUsers2}
+		oracle = &wireOracle{conn: conn, shard: shard}
 	}
-	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: job.Shard, Stage: "training"}); err != nil {
+	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: shard, Stage: "training"}); err != nil {
 		return err
 	}
 	train := tr.Start("train", parent)
@@ -413,7 +384,7 @@ func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int6
 	}
 	train.Annotate("queries", fmt.Sprintf("%d", res.QueryCount()))
 	train.End()
-	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: job.Shard, Stage: "voting", Queries: res.QueryCount()}); err != nil {
+	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: shard, Stage: "voting", Queries: res.QueryCount()}); err != nil {
 		return err
 	}
 
@@ -424,7 +395,7 @@ func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int6
 		if len(batch) == 0 {
 			return nil
 		}
-		if err := WriteFrame(conn, FrameVotes, &Votes{Shard: job.Shard, Votes: batch}); err != nil {
+		if err := WriteFrame(conn, FrameVotes, &Votes{Shard: shard, Votes: batch}); err != nil {
 			return err
 		}
 		batch = batch[:0]
@@ -432,8 +403,8 @@ func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int6
 	}
 	for _, v := range votes {
 		batch = append(batch, Vote{
-			I:       translate(job.InvUsers1, v.Link.I),
-			J:       translate(job.InvUsers2, v.Link.J),
+			I:       int32(v.Link.I),
+			J:       int32(v.Link.J),
 			Label:   v.Label,
 			Score:   v.Score,
 			Queried: v.Queried,
@@ -450,7 +421,7 @@ func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int6
 	}
 	vs.End()
 	return WriteFrame(conn, FrameDone, &Done{
-		Shard:      job.Shard,
+		Shard:      shard,
 		TrainPos:   len(ps.part.TrainPos),
 		Candidates: len(ps.part.Candidates),
 		Budget:     ps.part.Budget,

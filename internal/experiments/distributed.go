@@ -29,10 +29,8 @@ type DistributedPoint struct {
 	Queries    int
 	Rejected   int
 	AlignTime  time.Duration
-	// JobBytes is what the mode shipped per run (0 for in-process);
-	// JobBytesFull is the same plan serialized without shard extraction.
-	JobBytes     int64
-	JobBytesFull int64
+	// JobBytes is what the mode shipped per run (0 for in-process).
+	JobBytes int64
 	// SeedBytes / SeedShips audit warm-counter seed shipping: the
 	// one-time per-connection cost that lets every job drop its networks.
 	SeedBytes int64
@@ -102,8 +100,7 @@ type DistributedConfig struct {
 // pipelines, distributed over the in-process loopback transport, and
 // (when a worker command is configured) distributed over subprocess
 // workers. All three must produce the same alignment — the point of the
-// comparison is the transport and serialization overhead, and what
-// shard extraction saves in bytes on the wire.
+// comparison is the transport and serialization overhead.
 func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint, error) {
 	pair, err := datagen.Generate(pre.Data)
 	if err != nil {
@@ -160,16 +157,6 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 		return nil, err
 	}
 	train := distrib.TrainConfig{FeatureSet: distrib.FeaturesFull, Strategy: distrib.StrategyConflict, Seed: pre.Seed}
-	// Shipped bytes come from each mode's run metrics; only the
-	// full-pair counterfactual needs pricing separately.
-	jobFull, err := distrib.JobSizes(pair, plan, train, false)
-	if err != nil {
-		return nil, err
-	}
-	var fullTotal int64
-	for _, n := range jobFull {
-		fullTotal += n
-	}
 
 	score := func(res *partition.Result) (f1, prec, rec float64) {
 		var conf eval.Confusion
@@ -205,7 +192,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 		Mode: "in-process", Partitions: len(plan.Parts), Workers: workers,
 		F1: f1, Precision: prec, Recall: rec,
 		Queries: inproc.QueryCount(), Rejected: inproc.Rejected,
-		AlignTime: inproc.Elapsed, JobBytesFull: fullTotal,
+		AlignTime: inproc.Elapsed,
 	})
 
 	runCoord := func(mode string, transport distrib.Transport, opts distrib.Options) error {
@@ -220,7 +207,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 			F1: f1, Precision: prec, Recall: rec,
 			Queries: res.QueryCount(), Rejected: res.Rejected,
 			AlignTime: res.Elapsed,
-			JobBytes:  metrics.JobBytes, JobBytesFull: fullTotal,
+			JobBytes:  metrics.JobBytes,
 			SeedBytes: metrics.SeedBytes, SeedShips: metrics.SeedShips,
 			Retries: metrics.Retries, Fallbacks: metrics.Fallbacks,
 			Hedges: metrics.Hedges, Shards: metrics.Shards,
@@ -231,13 +218,6 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 	// modes export their worker seed from it rather than recounting.
 	baseOpts := distrib.Options{Train: train, Workers: workers, Base: base, Tracer: cfg.Tracer}
 	if err := runCoord("loopback", distrib.Loopback{}, baseOpts); err != nil {
-		return nil, err
-	}
-	// Unseeded baseline: the v4 cost model — every job ships its
-	// extracted sub-networks and every worker counts from scratch.
-	noseed := baseOpts
-	noseed.NoSeed = true
-	if err := runCoord("loopback/noseed", distrib.Loopback{}, noseed); err != nil {
 		return nil, err
 	}
 	if cfg.WorkerCmd != "" {
@@ -290,7 +270,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 		defer sess.Close()
 		point := DistributedPoint{
 			Mode: mode, Partitions: len(p.Parts), Workers: workers,
-			Rounds: cfg.Rounds, JobBytesFull: fullTotal,
+			Rounds: cfg.Rounds,
 		}
 		var res *partition.Result
 		start := time.Now()
@@ -355,7 +335,7 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 		Title: fmt.Sprintf("Distributed — shard execution modes (θ=%d, γ=%.0f%%, K=%d, workers=%d, preset %q)",
 			pre.FixedTheta, pre.FixedGamma*100, points[0].Partitions, points[0].Workers, pre.Name),
 		ColHeader: "mode",
-		Cols:      []string{"F1", "Precision", "Recall", "queries", "rejected", "align", "job bytes", "seed bytes", "delta bytes", "cache hit/miss", "job bytes (full pair)", "attempts", "hedges", "retries", "fallbacks"},
+		Cols:      []string{"F1", "Precision", "Recall", "queries", "rejected", "align", "job bytes", "seed bytes", "delta bytes", "cache hit/miss", "attempts", "hedges", "retries", "fallbacks"},
 	}
 	sec := Section{Name: "distributed alignment"}
 	for _, p := range points {
@@ -391,7 +371,6 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 			seedBytes,
 			deltaBytes,
 			cache,
-			fmt.Sprint(p.JobBytesFull),
 			attempts,
 			fmt.Sprint(p.Hedges),
 			fmt.Sprint(p.Retries),
@@ -423,7 +402,7 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 				Cells: []string{
 					"—", "—", "—", "—", "—", "—",
 					fmt.Sprint(sm.JobBytes),
-					"—", "—", "—", "—",
+					"—", "—", "—",
 					fmt.Sprint(sm.Attempts),
 					yes(sm.Hedged),
 					"—",
@@ -452,7 +431,7 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 					"—",
 					fmt.Sprint(r.DeltaBytes),
 					fmt.Sprint(r.CacheHits),
-					"—", "—", "—", "—", "—",
+					"—", "—", "—", "—",
 				},
 			})
 		}

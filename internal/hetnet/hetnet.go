@@ -17,6 +17,7 @@ package hetnet
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -256,6 +257,48 @@ func (g *Network) Links(lt LinkType, fn func(from, to int)) {
 	for k := range t.from {
 		fn(t.from[k], t.to[k])
 	}
+}
+
+// Fingerprint hashes the network's full structure — name, node tables in
+// registration order, link tables with every edge — with FNV-64a over
+// length-delimited primitives. Two structurally identical networks
+// fingerprint identically across processes (no map iteration). Snapshot
+// metadata and the distrib seed fingerprint both store it, so the layout
+// is frozen: changing it invalidates written artifacts.
+func (g *Network) Fingerprint() uint64 {
+	h := fnv.New64a()
+	var num [8]byte
+	writeInt := func(v int64) {
+		for i := 0; i < 8; i++ {
+			num[i] = byte(v >> (8 * i))
+		}
+		h.Write(num[:])
+	}
+	writeStr := func(s string) {
+		writeInt(int64(len(s)))
+		h.Write([]byte(s))
+	}
+	writeStr(g.name)
+	for _, t := range g.nodeOrder {
+		ids := g.nodes[t].ids
+		writeStr(string(t))
+		writeInt(int64(len(ids)))
+		for _, id := range ids {
+			writeStr(id)
+		}
+	}
+	for _, lt := range g.linkOrder {
+		t := g.links[lt]
+		writeStr(string(lt))
+		writeStr(string(t.src))
+		writeStr(string(t.dst))
+		writeInt(int64(len(t.from)))
+		for k := range t.from {
+			writeInt(int64(t.from[k]))
+			writeInt(int64(t.to[k]))
+		}
+	}
+	return h.Sum64()
 }
 
 // Neighbors returns the distinct out-neighbors of node (src-type, idx)

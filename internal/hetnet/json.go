@@ -113,5 +113,25 @@ func ReadAlignedJSON(r io.Reader) (*AlignedPair, error) {
 	if err := json.NewDecoder(r).Decode(&ja); err != nil {
 		return nil, fmt.Errorf("hetnet: decode aligned pair: %w", err)
 	}
-	return alignedFromInterchange(ja)
+	g1, err := networkFromJSON(ja.G1)
+	if err != nil {
+		return nil, err
+	}
+	g2, err := networkFromJSON(ja.G2)
+	if err != nil {
+		return nil, err
+	}
+	p := &AlignedPair{G1: g1, G2: g2, AnchorType: ja.AnchorType}
+	if p.AnchorType == "" {
+		p.AnchorType = User
+	}
+	for _, a := range ja.Anchors {
+		if err := p.AddAnchor(a[0], a[1]); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

@@ -252,9 +252,9 @@ func runPart(base *metadiag.Counter, part *Part, opts TrainOptions, oracle activ
 // then candidates in order), and train on the part's budget slice with
 // the part-offset seed. Every executor runs these two halves — the
 // in-process path on a Fork of the base counter, the distributed worker
-// on a seeded fork or a fresh counter over the shard's extracted
-// sub-pair, the monolithic Aligner as a single part on its long-lived
-// counter — so there is one pipeline to keep right.
+// on a fork of its seeded counter, the monolithic Aligner as a single
+// part on its long-lived counter — so there is one pipeline to keep
+// right.
 func TrainPart(counter *metadiag.Counter, part *Part, opts TrainOptions, oracle active.Oracle) ([]hetnet.Anchor, *core.Result, error) {
 	prep, err := PreparePart(counter, part, opts.Features)
 	if err != nil {

@@ -1,3 +1,12 @@
+// Shard extraction: cutting a pair down to the closed neighborhood one
+// part's pipeline reads. No production path calls ExtractShard any more —
+// distrib ships every shard as pool indices against the warm-counter
+// seed, which carries the whole pair once per worker process — and
+// nothing else in this file has another caller. It stays for the
+// benchmark, whose traced mode times it as partition.extract_shard_s, and
+// for the exactness tests that pin the closure argument; a benchmark
+// change that retires that metric can delete the file with it.
+
 package partition
 
 import (
@@ -7,9 +16,9 @@ import (
 )
 
 // Shard is one partition packaged for transport-agnostic execution: the
-// (possibly extracted) sub-pair a worker trains on, the Part remapped
-// into the sub-pair's index space, and the inverse user maps that
-// translate the worker's votes back to original indices.
+// extracted sub-pair a worker trains on, the Part remapped into the
+// sub-pair's index space, and the inverse user maps that translate the
+// worker's votes back to original indices.
 type Shard struct {
 	// Pair is the network pair the shard pipeline runs on. Its anchor
 	// set is Part.TrainPos (the only ground truth a worker may see).
@@ -20,17 +29,13 @@ type Shard struct {
 	// match the in-process pipeline exactly.
 	Part Part
 	// InvUsers1 and InvUsers2 map a Pair user index back to the original
-	// pair's index (InvUsers1[sub] = orig). For an unextracted shard
-	// they are identity maps.
+	// pair's index (InvUsers1[sub] = orig).
 	InvUsers1, InvUsers2 []int32
 
-	// fwd1/fwd2 are the forward user maps (orig → sub, -1 = dropped);
-	// nil means identity (FullShard). They serve RemapLabels — labels
-	// accumulate in original indices round over round while the shard
-	// stays cached in sub-pair space.
+	// fwd1/fwd2 are the forward user maps (orig → sub, -1 = dropped).
+	// They serve RemapLabels — labels accumulate in original indices
+	// round over round while the shard stays in sub-pair space.
 	fwd1, fwd2 []int
-
-	extracted bool
 }
 
 // RemapLabels translates labels from original pair indices into the
@@ -45,49 +50,15 @@ func (s *Shard) RemapLabels(labels []LabeledLink) ([]LabeledLink, error) {
 	out := make([]LabeledLink, len(labels))
 	for k, l := range labels {
 		i, j := l.Link.I, l.Link.J
-		if s.fwd1 != nil {
-			if i < 0 || i >= len(s.fwd1) || s.fwd1[i] < 0 {
-				return nil, fmt.Errorf("partition: label endpoint %d not in shard %d's sub-network 1", i, s.Part.Index)
-			}
-			i = s.fwd1[i]
+		if i < 0 || i >= len(s.fwd1) || s.fwd1[i] < 0 {
+			return nil, fmt.Errorf("partition: label endpoint %d not in shard %d's sub-network 1", i, s.Part.Index)
 		}
-		if s.fwd2 != nil {
-			if j < 0 || j >= len(s.fwd2) || s.fwd2[j] < 0 {
-				return nil, fmt.Errorf("partition: label endpoint %d not in shard %d's sub-network 2", j, s.Part.Index)
-			}
-			j = s.fwd2[j]
+		if j < 0 || j >= len(s.fwd2) || s.fwd2[j] < 0 {
+			return nil, fmt.Errorf("partition: label endpoint %d not in shard %d's sub-network 2", j, s.Part.Index)
 		}
-		out[k] = LabeledLink{Link: hetnet.Anchor{I: i, J: j}, Label: l.Label}
+		out[k] = LabeledLink{Link: hetnet.Anchor{I: s.fwd1[i], J: s.fwd2[j]}, Label: l.Label}
 	}
 	return out, nil
-}
-
-// Extracted reports whether the shard pair went through neighborhood
-// extraction (a FullShard ships the full pair untouched). Extraction
-// may still keep every node when the shard's closure covers the whole
-// pair — small dense datasets, K=1 plans.
-func (s *Shard) Extracted() bool { return s.extracted }
-
-// FullShard packages a part with the full pair and identity maps — the
-// no-extraction baseline used to measure what extraction saves, and the
-// fallback for schemas the extractor does not understand.
-func FullShard(pair *hetnet.AlignedPair, part *Part) *Shard {
-	n1 := pair.G1.NodeCount(pair.AnchorType)
-	n2 := pair.G2.NodeCount(pair.AnchorType)
-	inv1 := make([]int32, n1)
-	for i := range inv1 {
-		inv1[i] = int32(i)
-	}
-	inv2 := make([]int32, n2)
-	for i := range inv2 {
-		inv2[i] = int32(i)
-	}
-	sub := hetnet.NewAlignedPair(pair.G1, pair.G2)
-	sub.AnchorType = pair.AnchorType
-	sub.Anchors = append([]hetnet.Anchor(nil), part.TrainPos...)
-	return &Shard{Pair: sub, Part: *part, InvUsers1: inv1, InvUsers2: inv2}
-	// Part is copied by value: identity index space, so Prelabeled (and
-	// everything else) carries over untranslated.
 }
 
 // ExtractShard cuts the pair down to the closed neighborhood the part's
@@ -123,7 +94,7 @@ func FullShard(pair *hetnet.AlignedPair, part *Part) *Shard {
 // = social, anchor→T = authorship, T→attribute for an authored T). A
 // link type outside that shape makes the network opaque to the closure
 // argument; ExtractShard then refuses rather than risk silently wrong
-// features — callers fall back to FullShard.
+// features.
 func ExtractShard(pair *hetnet.AlignedPair, part *Part) (*Shard, error) {
 	ex1, err := newSideExtractor(pair.G1, pair.AnchorType)
 	if err != nil {
@@ -205,7 +176,6 @@ func ExtractShard(pair *hetnet.AlignedPair, part *Part) (*Shard, error) {
 		InvUsers2: inv2,
 		fwd1:      userMap1,
 		fwd2:      userMap2,
-		extracted: true,
 	}
 	if len(part.Prelabeled) > 0 {
 		pre, err := sh.RemapLabels(part.Prelabeled)

@@ -39,9 +39,6 @@ func TestExtractShardPreservesFeatures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("part %d: %v", p, err)
 		}
-		if !shard.Extracted() {
-			t.Errorf("part %d: extraction kept the full pair", p)
-		}
 
 		// Full-pair reference: fork of the base, anchors restricted.
 		ref := base.Fork()
@@ -150,28 +147,6 @@ func TestExtractShardMaps(t *testing.T) {
 	// K=3 plan where NO shard shrinks would mean extraction does nothing.
 	if !shrank {
 		t.Error("no shard shrank under extraction")
-	}
-}
-
-// TestFullShardIdentity checks the no-extraction baseline: identity
-// maps, shared networks, and Extracted() = false.
-func TestFullShardIdentity(t *testing.T) {
-	pair, _, plan := shardPlan(t)
-	part := &plan.Parts[0]
-	shard := FullShard(pair, part)
-	if shard.Extracted() {
-		t.Error("FullShard reports Extracted")
-	}
-	if len(shard.InvUsers1) != pair.G1.NodeCount(pair.AnchorType) {
-		t.Errorf("InvUsers1 length %d, want %d", len(shard.InvUsers1), pair.G1.NodeCount(pair.AnchorType))
-	}
-	for k, a := range shard.Part.TrainPos {
-		if a != part.TrainPos[k] {
-			t.Fatalf("FullShard remapped anchor %d", k)
-		}
-	}
-	if shard.Pair.G1 != pair.G1 || shard.Pair.G2 != pair.G2 {
-		t.Error("FullShard copied the networks")
 	}
 }
 

@@ -78,27 +78,18 @@ func TestRebudgetResplits(t *testing.T) {
 	}
 }
 
-// TestShardRemapLabels: identity on full shards, forward-mapped on
-// extracted ones, and an error for endpoints extraction dropped.
+// TestShardRemapLabels: labels are forward-mapped into an extracted
+// shard's index space, with an error for endpoints extraction dropped.
 func TestShardRemapLabels(t *testing.T) {
 	pair, trainPos, candidates := fixture(t)
 	part := &Part{Index: 0, TrainPos: trainPos, Candidates: candidates[:4]}
-
-	full := FullShard(pair, part)
 	in := []LabeledLink{{Link: candidates[0], Label: 1}}
-	out, err := full.RemapLabels(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != in[0] {
-		t.Fatalf("full shard remap is not identity: %+v", out[0])
-	}
 
 	ex, err := ExtractShard(pair, part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = ex.RemapLabels(in)
+	out, err := ex.RemapLabels(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@ import (
 )
 
 // Vote is one shard pipeline's verdict on one pool link — the unit the
-// global merge decision works on. Votes carry original (pre-extraction)
-// user indices; a shard that trained on an extracted sub-network
-// translates back before voting.
+// global merge decision works on. Votes carry original pair user
+// indices, from every executor.
 type Vote struct {
 	Link    hetnet.Anchor
 	Label   float64

@@ -196,47 +196,6 @@ type Snapshot struct {
 	Labels  []QueriedLabel
 }
 
-// NetworkFingerprint hashes a network's full structure — name, node
-// tables in registration order, link tables with every edge — with
-// FNV-64a over length-delimited primitives. Two structurally identical
-// networks fingerprint identically across processes (no gob type IDs,
-// no map iteration).
-func NetworkFingerprint(g *hetnet.Network) uint64 {
-	h := fnv.New64a()
-	var num [8]byte
-	writeInt := func(v int64) {
-		for i := 0; i < 8; i++ {
-			num[i] = byte(v >> (8 * i))
-		}
-		h.Write(num[:])
-	}
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	writeStr(g.Name())
-	for _, t := range g.NodeTypes() {
-		writeStr(string(t))
-		n := g.NodeCount(t)
-		writeInt(int64(n))
-		for i := 0; i < n; i++ {
-			writeStr(g.NodeID(t, i))
-		}
-	}
-	for _, lt := range g.LinkTypes() {
-		src, dst, _ := g.LinkEndpoints(lt)
-		writeStr(string(lt))
-		writeStr(string(src))
-		writeStr(string(dst))
-		writeInt(int64(g.LinkCount(lt)))
-		g.Links(lt, func(from, to int) {
-			writeInt(int64(from))
-			writeInt(int64(to))
-		})
-	}
-	return h.Sum64()
-}
-
 // AnchorsFingerprint hashes a ground-truth anchor set in order.
 func AnchorsFingerprint(anchors []hetnet.Anchor) uint64 {
 	h := fnv.New64a()
@@ -285,8 +244,8 @@ func Build(pair *hetnet.AlignedPair, meta Meta, model Model, pool []PoolLink, ma
 	for j := range meta.Users2 {
 		meta.Users2[j] = pair.G2.NodeID(hetnet.User, j)
 	}
-	meta.FP1 = NetworkFingerprint(pair.G1)
-	meta.FP2 = NetworkFingerprint(pair.G2)
+	meta.FP1 = pair.G1.Fingerprint()
+	meta.FP2 = pair.G2.Fingerprint()
 	meta.AnchorsFP = AnchorsFingerprint(pair.Anchors)
 
 	s := &Snapshot{

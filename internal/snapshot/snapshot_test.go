@@ -257,14 +257,14 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 func TestNetworkFingerprint(t *testing.T) {
 	a := fixturePair(t)
 	b := fixturePair(t)
-	if NetworkFingerprint(a.G1) != NetworkFingerprint(b.G1) {
+	if a.G1.Fingerprint() != b.G1.Fingerprint() {
 		t.Error("identical networks fingerprint differently")
 	}
-	if NetworkFingerprint(a.G1) == NetworkFingerprint(a.G2) {
+	if a.G1.Fingerprint() == a.G2.Fingerprint() {
 		t.Error("different networks share a fingerprint")
 	}
 	b.G1.AddNode(hetnet.User, "one-more")
-	if NetworkFingerprint(a.G1) == NetworkFingerprint(b.G1) {
+	if a.G1.Fingerprint() == b.G1.Fingerprint() {
 		t.Error("adding a node did not change the fingerprint")
 	}
 	if AnchorsFingerprint(a.Anchors) == AnchorsFingerprint(a.Anchors[:2]) {

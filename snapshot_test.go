@@ -12,7 +12,6 @@ import (
 
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/serve"
-	"github.com/activeiter/activeiter/internal/snapshot"
 )
 
 // liveView is the facade-independent read side of a live result the
@@ -87,7 +86,7 @@ func TestSnapshotRoundTripAllFacades(t *testing.T) {
 			if snap.Meta.Facade != tc.facade {
 				t.Errorf("facade recorded as %q", snap.Meta.Facade)
 			}
-			if snap.Meta.FP1 != snapshot.NetworkFingerprint(pair.G1) {
+			if snap.Meta.FP1 != pair.G1.Fingerprint() {
 				t.Error("dataset fingerprint missing or wrong")
 			}
 
