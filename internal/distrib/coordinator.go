@@ -273,7 +273,7 @@ type streamEnv struct {
 // oracle round-trips — through to its Done frame, accumulating into sr.
 // The response protocol is identical whether the request was a Job or a
 // cache-hit JobRef.
-func collectShard(conn io.ReadWriter, partIndex int, env *streamEnv, sr *shardResult) error {
+func collectShard(conn *attemptConn, partIndex int, env *streamEnv, sr *shardResult) error {
 	cr := &countingReader{r: conn}
 	defer func() { sr.readBytes += cr.n }()
 	for {
@@ -319,7 +319,7 @@ func collectShard(conn io.ReadWriter, partIndex int, env *streamEnv, sr *shardRe
 			label := env.oracle.Label(hetnet.Anchor{I: int(q.I), J: int(q.J)})
 			env.oracleMu.Unlock()
 			env.queries.Add(1)
-			if err := WriteFrame(conn, FrameAnswer, &Answer{Seq: q.Seq, Label: label}); err != nil {
+			if _, err := conn.writeFrame(FrameAnswer, &Answer{Seq: q.Seq, Label: label}); err != nil {
 				return err
 			}
 		case FrameDone:

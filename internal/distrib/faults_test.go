@@ -341,11 +341,9 @@ func (c *slowConn) Write(p []byte) (int, error) {
 		switch FrameType(p[7]) {
 		case FrameCancel:
 			// The abandon notice is advisory and the coordinator closes the
-			// connection right after it, so the connection ends here. Putting
-			// the notice on the pipe instead would race the attempt's own
-			// Answer writes for it: net.Pipe is synchronous, and a worker that
-			// reads half of each frame answers with an Error frame nobody is
-			// reading — both ends blocked in a write until the shard deadline.
+			// connection right after it, so the connection ends here: the
+			// stalled side is this one's reads, and nobody would take the
+			// notice off the synchronous pipe before the stall is over.
 			c.tr.sawCancel.Store(true)
 			c.Close()
 			return 0, io.ErrClosedPipe
@@ -446,6 +444,110 @@ func TestHedgingRacesStragglers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// ---------------------------------------------------------------------
+// One writer per connection: the winner's Cancel never lands inside a
+// frame the losing attempt is still writing.
+// ---------------------------------------------------------------------
+
+// midFrameTransport parks the FIRST dialed connection's attempt inside a
+// frame: the first oracle Answer's header goes out, and the write holds
+// there — the worker has half a frame — until the coordinator closes the
+// connection. Any other write arriving meanwhile is a second writer on
+// the framed stream.
+type midFrameTransport struct {
+	inner Transport
+	mu    sync.Mutex
+	first *midFrameConn
+}
+
+func (tr *midFrameTransport) Dial() (io.ReadWriteCloser, error) {
+	conn, err := tr.inner.Dial()
+	if err != nil {
+		return nil, err
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.first == nil {
+		tr.first = &midFrameConn{ReadWriteCloser: conn, closed: make(chan struct{})}
+		return tr.first, nil
+	}
+	return conn, nil
+}
+
+type midFrameConn struct {
+	io.ReadWriteCloser
+	parked    atomic.Bool // the attempt's goroutine is inside its Answer frame
+	intruded  atomic.Bool // a write arrived while it was
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *midFrameConn) Write(p []byte) (int, error) {
+	if c.parked.Load() {
+		c.intruded.Store(true)
+		c.Close()
+		return 0, io.ErrClosedPipe
+	}
+	if len(p) == 8 && p[4] == 'A' && p[5] == 'I' && FrameType(p[7]) == FrameAnswer {
+		n, err := c.ReadWriteCloser.Write(p)
+		c.parked.Store(true)
+		<-c.closed
+		if err == nil {
+			err = io.ErrClosedPipe
+		}
+		return n, err
+	}
+	return c.ReadWriteCloser.Write(p)
+}
+
+func (c *midFrameConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.ReadWriteCloser.Close()
+}
+
+// TestCancelNeverInterleavesWithAnAnswer pins the session connection's
+// single-writer rule. The straggler is an attempt stuck between the
+// header and the body of an Answer; its hedge twin wins, and the
+// winner's goroutine cancels the loser. Writing the Cancel from there
+// put its header into the middle of the Answer — a corrupt stream, and
+// over net.Pipe two writers blocked until ShardTimeout. The canceller
+// now waits its turn for the connection and, when the turn does not come,
+// closes it.
+func TestCancelNeverInterleavesWithAnAnswer(t *testing.T) {
+	fx := newDistFixture(t, 2, 8)
+	for _, part := range fx.plan.Parts {
+		if part.Budget == 0 {
+			t.Fatal("fixture shard carries no budget; its worker would never query")
+		}
+	}
+	tr := &midFrameTransport{inner: Loopback{}}
+	coord := &Coordinator{Transport: tr, Opts: Options{
+		Train: fx.train, Workers: 2, HedgeAfter: 100 * time.Millisecond,
+	}}
+	start := time.Now()
+	res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
+	if err != nil {
+		t.Fatalf("hedged run failed: %v", err)
+	}
+	if took := time.Since(start); took > 30*time.Second {
+		t.Errorf("run took %v: the parked attempt was waited out", took)
+	}
+	assertSameAlignment(t, res, fx.ref, fx.plan)
+	if m.Hedges == 0 {
+		t.Fatal("the parked attempt was never hedged")
+	}
+	// The cancel runs off the dispatch path: wait for it to end the
+	// parked connection, then ask what it wrote on the way.
+	select {
+	case <-tr.first.closed:
+	case <-time.After(10 * cancelGrace):
+		t.Fatal("the losing attempt's connection was never closed")
+	}
+	if tr.first.intruded.Load() {
+		t.Fatal("a second writer put a frame inside the losing attempt's half-written Answer")
+	}
 }
 
 // ---------------------------------------------------------------------

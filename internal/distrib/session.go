@@ -401,7 +401,7 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		done:        make([]bool, k),
 		hedged:      make([]bool, k),
 		fellBack:    make([]bool, k),
-		active:      make(map[int][]io.ReadWriteCloser, k),
+		active:      make(map[int][]*attemptConn, k),
 		results:     make([]*shardResult, k),
 		merger:      partition.NewMerger(),
 		outstanding: k,
@@ -496,7 +496,7 @@ type sessionRound struct {
 	fellBack []bool      // the in-process fallback was dispatched
 	// active tracks every live attempt's connection per shard so the
 	// winning attempt can cancel the losers.
-	active         map[int][]io.ReadWriteCloser
+	active         map[int][]*attemptConn
 	durations      []time.Duration // committed shard durations, for the hedge percentile
 	results        []*shardResult
 	merger         *partition.Merger // commits stream in as shards finish
@@ -649,15 +649,59 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 	}
 }
 
+// attemptConn is the coordinator's end of one tracked shard attempt. Its
+// framed stream has one writer at a time: the attempt's own goroutine
+// (the request, the oracle Answers) and the goroutine that cancels it
+// when a hedge twin wins both put whole frames on the wire under the
+// one-slot token. A Cancel can therefore never land inside a frame the
+// losing attempt is still writing — which corrupts the stream on any
+// transport, and over the synchronous net.Pipe left both ends blocked in
+// a write until ShardTimeout.
+type attemptConn struct {
+	io.ReadWriteCloser
+	token chan struct{}
+}
+
+// writeFrame writes one frame as the connection's only writer and
+// returns its size on the wire.
+func (c *attemptConn) writeFrame(typ FrameType, frame Payload) (int64, error) {
+	c.token <- struct{}{}
+	defer func() { <-c.token }()
+	cw := &countingWriter{w: c.ReadWriteCloser}
+	err := WriteFrame(cw, typ, frame)
+	return cw.n, err
+}
+
+// cancelGrace is how long a canceller waits for the losing attempt to
+// finish the frame it is writing. Frames take microseconds; an attempt
+// that holds the token longer is blocked on a peer that stopped reading.
+const cancelGrace = time.Second
+
+// cancel abandons the attempt from another goroutine: a Cancel frame
+// written between the attempt's own frames, then a close. An attempt
+// stuck inside a frame gets the close alone — the notice is advisory,
+// and the close unblocks it.
+func (c *attemptConn) cancel(shard int) {
+	grace := time.NewTimer(cancelGrace)
+	defer grace.Stop()
+	select {
+	case c.token <- struct{}{}:
+		_ = WriteFrame(c.ReadWriteCloser, FrameCancel, &Cancel{Shard: shard})
+		<-c.token
+	case <-grace.C:
+	}
+	c.Close()
+}
+
 // track registers an attempt's connection so a winning hedge twin can
 // cancel it; untrack removes it when the attempt ends on its own.
-func (rr *sessionRound) track(i int, conn io.ReadWriteCloser) {
+func (rr *sessionRound) track(i int, conn *attemptConn) {
 	rr.mu.Lock()
 	rr.active[i] = append(rr.active[i], conn)
 	rr.mu.Unlock()
 }
 
-func (rr *sessionRound) untrack(i int, conn io.ReadWriteCloser) {
+func (rr *sessionRound) untrack(i int, conn *attemptConn) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	live := rr.active[i][:0]
@@ -709,7 +753,7 @@ func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) bool {
 	// untracked itself before committing) get a Cancel frame and a
 	// close, off-lock: a worker blocked on an oracle answer aborts
 	// promptly, one deep in training notices at its next write.
-	losers := append([]io.ReadWriteCloser(nil), rr.active[i]...)
+	losers := append([]*attemptConn(nil), rr.active[i]...)
 	rr.outstanding--
 	if rr.outstanding == 0 {
 		rr.finish()
@@ -722,10 +766,7 @@ func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) bool {
 	rr.s.mu.Unlock()
 	slot.holds[part.Index] = sr.state.fp
 	for _, c := range losers {
-		go func(c io.ReadWriteCloser) {
-			_ = WriteFrame(c, FrameCancel, &Cancel{Shard: part.Index})
-			c.Close()
-		}(c)
+		go c.cancel(part.Index)
 	}
 	return true
 }
@@ -848,14 +889,14 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 			return nil, err
 		}
 	}
-	conn := slot.conn
+	conn := &attemptConn{ReadWriteCloser: slot.conn, token: make(chan struct{}, 1)}
 	st := rr.shardState(i)
 	rr.track(i, conn)
 	defer rr.untrack(i, conn)
 	// The per-shard deadline spans the whole dispatch — JobRef, CacheAck,
 	// any full-Job fallback, the response stream — and is disarmed before
 	// the (persistent) connection moves on to its next shard.
-	disarm := armDeadline(conn, rr.shardTimeout)
+	disarm := armDeadline(slot.conn, rr.shardTimeout)
 	defer disarm()
 	env := &streamEnv{
 		oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.queries,
@@ -867,10 +908,9 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 		span := rr.tracer.Start("ship", sp.ID())
 		span.SetTrack(track)
 		defer span.End()
-		cw := &countingWriter{w: conn}
-		err := WriteFrame(cw, typ, frame)
-		span.Annotate("bytes", fmt.Sprintf("%d", cw.n))
-		return cw.n, err
+		n, err := conn.writeFrame(typ, frame)
+		span.Annotate("bytes", fmt.Sprintf("%d", n))
+		return n, err
 	}
 
 	rr.s.mu.Lock()

@@ -153,15 +153,19 @@ func NormalizedUndirected(g *hetnet.Network) (*sparse.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	sym := sparse.Add(adj, adj.T()).Binarize()
-	rows := sym.RowSums()
-	b := sparse.NewBuilder(sym.Rows(), sym.Cols())
-	sym.Iterate(func(i, j int, v float64) {
-		if rows[i] > 0 {
-			b.Add(i, j, v/rows[i])
+	// The pattern of A + Aᵀ is the symmetrized graph; a row's entry count
+	// is its user's degree, so the operator reuses the pattern and only
+	// the values are written, each 1/degree.
+	rows, cols, rowPtr, colIdx, _ := sparse.Add(adj, adj.T()).Raw()
+	val := make([]float64, len(colIdx))
+	for i := 0; i < rows; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		w := 1 / float64(hi-lo)
+		for k := lo; k < hi; k++ {
+			val[k] = w
 		}
-	})
-	return b.Build(), nil
+	}
+	return sparse.FromRaw(rows, cols, rowPtr, colIdx, val)
 }
 
 // attributePrior builds the Ψ^a² proximity prior, falling back to a

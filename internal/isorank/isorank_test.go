@@ -5,6 +5,7 @@ import (
 
 	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 func TestAlignRecoversAnchorsUnsupervised(t *testing.T) {
@@ -116,5 +117,66 @@ func TestSimilarityIsNormalized(t *testing.T) {
 	sum := res.Similarity.Sum()
 	if sum < 0.99 || sum > 1.01 {
 		t.Errorf("similarity mass = %v, want ≈ 1", sum)
+	}
+}
+
+// referenceNormalizedUndirected is the operator as it was built before
+// it reused the symmetrized pattern: binarize a copy, take row sums, and
+// push every entry divided by its row sum through a Builder.
+func referenceNormalizedUndirected(g *hetnet.Network) (*sparse.CSR, error) {
+	adj, err := g.Adjacency(hetnet.Follow)
+	if err != nil {
+		return nil, err
+	}
+	sym := sparse.Add(adj, adj.T()).Binarize()
+	rows := sym.RowSums()
+	b := sparse.NewBuilder(sym.Rows(), sym.Cols())
+	sym.Iterate(func(i, j int, v float64) {
+		if rows[i] > 0 {
+			b.Add(i, j, v/rows[i])
+		}
+	})
+	return b.Build(), nil
+}
+
+// TestNormalizedUndirectedMatchesReference pins the Builder-free
+// operator to the old construction entry for entry — the planner's plan
+// fingerprints and the IsoRank baseline both sit on these floats — on
+// generated graphs and on one with isolated users, a reciprocated follow
+// and a duplicate edge.
+func TestNormalizedUndirectedMatchesReference(t *testing.T) {
+	var graphs []*hetnet.Network
+	for _, cfg := range []datagen.Config{datagen.Tiny(), datagen.Small()} {
+		pair, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, pair.G1, pair.G2)
+	}
+	odd := hetnet.NewSocialNetwork("odd")
+	for i := 0; i < 6; i++ {
+		odd.AddNode(hetnet.User, string(rune('a'+i)))
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {1, 2}, {4, 2}} { // users 3 and 5 follow nobody and nobody follows them
+		if err := odd.AddLink(hetnet.Follow, e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	graphs = append(graphs, odd)
+	for _, g := range graphs {
+		want, err := referenceNormalizedUndirected(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NormalizedUndirected(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: operator differs from the Builder construction (%v vs %v)", g.Name(), got, want)
+		}
+		if _, _, _, colIdx, val := got.Raw(); cap(colIdx) != len(colIdx) || cap(val) != len(val) {
+			t.Errorf("%s: operator slices are not exactly sized", g.Name())
+		}
 	}
 }

@@ -87,31 +87,52 @@ func collectSeedDiagrams(d schema.Diagram, seen map[string]schema.Diagram) {
 	}
 }
 
-// ExportSeed computes (or fetches from the shared cache) the count
-// matrix of every maximal anchor-free sub-diagram of feats and packages
-// them as a deterministic, re-derivable seed. The counter's anchor set
-// is irrelevant — nothing exported traverses an anchor edge — so a
-// coordinator can export from a counter mid-plan without coordination.
-func (c *Counter) ExportSeed(feats []schema.Named) (*Seed, error) {
+// warm counts every maximal anchor-free sub-diagram of feats into the
+// shared cache layer (or finds it there) and returns the matrices with
+// their notation keys, sorted by key.
+func (c *Counter) warm(feats []schema.Named) (keys []string, counts []*sparse.CSR, err error) {
 	seen := make(map[string]schema.Diagram)
 	for _, f := range feats {
 		collectSeedDiagrams(f.D, seen)
 	}
-	keys := make([]string, 0, len(seen))
+	keys = make([]string, 0, len(seen))
 	for k := range seen {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	s := &Seed{Entries: make([]SeedEntry, 0, len(keys))}
-	for _, k := range keys {
-		m, err := c.Count(seen[k])
-		if err != nil {
-			return nil, fmt.Errorf("metadiag: export seed %q: %w", k, err)
+	counts = make([]*sparse.CSR, len(keys))
+	for n, k := range keys {
+		if counts[n], err = c.Count(seen[k]); err != nil {
+			return nil, nil, fmt.Errorf("metadiag: warm %q: %w", k, err)
 		}
+	}
+	return keys, counts, nil
+}
+
+// Warm evaluates the anchor-free count layer feats read — everything a
+// fork recounts nothing of when its anchors change. The counter's anchor
+// set is irrelevant and the layer is single-flighted, so a caller can
+// warm in the background while other goroutines plan, fork and count
+// against the same counter: each matrix is evaluated once, by whoever
+// asks first.
+func (c *Counter) Warm(feats []schema.Named) error {
+	_, _, err := c.warm(feats)
+	return err
+}
+
+// ExportSeed warms the counter for feats and packages the anchor-free
+// layer as a deterministic, re-derivable seed. Nothing exported
+// traverses an anchor edge, so a coordinator can export from a counter
+// mid-plan without coordination.
+func (c *Counter) ExportSeed(feats []schema.Named) (*Seed, error) {
+	keys, counts, err := c.warm(feats)
+	if err != nil {
+		return nil, err
+	}
+	s := &Seed{Entries: make([]SeedEntry, len(keys))}
+	for n, m := range counts {
 		rows, cols, rowPtr, colIdx, val := m.Raw()
-		s.Entries = append(s.Entries, SeedEntry{
-			Key: k, Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val,
-		})
+		s.Entries[n] = SeedEntry{Key: keys[n], Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 	}
 	return s, nil
 }

@@ -128,3 +128,90 @@ func TestSeedIntoRejectsCorruptEntry(t *testing.T) {
 		t.Fatalf("corrupt entry accepted: %v", err)
 	}
 }
+
+// Warm is the evaluation half of ExportSeed: after it the export
+// evaluates nothing, a fork's recount evaluates only what traverses an
+// anchor, and warming while forks count beside it changes no count.
+func TestWarmIsTheEvaluationHalfOfExportSeed(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := schema.StandardLibrary().All()
+	base, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Warm(feats); err != nil {
+		t.Fatal(err)
+	}
+	warmed := base.Stats().Evaluations
+	if warmed == 0 {
+		t.Fatal("Warm evaluated nothing on a cold counter")
+	}
+	seed, err := base.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := base.Stats().Evaluations; got != warmed {
+		t.Errorf("ExportSeed after Warm evaluated %d more sub-diagrams", got-warmed)
+	}
+	cold, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seed.Entries) != len(want.Entries) {
+		t.Fatalf("warmed export has %d entries, cold export %d", len(seed.Entries), len(want.Entries))
+	}
+	for i := range want.Entries {
+		if seed.Entries[i].Key != want.Entries[i].Key || seed.NNZ() != want.NNZ() {
+			t.Fatalf("entry %d: warmed export %q, cold export %q", i, seed.Entries[i].Key, want.Entries[i].Key)
+		}
+	}
+
+	// Warm racing two forks' recounts: single-flight makes each shared
+	// count one evaluation, whoever gets there first.
+	racing, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmDone := make(chan error, 1)
+	go func() { warmDone <- racing.Warm(feats) }()
+	half := len(pair.Anchors) / 2
+	forks := []*Counter{racing.Fork(), racing.Fork()}
+	forks[0].SetAnchors(pair.Anchors[:half])
+	forks[1].SetAnchors(pair.Anchors[half:])
+	recounted := make(chan error, len(forks))
+	for _, f := range forks {
+		go func(f *Counter) { recounted <- NewExtractor(f, feats, true).Recompute() }(f)
+	}
+	for range forks {
+		if err := <-recounted; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-warmDone; err != nil {
+		t.Fatal(err)
+	}
+	shared := racing.Stats().Evaluations + forks[0].Stats().Evaluations + forks[1].Stats().Evaluations
+	ref := cold.Fork()
+	ref.SetAnchors(pair.Anchors[:half])
+	if err := NewExtractor(ref, feats, true).Recompute(); err != nil {
+		t.Fatal(err)
+	}
+	anchored := ref.Stats().Evaluations // the shared layer is warm: these all traverse an anchor
+	if shared != warmed+2*anchored {
+		t.Errorf("warm + two forks evaluated %d sub-diagrams, want %d shared + 2×%d anchored", shared, warmed, anchored)
+	}
+	for _, f := range feats {
+		a, _ := ref.Count(f.D)
+		b, _ := forks[0].Count(f.D)
+		if !a.Equal(b) {
+			t.Fatalf("feature %s: count raced against Warm differs", f.ID)
+		}
+	}
+}

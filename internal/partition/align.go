@@ -1,10 +1,13 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
@@ -42,7 +45,12 @@ type PartReport struct {
 	Candidates int
 	Budget     int
 	Queries    int
-	Elapsed    time.Duration
+	// Elapsed is the part's own busy time this round: its anchor recount
+	// and feature fill (first round only — later rounds keep the filled
+	// matrix) plus its training loop. Time the part spent waiting — for a
+	// worker slot, or for the planner to finish assigning candidates
+	// while its count was already done — is not in it.
+	Elapsed time.Duration
 }
 
 // Result is a merged partitioned alignment. It satisfies the same
@@ -70,8 +78,10 @@ type Result struct {
 	// for a result returned by a multi-round session driver, one entry
 	// per partition per round, so QueryCount spans the whole session.
 	Reports []PartReport
-	// Elapsed is the wall time of Align: fork, extract, train, merge
-	// (planning time is the caller's, via BuildPlan).
+	// Elapsed is the wall time of the round: from Begin for the first
+	// Finish (fork, count, fill, train, merge — and whatever the caller
+	// did between the two, which for Align is nothing), from the Finish
+	// call for later rounds.
 	Elapsed time.Duration
 }
 
@@ -183,42 +193,140 @@ type partOutput struct {
 // attribute-only count layer is shared while anchor-dependent counts
 // stay partition-local — and merges the per-partition predictions into
 // one globally one-to-one result via score-greedy union-find
-// reconciliation. The oracle may be nil when the total budget is zero.
-// Oracle calls are serialized but arrive in nondeterministic order
-// across partitions; every oracle in this module answers as a pure
-// function of the link (TruthOracle, hash-seeded NoisyOracle), which
-// keeps multi-partition runs reproducible — an oracle whose answers
-// depend on CALL ORDER would not be.
+// reconciliation: Begin, then Finish. The oracle may be nil when the
+// total budget is zero. Oracle calls are serialized but arrive in
+// nondeterministic order across partitions; every oracle in this module
+// answers as a pure function of the link (TruthOracle, hash-seeded
+// NoisyOracle), which keeps multi-partition runs reproducible — an
+// oracle whose answers depend on CALL ORDER would not be.
 func Align(base *metadiag.Counter, plan *Plan, opts TrainOptions, oracle active.Oracle) (*Result, error) {
+	if plan == nil {
+		return nil, fmt.Errorf("partition: empty plan")
+	}
+	b, err := Begin(base, plan.Parts, opts)
+	if err != nil {
+		return nil, err
+	}
+	return b.Finish(plan, opts.Core, oracle)
+}
+
+// Begun is a set of part pipelines under way. Begin starts the half of
+// each that needs only the part's training anchors — fork the base
+// counter, restrict it to the anchors, recount every feature — and
+// Finish runs the half that needs the part's candidates and labels: pool
+// assembly, feature fill, training, merge. An executor that calls Begin
+// as soon as the anchors are clustered (Planner.Seed) counts while the
+// planner still assigns candidates. Finish may be called once per round
+// of a multi-round run: the filled matrices are kept, so later rounds
+// only retrain, exactly as a session worker does with its Prepared.
+type Begun struct {
+	parts []begunPart
+	sem   chan struct{} // the worker cap, shared by both halves
+	start time.Time
+	quit  atomic.Bool
+}
+
+// begunPart is one part's pipeline state. ready is closed when the count
+// half is over; everything else is written before that by the counting
+// goroutine and afterwards only by the part's Finish goroutine.
+type begunPart struct {
+	trainPos []hetnet.Anchor
+	ready    chan struct{}
+	err      error
+	// ext is the part's recounted fork, dropped once the feature matrix is
+	// filled so the anchor-dependent counts do not outlive their one use.
+	ext  *metadiag.Extractor
+	prep *Prepared
+	busy time.Duration // count and fill time not yet charged to a report
+}
+
+// Begin starts counting for every part, at most opts.Workers at a time.
+// Only Index and TrainPos of each part are read, so the parts of a
+// Seeded will do. A counting failure surfaces from Finish. A caller that
+// gives up before Finish must Release the pipelines.
+func Begin(base *metadiag.Counter, parts []Part, opts TrainOptions) (*Begun, error) {
 	if base == nil {
 		return nil, fmt.Errorf("partition: nil base counter")
 	}
-	if plan == nil || len(plan.Parts) == 0 {
+	if len(parts) == 0 {
 		return nil, fmt.Errorf("partition: empty plan")
 	}
-	start := time.Now()
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(plan.Parts) {
-		workers = len(plan.Parts)
+	b := &Begun{
+		parts: make([]begunPart, len(parts)),
+		sem:   make(chan struct{}, min(workers, len(parts))),
+		start: time.Now(),
+	}
+	for p := range parts {
+		bp := &b.parts[p]
+		bp.trainPos, bp.ready = parts[p].TrainPos, make(chan struct{})
+		go func() {
+			defer close(bp.ready)
+			b.sem <- struct{}{}
+			defer func() { <-b.sem }()
+			if b.quit.Load() {
+				return // Release names the reason
+			}
+			t0 := time.Now()
+			counter := base.Fork()
+			counter.SetAnchors(bp.trainPos)
+			bp.ext = metadiag.NewExtractor(counter, opts.Features, true)
+			bp.err = bp.ext.Recompute()
+			bp.busy = time.Since(t0)
+		}()
+	}
+	return b, nil
+}
+
+var errReleased = errors.New("partition: pipelines released")
+
+// Release abandons the pipelines: parts that have not begun counting
+// never will, Release returns once no goroutine of Begin is left, and a
+// later Finish fails. After the last Finish it only drops what the parts
+// still hold.
+func (b *Begun) Release() {
+	b.quit.Store(true)
+	for p := range b.parts {
+		bp := &b.parts[p]
+		<-bp.ready
+		bp.ext, bp.prep = nil, nil
+		if bp.err == nil {
+			bp.err = errReleased
+		}
+	}
+}
+
+// Finish completes one round over the begun parts: plan must be the
+// assignment of the parts Begin was given (same count, same training
+// anchors), carrying this round's budgets and prelabels; cfg is the
+// round's training configuration (cfg.Budget is not read, cfg.Seed is
+// offset per part). Each part fills its feature matrix the first time
+// and releases its fork; every call trains and merges.
+func (b *Begun) Finish(plan *Plan, cfg core.Config, oracle active.Oracle) (*Result, error) {
+	if plan == nil || len(plan.Parts) != len(b.parts) {
+		return nil, fmt.Errorf("partition: plan does not have the %d parts begun", len(b.parts))
+	}
+	start := time.Now()
+	if !b.start.IsZero() {
+		start, b.start = b.start, time.Time{}
 	}
 	if oracle != nil && len(plan.Parts) > 1 {
 		oracle = &lockedOracle{inner: oracle}
 	}
-
 	outs := make([]partOutput, len(plan.Parts))
 	errs := make([]error, len(plan.Parts))
-	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for p := range plan.Parts {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outs[p], errs[p] = runPart(base, &plan.Parts[p], opts, oracle)
+			<-b.parts[p].ready // before taking a slot the counting half may need
+			b.sem <- struct{}{}
+			defer func() { <-b.sem }()
+			outs[p], errs[p] = b.parts[p].train(&plan.Parts[p], cfg, oracle)
 		}(p)
 	}
 	wg.Wait()
@@ -232,39 +340,29 @@ func Align(base *metadiag.Counter, plan *Plan, opts TrainOptions, oracle active.
 	return res, nil
 }
 
-// runPart executes one partition's pipeline on a fresh fork of base.
-func runPart(base *metadiag.Counter, part *Part, opts TrainOptions, oracle active.Oracle) (partOutput, error) {
+// train is one part's share of a Finish.
+func (bp *begunPart) train(part *Part, cfg core.Config, oracle active.Oracle) (partOutput, error) {
 	t0 := time.Now()
-	counter := base.Fork()
-	counter.SetAnchors(part.TrainPos)
-	links, res, err := TrainPart(counter, part, opts, oracle)
+	if bp.err != nil {
+		return partOutput{}, bp.err
+	}
+	if !slices.Equal(part.TrainPos, bp.trainPos) {
+		return partOutput{}, fmt.Errorf("partition: part was begun on other training anchors")
+	}
+	if bp.prep == nil {
+		bp.prep, bp.err = fillPart(bp.ext, part)
+		bp.ext = nil
+		if bp.err != nil {
+			return partOutput{}, bp.err
+		}
+	}
+	res, err := bp.prep.Train(part, cfg, oracle)
 	if err != nil {
 		return partOutput{}, err
 	}
-	out := partOutput{part: part, links: links, res: res}
-	out.res.Elapsed = time.Since(t0) // include fork+extract, the real per-partition cost
-	return out, nil
-}
-
-// TrainPart runs one shard's counter→extractor→training pipeline on a
-// counter whose anchors are already restricted to part.TrainPos:
-// recompute features, assemble the deduplicated pool (TrainPos first,
-// then candidates in order), and train on the part's budget slice with
-// the part-offset seed. Every executor runs these two halves — the
-// in-process path on a Fork of the base counter, the distributed worker
-// on a fork of its seeded counter, the monolithic Aligner as a single
-// part on its long-lived counter — so there is one pipeline to keep
-// right.
-func TrainPart(counter *metadiag.Counter, part *Part, opts TrainOptions, oracle active.Oracle) ([]hetnet.Anchor, *core.Result, error) {
-	prep, err := PreparePart(counter, part, opts.Features)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := prep.Train(part, opts.Core, oracle)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prep.Links, res, nil
+	res.Elapsed = bp.busy + time.Since(t0)
+	bp.busy = 0
+	return partOutput{part: part, links: bp.prep.Links, res: res}, nil
 }
 
 // Prepared is the label-independent half of a shard pipeline: the
@@ -283,9 +381,9 @@ type Prepared struct {
 	trainPos int
 }
 
-// PreparePart runs the counting and feature-extraction half of TrainPart
-// and returns the reusable Prepared state. The counter's anchors must
-// already be restricted to part.TrainPos.
+// PreparePart runs the counting and feature-extraction half of a part's
+// pipeline and returns the reusable Prepared state. The counter's
+// anchors must already be restricted to part.TrainPos.
 func PreparePart(counter *metadiag.Counter, part *Part, features []schema.Named) (*Prepared, error) {
 	return PrepareWith(metadiag.NewExtractor(counter, features, true), part)
 }
@@ -297,9 +395,15 @@ func PrepareWith(ext *metadiag.Extractor, part *Part) (*Prepared, error) {
 	if err := ext.Recompute(); err != nil {
 		return nil, err
 	}
+	return fillPart(ext, part)
+}
+
+// fillPart assembles the part's pool and fills its feature matrix from
+// an extractor already recomputed on the part's training anchors.
+func fillPart(ext *metadiag.Extractor, part *Part) (*Prepared, error) {
 	links := make([]hetnet.Anchor, 0, len(part.TrainPos)+len(part.Candidates))
 	links = append(links, part.TrainPos...)
-	seen := make(map[int64]int, len(links))
+	seen := make(map[int64]int, cap(links))
 	for i, l := range part.TrainPos {
 		seen[hetnet.Key(l.I, l.J)] = i
 	}

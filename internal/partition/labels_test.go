@@ -5,6 +5,7 @@ import (
 
 	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
 )
 
@@ -121,6 +122,17 @@ func TestShardRemapLabels(t *testing.T) {
 	}
 }
 
+// trainPart runs both halves of one part's pipeline on a counter already
+// restricted to the part's training anchors.
+func trainPart(counter *metadiag.Counter, part *Part, opts TrainOptions) ([]hetnet.Anchor, *core.Result, error) {
+	prep, err := PreparePart(counter, part, opts.Features)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := prep.Train(part, opts.Core, nil)
+	return prep.Links, res, err
+}
+
 // TestTrainPartPrelabeled: prelabels train as fixed queried labels — the
 // result reports them queried without spending budget — and a prelabel
 // outside the pool is an error, not a silent drop.
@@ -135,10 +147,10 @@ func TestTrainPartPrelabeled(t *testing.T) {
 		Index: 0, TrainPos: trainPos, Candidates: candidates,
 		Prelabeled: []LabeledLink{pre},
 	}
-	links, res, err := TrainPart(counter, part, TrainOptions{
+	links, res, err := trainPart(counter, part, TrainOptions{
 		Features: schema.StandardLibrary().All(),
 		Core:     core.Config{Seed: 7},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +181,10 @@ func TestTrainPartPrelabeled(t *testing.T) {
 		Index: 0, TrainPos: trainPos, Candidates: candidates,
 		Prelabeled: []LabeledLink{{Link: hetnet.Anchor{I: 10_000, J: 10_000}, Label: 1}},
 	}
-	if _, _, err := TrainPart(counter, bad, TrainOptions{
+	if _, _, err := trainPart(counter, bad, TrainOptions{
 		Features: schema.StandardLibrary().All(),
 		Core:     core.Config{Seed: 7},
-	}, nil); err == nil {
+	}); err == nil {
 		t.Error("prelabel outside the pool accepted")
 	}
 }

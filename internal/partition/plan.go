@@ -37,6 +37,15 @@
 // split the per-shard pipeline so its label-independent half (counting,
 // feature extraction) is computed once and only training re-runs as the
 // label log grows.
+//
+// Both halves of a sharded run split once more at the point where the
+// training anchors of every part are known and nothing else is:
+// planning is Seed (cluster the anchors) then Assign (place the
+// candidates, split the budget), and the in-process run is Begin (per
+// part: fork, restrict to the part's anchors, recount) then Finish (per
+// part: pool, feature fill, train; then merge). Plan and Align are those
+// pairs called back to back; an executor that calls Begin between Seed
+// and Assign counts while it plans.
 package partition
 
 import (
@@ -208,19 +217,31 @@ func BuildPlan(base *metadiag.Counter, trainPos, candidates []hetnet.Anchor, tot
 }
 
 // PlanCached is BuildPlan with the planner kept in *cache across calls:
-// the fold-independent inputs are derived on the first request that
-// needs them and reused by every later one. A K ≤ 1 request skips input
-// derivation entirely — the monolithic plan needs none of it.
+// SeedCached, then Assign.
 func PlanCached(base *metadiag.Counter, cache **Planner, trainPos, candidates []hetnet.Anchor, totalBudget int, cfg Config) (*Plan, error) {
-	cfg = cfg.withDefaults()
+	if err := validatePlanInputs(trainPos, totalBudget); err != nil {
+		return nil, err // a bad budget too, before any planner input is derived
+	}
+	s, err := SeedCached(base, cache, trainPos, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Assign(candidates, totalBudget)
+}
+
+// SeedCached is Planner.Seed on the planner kept in *cache: the
+// fold-independent inputs are derived on the first request that needs
+// them and reused by every later one. A K ≤ 1 request skips input
+// derivation entirely — the monolithic plan needs none of it.
+func SeedCached(base *metadiag.Counter, cache **Planner, trainPos []hetnet.Anchor, cfg Config) (*Seeded, error) {
 	if base == nil {
 		return nil, fmt.Errorf("partition: nil base counter")
 	}
-	if err := validatePlanInputs(trainPos, totalBudget); err != nil {
+	if err := validateTrainPos(trainPos); err != nil {
 		return nil, err
 	}
-	if cfg.K == 1 || len(trainPos) == 1 {
-		return monolithicPlan(trainPos, candidates, totalBudget), nil
+	if cfg.withDefaults().K == 1 || len(trainPos) == 1 {
+		return monolithicSeed(trainPos), nil
 	}
 	if *cache == nil {
 		pl, err := NewPlanner(base)
@@ -229,75 +250,126 @@ func PlanCached(base *metadiag.Counter, cache **Planner, trainPos, candidates []
 		}
 		*cache = pl
 	}
-	return (*cache).Plan(trainPos, candidates, totalBudget, cfg)
+	return (*cache).Seed(trainPos, cfg)
 }
 
 func validatePlanInputs(trainPos []hetnet.Anchor, totalBudget int) error {
+	if err := validateTrainPos(trainPos); err != nil {
+		return err
+	}
+	return validateBudget(totalBudget)
+}
+
+func validateTrainPos(trainPos []hetnet.Anchor) error {
 	if len(trainPos) == 0 {
 		return fmt.Errorf("partition: no training anchors to seed partitions with")
 	}
+	return nil
+}
+
+func validateBudget(totalBudget int) error {
 	if totalBudget < 0 {
 		return fmt.Errorf("partition: negative budget %d", totalBudget)
 	}
 	return nil
 }
 
-func monolithicPlan(trainPos, candidates []hetnet.Anchor, totalBudget int) *Plan {
-	return &Plan{Parts: []Part{{
-		Index: 0, TrainPos: trainPos, Candidates: candidates, Budget: totalBudget,
-	}}}
+// Seeded is the first half of a plan: the training anchors clustered
+// into the groups that seed its partitions. Parts holds one entry per
+// partition with Index and TrainPos final and nothing else set — all a
+// part's anchor-dependent counting needs — so an executor can begin
+// every part's pipeline (Begin) while Assign still decides which
+// candidates each part gets.
+type Seeded struct {
+	Parts []Part
+
+	pl  *Planner // nil: one monolithic part, nothing to assign by
+	cfg Config
+}
+
+func monolithicSeed(trainPos []hetnet.Anchor) *Seeded {
+	return &Seeded{Parts: []Part{{Index: 0, TrainPos: trainPos}}}
 }
 
 // Plan shards the candidate space into cfg.K overlapping partitions and
-// splits totalBudget proportionally to shard size. trainPos must be
-// non-empty; every partition is guaranteed at least one training
-// anchor. Candidate order is preserved within each partition, so a K=1
-// plan reproduces the monolithic pipeline exactly.
+// splits totalBudget proportionally to shard size: Seed, then Assign.
+// trainPos must be non-empty; every partition is guaranteed at least one
+// training anchor. Candidate order is preserved within each partition,
+// so a K=1 plan reproduces the monolithic pipeline exactly.
 func (pl *Planner) Plan(trainPos, candidates []hetnet.Anchor, totalBudget int, cfg Config) (*Plan, error) {
-	cfg = cfg.withDefaults()
 	if err := validatePlanInputs(trainPos, totalBudget); err != nil {
 		return nil, err
 	}
-	k := cfg.K
-	if k > len(trainPos) {
-		k = len(trainPos)
+	s, err := pl.Seed(trainPos, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if k == 1 {
-		return monolithicPlan(trainPos, candidates, totalBudget), nil
-	}
+	return s.Assign(candidates, totalBudget)
+}
 
-	groups := clusterAnchors(trainPos, pl.adj1, k)
+// Seed clusters the training anchors into at most cfg.K groups over the
+// network-1 follow graph — the half of planning that fixes how many
+// parts there are and which anchors each trains on.
+func (pl *Planner) Seed(trainPos []hetnet.Anchor, cfg Config) (*Seeded, error) {
+	cfg = cfg.withDefaults()
+	if err := validateTrainPos(trainPos); err != nil {
+		return nil, err
+	}
+	k := min(cfg.K, len(trainPos))
+	if k == 1 {
+		return monolithicSeed(trainPos), nil
+	}
 	// clusterAnchors can return fewer groups than requested (duplicate
 	// anchor endpoints make farthest-point seeding run out of distinct
-	// seeds); every index below must follow the realized count.
-	k = len(groups)
-	if k == 1 {
-		return monolithicPlan(trainPos, candidates, totalBudget), nil
+	// seeds); everything downstream follows the realized count.
+	groups := clusterAnchors(trainPos, pl.adj1, k)
+	if len(groups) == 1 {
+		return monolithicSeed(trainPos), nil
 	}
+	parts := make([]Part, len(groups))
+	for p, g := range groups {
+		parts[p].Index = p
+		parts[p].TrainPos = make([]hetnet.Anchor, len(g))
+		for n, ai := range g {
+			parts[p].TrainPos[n] = trainPos[ai]
+		}
+	}
+	return &Seeded{Parts: parts, pl: pl, cfg: cfg}, nil
+}
 
-	// Per-partition hop distances on both networks from the group's
-	// anchor endpoints.
+// Assign completes the plan: every candidate goes to the partition whose
+// anchors it has the highest affinity to — BFS hop locality on both
+// networks blended with the coarse similarity folded onto the anchor
+// groups — and to the runner-up too when that is within cfg.Overlap of
+// the best; totalBudget is then split proportionally to shard size. The
+// returned plan owns copies of the seeded parts, so one Seeded can be
+// assigned more than once.
+func (s *Seeded) Assign(candidates []hetnet.Anchor, totalBudget int) (*Plan, error) {
+	if err := validateBudget(totalBudget); err != nil {
+		return nil, err
+	}
+	parts := append([]Part(nil), s.Parts...)
+	if s.pl == nil {
+		parts[0].Candidates, parts[0].Budget = candidates, totalBudget
+		return &Plan{Parts: parts}, nil
+	}
+	pl, cfg, k := s.pl, s.cfg, len(parts)
+
+	// Per-partition hop distances on both networks from the part's anchor
+	// endpoints.
 	d1 := make([][]int, k)
 	d2 := make([][]int, k)
-	for p, g := range groups {
-		var src1, src2 []int
-		for _, ai := range g {
-			src1 = append(src1, trainPos[ai].I)
-			src2 = append(src2, trainPos[ai].J)
+	for p := range parts {
+		anchors := parts[p].TrainPos
+		src1, src2 := make([]int, len(anchors)), make([]int, len(anchors))
+		for n, a := range anchors {
+			src1[n], src2[n] = a.I, a.J
 		}
 		d1[p] = multiSourceBFS(pl.adj1, src1)
 		d2[p] = multiSourceBFS(pl.adj2, src2)
 	}
 
-	simLeft, simRight, seeded := pl.foldSimilarity(trainPos, groups, cfg.CoarseIters)
-
-	parts := make([]Part, k)
-	for p := range parts {
-		parts[p].Index = p
-		for _, ai := range groups[p] {
-			parts[p].TrainPos = append(parts[p].TrainPos, trainPos[ai])
-		}
-	}
+	simLeft, simRight, seeded := pl.foldSimilarity(parts, cfg.CoarseIters)
 
 	overlapped := 0
 	wLoc := cfg.LocalityWeight
@@ -346,13 +418,14 @@ func undirectedNeighbors(g *hetnet.Network) ([][]int32, *sparse.CSR, error) {
 		return nil, nil, err
 	}
 	out := make([][]int32, norm.Rows())
+	flat := make([]int32, 0, norm.NNZ()) // every list a window of one allocation
 	for i := range out {
 		cols, _ := norm.RowSlice(i)
-		row := make([]int32, len(cols))
-		for k, j := range cols {
-			row[k] = int32(j)
+		lo := len(flat)
+		for _, j := range cols {
+			flat = append(flat, int32(j))
 		}
-		out[i] = row
+		out[i] = flat[lo:len(flat):len(flat)]
 	}
 	return out, norm, nil
 }
@@ -521,20 +594,20 @@ func (pl *Planner) similarity(iters int) *sparse.CSR {
 // simRight). Both are normalized to [0,1] by their global maxima.
 // seeded=false when the pair carries no joint attribute evidence — the
 // caller then uses locality alone.
-func (pl *Planner) foldSimilarity(trainPos []hetnet.Anchor, groups [][]int, iters int) (simLeft, simRight []float64, seeded bool) {
+func (pl *Planner) foldSimilarity(parts []Part, iters int) (simLeft, simRight []float64, seeded bool) {
 	r := pl.similarity(iters)
 	if r == nil {
 		return nil, nil, false
 	}
 	n1 := pl.base.Pair().G1.NodeCount(hetnet.User)
 	n2 := pl.base.Pair().G2.NodeCount(hetnet.User)
-	k := len(groups)
+	k := len(parts)
 	groupOfI := make(map[int]int)
 	groupOfJ := make(map[int]int)
-	for p, g := range groups {
-		for _, ai := range g {
-			groupOfI[trainPos[ai].I] = p
-			groupOfJ[trainPos[ai].J] = p
+	for p := range parts {
+		for _, a := range parts[p].TrainPos {
+			groupOfI[a.I] = p
+			groupOfJ[a.J] = p
 		}
 	}
 	simLeft = make([]float64, n1*k)

@@ -145,11 +145,19 @@ func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []i
 	return out
 }
 
+// hadamardSkew is the row-length ratio from which Hadamard probes the
+// long row for the short row's columns instead of merging the two.
+const hadamardSkew = 8
+
 // Hadamard returns the elementwise product a ⊙ b. Shapes must match. The
 // result stores entries only where both inputs are non-zero — exactly the
 // "both path patterns present" semantics of meta diagram stacking. The
-// output is sized once from Σᵢ min(|aᵢ|, |bᵢ|) and each row pair is
-// intersected by a two-pointer merge.
+// output is sized once from Σᵢ min(|aᵢ|, |bᵢ|). A row pair of comparable
+// lengths is intersected by a two-pointer merge; one at least
+// hadamardSkew× longer than the other is probed from the short side
+// (probeRow), so stacking a part's sparse anchor-path count on a dense
+// attribute count costs what the part owns, not the attribute matrix.
+// Products commute, so both regimes store the same floats.
 func Hadamard(a, b *CSR) *CSR {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("sparse: Hadamard shape mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -164,19 +172,26 @@ func Hadamard(a, b *CSR) *CSR {
 	for i := 0; i < a.rows; i++ {
 		ac, av := a.RowSlice(i)
 		bc, bv := b.RowSlice(i)
-		for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
-			switch ja, jb := ac[ka], bc[kb]; {
-			case ja == jb:
-				if v := av[ka] * bv[kb]; v != 0 {
-					colIdx[n], val[n] = ja, v
-					n++
+		switch {
+		case len(ac)*hadamardSkew <= len(bc):
+			n = probeRow(ac, av, bc, bv, colIdx, val, n)
+		case len(bc)*hadamardSkew <= len(ac):
+			n = probeRow(bc, bv, ac, av, colIdx, val, n)
+		default:
+			for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
+				switch ja, jb := ac[ka], bc[kb]; {
+				case ja == jb:
+					if v := av[ka] * bv[kb]; v != 0 {
+						colIdx[n], val[n] = ja, v
+						n++
+					}
+					ka++
+					kb++
+				case ja < jb:
+					ka++
+				default:
+					kb++
 				}
-				ka++
-				kb++
-			case ja < jb:
-				ka++
-			default:
-				kb++
 			}
 		}
 		out.rowPtr[i+1] = n
@@ -185,42 +200,96 @@ func Hadamard(a, b *CSR) *CSR {
 	return out
 }
 
+// probeRow intersects a short row with a much longer one: each short
+// column gallops forward through what is left of the long row (doubling
+// steps, then a binary search inside the last step), so the row costs
+// O(short · log(long/short)) instead of O(short + long). Matches are
+// written to colIdx/val from n on; the new n is returned.
+func probeRow(sc []int, sv []float64, lc []int, lv []float64, colIdx []int, val []float64, n int) int {
+	lo := 0 // the long row's columns before lo are below every short column left
+	for ks, j := range sc {
+		if lo == len(lc) {
+			break
+		}
+		step := 1
+		for lo+step < len(lc) && lc[lo+step] < j {
+			lo += step
+			step *= 2
+		}
+		hi := min(lo+step, len(lc)-1)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); lc[mid] < j {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lc[lo] < j {
+			break // j and every later short column lie beyond the long row
+		}
+		if lc[lo] == j {
+			if v := sv[ks] * lv[lo]; v != 0 {
+				colIdx[n], val[n] = j, v
+				n++
+			}
+			lo++
+		}
+	}
+	return n
+}
+
 // Add returns a + b. Shapes must match. Entries that cancel exactly are
-// dropped.
+// dropped. Like matMul it runs two passes — count each row's merged
+// columns, size the output once, write — and squeezes zeros out only
+// when some sum did cancel.
 func Add(a, b *CSR) *CSR {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("sparse: Add shape mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := &CSR{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
-	var colIdx []int
-	var val []float64
-	push := func(j int, v float64) {
-		if v != 0 {
-			colIdx = append(colIdx, j)
-			val = append(val, v)
+	for i := 0; i < a.rows; i++ {
+		ac, bc := a.colIdx[a.rowPtr[i]:a.rowPtr[i+1]], b.colIdx[b.rowPtr[i]:b.rowPtr[i+1]]
+		shared := 0
+		for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
+			switch ja, jb := ac[ka], bc[kb]; {
+			case ja == jb:
+				shared++
+				ka++
+				kb++
+			case ja < jb:
+				ka++
+			default:
+				kb++
+			}
 		}
+		out.rowPtr[i+1] = out.rowPtr[i] + len(ac) + len(bc) - shared
 	}
+	colIdx, val := make([]int, out.rowPtr[a.rows]), make([]float64, out.rowPtr[a.rows])
+	n, zeros := 0, false
 	for i := 0; i < a.rows; i++ {
 		ka, kb := a.rowPtr[i], b.rowPtr[i]
 		endA, endB := a.rowPtr[i+1], b.rowPtr[i+1]
 		for ka < endA || kb < endB {
 			switch {
 			case kb >= endB || (ka < endA && a.colIdx[ka] < b.colIdx[kb]):
-				push(a.colIdx[ka], a.val[ka])
+				colIdx[n], val[n] = a.colIdx[ka], a.val[ka]
 				ka++
 			case ka >= endA || b.colIdx[kb] < a.colIdx[ka]:
-				push(b.colIdx[kb], b.val[kb])
+				colIdx[n], val[n] = b.colIdx[kb], b.val[kb]
 				kb++
 			default:
-				push(a.colIdx[ka], a.val[ka]+b.val[kb])
+				colIdx[n], val[n] = a.colIdx[ka], a.val[ka]+b.val[kb]
 				ka++
 				kb++
 			}
+			zeros = zeros || val[n] == 0
+			n++
 		}
-		out.rowPtr[i+1] = len(val)
 	}
-	out.colIdx = colIdx
-	out.val = val
+	out.colIdx, out.val = colIdx, val
+	if zeros {
+		out.dropZeros()
+	}
 	return out
 }
 

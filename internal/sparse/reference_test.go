@@ -203,23 +203,176 @@ func skewedPair(rng *rand.Rand, rows, cols int) (a, b *CSR) {
 	return ab.Build(), bb.Build()
 }
 
-// TestHadamardMatchesReference checks the presized Hadamard against the
-// append-grown merge, both operand orders.
+// checkHadamardAgainstReference requires Hadamard to equal the plain
+// merge in both operand orders.
+func checkHadamardAgainstReference(t *testing.T, a, b *CSR) {
+	t.Helper()
+	want := referenceHadamard(a, b)
+	got := Hadamard(a, b)
+	checkWellFormed(t, got)
+	if !got.Equal(want) {
+		t.Fatalf("Hadamard(%v, %v) differs from the two-pointer reference", a, b)
+	}
+	if rev := Hadamard(b, a); !rev.Equal(want) {
+		t.Fatalf("Hadamard(%v, %v) differs from the product taken the other way round", b, a)
+	}
+}
+
+// TestHadamardMatchesReference checks the presized, skew-aware Hadamard
+// against the append-grown merge, both operand orders.
 func TestHadamardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, sh := range [][2]int{{0, 5}, {5, 0}, {1, 1}, {7, 40}, {30, 300}, {12, 1000}} {
 		for trial := 0; trial < 8; trial++ {
 			a, b := skewedPair(rng, sh[0], sh[1])
-			want := referenceHadamard(a, b)
-			got := Hadamard(a, b)
-			checkWellFormed(t, got)
-			if !got.Equal(want) {
-				t.Fatalf("shape %v trial %d: Hadamard differs from the two-pointer reference", sh, trial)
-			}
-			if rev := Hadamard(b, a); !rev.Equal(want) {
-				t.Fatalf("shape %v trial %d: Hadamard(b, a) differs from Hadamard(a, b)", sh, trial)
+			checkHadamardAgainstReference(t, a, b)
+		}
+	}
+}
+
+// ratioPair returns two rows×cols matrices whose row i pairs short[i]
+// entries on one side with short[i]·ratio on the other (sides swapping
+// from row to row), at random columns. Values come from vals, so a
+// caller can plant products that vanish.
+func ratioPair(rng *rand.Rand, cols, ratio int, short []int, vals []float64) (a, b *CSR) {
+	row := func(n int) ([]int, []float64) {
+		js := rng.Perm(cols)[:min(n, cols)]
+		sortLive(js)
+		vs := make([]float64, len(js))
+		for k := range vs {
+			vs[k] = vals[rng.Intn(len(vals))]
+		}
+		return js, vs
+	}
+	build := func(lens []int) *CSR {
+		m := &CSR{rows: len(lens), cols: cols, rowPtr: make([]int, len(lens)+1)}
+		for i, n := range lens {
+			js, vs := row(n)
+			m.colIdx, m.val = append(m.colIdx, js...), append(m.val, vs...)
+			m.rowPtr[i+1] = len(m.val)
+		}
+		return m
+	}
+	la, lb := make([]int, len(short)), make([]int, len(short))
+	for i, n := range short {
+		la[i], lb[i] = n, n*ratio
+		if i%2 == 1 {
+			la[i], lb[i] = lb[i], la[i]
+		}
+	}
+	return build(la), build(lb)
+}
+
+// TestHadamardAcrossTheSkewThreshold walks row-length ratios on both
+// sides of hadamardSkew — the merge, the last merged ratio, the first
+// probed one, and far into the probe — with empty rows on either side,
+// rows that run to the last column, and values whose products underflow
+// to exactly zero and must not be stored.
+func TestHadamardAcrossTheSkewThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	short := []int{0, 0, 1, 1, 2, 3, 5, 8, 13, 15}
+	vals := []float64{1, -2, 3, 0.5, 1e-200, -1e-200, 1e200}
+	for _, ratio := range []int{1, hadamardSkew - 1, hadamardSkew, hadamardSkew + 1, 64} {
+		for _, cols := range []int{15 * ratio, 20 * ratio, 1000 + 15*ratio} {
+			for trial := 0; trial < 4; trial++ {
+				a, b := ratioPair(rng, cols, ratio, short, vals)
+				checkHadamardAgainstReference(t, a, b)
 			}
 		}
+	}
+	// Empty against full, either way round, and a matrix against itself.
+	full := randCSR(rng, 9, 70, 1)
+	checkHadamardAgainstReference(t, Zero(9, 70), full)
+	checkHadamardAgainstReference(t, full, full)
+	// An underflowing product is dropped in both regimes.
+	a, b := ratioPair(rng, 400, 1, []int{40, 40}, []float64{1e-200})
+	if got := Hadamard(a, b); got.NNZ() != 0 {
+		t.Errorf("merge kept %d products that underflowed to zero", got.NNZ())
+	}
+	a, b = ratioPair(rng, 400, 40, []int{10, 10}, []float64{1e-200})
+	if got := Hadamard(a, b); got.NNZ() != 0 {
+		t.Errorf("probe kept %d products that underflowed to zero", got.NNZ())
+	}
+}
+
+// FuzzHadamard derives a row-length ratio, a width and a seed from the
+// fuzzed bytes and checks both regimes against the plain merge.
+func FuzzHadamard(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(40), uint8(3))
+	f.Add(int64(2), uint8(7), uint8(200), uint8(5))
+	f.Add(int64(3), uint8(8), uint8(200), uint8(9))
+	f.Add(int64(4), uint8(9), uint8(255), uint8(1))
+	f.Add(int64(5), uint8(64), uint8(255), uint8(0))
+	f.Add(int64(6), uint8(0), uint8(0), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, ratio, width, longest uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		short := make([]int, 1+rng.Intn(12))
+		for i := range short {
+			short[i] = rng.Intn(int(longest) + 1)
+		}
+		vals := []float64{1, -1, 2, 0.25, 1e-200, 1e200}
+		a, b := ratioPair(rng, 4*int(width), int(ratio), short, vals)
+		checkHadamardAgainstReference(t, a, b)
+	})
+}
+
+// referenceAdd is the append-grown union merge Add was before it sized
+// its output in a counting pass.
+func referenceAdd(a, b *CSR) *CSR {
+	out := &CSR{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
+	push := func(j int, v float64) {
+		if v != 0 {
+			out.colIdx = append(out.colIdx, j)
+			out.val = append(out.val, v)
+		}
+	}
+	for i := 0; i < a.rows; i++ {
+		ka, kb := a.rowPtr[i], b.rowPtr[i]
+		endA, endB := a.rowPtr[i+1], b.rowPtr[i+1]
+		for ka < endA || kb < endB {
+			switch {
+			case kb >= endB || (ka < endA && a.colIdx[ka] < b.colIdx[kb]):
+				push(a.colIdx[ka], a.val[ka])
+				ka++
+			case ka >= endA || b.colIdx[kb] < a.colIdx[ka]:
+				push(b.colIdx[kb], b.val[kb])
+				kb++
+			default:
+				push(a.colIdx[ka], a.val[ka]+b.val[kb])
+				ka++
+				kb++
+			}
+		}
+		out.rowPtr[i+1] = len(out.val)
+	}
+	return out
+}
+
+// TestAddMatchesReference: the two-pass Add equals the append-grown
+// merge on pairs that overlap, cancel (values in ±{1..4}) and leave rows
+// empty, and owns exactly the storage it uses when nothing cancelled.
+func TestAddMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	sawCancel := false
+	for _, sh := range [][2]int{{0, 4}, {4, 0}, {1, 1}, {9, 30}, {40, 200}} {
+		for _, d := range []float64{0, 0.05, 0.4, 1} {
+			a, b := randCSR(rng, sh[0], sh[1], d), randCSR(rng, sh[0], sh[1], d)
+			for _, pair := range [][2]*CSR{{a, b}, {abs(a), abs(b)}, {a, a.Scale(-1)}} {
+				want, got := referenceAdd(pair[0], pair[1]), Add(pair[0], pair[1])
+				checkWellFormed(t, got)
+				if !got.Equal(want) {
+					t.Fatalf("Add(%v, %v) differs from the append-grown reference", pair[0], pair[1])
+				}
+				cancelled := referenceAdd(abs(pair[0]), abs(pair[1])).NNZ() != want.NNZ()
+				sawCancel = sawCancel || cancelled
+				if !cancelled && (cap(got.colIdx) != len(got.colIdx) || cap(got.val) != len(got.val)) {
+					t.Fatalf("Add(%v, %v): nothing cancelled but cap %d/%d for %d entries", pair[0], pair[1], cap(got.colIdx), cap(got.val), got.NNZ())
+				}
+			}
+		}
+	}
+	if !sawCancel {
+		t.Fatal("fixture lost its cancelling sums")
 	}
 }
 

@@ -139,7 +139,11 @@ func MatMulTopK(a, b *CSR, k int) *CSR {
 		for i := lo; i < hi; i++ {
 			w.accumulate(a, b, i)
 			for _, j := range w.live {
-				sel.offer(j, w.acc[j])
+				// Once the selection is full most of a near-dense row ranks
+				// below its root: turn those away here, without the call.
+				if e := (topEntry{j: j, v: w.acc[j]}); len(sel.heap) < sel.k || sel.heap[0].worse(e) {
+					sel.offer(e.j, e.v)
+				}
 			}
 			n := len(val)
 			colIdx, val = sel.emit(colIdx, val)

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -33,8 +34,11 @@ func getWorkspace(cols int) *gemmWorkspace {
 	}
 	w.acc = w.acc[:cols]
 	w.mark = w.mark[:cols]
-	if w.live == nil {
-		w.live = make([]int, 0, 256)
+	// live is written by index in accumulate's flop loop, touched column
+	// or not: at most cols entries stay, one more slot takes the writes
+	// that do not.
+	if cap(w.live) <= cols {
+		w.live = make([]int, 0, cols+1)
 	}
 	return w
 }
@@ -49,27 +53,31 @@ func putWorkspace(w *gemmWorkspace) { gemmPool.Put(w) }
 func (w *gemmWorkspace) accumulate(a, b *CSR, i int) (minJ, maxJ int) {
 	w.gen++
 	gen := w.gen
-	live := w.live[:0]
+	mark, acc := w.mark, w.acc
+	live, n := w.live[:cap(w.live)], 0
 	minJ, maxJ = b.cols, -1
 	for ka := a.rowPtr[i]; ka < a.rowPtr[i+1]; ka++ {
 		k, av := a.colIdx[ka], a.val[ka]
-		for kb := b.rowPtr[k]; kb < b.rowPtr[k+1]; kb++ {
-			j := b.colIdx[kb]
-			if w.mark[j] != gen {
-				w.mark[j] = gen
-				w.acc[j] = 0
-				live = append(live, j)
-				if j < minJ {
-					minJ = j
-				}
-				if j > maxJ {
-					maxJ = j
-				}
+		lo, hi := b.rowPtr[k], b.rowPtr[k+1]
+		bc, bv := b.colIdx[lo:hi], b.val[lo:hi]
+		for kb, j := range bc {
+			// Branch-free first touch: whether column j is new to the row
+			// is a coin toss the predictor loses, so the slot is written
+			// either way and only the cursor, the span and the running
+			// sum's starting bits depend on it.
+			fresh := 0
+			if mark[j] != gen {
+				fresh = 1
 			}
-			w.acc[j] += av * b.val[kb]
+			mark[j] = gen
+			live[n] = j
+			n += fresh
+			minJ, maxJ = min(minJ, j), max(maxJ, j)
+			sum := math.Float64frombits(math.Float64bits(acc[j]) & (uint64(fresh) - 1))
+			acc[j] = sum + av*bv[kb]
 		}
 	}
-	w.live = live
+	w.live = live[:n]
 	return minJ, maxJ
 }
 

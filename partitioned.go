@@ -105,18 +105,31 @@ func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle O
 		return nil, err
 	}
 	sa.panel = panel
-	// The executor opens before the plan exists: a worker session starts
-	// its workers, and they install the counter seed, while this side
-	// plans — neither needs the other's result, only the shard count the
-	// plan cannot exceed.
-	run, done, err := sa.open(min(max(sa.opts.Partitions, 1), len(trainPos)))
+	// The executor opens before the plan exists and is told the parts the
+	// moment their training anchors are final: a worker session starts its
+	// workers, which install the counter seed, and the in-process arm
+	// warms the shared count layer and then recounts every part's anchor
+	// layer, all while this side plans — none of it needs the candidate
+	// assignment, only the shard count the plan cannot exceed.
+	ex, err := sa.open(min(max(sa.opts.Partitions, 1), len(trainPos)))
 	if err != nil {
 		return nil, err
 	}
 	// A failed round's audit is still the run's audit: Metrics must show
 	// the attempts and retries that led to the abort.
-	defer done()
-	plan, err := sa.planShards(trainPos, candidates)
+	defer ex.close()
+	// This is partition.PlanCached taken in its two halves — same plan in,
+	// same alignment out is the property both executors are tested
+	// against. Repeated Align calls (cross-validation folds, retraining
+	// after new labels) reuse the cached planner's fold-independent inputs.
+	seeded, err := partition.SeedCached(sa.base, &sa.planner, trainPos, partition.Config{K: sa.opts.Partitions})
+	if err != nil {
+		return nil, err
+	}
+	if err := ex.begin(seeded.Parts); err != nil {
+		return nil, err
+	}
+	plan, err := seeded.Assign(candidates, sa.opts.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +138,7 @@ func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle O
 	var reports []PartitionReport
 	for r := 0; r < rounds; r++ {
 		plan.Rebudget(partition.RoundBudget(sa.opts.Budget, rounds, r))
-		if res, err = run(r, plan, oracle); err != nil {
+		if res, err = ex.round(r, plan, oracle); err != nil {
 			return nil, err
 		}
 		reports = append(reports, res.Reports...)
@@ -142,26 +155,32 @@ func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle O
 // in-process runs, which cross no wire.
 func (sa *shardedAligner) Metrics() *DistributedMetrics { return sa.metrics }
 
-// planShards is the one shard planning both executors align — same plan
-// in, same alignment out is the property they are tested against.
-// Repeated Align calls (cross-validation folds, retraining after new
-// labels) reuse the cached planner's fold-independent inputs.
-func (sa *shardedAligner) planShards(trainPos, candidates []Anchor) (*partition.Plan, error) {
-	return partition.PlanCached(sa.base, &sa.planner, trainPos, candidates, sa.opts.Budget, partition.Config{K: sa.opts.Partitions})
+// executor is where the parts of one Align call run. Both arms have the
+// same shape — open early, begin per part, finish per round: begin
+// hears of the parts once their training anchors are final (candidates,
+// budgets and labels are not), round trains every part of the assigned
+// plan once and reconciles the votes, and close releases the executor
+// and records the run's transport audit (none without a wire).
+type executor interface {
+	begin(parts []partition.Part) error
+	round(r int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error)
+	close()
 }
 
-// executor runs round r of an Align call: every part of the plan trains
-// once and the votes are reconciled.
-type executor func(r int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error)
-
-// open picks the executor the constructor chose — in-process forks, or
-// one sticky worker session over the transport, already connecting the
-// workers a plan of up to shards parts will use — and the done that
-// releases it and records the run's transport audit (none without a
-// wire).
-func (sa *shardedAligner) open(shards int) (run executor, done func(), err error) {
+// open picks the executor the constructor chose: in-process forks of the
+// base counter, or one sticky worker session over the transport, already
+// connecting the workers a plan of up to shards parts will use.
+func (sa *shardedAligner) open(shards int) (executor, error) {
 	if sa.transport == nil {
-		return sa.runForks, func() { sa.metrics = nil }, nil
+		fe := &forkExecutor{sa: sa, warm: make(chan struct{})}
+		// Everything a fork will not recount, evaluated beside the planner
+		// instead of inside the first parts to ask. An error here is the
+		// parts' to report: they ask for the same counts.
+		go func() {
+			defer close(fe.warm)
+			_ = sa.base.Warm(sa.train.Features)
+		}()
+		return fe, nil
 	}
 	// The session carries the fault-tolerance knobs (retries, deadlines,
 	// hedging, degradation) alongside the one training configuration.
@@ -177,25 +196,59 @@ func (sa *shardedAligner) open(shards int) (run executor, done func(), err error
 		Base: sa.base,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sess.ConnectAhead(shards)
-	run = func(_ int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
-		res, _, err := sess.Run(plan, oracle) // the session counts its own rounds
-		return res, err
-	}
-	done = func() {
-		sess.Close()
-		sa.metrics = sess.Metrics()
-	}
-	return run, done, nil
+	return &sessionExecutor{sa: sa, sess: sess}, nil
 }
 
-// runForks is the in-process executor: concurrent part pipelines on
-// forks of the base counter, re-run every round on the round's seed —
-// exactly what a session's workers train with.
-func (sa *shardedAligner) runForks(r int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
-	train := sa.train
-	train.Core.Seed = partition.RoundSeed(train.Core.Seed, r)
-	return partition.Align(sa.base, plan, train, oracle)
+// forkExecutor is the in-process arm: concurrent part pipelines on forks
+// of the base counter. Each part recounts its anchor layer once, as soon
+// as begin names its anchors, and keeps the filled feature matrix across
+// the rounds, retraining on the round's seed — exactly what a session's
+// workers do with their prepared shards.
+type forkExecutor struct {
+	sa    *shardedAligner
+	warm  chan struct{} // closed when the background Warm is over
+	begun *partition.Begun
+}
+
+func (fe *forkExecutor) begin(parts []partition.Part) (err error) {
+	fe.begun, err = partition.Begin(fe.sa.base, parts, fe.sa.train)
+	return err
+}
+
+func (fe *forkExecutor) round(r int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
+	cfg := fe.sa.train.Core
+	cfg.Seed = partition.RoundSeed(cfg.Seed, r)
+	return fe.begun.Finish(plan, cfg, oracle)
+}
+
+// close leaves no goroutine of the run behind, whichever step failed.
+func (fe *forkExecutor) close() {
+	if fe.begun != nil {
+		fe.begun.Release()
+	}
+	<-fe.warm
+	fe.sa.metrics = nil
+}
+
+// sessionExecutor is the worker arm: a sticky session whose workers
+// prepare a shard when its job arrives, so begin has nothing to add to
+// the connects open already started.
+type sessionExecutor struct {
+	sa   *shardedAligner
+	sess *distrib.Session
+}
+
+func (se *sessionExecutor) begin([]partition.Part) error { return nil }
+
+func (se *sessionExecutor) round(_ int, plan *partition.Plan, oracle Oracle) (*PartitionedResult, error) {
+	res, _, err := se.sess.Run(plan, oracle) // the session counts its own rounds
+	return res, err
+}
+
+func (se *sessionExecutor) close() {
+	se.sess.Close()
+	se.sa.metrics = se.sess.Metrics()
 }
