@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/matching"
 )
 
 // Oracle answers ground-truth label queries for candidate anchor links.
@@ -138,13 +139,14 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 	if margin <= 0 {
 		margin = closeTol
 	}
-	// Positives form a partial matching: at most one per endpoint.
-	posAtI := make(map[int]int)
-	posAtJ := make(map[int]int)
+	// Positives form a partial matching: at most one per endpoint. The
+	// two tables hold 1 + the index of the positive at an endpoint, 0
+	// for none.
+	var posAtI, posAtJ matching.EndpointTable[int]
 	for idx, lab := range st.Labels {
 		if lab == 1 {
-			posAtI[st.Links[idx].I] = idx
-			posAtJ[st.Links[idx].J] = idx
+			posAtI.Set(st.Links[idx].I, idx+1)
+			posAtJ.Set(st.Links[idx].J, idx+1)
 		}
 	}
 	type cand struct {
@@ -152,37 +154,27 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 		gain float64 // ŷ_l − ŷ_l″, the sort key
 	}
 	var cands []cand
-	taken := make(map[int]bool)
 	for idx, lab := range st.Labels {
 		if lab != 0 {
 			continue
 		}
 		l := st.Links[idx]
-		conflicts := make([]int, 0, 2)
-		if p, ok := posAtI[l.I]; ok {
-			conflicts = append(conflicts, p)
-		}
-		if p, ok := posAtJ[l.J]; ok && (len(conflicts) == 0 || conflicts[0] != p) {
-			conflicts = append(conflicts, p)
-		}
-		if len(conflicts) < 2 {
-			continue // need both a near-tie blocker l′ and a weak blocker l″
+		// Both a near-tie blocker l′ and a weak blocker l″ are needed: one
+		// positive at each endpoint, and not the same one.
+		atI, atJ := posAtI.Get(l.I)-1, posAtJ.Get(l.J)-1
+		if atI < 0 || atJ < 0 || atI == atJ {
+			continue
 		}
 		yl := st.Scores[idx]
 		bestGain, found := 0.0, false
-		for _, pi := range conflicts {
-			for _, pj := range conflicts {
-				if pi == pj {
-					continue
-				}
-				yp, yw := st.Scores[pi], st.Scores[pj]
-				if yw <= 0 {
-					continue
-				}
-				if absF(yp-yl) <= closeTol && yl-yw >= margin {
-					if g := yl - yw; !found || g > bestGain {
-						bestGain, found = g, true
-					}
+		for _, pair := range [2][2]int{{atI, atJ}, {atJ, atI}} {
+			yp, yw := st.Scores[pair[0]], st.Scores[pair[1]]
+			if yw <= 0 {
+				continue
+			}
+			if absF(yp-yl) <= closeTol && yl-yw >= margin {
+				if g := yl - yw; !found || g > bestGain {
+					bestGain, found = g, true
 				}
 			}
 		}
@@ -202,17 +194,21 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 			break
 		}
 		out = append(out, c.idx)
-		taken[c.idx] = true
 	}
 	if len(out) < k {
+		taken := make([]bool, len(st.Labels))
+		for _, idx := range out {
+			taken[idx] = true
+		}
 		out = fillTopScoredNegatives(st, k, out, taken)
 	}
 	return out
 }
 
 // fillTopScoredNegatives appends the highest-scored unqueried negatives
-// until len(out) == k or candidates run out.
-func fillTopScoredNegatives(st *State, k int, out []int, taken map[int]bool) []int {
+// until len(out) == k or candidates run out. taken marks, by index into
+// State.Links, the links already in out.
+func fillTopScoredNegatives(st *State, k int, out []int, taken []bool) []int {
 	return append(out, topRanked(len(st.Labels), k-len(out), func(idx int) (float64, bool) {
 		return st.Scores[idx], st.Labels[idx] == 0 && !taken[idx]
 	})...)

@@ -15,7 +15,7 @@ import (
 // The bounded selection that replaced them must pick the same links in
 // the same order whenever every score is a number.
 
-func referenceFill(st *State, k int, out []int, taken map[int]bool) []int {
+func referenceFill(st *State, k int, out []int, taken []bool) []int {
 	type scored struct {
 		idx int
 		y   float64
@@ -73,6 +73,148 @@ func referenceUncertainty(u Uncertainty, st *State, k int) []int {
 	return out
 }
 
+// referenceConflictSelect is Conflict.Select as it was while it kept
+// the positives in two per-call maps keyed by endpoint and the picked
+// links in a third: whatever the endpoints are, the table-indexed
+// selection must return the same links in the same order. It also
+// reports how many links the conflict rule itself admitted.
+func referenceConflictSelect(c Conflict, st *State, k int) (picks []int, admitted int) {
+	closeTol := c.CloseTol
+	if closeTol <= 0 {
+		closeTol = 0.05
+	}
+	margin := c.Margin
+	if margin <= 0 {
+		margin = closeTol
+	}
+	posAtI := make(map[int]int)
+	posAtJ := make(map[int]int)
+	for idx, lab := range st.Labels {
+		if lab == 1 {
+			posAtI[st.Links[idx].I] = idx
+			posAtJ[st.Links[idx].J] = idx
+		}
+	}
+	type cand struct {
+		idx  int
+		gain float64
+	}
+	var cands []cand
+	taken := make([]bool, len(st.Labels))
+	for idx, lab := range st.Labels {
+		if lab != 0 {
+			continue
+		}
+		l := st.Links[idx]
+		conflicts := make([]int, 0, 2)
+		if p, ok := posAtI[l.I]; ok {
+			conflicts = append(conflicts, p)
+		}
+		if p, ok := posAtJ[l.J]; ok && (len(conflicts) == 0 || conflicts[0] != p) {
+			conflicts = append(conflicts, p)
+		}
+		if len(conflicts) < 2 {
+			continue
+		}
+		yl := st.Scores[idx]
+		bestGain, found := 0.0, false
+		for _, pi := range conflicts {
+			for _, pj := range conflicts {
+				if pi == pj {
+					continue
+				}
+				yp, yw := st.Scores[pi], st.Scores[pj]
+				if yw <= 0 {
+					continue
+				}
+				if absF(yp-yl) <= closeTol && yl-yw >= margin {
+					if g := yl - yw; !found || g > bestGain {
+						bestGain, found = g, true
+					}
+				}
+			}
+		}
+		if found {
+			cands = append(cands, cand{idx: idx, gain: bestGain})
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].gain != cands[b].gain {
+			return cands[a].gain > cands[b].gain
+		}
+		return cands[a].idx < cands[b].idx
+	})
+	out := make([]int, 0, k)
+	for _, c := range cands {
+		if len(out) == k {
+			break
+		}
+		out = append(out, c.idx)
+		taken[c.idx] = true
+	}
+	if len(out) < k {
+		out = fillTopScoredNegatives(st, k, out, taken)
+	}
+	return out, len(cands)
+}
+
+// contestedState draws a state the conflict rule has work in: a partial
+// matching of positives scored on both sides of the near-tie and weak
+// blocker cut-offs, and negatives that share one endpoint, both, or
+// neither with them. spread maps a small endpoint id onto the int the
+// link carries, so the same structure can be laid over dense indices,
+// negative ones, or ones too far apart to table.
+func contestedState(rng *rand.Rand, n int, spread func(int) int) *State {
+	st := &State{}
+	side := 1 + n/3
+	usedI, usedJ := make(map[int]bool), make(map[int]bool)
+	for idx := 0; idx < n; idx++ {
+		i, j := rng.Intn(side), rng.Intn(side)
+		label := 0.0
+		if rng.Intn(3) == 0 && !usedI[i] && !usedJ[j] {
+			label, usedI[i], usedJ[j] = 1, true, true
+		}
+		score := float64(rng.Intn(41)-4) / 40 // −0.1 … 0.9 in steps of 0.025
+		if rng.Intn(40) == 0 {
+			score = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+		st.Links = append(st.Links, hetnet.Anchor{I: spread(i), J: spread(j)})
+		st.Scores = append(st.Scores, score)
+		st.Labels = append(st.Labels, label)
+	}
+	return st
+}
+
+// TestConflictSelectMatchesReference: same picks, same order, for
+// endpoints that are dense indices, negative, and far apart.
+func TestConflictSelectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	spreads := map[string]func(int) int{
+		"dense":    func(e int) int { return e },
+		"negative": func(e int) int { return e - 5 },
+		"far":      func(e int) int { return (e%3 - 1) * (1<<40 + e) },
+	}
+	admitted := 0
+	for name, spread := range spreads {
+		for trial := 0; trial < 200; trial++ {
+			n := []int{0, 1, 5, 40, 300}[rng.Intn(5)]
+			st := contestedState(rng, n, spread)
+			for _, c := range []Conflict{{}, {CloseTol: 0.1}, {CloseTol: 0.05, Margin: 0.2}} {
+				for _, k := range []int{0, 1, 5, n + 2} {
+					want, byRule := referenceConflictSelect(c, st, k)
+					admitted += byRule
+					if got := c.Select(st, k, nil); !sameIndices(got, want) {
+						t.Fatalf("%s endpoints, %+v, n=%d k=%d:\n got  %v\n want %v", name, c, n, k, got, want)
+					}
+				}
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("the conflict rule admitted no link in the whole sweep; it compared two fills")
+	}
+}
+
 // gradedState draws n unlabeled links whose scores sit on a short grid
 // around ½ (ties are the rule, ±Inf occasional) with about a third
 // inferred positive.
@@ -105,7 +247,7 @@ func TestQuerySelectionMatchesReference(t *testing.T) {
 		n := []int{0, 1, 4, 30, 200}[rng.Intn(5)]
 		st := gradedState(rng, n)
 		for _, k := range []int{0, 1, 5, n, n + 3} {
-			taken := make(map[int]bool)
+			taken := make([]bool, n)
 			var out []int
 			for len(out) < k/2 && len(out) < n && rng.Intn(2) == 0 {
 				if idx := rng.Intn(n); !taken[idx] {
@@ -146,7 +288,7 @@ func TestQuerySelectionIgnoresNaN(t *testing.T) {
 		7: {3, 7, 1, 4, 5, 0, 2},
 		9: {3, 7, 1, 4, 5, 0, 2, 6},
 	} {
-		if got := fillTopScoredNegatives(st, k, nil, map[int]bool{}); !reflect.DeepEqual(got, want) {
+		if got := fillTopScoredNegatives(st, k, nil, make([]bool, len(st.Labels))); !reflect.DeepEqual(got, want) {
 			t.Errorf("fill k=%d: %v, want %v", k, got, want)
 		}
 		if got := (Conflict{}).Select(st, k, nil); !reflect.DeepEqual(got, want) {
@@ -178,7 +320,7 @@ func TestQuerySelectionIgnoresNaN(t *testing.T) {
 				numbers++
 			}
 		}
-		got := fillTopScoredNegatives(dirty, n, nil, map[int]bool{})
+		got := fillTopScoredNegatives(dirty, n, nil, make([]bool, n))
 		for pos, idx := range got {
 			if isNaN := dirty.Scores[idx] != dirty.Scores[idx]; isNaN != (pos >= numbers) {
 				t.Fatalf("trial %d: pick %d of %v has score %v with %d numbered negatives", trial, pos, got, dirty.Scores[idx], numbers)

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
@@ -133,8 +134,8 @@ type Result struct {
 	// InternalIterations counts all internal iterations performed.
 	InternalIterations int
 
-	queriedSet map[int]bool
-	linkIndex  map[int64]int
+	queried   []bool // by index into Links: labeled by the oracle, in this run or before it
+	linkIndex map[int64]int
 }
 
 // ErrNoPositives is returned when L⁺ is empty — the PU setting is
@@ -166,30 +167,44 @@ func Train(p Problem, cfg Config) (*Result, error) {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	ridge, err := linalg.NewRidge(p.X, cfg.C)
+	// Every product of the loop — XᵀX here, Xᵀy per solve, X·w per
+	// iteration — walks the design matrix's non-zeros, compressed once.
+	xnz := linalg.Compress(p.X)
+	ridge, err := linalg.NewRidgeCompressed(xnz, cfg.C)
 	if err != nil {
 		return nil, err
 	}
 
-	// Label state. kind tracks why a label is fixed.
+	// Label state. kind tracks why a label is fixed; y and nextY, the two
+	// label vectors the iteration swaps, both carry every fixed label.
 	const (
 		kindUnlabeled = iota
 		kindPositive
 		kindQueried
 	)
 	kind := make([]int, n)
-	y := make(linalg.Vector, n)
+	y, nextY := make(linalg.Vector, n), make(linalg.Vector, n)
 	baseOcc := matching.NewOccupied()
+	maxI, maxJ := -1, -1
+	for _, l := range p.Links {
+		maxI, maxJ = max(maxI, l.I), max(maxJ, l.J)
+	}
+	baseOcc.Reserve(maxI+1, maxJ+1)
+	fix := func(idx, why int, label float64) {
+		kind[idx] = why
+		y[idx], nextY[idx] = label, label
+		if label == 1 {
+			baseOcc.Take(p.Links[idx].I, p.Links[idx].J)
+		}
+	}
 	for _, idx := range p.LabeledPos {
 		if idx < 0 || idx >= n {
 			return nil, fmt.Errorf("core: labeled positive index %d out of range [0,%d)", idx, n)
 		}
-		kind[idx] = kindPositive
-		y[idx] = 1
-		baseOcc.Take(p.Links[idx].I, p.Links[idx].J)
+		fix(idx, kindPositive, 1)
 	}
 
-	res := &Result{queriedSet: make(map[int]bool), linkIndex: make(map[int64]int, n)}
+	res := &Result{queried: make([]bool, n), linkIndex: make(map[int64]int, n)}
 	for idx, l := range p.Links {
 		res.linkIndex[hetnet.Key(l.I, l.J)] = idx
 	}
@@ -208,77 +223,64 @@ func Train(p Problem, cfg Config) (*Result, error) {
 		if kind[idx] != kindUnlabeled {
 			return nil, fmt.Errorf("core: prelabeled index %d already labeled (listed twice, or also in LabeledPos)", idx)
 		}
-		kind[idx] = kindQueried
-		y[idx] = p.PrelabeledY[k]
-		if y[idx] == 1 {
-			baseOcc.Take(p.Links[idx].I, p.Links[idx].J)
-		}
-		res.queriedSet[idx] = true
+		fix(idx, kindQueried, p.PrelabeledY[k])
+		res.queried[idx] = true
 	}
-
-	var scores linalg.Vector
-	var w linalg.Vector
 
 	// The very first solve fits w on the fixed-label rows only (L⁺, and
 	// later U_q). Solving over all of H with unlabeled y initialized to 0
 	// would shrink every score below the ½ selection threshold and the
 	// alternating iteration could never lift off; bootstrapping from the
 	// discriminative term alone is the natural reading of the paper's
-	// initialization (train on L⁺, then infer U).
-	firstSolve := true
-	solveFixedOnly := func() (linalg.Vector, error) {
-		var rows []int
-		for idx := 0; idx < n; idx++ {
-			if kind[idx] != kindUnlabeled {
-				rows = append(rows, idx)
-			}
+	// initialization (train on L⁺, then infer U). unlabeled lists the
+	// other rows, in pool order; a query round removes what it labels.
+	var fixed []int
+	unlabeled := make([]int, 0, n)
+	for idx := range kind {
+		if kind[idx] == kindUnlabeled {
+			unlabeled = append(unlabeled, idx)
+		} else {
+			fixed = append(fixed, idx)
 		}
-		_, d := p.X.Dims()
-		sub := linalg.NewDense(len(rows), d)
-		subY := make(linalg.Vector, len(rows))
-		for r, idx := range rows {
-			copy(sub.RowView(r), p.X.RowView(idx))
-			subY[r] = y[idx]
-		}
-		return linalg.RidgeSolve(sub, subY, cfg.C)
 	}
+	_, d := p.X.Dims()
+	sub := linalg.NewDense(len(fixed), d)
+	subY := make(linalg.Vector, len(fixed))
+	for r, idx := range fixed {
+		copy(sub.RowView(r), p.X.RowView(idx))
+		subY[r] = y[idx]
+	}
+	w, err := linalg.RidgeSolve(sub, subY, cfg.C)
+	if err != nil {
+		return nil, err
+	}
+	firstSolve := true
 
 	// Scratch buffers reused across every internal iteration and query
-	// round: the candidate list, the score vector, the next-label vector
-	// and the strategy's view of the unlabeled links (grown by the first
-	// query round, so a run that never queries never pays for it). The
-	// candidate loop runs O(folds × rounds × iterations) times per
-	// experiment cell, so per-iteration allocation here was a dominant
-	// GC cost.
-	scores = make(linalg.Vector, n)
-	nextY := make(linalg.Vector, n)
-	cands := make([]matching.Candidate, 0, n)
+	// round: the candidate list, the score vector and the strategy's view
+	// of the unlabeled links (grown by the first query round, so a run
+	// that never queries never pays for it). The candidate loop runs
+	// O(folds × rounds × iterations) times per experiment cell, so
+	// per-iteration allocation here was a dominant GC cost.
+	scores := make(linalg.Vector, n)
+	cands := make([]matching.Candidate, 0, len(unlabeled))
 	var stLinks []hetnet.Anchor
 	var stScores, stLabels []float64
-	var stIdx []int
 
 	// internalConverge runs step (1) to a label fixpoint.
-	internalConverge := func(trace *RoundTrace) error {
+	internalConverge := func(trace *RoundTrace) {
 		for it := 0; it < cfg.MaxInternalIters; it++ {
 			res.InternalIterations++
 			// (1-1) ridge solve.
 			if firstSolve {
-				var err error
-				w, err = solveFixedOnly()
-				if err != nil {
-					return err
-				}
 				firstSolve = false
 			} else {
 				w = ridge.Solve(p.X, y)
 			}
 			// (1-2) greedy selection over unlabeled links.
-			p.X.MulVecInto(scores, w)
+			xnz.MulVecInto(scores, w)
 			cands = cands[:0]
-			for idx := 0; idx < n; idx++ {
-				if kind[idx] != kindUnlabeled {
-					continue
-				}
+			for _, idx := range unlabeled {
 				cands = append(cands, matching.Candidate{
 					I: p.Links[idx].I, J: p.Links[idx].J,
 					Score: scores[idx], Payload: idx,
@@ -291,19 +293,15 @@ func Train(p Problem, cfg Config) (*Result, error) {
 			} else {
 				selected = matching.Greedy(cands, *cfg.Threshold, occ)
 			}
-			for idx := 0; idx < n; idx++ {
-				if kind[idx] == kindUnlabeled {
-					nextY[idx] = 0
-				} else {
-					nextY[idx] = y[idx]
-				}
+			for _, idx := range unlabeled {
+				nextY[idx] = 0
 			}
 			for _, c := range selected {
 				nextY[c.Payload] = 1
 			}
 			var delta float64
-			for idx := 0; idx < n; idx++ {
-				d := nextY[idx] - y[idx]
+			for idx, next := range nextY {
+				d := next - y[idx]
 				if d < 0 {
 					d = -d
 				}
@@ -315,30 +313,23 @@ func Train(p Problem, cfg Config) (*Result, error) {
 				break
 			}
 		}
-		return nil
 	}
 
 	remaining := cfg.Budget
 	round := 0
 	for {
 		trace := RoundTrace{}
-		if err := internalConverge(&trace); err != nil {
-			return nil, err
-		}
+		internalConverge(&trace)
 		if remaining <= 0 || cfg.Strategy == nil {
 			res.Rounds = append(res.Rounds, trace)
 			break
 		}
 		// (2) query batch over the unlabeled links.
-		stLinks, stScores, stLabels, stIdx = stLinks[:0], stScores[:0], stLabels[:0], stIdx[:0]
-		for idx := 0; idx < n; idx++ {
-			if kind[idx] != kindUnlabeled {
-				continue
-			}
+		stLinks, stScores, stLabels = stLinks[:0], stScores[:0], stLabels[:0]
+		for _, idx := range unlabeled {
 			stLinks = append(stLinks, p.Links[idx])
 			stScores = append(stScores, scores[idx])
 			stLabels = append(stLabels, y[idx])
-			stIdx = append(stIdx, idx)
 		}
 		k := cfg.BatchSize
 		if k > remaining {
@@ -349,19 +340,16 @@ func Train(p Problem, cfg Config) (*Result, error) {
 			Threshold: cfg.Threshold,
 		}, k, rng)
 		for _, pi := range picks {
-			idx := stIdx[pi]
+			idx := unlabeled[pi]
 			label := p.Oracle.Label(p.Links[idx])
-			kind[idx] = kindQueried
-			y[idx] = label
-			if label == 1 {
-				baseOcc.Take(p.Links[idx].I, p.Links[idx].J)
-			}
+			fix(idx, kindQueried, label)
 			rec := QueryRecord{Index: idx, Link: p.Links[idx], Label: label, Round: round}
 			trace.Queried = append(trace.Queried, rec)
 			res.Queried = append(res.Queried, rec)
-			res.queriedSet[idx] = true
+			res.queried[idx] = true
 			remaining--
 		}
+		unlabeled = slices.DeleteFunc(unlabeled, func(idx int) bool { return kind[idx] != kindUnlabeled })
 		res.Rounds = append(res.Rounds, trace)
 		round++
 		if len(picks) == 0 {
@@ -390,8 +378,12 @@ func (r *Result) LabelOf(i, j int) (float64, bool) {
 // links are excluded from evaluation for fairness, per Section IV-B-3).
 func (r *Result) WasQueried(i, j int) bool {
 	idx, ok := r.linkIndex[hetnet.Key(i, j)]
-	return ok && r.queriedSet[idx]
+	return ok && r.queried[idx]
 }
+
+// QueriedAt is WasQueried for a caller that holds the link's index into
+// the pool instead of its endpoints. It panics when idx is out of range.
+func (r *Result) QueriedAt(idx int) bool { return r.queried[idx] }
 
 // QueryCount returns the number of oracle queries spent.
 func (r *Result) QueryCount() int { return len(r.Queried) }

@@ -16,6 +16,7 @@ package matching
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"slices"
 )
@@ -29,40 +30,87 @@ type Candidate struct {
 	Payload int
 }
 
+// EndpointTable maps link endpoints — user indices of one network — to
+// values, the zero value of T meaning "none". Endpoints in
+// [0, tableLimit) index a table; anything else (negative, or beyond any
+// user index this code will meet) is kept in a map, so every int has an
+// answer and none can size an allocation.
+type EndpointTable[T any] struct {
+	near []T       // near[e] for e < len(near)
+	far  map[int]T // endpoints outside [0, tableLimit); nil until one is set
+}
+
+// tableLimit bounds an endpoint table at 4 Mi entries.
+const tableLimit = 1 << 22
+
+// reserve extends the table to cover endpoints below n. An n beyond
+// tableLimit says nothing about the endpoints the table will hold and
+// is ignored: Set grows the table as far as they reach.
+func (t *EndpointTable[T]) reserve(n int) {
+	if had := len(t.near); n > had && n <= tableLimit {
+		t.near = slices.Grow(t.near, n-had)[:n]
+		clear(t.near[had:])
+	}
+}
+
+// Set maps endpoint e to v.
+func (t *EndpointTable[T]) Set(e int, v T) {
+	if uint(e) >= tableLimit {
+		if t.far == nil {
+			t.far = make(map[int]T)
+		}
+		t.far[e] = v
+		return
+	}
+	t.reserve(e + 1)
+	t.near[e] = v
+}
+
+// Get returns the value endpoint e maps to, zero when none was set.
+func (t *EndpointTable[T]) Get(e int) T {
+	if uint(e) < uint(len(t.near)) {
+		return t.near[e]
+	}
+	return t.far[e]
+}
+
+// Clone deep-copies the table.
+func (t *EndpointTable[T]) Clone() EndpointTable[T] {
+	return EndpointTable[T]{near: slices.Clone(t.near), far: maps.Clone(t.far)}
+}
+
 // Occupied tracks endpoint usage across both networks, pre-seeded with
 // the endpoints of known positive links (labeled and queried-positive
 // anchors occupy their users before any inference happens).
 type Occupied struct {
-	left  map[int]bool
-	right map[int]bool
+	left, right EndpointTable[bool]
 }
 
 // NewOccupied builds an endpoint-usage tracker.
-func NewOccupied() *Occupied {
-	return &Occupied{left: make(map[int]bool), right: make(map[int]bool)}
+func NewOccupied() *Occupied { return &Occupied{} }
+
+// Reserve sizes the tables for left endpoints below nLeft and right
+// endpoints below nRight in one step, so that a Clone is two copies and
+// none of its Takes allocates. It changes no answer.
+func (o *Occupied) Reserve(nLeft, nRight int) {
+	o.left.reserve(nLeft)
+	o.right.reserve(nRight)
 }
 
 // Take marks both endpoints of (i, j) as used.
 func (o *Occupied) Take(i, j int) {
-	o.left[i] = true
-	o.right[j] = true
+	o.left.Set(i, true)
+	o.right.Set(j, true)
 }
 
 // Free reports whether both endpoints of (i, j) are unused.
 func (o *Occupied) Free(i, j int) bool {
-	return !o.left[i] && !o.right[j]
+	return !o.left.Get(i) && !o.right.Get(j)
 }
 
 // Clone deep-copies the tracker.
 func (o *Occupied) Clone() *Occupied {
-	c := NewOccupied()
-	for k := range o.left {
-		c.left[k] = true
-	}
-	for k := range o.right {
-		c.right[k] = true
-	}
-	return c
+	return &Occupied{left: o.left.Clone(), right: o.right.Clone()}
 }
 
 // finite reports whether a score can participate in selection. NaN
@@ -82,31 +130,52 @@ func finite(x float64) bool {
 // threshold ½ it greedily maximizes Σ(2ŷ−1).
 //
 // Only candidates that can be selected — finite score above threshold —
-// are ordered; the rest of the pool, usually nearly all of it, is read
-// once and never sorted. No score exceeds a NaN threshold, so a NaN
-// threshold selects nothing.
+// are ordered, copied side by side so the sort compares what it moves;
+// the rest of the pool, usually nearly all of it, is read and never
+// sorted. No score exceeds a NaN threshold, so a NaN threshold selects
+// nothing.
 func Greedy(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
 	if occ == nil {
 		occ = NewOccupied()
 	}
-	var order []int
-	for i, c := range cands {
-		if finite(c.Score) && c.Score > threshold {
-			order = append(order, i)
+	selectable := func(c Candidate) bool { return finite(c.Score) && c.Score > threshold }
+	n := 0
+	for _, c := range cands {
+		if selectable(c) {
+			n++
 		}
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		ca, cb := cands[a], cands[b]
-		return cmp.Or(cmp.Compare(cb.Score, ca.Score), cmp.Compare(ca.I, cb.I), cmp.Compare(ca.J, cb.J))
-	})
-	var out []Candidate
-	for _, k := range order {
-		c := cands[k]
-		if !occ.Free(c.I, c.J) {
-			continue
+	if n == 0 {
+		return nil
+	}
+	order := make([]Candidate, 0, n)
+	for _, c := range cands {
+		if selectable(c) {
+			order = append(order, c)
 		}
-		occ.Take(c.I, c.J)
-		out = append(out, c)
+	}
+	slices.SortFunc(order, func(a, b Candidate) int {
+		switch {
+		case a.Score != b.Score:
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
+		case a.I != b.I:
+			return cmp.Compare(a.I, b.I)
+		default:
+			return cmp.Compare(a.J, b.J)
+		}
+	})
+	out := order[:0]
+	for _, c := range order {
+		if occ.Free(c.I, c.J) {
+			occ.Take(c.I, c.J)
+			out = append(out, c)
+		}
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

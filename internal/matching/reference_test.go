@@ -1,9 +1,11 @@
 package matching
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -38,6 +40,57 @@ func referenceGreedy(cands []Candidate, threshold float64, occ *Occupied) []Cand
 		if c.Score <= threshold {
 			break
 		}
+		if !occ.Free(c.I, c.J) {
+			continue
+		}
+		occ.Take(c.I, c.J)
+		out = append(out, c)
+	}
+	return out
+}
+
+// referenceOccupied is Occupied as it was over two maps keyed by
+// endpoint.
+type referenceOccupied struct {
+	left, right map[int]bool
+}
+
+func newReferenceOccupied() *referenceOccupied {
+	return &referenceOccupied{left: make(map[int]bool), right: make(map[int]bool)}
+}
+
+func (o *referenceOccupied) Take(i, j int) { o.left[i], o.right[j] = true, true }
+
+func (o *referenceOccupied) Free(i, j int) bool { return !o.left[i] && !o.right[j] }
+
+func (o *referenceOccupied) Clone() *referenceOccupied {
+	c := newReferenceOccupied()
+	for k := range o.left {
+		c.left[k] = true
+	}
+	for k := range o.right {
+		c.right[k] = true
+	}
+	return c
+}
+
+// referenceIndexGreedy is Greedy as it was while it sorted indices into
+// the candidate list (every comparison two indirections and three
+// cmp.Compare calls) over the map-backed tracker.
+func referenceIndexGreedy(cands []Candidate, threshold float64, occ *referenceOccupied) []Candidate {
+	var order []int
+	for i, c := range cands {
+		if finite(c.Score) && c.Score > threshold {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ca, cb := cands[a], cands[b]
+		return cmp.Or(cmp.Compare(cb.Score, ca.Score), cmp.Compare(ca.I, cb.I), cmp.Compare(ca.J, cb.J))
+	})
+	var out []Candidate
+	for _, k := range order {
+		c := cands[k]
 		if !occ.Free(c.I, c.J) {
 			continue
 		}
@@ -124,4 +177,111 @@ func FuzzGreedy(f *testing.F) {
 		cands := gradedCandidates(rng, int(n), 1+int(maxI), 1+int(maxJ), threshold)
 		checkGreedyAgainstReference(t, rng, cands, threshold)
 	})
+}
+
+// TestOccupiedMatchesReference drives the table-backed tracker and the
+// map-backed one it replaced through the same Take / Free / Clone /
+// Reserve sequence over endpoints that are dense, negative, either side
+// of the table limit and too far apart to table, and requires the same
+// answer to every question — including for ints never taken.
+func TestOccupiedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	pool := []int{0, 1, 2, 3, 7, 63, 64, 1000, -1, -2, -1 << 40, 1 << 40, 1<<40 + 1, tableLimit - 1, tableLimit, tableLimit + 1, math.MaxInt, math.MinInt}
+	draw := func() int {
+		if rng.Intn(3) == 0 {
+			return rng.Intn(50)
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+	for trial := 0; trial < 12; trial++ {
+		got, want := NewOccupied(), newReferenceOccupied()
+		check := func() {
+			t.Helper()
+			for k := 0; k < 60; k++ {
+				if i, j := draw(), draw(); got.Free(i, j) != want.Free(i, j) {
+					t.Fatalf("trial %d: Free(%d, %d) = %v, reference %v", trial, i, j, got.Free(i, j), want.Free(i, j))
+				}
+			}
+		}
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(5) {
+			case 0:
+				got.Reserve(draw(), draw()) // any int: it changes no answer
+			case 1:
+				// A clone answers alike and shares nothing.
+				gc, wc := got.Clone(), want.Clone()
+				i, j := draw(), draw()
+				gc.Take(i, j)
+				wc.Take(i, j)
+				check()
+				got, want, gc, wc = gc, wc, got, want
+				check()
+			default:
+				i, j := draw(), draw()
+				got.Take(i, j)
+				want.Take(i, j)
+			}
+			check()
+		}
+	}
+}
+
+// TestOccupiedFarEndpointsStayOutOfTheTable: endpoints far apart and
+// negative are answered without a table sized by them.
+func TestOccupiedFarEndpointsStayOutOfTheTable(t *testing.T) {
+	occ := NewOccupied()
+	occ.Reserve(math.MaxInt, math.MaxInt)
+	occ.Take(-7, 1<<50)
+	occ.Take(math.MinInt, math.MaxInt)
+	occ.Take(3, 5)
+	if n := len(occ.left.near) + len(occ.right.near); n > 10 {
+		t.Fatalf("tables hold %d entries for endpoints 3 and 5", n)
+	}
+	for _, c := range []struct {
+		i, j int
+		free bool
+	}{{-7, 0, false}, {0, 1 << 50, false}, {math.MinInt, 0, false}, {0, math.MaxInt, false}, {3, 0, false}, {0, 5, false},
+		{-8, 0, true}, {0, 1<<50 + 1, true}, {4, 6, true}, {math.MaxInt, math.MinInt, true}} {
+		if got := occ.Free(c.i, c.j); got != c.free {
+			t.Errorf("Free(%d, %d) = %v, want %v", c.i, c.j, got, c.free)
+		}
+	}
+}
+
+// TestGreedyMatchesIndexSortReference: the by-value sort over the
+// table-backed tracker picks what the index sort over maps picked, in
+// the same order, and leaves the same endpoints taken — also when the
+// endpoints are negative or far apart.
+func TestGreedyMatchesIndexSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	spreads := []func(int) int{
+		func(e int) int { return e },
+		func(e int) int { return e - 6 },
+		func(e int) int { return (e%3 - 1) * (1<<40 + e) },
+	}
+	for trial := 0; trial < 600; trial++ {
+		threshold := []float64{0.5, 0, -1, 0.25, math.Inf(-1), math.Inf(1)}[rng.Intn(6)]
+		n := []int{0, 1, 2, 10, 60, 300}[rng.Intn(6)]
+		maxI, maxJ := 1+rng.Intn(12), 1+rng.Intn(12)
+		cands := gradedCandidates(rng, n, maxI, maxJ, threshold)
+		spread := spreads[trial%len(spreads)]
+		for k := range cands {
+			cands[k].I, cands[k].J = spread(cands[k].I), spread(cands[k].J)
+		}
+		occGot, occWant := NewOccupied(), newReferenceOccupied()
+		for n := rng.Intn(4); n > 0; n-- {
+			i, j := spread(rng.Intn(8)), spread(rng.Intn(8))
+			occGot.Take(i, j)
+			occWant.Take(i, j)
+		}
+		got, want := Greedy(cands, threshold, occGot), referenceIndexGreedy(cands, threshold, occWant)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("threshold %v over %d candidates:\n got  %+v\n want %+v", threshold, len(cands), got, want)
+		}
+		for e := -1; e <= 12; e++ {
+			if i, j := spread(e), spread(e); occGot.Free(i, 1<<60) != occWant.Free(i, 1<<60) || occGot.Free(1<<60, j) != occWant.Free(1<<60, j) {
+				t.Fatalf("threshold %v over %d candidates: endpoint %d taken on one side only", threshold, len(cands), i)
+			}
+		}
+	}
 }

@@ -3,12 +3,12 @@ package metadiag
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/linalg"
 	"github.com/activeiter/activeiter/internal/schema"
+	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 // Extractor turns a diagram library into per-candidate-link feature
@@ -132,10 +132,12 @@ const featureMatrixParallelThreshold = 512
 // row k holds the features of pairs[k]. This is the matrix the ridge
 // step (1-1) and the SVM baselines consume.
 //
-// Rather than issuing one point lookup per (diagram × link), the pool
-// is sorted by (i, j) once and each proximity's count rows are streamed
-// with a two-pointer merge — no hashing or binary search on the hot
-// path. Large pools additionally fan the proximities out across
+// Every cell is one position probe into the proximity's count matrix
+// (sparse.CSR.At): O(1) through the rank index a stacking left on a
+// dense attribute count, a binary search within a short anchor-path row
+// otherwise — the fill costs the pool, not the count matrices it reads.
+// The pool is visited grouped by row, so consecutive probes share the
+// row's cache lines. Large pools fan the proximities out across
 // GOMAXPROCS workers. The result is identical to row-by-row
 // FeatureVector construction.
 func (e *Extractor) FeatureMatrix(pairs []hetnet.Anchor) (*linalg.Dense, error) {
@@ -146,42 +148,26 @@ func (e *Extractor) FeatureMatrix(pairs []hetnet.Anchor) (*linalg.Dense, error) 
 	if len(pairs) == 0 {
 		return x, nil
 	}
-	order := make([]int, len(pairs))
-	for k := range order {
-		order[k] = k
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pairs[order[a]], pairs[order[b]]
-		if pa.I != pb.I {
-			return pa.I < pb.I
-		}
-		return pa.J < pb.J
-	})
 	if e.bias {
 		bias := e.Dim() - 1
 		for k := range pairs {
 			x.Set(k, bias, 1)
 		}
 	}
+	if len(e.prox) == 0 {
+		return x, nil
+	}
+	order, err := byRow(pairs, e.prox[0].Counts)
+	if err != nil {
+		return nil, err
+	}
 	fill := func(feat int) {
 		p := e.prox[feat]
-		lastI := -1
-		var cols []int
-		var vals []float64
-		kb := 0
-		for _, idx := range order {
-			l := pairs[idx]
-			if l.I != lastI {
-				cols, vals = p.Counts.RowSlice(l.I)
-				kb = 0
-				lastI = l.I
-			}
-			for kb < len(cols) && cols[kb] < l.J {
-				kb++
-			}
-			if kb < len(cols) && cols[kb] == l.J {
+		for _, k := range order {
+			l := pairs[k]
+			if cnt := p.Counts.At(l.I, l.J); cnt != 0 {
 				if denom := p.RowSums[l.I] + p.ColSums[l.J]; denom > 0 {
-					x.Set(idx, feat, 2*vals[kb]/denom)
+					x.Set(int(k), feat, 2*cnt/denom)
 				}
 			}
 		}
@@ -209,4 +195,27 @@ func (e *Extractor) FeatureMatrix(pairs []hetnet.Anchor) (*linalg.Dense, error) 
 	}
 	wg.Wait()
 	return x, nil
+}
+
+// byRow returns the indices of pairs grouped by their row I in pool
+// order within a row (a counting sort), after checking every pair
+// against the shape all of a counter's user-to-user counts share.
+func byRow(pairs []hetnet.Anchor, counts *sparse.CSR) ([]int32, error) {
+	rows, cols := counts.Dims()
+	start := make([]int32, rows+1)
+	for _, l := range pairs {
+		if l.I < 0 || l.I >= rows || l.J < 0 || l.J >= cols {
+			return nil, fmt.Errorf("metadiag: candidate link (%d,%d) outside the %dx%d user pair space", l.I, l.J, rows, cols)
+		}
+		start[l.I+1]++
+	}
+	for i := 1; i <= rows; i++ {
+		start[i] += start[i-1]
+	}
+	order := make([]int32, len(pairs))
+	for k, l := range pairs {
+		order[start[l.I]] = int32(k)
+		start[l.I]++
+	}
+	return order, nil
 }

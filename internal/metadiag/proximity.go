@@ -1,8 +1,6 @@
 package metadiag
 
 import (
-	"sync"
-
 	"github.com/activeiter/activeiter/internal/schema"
 	"github.com/activeiter/activeiter/internal/sparse"
 )
@@ -16,17 +14,7 @@ type Proximity struct {
 	Counts  *sparse.CSR
 	RowSums []float64
 	ColSums []float64
-
-	// lookup maps packed (i,j) coordinates to counts for O(1) point
-	// queries through Score. It is built lazily on the first Score call:
-	// the batch path (Extractor.FeatureMatrix) streams the CSR directly
-	// and never needs it, so proximities that only feed feature matrices
-	// skip the O(NNZ) map entirely.
-	lookupOnce sync.Once
-	lookup     map[int64]float64
 }
-
-func pairKey(i, j int) int64 { return int64(i)<<32 | int64(uint32(j)) }
 
 // NewProximity wraps a count matrix with its marginals.
 func NewProximity(counts *sparse.CSR) *Proximity {
@@ -38,17 +26,14 @@ func NewProximity(counts *sparse.CSR) *Proximity {
 }
 
 // Score returns s_Φₖ(i, j). Pairs with no instances score 0, as do pairs
-// whose normalizer is 0 (neither user participates in any instance).
-// Safe for concurrent use.
+// whose normalizer is 0 (neither user participates in any instance) and
+// pairs outside the matrix. The count is one position probe
+// (sparse.CSR.At). Safe for concurrent use.
 func (p *Proximity) Score(i, j int) float64 {
-	p.lookupOnce.Do(func() {
-		lookup := make(map[int64]float64, p.Counts.NNZ())
-		p.Counts.Iterate(func(i, j int, v float64) {
-			lookup[pairKey(i, j)] = v
-		})
-		p.lookup = lookup
-	})
-	cnt := p.lookup[pairKey(i, j)]
+	if r, c := p.Counts.Dims(); i < 0 || i >= r || j < 0 || j >= c {
+		return 0
+	}
+	cnt := p.Counts.At(i, j)
 	if cnt == 0 {
 		return 0
 	}

@@ -483,9 +483,11 @@ func merge(outs []partOutput) *Result {
 }
 
 // PartVotes extracts one shard pipeline's votes from its training
-// result: one vote per pool link, in pool order. The distributed worker
-// streams exactly these votes (translated to original indices) back to
-// the coordinator, so the in-process and remote merge inputs coincide.
+// result: one vote per pool link, in pool order — links is the pool res
+// was trained on, so every read of res is by position. The distributed
+// worker streams exactly these votes (translated to original indices)
+// back to the coordinator, so the in-process and remote merge inputs
+// coincide.
 func PartVotes(part *Part, links []hetnet.Anchor, res *core.Result) []Vote {
 	votes := make([]Vote, len(links))
 	for idx, l := range links {
@@ -493,7 +495,7 @@ func PartVotes(part *Part, links []hetnet.Anchor, res *core.Result) []Vote {
 			Link:    l,
 			Label:   res.Y[idx],
 			Score:   res.Scores[idx],
-			Queried: res.WasQueried(l.I, l.J),
+			Queried: res.QueriedAt(idx),
 			Fixed:   idx < len(part.TrainPos),
 		}
 	}

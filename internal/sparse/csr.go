@@ -11,18 +11,23 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // CSR is an immutable sparse matrix in compressed sparse row format.
 // Construct one with a Builder, FromDense, or an operation on existing
 // matrices. Column indices within each row are strictly increasing and
-// stored values are never explicit zeros.
+// stored values are never explicit zeros. A CSR must not be copied by
+// value: it carries the once-built rank index (rank.go).
 type CSR struct {
 	rows, cols int
 	rowPtr     []int     // len rows+1
 	colIdx     []int     // len nnz
 	val        []float64 // len nnz
+
+	rankOnce sync.Once
+	rankIdx  atomic.Pointer[rankIndex] // derived state; see rank
 }
 
 // Dims returns the number of rows and columns.
@@ -37,15 +42,14 @@ func (m *CSR) Cols() int { return m.cols }
 // NNZ returns the number of stored (non-zero) entries.
 func (m *CSR) NNZ() int { return len(m.val) }
 
-// At returns the value at (i, j), zero when no entry is stored. Lookup is
-// a binary search within row i.
+// At returns the value at (i, j), zero when no entry is stored: one
+// position probe — O(1) on a matrix a stacking has given a rank index,
+// a binary search within row i otherwise.
 func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
 	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	k := lo + sort.SearchInts(m.colIdx[lo:hi], j)
-	if k < hi && m.colIdx[k] == j {
+	if k := m.position(i, j); k >= 0 {
 		return m.val[k]
 	}
 	return 0

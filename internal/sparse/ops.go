@@ -145,18 +145,14 @@ func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []i
 	return out
 }
 
-// hadamardSkew is the row-length ratio from which Hadamard probes the
-// long row for the short row's columns instead of merging the two.
-const hadamardSkew = 8
-
 // Hadamard returns the elementwise product a ⊙ b. Shapes must match. The
 // result stores entries only where both inputs are non-zero — exactly the
 // "both path patterns present" semantics of meta diagram stacking. The
-// output is sized once from Σᵢ min(|aᵢ|, |bᵢ|). A row pair of comparable
-// lengths is intersected by a two-pointer merge; one at least
-// hadamardSkew× longer than the other is probed from the short side
-// (probeRow), so stacking a part's sparse anchor-path count on a dense
-// attribute count costs what the part owns, not the attribute matrix.
+// output is sized once from Σᵢ min(|aᵢ|, |bᵢ|). Where the longer row of a
+// pair belongs to a matrix with a rank index, each entry of the shorter
+// row is one O(1) probe into it, so stacking a fold's sparse anchor-path
+// count on a dense attribute count costs what the fold owns, not the
+// attribute matrix; any other pair is intersected by a two-pointer merge.
 // Products commute, so both regimes store the same floats.
 func Hadamard(a, b *CSR) *CSR {
 	if a.rows != b.rows || a.cols != b.cols {
@@ -169,15 +165,31 @@ func Hadamard(a, b *CSR) *CSR {
 	}
 	colIdx, val := make([]int, bound), make([]float64, bound)
 	n := 0
+	var merged, ranked int64
 	for i := 0; i < a.rows; i++ {
 		ac, av := a.RowSlice(i)
 		bc, bv := b.RowSlice(i)
-		switch {
-		case len(ac)*hadamardSkew <= len(bc):
-			n = probeRow(ac, av, bc, bv, colIdx, val, n)
-		case len(bc)*hadamardSkew <= len(ac):
-			n = probeRow(bc, bv, ac, av, colIdx, val, n)
-		default:
+		// The shorter row probes, the longer one is probed.
+		sc, sv, lv, long := ac, av, bv, b
+		if len(bc) < len(ac) {
+			sc, sv, lv, long = bc, bv, av, a
+		}
+		if len(sc) == 0 {
+			out.rowPtr[i+1] = n
+			continue
+		}
+		if r := long.rank(); r != nil {
+			ranked++
+			for ks, j := range sc {
+				if k := r.offset(i, j); k >= 0 {
+					if v := sv[ks] * lv[k]; v != 0 {
+						colIdx[n], val[n] = j, v
+						n++
+					}
+				}
+			}
+		} else {
+			merged++
 			for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
 				switch ja, jb := ac[ka], bc[kb]; {
 				case ja == jb:
@@ -197,45 +209,9 @@ func Hadamard(a, b *CSR) *CSR {
 		out.rowPtr[i+1] = n
 	}
 	out.colIdx, out.val = colIdx[:n], val[:n]
+	mHadamardMerge.Add(merged)
+	mHadamardRank.Add(ranked)
 	return out
-}
-
-// probeRow intersects a short row with a much longer one: each short
-// column gallops forward through what is left of the long row (doubling
-// steps, then a binary search inside the last step), so the row costs
-// O(short · log(long/short)) instead of O(short + long). Matches are
-// written to colIdx/val from n on; the new n is returned.
-func probeRow(sc []int, sv []float64, lc []int, lv []float64, colIdx []int, val []float64, n int) int {
-	lo := 0 // the long row's columns before lo are below every short column left
-	for ks, j := range sc {
-		if lo == len(lc) {
-			break
-		}
-		step := 1
-		for lo+step < len(lc) && lc[lo+step] < j {
-			lo += step
-			step *= 2
-		}
-		hi := min(lo+step, len(lc)-1)
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); lc[mid] < j {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lc[lo] < j {
-			break // j and every later short column lie beyond the long row
-		}
-		if lc[lo] == j {
-			if v := sv[ks] * lv[lo]; v != 0 {
-				colIdx[n], val[n] = j, v
-				n++
-			}
-			lo++
-		}
-	}
-	return n
 }
 
 // Add returns a + b. Shapes must match. Entries that cancel exactly are

@@ -83,6 +83,86 @@ func referenceHadamard(a, b *CSR) *CSR {
 	return out
 }
 
+// referenceSkewHadamard is Hadamard as it was while a row pair at least
+// referenceSkew× apart was galloped (referenceProbeRow) and every other
+// pair merged, before the rank index took the probing regime over.
+const referenceSkew = 8
+
+func referenceSkewHadamard(a, b *CSR) *CSR {
+	out := &CSR{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
+	bound := 0
+	for i := 0; i < a.rows; i++ {
+		bound += min(a.rowPtr[i+1]-a.rowPtr[i], b.rowPtr[i+1]-b.rowPtr[i])
+	}
+	colIdx, val := make([]int, bound), make([]float64, bound)
+	n := 0
+	for i := 0; i < a.rows; i++ {
+		ac, av := a.RowSlice(i)
+		bc, bv := b.RowSlice(i)
+		switch {
+		case len(ac)*referenceSkew <= len(bc):
+			n = referenceProbeRow(ac, av, bc, bv, colIdx, val, n)
+		case len(bc)*referenceSkew <= len(ac):
+			n = referenceProbeRow(bc, bv, ac, av, colIdx, val, n)
+		default:
+			for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
+				switch ja, jb := ac[ka], bc[kb]; {
+				case ja == jb:
+					if v := av[ka] * bv[kb]; v != 0 {
+						colIdx[n], val[n] = ja, v
+						n++
+					}
+					ka++
+					kb++
+				case ja < jb:
+					ka++
+				default:
+					kb++
+				}
+			}
+		}
+		out.rowPtr[i+1] = n
+	}
+	out.colIdx, out.val = colIdx[:n], val[:n]
+	return out
+}
+
+// referenceProbeRow intersects a short row with a much longer one by
+// galloping each short column forward through what is left of the long
+// row (doubling steps, then a binary search inside the last step).
+func referenceProbeRow(sc []int, sv []float64, lc []int, lv []float64, colIdx []int, val []float64, n int) int {
+	lo := 0 // the long row's columns before lo are below every short column left
+	for ks, j := range sc {
+		if lo == len(lc) {
+			break
+		}
+		step := 1
+		for lo+step < len(lc) && lc[lo+step] < j {
+			lo += step
+			step *= 2
+		}
+		hi := min(lo+step, len(lc)-1)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); lc[mid] < j {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lc[lo] < j {
+			break // j and every later short column lie beyond the long row
+		}
+		if lc[lo] == j {
+			if v := sv[ks] * lv[lo]; v != 0 {
+				colIdx[n], val[n] = j, v
+				n++
+			}
+			lo++
+		}
+	}
+	return n
+}
+
 // abs returns m with every stored value replaced by its magnitude, so a
 // product of abs matrices has the structure of the signed product
 // before any cancellation.
@@ -204,10 +284,13 @@ func skewedPair(rng *rand.Rand, rows, cols int) (a, b *CSR) {
 }
 
 // checkHadamardAgainstReference requires Hadamard to equal the plain
-// merge in both operand orders.
+// merge — and the galloping kernel it replaced — in both operand orders.
 func checkHadamardAgainstReference(t *testing.T, a, b *CSR) {
 	t.Helper()
 	want := referenceHadamard(a, b)
+	if skew := referenceSkewHadamard(a, b); !skew.Equal(want) {
+		t.Fatalf("the two references disagree on (%v, %v)", a, b)
+	}
 	got := Hadamard(a, b)
 	checkWellFormed(t, got)
 	if !got.Equal(want) {
@@ -263,16 +346,17 @@ func ratioPair(rng *rand.Rand, cols, ratio int, short []int, vals []float64) (a,
 	return build(la), build(lb)
 }
 
-// TestHadamardAcrossTheSkewThreshold walks row-length ratios on both
-// sides of hadamardSkew — the merge, the last merged ratio, the first
-// probed one, and far into the probe — with empty rows on either side,
+// TestHadamardAcrossTheSkewThreshold walks row-length ratios from equal
+// rows to 64× apart — on both sides of the ratio at which the replaced
+// kernel started galloping — over widths that put the longer matrix on
+// either side of the rank-index rule, with empty rows on either side,
 // rows that run to the last column, and values whose products underflow
 // to exactly zero and must not be stored.
 func TestHadamardAcrossTheSkewThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	short := []int{0, 0, 1, 1, 2, 3, 5, 8, 13, 15}
 	vals := []float64{1, -2, 3, 0.5, 1e-200, -1e-200, 1e200}
-	for _, ratio := range []int{1, hadamardSkew - 1, hadamardSkew, hadamardSkew + 1, 64} {
+	for _, ratio := range []int{1, referenceSkew - 1, referenceSkew, referenceSkew + 1, 64} {
 		for _, cols := range []int{15 * ratio, 20 * ratio, 1000 + 15*ratio} {
 			for trial := 0; trial < 4; trial++ {
 				a, b := ratioPair(rng, cols, ratio, short, vals)
@@ -284,36 +368,66 @@ func TestHadamardAcrossTheSkewThreshold(t *testing.T) {
 	full := randCSR(rng, 9, 70, 1)
 	checkHadamardAgainstReference(t, Zero(9, 70), full)
 	checkHadamardAgainstReference(t, full, full)
-	// An underflowing product is dropped in both regimes.
-	a, b := ratioPair(rng, 400, 1, []int{40, 40}, []float64{1e-200})
+	// An underflowing product is dropped in both regimes: 40 of 4000
+	// columns a row keeps the index away, 400 of 400 brings it.
+	a, b := ratioPair(rng, 4000, 1, []int{40, 40}, []float64{1e-200})
+	if a.rank() != nil || b.rank() != nil {
+		t.Fatal("a 1 % dense pair was indexed")
+	}
 	if got := Hadamard(a, b); got.NNZ() != 0 {
 		t.Errorf("merge kept %d products that underflowed to zero", got.NNZ())
 	}
 	a, b = ratioPair(rng, 400, 40, []int{10, 10}, []float64{1e-200})
+	if a.rank() == nil || b.rank() == nil {
+		t.Fatal("a half-full pair was not indexed")
+	}
 	if got := Hadamard(a, b); got.NNZ() != 0 {
 		t.Errorf("probe kept %d products that underflowed to zero", got.NNZ())
 	}
 }
 
+// hadamardFuzzSeeds is FuzzHadamard's seed corpus: (seed, ratio, width,
+// longest). Width 0 is the empty shape; the last four sit the longer
+// matrix on, just under and far over the rank-index rule.
+var hadamardFuzzSeeds = [][4]int{
+	{1, 1, 40, 3}, {2, 7, 200, 5}, {3, 8, 200, 9}, {4, 9, 255, 1}, {5, 64, 255, 0}, {6, 0, 0, 7},
+	{7, 1, 255, 16}, {8, 1, 255, 12}, {9, 2, 16, 32}, {10, 40, 5, 20},
+}
+
+// hadamardFuzzCase derives the operand pair of one fuzz input.
+func hadamardFuzzCase(seed int64, ratio, width, longest uint8) (a, b *CSR) {
+	rng := rand.New(rand.NewSource(seed))
+	short := make([]int, 1+rng.Intn(12))
+	for i := range short {
+		short[i] = rng.Intn(int(longest) + 1)
+	}
+	vals := []float64{1, -1, 2, 0.25, 1e-200, 1e200}
+	return ratioPair(rng, 4*int(width), int(ratio), short, vals)
+}
+
 // FuzzHadamard derives a row-length ratio, a width and a seed from the
 // fuzzed bytes and checks both regimes against the plain merge.
 func FuzzHadamard(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(40), uint8(3))
-	f.Add(int64(2), uint8(7), uint8(200), uint8(5))
-	f.Add(int64(3), uint8(8), uint8(200), uint8(9))
-	f.Add(int64(4), uint8(9), uint8(255), uint8(1))
-	f.Add(int64(5), uint8(64), uint8(255), uint8(0))
-	f.Add(int64(6), uint8(0), uint8(0), uint8(7))
+	for _, s := range hadamardFuzzSeeds {
+		f.Add(int64(s[0]), uint8(s[1]), uint8(s[2]), uint8(s[3]))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, ratio, width, longest uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		short := make([]int, 1+rng.Intn(12))
-		for i := range short {
-			short[i] = rng.Intn(int(longest) + 1)
-		}
-		vals := []float64{1, -1, 2, 0.25, 1e-200, 1e200}
-		a, b := ratioPair(rng, 4*int(width), int(ratio), short, vals)
+		a, b := hadamardFuzzCase(seed, ratio, width, longest)
 		checkHadamardAgainstReference(t, a, b)
 	})
+}
+
+// TestFuzzHadamardCorpusReachesBothRegimes keeps the seed corpus honest:
+// it must put rows through the rank probe and through the merge.
+func TestFuzzHadamardCorpusReachesBothRegimes(t *testing.T) {
+	merge0, rank0 := mHadamardMerge.Value(), mHadamardRank.Value()
+	for _, s := range hadamardFuzzSeeds {
+		a, b := hadamardFuzzCase(int64(s[0]), uint8(s[1]), uint8(s[2]), uint8(s[3]))
+		Hadamard(a, b)
+	}
+	if merged, ranked := mHadamardMerge.Value()-merge0, mHadamardRank.Value()-rank0; merged == 0 || ranked == 0 {
+		t.Errorf("seed corpus ran %d merged and %d ranked rows; it must reach both", merged, ranked)
+	}
 }
 
 // referenceAdd is the append-grown union merge Add was before it sized

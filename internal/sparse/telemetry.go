@@ -9,3 +9,15 @@ import "github.com/activeiter/activeiter/internal/telemetry"
 // not a matrix traversal.
 var mSpgemmFlops = telemetry.Default.Counter("activeiter_spgemm_flops_total",
 	"Gustavson SpGEMM multiply-adds performed by meta-diagram chain products.")
+
+// Which regime intersected each non-empty row pair of every Hadamard,
+// and how many rank indexes were built for the probing one. Hadamard
+// tallies its rows locally and adds once per call.
+var (
+	mHadamardMerge = telemetry.Default.Counter("activeiter_hadamard_rows_total",
+		"Row pairs Hadamard intersected, by regime.", telemetry.L("regime", "merge"))
+	mHadamardRank = telemetry.Default.Counter("activeiter_hadamard_rows_total",
+		"Row pairs Hadamard intersected, by regime.", telemetry.L("regime", "rank"))
+	mRankBuilds = telemetry.Default.Counter("activeiter_rank_index_builds_total",
+		"Rank indexes built over count matrices (at most one per matrix).")
+)
