@@ -1,9 +1,10 @@
 package activeiter
 
-// Benchmark harness: one benchmark per table and figure of the paper
-// (run `go test -bench=. -benchmem`), plus micro-benchmarks for the
-// substrates that dominate the pipeline. EXPERIMENTS.md records the
-// regenerated artifacts; cmd/experiments produces the full-size runs.
+// Micro-benchmarks for the substrates that dominate the pipeline (run
+// `go test -bench=. -benchmem`), plus the kernels behind Table II,
+// Figure 4 and the matching ablation. The paper's tables and figures as
+// whole experiments are BenchmarkExperiments in internal/experiments
+// (docs/EXPERIMENTS.md); cmd/experiments produces the full-size runs.
 // Facade-level timings (sharded, distributed, snapshot load, serving)
 // are `go run ./bench` workloads, not benchmarks here.
 
@@ -16,7 +17,6 @@ import (
 	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
-	"github.com/activeiter/activeiter/internal/experiments"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/linalg"
 	"github.com/activeiter/activeiter/internal/matching"
@@ -60,56 +60,6 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIII regenerates one Table III cell (all six methods,
-// every fold) at θ = FixedTheta on the tiny preset.
-func BenchmarkTableIII(b *testing.B) {
-	pre := experiments.TinyPreset()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.RunTable3(experiments.Preset{
-			Name: pre.Name, Data: pre.Data, Folds: pre.Folds,
-			ThetaValues: []int{pre.FixedTheta}, GammaValues: pre.GammaValues,
-			FixedTheta: pre.FixedTheta, FixedGamma: pre.FixedGamma,
-			Budgets: pre.Budgets, Seed: pre.Seed + int64(i), Workers: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Sections) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTableIV regenerates one Table IV cell (γ sweep point).
-func BenchmarkTableIV(b *testing.B) {
-	pre := experiments.TinyPreset()
-	for i := 0; i < b.N; i++ {
-		_, err := experiments.RunTable4(experiments.Preset{
-			Name: pre.Name, Data: pre.Data, Folds: pre.Folds,
-			ThetaValues: pre.ThetaValues, GammaValues: []float64{pre.FixedGamma},
-			FixedTheta: pre.FixedTheta, FixedGamma: pre.FixedGamma,
-			Budgets: pre.Budgets, Seed: pre.Seed + int64(i), Workers: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig3 regenerates the convergence trace (Figure 3).
-func BenchmarkFig3(b *testing.B) {
-	pre := experiments.TinyPreset()
-	for i := 0; i < b.N; i++ {
-		series, _, err := experiments.RunFig3(pre)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) == 0 {
-			b.Fatal("no series")
-		}
-	}
-}
-
 // BenchmarkFig4 measures the quantity Figure 4 plots: one ActiveIter-50
 // training run (feature extraction excluded, matching the paper's
 // scalability claim about the learning loop).
@@ -131,21 +81,8 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5 regenerates one Figure 5 point: ActiveIter at a single
-// budget, all folds.
-func BenchmarkFig5(b *testing.B) {
-	pre := experiments.TinyPreset()
-	pre.Budgets = []int{10}
-	for i := 0; i < b.N; i++ {
-		pre.Seed = int64(i + 1)
-		if _, err := experiments.RunFig5(pre); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationMatching compares the two selection algorithms on
-// identical candidate sets (DESIGN.md E7).
+// identical candidate sets (docs/EXPERIMENTS.md, ablation-matching).
 func BenchmarkAblationMatching(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var cands []matching.Candidate

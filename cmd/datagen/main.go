@@ -1,6 +1,6 @@
 // Command datagen generates a synthetic aligned social network pair and
 // writes it as JSON, substituting for the paper's Foursquare–Twitter
-// crawl (DESIGN.md §3).
+// crawl (docs/EXPERIMENTS.md §Dataset).
 //
 // Usage:
 //

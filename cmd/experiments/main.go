@@ -10,10 +10,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	activeiter "github.com/activeiter/activeiter"
@@ -83,42 +86,59 @@ func (o overrides) distributedConfig(workerCmd string) experiments.DistributedCo
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, table3, table4, fig3, fig4, fig5, ablation-features, ablation-query, ablation-matching, ablation-noise, ablation-words, oracle-noise, unsupervised, stability, scalability, distributed, all")
-	preset := flag.String("preset", "small", "protocol preset: tiny, small, paper, full, xl")
-	workers := flag.Int("workers", 0, "override parallel cell workers (0 = serial)")
-	seed := flag.Int64("seed", 0, "override the preset seed")
-	partitions := flag.Int("partitions", 0, "run the PU family of cell-based experiments (table3/table4/fig5/stability/ablation-query) and scalability through partitioned alignment with this many partitions (≤1 = monolithic; fig3/fig4 and the remaining ablations trace training internals and stay monolithic)")
-	distribWorkers := flag.Int("distrib-workers", 0, "distributed experiment: concurrent shard workers (0 = preset default)")
-	distribWorkerCmd := flag.String("distrib-worker-cmd", "", "distributed experiment: worker binary to spawn per connection (runs with -worker; empty = in-process loopback transport only)")
-	distribRounds := flag.Int("distrib-rounds", 0, "distributed experiment: split the budget across this many sticky-session retrain rounds (≤1 = single-shot dispatch); adds full-reship and delta-shipping session modes")
-	distribChaos := flag.Int64("distrib-chaos", 0, "distributed experiment: add a fault-injected loopback mode seeded with this value (refused dials, mid-frame drops, corruption, crashes); the alignment must match the healthy modes, with the retries/fallbacks columns showing the recovery work (0 = off)")
-	saveSnapshot := flag.String("save-snapshot", "", "train one alignment on the preset (facade chosen by -partitions/-distrib-* flags) and persist it as a serving artifact at this path instead of running experiments (serve it with alignd)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the distributed experiment's shard spans (coordinator + workers, stitched across processes) to this path; open it at chrome://tracing or ui.perfetto.dev")
-	metricsListen := flag.String("metrics-listen", "", "serve Prometheus text metrics on this address at /metricsz while experiments run (empty = off)")
-	logLevel := flag.String("log-level", "", "structured log level: debug, info, warn, error (empty = info)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
 
-	if *logLevel != "" {
-		if err := telemetry.SetLogLevel(*logLevel); err != nil {
-			fatal(err)
+// run is main minus the exit code, for the command's smoke tests.
+func run(args []string, stdout, stderr io.Writer) error {
+	registry := experiments.Registry()
+	var names, sharded []string
+	for _, e := range registry {
+		names = append(names, e.Name)
+		if e.Partitions {
+			sharded = append(sharded, e.Name)
 		}
 	}
-	if *metricsListen != "" {
-		addr, err := telemetry.ListenAndServeDebug(*metricsListen, telemetry.MetricsMux(telemetry.Default))
-		if err != nil {
-			fatal(fmt.Errorf("metrics listener: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "experiments: metrics on http://%s/metricsz\n", addr)
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
+	preset := fs.String("preset", "small", "protocol preset: tiny, small, paper, full, xl")
+	workers := fs.Int("workers", 0, "override how many folds train at once (0 = serial)")
+	seed := fs.Int64("seed", 0, "override the preset seed")
+	partitions := fs.Int("partitions", 0, "shard every fold's candidate space this many ways (≤1 = one part) in "+strings.Join(sharded, ", ")+"; the PU family trains per part and reconciles, the SVM baselines and every other experiment train each fold as one part")
+	distribWorkers := fs.Int("distrib-workers", 0, "distributed experiment: concurrent shard workers (0 = preset default)")
+	distribWorkerCmd := fs.String("distrib-worker-cmd", "", "distributed experiment: worker binary to spawn per connection (runs with -worker; empty = in-process loopback transport only)")
+	distribRounds := fs.Int("distrib-rounds", 0, "distributed experiment: split the budget across this many sticky-session retrain rounds (≤1 = single-shot dispatch); adds full-reship and delta-shipping session modes")
+	distribChaos := fs.Int64("distrib-chaos", 0, "distributed experiment: add a fault-injected loopback mode seeded with this value (refused dials, mid-frame drops, corruption, crashes); the alignment must match the healthy modes, with the retries/fallbacks columns showing the recovery work (0 = off)")
+	saveSnapshot := fs.String("save-snapshot", "", "train one alignment on the preset (facade chosen by -partitions/-distrib-* flags) and persist it as a serving artifact at this path instead of running experiments (serve it with alignd)")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of the distributed experiment's shard spans (coordinator + workers, stitched across processes) to this path; open it at chrome://tracing or ui.perfetto.dev")
+	metricsListen := fs.String("metrics-listen", "", "serve Prometheus text metrics on this address at /metricsz while experiments run (empty = off)")
+	logLevel := fs.String("log-level", "", "structured log level: debug, info, warn, error (empty = info)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
+	// Names first: a typo must not cost a dataset or a listener.
+	var selected []experiments.Experiment
+	for _, e := range registry {
+		if *exp == "all" || *exp == e.Name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q (want %s or all)", *exp, strings.Join(names, ", "))
+	}
 	pre, err := presetByName(*preset)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ov := overrides{workers: *workers, seed: *seed, partitions: *partitions, distribWorkers: *distribWorkers, distribRounds: *distribRounds, distribChaos: *distribChaos, set: map[string]bool{}}
-	flag.Visit(func(f *flag.Flag) { ov.set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { ov.set[f.Name] = true })
 	if err := ov.validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	ov.apply(&pre)
 	distribCfg := ov.distributedConfig(*distribWorkerCmd)
@@ -126,68 +146,39 @@ func main() {
 		distribCfg.Tracer = telemetry.NewTracer("coordinator")
 	}
 
-	if *saveSnapshot != "" {
-		if err := runSaveSnapshot(pre, distribCfg, *saveSnapshot); err != nil {
-			fatal(err)
+	if *logLevel != "" {
+		if err := telemetry.SetLogLevel(*logLevel); err != nil {
+			return err
 		}
-		return
+	}
+	if *metricsListen != "" {
+		addr, err := telemetry.ListenAndServeDebug(*metricsListen, telemetry.MetricsMux(telemetry.Default))
+		if err != nil {
+			return fmt.Errorf("metrics listener: %w", err)
+		}
+		fmt.Fprintf(stderr, "experiments: metrics on http://%s/metricsz\n", addr)
 	}
 
-	type runner struct {
-		name string
-		run  func(experiments.Preset) (*experiments.Table, error)
+	if *saveSnapshot != "" {
+		return runSaveSnapshot(stdout, pre, distribCfg, *saveSnapshot)
 	}
-	runners := []runner{
-		{"table2", experiments.RunTable2},
-		{"table3", experiments.RunTable3},
-		{"table4", experiments.RunTable4},
-		{"fig3", func(p experiments.Preset) (*experiments.Table, error) {
-			_, tab, err := experiments.RunFig3(p)
-			return tab, err
-		}},
-		{"fig4", func(p experiments.Preset) (*experiments.Table, error) {
-			_, tab, err := experiments.RunFig4(p)
-			return tab, err
-		}},
-		{"fig5", experiments.RunFig5},
-		{"ablation-features", experiments.RunFeatureAblation},
-		{"ablation-query", experiments.RunQueryAblation},
-		{"ablation-matching", experiments.RunMatchingAblation},
-		{"ablation-noise", experiments.RunOracleNoiseAblation},
-		{"ablation-words", experiments.RunWordFeatureAblation},
-		{"oracle-noise", experiments.RunOracleNoiseMatrix},
-		{"unsupervised", experiments.RunUnsupervisedComparison},
-		{"stability", func(p experiments.Preset) (*experiments.Table, error) {
-			return experiments.RunStability(p, 3)
-		}},
-		{"scalability", experiments.RunScalability},
-		{"distributed", func(p experiments.Preset) (*experiments.Table, error) {
-			return experiments.RunDistributedWith(p, distribCfg)
-		}},
-	}
-	ran := false
-	for _, r := range runners {
-		if *exp != "all" && *exp != r.name {
-			continue
-		}
-		ran = true
+
+	for _, e := range selected {
 		start := time.Now()
-		tab, err := r.run(pre)
+		tab, err := e.Run(pre, distribCfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", r.name, err))
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		tab.Render(os.Stdout)
-		fmt.Printf("(%s completed in %v)\n\n", r.name, time.Since(start).Round(time.Millisecond))
-	}
-	if !ran {
-		fatal(fmt.Errorf("unknown experiment %q", *exp))
+		tab.Render(stdout)
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if *traceOut != "" {
 		if err := distribCfg.Tracer.WriteChromeFile(*traceOut); err != nil {
-			fatal(fmt.Errorf("write trace: %w", err))
+			return fmt.Errorf("write trace: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote %d spans to %s\n", len(distribCfg.Tracer.Spans()), *traceOut)
+		fmt.Fprintf(stderr, "experiments: wrote %d spans to %s\n", len(distribCfg.Tracer.Spans()), *traceOut)
 	}
+	return nil
 }
 
 func presetByName(name string) (experiments.Preset, error) {
@@ -245,7 +236,7 @@ func snapshotProtocolFor(pre experiments.Preset, cfg experiments.DistributedConf
 
 // runSaveSnapshot trains one alignment on the preset through the
 // flag-selected facade and persists it as a serving artifact.
-func runSaveSnapshot(pre experiments.Preset, cfg experiments.DistributedConfig, path string) error {
+func runSaveSnapshot(stdout io.Writer, pre experiments.Preset, cfg experiments.DistributedConfig, path string) error {
 	proto := snapshotProtocolFor(pre, cfg)
 	pair, err := activeiter.GenerateDataset(pre.Data)
 	if err != nil {
@@ -311,15 +302,10 @@ func runSaveSnapshot(pre experiments.Preset, cfg experiments.DistributedConfig, 
 		return err
 	}
 	m := activeiter.EvaluateAlignment(res, testPos, neg)
-	fmt.Printf("snapshot: %s facade on preset %s: trained in %v, F1=%.4f\n",
+	fmt.Fprintf(stdout, "snapshot: %s facade on preset %s: trained in %v, F1=%.4f\n",
 		proto.Facade, pre.Name, trained.Round(time.Millisecond), m.F1)
-	fmt.Printf("snapshot: wrote %s (%d matches, %d pool links, %d queried labels)\n",
+	fmt.Fprintf(stdout, "snapshot: wrote %s (%d matches, %d pool links, %d queried labels)\n",
 		path, len(snap.Matches), len(snap.Pool), len(snap.Labels))
-	fmt.Printf("snapshot: serve with: alignd -snapshot %s\n", path)
+	fmt.Fprintf(stdout, "snapshot: serve with: alignd -snapshot %s\n", path)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

@@ -1,10 +1,76 @@
 package main
 
 import (
+	"bytes"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/experiments"
 )
+
+// The command end to end through run(): names resolve against the
+// registry before anything is generated or opened, one experiment
+// renders, and `all` walks the registry in order.
+func TestRun(t *testing.T) {
+	var names []string
+	for _, e := range experiments.Registry() {
+		names = append(names, e.Name)
+	}
+	completed := regexp.MustCompile(`(?m)^\((\S+) completed in `)
+	for _, tc := range []struct {
+		name string
+		args []string
+		// wantErr lists substrings of the error; nil means success.
+		wantErr []string
+		// wantRan is the experiments that must report completion, in order.
+		wantRan []string
+		wantOut string
+	}{
+		// The unusable -metrics-listen address proves the order: had the
+		// listener been tried first, its error would be the one returned.
+		{name: "unknown experiment", args: []string{"-exp", "table9", "-preset", "tiny", "-metrics-listen", "not an address"},
+			wantErr: append([]string{`unknown experiment "table9"`}, names...)},
+		{name: "unknown preset", args: []string{"-exp", "table2", "-preset", "huge", "-metrics-listen", "not an address"},
+			wantErr: []string{`unknown preset "huge"`, "tiny", "small", "paper", "full", "xl"}},
+		{name: "one experiment", args: []string{"-exp", "table2", "-preset", "tiny"},
+			wantRan: []string{"table2"}, wantOut: "Table II — dataset statistics"},
+		{name: "all", args: []string{"-exp", "all", "-preset", "tiny"}, wantRan: names},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run(tc.args, &stdout, &stderr)
+			if tc.wantErr != nil {
+				if err == nil {
+					t.Fatalf("run(%v) succeeded, want an error", tc.args)
+				}
+				for _, want := range tc.wantErr {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name %q", err, want)
+					}
+				}
+				if stdout.Len() != 0 {
+					t.Errorf("a rejected run printed:\n%s", stdout.String())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("run(%v): %v\nstderr: %s", tc.args, err, stderr.String())
+			}
+			var ran []string
+			for _, m := range completed.FindAllStringSubmatch(stdout.String(), -1) {
+				ran = append(ran, m[1])
+			}
+			if !slices.Equal(ran, tc.wantRan) {
+				t.Errorf("ran %v, want %v", ran, tc.wantRan)
+			}
+			if !strings.Contains(stdout.String(), tc.wantOut) {
+				t.Errorf("output lacks %q:\n%s", tc.wantOut, stdout.String())
+			}
+		})
+	}
+}
 
 // Regression: the old code treated 0 as "flag not set", so `-seed 0` and
 // `-workers 0` silently kept the preset values. Overrides must apply

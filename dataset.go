@@ -11,7 +11,7 @@ import (
 
 // GeneratorConfig parameterizes the synthetic aligned-network generator
 // that substitutes for the paper's Foursquare–Twitter crawl (see
-// DESIGN.md §3).
+// docs/EXPERIMENTS.md §Dataset).
 type GeneratorConfig = datagen.Config
 
 // TinyDataset is the smallest preset — suits unit tests.

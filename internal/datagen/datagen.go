@@ -1,7 +1,8 @@
 // Package datagen synthesizes aligned attributed heterogeneous social
 // network pairs with the statistical structure the paper's experiments
 // rely on. It substitutes for the proprietary Foursquare–Twitter crawl
-// of Table II (see DESIGN.md §3 for the substitution rationale).
+// of Table II (see docs/EXPERIMENTS.md §Dataset for the substitution
+// rationale).
 //
 // The generative model:
 //
@@ -188,8 +189,8 @@ func PaperShape() Config {
 }
 
 // FullScale reproduces Table II's user and link magnitudes (posts per
-// user capped at 20; see DESIGN.md). Generation takes tens of seconds
-// and a few GB of memory.
+// user capped at 20; see docs/EXPERIMENTS.md §Dataset). Generation takes
+// tens of seconds and a few GB of memory.
 func FullScale() Config {
 	return Config{
 		Seed: 2019, Users1: 5223, Users2: 5392, AnchorCount: 3282,
@@ -214,11 +215,11 @@ func FullScale() Config {
 // popularity head (ZipfS 1.05, Dislocation 0.2) and oversizing the
 // vocabularies keeps attribute evidence per user pair at a realistic
 // level while bounding count-matrix density — the same tractability
-// argument DESIGN.md §3 makes for capping post volume. This preset
-// measures scale, not the dislocation confound (the crawl-shaped
-// presets keep that). Words are disabled (the evaluation never uses
-// them). Generation takes minutes; counting the standard library over
-// the pair takes tens of GB.
+// argument docs/EXPERIMENTS.md §Dataset makes for capping post volume.
+// This preset measures scale, not the dislocation confound (the
+// crawl-shaped presets keep that). Words are disabled (the evaluation
+// never uses them). Generation takes minutes; counting the standard
+// library over the pair takes tens of GB.
 func XLScale() Config {
 	return Config{
 		Seed: 2019, Users1: 52230, Users2: 53920, AnchorCount: 32820,

@@ -2,233 +2,131 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
-	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
-	"github.com/activeiter/activeiter/internal/hetnet"
-	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
 )
 
-// RunFeatureAblation (DESIGN.md E8) measures Iter-MPMD with growing
-// feature families: paths only, +Ψ^f², +Ψ^a², full. It quantifies each
-// family's contribution, generalizing the SVM-MP vs SVM-MPMD comparison
-// to the PU model.
+// runFixed evaluates the variants on the preset's fixed (θ, γ) cell, the
+// point every ablation is taken at; out[v] holds variant v's folds.
+func (pr *protocol) runFixed(salt int, variants []variant) ([][]outcome, error) {
+	outs, err := pr.run(cell{theta: pr.pre.FixedTheta, gamma: pr.pre.FixedGamma, salt: salt, variants: variants})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// RunFeatureAblation measures Iter-MPMD with growing feature families:
+// paths only, +Ψ^f², +Ψ^a², full. It quantifies each family's
+// contribution, generalizing the SVM-MP vs SVM-MPMD comparison to the PU
+// model (docs/EXPERIMENTS.md, ablation-features).
 func RunFeatureAblation(pre Preset) (*Table, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
 	lib := schema.StandardLibrary()
 	paths := lib.PathsOnly()
-	var f2, a2, rest []schema.Named
+	var f2, a2 []schema.Named
 	for _, d := range lib.Diagrams {
 		switch {
-		case len(d.ID) >= 7 && d.ID[:7] == "PSI_F2[":
+		case strings.HasPrefix(d.ID, "PSI_F2["):
 			f2 = append(f2, d)
-		case len(d.ID) >= 7 && d.ID[:7] == "PSI_A2[":
+		case strings.HasPrefix(d.ID, "PSI_A2["):
 			a2 = append(a2, d)
-		default:
-			rest = append(rest, d)
 		}
 	}
-	variants := []struct {
-		name  string
-		feats []schema.Named
-	}{
-		{"paths only (MP)", paths},
-		{"+ Ψ^f²", append(append([]schema.Named{}, paths...), f2...)},
-		{"+ Ψ^a²", append(append([]schema.Named{}, paths...), a2...)},
-		{"+ Ψ^f² + Ψ^a²", append(append(append([]schema.Named{}, paths...), f2...), a2...)},
-		{"full (MPMD)", lib.All()},
+	variants := []variant{
+		{name: "paths only (MP)", feats: paths},
+		{name: "+ Ψ^f²", feats: append(append([]schema.Named{}, paths...), f2...)},
+		{name: "+ Ψ^a²", feats: append(append([]schema.Named{}, paths...), a2...)},
+		{name: "+ Ψ^f² + Ψ^a²", feats: append(append(append([]schema.Named{}, paths...), f2...), a2...)},
+		{name: "full (MPMD)", feats: lib.All()},
 	}
-	theta, gamma := pre.FixedTheta, pre.FixedGamma
-	counter, err := metadiag.NewCounter(pair)
-	if err != nil {
-		return nil, err
-	}
-	rng := newRunRNG(pre.Seed, theta, 800)
-	neg, err := eval.SampleNegatives(pair, theta*len(pair.Anchors), rng)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, gamma, rng)
+	outs, err := pr.runFixed(800, variants)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:     fmt.Sprintf("Feature ablation — Iter-MPMD with growing diagram families (θ=%d, γ=%.0f%%, preset %q)", theta, gamma*100, pre.Name),
+		Title:     fmt.Sprintf("Feature ablation — Iter-MPMD with growing diagram families (θ=%d, γ=%.0f%%, preset %q)", pre.FixedTheta, pre.FixedGamma*100, pre.Name),
 		ColHeader: "features",
 		Cols:      []string{"F1", "Precision", "Recall", "Accuracy", "dim"},
 	}
 	sec := Section{Name: "Iter-MPMD"}
-	for _, v := range variants {
-		ext := metadiag.NewExtractor(counter, v.feats, true)
-		var confs []eval.Confusion
-		for _, split := range splits {
-			counter.SetAnchors(split.TrainPos)
-			if err := ext.Recompute(); err != nil {
-				return nil, err
-			}
-			pool := buildPool(split)
-			x, err := ext.FeatureMatrix(pool.links)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Train(core.Problem{Links: pool.links, X: x, LabeledPos: pool.labeledPos}, core.Config{Seed: pre.Seed})
-			if err != nil {
-				return nil, err
-			}
-			var conf eval.Confusion
-			for k, idx := range pool.testIdx {
-				conf.Add(res.Y[idx], pool.testTruth[k])
-			}
-			confs = append(confs, conf)
-		}
-		ms := eval.SummarizeConfusions(confs)
-		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: []string{
-			ms.F1.String(), ms.Precision.String(), ms.Recall.String(), ms.Accuracy.String(),
-			fmt.Sprint(len(v.feats) + 1),
-		}})
+	for vi, v := range variants {
+		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: append(
+			metricCells(summarize(outs[vi]), eval.AllMetrics...), fmt.Sprint(len(v.feats)+1))})
 	}
 	t.Sections = []Section{sec}
 	return t, nil
 }
 
-// pool mirrors foldData's layout without feature matrices.
-type pool struct {
-	links      []hetnet.Anchor
-	labeledPos []int
-	testIdx    []int
-	testTruth  []float64
-}
-
-func buildPool(split eval.Split) *pool {
-	p := &pool{}
-	p.links = append(p.links, split.TrainPos...)
-	for i := range split.TrainPos {
-		p.labeledPos = append(p.labeledPos, i)
-	}
-	p.links = append(p.links, split.TrainNeg...)
-	offset := len(p.links)
-	p.links = append(p.links, split.TestPos...)
-	for i := range split.TestPos {
-		p.testIdx = append(p.testIdx, offset+i)
-		p.testTruth = append(p.testTruth, 1)
-	}
-	offset = len(p.links)
-	p.links = append(p.links, split.TestNeg...)
-	for i := range split.TestNeg {
-		p.testIdx = append(p.testIdx, offset+i)
-		p.testTruth = append(p.testTruth, 0)
-	}
-	return p
-}
-
-// RunQueryAblation (DESIGN.md E9) compares query strategies at a fixed
-// budget: the paper's conflict strategy, uncertainty sampling, and
-// random, all else equal.
+// RunQueryAblation compares query strategies at a fixed budget: the
+// paper's conflict strategy, uncertainty sampling, and random, all else
+// equal (docs/EXPERIMENTS.md, ablation-query).
 func RunQueryAblation(pre Preset) (*Table, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
+	budget := pr.maxBudget()
+	var variants []variant
+	for _, s := range []active.Strategy{active.Conflict{}, active.Uncertainty{}, active.Random{}} {
+		variants = append(variants, variant{name: s.Name(), cfg: core.Config{Budget: budget, Strategy: s}})
+	}
+	outs, err := pr.runFixed(sweepSalt(pre.FixedGamma), variants)
 	if err != nil {
 		return nil, err
 	}
-	budget := 50
-	if len(pre.Budgets) > 0 {
-		budget = pre.Budgets[len(pre.Budgets)-1]
-	}
-	queryPlanner, err := sweepPlanner(base, pre)
-	if err != nil {
-		return nil, err
-	}
-	strategies := []active.Strategy{active.Conflict{}, active.Uncertainty{}, active.Random{}}
 	t := &Table{
 		Title:     fmt.Sprintf("Query-strategy ablation — ActiveIter with budget %d (θ=%d, γ=%.0f%%, preset %q)", budget, pre.FixedTheta, pre.FixedGamma*100, pre.Name),
 		ColHeader: "strategy",
 		Cols:      []string{"F1", "Precision", "Recall", "Accuracy"},
 	}
 	sec := Section{Name: fmt.Sprintf("ActiveIter-%d", budget)}
-	for _, s := range strategies {
-		m := Method{Name: "ActiveIter-" + s.Name(), Kind: KindPU, Features: MPMD, Budget: budget, Strategy: s}
-		ms, err := runSingleMethodCell(base, queryPlanner, m, pre.FixedTheta, pre.FixedGamma, pre.Folds, pre.Seed, pre.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		sec.Rows = append(sec.Rows, TableRow{Label: s.Name(), Cells: []string{
-			ms.F1.String(), ms.Precision.String(), ms.Recall.String(), ms.Accuracy.String(),
-		}})
+	for vi, v := range variants {
+		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: metricCells(summarize(outs[vi]), eval.AllMetrics...)})
 	}
 	t.Sections = []Section{sec}
 	return t, nil
 }
 
-// RunMatchingAblation (DESIGN.md E7) compares greedy ½-approximation
-// selection against the exact Hungarian optimum inside Iter-MPMD:
-// alignment quality and training time.
+// RunMatchingAblation compares greedy ½-approximation selection against
+// the exact Hungarian optimum inside Iter-MPMD: alignment quality and
+// training time (docs/EXPERIMENTS.md, ablation-matching).
 func RunMatchingAblation(pre Preset) (*Table, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pre.Workers = 1 // a timed run has the machine to itself
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
-	if err != nil {
-		return nil, err
+	variants := []variant{
+		{name: "greedy (paper)", trace: true},
+		{name: "hungarian (exact)", trace: true, cfg: core.Config{ExactSelection: true}},
 	}
-	ctx := newCellContext(base, pre.Seed)
-	theta, gamma := pre.FixedTheta, pre.FixedGamma
-	rng := newRunRNG(pre.Seed, theta, 900)
-	neg, err := eval.SampleNegatives(pair, theta*len(pair.Anchors), rng)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, gamma, rng)
+	outs, err := pr.runFixed(900, variants)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:     fmt.Sprintf("Matching ablation — greedy vs Hungarian selection in Iter-MPMD (θ=%d, γ=%.0f%%, preset %q)", theta, gamma*100, pre.Name),
+		Title:     fmt.Sprintf("Matching ablation — greedy vs Hungarian selection in Iter-MPMD (θ=%d, γ=%.0f%%, preset %q)", pre.FixedTheta, pre.FixedGamma*100, pre.Name),
 		ColHeader: "selection",
 		Cols:      []string{"F1", "Precision", "Recall", "time/fold"},
 	}
 	sec := Section{Name: "Iter-MPMD"}
-	for _, exact := range []bool{false, true} {
-		var confs []eval.Confusion
+	for vi, v := range variants {
 		var total time.Duration
-		for _, split := range splits {
-			fd, err := ctx.prepareFold(split)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			res, err := core.Train(core.Problem{
-				Links: fd.pool, X: fd.xFull, LabeledPos: fd.labeledPos,
-			}, core.Config{Seed: pre.Seed, ExactSelection: exact})
-			if err != nil {
-				return nil, err
-			}
-			total += time.Since(start)
-			var conf eval.Confusion
-			for k, idx := range fd.testIdx {
-				conf.Add(res.Y[idx], fd.testTruth[k])
-			}
-			confs = append(confs, conf)
+		for _, o := range outs[vi] {
+			total += o.elapsed
 		}
-		ms := eval.SummarizeConfusions(confs)
-		label := "greedy (paper)"
-		if exact {
-			label = "hungarian (exact)"
-		}
-		sec.Rows = append(sec.Rows, TableRow{Label: label, Cells: []string{
-			ms.F1.String(), ms.Precision.String(), ms.Recall.String(),
-			fmt.Sprintf("%.0fms", float64(total.Microseconds())/1000/float64(len(splits))),
-		}})
+		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: append(
+			metricCells(summarize(outs[vi]), eval.MetricF1, eval.MetricPrecision, eval.MetricRecall),
+			fmt.Sprintf("%.0fms", float64(total.Microseconds())/1000/float64(len(outs[vi]))))})
 	}
 	t.Sections = []Section{sec}
 	return t, nil

@@ -5,11 +5,7 @@ import (
 	"os"
 	"time"
 
-	"github.com/activeiter/activeiter/internal/active"
-	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/distrib"
-	"github.com/activeiter/activeiter/internal/eval"
-	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
@@ -29,26 +25,13 @@ type DistributedPoint struct {
 	Queries    int
 	Rejected   int
 	AlignTime  time.Duration
-	// JobBytes is what the mode shipped per run (0 for in-process).
-	JobBytes int64
-	// SeedBytes / SeedShips audit warm-counter seed shipping: the
-	// one-time per-connection cost that lets every job drop its networks.
-	SeedBytes int64
-	SeedShips int
-	// DeltaBytes / CacheHits / CacheMisses audit session delta shipping.
-	DeltaBytes  int64
-	CacheHits   int
-	CacheMisses int
-	Retries     int
-	// Fallbacks counts shards that degraded to the in-process loopback
-	// path — non-zero only when the transport misbehaved (see the chaos
-	// mode). Hedges counts straggler hedge dispatches.
-	Fallbacks int
-	Hedges    int
-	// Shards is the per-shard attempt audit (attempts, hedged, fallback)
-	// straight from the run metrics; sessions accumulate one entry per
-	// shard per round.
-	Shards []distrib.ShardMetrics
+	// Metrics is the mode's wire audit summed over its rounds (zero for
+	// in-process): job, seed and delta bytes, cache verdicts, retries,
+	// hedges, fallbacks — non-zero fallbacks only when the transport
+	// misbehaved (see the chaos mode) — and the per-shard attempt audit,
+	// one entry per shard per round. Its Queries counts the answers of
+	// failed attempts too; the point's own Queries does not.
+	distrib.Metrics
 	// Chaos holds the fault injector's totals for the chaos modes, nil
 	// elsewhere.
 	Chaos       *distrib.ChaosStats
@@ -102,40 +85,18 @@ type DistributedConfig struct {
 // workers. All three must produce the same alignment — the point of the
 // comparison is the transport and serialization overhead.
 func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
+	f, err := pr.firstFold(1300)
 	if err != nil {
 		return nil, err
 	}
-	budget := 0
-	if len(pre.Budgets) > 0 {
-		budget = pre.Budgets[len(pre.Budgets)-1]
-	}
-	rng := newRunRNG(pre.Seed, pre.FixedTheta, 1300)
-	neg, err := eval.SampleNegatives(pair, pre.FixedTheta*len(pair.Anchors), rng)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, pre.FixedGamma, rng)
-	if err != nil {
-		return nil, err
-	}
-	split := splits[0]
-	trainPos := split.TrainPos
-	var candidates []hetnet.Anchor
-	candidates = append(candidates, split.TrainNeg...)
-	candidates = append(candidates, split.TestPos...)
-	candidates = append(candidates, split.TestNeg...)
-	oracle := active.NewTruthOracle(pair)
+	budget := pr.maxBudget()
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = pre.Workers
-	}
-	if workers < 1 {
-		workers = 1
+		workers = pr.workers()
 	}
 	// An explicit -partitions 1 means a genuine monolithic single-shard
 	// plan (the '≤1 = monolithic' contract of the flag); only the unset
@@ -144,85 +105,87 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 	if k <= 0 {
 		k = 2
 	}
-
-	// Session modes mutate their plan (per-round rebudget + label
-	// appends), so every mode gets a fresh plan; one cached planner keeps
-	// re-planning cheap.
-	var planner *partition.Planner
-	newPlan := func() (*partition.Plan, error) {
-		return partition.PlanCached(base, &planner, trainPos, candidates, budget, partition.Config{K: k})
-	}
-	plan, err := newPlan()
-	if err != nil {
-		return nil, err
-	}
 	train := distrib.TrainConfig{FeatureSet: distrib.FeaturesFull, Strategy: distrib.StrategyConflict, Seed: pre.Seed}
-
-	score := func(res *partition.Result) (f1, prec, rec float64) {
-		var conf eval.Confusion
-		add := func(links []hetnet.Anchor, truth float64) {
-			for _, l := range links {
-				if res.WasQueried(l.I, l.J) {
-					continue
-				}
-				lab, _ := res.Label(l.I, l.J)
-				conf.Add(lab, truth)
-			}
-		}
-		add(split.TestPos, 1)
-		add(split.TestNeg, 0)
-		return conf.F1(), conf.Precision(), conf.Recall()
+	score := func(p *DistributedPoint, res *partition.Result) {
+		conf := scoreTest(f.split, res.Label, res.WasQueried)
+		p.F1, p.Precision, p.Recall = conf.F1(), conf.Precision(), conf.Recall()
+		p.Rejected = res.Rejected
 	}
-
-	var points []DistributedPoint
 
 	// In-process reference: the NewPartitioned path, resolved from the
 	// same TrainConfig the distributed modes ship.
+	plan, err := pr.plan(f, budget, k)
+	if err != nil {
+		return nil, err
+	}
 	inprocTrain, err := train.TrainOptions()
 	if err != nil {
 		return nil, err
 	}
 	inprocTrain.Workers = workers
-	inproc, err := partition.Align(base, plan, inprocTrain, oracle)
+	inproc, err := partition.Align(pr.base, plan, inprocTrain, pr.truth)
 	if err != nil {
 		return nil, fmt.Errorf("distributed: in-process reference: %w", err)
 	}
-	f1, prec, rec := score(inproc)
-	points = append(points, DistributedPoint{
+	ref := DistributedPoint{
 		Mode: "in-process", Partitions: len(plan.Parts), Workers: workers,
-		F1: f1, Precision: prec, Recall: rec,
-		Queries: inproc.QueryCount(), Rejected: inproc.Rejected,
-		AlignTime: inproc.Elapsed,
-	})
+		Queries: inproc.QueryCount(), AlignTime: inproc.Elapsed,
+	}
+	score(&ref, inproc)
+	points := []DistributedPoint{ref}
 
-	runCoord := func(mode string, transport distrib.Transport, opts distrib.Options) error {
-		coord := &distrib.Coordinator{Transport: transport, Opts: opts}
-		res, metrics, err := coord.Run(pair, plan, oracle)
+	// runSession runs the problem as a session of the given number of
+	// rounds over one transport; single-shot dispatch is the one-round
+	// session. Sessions mutate their plan (per-round rebudget + label
+	// appends), so every mode plans afresh; the protocol's cached planner
+	// keeps that cheap. The base counter is already warm from planning;
+	// the session exports its worker seed from it rather than recounting.
+	runSession := func(mode string, transport distrib.Transport, rounds int, opts distrib.Options) error {
+		p, err := pr.plan(f, budget, k)
 		if err != nil {
-			return fmt.Errorf("distributed: %s: %w", mode, err)
+			return err
 		}
-		f1, prec, rec := score(res)
-		points = append(points, DistributedPoint{
-			Mode: mode, Partitions: len(plan.Parts), Workers: workers,
-			F1: f1, Precision: prec, Recall: rec,
-			Queries: res.QueryCount(), Rejected: res.Rejected,
-			AlignTime: res.Elapsed,
-			JobBytes:  metrics.JobBytes,
-			SeedBytes: metrics.SeedBytes, SeedShips: metrics.SeedShips,
-			Retries: metrics.Retries, Fallbacks: metrics.Fallbacks,
-			Hedges: metrics.Hedges, Shards: metrics.Shards,
-		})
+		opts.Train, opts.Workers, opts.Base, opts.Tracer = train, workers, pr.base, cfg.Tracer
+		sess, err := distrib.NewSession(transport, pr.pair, opts)
+		if err != nil {
+			return err
+		}
+		defer sess.Close()
+		point := DistributedPoint{Mode: mode, Partitions: len(p.Parts), Workers: workers, Rounds: rounds}
+		var res *partition.Result
+		start := time.Now()
+		for r := 0; r < rounds; r++ {
+			p.Rebudget(partition.RoundBudget(budget, rounds, r))
+			t0 := time.Now()
+			var m *distrib.Metrics
+			res, m, err = sess.Run(p, pr.truth)
+			if err != nil {
+				return fmt.Errorf("distributed: %s round %d: %w", mode, r+1, err)
+			}
+			p.AppendLabels(res.QueriedLabels())
+			point.Queries += res.QueryCount()
+			if rounds > 1 {
+				point.RoundDetail = append(point.RoundDetail, DistributedRound{
+					Round: r + 1, JobBytes: m.JobBytes, DeltaBytes: m.DeltaBytes,
+					CacheHits: m.CacheHits, Queries: m.Queries, AlignTime: time.Since(t0),
+				})
+			}
+		}
+		point.AlignTime = time.Since(start)
+		score(&point, res)
+		point.Metrics = *sess.Metrics()
+		points = append(points, point)
 		return nil
 	}
-	// The base counter is already warm from planning; the distributed
-	// modes export their worker seed from it rather than recounting.
-	baseOpts := distrib.Options{Train: train, Workers: workers, Base: base, Tracer: cfg.Tracer}
-	if err := runCoord("loopback", distrib.Loopback{}, baseOpts); err != nil {
+	subprocess := func() distrib.Transport {
+		return &distrib.Exec{Cmd: cfg.WorkerCmd, Args: cfg.WorkerArgs, Stderr: os.Stderr}
+	}
+
+	if err := runSession("loopback", distrib.Loopback{}, 1, distrib.Options{}); err != nil {
 		return nil, err
 	}
 	if cfg.WorkerCmd != "" {
-		tr := &distrib.Exec{Cmd: cfg.WorkerCmd, Args: cfg.WorkerArgs, Stderr: os.Stderr}
-		if err := runCoord("subprocess", tr, baseOpts); err != nil {
+		if err := runSession("subprocess", subprocess(), 1, distrib.Options{}); err != nil {
 			return nil, err
 		}
 	}
@@ -233,17 +196,14 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 		inner := distrib.Transport(distrib.Loopback{})
 		mode := "loopback/chaos"
 		if cfg.WorkerCmd != "" {
-			inner = &distrib.Exec{Cmd: cfg.WorkerCmd, Args: cfg.WorkerArgs, Stderr: os.Stderr}
+			inner = subprocess()
 			mode = "subprocess/chaos"
 		}
 		chaos := &distrib.ChaosTransport{Inner: inner, Opts: distrib.ChaosOptions{
 			Seed:       cfg.ChaosSeed,
 			RefuseRate: 0.10, DropRate: 0.30, CorruptRate: 0.10, CrashRate: 0.10,
 		}}
-		chaosOpts := baseOpts
-		chaosOpts.Retries = 4
-		chaosOpts.ShardTimeout = 10 * time.Second
-		if err := runCoord(mode, chaos, chaosOpts); err != nil {
+		if err := runSession(mode, chaos, 1, distrib.Options{Retries: 4, ShardTimeout: 10 * time.Second}); err != nil {
 			return nil, err
 		}
 		// The injector's totals ride on the point (tabulated as a table
@@ -253,71 +213,18 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 	}
 
 	// Sticky-session modes: the same problem as a multi-round active
-	// loop, once re-shipping full jobs every round (what PR 3's
-	// single-shot dispatch would cost per retrain) and once shipping
-	// JobRef deltas to warm workers.
-	runSession := func(mode string, transport distrib.Transport, deltaMax int) error {
-		p, err := newPlan()
-		if err != nil {
-			return err
-		}
-		sess, err := distrib.NewSession(transport, pair, distrib.Options{
-			Train: train, Workers: workers, DeltaMaxLabels: deltaMax, Base: base, Tracer: cfg.Tracer,
-		})
-		if err != nil {
-			return err
-		}
-		defer sess.Close()
-		point := DistributedPoint{
-			Mode: mode, Partitions: len(p.Parts), Workers: workers,
-			Rounds: cfg.Rounds,
-		}
-		var res *partition.Result
-		start := time.Now()
-		for r := 0; r < cfg.Rounds; r++ {
-			p.Rebudget(partition.RoundBudget(budget, cfg.Rounds, r))
-			t0 := time.Now()
-			var m *distrib.Metrics
-			res, m, err = sess.Run(p, oracle)
-			if err != nil {
-				return fmt.Errorf("distributed: %s round %d: %w", mode, r+1, err)
-			}
-			if r < cfg.Rounds-1 {
-				p.AppendLabels(res.QueriedLabels())
-			}
-			point.RoundDetail = append(point.RoundDetail, DistributedRound{
-				Round: r + 1, JobBytes: m.JobBytes, DeltaBytes: m.DeltaBytes,
-				CacheHits: m.CacheHits, Queries: m.Queries, AlignTime: time.Since(t0),
-			})
-		}
-		cum := sess.Metrics()
-		point.F1, point.Precision, point.Recall = score(res)
-		point.Queries = cum.Queries
-		point.Rejected = res.Rejected
-		point.AlignTime = time.Since(start)
-		point.JobBytes = cum.JobBytes
-		point.SeedBytes = cum.SeedBytes
-		point.SeedShips = cum.SeedShips
-		point.DeltaBytes = cum.DeltaBytes
-		point.CacheHits = cum.CacheHits
-		point.CacheMisses = cum.CacheMisses
-		point.Retries = cum.Retries
-		point.Fallbacks = cum.Fallbacks
-		point.Hedges = cum.Hedges
-		point.Shards = cum.Shards
-		points = append(points, point)
-		return nil
-	}
+	// loop, once re-shipping full jobs every round (what single-shot
+	// dispatch would cost per retrain) and once shipping JobRef deltas to
+	// warm workers.
 	if cfg.Rounds > 1 {
-		if err := runSession("loopback/rounds-full", distrib.Loopback{}, -1); err != nil {
+		if err := runSession("loopback/rounds-full", distrib.Loopback{}, cfg.Rounds, distrib.Options{DeltaMaxLabels: -1}); err != nil {
 			return nil, err
 		}
-		if err := runSession("loopback/rounds-delta", distrib.Loopback{}, 0); err != nil {
+		if err := runSession("loopback/rounds-delta", distrib.Loopback{}, cfg.Rounds, distrib.Options{}); err != nil {
 			return nil, err
 		}
 		if cfg.WorkerCmd != "" {
-			tr := &distrib.Exec{Cmd: cfg.WorkerCmd, Args: cfg.WorkerArgs, Stderr: os.Stderr}
-			if err := runSession("subprocess/rounds-delta", tr, 0); err != nil {
+			if err := runSession("subprocess/rounds-delta", subprocess(), cfg.Rounds, distrib.Options{}); err != nil {
 				return nil, err
 			}
 		}
@@ -441,10 +348,4 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 		t.Sections = append(t.Sections, rounds)
 	}
 	return t, nil
-}
-
-// RunDistributed is the parameterless runner used by `-exp all`:
-// loopback and in-process modes on the preset's defaults.
-func RunDistributed(pre Preset) (*Table, error) {
-	return RunDistributedWith(pre, DistributedConfig{})
 }

@@ -1,22 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
-)
 
-func TestRunTable2(t *testing.T) {
-	tab, err := RunTable2(TinyPreset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.String()
-	for _, want := range []string{"users", "follow links", "anchor links"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Table II missing %q:\n%s", want, s)
-		}
-	}
-}
+	"github.com/activeiter/activeiter/internal/eval"
+)
 
 func TestRunTable3TinyShape(t *testing.T) {
 	pre := TinyPreset()
@@ -50,13 +40,16 @@ func TestRunTable3TinyShape(t *testing.T) {
 func TestTable3ShapeProperties(t *testing.T) {
 	pre := TinyPreset()
 	cells := [][2]float64{{float64(pre.FixedTheta), pre.FixedGamma}}
-	res, err := sweepCells(pre, cells)
+	res, err := sweep(pre, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := res[0]
-	if len(sortedMethodNames(cell)) != 6 {
-		t.Fatalf("methods = %v", sortedMethodNames(cell))
+	if len(res[0]) != 6 {
+		t.Fatalf("%d methods, want 6", len(res[0]))
+	}
+	cell := map[string]eval.MetricSet{}
+	for mi, m := range StandardMethods() {
+		cell[m.Name] = res[0][mi]
 	}
 	iterF1 := cell["Iter-MPMD"].F1.Mean
 	svmMPMD := cell["SVM-MPMD"].F1.Mean
@@ -96,15 +89,12 @@ func TestRunFig3Convergence(t *testing.T) {
 
 func TestRunFig4Scalability(t *testing.T) {
 	pre := TinyPreset()
-	points, tab, err := RunFig4(pre)
+	points, _, err := RunFig4(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 2*len(pre.ThetaValues) {
 		t.Errorf("points = %d, want %d", len(points), 2*len(pre.ThetaValues))
-	}
-	if !strings.Contains(tab.String(), "ActiveIter-50") {
-		t.Error("figure table missing method rows")
 	}
 }
 
@@ -114,52 +104,38 @@ func TestRunFig5Budgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tab.String()
-	for _, want := range []string{"ActiveIter", "ActiveIter-Rand", "Iter-MPMD"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Figure 5 missing %q", want)
-		}
-	}
 	if len(tab.Cols) != len(pre.Budgets) {
 		t.Errorf("cols = %d, want %d budgets", len(tab.Cols), len(pre.Budgets))
 	}
-}
 
-func TestRunFeatureAblation(t *testing.T) {
-	tab, err := RunFeatureAblation(TinyPreset())
-	if err != nil {
+	// At γ = 100% there is no γ + 10%: the reference line appears once,
+	// not twice under one label.
+	pre.FixedGamma = 1
+	if tab, err = RunFig5(pre); err != nil {
 		t.Fatal(err)
 	}
-	s := tab.String()
-	if !strings.Contains(s, "paths only") || !strings.Contains(s, "full (MPMD)") {
-		t.Errorf("ablation rows missing:\n%s", s)
+	var labels []string
+	for _, row := range tab.Sections[0].Rows {
+		labels = append(labels, row.Label)
 	}
-	if len(tab.Sections[0].Rows) != 5 {
-		t.Errorf("rows = %d, want 5 variants", len(tab.Sections[0].Rows))
+	if want := []string{"ActiveIter", "ActiveIter-Rand", "Iter-MPMD γ=100%"}; !slices.Equal(labels, want) {
+		t.Errorf("rows at γ=100%%: %q, want %q", labels, want)
 	}
 }
 
-func TestRunQueryAblation(t *testing.T) {
-	tab, err := RunQueryAblation(TinyPreset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.String()
-	for _, want := range []string{"conflict", "uncertainty", "random"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("query ablation missing %q", want)
+// A preset without query budgets has no "largest budget" for the
+// single-budget experiments to run at: the protocol refuses it up front
+// instead of each runner substituting its own default.
+func TestEmptyBudgetsIsAnError(t *testing.T) {
+	pre := TinyPreset()
+	pre.Budgets = nil
+	for _, e := range Registry() {
+		if e.Name == "table2" {
+			continue // dataset statistics only: no protocol
 		}
-	}
-}
-
-func TestRunMatchingAblation(t *testing.T) {
-	tab, err := RunMatchingAblation(TinyPreset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.String()
-	if !strings.Contains(s, "greedy") || !strings.Contains(s, "hungarian") {
-		t.Errorf("matching ablation rows missing:\n%s", s)
+		if _, err := e.Run(pre, DistributedConfig{}); err == nil || !strings.Contains(err.Error(), "no query budgets") {
+			t.Errorf("%s on a preset without budgets: err = %v", e.Name, err)
+		}
 	}
 }
 

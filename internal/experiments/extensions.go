@@ -5,9 +5,7 @@ import (
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
-	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
-	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
 )
 
@@ -16,25 +14,22 @@ import (
 // assumes a perfect oracle; this quantifies how fast the active-learning
 // advantage decays when humans err.
 func RunOracleNoiseAblation(pre Preset) (*Table, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
-	if err != nil {
-		return nil, err
+	budget := pr.maxBudget()
+	var variants []variant
+	for _, p := range []float64{0, 0.1, 0.3} {
+		v := variant{name: fmt.Sprintf("p=%.1f", p), cfg: core.Config{Budget: budget, Strategy: active.Conflict{}}}
+		if p > 0 {
+			v.oracle = func() (active.Oracle, error) {
+				return &active.NoisyOracle{Inner: pr.truth, FlipProb: p, Seed: pre.Seed}, nil
+			}
+		}
+		variants = append(variants, v)
 	}
-	ctx := newCellContext(base, pre.Seed)
-	budget := 50
-	if len(pre.Budgets) > 0 {
-		budget = pre.Budgets[len(pre.Budgets)-1]
-	}
-	rng := newRunRNG(pre.Seed, pre.FixedTheta, 1100)
-	neg, err := eval.SampleNegatives(pair, pre.FixedTheta*len(pair.Anchors), rng)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, pre.FixedGamma, rng)
+	outs, err := pr.runFixed(1100, variants)
 	if err != nil {
 		return nil, err
 	}
@@ -45,38 +40,8 @@ func RunOracleNoiseAblation(pre Preset) (*Table, error) {
 		Cols:      []string{"F1", "Precision", "Recall"},
 	}
 	sec := Section{Name: fmt.Sprintf("ActiveIter-%d", budget)}
-	for _, p := range []float64{0, 0.1, 0.3} {
-		var confs []eval.Confusion
-		for _, split := range splits {
-			fd, err := ctx.prepareFold(split)
-			if err != nil {
-				return nil, err
-			}
-			oracle := active.Oracle(active.NewTruthOracle(pair))
-			if p > 0 {
-				oracle = &active.NoisyOracle{Inner: oracle, FlipProb: p, Seed: pre.Seed}
-			}
-			res, err := core.Train(core.Problem{
-				Links: fd.pool, X: fd.xFull, LabeledPos: fd.labeledPos, Oracle: oracle,
-			}, core.Config{Budget: budget, Strategy: active.Conflict{}, Seed: pre.Seed})
-			if err != nil {
-				return nil, err
-			}
-			var conf eval.Confusion
-			for k, idx := range fd.testIdx {
-				l := fd.pool[idx]
-				if res.WasQueried(l.I, l.J) {
-					continue
-				}
-				conf.Add(res.Y[idx], fd.testTruth[k])
-			}
-			confs = append(confs, conf)
-		}
-		ms := eval.SummarizeConfusions(confs)
-		sec.Rows = append(sec.Rows, TableRow{
-			Label: fmt.Sprintf("p=%.1f", p),
-			Cells: []string{ms.F1.String(), ms.Precision.String(), ms.Recall.String()},
-		})
+	for vi, v := range variants {
+		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: metricCells(summarize(outs[vi]), eval.MetricF1, eval.MetricPrecision, eval.MetricRecall)})
 	}
 	t.Sections = []Section{sec}
 	return t, nil
@@ -87,25 +52,19 @@ func RunOracleNoiseAblation(pre Preset) (*Table, error) {
 // standard 31-feature library vs the 58-feature extended library on a
 // dataset generated with word activity.
 func RunWordFeatureAblation(pre Preset) (*Table, error) {
-	data := pre.Data
-	if data.Words == 0 {
-		data.Words = 120
-		data.WordsPerPost = 2
+	if pre.Data.Words == 0 {
+		pre.Data.Words = 120
+		pre.Data.WordsPerPost = 2
 	}
-	pair, err := datagen.Generate(data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	counter, err := metadiag.NewCounter(pair)
-	if err != nil {
-		return nil, err
+	variants := []variant{
+		{name: "standard (31)", feats: schema.StandardLibrary().All()},
+		{name: "extended +words (58)", feats: schema.ExtendedLibrary().All()},
 	}
-	rng := newRunRNG(pre.Seed, pre.FixedTheta, 1200)
-	neg, err := eval.SampleNegatives(pair, pre.FixedTheta*len(pair.Anchors), rng)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, pre.FixedGamma, rng)
+	outs, err := pr.runFixed(1200, variants)
 	if err != nil {
 		return nil, err
 	}
@@ -116,40 +75,10 @@ func RunWordFeatureAblation(pre Preset) (*Table, error) {
 		Cols:      []string{"F1", "Precision", "Recall", "dim"},
 	}
 	sec := Section{Name: "Iter-MPMD"}
-	variants := []struct {
-		name string
-		lib  schema.Library
-	}{
-		{"standard (31)", schema.StandardLibrary()},
-		{"extended +words (58)", schema.ExtendedLibrary()},
-	}
-	for _, v := range variants {
-		ext := metadiag.NewExtractor(counter, v.lib.All(), true)
-		var confs []eval.Confusion
-		for _, split := range splits {
-			counter.SetAnchors(split.TrainPos)
-			if err := ext.Recompute(); err != nil {
-				return nil, err
-			}
-			pool := buildPool(split)
-			x, err := ext.FeatureMatrix(pool.links)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Train(core.Problem{Links: pool.links, X: x, LabeledPos: pool.labeledPos}, core.Config{Seed: pre.Seed})
-			if err != nil {
-				return nil, err
-			}
-			var conf eval.Confusion
-			for k, idx := range pool.testIdx {
-				conf.Add(res.Y[idx], pool.testTruth[k])
-			}
-			confs = append(confs, conf)
-		}
-		ms := eval.SummarizeConfusions(confs)
-		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: []string{
-			ms.F1.String(), ms.Precision.String(), ms.Recall.String(), fmt.Sprint(len(v.lib.All()) + 1),
-		}})
+	for vi, v := range variants {
+		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: append(
+			metricCells(summarize(outs[vi]), eval.MetricF1, eval.MetricPrecision, eval.MetricRecall),
+			fmt.Sprint(len(v.feats)+1))})
 	}
 	t.Sections = []Section{sec}
 	return t, nil
@@ -162,40 +91,27 @@ func RunStability(pre Preset, seeds int) (*Table, error) {
 	if seeds < 2 {
 		seeds = 3
 	}
-	methods := StandardMethods()
 	t := &Table{
 		Title: fmt.Sprintf("Stability — F1 across %d dataset seeds (θ=%d, γ=%.0f%%, preset %q)",
 			seeds, pre.FixedTheta, pre.FixedGamma*100, pre.Name),
 		ColHeader: "method",
 	}
-	results := make([]map[string]eval.MetricSet, seeds)
+	results := make([][]eval.MetricSet, seeds)
 	for s := 0; s < seeds; s++ {
-		data := pre.Data
-		data.Seed = pre.Data.Seed + int64(s)*101
-		pair, err := datagen.Generate(data)
+		world := pre
+		world.Data.Seed += int64(s) * 101
+		res, err := sweep(world, [][2]float64{{float64(pre.FixedTheta), pre.FixedGamma}})
 		if err != nil {
 			return nil, err
 		}
-		base, err := newBaseCounter(pair)
-		if err != nil {
-			return nil, err
-		}
-		planner, err := sweepPlanner(base, pre)
-		if err != nil {
-			return nil, err
-		}
-		cell, err := runCell(base, planner, methods, pre.FixedTheta, pre.FixedGamma, pre.Folds, pre.Seed, pre.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		results[s] = cell
+		results[s] = res[0]
 		t.Cols = append(t.Cols, fmt.Sprintf("seed+%d", s*101))
 	}
 	sec := Section{Name: "F1"}
-	for _, m := range methods {
+	for mi, m := range StandardMethods() {
 		row := TableRow{Label: m.Name}
 		for s := 0; s < seeds; s++ {
-			row.Cells = append(row.Cells, results[s][m.Name].F1.String())
+			row.Cells = append(row.Cells, results[s][mi].F1.String())
 		}
 		sec.Rows = append(sec.Rows, row)
 	}

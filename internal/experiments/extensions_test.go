@@ -1,36 +1,8 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 )
-
-func TestRunOracleNoiseAblation(t *testing.T) {
-	tab, err := RunOracleNoiseAblation(TinyPreset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.String()
-	for _, want := range []string{"p=0.0", "p=0.1", "p=0.3"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("noise ablation missing %q:\n%s", want, s)
-		}
-	}
-	if len(tab.Sections[0].Rows) != 3 {
-		t.Errorf("rows = %d", len(tab.Sections[0].Rows))
-	}
-}
-
-func TestRunWordFeatureAblation(t *testing.T) {
-	tab, err := RunWordFeatureAblation(TinyPreset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.String()
-	if !strings.Contains(s, "standard (31)") || !strings.Contains(s, "extended +words (58)") {
-		t.Errorf("word ablation rows missing:\n%s", s)
-	}
-}
 
 func TestRunStability(t *testing.T) {
 	pre := TinyPreset()
@@ -51,21 +23,5 @@ func TestRunStability(t *testing.T) {
 	}
 	if len(tab3.Cols) != 3 {
 		t.Errorf("clamped cols = %d, want 3", len(tab3.Cols))
-	}
-}
-
-func TestRunUnsupervisedComparison(t *testing.T) {
-	tab, err := RunUnsupervisedComparison(TinyPreset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.String()
-	for _, want := range []string{"IsoRank", "Iter-MPMD", "ActiveIter-50"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("unsupervised comparison missing %q:\n%s", want, s)
-		}
-	}
-	if len(tab.Sections[0].Rows) != 3 {
-		t.Errorf("rows = %d, want 3", len(tab.Sections[0].Rows))
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
-	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/oracle"
 )
@@ -55,61 +54,34 @@ var oracleNoiseRates = []float64{0, 0.1, 0.2, 0.3}
 // ledger totals (one-to-one contradictions flagged, labelers
 // distrusted) summed across folds.
 func RunOracleNoiseMatrix(pre Preset) (*Table, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
-	if err != nil {
-		return nil, err
-	}
-	ctx := newCellContext(base, pre.Seed)
-	budget := 50
-	if len(pre.Budgets) > 0 {
-		budget = pre.Budgets[len(pre.Budgets)-1]
-	}
-	rng := newRunRNG(pre.Seed, pre.FixedTheta, 1100)
-	neg, err := eval.SampleNegatives(pair, pre.FixedTheta*len(pair.Anchors), rng)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, pre.FixedGamma, rng)
-	if err != nil {
-		return nil, err
-	}
-	// Fold preparation is scenario-independent; do it once. Each
-	// prepareFold call returns fresh matrices, so the slices stay valid
-	// after the context moves to the next fold.
-	folds := make([]*foldData, len(splits))
-	for i, split := range splits {
-		if folds[i], err = ctx.prepareFold(split); err != nil {
-			return nil, err
+	budget := pr.maxBudget()
+	train := core.Config{Budget: budget, Strategy: active.Conflict{}}
+	// Variant 0 is the baseline — the perfect oracle the paper assumes, no
+	// panel in between — followed by one variant per scenario × rate. A
+	// fresh panel per fold: ledgers audit one training run.
+	variants := []variant{{name: "clean", cfg: train}}
+	scenarios := oracleNoiseScenarios()
+	for _, sc := range scenarios {
+		for _, p := range oracleNoiseRates {
+			variants = append(variants, variant{name: fmt.Sprintf("p=%.1f", p), cfg: train, oracle: func() (active.Oracle, error) {
+				return sc.cfg(p, pre.Seed).Build(pr.truth)
+			}})
 		}
 	}
-	truth := active.NewTruthOracle(pair)
-	train := func(fd *foldData, o active.Oracle) (eval.Confusion, error) {
-		res, err := core.Train(core.Problem{
-			Links: fd.pool, X: fd.xFull, LabeledPos: fd.labeledPos, Oracle: o,
-		}, core.Config{Budget: budget, Strategy: active.Conflict{}, Seed: pre.Seed})
-		if err != nil {
-			return eval.Confusion{}, err
-		}
-		var conf eval.Confusion
-		for k, idx := range fd.testIdx {
-			l := fd.pool[idx]
-			if res.WasQueried(l.I, l.J) {
-				continue // queried labels are oracle-given: excluded
-			}
-			conf.Add(res.Y[idx], fd.testTruth[k])
-		}
-		return conf, nil
+	outs, err := pr.runFixed(1100, variants)
+	if err != nil {
+		return nil, err
 	}
-	cells := func(confs []eval.Confusion) []string {
-		f1 := make([]float64, len(confs))
-		tpr := make([]float64, len(confs))
-		fpr := make([]float64, len(confs))
-		for i, c := range confs {
-			f1[i], tpr[i], fpr[i] = c.F1(), c.TPR(), c.FPR()
+	cells := func(folds []outcome) []string {
+		f1 := make([]float64, len(folds))
+		tpr := make([]float64, len(folds))
+		fpr := make([]float64, len(folds))
+		for i, o := range folds {
+			f1[i], tpr[i], fpr[i] = o.conf.F1(), o.conf.TPR(), o.conf.FPR()
 		}
 		return []string{
 			eval.Summarize(f1).String(),
@@ -123,47 +95,25 @@ func RunOracleNoiseMatrix(pre Preset) (*Table, error) {
 			budget, pre.FixedTheta, pre.FixedGamma*100, pre.Name),
 		ColHeader: "flip prob",
 		Cols:      []string{"F1", "TPR", "FPR", "contr", "distr"},
+		Sections: []Section{{Name: "clean oracle", Rows: []TableRow{
+			{Label: variants[0].name, Cells: append(cells(outs[0]), "-", "-")},
+		}}},
 	}
-
-	// Baseline: the perfect oracle the paper assumes, no panel in between.
-	baseline := Section{Name: "clean oracle"}
-	var cleanConfs []eval.Confusion
-	for _, fd := range folds {
-		conf, err := train(fd, truth)
-		if err != nil {
-			return nil, err
-		}
-		cleanConfs = append(cleanConfs, conf)
-	}
-	baseline.Rows = append(baseline.Rows, TableRow{
-		Label: "clean", Cells: append(cells(cleanConfs), "-", "-"),
-	})
-	t.Sections = append(t.Sections, baseline)
-
-	for _, sc := range oracleNoiseScenarios() {
+	vi := 1
+	for _, sc := range scenarios {
 		sec := Section{Name: sc.name}
-		for _, p := range oracleNoiseRates {
-			var confs []eval.Confusion
+		for range oracleNoiseRates {
 			contradictions, distrusted := 0, 0
-			for _, fd := range folds {
-				// A fresh panel per fold: ledgers audit one training run.
-				panel, err := sc.cfg(p, pre.Seed).Build(truth)
-				if err != nil {
-					return nil, err
-				}
-				conf, err := train(fd, panel)
-				if err != nil {
-					return nil, err
-				}
-				confs = append(confs, conf)
-				rep := panel.Report()
+			for _, o := range outs[vi] {
+				rep := o.oracle.(*oracle.Panel).Report()
 				contradictions += rep.Contradictions
 				distrusted += len(rep.Distrusted)
 			}
 			sec.Rows = append(sec.Rows, TableRow{
-				Label: fmt.Sprintf("p=%.1f", p),
-				Cells: append(cells(confs), fmt.Sprint(contradictions), fmt.Sprint(distrusted)),
+				Label: variants[vi].name,
+				Cells: append(cells(outs[vi]), fmt.Sprint(contradictions), fmt.Sprint(distrusted)),
 			})
+			vi++
 		}
 		t.Sections = append(t.Sections, sec)
 	}

@@ -2,17 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
+	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/hetnet"
-	"github.com/activeiter/activeiter/internal/metadiag"
-	"github.com/activeiter/activeiter/internal/partition"
 )
 
 // RunTable2 regenerates Table II: the dataset statistics of the
@@ -46,58 +42,40 @@ func RunTable2(pre Preset) (*Table, error) {
 	return t, nil
 }
 
-// sweepCells evaluates all standard methods over a list of (θ, γ) cells
-// in parallel and returns per-cell method metrics, indexed like cells.
-func sweepCells(pre Preset, cells [][2]float64) ([]map[string]eval.MetricSet, error) {
-	pair, err := datagen.Generate(pre.Data)
+// sweep evaluates the six standard methods over a list of (θ, γ) cells;
+// out[c][m] is method m's metrics on cell c, in StandardMethods order.
+func sweep(pre Preset, cells [][2]float64) ([][]eval.MetricSet, error) {
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
+	spec := make([]cell, len(cells))
+	for i, c := range cells {
+		spec[i] = cell{theta: int(c[0]), gamma: c[1], salt: sweepSalt(c[1]), variants: standardVariants()}
+	}
+	outs, err := pr.run(spec...)
 	if err != nil {
 		return nil, err
 	}
-	methods := StandardMethods()
-	planner, err := sweepPlanner(base, pre)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]map[string]eval.MetricSet, len(cells))
-	errs := make([]error, len(cells))
-	workers := pre.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, cell := range cells {
-		wg.Add(1)
-		go func(i int, theta int, gamma float64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = runCell(base, planner, methods, theta, gamma, pre.Folds, pre.Seed, pre.Partitions)
-		}(i, int(cell[0]), cell[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	res := make([][]eval.MetricSet, len(outs))
+	for c, perVariant := range outs {
+		for _, folds := range perVariant {
+			res[c] = append(res[c], summarize(folds))
 		}
 	}
-	return results, nil
+	return res, nil
 }
 
 // buildMethodTable formats sweep results in the paper's layout: one
 // section per metric, one row per method, one column per swept value.
-func buildMethodTable(title, colHeader string, cols []string, cellResults []map[string]eval.MetricSet) *Table {
+func buildMethodTable(title, colHeader string, cols []string, cellResults [][]eval.MetricSet) *Table {
 	t := &Table{Title: title, ColHeader: colHeader, Cols: cols}
 	for _, metric := range eval.AllMetrics {
 		sec := Section{Name: string(metric)}
-		for _, m := range StandardMethods() {
+		for mi, m := range StandardMethods() {
 			row := TableRow{Label: m.Name}
 			for _, cell := range cellResults {
-				row.Cells = append(row.Cells, cell[m.Name].Get(metric).String())
+				row.Cells = append(row.Cells, cell[mi].Get(metric).String())
 			}
 			sec.Rows = append(sec.Rows, row)
 		}
@@ -115,7 +93,7 @@ func RunTable3(pre Preset) (*Table, error) {
 		cells[i] = [2]float64{float64(th), pre.FixedGamma}
 		cols[i] = fmt.Sprintf("θ=%d", th)
 	}
-	res, err := sweepCells(pre, cells)
+	res, err := sweep(pre, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +111,23 @@ func RunTable4(pre Preset) (*Table, error) {
 		cells[i] = [2]float64{float64(pre.FixedTheta), g}
 		cols[i] = fmt.Sprintf("γ=%.0f%%", g*100)
 	}
-	res, err := sweepCells(pre, cells)
+	res, err := sweep(pre, cells)
 	if err != nil {
 		return nil, err
 	}
 	title := fmt.Sprintf("Table IV — performance vs sample-ratio (θ=%d, %d folds, preset %q)",
 		pre.FixedTheta, pre.Folds, pre.Name)
 	return buildMethodTable(title, "method", cols, res), nil
+}
+
+// thetaCells is one first-fold cell per NP-ratio at γ=100% — the shape of
+// Figures 3 and 4, which trace single training runs.
+func thetaCells(thetas []int, salt int, variants ...variant) []cell {
+	cells := make([]cell, len(thetas))
+	for i, theta := range thetas {
+		cells[i] = cell{theta: theta, gamma: 1, salt: salt, firstFold: true, variants: variants}
+	}
+	return cells
 }
 
 // ConvergenceSeries is one Figure 3 line: Δy per internal iteration.
@@ -151,44 +139,23 @@ type ConvergenceSeries struct {
 // RunFig3 regenerates Figure 3: the convergence of the external
 // iteration step (1) at γ=100% for several NP-ratios.
 func RunFig3(pre Preset) ([]ConvergenceSeries, *Table, error) {
-	pair, err := datagen.Generate(pre.Data)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := newBaseCounter(pair)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, nil, err
 	}
 	thetas := fig3Thetas(pre)
+	outs, err := pr.run(thetaCells(thetas, 100, variant{name: "Iter-MPMD", trace: true})...)
+	if err != nil {
+		return nil, nil, err
+	}
 	var series []ConvergenceSeries
-	for _, theta := range thetas {
-		ctx := newCellContext(base, pre.Seed)
-		rng := newRunRNG(pre.Seed, theta, 100)
-		neg, err := eval.SampleNegatives(pair, theta*len(pair.Anchors), rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, 1.0, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		fd, err := ctx.prepareFold(splits[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		_, res, _, err := ctx.runMethod(Method{Name: "Iter-MPMD", Kind: KindPU, Features: MPMD}, fd, pre.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		series = append(series, ConvergenceSeries{Theta: theta, DeltaY: res.FirstRoundDeltas()})
+	maxLen := 0
+	for i, theta := range thetas {
+		s := ConvergenceSeries{Theta: theta, DeltaY: outs[i][0][0].res.FirstRoundDeltas()}
+		series = append(series, s)
+		maxLen = max(maxLen, len(s.DeltaY))
 	}
 	// Tabulate: rows = NP-ratio, columns = iteration.
-	maxLen := 0
-	for _, s := range series {
-		if len(s.DeltaY) > maxLen {
-			maxLen = len(s.DeltaY)
-		}
-	}
 	t := &Table{
 		Title:     fmt.Sprintf("Figure 3 — convergence Δy = ‖yᵢ−yᵢ₋₁‖₁ per iteration (γ=100%%, preset %q)", pre.Name),
 		ColHeader: "NP-ratio",
@@ -244,39 +211,22 @@ type ScalePoint struct {
 // RunFig4 regenerates Figure 4: ActiveIter training wall time versus
 // NP-ratio (data size) for budgets 50 and 100, single fold, γ=100%.
 func RunFig4(pre Preset) ([]ScalePoint, *Table, error) {
-	pair, err := datagen.Generate(pre.Data)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := newBaseCounter(pair)
+	pre.Workers = 1 // a timed run has the machine to itself
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, nil, err
 	}
 	budgets := []int{50, 100}
-	var points []ScalePoint
-	for _, theta := range pre.ThetaValues {
-		ctx := newCellContext(base, pre.Seed)
-		rng := newRunRNG(pre.Seed, theta, 400)
-		neg, err := eval.SampleNegatives(pair, theta*len(pair.Anchors), rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, 1.0, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		fd, err := ctx.prepareFold(splits[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, b := range budgets {
-			m := Method{Name: fmt.Sprintf("ActiveIter-%d", b), Kind: KindPU, Features: MPMD, Budget: b, Strategy: active.Conflict{}}
-			_, _, elapsed, err := ctx.runMethod(m, fd, pre.Seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			points = append(points, ScalePoint{Theta: theta, Budget: b, Elapsed: elapsed})
-		}
+	var variants []variant
+	for _, b := range budgets {
+		variants = append(variants, variant{
+			name: fmt.Sprintf("ActiveIter-%d", b), trace: true,
+			cfg: core.Config{Budget: b, Strategy: active.Conflict{}},
+		})
+	}
+	outs, err := pr.run(thetaCells(pre.ThetaValues, 400, variants...)...)
+	if err != nil {
+		return nil, nil, err
 	}
 	t := &Table{
 		Title:     fmt.Sprintf("Figure 4 — training time vs NP-ratio (γ=100%%, preset %q)", pre.Name),
@@ -285,19 +235,17 @@ func RunFig4(pre Preset) ([]ScalePoint, *Table, error) {
 	for _, theta := range pre.ThetaValues {
 		t.Cols = append(t.Cols, fmt.Sprintf("θ=%d", theta))
 	}
-	sec := Section{Name: "wall time"}
-	for _, b := range budgets {
-		row := TableRow{Label: fmt.Sprintf("ActiveIter-%d", b)}
-		for _, theta := range pre.ThetaValues {
-			for _, p := range points {
-				if p.Theta == theta && p.Budget == b {
-					row.Cells = append(row.Cells, fmt.Sprintf("%.0fms", float64(p.Elapsed.Microseconds())/1000))
-				}
-			}
+	var points []ScalePoint
+	rows := make([]TableRow, len(budgets))
+	for ci, theta := range pre.ThetaValues {
+		for vi, b := range budgets {
+			p := ScalePoint{Theta: theta, Budget: b, Elapsed: outs[ci][vi][0].elapsed}
+			points = append(points, p)
+			rows[vi].Label = variants[vi].name
+			rows[vi].Cells = append(rows[vi].Cells, fmt.Sprintf("%.0fms", float64(p.Elapsed.Microseconds())/1000))
 		}
-		sec.Rows = append(sec.Rows, row)
 	}
-	t.Sections = []Section{sec}
+	t.Sections = []Section{{Name: "wall time", Rows: rows}}
 	return points, t, nil
 }
 
@@ -305,75 +253,50 @@ func RunFig4(pre Preset) ([]ScalePoint, *Table, error) {
 // query budgets at (θ, γ) fixed, with Iter-MPMD at γ and γ+10% as the
 // reference lines.
 func RunFig5(pre Preset) (*Table, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
+	sweeps := []struct {
+		label    string
+		strategy active.Strategy
+	}{{"ActiveIter", active.Conflict{}}, {"ActiveIter-Rand", active.Random{}}}
+	at := cell{theta: pre.FixedTheta, gamma: pre.FixedGamma, salt: sweepSalt(pre.FixedGamma)}
+	for _, sw := range sweeps {
+		for _, b := range pre.Budgets {
+			at.variants = append(at.variants, variant{name: fmt.Sprintf("%s-b%d", sw.label, b), cfg: core.Config{Budget: b, Strategy: sw.strategy}})
+		}
+	}
+	reference := []variant{{name: "Iter-MPMD"}}
+	at.variants = append(at.variants, reference...)
+	cells := []cell{at}
+	// The second reference line has γ + 10% of the labels; at γ = 100%
+	// there is no such line.
+	if gammaHi := min(pre.FixedGamma+0.1, 1); gammaHi != pre.FixedGamma {
+		cells = append(cells, cell{theta: pre.FixedTheta, gamma: gammaHi, salt: sweepSalt(gammaHi), variants: reference})
+	}
+	outs, err := pr.run(cells...)
 	if err != nil {
 		return nil, err
 	}
-	type variant struct {
-		name    string
-		method  Method
-		gamma   float64
-		budgets []int // nil = single run, column-replicated
+	// One row per line of the figure: a budget sweep has one variant per
+	// column, a reference repeats its single run — the last variant of its
+	// cell — across the columns.
+	nb := len(pre.Budgets)
+	type line struct {
+		label string
+		cols  [][]outcome
 	}
-	gammaHi := pre.FixedGamma + 0.1
-	if gammaHi > 1 {
-		gammaHi = 1
+	var lines []line
+	for si, sw := range sweeps {
+		lines = append(lines, line{sw.label, outs[0][si*nb : (si+1)*nb]})
 	}
-	variants := []variant{
-		{name: "ActiveIter", method: Method{Kind: KindPU, Features: MPMD, Strategy: active.Conflict{}}, gamma: pre.FixedGamma, budgets: pre.Budgets},
-		{name: "ActiveIter-Rand", method: Method{Kind: KindPU, Features: MPMD, Strategy: active.Random{}}, gamma: pre.FixedGamma, budgets: pre.Budgets},
-		{name: fmt.Sprintf("Iter-MPMD γ=%.0f%%", pre.FixedGamma*100), method: Method{Kind: KindPU, Features: MPMD}, gamma: pre.FixedGamma},
-		{name: fmt.Sprintf("Iter-MPMD γ=%.0f%%", gammaHi*100), method: Method{Kind: KindPU, Features: MPMD}, gamma: gammaHi},
-	}
-	type task struct {
-		variant int
-		budget  int
-		col     int
-	}
-	var tasks []task
-	for vi, v := range variants {
-		if v.budgets == nil {
-			tasks = append(tasks, task{variant: vi, budget: 0, col: -1})
-			continue
+	for c, ref := range cells {
+		cols := make([][]outcome, nb)
+		for i := range cols {
+			cols[i] = outs[c][len(outs[c])-1]
 		}
-		for ci, b := range v.budgets {
-			tasks = append(tasks, task{variant: vi, budget: b, col: ci})
-		}
-	}
-	planner, err := sweepPlanner(base, pre)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]eval.MetricSet, len(tasks))
-	errs := make([]error, len(tasks))
-	workers := pre.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for ti, tk := range tasks {
-		wg.Add(1)
-		go func(ti int, tk task) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			v := variants[tk.variant]
-			m := v.method
-			m.Budget = tk.budget
-			m.Name = fmt.Sprintf("%s-b%d", v.name, tk.budget)
-			results[ti], errs[ti] = runSingleMethodCell(base, planner, m, pre.FixedTheta, v.gamma, pre.Folds, pre.Seed, pre.Partitions)
-		}(ti, tk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		lines = append(lines, line{fmt.Sprintf("Iter-MPMD γ=%.0f%%", ref.gamma*100), cols})
 	}
 	t := &Table{
 		Title:     fmt.Sprintf("Figure 5 — budget sensitivity (θ=%d, γ=%.0f%%, preset %q)", pre.FixedTheta, pre.FixedGamma*100, pre.Name),
@@ -384,56 +307,14 @@ func RunFig5(pre Preset) (*Table, error) {
 	}
 	for _, metric := range eval.AllMetrics {
 		sec := Section{Name: string(metric)}
-		for vi, v := range variants {
-			row := TableRow{Label: v.name}
-			for ci := range pre.Budgets {
-				for ti, tk := range tasks {
-					if tk.variant != vi {
-						continue
-					}
-					if tk.col == ci || tk.col == -1 {
-						row.Cells = append(row.Cells, results[ti].Get(metric).String())
-						break
-					}
-				}
+		for _, l := range lines {
+			row := TableRow{Label: l.label}
+			for _, folds := range l.cols {
+				row.Cells = append(row.Cells, summarize(folds).Get(metric).String())
 			}
 			sec.Rows = append(sec.Rows, row)
 		}
 		t.Sections = append(t.Sections, sec)
 	}
 	return t, nil
-}
-
-// sweepPlanner derives the shared pair-level partition planner once per
-// sweep; nil (and no cost) when the sweep is monolithic.
-func sweepPlanner(base *metadiag.Counter, pre Preset) (*partition.Planner, error) {
-	if pre.Partitions <= 1 {
-		return nil, nil
-	}
-	return partition.NewPlanner(base)
-}
-
-// runSingleMethodCell is runCell for one method.
-func runSingleMethodCell(base *metadiag.Counter, planner *partition.Planner, m Method, theta int, gamma float64, folds int, seed int64, partitions int) (eval.MetricSet, error) {
-	out, err := runCell(base, planner, []Method{m}, theta, gamma, folds, seed, partitions)
-	if err != nil {
-		return eval.MetricSet{}, err
-	}
-	return out[m.Name], nil
-}
-
-// newRunRNG derives a deterministic rng for a (seed, θ, salt) run.
-func newRunRNG(seed int64, theta, salt int) *rand.Rand {
-	return rand.New(rand.NewSource(seed + int64(theta)*1_000_003 + int64(salt)*7919))
-}
-
-// sortedMethodNames returns the method names of a cell result in
-// deterministic order.
-func sortedMethodNames(ms map[string]eval.MetricSet) []string {
-	names := make([]string, 0, len(ms))
-	for n := range ms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -6,9 +6,6 @@ import (
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
-	"github.com/activeiter/activeiter/internal/datagen"
-	"github.com/activeiter/activeiter/internal/eval"
-	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/schema"
 )
@@ -36,81 +33,40 @@ type ScalabilityPoint struct {
 // loop). Workers come from the preset, so `-workers 4 -partitions 4`
 // measures genuine shard parallelism.
 func RunScalabilityPoints(pre Preset, ks []int) ([]ScalabilityPoint, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
-	base, err := newBaseCounter(pair)
+	f, err := pr.firstFold(1300)
 	if err != nil {
 		return nil, err
 	}
-	budget := 0
-	if len(pre.Budgets) > 0 {
-		budget = pre.Budgets[len(pre.Budgets)-1]
-	}
-	rng := newRunRNG(pre.Seed, pre.FixedTheta, 1300)
-	neg, err := eval.SampleNegatives(pair, pre.FixedTheta*len(pair.Anchors), rng)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := eval.KFoldSplits(pair.Anchors, neg, pre.Folds, pre.FixedGamma, rng)
-	if err != nil {
-		return nil, err
-	}
-	split := splits[0]
-	trainPos := split.TrainPos
-	var candidates []hetnet.Anchor
-	candidates = append(candidates, split.TrainNeg...)
-	candidates = append(candidates, split.TestPos...)
-	candidates = append(candidates, split.TestNeg...)
-	oracle := active.NewTruthOracle(pair)
-	// Preset.Workers documents 0 as serial; partition.Align maps ≤0 to
-	// GOMAXPROCS, so resolve the preset convention before handing over.
-	workers := pre.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	// One planner across every K: the first Plan call pays for the
-	// fold-independent inputs (graphs, propagation), the rest reuse them
-	// — so per-K plan times reflect the marginal sharding cost.
-	planner, err := partition.NewPlanner(base)
-	if err != nil {
-		return nil, err
+	// A part whose budget slice is zero trains without a strategy; the
+	// part pipeline sees to that itself.
+	train := partition.TrainOptions{
+		Features: schema.StandardLibrary().All(),
+		Core:     core.Config{Strategy: active.Conflict{}, Seed: pre.Seed},
+		Workers:  pr.workers(),
 	}
 	var points []ScalabilityPoint
 	for _, k := range ks {
+		// The protocol keeps one planner across every K: the first K > 1
+		// pays for the fold-independent inputs (graphs, propagation), the
+		// rest reuse them and show the marginal sharding cost.
 		t0 := time.Now()
-		plan, err := planner.Plan(trainPos, candidates, budget, partition.Config{K: k})
+		plan, err := pr.plan(f, pr.maxBudget(), k)
 		if err != nil {
 			return nil, fmt.Errorf("scalability K=%d: %w", k, err)
 		}
 		planTime := time.Since(t0)
-		// A part whose budget slice is zero trains without a strategy;
-		// the part pipeline sees to that itself.
-		res, err := partition.Align(base, plan, partition.TrainOptions{
-			Features: schema.StandardLibrary().All(),
-			Core:     core.Config{Strategy: active.Conflict{}, Seed: pre.Seed},
-			Workers:  workers,
-		}, oracle)
+		res, err := partition.Align(pr.base, plan, train, pr.truth)
 		if err != nil {
 			return nil, fmt.Errorf("scalability K=%d: %w", k, err)
 		}
-		var conf eval.Confusion
-		score := func(links []hetnet.Anchor, truth float64) {
-			for _, l := range links {
-				if res.WasQueried(l.I, l.J) {
-					continue
-				}
-				lab, _ := res.Label(l.I, l.J)
-				conf.Add(lab, truth)
-			}
-		}
-		score(split.TestPos, 1)
-		score(split.TestNeg, 0)
+		conf := scoreTest(f.split, res.Label, res.WasQueried)
 		points = append(points, ScalabilityPoint{
 			Partitions: len(plan.Parts),
-			Workers:    workers,
+			Workers:    train.Workers,
 			Overlapped: plan.Overlapped,
 			Rejected:   res.Rejected,
 			Queries:    res.QueryCount(),
@@ -137,7 +93,7 @@ func RunScalability(pre Preset) (*Table, error) {
 	}
 	t := &Table{
 		Title: fmt.Sprintf("Scalability — partitioned vs monolithic alignment (θ=%d, γ=%.0f%%, workers=%d, preset %q)",
-			pre.FixedTheta, pre.FixedGamma*100, pre.Workers, pre.Name),
+			pre.FixedTheta, pre.FixedGamma*100, points[0].Workers, pre.Name),
 		ColHeader: "configuration",
 		Cols:      []string{"F1", "Precision", "Recall", "queries", "overlap", "rejected", "plan", "align", "speedup"},
 	}

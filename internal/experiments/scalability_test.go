@@ -23,6 +23,16 @@ func TestRunScalabilityTiny(t *testing.T) {
 	if got := tab.Sections[0].Rows[1].Label; got != "K=2" {
 		t.Errorf("second row label %q, want K=2", got)
 	}
+
+	// The title states the worker count the rows ran on: -workers 0 is
+	// serial, which is one worker, not zero.
+	pre.Workers = 0
+	if tab, err = RunScalability(pre); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tab.Title, "workers=1,") {
+		t.Errorf("title at Workers=0: %q", tab.Title)
+	}
 }
 
 // RunScalabilityPoints at K=1 must agree with itself across calls

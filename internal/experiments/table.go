@@ -3,7 +3,8 @@
 // (dataset statistics), Tables III and IV (method comparison across
 // NP-ratios and sample-ratios), Figure 3 (convergence), Figure 4
 // (scalability), Figure 5 (budget sensitivity), plus the ablations
-// called out in DESIGN.md §5.
+// docs/EXPERIMENTS.md lists. Every one is an entry of Registry, and all
+// but Table II run the one protocol of protocol.go.
 package experiments
 
 import (

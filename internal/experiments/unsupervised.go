@@ -5,7 +5,6 @@ import (
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
-	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/isorank"
@@ -21,10 +20,11 @@ import (
 // what the paper's (active) supervision buys over the classic
 // unsupervised alignment family its related-work section cites.
 func RunUnsupervisedComparison(pre Preset) (*Table, error) {
-	pair, err := datagen.Generate(pre.Data)
+	pr, err := newProtocol(pre)
 	if err != nil {
 		return nil, err
 	}
+	pair := pr.pair
 	truth := pair.AnchorSet()
 	nTrain := len(pair.Anchors) / 10
 	if nTrain < 1 {
@@ -48,10 +48,7 @@ func RunUnsupervisedComparison(pre Preset) (*Table, error) {
 	entries = append(entries, entry{name: "IsoRank (unsupervised)", matches: iso.Matches})
 
 	// Supervised runs over diagram-proposed candidates.
-	counter, err := metadiag.NewCounter(pair)
-	if err != nil {
-		return nil, err
-	}
+	counter := pr.base.Fork()
 	counter.SetAnchors(train)
 	lib := schema.StandardLibrary()
 	ext := metadiag.NewExtractor(counter, lib.All(), true)
@@ -87,13 +84,11 @@ func RunUnsupervisedComparison(pre Preset) (*Table, error) {
 	}
 	runPU := func(name string, budget int) error {
 		cfg := core.Config{Seed: pre.Seed}
+		prob := core.Problem{Links: links, X: x, LabeledPos: labeled}
 		if budget > 0 {
 			cfg.Budget = budget
 			cfg.Strategy = active.Conflict{}
-		}
-		prob := core.Problem{Links: links, X: x, LabeledPos: labeled}
-		if budget > 0 {
-			prob.Oracle = active.NewTruthOracle(pair)
+			prob.Oracle = pr.truth
 		}
 		res, err := core.Train(prob, cfg)
 		if err != nil {

@@ -381,6 +381,10 @@ type Prepared struct {
 	trainPos int
 }
 
+// X returns the pool's feature matrix, one row per link of Links. It is
+// shared with every Train call: read-only.
+func (pp *Prepared) X() *linalg.Dense { return pp.x }
+
 // PreparePart runs the counting and feature-extraction half of a part's
 // pipeline and returns the reusable Prepared state. The counter's
 // anchors must already be restricted to part.TrainPos.
