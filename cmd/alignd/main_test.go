@@ -116,6 +116,14 @@ func TestFlagValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "different release") {
 		t.Errorf("version-mismatch error lacks remediation: %v", err)
 	}
+
+	// An artifact the previous format version actually wrote (gob
+	// sections) is that same refusal, naming both versions.
+	v2 := filepath.Join("..", "..", "internal", "snapshot", "testdata", "snapshot_v2.golden")
+	err = run([]string{"-snapshot", v2, "-check"}, new(bytes.Buffer), new(bytes.Buffer))
+	if !errors.Is(err, snapshot.ErrVersionMismatch) || !strings.Contains(err.Error(), "got 2, want 3") {
+		t.Errorf("v2 artifact: got %v, want ErrVersionMismatch naming got 2, want 3", err)
+	}
 }
 
 // TestTimeoutFlagParsing: the server-timeout flags default on (a public

@@ -71,26 +71,6 @@ const (
 	resolveCacheMax = 1 << 16
 )
 
-// shardStat mirrors the statusz shard block alignd exposes.
-type shardStat struct {
-	Lo       int32  `json:"lo"`
-	Hi       int32  `json:"hi"`
-	Index    int    `json:"index"`
-	Count    int    `json:"count"`
-	Epoch    int64  `json:"epoch"`
-	ParentFP string `json:"parent_fp"`
-}
-
-// backendStatus is the slice of alignd's statusz the router reads.
-type backendStatus struct {
-	Generation uint64 `json:"generation"`
-	Snapshot   *struct {
-		Users1 int        `json:"users1"`
-		TopK   int        `json:"top_k"`
-		Shard  *shardStat `json:"shard"`
-	} `json:"snapshot"`
-}
-
 // Backend is one alignd replica the router fronts.
 type Backend struct {
 	URL string
@@ -102,10 +82,10 @@ type Backend struct {
 	generation uint64
 	users1     int
 	topK       int
-	shard      *shardStat // nil: serves the full range
+	shard      *serve.StatusShard // nil: serves the full range
 }
 
-func (b *Backend) snapshotState() (ready bool, gen uint64, users1, topK int, shard *shardStat, lastErr string) {
+func (b *Backend) snapshotState() (ready bool, gen uint64, users1, topK int, shard *serve.StatusShard, lastErr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.ready, b.generation, b.users1, b.topK, b.shard, b.lastErr
@@ -251,7 +231,7 @@ func (rt *Router) probe(b *Backend) {
 		setErr(err)
 		return
 	}
-	var st backendStatus
+	var st serve.StatusResponse
 	err = json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
 	if err != nil {
@@ -284,7 +264,7 @@ func (rt *Router) probe(b *Backend) {
 
 // sameShard reports whether two statusz shard blocks describe the same
 // slice of the same parent artifact.
-func sameShard(a, b *shardStat) bool {
+func sameShard(a, b *serve.StatusShard) bool {
 	if (a == nil) != (b == nil) {
 		return false
 	}
@@ -630,12 +610,21 @@ func (rt *Router) handleStatus(w http.ResponseWriter) error {
 	return json.NewEncoder(w).Encode(st)
 }
 
+// readBody reads a request body to forward: one byte past alignd's own
+// bound and no further, so an oversized request reaches a backend still
+// oversized and earns the canonical 413 instead of being cut into a
+// different error here.
+func readBody(r *http.Request) []byte {
+	body, _ := io.ReadAll(io.LimitReader(r.Body, serve.MaxRequestBody+1))
+	return body
+}
+
 // proxyAny sends the original request to any ready backend — the path
 // for requests every backend answers identically (resolve, malformed
 // inputs, full-table questions).
 func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, body []byte) error {
 	if body == nil && r.Body != nil {
-		body, _ = io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body = readBody(r)
 	}
 	if r.Method == http.MethodGet {
 		body = nil
@@ -791,17 +780,6 @@ func (rt *Router) fanoutMatch(w http.ResponseWriter, r *http.Request) error {
 	return miss.write(w)
 }
 
-// candidatesBody mirrors alignd's candidatesResponse byte-for-byte
-// (same field order, same tags, same trailing-newline encoder).
-type candidatesBody struct {
-	Generation uint64            `json:"generation"`
-	Net        int               `json:"net"`
-	User       string            `json:"user"`
-	Index      int32             `json:"index"`
-	K          int               `json:"k"`
-	Candidates []serve.Candidate `json:"candidates"`
-}
-
 // fanoutCandidates merges per-shard net-2 candidate lists into the
 // monolithic answer. Each net-1 candidate lives in exactly one shard,
 // so the union has no duplicates; sorting score-desc/index-asc (the
@@ -814,7 +792,7 @@ func (rt *Router) fanoutCandidates(w http.ResponseWriter, r *http.Request) error
 	if !complete {
 		return errf(http.StatusBadGateway, "fan-out incomplete: a range leg failed and its candidates would be dropped")
 	}
-	var merged *candidatesBody
+	var merged *serve.CandidatesResponse
 	var all []serve.Candidate
 	maxGen := uint64(0)
 	storedK, storedKSet := 0, false
@@ -825,7 +803,7 @@ func (rt *Router) fanoutCandidates(w http.ResponseWriter, r *http.Request) error
 			// same way; replay the canonical body.
 			return p.write(w)
 		}
-		var body candidatesBody
+		var body serve.CandidatesResponse
 		if err := json.Unmarshal(p.body, &body); err != nil {
 			return errf(http.StatusBadGateway, "shard answered unparseable candidates: %v", err)
 		}
@@ -888,7 +866,7 @@ type scoreBody struct {
 // handleScore owner-routes pool lookups by their net-1 index and sends
 // everything else (rescores, malformed bodies) to any backend.
 func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) error {
-	body, _ := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body := readBody(r)
 	var req scoreBody
 	if err := json.Unmarshal(body, &req); err == nil && req.I != nil && req.J != nil && req.Features == nil {
 		if owners := rt.ownersOf(*req.I); len(owners) > 0 {

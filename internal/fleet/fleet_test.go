@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,12 +252,15 @@ func TestRouterBitIdentical(t *testing.T) {
 			addPost("/v1/score", `{"features":[1,0]}`)
 			addPost("/v1/score", `{"i":1}`)
 			addPost("/v1/score", `not json`)
+			// One byte over alignd's body bound: the router must hand the
+			// backend enough of it to earn the canonical 413.
+			addPost("/v1/score", strings.Repeat(" ", serve.MaxRequestBody)+`{"i":0,"j":0}`)
 
 			for _, rq := range reqs {
 				want := do(t, mono.URL, rq.method, rq.path, rq.body)
 				got := do(t, fleetSrv.URL, rq.method, rq.path, rq.body)
 				if got.status != want.status || got.contentType != want.contentType || !bytes.Equal(got.body, want.body) {
-					t.Errorf("%s %s (body %q):\n router: %d %s %s\n mono:   %d %s %s",
+					t.Errorf("%s %s (body %.80q):\n router: %d %s %s\n mono:   %d %s %s",
 						rq.method, rq.path, rq.body, got.status, got.contentType, got.body, want.status, want.contentType, want.body)
 				}
 			}

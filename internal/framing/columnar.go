@@ -1,12 +1,14 @@
-// Columnar put/get primitives for hand-rolled frame bodies. The hot
-// frames of the distrib wire protocol encode structs as flat columns —
-// varint scalars, length-prefixed strings, packed float64/uint32 runs —
-// instead of gob's reflective self-describing streams. The encoding
-// side is alloc-light append functions over a caller-owned []byte; the
-// decoding side is a sticky-error cursor (Dec) with the same hostile-
-// input discipline as the frame reader: every declared element count is
-// checked against the bytes actually remaining BEFORE allocation, so a
-// corrupt four-byte count cannot make a reader allocate gigabytes.
+// Put/get primitives for hand-rolled frame bodies — the one vocabulary
+// under the distrib wire frames, the snapshot artifact's records and
+// the setsync entries (docs/WIRE.md §Framing primitives): varint
+// scalars, length-prefixed strings, packed float64/uint64 runs, written
+// and read in a fixed field order with no self-description. The
+// encoding side is alloc-light append functions over a caller-owned
+// []byte; the decoding side is a sticky-error cursor (Dec) with the
+// same hostile-input discipline as the frame reader: every declared
+// element count is checked against the bytes actually remaining BEFORE
+// allocation, so a corrupt four-byte count cannot make a reader
+// allocate gigabytes.
 package framing
 
 import (
@@ -54,27 +56,6 @@ func AppendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// AppendInts appends a uvarint element count followed by each element
-// as a zigzag varint — the column form for index slices, whose values
-// are small and occasionally negative.
-func AppendInts(b []byte, vs []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	return b
-}
-
-// AppendUvarints appends a uvarint element count followed by each
-// element as a uvarint.
-func AppendUvarints(b []byte, vs []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
-
 // AppendInt32s appends a uvarint element count followed by each element
 // as a zigzag varint.
 func AppendInt32s(b []byte, vs []int32) []byte {
@@ -95,16 +76,6 @@ func AppendFloat64(b []byte, v float64) []byte {
 func AppendBytes(b, p []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
 	return append(b, p...)
-}
-
-// AppendUint32s appends a uvarint element count followed by the packed
-// column: 4 little-endian bytes per element.
-func AppendUint32s(b []byte, vs []uint32) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
 }
 
 // AppendUint32 appends one uint32 as 4 little-endian bytes.
@@ -320,46 +291,6 @@ func (d *Dec) Strings() []string {
 	return out
 }
 
-// Ints reads a zigzag-varint column into []int.
-func (d *Dec) Ints() []int {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("ints count")
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.Varint())
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// Uvarints reads a uvarint column into []uint64.
-func (d *Dec) Uvarints() []uint64 {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("uvarints count")
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.Uvarint()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
 // Int32s reads a zigzag-varint column into []int32.
 func (d *Dec) Int32s() []int32 {
 	n := d.Uvarint()
@@ -377,24 +308,6 @@ func (d *Dec) Int32s() []int32 {
 			return nil
 		}
 	}
-	return out
-}
-
-// Uint32s reads a packed uint32 column (4 bytes per element).
-func (d *Dec) Uint32s() []uint32 {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b))/4 {
-		d.fail("uint32s count")
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(d.b[i*4:])
-	}
-	d.b = d.b[n*4:]
 	return out
 }
 

@@ -17,10 +17,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	b = AppendString(b, "héllo")
 	b = AppendString(b, "")
 	b = AppendStrings(b, []string{"a", "", "bc"})
-	b = AppendInts(b, []int{0, -1, 1 << 30})
-	b = AppendUvarints(b, []uint64{3, 0, 1 << 50})
 	b = AppendInt32s(b, []int32{-2, 0, math.MaxInt32})
-	b = AppendUint32s(b, []uint32{0, 42, math.MaxUint32})
 	b = AppendFloat64s(b, []float64{0, -1.5, math.Pi, math.Inf(1)})
 	b = AppendFloat64(b, -math.MaxFloat64)
 	b = AppendBytes(b, []byte{9, 0, 7})
@@ -47,17 +44,8 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if got := d.Strings(); !reflect.DeepEqual(got, []string{"a", "", "bc"}) {
 		t.Errorf("strings: %v", got)
 	}
-	if got := d.Ints(); !reflect.DeepEqual(got, []int{0, -1, 1 << 30}) {
-		t.Errorf("ints: %v", got)
-	}
-	if got := d.Uvarints(); !reflect.DeepEqual(got, []uint64{3, 0, 1 << 50}) {
-		t.Errorf("uvarints: %v", got)
-	}
 	if got := d.Int32s(); !reflect.DeepEqual(got, []int32{-2, 0, math.MaxInt32}) {
 		t.Errorf("int32s: %v", got)
-	}
-	if got := d.Uint32s(); !reflect.DeepEqual(got, []uint32{0, 42, math.MaxUint32}) {
-		t.Errorf("uint32s: %v", got)
 	}
 	if got := d.Float64s(); !reflect.DeepEqual(got, []float64{0, -1.5, math.Pi, math.Inf(1)}) {
 		t.Errorf("float64s: %v", got)
@@ -79,10 +67,7 @@ func TestDecBoundsCountsBeforeAlloc(t *testing.T) {
 	cases := map[string]func(*Dec) any{
 		"string":   func(d *Dec) any { return d.String() },
 		"strings":  func(d *Dec) any { return d.Strings() },
-		"ints":     func(d *Dec) any { return d.Ints() },
-		"uvarints": func(d *Dec) any { return d.Uvarints() },
 		"int32s":   func(d *Dec) any { return d.Int32s() },
-		"uint32s":  func(d *Dec) any { return d.Uint32s() },
 		"float64s": func(d *Dec) any { return d.Float64s() },
 		"bytes":    func(d *Dec) any { return d.Bytes() },
 	}
@@ -106,7 +91,7 @@ func TestDecStickyError(t *testing.T) {
 	first := d.Err()
 	// Every later getter stays zero-valued and keeps the first error.
 	if d.Varint() != 0 || d.Byte() != 0 || d.Bool() || d.String() != "" ||
-		d.Ints() != nil || d.Float64s() != nil {
+		d.Int32s() != nil || d.Float64s() != nil {
 		t.Error("getter after error returned non-zero")
 	}
 	if d.Err() != first {

@@ -16,9 +16,11 @@
 //     (readers reject every other version with ErrVersionMismatch
 //     rather than guess at field semantics),
 //   - the length prefix is treated as hostile input: it is bounded by
-//     MaxFrame and the fixed header bytes are validated BEFORE the
-//     declared body size is allocated, so an unauthenticated peer
-//     cannot make a reader allocate a gigabyte with a 4-byte probe,
+//     MaxFrame, the fixed header bytes are validated BEFORE any body
+//     allocation, and the body buffer then grows with the bytes that
+//     actually arrive (bodyChunk ahead at first, ×4 after), so an
+//     unauthenticated peer cannot make a reader allocate a gigabyte
+//     with an 8-byte probe,
 //   - on a header error the body is still drained (into the void, no
 //     allocation) so the frame is fully consumed either way — a peer
 //     mid-Write on a fully synchronous link (net.Pipe) would otherwise
@@ -156,8 +158,8 @@ func (c Codec) ReadFrame(r io.Reader) (byte, []byte, error) {
 		io.CopyN(io.Discard, r, int64(length-4))
 		return 0, nil, hdrErr
 	}
-	body := make([]byte, length-4)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(length-4))
+	if err != nil {
 		return 0, nil, fmt.Errorf("framing: read frame body: %w", err)
 	}
 	if c.Checksum {
@@ -169,4 +171,26 @@ func (c Codec) ReadFrame(r io.Reader) (byte, []byte, error) {
 		return hdr[3], body, nil
 	}
 	return hdr[3], body, nil
+}
+
+// bodyChunk is the most a reader allocates ahead of the body bytes it
+// has received; frames up to this size are read in one allocation.
+const bodyChunk = 1 << 20
+
+// readBody reads the n declared body bytes, never holding more than
+// four times what has arrived (plus bodyChunk). Growing by four keeps
+// the copying a multi-megabyte frame pays to its first chunk or so.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, bodyChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			return nil, err
+		}
+		if have = len(body); have == n {
+			return body, nil
+		}
+		grown := make([]byte, min(n, 4*have))
+		copy(grown, body)
+		body = grown
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -127,5 +128,37 @@ func TestForeignMagicRejected(t *testing.T) {
 	}
 	if _, _, err := testCodec.ReadFrame(&buf); err == nil || errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("foreign magic not rejected as magic error: %v", err)
+	}
+}
+
+// The declared length is hostile until the bytes arrive: a header that
+// claims the largest frame and then ends costs the reader one bodyChunk,
+// not the claim; a body spanning several growth steps still reads back
+// exactly.
+func TestBodyAllocationFollowsArrival(t *testing.T) {
+	big := Codec{Magic: [2]byte{'T', 'C'}, Version: 3, MaxFrame: 1 << 30, Checksum: true}
+	probe := []byte{0x3f, 0xff, 0xff, 0xff, 'T', 'C', 3, 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := big.ReadFrame(bytes.NewReader(probe))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no body behind it was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*bodyChunk {
+		t.Errorf("an 8-byte probe made the reader allocate %d bytes", grew)
+	}
+
+	body := make([]byte, 9*bodyChunk/2+17)
+	for i := range body {
+		body[i] = byte(i * 31)
+	}
+	var buf bytes.Buffer
+	if err := big.WriteFrame(&buf, 2, body); err != nil {
+		t.Fatal(err)
+	}
+	typ, got, err := big.ReadFrame(&buf)
+	if err != nil || typ != 2 || !bytes.Equal(got, body) {
+		t.Errorf("multi-chunk body did not read back: typ %d, %d of %d bytes, err %v", typ, len(got), len(body), err)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,6 +13,13 @@ import (
 	"github.com/activeiter/activeiter/internal/snapshot"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
+
+// MaxRequestBody bounds the JSON body a POST endpoint reads: the
+// endpoints are unauthenticated, and the largest legitimate body (a
+// feature vector to rescore) is a few kilobytes. The alignr router in
+// front forwards at most this much plus one byte, so an oversized
+// request earns the same 413 through either door.
+const MaxRequestBody = 1 << 20
 
 // HandlerOptions configures the HTTP surface.
 type HandlerOptions struct {
@@ -138,6 +146,19 @@ func (h *Handler) current() (*Index, error) {
 	return ix, nil
 }
 
+// readJSON decodes a request body of at most MaxRequestBody bytes.
+func readJSON(w http.ResponseWriter, r *http.Request, what string, into any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(into)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return errf(http.StatusRequestEntityTooLarge, "%s request body is over %d bytes", what, tooBig.Limit)
+	}
+	if err != nil {
+		return errf(http.StatusBadRequest, "bad %s request: %v", what, err)
+	}
+	return nil
+}
+
 func (h *Handler) writeJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(v)
@@ -188,11 +209,14 @@ func (h *Handler) recordReload(err error) {
 	}
 }
 
-// statusResponse is the statusz JSON shape.
-type statusResponse struct {
+// StatusResponse is the statusz JSON shape. Exported, like
+// StatusSnapshot, StatusShard and CandidatesResponse, because the alignr
+// router decodes and re-encodes these bodies and must stay bit-identical
+// to the backend it fronts.
+type StatusResponse struct {
 	Generation uint64          `json:"generation"`
 	UptimeSec  float64         `json:"uptime_sec"`
-	Snapshot   *statusSnapshot `json:"snapshot,omitempty"`
+	Snapshot   *StatusSnapshot `json:"snapshot,omitempty"`
 	// LastReloadError is the most recent /v1/reload failure (empty after
 	// a success); LastReloadUnix stamps the most recent attempt either
 	// way.
@@ -201,7 +225,8 @@ type statusResponse struct {
 	Endpoints       []EndpointReport `json:"endpoints"`
 }
 
-type statusSnapshot struct {
+// StatusSnapshot is the provenance block of the served artifact.
+type StatusSnapshot struct {
 	Facade      string       `json:"facade"`
 	CreatedUnix int64        `json:"created_unix"`
 	Net1        string       `json:"net1"`
@@ -215,13 +240,13 @@ type statusSnapshot struct {
 	TopK        int          `json:"top_k"`
 	Shards      []int        `json:"shards,omitempty"`
 	Primary     bool         `json:"primary_model"`
-	Shard       *statusShard `json:"shard,omitempty"`
+	Shard       *StatusShard `json:"shard,omitempty"`
 }
 
-// statusShard is the split provenance block a shard artifact exposes:
+// StatusShard is the split provenance block a shard artifact exposes:
 // the alignr router discovers the fleet's range table from it instead
 // of being configured with one.
-type statusShard struct {
+type StatusShard struct {
 	Lo       int32  `json:"lo"`
 	Hi       int32  `json:"hi"`
 	Index    int    `json:"index"`
@@ -244,7 +269,7 @@ func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodGet {
 		return errf(http.StatusMethodNotAllowed, "statusz is GET")
 	}
-	resp := statusResponse{UptimeSec: h.metrics.Uptime().Seconds(), Endpoints: h.metrics.Report()}
+	resp := StatusResponse{UptimeSec: h.metrics.Uptime().Seconds(), Endpoints: h.metrics.Report()}
 	h.reloadMu.Lock()
 	resp.LastReloadError = h.lastReloadErr
 	resp.LastReloadUnix = h.lastReloadUnix
@@ -253,7 +278,7 @@ func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) error {
 		meta := ix.Meta()
 		u1, u2, matches, pool := ix.Counts()
 		resp.Generation = ix.Generation
-		resp.Snapshot = &statusSnapshot{
+		resp.Snapshot = &StatusSnapshot{
 			Facade:      meta.Facade,
 			CreatedUnix: meta.CreatedUnix,
 			Net1:        meta.Net1,
@@ -269,7 +294,7 @@ func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) error {
 			Primary:     len(ix.snap.Model.W) > 0,
 		}
 		if si := meta.Shard; si != nil {
-			resp.Snapshot.Shard = &statusShard{
+			resp.Snapshot.Shard = &StatusShard{
 				Lo:       si.Range.Lo,
 				Hi:       si.Range.Hi,
 				Index:    si.Index,
@@ -313,8 +338,8 @@ type matchResponse struct {
 	} `json:"match"`
 }
 
-// candidatesResponse answers /v1/candidates.
-type candidatesResponse struct {
+// CandidatesResponse answers /v1/candidates.
+type CandidatesResponse struct {
 	Generation uint64      `json:"generation"`
 	Net        int         `json:"net"`
 	User       string      `json:"user"`
@@ -347,7 +372,7 @@ func (h *Handler) handleLookup(w http.ResponseWriter, r *http.Request, tail stri
 			}
 		}
 		items := ix.CandidatesFor(net, user, k)
-		return h.writeJSON(w, candidatesResponse{
+		return h.writeJSON(w, CandidatesResponse{
 			Generation: ix.Generation,
 			Net:        net,
 			User:       ix.UserID(net, user),
@@ -438,8 +463,8 @@ func (h *Handler) handleScore(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	var req scoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return errf(http.StatusBadRequest, "bad score request: %v", err)
+	if err := readJSON(w, r, "score", &req); err != nil {
+		return err
 	}
 	switch {
 	case req.I != nil && req.J != nil && req.Features == nil:
@@ -493,8 +518,8 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 	}
 	var req reloadRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return errf(http.StatusBadRequest, "bad reload request: %v", err)
+		if err := readJSON(w, r, "reload", &req); err != nil {
+			return err
 		}
 	}
 	path := req.Path

@@ -245,7 +245,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("numeric match = %d %+v", 0, match)
 	}
 
-	var cands candidatesResponse
+	var cands CandidatesResponse
 	if code := getJSON(t, srv.URL+"/v1/candidates/1/left-u0?k=1", &cands); code != http.StatusOK {
 		t.Fatalf("candidates = %d", code)
 	}
@@ -315,7 +315,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("healthz after failed reload = %d, want 200", code)
 	}
 
-	var status statusResponse
+	var status StatusResponse
 	if code := getJSON(t, srv.URL+"/statusz", &status); code != http.StatusOK {
 		t.Fatalf("statusz = %d", code)
 	}
@@ -400,7 +400,7 @@ func TestHTTPReloadCorruptArtifact(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("readyz after corrupt reload = %d, want 503", code)
 	}
-	var status statusResponse
+	var status StatusResponse
 	if code := getJSON(t, srv.URL+"/statusz", &status); code != http.StatusOK {
 		t.Fatalf("statusz = %d", code)
 	}
@@ -409,6 +409,29 @@ func TestHTTPReloadCorruptArtifact(t *testing.T) {
 	}
 	if status.Generation != 1 {
 		t.Errorf("statusz generation = %d, want the surviving 1", status.Generation)
+	}
+}
+
+// The POST endpoints are unauthenticated: a body is read up to
+// MaxRequestBody and no further, and going over is a 413, not a decode
+// of however much the client cares to send.
+func TestHTTPRequestBodyBound(t *testing.T) {
+	srv, _, _, _ := newTestServer(t)
+	pad := func(n int) string { return strings.Repeat(" ", n) }
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"score within the bound", "/v1/score", pad(MaxRequestBody-len(`{"i":0,"j":0}`)) + `{"i":0,"j":0}`, http.StatusOK},
+		{"score over the bound", "/v1/score", pad(MaxRequestBody) + `{"i":0,"j":0}`, http.StatusRequestEntityTooLarge},
+		{"score, one huge value", "/v1/score", `{"features":[` + strings.Repeat("0,", MaxRequestBody) + `0]}`, http.StatusRequestEntityTooLarge},
+		{"reload within the bound", "/v1/reload", pad(MaxRequestBody-2) + `{}`, http.StatusOK},
+		{"reload over the bound", "/v1/reload", pad(MaxRequestBody) + `{}`, http.StatusRequestEntityTooLarge},
+	} {
+		var answer map[string]any
+		if got := postJSON(t, srv.URL+tc.path, tc.body, &answer); got != tc.want {
+			t.Errorf("%s: status %d, want %d (%v)", tc.name, got, tc.want, answer)
+		}
 	}
 }
 
@@ -509,7 +532,7 @@ func TestHTTPStatusShardBlock(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(st, nil, HandlerOptions{}))
 	defer srv.Close()
 
-	var status statusResponse
+	var status StatusResponse
 	if code := getJSON(t, srv.URL+"/statusz", &status); code != http.StatusOK {
 		t.Fatalf("statusz = %d", code)
 	}
@@ -527,7 +550,7 @@ func TestHTTPStatusShardBlock(t *testing.T) {
 	// A whole-alignment artifact keeps the block absent. Decode into a
 	// fresh struct: omitempty would leave the stale pointer in place.
 	srvWhole, _, _, _ := newTestServer(t)
-	status = statusResponse{}
+	status = StatusResponse{}
 	if code := getJSON(t, srvWhole.URL+"/statusz", &status); code != http.StatusOK {
 		t.Fatal("statusz on whole artifact")
 	}

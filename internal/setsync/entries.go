@@ -18,30 +18,17 @@
 package setsync
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
-	"github.com/activeiter/activeiter/internal/framing"
 	"github.com/activeiter/activeiter/internal/snapshot"
 )
 
-// Entry kinds. The kind byte is hashed into the fingerprint, so a pool
-// link and a match with identical column bytes cannot collide.
-const (
-	kindMeta byte = iota + 1
-	kindModel
-	kindTopK
-	kindMatch
-	kindCand
-	kindPool
-	kindLabel
-)
-
-// Entry is one content-addressed piece of a snapshot: a kind, its
-// encoded body, and the fingerprint that names it in the IBLT.
+// Entry is one content-addressed piece of a snapshot: a record kind
+// (snapshot.KindMeta … KindLabel), its body in the snapshot record
+// codec, and the fingerprint that names it in the IBLT. The kind byte
+// is hashed into the fingerprint, so a pool link and a match with
+// identical bytes cannot collide.
 type Entry struct {
 	Kind byte
 	Body []byte
@@ -76,118 +63,19 @@ func entryOf(kind byte, body []byte) Entry {
 	return Entry{Kind: kind, Body: body, FP: fingerprintOf(kind, body)}
 }
 
-func encMatch(m snapshot.Match) []byte {
-	b := framing.AppendVarint(nil, int64(m.I))
-	b = framing.AppendVarint(b, int64(m.J))
-	b = framing.AppendFloat64(b, m.Score)
-	return framing.AppendBool(b, m.HasScore)
-}
-
-func decMatch(body []byte) (snapshot.Match, error) {
-	d := framing.NewDec(body)
-	m := snapshot.Match{I: int32(d.Varint()), J: int32(d.Varint()), Score: d.Float64(), HasScore: d.Bool()}
-	return m, d.Done()
-}
-
-func encPool(p snapshot.PoolLink) []byte {
-	b := framing.AppendVarint(nil, int64(p.I))
-	b = framing.AppendVarint(b, int64(p.J))
-	b = framing.AppendFloat64(b, p.Label)
-	b = framing.AppendFloat64(b, p.Score)
-	b = framing.AppendBool(b, p.HasScore)
-	return framing.AppendBool(b, p.Queried)
-}
-
-func decPool(body []byte) (snapshot.PoolLink, error) {
-	d := framing.NewDec(body)
-	p := snapshot.PoolLink{I: int32(d.Varint()), J: int32(d.Varint()), Label: d.Float64(), Score: d.Float64(), HasScore: d.Bool(), Queried: d.Bool()}
-	return p, d.Done()
-}
-
-func encLabel(l snapshot.QueriedLabel) []byte {
-	b := framing.AppendVarint(nil, int64(l.I))
-	b = framing.AppendVarint(b, int64(l.J))
-	return framing.AppendFloat64(b, l.Label)
-}
-
-func decLabel(body []byte) (snapshot.QueriedLabel, error) {
-	d := framing.NewDec(body)
-	l := snapshot.QueriedLabel{I: int32(d.Varint()), J: int32(d.Varint()), Label: d.Float64()}
-	return l, d.Done()
-}
-
-func encCand(uc snapshot.UserCandidates) []byte {
-	b := append([]byte(nil), uc.Net)
-	b = framing.AppendVarint(b, int64(uc.User))
-	b = framing.AppendUvarint(b, uint64(len(uc.Items)))
-	for _, it := range uc.Items {
-		b = framing.AppendVarint(b, int64(it.Other))
-		b = framing.AppendFloat64(b, it.Score)
-	}
-	return b
-}
-
-func decCand(body []byte) (snapshot.UserCandidates, error) {
-	d := framing.NewDec(body)
-	uc := snapshot.UserCandidates{Net: d.Byte(), User: int32(d.Varint())}
-	n := d.Uvarint()
-	// Each item costs at least 9 bytes (1 varint + 8 float); bound the
-	// declared count before allocating.
-	if n > uint64(d.Remaining())/9 {
-		d.Fail("candidate item count")
-		return uc, d.Err()
-	}
-	uc.Items = make([]snapshot.Candidate, n)
-	for i := range uc.Items {
-		uc.Items[i] = snapshot.Candidate{Other: int32(d.Varint()), Score: d.Float64()}
-	}
-	return uc, d.Done()
-}
-
-func encGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("setsync: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decompose breaks a snapshot into its entry set. Entry bodies are
-// deterministic for equal snapshots (column encodings and fresh
-// slice-only gob encoders, the same discipline the artifact format
-// relies on), so two processes holding equal snapshots derive equal
-// fingerprint sets. A duplicate fingerprint — two identical entries,
-// impossible in a canonical artifact but cheap to check — is an error,
-// because a set reconciler cannot represent multiplicity.
+// Decompose breaks a snapshot into its entry set: one entry per record
+// of the snapshot record codec, heads first. Record bodies are
+// deterministic for equal snapshots, so two processes holding equal
+// snapshots derive equal fingerprint sets. A duplicate fingerprint —
+// two identical entries, impossible in a canonical artifact but cheap
+// to check — is an error, because a set reconciler cannot represent
+// multiplicity.
 func Decompose(s *snapshot.Snapshot) ([]Entry, error) {
 	if s == nil {
 		return nil, fmt.Errorf("setsync: nil snapshot")
 	}
 	entries := make([]Entry, 0, 3+len(s.Matches)+len(s.Cands)+len(s.Pool)+len(s.Labels))
-	metaBody, err := encGob(&s.Meta)
-	if err != nil {
-		return nil, err
-	}
-	modelBody, err := encGob(&s.Model)
-	if err != nil {
-		return nil, err
-	}
-	entries = append(entries,
-		entryOf(kindMeta, metaBody),
-		entryOf(kindModel, modelBody),
-		entryOf(kindTopK, framing.AppendVarint(nil, int64(s.TopK))))
-	for _, m := range s.Matches {
-		entries = append(entries, entryOf(kindMatch, encMatch(m)))
-	}
-	for _, uc := range s.Cands {
-		entries = append(entries, entryOf(kindCand, encCand(uc)))
-	}
-	for _, p := range s.Pool {
-		entries = append(entries, entryOf(kindPool, encPool(p)))
-	}
-	for _, l := range s.Labels {
-		entries = append(entries, entryOf(kindLabel, encLabel(l)))
-	}
+	s.EachRecord(func(kind byte, body []byte) { entries = append(entries, entryOf(kind, body)) })
 	seen := make(map[uint64]bool, len(entries))
 	for _, e := range entries {
 		if seen[e.FP] {
@@ -204,77 +92,21 @@ func Decompose(s *snapshot.Snapshot) ([]Entry, error) {
 // result passes the snapshot's own validation; callers then verify the
 // content fingerprint against the expected artifact identity.
 func Reassemble(entries []Entry) (*snapshot.Snapshot, error) {
-	s := &snapshot.Snapshot{Cands: []snapshot.UserCandidates{}}
-	var metaN, modelN, topkN int
+	s := &snapshot.Snapshot{}
+	var heads [snapshot.KindTopK + 1]int
 	for _, e := range entries {
-		switch e.Kind {
-		case kindMeta:
-			metaN++
-			if err := gob.NewDecoder(bytes.NewReader(e.Body)).Decode(&s.Meta); err != nil {
-				return nil, fmt.Errorf("setsync: decode meta entry: %w", err)
-			}
-		case kindModel:
-			modelN++
-			if err := gob.NewDecoder(bytes.NewReader(e.Body)).Decode(&s.Model); err != nil {
-				return nil, fmt.Errorf("setsync: decode model entry: %w", err)
-			}
-		case kindTopK:
-			topkN++
-			d := framing.NewDec(e.Body)
-			s.TopK = d.Int()
-			if err := d.Done(); err != nil {
-				return nil, fmt.Errorf("setsync: decode top-k entry: %w", err)
-			}
-		case kindMatch:
-			m, err := decMatch(e.Body)
-			if err != nil {
-				return nil, fmt.Errorf("setsync: decode match entry: %w", err)
-			}
-			s.Matches = append(s.Matches, m)
-		case kindCand:
-			uc, err := decCand(e.Body)
-			if err != nil {
-				return nil, fmt.Errorf("setsync: decode candidate entry: %w", err)
-			}
-			s.Cands = append(s.Cands, uc)
-		case kindPool:
-			p, err := decPool(e.Body)
-			if err != nil {
-				return nil, fmt.Errorf("setsync: decode pool entry: %w", err)
-			}
-			s.Pool = append(s.Pool, p)
-		case kindLabel:
-			l, err := decLabel(e.Body)
-			if err != nil {
-				return nil, fmt.Errorf("setsync: decode label entry: %w", err)
-			}
-			s.Labels = append(s.Labels, l)
-		default:
-			return nil, fmt.Errorf("setsync: unknown entry kind %d", e.Kind)
+		if err := s.AddRecord(e.Kind, e.Body); err != nil {
+			return nil, fmt.Errorf("setsync: %w", err)
+		}
+		if e.Kind <= snapshot.KindTopK {
+			heads[e.Kind]++
 		}
 	}
-	if metaN != 1 || modelN != 1 || topkN != 1 {
-		return nil, fmt.Errorf("setsync: entry set has %d meta / %d model / %d top-k head entries, want exactly 1 each", metaN, modelN, topkN)
+	if heads[snapshot.KindMeta] != 1 || heads[snapshot.KindModel] != 1 || heads[snapshot.KindTopK] != 1 {
+		return nil, fmt.Errorf("setsync: entry set has %d meta / %d model / %d top-k head entries, want exactly 1 each",
+			heads[snapshot.KindMeta], heads[snapshot.KindModel], heads[snapshot.KindTopK])
 	}
-	sort.Slice(s.Matches, func(a, b int) bool { return s.Matches[a].I < s.Matches[b].I })
-	sort.Slice(s.Pool, func(a, b int) bool {
-		if s.Pool[a].I != s.Pool[b].I {
-			return s.Pool[a].I < s.Pool[b].I
-		}
-		return s.Pool[a].J < s.Pool[b].J
-	})
-	sort.Slice(s.Labels, func(a, b int) bool {
-		if s.Labels[a].I != s.Labels[b].I {
-			return s.Labels[a].I < s.Labels[b].I
-		}
-		return s.Labels[a].J < s.Labels[b].J
-	})
-	sort.Slice(s.Cands, func(a, b int) bool {
-		if s.Cands[a].Net != s.Cands[b].Net {
-			return s.Cands[a].Net < s.Cands[b].Net
-		}
-		return s.Cands[a].User < s.Cands[b].User
-	})
+	s.Canonicalize()
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("setsync: reassembled snapshot invalid: %w", err)
 	}

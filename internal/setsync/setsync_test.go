@@ -2,15 +2,21 @@ package setsync
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/snapshot"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixture builds a deterministic artifact big enough that 1% churn is
 // a real diff: n1 users per net, 6 pool links per user.
@@ -148,6 +154,35 @@ func TestDecomposeDeterministic(t *testing.T) {
 		if !fb[fp] {
 			t.Fatalf("fingerprint %016x only on one side for equal snapshots", fp)
 		}
+	}
+}
+
+// TestEntryFingerprintsGolden pins the fixture's (kind, fingerprint)
+// list against a file another process wrote: two replicas must derive
+// one fingerprint set from equal artifacts or every sync degrades to a
+// full transfer. Regenerate with -update only after a deliberate change
+// to a record layout in internal/snapshot (a sync codec version bump).
+func TestEntryFingerprintsGolden(t *testing.T) {
+	entries, err := Decompose(newFixture(t, 1, 40).snapshot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, e := range entries {
+		fmt.Fprintf(&got, "%d %016x\n", e.Kind, e.FP)
+	}
+	path := filepath.Join("testdata", "entries.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("entry fingerprints moved — a record layout changed without a sync version bump:\n got %s\nwant %s", got.String(), want)
 	}
 }
 
@@ -359,6 +394,23 @@ func TestServeRejectsGarbage(t *testing.T) {
 	}()
 	if err := <-done; err == nil {
 		t.Error("garbage hello accepted")
+	}
+}
+
+// A hello a version-1 peer wrote (gob meta and model entries behind it)
+// is refused at the first frame with the sentinel, not after a
+// reassembly that could never match.
+func TestServeRefusesV1Hello(t *testing.T) {
+	s := newFixture(t, 12, 20).snapshot(t)
+	v1 := codec
+	v1.Version = 1
+	var hello bytes.Buffer
+	if err := v1.WriteFrame(&hello, tHello, append([]byte{1}, make([]byte, 9)...)); err != nil {
+		t.Fatal(err)
+	}
+	err := Serve(&hello, s, Options{})
+	if !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), "got 1, want 2") {
+		t.Errorf("v1 hello: got %v, want ErrVersionMismatch naming got 1, want 2", err)
 	}
 }
 

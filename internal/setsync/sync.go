@@ -20,9 +20,7 @@ package setsync
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"time"
@@ -36,7 +34,12 @@ import (
 // flipped byte in a patch would reassemble into a silently different
 // artifact (caught later by the fingerprint check, but detected here
 // with a much better error).
-var codec = framing.Codec{Magic: [2]byte{'S', 'Y'}, Version: 1, MaxFrame: 1 << 30, Checksum: true}
+//
+// Version history: 1 — PR 10. 2 — PR 24: the meta and model entry
+// bodies are snapshot record-codec bytes (were gob) and a full transfer
+// is a v3 artifact, so a v1 peer is refused at the hello instead of
+// after a reassembly that cannot match.
+var codec = framing.Codec{Magic: [2]byte{'S', 'Y'}, Version: 2, MaxFrame: 1 << 30, Checksum: true}
 
 // ErrVersionMismatch is the shared framing sentinel, re-exported.
 var ErrVersionMismatch = framing.ErrVersionMismatch
@@ -136,18 +139,6 @@ type Stats struct {
 // WireBytes is the total reconciliation traffic.
 func (s Stats) WireBytes() int64 { return s.TxBytes + s.RxBytes }
 
-// artifactBytes serializes a snapshot once; the fingerprint is FNV-64a
-// over exactly these bytes (matching snapshot.Fingerprint).
-func artifactBytes(s *snapshot.Snapshot) ([]byte, uint64, error) {
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		return nil, 0, err
-	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	return buf.Bytes(), h.Sum64(), nil
-}
-
 // Serve answers one sync connection with the given snapshot. The
 // caller owns the connection lifecycle (deadlines, close) and the
 // accept loop; Serve returns when the exchange completes or fails.
@@ -156,7 +147,7 @@ func Serve(conn io.ReadWriter, snap *snapshot.Snapshot, opts Options) error {
 	if snap == nil {
 		return fmt.Errorf("setsync: serving nil snapshot")
 	}
-	full, fp, err := artifactBytes(snap)
+	full, fp, err := snap.Encode()
 	if err != nil {
 		return err
 	}
@@ -345,14 +336,21 @@ func readSummary(conn io.Reader) (fp uint64, count, fullBytes int64, err error) 
 }
 
 // verifyArtifact decodes raw bytes and checks them against the
-// advertised fingerprint.
+// advertised fingerprint: what was decoded must encode to exactly the
+// artifact the peer promised.
 func verifyArtifact(raw []byte, wantFP uint64) (*snapshot.Snapshot, error) {
-	h := fnv.New64a()
-	h.Write(raw)
-	if got := h.Sum64(); got != wantFP {
+	snap, err := snapshot.Read(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	got, err := snap.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	if got != wantFP {
 		return nil, fmt.Errorf("setsync: full artifact fingerprints %016x, peer advertised %016x", got, wantFP)
 	}
-	return snapshot.Read(bytes.NewReader(raw))
+	return snap, nil
 }
 
 func pullDelta(dial Dialer, have *snapshot.Snapshot, opts Options, stats *Stats) (*snapshot.Snapshot, error) {
@@ -360,7 +358,7 @@ func pullDelta(dial Dialer, have *snapshot.Snapshot, opts Options, stats *Stats)
 	if err != nil {
 		return nil, err
 	}
-	_, haveFP, err := artifactBytes(have)
+	haveFP, err := have.Fingerprint()
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +456,8 @@ func applyPatch(local []Entry, body []byte, targetFP uint64) (*snapshot.Snapshot
 		if err := d.Err(); err != nil {
 			return nil, 0, 0, err
 		}
-		byFP[fingerprintOf(kind, entryBody)] = Entry{Kind: kind, Body: entryBody, FP: fingerprintOf(kind, entryBody)}
+		e := entryOf(kind, entryBody)
+		byFP[e.FP] = e
 	}
 	if err := d.Done(); err != nil {
 		return nil, 0, 0, err
@@ -471,7 +470,7 @@ func applyPatch(local []Entry, body []byte, targetFP uint64) (*snapshot.Snapshot
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	_, gotFP, err := artifactBytes(snap)
+	gotFP, err := snap.Fingerprint()
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -504,14 +503,4 @@ func pullFull(dial Dialer, opts Options, stats *Stats) (*snapshot.Snapshot, erro
 		return nil, fmt.Errorf("setsync: frame type %d where the full artifact belongs", typ)
 	}
 	return verifyArtifact(body, targetFP)
-}
-
-// errorsIsAny is a tiny helper for tests asserting fallback causes.
-func errorsIsAny(err error, targets ...error) bool {
-	for _, t := range targets {
-		if errors.Is(err, t) {
-			return true
-		}
-	}
-	return false
 }

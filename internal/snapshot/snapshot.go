@@ -23,7 +23,8 @@
 // A snapshot is a sequence of length-prefixed frames in the shared
 // internal/framing discipline (magic "AS", one version byte on every
 // frame, 1 GiB frame cap). Sections appear exactly once, in fixed
-// order, each a self-contained gob document:
+// order, each one record (meta, model) or a record count followed by
+// the records back to back, in the record codec of records.go:
 //
 //	meta → model → matches → candidates → pool → labels → end
 //
@@ -38,7 +39,6 @@ package snapshot
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -60,7 +60,11 @@ import (
 //	    reader would decode a shard artifact and silently serve it as
 //	    the whole alignment, so the change is a version bump even
 //	    though gob tolerates the new field.
-const Version = 2
+//	3 — PR 24: every section body is internal/framing records (a count,
+//	    then the rows of records.go) and the end body two framing
+//	    integers; encoding/gob, whose type IDs made the bytes depend on
+//	    the writing process, is gone. No v2 reader is kept.
+const Version = 3
 
 // maxSectionSize bounds a section's declared length. The pool section
 // scales with the candidate pool (tens of bytes per link); 1 GiB is far
@@ -86,8 +90,36 @@ const (
 	secEnd
 )
 
-// sectionOrder is the fixed on-disk sequence (excluding end).
-var sectionOrder = [...]byte{secMeta, secModel, secMatches, secCandidates, secPool, secLabels}
+// sections is the fixed on-disk sequence (excluding end): each
+// section's frame type, its body encoder and its body decoder. Row
+// sections are a uvarint count and the records back to back; the
+// candidates section leads with the top-k depth.
+var sections = [...]struct {
+	typ byte
+	enc func(b []byte, s *Snapshot) []byte
+	dec func(d *framing.Dec, s *Snapshot)
+}{
+	{secMeta,
+		func(b []byte, s *Snapshot) []byte { return appendMeta(b, &s.Meta) },
+		func(d *framing.Dec, s *Snapshot) { s.Meta = readMeta(d) }},
+	{secModel,
+		func(b []byte, s *Snapshot) []byte { return appendModel(b, &s.Model) },
+		func(d *framing.Dec, s *Snapshot) { s.Model = readModel(d) }},
+	{secMatches,
+		func(b []byte, s *Snapshot) []byte { return appendRows(b, s.Matches, appendMatch) },
+		func(d *framing.Dec, s *Snapshot) { s.Matches = readRows(d, minMatch, readMatch) }},
+	{secCandidates,
+		func(b []byte, s *Snapshot) []byte {
+			return appendRows(framing.AppendVarint(b, int64(s.TopK)), s.Cands, appendCand)
+		},
+		func(d *framing.Dec, s *Snapshot) { s.TopK, s.Cands = d.Int(), readRows(d, minCand, readCand) }},
+	{secPool,
+		func(b []byte, s *Snapshot) []byte { return appendRows(b, s.Pool, appendPool) },
+		func(d *framing.Dec, s *Snapshot) { s.Pool = readRows(d, minPool, readPool) }},
+	{secLabels,
+		func(b []byte, s *Snapshot) []byte { return appendRows(b, s.Labels, appendLabel) },
+		func(d *framing.Dec, s *Snapshot) { s.Labels = readRows(d, minLabel, readLabel) }},
+}
 
 // Meta is the snapshot's provenance and schema header.
 type Meta struct {
@@ -162,12 +194,6 @@ type UserCandidates struct {
 	Net   uint8
 	User  int32
 	Items []Candidate
-}
-
-// candidates is the candidates section payload.
-type candidates struct {
-	TopK  int
-	Users []UserCandidates
 }
 
 // PoolLink is one candidate-pool link's final read-side record.
@@ -268,22 +294,9 @@ func Build(pair *hetnet.AlignedPair, meta Meta, model Model, pool []PoolLink, ma
 			s.Matches[i].Score = 0
 		}
 	}
-	sort.Slice(s.Pool, func(a, b int) bool {
-		if s.Pool[a].I != s.Pool[b].I {
-			return s.Pool[a].I < s.Pool[b].I
-		}
-		return s.Pool[a].J < s.Pool[b].J
-	})
-	sort.Slice(s.Matches, func(a, b int) bool { return s.Matches[a].I < s.Matches[b].I })
-	sort.Slice(s.Labels, func(a, b int) bool {
-		if s.Labels[a].I != s.Labels[b].I {
-			return s.Labels[a].I < s.Labels[b].I
-		}
-		return s.Labels[a].J < s.Labels[b].J
-	})
-	sort.Slice(s.Model.Shards, func(a, b int) bool { return s.Model.Shards[a].Shard < s.Model.Shards[b].Shard })
+	s.Canonicalize()
 	s.Cands = buildTopK(s.Pool, topK)
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -327,9 +340,13 @@ func buildTopK(pool []PoolLink, k int) []UserCandidates {
 	return out
 }
 
-// validate checks internal consistency: index bounds against the user
-// tables, notation/weight dimension agreement.
-func (s *Snapshot) validate() error {
+// Validate runs the artifact's internal consistency checks: index
+// bounds against the user tables (matches, pool links, labels, candidate
+// lists and their depth), notation/weight dimension agreement. Encode
+// and Read enforce it; it is exported for the layers that assemble
+// snapshots from parts (Split, setsync) rather than decode them from a
+// checksummed stream.
+func (s *Snapshot) Validate() error {
 	n1, n2 := int32(len(s.Meta.Users1)), int32(len(s.Meta.Users2))
 	checkPair := func(what string, i, j int32) error {
 		if i < 0 || i >= n1 || j < 0 || j >= n2 {
@@ -352,6 +369,25 @@ func (s *Snapshot) validate() error {
 			return err
 		}
 	}
+	for _, uc := range s.Cands {
+		users, others := n1, n2
+		if uc.Net == 2 {
+			users, others = n2, n1
+		} else if uc.Net != 1 {
+			return fmt.Errorf("snapshot: candidate list for user %d names net %d, want 1 or 2", uc.User, uc.Net)
+		}
+		if uc.User < 0 || uc.User >= users {
+			return fmt.Errorf("snapshot: candidate list user %d outside net %d's %d users", uc.User, uc.Net, users)
+		}
+		if len(uc.Items) > s.TopK {
+			return fmt.Errorf("snapshot: net %d user %d lists %d candidates, top-k is %d", uc.Net, uc.User, len(uc.Items), s.TopK)
+		}
+		for _, c := range uc.Items {
+			if c.Other < 0 || c.Other >= others {
+				return fmt.Errorf("snapshot: net %d user %d's candidate %d outside the other net's %d users", uc.Net, uc.User, c.Other, others)
+			}
+		}
+	}
 	dim := len(s.Meta.Notation)
 	if len(s.Model.W) > 0 && len(s.Model.W) != dim {
 		return fmt.Errorf("snapshot: primary weight vector has %d entries for %d notation terms", len(s.Model.W), dim)
@@ -364,56 +400,42 @@ func (s *Snapshot) validate() error {
 	return nil
 }
 
-// end is the end-section payload: the artifact's integrity statement.
-type end struct {
-	Sections int
-	Checksum uint64
+// Encode serializes the snapshot once and returns the bytes with their
+// fingerprint — FNV-64a over exactly those bytes, the artifact's
+// content identity. The byte stream is a pure function of the
+// snapshot's content: equal snapshots encode, and so fingerprint,
+// equally in every process.
+func (s *Snapshot) Encode() (raw []byte, fp uint64, err error) {
+	if err := s.Validate(); err != nil {
+		return nil, 0, err
+	}
+	var out bytes.Buffer
+	var body []byte
+	sum := fnv.New64a()
+	for _, sec := range sections {
+		body = sec.enc(body[:0], s)
+		sum.Write(body)
+		if err := codec.WriteFrame(&out, sec.typ, body); err != nil {
+			return nil, 0, fmt.Errorf("snapshot: %w", err)
+		}
+	}
+	body = framing.AppendUvarint(body[:0], uint64(len(sections)))
+	body = framing.AppendUint64(body, sum.Sum64())
+	if err := codec.WriteFrame(&out, secEnd, body); err != nil {
+		return nil, 0, fmt.Errorf("snapshot: %w", err)
+	}
+	all := fnv.New64a()
+	all.Write(out.Bytes())
+	return out.Bytes(), all.Sum64(), nil
 }
 
-// Write serializes the snapshot. The byte stream is deterministic for
-// equal snapshots: every section is a slice-only gob document written
-// by a fresh encoder.
+// Write serializes the snapshot to w.
 func (s *Snapshot) Write(w io.Writer) error {
-	if err := s.validate(); err != nil {
+	raw, _, err := s.Encode()
+	if err != nil {
 		return err
 	}
-	sum := fnv.New64a()
-	sections := 0
-	writeSection := func(typ byte, payload any) error {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-			return fmt.Errorf("snapshot: encode section %d: %w", typ, err)
-		}
-		sum.Write(buf.Bytes())
-		sections++
-		if err := codec.WriteFrame(w, typ, buf.Bytes()); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		return nil
-	}
-	if err := writeSection(secMeta, &s.Meta); err != nil {
-		return err
-	}
-	if err := writeSection(secModel, &s.Model); err != nil {
-		return err
-	}
-	if err := writeSection(secMatches, &s.Matches); err != nil {
-		return err
-	}
-	if err := writeSection(secCandidates, &candidates{TopK: s.TopK, Users: s.Cands}); err != nil {
-		return err
-	}
-	if err := writeSection(secPool, &s.Pool); err != nil {
-		return err
-	}
-	if err := writeSection(secLabels, &s.Labels); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&end{Sections: sections, Checksum: sum.Sum64()}); err != nil {
-		return fmt.Errorf("snapshot: encode end section: %w", err)
-	}
-	if err := codec.WriteFrame(w, secEnd, buf.Bytes()); err != nil {
+	if _, err := w.Write(raw); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
@@ -427,42 +449,21 @@ func (s *Snapshot) Write(w io.Writer) error {
 func Read(r io.Reader) (*Snapshot, error) {
 	s := &Snapshot{}
 	sum := fnv.New64a()
-	sections := 0
-	for _, want := range sectionOrder {
+	for _, sec := range sections {
 		typ, body, err := codec.ReadFrame(r)
 		if err == io.EOF {
-			return nil, fmt.Errorf("snapshot: truncated artifact: stream ended before section %d", want)
+			return nil, fmt.Errorf("snapshot: truncated artifact: stream ended before section %d", sec.typ)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		if typ != want {
-			return nil, fmt.Errorf("snapshot: section %d out of order (want %d)", typ, want)
+		if typ != sec.typ {
+			return nil, fmt.Errorf("snapshot: section %d out of order (want %d)", typ, sec.typ)
 		}
 		sum.Write(body)
-		sections++
-		var into any
-		switch typ {
-		case secMeta:
-			into = &s.Meta
-		case secModel:
-			into = &s.Model
-		case secMatches:
-			into = &s.Matches
-		case secCandidates:
-			c := &candidates{}
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(c); err != nil {
-				return nil, fmt.Errorf("snapshot: decode section %d: %w", typ, err)
-			}
-			s.TopK = c.TopK
-			s.Cands = c.Users
-			continue
-		case secPool:
-			into = &s.Pool
-		case secLabels:
-			into = &s.Labels
-		}
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(into); err != nil {
+		d := framing.NewDec(body)
+		sec.dec(d, s)
+		if err := d.Done(); err != nil {
 			return nil, fmt.Errorf("snapshot: decode section %d: %w", typ, err)
 		}
 	}
@@ -476,17 +477,18 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if typ != secEnd {
 		return nil, fmt.Errorf("snapshot: trailing section %d where the end frame belongs", typ)
 	}
-	var e end
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&e); err != nil {
+	d := framing.NewDec(body)
+	count, checksum := d.Uvarint(), d.Uint64()
+	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("snapshot: decode end section: %w", err)
 	}
-	if e.Sections != sections {
-		return nil, fmt.Errorf("snapshot: end frame claims %d sections, read %d", e.Sections, sections)
+	if count != uint64(len(sections)) {
+		return nil, fmt.Errorf("snapshot: end frame claims %d sections, read %d", count, len(sections))
 	}
-	if got := sum.Sum64(); got != e.Checksum {
-		return nil, fmt.Errorf("snapshot: checksum mismatch: artifact is corrupt (got %016x, want %016x)", got, e.Checksum)
+	if got := sum.Sum64(); got != checksum {
+		return nil, fmt.Errorf("snapshot: checksum mismatch: artifact is corrupt (got %016x, want %016x)", got, checksum)
 	}
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -496,24 +498,23 @@ func Read(r io.Reader) (*Snapshot, error) {
 // reload: the bytes go to a temp file in the same directory first, then
 // rename into place, so a reader never opens a half-written artifact.
 func (s *Snapshot) WriteFile(path string) error {
+	raw, _, err := s.Encode()
+	if err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := s.Write(bw); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(raw)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -154,19 +155,19 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGolden pins artifact compatibility: the golden file holds bytes a
-// Version-2 writer actually wrote, and the current reader must still
-// decode it into the expected snapshot. Any change that breaks decoding
-// forces a deliberate Version bump — regenerate with -update after
-// bumping (see docs/SNAPSHOT.md).
-func TestGolden(t *testing.T) {
-	s := fixtureSnapshot(t)
-	path := filepath.Join("testdata", "snapshot_v2.golden")
+// checkGolden pins the artifact's bytes: the golden file was written by
+// another process, so Write(want) equalling it byte for byte is the
+// cross-process determinism test, and decoding it back into want pins
+// the reader. Any change to either forces a deliberate Version bump —
+// regenerate with -update after bumping (see docs/SNAPSHOT.md).
+func checkGolden(t *testing.T, name string, want *Snapshot) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := want.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", name)
 	if *update {
-		var buf bytes.Buffer
-		if err := s.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -175,12 +176,33 @@ func TestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update): %v", err)
 	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Errorf("the fixture no longer encodes to %s — format changed without a Version bump:\n got %x\nwant %x", name, buf.Bytes(), raw)
+	}
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("golden artifact unreadable — format changed without a Version bump: %v", err)
 	}
-	if !reflect.DeepEqual(got, s) {
-		t.Errorf("golden artifact decodes differently:\n got %+v\nwant %+v", got, s)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("golden artifact decodes differently:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestGolden(t *testing.T) {
+	checkGolden(t, "snapshot_v3.golden", fixtureSnapshot(t))
+}
+
+// TestV2Skew reads an artifact a Version-2 (gob) writer actually wrote:
+// it must be refused at the first frame with the sentinel, naming both
+// versions, never fed to the v3 record decoders.
+func TestV2Skew(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Read(bytes.NewReader(raw))
+	if !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), "got 2, want 3") {
+		t.Fatalf("v2 artifact: got %v, want ErrVersionMismatch naming got 2, want 3", err)
 	}
 }
 
@@ -241,6 +263,50 @@ func TestCorruptionRejected(t *testing.T) {
 	})
 }
 
+// FuzzSnapshotRead feeds the artifact reader hostile bytes, seeded with
+// both goldens: no panic, allocation bounded by the input's length (a
+// decoded row is at most 16× its least encoding, a string header 16× its
+// one-byte count; the frame reader runs at most 1 MiB ahead of the
+// bytes it has), and whatever it accepts re-encodes to bytes that decode
+// to the same snapshot and encode to themselves.
+func FuzzSnapshotRead(f *testing.F) {
+	for _, name := range []string{"snapshot_v3.golden", "snapshot_v3_shard.golden"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		first, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// The constant is the frame reader's lead plus what the fuzz
+		// engine's own goroutines allocate meanwhile (TotalAlloc is
+		// process-wide).
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+1<<20+1<<16); grew > limit {
+			t.Fatalf("reading %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		enc, fp, err := first.Encode()
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		second, err := Read(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded artifact rejected: %v", err)
+		}
+		again, fp2, err := second.Encode()
+		if err != nil || !bytes.Equal(again, enc) || fp2 != fp {
+			t.Fatalf("encoding is not a fixed point (%v): %x, then %x", err, enc, again)
+		}
+	})
+}
+
 func TestValidateRejectsOutOfRange(t *testing.T) {
 	pair := fixturePair(t)
 	meta := Meta{Notation: []string{"bias"}}
@@ -251,6 +317,21 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 	_, err = Build(pair, meta, Model{W: []float64{1, 2}}, nil, nil, nil, 0)
 	if err == nil {
 		t.Error("weight/notation dimension mismatch accepted")
+	}
+	// Candidate lists are derived by Build, so a bad one can only arrive
+	// in a decoded artifact or a reassembled entry set; every field of it
+	// is checked like the other sections'.
+	for name, mutate := range map[string]func(*Snapshot){
+		"net":       func(s *Snapshot) { s.Cands[0].Net = 3 },
+		"user":      func(s *Snapshot) { s.Cands[0].User = 6 },
+		"candidate": func(s *Snapshot) { s.Cands[0].Items[0].Other = -1 },
+		"depth":     func(s *Snapshot) { s.TopK = 1 },
+	} {
+		s := fixtureSnapshot(t)
+		mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("candidate list with a bad %s accepted", name)
+		}
 	}
 }
 

@@ -25,10 +25,7 @@
 // the fleet's range table instead of being configured with one.
 package snapshot
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // UserRange is a half-open interval [Lo, Hi) of net-1 user indices.
 type UserRange struct {
@@ -61,25 +58,13 @@ type ShardInfo struct {
 	ParentFP uint64
 }
 
-// Fingerprint hashes the artifact's full serialized content with
-// FNV-64a. Write is deterministic for equal snapshots, so equal
-// snapshots fingerprint equally across processes — the identity Split
-// stamps into each shard and the setsync protocol uses to decide
+// Fingerprint is the artifact's content identity (see Encode): the one
+// Split stamps into each shard and the setsync protocol uses to decide
 // whether two artifacts differ at all.
 func (s *Snapshot) Fingerprint() (uint64, error) {
-	h := fnv.New64a()
-	if err := s.Write(h); err != nil {
-		return 0, err
-	}
-	return h.Sum64(), nil
+	_, fp, err := s.Encode()
+	return fp, err
 }
-
-// Validate runs the artifact's internal consistency checks — index
-// bounds against the user tables, notation/weight dimension agreement
-// — the same checks Write enforces before serializing. Exported for
-// the layers that reassemble snapshots from parts (setsync) rather
-// than decode them from a trusted stream.
-func (s *Snapshot) Validate() error { return s.validate() }
 
 // EvenRanges cuts [0, n) into k near-equal contiguous user ranges (the
 // first n%k ranges get the extra user). k > n yields n singleton
@@ -148,13 +133,10 @@ func Split(s *Snapshot, ranges []UserRange) ([]*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: artifact is already shard %d/%d of epoch %d; split the parent instead",
 			s.Meta.Shard.Index, s.Meta.Shard.Count, s.Meta.Shard.Epoch)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	if err := checkRanges(ranges, int32(len(s.Meta.Users1))); err != nil {
 		return nil, err
 	}
-	parentFP, err := s.Fingerprint()
+	parentFP, err := s.Fingerprint() // validates s on the way
 	if err != nil {
 		return nil, err
 	}
@@ -256,10 +238,7 @@ func Merge(shards []*Snapshot) (*Snapshot, error) {
 		return nil, err
 	}
 	parent.Cands = buildTopK(parent.Pool, parent.TopK)
-	if err := parent.Validate(); err != nil {
-		return nil, err
-	}
-	fp, err := parent.Fingerprint()
+	fp, err := parent.Fingerprint() // validates the merged artifact
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -254,28 +252,7 @@ func TestGoldenShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := shards[1]
-	path := filepath.Join("testdata", "snapshot_v2_shard.golden")
-	if *update {
-		var buf bytes.Buffer
-		if err := want.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("golden shard artifact unreadable — format changed without a Version bump: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("golden shard artifact decodes differently:\n got %+v\nwant %+v", got, want)
-	}
+	checkGolden(t, "snapshot_v3_shard.golden", shards[1])
 }
 
 func TestFingerprintTracksContent(t *testing.T) {
