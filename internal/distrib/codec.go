@@ -103,63 +103,6 @@ func decodeWireLabels(d *framing.Dec) []WireLabel {
 	return ls
 }
 
-// appendTo writes the network in its canonical order: name, node tables
-// (type name + ID column each), link tables (type/src/dst names + from
-// and to index columns each).
-func (w *WireNetwork) appendTo(b []byte) []byte {
-	b = framing.AppendString(b, w.Name)
-	b = framing.AppendUvarint(b, uint64(len(w.NodeTypes)))
-	for k := range w.NodeTypes {
-		b = framing.AppendString(b, w.NodeTypes[k])
-		b = framing.AppendStrings(b, w.NodeIDs[k])
-	}
-	b = framing.AppendUvarint(b, uint64(len(w.LinkTypes)))
-	for k := range w.LinkTypes {
-		b = framing.AppendString(b, w.LinkTypes[k])
-		b = framing.AppendString(b, w.LinkSrc[k])
-		b = framing.AppendString(b, w.LinkDst[k])
-		b = framing.AppendInt32s(b, w.LinkFrom[k])
-		b = framing.AppendInt32s(b, w.LinkTo[k])
-	}
-	return b
-}
-
-// decodeFrom reads the network tables, reporting failures through the
-// cursor's sticky error. Structural validation beyond shape (duplicate
-// IDs, link endpoints) stays in WireNetwork.Decode.
-func (w *WireNetwork) decodeFrom(d *framing.Dec) {
-	w.Name = d.String()
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return
-	}
-	// Each node table costs ≥ 2 bytes (two counts); same for link
-	// tables below at ≥ 5.
-	if n > uint64(d.Remaining())/2 {
-		d.Fail("node type count")
-		return
-	}
-	for k := uint64(0); k < n && d.Err() == nil; k++ {
-		w.NodeTypes = append(w.NodeTypes, d.String())
-		w.NodeIDs = append(w.NodeIDs, d.Strings())
-	}
-	m := d.Uvarint()
-	if d.Err() != nil {
-		return
-	}
-	if m > uint64(d.Remaining())/5 {
-		d.Fail("link type count")
-		return
-	}
-	for k := uint64(0); k < m && d.Err() == nil; k++ {
-		w.LinkTypes = append(w.LinkTypes, d.String())
-		w.LinkSrc = append(w.LinkSrc, d.String())
-		w.LinkDst = append(w.LinkDst, d.String())
-		w.LinkFrom = append(w.LinkFrom, d.Int32s())
-		w.LinkTo = append(w.LinkTo, d.Int32s())
-	}
-}
-
 // Job body: scalars, the pool and label columns, then the training
 // configuration and the trace-context tail (two bytes when zero).
 func (j *Job) appendBody(b []byte) []byte {

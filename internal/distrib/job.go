@@ -122,14 +122,14 @@ func NewJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfig, see
 	return j.setTrain(cfg)
 }
 
-// part validates the job against the pair of the seed it names and
-// builds the plan part the pipeline trains.
-func (j *Job) part(pair *hetnet.AlignedPair) (*partition.Part, error) {
-	if j.AnchorType != "" && j.AnchorType != string(pair.AnchorType) {
-		return nil, fmt.Errorf("distrib: job shard %d anchor type %q, seed has %q", j.Shard, j.AnchorType, pair.AnchorType)
+// part validates the job against the seed it names — its anchor type,
+// and every index against the seed's two node counts — and builds the
+// plan part the pipeline trains.
+func (j *Job) part(seed *seedEntry) (*partition.Part, error) {
+	if j.AnchorType != "" && j.AnchorType != seed.anchorType {
+		return nil, fmt.Errorf("distrib: job shard %d anchor type %q, seed has %q", j.Shard, j.AnchorType, seed.anchorType)
 	}
-	n1 := pair.G1.NodeCount(pair.AnchorType)
-	n2 := pair.G2.NodeCount(pair.AnchorType)
+	n1, n2 := seed.n1, seed.n2
 	for _, a := range j.TrainPos {
 		if a.I < 0 || a.I >= n1 || a.J < 0 || a.J >= n2 {
 			return nil, fmt.Errorf("distrib: job shard %d: anchor (%d,%d) out of range", j.Shard, a.I, a.J)

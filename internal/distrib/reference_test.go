@@ -6,14 +6,17 @@ import (
 )
 
 // referenceDecodeSeedEntry is the seed-entry decoder as it stood before
-// the two-pass rewrite, kept verbatim: one framing.Dec call per varint,
-// the column array grown by append. The differential test and the fuzz
+// the two-pass rewrite — one framing.Dec call per varint, the column
+// array grown by append — reading the v8 segment's endpoint nodes where
+// the segment now has them. The differential test and the fuzz
 // target hold decodeSeedEntry to its output and to its accept/reject
 // verdict on every input.
 func referenceDecodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 	var e metadiag.SeedEntry
 	d := framing.NewDec(seg)
 	e.Key = d.String()
+	e.Source = decodeNode(d)
+	e.Sink = decodeNode(d)
 	e.Rows = d.Int()
 	e.Cols = d.Int()
 	if d.Err() == nil && (e.Rows < 0 || e.Rows > d.Remaining()) {

@@ -1,14 +1,18 @@
-// Warm-counter seed shipping — how every job gets its networks and its
-// counts. The expensive anchor-free count layer (the attribute meta-path
-// products, which by Lemma 2 never read an anchor) is a function of the
-// pair alone, so the coordinator exports it once (metadiag.ExportSeed,
-// from the facade's already-warm base counter when available) and ships
-// it, with the pair's networks, once per worker process. Every job after
-// that is a few kilobytes of pool indices against it: the worker forks
-// its seeded counter exactly like the in-process PartitionedAligner forks
-// its base, so the votes are bit-identical by construction. There is no
-// other job shape — a session that cannot build its seed fails with that
-// error (Session.Run) instead of shipping something else.
+// Warm-counter seed shipping — how every job gets its counter. The
+// expensive anchor-free count layer (the attribute meta-path products,
+// which by Lemma 2 never read an anchor) is a function of the pair alone,
+// so the coordinator exports it once (metadiag.ExportSeed, from the
+// facade's already-warm base counter when available) and ships it once
+// per worker process: the serialised state of a seeded counter — anchor
+// type and node counts, schema, the adjacencies the feature set traverses
+// as bare edges, the anchor-free counts — and nothing of the networks
+// themselves. A worker builds a network-free counter from it
+// (metadiag.NewSeededCounter); every job after that is a few kilobytes of
+// pool indices against it, and the worker forks its seeded counter
+// exactly like the in-process PartitionedAligner forks its base, so the
+// votes are bit-identical by construction. There is no other job shape —
+// a session that cannot build its seed fails with that error
+// (Session.Run) instead of shipping something else.
 //
 // The per-connection negotiation is SeedRef → CacheAck(Shard −1) →
 // [Seed], before the first job: workers cache installed seeds process-
@@ -35,6 +39,7 @@ import (
 	"github.com/activeiter/activeiter/internal/framing"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
+	"github.com/activeiter/activeiter/internal/schema"
 )
 
 // SeedRef offers a warm-counter seed to a freshly dialed worker. The
@@ -45,17 +50,15 @@ type SeedRef struct {
 	Fingerprint uint64
 }
 
-// WireSeed is the warm-counter seed body: the ORIGINAL pair's networks
-// plus the anchor-free count matrices of the run's feature library. A
-// worker installs it once (networks decoded, a counter built and
-// seeded) and serves every job of any shard from forks of that
-// counter. Entries are independent byte segments on the wire so encode
-// and decode parallelize across GOMAXPROCS.
+// WireSeed is the warm-counter seed body: the metadiag.Seed of the run's
+// feature library under its fingerprint. A worker installs it once (a
+// network-free counter built from it) and serves every job of any shard
+// from forks of that counter. Adjacency and count entries are
+// independent byte segments on the wire so encode and decode parallelize
+// across GOMAXPROCS.
 type WireSeed struct {
 	Fingerprint uint64
-	AnchorType  string
-	G1, G2      WireNetwork
-	Entries     []metadiag.SeedEntry
+	metadiag.Seed
 	// TraceID/SpanID (v6 tail) carry the coordinator's trace context for
 	// the negotiation: the worker logs its install keyed by the trace ID
 	// so a cross-process trace correlates with worker-side logs.
@@ -105,10 +108,7 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 	}
 	ws := &WireSeed{
 		Fingerprint: seedFingerprint(pair, cfg.FeatureSet),
-		AnchorType:  string(pair.AnchorType),
-		G1:          EncodeNetwork(pair.G1),
-		G2:          EncodeNetwork(pair.G2),
-		Entries:     seed.Entries,
+		Seed:        *seed,
 		// The body is encoded once per run and shared by every connection,
 		// so the seed carries the run's trace ID with no per-negotiation
 		// span: the worker correlates its install log by trace ID.
@@ -119,10 +119,10 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 	// fallback) then answer every SeedRef with a hit and fork the very
 	// counter the coordinator already holds — zero bytes shipped, zero
 	// re-derivation, and exactly the fork the in-process facade performs.
-	// Remote workers are unaffected; the entry is two pointers, not a
-	// copy — but those pointers keep the whole count layer alive, which is
-	// why Session.Close takes the entry out again.
-	seedCachePut(ws.Fingerprint, &seedEntry{pair: pair, counter: base})
+	// Remote workers are unaffected; the entry is a pointer, not a copy —
+	// but it keeps the whole count layer alive, which is why Session.Close
+	// takes the entry out again.
+	seedCachePut(ws.Fingerprint, newSeedEntry(base, seed))
 	return ws.Fingerprint, ws.appendBody(nil), base, nil
 }
 
@@ -169,19 +169,26 @@ func negotiateSeed(conn io.ReadWriter, fp uint64, body []byte) (n int64, shipped
 	return cw.n, true, nil
 }
 
-// seedEntry is one installed seed on the worker side: the decoded pair
-// and a counter whose shared cache holds the seed's matrices. Jobs fork
-// the counter; the pair and shared cache are thread-safe, so the entry
-// serves every connection of the process.
+// seedEntry is one installed seed on the worker side: a counter whose
+// shared layer is the seed's matrices, the anchor type it joins and the
+// two node counts that bound every index a job may name. Jobs fork the
+// counter; its shared layer is thread-safe, so the entry serves every
+// connection of the process.
 type seedEntry struct {
-	pair    *hetnet.AlignedPair
-	counter *metadiag.Counter
+	counter    *metadiag.Counter
+	anchorType string
+	n1, n2     int
+}
+
+func newSeedEntry(counter *metadiag.Counter, seed *metadiag.Seed) *seedEntry {
+	return &seedEntry{counter: counter, anchorType: string(seed.AnchorType), n1: seed.N1, n2: seed.N2}
 }
 
 // DefaultSeedCacheSize bounds the process-wide installed-seed cache. A
-// seed holds the full anchor-free count layer of one pair — hundreds of
-// megabytes at crawl scale — so the bound is tiny; a worker normally
-// serves one pair at a time and an eviction only costs a re-ship.
+// seed holds the full anchor-free count layer of one feature library —
+// tens of megabytes of decoded matrices at the bench's default scale,
+// growing with the pair — so the bound is tiny; a worker normally serves
+// one pair at a time and an eviction only costs a re-ship.
 const DefaultSeedCacheSize = 2
 
 // The installed-seed cache is process-global, not per-connection:
@@ -303,49 +310,41 @@ func seedRelease(owner *seedOwner) {
 	}
 }
 
-// installSeed decodes and installs a shipped seed: networks decoded and
-// validated, an anchor-free pair built, a fresh counter seeded with the
-// entries (each structurally validated by SeedInto). Idempotent per
+// installSeed installs a shipped seed: a network-free counter built from
+// it, every matrix structurally validated and sized against the declared
+// node counts on the way (metadiag.NewSeededCounter). Idempotent per
 // fingerprint.
 func installSeed(ws *WireSeed) error {
 	if seedCacheGet(ws.Fingerprint) != nil {
 		return nil
 	}
-	g1, err := ws.G1.Decode()
+	counter, err := metadiag.NewSeededCounter(&ws.Seed)
 	if err != nil {
 		return err
 	}
-	g2, err := ws.G2.Decode()
-	if err != nil {
-		return err
-	}
-	pair := hetnet.NewAlignedPair(g1, g2)
-	if ws.AnchorType != "" {
-		pair.AnchorType = hetnet.NodeType(ws.AnchorType)
-	}
-	// The seed pair carries no anchors on purpose: anchors are per-shard
-	// training state (each job's TrainPos, set on the fork), never part
-	// of the shared anchor-free layer.
-	if err := pair.Validate(); err != nil {
-		return fmt.Errorf("distrib: seed pair: %w", err)
-	}
-	counter, err := metadiag.NewCounter(pair)
-	if err != nil {
-		return err
-	}
-	if err := counter.SeedInto(&metadiag.Seed{Entries: ws.Entries}); err != nil {
-		return err
-	}
-	seedCachePut(ws.Fingerprint, &seedEntry{pair: pair, counter: counter})
+	seedCachePut(ws.Fingerprint, newSeedEntry(counter, &ws.Seed))
 	logger.Debug("installed warm-counter seed",
 		"fingerprint", fmt.Sprintf("%016x", ws.Fingerprint), "trace", fmt.Sprintf("%#x", ws.TraceID))
 	return nil
 }
 
-// appendSeedEntry encodes one count matrix as a self-contained segment:
-// key, shape, per-row column-index deltas (uvarint row length, first
-// column absolute, then gaps — strictly increasing columns make every
-// gap ≥ 1), then the value run. Counts are exact non-negative integers
+// appendNode writes a typed node as its type name and network byte.
+func appendNode(b []byte, n schema.TypedNode) []byte {
+	return append(framing.AppendString(b, string(n.Type)), byte(n.Net))
+}
+
+func decodeNode(d *framing.Dec) schema.TypedNode {
+	n := schema.TypedNode{Type: hetnet.NodeType(d.String()), Net: schema.NetworkRef(d.Byte())}
+	if d.Err() == nil && n.Net > schema.Net2 {
+		d.Fail("seed node network")
+	}
+	return n
+}
+
+// appendSeedEntry encodes one matrix as a self-contained segment: key,
+// endpoint node types, shape, per-row column-index deltas (uvarint row
+// length, first column absolute, then gaps — strictly increasing columns
+// make every gap ≥ 1), then the value run. Counts are exact non-negative integers
 // below 2^53 in practice (path multiplicities), so values normally pack
 // as uvarints; a flag byte keeps raw float64 as the general-case
 // fallback.
@@ -365,9 +364,11 @@ func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
 	if ints {
 		valWidth = uvarintLen(uint64(top))
 	}
-	b = slices.Grow(b, len(e.Key)+3*binary.MaxVarintLen64+1+
+	b = slices.Grow(b, len(e.Key)+len(e.Source.Type)+len(e.Sink.Type)+5*binary.MaxVarintLen64+3+
 		(len(e.RowPtr)+len(e.ColIdx))*idxWidth+len(e.Val)*valWidth)
 	b = framing.AppendString(b, e.Key)
+	b = appendNode(b, e.Source)
+	b = appendNode(b, e.Sink)
 	b = framing.AppendVarint(b, int64(e.Rows))
 	b = framing.AppendVarint(b, int64(e.Cols))
 	for r := 0; r < e.Rows; r++ {
@@ -414,7 +415,7 @@ func seedTruncated(what string) error {
 }
 
 // decodeSeedEntry is the inverse; structural trust is deferred to
-// sparse.FromRaw inside SeedInto (shape, monotone rowPtr, in-range
+// sparse.FromRaw inside the install (shape, monotone rowPtr, in-range
 // strictly-increasing columns), so only allocation bounds are enforced
 // here. A seed is millions of mostly one-byte varints, so the segment is
 // walked with a local cursor instead of a framing.Dec call per value,
@@ -426,6 +427,8 @@ func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 	var e metadiag.SeedEntry
 	d := framing.NewDec(seg)
 	e.Key = d.String()
+	e.Source = decodeNode(d)
+	e.Sink = decodeNode(d)
 	e.Rows = d.Int()
 	e.Cols = d.Int()
 	if d.Err() == nil && (e.Rows < 0 || e.Rows > d.Remaining()) {
@@ -568,17 +571,29 @@ func parallelFor(n int, f func(int)) {
 	wg.Wait()
 }
 
-// WireSeed body: scalars, the two networks, then each entry as an
-// independent length-prefixed segment.
+// WireSeed body: the fingerprint, the seed's dimensions and schema, then
+// the adjacency and count entries, each an independent length-prefixed
+// segment.
 func (ws *WireSeed) appendBody(b []byte) []byte {
 	b = framing.AppendUvarint(b, ws.Fingerprint)
-	b = framing.AppendString(b, ws.AnchorType)
-	b = ws.G1.appendTo(b)
-	b = ws.G2.appendTo(b)
+	b = framing.AppendString(b, string(ws.AnchorType))
+	b = framing.AppendVarint(b, int64(ws.N1))
+	b = framing.AppendVarint(b, int64(ws.N2))
+	b = framing.AppendUvarint(b, uint64(len(ws.Relations)))
+	for _, r := range ws.Relations {
+		b = framing.AppendString(b, string(r.Name))
+		b = framing.AppendString(b, string(r.Src))
+		b = framing.AppendString(b, string(r.Dst))
+	}
+	b = framing.AppendUvarint(b, uint64(len(ws.AttrTypes)))
+	for _, t := range ws.AttrTypes {
+		b = framing.AppendString(b, string(t))
+	}
+	b = framing.AppendUvarint(b, uint64(len(ws.Adjacency)))
 	b = framing.AppendUvarint(b, uint64(len(ws.Entries)))
-	segs := make([][]byte, len(ws.Entries))
-	parallelFor(len(ws.Entries), func(i int) {
-		segs[i] = appendSeedEntry(nil, &ws.Entries[i])
+	segs := make([][]byte, len(ws.Adjacency)+len(ws.Entries))
+	parallelFor(len(segs), func(i int) {
+		segs[i] = appendSeedEntry(nil, ws.entry(i))
 	})
 	rest := 2 * binary.MaxVarintLen64 // the trace tail
 	for _, seg := range segs {
@@ -593,23 +608,59 @@ func (ws *WireSeed) appendBody(b []byte) []byte {
 	return b
 }
 
+// entry addresses the adjacency entries, then the count entries, as one
+// run — the order their segments take on the wire.
+func (ws *WireSeed) entry(i int) *metadiag.SeedEntry {
+	if i < len(ws.Adjacency) {
+		return &ws.Adjacency[i]
+	}
+	return &ws.Entries[i-len(ws.Adjacency)]
+}
+
+// seedCount reads a declared element count, failing the cursor when the
+// bytes that remain cannot hold that many elements of min bytes each.
+func seedCount(d *framing.Dec, min int, what string) int {
+	n := d.Uvarint()
+	if d.Err() == nil && n > uint64(d.Remaining()/min) {
+		d.Fail(what)
+	}
+	if d.Err() != nil {
+		return 0
+	}
+	return int(n)
+}
+
 func (ws *WireSeed) decodeBody(body []byte) error {
 	d := framing.NewDec(body)
 	ws.Fingerprint = d.Uvarint()
-	ws.AnchorType = d.String()
-	ws.G1.decodeFrom(d)
-	ws.G2.decodeFrom(d)
-	n := d.Uvarint()
-	if d.Err() == nil && n > uint64(d.Remaining()) {
-		d.Fail("seed entry count")
+	ws.AnchorType = hetnet.NodeType(d.String())
+	ws.N1 = d.Int()
+	ws.N2 = d.Int()
+	// A relation costs at least its three string lengths, an attribute
+	// type one, a segment its length prefix.
+	if n := seedCount(d, 3, "seed relation count"); n > 0 {
+		ws.Relations = make([]metadiag.SeedRelation, n)
+		for i := range ws.Relations {
+			ws.Relations[i] = metadiag.SeedRelation{
+				Name: hetnet.LinkType(d.String()), Src: hetnet.NodeType(d.String()), Dst: hetnet.NodeType(d.String()),
+			}
+		}
 	}
+	if n := seedCount(d, 1, "seed attribute type count"); n > 0 {
+		ws.AttrTypes = make([]hetnet.NodeType, n)
+		for i := range ws.AttrTypes {
+			ws.AttrTypes[i] = hetnet.NodeType(d.String())
+		}
+	}
+	adj := seedCount(d, 1, "seed adjacency count")
+	n := seedCount(d, 1, "seed entry count")
 	if d.Err() != nil {
 		return fmt.Errorf("distrib: seed frame: %w", d.Err())
 	}
 	// Slice out the segments serially (cheap), decode them in parallel.
 	// Raw views alias the frame body, which is ours alone — ReadFrame
 	// allocates a fresh body per frame.
-	segs := make([][]byte, n)
+	segs := make([][]byte, adj+n)
 	for i := range segs {
 		segs[i] = d.Raw()
 	}
@@ -618,10 +669,15 @@ func (ws *WireSeed) decodeBody(body []byte) error {
 	if err := finish(d, "seed"); err != nil {
 		return err
 	}
-	ws.Entries = make([]metadiag.SeedEntry, n)
-	errs := make([]error, n)
-	parallelFor(int(n), func(i int) {
-		ws.Entries[i], errs[i] = decodeSeedEntry(segs[i])
+	if adj > 0 {
+		ws.Adjacency = make([]metadiag.SeedEntry, adj)
+	}
+	if n > 0 {
+		ws.Entries = make([]metadiag.SeedEntry, n)
+	}
+	errs := make([]error, len(segs))
+	parallelFor(len(segs), func(i int) {
+		*ws.entry(i), errs[i] = decodeSeedEntry(segs[i])
 	})
 	for i, err := range errs {
 		if err != nil {

@@ -1,9 +1,13 @@
 package distrib
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -14,6 +18,7 @@ import (
 	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
+	"github.com/activeiter/activeiter/internal/schema"
 )
 
 // resetSeedCache empties the process-wide seed cache, as a freshly
@@ -31,6 +36,8 @@ func resetSeedCache() {
 // packing limit, arbitrary floats.
 func randomSeedEntry(rng *rand.Rand, maxRows, maxCols int) metadiag.SeedEntry {
 	e := metadiag.SeedEntry{Key: "Ψ" + string(rune('a'+rng.Intn(26))), Rows: rng.Intn(maxRows + 1), Cols: 1 + rng.Intn(maxCols)}
+	nodes := []schema.TypedNode{schema.User1(), schema.User2(), schema.Post1(), schema.LocationT(), {}}
+	e.Source, e.Sink = nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
 	if rng.Intn(8) == 0 {
 		e.Rows = 0
 	}
@@ -66,7 +73,7 @@ func sameSeedEntry(a, b metadiag.SeedEntry) bool {
 	sameVals := slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
 		return math.Float64bits(x) == math.Float64bits(y)
 	})
-	return a.Key == b.Key && a.Rows == b.Rows && a.Cols == b.Cols &&
+	return a.Key == b.Key && a.Source == b.Source && a.Sink == b.Sink && a.Rows == b.Rows && a.Cols == b.Cols &&
 		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) && sameVals
 }
 
@@ -137,10 +144,20 @@ func TestSeedEntryDecodeAllocs(t *testing.T) {
 // FuzzSeedBody: the seed body decoder reads bytes a socket delivered. It
 // must never panic, never allocate more than a fixed multiple of what it
 // was given (every declared count is checked against the bytes that
-// remain before anything is sized by it), and its entry decoder must
-// agree with the reference decoder on every input.
+// remain before anything is sized by it), what it accepts must be a fixed
+// point of decode → encode → decode, and its entry decoder must agree
+// with the reference decoder on every input. The v8 golden's body is in
+// the seed corpus.
 func FuzzSeedBody(f *testing.F) {
-	f.Add(fixtureSeed(f).appendBody(nil))
+	golden, err := os.ReadFile(filepath.Join("testdata", "frame_seed.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, body, err := ReadFrame(bytes.NewReader(golden))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 4; i++ {
 		e := randomSeedEntry(rng, 6, 200)
@@ -151,7 +168,7 @@ func FuzzSeedBody(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var ws WireSeed
-		_ = ws.decodeBody(data)
+		derr := ws.decodeBody(data)
 		got, gerr := decodeSeedEntry(data)
 		runtime.ReadMemStats(&after)
 		// Worst case is a body of one-byte segments: a SeedEntry header,
@@ -166,7 +183,324 @@ func FuzzSeedBody(f *testing.F) {
 		if gerr == nil && !sameSeedEntry(got, want) {
 			t.Fatal("entry decoders accept the input and disagree on its content")
 		}
+		if derr == nil {
+			enc := ws.appendBody(nil)
+			var again WireSeed
+			if err := again.decodeBody(enc); err != nil {
+				t.Fatalf("re-encoded body refused: %v", err)
+			}
+			if !bytes.Equal(again.appendBody(nil), enc) {
+				t.Fatal("decode → encode → decode is not a fixed point")
+			}
+		}
 	})
+}
+
+// shippedCounter takes a seed the way a worker gets one — through the
+// wire body — and builds the network-free counter from nothing else.
+func shippedCounter(t testing.TB, seed *metadiag.Seed) *metadiag.Counter {
+	t.Helper()
+	var ws WireSeed
+	if err := ws.decodeBody((&WireSeed{Fingerprint: 1, Seed: *seed}).appendBody(nil)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := metadiag.NewSeededCounter(&ws.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestSeededCounterMatchesPairCounter is the property the wire's v8 seed
+// rests on: a counter built from ExportSeed's output alone, after a round
+// trip through the seed body, counts what a fork of the pair-built
+// counter counts — every feature's matrix, its marginals and the feature
+// matrix of a pool, bit for bit — whatever the pair, the feature set and
+// the anchor subset.
+func TestSeededCounterMatchesPairCounter(t *testing.T) {
+	bits := func(vs []float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for _, dataSeed := range []int64{1, 7, 42} {
+		cfg := datagen.Tiny()
+		cfg.Seed = dataSeed
+		pair, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(dataSeed))
+		pool := append([]hetnet.Anchor(nil), pair.Anchors...)
+		n1, n2 := pair.G1.NodeCount(pair.AnchorType), pair.G2.NodeCount(pair.AnchorType)
+		for k := 0; k < 200; k++ {
+			pool = append(pool, hetnet.Anchor{I: rng.Intn(n1), J: rng.Intn(n2)})
+		}
+		for _, set := range []string{FeaturesFull, FeaturesPaths, FeaturesExtended} {
+			feats, err := ResolveFeatures(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := metadiag.NewCounter(pair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, err := base.ExportSeed(feats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seed.Adjacency) == 0 || len(seed.Entries) == 0 {
+				t.Fatalf("seed %d/%s: %d adjacency and %d count entries", dataSeed, set, len(seed.Adjacency), len(seed.Entries))
+			}
+			seeded := shippedCounter(t, seed)
+			if seeded.Pair() != nil {
+				t.Fatal("a seeded counter holds a pair")
+			}
+			half := len(pair.Anchors) / 2
+			for name, anchors := range map[string][]hetnet.Anchor{
+				"first-half": pair.Anchors[:half], "second-half": pair.Anchors[half:], "none": nil,
+			} {
+				want, got := base.Fork(), seeded.Fork()
+				want.SetAnchors(append([]hetnet.Anchor{}, anchors...)) // non-nil: nil means the pair's full set there
+				got.SetAnchors(anchors)
+				for _, f := range feats {
+					wp, err := want.Proximity(f.D)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gp, err := got.Proximity(f.D)
+					if err != nil {
+						t.Fatalf("seed %d/%s/%s: feature %s on the seeded counter: %v", dataSeed, set, name, f.ID, err)
+					}
+					_, _, wr, wc, wv := wp.Counts.Raw()
+					_, _, gr, gc, gv := gp.Counts.Raw()
+					if !wp.Counts.Equal(gp.Counts) || !slices.Equal(wr, gr) || !slices.Equal(wc, gc) || !slices.Equal(bits(wv), bits(gv)) {
+						t.Fatalf("seed %d/%s/%s: feature %s counts differ", dataSeed, set, name, f.ID)
+					}
+					if !slices.Equal(bits(wp.RowSums), bits(gp.RowSums)) || !slices.Equal(bits(wp.ColSums), bits(gp.ColSums)) {
+						t.Fatalf("seed %d/%s/%s: feature %s marginals differ", dataSeed, set, name, f.ID)
+					}
+				}
+				wx, err := metadiag.NewExtractor(want, feats, true).FeatureMatrix(pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gx, err := metadiag.NewExtractor(got, feats, true).FeatureMatrix(pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range pool {
+					if !slices.Equal(bits(wx.RowView(i)), bits(gx.RowView(i))) {
+						t.Fatalf("seed %d/%s/%s: feature row %d differs", dataSeed, set, name, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeedMissingEntryNamesTheNotation: a seeded counter has nothing to
+// recount from, so a seed short of one count or one adjacency fails the
+// first Count that needs it — naming the notation — and counts everything
+// that does not.
+func TestSeedMissingEntryNamesTheNotation(t *testing.T) {
+	feats, _ := ResolveFeatures(FeaturesFull)
+	base, err := metadiag.NewCounter(fixturePair(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := base.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		drop func(*metadiag.Seed) string
+	}{
+		{"count", func(s *metadiag.Seed) string {
+			key := s.Entries[0].Key
+			s.Entries = s.Entries[1:]
+			return key
+		}},
+		{"adjacency", func(s *metadiag.Seed) string {
+			key := s.Adjacency[0].Key
+			s.Adjacency = s.Adjacency[1:]
+			return key
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			short := *full
+			missing := tc.drop(&short)
+			c := shippedCounter(t, &short)
+			c.SetAnchors(fixturePair(t).Anchors)
+			failed := 0
+			for _, f := range feats {
+				m, err := c.Count(f.D)
+				switch {
+				case err == nil && m == nil:
+					t.Fatalf("feature %s: no matrix and no error", f.ID)
+				case err != nil && !strings.Contains(err.Error(), fmt.Sprintf("%q", missing)):
+					t.Fatalf("feature %s: error %q does not name %q", f.ID, err, missing)
+				case err != nil:
+					failed++
+				}
+			}
+			if failed == 0 || failed == len(feats) {
+				t.Fatalf("%d of %d features failed without %q; want some and not all", failed, len(feats), missing)
+			}
+		})
+	}
+}
+
+// TestInstallRefusesBadSeed: an entry that breaks a CSR invariant, or a
+// shape that disagrees with the declared user counts, fails the install —
+// the worker answers the Seed frame with an Error frame, which the
+// coordinator's negotiation turns into a burnt connection, and nothing
+// becomes resident.
+func TestInstallRefusesBadSeed(t *testing.T) {
+	feats, _ := ResolveFeatures(FeaturesFull)
+	base, err := metadiag.NewCounter(fixturePair(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := base.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// clone detaches the entry lists (and entry k's arrays) from the
+	// counter's cached matrices before a case corrupts them.
+	clone := func(k int) *metadiag.Seed {
+		s := *good
+		s.Adjacency = slices.Clone(good.Adjacency)
+		s.Entries = slices.Clone(good.Entries)
+		e := &s.Entries[k]
+		e.RowPtr, e.ColIdx, e.Val = slices.Clone(e.RowPtr), slices.Clone(e.ColIdx), slices.Clone(e.Val)
+		return &s
+	}
+	filled := slices.IndexFunc(good.Entries, func(e metadiag.SeedEntry) bool { return len(e.ColIdx) > 0 })
+	for _, tc := range []struct {
+		name, want string
+		seed       func() *metadiag.Seed
+	}{
+		{"column out of range", "out of order or range", func() *metadiag.Seed {
+			s := clone(filled)
+			s.Entries[filled].ColIdx[0] = s.Entries[filled].Cols
+			return s
+		}},
+		{"user count disagrees", "user(1) has 9 nodes", func() *metadiag.Seed {
+			s := clone(0)
+			s.N1++
+			return s
+		}},
+		{"adjacency shape disagrees", "nodes", func() *metadiag.Seed {
+			s := clone(0)
+			a := &s.Adjacency[0]
+			a.Rows++
+			a.RowPtr = append(slices.Clone(a.RowPtr), a.RowPtr[len(a.RowPtr)-1])
+			return s
+		}},
+		{"negative user count", "declares", func() *metadiag.Seed {
+			s := clone(0)
+			s.N2 = -1
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resetSeedCache()
+			const fp = 0xbad5eed
+			body := (&WireSeed{Fingerprint: fp, Seed: *tc.seed()}).appendBody(nil)
+			c, served := workerDial(t)
+			_, shipped, err := negotiateSeed(c, fp, body)
+			if err == nil || !shipped || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("negotiation: shipped=%v err=%v, want a remote error containing %q", shipped, err, tc.want)
+			}
+			if seedCacheGet(fp) != nil {
+				t.Fatal("a refused seed became resident")
+			}
+			// The coordinator burns the connection; the worker's serve loop
+			// ends cleanly with it.
+			c.Close()
+			if err := <-served; err != nil {
+				t.Fatalf("Serve after a refused seed: %v", err)
+			}
+		})
+	}
+}
+
+// TestJobIndicesBoundedBySeed: every index a Job or a JobRef names is
+// checked against the seed's two node counts — there is no network on the
+// worker to check it against, and an unchecked one would index a count
+// matrix out of range.
+func TestJobIndicesBoundedBySeed(t *testing.T) {
+	seed := fixtureSeedEntry(t)
+	for _, tc := range []struct {
+		name string
+		edit func(*Job)
+	}{
+		{"anchor row", func(j *Job) { j.TrainPos[0].I = seed.n1 }},
+		{"anchor column", func(j *Job) { j.TrainPos[1].J = seed.n2 }},
+		{"anchor negative", func(j *Job) { j.TrainPos[0].J = -1 }},
+		{"candidate row", func(j *Job) { j.Candidates[2].I = seed.n1 }},
+		{"candidate column", func(j *Job) { j.Candidates[0].J = seed.n2 + 5 }},
+		{"candidate negative", func(j *Job) { j.Candidates[1].I = -1 }},
+		{"prelabel row", func(j *Job) { j.Prelabeled[0].I = int32(seed.n1) }},
+		{"prelabel column", func(j *Job) { j.Prelabeled[0].J = int32(seed.n2) }},
+		{"prelabel negative", func(j *Job) { j.Prelabeled[0].I = -1 }},
+	} {
+		job := fixtureJob(t)
+		if _, err := job.part(seed); err != nil {
+			t.Fatalf("%s: the unedited job is refused: %v", tc.name, err)
+		}
+		tc.edit(job)
+		if _, err := job.part(seed); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: got %v, want an out-of-range error", tc.name, err)
+		}
+	}
+	// One more user on either side and the same indices are in range.
+	job := fixtureJob(t)
+	job.TrainPos[0].I, job.Candidates[0].J = seed.n1, seed.n2
+	wider := *seed
+	wider.n1++
+	wider.n2++
+	if _, err := job.part(&wider); err != nil {
+		t.Fatalf("job inside a wider seed's bounds refused: %v", err)
+	}
+	mismatch := fixtureJob(t)
+	mismatch.AnchorType = "protein"
+	if _, err := mismatch.part(seed); err == nil || !strings.Contains(err.Error(), "anchor type") {
+		t.Errorf("anchor type mismatch: got %v", err)
+	}
+
+	// JobRef: the label delta is checked against the bounds the prepared
+	// shard took from its seed, over a live worker connection.
+	w := dialSeeded(t, fixturePair(t), TrainConfig{FeatureSet: FeaturesFull})
+	job = fixtureJob(t)
+	job.SeedFP, job.Budget = w.fp, 0
+	job.Fingerprint = job.ComputeFingerprint()
+	if err := WriteFrame(w, FrameJob, job); err != nil {
+		t.Fatal(err)
+	}
+	drainToDone(t, w)
+	for _, l := range []WireLabel{{I: int32(seed.n1), J: 0, Label: 1}, {I: 0, J: int32(seed.n2), Label: 0}, {I: -1, J: 0, Label: 1}} {
+		ref := &JobRef{Shard: job.Shard, Fingerprint: job.Fingerprint, AddLabels: []WireLabel{l}}
+		if err := WriteFrame(w, FrameJobRef, ref); err != nil {
+			t.Fatal(err)
+		}
+		var ack CacheAck
+		if err := ReadExpect(w, FrameCacheAck, &ack); err != nil || !ack.Hit {
+			t.Fatalf("job ref ack: hit=%v err=%v", ack.Hit, err)
+		}
+		var pr Progress
+		if err := ReadExpect(w, FrameProgress, &pr); err != nil {
+			t.Fatal(err)
+		}
+		var je JobError
+		if err := ReadExpect(w, FrameError, &je); err != nil || !strings.Contains(je.Msg, "out of range") {
+			t.Fatalf("label %+v: error frame %+v, err %v", l, je, err)
+		}
+	}
 }
 
 // workerDial opens a handshaken connection into an in-process worker;
@@ -442,7 +776,7 @@ func TestSessionCloseEvictsSeed(t *testing.T) {
 	if _, _, err := sess.Run(fx.plan, nil); err != nil {
 		t.Fatal(err)
 	}
-	other := &seedEntry{pair: fx.pair, counter: fx.base}
+	other := &seedEntry{counter: fx.base}
 	seedCachePut(sess.seedFP, other)
 	sess.Close()
 	if seedCacheGet(sess.seedFP) != other {
@@ -496,4 +830,26 @@ func BenchmarkSeedCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSeedInstall is what a fresh worker process does with the
+// default pair's seed between reading the frame and acking it: decode the
+// body and install it (build the counter every job forks).
+func BenchmarkSeedInstall(b *testing.B) {
+	body := benchDefaultSeed(b).appendBody(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resetSeedCache()
+		var ws WireSeed
+		if err := ws.decodeBody(body); err != nil {
+			b.Fatal(err)
+		}
+		if err := installSeed(&ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	resetSeedCache()
+	b.ReportMetric(float64(len(body)), "body-bytes")
 }

@@ -38,7 +38,7 @@
 //
 // There is one index space: every index in every frame — a job's pool
 // and prelabels, a JobRef's label delta, queries, votes — is an ORIGINAL
-// pair index into the seed's networks.
+// pair index, bounded by the seed's two node counts.
 //
 // The conversation is strictly request-driven: the coordinator sends
 // Hello, negotiates the seed (SeedRef, then Seed on a miss), then one Job
@@ -100,7 +100,13 @@ import (
 //	    index on the wire is an original pair index. The eight control
 //	    frames (Hello, Progress, Query, Answer, CacheAck, Error, Cancel,
 //	    SeedRef) switch from gob to columnar bodies like the rest.
-const Version = 7
+//	8 — PR 25: the Seed is a counter's state, not a dataset. The body
+//	    drops both networks (node-ID and link-index tables) and carries the
+//	    anchor type's two node counts, the schema's relations and
+//	    attribute types, and the oriented adjacency matrices the feature
+//	    set traverses as bare edges, as entries like the counts; every
+//	    entry names its endpoint node types.
+const Version = 8
 
 // maxFrameSize bounds a frame's declared length so a corrupt or hostile
 // length prefix cannot OOM the reader. The seed carries the pair's whole
@@ -148,8 +154,8 @@ const (
 	// dialed worker, coordinator → worker; answered by a CacheAck with
 	// Shard −1.
 	FrameSeedRef
-	// FrameSeed ships the warm-counter seed body (networks plus the
-	// anchor-free count cache), coordinator → worker, after a missed
+	// FrameSeed ships the warm-counter seed body (schema, dimensions and
+	// the anchor-free matrices), coordinator → worker, after a missed
 	// SeedRef.
 	FrameSeed
 )
@@ -172,96 +178,15 @@ type Hello struct {
 	Role string
 }
 
-// WireNetwork is the deterministic interchange form of a
-// hetnet.Network, as the Seed frame carries it: node tables as ID lists
-// in registration order, links as declared endpoint types plus parallel
-// index arrays. Unlike the map-keyed JSON interchange of hetnet, every
-// field is a slice in a canonical order, so encoding the same network
-// twice yields identical bytes — which is what makes golden-file wire
-// tests possible.
-type WireNetwork struct {
-	Name      string
-	NodeTypes []string
-	NodeIDs   [][]string // parallel to NodeTypes
-	LinkTypes []string
-	LinkSrc   []string // parallel to LinkTypes
-	LinkDst   []string
-	LinkFrom  [][]int32
-	LinkTo    [][]int32
-}
-
-// EncodeNetwork converts a network to wire form.
-func EncodeNetwork(g *hetnet.Network) WireNetwork {
-	w := WireNetwork{Name: g.Name()}
-	for _, t := range g.NodeTypes() {
-		ids := make([]string, g.NodeCount(t))
-		for i := range ids {
-			ids[i] = g.NodeID(t, i)
-		}
-		w.NodeTypes = append(w.NodeTypes, string(t))
-		w.NodeIDs = append(w.NodeIDs, ids)
-	}
-	for _, lt := range g.LinkTypes() {
-		src, dst, _ := g.LinkEndpoints(lt)
-		from := make([]int32, 0, g.LinkCount(lt))
-		to := make([]int32, 0, g.LinkCount(lt))
-		g.Links(lt, func(f, t int) {
-			from = append(from, int32(f))
-			to = append(to, int32(t))
-		})
-		w.LinkTypes = append(w.LinkTypes, string(lt))
-		w.LinkSrc = append(w.LinkSrc, string(src))
-		w.LinkDst = append(w.LinkDst, string(dst))
-		w.LinkFrom = append(w.LinkFrom, from)
-		w.LinkTo = append(w.LinkTo, to)
-	}
-	return w
-}
-
-// Decode rebuilds the network, validating shape as it goes.
-func (w *WireNetwork) Decode() (*hetnet.Network, error) {
-	if len(w.NodeTypes) != len(w.NodeIDs) {
-		return nil, fmt.Errorf("distrib: network %q: %d node types, %d ID lists", w.Name, len(w.NodeTypes), len(w.NodeIDs))
-	}
-	if len(w.LinkTypes) != len(w.LinkSrc) || len(w.LinkTypes) != len(w.LinkDst) ||
-		len(w.LinkTypes) != len(w.LinkFrom) || len(w.LinkTypes) != len(w.LinkTo) {
-		return nil, fmt.Errorf("distrib: network %q: ragged link tables", w.Name)
-	}
-	g := hetnet.NewNetwork(w.Name)
-	for k, t := range w.NodeTypes {
-		nt := hetnet.NodeType(t)
-		for _, id := range w.NodeIDs[k] {
-			g.AddNode(nt, id)
-		}
-		if g.NodeCount(nt) != len(w.NodeIDs[k]) {
-			return nil, fmt.Errorf("distrib: network %q: duplicate node IDs in type %q", w.Name, t)
-		}
-	}
-	for k, lt := range w.LinkTypes {
-		if err := g.DeclareLink(hetnet.LinkType(lt), hetnet.NodeType(w.LinkSrc[k]), hetnet.NodeType(w.LinkDst[k])); err != nil {
-			return nil, fmt.Errorf("distrib: network %q: %w", w.Name, err)
-		}
-		if len(w.LinkFrom[k]) != len(w.LinkTo[k]) {
-			return nil, fmt.Errorf("distrib: network %q: link type %q has mismatched from/to lengths", w.Name, lt)
-		}
-		for e := range w.LinkFrom[k] {
-			if err := g.AddLink(hetnet.LinkType(lt), int(w.LinkFrom[k][e]), int(w.LinkTo[k][e])); err != nil {
-				return nil, fmt.Errorf("distrib: network %q: %w", w.Name, err)
-			}
-		}
-	}
-	return g, nil
-}
-
-// Job is one shard job: the shard's pool as indices into the pair of the
-// seed it names, plus the training configuration. It carries no network
-// data — the worker resolves the pair and the warm counter from the seed
-// its connection negotiated.
+// Job is one shard job: the shard's pool as indices into the user spaces
+// of the seed it names, plus the training configuration. It carries no
+// network data — the worker resolves the warm counter and the index
+// bounds from the seed its connection negotiated.
 type Job struct {
 	// Shard is the Part.Index — it offsets the training seed and tags
 	// every frame the worker sends back.
 	Shard int
-	// AnchorType must match the seed pair's; a mismatch fails the job.
+	// AnchorType must match the seed's; a mismatch fails the job.
 	AnchorType string
 	// SeedFP names the warm-counter seed (shipped per connection via
 	// SeedRef/Seed) the job's indices are relative to; the worker forks the

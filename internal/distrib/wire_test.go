@@ -58,6 +58,34 @@ func fixturePair(t testing.TB) *hetnet.AlignedPair {
 	return pair
 }
 
+// TestFixtureFingerprintsUnmoved: the goldens' pair hashes to what it
+// did before hetnet memoised Network.Fingerprint — values recorded at
+// c5ccd7d — on the call that computes and on the call that reads the
+// memo, and so does the seed fingerprint every golden job names.
+func TestFixtureFingerprintsUnmoved(t *testing.T) {
+	pair := fixturePair(t)
+	for call := 1; call <= 2; call++ {
+		if g1, g2 := pair.G1.Fingerprint(), pair.G2.Fingerprint(); g1 != 0xc10d9a0a0eb062cb || g2 != 0xb71379826daf7f7a {
+			t.Fatalf("call %d: network fingerprints %#x, %#x", call, g1, g2)
+		}
+		if fp := seedFingerprint(pair, FeaturesFull); fp != 0x25621389b92dcf44 {
+			t.Fatalf("call %d: seed fingerprint %#x", call, fp)
+		}
+	}
+}
+
+// fixtureSeedEntry is what a worker holding the fixture pair's seed
+// checks a job against: the anchor type and the two user counts.
+func fixtureSeedEntry(t testing.TB) *seedEntry {
+	t.Helper()
+	pair := fixturePair(t)
+	return &seedEntry{
+		anchorType: string(pair.AnchorType),
+		n1:         pair.G1.NodeCount(pair.AnchorType),
+		n2:         pair.G2.NodeCount(pair.AnchorType),
+	}
+}
+
 // fixtureJob is shard 1 of a two-part split of the fixture pair, as a
 // session would ship it: against the fixture pair's seed.
 func fixtureJob(t testing.TB) *Job {
@@ -213,7 +241,7 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			orig := tc.payload.(*Job)
-			part, err := j.part(fixturePair(t))
+			part, err := j.part(fixtureSeedEntry(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,6 +333,28 @@ func TestWireV5Skew(t *testing.T) {
 // networks as the pool.
 func TestWireV6Skew(t *testing.T) {
 	assertRecordedFrameRefused(t, "v6_frame_job.bin")
+}
+
+// TestWireV7Skew pins the v8 bump, both ways: a recorded v7 Seed — two
+// whole networks ahead of the entries — and a v7 Hello never reach the v8
+// decoders, and a v7 reader refuses what this version writes.
+func TestWireV7Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v7_frame_seed.bin")
+	assertRecordedFrameRefused(t, "v7_frame_hello.bin")
+
+	v7 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 7, MaxFrame: maxFrameSize, Checksum: true}
+	for _, tc := range goldenFrames(t) {
+		if tc.name != "seed" && tc.name != "hello" {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := v7.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
+			t.Fatalf("current %s frame at v7 reader: got %v, want ErrVersionMismatch", tc.name, err)
+		}
+	}
 }
 
 // TestWireDetectsCorruption is the integrity contract behind the chaos

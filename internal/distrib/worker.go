@@ -157,7 +157,7 @@ type preparedShard struct {
 	part     *partition.Part // Index is the job's shard; Prelabeled grows by each JobRef's delta
 	prepared *partition.Prepared
 	train    core.Config // the job's resolved training configuration
-	n1, n2   int         // the seed pair's user counts: the bounds of every index
+	n1, n2   int         // the seed's node counts: the bounds of every index
 }
 
 // shardCache is a tiny LRU of prepared shards keyed by job fingerprint.
@@ -282,16 +282,16 @@ func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 	t0 := time.Now()
 	tr := childTracer(job.TraceID, job.SpanID)
 	prep := tr.Start("prepare", job.SpanID)
-	// The pair and the warm counter come from the connection-negotiated
-	// seed; the job is just a pool of indices into it. A job that names no
-	// seed is malformed; a missing one means the coordinator and worker
-	// disagree about this connection's state — fail the shard either way,
-	// and the retry redial renegotiates.
+	// The warm counter and the index bounds come from the
+	// connection-negotiated seed; the job is just a pool of indices into
+	// it. A job that names no seed is malformed; a missing one means the
+	// coordinator and worker disagree about this connection's state — fail
+	// the shard either way, and the retry redial renegotiates.
 	seed := seedCacheGet(job.SeedFP)
 	if job.SeedFP == 0 || seed == nil {
 		return fmt.Errorf("distrib: job shard %d references seed %016x, not installed here", job.Shard, job.SeedFP)
 	}
-	part, err := job.part(seed.pair)
+	part, err := job.part(seed)
 	if err != nil {
 		return err
 	}
@@ -311,11 +311,7 @@ func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 	if err != nil {
 		return err
 	}
-	pair := seed.pair
-	ps := &preparedShard{
-		part: part, prepared: prepared, train: train.Core,
-		n1: pair.G1.NodeCount(pair.AnchorType), n2: pair.G2.NodeCount(pair.AnchorType),
-	}
+	ps := &preparedShard{part: part, prepared: prepared, train: train.Core, n1: seed.n1, n2: seed.n2}
 	prep.End()
 	if err := trainAndStream(conn, ps, job.Budget, job.Seed, t0, tr, job.SpanID); err != nil {
 		return err

@@ -56,16 +56,6 @@ func AppendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// AppendInt32s appends a uvarint element count followed by each element
-// as a zigzag varint.
-func AppendInt32s(b []byte, vs []int32) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	return b
-}
-
 // AppendFloat64 appends one float64 as 8 little-endian IEEE-754 bytes.
 func AppendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
@@ -284,26 +274,6 @@ func (d *Dec) Strings() []string {
 	out := make([]string, n)
 	for i := range out {
 		out[i] = d.String()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// Int32s reads a zigzag-varint column into []int32.
-func (d *Dec) Int32s() []int32 {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("int32s count")
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.Varint())
 		if d.err != nil {
 			return nil
 		}

@@ -17,7 +17,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 	b = AppendString(b, "héllo")
 	b = AppendString(b, "")
 	b = AppendStrings(b, []string{"a", "", "bc"})
-	b = AppendInt32s(b, []int32{-2, 0, math.MaxInt32})
 	b = AppendFloat64s(b, []float64{0, -1.5, math.Pi, math.Inf(1)})
 	b = AppendFloat64(b, -math.MaxFloat64)
 	b = AppendBytes(b, []byte{9, 0, 7})
@@ -44,9 +43,6 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if got := d.Strings(); !reflect.DeepEqual(got, []string{"a", "", "bc"}) {
 		t.Errorf("strings: %v", got)
 	}
-	if got := d.Int32s(); !reflect.DeepEqual(got, []int32{-2, 0, math.MaxInt32}) {
-		t.Errorf("int32s: %v", got)
-	}
 	if got := d.Float64s(); !reflect.DeepEqual(got, []float64{0, -1.5, math.Pi, math.Inf(1)}) {
 		t.Errorf("float64s: %v", got)
 	}
@@ -67,7 +63,6 @@ func TestDecBoundsCountsBeforeAlloc(t *testing.T) {
 	cases := map[string]func(*Dec) any{
 		"string":   func(d *Dec) any { return d.String() },
 		"strings":  func(d *Dec) any { return d.Strings() },
-		"int32s":   func(d *Dec) any { return d.Int32s() },
 		"float64s": func(d *Dec) any { return d.Float64s() },
 		"bytes":    func(d *Dec) any { return d.Bytes() },
 	}
@@ -91,7 +86,7 @@ func TestDecStickyError(t *testing.T) {
 	first := d.Err()
 	// Every later getter stays zero-valued and keeps the first error.
 	if d.Varint() != 0 || d.Byte() != 0 || d.Bool() || d.String() != "" ||
-		d.Int32s() != nil || d.Float64s() != nil {
+		d.Strings() != nil || d.Float64s() != nil {
 		t.Error("getter after error returned non-zero")
 	}
 	if d.Err() != first {

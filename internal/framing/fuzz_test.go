@@ -73,7 +73,7 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDec(f *testing.F) {
 	var seed []byte
 	seed = AppendString(seed, "net")
-	seed = AppendInt32s(seed, []int32{1, -2, 3})
+	seed = AppendUint64s(seed, []uint64{1, 1 << 40, 3})
 	seed = AppendFloat64s(seed, []float64{0.5})
 	f.Add(seed, uint8(0))
 	f.Add(AppendUvarint(nil, 1<<62), uint8(3))
@@ -95,7 +95,7 @@ func FuzzDec(f *testing.F) {
 			case 5:
 				d.Strings()
 			case 6:
-				d.Int32s()
+				d.Uint64s()
 			case 7:
 				d.Float64s()
 			}

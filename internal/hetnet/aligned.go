@@ -51,7 +51,13 @@ func (p *AlignedPair) AnchorMatrix(anchors []Anchor) *sparse.CSR {
 	if anchors == nil {
 		anchors = p.Anchors
 	}
-	b := sparse.NewBuilder(p.G1.NodeCount(p.AnchorType), p.G2.NodeCount(p.AnchorType))
+	return AnchorMatrix(p.G1.NodeCount(p.AnchorType), p.G2.NodeCount(p.AnchorType), anchors)
+}
+
+// AnchorMatrix returns the n1×n2 0/1 matrix of the given anchors, for a
+// caller that knows the two anchor-type node counts but holds no pair.
+func AnchorMatrix(n1, n2 int, anchors []Anchor) *sparse.CSR {
+	b := sparse.NewBuilder(n1, n2)
 	for _, a := range anchors {
 		b.Add(a.I, a.J, 1)
 	}

@@ -20,6 +20,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/activeiter/activeiter/internal/sparse"
 )
@@ -76,6 +77,17 @@ type Network struct {
 	adjCache  map[LinkType]*sparse.CSR
 	nodeOrder []NodeType // registration order, for deterministic iteration
 	linkOrder []LinkType
+	// fp memoises Fingerprint; every mutation clears it (mutated).
+	fp atomic.Pointer[uint64]
+}
+
+// mutated forgets the memoised fingerprint. The load keeps a network
+// under construction, whose fingerprint nobody has asked for, off the
+// atomic store.
+func (g *Network) mutated() {
+	if g.fp.Load() != nil {
+		g.fp.Store(nil)
+	}
 }
 
 // NewNetwork returns an empty network with the given display name.
@@ -112,6 +124,7 @@ func (g *Network) AddNode(t NodeType, id string) int {
 	idx := len(nt.ids)
 	nt.ids = append(nt.ids, id)
 	nt.index[id] = idx
+	g.mutated()
 	return idx
 }
 
@@ -165,6 +178,7 @@ func (g *Network) DeclareLink(lt LinkType, src, dst NodeType) error {
 	g.table(dst)
 	g.links[lt] = &linkTable{src: src, dst: dst}
 	g.linkOrder = append(g.linkOrder, lt)
+	g.mutated()
 	return nil
 }
 
@@ -201,6 +215,7 @@ func (g *Network) AddLink(lt LinkType, from, to int) error {
 	}
 	t.from = append(t.from, from)
 	t.to = append(t.to, to)
+	g.mutated()
 	g.adjMu.Lock()
 	delete(g.adjCache, lt)
 	g.adjMu.Unlock()
@@ -264,8 +279,14 @@ func (g *Network) Links(lt LinkType, fn func(from, to int)) {
 // length-delimited primitives. Two structurally identical networks
 // fingerprint identically across processes (no map iteration). Snapshot
 // metadata and the distrib seed fingerprint both store it, so the layout
-// is frozen: changing it invalidates written artifacts.
+// is frozen: changing it invalidates written artifacts. The hash walks
+// every ID and edge a byte at a time, so it is computed once and kept
+// until the next AddNode, DeclareLink or AddLink; like Adjacency it is
+// safe for concurrent use on a network that is no longer being mutated.
 func (g *Network) Fingerprint() uint64 {
+	if p := g.fp.Load(); p != nil {
+		return *p
+	}
 	h := fnv.New64a()
 	var num [8]byte
 	writeInt := func(v int64) {
@@ -298,7 +319,9 @@ func (g *Network) Fingerprint() uint64 {
 			writeInt(int64(t.to[k]))
 		}
 	}
-	return h.Sum64()
+	sum := h.Sum64()
+	g.fp.Store(&sum)
+	return sum
 }
 
 // Neighbors returns the distinct out-neighbors of node (src-type, idx)

@@ -258,3 +258,103 @@ func mustLink(t *testing.T, g *Network, lt LinkType, from, to int) {
 		t.Fatalf("AddLink(%s,%d,%d): %v", lt, from, to, err)
 	}
 }
+
+// TestFingerprintMemoised: the memoised fingerprint is the structural
+// hash — a structurally equal network built apart agrees with it on the
+// first and on every later call — every kind of mutation clears it, and
+// a mutation that changes nothing (re-adding a node, redeclaring a link)
+// leaves it alone.
+func TestFingerprintMemoised(t *testing.T) {
+	build := func() *Network {
+		g := NewSocialNetwork("net")
+		for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}} {
+			if err := g.AddLinkByID(Follow, e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.AddLinkByID(Write, "a", "p0"); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g, twin := build(), build()
+	first := g.Fingerprint()
+	if again := g.Fingerprint(); again != first || twin.Fingerprint() != first {
+		t.Fatalf("fingerprint %#x, memoised %#x, structural twin %#x", first, again, twin.Fingerprint())
+	}
+
+	g.AddNode(User, "a") // already there
+	if err := g.DeclareLink(Follow, User, User); err != nil {
+		t.Fatal(err)
+	}
+	if g.Fingerprint() != first {
+		t.Fatal("a no-op mutation moved the fingerprint")
+	}
+
+	prev := first
+	moved := func(what string) {
+		t.Helper()
+		got := g.Fingerprint()
+		if got == prev {
+			t.Fatalf("fingerprint unchanged after %s", what)
+		}
+		prev = got
+	}
+	g.AddNode(User, "d")
+	moved("AddNode")
+	if err := g.DeclareLink("mentions", Post, User); err != nil {
+		t.Fatal(err)
+	}
+	moved("DeclareLink")
+	if err := g.AddLink(Follow, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	moved("AddLink")
+	if err := g.AddLinkByID(Follow, "d", "e"); err != nil {
+		t.Fatal(err)
+	}
+	moved("AddLinkByID")
+
+	// The same edits on the twin land on the same hash: the memo never
+	// outlives the structure it was computed from.
+	twin.AddNode(User, "d")
+	if err := twin.DeclareLink("mentions", Post, User); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.AddLink(Follow, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.AddLinkByID(Follow, "d", "e"); err != nil {
+		t.Fatal(err)
+	}
+	if twin.Fingerprint() != prev {
+		t.Fatalf("twin after the same edits: %#x, want %#x", twin.Fingerprint(), prev)
+	}
+}
+
+// TestFingerprintConcurrentReaders: many goroutines asking a built
+// network for its fingerprint at once — the first of them computing it —
+// agree, and the race detector has nothing to say.
+func TestFingerprintConcurrentReaders(t *testing.T) {
+	g := NewSocialNetwork("net")
+	for i := 0; i < 200; i++ {
+		if err := g.AddLinkByID(Follow, string(rune('a'+i%26)), string(rune('a'+(i*7)%26))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = g.Fingerprint()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("reader %d saw %#x, reader 0 %#x", i, got[i], got[0])
+		}
+	}
+}

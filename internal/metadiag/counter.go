@@ -68,10 +68,20 @@ type inflight struct {
 // attribute-only (anchor-free) count cache. Every Fork of a counter
 // points at the same sharedState, so Lemma-2 reuse crosses fold and
 // worker boundaries.
+//
+// A counter built from a Seed (NewSeededCounter) has no pair: its counts
+// map is the whole anchor-free layer, held under the seed's notations,
+// and dims is the index-space size of every node type those matrices
+// touch.
 type sharedState struct {
-	pair   *hetnet.AlignedPair
-	sch    *schema.Schema
-	vocabs map[hetnet.NodeType]*vocabulary
+	pair *hetnet.AlignedPair // nil on a seeded counter
+	sch  *schema.Schema
+	// anchorType and its node counts in the two networks — the anchor
+	// matrix's shape.
+	anchorType hetnet.NodeType
+	n1, n2     int
+	vocabs     map[hetnet.NodeType]*vocabulary
+	dims       map[schema.TypedNode]int // seeded counters only
 
 	adjMu    sync.RWMutex
 	adjCache map[string]*sparse.CSR // per (net, rel, orientation)
@@ -114,13 +124,16 @@ func NewCounter(pair *hetnet.AlignedPair) (*Counter, error) {
 		return nil, err
 	}
 	sh := &sharedState{
-		pair:     pair,
-		sch:      sch,
-		vocabs:   make(map[hetnet.NodeType]*vocabulary),
-		adjCache: make(map[string]*sparse.CSR),
-		counts:   make(map[string]*sparse.CSR),
-		flight:   make(map[string]*inflight),
-		prox:     make(map[*sparse.CSR]*Proximity),
+		pair:       pair,
+		sch:        sch,
+		anchorType: pair.AnchorType,
+		n1:         pair.G1.NodeCount(pair.AnchorType),
+		n2:         pair.G2.NodeCount(pair.AnchorType),
+		vocabs:     make(map[hetnet.NodeType]*vocabulary),
+		adjCache:   make(map[string]*sparse.CSR),
+		counts:     make(map[string]*sparse.CSR),
+		flight:     make(map[string]*inflight),
+		prox:       make(map[*sparse.CSR]*Proximity),
 	}
 	for _, t := range hetnet.AttributeTypes {
 		v := &vocabulary{index: make(map[string]int)}
@@ -163,7 +176,8 @@ func (c *Counter) Fork() *Counter {
 // Schema returns the derived aligned network schema.
 func (c *Counter) Schema() *schema.Schema { return c.sh.sch }
 
-// Pair returns the underlying aligned pair.
+// Pair returns the underlying aligned pair; nil on a counter built from
+// a seed, which holds none.
 func (c *Counter) Pair() *hetnet.AlignedPair { return c.sh.pair }
 
 // Stats returns cumulative evaluation statistics for this counter (a
@@ -179,7 +193,10 @@ func (c *Counter) Stats() Stats {
 // Attribute-only counts in the shared layer survive. SetAnchors must be
 // externally synchronized with Count on the same counter.
 func (c *Counter) SetAnchors(anchors []hetnet.Anchor) {
-	am := c.sh.pair.AnchorMatrix(anchors)
+	if anchors == nil && c.sh.pair != nil {
+		anchors = c.sh.pair.Anchors // nil means the pair's full set, as for AlignedPair.AnchorMatrix
+	}
+	am := hetnet.AnchorMatrix(c.sh.n1, c.sh.n2, anchors)
 	amT := am.T()
 	c.mu.Lock()
 	c.anchor = am
@@ -195,18 +212,6 @@ func (c *Counter) VocabSize(t hetnet.NodeType) int {
 		return len(v.ids)
 	}
 	return 0
-}
-
-// dim returns the index-space size of a typed node.
-func (c *Counter) dim(n schema.TypedNode) int {
-	switch n.Net {
-	case schema.Net1:
-		return c.sh.pair.G1.NodeCount(n.Type)
-	case schema.Net2:
-		return c.sh.pair.G2.NodeCount(n.Type)
-	default:
-		return c.VocabSize(n.Type)
-	}
 }
 
 // net returns the concrete network for a reference.
@@ -375,7 +380,32 @@ func (c *Counter) eval(d schema.Diagram) (*sparse.CSR, error) {
 	if UsesAnchor(d) {
 		return c.evalIn(d, key, &c.mu, c.counts, c.flight, &c.anchorGen)
 	}
+	if c.sh.pair == nil {
+		return c.seeded(d, key)
+	}
 	return c.evalIn(d, key, &c.sh.mu, c.sh.counts, c.sh.flight, nil)
+}
+
+// seeded answers an anchor-free diagram on a counter built from a seed.
+// The seed is that counter's whole shared layer: a notation it does not
+// hold is an error naming it — never a recount, there is no network to
+// recount from, and never a zero matrix. The shape is checked against
+// the diagram's own endpoints, so a seed that filed a matrix under the
+// wrong notation fails here instead of inside the multiply that reads it.
+func (c *Counter) seeded(d schema.Diagram, key string) (*sparse.CSR, error) {
+	c.sh.mu.Lock()
+	m, ok := c.sh.counts[key]
+	c.sh.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("metadiag: seed holds no matrix for %q", key)
+	}
+	if r, cl := m.Dims(); r != c.sh.dims[d.Source()] || cl != c.sh.dims[d.Sink()] {
+		return nil, fmt.Errorf("metadiag: seed matrix %q is %dx%d, its endpoints %s and %s are %d and %d",
+			key, r, cl, d.Source(), d.Sink(), c.sh.dims[d.Source()], c.sh.dims[d.Sink()])
+	}
+	c.hits.Add(1)
+	mCacheHits.Inc()
+	return m, nil
 }
 
 // evalIn answers key from one cache layer with per-notation

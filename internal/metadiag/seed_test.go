@@ -1,10 +1,12 @@
 package metadiag
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/datagen"
+	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/schema"
 )
 
@@ -213,5 +215,97 @@ func TestWarmIsTheEvaluationHalfOfExportSeed(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("feature %s: count raced against Warm differs", f.ID)
 		}
+	}
+}
+
+// A counter built from a seed is a counter: it holds no pair, re-exports
+// exactly the seed it was built from (the same matrices, so the same
+// arrays), and Warm on it evaluates nothing.
+func TestSeededCounterReexportsItsSeed(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := schema.StandardLibrary().All()
+	base, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := base.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed.N1 != 60 || seed.N2 != 64 || seed.AnchorType != pair.AnchorType || len(seed.Adjacency) == 0 {
+		t.Fatalf("seed dimensions %d×%d of %q, %d adjacency entries", seed.N1, seed.N2, seed.AnchorType, len(seed.Adjacency))
+	}
+	c, err := NewSeededCounter(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Pair() != nil {
+		t.Fatal("seeded counter holds a pair")
+	}
+	again, err := c.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, seed) {
+		t.Fatal("a seeded counter re-exports a different seed")
+	}
+	if evals := c.Stats().Evaluations; evals != 0 {
+		t.Fatalf("exporting from a seeded counter evaluated %d sub-diagrams", evals)
+	}
+}
+
+// A matrix filed under another notation passes the install when its
+// declared endpoints fit its shape, and is refused by the Count that
+// reads it: the diagram's own endpoints say what shape it must have.
+func TestSeededCounterRefusesMisfiledMatrix(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := schema.StandardLibrary().All()
+	base, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := base.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1 := schema.Fwd(hetnet.Follow, schema.User1(), schema.User1()).Notation()
+	f2 := schema.Fwd(hetnet.Follow, schema.User2(), schema.User2()).Notation()
+	bad := *seed
+	bad.Adjacency = append([]SeedEntry(nil), seed.Adjacency...)
+	var i1, i2 = -1, -1
+	for i, e := range bad.Adjacency {
+		switch e.Key {
+		case f1:
+			i1 = i
+		case f2:
+			i2 = i
+		}
+	}
+	if i1 < 0 || i2 < 0 {
+		t.Fatalf("seed lacks the follow adjacencies %q, %q", f1, f2)
+	}
+	bad.Adjacency[i1].Key, bad.Adjacency[i2].Key = f2, f1 // 60×60 under user(2)'s key and the reverse
+	c, err := NewSeededCounter(&bad)
+	if err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	c.SetAnchors(pair.Anchors)
+	var refused int
+	for _, f := range feats {
+		if _, err := c.Count(f.D); err != nil {
+			if !strings.Contains(err.Error(), "60x60") && !strings.Contains(err.Error(), "64x64") {
+				t.Fatalf("feature %s: %v", f.ID, err)
+			}
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no Count refused the misfiled adjacency")
 	}
 }

@@ -21,7 +21,10 @@ package multinet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
 )
@@ -254,6 +257,14 @@ func (r *Reconciler) Finish() (clusters []Cluster, rejected int) {
 		delete(census, rb)
 	}
 
+	// Each cluster's key is built once and the sort compares the stored
+	// strings: the order is clusterKey's byte-wise one ("1:10;" before
+	// "1:9;"), and clusters share no member, so no two keys are equal.
+	type keyed struct {
+		key string
+		c   Cluster
+	}
+	var byKey []keyed
 	for root, c := range census {
 		if find(root) != root || len(c) < 2 {
 			continue
@@ -262,11 +273,13 @@ func (r *Reconciler) Finish() (clusters []Cluster, rejected int) {
 		for net, user := range c {
 			members[net] = user
 		}
-		clusters = append(clusters, Cluster{Members: members})
+		cl := Cluster{Members: members}
+		byKey = append(byKey, keyed{clusterKey(cl), cl})
 	}
-	sort.Slice(clusters, func(a, b int) bool {
-		return clusterKey(clusters[a]) < clusterKey(clusters[b])
-	})
+	slices.SortFunc(byKey, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for _, k := range byKey {
+		clusters = append(clusters, k.c)
+	}
 	return clusters, rejected
 }
 
@@ -288,11 +301,14 @@ func clusterKey(c Cluster) string {
 		nets = append(nets, n)
 	}
 	sort.Ints(nets)
-	key := ""
+	var key []byte
 	for _, n := range nets {
-		key += fmt.Sprintf("%d:%d;", n, c.Members[n])
+		key = strconv.AppendInt(key, int64(n), 10)
+		key = append(key, ':')
+		key = strconv.AppendInt(key, int64(c.Members[n]), 10)
+		key = append(key, ';')
 	}
-	return key
+	return string(key)
 }
 
 // PairLinks extracts the (i, j) correspondences implied by the clusters

@@ -23,6 +23,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
 )
@@ -172,6 +173,17 @@ func (s *Schema) Relations() []hetnet.LinkType {
 		out = append(out, lt)
 	}
 	sortLinkTypes(out)
+	return out
+}
+
+// AttributeTypes returns the shared attribute node types in
+// lexicographic order.
+func (s *Schema) AttributeTypes() []hetnet.NodeType {
+	out := make([]hetnet.NodeType, 0, len(s.attrTypes))
+	for t := range s.attrTypes {
+		out = append(out, t)
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -32,8 +32,8 @@ func FromRaw(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) 
 	}
 	for i := 0; i < rows; i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
-		if lo > hi {
-			return nil, fmt.Errorf("sparse: FromRaw rowPtr decreases at row %d", i)
+		if lo > hi || hi > len(val) {
+			return nil, fmt.Errorf("sparse: FromRaw rowPtr decreases at row %d or overruns %d entries", i, len(val))
 		}
 		prev := -1
 		for k := lo; k < hi; k++ {

@@ -58,4 +58,10 @@ func TestFromRawRejectsHostileInput(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "decreases") {
 		t.Errorf("decreasing rowPtr: %v", err)
 	}
+	// An interior rowPtr past the entries, consistent endpoints again: the
+	// row must be refused before its columns are read.
+	_, err = FromRaw(2, 2, []int{0, 9, 2}, []int{0, 1}, []float64{1, 1})
+	if err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Errorf("overrunning rowPtr: %v", err)
+	}
 }
