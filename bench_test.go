@@ -9,6 +9,7 @@ package activeiter
 // are `go run ./bench` workloads, not benchmarks here.
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -399,6 +400,60 @@ func BenchmarkHadamard(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sparse.Hadamard(short, long)
+			}
+		})
+	}
+}
+
+// BenchmarkWarmRecount is the anchor layer's share of one warm fold on
+// the `default`-shaped pair of `go run ./bench` (bench/config.go, seed
+// 101): SetAnchors(fold) → Recompute → FeatureMatrix(pool) on a counter
+// whose attribute layer is cached, with one fold of ten labelled (what
+// the benchmark's workloads run) and with nine (cmd/experiments at
+// γ = 0.9).
+func BenchmarkWarmRecount(b *testing.B) {
+	pair, err := datagen.Generate(datagen.Config{
+		Users1: 1045, Users2: 1078, AnchorCount: 656,
+		AvgFollows1: 31.6, AvgFollows2: 14.3,
+		EdgeKeep1: 0.7, EdgeKeep2: 0.6, NoiseEdgeFrac: 0.2,
+		PostsPerUser1: 10, PostsPerUser2: 6,
+		Locations: 900, TimeBuckets: 96,
+		Words: 800, WordsPerPost: 2,
+		RoutineSize: 3, Dislocation: 0.35, ZipfS: 1.4,
+		CommunityCombos: 80, CommunityShare: 0.5,
+		Seed: 101,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(101))
+	anchors := append([]Anchor(nil), pair.Anchors...)
+	rng.Shuffle(len(anchors), func(i, j int) { anchors[i], anchors[j] = anchors[j], anchors[i] })
+	neg, err := eval.SampleNegatives(pair, 10*len(anchors), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := append(append([]Anchor(nil), anchors...), neg...)
+	counter, err := metadiag.NewCounter(pair)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := metadiag.NewExtractor(counter, schema.StandardLibrary().All(), true)
+	if err := ext.Recompute(); err != nil { // warms the attribute layer
+		b.Fatal(err)
+	}
+	fold := len(anchors) / 10
+	for _, labelled := range [][]Anchor{anchors[:fold], anchors[fold:]} {
+		b.Run(fmt.Sprintf("anchors=%d/pool=%d", len(labelled), len(pool)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				counter.SetAnchors(labelled)
+				if err := ext.Recompute(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ext.FeatureMatrix(pool); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

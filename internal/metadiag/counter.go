@@ -350,14 +350,10 @@ func (c *Counter) Count(d schema.Diagram) (*sparse.CSR, error) {
 	return c.eval(d)
 }
 
-// eval routes a sub-diagram to the appropriate cache layer: anchor-free
-// diagrams to the shared layer (reused across every fork and anchor
-// set), anchor-dependent ones to this counter's private layer.
-func (c *Counter) eval(d schema.Diagram) (*sparse.CSR, error) {
-	// Normalize wrappers that share their notation with their content — a
-	// MetaPath with its Series form, a single-part Series or Parallel
-	// with its part — before keying, so the single-flight never waits on
-	// an entry registered by its own evaluation.
+// unwrap strips the wrappers that share their notation with their
+// content — a MetaPath with its Series form, a single-part Series or
+// Parallel with its part.
+func unwrap(d schema.Diagram) schema.Diagram {
 	for {
 		switch v := d.(type) {
 		case schema.MetaPath:
@@ -374,8 +370,17 @@ func (c *Counter) eval(d schema.Diagram) (*sparse.CSR, error) {
 				continue
 			}
 		}
-		break
+		return d
 	}
+}
+
+// eval routes a sub-diagram to the appropriate cache layer: anchor-free
+// diagrams to the shared layer (reused across every fork and anchor
+// set), anchor-dependent ones to this counter's private layer.
+func (c *Counter) eval(d schema.Diagram) (*sparse.CSR, error) {
+	// Keyed under the unwrapped form, so the single-flight never waits on
+	// an entry registered by its own evaluation.
+	d = unwrap(d)
 	key := d.Notation()
 	if UsesAnchor(d) {
 		return c.evalIn(d, key, &c.mu, c.counts, c.flight, &c.anchorGen)

@@ -3,7 +3,9 @@ package metadiag
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/linalg"
@@ -16,14 +18,80 @@ import (
 // optional trailing bias feature fixed at 1 (the paper's "dummy feature"
 // absorbing the intercept b into w).
 //
+// A feature whose diagram has the library's anchor-dependent shape
+// (factorise) is held factored: Recompute counts its thin pre∘anchor
+// factor and its marginals, FeatureMatrix and FeatureVector its cells at
+// the links they are asked for, and no anchor-path product or stacking
+// is built. Any other feature goes through Counter.Proximity.
+//
 // After Recompute (or the first lazy computation), FeatureVector and
 // FeatureMatrix are safe for concurrent use; Recompute itself must be
 // externally synchronized with readers.
 type Extractor struct {
 	counter *Counter
 	feats   []schema.Named
-	prox    []*Proximity
 	bias    bool
+
+	// What Recompute leaves, nil until it has succeeded: every feature's
+	// cells and normaliser, the distinct matrices those cells are read
+	// from, and the user pair space they all span.
+	prox       []feature
+	products   []*product
+	counts     []*sparse.CSR
+	rows, cols int
+}
+
+// feature is one proximity as the fill reads it. Its count at (i, j) is
+// the product of the cells it names — products[prod]'s, when prod ≥ 0,
+// times counts[stack]'s, when stack ≥ 0 — so a product shared by several
+// features is evaluated once per link, and so is a stored count, whether
+// it is a materialised feature's own or stacked on a product.
+type feature struct {
+	prod, stack      int
+	rowSums, colSums []float64
+}
+
+// product is one distinct anchor-path product x·y of the fold, with the
+// distinct counts ds some feature stacks on it and the marginals of each
+// form: rowSums[0] of x·y itself, rowSums[1+k] of (x·y) ⊙ ds[k].
+type product struct {
+	x, y             *sparse.CSR
+	ds               []*sparse.CSR
+	rowSums, colSums [][]float64
+}
+
+// marginals computes p's row and column sums: two matvecs for the bare
+// product, X·(Y·1) and (1ᵀX)·Y, and one walk of the product's terms for
+// everything stacked on it.
+func (p *product) marginals() {
+	rs, cs := sparse.MatMulMarginals(p.x, p.y, p.ds)
+	p.rowSums = append([][]float64{p.x.MulVec(p.y.RowSums())}, rs...)
+	p.colSums = append([][]float64{p.y.TMulVec(p.x.ColSums())}, cs...)
+}
+
+// fanOut runs fn(0), …, fn(n-1) on up to GOMAXPROCS goroutines, each
+// taking the next index as it finishes one, and returns when all are
+// done.
+func fanOut(n int, fn func(k int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			fn(k)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				fn(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // NewExtractor prepares an extractor for the given features. Proximity
@@ -53,47 +121,74 @@ func (e *Extractor) Names() []string {
 	return out
 }
 
-// Recompute (re)evaluates every diagram's proximity structure against
-// the counter's current anchor set, fanning the diagrams out across
-// GOMAXPROCS workers — the counter's single-flight cache deduplicates
-// shared sub-diagrams between them. Attribute-only diagrams are
-// answered from the counter's shared cache; anchor-dependent ones are
-// recounted.
+// Recompute (re)evaluates every feature against the counter's current
+// anchor set, fanning the diagrams out across GOMAXPROCS workers — the
+// counter's single-flight cache deduplicates shared sub-diagrams between
+// them. Attribute-only diagrams are answered from the counter's shared
+// cache. An anchor-dependent one of the factored shape costs its thin
+// factor and its marginals: the distinct products are walked side by
+// side, each serially, so no sum depends on GOMAXPROCS. It needs no
+// candidate pool. On an error the extractor is left with no proximities
+// at all — never the previous anchor set's.
 func (e *Extractor) Recompute() error {
-	prox := make([]*Proximity, len(e.feats))
+	e.prox, e.products, e.counts = nil, nil, nil
+	mats, facs := make([]*Proximity, len(e.feats)), make([]*factored, len(e.feats))
 	errs := make([]error, len(e.feats))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(e.feats) {
-		workers = len(e.feats)
-	}
-	if workers <= 1 {
-		for k, f := range e.feats {
-			p, err := e.counter.Proximity(f.D)
-			if err != nil {
-				return fmt.Errorf("metadiag: feature %s: %w", f.ID, err)
-			}
-			prox[k] = p
-		}
-		e.prox = prox
-		return nil
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for k := range e.feats {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			prox[k], errs[k] = e.counter.Proximity(e.feats[k].D)
-		}(k)
-	}
-	wg.Wait()
+	fanOut(len(e.feats), func(k int) { mats[k], facs[k], errs[k] = e.counter.form(e.feats[k].D) })
 	for k, err := range errs {
 		if err != nil {
 			return fmt.Errorf("metadiag: feature %s: %w", e.feats[k].ID, err)
 		}
 	}
+	productOf, countOf := make(map[[2]*sparse.CSR]int), make(map[*sparse.CSR]int)
+	count := func(m *sparse.CSR) int {
+		c, ok := countOf[m]
+		if !ok {
+			c = len(e.counts)
+			countOf[m], e.counts = c, append(e.counts, m)
+		}
+		return c
+	}
+	prox := make([]feature, len(e.feats))
+	factoredN := 0
+	for k, f := range facs {
+		if f == nil {
+			m := mats[k]
+			prox[k] = feature{prod: -1, stack: count(m.Counts), rowSums: m.RowSums, colSums: m.ColSums}
+			continue
+		}
+		factoredN++
+		p, ok := productOf[[2]*sparse.CSR{f.x, f.y}]
+		if !ok {
+			p = len(e.products)
+			productOf[[2]*sparse.CSR{f.x, f.y}], e.products = p, append(e.products, &product{x: f.x, y: f.y})
+		}
+		prox[k] = feature{prod: p, stack: -1}
+		if f.d != nil {
+			prox[k].stack = count(f.d)
+			if pr := e.products[p]; !slices.Contains(pr.ds, f.d) {
+				pr.ds = append(pr.ds, f.d)
+			}
+		}
+	}
+	fanOut(len(e.products), func(p int) { e.products[p].marginals() })
+	for k, f := range facs {
+		if f != nil {
+			// Slot 0 is the bare product's; a nil d is in no ds.
+			pr := e.products[prox[k].prod]
+			slot := 1 + slices.Index(pr.ds, f.d)
+			prox[k].rowSums, prox[k].colSums = pr.rowSums[slot], pr.colSums[slot]
+		}
+	}
+	if len(prox) > 0 {
+		if m := mats[0]; m != nil {
+			e.rows, e.cols = m.Counts.Dims()
+		} else {
+			e.rows, e.cols = facs[0].x.Rows(), facs[0].y.Cols()
+		}
+	}
+	mProximitiesFactored.Add(int64(factoredN))
+	mProximitiesMaterialised.Add(int64(len(prox) - factoredN))
 	e.prox = prox
 	return nil
 }
@@ -106,8 +201,41 @@ func (e *Extractor) ready() error {
 	return nil
 }
 
+// fill writes the scores of link (i, j), which must lie inside the pair
+// space, into out[:len(e.feats)]; cells is scratch for one value per
+// product and per count. Each distinct product costs one dot product
+// Σₐ x(i,a)·y(a,j), each distinct count one position probe, and every
+// feature is the product of at most two of those numbers over its own
+// normaliser.
+func (e *Extractor) fill(i, j int, out, cells []float64) {
+	pv, cv := cells[:len(e.products)], cells[len(e.products):]
+	for p, xy := range e.products {
+		pv[p] = sparse.MatMulAt(xy.x, xy.y, i, j)
+	}
+	for c, m := range e.counts {
+		cv[c] = m.At(i, j)
+	}
+	for k := range e.prox {
+		f := &e.prox[k]
+		cnt := 1.0
+		if f.prod >= 0 {
+			cnt = pv[f.prod]
+		}
+		if f.stack >= 0 {
+			cnt *= cv[f.stack]
+		}
+		out[k] = 0
+		if cnt != 0 {
+			if denom := f.rowSums[i] + f.colSums[j]; denom > 0 {
+				out[k] = 2 * cnt / denom
+			}
+		}
+	}
+}
+
 // FeatureVector writes the feature vector of candidate link (i, j) into
-// out, which must have length Dim().
+// out, which must have length Dim(). A link outside the pair space
+// scores 0 on every diagram.
 func (e *Extractor) FeatureVector(i, j int, out []float64) error {
 	if err := e.ready(); err != nil {
 		return err
@@ -115,8 +243,10 @@ func (e *Extractor) FeatureVector(i, j int, out []float64) error {
 	if len(out) != e.Dim() {
 		return fmt.Errorf("metadiag: FeatureVector buffer length %d, want %d", len(out), e.Dim())
 	}
-	for k, p := range e.prox {
-		out[k] = p.Score(i, j)
+	if i < 0 || i >= e.rows || j < 0 || j >= e.cols {
+		clear(out)
+	} else {
+		e.fill(i, j, out, make([]float64, len(e.products)+len(e.counts)))
 	}
 	if e.bias {
 		out[len(out)-1] = 1
@@ -125,21 +255,18 @@ func (e *Extractor) FeatureVector(i, j int, out []float64) error {
 }
 
 // featureMatrixParallelThreshold is the candidate count below which the
-// per-goroutine overhead outweighs feature-level fan-out.
+// per-goroutine overhead outweighs fanning the pool out.
 const featureMatrixParallelThreshold = 512
 
 // FeatureMatrix builds the design matrix X for a candidate link list:
-// row k holds the features of pairs[k]. This is the matrix the ridge
-// step (1-1) and the SVM baselines consume.
+// row k holds the features of pairs[k], exactly FeatureVector's. This is
+// the matrix the ridge step (1-1) and the SVM baselines consume.
 //
-// Every cell is one position probe into the proximity's count matrix
-// (sparse.CSR.At): O(1) through the rank index a stacking left on a
-// dense attribute count, a binary search within a short anchor-path row
-// otherwise — the fill costs the pool, not the count matrices it reads.
-// The pool is visited grouped by row, so consecutive probes share the
-// row's cache lines. Large pools fan the proximities out across
-// GOMAXPROCS workers. The result is identical to row-by-row
-// FeatureVector construction.
+// The fill costs the pool, not the count matrices it reads, and for a
+// factored feature there is no count matrix: its cell is evaluated from
+// the factors at the pool's links only (see fill). The pool is visited
+// grouped by row, so consecutive links share the rows' cache lines, and
+// large pools are cut into contiguous runs across GOMAXPROCS workers.
 func (e *Extractor) FeatureMatrix(pairs []hetnet.Anchor) (*linalg.Dense, error) {
 	if err := e.ready(); err != nil {
 		return nil, err
@@ -157,51 +284,28 @@ func (e *Extractor) FeatureMatrix(pairs []hetnet.Anchor) (*linalg.Dense, error) 
 	if len(e.prox) == 0 {
 		return x, nil
 	}
-	order, err := byRow(pairs, e.prox[0].Counts)
+	order, err := byRow(pairs, e.rows, e.cols)
 	if err != nil {
 		return nil, err
 	}
-	fill := func(feat int) {
-		p := e.prox[feat]
-		for _, k := range order {
-			l := pairs[k]
-			if cnt := p.Counts.At(l.I, l.J); cnt != 0 {
-				if denom := p.RowSums[l.I] + p.ColSums[l.J]; denom > 0 {
-					x.Set(int(k), feat, 2*cnt/denom)
-				}
-			}
+	runs := 1
+	if len(pairs) >= featureMatrixParallelThreshold {
+		runs = runtime.GOMAXPROCS(0)
+	}
+	per := (len(order) + runs - 1) / runs
+	fanOut(runs, func(r int) {
+		cells := make([]float64, len(e.products)+len(e.counts))
+		for _, k := range order[min(r*per, len(order)):min((r+1)*per, len(order))] {
+			e.fill(pairs[k].I, pairs[k].J, x.RowView(int(k)), cells)
 		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(e.feats) {
-		workers = len(e.feats)
-	}
-	if workers <= 1 || len(pairs) < featureMatrixParallelThreshold {
-		for feat := range e.prox {
-			fill(feat)
-		}
-		return x, nil
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for feat := range e.prox {
-		wg.Add(1)
-		go func(feat int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fill(feat)
-		}(feat)
-	}
-	wg.Wait()
+	})
 	return x, nil
 }
 
 // byRow returns the indices of pairs grouped by their row I in pool
 // order within a row (a counting sort), after checking every pair
 // against the shape all of a counter's user-to-user counts share.
-func byRow(pairs []hetnet.Anchor, counts *sparse.CSR) ([]int32, error) {
-	rows, cols := counts.Dims()
+func byRow(pairs []hetnet.Anchor, rows, cols int) ([]int32, error) {
 	start := make([]int32, rows+1)
 	for _, l := range pairs {
 		if l.I < 0 || l.I >= rows || l.J < 0 || l.J >= cols {

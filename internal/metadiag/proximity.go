@@ -89,3 +89,76 @@ func (c *Counter) Proximity(d schema.Diagram) (*Proximity, error) {
 	sh.prox[counts] = p
 	return p, nil
 }
+
+// factored is an anchor-dependent proximity held as the factors of its
+// count, (x·y) ⊙ d, and never as the count: x counts pre∘anchor through
+// the counter's anchor layer — as thin as the labelled anchor set — y
+// counts post and d, nil when nothing is stacked, the anchor-free part
+// beside them, both from the shared Lemma-2 layer (the seed, on a
+// worker). Definition 6 needs of a count its value at a candidate link,
+// its row sums and its column sums; the extractor reads all three off
+// the factors (sparse.MatMulAt, sparse.MatMulMarginals), bit for bit
+// what Counter.Proximity's materialised count gives — see the
+// integrality argument in sparse/factored.go.
+type factored struct {
+	x, y, d *sparse.CSR
+}
+
+// factorise reports whether d has the shape every anchor-dependent
+// library family has, and splits it: a Series[pre, anchor, post] with
+// one anchor-free part on each side of its one anchor edge (P1–P4,
+// Ψ^f²), alone or as the one anchor-using part of a two-part Parallel
+// (Ψ^{f,a}, Ψ^{f,a²}, Ψ^{f²,a²}), whose other part is returned as
+// stacked. head is Series[pre, anchor]. Any other shape — two anchor
+// edges, an anchor at either end, a longer prefix, a wider stack — is
+// counted materialised; like jointStack, the choice reads the shape
+// alone, before anything is evaluated.
+func factorise(d schema.Diagram) (head, post, stacked schema.Diagram, ok bool) {
+	d = unwrap(d)
+	if par, isPar := d.(schema.Parallel); isPar && len(par.Parts) == 2 {
+		d, stacked = par.Parts[0], par.Parts[1]
+		if UsesAnchor(stacked) {
+			d, stacked = stacked, d
+		}
+		if UsesAnchor(stacked) {
+			return nil, nil, nil, false
+		}
+		d = unwrap(d)
+	}
+	s, isSeries := d.(schema.Series)
+	if !isSeries || len(s.Parts) != 3 || UsesAnchor(s.Parts[0]) || UsesAnchor(s.Parts[2]) {
+		return nil, nil, nil, false
+	}
+	if e, isEdge := unwrap(s.Parts[1]).(schema.Edge); !isEdge || e.Rel != schema.Anchor {
+		return nil, nil, nil, false
+	}
+	return schema.Series{Parts: s.Parts[:2]}, s.Parts[2], stacked, true
+}
+
+// form evaluates d in the form its shape selects: the factors of a
+// diagram factorise accepts, Proximity's materialised structure for any
+// other. Exactly one of the two is non-nil on success.
+func (c *Counter) form(d schema.Diagram) (*Proximity, *factored, error) {
+	head, post, stacked, ok := factorise(d)
+	if !ok {
+		p, err := c.Proximity(d)
+		return p, nil, err
+	}
+	if err := d.Validate(c.sh.sch); err != nil {
+		return nil, nil, err
+	}
+	f := new(factored)
+	var err error
+	if f.x, err = c.eval(head); err != nil {
+		return nil, nil, err
+	}
+	if f.y, err = c.eval(post); err != nil {
+		return nil, nil, err
+	}
+	if stacked != nil {
+		if f.d, err = c.eval(stacked); err != nil {
+			return nil, nil, err
+		}
+	}
+	return nil, f, nil
+}

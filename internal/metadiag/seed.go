@@ -69,24 +69,7 @@ func (s *Seed) NNZ() int {
 // that is a bare Edge — an adjacency the fork multiplies as it is —
 // goes to edges, every other to counts.
 func collectSeedDiagrams(d schema.Diagram, counts, edges map[string]schema.Diagram) {
-	for {
-		switch v := d.(type) {
-		case schema.MetaPath:
-			d = v.AsDiagram()
-			continue
-		case schema.Series:
-			if len(v.Parts) == 1 {
-				d = v.Parts[0]
-				continue
-			}
-		case schema.Parallel:
-			if len(v.Parts) == 1 {
-				d = v.Parts[0]
-				continue
-			}
-		}
-		break
-	}
+	d = unwrap(d)
 	if !UsesAnchor(d) {
 		if _, isEdge := d.(schema.Edge); isEdge {
 			edges[d.Notation()] = d

@@ -43,8 +43,8 @@ func (m *CSR) Cols() int { return m.cols }
 func (m *CSR) NNZ() int { return len(m.val) }
 
 // At returns the value at (i, j), zero when no entry is stored: one
-// position probe — O(1) on a matrix a stacking has given a rank index,
-// a binary search within row i otherwise.
+// position probe — O(1) on a matrix a probing kernel has given a rank
+// index (rank.go), a binary search within row i otherwise.
 func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))

@@ -150,10 +150,13 @@ func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []i
 // "both path patterns present" semantics of meta diagram stacking. The
 // output is sized once from Σᵢ min(|aᵢ|, |bᵢ|). Where the longer row of a
 // pair belongs to a matrix with a rank index, each entry of the shorter
-// row is one O(1) probe into it, so stacking a fold's sparse anchor-path
-// count on a dense attribute count costs what the fold owns, not the
-// attribute matrix; any other pair is intersected by a two-pointer merge.
-// Products commute, so both regimes store the same floats.
+// row is one O(1) probe into it, so stacking a sparse count on a dense
+// one costs the sparse side; any other pair is intersected by a
+// two-pointer merge. Products commute, so both regimes store the same
+// floats. This is the general stacking: the shared attribute layer and
+// any diagram off the library's anchor shape go through it, while a
+// fold's anchor-path stackings are read through their factors
+// (factored.go) and never built.
 func Hadamard(a, b *CSR) *CSR {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("sparse: Hadamard shape mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))

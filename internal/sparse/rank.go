@@ -17,15 +17,18 @@ type rankIndex struct {
 }
 
 // rank returns m's rank index, building it on first call, or nil for a
-// matrix the rule excludes. Hadamard calls it for the longer side of a
-// stacking; the point probes below read an index that exists and never
-// build one, since a single lookup does not pay for a pass over the
-// matrix. The rule reads the matrix alone: an index
-// pays for its words when the matrix stores at least one entry per
-// 64-column word on average, nnz·64 ≥ rows·cols — true of the attribute
-// counts every fold stacks on (57 % dense), false of a sparse anchor-path
-// count. A CSR is immutable, so the verdict and the index are never
-// invalidated; concurrent first users build it once.
+// matrix the rule excludes. What builds one is a kernel about to make
+// many probes: the marginal walk for every count stacked on a product
+// (MatMulMarginals — on the training path the first user of an
+// attribute count), Hadamard for the longer side of a stacking. The
+// point probes below — At, MatMulAt — read an index that exists and
+// never build one, since a single lookup does not pay for a pass over
+// the matrix. The rule reads the matrix alone: an index pays for
+// its words when the matrix stores at least one entry per 64-column word
+// on average, nnz·64 ≥ rows·cols — true of the attribute counts every
+// fold stacks on (57 % dense), false of a sparse follow adjacency or a
+// fold's thin pre∘anchor factor. A CSR is immutable, so the verdict and
+// the index are never invalidated; concurrent first users build it once.
 func (m *CSR) rank() *rankIndex {
 	m.rankOnce.Do(func() {
 		if len(m.val) == 0 || m.cols > math.MaxUint32 || float64(len(m.val))*64 < float64(m.rows)*float64(m.cols) {
@@ -62,10 +65,10 @@ func (r *rankIndex) offset(i, j int) int {
 }
 
 // position returns the index into colIdx/val at which (i, j) is stored,
-// or -1 — the point probe behind At and so behind the feature fill:
-// rankIndex.offset, as in Hadamard's probing regime, where a stacking
-// has left the matrix an index, a binary search within the row
-// otherwise. i and j must be in range.
+// or -1 — the point probe behind At and MatMulAt and so behind the
+// feature fill: rankIndex.offset where a probing kernel has left the
+// matrix an index, a binary search within the row otherwise. i and j
+// must be in range.
 func (m *CSR) position(i, j int) int {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	if r := m.rankIdx.Load(); r != nil {

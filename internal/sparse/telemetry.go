@@ -10,6 +10,12 @@ import "github.com/activeiter/activeiter/internal/telemetry"
 var mSpgemmFlops = telemetry.Default.Counter("activeiter_spgemm_flops_total",
 	"Gustavson SpGEMM multiply-adds performed by meta-diagram chain products.")
 
+// mMarginalFlops is the same count for the products MatMulMarginals
+// walks without building — a fold's anchor-path products since the
+// extractor holds them factored, work the counter above no longer sees.
+var mMarginalFlops = telemetry.Default.Counter("activeiter_marginal_walk_flops_total",
+	"Gustavson multiply-adds of anchor-path products walked for their stacked marginals, never built.")
+
 // Which regime intersected each non-empty row pair of every Hadamard,
 // and how many rank indexes were built for the probing one. Hadamard
 // tallies its rows locally and adds once per call.
