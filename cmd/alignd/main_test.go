@@ -121,8 +121,8 @@ func TestFlagValidation(t *testing.T) {
 	// sections) is that same refusal, naming both versions.
 	v2 := filepath.Join("..", "..", "internal", "snapshot", "testdata", "snapshot_v2.golden")
 	err = run([]string{"-snapshot", v2, "-check"}, new(bytes.Buffer), new(bytes.Buffer))
-	if !errors.Is(err, snapshot.ErrVersionMismatch) || !strings.Contains(err.Error(), "got 2, want 3") {
-		t.Errorf("v2 artifact: got %v, want ErrVersionMismatch naming got 2, want 3", err)
+	if want := fmt.Sprintf("got 2, want %d", snapshot.Version); !errors.Is(err, snapshot.ErrVersionMismatch) || !strings.Contains(err.Error(), want) {
+		t.Errorf("v2 artifact: got %v, want ErrVersionMismatch naming %s", err, want)
 	}
 }
 

@@ -8,9 +8,10 @@
 // The router discovers each backend's owned range from its /statusz
 // shard block (a backend with no shard block owns the full range), so
 // resharding means redeploying alignd processes, not reconfiguring the
-// router. Net-1 lookups are routed to the owning shard and proxied
-// verbatim; net-2 reverse lookups fan out to one replica per range and
-// merge; errors are delegated so even error bodies stay canonical.
+// router. Net-1 lookups are routed to the owning shard and net-2
+// reverse lookups to any replica (every shard carries the whole net-2
+// read side); either way one backend's answer is proxied verbatim, and
+// errors are delegated so even error bodies stay canonical.
 // POST /v1/reload rolls the fleet one replica at a time, unhealthy
 // first, polling each back to readiness before the next.
 //

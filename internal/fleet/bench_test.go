@@ -47,9 +47,10 @@ func BenchmarkRouterHop(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterFanout is the expensive path: a net-2 candidates
-// lookup that fans out to both shards and merges the lists.
-func BenchmarkRouterFanout(b *testing.B) {
+// BenchmarkRouterNet2 is a net-2 candidates lookup through the same
+// fleet: no resolve, one verbatim hop to any replica, since every shard
+// carries the whole net-2 read side.
+func BenchmarkRouterNet2(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	parent := randomSnapshot(b, rng, 64, 64, 4)
 	srv, _ := newFleet(b, parent, []snapshot.UserRange{{Lo: 0, Hi: 32}, {Lo: 32, Hi: 64}}, Options{})

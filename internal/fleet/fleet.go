@@ -4,12 +4,12 @@
 // monolithic serving surface to clients. The contract is
 // bit-identity: any request answered through the router returns the
 // same status, headers and body bytes a single alignd holding the
-// whole artifact would return — owner-routed requests are proxied
-// verbatim, fan-out merges reconstruct the monolithic answer exactly
-// (the global top-k is a subset of the union of per-shard top-k lists
-// at equal k, under the same score-desc/index-asc order), and error
-// paths are delegated to a real backend so even error bodies stay
-// canonical.
+// whole artifact would return. Every answer is one backend's response,
+// proxied verbatim: net-1 lookups and pool scores go to the range that
+// owns the net-1 user; net-2 lookups, resolves and error replays go to
+// any ready replica — every shard carries the whole net-2 read side and
+// the full user tables, so any of them answers those like the monolith.
+// No request is sent to more than one range.
 //
 // The router is configured with backend URLs only. The range table is
 // DISCOVERED from each backend's /statusz shard block (a backend with
@@ -32,10 +32,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/serve"
+	"github.com/activeiter/activeiter/internal/snapshot"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
@@ -55,8 +57,8 @@ type Options struct {
 	HealthInterval time.Duration
 	// Metrics receives per-endpoint counters; nil creates a registry.
 	Metrics *serve.Metrics
-	// Registry receives router counters (retries, hedges, fan-outs);
-	// nil uses telemetry.Default.
+	// Registry receives router counters (retries, hedges, resolves,
+	// rollouts); nil uses the Metrics registry.
 	Registry *telemetry.Registry
 }
 
@@ -81,14 +83,13 @@ type Backend struct {
 	lastErr    string
 	generation uint64
 	users1     int
-	topK       int
 	shard      *serve.StatusShard // nil: serves the full range
 }
 
-func (b *Backend) snapshotState() (ready bool, gen uint64, users1, topK int, shard *serve.StatusShard, lastErr string) {
+func (b *Backend) snapshotState() (ready bool, gen uint64, users1 int, shard *serve.StatusShard, lastErr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.ready, b.generation, b.users1, b.topK, b.shard, b.lastErr
+	return b.ready, b.generation, b.users1, b.shard, b.lastErr
 }
 
 // ownedRange returns the net-1 user range the backend owns.
@@ -114,13 +115,18 @@ type Router struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// rotation spreads any-backend requests: each starts at the next
+	// ready replica, so net-2 reads do not all land on the first one.
+	rotation atomic.Uint64
+
 	resolveMu    sync.Mutex
 	resolveCache map[string]int32
 
 	stopOnce sync.Once
 	stop     chan struct{}
 
-	cRetry, cHedge, cFanout, cRollout *telemetry.Counter
+	cRetry, cHedge, cRollout  *telemetry.Counter
+	cResolveHit, cResolveMiss *telemetry.Counter
 }
 
 // NewRouter builds a router over the backend base URLs. A bare
@@ -156,8 +162,9 @@ func NewRouter(backendURLs []string, opts Options) (*Router, error) {
 		stop:         make(chan struct{}),
 		cRetry:       opts.Registry.Counter("fleet_retries_total", "proxy attempts beyond the first"),
 		cHedge:       opts.Registry.Counter("fleet_hedges_total", "hedged second requests launched"),
-		cFanout:      opts.Registry.Counter("fleet_fanout_total", "reverse-direction fan-out requests"),
 		cRollout:     opts.Registry.Counter("fleet_rollouts_total", "rolling reloads executed"),
+		cResolveHit:  opts.Registry.Counter("fleet_resolve_total", "net-1 token resolutions, by resolve-cache outcome", telemetry.L("result", "hit")),
+		cResolveMiss: opts.Registry.Counter("fleet_resolve_total", "net-1 token resolutions, by resolve-cache outcome", telemetry.L("result", "miss")),
 	}
 	for _, u := range backendURLs {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")
@@ -242,6 +249,12 @@ func (rt *Router) probe(b *Backend) {
 		setErr(fmt.Errorf("statusz has no snapshot block"))
 		return
 	}
+	if st.Snapshot.Shard != nil && st.Snapshot.Format != snapshot.Version {
+		// Net-2 reads go to one replica, which is the whole answer only
+		// from a shard that carries the whole net-2 side (format 4 on).
+		setErr(fmt.Errorf("shard artifact format %d, want %d: an older shard holds only its range's net-2 side", st.Snapshot.Format, snapshot.Version))
+		return
+	}
 	b.mu.Lock()
 	reloaded := b.seen && (b.generation != st.Generation || !sameShard(b.shard, st.Snapshot.Shard))
 	b.seen = true
@@ -249,7 +262,6 @@ func (rt *Router) probe(b *Backend) {
 	b.lastErr = ""
 	b.generation = st.Generation
 	b.users1 = st.Snapshot.Users1
-	b.topK = st.Snapshot.TopK
 	b.shard = st.Snapshot.Shard
 	b.mu.Unlock()
 	if reloaded {
@@ -285,7 +297,7 @@ type tableEntry struct {
 func (rt *Router) table() (entries []tableEntry, users1 int, complete bool) {
 	byRange := map[[2]int32][]*Backend{}
 	for _, b := range rt.backends {
-		ready, _, u1, _, _, _ := b.snapshotState()
+		ready, _, u1, _, _ := b.snapshotState()
 		if !ready {
 			continue
 		}
@@ -331,16 +343,21 @@ func (rt *Router) ownersOf(i int32) []*Backend {
 	return nil
 }
 
-// readyBackends returns every ready backend (for any-backend routing
-// and fan-out), in configured order.
-func (rt *Router) readyBackends() []*Backend {
-	var out []*Backend
+// anyBackends returns every ready backend, for requests any replica
+// answers alike, starting one past where the previous call started:
+// retries and the hedge walk on from there.
+func (rt *Router) anyBackends() []*Backend {
+	var ready []*Backend
 	for _, b := range rt.backends {
-		if ready, _, _, _, _, _ := b.snapshotState(); ready {
-			out = append(out, b)
+		if ok, _, _, _, _ := b.snapshotState(); ok {
+			ready = append(ready, b)
 		}
 	}
-	return out
+	if len(ready) < 2 {
+		return ready
+	}
+	start := int(rt.rotation.Add(1) % uint64(len(ready)))
+	return append(ready[start:len(ready):len(ready)], ready[:start]...)
 }
 
 func (rt *Router) backoff(attempt int) time.Duration {
@@ -541,9 +558,9 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) (string, error) 
 	case path == "/v1/score":
 		return "score", rt.handleScore(w, r)
 	case strings.HasPrefix(path, "/v1/match/"):
-		return "match", rt.handleLookup(w, r, strings.TrimPrefix(path, "/v1/match/"), false)
+		return "match", rt.handleLookup(w, r, strings.TrimPrefix(path, "/v1/match/"))
 	case strings.HasPrefix(path, "/v1/candidates/"):
-		return "candidates", rt.handleLookup(w, r, strings.TrimPrefix(path, "/v1/candidates/"), true)
+		return "candidates", rt.handleLookup(w, r, strings.TrimPrefix(path, "/v1/candidates/"))
 	case strings.HasPrefix(path, "/v1/resolve/"):
 		return "resolve", rt.proxyAny(w, r, nil)
 	default:
@@ -598,7 +615,7 @@ func (rt *Router) handleStatus(w http.ResponseWriter) error {
 		st.Ranges = append(st.Ranges, rr)
 	}
 	for _, b := range rt.backends {
-		ready, gen, _, _, shard, lastErr := b.snapshotState()
+		ready, gen, _, shard, lastErr := b.snapshotState()
 		rb := routerBackend{URL: b.URL, Ready: ready, Error: lastErr, Generation: gen}
 		if shard != nil {
 			rb.Epoch = shard.Epoch
@@ -620,8 +637,8 @@ func readBody(r *http.Request) []byte {
 }
 
 // proxyAny sends the original request to any ready backend — the path
-// for requests every backend answers identically (resolve, malformed
-// inputs, full-table questions).
+// for requests every backend answers identically (net-2 lookups,
+// resolve, malformed inputs, full-table questions).
 func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, body []byte) error {
 	if body == nil && r.Body != nil {
 		body = readBody(r)
@@ -629,7 +646,7 @@ func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, body []byte) 
 	if r.Method == http.MethodGet {
 		body = nil
 	}
-	p, _, err := rt.tryBackends(rt.readyBackends(), r.Method, r.URL.RequestURI(), body)
+	p, _, err := rt.tryBackends(rt.anyBackends(), r.Method, r.URL.RequestURI(), body)
 	if err != nil {
 		return err
 	}
@@ -645,9 +662,11 @@ func (rt *Router) resolveNet1(token string) (int32, bool) {
 	idx, ok := rt.resolveCache[token]
 	rt.resolveMu.Unlock()
 	if ok {
+		rt.cResolveHit.Inc()
 		return idx, true
 	}
-	p, _, err := rt.tryBackends(rt.readyBackends(), http.MethodGet, "/v1/resolve/1/"+token, nil)
+	rt.cResolveMiss.Inc()
+	p, _, err := rt.tryBackends(rt.anyBackends(), http.MethodGet, "/v1/resolve/1/"+token, nil)
 	if err != nil || p.status != http.StatusOK {
 		return 0, false
 	}
@@ -675,184 +694,30 @@ func (rt *Router) clearResolveCache() {
 }
 
 // handleLookup routes /v1/match and /v1/candidates. Net-1 requests are
-// owner-routed and proxied verbatim; net-2 requests fan out (the
-// owning shard is unknowable from the request). Anything that does not
-// parse cleanly is replayed against any backend so the error body is
-// the canonical alignd one.
-func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request, tail string, candidates bool) error {
+// owner-routed; net-2 requests go to any replica, since every shard
+// carries the whole net-2 read side. Either way one backend's answer is
+// proxied verbatim. Anything that does not parse cleanly is replayed
+// against any backend so the error body is the canonical alignd one.
+func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request, tail string) error {
 	parts := strings.SplitN(tail, "/", 2)
-	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
+	if len(parts) != 2 || parts[1] == "" {
 		return rt.proxyAny(w, r, nil)
 	}
-	net, err := strconv.Atoi(parts[0])
-	if err != nil || (net != 1 && net != 2) {
+	// alignd parses {net} with Atoi, so "+1" and "01" are net 1 too.
+	if net, err := strconv.Atoi(parts[0]); err != nil || net != 1 {
 		return rt.proxyAny(w, r, nil)
 	}
-	if net == 1 {
-		idx, ok := rt.resolveNet1(parts[1])
-		if !ok {
-			// Unknown user or resolution trouble: the canonical answer
-			// (404 body, or whatever alignd says) comes from a replay.
-			return rt.proxyAny(w, r, nil)
-		}
-		p, _, err := rt.tryBackends(rt.ownersOf(idx), r.Method, r.URL.RequestURI(), nil)
-		if err != nil {
-			return err
-		}
-		return p.write(w)
+	idx, ok := rt.resolveNet1(parts[1])
+	if !ok {
+		// Unknown user or resolution trouble: the canonical answer
+		// (404 body, or whatever alignd says) comes from a replay.
+		return rt.proxyAny(w, r, nil)
 	}
-	if candidates {
-		return rt.fanoutCandidates(w, r)
+	p, _, err := rt.tryBackends(rt.ownersOf(idx), r.Method, r.URL.RequestURI(), nil)
+	if err != nil {
+		return err
 	}
-	return rt.fanoutMatch(w, r)
-}
-
-// fanLeg is one range's fan-out response plus the backend it came from.
-type fanLeg struct {
-	p    *proxied
-	from *Backend
-}
-
-// fanout sends the request to one ready backend per range,
-// concurrently. complete reports whether the discovered table tiles
-// the whole user space AND every leg answered — a merged read must
-// fail otherwise, because an answer synthesized from the surviving
-// shards can be confidently wrong (a missing candidate list, a 404
-// for a match the dark shard owns).
-func (rt *Router) fanout(r *http.Request) (legs []fanLeg, complete bool) {
-	entries, _, tiled := rt.table()
-	rt.cFanout.Inc()
-	legs = make([]fanLeg, len(entries))
-	var wg sync.WaitGroup
-	for i, e := range entries {
-		wg.Add(1)
-		go func(i int, cands []*Backend) {
-			defer wg.Done()
-			p, from, err := rt.tryBackends(cands, r.Method, r.URL.RequestURI(), nil)
-			if err == nil {
-				legs[i] = fanLeg{p: p, from: from}
-			}
-		}(i, e.backends)
-	}
-	wg.Wait()
-	complete = tiled
-	for _, l := range legs {
-		if l.p == nil {
-			complete = false
-		}
-	}
-	return legs, complete
-}
-
-// fanoutMatch answers a net-2 match. Several shards may each hold a
-// match ending at the same net-2 user; the monolithic index resolves
-// that collision last-write-wins over the I-sorted match list, i.e.
-// the HIGHEST net-1 index. Fan-out results arrive in range order, so
-// the highest-range 200 is the monolithic answer, verbatim. A miss is
-// canonical only when EVERY shard was heard from and said 404: any
-// failed or unreachable leg could own the match, so partial failure
-// is a 502, never a confident wrong answer.
-func (rt *Router) fanoutMatch(w http.ResponseWriter, r *http.Request) error {
-	legs, complete := rt.fanout(r)
-	if !complete {
-		return errf(http.StatusBadGateway, "fan-out incomplete: a range leg failed and could own the answer")
-	}
-	var miss *proxied
-	for i := len(legs) - 1; i >= 0; i-- {
-		p := legs[i].p
-		switch {
-		case p.status == http.StatusOK:
-			return p.write(w)
-		case p.status == http.StatusNotFound:
-			if miss == nil {
-				miss = p
-			}
-		default:
-			// A shard that answered something other than hit/miss (e.g. a
-			// 503 that survived the retry budget) has not answered the
-			// question; merging around it could mis-answer.
-			return errf(http.StatusBadGateway, "shard answered %d during fan-out", p.status)
-		}
-	}
-	if miss == nil {
-		return errf(http.StatusBadGateway, "every shard failed the fan-out")
-	}
-	return miss.write(w)
-}
-
-// fanoutCandidates merges per-shard net-2 candidate lists into the
-// monolithic answer. Each net-1 candidate lives in exactly one shard,
-// so the union has no duplicates; sorting score-desc/index-asc (the
-// serving order) and capping at the request's k (or the snapshot's
-// precomputed depth) reproduces the monolithic list exactly, because
-// the global top-k is a subset of the union of per-shard top-k lists
-// at equal k.
-func (rt *Router) fanoutCandidates(w http.ResponseWriter, r *http.Request) error {
-	legs, complete := rt.fanout(r)
-	if !complete {
-		return errf(http.StatusBadGateway, "fan-out incomplete: a range leg failed and its candidates would be dropped")
-	}
-	var merged *serve.CandidatesResponse
-	var all []serve.Candidate
-	maxGen := uint64(0)
-	storedK, storedKSet := 0, false
-	for _, l := range legs {
-		p := l.p
-		if p.status != http.StatusOK {
-			// Bad k, unknown user, not ready: every shard rejects the
-			// same way; replay the canonical body.
-			return p.write(w)
-		}
-		var body serve.CandidatesResponse
-		if err := json.Unmarshal(p.body, &body); err != nil {
-			return errf(http.StatusBadGateway, "shard answered unparseable candidates: %v", err)
-		}
-		// The stored-top-k cap must come from the shards that answered
-		// THIS fan-out; mid-rollout the fleet can hold mixed artifacts,
-		// and a cap borrowed from a bystander backend would give the
-		// merged list a depth no single backend would serve.
-		_, _, _, k, _, _ := l.from.snapshotState()
-		if !storedKSet {
-			storedK, storedKSet = k, true
-		} else if k != storedK {
-			return errf(http.StatusBadGateway, "shards disagree on stored top-k (%d vs %d): mixed-generation fleet, retry after the rollout settles", storedK, k)
-		}
-		if merged == nil {
-			merged = &body
-		}
-		if body.Generation > maxGen {
-			maxGen = body.Generation
-		}
-		all = append(all, body.Candidates...)
-	}
-	if merged == nil {
-		return errf(http.StatusBadGateway, "every shard failed the fan-out")
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Score != all[b].Score {
-			return all[a].Score > all[b].Score
-		}
-		return all[a].Index < all[b].Index
-	})
-	// The monolithic list is always capped at the snapshot's stored
-	// top-k depth, even when the request asks for more (k only
-	// truncates further). Every global top-k candidate ranks within
-	// top-k of its own shard, so the sorted union's head IS the
-	// monolithic list.
-	limit := storedK
-	if merged.K > 0 && (limit == 0 || merged.K < limit) {
-		limit = merged.K
-	}
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	if all == nil {
-		all = []serve.Candidate{}
-	}
-	merged.Generation = maxGen
-	merged.Candidates = all
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(merged)
+	return p.write(w)
 }
 
 // scoreBody is the slice of the /v1/score request the router needs for
@@ -902,7 +767,7 @@ func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) error {
 	ordered := make([]*Backend, 0, len(rt.backends))
 	var healthy []*Backend
 	for _, b := range rt.backends {
-		if ready, _, _, _, _, _ := b.snapshotState(); ready {
+		if ready, _, _, _, _ := b.snapshotState(); ready {
 			healthy = append(healthy, b)
 		} else {
 			ordered = append(ordered, b)

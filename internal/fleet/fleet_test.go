@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,6 +110,15 @@ func randomRanges(rng *rand.Rand, n1 int) []snapshot.UserRange {
 // reload wired to an on-disk path so rollout tests work end to end.
 func backendServer(t testing.TB, s *snapshot.Snapshot, dir string, name string) *httptest.Server {
 	t.Helper()
+	srv := httptest.NewServer(backendHandler(t, s, dir, name))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// backendHandler is backendServer's alignd handler, for tests that wrap
+// it.
+func backendHandler(t testing.TB, s *snapshot.Snapshot, dir string, name string) http.Handler {
+	t.Helper()
 	path := filepath.Join(dir, name+".snap")
 	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -118,13 +129,10 @@ func backendServer(t testing.TB, s *snapshot.Snapshot, dir string, name string) 
 		t.Fatal(err)
 	}
 	st.Swap(ix)
-	h := serve.NewHandler(st, serve.NewMetrics(), serve.HandlerOptions{
+	return serve.NewHandler(st, serve.NewMetrics(), serve.HandlerOptions{
 		SnapshotPath: path,
 		Load:         snapshot.OpenFile,
 	})
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
-	return srv
 }
 
 // newFleet splits parent by ranges, serves every shard, and fronts
@@ -355,7 +363,7 @@ func TestRouterRollout(t *testing.T) {
 		t.Errorf("rollout = %+v", resp)
 	}
 	for _, b := range rt.backends {
-		if _, gen, _, _, _, _ := b.snapshotState(); gen != 2 {
+		if _, gen, _, _, _ := b.snapshotState(); gen != 2 {
 			t.Errorf("backend %s at generation %d after rollout, want 2", b.URL, gen)
 		}
 	}
@@ -427,11 +435,26 @@ func TestRouterNotReadyWithGap(t *testing.T) {
 	}
 }
 
-// TestRouterFanoutPartialFailureIs502: when a range's every backend is
-// unreachable, merged net-2 reads must refuse rather than answer from
-// the surviving shards — the dark range could own the match, and its
-// candidates would silently vanish from a merged list.
-func TestRouterFanoutPartialFailureIs502(t *testing.T) {
+// net2Paths lists every net-2 lookup shape over n2 users: match, and
+// candidates by token and index at several depths.
+func net2Paths(n2 int) []string {
+	var out []string
+	for j := 0; j < n2; j++ {
+		out = append(out,
+			fmt.Sprintf("/v1/match/2/right-u%d", j),
+			fmt.Sprintf("/v1/candidates/2/right-u%d", j),
+			fmt.Sprintf("/v1/candidates/2/%d?k=2", j))
+	}
+	return out
+}
+
+// TestRouterDarkRangeServesNet2: when a range's every backend is
+// unreachable, net-2 reads still answer 200-or-canonical-404,
+// byte-identical to the monolith — every shard carries the whole net-2
+// read side — while net-1 reads the dark range owns still fail rather
+// than being answered by a shard that does not own them. Both before
+// the probe notices (retries walk past the dead replica) and after.
+func TestRouterDarkRangeServesNet2(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	parent := randomSnapshot(t, rng, 12, 12, 4)
 	shards, err := snapshot.Split(parent, []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 12}})
@@ -439,9 +462,10 @@ func TestRouterFanoutPartialFailureIs502(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	mono := backendServer(t, parent, dir, "mono")
 	srv0 := backendServer(t, shards[0], dir, "s0")
 	srv1 := backendServer(t, shards[1], dir, "s1")
-	rt, err := NewRouter([]string{srv0.URL, srv1.URL}, Options{Retries: 1})
+	rt, err := NewRouter([]string{srv0.URL, srv1.URL}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,10 +474,190 @@ func TestRouterFanoutPartialFailureIs502(t *testing.T) {
 	routerSrv := httptest.NewServer(rt)
 	defer routerSrv.Close()
 
-	for _, path := range []string{"/v1/match/2/right-u0", "/v1/candidates/2/right-u0"} {
-		if r := do(t, routerSrv.URL, http.MethodGet, path, ""); r.status != http.StatusBadGateway {
-			t.Errorf("%s with a dark range = %d %s, want 502", path, r.status, r.body)
+	check := func(phase string) {
+		for _, path := range net2Paths(12) {
+			want := do(t, mono.URL, http.MethodGet, path, "")
+			got := do(t, routerSrv.URL, http.MethodGet, path, "")
+			if got.status != want.status || got.contentType != want.contentType || !bytes.Equal(got.body, want.body) {
+				t.Errorf("%s: %s with a dark range:\n router: %d %s\n mono:   %d %s", phase, path, got.status, got.body, want.status, want.body)
+			}
 		}
+		for i := 6; i < 12; i++ {
+			for _, path := range []string{fmt.Sprintf("/v1/match/1/left-u%d", i), fmt.Sprintf("/v1/candidates/1/%d", i)} {
+				if r := do(t, routerSrv.URL, http.MethodGet, path, ""); r.status < 500 {
+					t.Errorf("%s: %s is owned by the dark range but answered %d %s", phase, path, r.status, r.body)
+				}
+			}
+		}
+	}
+	check("before the probe")
+	rt.Refresh()
+	check("after the probe")
+	if r := do(t, routerSrv.URL, http.MethodGet, "/readyz", ""); r.status != http.StatusServiceUnavailable {
+		t.Errorf("readyz with a dark range = %d, want 503", r.status)
+	}
+}
+
+var generationField = regexp.MustCompile(`"generation":[0-9]+`)
+
+// TestRouterMixedGenerationNet2: mid-rollout the fleet holds shards of
+// two artifacts P and P′ (different pools, matches and stored top-k).
+// A net-2 answer comes from one replica, so every body is P's or P′'s
+// monolithic answer with the generation masked — never a merge of both.
+func TestRouterMixedGenerationNet2(t *testing.T) {
+	ranges := []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 12}}
+	p := randomSnapshot(t, rand.New(rand.NewSource(49)), 12, 12, 4)
+	pPrime := randomSnapshot(t, rand.New(rand.NewSource(50)), 12, 12, 2)
+	shardsP, err := snapshot.Split(p, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardsPPrime, err := snapshot.Split(pPrime, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	monoP := backendServer(t, p, dir, "monoP")
+	monoPPrime := backendServer(t, pPrime, dir, "monoPPrime")
+	srv0 := backendServer(t, shardsPPrime[0], dir, "s0")
+	srv1 := backendServer(t, shardsP[1], dir, "s1")
+	rt, err := NewRouter([]string{srv0.URL, srv1.URL}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Refresh()
+	routerSrv := httptest.NewServer(rt)
+	defer routerSrv.Close()
+
+	masked := func(r response) string {
+		return fmt.Sprintf("%d %s %s", r.status, r.contentType, generationField.ReplaceAll(r.body, []byte(`"generation":0`)))
+	}
+	var sawP, sawPPrime int
+	for _, path := range net2Paths(12) {
+		a := masked(do(t, monoP.URL, http.MethodGet, path, ""))
+		b := masked(do(t, monoPPrime.URL, http.MethodGet, path, ""))
+		// Consecutive reads start at different replicas.
+		for rep := 0; rep < 2; rep++ {
+			got := masked(do(t, routerSrv.URL, http.MethodGet, path, ""))
+			switch {
+			case got == a && got == b:
+			case got == a:
+				sawP++
+			case got == b:
+				sawPPrime++
+			default:
+				t.Errorf("%s answered %s\n which is neither P's %s\n nor P′'s %s", path, got, a, b)
+			}
+		}
+	}
+	if sawP == 0 || sawPPrime == 0 {
+		t.Errorf("distinguishable answers from P: %d, from P′: %d — want both generations served", sawP, sawPPrime)
+	}
+}
+
+// TestRouterNet2ReadsRotate: any-backend reads start at a rotating
+// replica, so net-2 traffic spreads over a 2-shard fleet instead of
+// landing on the first ready backend.
+func TestRouterNet2ReadsRotate(t *testing.T) {
+	parent := randomSnapshot(t, rand.New(rand.NewSource(51)), 12, 12, 4)
+	shards, err := snapshot.Split(parent, []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var hits [2]atomic.Int64
+	var urls []string
+	for i, sh := range shards {
+		h := backendHandler(t, sh, dir, fmt.Sprintf("s%d", i))
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.Contains(r.URL.Path, "/2/") {
+				hits[i].Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	rt, err := NewRouter(urls, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Refresh()
+	routerSrv := httptest.NewServer(rt)
+	defer routerSrv.Close()
+
+	const n = 400
+	paths := net2Paths(12)
+	for i := 0; i < n; i++ {
+		if r := do(t, routerSrv.URL, http.MethodGet, paths[i%len(paths)], ""); r.status >= 500 {
+			t.Fatalf("net-2 read = %d %s", r.status, r.body)
+		}
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got < n/2-n/20 || got > n/2+n/20 {
+			t.Errorf("backend %d took %d of %d net-2 reads, want %d ± %d", i, got, n, n/2, n/20)
+		}
+	}
+}
+
+// TestRouterRefusesOldFormatShard: a shard backend that does not report
+// the current artifact format — an older alignd (no format field) or a
+// v3 shard — holds only its range's slice of the net-2 side. The probe
+// marks it not ready, naming why, so /readyz is 503 and no net-2 read
+// reaches it; the current shard still answers them like the monolith.
+func TestRouterRefusesOldFormatShard(t *testing.T) {
+	parent := randomSnapshot(t, rand.New(rand.NewSource(52)), 12, 12, 4)
+	shards, err := snapshot.Split(parent, []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	mono := backendServer(t, parent, dir, "mono")
+	srv0 := backendServer(t, shards[0], dir, "s0")
+	for _, format := range []int{0, 3} {
+		t.Run(fmt.Sprintf("format%d", format), func(t *testing.T) {
+			var reads atomic.Int64
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/readyz":
+					fmt.Fprintln(w, "ready")
+				case "/statusz":
+					json.NewEncoder(w).Encode(serve.StatusResponse{Generation: 1, Snapshot: &serve.StatusSnapshot{
+						Format: format, Users1: 12, Users2: 12, TopK: 4,
+						Shard: &serve.StatusShard{Lo: 6, Hi: 12, Index: 1, Count: 2},
+					}})
+				default:
+					reads.Add(1)
+					http.Error(w, "stub holds a slice of the net-2 side", http.StatusInternalServerError)
+				}
+			}))
+			defer stub.Close()
+			rt, err := NewRouter([]string{srv0.URL, stub.URL}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Refresh()
+			routerSrv := httptest.NewServer(rt)
+			defer routerSrv.Close()
+
+			if r := do(t, routerSrv.URL, http.MethodGet, "/readyz", ""); r.status != http.StatusServiceUnavailable {
+				t.Errorf("readyz with a format-%d shard = %d, want 503", format, r.status)
+			}
+			ready, _, _, _, lastErr := rt.backends[1].snapshotState()
+			if want := fmt.Sprintf("format %d, want %d", format, snapshot.Version); ready || !strings.Contains(lastErr, want) {
+				t.Errorf("format-%d shard: ready=%v lastErr=%q, want not ready naming %q", format, ready, lastErr, want)
+			}
+			for _, path := range net2Paths(12) {
+				want := do(t, mono.URL, http.MethodGet, path, "")
+				got := do(t, routerSrv.URL, http.MethodGet, path, "")
+				if got.status != want.status || !bytes.Equal(got.body, want.body) {
+					t.Errorf("%s: router %d %s, mono %d %s", path, got.status, got.body, want.status, want.body)
+				}
+			}
+			if n := reads.Load(); n != 0 {
+				t.Errorf("%d reads reached the format-%d shard", n, format)
+			}
+		})
 	}
 }
 
@@ -511,38 +715,6 @@ func TestRouterProbeInvalidatesResolveCache(t *testing.T) {
 	rt.resolveMu.Unlock()
 	if kept == 0 {
 		t.Error("steady-state probe cleared the resolve cache with no generation change")
-	}
-}
-
-// TestRouterFanoutTopKDisagreementIs502: mid-rollout, shards can hold
-// artifacts with different stored top-k depths; a merged candidate
-// list capped by a depth no single backend serves is not monolithic,
-// so the router must refuse instead.
-func TestRouterFanoutTopKDisagreementIs502(t *testing.T) {
-	parentDeep := randomSnapshot(t, rand.New(rand.NewSource(49)), 12, 12, 4)
-	parentShallow := randomSnapshot(t, rand.New(rand.NewSource(49)), 12, 12, 2)
-	ranges := []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 12}}
-	deep, err := snapshot.Split(parentDeep, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shallow, err := snapshot.Split(parentShallow, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	srv0 := backendServer(t, shallow[0], dir, "s0") // top-k 2
-	srv1 := backendServer(t, deep[1], dir, "s1")    // top-k 4
-	rt, err := NewRouter([]string{srv0.URL, srv1.URL}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Refresh()
-	routerSrv := httptest.NewServer(rt)
-	defer routerSrv.Close()
-
-	if r := do(t, routerSrv.URL, http.MethodGet, "/v1/candidates/2/right-u0", ""); r.status != http.StatusBadGateway {
-		t.Errorf("mixed top-k fan-out = %d %s, want 502", r.status, r.body)
 	}
 }
 

@@ -210,9 +210,8 @@ func (h *Handler) recordReload(err error) {
 }
 
 // StatusResponse is the statusz JSON shape. Exported, like
-// StatusSnapshot, StatusShard and CandidatesResponse, because the alignr
-// router decodes and re-encodes these bodies and must stay bit-identical
-// to the backend it fronts.
+// StatusSnapshot and StatusShard, because the alignr router decodes it
+// to discover the fleet's range table and each shard's format.
 type StatusResponse struct {
 	Generation uint64          `json:"generation"`
 	UptimeSec  float64         `json:"uptime_sec"`
@@ -226,7 +225,11 @@ type StatusResponse struct {
 }
 
 // StatusSnapshot is the provenance block of the served artifact.
+// Format is the artifact format version (snapshot.Version) the
+// process reads: the alignr router refuses a shard whose format it
+// does not route for.
 type StatusSnapshot struct {
+	Format      int          `json:"format"`
 	Facade      string       `json:"facade"`
 	CreatedUnix int64        `json:"created_unix"`
 	Net1        string       `json:"net1"`
@@ -279,6 +282,7 @@ func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) error {
 		u1, u2, matches, pool := ix.Counts()
 		resp.Generation = ix.Generation
 		resp.Snapshot = &StatusSnapshot{
+			Format:      snapshot.Version,
 			Facade:      meta.Facade,
 			CreatedUnix: meta.CreatedUnix,
 			Net1:        meta.Net1,
@@ -338,8 +342,8 @@ type matchResponse struct {
 	} `json:"match"`
 }
 
-// CandidatesResponse answers /v1/candidates.
-type CandidatesResponse struct {
+// candidatesResponse answers /v1/candidates.
+type candidatesResponse struct {
 	Generation uint64      `json:"generation"`
 	Net        int         `json:"net"`
 	User       string      `json:"user"`
@@ -372,7 +376,7 @@ func (h *Handler) handleLookup(w http.ResponseWriter, r *http.Request, tail stri
 			}
 		}
 		items := ix.CandidatesFor(net, user, k)
-		return h.writeJSON(w, CandidatesResponse{
+		return h.writeJSON(w, candidatesResponse{
 			Generation: ix.Generation,
 			Net:        net,
 			User:       ix.UserID(net, user),

@@ -245,7 +245,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("numeric match = %d %+v", 0, match)
 	}
 
-	var cands CandidatesResponse
+	var cands candidatesResponse
 	if code := getJSON(t, srv.URL+"/v1/candidates/1/left-u0?k=1", &cands); code != http.StatusOK {
 		t.Fatalf("candidates = %d", code)
 	}
@@ -539,6 +539,9 @@ func TestHTTPStatusShardBlock(t *testing.T) {
 	sh := status.Snapshot.Shard
 	if sh == nil {
 		t.Fatal("statusz has no shard block for a shard artifact")
+	}
+	if status.Snapshot.Format != snapshot.Version {
+		t.Errorf("statusz format = %d, want %d", status.Snapshot.Format, snapshot.Version)
 	}
 	want := shards[1].Meta.Shard
 	if sh.Lo != want.Range.Lo || sh.Hi != want.Range.Hi || sh.Index != 1 || sh.Count != 2 || sh.Epoch != want.Epoch {

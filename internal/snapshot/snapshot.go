@@ -64,7 +64,13 @@ import (
 //	    then the rows of records.go) and the end body two framing
 //	    integers; encoding/gob, whose type IDs made the bytes depend on
 //	    the writing process, is gone. No v2 reader is kept.
-const Version = 3
+//	4 — PR 29: a shard carries the parent's whole net-2 read side (every
+//	    match, every net-2 candidate list) so one replica answers a net-2
+//	    lookup alone. The bytes are v3's, but a v3 shard holds only its
+//	    range's slice of that side, and a router that reads one replica
+//	    would serve the slice as the whole answer — so the change is a
+//	    version bump. No v3 reader is kept.
+const Version = 4
 
 // maxSectionSize bounds a section's declared length. The pool section
 // scales with the candidate pool (tens of bytes per link); 1 GiB is far

@@ -189,20 +189,34 @@ func checkGolden(t *testing.T, name string, want *Snapshot) {
 }
 
 func TestGolden(t *testing.T) {
-	checkGolden(t, "snapshot_v3.golden", fixtureSnapshot(t))
+	checkGolden(t, "snapshot_v4.golden", fixtureSnapshot(t))
 }
 
 // TestV2Skew reads an artifact a Version-2 (gob) writer actually wrote:
 // it must be refused at the first frame with the sentinel, naming both
-// versions, never fed to the v3 record decoders.
+// versions, never fed to the record decoders.
 func TestV2Skew(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.golden"))
+	checkSkew(t, "snapshot_v2.golden", 2)
+}
+
+// TestV3ShardSkew reads a shard a Version-3 writer actually wrote. Its
+// bytes decode under v4's record layouts, but it holds only its range's
+// slice of the net-2 read side, which a v4 fleet serves from one
+// replica as the whole answer: it must be refused, not decoded.
+func TestV3ShardSkew(t *testing.T) {
+	checkSkew(t, "snapshot_v3_shard.golden", 3)
+}
+
+func checkSkew(t *testing.T, name string, version int) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = Read(bytes.NewReader(raw))
-	if !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), "got 2, want 3") {
-		t.Fatalf("v2 artifact: got %v, want ErrVersionMismatch naming got 2, want 3", err)
+	want := fmt.Sprintf("got %d, want %d", version, Version)
+	if !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v%d artifact: got %v, want ErrVersionMismatch naming %s", version, err, want)
 	}
 }
 
@@ -270,7 +284,7 @@ func TestCorruptionRejected(t *testing.T) {
 // bytes it has), and whatever it accepts re-encodes to bytes that decode
 // to the same snapshot and encode to themselves.
 func FuzzSnapshotRead(f *testing.F) {
-	for _, name := range []string{"snapshot_v3.golden", "snapshot_v3_shard.golden"} {
+	for _, name := range []string{"snapshot_v4.golden", "snapshot_v4_shard.golden"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

@@ -5,27 +5,32 @@
 // router, and Merge proves the cut lossless by reassembling the exact
 // parent.
 //
-// The partition key is the net-1 user index: every match, pool link and
-// queried label hangs off exactly one net-1 user, so a half-open range
-// [Lo, Hi) owns an exact, disjoint slice of each section. Reverse-
-// direction (net-2) candidate lists are NOT owned by one shard — a
-// net-2 user's counterpart candidates cross ranges — so each shard
-// keeps the top-k list derivable from its own pool slice, and the
-// router merges per-shard lists on reads (the global top-k is always a
-// subset of the union of per-shard top-k lists at equal k, so the
-// merge is exact).
+// The partition key is the net-1 user index: every pool link, queried
+// label and net-1 candidate list hangs off exactly one net-1 user, so a
+// half-open range [Lo, Hi) owns an exact, disjoint slice of each. The
+// net-2 read side — every match (the net-2 match index is
+// last-write-wins over all of them) and every net-2 candidate list — is
+// NOT owned by one range, so every shard carries the parent's whole
+// copy: any replica answers a net-2 lookup byte-for-byte like the
+// monolith, and the router sends it to one replica instead of fanning
+// out. The copy is small by the paper's one-to-one constraint: at most
+// one match and one top-k list per net-2 user.
 //
 // Every shard keeps the full Meta user tables and the full Model
-// section: tables so any replica can resolve external IDs (and answer
-// fan-out legs without a second hop), models because weight vectors
-// are tiny next to the per-user sections. What marks a shard as a
-// shard is Meta.Shard — its range, its position in the split, the
-// split epoch, and the parent artifact's content fingerprint — which
-// the serving layer surfaces on /statusz so the router can discover
-// the fleet's range table instead of being configured with one.
+// section: tables so any replica can resolve external IDs, models
+// because weight vectors are tiny next to the per-user sections. What
+// marks a shard as a shard is Meta.Shard — its range, its position in
+// the split, the split epoch, and the parent artifact's content
+// fingerprint — which the serving layer surfaces on /statusz so the
+// router can discover the fleet's range table instead of being
+// configured with one.
 package snapshot
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // UserRange is a half-open interval [Lo, Hi) of net-1 user indices.
 type UserRange struct {
@@ -116,14 +121,21 @@ func checkRanges(ranges []UserRange, n1 int32) error {
 	return nil
 }
 
+// byNet cuts canonically ordered candidate lists (see Canonicalize)
+// into the net-1 lists and the net-2 lists.
+func byNet(c []UserCandidates) (net1, net2 []UserCandidates) {
+	k := sort.Search(len(c), func(i int) bool { return c[i].Net >= 2 })
+	return c[:k], c[k:]
+}
+
 // Split partitions the artifact by net-1 user range into one shard
 // artifact per range. Ranges must tile [0, len(Users1)) exactly. Each
-// shard carries its slice of the matches, pool links and queried
-// labels, the top-k candidate lists derivable from that slice (both
-// directions — net-2 lists are partial by construction and merged at
-// read time), and the full user tables and model section, plus a
-// Meta.Shard stamp naming the range, the split epoch and the parent
-// fingerprint. Merge of the result reproduces the parent exactly; the
+// shard carries its range's pool links, queried labels and net-1
+// candidate lists, the parent's whole net-2 read side (every match and
+// every net-2 candidate list), the full user tables and model section,
+// and a Meta.Shard stamp naming the range, the split epoch and the
+// parent fingerprint. Lists are copied from the parent, never
+// re-derived. Merge of the result reproduces the parent exactly; the
 // parent itself must not already be a shard.
 func Split(s *Snapshot, ranges []UserRange) ([]*Snapshot, error) {
 	if s == nil {
@@ -141,12 +153,14 @@ func Split(s *Snapshot, ranges []UserRange) ([]*Snapshot, error) {
 		return nil, err
 	}
 
+	net1, net2 := byNet(s.Cands)
 	shards := make([]*Snapshot, len(ranges))
 	for si, r := range ranges {
 		shard := &Snapshot{
-			Meta:  s.Meta,
-			Model: s.Model,
-			TopK:  s.TopK,
+			Meta:    s.Meta,
+			Model:   s.Model,
+			TopK:    s.TopK,
+			Matches: slices.Clone(s.Matches),
 		}
 		shard.Meta.Shard = &ShardInfo{
 			Range:    r,
@@ -157,11 +171,6 @@ func Split(s *Snapshot, ranges []UserRange) ([]*Snapshot, error) {
 		}
 		// The parent's sections are sorted by net-1 index, so each
 		// range's slice is a contiguous run; filtering preserves order.
-		for _, m := range s.Matches {
-			if r.Contains(m.I) {
-				shard.Matches = append(shard.Matches, m)
-			}
-		}
 		for _, p := range s.Pool {
 			if r.Contains(p.I) {
 				shard.Pool = append(shard.Pool, p)
@@ -172,11 +181,12 @@ func Split(s *Snapshot, ranges []UserRange) ([]*Snapshot, error) {
 				shard.Labels = append(shard.Labels, l)
 			}
 		}
-		// Re-derive both-direction top-k from the shard's pool slice: the
-		// net-1 lists come out identical to the parent's (a net-1 user's
-		// scored links all live in its shard), the net-2 lists are the
-		// shard's partial view the router merges.
-		shard.Cands = buildTopK(shard.Pool, shard.TopK)
+		for _, uc := range net1 {
+			if r.Contains(uc.User) {
+				shard.Cands = append(shard.Cands, uc)
+			}
+		}
+		shard.Cands = append(shard.Cands, net2...)
 		if err := shard.Validate(); err != nil {
 			return nil, fmt.Errorf("snapshot: shard %d %s: %w", si, r, err)
 		}
@@ -185,12 +195,24 @@ func Split(s *Snapshot, ranges []UserRange) ([]*Snapshot, error) {
 	return shards, nil
 }
 
+// sameNet2Side reports whether two shards carry equal replicated net-2
+// read sides: the match list and every net-2 candidate list.
+func sameNet2Side(a, b *Snapshot) bool {
+	_, a2 := byNet(a.Cands)
+	_, b2 := byNet(b.Cands)
+	return slices.Equal(a.Matches, b.Matches) &&
+		slices.EqualFunc(a2, b2, func(x, y UserCandidates) bool {
+			return x.User == y.User && slices.Equal(x.Items, y.Items)
+		})
+}
+
 // Merge reassembles a full split back into the parent artifact. The
 // shards must form one complete split: same epoch, same parent
-// fingerprint, same count, ranges tiling the user table, supplied in
-// any order. The result is validated against the recorded parent
-// fingerprint, so a wrong or stale shard set fails loudly instead of
-// producing a silently different artifact.
+// fingerprint, same count, equal replicated net-2 sides, ranges tiling
+// the user table, supplied in any order. The replicated side is taken
+// once; the per-range sections concatenate. The result is validated
+// against the recorded parent fingerprint, so a wrong or stale shard
+// set fails loudly instead of producing a silently different artifact.
 func Merge(shards []*Snapshot) (*Snapshot, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("snapshot: merge of no shards")
@@ -215,9 +237,10 @@ func Merge(shards []*Snapshot) (*Snapshot, error) {
 	}
 	first := ordered[0].Meta.Shard
 	parent := &Snapshot{
-		Meta:  ordered[0].Meta,
-		Model: ordered[0].Model,
-		TopK:  ordered[0].TopK,
+		Meta:    ordered[0].Meta,
+		Model:   ordered[0].Model,
+		TopK:    ordered[0].TopK,
+		Matches: ordered[0].Matches,
 	}
 	parent.Meta.Shard = nil
 	ranges := make([]UserRange, 0, len(ordered))
@@ -227,17 +250,24 @@ func Merge(shards []*Snapshot) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: shard %d is from epoch %d fp %016x, shard 0 from epoch %d fp %016x — mixed splits",
 				i, info.Epoch, info.ParentFP, first.Epoch, first.ParentFP)
 		}
+		// Every shard must serve the same net-2 answers; the parent
+		// fingerprint below only vouches for the copy taken from shard 0.
+		if !sameNet2Side(sh, ordered[0]) {
+			return nil, fmt.Errorf("snapshot: shard %d's replicated net-2 side (matches, net-2 candidate lists) differs from shard 0's", i)
+		}
 		ranges = append(ranges, info.Range)
 		// Shards are per-range slices of globally sorted sections, so
 		// concatenation in range order restores the canonical sort.
-		parent.Matches = append(parent.Matches, sh.Matches...)
+		net1, _ := byNet(sh.Cands)
+		parent.Cands = append(parent.Cands, net1...)
 		parent.Pool = append(parent.Pool, sh.Pool...)
 		parent.Labels = append(parent.Labels, sh.Labels...)
 	}
 	if err := checkRanges(ranges, int32(len(parent.Meta.Users1))); err != nil {
 		return nil, err
 	}
-	parent.Cands = buildTopK(parent.Pool, parent.TopK)
+	_, net2 := byNet(ordered[0].Cands)
+	parent.Cands = append(parent.Cands, net2...)
 	fp, err := parent.Fingerprint() // validates the merged artifact
 	if err != nil {
 		return nil, err

@@ -127,8 +127,10 @@ func TestSplitMergeLossless(t *testing.T) {
 	}
 }
 
-// Every shard must itself be a valid, writable artifact whose net-1
-// candidate lists equal the parent's for the users it owns.
+// Every shard must itself be a valid, writable artifact carrying the
+// parent's whole net-2 read side — every match and every net-2 candidate
+// list — and only its own range's pool links, labels and net-1 lists,
+// each equal to the parent's.
 func TestSplitShardsServeTheirRange(t *testing.T) {
 	s := randomSnapshot(t, 7, 24, 24)
 	ranges := EvenRanges(len(s.Meta.Users1), 3)
@@ -136,11 +138,9 @@ func TestSplitShardsServeTheirRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentBy1 := map[int32][]Candidate{}
-	for _, uc := range s.Cands {
-		if uc.Net == 1 {
-			parentBy1[uc.User] = uc.Items
-		}
+	parent1, parent2 := byNet(s.Cands)
+	if len(parent2) == 0 || len(s.Matches) == 0 {
+		t.Fatal("fixture has no net-2 read side to replicate")
 	}
 	for si, sh := range shards {
 		var buf bytes.Buffer
@@ -158,21 +158,38 @@ func TestSplitShardsServeTheirRange(t *testing.T) {
 		if info == nil || info.Range != ranges[si] || info.Index != si || info.Count != len(ranges) {
 			t.Fatalf("shard %d info = %+v", si, info)
 		}
-		for _, m := range sh.Matches {
-			if !info.Range.Contains(m.I) {
-				t.Fatalf("shard %d holds foreign match %d", si, m.I)
+		// Replicated: the net-2 read side is the parent's, whole.
+		net1, net2 := byNet(sh.Cands)
+		if !reflect.DeepEqual(sh.Matches, s.Matches) {
+			t.Fatalf("shard %d matches differ from the parent's", si)
+		}
+		if !reflect.DeepEqual(net2, parent2) {
+			t.Fatalf("shard %d net-2 candidate lists differ from the parent's", si)
+		}
+		// Owned: pool, labels and net-1 lists are exactly the range's.
+		var wantPool []PoolLink
+		for _, p := range s.Pool {
+			if info.Range.Contains(p.I) {
+				wantPool = append(wantPool, p)
 			}
 		}
-		for _, uc := range sh.Cands {
-			if uc.Net != 1 {
-				continue
+		var wantLabels []QueriedLabel
+		for _, l := range s.Labels {
+			if info.Range.Contains(l.I) {
+				wantLabels = append(wantLabels, l)
 			}
-			if !info.Range.Contains(uc.User) {
-				t.Fatalf("shard %d holds a net-1 candidate list for foreign user %d", si, uc.User)
+		}
+		var want1 []UserCandidates
+		for _, uc := range parent1 {
+			if info.Range.Contains(uc.User) {
+				want1 = append(want1, uc)
 			}
-			if !reflect.DeepEqual(uc.Items, parentBy1[uc.User]) {
-				t.Fatalf("shard %d net-1 list for user %d diverges from the parent", si, uc.User)
-			}
+		}
+		if !reflect.DeepEqual(sh.Pool, wantPool) || !reflect.DeepEqual(sh.Labels, wantLabels) {
+			t.Fatalf("shard %d pool/labels are not its range's", si)
+		}
+		if !reflect.DeepEqual(net1, want1) {
+			t.Fatalf("shard %d net-1 candidate lists are not its range's", si)
 		}
 	}
 }
@@ -238,21 +255,48 @@ func TestMergeRejectsIncompleteOrMixed(t *testing.T) {
 		t.Fatal("fixture shard has no pool links to tamper with")
 	}
 	tampered[1].Pool = tampered[1].Pool[:len(tampered[1].Pool)-1]
-	tampered[1].Cands = nil
 	if _, err := Merge(tampered); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("tampered shard set: %v", err)
+	}
+	// An edit to a non-first shard's replicated side would pass the
+	// fingerprint check (the parent takes that side from shard 0) and
+	// leave shard 1 serving different net-2 answers: it must be refused.
+	for name, edit := range map[string]func(*Snapshot){
+		"match": func(sh *Snapshot) { sh.Matches[0].Score += 0.5 },
+		"net-2 list": func(sh *Snapshot) {
+			_, net2 := byNet(sh.Cands)
+			uc := &net2[0]
+			uc.Items = append([]Candidate(nil), uc.Items[1:]...)
+		},
+	} {
+		edited, err := Split(s, EvenRanges(16, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(edited[1])
+		if err := edited[1].Validate(); err != nil {
+			t.Fatalf("%s edit broke an invariant: %v", name, err)
+		}
+		if _, err := Merge(edited); err == nil || !strings.Contains(err.Error(), "replicated net-2 side") {
+			t.Errorf("shard set with an edited %s on shard 1: %v", name, err)
+		}
 	}
 }
 
 // TestGoldenShard pins the shard artifact encoding (Meta.Shard ridden
 // by a real split) the same way TestGolden pins the whole-artifact
-// form. Regenerate with -update after a Version bump.
+// form. Shard 0 owns no pool link of the fixture, so its bytes are the
+// replicated net-2 side alone. Regenerate with -update after a Version
+// bump.
 func TestGoldenShard(t *testing.T) {
 	shards, err := Split(fixtureSnapshot(t), EvenRanges(6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "snapshot_v3_shard.golden", shards[1])
+	if len(shards[0].Pool) != 0 || len(shards[0].Matches) == 0 {
+		t.Fatal("fixture shard 0 should own no pool link and replicate the matches")
+	}
+	checkGolden(t, "snapshot_v4_shard.golden", shards[0])
 }
 
 func TestFingerprintTracksContent(t *testing.T) {
