@@ -410,7 +410,12 @@ func BenchmarkHadamard(b *testing.B) {
 // 101): SetAnchors(fold) → Recompute → FeatureMatrix(pool) on a counter
 // whose attribute layer is cached, with one fold of ten labelled (what
 // the benchmark's workloads run) and with nine (cmd/experiments at
-// γ = 0.9).
+// γ = 0.9). Both re-label one fixed set, so after the first iterations
+// they read every anchor's stored marginal terms. `rotating` labels the
+// ten folds in turn, timed once two rounds have stored every anchor's
+// terms — the `fold_warm` steady state — and `cold` gives every
+// iteration a fresh counter family over the same cached counts, so
+// every anchor is new and walked.
 func BenchmarkWarmRecount(b *testing.B) {
 	pair, err := datagen.Generate(datagen.Config{
 		Users1: 1045, Users2: 1078, AnchorCount: 656,
@@ -434,29 +439,71 @@ func BenchmarkWarmRecount(b *testing.B) {
 		b.Fatal(err)
 	}
 	pool := append(append([]Anchor(nil), anchors...), neg...)
+	feats := schema.StandardLibrary().All()
 	counter, err := metadiag.NewCounter(pair)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ext := metadiag.NewExtractor(counter, schema.StandardLibrary().All(), true)
+	ext := metadiag.NewExtractor(counter, feats, true)
 	if err := ext.Recompute(); err != nil { // warms the attribute layer
 		b.Fatal(err)
+	}
+	recount := func(b *testing.B, c *metadiag.Counter, ext *metadiag.Extractor, labelled []Anchor) {
+		c.SetAnchors(labelled)
+		if err := ext.Recompute(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ext.FeatureMatrix(pool); err != nil {
+			b.Fatal(err)
+		}
 	}
 	fold := len(anchors) / 10
 	for _, labelled := range [][]Anchor{anchors[:fold], anchors[fold:]} {
 		b.Run(fmt.Sprintf("anchors=%d/pool=%d", len(labelled), len(pool)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				counter.SetAnchors(labelled)
-				if err := ext.Recompute(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ext.FeatureMatrix(pool); err != nil {
-					b.Fatal(err)
-				}
+				recount(b, counter, ext, labelled)
 			}
 		})
 	}
+	// A new family over the counts cached above: a counter built from
+	// the seed shares the matrices, not the stored terms.
+	seed, err := counter.ExportSeed(feats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	family := func(b *testing.B) (*metadiag.Counter, *metadiag.Extractor) {
+		c, err := metadiag.NewSeededCounter(seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ext := metadiag.NewExtractor(c, feats, true)
+		if err := ext.Recompute(); err != nil { // no anchors: indexes the stacked counts
+			b.Fatal(err)
+		}
+		return c, ext
+	}
+	folds := func(i int) []Anchor { return anchors[i%10*fold : (i%10+1)*fold] }
+	b.Run("rotating", func(b *testing.B) {
+		c, ext := family(b)
+		for i := 0; i < 20; i++ {
+			recount(b, c, ext, folds(i))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recount(b, c, ext, folds(i))
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c, ext := family(b)
+			b.StartTimer()
+			recount(b, c, ext, folds(i))
+		}
+	})
 }
 
 // benchProblem builds a training problem over the tiny pair with real

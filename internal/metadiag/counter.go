@@ -93,6 +93,9 @@ type sharedState struct {
 	// by the cached matrix it wraps: those counts never change, so their
 	// marginals are computed once per counter family, not once per fold.
 	prox map[*sparse.CSR]*Proximity
+	// terms holds the per-anchor marginal terms of each extractor layout
+	// that has recomputed on the family (anchorterms.go).
+	terms []*anchorTerms
 }
 
 // Counter evaluates diagram count matrices over an aligned network pair.
@@ -204,6 +207,14 @@ func (c *Counter) SetAnchors(anchors []hetnet.Anchor) {
 	c.anchorGen++
 	clear(c.counts)
 	c.mu.Unlock()
+}
+
+// anchorMatrix returns the current 0/1 anchor matrix, one entry per
+// distinct labelled pair.
+func (c *Counter) anchorMatrix() *sparse.CSR {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.anchor
 }
 
 // VocabSize returns the joint vocabulary size of attribute type t.
@@ -374,6 +385,32 @@ func unwrap(d schema.Diagram) schema.Diagram {
 	}
 }
 
+// reverse returns d read from its sink to its source — every edge
+// flipped, a Series' parts in reverse order — whose count is the
+// transpose of d's.
+func reverse(d schema.Diagram) schema.Diagram {
+	switch v := d.(type) {
+	case schema.Edge:
+		return schema.Edge{Rel: v.Rel, From: v.To, To: v.From, Forward: !v.Forward}
+	case schema.MetaPath:
+		return reverse(v.AsDiagram())
+	case schema.Series:
+		parts := make([]schema.Diagram, len(v.Parts))
+		for i, p := range v.Parts {
+			parts[len(parts)-1-i] = reverse(p)
+		}
+		return schema.Series{Parts: parts}
+	case schema.Parallel:
+		parts := make([]schema.Diagram, len(v.Parts))
+		for i, p := range v.Parts {
+			parts[i] = reverse(p)
+		}
+		return schema.Parallel{Parts: parts}
+	default:
+		panic(fmt.Sprintf("metadiag: reverse of unknown diagram type %T", d))
+	}
+}
+
 // eval routes a sub-diagram to the appropriate cache layer: anchor-free
 // diagrams to the shared layer (reused across every fork and anchor
 // set), anchor-dependent ones to this counter's private layer.
@@ -534,8 +571,7 @@ func (c *Counter) jointStack(d schema.Parallel) (*sparse.CSR, bool, error) {
 		if as[k], err = c.adjacencyOriented(e[0]); err != nil {
 			return nil, false, err
 		}
-		back := schema.Edge{Rel: e[1].Rel, From: e[1].To, To: e[1].From, Forward: !e[1].Forward}
-		if bts[k], err = c.adjacencyOriented(back); err != nil {
+		if bts[k], err = c.adjacencyOriented(reverse(e[1]).(schema.Edge)); err != nil {
 			return nil, false, err
 		}
 	}

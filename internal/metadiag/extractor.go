@@ -51,22 +51,65 @@ type feature struct {
 	rowSums, colSums []float64
 }
 
-// product is one distinct anchor-path product x·y of the fold, with the
-// distinct counts ds some feature stacks on it and the marginals of each
-// form: rowSums[0] of x·y itself, rowSums[1+k] of (x·y) ⊙ ds[k].
+// product is one distinct anchor-path product x·y of the fold, x =
+// pre·anchor, with the distinct counts ds some feature stacks on it and
+// the marginals of each form: rowSums[0] of x·y itself, rowSums[1+k] of
+// (x·y) ⊙ ds[k].
 type product struct {
-	x, y             *sparse.CSR
+	pre, x, y        *sparse.CSR
+	preD             schema.Diagram
 	ds               []*sparse.CSR
 	rowSums, colSums [][]float64
 }
 
 // marginals computes p's row and column sums: two matvecs for the bare
-// product, X·(Y·1) and (1ᵀX)·Y, and one walk of the product's terms for
-// everything stacked on it.
-func (p *product) marginals() {
-	rs, cs := sparse.MatMulMarginals(p.x, p.y, p.ds)
-	p.rowSums = append([][]float64{p.x.MulVec(p.y.RowSums())}, rs...)
-	p.colSums = append([][]float64{p.y.TMulVec(p.x.ColSums())}, cs...)
+// product, X·(Y·1) and (1ᵀX)·Y, and for everything stacked on it one
+// walk of the terms of the anchors walk names — of x itself when walk is
+// nil, of pre·walk, as thin as the anchors seen for the first time,
+// otherwise, and of nothing when walk is empty. The stored terms of the
+// other anchors are added afterwards (anchorTerms.add).
+func (p *product) marginals(walk *sparse.CSR) {
+	p.rowSums = [][]float64{p.x.MulVec(p.y.RowSums())}
+	p.colSums = [][]float64{p.y.TMulVec(p.x.ColSums())}
+	if len(p.ds) == 0 {
+		return
+	}
+	var rs, cs [][]float64
+	switch {
+	case walk == nil:
+		rs, cs = sparse.MatMulMarginals(p.x, p.y, p.ds)
+	case walk.NNZ() > 0:
+		rs, cs = sparse.MatMulMarginals(sparse.MatMul(p.pre, walk), p.y, p.ds)
+	default:
+		for range p.ds {
+			rs, cs = append(rs, make([]float64, p.x.Rows())), append(cs, make([]float64, p.y.Cols()))
+		}
+	}
+	p.rowSums, p.colSums = append(p.rowSums, rs...), append(p.colSums, cs...)
+}
+
+// marginals fills every product's row and column sums for the counter's
+// current anchors. The stacked ones are split by anchor (anchorTerms):
+// an anchor the counter family labels for the first time is walked, a
+// second time has its terms stored, and after that only read.
+func (e *Extractor) marginals() {
+	var stacked []*product
+	for _, p := range e.products {
+		if len(p.ds) > 0 {
+			stacked = append(stacked, p)
+		}
+	}
+	var terms *anchorTerms
+	var walk *sparse.CSR
+	var held []heldAnchor
+	if len(stacked) > 0 {
+		terms = e.counter.sh.termsFor(stacked)
+		walk, held = terms.split(e.counter)
+	}
+	fanOut(len(e.products), func(p int) { e.products[p].marginals(walk) })
+	if len(held) > 0 {
+		terms.add(e.counter, held, stacked)
+	}
 }
 
 // fanOut runs fn(0), …, fn(n-1) on up to GOMAXPROCS goroutines, each
@@ -126,10 +169,13 @@ func (e *Extractor) Names() []string {
 // counter's single-flight cache deduplicates shared sub-diagrams between
 // them. Attribute-only diagrams are answered from the counter's shared
 // cache. An anchor-dependent one of the factored shape costs its thin
-// factor and its marginals: the distinct products are walked side by
-// side, each serially, so no sum depends on GOMAXPROCS. It needs no
-// candidate pool. On an error the extractor is left with no proximities
-// at all — never the previous anchor set's.
+// factor and its marginals: the stacked sums of an anchor the counter
+// family has labelled twice before are read from its stored terms, and
+// the distinct products are walked side by side, each serially, for the
+// rest — every sum is of integers, so none depends on GOMAXPROCS or on
+// which anchors were stored. It needs no candidate pool. On an error the
+// extractor is left with no proximities at all — never the previous
+// anchor set's.
 func (e *Extractor) Recompute() error {
 	e.prox, e.products, e.counts = nil, nil, nil
 	mats, facs := make([]*Proximity, len(e.feats)), make([]*factored, len(e.feats))
@@ -161,7 +207,7 @@ func (e *Extractor) Recompute() error {
 		p, ok := productOf[[2]*sparse.CSR{f.x, f.y}]
 		if !ok {
 			p = len(e.products)
-			productOf[[2]*sparse.CSR{f.x, f.y}], e.products = p, append(e.products, &product{x: f.x, y: f.y})
+			productOf[[2]*sparse.CSR{f.x, f.y}], e.products = p, append(e.products, &product{pre: f.pre, preD: f.preD, x: f.x, y: f.y})
 		}
 		prox[k] = feature{prod: p, stack: -1}
 		if f.d != nil {
@@ -171,7 +217,7 @@ func (e *Extractor) Recompute() error {
 			}
 		}
 	}
-	fanOut(len(e.products), func(p int) { e.products[p].marginals() })
+	e.marginals()
 	for k, f := range facs {
 		if f != nil {
 			// Slot 0 is the bare product's; a nil d is in no ds.

@@ -303,10 +303,12 @@ func TestFailedRecomputeLeavesNoProximities(t *testing.T) {
 	}
 }
 
-// TestRecomputeCountsItsForms: the fused-versus-fallback scrape. One
-// Recompute of the standard library holds 28 proximities factored and 3
-// materialised, walks its products for their stacked marginals, and
-// calls no Hadamard.
+// TestRecomputeCountsItsForms: the fused-versus-fallback scrape and the
+// walked/stored split. Every Recompute of the standard library holds 28
+// proximities factored and 3 materialised and calls no Hadamard. On one
+// fold labelled three times, the first Recompute walks its products for
+// the 18 stackings' marginals, the second stores every anchor's terms
+// without walking, and the third reads them and stores nothing more.
 func TestRecomputeCountsItsForms(t *testing.T) {
 	pair, err := datagen.Generate(datagen.Tiny())
 	if err != nil {
@@ -336,17 +338,35 @@ func TestRecomputeCountsItsForms(t *testing.T) {
 		}
 		return merge, rank
 	}
-	fac0, mat0, walk0 := mProximitiesFactored.Value(), mProximitiesMaterialised.Value(), walk.Value()
 	merge0, rank0 := scrape()
-	c.SetAnchors(pair.Anchors[:10])
-	if err := NewExtractor(c, feats, true).Recompute(); err != nil {
-		t.Fatal(err)
-	}
-	if fac, mat := mProximitiesFactored.Value()-fac0, mProximitiesMaterialised.Value()-mat0; fac != 28 || mat != 3 {
-		t.Errorf("one Recompute held %d proximities factored and %d materialised, want 28 and 3", fac, mat)
-	}
-	if walk.Value() == walk0 {
-		t.Error("the marginal walk's multiply-adds were not counted")
+	const fold, stackings = 10, 18
+	c.SetAnchors(pair.Anchors[:fold])
+	for n, want := range []struct {
+		walked, stored, read int64
+		walks, grows         bool
+	}{
+		{walked: fold * stackings, walks: true},
+		{stored: fold * stackings, grows: true},
+		{read: fold * stackings},
+	} {
+		fac0, mat0, walk0 := mProximitiesFactored.Value(), mProximitiesMaterialised.Value(), walk.Value()
+		walked0, stored0, read0, bytes0 := mAnchorTermsWalked.Value(), mAnchorTermsStored.Value(), mAnchorTermsRead.Value(), mAnchorTermsBytes.Value()
+		if err := NewExtractor(c, feats, true).Recompute(); err != nil {
+			t.Fatal(err)
+		}
+		if fac, mat := mProximitiesFactored.Value()-fac0, mProximitiesMaterialised.Value()-mat0; fac != 28 || mat != 3 {
+			t.Errorf("Recompute %d held %d proximities factored and %d materialised, want 28 and 3", n+1, fac, mat)
+		}
+		walked, stored, read := mAnchorTermsWalked.Value()-walked0, mAnchorTermsStored.Value()-stored0, mAnchorTermsRead.Value()-read0
+		if walked != want.walked || stored != want.stored || read != want.read {
+			t.Errorf("Recompute %d walked %d, stored %d and read %d anchor terms, want %d, %d and %d", n+1, walked, stored, read, want.walked, want.stored, want.read)
+		}
+		if walks := walk.Value() != walk0; walks != want.walks {
+			t.Errorf("Recompute %d counted walk multiply-adds: %v, want %v", n+1, walks, want.walks)
+		}
+		if grows := mAnchorTermsBytes.Value() > bytes0; grows != want.grows {
+			t.Errorf("Recompute %d grew the stored terms' bytes: %v, want %v", n+1, grows, want.grows)
+		}
 	}
 	if merge, rank := scrape(); merge != merge0 || rank != rank0 {
 		t.Errorf("Recompute on a warm counter stacked through Hadamard: rows %s/%s, before %s/%s", merge, rank, merge0, rank0)

@@ -92,16 +92,20 @@ func (c *Counter) Proximity(d schema.Diagram) (*Proximity, error) {
 
 // factored is an anchor-dependent proximity held as the factors of its
 // count, (x·y) ⊙ d, and never as the count: x counts pre∘anchor through
-// the counter's anchor layer — as thin as the labelled anchor set — y
-// counts post and d, nil when nothing is stacked, the anchor-free part
-// beside them, both from the shared Lemma-2 layer (the seed, on a
-// worker). Definition 6 needs of a count its value at a candidate link,
-// its row sums and its column sums; the extractor reads all three off
-// the factors (sparse.MatMulAt, sparse.MatMulMarginals), bit for bit
+// the counter's anchor layer — as thin as the labelled anchor set — pre
+// counts x's anchor-free half, y counts post and d, nil when nothing is
+// stacked, the anchor-free part beside them, all three from the shared
+// Lemma-2 layer (the seed, on a worker). Definition 6 needs of a count
+// its value at a candidate link, its row sums and its column sums; the
+// extractor reads all three off the factors (sparse.MatMulAt,
+// sparse.MatMulMarginals, per anchor sparse.AnchorTerms), bit for bit
 // what Counter.Proximity's materialised count gives — see the
 // integrality argument in sparse/factored.go.
 type factored struct {
-	x, y, d *sparse.CSR
+	pre, x, y, d *sparse.CSR
+	// preD is pre's diagram: read backwards, it counts preᵀ, which the
+	// extractor asks for only when an anchor's terms are first stored.
+	preD schema.Diagram
 }
 
 // factorise reports whether d has the shape every anchor-dependent
@@ -147,8 +151,11 @@ func (c *Counter) form(d schema.Diagram) (*Proximity, *factored, error) {
 	if err := d.Validate(c.sh.sch); err != nil {
 		return nil, nil, err
 	}
-	f := new(factored)
+	f := &factored{preD: head.(schema.Series).Parts[0]}
 	var err error
+	if f.pre, err = c.eval(f.preD); err != nil {
+		return nil, nil, err
+	}
 	if f.x, err = c.eval(head); err != nil {
 		return nil, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/datagen"
@@ -45,6 +46,36 @@ func referenceCount(t *testing.T, c *Counter, d schema.Diagram) *sparse.CSR {
 		t.Fatalf("referenceCount: unknown diagram type %T", d)
 		return nil
 	}
+}
+
+// referenceMarginals is the per-fold walk Recompute ran before anchors'
+// terms were stored: every product's stacked sums from one
+// MatMulMarginals over its whole pre∘anchor factor, the bare ones from
+// two matvecs, a materialised feature's its count's own. It reads the
+// factors a recomputed e holds and returns each feature's row and column
+// sums in library order.
+func referenceMarginals(e *Extractor) (rowSums, colSums [][]float64) {
+	walked := make([][2][][]float64, len(e.products))
+	for q, p := range e.products {
+		rs, cs := sparse.MatMulMarginals(p.x, p.y, p.ds)
+		walked[q] = [2][][]float64{
+			append([][]float64{p.x.MulVec(p.y.RowSums())}, rs...),
+			append([][]float64{p.y.TMulVec(p.x.ColSums())}, cs...),
+		}
+	}
+	for _, f := range e.prox {
+		if f.prod < 0 {
+			m := e.counts[f.stack]
+			rowSums, colSums = append(rowSums, m.RowSums()), append(colSums, m.ColSums())
+			continue
+		}
+		slot := 0
+		if f.stack >= 0 {
+			slot = 1 + slices.Index(e.products[f.prod].ds, e.counts[f.stack])
+		}
+		rowSums, colSums = append(rowSums, walked[f.prod][0][slot]), append(colSums, walked[f.prod][1][slot])
+	}
+	return rowSums, colSums
 }
 
 // countsFingerprint hashes every feature's count matrix — shape, row

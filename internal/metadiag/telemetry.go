@@ -15,4 +15,16 @@ var (
 		"Feature proximities recomputed, by the form held.", telemetry.L("form", "factored"))
 	mProximitiesMaterialised = telemetry.Default.Counter("activeiter_metadiag_proximities_total",
 		"Feature proximities recomputed, by the form held.", telemetry.L("form", "materialised"))
+	// How each Extractor.Recompute found each labelled anchor's share of
+	// each stacking's marginals (anchorTerms): walked on first sight,
+	// computed and stored on the second, read after that. One per anchor
+	// per stacking.
+	mAnchorTermsWalked = telemetry.Default.Counter("activeiter_metadiag_anchor_terms_total",
+		"Anchor × stacking marginal terms per Recompute, by path.", telemetry.L("path", "walked"))
+	mAnchorTermsStored = telemetry.Default.Counter("activeiter_metadiag_anchor_terms_total",
+		"Anchor × stacking marginal terms per Recompute, by path.", telemetry.L("path", "stored"))
+	mAnchorTermsRead = telemetry.Default.Counter("activeiter_metadiag_anchor_terms_total",
+		"Anchor × stacking marginal terms per Recompute, by path.", telemetry.L("path", "read"))
+	mAnchorTermsBytes = telemetry.Default.Gauge("activeiter_metadiag_anchor_terms_bytes",
+		"Bytes of stored per-anchor marginal terms held by live counter families.")
 )

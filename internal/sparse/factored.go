@@ -2,9 +2,10 @@ package sparse
 
 import "fmt"
 
-// The two kernels below read a stacked count (x·y) ⊙ d through its
-// factors, the way MatMulTopK reads a product's top entries without the
-// product: MatMulAt one cell, MatMulMarginals the row and column sums.
+// The kernels below read a stacked count (x·y) ⊙ d through its factors,
+// the way MatMulTopK reads a product's top entries without the product:
+// MatMulAt one cell, MatMulMarginals the row and column sums, and
+// AnchorTerms one anchor's share of those sums when x = pre·A.
 // Hadamard(MatMulParallel(x, y), d) stays the general path and is their
 // reference.
 //
@@ -95,4 +96,70 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 	}
 	mMarginalFlops.Add(int64(spgemmFlops(x, y)))
 	return rowSums, colSums
+}
+
+// AnchorTerms writes one anchor's share of the marginals of every
+// stacking (pre·A·post) ⊙ d, d in ds, where A is a 0/1 anchor matrix
+// holding (a1, a2). The count is linear in A, so its row and column sums
+// are sums over A's entries of
+//
+//	row terms    pre(u,a1)·Σ_v post(a2,v)·d(u,v)   for u in pre's column a1,
+//	column terms post(a2,v)·Σ_u pre(u,a1)·d(u,v)   for v in post's row a2,
+//
+// which depend on the anchor alone. preT is pre transposed, so pre's
+// column a1 is preT's row a1. For each d in turn, out receives the row
+// terms in the order of preT's row a1 and then the column terms in the
+// order of post's row a2 — values only; the positions are those two
+// rows — so it must have len(ds)·(|preT row a1| + |post row a2|) slots.
+// Each d is probed at every (u, v) of the block, through its rank index
+// where it has one and by merging d's row with post's otherwise. It
+// panics on a shape mismatch.
+func AnchorTerms(preT, post *CSR, ds []*CSR, a1, a2 int, out []float64) {
+	if a1 < 0 || a1 >= preT.rows || a2 < 0 || a2 >= post.rows {
+		panic(fmt.Sprintf("sparse: AnchorTerms anchor (%d,%d) out of range %dx%d", a1, a2, preT.rows, post.rows))
+	}
+	us, pu := preT.colIdx[preT.rowPtr[a1]:preT.rowPtr[a1+1]], preT.val[preT.rowPtr[a1]:preT.rowPtr[a1+1]]
+	vs, pv := post.colIdx[post.rowPtr[a2]:post.rowPtr[a2+1]], post.val[post.rowPtr[a2]:post.rowPtr[a2+1]]
+	n := len(us) + len(vs)
+	if len(out) != len(ds)*n {
+		panic(fmt.Sprintf("sparse: AnchorTerms out has %d slots, want %d", len(out), len(ds)*n))
+	}
+	clear(out)
+	for k, d := range ds {
+		if d.rows != preT.cols || d.cols != post.cols {
+			panic(fmt.Sprintf("sparse: AnchorTerms shape mismatch at stack %d: %dx%d on a %dx%d product", k, d.rows, d.cols, preT.cols, post.cols))
+		}
+		rt, ct := out[k*n:k*n+len(us)], out[k*n+len(us):(k+1)*n]
+		r := d.rank()
+		for a, u := range us {
+			lo, hi := d.rowPtr[u], d.rowPtr[u+1]
+			var s float64
+			if r != nil {
+				for b, v := range vs {
+					if off := r.offset(u, v); off >= 0 {
+						s += pv[b] * d.val[lo+off]
+						ct[b] += pu[a] * d.val[lo+off]
+					}
+				}
+			} else {
+				for p, b := lo, 0; p < hi && b < len(vs); {
+					switch j := d.colIdx[p]; {
+					case j < vs[b]:
+						p++
+					case j > vs[b]:
+						b++
+					default:
+						s += pv[b] * d.val[p]
+						ct[b] += pu[a] * d.val[p]
+						p++
+						b++
+					}
+				}
+			}
+			rt[a] = pu[a] * s
+		}
+		for b := range ct {
+			ct[b] *= pv[b]
+		}
+	}
 }

@@ -124,6 +124,111 @@ func TestMatMulMarginalsNeedsNoStack(t *testing.T) {
 	}
 }
 
+// checkAnchorTermsAgainstWalk sums AnchorTerms over a's entries and
+// compares the sums with the walk they replace: MatMulMarginals of
+// (pre·a)·post stacked on every d.
+func checkAnchorTermsAgainstWalk(t *testing.T, pre, a, post *CSR, ds []*CSR) {
+	t.Helper()
+	wantRows, wantCols := MatMulMarginals(MatMul(pre, a), post, ds)
+	rowSums, colSums := make([][]float64, len(ds)), make([][]float64, len(ds))
+	for k := range ds {
+		rowSums[k], colSums[k] = make([]float64, pre.rows), make([]float64, post.cols)
+	}
+	preT := pre.T()
+	a.Iterate(func(a1, a2 int, _ float64) {
+		us, _ := preT.RowSlice(a1)
+		vs, _ := post.RowSlice(a2)
+		n := len(us) + len(vs)
+		out := make([]float64, len(ds)*n)
+		AnchorTerms(preT, post, ds, a1, a2, out)
+		for k := range ds {
+			for i, u := range us {
+				rowSums[k][u] += out[k*n+i]
+			}
+			for i, v := range vs {
+				colSums[k][v] += out[k*n+len(us)+i]
+			}
+		}
+	})
+	for k := range ds {
+		if !slices.Equal(rowSums[k], wantRows[k]) {
+			t.Fatalf("stack %d: summed row terms %v, walk %v", k, rowSums[k], wantRows[k])
+		}
+		if !slices.Equal(colSums[k], wantCols[k]) {
+			t.Fatalf("stack %d: summed column terms %v, walk %v", k, colSums[k], wantCols[k])
+		}
+	}
+}
+
+// anchorFuzzCase derives the operands of one fuzz input: small-integer
+// pre and post, a 0/1 anchor matrix drawn with repetition — so an
+// endpoint may sit in several anchors and a pair may be drawn twice —
+// and the three stacked counts of factoredFuzzCase.
+func anchorFuzzCase(seed int64, rows, inner, cols, density, stackDensity, anchors uint8) (pre, a, post *CSR, ds []*CSR) {
+	rng := rand.New(rand.NewSource(seed))
+	r, n1, n2, c := int(rows)%48, int(inner)%48, (int(inner)+int(seed&7))%48, int(cols)%160
+	pre = randCSR(rng, r, n1, float64(density)/255)
+	post = randCSR(rng, n2, c, float64(density)/255)
+	b := NewBuilder(n1, n2)
+	for k := 0; n1 > 0 && n2 > 0 && k < int(anchors)%64; k++ {
+		b.Add(rng.Intn(n1), rng.Intn(n2), 1)
+	}
+	sd := float64(stackDensity) / 255
+	return pre, b.Build().Binarize(), post, []*CSR{randCSR(rng, r, c, sd), randCSR(rng, r, c, sd/16), Zero(r, c)}
+}
+
+var anchorFuzzSeeds = [][7]int{
+	{1, 5, 4, 70, 128, 200, 6},
+	{2, 40, 30, 150, 30, 255, 40},
+	{3, 47, 12, 159, 255, 40, 63},
+	{4, 20, 1, 64, 255, 128, 3},
+	{5, 0, 3, 9, 100, 100, 5},
+	{6, 9, 0, 65, 100, 100, 5},
+	{7, 12, 12, 0, 100, 100, 20},
+	{8, 40, 40, 150, 3, 3, 30},
+	{9, 30, 20, 100, 60, 255, 0},
+}
+
+// FuzzAnchorTerms checks that AnchorTerms, summed over an anchor set,
+// gives the row and column sums MatMulMarginals walks off pre·A.
+func FuzzAnchorTerms(f *testing.F) {
+	for _, s := range anchorFuzzSeeds {
+		f.Add(int64(s[0]), uint8(s[1]), uint8(s[2]), uint8(s[3]), uint8(s[4]), uint8(s[5]), uint8(s[6]))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows, inner, cols, density, stackDensity, anchors uint8) {
+		pre, a, post, ds := anchorFuzzCase(seed, rows, inner, cols, density, stackDensity, anchors)
+		checkAnchorTermsAgainstWalk(t, pre, a, post, ds)
+	})
+}
+
+// TestFuzzAnchorTermsCorpusReachesBothRegimes: the seed corpus must
+// probe stacked counts through a rank index and by merging, and must
+// hold an anchor set that is not one-to-one.
+func TestFuzzAnchorTermsCorpusReachesBothRegimes(t *testing.T) {
+	var indexed, plain, shared int
+	for _, s := range anchorFuzzSeeds {
+		pre, a, post, ds := anchorFuzzCase(int64(s[0]), uint8(s[1]), uint8(s[2]), uint8(s[3]), uint8(s[4]), uint8(s[5]), uint8(s[6]))
+		checkAnchorTermsAgainstWalk(t, pre, a, post, ds)
+		for _, d := range ds[:2] {
+			if d.rankIdx.Load() != nil {
+				indexed++
+			} else if d.NNZ() > 0 {
+				plain++
+			}
+		}
+		for _, m := range []*CSR{a, a.T()} {
+			for i := 0; i < m.rows; i++ {
+				if m.RowNNZ(i) > 1 {
+					shared++
+				}
+			}
+		}
+	}
+	if indexed == 0 || plain == 0 || shared == 0 {
+		t.Errorf("seed corpus probed %d indexed and %d plain counts over %d anchor sets that are not one-to-one; it must reach all three", indexed, plain, shared)
+	}
+}
+
 func TestFactoredKernelsPanicOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"at inner":        func() { MatMulAt(Zero(2, 3), Zero(4, 5), 0, 0) },
@@ -133,6 +238,9 @@ func TestFactoredKernelsPanicOnMismatch(t *testing.T) {
 		"marginals inner": func() { MatMulMarginals(Zero(2, 3), Zero(4, 5), nil) },
 		"marginals rows":  func() { MatMulMarginals(Zero(2, 3), Zero(3, 5), []*CSR{Zero(3, 5)}) },
 		"marginals cols":  func() { MatMulMarginals(Zero(2, 3), Zero(3, 5), []*CSR{Zero(2, 5), Zero(2, 4)}) },
+		"terms anchor":    func() { AnchorTerms(Zero(3, 2), Zero(4, 5), nil, 3, 0, nil) },
+		"terms stack":     func() { AnchorTerms(Identity(3), Identity(3), []*CSR{Zero(3, 4)}, 0, 0, make([]float64, 2)) },
+		"terms out":       func() { AnchorTerms(Identity(3), Identity(3), []*CSR{Zero(3, 3)}, 0, 0, make([]float64, 1)) },
 	} {
 		func() {
 			defer func() {

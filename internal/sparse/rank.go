@@ -18,9 +18,10 @@ type rankIndex struct {
 
 // rank returns m's rank index, building it on first call, or nil for a
 // matrix the rule excludes. What builds one is a kernel about to make
-// many probes: the marginal walk for every count stacked on a product
-// (MatMulMarginals — on the training path the first user of an
-// attribute count), Hadamard for the longer side of a stacking. The
+// many probes: the marginal walk and the per-anchor terms for every
+// count stacked on a product (MatMulMarginals, AnchorTerms — on the
+// training path the first users of an attribute count), Hadamard for
+// the longer side of a stacking. The
 // point probes below — At, MatMulAt — read an index that exists and
 // never build one, since a single lookup does not pay for a pass over
 // the matrix. The rule reads the matrix alone: an index pays for

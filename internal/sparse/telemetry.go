@@ -11,8 +11,9 @@ var mSpgemmFlops = telemetry.Default.Counter("activeiter_spgemm_flops_total",
 	"Gustavson SpGEMM multiply-adds performed by meta-diagram chain products.")
 
 // mMarginalFlops is the same count for the products MatMulMarginals
-// walks without building — a fold's anchor-path products since the
-// extractor holds them factored, work the counter above no longer sees.
+// walks without building — a fold's anchor-path products over the
+// anchors it walks rather than reads stored terms for, work the counter
+// above does not see.
 var mMarginalFlops = telemetry.Default.Counter("activeiter_marginal_walk_flops_total",
 	"Gustavson multiply-adds of anchor-path products walked for their stacked marginals, never built.")
 
