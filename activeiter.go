@@ -152,10 +152,11 @@ type Options struct {
 	// budget splits across this many retrain-after-labels rounds over
 	// one stable plan, each round's oracle answers entering the next as
 	// fixed labels. In-process every round re-runs the part pipelines;
-	// distributed, the rounds share one sticky worker session — round 1
-	// ships each shard once, later rounds ship only the new labels to
-	// the workers already holding the shard warm. 0 and 1 are the same
-	// run: one round, the single-shot dispatch.
+	// distributed, the rounds share one sticky worker session — every
+	// round ships each shard's job to the worker that ran it last, which
+	// prepares it in round 1 and afterwards re-runs only training on the
+	// shard it holds warm. 0 and 1 are the same run: one round, the
+	// single-shot dispatch.
 	Rounds int
 	// ShardRetries (DistributedAligner only) is how many times a failed
 	// shard is re-dispatched on a fresh connection — with capped

@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	partitions := fs.Int("partitions", 0, "shard every fold's candidate space this many ways (≤1 = one part) in "+strings.Join(sharded, ", ")+"; the PU family trains per part and reconciles, the SVM baselines and every other experiment train each fold as one part")
 	distribWorkers := fs.Int("distrib-workers", 0, "distributed experiment: concurrent shard workers (0 = preset default)")
 	distribWorkerCmd := fs.String("distrib-worker-cmd", "", "distributed experiment: worker binary to spawn per connection (runs with -worker; empty = in-process loopback transport only)")
-	distribRounds := fs.Int("distrib-rounds", 0, "distributed experiment: split the budget across this many sticky-session retrain rounds (≤1 = single-shot dispatch); adds full-reship and delta-shipping session modes")
+	distribRounds := fs.Int("distrib-rounds", 0, "distributed experiment: split the budget across this many sticky-session retrain rounds (≤1 = single-shot dispatch); adds sticky-session modes whose workers re-run each shard warm after round 1")
 	distribChaos := fs.Int64("distrib-chaos", 0, "distributed experiment: add a fault-injected loopback mode seeded with this value (refused dials, mid-frame drops, corruption, crashes); the alignment must match the healthy modes, with the retries/fallbacks columns showing the recovery work (0 = off)")
 	saveSnapshot := fs.String("save-snapshot", "", "train one alignment on the preset (facade chosen by -partitions/-distrib-* flags) and persist it as a serving artifact at this path instead of running experiments (serve it with alignd)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of the distributed experiment's shard spans (coordinator + workers, stitched across processes) to this path; open it at chrome://tracing or ui.perfetto.dev")

@@ -4,9 +4,9 @@
 // pack as raw little-endian runs, and parallel arrays (I/J/Label) are
 // written column by column so the varints of like-valued fields sit
 // together. The frames that dominate a run's bytes are Votes (the whole
-// candidate pool back), Done (weight vectors), Job and JobRef (pools and
-// label deltas) and the warm-counter Seed (seed.go); the control frames
-// are one to four scalars each.
+// candidate pool back), Done (weight vectors), Job (pools and prelabels)
+// and the warm-counter Seed (seed.go); the control frames are one to
+// four scalars each.
 //
 // The layouts are part of the wire contract (Version history in
 // wire.go, field tables in docs/WIRE.md): any change to an appendBody /
@@ -107,7 +107,6 @@ func decodeWireLabels(d *framing.Dec) []WireLabel {
 // configuration and the trace-context tail (two bytes when zero).
 func (j *Job) appendBody(b []byte) []byte {
 	b = framing.AppendVarint(b, int64(j.Shard))
-	b = framing.AppendUvarint(b, j.Fingerprint)
 	b = framing.AppendUvarint(b, j.SeedFP)
 	b = framing.AppendString(b, j.AnchorType)
 	b = appendAnchors(b, j.TrainPos)
@@ -130,7 +129,6 @@ func (j *Job) appendBody(b []byte) []byte {
 func (j *Job) decodeBody(body []byte) error {
 	d := framing.NewDec(body)
 	j.Shard = d.Int()
-	j.Fingerprint = d.Uvarint()
 	j.SeedFP = d.Uvarint()
 	j.AnchorType = d.String()
 	j.TrainPos = decodeAnchors(d)
@@ -148,30 +146,6 @@ func (j *Job) decodeBody(body []byte) error {
 	j.TraceID = d.Uvarint()
 	j.SpanID = d.Uvarint()
 	return finish(d, "job")
-}
-
-// JobRef body: scalars plus the label-delta columns.
-func (r *JobRef) appendBody(b []byte) []byte {
-	b = framing.AppendVarint(b, int64(r.Shard))
-	b = framing.AppendUvarint(b, r.Fingerprint)
-	b = appendWireLabels(b, r.AddLabels)
-	b = framing.AppendVarint(b, int64(r.Budget))
-	b = framing.AppendVarint(b, r.Seed)
-	b = framing.AppendUvarint(b, r.TraceID)
-	b = framing.AppendUvarint(b, r.SpanID)
-	return b
-}
-
-func (r *JobRef) decodeBody(body []byte) error {
-	d := framing.NewDec(body)
-	r.Shard = d.Int()
-	r.Fingerprint = d.Uvarint()
-	r.AddLabels = decodeWireLabels(d)
-	r.Budget = d.Int()
-	r.Seed = d.Varint()
-	r.TraceID = d.Uvarint()
-	r.SpanID = d.Uvarint()
-	return finish(d, "job-ref")
 }
 
 // Votes body: shard, then I/J varint columns, Label/Score packed
@@ -243,10 +217,10 @@ func (v *Votes) decodeBody(body []byte) error {
 	return finish(d, "votes")
 }
 
-// Done body: report scalars, the packed weight vector, then the v6
-// worker-span column (count, then per-span ID, Parent, Name, StartNS,
-// EndNS — one varint/string group per span; an untraced job writes a
-// single zero byte).
+// Done body: report scalars, the cache verdict, the packed weight
+// vector, then the v6 worker-span column (count, then per-span ID,
+// Parent, Name, StartNS, EndNS — one varint/string group per span; an
+// untraced job writes a single zero byte).
 func (dn *Done) appendBody(b []byte) []byte {
 	b = framing.AppendVarint(b, int64(dn.Shard))
 	b = framing.AppendVarint(b, int64(dn.TrainPos))
@@ -254,6 +228,7 @@ func (dn *Done) appendBody(b []byte) []byte {
 	b = framing.AppendVarint(b, int64(dn.Budget))
 	b = framing.AppendVarint(b, int64(dn.Queries))
 	b = framing.AppendVarint(b, dn.ElapsedNS)
+	b = framing.AppendBool(b, dn.Cached)
 	b = framing.AppendFloat64s(b, dn.W)
 	b = framing.AppendUvarint(b, uint64(len(dn.Spans)))
 	for i := range dn.Spans {
@@ -275,6 +250,7 @@ func (dn *Done) decodeBody(body []byte) error {
 	dn.Budget = d.Int()
 	dn.Queries = d.Int()
 	dn.ElapsedNS = d.Varint()
+	dn.Cached = d.Bool()
 	dn.W = d.Float64s()
 	n := d.Uvarint()
 	if d.Err() == nil && n > 0 {
@@ -305,18 +281,6 @@ func (h *Hello) decodeBody(body []byte) error {
 	d := framing.NewDec(body)
 	h.Role = d.String()
 	return finish(d, "hello")
-}
-
-func (p *Progress) appendBody(b []byte) []byte {
-	b = framing.AppendVarint(b, int64(p.Shard))
-	b = framing.AppendString(b, p.Stage)
-	return framing.AppendVarint(b, int64(p.Queries))
-}
-
-func (p *Progress) decodeBody(body []byte) error {
-	d := framing.NewDec(body)
-	p.Shard, p.Stage, p.Queries = d.Int(), d.String(), d.Int()
-	return finish(d, "progress")
 }
 
 func (q *Query) appendBody(b []byte) []byte {

@@ -23,7 +23,6 @@ func TestColumnarEmptyRoundTrip(t *testing.T) {
 	}{
 		{"votes", &Votes{Shard: 3}, &Votes{}},
 		{"done", &Done{Shard: 2}, &Done{}},
-		{"jobref", &JobRef{Shard: 1, Fingerprint: 7}, &JobRef{}},
 		{"job", &Job{Shard: 0, SeedFP: 9, Budget: 1}, &Job{}},
 	} {
 		body := tc.enc.appendBody(nil)
@@ -218,8 +217,6 @@ func coldPayload(typ FrameType) Payload {
 	switch typ {
 	case FrameHello:
 		return &Hello{}
-	case FrameProgress:
-		return &Progress{}
 	case FrameQuery:
 		return &Query{}
 	case FrameAnswer:

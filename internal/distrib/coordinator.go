@@ -54,17 +54,6 @@ type Options struct {
 	// derives the seed by cold-counting — still once per run, not once
 	// per shard × worker.
 	Base *metadiag.Counter
-	// DeltaMaxLabels caps the label delta a JobRef may carry: a shard
-	// whose accumulated unsent labels exceed it re-ships as a full Job
-	// instead (an oversized delta plus a warm re-train can cost more than
-	// a cold job). 0 means the default (4096); negative disables delta
-	// shipping entirely — every round ships full jobs, which is the
-	// session property-test baseline. A first round has nothing warm to
-	// reference, so it ships full jobs whatever the value.
-	DeltaMaxLabels int
-	// OnProgress, when set, receives worker progress frames (from
-	// concurrent goroutines; the callback must be thread-safe).
-	OnProgress func(Progress)
 	// Tracer, when set, records the span tree: a root span per round
 	// ("round N"), per-attempt shard spans on their own tracks —
 	// hedges and fallbacks included — and the worker-side prepare/train/
@@ -80,12 +69,9 @@ type ShardMetrics struct {
 	Shard    int
 	JobBytes int64 // job frame bytes, last successful attempt
 	Attempts int
-	// CacheHit and DeltaLabels describe session delta shipping: the
-	// shard re-ran from the worker's warm cache, carrying this many new
-	// labels. On a hit JobBytes is the JobRef frame's size; on a missed
-	// JobRef attempt it includes both the JobRef and the fallback Job.
-	CacheHit    bool
-	DeltaLabels int
+	// CacheHit reports the worker re-ran the shard on the prepared state
+	// it held from an earlier round (its Done frame's verdict).
+	CacheHit bool
 	// Fallback reports the shard's result came from the in-process
 	// degradation path, not the transport.
 	Fallback bool
@@ -98,20 +84,23 @@ type ShardMetrics struct {
 // Session.Run (and Coordinator.Run) returns the round's metrics,
 // Session.Metrics the running totals.
 type Metrics struct {
-	Shards      []ShardMetrics
-	JobBytes    int64 // total full-job frame bytes, successful attempts only
-	DeltaBytes  int64 // total JobRef frame bytes (hit or missed attempts), successful shards only
-	ResultBytes int64 // total bytes read back from workers (incl. CacheAcks)
+	Shards []ShardMetrics
+	// JobBytes and DeltaBytes split the Job frame bytes of successful
+	// attempts by the worker's verdict: jobs it prepared cold, and jobs it
+	// re-ran warm on a shard it held.
+	JobBytes    int64
+	DeltaBytes  int64
+	ResultBytes int64 // total bytes read back from workers
 	// Queries counts oracle round-trips actually answered, INCLUDING
 	// those of failed attempts whose votes were discarded — retried
 	// shards re-spend oracle labels, and this is the audit of real
 	// labeling cost. Equals Result.QueryCount only on retry-free runs.
 	Queries int
 	Retries int // shard re-dispatches after failures
-	// CacheHits/CacheMisses count JobRef verdicts (rounds after a
-	// session's first): a miss is a JobRef the worker could not serve
-	// warm — worker restart, eviction, fingerprint-collision defense —
-	// answered by a full-Job re-ship.
+	// CacheHits counts jobs a worker re-ran warm. CacheMisses counts jobs
+	// sent back to the connection that ran the shard last which the
+	// worker nevertheless prepared cold — an evicted entry, a drifted
+	// pool.
 	CacheHits   int
 	CacheMisses int
 	// Fallbacks counts shards that degraded to the in-process loopback
@@ -184,16 +173,11 @@ type shardResult struct {
 	votes     []partition.Vote
 	report    partition.PartReport
 	weights   []float64 // the shard's trained model, from its Done frame
-	jobBytes  int64     // full Job frame bytes written
-	refBytes  int64     // JobRef frame bytes written (hit or missed attempt)
+	jobBytes  int64     // Job frame bytes written
 	readBytes int64
-	fallback  bool // produced by the in-process degradation path
-	// cacheHit/deltaLabels: the shard re-ran warm off a JobRef carrying
-	// this many new labels.
-	cacheHit    bool
-	deltaLabels int
-	state       *sessionShard // the session cache entry the attempt ran from
-	spans       []WireSpan    // worker-side spans off the Done frame (tracing only)
+	fallback  bool       // produced by the in-process degradation path
+	cacheHit  bool       // the worker re-ran the shard warm (Done.Cached)
+	spans     []WireSpan // worker-side spans off the Done frame (tracing only)
 }
 
 // Retry/deadline defaults.
@@ -259,20 +243,16 @@ func handshake(conn io.ReadWriter) error {
 }
 
 // streamEnv is the coordinator-side context for consuming one shard's
-// response stream: the serialized oracle, the round-trip audit counter,
-// and the progress callback. One env may serve many concurrent
-// collectShard calls.
+// response stream: the serialized oracle and the round-trip audit
+// counter. One env may serve many concurrent collectShard calls.
 type streamEnv struct {
-	oracle     active.Oracle
-	oracleMu   *sync.Mutex
-	queries    *atomic.Int64
-	onProgress func(Progress)
+	oracle   active.Oracle
+	oracleMu *sync.Mutex
+	queries  *atomic.Int64
 }
 
-// collectShard consumes one shard's frame stream — votes, progress,
-// oracle round-trips — through to its Done frame, accumulating into sr.
-// The response protocol is identical whether the request was a Job or a
-// cache-hit JobRef.
+// collectShard consumes one shard's frame stream — votes, oracle
+// round-trips — through to its Done frame, accumulating into sr.
 func collectShard(conn *attemptConn, partIndex int, env *streamEnv, sr *shardResult) error {
 	cr := &countingReader{r: conn}
 	defer func() { sr.readBytes += cr.n }()
@@ -298,14 +278,6 @@ func collectShard(conn *attemptConn, partIndex int, env *streamEnv, sr *shardRes
 					Queried: wv.Queried,
 					Fixed:   wv.Fixed,
 				})
-			}
-		case FrameProgress:
-			var p Progress
-			if err := DecodeBody(body, &p); err != nil {
-				return err
-			}
-			if env.onProgress != nil {
-				env.onProgress(p)
 			}
 		case FrameQuery:
 			var q Query
@@ -335,8 +307,7 @@ func collectShard(conn *attemptConn, partIndex int, env *streamEnv, sr *shardRes
 				Queries:    d.Queries,
 				Elapsed:    time.Duration(d.ElapsedNS),
 			}
-			sr.weights = d.W
-			sr.spans = d.Spans
+			sr.weights, sr.spans, sr.cacheHit = d.W, d.Spans, d.Cached
 			return nil
 		case FrameError:
 			var je JobError

@@ -308,8 +308,8 @@ func (tr *slowFirstTransport) Dial() (io.ReadWriteCloser, error) {
 	return conn, nil
 }
 
-// slowConn holds back every read that follows a Job or JobRef written
-// while its transport is armed, for delay or until the coordinator
+// slowConn holds back every read that follows a Job written while its
+// transport is armed, for delay or until the coordinator
 // abandons the connection — whichever comes first, so the round is over
 // as soon as the winning twin gives up on the loser. Stalling only once a
 // job is in flight keeps the handshake and seed negotiation healthy: what
@@ -347,7 +347,7 @@ func (c *slowConn) Write(p []byte) (int, error) {
 			c.tr.sawCancel.Store(true)
 			c.Close()
 			return 0, io.ErrClosedPipe
-		case FrameJob, FrameJobRef:
+		case FrameJob:
 			c.stalled.Store(c.tr.armed.Load())
 		}
 	}
@@ -404,12 +404,12 @@ func TestHedgingRacesStragglers(t *testing.T) {
 
 	// The same straggler, but in round 2 of a session: the slow
 	// connection holds a shard warm from a healthy round 1, stalls on its
-	// JobRef re-run, and is raced by a cold full-Job twin on the other
-	// slot. First Done wins, the loser is cancelled, and the votes equal
-	// the unhedged session's.
+	// warm re-run, and is raced by a cold twin on the other slot. First
+	// Done wins, the loser is cancelled, and the votes equal the unhedged
+	// session's.
 	t.Run("session-round-2", func(t *testing.T) {
 		fx := newDistFixture(t, 2, 8)
-		unhedged, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 0, 2, 8, 2)
+		unhedged, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 8, 2)
 
 		tr := &slowFirstTransport{inner: Loopback{}, delay: stragglerDelay}
 		plan := fx.freshPlan(t, 8)
@@ -691,7 +691,12 @@ func TestTCPDialSkipsQuarantined(t *testing.T) {
 	// connections and hangs up (a crashed worker behind a live port), the
 	// other is a real worker. Two failed attempts on the bad address
 	// inside the session must bench it, and the session still converges
-	// on the healthy worker.
+	// on the healthy worker. The bad address is listed twice ahead of the
+	// good one, so the round robin sends the run's first two dials there
+	// whichever slots make them: the healthy worker is only reachable
+	// after both have failed, which makes the two failures certain —
+	// with one listing, a healthy slot could take the requeued shard
+	// before the other slot ever redialled.
 	t.Run("session-feeds-board", func(t *testing.T) {
 		badLn, goodLn := listen(t), listen(t)
 		go func() {
@@ -718,10 +723,10 @@ func TestTCPDialSkipsQuarantined(t *testing.T) {
 		bad, good := badLn.Addr().String(), goodLn.Addr().String()
 
 		fx := newDistFixture(t, 3, 12)
-		full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 0, 2, 12, 2)
-		tr := &TCP{Addrs: []string{bad, good}, QuarantineAfter: 2}
-		res, _, cum := runRoundsOnPlan(t, fx, tr, 0, 2, 12, 2)
-		assertSameAlignment(t, res, full, fx.plan)
+		want, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 12, 2)
+		tr := &TCP{Addrs: []string{bad, bad, good}, QuarantineAfter: 2}
+		res, _, cum := runRoundsOnPlan(t, fx, tr, 2, 12, 2)
+		assertSameAlignment(t, res, want, fx.plan)
 		if cum.Retries < 2 {
 			t.Errorf("Retries = %d, want the bad worker's two failed attempts", cum.Retries)
 		}
@@ -770,13 +775,14 @@ func TestExecCloseReapsHungWorker(t *testing.T) {
 
 // ---------------------------------------------------------------------
 // Sessions under chaos: the sticky-connection path must recover from
-// injected faults mid-round — redial, replay the cache handshake or
-// re-ship full jobs — and still match the fault-free reference.
+// injected faults mid-round — redial, renegotiate the seed, prepare cold
+// what no live connection holds — and still match the fault-free
+// reference.
 // ---------------------------------------------------------------------
 
 func TestSessionSurvivesChaos(t *testing.T) {
 	fx := newDistFixture(t, 3, 12)
-	full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, -1, 2, 12, 2)
+	full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 12, 2)
 
 	chaos := &ChaosTransport{Inner: Loopback{}, Opts: ChaosOptions{
 		Seed: 5, RefuseRate: 0.1, DropRate: 0.25, CorruptRate: 0.1, CrashRate: 0.1,

@@ -1,11 +1,7 @@
 package distrib
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"math"
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
@@ -106,9 +102,8 @@ func (c TrainConfig) TrainOptions() (partition.TrainOptions, error) {
 }
 
 // NewJob packages a plan part as a wire job against the seed named by
-// seedFP: the part's pool and prelabels as they stand, in original pair
-// indices. Fingerprint is left zero — the Session stamps it via
-// ComputeFingerprint to opt the worker into caching.
+// seedFP: the part's pool, budget and prelabels as they stand, in
+// original pair indices.
 func NewJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfig, seedFP uint64) *Job {
 	j := &Job{
 		Shard:      part.Index,
@@ -201,58 +196,13 @@ func partLabels(labels []WireLabel) []partition.LabeledLink {
 	return out
 }
 
-// fingerprintHasher feeds length-delimited primitives into FNV-1a, field
-// by field, so two processes holding equal values agree on the hash.
-type fingerprintHasher struct{ h hash.Hash64 }
-
-func (f *fingerprintHasher) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	f.h.Write(b[:])
-}
-func (f *fingerprintHasher) str(s string) {
-	f.u64(uint64(len(s)))
-	f.h.Write([]byte(s))
-}
-func (f *fingerprintHasher) anchors(as []hetnet.Anchor) {
-	f.u64(uint64(len(as)))
-	for _, a := range as {
-		f.u64(uint64(uint32(a.I)))
-		f.u64(uint64(uint32(a.J)))
-	}
-}
-
-// ComputeFingerprint hashes the job's shard-stable content: the seed
-// fingerprint standing in for the networks, the pool, and the training
-// configuration. Budget, Seed and Prelabeled — the per-round mutables —
-// stay out, so every round of a stable plan hashes identically, which is
-// the whole point. The result keys the worker-side shard cache; it is a
-// cache key, not an authenticator. Never returns 0 (the "no caching"
-// sentinel).
-func (j *Job) ComputeFingerprint() uint64 {
-	f := &fingerprintHasher{h: fnv.New64a()}
-	f.u64(uint64(uint32(j.Shard)))
-	f.u64(j.SeedFP)
-	f.str(j.AnchorType)
-	f.anchors(j.TrainPos)
-	f.anchors(j.Candidates)
-	f.str(j.FeatureSet)
-	f.str(j.Strategy)
-	f.u64(math.Float64bits(j.C))
-	f.u64(math.Float64bits(j.Threshold))
-	if j.HasThreshold {
-		f.u64(1)
-	} else {
-		f.u64(0)
-	}
-	f.u64(uint64(uint32(j.BatchSize)))
-	if j.Exact {
-		f.u64(1)
-	} else {
-		f.u64(0)
-	}
-	if s := f.h.Sum64(); s != 0 {
-		return s
-	}
-	return 1
+// shape is the job with its per-round fields cleared — prelabels,
+// budget, seed and trace context — which leaves what a prepared shard is
+// a function of: the shard, the seed it forks, the pool and the training
+// configuration. A field added to Job is part of the shape unless it is
+// cleared here.
+func (j *Job) shape() Job {
+	s := *j
+	s.Prelabeled, s.Budget, s.Seed, s.TraceID, s.SpanID = nil, 0, 0, 0, 0
+	return s
 }

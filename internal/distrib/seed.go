@@ -72,14 +72,19 @@ type WireSeed struct {
 // themselves are a deterministic function of those inputs, so they stay
 // out of the hash — which is what lets a worker that got the layer from
 // an earlier run of the same pair answer a SeedRef with a hit. Never
-// returns 0, which no job may name.
+// returns 0, which no job may name. The inputs are fed to FNV-1a field by
+// field, strings length-prefixed, so two processes holding equal values
+// agree on the hash.
 func seedFingerprint(pair *hetnet.AlignedPair, featureSet string) uint64 {
-	f := &fingerprintHasher{h: fnv.New64a()}
-	f.u64(pair.G1.Fingerprint())
-	f.u64(pair.G2.Fingerprint())
-	f.str(string(pair.AnchorType))
-	f.str(featureSet)
-	if s := f.h.Sum64(); s != 0 {
+	h := fnv.New64a()
+	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
+	u64(pair.G1.Fingerprint())
+	u64(pair.G2.Fingerprint())
+	for _, str := range []string{string(pair.AnchorType), featureSet} {
+		u64(uint64(len(str)))
+		h.Write([]byte(str))
+	}
+	if s := h.Sum64(); s != 0 {
 		return s
 	}
 	return 1

@@ -429,7 +429,7 @@ func TestInstallRefusesBadSeed(t *testing.T) {
 	}
 }
 
-// TestJobIndicesBoundedBySeed: every index a Job or a JobRef names is
+// TestJobIndicesBoundedBySeed: every index a Job names, cold or warm, is
 // checked against the seed's two node counts — there is no network on the
 // worker to check it against, and an unchecked one would index a count
 // matrix out of range.
@@ -473,33 +473,33 @@ func TestJobIndicesBoundedBySeed(t *testing.T) {
 		t.Errorf("anchor type mismatch: got %v", err)
 	}
 
-	// JobRef: the label delta is checked against the bounds the prepared
-	// shard took from its seed, over a live worker connection.
+	// A job whose shard the worker holds warm is checked the same way,
+	// against the bounds the prepared shard took from its seed, over a live
+	// worker connection.
 	w := dialSeeded(t, fixturePair(t), TrainConfig{FeatureSet: FeaturesFull})
 	job = fixtureJob(t)
 	job.SeedFP, job.Budget = w.fp, 0
-	job.Fingerprint = job.ComputeFingerprint()
 	if err := WriteFrame(w, FrameJob, job); err != nil {
 		t.Fatal(err)
 	}
 	drainToDone(t, w)
 	for _, l := range []WireLabel{{I: int32(seed.n1), J: 0, Label: 1}, {I: 0, J: int32(seed.n2), Label: 0}, {I: -1, J: 0, Label: 1}} {
-		ref := &JobRef{Shard: job.Shard, Fingerprint: job.Fingerprint, AddLabels: []WireLabel{l}}
-		if err := WriteFrame(w, FrameJobRef, ref); err != nil {
-			t.Fatal(err)
-		}
-		var ack CacheAck
-		if err := ReadExpect(w, FrameCacheAck, &ack); err != nil || !ack.Hit {
-			t.Fatalf("job ref ack: hit=%v err=%v", ack.Hit, err)
-		}
-		var pr Progress
-		if err := ReadExpect(w, FrameProgress, &pr); err != nil {
+		next := *job
+		next.Prelabeled = append(slices.Clip(job.Prelabeled), l)
+		if err := WriteFrame(w, FrameJob, &next); err != nil {
 			t.Fatal(err)
 		}
 		var je JobError
 		if err := ReadExpect(w, FrameError, &je); err != nil || !strings.Contains(je.Msg, "out of range") {
 			t.Fatalf("label %+v: error frame %+v, err %v", l, je, err)
 		}
+	}
+	// The shard was held warm throughout: the in-range job re-runs on it.
+	if err := WriteFrame(w, FrameJob, job); err != nil {
+		t.Fatal(err)
+	}
+	if !drainToDone(t, w).Cached {
+		t.Error("the refused jobs were not checked against a warm shard: it is gone")
 	}
 }
 

@@ -2,8 +2,8 @@ package distrib
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -19,32 +19,25 @@ import (
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
-// defaultDeltaMaxLabels is the JobRef label-delta cap when
-// Options.DeltaMaxLabels is zero.
-const defaultDeltaMaxLabels = 4096
-
 // Session is the shard dispatcher: it runs rounds of distributed
 // alignment over a stable shard plan — one round for a single-shot run
 // (Coordinator.Run), one per retrain for an active loop — with sticky
-// shard routing. Connections stay open across rounds, each shard is
-// routed back to the worker connection that already holds its
-// fingerprinted state, and a repeat round ships a JobRef (the label
-// delta since the last run) instead of the full job. The seed is built
-// once per session and installed once per worker process, counting and
-// feature extraction are paid once per shard on the worker; every later
-// round costs bytes proportional to its new labels.
+// shard routing. Connections stay open across rounds and every round
+// ships each shard its full Job, routed back to the worker connection
+// that ran it last; a worker that still holds that shard prepared for an
+// equal pool and configuration re-runs only training. The seed is built
+// once per session and installed once per worker process, and counting
+// and feature extraction are paid once per shard on the worker.
 //
-// Every round rides one recovery ladder: a JobRef the worker cannot
-// serve warm (restarted process, evicted cache entry, colliding
-// fingerprint) is answered by a full-Job re-ship on the same
-// connection; a failed attempt burns its connection and the shard
-// requeues — with backoff, cold, for whichever slot is free — up to
+// Every round rides one recovery ladder: a worker that no longer holds
+// the shard warm (restarted process, evicted cache entry, drifted pool)
+// prepares it cold; a failed attempt burns its connection and the shard
+// requeues — with backoff, for whichever slot is free — up to
 // Options.Retries; a shard out of retries runs in-process over a private
 // loopback worker (unless NoFallback); a straggler is raced by a hedge
 // twin on another slot (HedgeAfter), first Done wins. Whichever rung
-// answers, the votes are identical — delta-shipped rounds are
-// property-tested bit-equal to full re-ship, and faulted runs to healthy
-// ones.
+// answers, the votes are identical — warm re-runs are property-tested
+// bit-equal to cold ones, and faulted runs to healthy ones.
 //
 // Use one Session per (pair, plan) lifetime: Run may be called once per
 // active-learning round, with the caller growing the plan's prelabels
@@ -58,11 +51,12 @@ type Session struct {
 
 	round int
 	slots []*sessionSlot
-	// mu guards the shards map and every entry's home/sent — a shard and
-	// its hedge twin run on two slots at once.
-	mu     sync.Mutex
-	shards map[int]*sessionShard
-	cum    Metrics
+	// homes maps a part index to the slot that ran it last, where the
+	// next round sends it. mu guards it — a shard and its hedge twin run
+	// on two slots at once.
+	mu    sync.Mutex
+	homes map[int]int
+	cum   Metrics
 
 	// seedFP/seedBody are built once (ensureSeed); every connection offers
 	// the same body, again after a redial. seedBase is the counter that
@@ -85,14 +79,13 @@ type Session struct {
 
 // sessionSlot is one worker connection — connected ahead of the first
 // round or on the slot's first dispatch, kept until an attempt on it
-// fails — and the shard states it holds warm. Only one goroutine touches
-// it at a time: the round's slot loop, or the connect that ConnectAhead
-// started and every other user waits out first (await).
+// fails. Only one goroutine touches it at a time: the round's slot loop,
+// or the connect that ConnectAhead started and every other user waits
+// out first (await).
 type sessionSlot struct {
 	index      int // position in Session.slots; -1 for a fallback's private slot
 	transport  Transport
 	conn       io.ReadWriteCloser // non-nil: handshaken and seed-negotiated
-	holds      map[int]uint64     // part index → fingerprint run warm on this connection
 	connecting chan struct{}      // closed when the ahead-of-time connect settles; nil without one
 }
 
@@ -112,17 +105,6 @@ func (slot *sessionSlot) track() string {
 	return fmt.Sprintf("slot %d", slot.index)
 }
 
-// sessionShard is the coordinator-side cache of one shard: its job
-// template and fingerprint, and how much of the label log has been
-// shipped to the current holder.
-type sessionShard struct {
-	template *Job // job with zero prelabels; per-round copies override the mutables
-	fp       uint64
-	partSig  uint64 // TrainPos/Candidates content hash: detects plan drift between rounds
-	sent     int    // prelabels already held by the home connection
-	home     int    // slot index holding fp, -1 when none
-}
-
 // NewSession opens a sticky shard session for the pair over the
 // transport. Nothing is dialed yet: a slot connects on its first
 // dispatch, unless ConnectAhead started it earlier.
@@ -137,7 +119,7 @@ func NewSession(transport Transport, pair *hetnet.AlignedPair, opts Options) (*S
 		transport: transport,
 		opts:      opts,
 		pair:      pair,
-		shards:    make(map[int]*sessionShard),
+		homes:     make(map[int]int),
 	}, nil
 }
 
@@ -158,9 +140,8 @@ func (s *Session) Metrics() *Metrics {
 // Close tears down the worker connections — all at once, so N worker
 // processes exit side by side instead of each being waited for in turn —
 // and takes the session's warm counter back out of this process's seed
-// cache. The session keeps its coordinator-side shard cache, but a Run
-// after Close redials and re-ships cold (the workers' warm state died
-// with the connections).
+// cache. A Run after Close redials and every shard is prepared cold (the
+// workers' warm state died with the connections).
 func (s *Session) Close() error {
 	errs := make([]error, len(s.slots))
 	var wg sync.WaitGroup
@@ -207,7 +188,7 @@ func (s *Session) shardTimeout() time.Duration {
 // growSlots makes sure the session has at least n slots.
 func (s *Session) growSlots(n int) {
 	for len(s.slots) < n {
-		s.slots = append(s.slots, &sessionSlot{index: len(s.slots), transport: s.transport, holds: make(map[int]uint64)})
+		s.slots = append(s.slots, &sessionSlot{index: len(s.slots), transport: s.transport})
 	}
 }
 
@@ -308,8 +289,8 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	return nil
 }
 
-// dropConn closes a slot's connection and forgets the warm state that
-// died with it.
+// dropConn closes a slot's connection and forgets the shards homed on
+// it: their warm state died with it.
 func (s *Session) dropConn(slot *sessionSlot) error {
 	var err error
 	if slot.conn != nil {
@@ -317,22 +298,17 @@ func (s *Session) dropConn(slot *sessionSlot) error {
 		slot.conn = nil
 	}
 	s.mu.Lock()
-	for idx := range slot.holds {
-		if st := s.shards[idx]; st != nil && st.home == slot.index {
-			st.home = -1
-		}
-	}
+	maps.DeleteFunc(s.homes, func(_, home int) bool { return home == slot.index })
 	s.mu.Unlock()
-	slot.holds = make(map[int]uint64)
 	return err
 }
 
 // Run executes one round of the plan: every shard trains on a worker
 // (warm where the plan is stable, cold otherwise) and the votes merge
-// into one globally one-to-one result. The plan must be the same object
-// family across rounds — same parts, with prelabels appended and budget
-// re-split between calls; a part whose pool changed is detected by
-// content hash and re-ships cold. oracle may be nil when the plan's
+// into one globally one-to-one result. The plan should be the same
+// object family across rounds — same parts, with prelabels appended and
+// budget re-split between calls; a part whose pool changed is prepared
+// cold by the worker that finds it so. oracle may be nil when the plan's
 // total budget is zero.
 //
 // Votes are committed to the merger only when a shard's Done frame
@@ -408,18 +384,20 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		jitter:      rand.New(rand.NewSource(s.opts.Train.Seed ^ 0x5DEECE66D ^ int64(s.round))),
 	}
 
-	// Sticky preference: a shard whose state a connection holds warm goes
-	// straight back to that slot; every other shard — all of them in a
-	// first round — feeds the shared queue, which the slots drain as they
-	// come free (list scheduling).
+	// Sticky preference: a shard goes straight back to the slot that ran
+	// it last; every other shard — all of them in a first round — feeds
+	// the shared queue, which the slots drain as they come free (list
+	// scheduling).
 	held := make([][]int, len(s.slots))
+	s.mu.Lock()
 	for i := range plan.Parts {
-		if st := s.shards[plan.Parts[i].Index]; st != nil && st.home >= 0 {
-			held[st.home] = append(held[st.home], i)
+		if home, ok := s.homes[plan.Parts[i].Index]; ok {
+			held[home] = append(held[home], i)
 		} else {
 			rr.queue <- i
 		}
 	}
+	s.mu.Unlock()
 
 	var wg sync.WaitGroup
 	if s.opts.HedgeAfter > 0 {
@@ -532,15 +510,13 @@ func (rr *sessionRound) buildMetrics() *Metrics {
 			Fallback: rr.fellBack[i],
 		}
 		if sr != nil {
-			sm.JobBytes = sr.jobBytes + sr.refBytes
-			sm.Fallback = sr.fallback
-			sm.CacheHit = sr.cacheHit
-			sm.DeltaLabels = sr.deltaLabels
-			m.JobBytes += sr.jobBytes
-			m.DeltaBytes += sr.refBytes
+			sm.JobBytes, sm.Fallback, sm.CacheHit = sr.jobBytes, sr.fallback, sr.cacheHit
 			m.ResultBytes += sr.readBytes
 			if sr.cacheHit {
 				m.CacheHits++
+				m.DeltaBytes += sr.jobBytes
+			} else {
+				m.JobBytes += sr.jobBytes
 			}
 		}
 		m.Shards = append(m.Shards, sm)
@@ -623,7 +599,7 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 		// the process-wide seed cache) and dies with the attempt.
 		logger.Warn("shard degraded to in-process fallback", "shard", partIndex, "attempt", try)
 		track += " (fallback)"
-		slot = &sessionSlot{index: -1, transport: Loopback{}, holds: make(map[int]uint64)}
+		slot = &sessionSlot{index: -1, transport: Loopback{}}
 		defer rr.s.dropConn(slot)
 	}
 	sr, err := rr.runShard(slot, i, track, try)
@@ -732,9 +708,9 @@ func reportHealth(slot *sessionSlot, ok bool) {
 // reach the merger once the Done frame proved the stream complete, so a
 // retried shard never double-votes — and with hedging, only the FIRST
 // completed attempt commits; the loser's result is discarded and its
-// connection cancelled. The winner's slot becomes the shard's warm home.
+// connection cancelled. The winner's slot becomes the shard's home.
 func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) bool {
-	part := &rr.plan.Parts[i]
+	partIndex := rr.plan.Parts[i].Index
 	rr.mu.Lock()
 	if rr.done[i] {
 		rr.mu.Unlock()
@@ -761,12 +737,14 @@ func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) bool {
 	rr.mu.Unlock()
 
 	rr.s.mu.Lock()
-	sr.state.home = slot.index
-	sr.state.sent = len(part.Prelabeled)
+	if slot.index >= 0 {
+		rr.s.homes[partIndex] = slot.index
+	} else {
+		delete(rr.s.homes, partIndex) // a fallback's private worker dies with its attempt
+	}
 	rr.s.mu.Unlock()
-	slot.holds[part.Index] = sr.state.fp
 	for _, c := range losers {
-		go c.cancel(part.Index)
+		go c.cancel(partIndex)
 	}
 	return true
 }
@@ -840,39 +818,10 @@ func (rr *sessionRound) fail(i int, err error) {
 	rr.finish()
 }
 
-// shardState returns (building if needed) the session cache entry for
-// the plan's i-th part, rebuilding when the part's pool changed since it
-// was cached.
-func (rr *sessionRound) shardState(i int) *sessionShard {
-	part := &rr.plan.Parts[i]
-	sig := partSignature(part)
-	rr.s.mu.Lock()
-	st := rr.s.shards[part.Index]
-	rr.s.mu.Unlock()
-	if st != nil && st.partSig == sig {
-		return st
-	}
-	// Build outside the lock — the fingerprint hashes the whole pool. The
-	// template is a few columns of pool indices against the session's
-	// seed; per-round copies only swap the round mutables.
-	st = &sessionShard{partSig: sig, home: -1, template: NewJob(rr.s.pair, part, rr.s.opts.Train, rr.s.seedFP)}
-	st.template.Prelabeled = nil
-	st.fp = st.template.ComputeFingerprint()
-	rr.s.mu.Lock()
-	defer rr.s.mu.Unlock()
-	if cur := rr.s.shards[part.Index]; cur != nil && cur.partSig == sig {
-		return cur // a hedge twin built it first
-	}
-	rr.s.shards[part.Index] = st
-	return st
-}
-
 // runShard executes the plan's i-th part on the slot's connection —
-// connected first when the slot has none — delta-shipped when the
-// connection holds the shard warm and the delta is within bounds, as a
-// full job otherwise, and consumes the response stream to its Done
-// frame. An error leaves the connection in an unknown state; the caller
-// burns it.
+// connected first when the slot has none — as the part's full Job, and
+// consumes the response stream to its Done frame. An error leaves the
+// connection in an unknown state; the caller burns it.
 func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt int) (*shardResult, error) {
 	part := &rr.plan.Parts[i]
 	// The attempt span is the wire-propagated parent: the worker's
@@ -890,121 +839,39 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 		}
 	}
 	conn := &attemptConn{ReadWriteCloser: slot.conn, token: make(chan struct{}, 1)}
-	st := rr.shardState(i)
 	rr.track(i, conn)
 	defer rr.untrack(i, conn)
-	// The per-shard deadline spans the whole dispatch — JobRef, CacheAck,
-	// any full-Job fallback, the response stream — and is disarmed before
-	// the (persistent) connection moves on to its next shard.
+	// The per-shard deadline spans the whole dispatch — the Job, the
+	// response stream — and is disarmed before the (persistent) connection
+	// moves on to its next shard.
 	disarm := armDeadline(slot.conn, rr.shardTimeout)
 	defer disarm()
-	env := &streamEnv{
-		oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.queries,
-		onProgress: rr.s.opts.OnProgress,
-	}
-	// ship writes one request frame under a traced "ship" span and
-	// returns its size.
-	ship := func(typ FrameType, frame Payload) (int64, error) {
-		span := rr.tracer.Start("ship", sp.ID())
-		span.SetTrack(track)
-		defer span.End()
-		n, err := conn.writeFrame(typ, frame)
-		span.Annotate("bytes", fmt.Sprintf("%d", n))
-		return n, err
-	}
-
+	// A shard sent back to the slot that ran it last is expected warm; a
+	// cold Done from there is a cache miss.
 	rr.s.mu.Lock()
-	home, sent := st.home, st.sent
+	home, homed := rr.s.homes[part.Index]
 	rr.s.mu.Unlock()
-	delta := part.Prelabeled[min(sent, len(part.Prelabeled)):]
-	deltaCap := rr.s.opts.DeltaMaxLabels
-	if deltaCap == 0 {
-		deltaCap = defaultDeltaMaxLabels
-	}
-	tryDelta := home == slot.index && slot.holds[part.Index] == st.fp &&
-		deltaCap > 0 && len(delta) <= deltaCap
 
-	// One shardResult spans the whole dispatch, so a missed JobRef
-	// attempt's bytes (frame out, CacheAck back) stay in the audit.
-	sr := &shardResult{state: st}
-	var err error
-
-	if tryDelta {
-		sr.refBytes, err = ship(FrameJobRef, &JobRef{
-			Shard:       part.Index,
-			Fingerprint: st.fp,
-			AddLabels:   WireLabels(delta),
-			Budget:      part.Budget,
-			Seed:        rr.seed,
-			TraceID:     rr.tracer.TraceID(),
-			SpanID:      sp.ID(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		cr := &countingReader{r: conn}
-		var ack CacheAck
-		if err := ReadExpect(cr, FrameCacheAck, &ack); err != nil {
-			return nil, err
-		}
-		sr.readBytes += cr.n
-		if ack.Hit {
-			if err := collectShard(conn, part.Index, env, sr); err != nil {
-				return nil, err
-			}
-			ingestWorkerSpans(rr.tracer, track, sr.spans)
-			sr.cacheHit = true
-			sr.deltaLabels = len(delta)
-			return sr, nil
-		}
-		// Miss: the worker no longer holds the shard (restart, eviction,
-		// collision defense). Fall through to a full re-ship on the same
-		// connection — the stream is still healthy.
-		rr.mu.Lock()
-		rr.misses++
-		rr.mu.Unlock()
-		delete(slot.holds, part.Index)
-	}
-
-	// Full job: the cached template with this round's mutables.
-	job := *st.template
-	job.Budget = part.Budget
-	job.Seed = rr.seed
-	job.Fingerprint = st.fp
-	job.TraceID = rr.tracer.TraceID()
-	job.SpanID = sp.ID()
-	job.Prelabeled = WireLabels(part.Prelabeled)
-	if sr.jobBytes, err = ship(FrameJob, &job); err != nil {
+	job := NewJob(rr.s.pair, part, rr.s.opts.Train, rr.s.seedFP)
+	job.Seed, job.TraceID, job.SpanID = rr.seed, rr.tracer.TraceID(), sp.ID()
+	ship := rr.tracer.Start("ship", sp.ID())
+	ship.SetTrack(track)
+	n, err := conn.writeFrame(FrameJob, job)
+	ship.Annotate("bytes", fmt.Sprintf("%d", n))
+	ship.End()
+	if err != nil {
 		return nil, err
 	}
+	sr := &shardResult{jobBytes: n}
+	env := &streamEnv{oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.queries}
 	if err := collectShard(conn, part.Index, env, sr); err != nil {
 		return nil, err
 	}
 	ingestWorkerSpans(rr.tracer, track, sr.spans)
+	if homed && home == slot.index && !sr.cacheHit {
+		rr.mu.Lock()
+		rr.misses++
+		rr.mu.Unlock()
+	}
 	return sr, nil
-}
-
-// partSignature hashes a part's pool content (TrainPos + Candidates) to
-// detect a plan that drifted between rounds — such a shard re-ships cold
-// rather than reusing stale state.
-func partSignature(part *partition.Part) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v int) {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		h.Write(buf[:4])
-	}
-	write(len(part.TrainPos))
-	for _, a := range part.TrainPos {
-		write(a.I)
-		write(a.J)
-	}
-	for _, c := range part.Candidates {
-		write(c.I)
-		write(c.J)
-	}
-	return h.Sum64()
 }

@@ -17,12 +17,10 @@ import (
 // budget across rounds, feed each round's oracle labels back into the
 // stable plan, collect per-round metrics. A fresh plan is built per call
 // (the driver mutates it between rounds).
-func runRoundsOnPlan(t *testing.T, fx *distFixture, transport Transport, deltaMax, rounds, budget, workers int) (*partition.Result, []*Metrics, *Metrics) {
+func runRoundsOnPlan(t *testing.T, fx *distFixture, transport Transport, rounds, budget, workers int) (*partition.Result, []*Metrics, *Metrics) {
 	t.Helper()
 	plan := fx.freshPlan(t, budget)
-	sess, err := NewSession(transport, fx.pair, Options{
-		Train: fx.train, Workers: workers, DeltaMaxLabels: deltaMax,
-	})
+	sess, err := NewSession(transport, fx.pair, Options{Train: fx.train, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,74 +42,61 @@ func runRoundsOnPlan(t *testing.T, fx *distFixture, transport Transport, deltaMa
 	return res, per, sess.Metrics()
 }
 
-// TestSessionDeltaMatchesFullReship is the session's core property: a
-// multi-round run shipping JobRef label deltas to warm workers must be
-// bit-identical to the same rounds re-shipping every shard as a full
-// job — same predicted anchors, labels, scores, query sets — while
-// shipping orders of magnitude fewer bytes from round 2 on.
-func TestSessionDeltaMatchesFullReship(t *testing.T) {
+// TestSessionWarmMatchesCold is the session's core property: a
+// multi-round run whose workers re-run every later round on the shard
+// they prepared in round 1 must be bit-identical to the same rounds on
+// workers that cache nothing and prepare every job cold — same predicted
+// anchors, labels, scores, query sets, per-shard models. The caching
+// side runs over loopback and over this test binary re-executed as
+// worker processes, whose caches live in genuinely separate memory.
+func TestSessionWarmMatchesCold(t *testing.T) {
 	fx := newDistFixture(t, 3, 12)
 	const rounds = 3
-	full, fullPer, _ := runRoundsOnPlan(t, fx, Loopback{}, -1, rounds, 12, 2)
-	delta, deltaPer, deltaCum := runRoundsOnPlan(t, fx, Loopback{}, 0, rounds, 12, 2)
-
-	assertSameAlignment(t, delta, full, fx.plan)
-	fl, dl := full.QueriedLabels(), delta.QueriedLabels()
-	if len(fl) != len(dl) {
-		t.Fatalf("queried labels: %d delta vs %d full", len(dl), len(fl))
+	cold, coldPer, coldCum := runRoundsOnPlan(t, fx, cacheLoopback{size: 0}, rounds, 12, 2)
+	if coldCum.CacheHits != 0 || coldCum.DeltaBytes != 0 {
+		t.Fatalf("cache-disabled workers re-ran %d jobs warm (%d bytes)", coldCum.CacheHits, coldCum.DeltaBytes)
 	}
-	for i := range fl {
-		if fl[i] != dl[i] {
-			t.Fatalf("queried label %d: %+v vs %+v", i, dl[i], fl[i])
-		}
+	// Every later-round job goes back to the worker that ran it, which
+	// prepares it cold again: each is a miss.
+	if want := (rounds - 1) * fx.k; coldCum.CacheMisses != want {
+		t.Errorf("cache-disabled workers: %d misses, want %d", coldCum.CacheMisses, want)
 	}
 
-	if deltaCum.CacheHits == 0 {
-		t.Error("delta session produced no cache hits")
+	warmers := []struct {
+		name string
+		tr   Transport
+	}{{"loopback", Loopback{}}}
+	if exe, err := os.Executable(); err == nil && !testing.Short() {
+		warmers = append(warmers, struct {
+			name string
+			tr   Transport
+		}{"subprocess", &Exec{Cmd: exe, Env: append(os.Environ(), workerEnv+"=1"), Stderr: os.Stderr}})
 	}
-	if deltaCum.CacheMisses != 0 {
-		t.Errorf("healthy delta session missed %d times", deltaCum.CacheMisses)
-	}
-	// Round 1 ships full jobs in both modes; from round 2 the delta
-	// session ships only JobRef frames.
-	if deltaPer[0].JobBytes == 0 || deltaPer[0].DeltaBytes != 0 {
-		t.Errorf("delta round 1 should ship full jobs: %+v", deltaPer[0])
-	}
-	for r := 1; r < rounds; r++ {
-		if deltaPer[r].JobBytes != 0 {
-			t.Errorf("delta round %d re-shipped %d full-job bytes", r+1, deltaPer[r].JobBytes)
-		}
-		if deltaPer[r].DeltaBytes == 0 {
-			t.Errorf("delta round %d shipped no JobRef bytes", r+1)
-		}
-		if deltaPer[r].DeltaBytes*2 > fullPer[r].JobBytes {
-			t.Errorf("round %d: delta %d bytes is not under half of full re-ship %d bytes",
-				r+1, deltaPer[r].DeltaBytes, fullPer[r].JobBytes)
-		}
-	}
-}
-
-// TestSessionSubprocessDelta runs the delta-vs-full property across a
-// real process boundary: the workers are this test binary re-executed in
-// worker mode, and their caches live in genuinely separate memory.
-func TestSessionSubprocessDelta(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess transport in -short mode")
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Skip("cannot locate test binary:", err)
-	}
-	fx := newDistFixture(t, 3, 12)
-	tr := &Exec{Cmd: exe, Env: append(os.Environ(), workerEnv+"=1"), Stderr: os.Stderr}
-	full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, -1, 2, 12, 2)
-	delta, deltaPer, deltaCum := runRoundsOnPlan(t, fx, tr, 0, 2, 12, 2)
-	assertSameAlignment(t, delta, full, fx.plan)
-	if deltaCum.CacheHits == 0 {
-		t.Error("subprocess delta session produced no cache hits")
-	}
-	if deltaPer[1].JobBytes != 0 {
-		t.Errorf("subprocess round 2 re-shipped %d full-job bytes", deltaPer[1].JobBytes)
+	for _, w := range warmers {
+		t.Run(w.name, func(t *testing.T) {
+			warm, warmPer, warmCum := runRoundsOnPlan(t, fx, w.tr, rounds, 12, 2)
+			assertSameAlignment(t, warm, cold, fx.plan)
+			if !reflect.DeepEqual(warm.QueriedLabels(), cold.QueriedLabels()) {
+				t.Errorf("queried labels diverge:\n warm %v\n cold %v", warm.QueriedLabels(), cold.QueriedLabels())
+			}
+			if !reflect.DeepEqual(warm.ShardWeights, cold.ShardWeights) {
+				t.Errorf("shard weights diverge: warm %v, cold %v", warm.ShardWeights, cold.ShardWeights)
+			}
+			if want := (rounds - 1) * fx.k; warmCum.CacheHits != want || warmCum.CacheMisses != 0 {
+				t.Errorf("caching workers: %d hits, %d misses; want %d, 0", warmCum.CacheHits, warmCum.CacheMisses, want)
+			}
+			// Round 1 prepares everything cold; later rounds ship the same
+			// full jobs, which the workers re-run warm.
+			if warmPer[0].JobBytes == 0 || warmPer[0].DeltaBytes != 0 {
+				t.Errorf("round 1 should be all cold jobs: %+v", warmPer[0])
+			}
+			for r := 1; r < rounds; r++ {
+				if warmPer[r].JobBytes != 0 || warmPer[r].DeltaBytes != coldPer[r].JobBytes {
+					t.Errorf("round %d: %d cold and %d warm job bytes, want 0 cold and the cold side's %d",
+						r+1, warmPer[r].JobBytes, warmPer[r].DeltaBytes, coldPer[r].JobBytes)
+				}
+			}
+		})
 	}
 }
 
@@ -145,12 +130,12 @@ func (tt *trackingTransport) killAll() {
 }
 
 // TestSessionWorkerRestartFallsBack: every worker dying between rounds
-// must not break the session — the next round redials, the JobRef path
-// is skipped (nothing is held warm), shards re-ship cold, and the result
-// still matches the full-reship reference.
+// must not break the session — the next round redials, nothing is held
+// warm any more, shards are prepared cold, and the result still matches
+// the uninterrupted session's.
 func TestSessionWorkerRestartFallsBack(t *testing.T) {
 	fx := newDistFixture(t, 3, 12)
-	full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, -1, 2, 12, 2)
+	want, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 12, 2)
 
 	tt := &trackingTransport{inner: Loopback{}}
 	plan := fx.freshPlan(t, 12)
@@ -171,7 +156,7 @@ func TestSessionWorkerRestartFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAlignment(t, res, full, fx.plan)
+	assertSameAlignment(t, res, want, fx.plan)
 	if m2.Retries == 0 {
 		t.Error("killed connections produced no retries")
 	}
@@ -179,7 +164,7 @@ func TestSessionWorkerRestartFallsBack(t *testing.T) {
 		t.Errorf("restarted workers served %d cache hits", m2.CacheHits)
 	}
 	if m2.JobBytes == 0 {
-		t.Error("round 2 after restart shipped no full jobs")
+		t.Error("round 2 after restart prepared no job cold")
 	}
 }
 
@@ -198,100 +183,66 @@ func (c cacheLoopback) Dial() (io.ReadWriteCloser, error) {
 }
 
 // TestSessionCacheEvictionFallsBack: a worker whose cache holds one
-// shard while serving two must answer round-2 JobRefs with misses (each
-// shard evicted the other), and the session must re-ship full jobs and
-// still match the reference.
+// shard while serving three must prepare every round-2 job cold (each
+// shard evicted the one before), count each as a miss, and still match
+// the reference.
 func TestSessionCacheEvictionFallsBack(t *testing.T) {
 	fx := newDistFixture(t, 3, 0)
-	full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, -1, 2, 0, 1)
-	res, per, cum := runRoundsOnPlan(t, fx, cacheLoopback{size: 1}, 0, 2, 0, 1)
-	assertSameAlignment(t, res, full, fx.plan)
-	if cum.CacheMisses == 0 {
-		t.Error("size-1 worker cache under 3 shards produced no misses")
-	}
-	if per[1].JobBytes == 0 {
-		t.Error("evicted shards were not re-shipped as full jobs")
-	}
+	want, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 0, 1)
+	res, per, cum := runRoundsOnPlan(t, fx, cacheLoopback{size: 1}, 2, 0, 1)
+	assertSameAlignment(t, res, want, fx.plan)
 	// The last shard of round 1 survives in the size-1 cache and round 2
-	// visits shards in the same order, so by the time its JobRef arrives
-	// it has been evicted again: every JobRef misses.
-	if cum.CacheHits != 0 {
-		t.Errorf("expected pure misses from the thrashing cache, got %d hits", cum.CacheHits)
+	// visits shards in the same order, so by the time its job arrives it
+	// has been evicted again: every job misses.
+	if cum.CacheMisses != fx.k || cum.CacheHits != 0 {
+		t.Errorf("thrashing cache: %d misses, %d hits; want %d, 0", cum.CacheMisses, cum.CacheHits, fx.k)
 	}
-}
-
-// TestSessionNoCacheWorkerFallsBack: workers running with caching
-// disabled (ServeCache size 0) answer every JobRef with a miss; the
-// session must degrade to full re-ship every round, correctly.
-func TestSessionNoCacheWorkerFallsBack(t *testing.T) {
-	fx := newDistFixture(t, 2, 6)
-	full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, -1, 2, 6, 2)
-	res, _, cum := runRoundsOnPlan(t, fx, cacheLoopback{size: 0}, 0, 2, 6, 2)
-	assertSameAlignment(t, res, full, fx.plan)
-	if cum.CacheHits != 0 {
-		t.Errorf("cache-disabled workers served %d hits", cum.CacheHits)
-	}
-	if cum.CacheMisses == 0 {
-		t.Error("cache-disabled workers produced no misses")
-	}
-}
-
-// TestSessionOversizedDeltaFallsBack: a delta larger than
-// DeltaMaxLabels must re-ship the full job instead of a JobRef — and
-// still produce the reference alignment.
-func TestSessionOversizedDeltaFallsBack(t *testing.T) {
-	fx := newDistFixture(t, 3, 12)
-	full, _, _ := runRoundsOnPlan(t, fx, Loopback{}, -1, 2, 12, 2)
-	res, per, cum := runRoundsOnPlan(t, fx, Loopback{}, 1, 2, 12, 2)
-	assertSameAlignment(t, res, full, fx.plan)
-	// Round 1 spends 6 queries across 3 shards; at least one shard
-	// accumulates a delta over the 1-label cap and must go back cold.
 	if per[1].JobBytes == 0 {
-		t.Error("oversized deltas were not re-shipped as full jobs")
-	}
-	if cum.CacheMisses != 0 {
-		t.Errorf("oversized-delta fallback is not a cache miss, counted %d", cum.CacheMisses)
+		t.Error("evicted shards were not prepared cold")
 	}
 }
 
-// TestWorkerFingerprintCollisionMisses drives the wire directly: a
-// JobRef whose fingerprint resolves to a DIFFERENT shard's cached state
-// (an engineered collision) must miss — reusing it would train the wrong
-// shard — while the rightful shard still hits.
-func TestWorkerFingerprintCollisionMisses(t *testing.T) {
+// TestWorkerPreparesColdOnPoolDrift drives the wire directly: the shard
+// cache is keyed by shard index, and a job whose key matches a cached
+// shard but whose pool (or configuration) differs must be prepared cold —
+// reusing the cached state would train the wrong pool — while an equal
+// job, whatever its round's prelabels and budget, re-runs warm.
+func TestWorkerPreparesColdOnPoolDrift(t *testing.T) {
 	here := dialSeeded(t, fixturePair(t), TrainConfig{FeatureSet: FeaturesFull})
-
+	run := func(job *Job) bool {
+		t.Helper()
+		if err := WriteFrame(here, FrameJob, job); err != nil {
+			t.Fatal(err)
+		}
+		return drainToDone(t, here).Cached
+	}
 	job := fixtureJob(t)
 	job.Budget = 0 // no oracle round-trips to answer by hand
-	job.Fingerprint = 42
-	if err := WriteFrame(here, FrameJob, job); err != nil {
-		t.Fatal(err)
-	}
-	drainToDone(t, here)
+	drifted := *job
+	drifted.Candidates = job.Candidates[:2]
+	reconfigured := *job
+	reconfigured.FeatureSet = FeaturesPaths
+	nextRound := *job
+	nextRound.Prelabeled = append(nextRound.Prelabeled, WireLabel{I: 5, J: 4, Label: 0})
+	nextRound.Seed++
 
-	// Same fingerprint, wrong shard index: the collision defense.
-	if err := WriteFrame(here, FrameJobRef, &JobRef{Shard: job.Shard + 1, Fingerprint: 42}); err != nil {
-		t.Fatal(err)
+	for _, step := range []struct {
+		name string
+		job  *Job
+		warm bool
+	}{
+		{"first sight", job, false},
+		{"same job", job, true},
+		{"next round", &nextRound, true},
+		{"drifted pool", &drifted, false},
+		{"drifted pool again", &drifted, true},
+		{"back to the first pool", job, false},
+		{"other feature set", &reconfigured, false},
+	} {
+		if got := run(step.job); got != step.warm {
+			t.Errorf("%s: Done.Cached = %v, want %v", step.name, got, step.warm)
+		}
 	}
-	var ack CacheAck
-	if err := ReadExpect(here, FrameCacheAck, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Hit {
-		t.Fatal("colliding fingerprint with mismatched shard index served a cache hit")
-	}
-
-	// The rightful owner still hits and re-runs warm.
-	if err := WriteFrame(here, FrameJobRef, &JobRef{Shard: job.Shard, Fingerprint: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadExpect(here, FrameCacheAck, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if !ack.Hit {
-		t.Fatal("rightful fingerprint owner missed")
-	}
-	drainToDone(t, here)
 
 	here.Close()
 	if err := <-here.served; err != nil && err != io.EOF {
@@ -301,7 +252,7 @@ func TestWorkerFingerprintCollisionMisses(t *testing.T) {
 
 // drainToDone consumes a shard response stream until its Done frame,
 // failing the test on an Error frame.
-func drainToDone(t *testing.T, conn io.ReadWriter) {
+func drainToDone(t *testing.T, conn io.ReadWriter) Done {
 	t.Helper()
 	for {
 		typ, body, err := ReadFrame(conn)
@@ -310,7 +261,11 @@ func drainToDone(t *testing.T, conn io.ReadWriter) {
 		}
 		switch typ {
 		case FrameDone:
-			return
+			var d Done
+			if err := DecodeBody(body, &d); err != nil {
+				t.Fatal(err)
+			}
+			return d
 		case FrameError:
 			var je JobError
 			_ = DecodeBody(body, &je)

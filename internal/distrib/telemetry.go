@@ -16,11 +16,11 @@ var (
 	mHedges      = telemetry.Default.Counter("activeiter_distrib_hedges_total", "Straggler hedge dispatches (duplicate attempts).")
 	mFallbacks   = telemetry.Default.Counter("activeiter_distrib_fallbacks_total", "Shards degraded to the in-process loopback path.")
 	mQuarantines = telemetry.Default.Counter("activeiter_distrib_quarantines_total", "Workers benched by the health board.")
-	mCacheHits   = telemetry.Default.Counter("activeiter_distrib_cache_hits_total", "JobRef deltas served from a worker's warm shard cache.")
-	mCacheMisses = telemetry.Default.Counter("activeiter_distrib_cache_misses_total", "JobRef deltas the worker could not serve warm.")
+	mCacheHits   = telemetry.Default.Counter("activeiter_distrib_cache_hits_total", "Jobs a worker re-ran warm on a prepared shard it held.")
+	mCacheMisses = telemetry.Default.Counter("activeiter_distrib_cache_misses_total", "Jobs sent back to their last slot that the worker prepared cold.")
 	mQueries     = telemetry.Default.Counter("activeiter_distrib_oracle_queries_total", "Oracle round-trips answered (including retried attempts).")
-	mJobBytes    = telemetry.Default.Counter("activeiter_distrib_job_bytes_total", "Full-Job frame bytes shipped (successful attempts).")
-	mDeltaBytes  = telemetry.Default.Counter("activeiter_distrib_delta_bytes_total", "JobRef frame bytes shipped.")
+	mJobBytes    = telemetry.Default.Counter("activeiter_distrib_job_bytes_total", "Job frame bytes of jobs workers prepared cold (successful attempts).")
+	mDeltaBytes  = telemetry.Default.Counter("activeiter_distrib_delta_bytes_total", "Job frame bytes of jobs workers re-ran warm (successful attempts).")
 	mSeedBytes   = telemetry.Default.Counter("activeiter_distrib_seed_bytes_total", "Warm-counter seed negotiation bytes written.")
 	mSeedShips   = telemetry.Default.Counter("activeiter_distrib_seed_ships_total", "Connections that received a full seed body.")
 	mResultBytes = telemetry.Default.Counter("activeiter_distrib_result_bytes_total", "Bytes read back from workers.")

@@ -109,10 +109,9 @@ func TestCoordinatorTracePropagation(t *testing.T) {
 	}
 }
 
-// TestSessionTracePropagation checks rounds trace too, including the
-// JobRef (delta) path: round spans are roots, and warm cache-hit rounds
-// still return worker train spans stitched under the round's shard
-// spans.
+// TestSessionTracePropagation checks rounds trace too, including warm
+// re-runs: round spans are roots, and cache-hit rounds still return
+// worker train spans stitched under the round's shard spans.
 func TestSessionTracePropagation(t *testing.T) {
 	fx := newDistFixture(t, 2, 8)
 	tr := telemetry.NewTracer("coordinator")
@@ -128,7 +127,7 @@ func TestSessionTracePropagation(t *testing.T) {
 			t.Fatalf("round %d: %v", r+1, err)
 		}
 		if r == 1 && m.CacheHits == 0 {
-			t.Skip("no warm cache hit on round 2; delta path not exercised here")
+			t.Skip("no warm cache hit on round 2; warm path not exercised here")
 		}
 		if r == 0 {
 			plan.AppendLabels(res.QueriedLabels())

@@ -37,27 +37,25 @@
 // votes.
 //
 // There is one index space: every index in every frame — a job's pool
-// and prelabels, a JobRef's label delta, queries, votes — is an ORIGINAL
-// pair index, bounded by the seed's two node counts.
+// and prelabels, queries, votes — is an ORIGINAL pair index, bounded by
+// the seed's two node counts.
 //
 // The conversation is strictly request-driven: the coordinator sends
 // Hello, negotiates the seed (SeedRef, then Seed on a miss), then one Job
-// (or JobRef, see below) per shard; the worker answers with any number of
-// Progress, Query (oracle round-trips, answered by Answer frames) and
-// Votes frames, terminated by exactly one Done or Error frame.
+// per shard; the worker answers with any number of Query (oracle
+// round-trips, answered by Answer frames) and Votes frames, terminated by
+// exactly one Done or Error frame.
 //
 // # Sticky sessions
 //
 // A multi-round session (active-learning retraining over a stable shard
-// plan) avoids re-preparing unchanged shards: every Job carries a
-// Fingerprint of its shard-stable content, a long-lived worker caches
-// the prepared shard (forked counter, feature matrix) under that
-// fingerprint, and later rounds send a JobRef — fingerprint plus the
-// round's label delta — instead of the Job. The worker acknowledges with
-// CacheAck: on a hit it re-runs training on the warm state immediately;
-// on a miss (restarted worker, evicted entry, colliding fingerprint) the
-// coordinator falls back to a full Job. See docs/WIRE.md for the
-// complete frame catalog and session lifecycle.
+// plan) avoids re-preparing unchanged shards: every round ships each
+// shard its full Job, routed back to the connection that ran it last,
+// and a worker that holds that shard prepared (forked counter, feature
+// matrix) for an equal pool and configuration re-runs only training on
+// it. Anything else — a drifted pool, an evicted entry, a new
+// connection — is prepared cold. Done reports which it was. See
+// docs/WIRE.md for the complete frame catalog and session lifecycle.
 package distrib
 
 import (
@@ -69,44 +67,11 @@ import (
 )
 
 // Version is the wire protocol version. Bump it on any change to frame
-// payload shapes; readers reject every other version.
-//
-// Version history:
-//
-//	1 — PR 3: Hello/Job/Votes/Progress/Query/Answer/Done/Error.
-//	2 — PR 4: sticky sessions. Job gains Fingerprint and Prelabeled;
-//	    JobRef and CacheAck frames added.
-//	3 — PR 5: Done gains W, the shard's trained weight vector, so the
-//	    coordinator can persist per-shard models in alignment
-//	    snapshots.
-//	4 — PR 6: fault tolerance. Every frame gains a CRC-32C trailer
-//	    (corruption in transit becomes a detected, retryable transport
-//	    failure instead of silently different votes); Cancel frame
-//	    added so a coordinator can abandon a hedged or abandoned shard
-//	    mid-stream.
-//	5 — PR 7: columnar hot frames + warm-counter seed shipping. Job,
-//	    JobRef, Votes and Done switch from gob to hand-rolled columnar
-//	    bodies; Job gains SeedFP; SeedRef/Seed frames ship the
-//	    coordinator's anchor-free count cache once per connection, so
-//	    seeded jobs omit their networks and inverse maps entirely.
-//	6 — PR 8: cross-process tracing. Job, JobRef and Seed grow a
-//	    TraceID/SpanID columnar tail (zero = tracing off) so worker-side
-//	    spans parent under the coordinator's per-attempt spans; Done
-//	    grows a span column carrying the worker's prepare/train/votes
-//	    spans back to the coordinator's trace file.
-//	7 — PR 20: one job shape, one payload discipline. The self-contained
-//	    (unseeded) Job leaves: no unseeded flag byte, no G1/G2 networks,
-//	    no inverse user-map columns — every job names a seed and every
-//	    index on the wire is an original pair index. The eight control
-//	    frames (Hello, Progress, Query, Answer, CacheAck, Error, Cancel,
-//	    SeedRef) switch from gob to columnar bodies like the rest.
-//	8 — PR 25: the Seed is a counter's state, not a dataset. The body
-//	    drops both networks (node-ID and link-index tables) and carries the
-//	    anchor type's two node counts, the schema's relations and
-//	    attribute types, and the oriented adjacency matrices the feature
-//	    set traverses as bare edges, as entries like the counts; every
-//	    entry names its endpoint node types.
-const Version = 8
+// payload shapes (or the set of frame types); readers reject every other
+// version. docs/WIRE.md keeps the version history: 9 is the one shard
+// request — every round ships the full Job, and Done carries the worker's
+// cache verdict.
+const Version = 9
 
 // maxFrameSize bounds a frame's declared length so a corrupt or hostile
 // length prefix cannot OOM the reader. The seed carries the pair's whole
@@ -131,8 +96,6 @@ const (
 	FrameJob
 	// FrameVotes carries a batch of pool-link votes, worker → coordinator.
 	FrameVotes
-	// FrameProgress reports a pipeline stage change, worker → coordinator.
-	FrameProgress
 	// FrameQuery asks the coordinator's oracle for a label.
 	FrameQuery
 	// FrameAnswer returns an oracle label, coordinator → worker.
@@ -141,11 +104,8 @@ const (
 	FrameDone
 	// FrameError aborts a job with a worker-side failure.
 	FrameError
-	// FrameJobRef re-runs a worker-cached shard with a label delta,
-	// coordinator → worker (sessions only).
-	FrameJobRef
-	// FrameCacheAck answers a JobRef with the cache verdict, worker →
-	// coordinator.
+	// FrameCacheAck answers a SeedRef or a Seed with the worker's seed
+	// verdict, worker → coordinator.
 	FrameCacheAck
 	// FrameCancel abandons an in-flight shard, coordinator → worker: the
 	// losing side of a hedged dispatch, or a shard whose deadline fired.
@@ -196,16 +156,10 @@ type Job struct {
 	// TrainPos and Candidates are the shard pool.
 	TrainPos   []hetnet.Anchor
 	Candidates []hetnet.Anchor
-	// Prelabeled carries oracle labels from earlier session rounds; the
-	// worker trains them as fixed queried labels. Empty in every round-1
-	// job.
+	// Prelabeled carries every oracle label of the session's earlier
+	// rounds; the worker trains them as fixed queried labels. Empty in
+	// every round-1 job.
 	Prelabeled []WireLabel
-	// Fingerprint identifies the shard-stable content (seed, pool,
-	// training configuration — everything except Prelabeled, Budget and
-	// Seed). Non-zero invites the worker to cache the prepared shard so a
-	// later JobRef with the same fingerprint re-runs warm; zero disables
-	// caching.
-	Fingerprint uint64
 	// Training configuration, mirroring partition.TrainOptions flattened
 	// into wire-safe scalars.
 	FeatureSet   string // "full", "paths", "extended"
@@ -221,8 +175,7 @@ type Job struct {
 	// dispatch attempt: a non-zero TraceID asks the worker to record
 	// prepare/train/votes spans parented under SpanID and ship them back
 	// on the Done frame. Zero (tracing off) costs two bytes on the wire
-	// and nothing on the worker. Excluded from ComputeFingerprint like
-	// every other per-attempt mutable.
+	// and nothing on the worker.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -234,33 +187,9 @@ type WireLabel struct {
 	Label float64
 }
 
-// JobRef asks a worker to re-run a shard it already holds: the
-// fingerprint names the cached prepared state, AddLabels is the label
-// delta since the last run of that fingerprint on this connection, and
-// Budget/Seed are this round's training knobs. Everything else — the
-// pool, the forked counter, the training configuration — is resolved
-// from the worker's cache, which is what makes a delta round cost bytes
-// proportional to the new labels instead of the shard.
-type JobRef struct {
-	Shard       int
-	Fingerprint uint64
-	// AddLabels are the prelabels the cached shard has not seen yet, in
-	// canonical (I, J) order.
-	AddLabels []WireLabel
-	// Budget is this round's query budget slice for the shard.
-	Budget int
-	// Seed is this round's base seed (the worker still applies the
-	// per-shard offset, exactly as for a full Job).
-	Seed int64
-	// TraceID/SpanID carry the round's trace context, exactly as on Job.
-	TraceID uint64
-	SpanID  uint64
-}
-
-// CacheAck answers a JobRef before any pipeline output: Hit reports
-// whether the worker holds the fingerprint (with a matching shard
-// index). On a hit the job's frame stream follows immediately; on a miss
-// the worker waits for a full Job re-ship of the same shard.
+// CacheAck answers a SeedRef, and confirms a Seed install: Hit reports
+// whether the worker holds the seed named by Fingerprint. Shard is the
+// no-shard sentinel −1.
 type CacheAck struct {
 	Shard       int
 	Fingerprint uint64
@@ -295,13 +224,6 @@ type Votes struct {
 	Votes []Vote
 }
 
-// Progress reports a worker pipeline stage.
-type Progress struct {
-	Shard   int
-	Stage   string // "counting", "features", "training", "voting"
-	Queries int
-}
-
 // Query asks the coordinator's oracle to label a link (original
 // indices).
 type Query struct {
@@ -325,6 +247,10 @@ type Done struct {
 	Budget     int
 	Queries    int
 	ElapsedNS  int64
+	// Cached reports that the worker re-ran the job on a prepared shard it
+	// held from an earlier job with an equal pool and configuration,
+	// instead of counting and filling it cold.
+	Cached bool
 	// W is the shard's trained feature weight vector (layout: the job's
 	// feature set followed by the bias term). The coordinator records it
 	// in the merged result's ShardWeights so a snapshot of a distributed

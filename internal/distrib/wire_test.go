@@ -106,13 +106,10 @@ func fixtureJob(t testing.TB) *Job {
 		BatchSize:  5,
 		Seed:       2019,
 	}, seedFingerprint(pair, FeaturesFull))
-	// Session fields ride on the same frame: a prelabel from an earlier
-	// round (a pool candidate the oracle answered) and the shard-stable
-	// fingerprint.
+	// A later round's job carries the prelabels of the rounds before it (a
+	// pool candidate the oracle answered) and, at the frame's tail, the
+	// attempt's trace context.
 	job.Prelabeled = []WireLabel{{I: 4, J: 5, Label: 1}}
-	job.Fingerprint = job.ComputeFingerprint()
-	// Trace context rides the frame's tail; it is per-attempt state, so it
-	// must not perturb the fingerprint computed above.
 	job.TraceID = 0x1122334455667788
 	job.SpanID = 0x99aabbcc
 	return job
@@ -153,20 +150,17 @@ func goldenFrames(t testing.TB) []struct {
 			{I: 5, J: 4, Label: 0, Score: 0.12, Queried: true},
 			{I: 0, J: 0, Label: 1, Score: 0.99, Fixed: true},
 		}}},
-		{"progress", FrameProgress, &Progress{Shard: 1, Stage: "training", Queries: 2}},
 		{"query", FrameQuery, &Query{Shard: 1, Seq: 7, I: 4, J: 5}},
 		{"answer", FrameAnswer, &Answer{Seq: 7, Label: 1}},
 		{"done", FrameDone, &Done{Shard: 1, TrainPos: 2, Candidates: 3, Budget: 3, Queries: 3, ElapsedNS: 12345678,
-			W: []float64{0.25, -0.5, 1.0, 0.0625},
+			Cached: true,
+			W:      []float64{0.25, -0.5, 1.0, 0.0625},
 			Spans: []WireSpan{
 				{ID: 0xdead0001, Parent: 0x99aabbcc, Name: "prepare", StartNS: 1700000000_000000000, EndNS: 1700000000_001000000},
 				{ID: 0xdead0002, Parent: 0x99aabbcc, Name: "train", StartNS: 1700000000_001000000, EndNS: 1700000000_009000000},
 			}}},
 		{"error", FrameError, &JobError{Shard: 1, Msg: "boom"}},
-		{"jobref", FrameJobRef, &JobRef{Shard: 1, Fingerprint: 0xfeedc0dedeadbeef,
-			AddLabels: []WireLabel{{I: 4, J: 5, Label: 1}, {I: 5, J: 4, Label: 0}}, Budget: 2, Seed: partition.RoundSeed(2019, 1),
-			TraceID: 0x1122334455667788, SpanID: 0x99aabbcd}},
-		{"cacheack", FrameCacheAck, &CacheAck{Shard: 1, Fingerprint: 0xfeedc0dedeadbeef, Hit: true}},
+		{"cacheack", FrameCacheAck, &CacheAck{Shard: -1, Fingerprint: 0x1badd00dcafef00d, Hit: true}},
 		{"cancel", FrameCancel, &Cancel{Shard: 1}},
 		{"seedref", FrameSeedRef, &SeedRef{Fingerprint: 0x1badd00dcafef00d}},
 		{"seed", FrameSeed, fixtureSeed(t)},
@@ -353,6 +347,29 @@ func TestWireV7Skew(t *testing.T) {
 		}
 		if _, _, err := v7.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
 			t.Fatalf("current %s frame at v7 reader: got %v, want ErrVersionMismatch", tc.name, err)
+		}
+	}
+}
+
+// TestWireV8Skew pins the v9 bump, both ways: a recorded v8 Job — which
+// still carries the cache fingerprint column v9 dropped — and a recorded
+// v8 JobRef, a frame type v9 no longer has, never reach a v9 decoder, and
+// a v8 reader refuses the v9 Job and Done.
+func TestWireV8Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v8_frame_job.bin")
+	assertRecordedFrameRefused(t, "v8_frame_jobref.bin")
+
+	v8 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 8, MaxFrame: maxFrameSize, Checksum: true}
+	for _, tc := range goldenFrames(t) {
+		if tc.name != "job" && tc.name != "done" {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := v8.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
+			t.Fatalf("current %s frame at v8 reader: got %v, want ErrVersionMismatch", tc.name, err)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
@@ -18,33 +20,31 @@ import (
 const voteBatchSize = 4096
 
 // DefaultShardCacheSize is how many prepared shards a worker connection
-// keeps warm for JobRef re-runs. Each entry holds a forked counter (its
-// anchor-dependent layer; the attribute-only layer is the seed's, shared)
-// and the pool's feature matrix — megabytes at crawl scale — so the cache
-// is LRU-bounded; a session's shards-per-worker is far below this in any
-// sane plan, and an eviction only costs a full-Job re-ship.
+// keeps warm for later rounds. Each entry holds the pool's feature matrix
+// — megabytes at crawl scale — so the cache is LRU-bounded; a session's
+// shards-per-worker is far below this in any sane plan, and an eviction
+// only costs one cold preparation.
 const DefaultShardCacheSize = 32
 
 // Serve runs the worker side of one connection: handshake, seed
-// negotiation, then a loop of job → (progress/query/votes)* → done until
-// the coordinator closes the stream. A job-level failure is reported as
-// an Error frame and the loop continues — the connection only dies on
+// negotiation, then a loop of job → (query/votes)* → done until the
+// coordinator closes the stream. A job-level failure is reported as an
+// Error frame and the loop continues — the connection only dies on
 // wire-level failures.
 //
 // A job names the installed seed it runs against, so a worker serves
 // shards of different runs back to back as long as their seeds are
-// resident. What a connection itself keeps is the shard cache: a
-// fingerprinted job's prepared state (forked counter, feature matrix,
-// accumulated labels) is retained so a session's later rounds can re-run
-// it via a JobRef frame carrying only the label delta — counting and
-// feature extraction are paid once per shard, not once per round.
+// resident. What a connection itself keeps is the shard cache: each
+// job's prepared state (pool and feature matrix), keyed by shard, so a
+// session's later round of the same shard — an equal pool and
+// configuration with more prelabels — re-runs only training: counting
+// and feature extraction are paid once per shard, not once per round.
 func Serve(conn io.ReadWriter) error {
 	return ServeCache(conn, DefaultShardCacheSize)
 }
 
 // ServeCache is Serve with an explicit shard-cache capacity: 0 disables
-// caching (every JobRef misses), which also exercises the coordinator's
-// full-Job fallback in tests.
+// caching, so every job is prepared cold.
 func ServeCache(conn io.ReadWriter, cacheSize int) error {
 	// The coordinator speaks first: over fully synchronous links
 	// (net.Pipe) two sides writing their Hello simultaneously would
@@ -84,19 +84,6 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 					continue
 				}
 				if werr := WriteFrame(conn, FrameError, &JobError{Shard: job.Shard, Msg: err.Error()}); werr != nil {
-					return werr
-				}
-			}
-		case FrameJobRef:
-			var ref JobRef
-			if err := DecodeBody(body, &ref); err != nil {
-				return fmt.Errorf("distrib: decode job ref: %w", err)
-			}
-			if err := runJobRef(conn, &ref, cache); err != nil {
-				if errors.Is(err, errCancelled) {
-					continue
-				}
-				if werr := WriteFrame(conn, FrameError, &JobError{Shard: ref.Shard, Msg: err.Error()}); werr != nil {
 					return werr
 				}
 			}
@@ -145,64 +132,57 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 				return err
 			}
 		default:
-			return fmt.Errorf("distrib: worker expected a job or job-ref frame, got type %d", typ)
+			return fmt.Errorf("distrib: worker expected a job or seed frame, got type %d", typ)
 		}
 	}
 }
 
 // preparedShard is one job's reusable pipeline state: everything that is
-// a function of the fingerprint (pool, counter, prepared features) plus
-// the mutable label state that accumulates across a session's rounds.
+// a function of the job's shape (seed, pool, prepared features, training
+// configuration). The round's labels come with each job.
 type preparedShard struct {
-	part     *partition.Part // Index is the job's shard; Prelabeled grows by each JobRef's delta
+	shape    Job        // the job it was prepared for, per-round fields cleared
+	seed     *seedEntry // the seed it forked: the bounds of every index
 	prepared *partition.Prepared
 	train    core.Config // the job's resolved training configuration
-	n1, n2   int         // the seed's node counts: the bounds of every index
 }
 
-// shardCache is a tiny LRU of prepared shards keyed by job fingerprint.
+// shardCache is a tiny LRU of prepared shards keyed by shard index.
 // Workers are single-threaded per connection, so no locking.
 type shardCache struct {
 	max     int
-	entries map[uint64]*preparedShard
-	order   []uint64 // least recently used first
+	entries map[int]*preparedShard
+	order   []int // least recently used first
 }
 
 func newShardCache(max int) *shardCache {
-	return &shardCache{max: max, entries: make(map[uint64]*preparedShard)}
+	return &shardCache{max: max, entries: make(map[int]*preparedShard)}
 }
 
-// get returns the cached shard for fp and marks it most recently used.
-func (c *shardCache) get(fp uint64) *preparedShard {
-	ps := c.entries[fp]
-	if ps != nil {
-		c.touch(fp)
+// get returns the shard prepared for a job of job's shape, or nil. An
+// entry under the same shard index prepared for another pool or
+// configuration — a drifted plan, a confused coordinator — does not
+// match: reusing it would train the wrong pool.
+func (c *shardCache) get(job *Job) *preparedShard {
+	if ps := c.entries[job.Shard]; ps != nil && reflect.DeepEqual(ps.shape, job.shape()) {
+		return ps
 	}
-	return ps
+	return nil
 }
 
-func (c *shardCache) touch(fp uint64) {
-	for k, f := range c.order {
-		if f == fp {
-			c.order = append(append(c.order[:k:k], c.order[k+1:]...), fp)
-			return
-		}
-	}
-	c.order = append(c.order, fp)
-}
-
-// put stores (or replaces) fp, evicting the least recently used entry
-// over capacity.
-func (c *shardCache) put(fp uint64, ps *preparedShard) {
-	if c.max <= 0 || fp == 0 {
+// put stores (or replaces) the shard's entry as the most recently used
+// one — every job that completes, warm or cold, puts its shard —
+// evicting the least recently used entry over capacity.
+func (c *shardCache) put(ps *preparedShard) {
+	if c.max <= 0 {
 		return
 	}
-	c.entries[fp] = ps
-	c.touch(fp)
+	shard := ps.shape.Shard
+	c.entries[shard] = ps
+	c.order = append(slices.DeleteFunc(c.order, func(s int) bool { return s == shard }), shard)
 	for len(c.entries) > c.max {
-		old := c.order[0]
+		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
-		delete(c.entries, old)
 	}
 }
 
@@ -272,120 +252,86 @@ func rethrowWire(err *error) {
 	}
 }
 
-// runJob executes one shard job — fork the seed's counter, prepare,
-// train, stream — and caches the prepared state under the job's
-// fingerprint. It returns the error to report as an Error frame;
-// wire-level failures panic through wireAbort and are rethrown to kill
-// the connection.
+// runJob executes one shard job — prepare (or find prepared), train,
+// stream — and caches the prepared state under the job's shard. It
+// returns the error to report as an Error frame; wire-level failures
+// panic through wireAbort and are rethrown to kill the connection.
 func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 	defer rethrowWire(&err)
 	t0 := time.Now()
 	tr := childTracer(job.TraceID, job.SpanID)
 	prep := tr.Start("prepare", job.SpanID)
-	// The warm counter and the index bounds come from the
-	// connection-negotiated seed; the job is just a pool of indices into
-	// it. A job that names no seed is malformed; a missing one means the
-	// coordinator and worker disagree about this connection's state — fail
-	// the shard either way, and the retry redial renegotiates.
-	seed := seedCacheGet(job.SeedFP)
-	if job.SeedFP == 0 || seed == nil {
+	// A shard this connection prepared for an equal job re-runs warm on
+	// that state, bounds-checked against the seed it forked. Otherwise the
+	// warm counter and the index bounds come from the connection-negotiated
+	// seed; the job is just a pool of indices into it. A job that names no
+	// seed is malformed; a missing one means the coordinator and worker
+	// disagree about this connection's state — fail the shard either way,
+	// and the retry redial renegotiates.
+	ps := cache.get(job)
+	cached := ps != nil
+	var seed *seedEntry
+	if cached {
+		seed = ps.seed
+	} else if seed = seedCacheGet(job.SeedFP); job.SeedFP == 0 || seed == nil {
 		return fmt.Errorf("distrib: job shard %d references seed %016x, not installed here", job.Shard, job.SeedFP)
 	}
 	part, err := job.part(seed)
 	if err != nil {
 		return err
 	}
-	train, err := job.trainConfig().TrainOptions()
-	if err != nil {
-		return err
+	if !cached {
+		train, err := job.trainConfig().TrainOptions()
+		if err != nil {
+			return err
+		}
+		// Fork shares the seeded anchor-free layer — literally the
+		// in-process PartitionedAligner path, which is what makes the votes
+		// bit-identical by construction.
+		counter := seed.counter.Fork()
+		counter.SetAnchors(part.TrainPos)
+		prepared, err := partition.PreparePart(counter, part, train.Features)
+		if err != nil {
+			return err
+		}
+		ps = &preparedShard{shape: job.shape(), seed: seed, prepared: prepared, train: train.Core}
 	}
-	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: job.Shard, Stage: "counting"}); err != nil {
-		return err
-	}
-	// Fork shares the seeded anchor-free layer — literally the in-process
-	// PartitionedAligner path, which is what makes the votes bit-identical
-	// by construction.
-	counter := seed.counter.Fork()
-	counter.SetAnchors(part.TrainPos)
-	prepared, err := partition.PreparePart(counter, part, train.Features)
-	if err != nil {
-		return err
-	}
-	ps := &preparedShard{part: part, prepared: prepared, train: train.Core, n1: seed.n1, n2: seed.n2}
+	prep.Annotate("cached", fmt.Sprint(cached))
 	prep.End()
-	if err := trainAndStream(conn, ps, job.Budget, job.Seed, t0, tr, job.SpanID); err != nil {
+	if err := trainAndStream(conn, job, part, ps, cached, t0, tr); err != nil {
 		return err
 	}
 	// Cache only after a full successful round trip: a shard that failed
 	// or died mid-stream retries from scratch anyway.
-	cache.put(job.Fingerprint, ps)
+	cache.put(ps)
 	return nil
 }
 
-// runJobRef answers a JobRef: ack the cache verdict, and on a hit fold
-// the label delta into the cached shard and re-run training on the warm
-// prepared state. A miss (restart, eviction, collision) is not an error
-// — the coordinator re-ships the full job next.
-func runJobRef(conn io.ReadWriter, ref *JobRef, cache *shardCache) (err error) {
-	defer rethrowWire(&err)
-	ps := cache.get(ref.Fingerprint)
-	// A fingerprint that resolves to a different shard index is a
-	// collision (or a confused coordinator); reusing the state would
-	// train the wrong shard, so it must miss.
-	hit := ps != nil && ps.part.Index == ref.Shard
-	if err := WriteFrame(conn, FrameCacheAck, &CacheAck{Shard: ref.Shard, Fingerprint: ref.Fingerprint, Hit: hit}); err != nil {
-		panic(wireAbort{err})
-	}
-	if !hit {
-		return nil
-	}
-	t0 := time.Now()
-	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: ref.Shard, Stage: "cached"}); err != nil {
-		panic(wireAbort{err})
-	}
-	for _, l := range ref.AddLabels {
-		if l.I < 0 || int(l.I) >= ps.n1 || l.J < 0 || int(l.J) >= ps.n2 {
-			return fmt.Errorf("distrib: job ref shard %d: label (%d,%d) out of range", ref.Shard, l.I, l.J)
-		}
-	}
-	// The delta folds into the cached label state BEFORE training; a
-	// training error afterwards is fine (the labels are real either way)
-	// and a wire failure kills the connection and the cache with it.
-	ps.part.Prelabeled = append(ps.part.Prelabeled, partLabels(ref.AddLabels)...)
-	return trainAndStream(conn, ps, ref.Budget, ref.Seed, t0, childTracer(ref.TraceID, ref.SpanID), ref.SpanID)
-}
-
 // trainAndStream runs the training half of a shard pipeline on prepared
-// state and streams progress, votes and the Done report. budget and seed
-// are the round's values (a cached shard's own fields may be stale).
-// tr (nil when the coordinator isn't tracing) records train/votes spans
-// under parent — the coordinator's wire-propagated attempt span — and
-// ships everything recorded this job back on the Done frame.
-func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int64, t0 time.Time, tr *telemetry.Tracer, parent uint64) error {
-	shard := ps.part.Index
-	ps.part.Budget = budget
+// state and streams the votes and the Done report. part is the job's,
+// carrying the round's budget and prelabels; cached is the verdict Done
+// reports. tr (nil when the coordinator isn't tracing) records
+// train/votes spans under the job's SpanID — the coordinator's
+// wire-propagated attempt span — and ships everything recorded this job
+// back on the Done frame.
+func trainAndStream(conn io.ReadWriter, job *Job, part *partition.Part, ps *preparedShard, cached bool, t0 time.Time, tr *telemetry.Tracer) error {
+	shard, parent := part.Index, job.SpanID
 	cfg := ps.train
-	cfg.Seed = seed
+	cfg.Seed = job.Seed
 	var oracle active.Oracle
-	if budget > 0 {
+	if part.Budget > 0 {
 		oracle = &wireOracle{conn: conn, shard: shard}
 	}
-	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: shard, Stage: "training"}); err != nil {
-		return err
-	}
 	train := tr.Start("train", parent)
-	res, err := ps.prepared.Train(ps.part, cfg, oracle)
+	res, err := ps.prepared.Train(part, cfg, oracle)
 	if err != nil {
 		return err
 	}
 	train.Annotate("queries", fmt.Sprintf("%d", res.QueryCount()))
 	train.End()
-	if err := WriteFrame(conn, FrameProgress, &Progress{Shard: shard, Stage: "voting", Queries: res.QueryCount()}); err != nil {
-		return err
-	}
 
 	vs := tr.Start("votes", parent)
-	votes := partition.PartVotes(ps.part, ps.prepared.Links, res)
+	votes := partition.PartVotes(part, ps.prepared.Links, res)
 	batch := make([]Vote, 0, voteBatchSize)
 	flush := func() error {
 		if len(batch) == 0 {
@@ -418,11 +364,12 @@ func trainAndStream(conn io.ReadWriter, ps *preparedShard, budget int, seed int6
 	vs.End()
 	return WriteFrame(conn, FrameDone, &Done{
 		Shard:      shard,
-		TrainPos:   len(ps.part.TrainPos),
-		Candidates: len(ps.part.Candidates),
-		Budget:     ps.part.Budget,
+		TrainPos:   len(part.TrainPos),
+		Candidates: len(part.Candidates),
+		Budget:     part.Budget,
 		Queries:    res.QueryCount(),
 		ElapsedNS:  time.Since(t0).Nanoseconds(),
+		Cached:     cached,
 		W:          res.W,
 		Spans:      wireSpans(tr),
 	})

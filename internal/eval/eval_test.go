@@ -56,19 +56,37 @@ func TestConfusionDegenerate(t *testing.T) {
 		t.Error("empty confusion should yield zeros, not NaN")
 	}
 	// All negative predictions on all-negative truth: accuracy 1, rest 0.
-	c = Evaluate([]float64{0, 0}, []float64{0, 0})
+	c = Confusion{TN: 2}
 	if c.Accuracy() != 1 || c.F1() != 0 {
 		t.Errorf("all-negative: acc=%v f1=%v", c.Accuracy(), c.F1())
 	}
 }
 
-func TestEvaluatePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Evaluate([]float64{1}, []float64{1, 0})
+func TestConfusionAdd(t *testing.T) {
+	tests := []struct {
+		name        string
+		pred, truth float64
+		want        Confusion
+	}{
+		{"tp", 1, 1, Confusion{TP: 1}},
+		{"fp", 1, 0, Confusion{FP: 1}},
+		{"tn", 0, 0, Confusion{TN: 1}},
+		{"fn", 0, 1, Confusion{FN: 1}},
+	}
+	var all Confusion
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Confusion
+			c.Add(tc.pred, tc.truth)
+			if c != tc.want {
+				t.Errorf("Add(%v, %v) = %+v, want %+v", tc.pred, tc.truth, c, tc.want)
+			}
+		})
+		all.Add(tc.pred, tc.truth)
+	}
+	if want := (Confusion{TP: 1, FP: 1, TN: 1, FN: 1}); all != want {
+		t.Errorf("accumulated %+v, want %+v", all, want)
+	}
 }
 
 func TestSummarize(t *testing.T) {

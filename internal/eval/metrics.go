@@ -29,19 +29,6 @@ func (c *Confusion) Add(pred, truth float64) {
 	}
 }
 
-// Evaluate builds a confusion matrix from parallel slices. It panics on
-// length mismatch.
-func Evaluate(pred, truth []float64) Confusion {
-	if len(pred) != len(truth) {
-		panic(fmt.Sprintf("eval: %d predictions for %d truths", len(pred), len(truth)))
-	}
-	var c Confusion
-	for i := range pred {
-		c.Add(pred[i], truth[i])
-	}
-	return c
-}
-
 // Total returns the number of recorded pairs.
 func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
 

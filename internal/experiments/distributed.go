@@ -11,11 +11,11 @@ import (
 )
 
 // DistributedPoint is one measured execution mode of the same K-shard
-// alignment problem. Session modes ("<transport>/rounds-full",
-// "<transport>/rounds-delta") add the multi-round cache columns and one
-// RoundDetail entry per active-learning round.
+// alignment problem. Session modes ("<transport>/rounds") add the
+// multi-round cache columns and one RoundDetail entry per
+// active-learning round.
 type DistributedPoint struct {
-	Mode       string // "in-process", "loopback", "subprocess", "<transport>/rounds-*"
+	Mode       string // "in-process", "loopback", "subprocess", "<transport>/rounds"
 	Partitions int
 	Workers    int
 	Rounds     int
@@ -26,10 +26,10 @@ type DistributedPoint struct {
 	Rejected   int
 	AlignTime  time.Duration
 	// Metrics is the mode's wire audit summed over its rounds (zero for
-	// in-process): job, seed and delta bytes, cache verdicts, retries,
-	// hedges, fallbacks — non-zero fallbacks only when the transport
-	// misbehaved (see the chaos mode) — and the per-shard attempt audit,
-	// one entry per shard per round. Its Queries counts the answers of
+	// in-process): cold and warm job bytes, seed bytes, cache verdicts,
+	// retries, hedges, fallbacks — non-zero fallbacks only when the
+	// transport misbehaved (see the chaos mode) — and the per-shard
+	// attempt audit, one entry per shard per round. Its Queries counts the answers of
 	// failed attempts too; the point's own Queries does not.
 	distrib.Metrics
 	// Chaos holds the fault injector's totals for the chaos modes, nil
@@ -41,8 +41,8 @@ type DistributedPoint struct {
 // DistributedRound is one session round's wire audit.
 type DistributedRound struct {
 	Round      int
-	JobBytes   int64 // full-job frame bytes this round
-	DeltaBytes int64 // JobRef frame bytes this round
+	JobBytes   int64 // bytes of the jobs workers prepared cold this round
+	DeltaBytes int64 // bytes of the jobs workers re-ran warm this round
 	CacheHits  int
 	Queries    int
 	AlignTime  time.Duration
@@ -61,9 +61,9 @@ type DistributedConfig struct {
 	WorkerCmd  string
 	WorkerArgs []string
 	// Rounds > 1 adds the sticky-session modes: the budget splits across
-	// this many retrain-after-labels rounds, run once with delta
-	// shipping disabled (every round re-ships full jobs — the PR 3
-	// cost model) and once with JobRef deltas to warm workers.
+	// this many retrain-after-labels rounds, each shard's later rounds
+	// re-run warm by the worker that prepared it — over loopback, and
+	// over subprocess workers when a worker command is configured.
 	Rounds int
 	// ChaosSeed, when non-zero, adds a fault-injected loopback mode: the
 	// same plan dispatched through a seeded ChaosTransport (refused
@@ -213,18 +213,13 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 	}
 
 	// Sticky-session modes: the same problem as a multi-round active
-	// loop, once re-shipping full jobs every round (what single-shot
-	// dispatch would cost per retrain) and once shipping JobRef deltas to
-	// warm workers.
+	// loop, whose workers re-run each shard warm after round 1.
 	if cfg.Rounds > 1 {
-		if err := runSession("loopback/rounds-full", distrib.Loopback{}, cfg.Rounds, distrib.Options{DeltaMaxLabels: -1}); err != nil {
-			return nil, err
-		}
-		if err := runSession("loopback/rounds-delta", distrib.Loopback{}, cfg.Rounds, distrib.Options{}); err != nil {
+		if err := runSession("loopback/rounds", distrib.Loopback{}, cfg.Rounds, distrib.Options{}); err != nil {
 			return nil, err
 		}
 		if cfg.WorkerCmd != "" {
-			if err := runSession("subprocess/rounds-delta", subprocess(), cfg.Rounds, distrib.Options{}); err != nil {
+			if err := runSession("subprocess/rounds", subprocess(), cfg.Rounds, distrib.Options{}); err != nil {
 				return nil, err
 			}
 		}

@@ -49,9 +49,8 @@ func TestRunDistributedModesAgree(t *testing.T) {
 }
 
 // TestRunDistributedSessionRounds: with Rounds > 1 the runner adds the
-// sticky-session modes; the delta mode must produce the full-reship
-// mode's exact alignment while shipping no full jobs (only JobRef
-// deltas) from round 2 on.
+// sticky-session mode, whose workers prepare every shard in round 1 and
+// re-run all of them warm from round 2 on.
 func TestRunDistributedSessionRounds(t *testing.T) {
 	pre := TinyPreset()
 	pre.Partitions = 2
@@ -59,44 +58,26 @@ func TestRunDistributedSessionRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byMode := map[string]DistributedPoint{}
-	for _, p := range points {
-		byMode[p.Mode] = p
+	var rounds *DistributedPoint
+	for i := range points {
+		if points[i].Mode == "loopback/rounds" {
+			rounds = &points[i]
+		}
 	}
-	full, ok := byMode["loopback/rounds-full"]
-	if !ok {
-		t.Fatal("full-reship session mode missing")
+	if rounds == nil {
+		t.Fatal("session mode missing")
 	}
-	delta, ok := byMode["loopback/rounds-delta"]
-	if !ok {
-		t.Fatal("delta session mode missing")
+	if len(rounds.RoundDetail) != 2 {
+		t.Fatalf("round details missing: %d rows", len(rounds.RoundDetail))
 	}
-	if delta.F1 != full.F1 || delta.Precision != full.Precision || delta.Recall != full.Recall {
-		t.Errorf("delta session diverged from full re-ship: F1 %v vs %v", delta.F1, full.F1)
+	if r1 := rounds.RoundDetail[0]; r1.JobBytes == 0 || r1.DeltaBytes != 0 || r1.CacheHits != 0 {
+		t.Errorf("round 1 should prepare every shard cold: %+v", r1)
 	}
-	if delta.Queries != full.Queries {
-		t.Errorf("delta session spent %d queries, full re-ship %d", delta.Queries, full.Queries)
+	if r2 := rounds.RoundDetail[1]; r2.JobBytes != 0 || r2.DeltaBytes == 0 || r2.CacheHits != rounds.Partitions {
+		t.Errorf("round 2 should re-run all %d shards warm: %+v", rounds.Partitions, r2)
 	}
-	if delta.CacheHits == 0 || delta.DeltaBytes == 0 {
-		t.Errorf("delta session cache audit empty: hits=%d deltaBytes=%d", delta.CacheHits, delta.DeltaBytes)
-	}
-	if full.CacheHits != 0 || full.DeltaBytes != 0 {
-		t.Errorf("full re-ship session used the cache: %+v", full)
-	}
-	if len(delta.RoundDetail) != 2 || len(full.RoundDetail) != 2 {
-		t.Fatalf("round details missing: %d/%d rows", len(delta.RoundDetail), len(full.RoundDetail))
-	}
-	if r2 := delta.RoundDetail[1]; r2.JobBytes != 0 || r2.DeltaBytes == 0 {
-		t.Errorf("delta round 2 shipped %d full-job bytes, %d delta bytes", r2.JobBytes, r2.DeltaBytes)
-	}
-	if r2 := full.RoundDetail[1]; r2.JobBytes == 0 {
-		t.Error("full re-ship round 2 shipped no job bytes")
-	}
-	// The headline acceptance number: round-2 delta traffic under half
-	// of what full re-ship pays.
-	if delta.RoundDetail[1].DeltaBytes*2 > full.RoundDetail[1].JobBytes {
-		t.Errorf("round 2 delta %d bytes vs full %d bytes: less than 2x saving",
-			delta.RoundDetail[1].DeltaBytes, full.RoundDetail[1].JobBytes)
+	if rounds.CacheMisses != 0 {
+		t.Errorf("healthy session missed the cache %d times", rounds.CacheMisses)
 	}
 
 	tab, err := RunDistributedWith(pre, DistributedConfig{Workers: 2, Rounds: 2})

@@ -307,15 +307,6 @@ func (pr *protocol) workers() int { return max(pr.pre.Workers, 1) }
 // sub-patterns reach the shared layer on the first fold that needs
 // them.
 func newBaseCounter(pair *hetnet.AlignedPair) (*metadiag.Counter, error) {
-	// Materialize every adjacency cache so parallel cells only read the
-	// shared networks.
-	for _, g := range []*hetnet.Network{pair.G1, pair.G2} {
-		for _, lt := range g.LinkTypes() {
-			if _, err := g.Adjacency(lt); err != nil {
-				return nil, err
-			}
-		}
-	}
 	base, err := metadiag.NewCounter(pair)
 	if err != nil {
 		return nil, err
@@ -415,11 +406,10 @@ type fold struct {
 	split eval.Split
 	// whole is the fold as one part; its pool is
 	// [trainPos | trainNeg | testPos | testNeg].
-	whole   partition.Part
-	plan    *partition.Plan
-	begun   *partition.Begun
-	counter *metadiag.Counter
-	filled  *partition.Prepared
+	whole  partition.Part
+	plan   *partition.Plan
+	begun  *partition.Begun
+	filled *partition.Prepared
 }
 
 func (pr *protocol) newFold(split eval.Split) *fold {
@@ -447,13 +437,8 @@ func featuresOf(feats []schema.Named) []schema.Named {
 	return feats
 }
 
-// begin starts the fold's part pipelines under feats. Folds already fan
-// out across Preset.Workers goroutines, so the parts of one fold run one
-// at a time.
-func (f *fold) begin(feats []schema.Named) (*partition.Begun, error) {
-	if feats == nil && f.begun != nil {
-		return f.begun, nil
-	}
+// planned shards the fold on first use.
+func (f *fold) planned() (*partition.Plan, error) {
 	if f.plan == nil {
 		plan, err := f.pr.plan(f, 0, max(f.pr.pre.Partitions, 1))
 		if err != nil {
@@ -461,23 +446,51 @@ func (f *fold) begin(feats []schema.Named) (*partition.Begun, error) {
 		}
 		f.plan = plan
 	}
-	b, err := partition.Begin(f.pr.base, f.plan.Parts, partition.TrainOptions{Features: featuresOf(feats), Workers: 1})
+	return f.plan, nil
+}
+
+// begin starts the fold's part pipelines under feats. Folds already fan
+// out across Preset.Workers goroutines, so the parts of one fold run one
+// at a time.
+func (f *fold) begin(feats []schema.Named) (*partition.Begun, error) {
+	if feats == nil && f.begun != nil {
+		return f.begun, nil
+	}
+	plan, err := f.planned()
+	if err != nil {
+		return nil, err
+	}
+	b, err := partition.Begin(f.pr.base, plan.Parts, partition.TrainOptions{Features: featuresOf(feats), Workers: 1})
 	if feats == nil {
 		f.begun = b
 	}
 	return b, err
 }
 
-// fill counts and fills the whole fold as one part under feats.
+// fill counts and fills the whole fold as one part under feats. A
+// one-part plan's part is the whole fold — Assign keeps candidate order —
+// so the pipeline begin starts for the PU variants is the fill; a
+// sharded fold begins the whole fold as a part of its own.
 func (f *fold) fill(feats []schema.Named) (*partition.Prepared, error) {
 	if feats == nil && f.filled != nil {
 		return f.filled, nil
 	}
-	if f.counter == nil {
-		f.counter = f.pr.base.Fork()
-		f.counter.SetAnchors(f.split.TrainPos)
+	plan, err := f.planned()
+	if err != nil {
+		return nil, err
 	}
-	pp, err := partition.PreparePart(f.counter, &f.whole, featuresOf(feats))
+	var b *partition.Begun
+	part := &plan.Parts[0]
+	if len(plan.Parts) == 1 {
+		b, err = f.begin(feats)
+	} else {
+		part = &f.whole
+		b, err = partition.Begin(f.pr.base, []partition.Part{f.whole}, partition.TrainOptions{Features: featuresOf(feats), Workers: 1})
+	}
+	if err != nil {
+		return nil, err
+	}
+	pp, err := b.Prepared(0, part)
 	if feats == nil {
 		f.filled = pp
 	}

@@ -10,10 +10,6 @@ import (
 // (numerically) symmetric positive definite.
 var ErrNotSPD = errors.New("linalg: matrix is not symmetric positive definite")
 
-// ErrSingular is returned by LU when the input matrix is numerically
-// singular.
-var ErrSingular = errors.New("linalg: matrix is singular")
-
 // Cholesky holds the lower-triangular factor L of an SPD matrix A = L·Lᵀ.
 type Cholesky struct {
 	n int
@@ -75,117 +71,4 @@ func (ch *Cholesky) SolveVec(b Vector) Vector {
 		x[i] = sum / l[i*n+i]
 	}
 	return x
-}
-
-// LU holds an LU factorization with partial pivoting: P·A = L·U.
-type LU struct {
-	n    int
-	lu   []float64 // combined L (unit diag, below) and U (on/above diag)
-	piv  []int     // row permutation
-	sign int       // determinant sign of the permutation
-}
-
-// NewLU factors the square matrix a with partial pivoting. It returns
-// ErrSingular when a pivot underflows to zero.
-func NewLU(a *Dense) (*LU, error) {
-	r, c := a.Dims()
-	if r != c {
-		return nil, fmt.Errorf("linalg: LU needs a square matrix, got %dx%d", r, c)
-	}
-	n := r
-	lu := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			lu[i*n+j] = a.At(i, j)
-		}
-	}
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Partial pivot: largest |entry| in column k at/below row k.
-		p, maxAbs := k, math.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu[i*n+k]); a > maxAbs {
-				p, maxAbs = i, a
-			}
-		}
-		if maxAbs == 0 || math.IsNaN(maxAbs) {
-			return nil, ErrSingular
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				lu[p*n+j], lu[k*n+j] = lu[k*n+j], lu[p*n+j]
-			}
-			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
-		}
-		pivot := lu[k*n+k]
-		for i := k + 1; i < n; i++ {
-			f := lu[i*n+k] / pivot
-			lu[i*n+k] = f
-			if f == 0 {
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				lu[i*n+j] -= f * lu[k*n+j]
-			}
-		}
-	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
-}
-
-// SolveVec solves A·x = b for x using the factorization. It panics if
-// len(b) does not match the matrix order.
-func (f *LU) SolveVec(b Vector) Vector {
-	if len(b) != f.n {
-		panic(fmt.Sprintf("linalg: LU.SolveVec dimension mismatch %d vs %d", len(b), f.n))
-	}
-	n, lu := f.n, f.lu
-	x := make(Vector, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	// Forward: L·z = P·b (unit diagonal).
-	for i := 1; i < n; i++ {
-		sum := x[i]
-		for k := 0; k < i; k++ {
-			sum -= lu[i*n+k] * x[k]
-		}
-		x[i] = sum
-	}
-	// Backward: U·x = z.
-	for i := n - 1; i >= 0; i-- {
-		sum := x[i]
-		for k := i + 1; k < n; k++ {
-			sum -= lu[i*n+k] * x[k]
-		}
-		x[i] = sum / lu[i*n+i]
-	}
-	return x
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveSPD solves A·x = b for a symmetric positive definite A, preferring
-// Cholesky and falling back to LU when A is borderline indefinite due to
-// rounding.
-func SolveSPD(a *Dense, b Vector) (Vector, error) {
-	if ch, err := NewCholesky(a); err == nil {
-		return ch.SolveVec(b), nil
-	}
-	lu, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return lu.SolveVec(b), nil
 }

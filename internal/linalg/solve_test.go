@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,67 +63,46 @@ func TestCholeskySolveRandom(t *testing.T) {
 	}
 }
 
-func TestLUSolveKnown(t *testing.T) {
-	// Requires pivoting: zero in the (0,0) position.
-	a := NewDenseFrom(2, 2, []float64{0, 1, 2, 0})
-	lu, err := NewLU(a)
+// Every kernel that documents a shape panic raises it instead of reading
+// past a slice or returning a silently truncated result.
+func TestShapeMismatchPanics(t *testing.T) {
+	a := NewDenseFrom(2, 2, []float64{4, 2, 2, 3})
+	ch, err := NewCholesky(a)
 	if err != nil {
-		t.Fatalf("NewLU: %v", err)
+		t.Fatal(err)
 	}
-	x := lu.SolveVec(Vector{3, 4}) // 0·x0+1·x1=3, 2·x0=4 → x=[2,3]
-	if !x.EqualApprox(Vector{2, 3}, 1e-12) {
-		t.Errorf("x = %v, want [2 3]", x)
-	}
-	if det := lu.Det(); math.Abs(det-(-2)) > 1e-12 {
-		t.Errorf("Det = %v, want -2", det)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{1, 2, 2, 4})
-	if _, err := NewLU(a); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLURejectsNonSquare(t *testing.T) {
-	if _, err := NewLU(NewDense(3, 2)); err == nil {
-		t.Error("expected error for non-square input")
-	}
-}
-
-func TestLUSolveRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for n := 1; n <= 20; n++ {
-		a := randomDense(rng, n, n)
-		for i := 0; i < n; i++ {
-			a.Inc(i, i, float64(n)) // diagonally dominant → nonsingular
-		}
-		want := make(Vector, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(want)
-		lu, err := NewLU(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		got := lu.SolveVec(b)
-		if !got.EqualApprox(want, 1e-7*float64(n)) {
-			t.Fatalf("n=%d: solve mismatch", n)
-		}
-	}
-}
-
-func TestSolveSPDFallsBackToLU(t *testing.T) {
-	// Not SPD (negative definite) but nonsingular: Cholesky fails, LU works.
-	a := NewDenseFrom(2, 2, []float64{-4, 0, 0, -9})
-	x, err := SolveSPD(a, Vector{8, 18})
+	ridge, err := NewRidge(NewDense(3, 2), 1)
 	if err != nil {
-		t.Fatalf("SolveSPD: %v", err)
+		t.Fatal(err)
 	}
-	if !x.EqualApprox(Vector{-2, -2}, 1e-12) {
-		t.Errorf("x = %v, want [-2 -2]", x)
+	v2, v3 := Vector{1, 2}, Vector{1, 2, 3}
+	tests := []struct {
+		name string
+		fn   func()
+	}{
+		{"cholesky-solve", func() { ch.SolveVec(v3) }},
+		{"ridge-solve", func() { ridge.Solve(NewDense(4, 2), Vector{1, 2, 3, 4}) }},
+		{"vector-axpy", func() { v2.Clone().AXPY(1, v3) }},
+		{"vector-add", func() { v2.Add(v3) }},
+		{"vector-sub", func() { v2.Sub(v3) }},
+		{"dense-add", func() { a.Add(NewDense(2, 3)) }},
+		{"dense-sub", func() { a.Sub(NewDense(3, 2)) }},
+		{"dense-mul", func() { a.Mul(NewDense(3, 2)) }},
+		{"dense-mulvec", func() { a.MulVec(v3) }},
+		{"dense-mulvecinto-dst", func() { a.MulVecInto(v3, v2) }},
+		{"dense-tmulvec", func() { a.TMulVec(v3) }},
+		{"dense-negative", func() { NewDense(-1, 2) }},
+		{"dense-rowview", func() { a.RowView(2) }},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic on shape mismatch")
+				}
+			}()
+			tc.fn()
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package linalg provides the dense linear-algebra kernels used by the
-// ActiveIter model: vectors, row-major dense matrices, Cholesky and LU
-// factorizations, and the ridge-regression closed form
+// ActiveIter model: vectors, row-major dense matrices, the Cholesky
+// factorization, and the ridge-regression closed form
 //
 //	w = c (I + c XᵀX)⁻¹ Xᵀ y
 //

@@ -179,14 +179,3 @@ func Greedy(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
 	}
 	return out
 }
-
-// TotalGain returns the selection objective Σ (2·score − 1) of a
-// selected set, the quantity the ½-approximation bound refers to when
-// threshold = ½.
-func TotalGain(selected []Candidate) float64 {
-	var g float64
-	for _, c := range selected {
-		g += 2*c.Score - 1
-	}
-	return g
-}

@@ -117,14 +117,14 @@ func TestGreedyNaNDoesNotTriggerEarlyBreak(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cands := randomCandidates(rng, 2+rng.Intn(20), 1+rng.Intn(8), 1+rng.Intn(8))
-		want := TotalGain(Greedy(cands, 0.5, nil))
+		want := totalGain(Greedy(cands, 0.5, nil))
 		// Splice NaNs throughout; the finite selection must be unchanged.
 		withNaN := make([]Candidate, 0, 2*len(cands))
 		for k, c := range cands {
 			withNaN = append(withNaN, Candidate{I: 100 + k, J: 100 + k, Score: math.NaN()})
 			withNaN = append(withNaN, c)
 		}
-		return TotalGain(Greedy(withNaN, 0.5, nil)) == want
+		return totalGain(Greedy(withNaN, 0.5, nil)) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -159,7 +159,7 @@ func TestExactBasic(t *testing.T) {
 	if len(exact) != 2 {
 		t.Fatalf("exact selected %d, want 2", len(exact))
 	}
-	gGain, eGain := TotalGain(greedy), TotalGain(exact)
+	gGain, eGain := totalGain(greedy), totalGain(exact)
 	if eGain <= gGain {
 		t.Errorf("exact gain %v should exceed greedy gain %v here", eGain, gGain)
 	}
@@ -208,8 +208,8 @@ func TestGreedyHalfApproximation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cands := randomCandidates(rng, 2+rng.Intn(30), 1+rng.Intn(8), 1+rng.Intn(8))
-		g := TotalGain(Greedy(cands, 0.5, nil))
-		e := TotalGain(Exact(cands, 0.5, nil))
+		g := totalGain(Greedy(cands, 0.5, nil))
+		e := totalGain(Exact(cands, 0.5, nil))
 		if e < g-1e-9 {
 			return false // exact must dominate greedy
 		}
@@ -225,11 +225,11 @@ func TestExactOrderInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cands := randomCandidates(rng, 2+rng.Intn(20), 1+rng.Intn(6), 1+rng.Intn(6))
-		e1 := TotalGain(Exact(cands, 0.5, nil))
+		e1 := totalGain(Exact(cands, 0.5, nil))
 		shuffled := make([]Candidate, len(cands))
 		copy(shuffled, cands)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		e2 := TotalGain(Exact(shuffled, 0.5, nil))
+		e2 := totalGain(Exact(shuffled, 0.5, nil))
 		return math.Abs(e1-e2) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -268,4 +268,15 @@ func TestHungarianMaxKnown(t *testing.T) {
 	if total != 20 {
 		t.Errorf("assignment total = %v, want 20", total)
 	}
+}
+
+// totalGain returns the selection objective Σ (2·score − 1) of a
+// selected set, the quantity the ½-approximation bound refers to when
+// threshold = ½.
+func totalGain(selected []Candidate) float64 {
+	var g float64
+	for _, c := range selected {
+		g += 2*c.Score - 1
+	}
+	return g
 }

@@ -228,7 +228,8 @@ type Begun struct {
 
 // begunPart is one part's pipeline state. ready is closed when the count
 // half is over; everything else is written before that by the counting
-// goroutine and afterwards only by the part's Finish goroutine.
+// goroutine and afterwards only by the part's Finish goroutine or a
+// Prepared call.
 type begunPart struct {
 	trainPos []hetnet.Anchor
 	ready    chan struct{}
@@ -340,29 +341,50 @@ func (b *Begun) Finish(plan *Plan, cfg core.Config, oracle active.Oracle) (*Resu
 	return res, nil
 }
 
-// train is one part's share of a Finish.
-func (bp *begunPart) train(part *Part, cfg core.Config, oracle active.Oracle) (partOutput, error) {
-	t0 := time.Now()
+// Prepared waits for the p-th part's count half and returns its filled
+// pool — filling it from part, the p-th part of the plan, if no Finish
+// has yet — for a caller that reads the part's feature matrix itself.
+// Later rounds of Finish train on the same Prepared. Not safe for use
+// concurrently with Finish.
+func (b *Begun) Prepared(p int, part *Part) (*Prepared, error) {
+	bp := &b.parts[p]
+	<-bp.ready
+	b.sem <- struct{}{}
+	defer func() { <-b.sem }()
+	return bp.prepared(part)
+}
+
+// prepared fills the part's pool on first use and drops its fork.
+func (bp *begunPart) prepared(part *Part) (*Prepared, error) {
 	if bp.err != nil {
-		return partOutput{}, bp.err
+		return nil, bp.err
 	}
 	if !slices.Equal(part.TrainPos, bp.trainPos) {
-		return partOutput{}, fmt.Errorf("partition: part was begun on other training anchors")
+		return nil, fmt.Errorf("partition: part was begun on other training anchors")
 	}
 	if bp.prep == nil {
+		t0 := time.Now()
 		bp.prep, bp.err = fillPart(bp.ext, part)
 		bp.ext = nil
-		if bp.err != nil {
-			return partOutput{}, bp.err
-		}
+		bp.busy += time.Since(t0)
 	}
-	res, err := bp.prep.Train(part, cfg, oracle)
+	return bp.prep, bp.err
+}
+
+// train is one part's share of a Finish.
+func (bp *begunPart) train(part *Part, cfg core.Config, oracle active.Oracle) (partOutput, error) {
+	prep, err := bp.prepared(part)
+	if err != nil {
+		return partOutput{}, err
+	}
+	t0 := time.Now()
+	res, err := prep.Train(part, cfg, oracle)
 	if err != nil {
 		return partOutput{}, err
 	}
 	res.Elapsed = bp.busy + time.Since(t0)
 	bp.busy = 0
-	return partOutput{part: part, links: bp.prep.Links, res: res}, nil
+	return partOutput{part: part, links: prep.Links, res: res}, nil
 }
 
 // Prepared is the label-independent half of a shard pipeline: the

@@ -108,6 +108,59 @@ func TestRoundsRecountOnce(t *testing.T) {
 	}
 }
 
+// TestBegunPreparedIsWhatFinishTrains: a part's Prepared, read before
+// any Finish, is the pool and matrix PreparePart builds on a fork
+// restricted to the part's anchors; Finish then trains on that very
+// Prepared without counting again, and the run equals Align's.
+func TestBegunPreparedIsWhatFinishTrains(t *testing.T) {
+	pair, trainPos, candidates := fixture(t)
+	base := newBase(t, pair)
+	plan, err := BuildPlan(base, trainPos, candidates, 6, Config{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := TrainOptions{Features: schema.StandardLibrary().All(), Core: core.Config{Seed: 7, Strategy: active.Conflict{}}, Workers: 1}
+	oracle := active.NewTruthOracle(pair)
+	want, err := Align(base, plan, opts, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	begun, err := Begin(base, plan.Parts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer begun.Release()
+	got, err := begun.Prepared(0, &plan.Parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := base.Fork()
+	fork.SetAnchors(plan.Parts[0].TrainPos)
+	ref, err := PreparePart(fork, &plan.Parts[0], opts.Features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Links, ref.Links) || !reflect.DeepEqual(got.X(), ref.X()) {
+		t.Fatal("Begun.Prepared differs from PreparePart on the part's fork")
+	}
+	res, err := begun.Finish(plan, opts.Core, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if begun.parts[0].prep != got {
+		t.Error("Finish refilled the part instead of training on its Prepared")
+	}
+	if !reflect.DeepEqual(res.PredictedAnchors(), want.PredictedAnchors()) || res.QueryCount() != want.QueryCount() {
+		t.Error("Prepared then Finish diverges from Align")
+	}
+	other := plan.Parts[0]
+	other.TrainPos = other.TrainPos[1:]
+	if _, err := begun.Prepared(0, &other); err == nil {
+		t.Error("Prepared accepted a part with other training anchors")
+	}
+}
+
 // TestBegunContract: Begin and Finish refuse what Align refused, a
 // released pipeline fails its Finish, and Release may be called at any
 // point, twice.

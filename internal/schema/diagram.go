@@ -300,62 +300,3 @@ func dedupePaths(ps []MetaPath) []MetaPath {
 	}
 	return out
 }
-
-// CoversSubset reports whether every path in C(a) also appears in C(b),
-// i.e. C(a) ⊆ C(b) — the premise of Lemma 2: instances of the larger
-// diagram b imply instances of the smaller diagram a.
-func CoversSubset(a, b Diagram) bool {
-	cb := make(map[string]bool)
-	for _, p := range CoveringSet(b) {
-		cb[p.Notation()] = true
-	}
-	for _, p := range CoveringSet(a) {
-		if !cb[p.Notation()] {
-			return false
-		}
-	}
-	return true
-}
-
-// EdgeCount returns the number of atomic edges in the diagram.
-func EdgeCount(d Diagram) int {
-	switch v := d.(type) {
-	case Edge:
-		return 1
-	case MetaPath:
-		return len(v.Edges)
-	case Series:
-		n := 0
-		for _, p := range v.Parts {
-			n += EdgeCount(p)
-		}
-		return n
-	case Parallel:
-		n := 0
-		for _, p := range v.Parts {
-			n += EdgeCount(p)
-		}
-		return n
-	default:
-		panic(fmt.Sprintf("schema: EdgeCount of unknown diagram type %T", d))
-	}
-}
-
-// IsPath reports whether the diagram contains no Parallel composition.
-func IsPath(d Diagram) bool {
-	switch v := d.(type) {
-	case Edge, MetaPath:
-		return true
-	case Series:
-		for _, p := range v.Parts {
-			if !IsPath(p) {
-				return false
-			}
-		}
-		return true
-	case Parallel:
-		return false
-	default:
-		panic(fmt.Sprintf("schema: IsPath of unknown diagram type %T", d))
-	}
-}

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +32,10 @@ func TestSocialSchemaRelations(t *testing.T) {
 		if rels[i] < rels[i-1] {
 			t.Errorf("Relations not sorted: %v", rels)
 		}
+	}
+	attrs := s.AttributeTypes()
+	if len(attrs) != len(hetnet.AttributeTypes) || !slices.IsSorted(attrs) {
+		t.Errorf("AttributeTypes = %v, want %v sorted", attrs, hetnet.AttributeTypes)
 	}
 }
 
@@ -73,6 +78,31 @@ func TestTypedNodeString(t *testing.T) {
 	}
 	if got := LocationT().String(); got != "location" {
 		t.Errorf("LocationT = %q", got)
+	}
+}
+
+// An edge is realized by its concrete endpoint's network: a shared
+// attribute endpoint adopts its partner's, and the anchor belongs to
+// neither network.
+func TestEdgeNet(t *testing.T) {
+	tests := []struct {
+		name string
+		e    Edge
+		want NetworkRef
+	}{
+		{"follow net1", Fwd(hetnet.Follow, User1(), User1()), Net1},
+		{"follow net2", Rev(hetnet.Follow, User2(), User2()), Net2},
+		{"write rev net2", Rev(hetnet.Write, Post2(), User2()), Net2},
+		{"at fwd from post", Fwd(hetnet.At, Post1(), TimestampT()), Net1},
+		{"at rev from attribute", Rev(hetnet.At, TimestampT(), Post2()), Net2},
+		{"anchor", AnchorEdge(User1(), User2()), SharedNet},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.e.Net(); got != tc.want {
+				t.Errorf("Net(%s) = %s, want %s", tc.e.Notation(), got, tc.want)
+			}
+		})
 	}
 }
 
@@ -292,37 +322,6 @@ func TestCoveringSetFullStack(t *testing.T) {
 	cover := CoveringSet(d)
 	if len(cover) != 4 {
 		t.Fatalf("cover size = %d, want 4", len(cover))
-	}
-}
-
-func TestCoversSubsetLemma2Premise(t *testing.T) {
-	p1 := FollowPath(1).AsDiagram()
-	psi12 := FollowDiagram(1, 2)
-	if !CoversSubset(p1, psi12) {
-		t.Error("C(P1) should be ⊆ C(Ψ^f²(P1×P2))")
-	}
-	if CoversSubset(FollowPath(3).AsDiagram(), psi12) {
-		t.Error("C(P3) should not be ⊆ C(Ψ^f²(P1×P2))")
-	}
-	psiFull := Par(psi12, AttributeDiagram(hetnet.At, hetnet.Checkin))
-	if !CoversSubset(psi12, psiFull) {
-		t.Error("C(Ψ^f²) should be ⊆ C(Ψ^{f²,a²})")
-	}
-}
-
-func TestEdgeCountAndIsPath(t *testing.T) {
-	if got := EdgeCount(FollowPath(1).AsDiagram()); got != 3 {
-		t.Errorf("EdgeCount(P1) = %d, want 3", got)
-	}
-	d := FollowDiagram(1, 2)
-	if got := EdgeCount(d); got != 5 {
-		t.Errorf("EdgeCount(Ψ1) = %d, want 5 (2+1+2)", got)
-	}
-	if !IsPath(FollowPath(1).AsDiagram()) {
-		t.Error("P1 should be a path")
-	}
-	if IsPath(d) {
-		t.Error("Ψ1 should not be a path")
 	}
 }
 

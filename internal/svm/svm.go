@@ -161,23 +161,3 @@ func (m *Model) Predict(x linalg.Vector) float64 {
 	}
 	return 0
 }
-
-// PredictBatch returns predicted labels for every row of x.
-func (m *Model) PredictBatch(x *linalg.Dense) []float64 {
-	n, _ := x.Dims()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.Predict(x.RowView(i))
-	}
-	return out
-}
-
-// DecisionBatch returns raw margins for every row of x.
-func (m *Model) DecisionBatch(x *linalg.Dense) []float64 {
-	n, _ := x.Dims()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.Decision(x.RowView(i))
-	}
-	return out
-}

@@ -29,7 +29,7 @@ func TestTrainSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := m.PredictBatch(x)
+	preds := predictRows(m, x)
 	for i, p := range preds {
 		if p != y[i] {
 			t.Errorf("row %d: predicted %v, want %v", i, p, y[i])
@@ -92,7 +92,7 @@ func TestImbalanceCollapsesRecall(t *testing.T) {
 		t.Fatal(err)
 	}
 	positives := 0
-	for _, p := range m.PredictBatch(x) {
+	for _, p := range predictRows(m, x) {
 		if p == 1 {
 			positives++
 		}
@@ -106,7 +106,7 @@ func TestImbalanceCollapsesRecall(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := 0
-	for i, p := range mw.PredictBatch(x) {
+	for i, p := range predictRows(mw, x) {
 		if p == 1 && y[i] == 1 {
 			recovered++
 		}
@@ -203,16 +203,12 @@ func TestZeroRowsIgnored(t *testing.T) {
 	}
 }
 
-func TestDecisionBatchMatchesDecision(t *testing.T) {
-	x, y := dataset([][2]float64{{1, 1}, {-1, -1}}, []float64{1, 0})
-	m, err := Train(x, y, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+// predictRows is the model's label for every row of x.
+func predictRows(m *Model, x *linalg.Dense) []float64 {
+	n, _ := x.Dims()
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = m.Predict(x.RowView(i))
 	}
-	batch := m.DecisionBatch(x)
-	for i := range batch {
-		if got := m.Decision(x.RowView(i)); got != batch[i] {
-			t.Errorf("row %d: %v != %v", i, got, batch[i])
-		}
-	}
+	return out
 }

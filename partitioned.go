@@ -82,8 +82,9 @@ func NewPartitioned(pair *AlignedPair, opts Options) (*PartitionedAligner, error
 // rounds) is the alignment; its Reports accumulate one entry per shard
 // per round, so QueryCount spans the whole run's oracle spend whatever
 // the round count. A distributed run keeps one sticky worker session
-// across the rounds, shipping only label deltas after the first (see
-// Metrics().CacheHits and DeltaBytes for the audit); its oracle stays
+// across the rounds, and after the first each worker re-runs only
+// training on the shard it prepared (see Metrics().CacheHits and
+// DeltaBytes for the audit); its oracle stays
 // on this side of the wire and is queried through label round-trip
 // frames, so remote workers never see ground truth beyond their shard's
 // training anchors.
