@@ -13,6 +13,7 @@ package active
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -154,10 +155,15 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 		gain float64 // ŷ_l − ŷ_l″, the sort key
 	}
 	var cands []cand
+	// negatives keeps the k best-scored negatives seen, the fill's pool:
+	// at most len(out) of them are conflict picks, so the rest cover
+	// whatever the conflict rule leaves of the budget.
+	var negatives worstFirst
 	for idx, lab := range st.Labels {
 		if lab != 0 {
 			continue
 		}
+		negatives.offer(ranked{idx: idx, key: st.Scores[idx]}, k)
 		l := st.Links[idx]
 		// Both a near-tie blocker l′ and a weak blocker l″ are needed: one
 		// positive at each endpoint, and not the same one.
@@ -195,23 +201,18 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 		}
 		out = append(out, c.idx)
 	}
-	if len(out) < k {
-		taken := make([]bool, len(st.Labels))
-		for _, idx := range out {
-			taken[idx] = true
+	if picked := len(out); picked < k {
+		// Fill with the highest-scored negatives not picked already.
+		for _, idx := range negatives.drain() {
+			if len(out) == k {
+				break
+			}
+			if !slices.Contains(out[:picked], idx) {
+				out = append(out, idx)
+			}
 		}
-		out = fillTopScoredNegatives(st, k, out, taken)
 	}
 	return out
-}
-
-// fillTopScoredNegatives appends the highest-scored unqueried negatives
-// until len(out) == k or candidates run out. taken marks, by index into
-// State.Links, the links already in out.
-func fillTopScoredNegatives(st *State, k int, out []int, taken []bool) []int {
-	return append(out, topRanked(len(st.Labels), k-len(out), func(idx int) (float64, bool) {
-		return st.Scores[idx], st.Labels[idx] == 0 && !taken[idx]
-	})...)
 }
 
 // ranked is one link under selection: its index into State.Links and
@@ -237,7 +238,10 @@ func (a ranked) below(b ranked) bool {
 }
 
 // worstFirst is a container/heap of ranked links whose root is the one
-// ranking last.
+// ranking last: the one bounded selection the ranking strategies share.
+// Offering it every link keeps the k best under ranked.below, so a round
+// reads the pool once in O(n·log k) and orders only what it returns; a
+// key may be NaN or ±Inf.
 type worstFirst []ranked
 
 func (h worstFirst) Len() int           { return len(h) }
@@ -251,33 +255,23 @@ func (h *worstFirst) Pop() any {
 	return e
 }
 
-// topRanked is the one bounded selection the ranking strategies share:
-// of the links 0..n-1 that key admits, the k best under ranked.below,
-// best first. It keeps a heap of the k best seen so far (root = the
-// worst kept), so a round reads the pool once in O(n·log k) and orders
-// only what it returns; a key may be NaN or ±Inf.
-func topRanked(n, k int, key func(idx int) (float64, bool)) []int {
-	if k <= 0 {
-		return nil
+// offer keeps e if it ranks among the k best offered so far.
+func (h *worstFirst) offer(e ranked, k int) {
+	switch {
+	case len(*h) < k:
+		heap.Push(h, e)
+	case len(*h) > 0 && (*h)[0].below(e):
+		(*h)[0] = e
+		heap.Fix(h, 0)
 	}
-	var h worstFirst
-	for idx := 0; idx < n; idx++ {
-		y, ok := key(idx)
-		if !ok {
-			continue
-		}
-		switch e := (ranked{idx: idx, key: y}); {
-		case len(h) < k:
-			heap.Push(&h, e)
-		case h[0].below(e):
-			h[0] = e
-			heap.Fix(&h, 0)
-		}
-	}
+}
+
+// drain empties h and returns the indices it kept, best first.
+func (h *worstFirst) drain() []int {
 	// Popping yields the worst kept first: fill the answer back to front.
-	out := make([]int, len(h))
+	out := make([]int, len(*h))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ranked).idx
+		out[i] = heap.Pop(h).(ranked).idx
 	}
 	return out
 }
@@ -324,9 +318,11 @@ func (u Uncertainty) Select(st *State, k int, rng *rand.Rand) []int {
 		thr = u.Threshold
 	}
 	// Closest first: rank by negated distance to the threshold.
-	return topRanked(len(st.Links), k, func(idx int) (float64, bool) {
-		return -absF(st.Scores[idx] - thr), true
-	})
+	var h worstFirst
+	for idx := range st.Links {
+		h.offer(ranked{idx: idx, key: -absF(st.Scores[idx] - thr)}, k)
+	}
+	return h.drain()
 }
 
 func absF(x float64) float64 {

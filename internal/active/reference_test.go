@@ -41,6 +41,27 @@ func referenceFill(st *State, k int, out []int, taken []bool) []int {
 	return out
 }
 
+// referenceTopScoredFill is the conflict rule's fill as Select ran it in
+// a second pass over the pool: the highest-scored negatives not taken,
+// by ranked.below (NaN after every number, ties to the smaller index),
+// appended until out holds k.
+func referenceTopScoredFill(st *State, k int, out []int, taken []bool) []int {
+	var rest []ranked
+	for idx, lab := range st.Labels {
+		if lab == 0 && !taken[idx] {
+			rest = append(rest, ranked{idx: idx, key: st.Scores[idx]})
+		}
+	}
+	sort.Slice(rest, func(a, b int) bool { return rest[b].below(rest[a]) })
+	for _, r := range rest {
+		if len(out) == k {
+			break
+		}
+		out = append(out, r.idx)
+	}
+	return out
+}
+
 func referenceUncertainty(u Uncertainty, st *State, k int) []int {
 	thr := 0.5
 	if st.Threshold != nil {
@@ -153,7 +174,7 @@ func referenceConflictSelect(c Conflict, st *State, k int) (picks []int, admitte
 		taken[c.idx] = true
 	}
 	if len(out) < k {
-		out = fillTopScoredNegatives(st, k, out, taken)
+		out = referenceTopScoredFill(st, k, out, taken)
 	}
 	return out, len(cands)
 }
@@ -240,24 +261,18 @@ func sameIndices(a, b []int) bool {
 }
 
 // TestQuerySelectionMatchesReference sweeps pool sizes and k ∈ {0, 1,
-// 5, n, n+3} with some indices already taken by the conflict rule.
+// 5, n, n+3}. No two of gradedState's links share a left endpoint, so
+// the conflict rule admits nothing and Conflict.Select is its fill
+// alone; TestConflictSelectMatchesReference fills after conflict picks.
 func TestQuerySelectionMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 300; trial++ {
 		n := []int{0, 1, 4, 30, 200}[rng.Intn(5)]
 		st := gradedState(rng, n)
 		for _, k := range []int{0, 1, 5, n, n + 3} {
-			taken := make([]bool, n)
-			var out []int
-			for len(out) < k/2 && len(out) < n && rng.Intn(2) == 0 {
-				if idx := rng.Intn(n); !taken[idx] {
-					taken[idx] = true
-					out = append(out, idx)
-				}
-			}
-			want := referenceFill(st, k, append([]int{}, out...), taken)
-			if got := fillTopScoredNegatives(st, k, append([]int{}, out...), taken); !sameIndices(got, want) {
-				t.Fatalf("fill n=%d k=%d taken=%v:\n got  %v\n want %v", n, k, out, got, want)
+			want := referenceFill(st, k, nil, make([]bool, n))
+			if got := (Conflict{}).Select(st, k, nil); !sameIndices(got, want) {
+				t.Fatalf("fill n=%d k=%d:\n got  %v\n want %v", n, k, got, want)
 			}
 			for _, u := range []Uncertainty{{}, {Threshold: 0.25}} {
 				want := referenceUncertainty(u, st, k)
@@ -288,9 +303,6 @@ func TestQuerySelectionIgnoresNaN(t *testing.T) {
 		7: {3, 7, 1, 4, 5, 0, 2},
 		9: {3, 7, 1, 4, 5, 0, 2, 6},
 	} {
-		if got := fillTopScoredNegatives(st, k, nil, make([]bool, len(st.Labels))); !reflect.DeepEqual(got, want) {
-			t.Errorf("fill k=%d: %v, want %v", k, got, want)
-		}
 		if got := (Conflict{}).Select(st, k, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("Conflict k=%d: %v, want %v", k, got, want)
 		}
@@ -320,7 +332,7 @@ func TestQuerySelectionIgnoresNaN(t *testing.T) {
 				numbers++
 			}
 		}
-		got := fillTopScoredNegatives(dirty, n, nil, make([]bool, n))
+		got := (Conflict{}).Select(dirty, n, nil)
 		for pos, idx := range got {
 			if isNaN := dirty.Scores[idx] != dirty.Scores[idx]; isNaN != (pos >= numbers) {
 				t.Fatalf("trial %d: pick %d of %v has score %v with %d numbered negatives", trial, pos, got, dirty.Scores[idx], numbers)

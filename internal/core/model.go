@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
@@ -77,7 +78,9 @@ func (c Config) withDefaults() Config {
 // Problem is one alignment instance: the candidate pool H with features,
 // the labeled positive indices L⁺, and an oracle for queries.
 type Problem struct {
-	// Links is the candidate pool H (positives ∪ sampled negatives).
+	// Links is the candidate pool H (positives ∪ sampled negatives). The
+	// Result keeps it to answer LabelOf and WasQueried, so it must not
+	// change once Train is called.
 	Links []hetnet.Anchor
 	// X is the |H|×d feature matrix, row k describing Links[k].
 	X *linalg.Dense
@@ -134,7 +137,12 @@ type Result struct {
 	// InternalIterations counts all internal iterations performed.
 	InternalIterations int
 
-	queried   []bool // by index into Links: labeled by the oracle, in this run or before it
+	queried []bool // by index into Links: labeled by the oracle, in this run or before it
+
+	// The pool by (i, j), for LabelOf and WasQueried, built on their first
+	// call: a caller that reads results by index never pays for it.
+	links     []hetnet.Anchor
+	indexOnce sync.Once
 	linkIndex map[int64]int
 }
 
@@ -204,10 +212,7 @@ func Train(p Problem, cfg Config) (*Result, error) {
 		fix(idx, kindPositive, 1)
 	}
 
-	res := &Result{queried: make([]bool, n), linkIndex: make(map[int64]int, n)}
-	for idx, l := range p.Links {
-		res.linkIndex[hetnet.Key(l.I, l.J)] = idx
-	}
+	res := &Result{queried: make([]bool, n), links: p.Links}
 
 	// Prelabeled links enter in the same state an in-run query would have
 	// left them: fixed label, occupied slot when positive, flagged as
@@ -257,15 +262,44 @@ func Train(p Problem, cfg Config) (*Result, error) {
 	firstSolve := true
 
 	// Scratch buffers reused across every internal iteration and query
-	// round: the candidate list, the score vector and the strategy's view
-	// of the unlabeled links (grown by the first query round, so a run
-	// that never queries never pays for it). The candidate loop runs
+	// round: the score vector, the picks, the strategy's view of the
+	// unlabeled links (grown by the first query round, so a run that never
+	// queries never pays for it) and one slot per row block. The loop runs
 	// O(folds × rounds × iterations) times per experiment cell, so
 	// per-iteration allocation here was a dominant GC cost.
 	scores := make(linalg.Vector, n)
-	cands := make([]matching.Candidate, 0, len(unlabeled))
+	var selected []matching.Candidate
 	var stLinks []hetnet.Anchor
 	var stScores, stLabels []float64
+
+	// Step (1-2) runs over fixed row blocks, each on whichever of the
+	// caller and the helper claims it: the block scores its rows, keeps
+	// its unlabeled selectable ones in pool order and — for Greedy —
+	// sorts them. Greedy's order is total, so merging the sorted blocks
+	// walks what one sort of the pool would; Exact reads the blocks
+	// concatenated, which is the unlabeled pool minus candidates it never
+	// reads.
+	threshold := *cfg.Threshold
+	blocks := make([][]matching.Candidate, (n+blockRows-1)/blockRows)
+	scoreBlock := func(b int) {
+		lo, hi := b*blockRows, min(n, (b+1)*blockRows)
+		xnz.MulVecRowsInto(scores, w, lo, hi)
+		sel := blocks[b][:0]
+		for idx := lo; idx < hi; idx++ {
+			if kind[idx] == kindUnlabeled && matching.Selectable(scores[idx], threshold) {
+				sel = append(sel, matching.Candidate{
+					I: p.Links[idx].I, J: p.Links[idx].J,
+					Score: scores[idx], Payload: idx,
+				})
+			}
+		}
+		if !cfg.ExactSelection {
+			slices.SortFunc(sel, matching.Compare)
+		}
+		blocks[b] = sel
+	}
+	h := startHelper(len(blocks))
+	defer h.stop()
 
 	// internalConverge runs step (1) to a label fixpoint.
 	internalConverge := func(trace *RoundTrace) {
@@ -277,21 +311,17 @@ func Train(p Problem, cfg Config) (*Result, error) {
 			} else {
 				w = ridge.Solve(p.X, y)
 			}
-			// (1-2) greedy selection over unlabeled links.
-			xnz.MulVecInto(scores, w)
-			cands = cands[:0]
-			for _, idx := range unlabeled {
-				cands = append(cands, matching.Candidate{
-					I: p.Links[idx].I, J: p.Links[idx].J,
-					Score: scores[idx], Payload: idx,
-				})
-			}
+			// (1-2) score, then select over the unlabeled links.
+			h.do(len(blocks), scoreBlock)
 			occ := baseOcc.Clone()
-			var selected []matching.Candidate
 			if cfg.ExactSelection {
-				selected = matching.Exact(cands, *cfg.Threshold, occ)
+				selected = selected[:0]
+				for _, sel := range blocks {
+					selected = append(selected, sel...)
+				}
+				selected = matching.Exact(selected, threshold, occ)
 			} else {
-				selected = matching.Greedy(cands, *cfg.Threshold, occ)
+				selected = matching.GreedyMerge(selected[:0], blocks, occ)
 			}
 			for _, idx := range unlabeled {
 				nextY[idx] = 0
@@ -364,10 +394,23 @@ func Train(p Problem, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// indexOf returns the pool index of link (i, j) — the last one, if the
+// pool lists the link twice — building the index on first use.
+func (r *Result) indexOf(i, j int) (int, bool) {
+	r.indexOnce.Do(func() {
+		r.linkIndex = make(map[int64]int, len(r.links))
+		for idx, l := range r.links {
+			r.linkIndex[hetnet.Key(l.I, l.J)] = idx
+		}
+	})
+	idx, ok := r.linkIndex[hetnet.Key(i, j)]
+	return idx, ok
+}
+
 // LabelOf returns the final label of link (i, j) and whether the link
 // was part of the candidate pool.
 func (r *Result) LabelOf(i, j int) (float64, bool) {
-	idx, ok := r.linkIndex[hetnet.Key(i, j)]
+	idx, ok := r.indexOf(i, j)
 	if !ok {
 		return 0, false
 	}
@@ -377,7 +420,7 @@ func (r *Result) LabelOf(i, j int) (float64, bool) {
 // WasQueried reports whether link (i, j) was labeled by the oracle (such
 // links are excluded from evaluation for fairness, per Section IV-B-3).
 func (r *Result) WasQueried(i, j int) bool {
-	idx, ok := r.linkIndex[hetnet.Key(i, j)]
+	idx, ok := r.indexOf(i, j)
 	return ok && r.queried[idx]
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -375,58 +376,168 @@ func requireSameRun(t *testing.T, p Problem, got, want *Result, wantQueried map[
 	}
 }
 
+// defaultShapedProblem is a pool the shape of a `default` fold —
+// 7,216 links across 1,045 × 1,078 users, 32 features of which a tenth
+// are non-zero, 65 labeled positives — drawn directly instead of
+// counted, so the test can afford it: more than two row blocks, which is
+// what starts Train's helper. Like the pipeline's pools it lists every
+// link once.
+func defaultShapedProblem() (Problem, active.Oracle) {
+	rng := rand.New(rand.NewSource(9))
+	const users1, users2, anchors, n, d, labeled = 1045, 1078, 656, 7216, 32, 65
+	truth := make(map[int64]bool, anchors)
+	links := make([]hetnet.Anchor, 0, n)
+	for _, i := range rng.Perm(users1)[:anchors] {
+		links = append(links, hetnet.Anchor{I: i, J: i})
+		truth[hetnet.Key(i, i)] = true
+	}
+	seen := make(map[int64]bool, n)
+	for len(links) < n {
+		if l := (hetnet.Anchor{I: rng.Intn(users1), J: rng.Intn(users2)}); l.I != l.J && !seen[hetnet.Key(l.I, l.J)] {
+			seen[hetnet.Key(l.I, l.J)] = true
+			links = append(links, l)
+		}
+	}
+	x := linalg.NewDense(n, d)
+	for r := range links {
+		x.Set(r, d-1, 1) // bias
+		share := 0.04    // with the bias column: a tenth of the cells
+		if r < anchors {
+			share = 0.4 // true anchors share more diagrams, more strongly
+		}
+		for j := 0; j < d-1; j++ {
+			if rng.Float64() < share {
+				x.Set(r, j, share*rng.Float64())
+			}
+		}
+	}
+	pos := make([]int, labeled)
+	for i := range pos {
+		pos[i] = i
+	}
+	return Problem{Links: links, X: x, LabeledPos: pos}, truthOracle(truth)
+}
+
+// truthOracle answers from a set of true links keyed by hetnet.Key.
+type truthOracle map[int64]bool
+
+func (o truthOracle) Label(a hetnet.Anchor) float64 {
+	if o[hetnet.Key(a.I, a.J)] {
+		return 1
+	}
+	return 0
+}
+
+// countingStrategy wraps a strategy and records the process's goroutine
+// count at every Select — inside Train, while any helper is running.
+type countingStrategy struct {
+	active.Strategy
+	goroutines *[]int
+}
+
+func (s countingStrategy) Select(st *active.State, k int, rng *rand.Rand) []int {
+	*s.goroutines = append(*s.goroutines, runtime.NumGoroutine())
+	return s.Strategy.Select(st, k, rng)
+}
+
 // TestTrainMatchesReferenceLoop runs Train and the loop it replaced on
-// the same problems — two presets × three strategies × no budget and
-// 100 queries × with and without labels fixed by an earlier round ×
-// greedy and exact selection — and requires the same run.
+// the same problems — two presets and a `default`-shaped pool × three
+// strategies × no budget and 100 queries × with and without labels
+// fixed by an earlier round × greedy and exact selection — and requires
+// the same run, at GOMAXPROCS 1, 2 and 4. The `default`-shaped pool spans
+// more than two row blocks, so from two cores on its steps share their
+// blocks with the helper; the strategy sees the helper running.
 func TestTrainMatchesReferenceLoop(t *testing.T) {
 	strategies := []active.Strategy{active.Conflict{CloseTol: 0.05}, active.Uncertainty{}, active.Random{}}
+	type problem struct {
+		name   string
+		p      Problem
+		oracle active.Oracle
+	}
+	var problems []problem
 	for _, preset := range []struct {
 		name string
 		cfg  datagen.Config
 	}{{"tiny", datagen.Tiny()}, {"small", datagen.Small()}} {
 		p, oracle := foldProblem(t, preset.cfg, true)
-		p.Oracle = oracle
-		// "Some" prelabels: every 37th unlabeled link, answered by the oracle.
-		var preIdx []int
-		var preY []float64
-		for idx := len(p.LabeledPos) + 5; idx < len(p.Links); idx += 37 {
-			preIdx, preY = append(preIdx, idx), append(preY, oracle.Label(p.Links[idx]))
-		}
-		for _, strat := range strategies {
-			for _, budget := range []int{0, 100} {
-				for _, prelabeled := range []bool{false, true} {
-					for _, exact := range []bool{false, true} {
-						if exact && preset.name == "small" && strat.Name() != "conflict" {
-							continue // the Hungarian runs are the slow ones; one strategy covers the path
+		problems = append(problems, problem{preset.name, p, oracle})
+	}
+	p, oracle := defaultShapedProblem()
+	if blocks := (len(p.Links) + blockRows - 1) / blockRows; blocks <= 2 {
+		t.Fatalf("the default-shaped pool spans %d row blocks; the helper needs more than 2", blocks)
+	}
+	problems = append(problems, problem{"default-shaped", p, oracle})
+	// A leaf subtest runs beside this test's goroutine and its procs
+	// subtest's, both blocked in t.Run; the sleep lets any goroutine an
+	// earlier test stopped leave the count first.
+	time.Sleep(10 * time.Millisecond)
+	leafGoroutines := runtime.NumGoroutine() + 2
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, pr := range problems {
+				p := pr.p
+				p.Oracle = pr.oracle
+				// "Some" prelabels: every 37th unlabeled link, answered by the oracle.
+				var preIdx []int
+				var preY []float64
+				for idx := len(p.LabeledPos) + 5; idx < len(p.Links); idx += 37 {
+					preIdx, preY = append(preIdx, idx), append(preY, pr.oracle.Label(p.Links[idx]))
+				}
+				helped := pr.name == "default-shaped" && procs > 1
+				for _, strat := range strategies {
+					for _, budget := range []int{0, 100} {
+						for _, prelabeled := range []bool{false, true} {
+							for _, exact := range []bool{false, true} {
+								// The Hungarian runs are the slow ones: one strategy
+								// covers the path at small, and none at the default
+								// shape, where it would take minutes.
+								if exact && (pr.name == "default-shaped" || pr.name == "small" && strat.Name() != "conflict") {
+									continue
+								}
+								name := fmt.Sprintf("%s/%s/budget%d/prelabeled=%v/exact=%v", pr.name, strat.Name(), budget, prelabeled, exact)
+								t.Run(name, func(t *testing.T) {
+									q := p
+									if prelabeled {
+										q.Prelabeled, q.PrelabeledY = preIdx, preY
+									}
+									cfg := Config{Budget: budget, BatchSize: 5, ExactSelection: exact, Seed: 11}
+									var during []int
+									if budget > 0 {
+										cfg.Strategy = countingStrategy{strat, &during}
+									}
+									want, wantQueried, err := referenceTrain(q, cfg)
+									if err != nil {
+										t.Fatal(err)
+									}
+									during = during[:0]
+									// The previous Train's helper may still be on its
+									// way out.
+									before := settledGoroutines(leafGoroutines)
+									got, err := Train(q, cfg)
+									if err != nil {
+										t.Fatal(err)
+									}
+									requireSameRun(t, q, got, want, wantQueried)
+									if budget > 0 && got.QueryCount() == 0 {
+										t.Fatal("a run with a budget asked nothing")
+									}
+									wantDuring := before
+									if helped {
+										wantDuring++
+									}
+									for r, n := range during {
+										if n != wantDuring {
+											t.Fatalf("query round %d ran beside %d goroutines, want %d (helper expected: %v)", r, n, wantDuring, helped)
+										}
+									}
+								})
+							}
 						}
-						name := fmt.Sprintf("%s/%s/budget%d/prelabeled=%v/exact=%v", preset.name, strat.Name(), budget, prelabeled, exact)
-						t.Run(name, func(t *testing.T) {
-							q := p
-							if prelabeled {
-								q.Prelabeled, q.PrelabeledY = preIdx, preY
-							}
-							cfg := Config{Budget: budget, BatchSize: 5, ExactSelection: exact, Seed: 11}
-							if budget > 0 {
-								cfg.Strategy = strat
-							}
-							want, wantQueried, err := referenceTrain(q, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := Train(q, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireSameRun(t, q, got, want, wantQueried)
-							if budget > 0 && got.QueryCount() == 0 {
-								t.Fatal("a run with a budget asked nothing")
-							}
-						})
 					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -31,10 +31,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/activeiter/activeiter/internal/framing"
 	"github.com/activeiter/activeiter/internal/hetnet"
@@ -544,38 +542,6 @@ func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 	return e, nil
 }
 
-// parallelFor runs f over [0,n) on up to GOMAXPROCS goroutines — seed
-// entries encode and decode independently, and on a multi-core worker
-// the handful of big matrices dominate the wall clock.
-func parallelFor(n int, f func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // WireSeed body: the fingerprint, the seed's dimensions and schema, then
 // the adjacency and count entries, each an independent length-prefixed
 // segment.
@@ -597,7 +563,7 @@ func (ws *WireSeed) appendBody(b []byte) []byte {
 	b = framing.AppendUvarint(b, uint64(len(ws.Adjacency)))
 	b = framing.AppendUvarint(b, uint64(len(ws.Entries)))
 	segs := make([][]byte, len(ws.Adjacency)+len(ws.Entries))
-	parallelFor(len(segs), func(i int) {
+	metadiag.FanOut(len(segs), func(i int) {
 		segs[i] = appendSeedEntry(nil, ws.entry(i))
 	})
 	rest := 2 * binary.MaxVarintLen64 // the trace tail
@@ -681,7 +647,7 @@ func (ws *WireSeed) decodeBody(body []byte) error {
 		ws.Entries = make([]metadiag.SeedEntry, n)
 	}
 	errs := make([]error, len(segs))
-	parallelFor(len(segs), func(i int) {
+	metadiag.FanOut(len(segs), func(i int) {
 		*ws.entry(i), errs[i] = decodeSeedEntry(segs[i])
 	})
 	for i, err := range errs {

@@ -80,14 +80,27 @@ func finiteVec(v Vector) bool {
 // MulVecInto writes X·v into dst and returns it — Dense.MulVecInto's
 // floats. It panics on dimension mismatch.
 func (c *Compressed) MulVecInto(dst, v Vector) Vector {
-	if c.cols != len(v) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d · %d", c.rows, c.cols, len(v)))
-	}
 	if len(dst) != c.rows {
 		panic(fmt.Sprintf("linalg: MulVecInto dst length %d, want %d", len(dst), c.rows))
 	}
+	c.MulVecRowsInto(dst, v, 0, c.rows)
+	return dst
+}
+
+// MulVecRowsInto writes rows [lo, hi) of X·v into dst[lo:hi] and leaves
+// the rest of dst alone: each cell is the one row's dot product
+// MulVecInto computes, so row ranges taken in any order, on any
+// goroutine, assemble its floats. It panics on dimension mismatch or a
+// range outside the rows.
+func (c *Compressed) MulVecRowsInto(dst, v Vector, lo, hi int) {
+	if c.cols != len(v) {
+		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d · %d", c.rows, c.cols, len(v)))
+	}
+	if lo < 0 || lo > hi || hi > c.rows || len(dst) < hi {
+		panic(fmt.Sprintf("linalg: MulVecRowsInto rows [%d,%d) of %d into %d cells", lo, hi, c.rows, len(dst)))
+	}
 	wide := !finiteVec(v)
-	for i := range dst {
+	for i := lo; i < hi; i++ {
 		cols, vals := c.row(i)
 		var s float64
 		if wide {
@@ -109,7 +122,6 @@ func (c *Compressed) MulVecInto(dst, v Vector) Vector {
 		}
 		dst[i] = s
 	}
-	return dst
 }
 
 // TMulVec returns Xᵀ·v — Dense.TMulVec's floats. It panics on dimension

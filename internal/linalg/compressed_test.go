@@ -74,6 +74,17 @@ func TestCompressedMatchesDenseKernels(t *testing.T) {
 					if want := x.MulVecInto(make(Vector, sh[0]), w); !bitsEqual(got, want) {
 						t.Fatalf("%dx%d density %v: X·%v = %v, dense %v", sh[0], sh[1], density, w, got, want)
 					}
+					// Row ranges of any length, written last first, assemble
+					// the same floats.
+					ranged := make(Vector, sh[0])
+					for hi := sh[0]; hi > 0; {
+						lo := max(0, hi-1-rng.Intn(9))
+						c.MulVecRowsInto(ranged, w, lo, hi)
+						hi = lo
+					}
+					if !bitsEqual(ranged, got) {
+						t.Fatalf("%dx%d density %v: X·%v by row ranges = %v, whole %v", sh[0], sh[1], density, w, ranged, got)
+					}
 					y := randomVector(rng, sh[0], operand)
 					if got, want := c.TMulVec(y), x.TMulVec(y); !bitsEqual(got, want) {
 						t.Fatalf("%dx%d density %v: Xᵀ·%v = %v, dense %v", sh[0], sh[1], density, y, got, want)

@@ -91,6 +91,11 @@ func TestShapeMismatchPanics(t *testing.T) {
 		{"dense-mulvec", func() { a.MulVec(v3) }},
 		{"dense-mulvecinto-dst", func() { a.MulVecInto(v3, v2) }},
 		{"dense-tmulvec", func() { a.TMulVec(v3) }},
+		{"compressed-mulvecinto-dst", func() { Compress(a).MulVecInto(v3, v2) }},
+		{"compressed-rows-operand", func() { Compress(a).MulVecRowsInto(v2, v3, 0, 2) }},
+		{"compressed-rows-past-end", func() { Compress(a).MulVecRowsInto(v3, v2, 1, 3) }},
+		{"compressed-rows-reversed", func() { Compress(a).MulVecRowsInto(v2, v2, 2, 1) }},
+		{"compressed-rows-short-dst", func() { Compress(a).MulVecRowsInto(Vector{0}, v2, 0, 2) }},
 		{"dense-negative", func() { NewDense(-1, 2) }},
 		{"dense-rowview", func() { a.RowView(2) }},
 	}

@@ -121,27 +121,50 @@ func finite(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }
 
+// Selectable reports whether a candidate scored score takes part in a
+// selection at threshold: a finite score above it. No score exceeds a
+// NaN threshold.
+func Selectable(score, threshold float64) bool {
+	return finite(score) && score > threshold
+}
+
+// Compare is Greedy's order: descending score, then ascending I, J and
+// Payload. It is total on finite scores — two candidates compare equal
+// only when they are the same candidate — so any way of sorting a set
+// of candidates, whole or in runs merged afterwards, yields one
+// sequence.
+func Compare(a, b Candidate) int {
+	switch {
+	case a.Score != b.Score:
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	case a.I != b.I:
+		return cmp.Compare(a.I, b.I)
+	case a.J != b.J:
+		return cmp.Compare(a.J, b.J)
+	default:
+		return cmp.Compare(a.Payload, b.Payload)
+	}
+}
+
 // Greedy selects candidates in descending score order, keeping a
 // candidate when its score exceeds threshold and both endpoints are
 // free (including endpoints consumed by occ, which is mutated). Ties
-// break deterministically by (I, J). Candidates with non-finite scores
-// are skipped. The returned slice preserves the descending-score pick
-// order. This is the ½-approximation greedy of reference [21]; with
-// threshold ½ it greedily maximizes Σ(2ŷ−1).
+// break deterministically by (I, J), then by Payload (Compare).
+// Candidates with non-finite scores are skipped. The returned slice
+// preserves the descending-score pick order. This is the
+// ½-approximation greedy of reference [21]; with threshold ½ it greedily
+// maximizes Σ(2ŷ−1).
 //
-// Only candidates that can be selected — finite score above threshold —
-// are ordered, copied side by side so the sort compares what it moves;
-// the rest of the pool, usually nearly all of it, is read and never
-// sorted. No score exceeds a NaN threshold, so a NaN threshold selects
-// nothing.
+// Only candidates that can be selected (Selectable) are ordered, copied
+// side by side so the sort compares what it moves; the rest of the
+// pool, usually nearly all of it, is read and never sorted.
 func Greedy(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
-	if occ == nil {
-		occ = NewOccupied()
-	}
-	selectable := func(c Candidate) bool { return finite(c.Score) && c.Score > threshold }
 	n := 0
 	for _, c := range cands {
-		if selectable(c) {
+		if Selectable(c.Score, threshold) {
 			n++
 		}
 	}
@@ -150,32 +173,65 @@ func Greedy(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
 	}
 	order := make([]Candidate, 0, n)
 	for _, c := range cands {
-		if selectable(c) {
+		if Selectable(c.Score, threshold) {
 			order = append(order, c)
 		}
 	}
-	slices.SortFunc(order, func(a, b Candidate) int {
-		switch {
-		case a.Score != b.Score:
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		case a.I != b.I:
-			return cmp.Compare(a.I, b.I)
-		default:
-			return cmp.Compare(a.J, b.J)
+	slices.SortFunc(order, Compare)
+	if out := GreedyMerge(order[:0], [][]Candidate{order}, occ); len(out) > 0 {
+		return out
+	}
+	return nil
+}
+
+// GreedyMerge is Greedy's walk over candidates already filtered and
+// ordered: each run holds Selectable candidates sorted by Compare, and
+// the runs are merged as they are walked, so the picks are Greedy's over
+// their union. It appends the picks to dst, which may be the single
+// run's own storage (runs[0][:0] when len(runs) == 1) and otherwise must
+// not overlap a run, and returns it. occ is mutated as Greedy mutates it.
+func GreedyMerge(dst []Candidate, runs [][]Candidate, occ *Occupied) []Candidate {
+	if occ == nil {
+		occ = NewOccupied()
+	}
+	// heads is a min-heap of the non-empty runs under their first
+	// candidate; the root's head is the next candidate in Greedy's order.
+	heads := make([][]Candidate, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			heads = append(heads, r)
 		}
-	})
-	out := order[:0]
-	for _, c := range order {
+	}
+	down := func(i int) {
+		for {
+			l := 2*i + 1
+			if l >= len(heads) {
+				return
+			}
+			if r := l + 1; r < len(heads) && Compare(heads[r][0], heads[l][0]) < 0 {
+				l = r
+			}
+			if Compare(heads[l][0], heads[i][0]) >= 0 {
+				return
+			}
+			heads[i], heads[l] = heads[l], heads[i]
+			i = l
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heads) > 0 {
+		c := heads[0][0]
+		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
 		if occ.Free(c.I, c.J) {
 			occ.Take(c.I, c.J)
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return dst
 }

@@ -4,8 +4,11 @@ import "math"
 
 // Exact solves the same selection problem as Greedy optimally: it
 // returns the maximum-weight one-to-one subset of candidates where each
-// candidate's weight is (2·score − 1) and only candidates with
-// score > threshold participate. Endpoints present in occ are excluded.
+// candidate's weight is (2·score − 1) and only Selectable candidates —
+// a finite score above threshold, so none at a NaN threshold —
+// participate. Endpoints present in occ are excluded. The others are
+// never read, so dropping them from cands beforehand, order kept,
+// changes nothing.
 //
 // The solver compacts the involved endpoints, pads the weight matrix to
 // allow leaving any endpoint unmatched (the doubling construction), and
@@ -25,7 +28,7 @@ func Exact(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
 	rightIDs := make(map[int]int)
 	var edges []edge
 	for idx, c := range cands {
-		if !finite(c.Score) || c.Score <= threshold || !occ.Free(c.I, c.J) {
+		if !Selectable(c.Score, threshold) || !occ.Free(c.I, c.J) {
 			continue
 		}
 		li, ok := leftIDs[c.I]

@@ -11,9 +11,10 @@ import (
 )
 
 // referenceGreedy is Greedy as it was while it sorted every finite
-// candidate before walking the order down to the threshold. Greedy now
-// orders only the candidates that can be selected; the two must agree
-// on every finite threshold.
+// candidate before walking the order down to the threshold, with the
+// tie on a duplicate link broken by Payload as Greedy's order now breaks
+// it. Greedy orders only the candidates that can be selected; the two
+// must agree on every finite threshold.
 func referenceGreedy(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
 	if occ == nil {
 		occ = NewOccupied()
@@ -32,7 +33,10 @@ func referenceGreedy(cands []Candidate, threshold float64, occ *Occupied) []Cand
 		if ca.I != cb.I {
 			return ca.I < cb.I
 		}
-		return ca.J < cb.J
+		if ca.J != cb.J {
+			return ca.J < cb.J
+		}
+		return ca.Payload < cb.Payload
 	})
 	var out []Candidate
 	for _, k := range order {
@@ -75,8 +79,8 @@ func (o *referenceOccupied) Clone() *referenceOccupied {
 }
 
 // referenceIndexGreedy is Greedy as it was while it sorted indices into
-// the candidate list (every comparison two indirections and three
-// cmp.Compare calls) over the map-backed tracker.
+// the candidate list (every comparison two indirections and a
+// cmp.Compare per key) over the map-backed tracker, Payload last.
 func referenceIndexGreedy(cands []Candidate, threshold float64, occ *referenceOccupied) []Candidate {
 	var order []int
 	for i, c := range cands {
@@ -86,7 +90,7 @@ func referenceIndexGreedy(cands []Candidate, threshold float64, occ *referenceOc
 	}
 	slices.SortFunc(order, func(a, b int) int {
 		ca, cb := cands[a], cands[b]
-		return cmp.Or(cmp.Compare(cb.Score, ca.Score), cmp.Compare(ca.I, cb.I), cmp.Compare(ca.J, cb.J))
+		return cmp.Or(cmp.Compare(cb.Score, ca.Score), cmp.Compare(ca.I, cb.I), cmp.Compare(ca.J, cb.J), cmp.Compare(ca.Payload, cb.Payload))
 	})
 	var out []Candidate
 	for _, k := range order {
@@ -100,23 +104,26 @@ func referenceIndexGreedy(cands []Candidate, threshold float64, occ *referenceOc
 	return out
 }
 
-// gradedCandidates draws distinct links whose scores come from a short
-// grid, so ties and scores exactly at the threshold are common, with
-// NaN and ±Inf mixed in.
+// gradedCandidates draws links whose scores come from a short grid, so
+// ties and scores exactly at the threshold are common, with NaN and
+// ±Inf mixed in. A link may be drawn twice, and about one candidate in
+// eight repeats an earlier one's link and score under its own payload:
+// a duplicate only Payload orders.
 func gradedCandidates(rng *rand.Rand, n, maxI, maxJ int, threshold float64) []Candidate {
 	special := []float64{threshold, math.NaN(), math.Inf(1), math.Inf(-1)}
 	base := threshold
 	if !finite(base) {
 		base = 0.5
 	}
-	seen := make(map[[2]int]bool)
 	var out []Candidate
 	for k := 0; k < n; k++ {
-		i, j := rng.Intn(maxI), rng.Intn(maxJ)
-		if seen[[2]int{i, j}] {
+		if len(out) > 0 && rng.Intn(8) == 0 {
+			dup := out[rng.Intn(len(out))]
+			dup.Payload = k
+			out = append(out, dup)
 			continue
 		}
-		seen[[2]int{i, j}] = true
+		i, j := rng.Intn(maxI), rng.Intn(maxJ)
 		score := base + float64(rng.Intn(9)-4)/8
 		if rng.Intn(6) == 0 {
 			score = special[rng.Intn(len(special))]
@@ -126,16 +133,18 @@ func gradedCandidates(rng *rand.Rand, n, maxI, maxJ int, threshold float64) []Ca
 	return out
 }
 
-// checkGreedyAgainstReference runs both selections from the same
+// checkGreedyAgainstReference runs Greedy, the reference and
+// GreedyMerge over the candidates sorted in runs from the same
 // pre-occupied endpoints and requires the same picks in the same order
 // and the same endpoints consumed.
 func checkGreedyAgainstReference(t *testing.T, rng *rand.Rand, cands []Candidate, threshold float64) {
 	t.Helper()
-	occGot, occWant := NewOccupied(), NewOccupied()
+	occGot, occWant, occMerged := NewOccupied(), NewOccupied(), NewOccupied()
 	for n := rng.Intn(4); n > 0; n-- {
 		i, j := rng.Intn(8), rng.Intn(8)
 		occGot.Take(i, j)
 		occWant.Take(i, j)
+		occMerged.Take(i, j)
 	}
 	got, want := Greedy(cands, threshold, occGot), referenceGreedy(cands, threshold, occWant)
 	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
@@ -143,6 +152,61 @@ func checkGreedyAgainstReference(t *testing.T, rng *rand.Rand, cands []Candidate
 	}
 	if !reflect.DeepEqual(occGot, occWant) {
 		t.Fatalf("threshold %v over %d candidates: occupied endpoints diverge", threshold, len(cands))
+	}
+	runs := sortedRuns(rng, cands, threshold)
+	if merged := GreedyMerge(nil, runs, occMerged); len(merged) != len(want) || (len(want) > 0 && !reflect.DeepEqual(merged, want)) {
+		t.Fatalf("threshold %v over %d candidates in %d runs:\n merged %+v\n want   %+v", threshold, len(cands), len(runs), merged, want)
+	}
+	if !reflect.DeepEqual(occMerged, occWant) {
+		t.Fatalf("threshold %v over %d candidates in %d runs: occupied endpoints diverge", threshold, len(cands), len(runs))
+	}
+}
+
+// sortedRuns cuts the candidates, in their order, into runs of random
+// length, keeps each run's Selectable ones and sorts them by Compare — the
+// shape of Train's row blocks. A run may come out empty.
+func sortedRuns(rng *rand.Rand, cands []Candidate, threshold float64) [][]Candidate {
+	var runs [][]Candidate
+	for lo := 0; lo < len(cands); {
+		hi := min(len(cands), lo+1+rng.Intn(40))
+		var run []Candidate
+		for _, c := range cands[lo:hi] {
+			if Selectable(c.Score, threshold) {
+				run = append(run, c)
+			}
+		}
+		slices.SortFunc(run, Compare)
+		runs = append(runs, run)
+		lo = hi
+	}
+	return runs
+}
+
+// TestGreedyMergeOrdersDuplicateLinks: two candidates for one link with
+// one score are ordered by Payload alone, so however the pool is cut
+// into runs, the merge walks what one sort walks and picks the smaller
+// payload of each duplicate.
+func TestGreedyMergeOrdersDuplicateLinks(t *testing.T) {
+	cands := []Candidate{
+		{I: 1, J: 1, Score: 0.9, Payload: 7},
+		{I: 0, J: 2, Score: 0.8, Payload: 1},
+		{I: 1, J: 1, Score: 0.9, Payload: 3},
+		{I: 0, J: 2, Score: 0.8, Payload: 0},
+		{I: 2, J: 0, Score: 0.8, Payload: 5},
+	}
+	want := []Candidate{cands[2], cands[3], cands[4]}
+	if got := Greedy(cands, 0.5, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Greedy picked %+v, want %+v", got, want)
+	}
+	for cut := 0; cut <= len(cands); cut++ {
+		head, tail := slices.Clone(cands[:cut]), slices.Clone(cands[cut:])
+		slices.SortFunc(head, Compare)
+		slices.SortFunc(tail, Compare)
+		for _, runs := range [][][]Candidate{{head, tail}, {tail, head}} {
+			if got := GreedyMerge(nil, runs, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cut at %d: merge picked %+v, want %+v", cut, got, want)
+			}
+		}
 	}
 }
 
@@ -156,11 +220,15 @@ func TestGreedyMatchesReference(t *testing.T) {
 }
 
 // TestGreedyNaNThresholdSelectsNothing pins the one documented
-// difference from the reference: no score exceeds a NaN threshold.
+// difference from the reference: no score exceeds a NaN threshold — for
+// Exact too, which reads the same Selectable candidates.
 func TestGreedyNaNThresholdSelectsNothing(t *testing.T) {
 	cands := []Candidate{{I: 0, J: 0, Score: 0.9}, {I: 1, J: 1, Score: math.Inf(1)}}
 	if got := Greedy(cands, math.NaN(), nil); len(got) != 0 {
 		t.Errorf("NaN threshold selected %+v", got)
+	}
+	if got := Exact(cands, math.NaN(), nil); len(got) != 0 {
+		t.Errorf("Exact at a NaN threshold selected %+v", got)
 	}
 }
 

@@ -163,7 +163,7 @@ func (t *anchorTerms) store(c *Counter, again []hetnet.Anchor) []heldAnchor {
 		return len(t.ds[q]) * (preT[q].RowNNZ(a.I) + t.post[q].RowNNZ(a.J))
 	}
 	out := make([]heldAnchor, len(again))
-	fanOut(len(again), func(k int) {
+	FanOut(len(again), func(k int) {
 		a, n := again[k], 0
 		for q := range preT {
 			n += width(q, a)

@@ -106,16 +106,17 @@ func (e *Extractor) marginals() {
 		terms = e.counter.sh.termsFor(stacked)
 		walk, held = terms.split(e.counter)
 	}
-	fanOut(len(e.products), func(p int) { e.products[p].marginals(walk) })
+	FanOut(len(e.products), func(p int) { e.products[p].marginals(walk) })
 	if len(held) > 0 {
 		terms.add(e.counter, held, stacked)
 	}
 }
 
-// fanOut runs fn(0), …, fn(n-1) on up to GOMAXPROCS goroutines, each
+// FanOut runs fn(0), …, fn(n-1) on up to GOMAXPROCS goroutines, each
 // taking the next index as it finishes one, and returns when all are
-// done.
-func fanOut(n int, fn func(k int)) {
+// done: the one parallel-for of the count layer and of the seed codec,
+// whose entries encode and decode independently.
+func FanOut(n int, fn func(k int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for k := 0; k < n; k++ {
@@ -180,7 +181,7 @@ func (e *Extractor) Recompute() error {
 	e.prox, e.products, e.counts = nil, nil, nil
 	mats, facs := make([]*Proximity, len(e.feats)), make([]*factored, len(e.feats))
 	errs := make([]error, len(e.feats))
-	fanOut(len(e.feats), func(k int) { mats[k], facs[k], errs[k] = e.counter.form(e.feats[k].D) })
+	FanOut(len(e.feats), func(k int) { mats[k], facs[k], errs[k] = e.counter.form(e.feats[k].D) })
 	for k, err := range errs {
 		if err != nil {
 			return fmt.Errorf("metadiag: feature %s: %w", e.feats[k].ID, err)
@@ -339,7 +340,7 @@ func (e *Extractor) FeatureMatrix(pairs []hetnet.Anchor) (*linalg.Dense, error) 
 		runs = runtime.GOMAXPROCS(0)
 	}
 	per := (len(order) + runs - 1) / runs
-	fanOut(runs, func(r int) {
+	FanOut(runs, func(r int) {
 		cells := make([]float64, len(e.products)+len(e.counts))
 		for _, k := range order[min(r*per, len(order)):min((r+1)*per, len(order))] {
 			e.fill(pairs[k].I, pairs[k].J, x.RowView(int(k)), cells)
