@@ -60,7 +60,6 @@ type config struct {
 	syncListen      string
 	syncFrom        string
 	syncOnly        bool
-	syncCutover     float64
 }
 
 // parseFlags validates the command line into a config. Errors are
@@ -82,7 +81,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&cfg.syncListen, "sync-listen", "", "serve the current snapshot to reconciling peers over IBLT delta sync on this TCP address (off by default)")
 	fs.StringVar(&cfg.syncFrom, "sync-from", "", "before serving, reconcile -snapshot against this peer's sync listener and persist the result (a near-identical local artifact costs O(diff) bytes, not a re-download)")
 	fs.BoolVar(&cfg.syncOnly, "sync-only", false, "with -sync-from: exit after the artifact is synced instead of serving")
-	fs.Float64Var(&cfg.syncCutover, "sync-cutover", 0, "delta-sync give-up fraction: ship the full artifact once the sketch would cost more than this fraction of it (0 means the 0.25 default)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -94,9 +92,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	}
 	if cfg.syncOnly && cfg.syncFrom == "" {
 		return nil, errors.New("-sync-only needs -sync-from: there is nothing to sync")
-	}
-	if cfg.syncCutover < 0 || cfg.syncCutover >= 1 {
-		return nil, fmt.Errorf("-sync-cutover %v outside [0,1)", cfg.syncCutover)
 	}
 	if cfg.defaultK < 0 {
 		return nil, fmt.Errorf("negative -k %d", cfg.defaultK)
@@ -231,7 +226,7 @@ func syncFromPeer(cfg *config, stdout io.Writer) error {
 		have = nil
 	}
 	dial := func() (net.Conn, error) { return net.DialTimeout("tcp", cfg.syncFrom, 10*time.Second) }
-	snap, stats, err := setsync.Pull(dial, have, setsync.Options{Cutover: cfg.syncCutover, Timeout: syncConnTimeout})
+	snap, stats, err := setsync.Pull(dial, have, setsync.Options{Timeout: syncConnTimeout})
 	if err != nil {
 		return fmt.Errorf("sync from %s: %w", cfg.syncFrom, err)
 	}

@@ -42,12 +42,6 @@ type Config struct {
 	Budget int
 	// BatchSize is the per-round query batch (the paper's k); default 5.
 	BatchSize int
-	// MaxInternalIters caps each internal convergence loop; default 20
-	// (the paper observes convergence within 5).
-	MaxInternalIters int
-	// ConvergeTol stops the internal loop when Δy ≤ tol; default 0
-	// (exact fixpoint, since labels are discrete Δy is integral).
-	ConvergeTol float64
 	// Strategy picks query candidates; nil with Budget 0 is Iter-MPMD.
 	// nil with Budget > 0 is an error.
 	Strategy active.Strategy
@@ -69,11 +63,13 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 5
 	}
-	if c.MaxInternalIters <= 0 {
-		c.MaxInternalIters = 20
-	}
 	return c
 }
+
+// maxInternalIters caps each internal convergence loop (the paper
+// observes convergence within 5). The loop otherwise runs to the exact
+// fixpoint: labels are discrete, so Δy is integral and stops at 0.
+const maxInternalIters = 20
 
 // Problem is one alignment instance: the candidate pool H with features,
 // the labeled positive indices L⁺, and an oracle for queries.
@@ -303,7 +299,7 @@ func Train(p Problem, cfg Config) (*Result, error) {
 
 	// internalConverge runs step (1) to a label fixpoint.
 	internalConverge := func(trace *RoundTrace) {
-		for it := 0; it < cfg.MaxInternalIters; it++ {
+		for it := 0; it < maxInternalIters; it++ {
 			res.InternalIterations++
 			// (1-1) ridge solve.
 			if firstSolve {
@@ -339,7 +335,7 @@ func Train(p Problem, cfg Config) (*Result, error) {
 			}
 			y, nextY = nextY, y
 			trace.DeltaY = append(trace.DeltaY, delta)
-			if delta <= cfg.ConvergeTol {
+			if delta == 0 {
 				break
 			}
 		}

@@ -165,7 +165,7 @@ func referenceTrain(p Problem, cfg Config) (*Result, map[int]bool, error) {
 
 	// internalConverge runs step (1) to a label fixpoint.
 	internalConverge := func(trace *RoundTrace) error {
-		for it := 0; it < cfg.MaxInternalIters; it++ {
+		for it := 0; it < maxInternalIters; it++ {
 			res.InternalIterations++
 			// (1-1) ridge solve.
 			if firstSolve {
@@ -217,7 +217,7 @@ func referenceTrain(p Problem, cfg Config) (*Result, map[int]bool, error) {
 			}
 			y, nextY = nextY, y
 			trace.DeltaY = append(trace.DeltaY, delta)
-			if delta <= cfg.ConvergeTol {
+			if delta == 0 {
 				break
 			}
 		}

@@ -47,20 +47,17 @@ type ChaosOptions struct {
 	// of up to MaxDelay (chosen once per conn, applied before every I/O
 	// operation) — the straggler generator for hedging tests.
 	MaxDelay time.Duration
-	// MaxOps bounds the operation ordinal at which a doomed connection's
-	// fault fires. Zero means defaultChaosMaxOps. One frame costs ~3
-	// operations per side, so the default window covers the handshake,
-	// the job send, and the early response stream — the interesting
-	// places to die.
-	MaxOps int
 	// Sleep replaces time.Sleep for the artificial latency; nil uses
 	// time.Sleep. Tests pass a recorder or no-op to stay wall-clock
 	// free.
 	Sleep func(time.Duration)
 }
 
-// defaultChaosMaxOps is the fault-window default for ChaosOptions.MaxOps.
-const defaultChaosMaxOps = 64
+// chaosMaxOps bounds the operation ordinal at which a doomed
+// connection's fault fires. One frame costs ~3 operations per side, so
+// the window covers the handshake, the job send, and the early response
+// stream — the interesting places to die.
+const chaosMaxOps = 64
 
 // ChaosStats counts what the transport actually injected, for tests and
 // smoke-run grepping. Read with Stats(); fields are totals since
@@ -171,11 +168,7 @@ type faultPlan struct {
 }
 
 func (t *ChaosTransport) buildPlan(rng *rand.Rand) faultPlan {
-	maxOps := t.Opts.MaxOps
-	if maxOps <= 0 {
-		maxOps = defaultChaosMaxOps
-	}
-	p := faultPlan{kind: faultNone, failAfter: int64(1 + rng.Intn(maxOps)), corruptAt: rng.Intn(1 << 16)}
+	p := faultPlan{kind: faultNone, failAfter: int64(1 + rng.Intn(chaosMaxOps)), corruptAt: rng.Intn(1 << 16)}
 	// One draw picks the fault class from disjoint probability bands, so
 	// the configured rates are exact per-connection probabilities.
 	r := rng.Float64()

@@ -107,7 +107,6 @@ func decodeWireLabels(d *framing.Dec) []WireLabel {
 // configuration and the trace-context tail (two bytes when zero).
 func (j *Job) appendBody(b []byte) []byte {
 	b = framing.AppendVarint(b, int64(j.Shard))
-	b = framing.AppendUvarint(b, j.SeedFP)
 	b = framing.AppendString(b, j.AnchorType)
 	b = appendAnchors(b, j.TrainPos)
 	b = appendAnchors(b, j.Candidates)
@@ -129,7 +128,6 @@ func (j *Job) appendBody(b []byte) []byte {
 func (j *Job) decodeBody(body []byte) error {
 	d := framing.NewDec(body)
 	j.Shard = d.Int()
-	j.SeedFP = d.Uvarint()
 	j.AnchorType = d.String()
 	j.TrainPos = decodeAnchors(d)
 	j.Candidates = decodeAnchors(d)
@@ -275,11 +273,13 @@ func (dn *Done) decodeBody(body []byte) error {
 // Control-frame bodies: the struct's fields in declaration order, ints as
 // varints, fingerprints and sequence numbers as uvarints.
 
-func (h *Hello) appendBody(b []byte) []byte { return framing.AppendString(b, h.Role) }
+func (h *Hello) appendBody(b []byte) []byte {
+	return framing.AppendUvarint(framing.AppendString(b, h.Role), h.SeedFP)
+}
 
 func (h *Hello) decodeBody(body []byte) error {
 	d := framing.NewDec(body)
-	h.Role = d.String()
+	h.Role, h.SeedFP = d.String(), d.Uvarint()
 	return finish(d, "hello")
 }
 
@@ -306,18 +306,6 @@ func (a *Answer) decodeBody(body []byte) error {
 	return finish(d, "answer")
 }
 
-func (c *CacheAck) appendBody(b []byte) []byte {
-	b = framing.AppendVarint(b, int64(c.Shard))
-	b = framing.AppendUvarint(b, c.Fingerprint)
-	return framing.AppendBool(b, c.Hit)
-}
-
-func (c *CacheAck) decodeBody(body []byte) error {
-	d := framing.NewDec(body)
-	c.Shard, c.Fingerprint, c.Hit = d.Int(), d.Uvarint(), d.Bool()
-	return finish(d, "cache-ack")
-}
-
 func (c *Cancel) appendBody(b []byte) []byte { return framing.AppendVarint(b, int64(c.Shard)) }
 
 func (c *Cancel) decodeBody(body []byte) error {
@@ -334,12 +322,4 @@ func (e *JobError) decodeBody(body []byte) error {
 	d := framing.NewDec(body)
 	e.Shard, e.Msg = d.Int(), d.String()
 	return finish(d, "error")
-}
-
-func (r *SeedRef) appendBody(b []byte) []byte { return framing.AppendUvarint(b, r.Fingerprint) }
-
-func (r *SeedRef) decodeBody(body []byte) error {
-	d := framing.NewDec(body)
-	r.Fingerprint = d.Uvarint()
-	return finish(d, "seed-ref")
 }

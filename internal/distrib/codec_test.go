@@ -3,7 +3,6 @@ package distrib
 import (
 	"bytes"
 	"math"
-	"net"
 	"reflect"
 	"runtime"
 	"strings"
@@ -23,7 +22,7 @@ func TestColumnarEmptyRoundTrip(t *testing.T) {
 	}{
 		{"votes", &Votes{Shard: 3}, &Votes{}},
 		{"done", &Done{Shard: 2}, &Done{}},
-		{"job", &Job{Shard: 0, SeedFP: 9, Budget: 1}, &Job{}},
+		{"job", &Job{Shard: 0, Budget: 1}, &Job{}},
 	} {
 		body := tc.enc.appendBody(nil)
 		if err := tc.dec.decodeBody(body); err != nil {
@@ -102,9 +101,9 @@ func TestSeedEntryRejectsHugeCounts(t *testing.T) {
 
 // TestSeedShipsNothingInSharedProcess: loopback workers share the
 // coordinator's process, and buildSeed pre-installs the warm counter
-// into that process's seed cache — so every connection's SeedRef must
-// hit and the run must ship zero seed copies, exactly like the
-// in-process facade's fork.
+// into that process's seed cache — so every connection's offer must hit
+// and the run must ship zero seed bytes, exactly like the in-process
+// facade's fork.
 func TestSeedShipsNothingInSharedProcess(t *testing.T) {
 	seedMu.Lock()
 	seedCache = map[uint64]*seedEntry{}
@@ -117,18 +116,15 @@ func TestSeedShipsNothingInSharedProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameAlignment(t, res, fx.ref, fx.plan)
-	if m.SeedShips != 0 {
-		t.Errorf("seed shipped %d times across 3 loopback connections, want 0 (pre-installed)", m.SeedShips)
-	}
-	if m.SeedBytes <= 0 {
-		t.Errorf("no seed negotiation bytes audited: %+v", m)
+	if m.SeedShips != 0 || m.SeedBytes != 0 {
+		t.Errorf("seed shipped %d times (%d bytes) across 3 loopback connections, want 0 (pre-installed)", m.SeedShips, m.SeedBytes)
 	}
 }
 
 // TestSeedShipInstallAck drives the miss path by hand: a fresh worker
 // process (simulated by evicting the cache after buildSeed's
 // pre-install) must receive the shipped seed and confirm the completed
-// install with a CacheAck before negotiateSeed returns; a second
+// install with its second Hello before handshake returns; a second
 // connection into the same process must then hit without a ship.
 func TestSeedShipInstallAck(t *testing.T) {
 	pair := fixturePair(t)
@@ -136,38 +132,21 @@ func TestSeedShipInstallAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedMu.Lock()
-	seedCache = map[uint64]*seedEntry{}
-	seedLRU = nil
-	seedMu.Unlock()
-	dial := func() net.Conn {
-		c, w := net.Pipe()
-		go Serve(w)
-		if err := WriteFrame(c, FrameHello, &Hello{Role: "coordinator"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ReadExpect(c, FrameHello, &Hello{}); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c1 := dial()
-	defer c1.Close()
-	n, shipped, err := negotiateSeed(c1, fp, body)
+	resetSeedCache()
+	c1, _ := workerDial(t)
+	n, err := handshake(c1, fp, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !shipped || n < int64(len(body)) {
-		t.Fatalf("fresh cache: shipped=%v n=%d, want a full ship of >= %d bytes", shipped, n, len(body))
+	if n < int64(len(body)) {
+		t.Fatalf("fresh cache: %d seed bytes, want a full ship of >= %d bytes", n, len(body))
 	}
-	c2 := dial()
-	defer c2.Close()
-	n2, shipped2, err := negotiateSeed(c2, fp, body)
-	if err != nil {
-		t.Fatal(err)
+	if seedCacheGet(fp) == nil {
+		t.Fatal("seed not resident when the handshake returned")
 	}
-	if shipped2 || n2 >= int64(len(body)) {
-		t.Fatalf("warm cache: shipped=%v n=%d, want a ref-hit", shipped2, n2)
+	c2, _ := workerDial(t)
+	if n, err := handshake(c2, fp, body); err != nil || n != 0 {
+		t.Fatalf("warm cache: %d seed bytes, err %v; want a hit", n, err)
 	}
 }
 
@@ -221,14 +200,10 @@ func coldPayload(typ FrameType) Payload {
 		return &Query{}
 	case FrameAnswer:
 		return &Answer{}
-	case FrameCacheAck:
-		return &CacheAck{}
 	case FrameCancel:
 		return &Cancel{}
 	case FrameError:
 		return &JobError{}
-	case FrameSeedRef:
-		return &SeedRef{}
 	}
 	return nil
 }
@@ -246,6 +221,8 @@ func FuzzColdFrames(f *testing.F) {
 		}
 	}
 	f.Add(uint8(FrameHello), []byte{})
+	// The worker's Hello that confirms an install names the seed it holds.
+	f.Add(uint8(FrameHello), (&Hello{Role: "worker", SeedFP: 0x1badd00dcafef00d}).appendBody(nil))
 	f.Fuzz(func(t *testing.T, typ uint8, data []byte) {
 		first := coldPayload(FrameType(typ))
 		if first == nil {

@@ -79,7 +79,7 @@ func TestConnectAheadEqualsLazy(t *testing.T) {
 		{"loopback", func(*testing.T) Transport { return Loopback{} }, 2, 0},
 		// One slot: whichever way the refused dial is met — before the
 		// round or as its first attempt — the session ends up with exactly
-		// one negotiated connection.
+		// one handshaken connection.
 		{"ahead-dial-refused", func(t *testing.T) Transport { return refusingFirstDial(t, Loopback{}) }, 1, 0},
 	}
 	if exe, err := os.Executable(); err == nil && !testing.Short() {

@@ -109,10 +109,9 @@ type Metrics struct {
 	// Hedges counts straggler hedge dispatches (duplicate attempts, not
 	// necessarily winners).
 	Hedges int
-	// SeedBytes counts warm-counter seed negotiation bytes written
-	// (SeedRef frames plus shipped Seed bodies); SeedShips counts the
-	// connections that actually received the body — a ref-hit connection
-	// costs only its few-byte SeedRef.
+	// SeedBytes counts the bytes of the Seed frames shipped; SeedShips
+	// counts the connections that received one. A connection whose worker
+	// already held the seed costs neither — its offer rides the Hello.
 	SeedBytes int64
 	SeedShips int
 }
@@ -231,15 +230,6 @@ func (c *Coordinator) Run(pair *hetnet.AlignedPair, plan *partition.Plan, oracle
 	}
 	defer s.Close()
 	return s.Run(plan, oracle)
-}
-
-// handshake runs the coordinator-speaks-first Hello exchange on a
-// freshly dialed worker connection.
-func handshake(conn io.ReadWriter) error {
-	if err := WriteFrame(conn, FrameHello, &Hello{Role: "coordinator"}); err != nil {
-		return err
-	}
-	return ReadExpect(conn, FrameHello, &Hello{})
 }
 
 // streamEnv is the coordinator-side context for consuming one shard's

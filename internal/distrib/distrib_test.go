@@ -170,7 +170,7 @@ func assertSameAlignment(t *testing.T, got, want *partition.Result, plan *partit
 
 // TestLoopbackMatchesInProcess is the core distributed-equality
 // property over the in-process loopback transport, with active
-// learning exercising oracle round-trips: seed negotiation, wire
+// learning exercising oracle round-trips: the seed handshake, wire
 // serialization, remote training and streaming reconciliation must
 // reproduce partition.Align exactly.
 func TestLoopbackMatchesInProcess(t *testing.T) {

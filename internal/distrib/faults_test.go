@@ -102,8 +102,9 @@ func TestChaosDeterministicReplay(t *testing.T) {
 // into a retryable failure — on both deadline plumbing paths.
 // ---------------------------------------------------------------------
 
-// silentTransport dials fake workers that complete the handshake, read
-// the job, and then never respond — the canonical hung worker. With
+// silentTransport dials fake workers that complete the handshake —
+// claiming to hold the offered seed — read the job, and then never
+// respond: the canonical hung worker. With
 // stripDeadlines the conn hides its net.Pipe deadline support, forcing
 // the coordinator onto the watchdog-timer path.
 type silentTransport struct {
@@ -114,10 +115,11 @@ func (tr silentTransport) Dial() (io.ReadWriteCloser, error) {
 	here, there := net.Pipe()
 	go func() {
 		defer there.Close()
-		if err := ReadExpect(there, FrameHello, &Hello{}); err != nil {
+		var offer Hello
+		if err := ReadExpect(there, FrameHello, &offer); err != nil {
 			return
 		}
-		if err := WriteFrame(there, FrameHello, &Hello{Role: "worker"}); err != nil {
+		if err := WriteFrame(there, FrameHello, &Hello{Role: "worker", SeedFP: offer.SeedFP}); err != nil {
 			return
 		}
 		if _, _, err := ReadFrame(there); err != nil { // swallow the job
@@ -312,7 +314,7 @@ func (tr *slowFirstTransport) Dial() (io.ReadWriteCloser, error) {
 // transport is armed, for delay or until the coordinator
 // abandons the connection — whichever comes first, so the round is over
 // as soon as the winning twin gives up on the loser. Stalling only once a
-// job is in flight keeps the handshake and seed negotiation healthy: what
+// job is in flight keeps the handshake healthy: what
 // straggles is a shard attempt, which the round tracks and can cancel. It
 // deliberately hides deadline methods so the straggler is not rescued by
 // a timeout first.
@@ -563,7 +565,7 @@ func TestWorkerCancelMidQueryKeepsServing(t *testing.T) {
 	if part.Budget == 0 {
 		t.Fatal("fixture shard carries no budget; the worker would never query")
 	}
-	job := NewJob(fx.pair, part, fx.train, here.fp)
+	job := NewJob(fx.pair, part, fx.train)
 	if err := WriteFrame(here, FrameJob, job); err != nil {
 		t.Fatal(err)
 	}
@@ -775,7 +777,7 @@ func TestExecCloseReapsHungWorker(t *testing.T) {
 
 // ---------------------------------------------------------------------
 // Sessions under chaos: the sticky-connection path must recover from
-// injected faults mid-round — redial, renegotiate the seed, prepare cold
+// injected faults mid-round — redial, handshake the seed again, prepare cold
 // what no live connection holds — and still match the fault-free
 // reference.
 // ---------------------------------------------------------------------

@@ -101,13 +101,11 @@ func (c TrainConfig) TrainOptions() (partition.TrainOptions, error) {
 	}}, nil
 }
 
-// NewJob packages a plan part as a wire job against the seed named by
-// seedFP: the part's pool, budget and prelabels as they stand, in
-// original pair indices.
-func NewJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfig, seedFP uint64) *Job {
+// NewJob packages a plan part as a wire job: the part's pool, budget and
+// prelabels as they stand, in original pair indices.
+func NewJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfig) *Job {
 	j := &Job{
 		Shard:      part.Index,
-		SeedFP:     seedFP,
 		AnchorType: string(pair.AnchorType),
 		TrainPos:   part.TrainPos,
 		Candidates: part.Candidates,
@@ -117,9 +115,9 @@ func NewJob(pair *hetnet.AlignedPair, part *partition.Part, cfg TrainConfig, see
 	return j.setTrain(cfg)
 }
 
-// part validates the job against the seed it names — its anchor type,
-// and every index against the seed's two node counts — and builds the
-// plan part the pipeline trains.
+// part validates the job against the connection's seed — its anchor
+// type, and every index against the seed's two node counts — and builds
+// the plan part the pipeline trains.
 func (j *Job) part(seed *seedEntry) (*partition.Part, error) {
 	if j.AnchorType != "" && j.AnchorType != seed.anchorType {
 		return nil, fmt.Errorf("distrib: job shard %d anchor type %q, seed has %q", j.Shard, j.AnchorType, seed.anchorType)
@@ -198,9 +196,9 @@ func partLabels(labels []WireLabel) []partition.LabeledLink {
 
 // shape is the job with its per-round fields cleared — prelabels,
 // budget, seed and trace context — which leaves what a prepared shard is
-// a function of: the shard, the seed it forks, the pool and the training
-// configuration. A field added to Job is part of the shape unless it is
-// cleared here.
+// a function of besides the connection's seed: the shard, the pool and
+// the training configuration. A field added to Job is part of the shape
+// unless it is cleared here.
 func (j *Job) shape() Job {
 	s := *j
 	s.Prelabeled, s.Budget, s.Seed, s.TraceID, s.SpanID = nil, 0, 0, 0, 0

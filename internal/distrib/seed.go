@@ -14,14 +14,19 @@
 // a session that cannot build its seed fails with that error
 // (Session.Run) instead of shipping something else.
 //
-// The per-connection negotiation is SeedRef → CacheAck(Shard −1) →
-// [Seed], before the first job: workers cache installed seeds process-
-// wide under the seed fingerprint, so a second connection into the same
-// worker process — another slot of the run, another session, a redial
-// of a TCP or loopback worker whose process survived — answers the
-// SeedRef with a hit and ships nothing. That is a property of the
-// process, not of the run: over Exec every dial is a new process with an
-// empty cache, so a redial after a burnt connection ships again.
+// The seed rides the connection's handshake, before the first job: the
+// coordinator's Hello offers the fingerprint, the worker's Hello names the
+// seed it holds for it, and only on a miss does the Seed body ship (and a
+// second worker Hello confirm the install). Workers cache installed seeds
+// process-wide under the seed fingerprint, so a second connection into
+// the same worker process — another slot of the run, another session, a
+// redial of a TCP or loopback worker whose process survived — answers the
+// offer with a hit and ships nothing. That is a property of the process,
+// not of the run: over Exec every dial is a new process with an empty
+// cache, so a redial after a burnt connection ships again. Whatever the
+// handshake settles on stays the connection's seed: the worker pins the
+// entry, so the process cache evicting it later costs the next
+// connection a ship, never this connection a job.
 package distrib
 
 import (
@@ -40,14 +45,6 @@ import (
 	"github.com/activeiter/activeiter/internal/schema"
 )
 
-// SeedRef offers a warm-counter seed to a freshly dialed worker. The
-// worker answers with a CacheAck (Shard −1, the no-shard sentinel):
-// Hit means it already holds the fingerprint and the Seed body is not
-// shipped.
-type SeedRef struct {
-	Fingerprint uint64
-}
-
 // WireSeed is the warm-counter seed body: the metadiag.Seed of the run's
 // feature library under its fingerprint. A worker installs it once (a
 // network-free counter built from it) and serves every job of any shard
@@ -58,7 +55,7 @@ type WireSeed struct {
 	Fingerprint uint64
 	metadiag.Seed
 	// TraceID/SpanID (v6 tail) carry the coordinator's trace context for
-	// the negotiation: the worker logs its install keyed by the trace ID
+	// the handshake: the worker logs its install keyed by the trace ID
 	// so a cross-process trace correlates with worker-side logs.
 	TraceID uint64
 	SpanID  uint64
@@ -69,10 +66,10 @@ type WireSeed struct {
 // feature set whose library the entries cover. The count matrices
 // themselves are a deterministic function of those inputs, so they stay
 // out of the hash — which is what lets a worker that got the layer from
-// an earlier run of the same pair answer a SeedRef with a hit. Never
-// returns 0, which no job may name. The inputs are fed to FNV-1a field by
-// field, strings length-prefixed, so two processes holding equal values
-// agree on the hash.
+// an earlier run of the same pair answer the offer with a hit. Never
+// returns 0, which a worker's Hello uses for "ship it". The inputs are
+// fed to FNV-1a field by field, strings length-prefixed, so two processes
+// holding equal values agree on the hash.
 func seedFingerprint(pair *hetnet.AlignedPair, featureSet string) uint64 {
 	h := fnv.New64a()
 	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
@@ -113,13 +110,13 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 		Fingerprint: seedFingerprint(pair, cfg.FeatureSet),
 		Seed:        *seed,
 		// The body is encoded once per run and shared by every connection,
-		// so the seed carries the run's trace ID with no per-negotiation
+		// so the seed carries the run's trace ID with no per-connection
 		// span: the worker correlates its install log by trace ID.
 		TraceID: traceID,
 	}
 	// Pre-install the warm counter into this process's seed cache:
 	// workers sharing the coordinator's process (loopback, in-process
-	// fallback) then answer every SeedRef with a hit and fork the very
+	// fallback) then answer every offer with a hit and fork the very
 	// counter the coordinator already holds — zero bytes shipped, zero
 	// re-derivation, and exactly the fork the in-process facade performs.
 	// Remote workers are unaffected; the entry is a pointer, not a copy —
@@ -129,54 +126,95 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 	return ws.Fingerprint, ws.appendBody(nil), base, nil
 }
 
-// negotiateSeed runs the coordinator side of the per-connection seed
-// handshake, immediately after Hello and before the first job. body is
-// the pre-encoded WireSeed frame body (written through the codec
-// directly, so a run encodes its seed exactly once). Returns the bytes
-// written and whether the body was actually shipped (false on a
-// ref-hit). An error leaves the connection in an unknown state — the
-// caller burns it.
-func negotiateSeed(conn io.ReadWriter, fp uint64, body []byte) (n int64, shipped bool, err error) {
+// handshake opens a freshly dialed worker connection: the coordinator's
+// Hello offers the seed named fp, and the worker's Hello names the seed
+// it holds for the connection. On 0 — a miss — the pre-encoded body
+// (written through the codec directly, so a run encodes its seed exactly
+// once) ships, and the handshake waits for the worker's second Hello.
+// Returns the Seed frame bytes written, 0 unless the body shipped. An
+// error leaves the connection in an unknown state — the caller burns it.
+func handshake(conn io.ReadWriter, fp uint64, body []byte) (shipped int64, err error) {
+	if err := WriteFrame(conn, FrameHello, &Hello{Role: "coordinator", SeedFP: fp}); err != nil {
+		return 0, err
+	}
+	var h Hello
+	if err := ReadExpect(conn, FrameHello, &h); err != nil || h.SeedFP == fp {
+		return 0, err
+	}
+	if h.SeedFP != 0 {
+		return 0, fmt.Errorf("distrib: worker holds seed %016x, offered %016x", h.SeedFP, fp)
+	}
 	cw := &countingWriter{w: conn}
-	if err := WriteFrame(cw, FrameSeedRef, &SeedRef{Fingerprint: fp}); err != nil {
-		return cw.n, false, err
-	}
-	var ack CacheAck
-	if err := ReadExpect(conn, FrameCacheAck, &ack); err != nil {
-		return cw.n, false, err
-	}
-	if ack.Fingerprint != fp {
-		return cw.n, false, fmt.Errorf("distrib: seed ack fingerprint %016x, want %016x", ack.Fingerprint, fp)
-	}
-	if ack.Hit {
-		return cw.n, false, nil
-	}
 	if err := codec.WriteFrame(cw, byte(FrameSeed), body); err != nil {
-		return cw.n, true, fmt.Errorf("distrib: %w", err)
+		return cw.n, fmt.Errorf("distrib: %w", err)
 	}
 	// Block until the worker confirms the install. Writing the body only
-	// proves the bytes left this side; until the ack the seed is not
-	// resident, and a job sent now would fail on a missing seed. The
-	// worker holds every other connection's SeedRef for this fingerprint
-	// until the same moment (seedClaim), so the ack is also what lets
-	// them answer with a hit instead of a second ship. A failed install
-	// surfaces here as the worker's Error frame (ReadExpect converts it),
-	// burning the connection during negotiation instead of poisoning the
-	// first job stream.
-	if err := ReadExpect(conn, FrameCacheAck, &ack); err != nil {
-		return cw.n, true, err
+	// proves the bytes left this side; until the confirmation the seed is
+	// not resident. The worker holds every other connection's offer for
+	// this fingerprint until the same moment (seedClaim), so the
+	// confirmation is also what lets them answer with a hit instead of a
+	// second ship. A failed install surfaces here as the worker's Error
+	// frame (ReadExpect converts it), burning the connection during connect
+	// instead of poisoning the first job stream.
+	if err := ReadExpect(conn, FrameHello, &h); err != nil {
+		return cw.n, err
 	}
-	if ack.Fingerprint != fp || !ack.Hit {
-		return cw.n, true, fmt.Errorf("distrib: seed install ack %016x hit=%v, want %016x hit", ack.Fingerprint, ack.Hit, fp)
+	if h.SeedFP != fp {
+		return cw.n, fmt.Errorf("distrib: worker installed seed %016x, offered %016x", h.SeedFP, fp)
 	}
-	return cw.n, true, nil
+	return cw.n, nil
+}
+
+// acceptSeed is the worker half of the handshake: it answers the
+// coordinator's offer with the resident entry's fingerprint or 0, installs
+// a shipped body and confirms it. The entry it returns is the
+// connection's seed for the connection's lifetime. A failed install is
+// answered with an Error frame and ends the connection: without a seed it
+// has nothing to serve.
+func acceptSeed(conn io.ReadWriter) (*seedEntry, error) {
+	var offer Hello
+	if err := ReadExpect(conn, FrameHello, &offer); err != nil {
+		return nil, err
+	}
+	if offer.SeedFP == 0 {
+		return nil, fmt.Errorf("distrib: coordinator Hello offers no seed")
+	}
+	// A miss makes this connection the one shipping the seed; an offer
+	// that finds another connection already doing so waits for that
+	// install and then hits (seedClaim). The claim ends with the install,
+	// or with this function, however it returns.
+	owner := new(seedOwner)
+	defer seedRelease(owner)
+	if seed := seedClaim(offer.SeedFP, owner); seed != nil {
+		return seed, WriteFrame(conn, FrameHello, &Hello{Role: "worker", SeedFP: offer.SeedFP})
+	}
+	if err := WriteFrame(conn, FrameHello, &Hello{Role: "worker"}); err != nil {
+		return nil, err
+	}
+	// A decode failure here means a codec bug, not a bad seed — the CRC
+	// already vouched for the bytes.
+	var ws WireSeed
+	if err := ReadExpect(conn, FrameSeed, &ws); err != nil {
+		return nil, err
+	}
+	seed, err := installSeed(&ws)
+	// Let the connections waiting on this install go: after a success they
+	// hit, after a failure one of them ships next.
+	seedRelease(owner)
+	if err != nil {
+		if werr := WriteFrame(conn, FrameError, &JobError{Shard: -1, Msg: err.Error()}); werr != nil {
+			return nil, werr
+		}
+		return nil, fmt.Errorf("distrib: seed install: %w", err)
+	}
+	return seed, WriteFrame(conn, FrameHello, &Hello{Role: "worker", SeedFP: ws.Fingerprint})
 }
 
 // seedEntry is one installed seed on the worker side: a counter whose
 // shared layer is the seed's matrices, the anchor type it joins and the
 // two node counts that bound every index a job may name. Jobs fork the
 // counter; its shared layer is thread-safe, so the entry serves every
-// connection of the process.
+// connection of the process that pinned it.
 type seedEntry struct {
 	counter    *metadiag.Counter
 	anchorType string
@@ -198,7 +236,7 @@ const DefaultSeedCacheSize = 2
 // loopback transports dial many short-lived connections into one
 // process, and the whole point is to install once. seedPending is its
 // in-flight half: the fingerprints some connection has been told to
-// ship (its SeedRef was acked with a miss) and has not installed yet.
+// ship (its offer was answered with a miss) and has not installed yet.
 var (
 	seedMu      sync.Mutex
 	seedLRU     []uint64
@@ -268,21 +306,21 @@ func seedCacheEvict(fp uint64, counter *metadiag.Counter) {
 	}
 }
 
-// seedClaim answers a SeedRef on the worker side: true when fp is
-// resident (ack a hit), false when the asking connection must be shipped
-// the body (ack a miss) — and then fp stays pending on owner until
-// seedRelease. A connection that asks while fp is pending on another one
-// waits here for that install instead of being told to ship a second
-// copy: N fresh connections into one worker process cost one body,
-// whichever sessions they belong to. If the owner's connection ends
-// first, the first waiter to wake becomes the owner.
-func seedClaim(fp uint64, owner *seedOwner) (hit bool) {
+// seedClaim answers an offer on the worker side: the entry resident
+// under fp (a hit), or nil when the asking connection must be shipped the
+// body (a miss) — and then fp stays pending on owner until seedRelease. A
+// connection that asks while fp is pending on another one waits here for
+// that install instead of being told to ship a second copy: N fresh
+// connections into one worker process cost one body, whichever sessions
+// they belong to. If the owner's connection ends first, the first waiter
+// to wake becomes the owner.
+func seedClaim(fp uint64, owner *seedOwner) *seedEntry {
 	for {
 		seedMu.Lock()
-		if seedCache[fp] != nil {
+		if e := seedCache[fp]; e != nil {
 			seedTouch(fp)
 			seedMu.Unlock()
-			return true
+			return e
 		}
 		p := seedPending[fp]
 		if p == nil {
@@ -290,9 +328,9 @@ func seedClaim(fp uint64, owner *seedOwner) (hit bool) {
 		}
 		seedMu.Unlock()
 		if p == nil || p.owner == owner {
-			return false
+			return nil
 		}
-		// The owner negotiates under its coordinator's shard deadline, so
+		// The owner ships under its coordinator's shard deadline, so
 		// this wait ends with that install, that deadline, or that
 		// connection — whichever comes first.
 		<-p.done
@@ -316,19 +354,20 @@ func seedRelease(owner *seedOwner) {
 // installSeed installs a shipped seed: a network-free counter built from
 // it, every matrix structurally validated and sized against the declared
 // node counts on the way (metadiag.NewSeededCounter). Idempotent per
-// fingerprint.
-func installSeed(ws *WireSeed) error {
-	if seedCacheGet(ws.Fingerprint) != nil {
-		return nil
+// fingerprint: a resident entry is returned as it is.
+func installSeed(ws *WireSeed) (*seedEntry, error) {
+	if e := seedCacheGet(ws.Fingerprint); e != nil {
+		return e, nil
 	}
 	counter, err := metadiag.NewSeededCounter(&ws.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	seedCachePut(ws.Fingerprint, newSeedEntry(counter, &ws.Seed))
+	e := newSeedEntry(counter, &ws.Seed)
+	seedCachePut(ws.Fingerprint, e)
 	logger.Debug("installed warm-counter seed",
 		"fingerprint", fmt.Sprintf("%016x", ws.Fingerprint), "trace", fmt.Sprintf("%#x", ws.TraceID))
-	return nil
+	return e, nil
 }
 
 // appendNode writes a typed node as its type name and network byte.

@@ -357,8 +357,8 @@ func TestSeedMissingEntryNamesTheNotation(t *testing.T) {
 // TestInstallRefusesBadSeed: an entry that breaks a CSR invariant, or a
 // shape that disagrees with the declared user counts, fails the install —
 // the worker answers the Seed frame with an Error frame, which the
-// coordinator's negotiation turns into a burnt connection, and nothing
-// becomes resident.
+// coordinator's handshake turns into a burnt connection, the worker ends
+// the connection, and nothing becomes resident.
 func TestInstallRefusesBadSeed(t *testing.T) {
 	feats, _ := ResolveFeatures(FeaturesFull)
 	base, err := metadiag.NewCounter(fixturePair(t))
@@ -412,17 +412,16 @@ func TestInstallRefusesBadSeed(t *testing.T) {
 			const fp = 0xbad5eed
 			body := (&WireSeed{Fingerprint: fp, Seed: *tc.seed()}).appendBody(nil)
 			c, served := workerDial(t)
-			_, shipped, err := negotiateSeed(c, fp, body)
-			if err == nil || !shipped || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("negotiation: shipped=%v err=%v, want a remote error containing %q", shipped, err, tc.want)
+			n, err := handshake(c, fp, body)
+			if err == nil || n == 0 || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("handshake: %d seed bytes, err %v; want a shipped body and a remote error containing %q", n, err, tc.want)
 			}
 			if seedCacheGet(fp) != nil {
 				t.Fatal("a refused seed became resident")
 			}
-			// The coordinator burns the connection; the worker's serve loop
-			// ends cleanly with it.
-			c.Close()
-			if err := <-served; err != nil {
+			// A connection without a seed has nothing to serve: the worker
+			// ends it with the install's error.
+			if err := <-served; err == nil || !strings.Contains(err.Error(), "seed install") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Serve after a refused seed: %v", err)
 			}
 		})
@@ -478,7 +477,7 @@ func TestJobIndicesBoundedBySeed(t *testing.T) {
 	// worker connection.
 	w := dialSeeded(t, fixturePair(t), TrainConfig{FeatureSet: FeaturesFull})
 	job = fixtureJob(t)
-	job.SeedFP, job.Budget = w.fp, 0
+	job.Budget = 0
 	if err := WriteFrame(w, FrameJob, job); err != nil {
 		t.Fatal(err)
 	}
@@ -503,38 +502,28 @@ func TestJobIndicesBoundedBySeed(t *testing.T) {
 	}
 }
 
-// workerDial opens a handshaken connection into an in-process worker;
-// served receives Serve's return once the connection ends.
+// workerDial opens a connection into an in-process worker, before any
+// Hello; served receives Serve's return once the connection ends.
 func workerDial(t *testing.T) (net.Conn, <-chan error) {
 	t.Helper()
 	c, w := net.Pipe()
 	served := make(chan error, 1)
 	go func() { served <- Serve(w) }()
 	t.Cleanup(func() { c.Close() })
-	if err := handshake(c); err != nil {
-		t.Fatal(err)
-	}
 	return c, served
-}
-
-// seedDial is workerDial for tests that only drive the connection.
-func seedDial(t *testing.T) net.Conn {
-	t.Helper()
-	c, _ := workerDial(t)
-	return c
 }
 
 // seededWorker is a connection into an in-process worker that holds a
 // seed: what every test that writes raw Job frames starts from.
 type seededWorker struct {
 	net.Conn
-	fp     uint64       // the installed seed — what a Job's SeedFP must name
+	fp     uint64       // the connection's seed
 	served <-chan error // Serve's return, once the connection ends
 }
 
 // dialSeeded brings a worker connection to where Session.connect leaves
-// one — Hello exchanged, the pair's seed built by buildSeed and offered
-// through the real negotiateSeed — without a session around it.
+// one — the pair's seed built by buildSeed and offered through the real
+// handshake — without a session around it.
 func dialSeeded(t *testing.T, pair *hetnet.AlignedPair, cfg TrainConfig) *seededWorker {
 	t.Helper()
 	fp, body, _, err := buildSeed(pair, nil, cfg, 0)
@@ -542,39 +531,102 @@ func dialSeeded(t *testing.T, pair *hetnet.AlignedPair, cfg TrainConfig) *seeded
 		t.Fatal(err)
 	}
 	c, served := workerDial(t)
-	if _, _, err := negotiateSeed(c, fp, body); err != nil {
+	if _, err := handshake(c, fp, body); err != nil {
 		t.Fatal(err)
 	}
 	return &seededWorker{Conn: c, fp: fp, served: served}
 }
 
-// TestJobWithoutInstalledSeedIsRefused: a job is only a pool of indices
-// into a seed, so one that names none (SeedFP 0) or one this process does
-// not hold is answered with an Error frame — and the connection keeps
-// serving: the same job naming the installed seed then runs to Done.
-func TestJobWithoutInstalledSeedIsRefused(t *testing.T) {
+// TestPinnedSeedOutlivesEviction: a connection's seed is the one its
+// handshake settled on for as long as the connection lives. Two other
+// seeds installed in the process afterwards push it out of the LRU
+// (DefaultSeedCacheSize is 2), and the connection's jobs still run to
+// Done — cold and warm — on the entry it pinned.
+func TestPinnedSeedOutlivesEviction(t *testing.T) {
+	resetSeedCache()
+	defer resetSeedCache()
 	w := dialSeeded(t, fixturePair(t), TrainConfig{FeatureSet: FeaturesFull})
+	for k := uint64(1); k <= DefaultSeedCacheSize; k++ {
+		seedCachePut(w.fp^k, &seedEntry{})
+	}
+	if seedCacheGet(w.fp) != nil {
+		t.Fatal("the fixture seed is still resident; the test evicted nothing")
+	}
 	job := fixtureJob(t)
 	job.Budget = 0 // no oracle round-trips to answer by hand
-	for _, fp := range []uint64{0, w.fp ^ 1} {
-		bad := *job
-		bad.SeedFP = fp
-		if err := WriteFrame(w, FrameJob, &bad); err != nil {
+	for _, warm := range []bool{false, true} {
+		if err := WriteFrame(w, FrameJob, job); err != nil {
 			t.Fatal(err)
 		}
-		var je JobError
-		if err := ReadExpect(w, FrameError, &je); err != nil {
-			t.Fatalf("seed %016x: %v", fp, err)
-		}
-		if je.Shard != job.Shard || !strings.Contains(je.Msg, "not installed here") {
-			t.Fatalf("seed %016x: error frame %+v", fp, je)
+		if d := drainToDone(t, w); d.Cached != warm {
+			t.Fatalf("Done.Cached = %v, want %v", d.Cached, warm)
 		}
 	}
-	job.SeedFP = w.fp
-	if err := WriteFrame(w, FrameJob, job); err != nil {
-		t.Fatal(err)
+}
+
+// TestJobWithoutInstalledSeedIsRefused: a job is only a pool of indices
+// into a seed, so a connection runs none before its handshake pinned one.
+// A Job in place of the coordinator's Hello, a Hello that offers no seed,
+// and a Job in place of the Seed frame a miss asked for each end the
+// connection without a Done — and the last leaves no claim behind: the
+// next connection offering that fingerprint is told to ship, not held.
+func TestJobWithoutInstalledSeedIsRefused(t *testing.T) {
+	resetSeedCache()
+	defer resetSeedCache()
+	fp := seedFingerprint(fixturePair(t), FeaturesFull)
+	job := fixtureJob(t)
+	offer := &Hello{Role: "coordinator", SeedFP: fp}
+	refused := func(t *testing.T, served <-chan error, want string) {
+		t.Helper()
+		select {
+		case err := <-served:
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Serve returned %v, want an error containing %q", err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the worker kept the connection open")
+		}
 	}
-	drainToDone(t, w)
+	// miss offers fp on a fresh connection and requires the answer "ship it".
+	miss := func(t *testing.T, c net.Conn) {
+		t.Helper()
+		if err := WriteFrame(c, FrameHello, offer); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var h Hello
+		if err := ReadExpect(c, FrameHello, &h); err != nil || h.SeedFP != 0 {
+			t.Fatalf("offer into an empty cache: worker holds %016x, err %v; want a miss", h.SeedFP, err)
+		}
+	}
+
+	t.Run("job before hello", func(t *testing.T) {
+		c, served := workerDial(t)
+		if err := WriteFrame(c, FrameJob, job); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, served, "unexpected frame type")
+	})
+	t.Run("hello without seed", func(t *testing.T) {
+		c, served := workerDial(t)
+		if err := WriteFrame(c, FrameHello, &Hello{Role: "coordinator"}); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, served, "offers no seed")
+	})
+	t.Run("job instead of seed", func(t *testing.T) {
+		c, served := workerDial(t)
+		miss(t, c)
+		if err := WriteFrame(c, FrameJob, job); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, served, "unexpected frame type")
+		if seedCacheGet(fp) != nil {
+			t.Fatal("a seed became resident without a Seed frame")
+		}
+		next, _ := workerDial(t)
+		miss(t, next)
+	})
 }
 
 // TestSeedBuildErrorFailsTheRun: a seed that cannot be built is the
@@ -619,21 +671,25 @@ func TestSeedBuildErrorFailsTheRun(t *testing.T) {
 	}
 }
 
-// TestConcurrentSeedRefsShipOnce: the dedup of concurrent seed offers
-// lives in the worker process. N fresh connections offering one
+// TestConcurrentSeedOffersShipOnce: the dedup of concurrent seed offers
+// lives in the worker process. N fresh connections whose Hellos offer one
 // fingerprint at once into an empty cache cost one body, and a
-// connection that was told to ship and then died hands the job to a
+// connection that was told to ship and then died hands the install to a
 // waiter instead of wedging it.
-func TestConcurrentSeedRefsShipOnce(t *testing.T) {
+func TestConcurrentSeedOffersShipOnce(t *testing.T) {
 	fp, body, _, err := buildSeed(fixturePair(t), nil, TrainConfig{FeatureSet: FeaturesFull}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 6
+	dial := func() net.Conn {
+		c, _ := workerDial(t)
+		return c
+	}
 
-	// negotiateAll runs the coordinator side on every connection at once
+	// handshakeAll runs the coordinator side on every connection at once
 	// and reports how many shipped the body.
-	negotiateAll := func(t *testing.T, conns []net.Conn) (ships int) {
+	handshakeAll := func(t *testing.T, conns []net.Conn) (ships int) {
 		t.Helper()
 		var mu sync.Mutex
 		var wg sync.WaitGroup
@@ -641,13 +697,13 @@ func TestConcurrentSeedRefsShipOnce(t *testing.T) {
 			wg.Add(1)
 			go func(c net.Conn) {
 				defer wg.Done()
-				_, shipped, err := negotiateSeed(c, fp, body)
+				shipped, err := handshake(c, fp, body)
 				if err != nil {
-					t.Errorf("negotiate: %v", err)
+					t.Errorf("handshake: %v", err)
 				}
 				mu.Lock()
 				defer mu.Unlock()
-				if shipped {
+				if shipped > 0 {
 					ships++
 				}
 			}(c)
@@ -660,9 +716,9 @@ func TestConcurrentSeedRefsShipOnce(t *testing.T) {
 		resetSeedCache()
 		conns := make([]net.Conn, n)
 		for i := range conns {
-			conns[i] = seedDial(t)
+			conns[i] = dial()
 		}
-		if ships := negotiateAll(t, conns); ships != 1 {
+		if ships := handshakeAll(t, conns); ships != 1 {
 			t.Fatalf("%d connections shipped %d bodies, want 1 ship and %d hits", n, ships, n-1)
 		}
 		if seedCacheGet(fp) == nil {
@@ -672,21 +728,22 @@ func TestConcurrentSeedRefsShipOnce(t *testing.T) {
 
 	t.Run("owner-dies", func(t *testing.T) {
 		resetSeedCache()
+		offer := &Hello{Role: "coordinator", SeedFP: fp}
 		// The owner is told to ship and never does.
-		owner := seedDial(t)
-		if err := WriteFrame(owner, FrameSeedRef, &SeedRef{Fingerprint: fp}); err != nil {
+		owner := dial()
+		if err := WriteFrame(owner, FrameHello, offer); err != nil {
 			t.Fatal(err)
 		}
-		var ack CacheAck
-		if err := ReadExpect(owner, FrameCacheAck, &ack); err != nil || ack.Hit {
-			t.Fatalf("owner's offer into an empty cache: hit=%v err=%v, want a miss", ack.Hit, err)
+		var h Hello
+		if err := ReadExpect(owner, FrameHello, &h); err != nil || h.SeedFP != 0 {
+			t.Fatalf("owner's offer into an empty cache: worker holds %016x, err %v; want a miss", h.SeedFP, err)
 		}
 		// A second connection's offer is held, not answered, while the
 		// first one's install is pending: the write returns once the worker
-		// has taken the frame off the (synchronous) pipe, and no ack
+		// has taken the frame off the (synchronous) pipe, and no Hello
 		// follows.
-		waiter := seedDial(t)
-		if err := WriteFrame(waiter, FrameSeedRef, &SeedRef{Fingerprint: fp}); err != nil {
+		waiter := dial()
+		if err := WriteFrame(waiter, FrameHello, offer); err != nil {
 			t.Fatal(err)
 		}
 		waiter.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
@@ -698,23 +755,23 @@ func TestConcurrentSeedRefsShipOnce(t *testing.T) {
 		// owner goes away: exactly one of the rest ships.
 		conns := make([]net.Conn, n-2)
 		for i := range conns {
-			conns[i] = seedDial(t)
+			conns[i] = dial()
 		}
 		done := make(chan int)
-		go func() { done <- negotiateAll(t, conns) }()
+		go func() { done <- handshakeAll(t, conns) }()
 		owner.Close()
-		if err := ReadExpect(waiter, FrameCacheAck, &ack); err != nil {
+		if err := ReadExpect(waiter, FrameHello, &h); err != nil {
 			t.Fatal(err)
 		}
 		ships := 0
-		if !ack.Hit {
+		if h.SeedFP == 0 {
 			// The held connection took the install over; the rest now wait
 			// on it.
 			if err := codec.WriteFrame(waiter, byte(FrameSeed), body); err != nil {
 				t.Fatal(err)
 			}
-			if err := ReadExpect(waiter, FrameCacheAck, &ack); err != nil || !ack.Hit {
-				t.Fatalf("install ack: hit=%v err=%v", ack.Hit, err)
+			if err := ReadExpect(waiter, FrameHello, &h); err != nil || h.SeedFP != fp {
+				t.Fatalf("install confirmation: worker holds %016x, err %v", h.SeedFP, err)
 			}
 			ships++
 		}
@@ -762,8 +819,8 @@ func TestSessionCloseEvictsSeed(t *testing.T) {
 		if seedCacheGet(fp) != nil {
 			t.Fatalf("session %d: seed still resident after Close", round)
 		}
-		if m := sess.Metrics(); m.SeedShips != 0 || m.SeedBytes <= 0 {
-			t.Fatalf("session %d: %d ships, %d seed bytes; want 0 ships and the SeedRef bytes", round, m.SeedShips, m.SeedBytes)
+		if m := sess.Metrics(); m.SeedShips != 0 || m.SeedBytes != 0 {
+			t.Fatalf("session %d: %d ships, %d seed bytes; want none", round, m.SeedShips, m.SeedBytes)
 		}
 	}
 
@@ -845,7 +902,7 @@ func BenchmarkSeedInstall(b *testing.B) {
 		if err := ws.decodeBody(body); err != nil {
 			b.Fatal(err)
 		}
-		if err := installSeed(&ws); err != nil {
+		if _, err := installSeed(&ws); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,19 +58,19 @@ type Session struct {
 	homes map[int]int
 	cum   Metrics
 
-	// seedFP/seedBody are built once (ensureSeed); every connection offers
-	// the same body, again after a redial. seedBase is the counter that
-	// build pre-installed in this process's seed cache. seedErr is the
-	// build's failure: no job can ship without a seed, so it is every
-	// Run's error.
+	// seedFP/seedBody are built once (ensureSeed); every connection's
+	// Hello offers the same seed, again after a redial. seedBase is the
+	// counter that build pre-installed in this process's seed cache.
+	// seedErr is the build's failure: no job can ship without a seed, so
+	// it is every Run's error.
 	seedOnce sync.Once
 	seedFP   uint64
 	seedBody []byte
 	seedBase *metadiag.Counter
 	seedErr  error
-	// seedBytes/seedShips audit the seed negotiations no round has
-	// reported yet: connections are made inside rounds and ahead of them,
-	// and the next round to finish takes what has accumulated.
+	// seedBytes/seedShips audit the seed ships no round has reported
+	// yet: connections are made inside rounds and ahead of them, and the
+	// next round to finish takes what has accumulated.
 	seedBytes atomic.Int64
 	seedShips atomic.Int64
 
@@ -85,7 +85,7 @@ type Session struct {
 type sessionSlot struct {
 	index      int // position in Session.slots; -1 for a fallback's private slot
 	transport  Transport
-	conn       io.ReadWriteCloser // non-nil: handshaken and seed-negotiated
+	conn       io.ReadWriteCloser // non-nil: handshaken, its seed resident
 	connecting chan struct{}      // closed when the ahead-of-time connect settles; nil without one
 }
 
@@ -127,8 +127,8 @@ func NewSession(transport Transport, pair *hetnet.AlignedPair, opts Options) (*S
 func (s *Session) Round() int { return s.round }
 
 // Metrics returns the running totals across every round run so far,
-// aborted ones included, plus the seed negotiations of connections no
-// round has reported yet.
+// aborted ones included, plus the seed ships of connections no round has
+// reported yet.
 func (s *Session) Metrics() *Metrics {
 	m := s.cum
 	m.Shards = append([]ShardMetrics(nil), s.cum.Shards...)
@@ -226,7 +226,7 @@ func (s *Session) ConnectAhead(shards int) {
 // ensureSeed exports and encodes the session's seed, once, and reports
 // that build's error ever after. The seed is a property of the pair and
 // training config, both fixed for the session's lifetime, so every
-// connection ships (or ref-hits) the same body — and a build that failed
+// connection offers (and may ship) the same body — and a build that failed
 // here would fail the same way anywhere else (the in-process fallback
 // worker needs the same seed), so it is not retried.
 func (s *Session) ensureSeed() error {
@@ -241,11 +241,11 @@ func (s *Session) ensureSeed() error {
 	return s.seedErr
 }
 
-// connect gives the slot a live connection: dialed, handshaken and
-// seed-negotiated, recorded as one "connect" span on the slot's own
-// track under parent. It is the only way a session connection comes to
-// exist. An error may leave a half-made connection in slot.conn; the
-// caller burns it.
+// connect gives the slot a live connection: dialed and handshaken, the
+// session's seed resident on the worker, recorded as one "connect" span
+// on the slot's own track under parent. It is the only way a session
+// connection comes to exist. An error may leave a half-made connection in
+// slot.conn; the caller burns it.
 func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	sp := s.opts.Tracer.Start("connect", parent)
 	sp.SetTrack(slot.track())
@@ -255,32 +255,29 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 		return err
 	}
 	slot.conn = conn
-	// One deadline spans Hello and the seed negotiation, install ack
-	// included: a worker that never answers becomes a failed connect.
-	disarm := armDeadline(conn, s.shardTimeout())
-	defer disarm()
-	if err := handshake(conn); err != nil {
-		return err
-	}
 	// Ahead of the first round this is where the seed gets built: by the
-	// first connection to get this far, while the other workers are still
+	// first connection to get this far, while the workers are still
 	// starting. A build failure is the coordinator's, not this worker's:
 	// the connection goes back unjudged and the slot stays cold.
 	if err := s.ensureSeed(); err != nil {
 		s.dropConn(slot)
 		return err
 	}
+	// One deadline spans the handshake, install confirmation included: a
+	// worker that never answers becomes a failed connect.
+	disarm := armDeadline(conn, s.shardTimeout())
+	defer disarm()
 	offered := time.Now()
-	n, shipped, err := negotiateSeed(conn, s.seedFP, s.seedBody)
+	n, err := handshake(conn, s.seedFP, s.seedBody)
 	s.seedBytes.Add(n)
 	sp.Annotate("bytes", fmt.Sprintf("%d", n))
-	// Offer to install ack; what precedes it in the span is process start,
-	// Hello and any wait for the seed build.
-	sp.Annotate("negotiate_ms", fmt.Sprintf("%.1f", time.Since(offered).Seconds()*1e3))
+	// Offer to the worker's last Hello: the worker's start-up where the
+	// dial spawned it, any wait on another connection's install, a ship.
+	sp.Annotate("handshake_ms", fmt.Sprintf("%.1f", time.Since(offered).Seconds()*1e3))
 	if err != nil {
 		return err
 	}
-	if shipped {
+	if n > 0 {
 		s.seedShips.Add(1)
 		sp.Annotate("seed", "ship")
 	} else {
@@ -497,8 +494,8 @@ func (rr *sessionRound) buildMetrics() *Metrics {
 		Retries: rr.totalRetries, Fallbacks: rr.totalFallbacks, Hedges: rr.totalHedges,
 		CacheMisses: rr.misses,
 		Queries:     int(rr.queries.Load()),
-		// Every negotiation since the last round reported, ahead-of-time
-		// connects included.
+		// Every ship since the last round reported, ahead-of-time connects
+		// included.
 		SeedBytes: rr.s.seedBytes.Swap(0),
 		SeedShips: int(rr.s.seedShips.Swap(0)),
 	}
@@ -595,8 +592,8 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 		// shard, so it runs over a private loopback worker — the identical
 		// partition.PreparePart+Train path, so the merged result is
 		// bit-identical to a healthy run's. The private connection
-		// negotiates the seed like any other (the loopback worker shares
-		// the process-wide seed cache) and dies with the attempt.
+		// handshakes like any other (the loopback worker shares the
+		// process-wide seed cache) and dies with the attempt.
 		logger.Warn("shard degraded to in-process fallback", "shard", partIndex, "attempt", try)
 		track += " (fallback)"
 		slot = &sessionSlot{index: -1, transport: Loopback{}}
@@ -833,7 +830,7 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	defer sp.End()
 	if slot.conn == nil {
 		// A failure burns the conn like any shard failure — the retry
-		// redials and renegotiates.
+		// redials and handshakes again.
 		if err := rr.s.connect(slot, sp.ID()); err != nil {
 			return nil, err
 		}
@@ -852,7 +849,7 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	home, homed := rr.s.homes[part.Index]
 	rr.s.mu.Unlock()
 
-	job := NewJob(rr.s.pair, part, rr.s.opts.Train, rr.s.seedFP)
+	job := NewJob(rr.s.pair, part, rr.s.opts.Train)
 	job.Seed, job.TraceID, job.SpanID = rr.seed, rr.tracer.TraceID(), sp.ID()
 	ship := rr.tracer.Start("ship", sp.ID())
 	ship.SetTrack(track)

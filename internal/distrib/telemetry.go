@@ -21,7 +21,7 @@ var (
 	mQueries     = telemetry.Default.Counter("activeiter_distrib_oracle_queries_total", "Oracle round-trips answered (including retried attempts).")
 	mJobBytes    = telemetry.Default.Counter("activeiter_distrib_job_bytes_total", "Job frame bytes of jobs workers prepared cold (successful attempts).")
 	mDeltaBytes  = telemetry.Default.Counter("activeiter_distrib_delta_bytes_total", "Job frame bytes of jobs workers re-ran warm (successful attempts).")
-	mSeedBytes   = telemetry.Default.Counter("activeiter_distrib_seed_bytes_total", "Warm-counter seed negotiation bytes written.")
+	mSeedBytes   = telemetry.Default.Counter("activeiter_distrib_seed_bytes_total", "Warm-counter Seed frame bytes shipped.")
 	mSeedShips   = telemetry.Default.Counter("activeiter_distrib_seed_ships_total", "Connections that received a full seed body.")
 	mResultBytes = telemetry.Default.Counter("activeiter_distrib_result_bytes_total", "Bytes read back from workers.")
 )

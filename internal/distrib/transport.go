@@ -8,6 +8,8 @@ import (
 	"os/exec"
 	"sync"
 	"time"
+
+	"github.com/activeiter/activeiter/internal/retry"
 )
 
 // Transport produces worker connections for the coordinator. Dial is
@@ -25,9 +27,10 @@ type Transport interface {
 
 // Loopback serves every dialed connection with an in-process worker
 // goroutine over a synchronous pipe. The worker still speaks the full
-// wire protocol — loopback runs exercise seed negotiation, serialization
-// and reconciliation end to end, minus process isolation (and minus the
-// seed body: the worker shares the coordinator's seed cache).
+// wire protocol — loopback runs exercise the seed handshake,
+// serialization and reconciliation end to end, minus process isolation
+// (and minus the seed body: the worker shares the coordinator's seed
+// cache).
 type Loopback struct{}
 
 // loopbackConn tags the coordinator half so Close also reaps the
@@ -223,9 +226,10 @@ func (t *TCP) Dial() (io.ReadWriteCloser, error) {
 // port.
 //
 // The accept loop is hardened for long-lived workers: transient accept
-// errors (EMFILE, ECONNABORTED) back off exponentially instead of
-// killing the listener, and a panicking connection handler takes down
-// only its own connection.
+// errors (EMFILE, ECONNABORTED) back off exponentially (retry.Backoff:
+// 5 ms doubling to a 1 s cap, unjittered, reset by the next accept)
+// instead of killing the listener, and a panicking connection handler
+// takes down only its own connection.
 func ListenAndServe(addr string, ready chan<- string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -234,7 +238,7 @@ func ListenAndServe(addr string, ready chan<- string) error {
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	backoff := 5 * time.Millisecond
+	failures := 0
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -242,16 +246,15 @@ func ListenAndServe(addr string, ready chan<- string) error {
 			if errors.As(err, &ne) && ne.Timeout() {
 				// Transient accept failure: one bad accept must not kill a
 				// worker serving other coordinators. Sleep and retry, capped.
+				failures++
+				backoff := retry.Backoff(5*time.Millisecond, time.Second, failures, 0.5)
 				logger.Warn("accept failed, retrying", "err", err, "backoff", backoff)
 				time.Sleep(backoff)
-				if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
-				}
 				continue
 			}
 			return err
 		}
-		backoff = 5 * time.Millisecond
+		failures = 0
 		go func() {
 			defer conn.Close()
 			defer func() {

@@ -40,11 +40,13 @@
 // and prelabels, queries, votes — is an ORIGINAL pair index, bounded by
 // the seed's two node counts.
 //
-// The conversation is strictly request-driven: the coordinator sends
-// Hello, negotiates the seed (SeedRef, then Seed on a miss), then one Job
-// per shard; the worker answers with any number of Query (oracle
-// round-trips, answered by Answer frames) and Votes frames, terminated by
-// exactly one Done or Error frame.
+// The conversation is strictly request-driven: the coordinator's Hello
+// offers the run's seed, the worker's Hello names the seed it holds for
+// the connection (the Seed body ships, and a second worker Hello confirms
+// it, only on a miss), then the coordinator sends one Job per shard; the
+// worker answers with any number of Query (oracle round-trips, answered
+// by Answer frames) and Votes frames, terminated by exactly one Done or
+// Error frame.
 //
 // # Sticky sessions
 //
@@ -68,10 +70,10 @@ import (
 
 // Version is the wire protocol version. Bump it on any change to frame
 // payload shapes (or the set of frame types); readers reject every other
-// version. docs/WIRE.md keeps the version history: 9 is the one shard
-// request — every round ships the full Job, and Done carries the worker's
-// cache verdict.
-const Version = 9
+// version. docs/WIRE.md keeps the version history: 10 is the one
+// handshake — Hello carries the seed offer and its answer, and a Job names
+// no seed: it runs against the one its connection pinned.
+const Version = 10
 
 // maxFrameSize bounds a frame's declared length so a corrupt or hostile
 // length prefix cannot OOM the reader. The seed carries the pair's whole
@@ -90,7 +92,8 @@ var codec = framing.Codec{Magic: [2]byte{'A', 'I'}, Version: Version, MaxFrame: 
 type FrameType uint8
 
 const (
-	// FrameHello opens a connection in each direction.
+	// FrameHello opens a connection in each direction and carries its
+	// seed handshake.
 	FrameHello FrameType = iota + 1
 	// FrameJob carries one shard job, coordinator → worker.
 	FrameJob
@@ -104,19 +107,12 @@ const (
 	FrameDone
 	// FrameError aborts a job with a worker-side failure.
 	FrameError
-	// FrameCacheAck answers a SeedRef or a Seed with the worker's seed
-	// verdict, worker → coordinator.
-	FrameCacheAck
 	// FrameCancel abandons an in-flight shard, coordinator → worker: the
 	// losing side of a hedged dispatch, or a shard whose deadline fired.
 	FrameCancel
-	// FrameSeedRef offers the run's warm-counter seed to a freshly
-	// dialed worker, coordinator → worker; answered by a CacheAck with
-	// Shard −1.
-	FrameSeedRef
 	// FrameSeed ships the warm-counter seed body (schema, dimensions and
-	// the anchor-free matrices), coordinator → worker, after a missed
-	// SeedRef.
+	// the anchor-free matrices), coordinator → worker, when the worker's
+	// Hello holds no seed for the offer.
 	FrameSeed
 )
 
@@ -132,27 +128,28 @@ var ErrVersionMismatch = framing.ErrVersionMismatch
 // burns it and retries the shard on a fresh dial.
 var ErrChecksum = framing.ErrChecksum
 
-// Hello is the handshake payload. Role is informational ("coordinator",
+// Hello is the handshake payload. The coordinator's Hello offers the
+// run's warm-counter seed by fingerprint; the worker's answers with the
+// fingerprint it holds for the connection — the offered one, or 0 when
+// the Seed body must ship — and a shipped Seed is confirmed by a second
+// worker Hello naming it. Role is informational ("coordinator",
 // "worker") — the version check rides in the frame header.
 type Hello struct {
-	Role string
+	Role   string
+	SeedFP uint64
 }
 
 // Job is one shard job: the shard's pool as indices into the user spaces
-// of the seed it names, plus the training configuration. It carries no
-// network data — the worker resolves the warm counter and the index
-// bounds from the seed its connection negotiated.
+// of the connection's seed, plus the training configuration. It carries
+// no network data and names no seed — the worker resolves the warm
+// counter and the index bounds from the seed its connection pinned at the
+// handshake.
 type Job struct {
 	// Shard is the Part.Index — it offsets the training seed and tags
 	// every frame the worker sends back.
 	Shard int
 	// AnchorType must match the seed's; a mismatch fails the job.
 	AnchorType string
-	// SeedFP names the warm-counter seed (shipped per connection via
-	// SeedRef/Seed) the job's indices are relative to; the worker forks the
-	// seeded counter. A job whose SeedFP is zero, or not installed on the
-	// worker, is rejected.
-	SeedFP uint64
 	// TrainPos and Candidates are the shard pool.
 	TrainPos   []hetnet.Anchor
 	Candidates []hetnet.Anchor
@@ -185,15 +182,6 @@ type Job struct {
 type WireLabel struct {
 	I, J  int32
 	Label float64
-}
-
-// CacheAck answers a SeedRef, and confirms a Seed install: Hit reports
-// whether the worker holds the seed named by Fingerprint. Shard is the
-// no-shard sentinel −1.
-type CacheAck struct {
-	Shard       int
-	Fingerprint uint64
-	Hit         bool
 }
 
 // Cancel tells the worker the coordinator no longer wants the named

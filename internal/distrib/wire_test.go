@@ -61,7 +61,7 @@ func fixturePair(t testing.TB) *hetnet.AlignedPair {
 // TestFixtureFingerprintsUnmoved: the goldens' pair hashes to what it
 // did before hetnet memoised Network.Fingerprint — values recorded at
 // c5ccd7d — on the call that computes and on the call that reads the
-// memo, and so does the seed fingerprint every golden job names.
+// memo, and so does the seed fingerprint the golden Hello offers.
 func TestFixtureFingerprintsUnmoved(t *testing.T) {
 	pair := fixturePair(t)
 	for call := 1; call <= 2; call++ {
@@ -87,7 +87,7 @@ func fixtureSeedEntry(t testing.TB) *seedEntry {
 }
 
 // fixtureJob is shard 1 of a two-part split of the fixture pair, as a
-// session would ship it: against the fixture pair's seed.
+// session would ship it to a connection holding the fixture pair's seed.
 func fixtureJob(t testing.TB) *Job {
 	t.Helper()
 	pair := fixturePair(t)
@@ -105,7 +105,7 @@ func fixtureJob(t testing.TB) *Job {
 		Threshold:  &half,
 		BatchSize:  5,
 		Seed:       2019,
-	}, seedFingerprint(pair, FeaturesFull))
+	})
 	// A later round's job carries the prelabels of the rounds before it (a
 	// pool candidate the oracle answered) and, at the frame's tail, the
 	// attempt's trace context.
@@ -143,7 +143,9 @@ func goldenFrames(t testing.TB) []struct {
 		typ     FrameType
 		payload Payload
 	}{
-		{"hello", FrameHello, &Hello{Role: "coordinator"}},
+		{"hello", FrameHello, &Hello{Role: "coordinator", SeedFP: seedFingerprint(fixturePair(t), FeaturesFull)}},
+		// The worker's answer to an offer it cannot fill: SeedFP 0, "ship it".
+		{"hello_worker", FrameHello, &Hello{Role: "worker"}},
 		{"job", FrameJob, fixtureJob(t)},
 		{"votes", FrameVotes, &Votes{Shard: 1, Votes: []Vote{
 			{I: 4, J: 5, Label: 1, Score: 0.91},
@@ -160,9 +162,7 @@ func goldenFrames(t testing.TB) []struct {
 				{ID: 0xdead0002, Parent: 0x99aabbcc, Name: "train", StartNS: 1700000000_001000000, EndNS: 1700000000_009000000},
 			}}},
 		{"error", FrameError, &JobError{Shard: 1, Msg: "boom"}},
-		{"cacheack", FrameCacheAck, &CacheAck{Shard: -1, Fingerprint: 0x1badd00dcafef00d, Hit: true}},
 		{"cancel", FrameCancel, &Cancel{Shard: 1}},
-		{"seedref", FrameSeedRef, &SeedRef{Fingerprint: 0x1badd00dcafef00d}},
 		{"seed", FrameSeed, fixtureSeed(t)},
 	}
 }
@@ -370,6 +370,29 @@ func TestWireV8Skew(t *testing.T) {
 		}
 		if _, _, err := v8.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
 			t.Fatalf("current %s frame at v8 reader: got %v, want ErrVersionMismatch", tc.name, err)
+		}
+	}
+}
+
+// TestWireV9Skew pins the v10 bump, both ways: a recorded v9 Hello — no
+// seed offer — and a recorded v9 seed-offer frame, a frame type v10
+// folded into the Hello, never reach a v10 decoder, and a v9 reader
+// refuses the v10 Hello and Job.
+func TestWireV9Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v9_frame_hello.bin")
+	assertRecordedFrameRefused(t, "v9_frame_seedref.bin")
+
+	v9 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 9, MaxFrame: maxFrameSize, Checksum: true}
+	for _, tc := range goldenFrames(t) {
+		if tc.name != "hello" && tc.name != "job" {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := v9.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
+			t.Fatalf("current %s frame at v9 reader: got %v, want ErrVersionMismatch", tc.name, err)
 		}
 	}
 }

@@ -26,16 +26,15 @@ const voteBatchSize = 4096
 // only costs one cold preparation.
 const DefaultShardCacheSize = 32
 
-// Serve runs the worker side of one connection: handshake, seed
-// negotiation, then a loop of job → (query/votes)* → done until the
-// coordinator closes the stream. A job-level failure is reported as an
-// Error frame and the loop continues — the connection only dies on
-// wire-level failures.
+// Serve runs the worker side of one connection: the handshake, which
+// pins the connection's seed, then a loop of job → (query/votes)* → done
+// until the coordinator closes the stream. A job-level failure is
+// reported as an Error frame and the loop continues — the connection only
+// dies on wire-level failures, or on a seed it could not install.
 //
-// A job names the installed seed it runs against, so a worker serves
-// shards of different runs back to back as long as their seeds are
-// resident. What a connection itself keeps is the shard cache: each
-// job's prepared state (pool and feature matrix), keyed by shard, so a
+// Every job of the connection runs against the seed its handshake
+// pinned. What a connection keeps besides is the shard cache: each job's
+// prepared state (pool and feature matrix), keyed by shard, so a
 // session's later round of the same shard — an equal pool and
 // configuration with more prelabels — re-runs only training: counting
 // and feature extraction are paid once per shard, not once per round.
@@ -49,20 +48,14 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 	// The coordinator speaks first: over fully synchronous links
 	// (net.Pipe) two sides writing their Hello simultaneously would
 	// deadlock, so the handshake is strictly coordinator-then-worker.
-	if err := ReadExpect(conn, FrameHello, &Hello{}); err != nil {
-		if err == io.EOF {
-			return nil
-		}
-		return err
+	seed, err := acceptSeed(conn)
+	if err == io.EOF {
+		return nil
 	}
-	if err := WriteFrame(conn, FrameHello, &Hello{Role: "worker"}); err != nil {
+	if err != nil {
 		return err
 	}
 	cache := newShardCache(cacheSize)
-	// A seed this connection was told to ship stays pending on it until
-	// the install — or until the connection ends, however it ends.
-	owner := new(seedOwner)
-	defer seedRelease(owner)
 	for {
 		typ, body, err := ReadFrame(conn)
 		if err == io.EOF {
@@ -77,7 +70,7 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 			if err := DecodeBody(body, &job); err != nil {
 				return fmt.Errorf("distrib: decode job: %w", err)
 			}
-			if err := runJob(conn, &job, cache); err != nil {
+			if err := runJob(conn, &job, seed, cache); err != nil {
 				if errors.Is(err, errCancelled) {
 					// The coordinator abandoned this job (a hedge twin won);
 					// no Error frame is owed — loop for the next job.
@@ -95,54 +88,18 @@ func ServeCache(conn io.ReadWriter, cacheSize int) error {
 			if err := DecodeBody(body, &c); err != nil {
 				return fmt.Errorf("distrib: decode cancel: %w", err)
 			}
-		case FrameSeedRef:
-			var ref SeedRef
-			if err := DecodeBody(body, &ref); err != nil {
-				return fmt.Errorf("distrib: decode seed ref: %w", err)
-			}
-			// A miss makes this connection the one shipping the seed; a
-			// SeedRef that finds another connection already doing so waits
-			// for that install and then hits (seedClaim).
-			hit := seedClaim(ref.Fingerprint, owner)
-			if err := WriteFrame(conn, FrameCacheAck, &CacheAck{Shard: -1, Fingerprint: ref.Fingerprint, Hit: hit}); err != nil {
-				return err
-			}
-		case FrameSeed:
-			// A decode failure here means a codec bug, not a bad seed —
-			// the CRC already vouched for the bytes — so it kills the
-			// connection. A successful install is confirmed with a
-			// CacheAck (the coordinator blocks on it: no job may reference
-			// the seed before it is resident); an install failure (hostile
-			// entries) is reported as an Error frame with the no-shard
-			// sentinel, which the coordinator's negotiation read converts
-			// into a retried (self-healing) connection. Either way the
-			// connections waiting on this install are let go: after a
-			// success they hit, after a failure one of them ships next.
-			var ws WireSeed
-			if err := DecodeBody(body, &ws); err != nil {
-				return fmt.Errorf("distrib: decode seed: %w", err)
-			}
-			err := installSeed(&ws)
-			seedRelease(owner)
-			if err != nil {
-				if werr := WriteFrame(conn, FrameError, &JobError{Shard: -1, Msg: err.Error()}); werr != nil {
-					return werr
-				}
-			} else if err := WriteFrame(conn, FrameCacheAck, &CacheAck{Shard: -1, Fingerprint: ws.Fingerprint, Hit: true}); err != nil {
-				return err
-			}
 		default:
-			return fmt.Errorf("distrib: worker expected a job or seed frame, got type %d", typ)
+			return fmt.Errorf("distrib: worker expected a job, got frame type %d", typ)
 		}
 	}
 }
 
 // preparedShard is one job's reusable pipeline state: everything that is
-// a function of the job's shape (seed, pool, prepared features, training
-// configuration). The round's labels come with each job.
+// a function of the job's shape (pool, prepared features, training
+// configuration) on the connection's seed. The round's labels come with
+// each job.
 type preparedShard struct {
-	shape    Job        // the job it was prepared for, per-round fields cleared
-	seed     *seedEntry // the seed it forked: the bounds of every index
+	shape    Job // the job it was prepared for, per-round fields cleared
 	prepared *partition.Prepared
 	train    core.Config // the job's resolved training configuration
 }
@@ -252,30 +209,21 @@ func rethrowWire(err *error) {
 	}
 }
 
-// runJob executes one shard job — prepare (or find prepared), train,
-// stream — and caches the prepared state under the job's shard. It
-// returns the error to report as an Error frame; wire-level failures
-// panic through wireAbort and are rethrown to kill the connection.
-func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
+// runJob executes one shard job on the connection's seed — prepare (or
+// find prepared), train, stream — and caches the prepared state under the
+// job's shard. It returns the error to report as an Error frame;
+// wire-level failures panic through wireAbort and are rethrown to kill
+// the connection.
+func runJob(conn io.ReadWriter, job *Job, seed *seedEntry, cache *shardCache) (err error) {
 	defer rethrowWire(&err)
 	t0 := time.Now()
 	tr := childTracer(job.TraceID, job.SpanID)
 	prep := tr.Start("prepare", job.SpanID)
 	// A shard this connection prepared for an equal job re-runs warm on
-	// that state, bounds-checked against the seed it forked. Otherwise the
-	// warm counter and the index bounds come from the connection-negotiated
-	// seed; the job is just a pool of indices into it. A job that names no
-	// seed is malformed; a missing one means the coordinator and worker
-	// disagree about this connection's state — fail the shard either way,
-	// and the retry redial renegotiates.
+	// that state; anything else forks the seed. The job is just a pool of
+	// indices into the seed, bounds-checked against it either way.
 	ps := cache.get(job)
 	cached := ps != nil
-	var seed *seedEntry
-	if cached {
-		seed = ps.seed
-	} else if seed = seedCacheGet(job.SeedFP); job.SeedFP == 0 || seed == nil {
-		return fmt.Errorf("distrib: job shard %d references seed %016x, not installed here", job.Shard, job.SeedFP)
-	}
 	part, err := job.part(seed)
 	if err != nil {
 		return err
@@ -294,7 +242,7 @@ func runJob(conn io.ReadWriter, job *Job, cache *shardCache) (err error) {
 		if err != nil {
 			return err
 		}
-		ps = &preparedShard{shape: job.shape(), seed: seed, prepared: prepared, train: train.Core}
+		ps = &preparedShard{shape: job.shape(), prepared: prepared, train: train.Core}
 	}
 	prep.Annotate("cached", fmt.Sprint(cached))
 	prep.End()

@@ -34,10 +34,9 @@ func TestRunDistributedModesAgree(t *testing.T) {
 		}
 	}
 	// Loopback workers share the coordinator's process, so the
-	// pre-installed warm counter answers every SeedRef: negotiation
-	// bytes flow, but no seed body ships.
-	if seeded := byMode["loopback"]; seeded.SeedShips != 0 || seeded.SeedBytes <= 0 {
-		t.Errorf("loopback: want 0 ships with non-zero negotiation bytes, got %+v", seeded)
+	// pre-installed warm counter answers every offer: no seed byte ships.
+	if seeded := byMode["loopback"]; seeded.SeedShips != 0 || seeded.SeedBytes != 0 {
+		t.Errorf("loopback: want 0 ships and 0 seed bytes, got %+v", seeded)
 	}
 	tab, err := RunDistributedWith(pre, DistributedConfig{Workers: 2})
 	if err != nil {

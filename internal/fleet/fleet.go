@@ -55,11 +55,6 @@ type Options struct {
 	// HealthInterval is the /readyz probe + /statusz rediscovery
 	// period (default 2s). Probing starts with Start.
 	HealthInterval time.Duration
-	// Metrics receives per-endpoint counters; nil creates a registry.
-	Metrics *serve.Metrics
-	// Registry receives router counters (retries, hedges, resolves,
-	// rollouts); nil uses the Metrics registry.
-	Registry *telemetry.Registry
 }
 
 const (
@@ -145,26 +140,22 @@ func NewRouter(backendURLs []string, opts Options) (*Router, error) {
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = defaultHealthInterval
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = serve.NewMetrics()
-	}
-	if opts.Registry == nil {
-		// Share the Metrics registry so the fleet counters ride the
-		// same /metricsz exposition as the per-endpoint stats.
-		opts.Registry = opts.Metrics.Registry()
-	}
+	// The router counters (retries, hedges, resolves, rollouts) share the
+	// per-endpoint registry, so they ride the same /metricsz exposition.
+	metrics := serve.NewMetrics()
+	reg := metrics.Registry()
 	r := &Router{
 		client:       &http.Client{Timeout: opts.Timeout},
 		opts:         opts,
-		metrics:      opts.Metrics,
+		metrics:      metrics,
 		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 		resolveCache: make(map[string]int32),
 		stop:         make(chan struct{}),
-		cRetry:       opts.Registry.Counter("fleet_retries_total", "proxy attempts beyond the first"),
-		cHedge:       opts.Registry.Counter("fleet_hedges_total", "hedged second requests launched"),
-		cRollout:     opts.Registry.Counter("fleet_rollouts_total", "rolling reloads executed"),
-		cResolveHit:  opts.Registry.Counter("fleet_resolve_total", "net-1 token resolutions, by resolve-cache outcome", telemetry.L("result", "hit")),
-		cResolveMiss: opts.Registry.Counter("fleet_resolve_total", "net-1 token resolutions, by resolve-cache outcome", telemetry.L("result", "miss")),
+		cRetry:       reg.Counter("fleet_retries_total", "proxy attempts beyond the first"),
+		cHedge:       reg.Counter("fleet_hedges_total", "hedged second requests launched"),
+		cRollout:     reg.Counter("fleet_rollouts_total", "rolling reloads executed"),
+		cResolveHit:  reg.Counter("fleet_resolve_total", "net-1 token resolutions, by resolve-cache outcome", telemetry.L("result", "hit")),
+		cResolveMiss: reg.Counter("fleet_resolve_total", "net-1 token resolutions, by resolve-cache outcome", telemetry.L("result", "miss")),
 	}
 	for _, u := range backendURLs {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")

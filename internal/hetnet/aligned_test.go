@@ -103,6 +103,8 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNetworkJSONRoundTrip: a network's name, node IDs and link tables
+// survive its pair's JSON round trip.
 func TestNetworkJSONRoundTrip(t *testing.T) {
 	g := NewSocialNetwork("twitter")
 	u1 := g.AddNode(User, "alice")
@@ -114,13 +116,14 @@ func TestNetworkJSONRoundTrip(t *testing.T) {
 	mustLink(t, g, Checkin, p1, l1)
 
 	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
+	if err := NewAlignedPair(g, NewSocialNetwork("other")).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadNetworkJSON(&buf)
+	p2, err := ReadAlignedJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2 := p2.G1
 	if g2.Name() != "twitter" {
 		t.Errorf("name = %q", g2.Name())
 	}
@@ -190,18 +193,30 @@ func TestReadAlignedJSONRejectsViolations(t *testing.T) {
 	}
 }
 
-func TestReadNetworkJSONBadInput(t *testing.T) {
-	if _, err := ReadNetworkJSON(strings.NewReader("{not json")); err == nil {
-		t.Error("malformed JSON should fail")
+func TestReadAlignedJSONBadInput(t *testing.T) {
+	// pairWith puts g1 and the anchor list into an otherwise well-formed
+	// pair document.
+	pairWith := func(g1, anchors string) string {
+		return `{"g1":` + g1 + `,"g2":{"name":"y","nodes":{"user":["b"]},"links":{}},"anchorType":"user","anchors":` + anchors + `}`
 	}
-	// Mismatched from/to lengths.
-	bad := `{"name":"x","nodes":{"user":["a"]},"links":{"follow":{"src":"user","dst":"user","from":[0],"to":[]}}}`
-	if _, err := ReadNetworkJSON(strings.NewReader(bad)); err == nil {
-		t.Error("mismatched link arrays should fail")
+	const healthy = `{"name":"x","nodes":{"user":["a"]},"links":{}}`
+	for _, tc := range []struct{ name, in string }{
+		{"malformed JSON", "{not json"},
+		{"mismatched link arrays", pairWith(`{"name":"x","nodes":{"user":["a"]},"links":{"follow":{"src":"user","dst":"user","from":[0],"to":[]}}}`, "[]")},
+		{"out-of-range link index", pairWith(`{"name":"x","nodes":{"user":["a"]},"links":{"follow":{"src":"user","dst":"user","from":[5],"to":[0]}}}`, "[]")},
+		{"duplicate node IDs", pairWith(`{"name":"x","nodes":{"user":["a","a"]},"links":{}}`, "[]")},
+		{"out-of-range anchor", pairWith(healthy, "[[0,1]]")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadAlignedJSON(strings.NewReader(tc.in)); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
-	// Out-of-range link index.
-	bad2 := `{"name":"x","nodes":{"user":["a"]},"links":{"follow":{"src":"user","dst":"user","from":[5],"to":[0]}}}`
-	if _, err := ReadNetworkJSON(strings.NewReader(bad2)); err == nil {
-		t.Error("out-of-range link index should fail")
-	}
+	// The same document with a healthy g1 and an in-range anchor reads.
+	t.Run("well-formed", func(t *testing.T) {
+		if _, err := ReadAlignedJSON(strings.NewReader(pairWith(healthy, "[[0,0]]"))); err != nil {
+			t.Errorf("well-formed pair refused: %v", err)
+		}
+	})
 }

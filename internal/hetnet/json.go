@@ -6,9 +6,9 @@ import (
 	"io"
 )
 
-// jsonNetwork is the on-disk interchange form of a Network. Node tables
-// are stored as ID lists (index = position); links as declared endpoint
-// types plus parallel index arrays.
+// jsonNetwork is the on-disk interchange form of one network of an
+// AlignedPair. Node tables are stored as ID lists (index = position);
+// links as declared endpoint types plus parallel index arrays.
 type jsonNetwork struct {
 	Name  string                `json:"name"`
 	Nodes map[NodeType][]string `json:"nodes"`
@@ -75,21 +75,6 @@ func networkFromJSON(jn jsonNetwork) (*Network, error) {
 		}
 	}
 	return g, nil
-}
-
-// WriteJSON serializes the network to w.
-func (g *Network) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(g.toJSON())
-}
-
-// ReadNetworkJSON deserializes a network written by WriteJSON.
-func ReadNetworkJSON(r io.Reader) (*Network, error) {
-	var jn jsonNetwork
-	if err := json.NewDecoder(r).Decode(&jn); err != nil {
-		return nil, fmt.Errorf("hetnet: decode network: %w", err)
-	}
-	return networkFromJSON(jn)
 }
 
 // WriteJSON serializes the aligned pair to w.

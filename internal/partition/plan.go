@@ -71,14 +71,6 @@ type Config struct {
 	// when the runner-up affinity is at least Overlap × the best
 	// affinity; default 0.85. Negative disables overlapping entirely.
 	Overlap float64
-	// LocalityWeight ∈ [0,1] blends BFS anchor-locality against coarse
-	// similarity in the candidate affinity; default 0.7.
-	LocalityWeight float64
-	// CoarseIters caps the truncated IsoRank-style power iteration used
-	// for the similarity half of the affinity; default 2 (coarse by
-	// design — the fine-grained signal comes from per-partition
-	// training, and every extra round costs two crawl-scale SpGEMMs).
-	CoarseIters int
 }
 
 func (c Config) withDefaults() Config {
@@ -89,12 +81,6 @@ func (c Config) withDefaults() Config {
 		c.Overlap = 0.85
 	} else if c.Overlap < 0 {
 		c.Overlap = 1.1 // unattainable ratio: no overlap
-	}
-	if c.LocalityWeight <= 0 || c.LocalityWeight > 1 {
-		c.LocalityWeight = 0.7
-	}
-	if c.CoarseIters <= 0 {
-		c.CoarseIters = 2
 	}
 	return c
 }
@@ -166,8 +152,8 @@ type Planner struct {
 	w1, w2     *sparse.CSR
 	prior      *sparse.CSR // truncated Ψ^a² scores; nil = no attribute evidence
 
-	mu   sync.Mutex
-	sims map[int]*sparse.CSR // CoarseIters → propagated similarity
+	simOnce sync.Once
+	sim     *sparse.CSR // propagated similarity, built by the first plan that reads it
 }
 
 // NewPlanner derives the fold-independent plan inputs from the base
@@ -204,7 +190,6 @@ func NewPlanner(base *metadiag.Counter) (*Planner, error) {
 		adj1: adj1, adj2: adj2,
 		w1: w1, w2: w2,
 		prior: prior,
-		sims:  make(map[int]*sparse.CSR),
 	}, nil
 }
 
@@ -369,10 +354,10 @@ func (s *Seeded) Assign(candidates []hetnet.Anchor, totalBudget int) (*Plan, err
 		d2[p] = multiSourceBFS(pl.adj2, src2)
 	}
 
-	simLeft, simRight, seeded := pl.foldSimilarity(parts, cfg.CoarseIters)
+	simLeft, simRight, seeded := pl.foldSimilarity(parts)
 
 	overlapped := 0
-	wLoc := cfg.LocalityWeight
+	wLoc := localityWeight
 	if !seeded {
 		wLoc = 1 // locality is the only signal
 	}
@@ -546,46 +531,49 @@ func clusterAnchors(trainPos []hetnet.Anchor, adj1 [][]int32, k int) [][]int {
 	return out
 }
 
-// coarseAlpha and coarseTopM bound the similarity seed: the IsoRank
-// recurrence weight, and the per-row truncation that keeps every
-// propagation product linear in the user count (a planner needs coarse
-// mass on anchor groups, not a converged similarity).
+// coarseAlpha, coarseTopM and coarseIters bound the similarity seed:
+// the IsoRank recurrence weight, the per-row truncation that keeps every
+// propagation product linear in the user count, and the number of
+// propagation rounds (a planner needs coarse mass on anchor groups, not a
+// converged similarity — the fine-grained signal comes from
+// per-partition training, and every extra round costs two crawl-scale
+// SpGEMMs). localityWeight blends BFS anchor-locality against that
+// similarity in the candidate affinity.
 const (
-	coarseAlpha = 0.6
-	coarseTopM  = 16
+	coarseAlpha    = 0.6
+	coarseTopM     = 16
+	coarseIters    = 2
+	localityWeight = 0.7
 )
 
-// similarity returns the propagated, truncated coarse similarity for
-// the given iteration count, computing it once per planner:
+// similarity returns the propagated, truncated coarse similarity,
+// computed once per planner: coarseIters rounds of
 // R ← α·W1·R·W2ᵀ + (1−α)·H with H the truncated Ψ^a² prior, every
 // product truncated to coarseTopM entries per row. nil when the pair
 // carries no joint attribute evidence.
-func (pl *Planner) similarity(iters int) *sparse.CSR {
+func (pl *Planner) similarity() *sparse.CSR {
 	if pl.prior == nil {
 		return nil
 	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if r, ok := pl.sims[iters]; ok {
-		return r
-	}
-	r := pl.prior
-	w2t := pl.w2.T()
-	for it := 0; it < iters; it++ {
-		// Truncate between the two products too: without it the second
-		// SpGEMM's output is near-dense (every neighbor of a neighbor),
-		// which at crawl scale costs tens of seconds per iteration. The
-		// fused kernel selects each row's top entries off the SpGEMM
-		// accumulator, so neither near-dense product is ever stored.
-		prop := sparse.MatMulTopK(pl.w1, r, coarseTopM)
-		prop = sparse.MatMulTopK(prop, w2t, coarseTopM)
-		r = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
-		if s := r.Sum(); s > 0 {
-			r = r.Scale(1 / s)
+	pl.simOnce.Do(func() {
+		r := pl.prior
+		w2t := pl.w2.T()
+		for it := 0; it < coarseIters; it++ {
+			// Truncate between the two products too: without it the second
+			// SpGEMM's output is near-dense (every neighbor of a neighbor),
+			// which at crawl scale costs tens of seconds per iteration. The
+			// fused kernel selects each row's top entries off the SpGEMM
+			// accumulator, so neither near-dense product is ever stored.
+			prop := sparse.MatMulTopK(pl.w1, r, coarseTopM)
+			prop = sparse.MatMulTopK(prop, w2t, coarseTopM)
+			r = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
+			if s := r.Sum(); s > 0 {
+				r = r.Scale(1 / s)
+			}
 		}
-	}
-	pl.sims[iters] = r
-	return r
+		pl.sim = r
+	})
+	return pl.sim
 }
 
 // foldSimilarity folds the propagated similarity mass onto the anchor
@@ -594,8 +582,8 @@ func (pl *Planner) similarity(iters int) *sparse.CSR {
 // simRight). Both are normalized to [0,1] by their global maxima.
 // seeded=false when the pair carries no joint attribute evidence — the
 // caller then uses locality alone.
-func (pl *Planner) foldSimilarity(parts []Part, iters int) (simLeft, simRight []float64, seeded bool) {
-	r := pl.similarity(iters)
+func (pl *Planner) foldSimilarity(parts []Part) (simLeft, simRight []float64, seeded bool) {
+	r := pl.similarity()
 	if r == nil {
 		return nil, nil, false
 	}

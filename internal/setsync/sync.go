@@ -54,39 +54,22 @@ const (
 	tFull
 )
 
-// Options tune one side of a sync.
+// Options tune the client side of a sync.
 type Options struct {
-	// Cutover is the give-up fraction: when the sketch (or the decoded
-	// patch) would cost more than Cutover × the full artifact, the
-	// server ships the artifact instead. 0 means the 0.25 default.
-	Cutover float64
-	// MaxLevel caps the sketch ladder (level ℓ has 128·2^ℓ cells).
-	// 0 means the default 13 (which reaches the maxCells cap).
-	MaxLevel int
-	// StartLevel is the first ladder level the client offers.
-	StartLevel int
 	// Timeout, when set, is applied as an absolute deadline on each
-	// dialed connection (client side only).
+	// dialed connection.
 	Timeout time.Duration
 }
 
 const (
-	defaultCutover  = 0.25
-	defaultMaxLevel = 13
+	// cutover is the give-up fraction: when the sketch (or the decoded
+	// patch) would cost more than cutover × the full artifact, the server
+	// ships the artifact instead.
+	cutover = 0.25
+	// maxLevel caps the sketch ladder (level ℓ has 128·2^ℓ cells; the
+	// client starts at level 0); 13 reaches the maxCells cap.
+	maxLevel = 13
 )
-
-func (o Options) withDefaults() Options {
-	if o.Cutover <= 0 || o.Cutover > 1 {
-		o.Cutover = defaultCutover
-	}
-	if o.MaxLevel <= 0 {
-		o.MaxLevel = defaultMaxLevel
-	}
-	if o.StartLevel < 0 {
-		o.StartLevel = 0
-	}
-	return o
-}
 
 // cellsForLevel is the sketch ladder: ×2 cells per level, capped. The
 // doubling is deliberately fine-grained — a retry that overshoots by
@@ -141,9 +124,9 @@ func (s Stats) WireBytes() int64 { return s.TxBytes + s.RxBytes }
 
 // Serve answers one sync connection with the given snapshot. The
 // caller owns the connection lifecycle (deadlines, close) and the
-// accept loop; Serve returns when the exchange completes or fails.
-func Serve(conn io.ReadWriter, snap *snapshot.Snapshot, opts Options) error {
-	opts = opts.withDefaults()
+// accept loop; Serve returns when the exchange completes or fails. No
+// Options field applies to the server side.
+func Serve(conn io.ReadWriter, snap *snapshot.Snapshot, _ Options) error {
 	if snap == nil {
 		return fmt.Errorf("setsync: serving nil snapshot")
 	}
@@ -208,7 +191,7 @@ func Serve(conn io.ReadWriter, snap *snapshot.Snapshot, opts Options) error {
 			return err
 		}
 		patch, ok := buildPatch(diff, byFP)
-		if ok && len(patch) <= int(opts.Cutover*float64(len(full))) {
+		if ok && len(patch) <= int(cutover*float64(len(full))) {
 			return codec.WriteFrame(conn, tPatch, patch)
 		}
 		// Peeling failed or the patch is not worth it. Grow while a
@@ -218,8 +201,8 @@ func Serve(conn io.ReadWriter, snap *snapshot.Snapshot, opts Options) error {
 		// an identically sized sketch every round until the attempt
 		// budget ran out.
 		next := growTarget(len(clientTable.Cells))
-		if ok || attempts > opts.MaxLevel || next == 0 ||
-			cellBytesEstimate(next) > int(opts.Cutover*float64(len(full))) {
+		if ok || attempts > maxLevel || next == 0 ||
+			cellBytesEstimate(next) > int(cutover*float64(len(full))) {
 			return codec.WriteFrame(conn, tFull, full)
 		}
 		if err := codec.WriteFrame(conn, tGrow, nil); err != nil {
@@ -262,7 +245,6 @@ type Dialer func() (net.Conn, error)
 // records the mode and byte counts. have is returned unchanged when
 // the peer already serves the same artifact.
 func Pull(dial Dialer, have *snapshot.Snapshot, opts Options) (*snapshot.Snapshot, Stats, error) {
-	opts = opts.withDefaults()
 	var stats Stats
 	if have != nil {
 		snap, err := pullDelta(dial, have, opts, &stats)
@@ -380,9 +362,9 @@ func pullDelta(dial Dialer, have *snapshot.Snapshot, opts Options, stats *Stats)
 		stats.Mode = "none"
 		return have, nil
 	}
-	for level := opts.StartLevel; ; level++ {
-		if stats.Attempts > opts.MaxLevel {
-			return nil, fmt.Errorf("setsync: peer kept growing past level %d", opts.MaxLevel)
+	for level := 0; ; level++ {
+		if stats.Attempts > maxLevel {
+			return nil, fmt.Errorf("setsync: peer kept growing past level %d", maxLevel)
 		}
 		stats.Attempts++
 		// Reseed per level: a level that fails only because its seed
