@@ -164,6 +164,7 @@ func BenchmarkDiagramCounting(b *testing.B) {
 	pair := tinyPair(b)
 	lib := schema.StandardLibrary()
 	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			counter, err := metadiag.NewCounter(pair)
 			if err != nil {
@@ -176,7 +177,24 @@ func BenchmarkDiagramCounting(b *testing.B) {
 			}
 		}
 	})
+	// cold-attribute counts Ψ^a² alone on a fresh counter: the joint
+	// (timestamp, location) stack chained between the two write
+	// adjacencies.
+	psiA2 := schema.AttributeDiagram(hetnet.At, hetnet.Checkin)
+	b.Run("cold-attribute", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			counter, err := metadiag.NewCounter(pair)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := counter.Count(psiA2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("warm-lemma2-cache", func(b *testing.B) {
+		b.ReportAllocs()
 		counter, err := metadiag.NewCounter(pair)
 		if err != nil {
 			b.Fatal(err)
@@ -200,6 +218,7 @@ func BenchmarkDiagramCounting(b *testing.B) {
 	// anchor-dependent layer) and recounts the library, reusing the
 	// shared attribute-only cache.
 	b.Run("forked-shared-cache", func(b *testing.B) {
+		b.ReportAllocs()
 		base, err := metadiag.NewCounter(pair)
 		if err != nil {
 			b.Fatal(err)

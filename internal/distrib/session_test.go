@@ -177,7 +177,7 @@ func (c cacheLoopback) Dial() (io.ReadWriteCloser, error) {
 	go func() {
 		defer close(done)
 		defer there.Close()
-		_ = ServeCache(there, c.size)
+		_ = serveCache(there, c.size)
 	}()
 	return &loopbackConn{Conn: here, done: done}, nil
 }

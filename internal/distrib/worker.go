@@ -39,12 +39,12 @@ const DefaultShardCacheSize = 32
 // configuration with more prelabels — re-runs only training: counting
 // and feature extraction are paid once per shard, not once per round.
 func Serve(conn io.ReadWriter) error {
-	return ServeCache(conn, DefaultShardCacheSize)
+	return serveCache(conn, DefaultShardCacheSize)
 }
 
-// ServeCache is Serve with an explicit shard-cache capacity: 0 disables
+// serveCache is Serve with an explicit shard-cache capacity: 0 disables
 // caching, so every job is prepared cold.
-func ServeCache(conn io.ReadWriter, cacheSize int) error {
+func serveCache(conn io.ReadWriter, cacheSize int) error {
 	// The coordinator speaks first: over fully synchronous links
 	// (net.Pipe) two sides writing their Hello simultaneously would
 	// deadlock, so the handshake is strictly coordinator-then-worker.

@@ -507,18 +507,37 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 		// callers.
 		return c.eval(v.AsDiagram())
 	case schema.Series:
-		parts := make([]*sparse.CSR, len(v.Parts))
-		for i, p := range v.Parts {
+		// An anchor-free Series hands each joint-stackable part to Chain as
+		// its two joint factors, so the stack's own count is never built or
+		// cached; one that traverses an anchor keeps the stack in the shared
+		// layer, where SetAnchors does not reach it.
+		joint := !UsesAnchor(d)
+		parts := make([]*sparse.CSR, 0, len(v.Parts)+1)
+		for _, p := range v.Parts {
+			if par, ok := unwrap(p).(schema.Parallel); ok && joint {
+				ja, jb, ok, err := c.jointFactors(par)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					parts = append(parts, ja, jb)
+					continue
+				}
+			}
 			m, err := c.eval(p)
 			if err != nil {
 				return nil, err
 			}
-			parts[i] = m
+			parts = append(parts, m)
 		}
 		return sparse.Chain(parts...), nil
 	case schema.Parallel:
-		if m, ok, err := c.jointStack(v); ok || err != nil {
-			return m, err
+		ja, jb, ok, err := c.jointFactors(v)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return sparse.Chain(ja, jb), nil
 		}
 		var acc *sparse.CSR
 		for _, p := range v.Parts {
@@ -538,43 +557,42 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 	}
 }
 
-// jointStack evaluates a Parallel whose every part is a two-edge,
-// anchor-free Series X→mₖ→Y — the stacked attribute round trips of
-// Ψ^a², a post pair "sharing both a timestamp and a location" — as one
-// product through the joint middle tuple (sparse.MatMulHadamard), so
-// the result costs the flops of its own entries and no per-attribute
-// X×Y count is built or cached. It reports false when some part has
-// another shape, before evaluating anything, or when the exact flop
-// comparison prefers the separate products; compute then evaluates the
-// parts one by one. Both sides are read from the adjacency cache — the
-// X side along its traversal, the Y side against it, which is the
-// orientation the joint product joins — so the result is cached under
-// the Parallel's own notation exactly as before.
-func (c *Counter) jointStack(d schema.Parallel) (*sparse.CSR, bool, error) {
+// jointFactors returns the joint factors of a Parallel whose every part
+// is a two-edge, anchor-free Series X→mₖ→Y — the stacked attribute round
+// trips of Ψ^a², a post pair "sharing both a timestamp and a location" —
+// so that their product through the joint middle tuple
+// (sparse.JointFactors) is the Parallel's count. It reports false when
+// some part has another shape, before evaluating anything, or when the
+// exact flop comparison prefers the separate products; the Parallel is
+// then evaluated part by part and folded by Hadamard (a Series that asked
+// first evaluates it through eval, which asks again and declines again).
+// Both sides are read from the adjacency cache — the X side along its
+// traversal, the Y side against it, which is the orientation the joint
+// product joins.
+func (c *Counter) jointFactors(d schema.Parallel) (ja, jb *sparse.CSR, ok bool, err error) {
 	edges := make([][2]schema.Edge, len(d.Parts))
 	for k, p := range d.Parts {
 		s, ok := p.(schema.Series)
 		if !ok || len(s.Parts) != 2 {
-			return nil, false, nil
+			return nil, nil, false, nil
 		}
 		for side, sp := range s.Parts {
 			e, ok := sp.(schema.Edge)
 			if !ok || e.Rel == schema.Anchor {
-				return nil, false, nil
+				return nil, nil, false, nil
 			}
 			edges[k][side] = e
 		}
 	}
 	as, bts := make([]*sparse.CSR, len(edges)), make([]*sparse.CSR, len(edges))
 	for k, e := range edges {
-		var err error
 		if as[k], err = c.adjacencyOriented(e[0]); err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		if bts[k], err = c.adjacencyOriented(reverse(e[1]).(schema.Edge)); err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 	}
-	m, ok := sparse.MatMulHadamard(as, bts)
-	return m, ok, nil
+	ja, jb, ok = sparse.JointFactors(as, bts)
+	return ja, jb, ok, nil
 }

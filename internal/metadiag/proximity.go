@@ -115,7 +115,7 @@ type factored struct {
 // (Ψ^{f,a}, Ψ^{f,a²}, Ψ^{f²,a²}), whose other part is returned as
 // stacked. head is Series[pre, anchor]. Any other shape — two anchor
 // edges, an anchor at either end, a longer prefix, a wider stack — is
-// counted materialised; like jointStack, the choice reads the shape
+// counted materialised; like jointFactors, the choice reads the shape
 // alone, before anything is evaluated.
 func factorise(d schema.Diagram) (head, post, stacked schema.Diagram, ok bool) {
 	d = unwrap(d)

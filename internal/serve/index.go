@@ -16,6 +16,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"github.com/activeiter/activeiter/internal/core"
@@ -222,7 +223,8 @@ func (ix *Index) PoolScore(i, j int32) (PoolAnswer, bool) {
 // Rescore scores an unseen feature vector with the snapshot's trained
 // model: shard ≥ 0 picks that shard's model, shard < 0 the default (the
 // primary model when present, else the lowest shard index). The feature
-// vector must match Meta.Notation's layout.
+// vector must match Meta.Notation's layout, and its score must be finite:
+// a vector whose weighted sum overflows has no JSON answer.
 func (ix *Index) Rescore(shard int, x []float64) (score, label float64, err error) {
 	var p *core.Predictor
 	switch {
@@ -239,7 +241,10 @@ func (ix *Index) Rescore(shard int, x []float64) (score, label float64, err erro
 	if dim := len(ix.snap.Meta.Notation); len(x) != dim {
 		return 0, 0, fmt.Errorf("serve: feature vector has %d entries, notation expects %d", len(x), dim)
 	}
-	return p.Score(x), p.Predict(x), nil
+	if score = p.Score(x); math.IsInf(score, 0) || math.IsNaN(score) {
+		return 0, 0, fmt.Errorf("serve: feature vector scores %v, not a finite number", score)
+	}
+	return score, p.Predict(x), nil
 }
 
 // Shards lists the shard indices with models, for statusz and errors.

@@ -144,6 +144,9 @@ func TestIndexRescore(t *testing.T) {
 	if _, _, err := ix.Rescore(7, []float64{1, 2, 3}); err == nil {
 		t.Error("unknown shard accepted")
 	}
+	if _, _, err := ix.Rescore(-1, []float64{1e308, 0, 1e308}); err == nil {
+		t.Error("a score that overflows to +Inf was accepted")
+	}
 }
 
 func TestStoreSwapGenerations(t *testing.T) {

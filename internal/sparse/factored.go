@@ -17,7 +17,7 @@ import "fmt"
 // adjacencies and the anchor matrix are Binarize'd, every count is a sum
 // of products of those, so every term and every partial sum is a
 // non-negative integer far below 2⁵³, which float64 adds exactly in any
-// order. MatMulHadamard rests on the same argument.
+// order. JointFactors rests on the same argument.
 
 // MatMulAt returns (x·y)(i, j) = Σₐ x(i,a)·y(a,j): one position probe
 // into y (CSR.position, as At) per entry of x's row i. It costs the row,
