@@ -120,6 +120,14 @@ func benchCSR(rng *rand.Rand, r, c int, density float64, val func() float64) *sp
 	return bd.Build()
 }
 
+// BenchmarkSpGEMM times a product of two 2 % dense squares, serial and
+// parallel, and one product from each side of the row-emission rule at
+// the `default` preset's scale: "dense-output" is shaped like P5 — a
+// user×location check-in matrix times a location×user one, whose output
+// is more than half full, so every row leaves through the column bitset
+// — and "thin-anchor" is a follow matrix times a partial anchor
+// matching, whose few entries per row scatter across the width and are
+// sorted.
 func BenchmarkSpGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	one := func() float64 { return 1 }
@@ -133,6 +141,31 @@ func BenchmarkSpGEMM(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sparse.MatMulParallel(a, c)
+		}
+	})
+	const users1, users2, locations = 1045, 1078, 100
+	checkin1 := benchCSR(rng, users1, locations, 0.1, one)
+	checkin2 := benchCSR(rng, users2, locations, 0.1, one).T()
+	if p := sparse.MatMul(checkin1, checkin2); p.NNZ()*2 < users1*users2 {
+		b.Fatalf("dense-output product is %d of %d cells, want at least half", p.NNZ(), users1*users2)
+	}
+	b.Run("dense-output", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sparse.MatMulParallel(checkin1, checkin2)
+		}
+	})
+	follow := benchCSR(rng, users1, users1, 0.01, one)
+	anchors := sparse.NewBuilder(users1, users2)
+	js := rng.Perm(users2)
+	for k, i := range rng.Perm(users1)[:users1/2] {
+		anchors.Add(i, js[k], 1)
+	}
+	anchor := anchors.Build()
+	b.Run("thin-anchor", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sparse.MatMulParallel(follow, anchor)
 		}
 	})
 }

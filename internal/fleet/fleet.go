@@ -28,6 +28,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -386,16 +387,20 @@ type errAlreadyWritten struct{ status int }
 
 func (e errAlreadyWritten) Error() string { return fmt.Sprintf("backend answered %d", e.status) }
 
-// fetch performs one backend request and captures the response.
+// fetch performs one backend request and captures the response. The
+// path is escaped already; the raw query is forwarded verbatim rather
+// than re-parsed, so a '#' in it stays query, as alignd would read it.
 func (rt *Router) fetch(b *Backend, method, pathAndQuery string, body []byte) (*proxied, error) {
 	var rdr io.Reader
 	if body != nil {
 		rdr = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, b.URL+pathAndQuery, rdr)
+	path, query, _ := strings.Cut(pathAndQuery, "?")
+	req, err := http.NewRequest(method, b.URL+path, rdr)
 	if err != nil {
 		return nil, err
 	}
+	req.URL.RawQuery = query
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
@@ -532,6 +537,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) (string, error) {
 	path := r.URL.Path
+	switch path {
+	case "/healthz", "/readyz", "/statusz", "/metricsz":
+		// The router's own documents are GET-only, as alignd's are.
+		if name := path[1:]; r.Method != http.MethodGet {
+			return name, errf(http.StatusMethodNotAllowed, "%s is GET", name)
+		}
+	}
 	switch {
 	case path == "/healthz":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -657,7 +669,7 @@ func (rt *Router) resolveNet1(token string) (int32, bool) {
 		return idx, true
 	}
 	rt.cResolveMiss.Inc()
-	p, _, err := rt.tryBackends(rt.anyBackends(), http.MethodGet, "/v1/resolve/1/"+token, nil)
+	p, _, err := rt.tryBackends(rt.anyBackends(), http.MethodGet, "/v1/resolve/1/"+url.PathEscape(token), nil)
 	if err != nil || p.status != http.StatusOK {
 		return 0, false
 	}

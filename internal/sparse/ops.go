@@ -45,18 +45,30 @@ func matMul(a, b *CSR, workers int) *CSR {
 	}
 	out.colIdx = make([]int, out.rowPtr[a.rows])
 	out.val = make([]float64, out.rowPtr[a.rows])
-	var zeros atomic.Bool
+	// The numeric pass tallies rows by how they were emitted, per block,
+	// and the product adds its tallies to the counters once.
+	var tally struct {
+		zeros          atomic.Bool
+		bitset, sorted atomic.Int64
+	}
 	eachBlock(a.rows, chunk, func(lo, hi int) {
 		w := getWorkspace(b.cols)
 		defer putWorkspace(w)
+		var rows [3]int64
 		for i := lo; i < hi; i++ {
 			p, q := out.rowPtr[i], out.rowPtr[i+1]
-			if w.mulRow(a, b, i, out.colIdx[p:q], out.val[p:q]) {
-				zeros.Store(true)
+			zeros, emit := w.mulRow(a, b, i, out.colIdx[p:q], out.val[p:q])
+			if zeros {
+				tally.zeros.Store(true)
 			}
+			rows[emit]++
 		}
+		tally.bitset.Add(rows[emitBitset])
+		tally.sorted.Add(rows[emitSorted])
 	})
-	if zeros.Load() {
+	mSpgemmRowsBitset.Add(tally.bitset.Load())
+	mSpgemmRowsSorted.Add(tally.sorted.Load())
+	if tally.zeros.Load() {
 		out.dropZeros()
 	}
 	return out

@@ -1,8 +1,11 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -12,32 +15,20 @@ import (
 // them entry for entry (same columns, same floats, same order).
 
 // referenceMulRows computes rows [lo, hi) of a·b by growing its output
-// with append, one row at a time.
+// with append, one row at a time. It orders each row with slices.Sort,
+// so it shares no emission code with the kernel.
 func referenceMulRows(a, b *CSR, lo, hi int, rowLen []int) (colIdx []int, val []float64) {
 	w := getWorkspace(b.cols)
 	defer putWorkspace(w)
 	for i := lo; i < hi; i++ {
-		minJ, maxJ := w.accumulate(a, b, i)
-		live, gen := w.live, w.gen
+		w.accumulate(a, b, i)
+		slices.Sort(w.live)
 		n := 0
-		if len(live) > 0 {
-			if span := maxJ - minJ + 1; span <= 4*len(live) {
-				for j := minJ; j <= maxJ; j++ {
-					if w.mark[j] == gen && w.acc[j] != 0 {
-						colIdx = append(colIdx, j)
-						val = append(val, w.acc[j])
-						n++
-					}
-				}
-			} else {
-				sortLive(live)
-				for _, j := range live {
-					if w.acc[j] != 0 {
-						colIdx = append(colIdx, j)
-						val = append(val, w.acc[j])
-						n++
-					}
-				}
+		for _, j := range w.live {
+			if w.acc[j] != 0 {
+				colIdx = append(colIdx, j)
+				val = append(val, w.acc[j])
+				n++
 			}
 		}
 		rowLen[i-lo] = n
@@ -198,25 +189,93 @@ func checkMatMulAgainstReference(t *testing.T, a, b *CSR) {
 // TestMatMulMatchesReference sweeps shapes × densities with values in
 // ±{1..4} — ties, exact cancellation, empty rows and columns — at
 // GOMAXPROCS 4 so products of 64 rows or more take the parallel path.
+// Widths of 63 to 129 columns put rows' first and last columns on and
+// around 64-column word boundaries, and a wide, ≤ 1 % dense sweep sends
+// rows through the sorted emission as well as the bitset.
 func TestMatMulMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(18))
+	bitset0, sorted0 := mSpgemmRowsBitset.Value(), mSpgemmRowsSorted.Value()
 	shapes := [][3]int{{0, 3, 4}, {4, 0, 3}, {4, 3, 0}, {1, 1, 1}, {3, 5, 4}, {17, 9, 23}, {63, 20, 40},
-		{64, 64, 64}, {70, 1, 70}, {128, 40, 8}, {200, 30, 300}, {257, 90, 31}}
+		{64, 64, 64}, {70, 1, 70}, {128, 40, 8}, {200, 30, 300}, {257, 90, 31},
+		{40, 12, 63}, {40, 12, 64}, {40, 12, 65}, {70, 6, 127}, {70, 6, 128}, {70, 6, 129}}
 	sawCancel := false
+	check := func(a, b *CSR) {
+		checkMatMulAgainstReference(t, a, b)
+		checkMatMulAgainstReference(t, abs(a), abs(b))
+		if referenceMatMul(abs(a), abs(b)).NNZ() != referenceMatMul(a, b).NNZ() {
+			sawCancel = true
+		}
+	}
 	for _, sh := range shapes {
 		for _, d := range []float64{0, 0.01, 0.1, 0.5, 0.95} {
-			a := randCSR(rng, sh[0], sh[1], d)
-			b := randCSR(rng, sh[1], sh[2], d)
-			checkMatMulAgainstReference(t, a, b)
-			checkMatMulAgainstReference(t, abs(a), abs(b))
-			if referenceMatMul(abs(a), abs(b)).NNZ() != referenceMatMul(a, b).NNZ() {
-				sawCancel = true
-			}
+			check(randCSR(rng, sh[0], sh[1], d), randCSR(rng, sh[1], sh[2], d))
 		}
+	}
+	for _, sh := range [][3]int{{90, 30, 4096}, {33, 200, 5000}} {
+		for _, d := range []float64{0.001, 0.004, 0.01} {
+			check(randCSR(rng, sh[0], sh[1], 0.1), randCSR(rng, sh[1], sh[2], d))
+		}
+	}
+	// Rows made of the first column, the last, or both, at widths around
+	// the word boundaries: the span's first and last words are the row's
+	// ends.
+	for _, cols := range []int{2, 63, 64, 65, 127, 128, 129, 192} {
+		ab, bb := NewBuilder(3, 2), NewBuilder(2, cols)
+		ab.Add(0, 0, 1)
+		ab.Add(0, 1, 2)
+		ab.Add(1, 0, 3)
+		ab.Add(2, 1, -1)
+		bb.Add(0, 0, 1)
+		bb.Add(1, cols-1, 1)
+		check(ab.Build(), bb.Build())
 	}
 	if !sawCancel {
 		t.Fatal("fixture lost its cancelling products")
+	}
+	if bitset, sorted := mSpgemmRowsBitset.Value()-bitset0, mSpgemmRowsSorted.Value()-sorted0; bitset == 0 || sorted == 0 {
+		t.Errorf("the sweep emitted %d rows through the bitset and %d sorted; it must reach both", bitset, sorted)
+	}
+}
+
+// TestPooledWorkspacesAcrossWidths interleaves products of very
+// different widths on concurrent goroutines at GOMAXPROCS 4, so pooled
+// workspaces pass from wide products to narrow ones and back; a bit left
+// set by one row would surface as a stray column in a later product.
+func TestPooledWorkspacesAcrossWidths(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(23))
+	type pair struct{ a, b, want *CSR }
+	var pairs []pair
+	for _, sh := range [][4]float64{{130, 20, 3, 0.5}, {70, 40, 4100, 0.004}, {66, 8, 129, 0.3},
+		{200, 50, 1000, 0.2}, {80, 10, 64, 0.9}, {90, 60, 6000, 0.002}} {
+		a := randCSR(rng, int(sh[0]), int(sh[1]), 0.2)
+		b := randCSR(rng, int(sh[1]), int(sh[2]), sh[3])
+		pairs = append(pairs, pair{a, b, referenceMatMul(a, b)})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				p := pairs[(g+round)%len(pairs)]
+				mul := MatMul
+				if round%2 == 1 {
+					mul = MatMulParallel
+				}
+				if got := mul(p.a, p.b); !got.Equal(p.want) {
+					errs <- fmt.Sprintf("goroutine %d round %d: %dx%d product differs from the reference", g, round, got.rows, got.cols)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
 
@@ -243,13 +302,14 @@ func TestMatMulCancelledRowsCompact(t *testing.T) {
 
 // TestMatMulAllocatesOnlyItsOutput bounds a product's allocations by
 // its output — the matrix header, rowPtr, colIdx and val — plus the two
-// pass closures and the cancellation flag, plus a workspace when the
-// pool had none to lend. The append-grown kernel made 55 on this pair.
+// pass closures and the numeric pass's tally, plus a workspace when the
+// pool had none to lend (its header, accumulator, mark, live list and
+// column bitset). The append-grown kernel made 55 on this pair.
 func TestMatMulAllocatesOnlyItsOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := abs(randCSR(rng, 300, 200, 0.05))
 	b := abs(randCSR(rng, 200, 400, 0.05))
-	const output, passes, workspace = 4, 3, 4
+	const output, passes, workspace = 4, 3, 5
 	for name, mul := range map[string]func(a, b *CSR) *CSR{"MatMul": MatMul, "MatMulParallel": MatMulParallel} {
 		if n := testing.AllocsPerRun(20, func() { mul(a, b) }); n > output+passes+workspace {
 			t.Errorf("%s allocates %.1f objects per product, want at most %d", name, n, output+passes+workspace)
@@ -320,7 +380,7 @@ func TestHadamardMatchesReference(t *testing.T) {
 func ratioPair(rng *rand.Rand, cols, ratio int, short []int, vals []float64) (a, b *CSR) {
 	row := func(n int) ([]int, []float64) {
 		js := rng.Perm(cols)[:min(n, cols)]
-		sortLive(js)
+		slices.Sort(js)
 		vs := make([]float64, len(js))
 		for k := range vs {
 			vs[k] = vals[rng.Intn(len(vals))]
@@ -490,20 +550,52 @@ func TestAddMatchesReference(t *testing.T) {
 	}
 }
 
+// matMulFuzzSeeds is FuzzMatMul's seed corpus: (seed, rows, inner,
+// cols, density, wide). A wide case spreads 64× the columns at 1/64 of
+// the density, which is what sends thin rows through the sorted
+// emission; the rest stay within four words and emit through the bitset.
+var matMulFuzzSeeds = []struct {
+	seed                       int64
+	rows, inner, cols, density uint8
+	wide                       bool
+}{
+	{1, 3, 4, 5, 128, false}, {2, 70, 9, 30, 40, false}, {3, 200, 1, 200, 250, false},
+	{4, 64, 64, 64, 5, false}, {5, 0, 7, 0, 255, false}, {6, 80, 4, 100, 80, true},
+	{7, 66, 30, 2, 200, true},
+}
+
+// matMulFuzzCase derives the operand pair of one fuzz input.
+func matMulFuzzCase(seed int64, rows, inner, cols, density uint8, wide bool) (a, b *CSR) {
+	rng := rand.New(rand.NewSource(seed))
+	d, width, bd := float64(density)/255, int(cols), float64(density)/255
+	if wide {
+		width, bd = 64*width, bd/64
+	}
+	return randCSR(rng, int(rows), int(inner), d), randCSR(rng, int(inner), width, bd)
+}
+
 // FuzzMatMul derives two operands from the fuzzed shape, density and
 // seed and checks the two-pass products against referenceMulRows.
 func FuzzMatMul(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(4), uint8(5), uint8(128))
-	f.Add(int64(2), uint8(70), uint8(9), uint8(30), uint8(40))
-	f.Add(int64(3), uint8(200), uint8(1), uint8(200), uint8(250))
-	f.Add(int64(4), uint8(64), uint8(64), uint8(64), uint8(5))
-	f.Add(int64(5), uint8(0), uint8(7), uint8(0), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, rows, inner, cols, density uint8) {
+	for _, s := range matMulFuzzSeeds {
+		f.Add(s.seed, s.rows, s.inner, s.cols, s.density, s.wide)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows, inner, cols, density uint8, wide bool) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		rng := rand.New(rand.NewSource(seed))
-		d := float64(density) / 255
-		a := randCSR(rng, int(rows), int(inner), d)
-		b := randCSR(rng, int(inner), int(cols), d)
+		a, b := matMulFuzzCase(seed, rows, inner, cols, density, wide)
 		checkMatMulAgainstReference(t, a, b)
 	})
+}
+
+// TestFuzzMatMulCorpusReachesBothRegimes keeps the seed corpus honest:
+// it must emit rows through the column bitset and by sorting.
+func TestFuzzMatMulCorpusReachesBothRegimes(t *testing.T) {
+	bitset0, sorted0 := mSpgemmRowsBitset.Value(), mSpgemmRowsSorted.Value()
+	for _, s := range matMulFuzzSeeds {
+		a, b := matMulFuzzCase(s.seed, s.rows, s.inner, s.cols, s.density, s.wide)
+		MatMul(a, b)
+	}
+	if bitset, sorted := mSpgemmRowsBitset.Value()-bitset0, mSpgemmRowsSorted.Value()-sorted0; bitset == 0 || sorted == 0 {
+		t.Errorf("seed corpus emitted %d rows through the bitset and %d sorted; it must reach both", bitset, sorted)
+	}
 }

@@ -2,19 +2,24 @@ package sparse
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
 
 // gemmWorkspace is the per-goroutine scratch state for Gustavson SpGEMM:
-// a dense accumulator, a generation-stamped liveness mark, and the list
-// of live columns for the current row. Workspaces are pooled so repeated
-// products — diagram counting evaluates hundreds of chained products per
-// fold — stop re-allocating O(cols) buffers on every multiply.
+// a dense accumulator, a generation-stamped liveness mark, the list of
+// live columns for the current row, and a one-bit-per-column set that
+// mulRow emits a row through. The set is all-zero between rows: a row
+// sets its bits and clears every word it reads back. Workspaces are
+// pooled so repeated products — diagram counting evaluates hundreds of
+// chained products per fold — stop re-allocating O(cols) buffers on
+// every multiply.
 type gemmWorkspace struct {
 	acc  []float64
 	mark []int
 	live []int
+	bits []uint64
 	gen  int
 }
 
@@ -30,10 +35,12 @@ func getWorkspace(cols int) *gemmWorkspace {
 	if cap(w.mark) < cols {
 		w.acc = make([]float64, cols)
 		w.mark = make([]int, cols)
+		w.bits = make([]uint64, (cols+63)>>6)
 		w.gen = 0
 	}
 	w.acc = w.acc[:cols]
 	w.mark = w.mark[:cols]
+	w.bits = w.bits[:(cols+63)>>6]
 	// live is written by index in accumulate's flop loop, touched column
 	// or not: at most cols entries stay, one more slot takes the writes
 	// that do not.
@@ -82,22 +89,34 @@ func (w *gemmWorkspace) accumulate(a, b *CSR, i int) (minJ, maxJ int) {
 }
 
 // countRow is the symbolic half of a product row: accumulate's
-// mark-stamp loop without the multiply, returning how many distinct
-// columns row i of a·b touches.
+// branch-free mark-stamp loop without the multiply, returning how many
+// distinct columns row i of a·b touches.
 func (w *gemmWorkspace) countRow(a, b *CSR, i int) int {
 	w.gen++
-	gen, n := w.gen, 0
+	gen, mark, n := w.gen, w.mark, 0
 	for ka := a.rowPtr[i]; ka < a.rowPtr[i+1]; ka++ {
 		k := a.colIdx[ka]
-		for kb := b.rowPtr[k]; kb < b.rowPtr[k+1]; kb++ {
-			if j := b.colIdx[kb]; w.mark[j] != gen {
-				w.mark[j] = gen
-				n++
+		for _, j := range b.colIdx[b.rowPtr[k]:b.rowPtr[k+1]] {
+			fresh := 0
+			if mark[j] != gen {
+				fresh = 1
 			}
+			mark[j] = gen
+			n += fresh
 		}
 	}
 	return n
 }
+
+// rowEmit names how mulRow wrote a row out: not at all (the row is
+// empty), through the column bitset, or by sorting its live list.
+type rowEmit uint8
+
+const (
+	emitNone rowEmit = iota
+	emitBitset
+	emitSorted
+)
 
 // mulRow is the numeric half: it accumulates row i of a·b and writes
 // every column the row touched, in increasing column order, to colIdx
@@ -106,33 +125,47 @@ func (w *gemmWorkspace) countRow(a, b *CSR, i int) int {
 // for the caller to squeeze out (CSR.dropZeros) once the product is
 // complete.
 //
-// Rows whose live columns cover a tight span are emitted by scanning
-// [minJ, maxJ] against the mark array (O(span) with no comparison
-// sort); only genuinely scattered rows fall back to sorting, with
-// insertion sort for short lists.
-func (w *gemmWorkspace) mulRow(a, b *CSR, i int, colIdx []int, val []float64) (zeros bool) {
+// A row is emitted through the column bitset — one bit set per live
+// column, then the words of its span popped in order — unless that span
+// covers more than two words per live column, as a thin row scattered
+// over a wide product does; such a row sorts its live list instead.
+func (w *gemmWorkspace) mulRow(a, b *CSR, i int, colIdx []int, val []float64) (zeros bool, emit rowEmit) {
 	minJ, maxJ := w.accumulate(a, b, i)
-	live, gen := w.live, w.gen
+	live, acc := w.live, w.acc
 	if len(live) == 0 {
-		return false
+		return false, emitNone
 	}
-	if span := maxJ - minJ + 1; span <= 4*len(live) {
+	// zero collects, in its top bit, whether some emitted sum is ±0:
+	// |v|'s bits minus one wraps only for zero.
+	var zero uint64
+	if lo, hi := minJ>>6, maxJ>>6; hi-lo+1 <= 2*len(live) {
+		set := w.bits
+		for _, j := range live {
+			set[j>>6] |= 1 << (j & 63)
+		}
 		n := 0
-		for j := minJ; j <= maxJ; j++ {
-			if w.mark[j] == gen {
-				colIdx[n], val[n] = j, w.acc[j]
-				zeros = zeros || w.acc[j] == 0
+		for wi, word := range set[lo : hi+1] {
+			set[lo+wi] = 0
+			base := (lo + wi) << 6
+			for ; word != 0; word &= word - 1 {
+				j := base + bits.TrailingZeros64(word)
+				v := acc[j]
+				colIdx[n], val[n] = j, v
+				zero |= math.Float64bits(v)&^(1<<63) - 1
 				n++
 			}
 		}
+		emit = emitBitset
 	} else {
 		sortLive(live)
 		for n, j := range live {
-			colIdx[n], val[n] = j, w.acc[j]
-			zeros = zeros || w.acc[j] == 0
+			v := acc[j]
+			colIdx[n], val[n] = j, v
+			zero |= math.Float64bits(v)&^(1<<63) - 1
 		}
+		emit = emitSorted
 	}
-	return zeros
+	return zero>>63 != 0, emit
 }
 
 // sortLive orders a live-column list, using insertion sort below the
