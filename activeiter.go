@@ -32,9 +32,11 @@
 package activeiter
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
@@ -334,13 +336,55 @@ func (a *Aligner) CandidatePairs(trainPos []Anchor, perUser int) ([]Anchor, erro
 type Result struct {
 	inner *core.Result
 	links []Anchor
+	// lost holds the fixed positives that end 0 under the one-to-one
+	// rule (see reconcileFixed); nil when there are none.
+	lost map[int64]bool
 }
 
-// PredictedAnchors returns the links inferred (or queried) positive.
+// reconcileFixed applies the sharded merge's rule (partition.Merger) to
+// the fixed positives of a run — training anchors and oracle YES answers,
+// which core.Train fixes at 1 whatever their endpoints, so a labeler
+// panel that contradicts itself can fix two links of one user. In (I, J)
+// order each keeps its 1 unless an earlier one that kept its 1 shares an
+// endpoint. Inferred positives never take a fixed positive's endpoint, so
+// these few links are all that needs reconciling. It returns the losers.
+func reconcileFixed(res *core.Result, links []Anchor, trainPos int) map[int64]bool {
+	var fixed []Anchor
+	for idx, l := range links {
+		if res.Y[idx] == 1 && (idx < trainPos || res.QueriedAt(idx)) {
+			fixed = append(fixed, l)
+		}
+	}
+	slices.SortFunc(fixed, func(a, b Anchor) int { return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J)) })
+	var lost map[int64]bool
+	keptI, keptJ := make(map[int]bool, len(fixed)), make(map[int]bool, len(fixed))
+	for _, l := range fixed {
+		if keptI[l.I] || keptJ[l.J] {
+			if lost == nil {
+				lost = make(map[int64]bool)
+			}
+			lost[hetnet.Key(l.I, l.J)] = true
+			continue
+		}
+		keptI[l.I], keptJ[l.J] = true, true
+	}
+	return lost
+}
+
+// labelAt is the final label of the pool link at idx.
+func (r *Result) labelAt(idx int) float64 {
+	if l := r.links[idx]; r.lost[hetnet.Key(l.I, l.J)] {
+		return 0
+	}
+	return r.inner.Y[idx]
+}
+
+// PredictedAnchors returns the links inferred (or queried) positive —
+// one-to-one, as a sharded run's.
 func (r *Result) PredictedAnchors() []Anchor {
 	var out []Anchor
 	for idx, l := range r.links {
-		if r.inner.Y[idx] == 1 {
+		if r.labelAt(idx) == 1 {
 			out = append(out, l)
 		}
 	}
@@ -349,7 +393,13 @@ func (r *Result) PredictedAnchors() []Anchor {
 
 // Label returns the final label of candidate (i, j) and whether it was
 // part of the pool.
-func (r *Result) Label(i, j int) (float64, bool) { return r.inner.LabelOf(i, j) }
+func (r *Result) Label(i, j int) (float64, bool) {
+	l, ok := r.inner.LabelOf(i, j)
+	if r.lost[hetnet.Key(i, j)] {
+		l = 0
+	}
+	return l, ok
+}
 
 // WasQueried reports whether (i, j) was labeled by the oracle.
 func (r *Result) WasQueried(i, j int) bool { return r.inner.WasQueried(i, j) }
@@ -432,5 +482,5 @@ func (a *Aligner) AlignPrelabeled(trainPos, candidates []Anchor, oracle Oracle, 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{inner: res, links: prep.Links}, nil
+	return &Result{inner: res, links: prep.Links, lost: reconcileFixed(res, prep.Links, len(part.TrainPos))}, nil
 }

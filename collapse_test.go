@@ -15,13 +15,9 @@ import (
 
 // TestPartitionedRoundsMatchLoopback pins the single round loop: the
 // in-process executor honours Options.Rounds exactly like a session
-// over the loopback transport — same anchors, labels, queried set,
-// query count and per-shard models, one report per shard per round.
+// over the loopback transport, spending the whole budget with one
+// report per shard per round.
 func TestPartitionedRoundsMatchLoopback(t *testing.T) {
-	pair, trainPos, testPos, neg := testFixture(t)
-	candidates := append(append([]Anchor{}, testPos...), neg...)
-	pool := append(append([]Anchor{}, trainPos...), candidates...)
-	oracle := NewTruthOracle(pair)
 	const rounds = 3
 	cases := []struct {
 		k        int
@@ -34,42 +30,14 @@ func TestPartitionedRoundsMatchLoopback(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("K=%d/%s", tc.k, tc.strategy), func(t *testing.T) {
 			opts := Options{Budget: 12, Seed: 3, Partitions: tc.k, Workers: 2, Rounds: rounds, Strategy: tc.strategy}
-			pa, err := NewPartitioned(pair, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := pa.Align(trainPos, candidates, oracle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			da, err := NewDistributed(pair, opts, NewLoopbackTransport())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := da.Align(trainPos, candidates, oracle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAsPartitioned(t, got, want, pool)
-			if !reflect.DeepEqual(got.QueriedLabels(), want.QueriedLabels()) {
-				t.Errorf("queried labels diverge:\n loopback  %v\n in-process %v", got.QueriedLabels(), want.QueriedLabels())
-			}
-			if !reflect.DeepEqual(got.ShardWeights, want.ShardWeights) {
-				t.Errorf("shard weights diverge")
-			}
+			pa, want := alignOn(t, opts, nil)
+			_, got := alignOn(t, opts, NewLoopbackTransport())
+			sameSharded(t, "loopback", got, want)
 			if want.QueryCount() != opts.Budget {
 				t.Errorf("in-process run spent %d queries over %d rounds, want the whole budget %d", want.QueryCount(), rounds, opts.Budget)
 			}
-			shards := len(want.ShardWeights)
-			if len(want.Reports) != shards*rounds || len(got.Reports) != shards*rounds {
-				t.Fatalf("reports: in-process %d, loopback %d, want %d shards × %d rounds", len(want.Reports), len(got.Reports), shards, rounds)
-			}
-			for i := range want.Reports {
-				w, g := want.Reports[i], got.Reports[i]
-				w.Elapsed, g.Elapsed = 0, 0
-				if w != g {
-					t.Errorf("report %d: in-process %+v, loopback %+v", i, w, g)
-				}
+			if shards := len(want.ShardWeights); len(want.Reports) != shards*rounds {
+				t.Errorf("%d reports, want %d shards × %d rounds", len(want.Reports), shards, rounds)
 			}
 			if pa.Metrics() != nil {
 				t.Errorf("in-process run reports a transport audit: %+v", pa.Metrics())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/distrib"
@@ -30,94 +29,51 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// assertSameAsPartitioned compares a distributed result with the
-// in-process partitioned reference over the full pool.
-func assertSameAsPartitioned(t *testing.T, got, want *PartitionedResult, pool []Anchor) {
-	t.Helper()
-	ga, wa := got.PredictedAnchors(), want.PredictedAnchors()
-	if len(ga) != len(wa) {
-		t.Fatalf("distributed predicted %d anchors, partitioned %d", len(ga), len(wa))
-	}
-	for i := range wa {
-		if ga[i] != wa[i] {
-			t.Fatalf("anchor %d: distributed %v, partitioned %v", i, ga[i], wa[i])
-		}
-	}
-	if got.QueryCount() != want.QueryCount() {
-		t.Errorf("query counts: distributed %d, partitioned %d", got.QueryCount(), want.QueryCount())
-	}
-	if got.Rejected != want.Rejected {
-		t.Errorf("rejected: distributed %d, partitioned %d", got.Rejected, want.Rejected)
-	}
-	for _, l := range pool {
-		gl, gok := got.Label(l.I, l.J)
-		wl, wok := want.Label(l.I, l.J)
-		if gok != wok || gl != wl {
-			t.Fatalf("label(%d,%d): distributed %v/%v, partitioned %v/%v", l.I, l.J, gl, gok, wl, wok)
-		}
-		if got.WasQueried(l.I, l.J) != want.WasQueried(l.I, l.J) {
-			t.Fatalf("queried(%d,%d) diverges", l.I, l.J)
-		}
-	}
-}
-
 // TestDistributedMatchesPartitioned is the facade-level acceptance
 // property: for the same Options (seed, K, budget), a K-shard
 // distributed run — over the loopback transport and over genuine
-// subprocess workers — produces the same globally one-to-one alignment
-// as PartitionedAligner.
+// subprocess workers — is the same run as PartitionedAligner's.
 func TestDistributedMatchesPartitioned(t *testing.T) {
-	pair, trainPos, testPos, neg := testFixture(t)
-	candidates := append(append([]Anchor{}, testPos...), neg...)
-	pool := append(append([]Anchor{}, trainPos...), candidates...)
+	_, _, testPos, neg := testFixture(t)
 	opts := Options{Budget: 10, Seed: 3, Partitions: 3, Workers: 2}
-	oracle := NewTruthOracle(pair)
-
-	ref, err := NewPartitioned(pair, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Align(trainPos, candidates, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	transports := map[string]ShardTransport{
-		"loopback": NewLoopbackTransport(),
-	}
+	_, want := alignOn(t, opts, nil)
+	transports := map[string]ShardTransport{"loopback": NewLoopbackTransport()}
 	if exe, err := os.Executable(); err == nil && !testing.Short() {
 		// The worker command is this test binary re-executed in worker
-		// mode (see TestMain) — a genuine subprocess speaking the wire
-		// protocol over stdio, like `activeiter -worker` does.
-		transports["subprocess"] = &distrib.Exec{
-			Cmd:    exe,
-			Env:    append(os.Environ(), workerEnv+"=1"),
-			Stderr: os.Stderr,
-		}
+		// mode (see TestMain), like `activeiter -worker`.
+		transports["subprocess"] = &distrib.Exec{Cmd: exe, Env: append(os.Environ(), workerEnv+"=1"), Stderr: os.Stderr}
 	}
 	for name, tr := range transports {
 		t.Run(name, func(t *testing.T) {
-			da, err := NewDistributed(pair, opts, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := da.Align(trainPos, candidates, oracle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAsPartitioned(t, got, want, pool)
-			m := da.Metrics()
-			if m == nil || m.JobBytes <= 0 {
+			da, got := alignOn(t, opts, tr)
+			sameSharded(t, name, got, want)
+			if m := da.Metrics(); m == nil || m.JobBytes <= 0 {
 				t.Errorf("metrics missing after Align: %+v", m)
 			}
-			// The shared evaluation path scores the distributed result
-			// like any other.
-			dm := EvaluateAlignment(got, testPos, neg)
-			wm := EvaluateAlignment(want, testPos, neg)
-			if dm != wm {
+			if dm, wm := EvaluateAlignment(got, testPos, neg), EvaluateAlignment(want, testPos, neg); dm != wm {
 				t.Errorf("metrics diverge: distributed %+v, partitioned %+v", dm, wm)
 			}
 		})
+	}
+}
+
+// TestDistributedRoundsZeroEqualsOne is the facade twin of distrib's
+// TestSingleShotEqualsOneRoundSession: Options{Rounds: 0} (single-shot
+// dispatch) and Options{Rounds: 1} (a one-round session) are the same
+// run with the same transport audit shape.
+func TestDistributedRoundsZeroEqualsOne(t *testing.T) {
+	opts := Options{Budget: 10, Seed: 3, Partitions: 3, Workers: 2}
+	zeroAl, zero := alignOn(t, opts, NewLoopbackTransport())
+	opts.Rounds = 1
+	oneAl, one := alignOn(t, opts, NewLoopbackTransport())
+	sameSharded(t, "Rounds=1", one, zero)
+	zm, om := zeroAl.Metrics(), oneAl.Metrics()
+	if zm == nil || om == nil {
+		t.Fatalf("metrics missing: Rounds=0 %+v, Rounds=1 %+v", zm, om)
+	}
+	if om.Queries != zm.Queries || om.Retries != zm.Retries || om.Fallbacks != zm.Fallbacks ||
+		om.CacheHits != zm.CacheHits || len(om.Shards) != len(zm.Shards) {
+		t.Errorf("transport audit diverges: Rounds=1 %+v, Rounds=0 %+v", om, zm)
 	}
 }
 
@@ -197,47 +153,6 @@ func TestDistributedRoundsSession(t *testing.T) {
 	}
 }
 
-// TestDistributedRoundsZeroEqualsOne is the facade twin of distrib's
-// TestSingleShotEqualsOneRoundSession: Options{Rounds: 0} (single-shot
-// dispatch) and Options{Rounds: 1} (a one-round session) are the same
-// run — same alignment, same per-shard models, same oracle spend, same
-// transport audit shape.
-func TestDistributedRoundsZeroEqualsOne(t *testing.T) {
-	pair, trainPos, testPos, neg := testFixture(t)
-	candidates := append(append([]Anchor{}, testPos...), neg...)
-	pool := append(append([]Anchor{}, trainPos...), candidates...)
-	oracle := NewTruthOracle(pair)
-
-	run := func(rounds int) (*PartitionedResult, *DistributedMetrics) {
-		t.Helper()
-		da, err := NewDistributed(pair, Options{Budget: 10, Seed: 3, Partitions: 3, Workers: 2, Rounds: rounds}, NewLoopbackTransport())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := da.Align(trainPos, candidates, oracle)
-		if err != nil {
-			t.Fatalf("Rounds=%d: %v", rounds, err)
-		}
-		return res, da.Metrics()
-	}
-	zero, zm := run(0)
-	one, om := run(1)
-	assertSameAsPartitioned(t, one, zero, pool)
-	if !reflect.DeepEqual(one.ShardWeights, zero.ShardWeights) {
-		t.Errorf("shard weights diverge: Rounds=1 %v, Rounds=0 %v", one.ShardWeights, zero.ShardWeights)
-	}
-	if len(one.Reports) != len(zero.Reports) {
-		t.Errorf("Rounds=1 carries %d part reports, Rounds=0 %d", len(one.Reports), len(zero.Reports))
-	}
-	if zm == nil || om == nil {
-		t.Fatalf("metrics missing: Rounds=0 %+v, Rounds=1 %+v", zm, om)
-	}
-	if om.Queries != zm.Queries || om.Retries != zm.Retries || om.Fallbacks != zm.Fallbacks ||
-		om.CacheHits != zm.CacheHits || len(om.Shards) != len(zm.Shards) {
-		t.Errorf("transport audit diverges: Rounds=1 %+v, Rounds=0 %+v", om, zm)
-	}
-}
-
 // TestOptionsRoundsValidation: negative Rounds is rejected up front.
 func TestOptionsRoundsValidation(t *testing.T) {
 	pair, _, _, _ := testFixture(t)
@@ -263,7 +178,6 @@ func (unreachableTransport) Dial() (io.ReadWriteCloser, error) {
 func TestDistributedFallbackKnobs(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	candidates := append(append([]Anchor{}, testPos...), neg...)
-	pool := append(append([]Anchor{}, trainPos...), candidates...)
 	opts := Options{Budget: 10, Seed: 3, Partitions: 3, Workers: 2, ShardRetries: -1}
 	oracle := NewTruthOracle(pair)
 
@@ -284,7 +198,7 @@ func TestDistributedFallbackKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dead transport should degrade, not fail: %v", err)
 	}
-	assertSameAsPartitioned(t, got, want, pool)
+	sameSharded(t, "fallback", got, want)
 	m := da.Metrics()
 	if m == nil || m.Fallbacks != opts.Partitions {
 		t.Errorf("Fallbacks = %+v, want %d degraded shards", m, opts.Partitions)

@@ -123,9 +123,6 @@ func NewSession(transport Transport, pair *hetnet.AlignedPair, opts Options) (*S
 	}, nil
 }
 
-// Round returns how many rounds have completed.
-func (s *Session) Round() int { return s.round }
-
 // Metrics returns the running totals across every round run so far,
 // aborted ones included, plus the seed ships of connections no round has
 // reported yet.

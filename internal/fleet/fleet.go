@@ -723,21 +723,13 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request, tail stri
 	return p.write(w)
 }
 
-// scoreBody is the slice of the /v1/score request the router needs for
-// routing; the full body is replayed to the chosen backend untouched.
-type scoreBody struct {
-	I        *int32          `json:"i"`
-	J        *int32          `json:"j"`
-	Features json.RawMessage `json:"features"`
-}
-
 // handleScore owner-routes pool lookups by their net-1 index and sends
-// everything else (rescores, malformed bodies) to any backend.
+// everything else (rescores, malformed bodies) to any backend. Which is
+// which is alignd's own reading of the body (serve.PoolLookup).
 func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) error {
 	body := readBody(r)
-	var req scoreBody
-	if err := json.Unmarshal(body, &req); err == nil && req.I != nil && req.J != nil && req.Features == nil {
-		if owners := rt.ownersOf(*req.I); len(owners) > 0 {
+	if i, ok := serve.PoolLookup(body); ok {
+		if owners := rt.ownersOf(i); len(owners) > 0 {
 			p, _, err := rt.tryBackends(owners, r.Method, r.URL.RequestURI(), body)
 			if err != nil {
 				return err

@@ -63,6 +63,8 @@ func FuzzRouter(f *testing.F) {
 		{"POST", "/v1/score", "", `{"features":[0.5,9,1]}`},
 		{"POST", "/v1/score", "", `{"features":[1e308,0,1e308]}`},
 		{"POST", "/v1/score", "", `{"i":`},
+		{"POST", "/v1/score", "", `{"i":9,"j":3,"features":null}`},
+		{"POST", "/v1/score", "", `{"i":9,"j":3} trailing`},
 		{"PUT", "/v1/score", "", `{"i":0,"j":0}`},
 		{"GET", "/healthz", "", ""},
 		{"HEAD", "/readyz", "", ""},

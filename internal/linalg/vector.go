@@ -18,9 +18,6 @@ import (
 // Vector is a dense column vector of float64 values.
 type Vector []float64
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))

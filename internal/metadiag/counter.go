@@ -176,9 +176,6 @@ func (c *Counter) Fork() *Counter {
 	}
 }
 
-// Schema returns the derived aligned network schema.
-func (c *Counter) Schema() *schema.Schema { return c.sh.sch }
-
 // Pair returns the underlying aligned pair; nil on a counter built from
 // a seed, which holds none.
 func (c *Counter) Pair() *hetnet.AlignedPair { return c.sh.pair }

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/active"
@@ -152,123 +151,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if len(plan.Parts) > 2 {
 		t.Errorf("K not clamped to anchor count: %d parts", len(plan.Parts))
-	}
-}
-
-// monolithicTrain runs the exact pipeline Aligner.Align runs, for
-// equivalence checks.
-func monolithicTrain(t *testing.T, pair *hetnet.AlignedPair, trainPos, candidates []hetnet.Anchor, cfg core.Config, oracle active.Oracle) (*core.Result, []hetnet.Anchor) {
-	t.Helper()
-	counter, err := metadiag.NewCounter(pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter.SetAnchors(trainPos)
-	ext := metadiag.NewExtractor(counter, schema.StandardLibrary().All(), true)
-	if err := ext.Recompute(); err != nil {
-		t.Fatal(err)
-	}
-	links := append([]hetnet.Anchor{}, trainPos...)
-	seen := make(map[int64]bool)
-	for _, l := range trainPos {
-		seen[hetnet.Key(l.I, l.J)] = true
-	}
-	for _, l := range candidates {
-		if !seen[hetnet.Key(l.I, l.J)] {
-			seen[hetnet.Key(l.I, l.J)] = true
-			links = append(links, l)
-		}
-	}
-	x, err := ext.FeatureMatrix(links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled := make([]int, len(trainPos))
-	for i := range labeled {
-		labeled[i] = i
-	}
-	if cfg.Budget == 0 {
-		cfg.Strategy = nil
-	}
-	res, err := core.Train(core.Problem{Links: links, X: x, LabeledPos: labeled, Oracle: oracle}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, links
-}
-
-func sortedAnchors(in []hetnet.Anchor) []hetnet.Anchor {
-	out := append([]hetnet.Anchor{}, in...)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
-	})
-	return out
-}
-
-// The K=1 partitioned pipeline must reproduce the monolithic training
-// loop exactly: same positive set, same labels, same query sequence.
-func TestAlignK1MatchesMonolithic(t *testing.T) {
-	pair, trainPos, candidates := fixture(t)
-	for _, budget := range []int{0, 15} {
-		cfg := core.Config{Budget: budget, Strategy: active.Conflict{}, Seed: 7}
-		var oracle active.Oracle
-		if budget > 0 {
-			oracle = active.NewTruthOracle(pair)
-		}
-		mono, monoLinks := monolithicTrain(t, pair, trainPos, candidates, cfg, oracle)
-		var monoPos []hetnet.Anchor
-		for idx, l := range monoLinks {
-			if mono.Y[idx] == 1 {
-				monoPos = append(monoPos, l)
-			}
-		}
-
-		base, err := metadiag.NewCounter(pair)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := BuildPlan(base, trainPos, candidates, budget, Config{K: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := Align(base, plan, TrainOptions{
-			Features: schema.StandardLibrary().All(),
-			Core:     cfg,
-		}, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		want := sortedAnchors(monoPos)
-		got := part.PredictedAnchors()
-		if len(got) != len(want) {
-			t.Fatalf("budget %d: K=1 predicted %d anchors, monolithic %d", budget, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("budget %d: anchor %d = %+v, want %+v", budget, i, got[i], want[i])
-			}
-		}
-		// Labels agree on every pool link, and the oracle audit matches.
-		for _, l := range monoLinks {
-			mLab, _ := mono.LabelOf(l.I, l.J)
-			pLab, ok := part.Label(l.I, l.J)
-			if !ok || mLab != pLab {
-				t.Fatalf("budget %d: label of (%d,%d) = %v/%v (ok=%v)", budget, l.I, l.J, pLab, mLab, ok)
-			}
-			if mono.WasQueried(l.I, l.J) != part.WasQueried(l.I, l.J) {
-				t.Fatalf("budget %d: queried mismatch at (%d,%d)", budget, l.I, l.J)
-			}
-		}
-		if mono.QueryCount() != part.QueryCount() {
-			t.Fatalf("budget %d: query count %d vs %d", budget, part.QueryCount(), mono.QueryCount())
-		}
-		if part.Rejected != 0 {
-			t.Errorf("budget %d: K=1 reconciliation rejected %d links", budget, part.Rejected)
-		}
 	}
 }
 

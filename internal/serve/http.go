@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -446,6 +447,23 @@ type scoreRequest struct {
 	Shard    *int      `json:"shard"`
 }
 
+// poolLookup reports whether the body named a pool link and no features.
+func (req *scoreRequest) poolLookup() bool {
+	return req.I != nil && req.J != nil && req.Features == nil
+}
+
+// PoolLookup reports whether a /v1/score body is a pool-link lookup as
+// the handler reads it — one JSON value, trailing bytes ignored,
+// "features":null the same as no features — and the net-1 index it
+// names. The alignr router owner-routes exactly these bodies.
+func PoolLookup(body []byte) (i int32, ok bool) {
+	var req scoreRequest
+	if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil || !req.poolLookup() {
+		return 0, false
+	}
+	return *req.I, true
+}
+
 // scoreResponse answers both /v1/score forms; Source says which path
 // produced it ("pool" or "predictor").
 type scoreResponse struct {
@@ -471,7 +489,7 @@ func (h *Handler) handleScore(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	switch {
-	case req.I != nil && req.J != nil && req.Features == nil:
+	case req.poolLookup():
 		p, ok := ix.PoolScore(*req.I, *req.J)
 		if !ok {
 			return errf(http.StatusNotFound, "link (%d,%d) not in the candidate pool", *req.I, *req.J)

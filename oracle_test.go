@@ -1,177 +1,64 @@
 package activeiter
 
 import (
+	"reflect"
 	"testing"
 )
 
 // The honest-panel property, mirroring TestTracingDoesNotPerturbResults:
 // an OracleConfig whose pool is entirely honest labelers must be
-// invisible — every facade produces a bit-identical alignment to the
-// same run querying the truth oracle directly. Majority votes over
-// unanimous honest answers are the truth, trust weights stay at their
-// prior, and the panel's bookkeeping must never leak into training.
+// invisible — every facade aligns bit-identically to the same run
+// querying the truth oracle directly, and the panel's ledger shows the
+// queries with no contradiction (checkPanel).
 
-// honestConfig is the panel under test: 5 honest labelers, R=3.
+// honestConfig is an all-honest panel: 5 labelers, R=3.
 func honestConfig() *OracleConfig {
 	return &OracleConfig{Honest: 5, Replicas: 3, Seed: 42}
 }
 
 func TestHonestPanelBitIdenticalAligner(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
-	cands := append(append([]Anchor{}, testPos...), neg...)
+	c := &chainCase{pair: pair, trainPos: trainPos, testPos: testPos, neg: neg, honest: true}
+	run := func(opts Options) *Result {
+		al, err := New(pair, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := al.Align(trainPos, c.candidates(), NewTruthOracle(pair))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPanel(t, c, "monolithic", opts, al.Panel(), res.QueryCount(), true)
+		return res
+	}
 	opts := Options{Budget: 20, Seed: 1}
-
-	clean, err := New(pair, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := clean.Align(trainPos, cands, NewTruthOracle(pair))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Panel() != nil {
-		t.Fatal("Panel() must be nil without OracleConfig")
-	}
-
+	want := run(opts)
 	opts.OracleConfig = honestConfig()
-	panelAl, err := New(pair, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := panelAl.Align(trainPos, cands, NewTruthOracle(pair))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.QueryCount() != want.QueryCount() {
-		t.Fatalf("QueryCount %d with panel vs %d clean", got.QueryCount(), want.QueryCount())
-	}
-	gw, ww := got.Raw(), want.Raw()
-	if len(gw.Y) != len(ww.Y) {
-		t.Fatalf("pool sizes differ: %d vs %d", len(gw.Y), len(ww.Y))
-	}
-	for idx := range ww.Y {
-		if gw.Y[idx] != ww.Y[idx] {
-			t.Fatalf("label %d: %v with panel vs %v clean", idx, gw.Y[idx], ww.Y[idx])
-		}
-		if gw.Scores[idx] != ww.Scores[idx] {
-			t.Fatalf("score %d: %v with panel vs %v clean", idx, gw.Scores[idx], ww.Scores[idx])
-		}
-	}
-
-	panel := panelAl.Panel()
-	if panel == nil {
-		t.Fatal("Panel() must expose the run's panel")
-	}
-	if panel.Queries() != got.QueryCount() {
-		t.Fatalf("panel saw %d queries, result reports %d", panel.Queries(), got.QueryCount())
-	}
-	for _, tr := range panel.TrustScores() {
-		if tr.Distrusted || tr.Contradictions != 0 {
-			t.Fatalf("honest labeler %s: distrusted=%v contradictions=%d", tr.ID, tr.Distrusted, tr.Contradictions)
-		}
-	}
-}
-
-// assertSamePartitioned bit-compares two partitioned/distributed results
-// over the full pool, the distrib suite's assertSameAlignment contract
-// at the facade level.
-func assertSamePartitioned(t *testing.T, got, want *PartitionedResult, links []Anchor) {
-	t.Helper()
-	ga, wa := got.PredictedAnchors(), want.PredictedAnchors()
-	if len(ga) != len(wa) {
-		t.Fatalf("%d predicted anchors with panel vs %d clean", len(ga), len(wa))
-	}
-	if got.QueryCount() != want.QueryCount() {
-		t.Fatalf("QueryCount %d with panel vs %d clean", got.QueryCount(), want.QueryCount())
-	}
-	for _, l := range links {
-		gl, gok := got.Label(l.I, l.J)
-		wl, wok := want.Label(l.I, l.J)
-		if gok != wok || gl != wl {
-			t.Fatalf("label (%d,%d): %v/%v with panel vs %v/%v clean", l.I, l.J, gl, gok, wl, wok)
-		}
-		gs, _ := got.Score(l.I, l.J)
-		ws, _ := want.Score(l.I, l.J)
-		if gs != ws {
-			t.Fatalf("score (%d,%d): %v with panel vs %v clean", l.I, l.J, gs, ws)
-		}
-		if got.WasQueried(l.I, l.J) != want.WasQueried(l.I, l.J) {
-			t.Fatalf("queried flag (%d,%d) diverges", l.I, l.J)
-		}
+	got := run(opts)
+	if got.QueryCount() != want.QueryCount() || !reflect.DeepEqual(got.Raw().Y, want.Raw().Y) || !reflect.DeepEqual(got.Raw().Scores, want.Raw().Scores) {
+		t.Error("an honest panel aligns differently from the truth oracle")
 	}
 }
 
 func TestHonestPanelBitIdenticalPartitioned(t *testing.T) {
-	pair, trainPos, testPos, neg := testFixture(t)
-	cands := append(append([]Anchor{}, testPos...), neg...)
-	links := append(append([]Anchor{}, trainPos...), cands...)
-	opts := Options{Budget: 20, Seed: 1, Partitions: 2, Workers: 2}
-
-	clean, err := NewPartitioned(pair, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := clean.Align(trainPos, cands, NewTruthOracle(pair))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts.OracleConfig = honestConfig()
-	panelAl, err := NewPartitioned(pair, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := panelAl.Align(trainPos, cands, NewTruthOracle(pair))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePartitioned(t, got, want, links)
-	if panelAl.Panel() == nil {
-		t.Fatal("partitioned Panel() must expose the run's panel")
-	}
-	// Overlapping partitions may re-query shared links; the panel caches
-	// per link, so it sees at most QueryCount distinct queries.
-	if q := panelAl.Panel().Queries(); q == 0 || q > got.QueryCount() {
-		t.Fatalf("panel saw %d distinct queries, result spent %d", q, got.QueryCount())
-	}
+	honestPanelSharded(t, Options{Budget: 20, Seed: 1, Partitions: 2, Workers: 2}, nil)
 }
 
 func TestHonestPanelBitIdenticalDistributed(t *testing.T) {
-	pair, trainPos, testPos, neg := testFixture(t)
-	cands := append(append([]Anchor{}, testPos...), neg...)
-	links := append(append([]Anchor{}, trainPos...), cands...)
 	// Rounds: 2 covers the session path — the panel's answers travel as
 	// label deltas to warm workers between rounds.
-	opts := Options{Budget: 20, Seed: 1, Partitions: 2, Workers: 2, Rounds: 2}
+	honestPanelSharded(t, Options{Budget: 20, Seed: 1, Partitions: 2, Workers: 2, Rounds: 2}, NewLoopbackTransport())
+}
 
-	clean, err := NewDistributed(pair, opts, NewLoopbackTransport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := clean.Align(trainPos, cands, NewTruthOracle(pair))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// honestPanelSharded runs opts on one sharded executor under the truth
+// oracle and under an honest panel; overlapping shards may re-query a
+// shared link, so the panel sees at most QueryCount distinct queries.
+func honestPanelSharded(t *testing.T, opts Options, tr ShardTransport) {
+	_, want := alignOn(t, opts, tr)
 	opts.OracleConfig = honestConfig()
-	panelAl, err := NewDistributed(pair, opts, NewLoopbackTransport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := panelAl.Align(trainPos, cands, NewTruthOracle(pair))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePartitioned(t, got, want, links)
-	if panelAl.Panel() == nil {
-		t.Fatal("distributed Panel() must expose the run's panel")
-	}
-	// As in the partitioned case, shard overlap dedups through the
-	// panel's answer cache.
-	if q := panelAl.Panel().Queries(); q == 0 || q > got.QueryCount() {
-		t.Fatalf("panel saw %d distinct queries, result spent %d", q, got.QueryCount())
-	}
+	sa, got := alignOn(t, opts, tr)
+	sameSharded(t, "honest panel vs truth", got, want)
+	checkPanel(t, &chainCase{honest: true}, "honest panel", opts, sa.Panel(), got.QueryCount(), false)
 }
 
 // AlignPrelabeled fixes an earlier panel's weighted labels into the

@@ -3,6 +3,7 @@ package activeiter
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -23,56 +24,23 @@ func sortAnchors(in []Anchor) []Anchor {
 // audit — with and without active learning.
 func TestPartitionedK1IdenticalToMonolithic(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
-	candidates := append(append([]Anchor{}, testPos...), neg...)
+	c := &chainCase{pair: pair, trainPos: trainPos, testPos: testPos, neg: neg}
 	for _, budget := range []int{0, 10} {
-		opts := Options{Budget: budget, Seed: 3, Partitions: 1}
-		mono, err := New(pair, opts)
-		if err != nil {
-			t.Fatal(err)
+		c.opts = Options{Budget: budget, Seed: 3, Partitions: 1}
+		mono, sharded := trainEverywhere(t, c, c.opts)
+		k1 := sharded["partitioned"]
+		if got, want := k1.PredictedAnchors(), sortAnchors(mono.PredictedAnchors()); !slices.Equal(got, want) {
+			t.Fatalf("budget %d: K=1 predicts %v, monolithic %v", budget, got, want)
 		}
-		var oracle Oracle
-		if budget > 0 {
-			oracle = NewTruthOracle(pair)
-		}
-		mRes, err := mono.Align(trainPos, candidates, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := NewPartitioned(pair, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pRes, err := part.Align(trainPos, candidates, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := sortAnchors(mRes.PredictedAnchors())
-		got := pRes.PredictedAnchors()
-		if len(got) != len(want) {
-			t.Fatalf("budget %d: %d predicted vs %d monolithic", budget, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("budget %d: anchor %d = %+v, want %+v", budget, i, got[i], want[i])
+		for _, l := range c.candidates() {
+			mLab, mOK := mono.Label(l.I, l.J)
+			pLab, pOK := k1.Label(l.I, l.J)
+			if mOK != pOK || mLab != pLab || mono.WasQueried(l.I, l.J) != k1.WasQueried(l.I, l.J) {
+				t.Fatalf("budget %d: link (%d,%d) = %v/%v queried %v vs monolithic %v/%v queried %v",
+					budget, l.I, l.J, pLab, pOK, k1.WasQueried(l.I, l.J), mLab, mOK, mono.WasQueried(l.I, l.J))
 			}
 		}
-		for _, c := range candidates {
-			mLab, mOK := mRes.Label(c.I, c.J)
-			pLab, pOK := pRes.Label(c.I, c.J)
-			if mOK != pOK || mLab != pLab {
-				t.Fatalf("budget %d: label (%d,%d) = %v/%v vs %v/%v", budget, c.I, c.J, pLab, pOK, mLab, mOK)
-			}
-			if mRes.WasQueried(c.I, c.J) != pRes.WasQueried(c.I, c.J) {
-				t.Fatalf("budget %d: queried mismatch (%d,%d)", budget, c.I, c.J)
-			}
-		}
-		if mRes.QueryCount() != pRes.QueryCount() {
-			t.Fatalf("budget %d: queries %d vs %d", budget, pRes.QueryCount(), mRes.QueryCount())
-		}
-		// The shared evaluation path scores both result kinds.
-		mm := EvaluateAlignment(mRes, testPos, neg)
-		pm := EvaluateAlignment(pRes, testPos, neg)
-		if mm != pm {
+		if mm, pm := EvaluateAlignment(mono, testPos, neg), EvaluateAlignment(k1, testPos, neg); mm != pm {
 			t.Fatalf("budget %d: metrics diverge: %+v vs %+v", budget, pm, mm)
 		}
 	}

@@ -2,7 +2,6 @@ package activeiter
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -18,85 +17,21 @@ import (
 // begins, assigns and finishes in overlapping steps, and none of the
 // overlap may show in what it returns.
 
-// planThenAlign is the in-process arm as a strict chain: plan completely,
-// then for every round fork, recount and train every part from scratch
-// (partition.Align) on the round's budget and seed — what the executor
-// did before it became a pipeline, written with the same exported
-// functions.
-func planThenAlign(t *testing.T, pair *AlignedPair, opts Options, trainPos, candidates []Anchor, oracle Oracle) *PartitionedResult {
-	t.Helper()
-	train, err := opts.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := metadiag.NewCounter(pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var planner *partition.Planner
-	plan, err := partition.PlanCached(base, &planner, trainPos, candidates, opts.Budget, partition.Config{K: opts.Partitions})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := max(opts.Rounds, 1)
-	var res *PartitionedResult
-	var reports []PartitionReport
-	for r := 0; r < rounds; r++ {
-		plan.Rebudget(partition.RoundBudget(opts.Budget, rounds, r))
-		round := train
-		round.Core.Seed = partition.RoundSeed(train.Core.Seed, r)
-		if res, err = partition.Align(base, plan, round, oracle); err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, res.Reports...)
-		plan.AppendLabels(res.QueriedLabels())
-	}
-	res.Reports = reports
-	return res
-}
-
 // TestEarlyStartEqualsPlanThenAlign: the facade's overlapped run returns
 // what PlanCached → partition.Align run in sequence returns — every
-// link's merged vote (label, best score, queried flag), the per-shard
-// models, the oracle spend and the anchors — across part counts, round
-// counts and budgets. CI runs it under -race: the warm, the planner and
-// the parts share one counter.
+// link's merged vote, the per-shard models, the oracle spend and the
+// anchors — across part counts, round counts and budgets. CI runs it
+// under -race: the warm, the planner and the parts share one counter.
 func TestEarlyStartEqualsPlanThenAlign(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	candidates := append(append([]Anchor{}, testPos...), neg...)
-	pool := append(append([]Anchor{}, trainPos...), candidates...)
-	oracle := NewTruthOracle(pair)
 	for _, k := range []int{1, 2, 4} {
 		for _, rounds := range []int{1, 3} {
 			for _, budget := range []int{0, 100} {
 				t.Run(fmt.Sprintf("K=%d/rounds=%d/budget=%d", k, rounds, budget), func(t *testing.T) {
 					opts := Options{Budget: budget, Seed: 5, Partitions: k, Rounds: rounds}
-					want := planThenAlign(t, pair, opts, trainPos, candidates, oracle)
-					pa, err := NewPartitioned(pair, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := pa.Align(trainPos, candidates, oracle)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameAsPartitioned(t, got, want, pool)
-					if !reflect.DeepEqual(got.Entries(), want.Entries()) {
-						t.Error("merged votes diverge")
-					}
-					if !reflect.DeepEqual(got.ShardWeights, want.ShardWeights) {
-						t.Error("shard weights diverge")
-					}
-					if len(got.Reports) != len(want.Reports) {
-						t.Fatalf("%d reports, want %d", len(got.Reports), len(want.Reports))
-					}
-					for i := range want.Reports {
-						g, w := got.Reports[i], want.Reports[i]
-						g.Elapsed, w.Elapsed = 0, 0
-						if g != w {
-							t.Errorf("report %d: %+v, want %+v", i, g, w)
-						}
-					}
+					_, got := alignOn(t, opts, nil)
+					sameSharded(t, "partitioned", got, planThenAlign(t, pair, opts, trainPos, candidates, NewTruthOracle(pair)))
 				})
 			}
 		}

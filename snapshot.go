@@ -88,15 +88,15 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 		inner := r.Raw()
 		model.W = append([]float64(nil), inner.W...)
 		for idx, l := range r.links {
-			score := inner.Scores[idx]
+			score, label := inner.Scores[idx], r.labelAt(idx)
 			pool = append(pool, snapshot.PoolLink{
 				I: int32(l.I), J: int32(l.J),
-				Label:    inner.Y[idx],
+				Label:    label,
 				Score:    score,
 				HasScore: !math.IsNaN(score),
 				Queried:  inner.WasQueried(l.I, l.J),
 			})
-			if inner.Y[idx] == 1 {
+			if label == 1 {
 				matches = append(matches, snapshot.Match{
 					I: int32(l.I), J: int32(l.J),
 					Score: score, HasScore: !math.IsNaN(score),
