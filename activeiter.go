@@ -336,6 +336,7 @@ func (a *Aligner) CandidatePairs(trainPos []Anchor, perUser int) ([]Anchor, erro
 type Result struct {
 	inner *core.Result
 	links []Anchor
+	part  *partition.Part // the one part the pool trained as
 	// lost holds the fixed positives that end 0 under the one-to-one
 	// rule (see reconcileFixed); nil when there are none.
 	lost map[int64]bool
@@ -377,6 +378,21 @@ func (r *Result) labelAt(idx int) float64 {
 		return 0
 	}
 	return r.inner.Y[idx]
+}
+
+// merged is the run as the one-part merge it equals: the pool's votes
+// through the sharded merge (partition.Merger), the weights as part 0's.
+// A snapshot freezes this form; the live read side stays on
+// reconcileFixed, which gives the same labels without building a merge
+// per run.
+func (r *Result) merged() *PartitionedResult {
+	m := partition.NewMerger()
+	for _, v := range partition.PartVotes(r.part, r.links, r.inner) {
+		m.Add(v)
+	}
+	res := m.Finish()
+	res.ShardWeights = map[int][]float64{0: r.inner.W}
+	return res
 }
 
 // PredictedAnchors returns the links inferred (or queried) positive —
@@ -482,5 +498,5 @@ func (a *Aligner) AlignPrelabeled(trainPos, candidates []Anchor, oracle Oracle, 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{inner: res, links: prep.Links, lost: reconcileFixed(res, prep.Links, len(part.TrainPos))}, nil
+	return &Result{inner: res, links: prep.Links, part: part, lost: reconcileFixed(res, prep.Links, len(part.TrainPos))}, nil
 }

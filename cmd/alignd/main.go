@@ -145,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	handler := serve.NewHandler(store, nil, serve.HandlerOptions{
 		DefaultK:          cfg.defaultK,
 		SnapshotPath:      cfg.snapshotPath,
-		Load:              snapshot.OpenFile,
 		AllowPathOverride: cfg.allowReloadPath,
 	})
 

@@ -31,7 +31,7 @@ func writeFixture(t *testing.T, dir string) string {
 	pair := hetnet.NewAlignedPair(build("a"), build("b"))
 	s, err := snapshot.Build(pair,
 		snapshot.Meta{Facade: "monolithic", Notation: []string{"BIAS"}, Threshold: 0.5},
-		snapshot.Model{W: []float64{1}},
+		snapshot.Model{Shards: []snapshot.ShardModel{{Shard: 0, W: []float64{1}}}},
 		[]snapshot.PoolLink{{I: 0, J: 0, Label: 1, Score: 0.9, HasScore: true}},
 		[]snapshot.Match{{I: 0, J: 0, Score: 0.9, HasScore: true}},
 		nil, 2)
@@ -262,10 +262,7 @@ func TestHupLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Swap(ix)
-	handler := serve.NewHandler(store, nil, serve.HandlerOptions{
-		SnapshotPath: path,
-		Load:         snapshot.OpenFile,
-	})
+	handler := serve.NewHandler(store, nil, serve.HandlerOptions{SnapshotPath: path})
 
 	ch := make(chan os.Signal, 2)
 	ch <- syscall.SIGHUP

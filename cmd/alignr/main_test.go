@@ -33,7 +33,7 @@ func writeFixture(t *testing.T, dir string) string {
 	}
 	s, err := snapshot.Build(pair,
 		snapshot.Meta{CreatedUnix: 1700000000, Facade: "monolithic", Notation: []string{"BIAS"}, Threshold: 0.5},
-		snapshot.Model{W: []float64{1}},
+		snapshot.Model{Shards: []snapshot.ShardModel{{Shard: 0, W: []float64{1}}}},
 		pool, matches, nil, 2)
 	if err != nil {
 		t.Fatal(err)

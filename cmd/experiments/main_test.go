@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/experiments"
+	"github.com/activeiter/activeiter/internal/serve"
+	"github.com/activeiter/activeiter/internal/snapshot"
 )
 
 // The command end to end through run(): names resolve against the
@@ -197,5 +200,48 @@ func TestSnapshotProtocolResolution(t *testing.T) {
 	tiny := experiments.TinyPreset()
 	if p := snapshotProtocolFor(tiny, experiments.DistributedConfig{}); p.NPRatio != tiny.FixedTheta && tiny.FixedTheta <= snapshotNPRatioCap {
 		t.Errorf("tiny NP-ratio = %d, want preset theta %d", p.NPRatio, tiny.FixedTheta)
+	}
+}
+
+// -save-snapshot end to end on the tiny preset, both exports: the
+// artifact opens and indexes as alignd -check does, names the facade its
+// flags imply, and holds one model per part — the monolith's is shard 0
+// alone.
+func TestSaveSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		flags  []string
+		facade string
+		shards []int
+	}{
+		{nil, "monolithic", []int{0}},
+		{[]string{"-partitions", "2"}, "partitioned", []int{0, 1}},
+	} {
+		t.Run(tc.facade, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tiny.snap")
+			var stdout, stderr bytes.Buffer
+			if err := run(append([]string{"-preset", "tiny", "-save-snapshot", path}, tc.flags...), &stdout, &stderr); err != nil {
+				t.Fatalf("%v\nstderr: %s", err, stderr.String())
+			}
+			snap, err := snapshot.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := serve.NewIndex(snap); err != nil {
+				t.Fatal(err)
+			}
+			if snap.Meta.Facade != tc.facade {
+				t.Errorf("facade %q, want %q", snap.Meta.Facade, tc.facade)
+			}
+			var shards []int
+			for _, sm := range snap.Model.Shards {
+				shards = append(shards, sm.Shard)
+			}
+			if !slices.Equal(shards, tc.shards) {
+				t.Errorf("model section holds shards %v, want %v", shards, tc.shards)
+			}
+			if !strings.Contains(stdout.String(), "snapshot: wrote "+path) {
+				t.Errorf("output does not report the artifact:\n%s", stdout.String())
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,7 +74,7 @@ func randomSnapshot(t testing.TB, rng *rand.Rand, n1, n2, topK int) *snapshot.Sn
 		Notation:    []string{"f0", "f1", "bias"},
 		Threshold:   0.5,
 	}
-	model := snapshot.Model{W: []float64{0.5, -0.25, 0.125}}
+	model := snapshot.Model{Shards: []snapshot.ShardModel{{Shard: 0, W: []float64{0.5, -0.25, 0.125}}}}
 	s, err := snapshot.Build(pair, meta, model, pool, matches, labels, topK)
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +105,7 @@ func backendHandler(t testing.TB, s *snapshot.Snapshot, dir string, name string)
 		t.Fatal(err)
 	}
 	st.Swap(ix)
-	return serve.NewHandler(st, serve.NewMetrics(), serve.HandlerOptions{
-		SnapshotPath: path,
-		Load:         snapshot.OpenFile,
-	})
+	return serve.NewHandler(st, serve.NewMetrics(), serve.HandlerOptions{SnapshotPath: path})
 }
 
 // newFleet splits parent by ranges, serves every shard, and fronts
@@ -346,6 +344,59 @@ func TestRouterNotReadyWithGap(t *testing.T) {
 	if r := do(t, srv.URL, http.MethodGet, "/readyz", ""); r.status != http.StatusServiceUnavailable {
 		t.Errorf("readyz with a dark range = %d, want 503", r.status)
 	}
+}
+
+// TestRouterHealthLoop: a started router discovers a backend that turns
+// ready on its own ticks, with no Refresh call, and Stop ends the loop's
+// goroutine.
+func TestRouterHealthLoop(t *testing.T) {
+	parent := randomSnapshot(t, rand.New(rand.NewSource(48)), 12, 12, 4)
+	alignd := backendHandler(t, parent, t.TempDir(), "whole")
+	var up atomic.Bool
+	var probes atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			probes.Add(1)
+			if !up.Load() {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+		}
+		alignd.ServeHTTP(w, r)
+	}))
+	defer backend.Close()
+	rt, err := NewRouter([]string{backend.URL}, Options{HealthInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := func() int {
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return w.Code
+	}
+	// within polls cond until it holds, failing after a generous bound.
+	within := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 5s", what)
+			}
+		}
+	}
+	loopRunning := func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("fleet.(*Router).Start.func1"))
+	}
+
+	rt.Start()
+	within("the loop probes the backend twice", func() bool { return probes.Load() >= 2 })
+	if code := ready(); code != http.StatusServiceUnavailable {
+		t.Errorf("readyz with the backend not ready = %d, want 503", code)
+	}
+	up.Store(true)
+	within("the loop discovers the ready backend", func() bool { return ready() == http.StatusOK })
+	rt.Stop()
+	within("Stop ends the health loop", func() bool { return !loopRunning() })
 }
 
 // net2Paths lists every net-2 lookup shape over n2 users: match, and

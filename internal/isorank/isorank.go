@@ -70,12 +70,13 @@ type Result struct {
 }
 
 // Similarity runs the IsoRank power iteration and returns the converged
-// |U¹|×|U²| similarity matrix without the matching step — the coarse
-// scorer the partitioned aligner seeds its candidate-space shards with.
-// hasAttr reports whether the pair carried any joint attribute evidence:
-// when false the returned matrix was propagated from the dense uniform
-// prior, which large-pair callers should avoid by falling back to
-// structure-only seeding instead of calling this at scale.
+// |U¹|×|U²| similarity matrix without the matching step — Align's first
+// half. The partitioned planner does not call it: it runs its own
+// truncated recurrence over NormalizedUndirected's operators
+// (partition.Planner.similarity). hasAttr reports whether the pair
+// carried any joint attribute evidence: when false the returned matrix
+// was propagated from the dense uniform prior, which is dense in
+// |U¹|×|U²| and so too costly at scale.
 func Similarity(pair *hetnet.AlignedPair, cfg Config) (r *sparse.CSR, hasAttr bool, iters int, err error) {
 	cfg = cfg.withDefaults()
 	n1 := pair.G1.NodeCount(hetnet.User)

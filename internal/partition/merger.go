@@ -77,6 +77,12 @@ func (m *Merger) Add(v Vote) {
 		if v.Label == 0 {
 			m.queriedNeg[key] = true
 		}
+		if v.Label != 1 {
+			// Only a YES goes through reconciliation; any other answer — a
+			// NO, or an earlier panel's soft label fixed as a prelabel — is
+			// the link's final label as it stands.
+			m.labels[key] = v.Label
+		}
 	}
 	if v.Label == 1 {
 		score := v.Score

@@ -45,7 +45,9 @@ func FuzzHandler(f *testing.F) {
 		{"GET", "/v1/resolve/2/right-u1", "", ""},
 		{"POST", "/v1/score", "", `{"i":0,"j":0}`},
 		{"POST", "/v1/score", "", `{"i":7,"j":3}`},
+		{"POST", "/v1/score", "", `{"features":[0.5,9,1]}`},
 		{"POST", "/v1/score", "", `{"features":[0.5,9,1],"shard":0}`},
+		{"POST", "/v1/score", "", `{"features":[0.5,9,1],"shard":1}`},
 		{"POST", "/v1/score", "", `{"features":[1e308,0,1e308]}`},
 		{"POST", "/v1/score", "", `{"i":0,"features":[1]}`},
 		{"POST", "/v1/score", "", `{"i":`},

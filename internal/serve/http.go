@@ -27,11 +27,10 @@ type HandlerOptions struct {
 	// DefaultK is the candidate-list depth when a request has no ?k=;
 	// 0 means the snapshot's precomputed depth.
 	DefaultK int
-	// SnapshotPath is the artifact a parameterless /v1/reload re-opens.
+	// SnapshotPath is the artifact a parameterless /v1/reload re-opens
+	// with snapshot.OpenFile. Empty disables the endpoint (it answers
+	// 501).
 	SnapshotPath string
-	// Load opens and decodes an artifact for /v1/reload. nil disables
-	// the endpoint (it answers 501).
-	Load func(path string) (*snapshot.Snapshot, error)
 	// AllowPathOverride lets a /v1/reload body name an arbitrary
 	// artifact path. Off by default: the endpoint is unauthenticated,
 	// and a client that can name any filesystem path can swap the
@@ -243,7 +242,6 @@ type StatusSnapshot struct {
 	Pool        int          `json:"pool"`
 	TopK        int          `json:"top_k"`
 	Shards      []int        `json:"shards,omitempty"`
-	Primary     bool         `json:"primary_model"`
 	Shard       *StatusShard `json:"shard,omitempty"`
 }
 
@@ -296,7 +294,6 @@ func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) error {
 			Pool:        pool,
 			TopK:        ix.TopK(),
 			Shards:      ix.Shards(),
-			Primary:     len(ix.snap.Model.W) > 0,
 		}
 		if si := meta.Shard; si != nil {
 			resp.Snapshot.Shard = &StatusShard{
@@ -535,7 +532,7 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return errf(http.StatusMethodNotAllowed, "reload is POST")
 	}
-	if h.opts.Load == nil {
+	if h.opts.SnapshotPath == "" {
 		return errf(http.StatusNotImplemented, "reload is not configured")
 	}
 	var req reloadRequest
@@ -547,9 +544,6 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 	path := req.Path
 	if path == "" {
 		path = h.opts.SnapshotPath
-	}
-	if path == "" {
-		return errf(http.StatusBadRequest, "no snapshot path configured or supplied")
 	}
 	if path != h.opts.SnapshotPath && !h.opts.AllowPathOverride {
 		return errf(http.StatusForbidden, "reload path override is disabled (serve with -allow-reload-path to enable)")
@@ -568,10 +562,7 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 // artifact never reaches the store, so the old generation keeps
 // serving while the failure is visible until a reload succeeds.
 func (h *Handler) reloadPath(path string) (*Index, error) {
-	if h.opts.Load == nil {
-		return nil, fmt.Errorf("reload is not configured")
-	}
-	snap, err := h.opts.Load(path)
+	snap, err := snapshot.OpenFile(path)
 	if err != nil {
 		err = fmt.Errorf("reload %s: %w", path, err)
 		h.recordReload(err)

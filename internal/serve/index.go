@@ -64,9 +64,8 @@ type Index struct {
 	cands1, cands2 map[int32][]snapshot.Candidate
 	pool           map[int64]snapshot.PoolLink
 	users1, users2 map[string]int32
-	primary        *core.Predictor
 	shards         map[int]*core.Predictor
-	defaultShard   int // -1 when the primary model serves rescoring
+	lowestShard    int // what a rescore without a shard uses
 }
 
 // NewIndex builds the lookup structures from a decoded snapshot.
@@ -75,16 +74,15 @@ func NewIndex(s *snapshot.Snapshot) (*Index, error) {
 		return nil, fmt.Errorf("serve: nil snapshot")
 	}
 	ix := &Index{
-		snap:         s,
-		match1:       make(map[int32]snapshot.Match, len(s.Matches)),
-		match2:       make(map[int32]snapshot.Match, len(s.Matches)),
-		cands1:       make(map[int32][]snapshot.Candidate),
-		cands2:       make(map[int32][]snapshot.Candidate),
-		pool:         make(map[int64]snapshot.PoolLink, len(s.Pool)),
-		users1:       make(map[string]int32, len(s.Meta.Users1)),
-		users2:       make(map[string]int32, len(s.Meta.Users2)),
-		shards:       make(map[int]*core.Predictor, len(s.Model.Shards)),
-		defaultShard: -1,
+		snap:   s,
+		match1: make(map[int32]snapshot.Match, len(s.Matches)),
+		match2: make(map[int32]snapshot.Match, len(s.Matches)),
+		cands1: make(map[int32][]snapshot.Candidate),
+		cands2: make(map[int32][]snapshot.Candidate),
+		pool:   make(map[int64]snapshot.PoolLink, len(s.Pool)),
+		users1: make(map[string]int32, len(s.Meta.Users1)),
+		users2: make(map[string]int32, len(s.Meta.Users2)),
+		shards: make(map[int]*core.Predictor, len(s.Model.Shards)),
 	}
 	for _, m := range s.Matches {
 		ix.match1[m.I] = m
@@ -109,25 +107,15 @@ func NewIndex(s *snapshot.Snapshot) (*Index, error) {
 	for j, id := range s.Meta.Users2 {
 		ix.users2[id] = int32(j)
 	}
-	if len(s.Model.W) > 0 {
-		p, err := core.NewPredictorFromWeights(s.Model.W, s.Meta.Threshold)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		ix.primary = p
-	}
-	for _, sm := range s.Model.Shards {
+	for n, sm := range s.Model.Shards {
 		p, err := core.NewPredictorFromWeights(sm.W, s.Meta.Threshold)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", sm.Shard, err)
 		}
 		ix.shards[sm.Shard] = p
-		if ix.defaultShard < 0 || sm.Shard < ix.defaultShard {
-			ix.defaultShard = sm.Shard
+		if n == 0 || sm.Shard < ix.lowestShard {
+			ix.lowestShard = sm.Shard
 		}
-	}
-	if ix.primary != nil {
-		ix.defaultShard = -1
 	}
 	return ix, nil
 }
@@ -221,20 +209,15 @@ func (ix *Index) PoolScore(i, j int32) (PoolAnswer, bool) {
 }
 
 // Rescore scores an unseen feature vector with the snapshot's trained
-// model: shard ≥ 0 picks that shard's model, shard < 0 the default (the
-// primary model when present, else the lowest shard index). The feature
+// model: shard ≥ 0 picks that shard's model, shard < 0 the lowest
+// shard's (a monolithic artifact's one model is shard 0). The feature
 // vector must match Meta.Notation's layout, and its score must be finite:
 // a vector whose weighted sum overflows has no JSON answer.
 func (ix *Index) Rescore(shard int, x []float64) (score, label float64, err error) {
-	var p *core.Predictor
-	switch {
-	case shard < 0 && ix.primary != nil:
-		p = ix.primary
-	case shard < 0:
-		p = ix.shards[ix.defaultShard]
-	default:
-		p = ix.shards[shard]
+	if shard < 0 {
+		shard = ix.lowestShard
 	}
+	p := ix.shards[shard]
 	if p == nil {
 		return 0, 0, fmt.Errorf("serve: no model for shard %d (snapshot has %s)", shard, ix.modelInventory())
 	}
@@ -257,9 +240,6 @@ func (ix *Index) Shards() []int {
 }
 
 func (ix *Index) modelInventory() string {
-	if ix.primary != nil {
-		return "a primary model"
-	}
 	if len(ix.shards) == 0 {
 		return "no models"
 	}

@@ -55,7 +55,7 @@ func fixtureSnapshot(t testing.TB, marker float64, shift int) *snapshot.Snapshot
 		Notation:    []string{"f0", "f1", "bias"},
 		Threshold:   0.5,
 	}
-	model := snapshot.Model{W: []float64{marker, 0, 1}}
+	model := snapshot.Model{Shards: []snapshot.ShardModel{{Shard: 0, W: []float64{marker, 0, 1}}}}
 	s, err := snapshot.Build(pair, meta, model, pool, matches, labels, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +149,35 @@ func TestIndexRescore(t *testing.T) {
 	}
 }
 
+// A monolithic artifact's one model is shard 0: a rescore without a shard
+// scores with it and names no shard, naming shard 0 picks the same model,
+// any other shard is a 400 naming the table, and statusz lists the table.
+func TestHTTPMonolithRescoresAsShardZero(t *testing.T) {
+	st := &Store{}
+	st.Swap(newTestIndex(t, 2.0, 0)) // facade "monolithic", shard 0's W = {2, 0, 1}
+	h := NewHandler(st, nil, HandlerOptions{})
+	send := func(method, path, body string) (int, string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w.Code, w.Body.String()
+	}
+	for _, tc := range []struct {
+		body, want string
+		status     int
+	}{
+		{`{"features":[0.5,9,1]}`, `{"generation":1,"source":"predictor","score":2,"has_score":true,"label":1}`, http.StatusOK},
+		{`{"features":[0.5,9,1],"shard":0}`, `{"generation":1,"source":"predictor","score":2,"has_score":true,"label":1,"shard":0}`, http.StatusOK},
+		{`{"features":[0.5,9,1],"shard":1}`, `{"error":"serve: no model for shard 1 (snapshot has shard models [0])"}`, http.StatusBadRequest},
+	} {
+		if code, got := send(http.MethodPost, "/v1/score", tc.body); code != tc.status || got != tc.want+"\n" {
+			t.Errorf("%s: %d %s, want %d %s", tc.body, code, got, tc.status, tc.want)
+		}
+	}
+	if _, got := send(http.MethodGet, "/statusz", ""); !strings.Contains(got, `"facade":"monolithic"`) || !strings.Contains(got, `"shards":[0]`) {
+		t.Errorf("statusz does not list the monolith as shard 0: %s", got)
+	}
+}
+
 func TestStoreSwapGenerations(t *testing.T) {
 	var st Store
 	if st.Current() != nil {
@@ -188,7 +217,6 @@ func newTestServer(t *testing.T) (*httptest.Server, *Store, string, string) {
 	st.Swap(ixA)
 	h := NewHandler(st, nil, HandlerOptions{
 		SnapshotPath:      pathA,
-		Load:              snapshot.OpenFile,
 		AllowPathOverride: true,
 	})
 	srv := httptest.NewServer(h)
@@ -365,10 +393,7 @@ func TestHTTPReloadPathOverrideForbidden(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Swap(ix)
-	srv := httptest.NewServer(NewHandler(st, nil, HandlerOptions{
-		SnapshotPath: pathA,
-		Load:         snapshot.OpenFile,
-	}))
+	srv := httptest.NewServer(NewHandler(st, nil, HandlerOptions{SnapshotPath: pathA}))
 	defer srv.Close()
 
 	if code := postJSON(t, srv.URL+"/v1/reload", fmt.Sprintf(`{"path":%q}`, pathB), nil); code != http.StatusForbidden {
@@ -576,7 +601,7 @@ func TestReloadConfigured(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Swap(ix)
-	h := NewHandler(st, nil, HandlerOptions{SnapshotPath: pathA, Load: snapshot.OpenFile})
+	h := NewHandler(st, nil, HandlerOptions{SnapshotPath: pathA})
 	gen, err := h.ReloadConfigured()
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func newFixture(t testing.TB, seed int64, n int) *fixture {
 			Threshold:   0.5,
 			Seed:        seed,
 		},
-		model: snapshot.Model{W: []float64{0.5, -0.25, 0.125}},
+		model: snapshot.Model{Shards: []snapshot.ShardModel{{Shard: 0, W: []float64{0.5, -0.25, 0.125}}}},
 	}
 	seen := map[[2]int32]bool{}
 	for len(f.pool) < n*6 {
@@ -409,8 +409,8 @@ func TestServeRefusesV1Hello(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := Serve(&hello, s, Options{})
-	if !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), "got 1, want 2") {
-		t.Errorf("v1 hello: got %v, want ErrVersionMismatch naming got 1, want 2", err)
+	if want := fmt.Sprintf("got 1, want %d", codec.Version); !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), want) {
+		t.Errorf("v1 hello: got %v, want ErrVersionMismatch naming %s", err, want)
 	}
 }
 

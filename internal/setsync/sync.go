@@ -38,8 +38,10 @@ import (
 // Version history: 1 — PR 10. 2 — PR 24: the meta and model entry
 // bodies are snapshot record-codec bytes (were gob) and a full transfer
 // is a v3 artifact, so a v1 peer is refused at the hello instead of
-// after a reassembly that cannot match.
-var codec = framing.Codec{Magic: [2]byte{'S', 'Y'}, Version: 2, MaxFrame: 1 << 30, Checksum: true}
+// after a reassembly that cannot match. 3 — the model entry body is the
+// v5 shard table alone (no primary weight vector) and a full transfer
+// is a v5 artifact.
+var codec = framing.Codec{Magic: [2]byte{'S', 'Y'}, Version: 3, MaxFrame: 1 << 30, Checksum: true}
 
 // ErrVersionMismatch is the shared framing sentinel, re-exported.
 var ErrVersionMismatch = framing.ErrVersionMismatch

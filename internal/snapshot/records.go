@@ -145,12 +145,11 @@ func readShardModel(d *framing.Dec) ShardModel {
 }
 
 func appendModel(b []byte, m *Model) []byte {
-	b = framing.AppendFloat64s(b, m.W)
 	return appendRows(b, m.Shards, appendShardModel)
 }
 
 func readModel(d *framing.Dec) Model {
-	return Model{W: orNil(d.Float64s()), Shards: readRows(d, minShardModel, readShardModel)}
+	return Model{Shards: readRows(d, minShardModel, readShardModel)}
 }
 
 func appendMatch(b []byte, m Match) []byte {

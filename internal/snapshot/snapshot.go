@@ -8,9 +8,9 @@
 //   - provenance: which facade trained it, when, on what data (network
 //     names, user ID tables, structural fingerprints),
 //   - the schema notation set (the feature vector layout) and the
-//     trained feature weights — the primary model for a monolithic run,
-//     one model per shard for partitioned and distributed runs — which
-//     rebuild into core.Predictor for inductive rescoring,
+//     trained feature weights — one vector per part, a monolithic run
+//     being part 0 of one — which rebuild into core.Predictor for
+//     inductive rescoring,
 //   - the reconciled one-to-one matching with scores,
 //   - per-source-user top-k ranked candidates in both directions,
 //   - the full candidate pool with final labels, best scores, and the
@@ -70,7 +70,10 @@ import (
 //	    range's slice of that side, and a router that reads one replica
 //	    would serve the slice as the whole answer — so the change is a
 //	    version bump. No v3 reader is kept.
-const Version = 4
+//	5 — the model section is the shard table alone: a monolithic run
+//	    is frozen as its one-part merge, its weights as shard 0, and the
+//	    primary weight vector leaves the format. No v4 reader is kept.
+const Version = 5
 
 // maxSectionSize bounds a section's declared length. The pool section
 // scales with the candidate pool (tens of bytes per link); 1 GiB is far
@@ -171,11 +174,9 @@ type ShardModel struct {
 	W     []float64
 }
 
-// Model is the model section: the primary weight vector for monolithic
-// runs (Shards empty), or one entry per shard for partitioned and
-// distributed runs (W empty).
+// Model is the model section: one entry per part, in shard order. A
+// monolithic run is one part, shard 0.
 type Model struct {
-	W      []float64
 	Shards []ShardModel
 }
 
@@ -395,9 +396,6 @@ func (s *Snapshot) Validate() error {
 		}
 	}
 	dim := len(s.Meta.Notation)
-	if len(s.Model.W) > 0 && len(s.Model.W) != dim {
-		return fmt.Errorf("snapshot: primary weight vector has %d entries for %d notation terms", len(s.Model.W), dim)
-	}
 	for _, sm := range s.Model.Shards {
 		if len(sm.W) != dim {
 			return fmt.Errorf("snapshot: shard %d weight vector has %d entries for %d notation terms", sm.Shard, len(sm.W), dim)

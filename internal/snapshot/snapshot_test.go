@@ -43,8 +43,7 @@ func fixturePair(t testing.TB) *hetnet.AlignedPair {
 }
 
 // fixtureSnapshot is a representative artifact with every section
-// populated: a primary model AND shard models never coexist in real
-// builds, so this uses the sharded form (the richer one).
+// populated.
 func fixtureSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	pair := fixturePair(t)
@@ -189,7 +188,7 @@ func checkGolden(t *testing.T, name string, want *Snapshot) {
 }
 
 func TestGolden(t *testing.T) {
-	checkGolden(t, "snapshot_v4.golden", fixtureSnapshot(t))
+	checkGolden(t, "snapshot_v5.golden", fixtureSnapshot(t))
 }
 
 // TestV2Skew reads an artifact a Version-2 (gob) writer actually wrote:
@@ -205,6 +204,15 @@ func TestV2Skew(t *testing.T) {
 // replica as the whole answer: it must be refused, not decoded.
 func TestV3ShardSkew(t *testing.T) {
 	checkSkew(t, "snapshot_v3_shard.golden", 3)
+}
+
+// TestV4Skew reads the artifacts a Version-4 writer actually wrote. Their
+// model section leads with a primary weight vector v5 no longer has, so a
+// v5 record decoder would read them as a different model: both must be
+// refused at the first frame.
+func TestV4Skew(t *testing.T) {
+	checkSkew(t, "snapshot_v4.golden", 4)
+	checkSkew(t, "snapshot_v4_shard.golden", 4)
 }
 
 func checkSkew(t *testing.T, name string, version int) {
@@ -284,7 +292,7 @@ func TestCorruptionRejected(t *testing.T) {
 // bytes it has), and whatever it accepts re-encodes to bytes that decode
 // to the same snapshot and encode to themselves.
 func FuzzSnapshotRead(f *testing.F) {
-	for _, name := range []string{"snapshot_v4.golden", "snapshot_v4_shard.golden"} {
+	for _, name := range []string{"snapshot_v5.golden", "snapshot_v5_shard.golden"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -328,7 +336,7 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 	if err == nil {
 		t.Error("pool link outside the user tables accepted")
 	}
-	_, err = Build(pair, meta, Model{W: []float64{1, 2}}, nil, nil, nil, 0)
+	_, err = Build(pair, meta, Model{Shards: []ShardModel{{Shard: 0, W: []float64{1, 2}}}}, nil, nil, nil, 0)
 	if err == nil {
 		t.Error("weight/notation dimension mismatch accepted")
 	}

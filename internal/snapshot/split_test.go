@@ -296,7 +296,7 @@ func TestGoldenShard(t *testing.T) {
 	if len(shards[0].Pool) != 0 || len(shards[0].Matches) == 0 {
 		t.Fatal("fixture shard 0 should own no pool link and replicate the matches")
 	}
-	checkGolden(t, "snapshot_v4_shard.golden", shards[0])
+	checkGolden(t, "snapshot_v5_shard.golden", shards[0])
 }
 
 func TestFingerprintTracksContent(t *testing.T) {

@@ -2,7 +2,6 @@ package activeiter
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/metadiag"
@@ -44,7 +43,9 @@ const (
 // the recorded notation set and training configuration). facade is the
 // provenance label (SnapshotMonolithic, SnapshotPartitioned,
 // SnapshotDistributed); empty derives it from the result type, with
-// sharded results labeled "partitioned".
+// sharded results labeled "partitioned". A *Result is frozen as the
+// one-part merge it equals: its artifact is the one NewPartitioned with
+// Partitions 1 builds, byte for byte but for the facade label.
 func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts Options) (*Snapshot, error) {
 	if pair == nil {
 		return nil, fmt.Errorf("activeiter: nil pair")
@@ -72,12 +73,8 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 		meta.Threshold = *opts.Threshold
 	}
 
-	var model snapshot.Model
-	var pool []snapshot.PoolLink
-	var matches []snapshot.Match
-	var labels []snapshot.QueriedLabel
-
-	switch r := res.(type) {
+	var r *PartitionedResult
+	switch res := res.(type) {
 	case *Result:
 		if facade == "" {
 			facade = SnapshotMonolithic
@@ -85,27 +82,7 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 		if facade != SnapshotMonolithic {
 			return nil, fmt.Errorf("activeiter: facade %q cannot produce a monolithic *Result", facade)
 		}
-		inner := r.Raw()
-		model.W = append([]float64(nil), inner.W...)
-		for idx, l := range r.links {
-			score, label := inner.Scores[idx], r.labelAt(idx)
-			pool = append(pool, snapshot.PoolLink{
-				I: int32(l.I), J: int32(l.J),
-				Label:    label,
-				Score:    score,
-				HasScore: !math.IsNaN(score),
-				Queried:  inner.WasQueried(l.I, l.J),
-			})
-			if label == 1 {
-				matches = append(matches, snapshot.Match{
-					I: int32(l.I), J: int32(l.J),
-					Score: score, HasScore: !math.IsNaN(score),
-				})
-			}
-		}
-		for _, q := range inner.Queried {
-			labels = append(labels, snapshot.QueriedLabel{I: int32(q.Link.I), J: int32(q.Link.J), Label: q.Label})
-		}
+		r = res.merged()
 	case *PartitionedResult:
 		if facade == "" {
 			facade = SnapshotPartitioned
@@ -113,28 +90,34 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 		if facade != SnapshotPartitioned && facade != SnapshotDistributed {
 			return nil, fmt.Errorf("activeiter: facade %q cannot produce a sharded *PartitionedResult", facade)
 		}
-		for shard, w := range r.ShardWeights {
-			if len(w) == 0 {
-				return nil, fmt.Errorf("activeiter: shard %d carries no trained weights (result predates the weight plumbing?)", shard)
-			}
-			model.Shards = append(model.Shards, snapshot.ShardModel{Shard: shard, W: append([]float64(nil), w...)})
-		}
-		for _, e := range r.Entries() {
-			pool = append(pool, snapshot.PoolLink{
-				I: int32(e.Link.I), J: int32(e.Link.J),
-				Label: e.Label, Score: e.Score, HasScore: e.HasScore,
-				Queried: e.Queried,
-			})
-		}
-		for _, a := range r.PredictedAnchors() {
-			score, hasScore := r.Score(a.I, a.J)
-			matches = append(matches, snapshot.Match{I: int32(a.I), J: int32(a.J), Score: score, HasScore: hasScore})
-		}
-		for _, l := range r.QueriedLabels() {
-			labels = append(labels, snapshot.QueriedLabel{I: int32(l.Link.I), J: int32(l.Link.J), Label: l.Label})
-		}
+		r = res
 	default:
 		return nil, fmt.Errorf("activeiter: cannot snapshot a %T (want *Result or *PartitionedResult)", res)
+	}
+
+	var model snapshot.Model
+	var pool []snapshot.PoolLink
+	var matches []snapshot.Match
+	var labels []snapshot.QueriedLabel
+	for shard, w := range r.ShardWeights {
+		if len(w) == 0 {
+			return nil, fmt.Errorf("activeiter: shard %d carries no trained weights (result predates the weight plumbing?)", shard)
+		}
+		model.Shards = append(model.Shards, snapshot.ShardModel{Shard: shard, W: append([]float64(nil), w...)})
+	}
+	for _, e := range r.Entries() {
+		pool = append(pool, snapshot.PoolLink{
+			I: int32(e.Link.I), J: int32(e.Link.J),
+			Label: e.Label, Score: e.Score, HasScore: e.HasScore,
+			Queried: e.Queried,
+		})
+	}
+	for _, a := range r.PredictedAnchors() {
+		score, hasScore := r.Score(a.I, a.J)
+		matches = append(matches, snapshot.Match{I: int32(a.I), J: int32(a.J), Score: score, HasScore: hasScore})
+	}
+	for _, l := range r.QueriedLabels() {
+		labels = append(labels, snapshot.QueriedLabel{I: int32(l.Link.I), J: int32(l.Link.J), Label: l.Label})
 	}
 	meta.Facade = facade
 	return snapshot.Build(pair, meta, model, pool, matches, labels, snapshot.DefaultTopK)

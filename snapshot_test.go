@@ -77,6 +77,28 @@ func TestSnapshotRoundTripAllFacades(t *testing.T) {
 	}
 }
 
+// A monolith's artifact keeps every prelabel as its live result reads
+// it, soft labels included: the freeze's merge reconciles only YES
+// answers, so an earlier panel's 0.8 is served as 0.8, not as a 0.
+func TestSnapshotKeepsSoftPrelabels(t *testing.T) {
+	pair, trainPos, testPos, neg := testFixture(t)
+	c := &chainCase{pair: pair, trainPos: trainPos, testPos: testPos, neg: neg}
+	opts := Options{Seed: 1}
+	al, err := New(pair, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := []WeightedLabel{{Link: neg[0], Label: 1, Confidence: 0.8}, {Link: neg[1], Label: 0, Confidence: 0.7}, {Link: testPos[0], Label: 1, Confidence: 1}}
+	res, err := al.AlignPrelabeled(trainPos, c.candidates(), nil, pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotOf(t, c, SnapshotMonolithic, res, opts) // the index answers every live label
+	if len(snap.Labels) != len(pre) {
+		t.Errorf("label log holds %d entries, want the %d prelabels", len(snap.Labels), len(pre))
+	}
+}
+
 // TestSnapshotShardWeightsParity pins the wire plumbing: the per-shard
 // weight vectors a distributed run reports over the Done frames must be
 // bit-identical to the in-process partitioned run of the same plan.
