@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
@@ -88,22 +89,27 @@ func (o *NoisyOracle) Label(a hetnet.Anchor) float64 {
 	return truth
 }
 
-// State is the model state a strategy inspects when choosing queries:
-// the unlabeled links U \ U_q with their current scores ŷ and inferred
-// labels y, plus the training loop's resolved selection threshold.
+// State is the view of the training loop's pool a strategy chooses
+// queries from. Links, Scores and Labels are the loop's live pool-wide
+// buffers — every candidate link, its current score ŷ and its label y —
+// read-only to a strategy and valid only during the Select call.
+// Unlabeled lists the pool indices of the links U \ U_q a strategy may
+// pick, in pool order; a State without it has nothing to pick.
 type State struct {
-	Links  []hetnet.Anchor
-	Scores []float64
-	Labels []float64
+	Links     []hetnet.Anchor
+	Scores    []float64
+	Labels    []float64
+	Unlabeled []int
 	// Threshold is the decision boundary the training loop selects
 	// against; nil when the caller has no boundary (strategies fall back
 	// to the paper's ½). An explicit 0 is a real boundary, not "unset".
 	Threshold *float64
 }
 
-// Strategy selects up to k unlabeled links (by index into State.Links)
-// to query. Implementations must not mutate the state, nor keep its
-// slices past the call: the training loop refills them every round.
+// Strategy selects up to k of the unlabeled links to query, each as its
+// position in State.Unlabeled. Implementations must not mutate the
+// state, nor keep its slices past the call: they are the training
+// loop's own buffers.
 type Strategy interface {
 	Name() string
 	Select(st *State, k int, rng *rand.Rand) []int
@@ -140,18 +146,24 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 	if margin <= 0 {
 		margin = closeTol
 	}
-	// Positives form a partial matching: at most one per endpoint. The
-	// two tables hold 1 + the index of the positive at an endpoint, 0
-	// for none.
-	var posAtI, posAtJ matching.EndpointTable[int]
-	for idx, lab := range st.Labels {
-		if lab == 1 {
+	// Inferred positives form a partial matching: at most one per
+	// endpoint. The two tables hold 1 + the pool index of the positive at
+	// an endpoint, 0 for none.
+	tables := conflictTables.Get().(*[2]matching.EndpointTable[int])
+	defer func() {
+		tables[0].Clear()
+		tables[1].Clear()
+		conflictTables.Put(tables)
+	}()
+	posAtI, posAtJ := &tables[0], &tables[1]
+	for _, idx := range st.Unlabeled {
+		if st.Labels[idx] == 1 {
 			posAtI.Set(st.Links[idx].I, idx+1)
 			posAtJ.Set(st.Links[idx].J, idx+1)
 		}
 	}
 	type cand struct {
-		idx  int
+		pos  int
 		gain float64 // ŷ_l − ŷ_l″, the sort key
 	}
 	var cands []cand
@@ -159,19 +171,27 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 	// at most len(out) of them are conflict picks, so the rest cover
 	// whatever the conflict rule leaves of the budget.
 	var negatives worstFirst
-	for idx, lab := range st.Labels {
-		if lab != 0 {
+	for pos, idx := range st.Unlabeled {
+		if st.Labels[idx] != 0 {
 			continue
 		}
-		negatives.offer(ranked{idx: idx, key: st.Scores[idx]}, k)
-		l := st.Links[idx]
+		// A negative that does not outrank the worst kept one is turned
+		// away here, before the call.
+		yl := st.Scores[idx]
+		if e := (ranked{pos: pos, key: yl}); len(negatives) < k || len(negatives) > 0 && negatives[0].below(e) {
+			negatives.offer(e, k)
+		}
 		// Both a near-tie blocker l′ and a weak blocker l″ are needed: one
 		// positive at each endpoint, and not the same one.
-		atI, atJ := posAtI.Get(l.I)-1, posAtJ.Get(l.J)-1
-		if atI < 0 || atJ < 0 || atI == atJ {
+		l := st.Links[idx]
+		atI := posAtI.Get(l.I) - 1
+		if atI < 0 {
 			continue
 		}
-		yl := st.Scores[idx]
+		atJ := posAtJ.Get(l.J) - 1
+		if atJ < 0 || atI == atJ {
+			continue
+		}
 		bestGain, found := 0.0, false
 		for _, pair := range [2][2]int{{atI, atJ}, {atJ, atI}} {
 			yp, yw := st.Scores[pair[0]], st.Scores[pair[1]]
@@ -185,45 +205,52 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 			}
 		}
 		if found {
-			cands = append(cands, cand{idx: idx, gain: bestGain})
+			cands = append(cands, cand{pos: pos, gain: bestGain})
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].gain != cands[b].gain {
 			return cands[a].gain > cands[b].gain
 		}
-		return cands[a].idx < cands[b].idx
+		return cands[a].pos < cands[b].pos
 	})
 	out := make([]int, 0, k)
 	for _, c := range cands {
 		if len(out) == k {
 			break
 		}
-		out = append(out, c.idx)
+		out = append(out, c.pos)
 	}
-	if picked := len(out); picked < k {
+	picked := len(out)
+	if picked < k {
 		// Fill with the highest-scored negatives not picked already.
-		for _, idx := range negatives.drain() {
+		for _, pos := range negatives.drain() {
 			if len(out) == k {
 				break
 			}
-			if !slices.Contains(out[:picked], idx) {
-				out = append(out, idx)
+			if !slices.Contains(out[:picked], pos) {
+				out = append(out, pos)
 			}
 		}
 	}
+	mPicksConflict.Add(int64(picked))
+	mPicksFill.Add(int64(len(out) - picked))
 	return out
 }
 
-// ranked is one link under selection: its index into State.Links and
-// the key it is ranked by.
+// conflictTables keeps Conflict.Select's two endpoint tables between
+// calls, cleared, so a round reuses the storage an earlier one grew.
+var conflictTables = sync.Pool{New: func() any { return new([2]matching.EndpointTable[int]) }}
+
+// ranked is one link under selection: its position in State.Unlabeled
+// and the key it is ranked by.
 type ranked struct {
-	idx int
+	pos int
 	key float64
 }
 
 // below reports whether a ranks after b: the larger key first, ties to
-// the smaller index, and a NaN key after every number — a strict total
+// the smaller position, and a NaN key after every number — a strict total
 // order whatever the scores are.
 func (a ranked) below(b ranked) bool {
 	aNaN, bNaN := a.key != a.key, b.key != b.key
@@ -233,7 +260,7 @@ func (a ranked) below(b ranked) bool {
 	case !aNaN && a.key != b.key:
 		return a.key < b.key
 	default:
-		return a.idx > b.idx
+		return a.pos > b.pos
 	}
 }
 
@@ -266,12 +293,12 @@ func (h *worstFirst) offer(e ranked, k int) {
 	}
 }
 
-// drain empties h and returns the indices it kept, best first.
+// drain empties h and returns the positions it kept, best first.
 func (h *worstFirst) drain() []int {
 	// Popping yields the worst kept first: fill the answer back to front.
 	out := make([]int, len(*h))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(ranked).idx
+		out[i] = heap.Pop(h).(ranked).pos
 	}
 	return out
 }
@@ -285,7 +312,7 @@ func (Random) Name() string { return "random" }
 
 // Select implements Strategy.
 func (Random) Select(st *State, k int, rng *rand.Rand) []int {
-	idxs := rng.Perm(len(st.Links))
+	idxs := rng.Perm(len(st.Unlabeled))
 	if k > len(idxs) {
 		k = len(idxs)
 	}
@@ -319,8 +346,8 @@ func (u Uncertainty) Select(st *State, k int, rng *rand.Rand) []int {
 	}
 	// Closest first: rank by negated distance to the threshold.
 	var h worstFirst
-	for idx := range st.Links {
-		h.offer(ranked{idx: idx, key: -absF(st.Scores[idx] - thr)}, k)
+	for pos, idx := range st.Unlabeled {
+		h.offer(ranked{pos: pos, key: -absF(st.Scores[idx] - thr)}, k)
 	}
 	return h.drain()
 }

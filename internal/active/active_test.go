@@ -17,14 +17,14 @@ import (
 //	idx 4: (0,3) score 0.55 label 0   one conflict only → not a candidate
 //	idx 5: (3,3) score 0.70 label 0   no conflicts → not a candidate
 func conflictState() *State {
-	return &State{
+	return everyLink(&State{
 		Links: []hetnet.Anchor{
 			{I: 0, J: 0}, {I: 1, J: 1}, {I: 2, J: 2},
 			{I: 1, J: 2}, {I: 0, J: 3}, {I: 3, J: 3},
 		},
 		Scores: []float64{0.90, 0.58, 0.20, 0.60, 0.55, 0.70},
 		Labels: []float64{1, 1, 1, 0, 0, 0},
-	}
+	})
 }
 
 func TestTruthOracle(t *testing.T) {
@@ -124,7 +124,7 @@ func TestConflictRequiresNearTie(t *testing.T) {
 
 func TestConflictSymmetricSides(t *testing.T) {
 	// l′ on the J side, l″ on the I side.
-	st := &State{
+	st := everyLink(&State{
 		Links: []hetnet.Anchor{
 			{I: 1, J: 1}, // weak positive (l″), shares I=... wait: shares nothing yet
 			{I: 2, J: 2}, // near-tie positive (l′)
@@ -132,7 +132,7 @@ func TestConflictSymmetricSides(t *testing.T) {
 		},
 		Scores: []float64{0.15, 0.62, 0.60},
 		Labels: []float64{1, 1, 0},
-	}
+	})
 	s := Conflict{CloseTol: 0.05, Margin: 0.05}
 	picks := s.Select(st, 1, rand.New(rand.NewSource(1)))
 	if len(picks) != 1 || picks[0] != 2 {

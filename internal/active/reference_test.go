@@ -10,6 +10,18 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 )
 
+// everyLink lists every link of st as unlabeled, so a position into
+// st.Unlabeled is an index into st.Links: the state a strategy was
+// handed while the training loop gathered the unlabeled links into a
+// copy of their own.
+func everyLink(st *State) *State {
+	st.Unlabeled = make([]int, len(st.Links))
+	for idx := range st.Unlabeled {
+		st.Unlabeled[idx] = idx
+	}
+	return st
+}
+
 // referenceFill and referenceUncertainty are the query selections as
 // they were while they sorted every unlabeled link to read the first k.
 // The bounded selection that replaced them must pick the same links in
@@ -49,7 +61,7 @@ func referenceTopScoredFill(st *State, k int, out []int, taken []bool) []int {
 	var rest []ranked
 	for idx, lab := range st.Labels {
 		if lab == 0 && !taken[idx] {
-			rest = append(rest, ranked{idx: idx, key: st.Scores[idx]})
+			rest = append(rest, ranked{pos: idx, key: st.Scores[idx]})
 		}
 	}
 	sort.Slice(rest, func(a, b int) bool { return rest[b].below(rest[a]) })
@@ -57,7 +69,7 @@ func referenceTopScoredFill(st *State, k int, out []int, taken []bool) []int {
 		if len(out) == k {
 			break
 		}
-		out = append(out, r.idx)
+		out = append(out, r.pos)
 	}
 	return out
 }
@@ -203,7 +215,7 @@ func contestedState(rng *rand.Rand, n int, spread func(int) int) *State {
 		st.Scores = append(st.Scores, score)
 		st.Labels = append(st.Labels, label)
 	}
-	return st
+	return everyLink(st)
 }
 
 // TestConflictSelectMatchesReference: same picks, same order, for
@@ -253,7 +265,7 @@ func gradedState(rng *rand.Rand, n int) *State {
 		st.Scores = append(st.Scores, score)
 		st.Labels = append(st.Labels, float64(rng.Intn(3)/2))
 	}
-	return st
+	return everyLink(st)
 }
 
 func sameIndices(a, b []int) bool {
@@ -291,11 +303,11 @@ func TestQuerySelectionMatchesReference(t *testing.T) {
 // spent on was unspecified.
 func TestQuerySelectionIgnoresNaN(t *testing.T) {
 	nan := math.NaN()
-	st := &State{
+	st := everyLink(&State{
 		Scores: []float64{nan, 0.2, nan, 0.9, 0.2, math.Inf(-1), nan, 0.4},
 		Labels: make([]float64, 8),
 		Links:  make([]hetnet.Anchor, 8),
-	}
+	})
 	for k, want := range map[int][]int{
 		1: {3},
 		3: {3, 7, 1},
@@ -323,7 +335,7 @@ func TestQuerySelectionIgnoresNaN(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(40)
 		clean := gradedState(rng, n)
-		dirty := &State{Links: clean.Links, Labels: clean.Labels, Scores: append([]float64{}, clean.Scores...)}
+		dirty := &State{Links: clean.Links, Labels: clean.Labels, Scores: append([]float64{}, clean.Scores...), Unlabeled: clean.Unlabeled}
 		numbers := 0
 		for idx := range dirty.Scores {
 			if rng.Intn(3) == 0 {
@@ -340,6 +352,76 @@ func TestQuerySelectionIgnoresNaN(t *testing.T) {
 		}
 		if !sort.SliceIsSorted(got[numbers:], func(a, b int) bool { return got[numbers+a] < got[numbers+b] }) {
 			t.Fatalf("trial %d: NaN-scored picks %v not in index order", trial, got[numbers:])
+		}
+	}
+}
+
+// gather copies the links st.Unlabeled lists into a state of their own,
+// in the same order.
+func gather(st *State) *State {
+	out := &State{Threshold: st.Threshold}
+	for _, idx := range st.Unlabeled {
+		out.Links = append(out.Links, st.Links[idx])
+		out.Scores = append(out.Scores, st.Scores[idx])
+		out.Labels = append(out.Labels, st.Labels[idx])
+	}
+	return everyLink(out)
+}
+
+// TestPoolViewMatchesGather: a strategy reading the trainer's pool in
+// place — labelled links left out of Unlabeled, positives among them —
+// picks the same positions in the same order as it does from the copy
+// of the unlabeled links the trainer used to gather for it, and the
+// conflict rule agrees with its reference on that copy. A labelled
+// positive is never a blocker: the conflict rule's positives are the
+// inferred ones.
+func TestPoolViewMatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	strategies := []Strategy{Conflict{}, Conflict{CloseTol: 0.1}, Conflict{CloseTol: 0.05, Margin: 0.2}, Uncertainty{}, Uncertainty{Threshold: 0.25}, Random{}}
+	admitted := 0
+	for trial := 0; trial < 300; trial++ {
+		n := []int{0, 1, 5, 40, 300}[rng.Intn(5)]
+		view := contestedState(rng, n, func(e int) int { return e })
+		view.Unlabeled = view.Unlabeled[:0]
+		for idx := range view.Links {
+			switch rng.Intn(4) {
+			case 0: // labelled by the oracle or in L⁺
+				view.Labels[idx] = []float64{0, 1, 1, math.NaN()}[rng.Intn(4)]
+			default:
+				view.Unlabeled = append(view.Unlabeled, idx)
+			}
+		}
+		copied := gather(view)
+		for _, k := range []int{0, 1, 5, n + 2} {
+			_, byRule := referenceConflictSelect(Conflict{}, copied, k)
+			admitted += byRule
+			for _, s := range strategies {
+				want := s.Select(copied, k, rand.New(rand.NewSource(int64(trial))))
+				if c, ok := s.(Conflict); ok {
+					if ref, _ := referenceConflictSelect(c, copied, k); !sameIndices(want, ref) {
+						t.Fatalf("%s %+v n=%d k=%d: copy picks %v, reference %v", s.Name(), s, n, k, want, ref)
+					}
+				}
+				if got := s.Select(view, k, rand.New(rand.NewSource(int64(trial)))); !sameIndices(got, want) {
+					t.Fatalf("%s %+v n=%d k=%d, %d of %d unlabeled:\n view %v\n copy %v", s.Name(), s, n, k, len(view.Unlabeled), n, got, want)
+				}
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("the conflict rule admitted no link in the whole sweep")
+	}
+}
+
+// TestStateWithoutUnlabeledSelectsNothing: Unlabeled has no
+// nil-means-everything reading; a pool with nothing unlabeled is
+// nothing to query.
+func TestStateWithoutUnlabeledSelectsNothing(t *testing.T) {
+	st := conflictState()
+	st.Unlabeled = nil
+	for _, s := range []Strategy{Conflict{}, Uncertainty{}, Random{}} {
+		if got := s.Select(st, 3, rand.New(rand.NewSource(1))); len(got) != 0 {
+			t.Errorf("%s picked %v from a state with no unlabeled link", s.Name(), got)
 		}
 	}
 }

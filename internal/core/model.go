@@ -258,15 +258,13 @@ func Train(p Problem, cfg Config) (*Result, error) {
 	firstSolve := true
 
 	// Scratch buffers reused across every internal iteration and query
-	// round: the score vector, the picks, the strategy's view of the
-	// unlabeled links (grown by the first query round, so a run that never
-	// queries never pays for it) and one slot per row block. The loop runs
-	// O(folds × rounds × iterations) times per experiment cell, so
-	// per-iteration allocation here was a dominant GC cost.
+	// round: the score vector, the selected links, the picked positions
+	// and one slot per row block. The loop runs O(folds × rounds ×
+	// iterations) times per experiment cell, so per-iteration allocation
+	// here was a dominant GC cost.
 	scores := make(linalg.Vector, n)
 	var selected []matching.Candidate
-	var stLinks []hetnet.Anchor
-	var stScores, stLabels []float64
+	var vacated []int // a query round's picked positions, sorted
 
 	// Step (1-2) runs over fixed row blocks, each on whichever of the
 	// caller and the helper claims it: the block scores its rows, keeps
@@ -350,19 +348,14 @@ func Train(p Problem, cfg Config) (*Result, error) {
 			res.Rounds = append(res.Rounds, trace)
 			break
 		}
-		// (2) query batch over the unlabeled links.
-		stLinks, stScores, stLabels = stLinks[:0], stScores[:0], stLabels[:0]
-		for _, idx := range unlabeled {
-			stLinks = append(stLinks, p.Links[idx])
-			stScores = append(stScores, scores[idx])
-			stLabels = append(stLabels, y[idx])
-		}
+		// (2) query batch over the unlabeled links, which the strategy
+		// reads in place: the pool, its scores and labels, and the list.
 		k := cfg.BatchSize
 		if k > remaining {
 			k = remaining
 		}
 		picks := cfg.Strategy.Select(&active.State{
-			Links: stLinks, Scores: stScores, Labels: stLabels,
+			Links: p.Links, Scores: scores, Labels: y, Unlabeled: unlabeled,
 			Threshold: cfg.Threshold,
 		}, k, rng)
 		for _, pi := range picks {
@@ -375,7 +368,17 @@ func Train(p Problem, cfg Config) (*Result, error) {
 			res.queried[idx] = true
 			remaining--
 		}
-		unlabeled = slices.DeleteFunc(unlabeled, func(idx int) bool { return kind[idx] != kindUnlabeled })
+		// Close the gaps the picks left, in one pass from the first: each
+		// run of links between two picked positions (the last run ends at
+		// the list's end, appended as a sentinel) moves down once.
+		vacated = append(vacated[:0], picks...)
+		slices.Sort(vacated)
+		vacated = append(slices.Compact(vacated), len(unlabeled))
+		to := vacated[0]
+		for i, pos := range vacated[:len(vacated)-1] {
+			to += copy(unlabeled[to:], unlabeled[pos+1:vacated[i+1]])
+		}
+		unlabeled = unlabeled[:to]
 		res.Rounds = append(res.Rounds, trace)
 		round++
 		if len(picks) == 0 {

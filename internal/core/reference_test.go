@@ -17,6 +17,7 @@ import (
 	"github.com/activeiter/activeiter/internal/matching"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
+	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
 // referenceRidge is linalg.Ridge as it was over the dense matrix: the
@@ -43,8 +44,9 @@ func (r *referenceRidge) Solve(x *linalg.Dense, y linalg.Vector) linalg.Vector {
 }
 
 // referenceTrain is Train as it was while the loop read the dense
-// design matrix, rescanned kind[] for the unlabeled links in every pass
-// and cloned the occupied endpoints per internal iteration. It returns
+// design matrix, rescanned kind[] for the unlabeled links in every pass,
+// cloned the occupied endpoints per internal iteration and handed the
+// strategy a copy of the unlabeled links. It returns
 // the result and the indices it marked queried (prelabeled included).
 func referenceTrain(p Problem, cfg Config) (*Result, map[int]bool, error) {
 	cfg = cfg.withDefaults()
@@ -250,8 +252,12 @@ func referenceTrain(p Problem, cfg Config) (*Result, map[int]bool, error) {
 		if k > remaining {
 			k = remaining
 		}
+		all := make([]int, len(stIdx))
+		for pos := range all {
+			all[pos] = pos
+		}
 		picks := cfg.Strategy.Select(&active.State{
-			Links: stLinks, Scores: stScores, Labels: stLabels,
+			Links: stLinks, Scores: stScores, Labels: stLabels, Unlabeled: all,
 			Threshold: cfg.Threshold,
 		}, k, rng)
 		for _, pi := range picks {
@@ -418,6 +424,51 @@ func defaultShapedProblem() (Problem, active.Oracle) {
 	return Problem{Links: links, X: x, LabeledPos: pos}, truthOracle(truth)
 }
 
+// conflictedProblem is a pool the conflict rule has work in, its feature
+// rows set by hand. Column 0 carries the labeled positives' signal and
+// column 1 the sampled negatives'; each of twelve triples on fresh users
+// A, B, C, D scores its links in proportion to their column-0 cell:
+//
+//	l′ = (A, B) at 0.80, l = (A, C) at 0.78, l″ = (D, C) at 0.62
+//
+// so greedy selection takes l′ and l″, and l — a negative within
+// CloseTol of l′ and at least Margin above l″ — is the link the paper's
+// strategy queries. Every other l is a true anchor.
+func conflictedProblem() (Problem, active.Oracle) {
+	const labeled, negatives, triples = 30, 200, 12
+	truth := make(map[int64]bool)
+	var links []hetnet.Anchor
+	var rows [][2]float64
+	add := func(l hetnet.Anchor, row [2]float64, anchor bool) {
+		links, rows = append(links, l), append(rows, row)
+		if anchor {
+			truth[hetnet.Key(l.I, l.J)] = true
+		}
+	}
+	for i := 0; i < labeled; i++ {
+		add(hetnet.Anchor{I: i, J: i}, [2]float64{1, 0}, true)
+	}
+	for r := 0; r < negatives; r++ {
+		add(hetnet.Anchor{I: 500 + r, J: 800 + r*7%negatives}, [2]float64{0, 1}, false)
+	}
+	for t := 0; t < triples; t++ {
+		a, b, c, d := 100+4*t, 101+4*t, 102+4*t, 103+4*t
+		add(hetnet.Anchor{I: a, J: b}, [2]float64{0.80, 0}, t%2 == 1)
+		add(hetnet.Anchor{I: a, J: c}, [2]float64{0.78, 0}, t%2 == 0)
+		add(hetnet.Anchor{I: d, J: c}, [2]float64{0.62, 0}, false)
+	}
+	x := linalg.NewDense(len(links), 2)
+	for r, row := range rows {
+		x.Set(r, 0, row[0])
+		x.Set(r, 1, row[1])
+	}
+	pos := make([]int, labeled)
+	for i := range pos {
+		pos[i] = i
+	}
+	return Problem{Links: links, X: x, LabeledPos: pos}, truthOracle(truth)
+}
+
 // truthOracle answers from a set of true links keyed by hetnet.Key.
 type truthOracle map[int64]bool
 
@@ -441,12 +492,14 @@ func (s countingStrategy) Select(st *active.State, k int, rng *rand.Rand) []int 
 }
 
 // TestTrainMatchesReferenceLoop runs Train and the loop it replaced on
-// the same problems — two presets and a `default`-shaped pool × three
-// strategies × no budget and 100 queries × with and without labels
-// fixed by an earlier round × greedy and exact selection — and requires
-// the same run, at GOMAXPROCS 1, 2 and 4. The `default`-shaped pool spans
-// more than two row blocks, so from two cores on its steps share their
-// blocks with the helper; the strategy sees the helper running.
+// the same problems — two presets, a `default`-shaped pool and a pool
+// the conflict rule picks from × three strategies × no budget and 100
+// queries × with and without labels fixed by an earlier round × greedy
+// and exact selection — and requires the same run, at GOMAXPROCS 1, 2
+// and 4. The `default`-shaped pool spans more than two row blocks, so
+// from two cores on its steps share their blocks with the helper; the
+// strategy sees the helper running. Every conflict run on the
+// conflicted pool must pick a link by the rule, not only by the fill.
 func TestTrainMatchesReferenceLoop(t *testing.T) {
 	strategies := []active.Strategy{active.Conflict{CloseTol: 0.05}, active.Uncertainty{}, active.Random{}}
 	type problem struct {
@@ -467,6 +520,11 @@ func TestTrainMatchesReferenceLoop(t *testing.T) {
 		t.Fatalf("the default-shaped pool spans %d row blocks; the helper needs more than 2", blocks)
 	}
 	problems = append(problems, problem{"default-shaped", p, oracle})
+	p, oracle = conflictedProblem()
+	problems = append(problems, problem{"conflicted", p, oracle})
+	// The conflict rule's own picks: the generated pools never give it
+	// one, so only the conflicted pool shows the rule's picks agree.
+	byRule := telemetry.Default.Counter("activeiter_query_picks_total", "", telemetry.L("source", "conflict"))
 	// A leaf subtest runs beside this test's goroutine and its procs
 	// subtest's, both blocked in t.Run; the sleep lets any goroutine an
 	// earlier test stopped leave the count first.
@@ -514,11 +572,16 @@ func TestTrainMatchesReferenceLoop(t *testing.T) {
 									// The previous Train's helper may still be on its
 									// way out.
 									before := settledGoroutines(leafGoroutines)
+									admitted := byRule.Value()
 									got, err := Train(q, cfg)
 									if err != nil {
 										t.Fatal(err)
 									}
+									admitted = byRule.Value() - admitted
 									requireSameRun(t, q, got, want, wantQueried)
+									if pr.name == "conflicted" && strat.Name() == "conflict" && budget > 0 && admitted == 0 {
+										t.Fatal("the conflict rule picked no link of the conflicted pool")
+									}
 									if budget > 0 && got.QueryCount() == 0 {
 										t.Fatal("a run with a budget asked nothing")
 									}

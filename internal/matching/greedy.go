@@ -71,7 +71,17 @@ func (t *EndpointTable[T]) Get(e int) T {
 	if uint(e) < uint(len(t.near)) {
 		return t.near[e]
 	}
+	if t.far == nil {
+		var zero T
+		return zero
+	}
 	return t.far[e]
+}
+
+// Clear unmaps every endpoint, keeping the table's storage for reuse.
+func (t *EndpointTable[T]) Clear() {
+	clear(t.near)
+	t.far = nil
 }
 
 // Clone deep-copies the table.

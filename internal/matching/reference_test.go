@@ -316,6 +316,26 @@ func TestOccupiedFarEndpointsStayOutOfTheTable(t *testing.T) {
 	}
 }
 
+// TestEndpointTableClearKeepsStorage: a cleared table answers zero for
+// every endpoint it held, near or far, and sets again without growing.
+func TestEndpointTableClearKeepsStorage(t *testing.T) {
+	var tab EndpointTable[int]
+	for _, e := range []int{3, 900, -7, 1 << 50} {
+		tab.Set(e, e|1)
+	}
+	held := cap(tab.near)
+	tab.Clear()
+	for _, e := range []int{3, 900, -7, 1 << 50, 0} {
+		if got := tab.Get(e); got != 0 {
+			t.Errorf("Get(%d) = %d after Clear", e, got)
+		}
+	}
+	tab.Set(900, 1)
+	if cap(tab.near) != held || tab.Get(900) != 1 || tab.Get(3) != 0 {
+		t.Fatalf("after Clear and Set(900): cap %d (held %d), Get(900) %d, Get(3) %d", cap(tab.near), held, tab.Get(900), tab.Get(3))
+	}
+}
+
 // TestGreedyMatchesIndexSortReference: the by-value sort over the
 // table-backed tracker picks what the index sort over maps picked, in
 // the same order, and leaves the same endpoints taken — also when the
