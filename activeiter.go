@@ -32,7 +32,6 @@
 package activeiter
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -43,6 +42,7 @@ import (
 	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/distrib"
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/matching"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
 )
@@ -345,29 +345,31 @@ type Result struct {
 // reconcileFixed applies the sharded merge's rule (partition.Merger) to
 // the fixed positives of a run — training anchors and oracle YES answers,
 // which core.Train fixes at 1 whatever their endpoints, so a labeler
-// panel that contradicts itself can fix two links of one user. In (I, J)
-// order each keeps its 1 unless an earlier one that kept its 1 shares an
-// endpoint. Inferred positives never take a fixed positive's endpoint, so
-// these few links are all that needs reconciling. It returns the losers.
+// panel that contradicts itself can fix two links of one user. The merge
+// enters them all at one score, so the one-to-one greedy
+// (matching.Greedy) takes them in (I, J) order, each keeping its 1
+// unless an earlier kept one shares an endpoint. Inferred positives
+// never take a fixed positive's endpoint, so these few links are all
+// that needs reconciling. It returns the losers.
 func reconcileFixed(res *core.Result, links []Anchor, trainPos int) map[int64]bool {
-	var fixed []Anchor
+	var fixed []matching.Candidate
 	for idx, l := range links {
 		if res.Y[idx] == 1 && (idx < trainPos || res.QueriedAt(idx)) {
-			fixed = append(fixed, l)
+			fixed = append(fixed, matching.Candidate{I: l.I, J: l.J, Score: 1, Payload: idx})
 		}
 	}
-	slices.SortFunc(fixed, func(a, b Anchor) int { return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J)) })
+	slices.SortFunc(fixed, matching.Compare)
+	kept := matching.Greedy(fixed, 0, nil)
 	var lost map[int64]bool
-	keptI, keptJ := make(map[int]bool, len(fixed)), make(map[int]bool, len(fixed))
-	for _, l := range fixed {
-		if keptI[l.I] || keptJ[l.J] {
-			if lost == nil {
-				lost = make(map[int64]bool)
-			}
-			lost[hetnet.Key(l.I, l.J)] = true
+	for _, c := range fixed {
+		if len(kept) > 0 && kept[0] == c {
+			kept = kept[1:] // the picks are a subsequence of fixed, in its order
 			continue
 		}
-		keptI[l.I], keptJ[l.J] = true, true
+		if lost == nil {
+			lost = make(map[int64]bool)
+		}
+		lost[hetnet.Key(c.I, c.J)] = true
 	}
 	return lost
 }

@@ -22,6 +22,7 @@ import (
 	"github.com/activeiter/activeiter/internal/linalg"
 	"github.com/activeiter/activeiter/internal/matching"
 	"github.com/activeiter/activeiter/internal/metadiag"
+	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/schema"
 	"github.com/activeiter/activeiter/internal/sparse"
 )
@@ -476,18 +477,11 @@ func BenchmarkHadamard(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmRecount is the anchor layer's share of one warm fold on
-// the `default`-shaped pair of `go run ./bench` (bench/config.go, seed
-// 101): SetAnchors(fold) → Recompute → FeatureMatrix(pool) on a counter
-// whose attribute layer is cached, with one fold of ten labelled (what
-// the benchmark's workloads run) and with nine (cmd/experiments at
-// γ = 0.9). Both re-label one fixed set, so after the first iterations
-// they read every anchor's stored marginal terms. `rotating` labels the
-// ten folds in turn, timed once two rounds have stored every anchor's
-// terms — the `fold_warm` steady state — and `cold` gives every
-// iteration a fresh counter family over the same cached counts, so
-// every anchor is new and walked.
-func BenchmarkWarmRecount(b *testing.B) {
+// defaultShape is the `default`-shaped pair of `go run ./bench`
+// (bench/config.go, seed 101) with its anchors in the harness's seeded
+// shuffle and its ten negatives per anchor.
+func defaultShape(b *testing.B) (pair *AlignedPair, anchors, negatives []Anchor) {
+	b.Helper()
 	pair, err := datagen.Generate(datagen.Config{
 		Users1: 1045, Users2: 1078, AnchorCount: 656,
 		AvgFollows1: 31.6, AvgFollows2: 14.3,
@@ -503,12 +497,86 @@ func BenchmarkWarmRecount(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(101))
-	anchors := append([]Anchor(nil), pair.Anchors...)
+	anchors = append([]Anchor(nil), pair.Anchors...)
 	rng.Shuffle(len(anchors), func(i, j int) { anchors[i], anchors[j] = anchors[j], anchors[i] })
-	neg, err := eval.SampleNegatives(pair, 10*len(anchors), rng)
+	negatives, err = eval.SampleNegatives(pair, 10*len(anchors), rng)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return pair, anchors, negatives
+}
+
+// BenchmarkMerge is the shard merge alone — every vote through
+// partition.Merger.Add, then Finish's one-to-one greedy — on the real
+// votes of the first fold of the `default` shape (defaultShape: one
+// fold of ten labelled, the rest of the anchors and every negative as
+// candidates, ActiveIter-100 with the conflict strategy). K=1 is the
+// monolith's pool, 7,216 votes; K=4 is the votes of a four-part plan's
+// overlapping pools, in part order.
+func BenchmarkMerge(b *testing.B) {
+	pair, anchors, neg := defaultShape(b)
+	fold := len(anchors) / 10
+	trainPos := anchors[:fold]
+	candidates := append(append([]Anchor(nil), anchors[fold:]...), neg...)
+	opts, err := Options{Budget: 100, BatchSize: 5, Seed: 101}.resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := metadiag.NewCounter(pair)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planner, err := partition.NewPlanner(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle := NewTruthOracle(pair)
+	for _, k := range []int{1, 4} {
+		plan, err := planner.Plan(trainPos, candidates, 100, partition.Config{K: k})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var votes []partition.Vote
+		for p := range plan.Parts {
+			part := &plan.Parts[p]
+			counter := base.Fork()
+			counter.SetAnchors(part.TrainPos)
+			prep, err := partition.PreparePart(counter, part, opts.Features)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := prep.Train(part, opts.Core, oracle)
+			if err != nil {
+				b.Fatal(err)
+			}
+			votes = append(votes, partition.PartVotes(part, prep.Links, res)...)
+		}
+		b.Run(fmt.Sprintf("K=%d/votes=%d", k, len(votes)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := partition.NewMerger()
+				for _, v := range votes {
+					m.Add(v)
+				}
+				m.Finish()
+			}
+		})
+	}
+}
+
+// BenchmarkWarmRecount is the anchor layer's share of one warm fold on
+// the `default`-shaped pair of `go run ./bench` (bench/config.go, seed
+// 101): SetAnchors(fold) → Recompute → FeatureMatrix(pool) on a counter
+// whose attribute layer is cached, with one fold of ten labelled (what
+// the benchmark's workloads run) and with nine (cmd/experiments at
+// γ = 0.9). Both re-label one fixed set, so after the first iterations
+// they read every anchor's stored marginal terms. `rotating` labels the
+// ten folds in turn, timed once two rounds have stored every anchor's
+// terms — the `fold_warm` steady state — and `cold` gives every
+// iteration a fresh counter family over the same cached counts, so
+// every anchor is new and walked.
+func BenchmarkWarmRecount(b *testing.B) {
+	pair, anchors, neg := defaultShape(b)
 	pool := append(append([]Anchor(nil), anchors...), neg...)
 	feats := schema.StandardLibrary().All()
 	counter, err := metadiag.NewCounter(pair)

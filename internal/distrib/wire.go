@@ -4,8 +4,8 @@
 // wire-format job of pool indices against that seed, dispatches it to
 // workers over a pluggable transport (in-process loopback, stdio pipes to
 // subprocesses, TCP), answers the workers' oracle queries, and reconciles
-// the returned vote streams incrementally through the partition.Merger /
-// multinet score-greedy union-find. The per-shard pipeline a worker runs
+// the returned vote streams incrementally through partition.Merger, whose
+// Finish runs the trainer's one-to-one greedy (internal/matching). The per-shard pipeline a worker runs
 // is partition.PreparePart + Train on a fork of the seeded counter — the
 // same code the in-process path runs on forks of its base counter — so a
 // distributed run is property-tested identical to PartitionedAligner for

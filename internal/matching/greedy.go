@@ -139,10 +139,10 @@ func Selectable(score, threshold float64) bool {
 }
 
 // Compare is Greedy's order: descending score, then ascending I, J and
-// Payload. It is total on finite scores — two candidates compare equal
-// only when they are the same candidate — so any way of sorting a set
-// of candidates, whole or in runs merged afterwards, yields one
-// sequence.
+// Payload. It is total on non-NaN scores, ±Inf included — two
+// candidates compare equal only when they are the same candidate — so
+// any way of sorting a set of candidates, whole or in runs merged
+// afterwards, yields one sequence.
 func Compare(a, b Candidate) int {
 	switch {
 	case a.Score != b.Score:
@@ -195,11 +195,15 @@ func Greedy(cands []Candidate, threshold float64, occ *Occupied) []Candidate {
 }
 
 // GreedyMerge is Greedy's walk over candidates already filtered and
-// ordered: each run holds Selectable candidates sorted by Compare, and
-// the runs are merged as they are walked, so the picks are Greedy's over
-// their union. It appends the picks to dst, which may be the single
-// run's own storage (runs[0][:0] when len(runs) == 1) and otherwise must
-// not overlap a run, and returns it. occ is mutated as Greedy mutates it.
+// ordered: each run holds candidates with non-NaN scores, ±Inf
+// included, sorted by Compare, and the runs are merged as they are
+// walked; a candidate is picked when both its endpoints are free. On
+// Selectable candidates the picks are Greedy's over the runs' union;
+// the shard merge (internal/partition) also walks ±Inf, which rank
+// above and below every finite score. It appends the picks to dst,
+// which may be the single run's own storage (runs[0][:0] when
+// len(runs) == 1) and otherwise must not overlap a run, and returns it.
+// occ is mutated as Greedy mutates it.
 func GreedyMerge(dst []Candidate, runs [][]Candidate, occ *Occupied) []Candidate {
 	if occ == nil {
 		occ = NewOccupied()

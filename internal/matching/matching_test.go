@@ -3,6 +3,7 @@ package matching
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -65,6 +66,36 @@ func TestGreedyDeterministicTieBreak(t *testing.T) {
 	// Ties break by (I,J): (1,1) first, then (1,2) conflicts, then (2,2).
 	if len(got) != 2 || got[0].I != 1 || got[0].J != 1 || got[1].I != 2 || got[1].J != 2 {
 		t.Errorf("selection = %+v", got)
+	}
+}
+
+// TestGreedyMergeWalksInfiniteScores: a run holding +Inf, finite and
+// −Inf candidates, with ties at each, is walked in Compare order — ±Inf
+// rank above and below every finite score, ties break by (I, J) — and
+// the merge of its two halves picks the same.
+func TestGreedyMergeWalksInfiniteScores(t *testing.T) {
+	inf := math.Inf(1)
+	order := []Candidate{
+		{I: 1, J: 1, Score: inf},  // picked
+		{I: 1, J: 2, Score: inf},  // I=1 taken
+		{I: 0, J: 3, Score: 0.7},  // picked
+		{I: 2, J: 2, Score: 0.7},  // picked: (1,2) lost, so J=2 is free
+		{I: 0, J: 4, Score: -inf}, // I=0 taken
+		{I: 3, J: 4, Score: -inf}, // picked
+		{I: 4, J: 4, Score: -inf}, // J=4 taken
+	}
+	want := []Candidate{order[0], order[2], order[3], order[5]}
+	run := slices.Clone(order)
+	rand.New(rand.NewSource(1)).Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
+	slices.SortFunc(run, Compare)
+	if !slices.Equal(run, order) {
+		t.Fatalf("Compare sorts %+v, want %+v", run, order)
+	}
+	if got := GreedyMerge(nil, [][]Candidate{run}, nil); !slices.Equal(got, want) {
+		t.Fatalf("one run: picked %+v, want %+v", got, want)
+	}
+	if got := GreedyMerge(nil, [][]Candidate{order[3:], order[:3]}, nil); !slices.Equal(got, want) {
+		t.Fatalf("two runs: picked %+v, want %+v", got, want)
 	}
 }
 

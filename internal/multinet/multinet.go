@@ -16,7 +16,9 @@
 // clusters in descending score order, and a join is rejected when the
 // merged cluster would contain two distinct users of one network. This
 // is the natural generalization of the paper's greedy cardinality-
-// constrained link selection to k partite sets.
+// constrained link selection to k partite sets; on two networks it
+// keeps exactly the links matching.Greedy keeps, which is why the
+// two-network shard merge (internal/partition) runs that greedy instead.
 package multinet
 
 import (
@@ -146,50 +148,15 @@ type member struct {
 	net, user int
 }
 
-// Reconciler accumulates pairwise predictions one link (or batch) at a
-// time and resolves them into globally consistent identity clusters on
-// Finish. It exists for streaming producers — a coordinator receiving
-// per-shard link streams feeds every arriving link straight into Add —
-// while keeping the exact semantics of the batch Reconcile: the greedy
-// union-find needs the full link set in descending score order, so the
-// ordering (and all cluster decisions) happen once, at Finish. Add is
-// O(1); Finish is O(n log n). The result is independent of Add order.
-//
-// A Reconciler is single-use: after Finish, further Adds panic. It is
-// not safe for concurrent use; serialize access externally.
-type Reconciler struct {
-	links    []ScoredLink
-	finished bool
-}
-
-// NewReconciler returns an empty streaming reconciler.
-func NewReconciler() *Reconciler {
-	return &Reconciler{}
-}
-
-// Add appends one pairwise prediction to the stream.
-func (r *Reconciler) Add(l ScoredLink) {
-	if r.finished {
-		panic("multinet: Add after Finish")
-	}
-	r.links = append(r.links, l)
-}
-
-// Len returns the number of links accumulated so far.
-func (r *Reconciler) Len() int { return len(r.links) }
-
-// Finish resolves the accumulated stream into identity clusters (see
-// the package comment for the algorithm). It returns the clusters with
-// ≥ 2 members and the number of links rejected for violating
-// cross-network consistency. The links are ordered by a total order —
-// score descending, ties by (NetI, NetJ, A.I, A.J) — so the outcome is
-// deterministic and identical for any Add order of the same multiset.
-func (r *Reconciler) Finish() (clusters []Cluster, rejected int) {
-	if r.finished {
-		panic("multinet: Finish called twice")
-	}
-	r.finished = true
-	sorted := r.links
+// Reconcile merges pairwise predictions into globally consistent
+// identity clusters (see the package comment for the algorithm). It
+// returns the clusters with ≥ 2 members and the number of links
+// rejected for violating cross-network consistency. The links are
+// ordered by a total order — score descending, ties by (NetI, NetJ,
+// A.I, A.J) — so the outcome is deterministic and identical for any
+// order of the same multiset. links is not modified.
+func Reconcile(links []ScoredLink) (clusters []Cluster, rejected int) {
+	sorted := slices.Clone(links)
 	sort.Slice(sorted, func(a, b int) bool {
 		if sorted[a].Score != sorted[b].Score {
 			return sorted[a].Score > sorted[b].Score
@@ -281,17 +248,6 @@ func (r *Reconciler) Finish() (clusters []Cluster, rejected int) {
 		clusters = append(clusters, k.c)
 	}
 	return clusters, rejected
-}
-
-// Reconcile merges pairwise predictions into globally consistent
-// identity clusters in one batch call. It is the one-shot form of
-// Reconciler: stream producers use NewReconciler/Add/Finish instead.
-func Reconcile(links []ScoredLink) (clusters []Cluster, rejected int) {
-	r := NewReconciler()
-	for _, l := range links {
-		r.Add(l)
-	}
-	return r.Finish()
 }
 
 // clusterKey gives clusters a deterministic order for stable output.

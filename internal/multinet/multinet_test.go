@@ -3,6 +3,7 @@ package multinet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/core"
@@ -340,11 +341,10 @@ func clustersEqual(a, b []Cluster) bool {
 	return true
 }
 
-// TestReconcilerMatchesBatchOnShuffledStreams is the streaming
-// reconciler property: feeding any permutation of a link stream into
-// Add yields exactly the clusters (and rejection count) of the batch
-// Reconcile over the original order.
-func TestReconcilerMatchesBatchOnShuffledStreams(t *testing.T) {
+// TestReconcileOrderIndependent: any permutation of a link multiset
+// reconciles to exactly the clusters (and rejection count) of the
+// original order, and Reconcile leaves its input as it found it.
+func TestReconcileOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		links := randomLinks(rng, 2+rng.Intn(3), 1+rng.Intn(8), rng.Intn(60))
@@ -355,38 +355,17 @@ func TestReconcilerMatchesBatchOnShuffledStreams(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(a, b int) {
 			shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
 		})
-		r := NewReconciler()
-		for _, l := range shuffled {
-			r.Add(l)
+		before := slices.Clone(shuffled)
+		gotClusters, gotRejected := Reconcile(shuffled)
+		if !slices.Equal(shuffled, before) {
+			t.Fatalf("trial %d: Reconcile reordered its input", trial)
 		}
-		if r.Len() != len(links) {
-			t.Fatalf("trial %d: Len=%d want %d", trial, r.Len(), len(links))
-		}
-		gotClusters, gotRejected := r.Finish()
 		if gotRejected != wantRejected {
 			t.Errorf("trial %d: rejected=%d want %d", trial, gotRejected, wantRejected)
 		}
 		if !clustersEqual(gotClusters, wantClusters) {
-			t.Errorf("trial %d: clusters diverge from batch Reconcile\n got: %v\nwant: %v",
+			t.Errorf("trial %d: clusters diverge across input orders\n got: %v\nwant: %v",
 				trial, gotClusters, wantClusters)
 		}
 	}
-}
-
-// TestReconcilerSingleUse pins the single-use contract: Add or Finish
-// after Finish must panic rather than silently corrupt the stream.
-func TestReconcilerSingleUse(t *testing.T) {
-	r := NewReconciler()
-	r.Add(ScoredLink{NetI: 0, NetJ: 1, A: hetnet.Anchor{I: 0, J: 0}, Score: 1})
-	r.Finish()
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s after Finish did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Add", func() { r.Add(ScoredLink{}) })
-	mustPanic("Finish", func() { r.Finish() })
 }

@@ -1,11 +1,11 @@
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,14 +57,11 @@ type PartReport struct {
 // read-side contract as core's result (Label / WasQueried / predicted
 // anchors), so evaluation code treats both uniformly.
 type Result struct {
-	anchors      []hetnet.Anchor
-	labels       map[int64]float64
-	scores       map[int64]float64
-	queried      map[int64]bool
-	queriedLinks map[int64]LabeledLink
+	anchors []hetnet.Anchor
+	links   map[int64]linkRecord
 
 	// Rejected counts positive predictions dropped by the global
-	// one-to-one reconciliation (cross-partition conflicts).
+	// one-to-one greedy (cross-partition conflicts).
 	Rejected int
 	// ShardWeights holds each partition's trained feature weight vector,
 	// keyed by Part.Index (layout: the run's feature set followed by the
@@ -95,19 +92,19 @@ func (r *Result) PredictedAnchors() []hetnet.Anchor {
 // Label returns the final label of link (i, j) and whether the link was
 // part of any partition's candidate pool.
 func (r *Result) Label(i, j int) (float64, bool) {
-	v, ok := r.labels[hetnet.Key(i, j)]
-	return v, ok
+	rec, ok := r.links[hetnet.Key(i, j)]
+	return rec.Label, ok
 }
 
 // Score returns the best per-partition raw score of link (i, j).
 func (r *Result) Score(i, j int) (float64, bool) {
-	v, ok := r.scores[hetnet.Key(i, j)]
-	return v, ok
+	rec := r.links[hetnet.Key(i, j)]
+	return rec.Score, rec.HasScore
 }
 
 // WasQueried reports whether any partition labeled (i, j) by the oracle.
 func (r *Result) WasQueried(i, j int) bool {
-	return r.queried[hetnet.Key(i, j)]
+	return r.links[hetnet.Key(i, j)].Queried
 }
 
 // QueriedLabels returns every oracle-labeled pool link with its answer,
@@ -116,9 +113,11 @@ func (r *Result) WasQueried(i, j int) bool {
 // plan (Plan.AppendLabels) so the next round trains on them as fixed
 // labels; AppendLabels dedups, so re-feeding old labels is harmless.
 func (r *Result) QueriedLabels() []LabeledLink {
-	out := make([]LabeledLink, 0, len(r.queriedLinks))
-	for _, l := range r.queriedLinks {
-		out = append(out, l)
+	out := []LabeledLink{}
+	for _, rec := range r.links {
+		if rec.Queried {
+			out = append(out, LabeledLink{Link: rec.Link, Label: rec.answer})
+		}
 	}
 	sortLabels(out)
 	return out
@@ -128,7 +127,8 @@ func (r *Result) QueriedLabels() []LabeledLink {
 // snapshot of a partitioned alignment persists.
 type Entry struct {
 	Link hetnet.Anchor
-	// Label is the merged final label (1 for reconciled positives).
+	// Label is the merged final label (1 for positives the one-to-one
+	// greedy kept).
 	Label float64
 	// Score is the best per-partition raw score; HasScore is false for
 	// links every partition scored NaN.
@@ -142,20 +142,18 @@ type Entry struct {
 // Entries returns every pool link's merged record in canonical (I, J)
 // order — the full read side of the result, for persistence.
 func (r *Result) Entries() []Entry {
-	out := make([]Entry, 0, len(r.labels))
-	for key, label := range r.labels {
-		i, j := hetnet.UnpackKey(key)
-		e := Entry{Link: hetnet.Anchor{I: i, J: j}, Label: label, Queried: r.queried[key]}
-		e.Score, e.HasScore = r.scores[key]
-		out = append(out, e)
+	out := make([]Entry, 0, len(r.links))
+	for _, rec := range r.links {
+		out = append(out, rec.Entry)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Link.I != out[b].Link.I {
-			return out[a].Link.I < out[b].Link.I
-		}
-		return out[a].Link.J < out[b].Link.J
-	})
+	slices.SortFunc(out, func(a, b Entry) int { return compareLinks(a.Link, b.Link) })
 	return out
+}
+
+// compareLinks orders links by (I, J), the canonical order of every
+// merged list.
+func compareLinks(a, b hetnet.Anchor) int {
+	return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 }
 
 // QueryCount returns the total oracle queries spent across partitions.
@@ -192,8 +190,8 @@ type partOutput struct {
 // partition of the plan concurrently — each on a Fork of base, so the
 // attribute-only count layer is shared while anchor-dependent counts
 // stay partition-local — and merges the per-partition predictions into
-// one globally one-to-one result via score-greedy union-find
-// reconciliation: Begin, then Finish. The oracle may be nil when the
+// one globally one-to-one result via the score-greedy merge (Merger):
+// Begin, then Finish. The oracle may be nil when the
 // total budget is zero. Oracle calls are serialized but arrive in
 // nondeterministic order across partitions; every oracle in this module
 // answers as a pure function of the link (TruthOracle, hash-seeded
@@ -481,9 +479,10 @@ func (pp *Prepared) Train(part *Part, cfg core.Config, oracle active.Oracle) (*c
 	}, cfg)
 }
 
-// merge reconciles the per-partition predictions into one globally
+// merge resolves the per-partition predictions into one globally
 // one-to-one label assignment by streaming every pool link's vote
-// through a Merger (see merger.go for the precedence rules).
+// through a Merger (see merger.go for the precedence rules and the
+// greedy).
 func merge(outs []partOutput) *Result {
 	m := NewMerger()
 	var reports []PartReport

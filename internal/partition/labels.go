@@ -6,15 +6,15 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 )
 
-// LabeledLink is one oracle-labeled pool link: the unit of the label
-// deltas a stable plan accumulates between active-learning rounds.
+// LabeledLink is one oracle-labeled pool link: the unit of the labels a
+// stable plan accumulates between active-learning rounds.
 type LabeledLink struct {
 	Link  hetnet.Anchor
 	Label float64
 }
 
-// sortLabels orders labels by (I, J) — the canonical delta order, so two
-// drivers that observed the same label set ship byte-identical deltas
+// sortLabels orders labels by (I, J) — the canonical order, so two
+// drivers that observed the same label set build byte-identical parts
 // regardless of the completion order the labels streamed in.
 func sortLabels(labels []LabeledLink) {
 	sort.Slice(labels, func(a, b int) bool {
@@ -33,10 +33,9 @@ func sortLabels(labels []LabeledLink) {
 // batches stay idempotent. Returns the number of (part, label)
 // assignments made.
 //
-// This is the label-delta computation of a multi-round session: the plan
+// This is how a multi-round session carries labels forward: the plan
 // stays stable (same shards, same candidate assignment), only the
-// Prelabeled suffixes grow, and a delta-shipping coordinator sends each
-// worker exactly the suffix its shard has not seen.
+// Prelabeled lists grow, and each round ships every part whole.
 func (p *Plan) AppendLabels(labels []LabeledLink) int {
 	if len(labels) == 0 {
 		return 0

@@ -2,9 +2,10 @@ package partition
 
 import (
 	"math"
+	"slices"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
-	"github.com/activeiter/activeiter/internal/multinet"
+	"github.com/activeiter/activeiter/internal/matching"
 )
 
 // Vote is one shard pipeline's verdict on one pool link — the unit the
@@ -22,66 +23,59 @@ type Vote struct {
 // assignment, incrementally: Add updates order-independent state (best
 // score per link, queried/fixed flags, oracle-negative overrules) as
 // votes stream in — from in-process pipelines or from remote workers —
-// and Finish resolves the accumulated positives through multinet's
-// score-greedy union-find. The outcome is identical for any Add order
-// of the same vote multiset.
+// and Finish resolves the accumulated positives with the trainer's own
+// one-to-one greedy (matching.GreedyMerge): descending score, ties by
+// (I, J), a link kept when neither endpoint is taken. The outcome is
+// identical for any Add order of the same vote multiset.
 //
 // Ground truth outranks inference in both directions: training anchors
-// and queried positives enter the reconciliation at +Inf score so they
-// always win, while a link the oracle answered NEGATIVE in any shard
-// never enters at all — an overlapping shard that merely inferred it
-// positive must not overrule a paid-for oracle answer. Remaining
-// inferred positives compete at their best per-shard raw score;
-// conflicting inferred links across shard borders lose to the
-// higher-scored side and are counted in Result.Rejected.
+// and queried positives enter the greedy at +Inf score so they always
+// win, while a link the oracle answered NEGATIVE in any shard never
+// enters at all — an overlapping shard that merely inferred it positive
+// must not overrule a paid-for oracle answer. Remaining inferred
+// positives compete at their best per-shard raw score; conflicting
+// inferred links across shard borders lose to the higher-scored side
+// and are counted in Result.Rejected.
 //
 // A Merger is single-use and not safe for concurrent use; serialize
 // Add calls externally.
 type Merger struct {
-	labels      map[int64]float64
-	scores      map[int64]float64
-	queried     map[int64]bool
-	queriedNeg  map[int64]bool
-	queriedLink map[int64]LabeledLink
-	posScore    map[int64]float64
-	posLink     map[int64]hetnet.Anchor
+	links map[int64]linkRecord
+}
+
+// linkRecord is one pool link's merge state: the read-side Entry plus
+// what Finish needs to decide the link.
+type linkRecord struct {
+	Entry
+	answer float64 // the oracle's answer, when Entry.Queried (the last to arrive)
+	saidNo bool    // some shard's oracle answered NO
+	pos    float64 // best positive vote, when hasPos
+	hasPos bool
 }
 
 // NewMerger returns an empty vote merger.
 func NewMerger() *Merger {
-	return &Merger{
-		labels:      make(map[int64]float64),
-		scores:      make(map[int64]float64),
-		queried:     make(map[int64]bool),
-		queriedNeg:  make(map[int64]bool),
-		queriedLink: make(map[int64]LabeledLink),
-		posScore:    make(map[int64]float64),
-		posLink:     make(map[int64]hetnet.Anchor),
-	}
+	return &Merger{links: make(map[int64]linkRecord)}
 }
 
 // Add folds one vote into the merge state.
 func (m *Merger) Add(v Vote) {
 	key := hetnet.Key(v.Link.I, v.Link.J)
-	if _, ok := m.labels[key]; !ok {
-		m.labels[key] = 0
+	r, ok := m.links[key]
+	if !ok {
+		r.Link = v.Link
 	}
-	if !math.IsNaN(v.Score) {
-		if old, ok := m.scores[key]; !ok || v.Score > old {
-			m.scores[key] = v.Score
-		}
+	if !math.IsNaN(v.Score) && (!r.HasScore || v.Score > r.Score) {
+		r.Score, r.HasScore = v.Score, true
 	}
 	if v.Queried {
-		m.queried[key] = true
-		m.queriedLink[key] = LabeledLink{Link: v.Link, Label: v.Label}
-		if v.Label == 0 {
-			m.queriedNeg[key] = true
-		}
+		r.Queried, r.answer = true, v.Label
+		r.saidNo = r.saidNo || v.Label == 0
 		if v.Label != 1 {
-			// Only a YES goes through reconciliation; any other answer — a
-			// NO, or an earlier panel's soft label fixed as a prelabel — is
-			// the link's final label as it stands.
-			m.labels[key] = v.Label
+			// Only a YES goes through the greedy; any other answer — a NO,
+			// or an earlier panel's soft label fixed as a prelabel — is the
+			// link's final label as it stands.
+			r.Label = v.Label
 		}
 	}
 	if v.Label == 1 {
@@ -94,40 +88,39 @@ func (m *Merger) Add(v Vote) {
 			// lose the max below depending on ARRIVAL order, and shards
 			// commit in nondeterministic completion order. Pin it to the
 			// bottom of the competition instead: deterministic, and safely
-			// ordered by the reconciler's sort.
+			// ordered by matching.Compare.
 			score = math.Inf(-1)
 		}
-		if old, ok := m.posScore[key]; !ok || score > old {
-			m.posScore[key] = score
-			m.posLink[key] = v.Link
+		if !r.hasPos || score > r.pos {
+			r.pos, r.hasPos = score, true
 		}
 	}
+	m.links[key] = r
 }
 
-// Finish reconciles the accumulated votes and returns the merged
-// result. Reports and Elapsed are left for the caller to fill.
+// Finish resolves the accumulated votes and returns the merged result.
+// Reports and Elapsed are left for the caller to fill.
 func (m *Merger) Finish() *Result {
-	rec := multinet.NewReconciler()
-	for key, s := range m.posScore {
+	var cands []matching.Candidate
+	for _, r := range m.links {
 		// An oracle NO overrules inference — but never ground truth: a
-		// +Inf entry is a training anchor or queried positive, and a pure
+		// +Inf vote is a training anchor or queried positive, and a pure
 		// oracle cannot have answered the same link both ways.
-		if m.queriedNeg[key] && !math.IsInf(s, 1) {
-			continue
+		if r.hasPos && (!r.saidNo || math.IsInf(r.pos, 1)) {
+			cands = append(cands, matching.Candidate{I: r.Link.I, J: r.Link.J, Score: r.pos})
 		}
-		rec.Add(multinet.ScoredLink{NetI: 0, NetJ: 1, A: m.posLink[key], Score: s})
 	}
-	clusters, rejected := rec.Finish()
-	anchors := multinet.PairLinks(clusters, 0, 1)
-	for _, a := range anchors {
-		m.labels[hetnet.Key(a.I, a.J)] = 1
+	slices.SortFunc(cands, matching.Compare)
+	n := len(cands)
+	picks := matching.GreedyMerge(cands[:0], [][]matching.Candidate{cands}, nil)
+	anchors := make([]hetnet.Anchor, len(picks))
+	for k, c := range picks {
+		anchors[k] = hetnet.Anchor{I: c.I, J: c.J}
+		key := hetnet.Key(c.I, c.J)
+		r := m.links[key]
+		r.Label = 1
+		m.links[key] = r
 	}
-	return &Result{
-		anchors:      anchors,
-		labels:       m.labels,
-		scores:       m.scores,
-		queried:      m.queried,
-		queriedLinks: m.queriedLink,
-		Rejected:     rejected,
-	}
+	slices.SortFunc(anchors, compareLinks)
+	return &Result{anchors: anchors, links: m.links, Rejected: n - len(picks)}
 }

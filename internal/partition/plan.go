@@ -2,8 +2,8 @@
 // by sharding a large AlignedPair's candidate space into K overlapping
 // partitions, running the existing counter→extractor→core.Train pipeline
 // per partition concurrently on forked counters, and merging the
-// per-partition predictions into one globally one-to-one result via the
-// score-greedy union-find reconciliation of internal/multinet.
+// per-partition predictions into one globally one-to-one result with the
+// trainer's own score-greedy link selection (internal/matching).
 //
 // The approach follows "Scalable Heterogeneous Social Network Alignment
 // through Synergistic Graph Partition" (Ren, Meng, Zhang): alignment

@@ -25,8 +25,8 @@ type PartitionReport = partition.PartReport
 // training-anchor locality), the active-learning budget is split across
 // them proportionally to their candidate share, every part runs the
 // counter→extractor→training pipeline, and the per-part predictions
-// merge into one globally one-to-one result via score-greedy union-find
-// reconciliation. The constructors differ only in where the parts run
+// merge into one globally one-to-one result through the trainer's
+// score-greedy link selection (partition.Merger). The constructors differ only in where the parts run
 // (see open).
 //
 // With Options.Partitions ≤ 1 the result is identical to Aligner.Align
@@ -83,18 +83,17 @@ func NewPartitioned(pair *AlignedPair, opts Options) (*PartitionedAligner, error
 // per round, so QueryCount spans the whole run's oracle spend whatever
 // the round count. A distributed run keeps one sticky worker session
 // across the rounds, and after the first each worker re-runs only
-// training on the shard it prepared (see Metrics().CacheHits and
-// DeltaBytes for the audit); its oracle stays
-// on this side of the wire and is queried through label round-trip
-// frames, so remote workers never see ground truth beyond their shard's
-// training anchors.
+// training on the shard it prepared (Metrics().CacheHits counts those
+// warm runs); its oracle stays on this side of the wire and is queried
+// through label round-trip frames, so remote workers never see ground
+// truth beyond their shard's training anchors.
 //
 // Reproducibility: with Partitions > 1 oracle queries arrive in
 // nondeterministic order across the concurrent shard pipelines. Runs
 // remain identical for a fixed Seed as long as the oracle answers as a
 // pure function of the queried link — true of NewTruthOracle, the
 // hash-seeded NoisyOracle and the Options.OracleConfig panel (whose
-// verdicts therefore also survive session retries and label deltas
+// verdicts therefore also survive session retries and later rounds
 // unchanged). Supply an order-dependent oracle only with
 // Partitions ≤ 1.
 func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle Oracle) (*PartitionedResult, error) {
