@@ -170,12 +170,6 @@ type Options struct {
 	// failure. 0 means the default (2 minutes); negative disables
 	// per-shard deadlines.
 	ShardTimeout time.Duration
-	// HedgeAfter (DistributedAligner only), when positive, enables
-	// straggler hedging: a shard in flight longer than
-	// max(HedgeAfter, 2×P90 of completed shards) is raced on a second
-	// connection and the first finish wins, in every round of a
-	// multi-round run too. Zero disables hedging.
-	HedgeAfter time.Duration
 	// NoFallback (DistributedAligner only) disables graceful
 	// degradation: by default a shard that exhausts its transport
 	// retries runs in-process over a private loopback worker instead of
@@ -214,8 +208,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("activeiter: negative Workers %d (use 0 for the GOMAXPROCS default)", o.Workers)
 	case o.Rounds < 0:
 		return fmt.Errorf("activeiter: negative Rounds %d (use 0 or 1 for single-shot dispatch)", o.Rounds)
-	case o.HedgeAfter < 0:
-		return fmt.Errorf("activeiter: negative HedgeAfter %v (use 0 to disable hedging)", o.HedgeAfter)
 	}
 	if o.Threshold != nil && (math.IsNaN(*o.Threshold) || math.IsInf(*o.Threshold, 0)) {
 		return fmt.Errorf("activeiter: non-finite Threshold %v", *o.Threshold)

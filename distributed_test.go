@@ -159,9 +159,6 @@ func TestOptionsRoundsValidation(t *testing.T) {
 	if _, err := NewDistributed(pair, Options{Rounds: -1}, NewLoopbackTransport()); err == nil {
 		t.Error("negative Rounds accepted")
 	}
-	if _, err := NewDistributed(pair, Options{HedgeAfter: -1}, NewLoopbackTransport()); err == nil {
-		t.Error("negative HedgeAfter accepted")
-	}
 }
 
 // unreachableTransport models a fully-down fabric at the facade level.

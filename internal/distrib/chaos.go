@@ -45,7 +45,7 @@ type ChaosOptions struct {
 	CrashRate float64
 	// MaxDelay, when positive, adds a per-connection artificial latency
 	// of up to MaxDelay (chosen once per conn, applied before every I/O
-	// operation) — the straggler generator for hedging tests.
+	// operation) — the straggler generator for deadline tests.
 	MaxDelay time.Duration
 	// Sleep replaces time.Sleep for the artificial latency; nil uses
 	// time.Sleep. Tests pass a recorder or no-op to stay wall-clock

@@ -306,14 +306,6 @@ func (a *Answer) decodeBody(body []byte) error {
 	return finish(d, "answer")
 }
 
-func (c *Cancel) appendBody(b []byte) []byte { return framing.AppendVarint(b, int64(c.Shard)) }
-
-func (c *Cancel) decodeBody(body []byte) error {
-	d := framing.NewDec(body)
-	c.Shard = d.Int()
-	return finish(d, "cancel")
-}
-
 func (e *JobError) appendBody(b []byte) []byte {
 	return framing.AppendString(framing.AppendVarint(b, int64(e.Shard)), e.Msg)
 }

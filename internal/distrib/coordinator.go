@@ -34,12 +34,6 @@ type Options struct {
 	// force-closes the conn. Zero means defaultShardTimeout; negative
 	// disables deadlines.
 	ShardTimeout time.Duration
-	// HedgeAfter, when positive, enables straggler hedging: a shard
-	// in flight longer than max(HedgeAfter, 2×P90 of completed shard
-	// durations) is re-dispatched to a second connection, the first Done
-	// wins, and the loser is cancelled (Cancel frame, then close). Zero
-	// disables hedging.
-	HedgeAfter time.Duration
 	// NoFallback disables graceful degradation. By default a shard whose
 	// retry budget is exhausted — or that can never dispatch because the
 	// transport is down — runs in-process over a private loopback worker
@@ -56,7 +50,7 @@ type Options struct {
 	Base *metadiag.Counter
 	// Tracer, when set, records the span tree: a root span per round
 	// ("round N"), per-attempt shard spans on their own tracks —
-	// hedges and fallbacks included — and the worker-side prepare/train/
+	// retries and fallbacks included — and the worker-side prepare/train/
 	// votes spans shipped back on Done frames, stitched under their
 	// coordinator parents. Nil (the default) disables tracing; jobs then
 	// carry zero trace IDs and workers record nothing.
@@ -75,9 +69,6 @@ type ShardMetrics struct {
 	// Fallback reports the shard's result came from the in-process
 	// degradation path, not the transport.
 	Fallback bool
-	// Hedged reports a straggler hedge was dispatched for this shard
-	// (whether or not the hedge won).
-	Hedged bool
 }
 
 // Metrics is a round's transport audit: what crossed the wire.
@@ -106,9 +97,6 @@ type Metrics struct {
 	// Fallbacks counts shards that degraded to the in-process loopback
 	// path after exhausting their transport retry budget.
 	Fallbacks int
-	// Hedges counts straggler hedge dispatches (duplicate attempts, not
-	// necessarily winners).
-	Hedges int
 	// SeedBytes counts the bytes of the Seed frames shipped; SeedShips
 	// counts the connections that received one. A connection whose worker
 	// already held the seed costs neither — its offer rides the Hello.
@@ -128,7 +116,6 @@ func (m *Metrics) add(o *Metrics) {
 	m.CacheHits += o.CacheHits
 	m.CacheMisses += o.CacheMisses
 	m.Fallbacks += o.Fallbacks
-	m.Hedges += o.Hedges
 	m.SeedBytes += o.SeedBytes
 	m.SeedShips += o.SeedShips
 }
@@ -174,7 +161,6 @@ type shardResult struct {
 	weights   []float64 // the shard's trained model, from its Done frame
 	jobBytes  int64     // Job frame bytes written
 	readBytes int64
-	fallback  bool       // produced by the in-process degradation path
 	cacheHit  bool       // the worker re-ran the shard warm (Done.Cached)
 	spans     []WireSpan // worker-side spans off the Done frame (tracing only)
 }
@@ -243,7 +229,7 @@ type streamEnv struct {
 
 // collectShard consumes one shard's frame stream — votes, oracle
 // round-trips — through to its Done frame, accumulating into sr.
-func collectShard(conn *attemptConn, partIndex int, env *streamEnv, sr *shardResult) error {
+func collectShard(conn io.ReadWriter, partIndex int, env *streamEnv, sr *shardResult) error {
 	cr := &countingReader{r: conn}
 	defer func() { sr.readBytes += cr.n }()
 	for {
@@ -281,7 +267,7 @@ func collectShard(conn *attemptConn, partIndex int, env *streamEnv, sr *shardRes
 			label := env.oracle.Label(hetnet.Anchor{I: int(q.I), J: int(q.J)})
 			env.oracleMu.Unlock()
 			env.queries.Add(1)
-			if _, err := conn.writeFrame(FrameAnswer, &Answer{Seq: q.Seq, Label: label}); err != nil {
+			if err := WriteFrame(conn, FrameAnswer, &Answer{Seq: q.Seq, Label: label}); err != nil {
 				return err
 			}
 		case FrameDone:

@@ -2,9 +2,11 @@ package distrib
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/oracle"
 	"github.com/activeiter/activeiter/internal/partition"
+	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------
@@ -94,6 +97,63 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		if a1[i] != a2[i] {
 			t.Fatalf("same seed, different anchor %d: %+v vs %+v", i, a1[i], a2[i])
 		}
+	}
+}
+
+// TestShardAttemptsNeverOverlap pins the invariant the session's
+// connections rely on for having one writer each: a shard has at most one
+// attempt in flight. Under drops, crashes and latency, with retries and
+// the in-process fallback both exercised, every shard's attempt spans are
+// pairwise disjoint in time — the next attempt starts only after the last
+// one ended — one span per counted attempt, and the votes still equal the
+// in-process reference.
+func TestShardAttemptsNeverOverlap(t *testing.T) {
+	fx := newDistFixture(t, 3, 12)
+	var retries, fallbacks int
+	for _, seed := range []int64{3, 8, 13, 21} {
+		chaos := &ChaosTransport{Inner: Loopback{}, Opts: ChaosOptions{
+			Seed: seed, DropRate: 0.45, CrashRate: 0.3, MaxDelay: time.Millisecond,
+		}}
+		tr := telemetry.NewTracer("coordinator")
+		sess, err := NewSession(chaos, fx.pair, Options{
+			Train: fx.train, Workers: 2, Retries: 1, ShardTimeout: 2 * time.Second, Tracer: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, m, err := sess.Run(fx.freshPlan(t, 12), fx.oracle)
+		sess.Close()
+		if err != nil {
+			t.Fatalf("seed %d: chaos session failed: %v", seed, err)
+		}
+		assertSameAlignment(t, res, fx.ref, fx.plan)
+		retries += m.Retries
+		fallbacks += m.Fallbacks
+
+		attempts := map[string][]telemetry.SpanData{}
+		for _, sp := range tr.Spans() {
+			if sp.Proc != "worker" && strings.HasPrefix(sp.Name, "shard ") {
+				attempts[sp.Name] = append(attempts[sp.Name], sp)
+			}
+		}
+		for _, sm := range m.Shards {
+			name := fmt.Sprintf("shard %d", sm.Shard)
+			spans := attempts[name]
+			if len(spans) != sm.Attempts {
+				t.Fatalf("seed %d: %s has %d attempt spans for %d attempts", seed, name, len(spans), sm.Attempts)
+			}
+			sort.Slice(spans, func(a, b int) bool { return spans[a].Start < spans[b].Start })
+			for a := 1; a < len(spans); a++ {
+				if prev, next := spans[a-1], spans[a]; next.Start < prev.End {
+					t.Fatalf("seed %d: %s attempt on %q starts %v before the attempt on %q ends",
+						seed, name, next.Track, time.Duration(prev.End-next.Start), prev.Track)
+				}
+			}
+		}
+	}
+	t.Logf("retries %d, fallbacks %d", retries, fallbacks)
+	if retries == 0 || fallbacks == 0 {
+		t.Fatalf("retries %d, fallbacks %d: both rungs must be exercised", retries, fallbacks)
 	}
 }
 
@@ -179,6 +239,205 @@ func TestHungWorkerHitsDeadlineAndFallsBack(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ---------------------------------------------------------------------
+// Stragglers: a shard has one attempt in flight, so a slow worker is
+// waited for while it is inside ShardTimeout, and cut off and retried
+// once it is past it.
+// ---------------------------------------------------------------------
+
+// stragglerTransport dials loopback workers and makes one shard attempt
+// a straggler: while armed, the next connection a Job is written to holds
+// back its first read after the Job for delay, or until the coordinator
+// closes it. Its conns hide their deadline methods, so a ShardTimeout
+// cut-off comes from the watchdog closing the conn.
+type stragglerTransport struct {
+	inner  Transport
+	delay  time.Duration
+	armed  atomic.Bool
+	stalls atomic.Int64
+}
+
+func (tr *stragglerTransport) Dial() (io.ReadWriteCloser, error) {
+	conn, err := tr.inner.Dial()
+	if err != nil {
+		return nil, err
+	}
+	return &stragglerConn{ReadWriteCloser: conn, tr: tr, closed: make(chan struct{})}, nil
+}
+
+type stragglerConn struct {
+	io.ReadWriteCloser
+	tr        *stragglerTransport
+	stall     atomic.Bool
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *stragglerConn) Read(p []byte) (int, error) {
+	if c.stall.CompareAndSwap(true, false) {
+		select {
+		case <-time.After(c.tr.delay):
+		case <-c.closed:
+		}
+	}
+	return c.ReadWriteCloser.Read(p)
+}
+
+func (c *stragglerConn) Write(p []byte) (int, error) {
+	// A frame opens with its own 8-byte header write: length, "AI",
+	// version, type.
+	if len(p) == 8 && p[4] == 'A' && p[5] == 'I' && FrameType(p[7]) == FrameJob && c.tr.armed.CompareAndSwap(true, false) {
+		c.tr.stalls.Add(1)
+		c.stall.Store(true)
+	}
+	return c.ReadWriteCloser.Write(p)
+}
+
+func (c *stragglerConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.ReadWriteCloser.Close()
+}
+
+// runStraggledSession runs a two-round session over tr and arms its
+// straggler before round 2, so the stalled attempt is a shard's re-run on
+// the worker that holds it warm. It returns round 2's result and metrics
+// and how long round 2 took.
+func runStraggledSession(t *testing.T, fx *distFixture, tr *stragglerTransport, timeout time.Duration) (*partition.Result, *Metrics, time.Duration) {
+	t.Helper()
+	plan := fx.freshPlan(t, 8)
+	sess, err := NewSession(tr, fx.pair, Options{Train: fx.train, Workers: 2, ShardTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	plan.Rebudget(partition.RoundBudget(8, 2, 0))
+	res, _, err := sess.Run(plan, fx.oracle)
+	if err != nil {
+		t.Fatalf("round 1: %v", err)
+	}
+	plan.AppendLabels(res.QueriedLabels())
+	tr.armed.Store(true)
+	plan.Rebudget(partition.RoundBudget(8, 2, 1))
+	start := time.Now()
+	res, m, err := sess.Run(plan, fx.oracle)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("round 2: %v", err)
+	}
+	return res, m, elapsed
+}
+
+// TestStragglerIsWaitedFor: an attempt that stalls inside ShardTimeout is
+// waited for. Nothing is retried or falls back, every shard runs exactly
+// one attempt, the round lasts at least the stall, and the votes are the
+// healthy run's. In a session the straggler keeps its warm shard: every
+// round-2 job is still a cache hit.
+func TestStragglerIsWaitedFor(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	assertWaited := func(t *testing.T, tr *stragglerTransport, m *Metrics, elapsed time.Duration) {
+		t.Helper()
+		if n := tr.stalls.Load(); n != 1 {
+			t.Fatalf("%d attempts stalled, want 1", n)
+		}
+		if m.Retries != 0 || m.Fallbacks != 0 {
+			t.Errorf("straggler not waited for: %d retries, %d fallbacks", m.Retries, m.Fallbacks)
+		}
+		for _, sm := range m.Shards {
+			if sm.Attempts != 1 || sm.Fallback {
+				t.Errorf("shard %d: %d attempts, fallback %v; want 1 attempt on the transport", sm.Shard, sm.Attempts, sm.Fallback)
+			}
+		}
+		if elapsed < delay {
+			t.Errorf("round took %v, under the %v stall", elapsed, delay)
+		}
+	}
+
+	t.Run("single-shot", func(t *testing.T) {
+		fx := newDistFixture(t, 2, 0)
+		tr := &stragglerTransport{inner: Loopback{}, delay: delay}
+		tr.armed.Store(true)
+		coord := &Coordinator{Transport: tr, Opts: Options{Train: fx.train, Workers: 2}}
+		start := time.Now()
+		res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAlignment(t, res, fx.ref, fx.plan)
+		assertWaited(t, tr, m, time.Since(start))
+	})
+
+	t.Run("session-round-2", func(t *testing.T) {
+		fx := newDistFixture(t, 2, 8)
+		want, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 8, 2)
+		tr := &stragglerTransport{inner: Loopback{}, delay: delay}
+		res, m, elapsed := runStraggledSession(t, fx, tr, 0)
+		assertSameAlignment(t, res, want, fx.plan)
+		assertWaited(t, tr, m, elapsed)
+		if m.CacheHits != fx.k {
+			t.Errorf("round 2: %d cache hits, want %d", m.CacheHits, fx.k)
+		}
+	})
+}
+
+// TestStragglerPastDeadlineIsRetried: an attempt that stalls past
+// ShardTimeout is cut off by the watchdog and the shard is retried on the
+// transport. The retry answers — no fallback — the round ends on the
+// deadline's clock rather than the stall's, and the votes are the healthy
+// run's.
+func TestStragglerPastDeadlineIsRetried(t *testing.T) {
+	const (
+		timeout = time.Second
+		delay   = time.Minute
+	)
+	assertRetried := func(t *testing.T, tr *stragglerTransport, m *Metrics, elapsed time.Duration) {
+		t.Helper()
+		if n := tr.stalls.Load(); n != 1 {
+			t.Fatalf("%d attempts stalled, want 1", n)
+		}
+		if m.Retries == 0 {
+			t.Error("the cut-off attempt was not retried")
+		}
+		if m.Fallbacks != 0 {
+			t.Errorf("%d shards fell back; the retry should have answered", m.Fallbacks)
+		}
+		retried := 0
+		for _, sm := range m.Shards {
+			if sm.Attempts > 1 {
+				retried++
+			}
+		}
+		if retried == 0 {
+			t.Error("no shard records a second attempt")
+		}
+		if elapsed >= delay/2 {
+			t.Errorf("round took %v; the deadline did not cut the straggler off", elapsed)
+		}
+	}
+
+	t.Run("single-shot", func(t *testing.T) {
+		fx := newDistFixture(t, 2, 0)
+		tr := &stragglerTransport{inner: Loopback{}, delay: delay}
+		tr.armed.Store(true)
+		coord := &Coordinator{Transport: tr, Opts: Options{Train: fx.train, Workers: 2, ShardTimeout: timeout}}
+		start := time.Now()
+		res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAlignment(t, res, fx.ref, fx.plan)
+		assertRetried(t, tr, m, time.Since(start))
+	})
+
+	t.Run("session-round-2", func(t *testing.T) {
+		fx := newDistFixture(t, 2, 8)
+		want, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 8, 2)
+		tr := &stragglerTransport{inner: Loopback{}, delay: delay}
+		res, m, elapsed := runStraggledSession(t, fx, tr, timeout)
+		assertSameAlignment(t, res, want, fx.plan)
+		assertRetried(t, tr, m, elapsed)
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -273,344 +532,6 @@ func TestNegativeRetriesDisablesRetry(t *testing.T) {
 	}
 	if m.Retries != 0 {
 		t.Errorf("Retries = %d with retries disabled", m.Retries)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Hedging: a straggling connection gets a duplicate dispatch; the first
-// Done wins and the result is unchanged.
-// ---------------------------------------------------------------------
-
-// slowFirstTransport makes the FIRST dialed connection a straggler while
-// armed: its worker takes a job and then goes quiet — from the start, or
-// (armed between rounds) in a later round of a session.
-type slowFirstTransport struct {
-	inner Transport
-	delay time.Duration
-	armed atomic.Bool
-	// sawCancel records a Cancel frame header written to the slow
-	// connection — the loser's abandon notice.
-	sawCancel atomic.Bool
-	mu        sync.Mutex
-	dials     int
-}
-
-func (tr *slowFirstTransport) Dial() (io.ReadWriteCloser, error) {
-	conn, err := tr.inner.Dial()
-	if err != nil {
-		return nil, err
-	}
-	tr.mu.Lock()
-	first := tr.dials == 0
-	tr.dials++
-	tr.mu.Unlock()
-	if first {
-		return &slowConn{ReadWriteCloser: conn, tr: tr, closed: make(chan struct{})}, nil
-	}
-	return conn, nil
-}
-
-// slowConn holds back every read that follows a Job written while its
-// transport is armed, for delay or until the coordinator
-// abandons the connection — whichever comes first, so the round is over
-// as soon as the winning twin gives up on the loser. Stalling only once a
-// job is in flight keeps the handshake healthy: what
-// straggles is a shard attempt, which the round tracks and can cancel. It
-// deliberately hides deadline methods so the straggler is not rescued by
-// a timeout first.
-type slowConn struct {
-	io.ReadWriteCloser
-	tr        *slowFirstTransport
-	stalled   atomic.Bool
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
-func (c *slowConn) Read(p []byte) (int, error) {
-	if c.stalled.Load() {
-		select {
-		case <-time.After(c.tr.delay):
-		case <-c.closed:
-		}
-	}
-	return c.ReadWriteCloser.Read(p)
-}
-
-func (c *slowConn) Write(p []byte) (int, error) {
-	// A frame opens with its own 8-byte header write: length, "AI",
-	// version, type.
-	if len(p) == 8 && p[4] == 'A' && p[5] == 'I' {
-		switch FrameType(p[7]) {
-		case FrameCancel:
-			// The abandon notice is advisory and the coordinator closes the
-			// connection right after it, so the connection ends here: the
-			// stalled side is this one's reads, and nobody would take the
-			// notice off the synchronous pipe before the stall is over.
-			c.tr.sawCancel.Store(true)
-			c.Close()
-			return 0, io.ErrClosedPipe
-		case FrameJob:
-			c.stalled.Store(c.tr.armed.Load())
-		}
-	}
-	return c.ReadWriteCloser.Write(p)
-}
-
-func (c *slowConn) Close() error {
-	c.closeOnce.Do(func() { close(c.closed) })
-	return c.ReadWriteCloser.Close()
-}
-
-// A healthy shard of the tiny fixture trains in milliseconds — tens of
-// them under the race detector on a busy two-core box, which is what
-// made a 20 ms threshold hedge healthy rounds. hedgeAfter leaves that two
-// orders of magnitude; stragglerDelay is long enough that the twin,
-// dispatched at hedgeAfter plus at most a quarter of it, always finishes
-// first — and is never waited out, because the winner closes the loser.
-const (
-	hedgeAfter     = time.Second
-	stragglerDelay = 10 * time.Second
-)
-
-func TestHedgingRacesStragglers(t *testing.T) {
-	assertHedged := func(t *testing.T, m *Metrics) {
-		t.Helper()
-		if m.Hedges == 0 {
-			t.Fatal("no hedge dispatched for the straggling connection")
-		}
-		hedged := 0
-		for _, sm := range m.Shards {
-			if sm.Hedged {
-				hedged++
-			}
-		}
-		if hedged == 0 {
-			t.Error("Hedges counted but no shard marked Hedged")
-		}
-	}
-
-	t.Run("single-shot", func(t *testing.T) {
-		fx := newDistFixture(t, 2, 0)
-		tr := &slowFirstTransport{inner: Loopback{}, delay: stragglerDelay}
-		tr.armed.Store(true)
-		coord := &Coordinator{Transport: tr, Opts: Options{
-			Train: fx.train, Workers: 2, HedgeAfter: hedgeAfter,
-		}}
-		res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
-		if err != nil {
-			t.Fatalf("hedged run failed: %v", err)
-		}
-		assertSameAlignment(t, res, fx.ref, fx.plan)
-		assertHedged(t, m)
-	})
-
-	// The same straggler, but in round 2 of a session: the slow
-	// connection holds a shard warm from a healthy round 1, stalls on its
-	// warm re-run, and is raced by a cold twin on the other slot. First
-	// Done wins, the loser is cancelled, and the votes equal the unhedged
-	// session's.
-	t.Run("session-round-2", func(t *testing.T) {
-		fx := newDistFixture(t, 2, 8)
-		unhedged, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 8, 2)
-
-		tr := &slowFirstTransport{inner: Loopback{}, delay: stragglerDelay}
-		plan := fx.freshPlan(t, 8)
-		sess, err := NewSession(tr, fx.pair, Options{
-			Train: fx.train, Workers: 2, HedgeAfter: hedgeAfter,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		plan.Rebudget(partition.RoundBudget(8, 2, 0))
-		res, m1, err := sess.Run(plan, fx.oracle)
-		if err != nil {
-			t.Fatalf("round 1: %v", err)
-		}
-		if m1.Hedges != 0 {
-			t.Fatalf("healthy round 1 hedged %d times", m1.Hedges)
-		}
-		plan.AppendLabels(res.QueriedLabels())
-		tr.armed.Store(true)
-		plan.Rebudget(partition.RoundBudget(8, 2, 1))
-		res, m2, err := sess.Run(plan, fx.oracle)
-		if err != nil {
-			t.Fatalf("hedged round 2: %v", err)
-		}
-		assertSameAlignment(t, res, unhedged, fx.plan)
-		assertHedged(t, m2)
-		// The Cancel is written off the dispatch path; give it a moment.
-		for deadline := time.Now().Add(5 * time.Second); !tr.sawCancel.Load(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("the losing attempt's connection never got a Cancel frame")
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------
-// One writer per connection: the winner's Cancel never lands inside a
-// frame the losing attempt is still writing.
-// ---------------------------------------------------------------------
-
-// midFrameTransport parks the FIRST dialed connection's attempt inside a
-// frame: the first oracle Answer's header goes out, and the write holds
-// there — the worker has half a frame — until the coordinator closes the
-// connection. Any other write arriving meanwhile is a second writer on
-// the framed stream.
-type midFrameTransport struct {
-	inner Transport
-	mu    sync.Mutex
-	first *midFrameConn
-}
-
-func (tr *midFrameTransport) Dial() (io.ReadWriteCloser, error) {
-	conn, err := tr.inner.Dial()
-	if err != nil {
-		return nil, err
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.first == nil {
-		tr.first = &midFrameConn{ReadWriteCloser: conn, closed: make(chan struct{})}
-		return tr.first, nil
-	}
-	return conn, nil
-}
-
-type midFrameConn struct {
-	io.ReadWriteCloser
-	parked    atomic.Bool // the attempt's goroutine is inside its Answer frame
-	intruded  atomic.Bool // a write arrived while it was
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
-func (c *midFrameConn) Write(p []byte) (int, error) {
-	if c.parked.Load() {
-		c.intruded.Store(true)
-		c.Close()
-		return 0, io.ErrClosedPipe
-	}
-	if len(p) == 8 && p[4] == 'A' && p[5] == 'I' && FrameType(p[7]) == FrameAnswer {
-		n, err := c.ReadWriteCloser.Write(p)
-		c.parked.Store(true)
-		<-c.closed
-		if err == nil {
-			err = io.ErrClosedPipe
-		}
-		return n, err
-	}
-	return c.ReadWriteCloser.Write(p)
-}
-
-func (c *midFrameConn) Close() error {
-	c.closeOnce.Do(func() { close(c.closed) })
-	return c.ReadWriteCloser.Close()
-}
-
-// TestCancelNeverInterleavesWithAnAnswer pins the session connection's
-// single-writer rule. The straggler is an attempt stuck between the
-// header and the body of an Answer; its hedge twin wins, and the
-// winner's goroutine cancels the loser. Writing the Cancel from there
-// put its header into the middle of the Answer — a corrupt stream, and
-// over net.Pipe two writers blocked until ShardTimeout. The canceller
-// now waits its turn for the connection and, when the turn does not come,
-// closes it.
-func TestCancelNeverInterleavesWithAnAnswer(t *testing.T) {
-	fx := newDistFixture(t, 2, 8)
-	for _, part := range fx.plan.Parts {
-		if part.Budget == 0 {
-			t.Fatal("fixture shard carries no budget; its worker would never query")
-		}
-	}
-	tr := &midFrameTransport{inner: Loopback{}}
-	coord := &Coordinator{Transport: tr, Opts: Options{
-		Train: fx.train, Workers: 2, HedgeAfter: 100 * time.Millisecond,
-	}}
-	start := time.Now()
-	res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
-	if err != nil {
-		t.Fatalf("hedged run failed: %v", err)
-	}
-	if took := time.Since(start); took > 30*time.Second {
-		t.Errorf("run took %v: the parked attempt was waited out", took)
-	}
-	assertSameAlignment(t, res, fx.ref, fx.plan)
-	if m.Hedges == 0 {
-		t.Fatal("the parked attempt was never hedged")
-	}
-	// The cancel runs off the dispatch path: wait for it to end the
-	// parked connection, then ask what it wrote on the way.
-	select {
-	case <-tr.first.closed:
-	case <-time.After(10 * cancelGrace):
-		t.Fatal("the losing attempt's connection was never closed")
-	}
-	if tr.first.intruded.Load() {
-		t.Fatal("a second writer put a frame inside the losing attempt's half-written Answer")
-	}
-}
-
-// ---------------------------------------------------------------------
-// Worker-side Cancel: a cancel landing while the worker waits on an
-// oracle answer abandons the job silently — no Error frame — and the
-// connection keeps serving.
-// ---------------------------------------------------------------------
-
-func TestWorkerCancelMidQueryKeepsServing(t *testing.T) {
-	fx := newDistFixture(t, 2, 6)
-	here := dialSeeded(t, fx.pair, fx.train)
-	part := &fx.plan.Parts[0]
-	if part.Budget == 0 {
-		t.Fatal("fixture shard carries no budget; the worker would never query")
-	}
-	job := NewJob(fx.pair, part, fx.train)
-	if err := WriteFrame(here, FrameJob, job); err != nil {
-		t.Fatal(err)
-	}
-	// Consume frames until the worker blocks on its first oracle query,
-	// then cancel the job out from under it.
-	for {
-		typ, _, err := ReadFrame(here)
-		if err != nil {
-			t.Fatalf("waiting for query: %v", err)
-		}
-		if typ == FrameError {
-			t.Fatal("worker errored before querying")
-		}
-		if typ == FrameQuery {
-			break
-		}
-	}
-	if err := WriteFrame(here, FrameCancel, &Cancel{Shard: job.Shard}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The connection must survive the abandon: a second, budget-free job
-	// on the same conn runs to Done with no Error frame in between.
-	job2 := *job
-	job2.Budget = 0
-	if err := WriteFrame(here, FrameJob, &job2); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		typ, _, err := ReadFrame(here)
-		if err != nil {
-			t.Fatalf("after cancel: %v", err)
-		}
-		switch typ {
-		case FrameError:
-			t.Fatal("worker sent an Error frame for a cancelled job")
-		case FrameQuery:
-			t.Fatal("budget-free job queried the oracle")
-		case FrameDone:
-			here.Close()
-			if err := <-here.served; err != nil && err != io.EOF && !strings.Contains(err.Error(), "closed pipe") {
-				t.Errorf("serve loop ended badly: %v", err)
-			}
-			return
-		}
 	}
 }
 

@@ -631,7 +631,7 @@ func TestJobWithoutInstalledSeedIsRefused(t *testing.T) {
 
 // TestSeedBuildErrorFailsTheRun: a seed that cannot be built is the
 // run's one clear error. It comes back from round 1 (and every later
-// Run) wrapped once, with nothing spent on it — no redial, no hedge, no
+// Run) wrapped once, with nothing spent on it — no redial, no retry, no
 // fallback worker, which would need the same seed — and slots connected
 // ahead of the plan stay cold.
 func TestSeedBuildErrorFailsTheRun(t *testing.T) {
@@ -654,7 +654,7 @@ func TestSeedBuildErrorFailsTheRun(t *testing.T) {
 			t.Fatalf("round %d: error %q, want %q", round, err, want)
 		}
 	}
-	if m := sess.Metrics(); m.Retries != 0 || m.Fallbacks != 0 || m.Hedges != 0 || len(m.Shards) != 0 {
+	if m := sess.Metrics(); m.Retries != 0 || m.Fallbacks != 0 || len(m.Shards) != 0 {
 		t.Errorf("recovery was spent on a seed error: %+v", m)
 	}
 	for _, slot := range sess.slots {

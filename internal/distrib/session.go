@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +33,12 @@ import (
 // prepares it cold; a failed attempt burns its connection and the shard
 // requeues — with backoff, for whichever slot is free — up to
 // Options.Retries; a shard out of retries runs in-process over a private
-// loopback worker (unless NoFallback); a straggler is raced by a hedge
-// twin on another slot (HedgeAfter), first Done wins. Whichever rung
-// answers, the votes are identical — warm re-runs are property-tested
-// bit-equal to cold ones, and faulted runs to healthy ones.
+// loopback worker (unless NoFallback); a straggler is waited for, or cut
+// off by ShardTimeout and retried. A shard has at most one attempt in
+// flight, so each connection has one writer: its attempt's goroutine.
+// Whichever rung answers, the votes are identical — warm re-runs are
+// property-tested bit-equal to cold ones, and faulted runs to healthy
+// ones.
 //
 // Use one Session per (pair, plan) lifetime: Run may be called once per
 // active-learning round, with the caller growing the plan's prelabels
@@ -52,8 +53,8 @@ type Session struct {
 	round int
 	slots []*sessionSlot
 	// homes maps a part index to the slot that ran it last, where the
-	// next round sends it. mu guards it — a shard and its hedge twin run
-	// on two slots at once.
+	// next round sends it. mu guards it — the round's slots run side by
+	// side.
 	mu    sync.Mutex
 	homes map[int]int
 	cum   Metrics
@@ -316,7 +317,7 @@ func (s *Session) dropConn(slot *sessionSlot) error {
 // is listed with its final attempt count, which is what a caller
 // diagnosing the abort needs. A session whose seed cannot be built
 // returns that error ("distrib: seed: …") from every Run before anything
-// is dispatched — no retry, hedge or fallback could do better.
+// is dispatched — no retry or fallback could do better.
 func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Result, *Metrics, error) {
 	if plan == nil || len(plan.Parts) == 0 {
 		return nil, nil, fmt.Errorf("distrib: empty plan")
@@ -331,8 +332,8 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 	start := time.Now()
 
 	// Before any slot runs: a build that nothing ahead of the round has
-	// done yet belongs to no shard attempt's clock (the hedge monitor
-	// reads those) — and a failed one spends no attempt at all.
+	// done yet belongs to no shard attempt's deadline — and a failed one
+	// spends no attempt at all.
 	if err := s.ensureSeed(); err != nil {
 		return nil, nil, err
 	}
@@ -361,17 +362,11 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		tracer:       tr,
 		roundSpan:    roundSpan.ID(),
 		// Worst-case enqueues per shard: the initial dispatch, one requeue
-		// per retry, one hedge duplicate, one fallback dispatch — sized so
-		// no enqueue under the state mutex can ever block.
-		queue:       make(chan int, k*(retries+4)),
-		stop:        make(chan struct{}),
+		// per retry, one fallback dispatch — sized so no enqueue under the
+		// state mutex can ever block.
+		queue:       make(chan int, k*(retries+2)),
 		attempts:    make([]int, k),
-		inflight:    make([]int, k),
-		started:     make([]time.Time, k),
-		done:        make([]bool, k),
-		hedged:      make([]bool, k),
 		fellBack:    make([]bool, k),
-		active:      make(map[int][]*attemptConn, k),
 		results:     make([]*shardResult, k),
 		merger:      partition.NewMerger(),
 		outstanding: k,
@@ -394,13 +389,6 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 	s.mu.Unlock()
 
 	var wg sync.WaitGroup
-	if s.opts.HedgeAfter > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rr.hedgeMonitor(s.opts.HedgeAfter)
-		}()
-	}
 	for sl, slot := range s.slots {
 		wg.Add(1)
 		go func(slot *sessionSlot, held []int) {
@@ -448,10 +436,8 @@ type sessionRound struct {
 	roundSpan uint64
 
 	// queue feeds the slots every dispatch that has no warm home: first
-	// attempts of un-homed shards, retries, hedge twins, fallbacks. stop
-	// is closed with it and ends the hedge monitor.
+	// attempts of un-homed shards, retries, fallbacks.
 	queue chan int
-	stop  chan struct{}
 
 	// queries counts every oracle round-trip actually answered —
 	// including those of failed shard attempts whose votes were
@@ -459,24 +445,15 @@ type sessionRound struct {
 	// really consulted.
 	queries atomic.Int64
 
-	mu       sync.Mutex
-	attempts []int
-	inflight []int       // concurrent attempts per shard (hedging)
-	started  []time.Time // earliest running attempt's start, zero when idle
-	done     []bool      // committed — late duplicates are discarded
-	hedged   []bool      // a hedge was dispatched (one per shard, ever)
-	fellBack []bool      // the in-process fallback was dispatched
-	// active tracks every live attempt's connection per shard so the
-	// winning attempt can cancel the losers.
-	active         map[int][]*attemptConn
-	durations      []time.Duration // committed shard durations, for the hedge percentile
-	results        []*shardResult
+	mu             sync.Mutex
+	attempts       []int
+	fellBack       []bool            // the in-process fallback was dispatched
+	results        []*shardResult    // non-nil once the shard committed
 	merger         *partition.Merger // commits stream in as shards finish
 	outstanding    int
 	misses         int
 	totalRetries   int
 	totalFallbacks int
-	totalHedges    int
 	jitter         *rand.Rand // seeded backoff jitter, guarded by mu
 	err            error
 	closed         bool
@@ -488,7 +465,7 @@ type sessionRound struct {
 // with zero byte tallies.
 func (rr *sessionRound) buildMetrics() *Metrics {
 	m := &Metrics{
-		Retries: rr.totalRetries, Fallbacks: rr.totalFallbacks, Hedges: rr.totalHedges,
+		Retries: rr.totalRetries, Fallbacks: rr.totalFallbacks,
 		CacheMisses: rr.misses,
 		Queries:     int(rr.queries.Load()),
 		// Every ship since the last round reported, ahead-of-time connects
@@ -500,11 +477,10 @@ func (rr *sessionRound) buildMetrics() *Metrics {
 		sm := ShardMetrics{
 			Shard:    rr.plan.Parts[i].Index,
 			Attempts: rr.attempts[i],
-			Hedged:   rr.hedged[i],
 			Fallback: rr.fellBack[i],
 		}
 		if sr != nil {
-			sm.JobBytes, sm.Fallback, sm.CacheHit = sr.jobBytes, sr.fallback, sr.cacheHit
+			sm.JobBytes, sm.CacheHit = sr.jobBytes, sr.cacheHit
 			m.ResultBytes += sr.readBytes
 			if sr.cacheHit {
 				m.CacheHits++
@@ -518,13 +494,12 @@ func (rr *sessionRound) buildMetrics() *Metrics {
 	return m
 }
 
-// finish closes the queue exactly once so the slot loops drain, and
-// stops the hedge monitor. Callers hold rr.mu.
+// finish closes the queue exactly once so the slot loops drain. Callers
+// hold rr.mu.
 func (rr *sessionRound) finish() {
 	if !rr.closed {
 		rr.closed = true
 		close(rr.queue)
-		close(rr.stop)
 	}
 }
 
@@ -550,40 +525,28 @@ func (rr *sessionRound) slotLoop(slot *sessionSlot, held []int) {
 // — or aborts the round under NoFallback.
 func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 	rr.mu.Lock()
-	if rr.err != nil || rr.done[i] {
-		// Aborted round, or a duplicate whose twin already committed:
-		// drain without executing.
+	if rr.err != nil {
+		// Aborted round: drain without executing.
 		rr.mu.Unlock()
 		return
 	}
 	rr.attempts[i]++
 	try := rr.attempts[i]
 	isFallback := rr.fellBack[i]
-	// A duplicate picked up while the first attempt is still in flight is
-	// a hedge — the monitor enqueued it while inflight was nonzero, and
-	// only hedges dispatch that way.
-	isHedge := rr.inflight[i] > 0
-	// A hedge dispatches immediately; a retry of a dead attempt backs off
-	// first (capped exponential + jitter, slept in the retrying slot) so
-	// a flapping transport is probed, not hammered by every slot at once.
+	// A retry of a dead attempt backs off first (capped exponential +
+	// jitter, slept in the retrying slot) so a flapping transport is
+	// probed, not hammered by every slot at once.
 	var delay time.Duration
-	if !isHedge && try > 1 && !isFallback {
+	if try > 1 && !isFallback {
 		delay = retry.Backoff(retryBackoffBase, retryBackoffCap, try-1, rr.jitter.Float64())
 	}
-	if rr.inflight[i] == 0 {
-		rr.started[i] = time.Now()
-	}
-	rr.inflight[i]++
 	rr.mu.Unlock()
 	time.Sleep(delay)
 
-	// Each attempt renders on its own trace track — hedges and fallbacks
-	// get suffixed tracks so concurrent twins never overlap on one row.
+	// Each attempt renders on its shard's trace track; a fallback gets a
+	// suffixed one.
 	partIndex := rr.plan.Parts[i].Index
 	track := fmt.Sprintf("shard %d", partIndex)
-	if isHedge {
-		track += " (hedge)"
-	}
 	if isFallback {
 		// Degradation ladder's last rung: the transport gave up on this
 		// shard, so it runs over a private loopback worker — the identical
@@ -600,87 +563,12 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 	if slot.conn != nil {
 		reportHealth(slot, err == nil)
 	}
-
-	rr.mu.Lock()
-	rr.inflight[i]--
-	if rr.inflight[i] == 0 {
-		rr.started[i] = time.Time{}
-	}
-	rr.mu.Unlock()
 	if err != nil {
 		rr.s.dropConn(slot)
 		rr.fail(i, err)
 		return
 	}
-	sr.fallback = isFallback
-	if !rr.commit(slot, i, sr) {
-		// Lost the race to a twin, which is closing this connection.
-		rr.s.dropConn(slot)
-	}
-}
-
-// attemptConn is the coordinator's end of one tracked shard attempt. Its
-// framed stream has one writer at a time: the attempt's own goroutine
-// (the request, the oracle Answers) and the goroutine that cancels it
-// when a hedge twin wins both put whole frames on the wire under the
-// one-slot token. A Cancel can therefore never land inside a frame the
-// losing attempt is still writing — which corrupts the stream on any
-// transport, and over the synchronous net.Pipe left both ends blocked in
-// a write until ShardTimeout.
-type attemptConn struct {
-	io.ReadWriteCloser
-	token chan struct{}
-}
-
-// writeFrame writes one frame as the connection's only writer and
-// returns its size on the wire.
-func (c *attemptConn) writeFrame(typ FrameType, frame Payload) (int64, error) {
-	c.token <- struct{}{}
-	defer func() { <-c.token }()
-	cw := &countingWriter{w: c.ReadWriteCloser}
-	err := WriteFrame(cw, typ, frame)
-	return cw.n, err
-}
-
-// cancelGrace is how long a canceller waits for the losing attempt to
-// finish the frame it is writing. Frames take microseconds; an attempt
-// that holds the token longer is blocked on a peer that stopped reading.
-const cancelGrace = time.Second
-
-// cancel abandons the attempt from another goroutine: a Cancel frame
-// written between the attempt's own frames, then a close. An attempt
-// stuck inside a frame gets the close alone — the notice is advisory,
-// and the close unblocks it.
-func (c *attemptConn) cancel(shard int) {
-	grace := time.NewTimer(cancelGrace)
-	defer grace.Stop()
-	select {
-	case c.token <- struct{}{}:
-		_ = WriteFrame(c.ReadWriteCloser, FrameCancel, &Cancel{Shard: shard})
-		<-c.token
-	case <-grace.C:
-	}
-	c.Close()
-}
-
-// track registers an attempt's connection so a winning hedge twin can
-// cancel it; untrack removes it when the attempt ends on its own.
-func (rr *sessionRound) track(i int, conn *attemptConn) {
-	rr.mu.Lock()
-	rr.active[i] = append(rr.active[i], conn)
-	rr.mu.Unlock()
-}
-
-func (rr *sessionRound) untrack(i int, conn *attemptConn) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	live := rr.active[i][:0]
-	for _, c := range rr.active[i] {
-		if c != conn {
-			live = append(live, c)
-		}
-	}
-	rr.active[i] = live
+	rr.commit(slot, i, sr)
 }
 
 // reportHealth attributes an attempt's outcome to its worker when both
@@ -697,33 +585,18 @@ func reportHealth(slot *sessionSlot, ok bool) {
 	}
 }
 
-// commit folds a completed attempt into the merged result and reports
-// whether it won. Commit is transactional per shard: the votes only
-// reach the merger once the Done frame proved the stream complete, so a
-// retried shard never double-votes — and with hedging, only the FIRST
-// completed attempt commits; the loser's result is discarded and its
-// connection cancelled. The winner's slot becomes the shard's home.
-func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) bool {
+// commit folds a completed attempt into the merged result. Commit is
+// transactional per shard: the votes only reach the merger once the Done
+// frame proved the stream complete, so a retried shard never
+// double-votes. The committing slot becomes the shard's home.
+func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) {
 	partIndex := rr.plan.Parts[i].Index
 	rr.mu.Lock()
-	if rr.done[i] {
-		rr.mu.Unlock()
-		return false
-	}
-	rr.done[i] = true
 	for _, v := range sr.votes {
 		rr.merger.Add(v)
 	}
 	sr.votes = nil
 	rr.results[i] = sr
-	if t0 := rr.started[i]; !t0.IsZero() {
-		rr.durations = append(rr.durations, time.Since(t0))
-	}
-	// Losing twins (the attempt registry minus nobody — the winner
-	// untracked itself before committing) get a Cancel frame and a
-	// close, off-lock: a worker blocked on an oracle answer aborts
-	// promptly, one deep in training notices at its next write.
-	losers := append([]*attemptConn(nil), rr.active[i]...)
 	rr.outstanding--
 	if rr.outstanding == 0 {
 		rr.finish()
@@ -737,51 +610,6 @@ func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) bool {
 		delete(rr.s.homes, partIndex) // a fallback's private worker dies with its attempt
 	}
 	rr.s.mu.Unlock()
-	for _, c := range losers {
-		go c.cancel(partIndex)
-	}
-	return true
-}
-
-// hedgeMonitor watches for stragglers: a shard whose sole attempt has
-// been in flight longer than the hedge threshold is re-enqueued once,
-// so a second slot races it. The threshold adapts — twice the P90 of
-// completed shard durations, floored at hedgeAfter — because "straggler"
-// only means something relative to how long shards actually take.
-func (rr *sessionRound) hedgeMonitor(hedgeAfter time.Duration) {
-	period := hedgeAfter / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-rr.stop:
-			return
-		case <-tick.C:
-		}
-		rr.mu.Lock()
-		threshold := hedgeAfter
-		if n := len(rr.durations); n >= 3 {
-			sorted := append([]time.Duration(nil), rr.durations...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			if p90 := 2 * sorted[n*9/10]; p90 > threshold {
-				threshold = p90
-			}
-		}
-		for i, t0 := range rr.started {
-			if t0.IsZero() || rr.done[i] || rr.hedged[i] || rr.inflight[i] != 1 || rr.closed {
-				continue
-			}
-			if time.Since(t0) >= threshold {
-				rr.hedged[i] = true
-				rr.totalHedges++
-				rr.queue <- i
-			}
-		}
-		rr.mu.Unlock()
-	}
 }
 
 // fail requeues the shard, degrades it to the in-process fallback when
@@ -790,9 +618,8 @@ func (rr *sessionRound) hedgeMonitor(hedgeAfter time.Duration) {
 func (rr *sessionRound) fail(i int, err error) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	if rr.closed || rr.done[i] {
-		// Round already over, or a cancelled hedge loser reporting the
-		// conn its winner closed — nothing to recover.
+	if rr.closed {
+		// Another shard already aborted the round — nothing to recover.
 		return
 	}
 	if rr.attempts[i] <= rr.retries {
@@ -819,8 +646,8 @@ func (rr *sessionRound) fail(i int, err error) {
 func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt int) (*shardResult, error) {
 	part := &rr.plan.Parts[i]
 	// The attempt span is the wire-propagated parent: the worker's
-	// prepare/train/votes spans hang under it, so a hedge twin's worker
-	// spans land under the hedge attempt, not the original.
+	// prepare/train/votes spans hang under it, so a retry's worker spans
+	// land under the retry, not the failed attempt.
 	sp := rr.tracer.Start(fmt.Sprintf("shard %d", part.Index), rr.roundSpan)
 	sp.SetTrack(track)
 	sp.Annotate("attempt", fmt.Sprintf("%d", attempt))
@@ -832,9 +659,6 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 			return nil, err
 		}
 	}
-	conn := &attemptConn{ReadWriteCloser: slot.conn, token: make(chan struct{}, 1)}
-	rr.track(i, conn)
-	defer rr.untrack(i, conn)
 	// The per-shard deadline spans the whole dispatch — the Job, the
 	// response stream — and is disarmed before the (persistent) connection
 	// moves on to its next shard.
@@ -850,15 +674,16 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	job.Seed, job.TraceID, job.SpanID = rr.seed, rr.tracer.TraceID(), sp.ID()
 	ship := rr.tracer.Start("ship", sp.ID())
 	ship.SetTrack(track)
-	n, err := conn.writeFrame(FrameJob, job)
-	ship.Annotate("bytes", fmt.Sprintf("%d", n))
+	cw := &countingWriter{w: slot.conn}
+	err := WriteFrame(cw, FrameJob, job)
+	ship.Annotate("bytes", fmt.Sprintf("%d", cw.n))
 	ship.End()
 	if err != nil {
 		return nil, err
 	}
-	sr := &shardResult{jobBytes: n}
+	sr := &shardResult{jobBytes: cw.n}
 	env := &streamEnv{oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.queries}
-	if err := collectShard(conn, part.Index, env, sr); err != nil {
+	if err := collectShard(slot.conn, part.Index, env, sr); err != nil {
 		return nil, err
 	}
 	ingestWorkerSpans(rr.tracer, track, sr.spans)

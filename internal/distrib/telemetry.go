@@ -13,14 +13,13 @@ var (
 	logger = telemetry.Logger("distrib")
 
 	mRetries     = telemetry.Default.Counter("activeiter_distrib_retries_total", "Shard re-dispatches after failed attempts.")
-	mHedges      = telemetry.Default.Counter("activeiter_distrib_hedges_total", "Straggler hedge dispatches (duplicate attempts).")
 	mFallbacks   = telemetry.Default.Counter("activeiter_distrib_fallbacks_total", "Shards degraded to the in-process loopback path.")
 	mQuarantines = telemetry.Default.Counter("activeiter_distrib_quarantines_total", "Workers benched by the health board.")
 	mCacheHits   = telemetry.Default.Counter("activeiter_distrib_cache_hits_total", "Jobs a worker re-ran warm on a prepared shard it held.")
 	mCacheMisses = telemetry.Default.Counter("activeiter_distrib_cache_misses_total", "Jobs sent back to their last slot that the worker prepared cold.")
 	mQueries     = telemetry.Default.Counter("activeiter_distrib_oracle_queries_total", "Oracle round-trips answered (including retried attempts).")
 	mJobBytes    = telemetry.Default.Counter("activeiter_distrib_job_bytes_total", "Job frame bytes of jobs workers prepared cold (successful attempts).")
-	mDeltaBytes  = telemetry.Default.Counter("activeiter_distrib_delta_bytes_total", "Job frame bytes of jobs workers re-ran warm (successful attempts).")
+	mWarmBytes   = telemetry.Default.Counter("activeiter_distrib_warm_job_bytes_total", "Job frame bytes of jobs workers re-ran warm (successful attempts).")
 	mSeedBytes   = telemetry.Default.Counter("activeiter_distrib_seed_bytes_total", "Warm-counter Seed frame bytes shipped.")
 	mSeedShips   = telemetry.Default.Counter("activeiter_distrib_seed_ships_total", "Connections that received a full seed body.")
 	mResultBytes = telemetry.Default.Counter("activeiter_distrib_result_bytes_total", "Bytes read back from workers.")
@@ -35,13 +34,12 @@ func (m *Metrics) publish() {
 		return
 	}
 	mRetries.Add(int64(m.Retries))
-	mHedges.Add(int64(m.Hedges))
 	mFallbacks.Add(int64(m.Fallbacks))
 	mCacheHits.Add(int64(m.CacheHits))
 	mCacheMisses.Add(int64(m.CacheMisses))
 	mQueries.Add(int64(m.Queries))
 	mJobBytes.Add(m.JobBytes)
-	mDeltaBytes.Add(m.DeltaBytes)
+	mWarmBytes.Add(m.DeltaBytes)
 	mSeedBytes.Add(m.SeedBytes)
 	mSeedShips.Add(int64(m.SeedShips))
 	mResultBytes.Add(m.ResultBytes)

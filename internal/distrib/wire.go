@@ -70,10 +70,10 @@ import (
 
 // Version is the wire protocol version. Bump it on any change to frame
 // payload shapes (or the set of frame types); readers reject every other
-// version. docs/WIRE.md keeps the version history: 10 is the one
-// handshake — Hello carries the seed offer and its answer, and a Job names
-// no seed: it runs against the one its connection pinned.
-const Version = 10
+// version. docs/WIRE.md keeps the version history: 11 retires the Cancel
+// frame — a shard has one attempt in flight, so there is no losing twin
+// to abandon — and leaves its type number unassigned.
+const Version = 11
 
 // maxFrameSize bounds a frame's declared length so a corrupt or hostile
 // length prefix cannot OOM the reader. The seed carries the pair's whole
@@ -107,9 +107,8 @@ const (
 	FrameDone
 	// FrameError aborts a job with a worker-side failure.
 	FrameError
-	// FrameCancel abandons an in-flight shard, coordinator → worker: the
-	// losing side of a hedged dispatch, or a shard whose deadline fired.
-	FrameCancel
+	// Type 8 was the Cancel frame (wire v4–v10); retired, never reused.
+	_
 	// FrameSeed ships the warm-counter seed body (schema, dimensions and
 	// the anchor-free matrices), coordinator → worker, when the worker's
 	// Hello holds no seed for the offer.
@@ -182,18 +181,6 @@ type Job struct {
 type WireLabel struct {
 	I, J  int32
 	Label float64
-}
-
-// Cancel tells the worker the coordinator no longer wants the named
-// shard's stream: another (hedged) attempt already won, or the shard's
-// deadline fired. Delivery is advisory — a worker deep in training
-// without oracle round-trips only notices at its next read — so the
-// coordinator follows it by closing the connection; the frame exists so
-// a worker blocked waiting for an Answer aborts the job promptly (and a
-// long-lived TCP worker returns to its serve loop) instead of dying on
-// a closed stream mid-write.
-type Cancel struct {
-	Shard int
 }
 
 // Vote is one pool link's verdict in ORIGINAL pair indices — the wire

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/framing"
@@ -162,7 +163,6 @@ func goldenFrames(t testing.TB) []struct {
 				{ID: 0xdead0002, Parent: 0x99aabbcc, Name: "train", StartNS: 1700000000_001000000, EndNS: 1700000000_009000000},
 			}}},
 		{"error", FrameError, &JobError{Shard: 1, Msg: "boom"}},
-		{"cancel", FrameCancel, &Cancel{Shard: 1}},
 		{"seed", FrameSeed, fixtureSeed(t)},
 	}
 }
@@ -294,6 +294,26 @@ func assertRecordedFrameRefused(t *testing.T, file string) {
 	}
 }
 
+// assertRefusedByReaderAt offers the named golden frames, as this
+// version writes them, to a reader of an earlier version, and requires
+// ErrVersionMismatch — the gate cuts both directions.
+func assertRefusedByReaderAt(t *testing.T, version byte, names ...string) {
+	t.Helper()
+	old := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: version, MaxFrame: maxFrameSize, Checksum: true}
+	for _, tc := range goldenFrames(t) {
+		if !slices.Contains(names, tc.name) {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := old.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
+			t.Fatalf("current %s frame at v%d reader: got %v, want ErrVersionMismatch", tc.name, version, err)
+		}
+	}
+}
+
 // TestWireV4Skew pins the cross-version contract the v5 codec bump
 // leans on: a well-formed v4 frame — gob body, valid CRC — must fail
 // with ErrVersionMismatch before any payload decoding. Without the
@@ -310,15 +330,7 @@ func TestWireV4Skew(t *testing.T) {
 // refused too.
 func TestWireV5Skew(t *testing.T) {
 	assertRecordedFrameRefused(t, "v5_frame_job.bin")
-
-	v5 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 5, MaxFrame: maxFrameSize, Checksum: true}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameHello, &Hello{Role: "worker"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := v5.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
-		t.Fatalf("current frame at v5 reader: got %v, want ErrVersionMismatch", err)
-	}
+	assertRefusedByReaderAt(t, 5, "hello_worker")
 }
 
 // TestWireV6Skew pins the v7 bump: a recorded v6 Job — the self-contained
@@ -336,19 +348,7 @@ func TestWireV7Skew(t *testing.T) {
 	assertRecordedFrameRefused(t, "v7_frame_seed.bin")
 	assertRecordedFrameRefused(t, "v7_frame_hello.bin")
 
-	v7 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 7, MaxFrame: maxFrameSize, Checksum: true}
-	for _, tc := range goldenFrames(t) {
-		if tc.name != "seed" && tc.name != "hello" {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := v7.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
-			t.Fatalf("current %s frame at v7 reader: got %v, want ErrVersionMismatch", tc.name, err)
-		}
-	}
+	assertRefusedByReaderAt(t, 7, "seed", "hello")
 }
 
 // TestWireV8Skew pins the v9 bump, both ways: a recorded v8 Job — which
@@ -359,19 +359,7 @@ func TestWireV8Skew(t *testing.T) {
 	assertRecordedFrameRefused(t, "v8_frame_job.bin")
 	assertRecordedFrameRefused(t, "v8_frame_jobref.bin")
 
-	v8 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 8, MaxFrame: maxFrameSize, Checksum: true}
-	for _, tc := range goldenFrames(t) {
-		if tc.name != "job" && tc.name != "done" {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := v8.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
-			t.Fatalf("current %s frame at v8 reader: got %v, want ErrVersionMismatch", tc.name, err)
-		}
-	}
+	assertRefusedByReaderAt(t, 8, "job", "done")
 }
 
 // TestWireV9Skew pins the v10 bump, both ways: a recorded v9 Hello — no
@@ -382,19 +370,17 @@ func TestWireV9Skew(t *testing.T) {
 	assertRecordedFrameRefused(t, "v9_frame_hello.bin")
 	assertRecordedFrameRefused(t, "v9_frame_seedref.bin")
 
-	v9 := framing.Codec{Magic: [2]byte{'A', 'I'}, Version: 9, MaxFrame: maxFrameSize, Checksum: true}
-	for _, tc := range goldenFrames(t) {
-		if tc.name != "hello" && tc.name != "job" {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, tc.typ, tc.payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := v9.ReadFrame(&buf); !errors.Is(err, framing.ErrVersionMismatch) {
-			t.Fatalf("current %s frame at v9 reader: got %v, want ErrVersionMismatch", tc.name, err)
-		}
-	}
+	assertRefusedByReaderAt(t, 9, "hello", "job")
+}
+
+// TestWireV10Skew pins the v11 bump, both ways: a recorded v10 Cancel —
+// type 8, which v11 retired — and a recorded v10 Hello never reach a v11
+// decoder, and a v10 reader refuses the v11 Hello and Job.
+func TestWireV10Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v10_frame_cancel.bin")
+	assertRecordedFrameRefused(t, "v10_frame_hello.bin")
+
+	assertRefusedByReaderAt(t, 10, "hello", "job")
 }
 
 // TestWireDetectsCorruption is the integrity contract behind the chaos

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -71,22 +70,9 @@ func serveCache(conn io.ReadWriter, cacheSize int) error {
 				return fmt.Errorf("distrib: decode job: %w", err)
 			}
 			if err := runJob(conn, &job, seed, cache); err != nil {
-				if errors.Is(err, errCancelled) {
-					// The coordinator abandoned this job (a hedge twin won);
-					// no Error frame is owed — loop for the next job.
-					continue
-				}
 				if werr := WriteFrame(conn, FrameError, &JobError{Shard: job.Shard, Msg: err.Error()}); werr != nil {
 					return werr
 				}
-			}
-		case FrameCancel:
-			// A cancel that lands between jobs is a stale abandon notice
-			// for a job that already finished (or never dispatched here) —
-			// advisory, so drop it and keep serving.
-			var c Cancel
-			if err := DecodeBody(body, &c); err != nil {
-				return fmt.Errorf("distrib: decode cancel: %w", err)
 			}
 		default:
 			return fmt.Errorf("distrib: worker expected a job, got frame type %d", typ)
@@ -156,45 +142,20 @@ type wireOracle struct {
 	seq   uint64
 }
 
-// errCancelled unwinds a job the coordinator abandoned mid-stream (a
-// hedge twin won the race). It is a job-level outcome, not a connection
-// failure: the serve loop swallows it without an Error frame and keeps
-// the connection for the next job.
-var errCancelled = errors.New("distrib: job cancelled by coordinator")
-
 func (o *wireOracle) Label(a hetnet.Anchor) float64 {
 	o.seq++
 	q := &Query{Shard: o.shard, Seq: o.seq, I: int32(a.I), J: int32(a.J)}
 	if err := WriteFrame(o.conn, FrameQuery, q); err != nil {
 		panic(wireAbort{err})
 	}
-	// Waiting for an Answer is the one place a worker blocks on the
-	// coordinator mid-job, so it is where a Cancel must be honored —
-	// otherwise an abandoned worker sits here until its conn is torn
-	// down.
-	for {
-		typ, body, err := ReadFrame(o.conn)
-		if err != nil {
-			panic(wireAbort{err})
-		}
-		switch typ {
-		case FrameAnswer:
-			var ans Answer
-			if err := DecodeBody(body, &ans); err != nil {
-				panic(wireAbort{err})
-			}
-			if ans.Seq != o.seq {
-				panic(wireAbort{fmt.Errorf("distrib: answer seq %d for query %d", ans.Seq, o.seq)})
-			}
-			return ans.Label
-		case FrameCancel:
-			// Only one job runs per connection, so any cancel here targets
-			// the current one: abandon it without an Error frame.
-			panic(wireAbort{errCancelled})
-		default:
-			panic(wireAbort{fmt.Errorf("distrib: unexpected frame type %d, want %d", typ, FrameAnswer)})
-		}
+	var ans Answer
+	if err := ReadExpect(o.conn, FrameAnswer, &ans); err != nil {
+		panic(wireAbort{err})
 	}
+	if ans.Seq != o.seq {
+		panic(wireAbort{fmt.Errorf("distrib: answer seq %d for query %d", ans.Seq, o.seq)})
+	}
+	return ans.Label
 }
 
 // rethrowWire converts a wireAbort panic back into the error that kills

@@ -27,7 +27,7 @@ type DistributedPoint struct {
 	AlignTime  time.Duration
 	// Metrics is the mode's wire audit summed over its rounds (zero for
 	// in-process): cold and warm job bytes, seed bytes, cache verdicts,
-	// retries, hedges, fallbacks — non-zero fallbacks only when the
+	// retries, fallbacks — non-zero fallbacks only when the
 	// transport misbehaved (see the chaos mode) — and the per-shard
 	// attempt audit, one entry per shard per round. Its Queries counts the answers of
 	// failed attempts too; the point's own Queries does not.
@@ -40,12 +40,12 @@ type DistributedPoint struct {
 
 // DistributedRound is one session round's wire audit.
 type DistributedRound struct {
-	Round      int
-	JobBytes   int64 // bytes of the jobs workers prepared cold this round
-	DeltaBytes int64 // bytes of the jobs workers re-ran warm this round
-	CacheHits  int
-	Queries    int
-	AlignTime  time.Duration
+	Round        int
+	JobBytes     int64 // bytes of the jobs workers prepared cold this round
+	WarmJobBytes int64 // bytes of the jobs workers re-ran warm this round
+	CacheHits    int
+	Queries      int
+	AlignTime    time.Duration
 }
 
 // DistributedConfig parameterizes RunDistributedPoints beyond the
@@ -166,7 +166,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 			point.Queries += res.QueryCount()
 			if rounds > 1 {
 				point.RoundDetail = append(point.RoundDetail, DistributedRound{
-					Round: r + 1, JobBytes: m.JobBytes, DeltaBytes: m.DeltaBytes,
+					Round: r + 1, JobBytes: m.JobBytes, WarmJobBytes: m.DeltaBytes,
 					CacheHits: m.CacheHits, Queries: m.Queries, AlignTime: time.Since(t0),
 				})
 			}
@@ -237,7 +237,7 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 		Title: fmt.Sprintf("Distributed — shard execution modes (θ=%d, γ=%.0f%%, K=%d, workers=%d, preset %q)",
 			pre.FixedTheta, pre.FixedGamma*100, points[0].Partitions, points[0].Workers, pre.Name),
 		ColHeader: "mode",
-		Cols:      []string{"F1", "Precision", "Recall", "queries", "rejected", "align", "job bytes", "seed bytes", "delta bytes", "cache hit/miss", "attempts", "hedges", "retries", "fallbacks"},
+		Cols:      []string{"F1", "Precision", "Recall", "queries", "rejected", "align", "job bytes", "seed bytes", "warm job bytes", "cache hit/miss", "attempts", "retries", "fallbacks"},
 	}
 	sec := Section{Name: "distributed alignment"}
 	for _, p := range points {
@@ -249,9 +249,9 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 		if p.SeedBytes > 0 {
 			seedBytes = fmt.Sprintf("%d (%d ships)", p.SeedBytes, p.SeedShips)
 		}
-		deltaBytes, cache := "—", "—"
+		warmBytes, cache := "—", "—"
 		if p.Rounds > 1 {
-			deltaBytes = fmt.Sprint(p.DeltaBytes)
+			warmBytes = fmt.Sprint(p.DeltaBytes)
 			cache = fmt.Sprintf("%d/%d", p.CacheHits, p.CacheMisses)
 		}
 		attempts := "—"
@@ -271,10 +271,9 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 			p.AlignTime.Round(time.Millisecond).String(),
 			jobBytes,
 			seedBytes,
-			deltaBytes,
+			warmBytes,
 			cache,
 			attempts,
-			fmt.Sprint(p.Hedges),
 			fmt.Sprint(p.Retries),
 			fmt.Sprint(p.Fallbacks),
 		}})
@@ -289,15 +288,13 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 	// summary rows stay uniquely matchable as "<mode> ".
 	var shards Section
 	for _, p := range points {
-		if p.Rounds > 1 || p.Retries+p.Hedges+p.Fallbacks == 0 {
+		if p.Rounds > 1 || p.Retries+p.Fallbacks == 0 {
 			continue
 		}
 		for _, sm := range p.Shards {
-			yes := func(b bool) string {
-				if b {
-					return "yes"
-				}
-				return "—"
+			fallback := "—"
+			if sm.Fallback {
+				fallback = "yes"
 			}
 			shards.Rows = append(shards.Rows, TableRow{
 				Label: fmt.Sprintf("%s#s%d", p.Mode, sm.Shard),
@@ -306,15 +303,14 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 					fmt.Sprint(sm.JobBytes),
 					"—", "—", "—",
 					fmt.Sprint(sm.Attempts),
-					yes(sm.Hedged),
 					"—",
-					yes(sm.Fallback),
+					fallback,
 				},
 			})
 		}
 	}
 	if len(shards.Rows) > 0 {
-		shards.Name = "per shard (attempts / hedges / fallbacks)"
+		shards.Name = "per shard (attempts / fallbacks)"
 		t.Sections = append(t.Sections, shards)
 	}
 	// Session modes get a per-round breakdown section: what each retrain
@@ -331,9 +327,9 @@ func RunDistributedWith(pre Preset, cfg DistributedConfig) (*Table, error) {
 					r.AlignTime.Round(time.Millisecond).String(),
 					fmt.Sprint(r.JobBytes),
 					"—",
-					fmt.Sprint(r.DeltaBytes),
+					fmt.Sprint(r.WarmJobBytes),
 					fmt.Sprint(r.CacheHits),
-					"—", "—", "—", "—",
+					"—", "—", "—",
 				},
 			})
 		}

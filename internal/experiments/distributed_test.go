@@ -69,10 +69,10 @@ func TestRunDistributedSessionRounds(t *testing.T) {
 	if len(rounds.RoundDetail) != 2 {
 		t.Fatalf("round details missing: %d rows", len(rounds.RoundDetail))
 	}
-	if r1 := rounds.RoundDetail[0]; r1.JobBytes == 0 || r1.DeltaBytes != 0 || r1.CacheHits != 0 {
+	if r1 := rounds.RoundDetail[0]; r1.JobBytes == 0 || r1.WarmJobBytes != 0 || r1.CacheHits != 0 {
 		t.Errorf("round 1 should prepare every shard cold: %+v", r1)
 	}
-	if r2 := rounds.RoundDetail[1]; r2.JobBytes != 0 || r2.DeltaBytes == 0 || r2.CacheHits != rounds.Partitions {
+	if r2 := rounds.RoundDetail[1]; r2.JobBytes != 0 || r2.WarmJobBytes == 0 || r2.CacheHits != rounds.Partitions {
 		t.Errorf("round 2 should re-run all %d shards warm: %+v", rounds.Partitions, r2)
 	}
 	if rounds.CacheMisses != 0 {

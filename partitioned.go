@@ -183,13 +183,12 @@ func (sa *shardedAligner) open(shards int) (executor, error) {
 		return fe, nil
 	}
 	// The session carries the fault-tolerance knobs (retries, deadlines,
-	// hedging, degradation) alongside the one training configuration.
+	// degradation) alongside the one training configuration.
 	sess, err := distrib.NewSession(sa.transport, sa.pair, distrib.Options{
 		Train:        sa.opts.trainConfig(),
 		Workers:      sa.opts.Workers,
 		Retries:      sa.opts.ShardRetries,
 		ShardTimeout: sa.opts.ShardTimeout,
-		HedgeAfter:   sa.opts.HedgeAfter,
 		NoFallback:   sa.opts.NoFallback,
 		// Shared with planning, which runs beside the seed export: each
 		// count either of them needs is evaluated once, whoever asks first.
