@@ -18,13 +18,14 @@
 // linear algebra, the heterogeneous network store, the meta diagram
 // algebra and counting engine, cardinality-constrained matching, the SVM
 // baseline, and the experiment harness that regenerates every table and
-// figure of the paper (see cmd/experiments). There is one alignment
-// pipeline — prepare a part's features, train it, reconcile — under
-// three constructors: New runs the whole pool as a single part on a
-// long-lived counter, NewPartitioned shards it across in-process forks,
-// and NewDistributed ships the same shards to worker processes; the two
-// sharded constructors return one type and share one multi-round driver
-// (Options.Rounds). A trained alignment persists as a serving artifact
+// figure of the paper (see cmd/experiments). There is one aligner —
+// shard the pool into parts, prepare each part's features, train it,
+// merge the parts' votes one-to-one — with one result type: New runs
+// the parts on in-process forks of a long-lived counter (NewPartitioned
+// is the same constructor), NewDistributed ships them to worker
+// processes, and both share one round loop (Options.Rounds).
+// Options.Partitions ≤ 1 is the whole pool as one part. A trained
+// alignment persists as a serving artifact
 // (BuildSnapshot/WriteSnapshot/OpenSnapshot) that cmd/alignd answers
 // match/candidate/score queries from online. docs/ARCHITECTURE.md
 // walks the whole design; docs/WIRE.md specifies the worker wire
@@ -32,17 +33,14 @@
 package activeiter
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/distrib"
 	"github.com/activeiter/activeiter/internal/hetnet"
-	"github.com/activeiter/activeiter/internal/matching"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
 )
@@ -142,23 +140,20 @@ type Options struct {
 	// Seed drives every random choice; fixed seed ⇒ identical runs.
 	Seed int64
 	// Partitions splits the candidate space into this many overlapping
-	// shards under NewPartitioned and NewDistributed; ≤ 1 is a single
-	// shard. New always aligns the whole pool as one part.
+	// shards; ≤ 1 aligns the whole pool as one part.
 	Partitions int
-	// Workers caps shard-execution concurrency under the sharded
-	// constructors: concurrent part pipelines in-process, concurrent
-	// worker connections when distributed. 0 means
-	// min(partitions, GOMAXPROCS).
+	// Workers caps shard-execution concurrency: concurrent part
+	// pipelines in-process, concurrent worker connections when
+	// distributed. 0 means min(partitions, GOMAXPROCS).
 	Workers int
-	// Rounds lifts the active loop to the sharded driver: the query
-	// budget splits across this many retrain-after-labels rounds over
-	// one stable plan, each round's oracle answers entering the next as
-	// fixed labels. In-process every round re-runs the part pipelines;
-	// distributed, the rounds share one sticky worker session — every
-	// round ships each shard's job to the worker that ran it last, which
-	// prepares it in round 1 and afterwards re-runs only training on the
-	// shard it holds warm. 0 and 1 are the same run: one round, the
-	// single-shot dispatch.
+	// Rounds splits the query budget across this many
+	// retrain-after-labels rounds over one stable plan, each round's
+	// oracle answers entering the next as fixed labels. In-process every
+	// round re-runs the part pipelines; distributed, the rounds share one
+	// sticky worker session — every round ships each shard's job to the
+	// worker that ran it last, which prepares it in round 1 and
+	// afterwards re-runs only training on the shard it holds warm. 0 and
+	// 1 are the same run: one round, the single-shot dispatch.
 	Rounds int
 	// ShardRetries (DistributedAligner only) is how many times a failed
 	// shard is re-dispatched on a fresh connection — with capped
@@ -265,45 +260,26 @@ func (o Options) resolve() (partition.TrainOptions, error) {
 
 // Aligner runs meta diagram feature extraction and the ActiveIter
 // training loop over one aligned pair. Create it once per pair; Align
-// may be called repeatedly with different training folds.
-type Aligner struct {
-	counter   *metadiag.Counter
-	extractor *metadiag.Extractor
-	opts      Options
-	train     partition.TrainOptions // opts, resolved
-	panel     *OraclePanel
-}
+// may be called repeatedly with different training folds. It is the
+// sharded aligner NewPartitioned and NewDistributed also return.
+type Aligner = shardedAligner
 
-// New builds an aligner over the pair.
-func New(pair *AlignedPair, opts Options) (*Aligner, error) {
-	if pair == nil {
-		return nil, errors.New("activeiter: nil pair")
-	}
-	train, err := opts.resolve()
-	if err != nil {
-		return nil, err
-	}
-	counter, err := metadiag.NewCounter(pair)
-	if err != nil {
-		return nil, err
-	}
-	return &Aligner{
-		counter:   counter,
-		extractor: metadiag.NewExtractor(counter, train.Features, true),
-		opts:      opts,
-		train:     train,
-	}, nil
-}
+// New builds an aligner over the pair whose parts run in-process, on
+// forks of one long-lived counter, so repeated folds reuse the
+// attribute-only counts. Options.Partitions ≤ 1 aligns the whole pool
+// as one part.
+func New(pair *AlignedPair, opts Options) (*Aligner, error) { return newSharded(pair, opts, nil) }
 
 // FeatureNames returns the feature vector layout (diagram IDs plus the
 // trailing bias).
-func (a *Aligner) FeatureNames() []string { return a.extractor.Names() }
+func (sa *shardedAligner) FeatureNames() []string { return sa.ext.Names() }
 
 // FeatureVector returns the proximity feature vector of the candidate
-// link (i, j) under the current training anchors.
-func (a *Aligner) FeatureVector(i, j int) ([]float64, error) {
-	out := make([]float64, a.extractor.Dim())
-	if err := a.extractor.FeatureVector(i, j, out); err != nil {
+// link (i, j) under the anchors of the last Align or CandidatePairs
+// call — the pair's full anchor set before the first.
+func (sa *shardedAligner) FeatureVector(i, j int) ([]float64, error) {
+	out := make([]float64, sa.ext.Dim())
+	if err := sa.ext.FeatureVector(i, j, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -316,181 +292,21 @@ func (a *Aligner) FeatureVector(i, j int) ([]float64, error) {
 // networks without ground-truth negatives — the result feeds directly
 // into Align as the candidate pool. trainPos are the known anchors (the
 // paths may traverse them, and they are excluded from the proposals).
-func (a *Aligner) CandidatePairs(trainPos []Anchor, perUser int) ([]Anchor, error) {
-	a.counter.SetAnchors(trainPos)
-	if err := a.extractor.Recompute(); err != nil {
-		return nil, err
-	}
-	return a.counter.Candidates(a.train.Features, perUser)
+func (sa *shardedAligner) CandidatePairs(trainPos []Anchor, perUser int) ([]Anchor, error) {
+	return sa.restrict(trainPos).Candidates(sa.train.Features, perUser)
 }
 
-// Result is a completed alignment run.
-type Result struct {
-	inner *core.Result
-	links []Anchor
-	part  *partition.Part // the one part the pool trained as
-	// lost holds the fixed positives that end 0 under the one-to-one
-	// rule (see reconcileFixed); nil when there are none.
-	lost map[int64]bool
+// restrict points FeatureVector at a fresh fork of the base counter
+// restricted to anchors, counted on first use — so no anchor-dependent
+// count is ever read from the base itself — and returns the fork.
+func (sa *shardedAligner) restrict(anchors []Anchor) *metadiag.Counter {
+	fork := sa.base.Fork()
+	fork.SetAnchors(anchors)
+	sa.ext = metadiag.NewExtractor(fork, sa.train.Features, true)
+	return fork
 }
-
-// reconcileFixed applies the sharded merge's rule (partition.Merger) to
-// the fixed positives of a run — training anchors and oracle YES answers,
-// which core.Train fixes at 1 whatever their endpoints, so a labeler
-// panel that contradicts itself can fix two links of one user. The merge
-// enters them all at one score, so the one-to-one greedy
-// (matching.Greedy) takes them in (I, J) order, each keeping its 1
-// unless an earlier kept one shares an endpoint. Inferred positives
-// never take a fixed positive's endpoint, so these few links are all
-// that needs reconciling. It returns the losers.
-func reconcileFixed(res *core.Result, links []Anchor, trainPos int) map[int64]bool {
-	var fixed []matching.Candidate
-	for idx, l := range links {
-		if res.Y[idx] == 1 && (idx < trainPos || res.QueriedAt(idx)) {
-			fixed = append(fixed, matching.Candidate{I: l.I, J: l.J, Score: 1, Payload: idx})
-		}
-	}
-	slices.SortFunc(fixed, matching.Compare)
-	kept := matching.Greedy(fixed, 0, nil)
-	var lost map[int64]bool
-	for _, c := range fixed {
-		if len(kept) > 0 && kept[0] == c {
-			kept = kept[1:] // the picks are a subsequence of fixed, in its order
-			continue
-		}
-		if lost == nil {
-			lost = make(map[int64]bool)
-		}
-		lost[hetnet.Key(c.I, c.J)] = true
-	}
-	return lost
-}
-
-// labelAt is the final label of the pool link at idx.
-func (r *Result) labelAt(idx int) float64 {
-	if l := r.links[idx]; r.lost[hetnet.Key(l.I, l.J)] {
-		return 0
-	}
-	return r.inner.Y[idx]
-}
-
-// merged is the run as the one-part merge it equals: the pool's votes
-// through the sharded merge (partition.Merger), the weights as part 0's.
-// A snapshot freezes this form; the live read side stays on
-// reconcileFixed, which gives the same labels without building a merge
-// per run.
-func (r *Result) merged() *PartitionedResult {
-	m := partition.NewMerger()
-	for _, v := range partition.PartVotes(r.part, r.links, r.inner) {
-		m.Add(v)
-	}
-	res := m.Finish()
-	res.ShardWeights = map[int][]float64{0: r.inner.W}
-	return res
-}
-
-// PredictedAnchors returns the links inferred (or queried) positive —
-// one-to-one, as a sharded run's.
-func (r *Result) PredictedAnchors() []Anchor {
-	var out []Anchor
-	for idx, l := range r.links {
-		if r.labelAt(idx) == 1 {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// Label returns the final label of candidate (i, j) and whether it was
-// part of the pool.
-func (r *Result) Label(i, j int) (float64, bool) {
-	l, ok := r.inner.LabelOf(i, j)
-	if r.lost[hetnet.Key(i, j)] {
-		l = 0
-	}
-	return l, ok
-}
-
-// WasQueried reports whether (i, j) was labeled by the oracle.
-func (r *Result) WasQueried(i, j int) bool { return r.inner.WasQueried(i, j) }
-
-// QueryCount returns the oracle queries spent.
-func (r *Result) QueryCount() int { return r.inner.QueryCount() }
-
-// ConvergenceTrace returns Δy per internal iteration of the first
-// optimization round (the series in the paper's Figure 3).
-func (r *Result) ConvergenceTrace() []float64 { return r.inner.FirstRoundDeltas() }
-
-// Weights returns the learned feature weights (aligned with
-// Aligner.FeatureNames).
-func (r *Result) Weights() []float64 { return r.inner.W }
-
-// Raw exposes the internal training result for advanced inspection.
-func (r *Result) Raw() *core.Result { return r.inner }
 
 // Predictor is an inductive scorer over feature vectors, detached from
 // the training pool: use it to rank user pairs that did not exist at
-// training time.
+// training time (PartitionedResult.Predictor).
 type Predictor = core.Predictor
-
-// Predictor builds an inductive scorer from the trained weights.
-// threshold ≤ 0 uses the paper's ½.
-func (r *Result) Predictor(threshold float64) (*Predictor, error) {
-	return core.NewPredictor(r.inner, threshold)
-}
-
-// Align trains on the labeled positive anchors trainPos and infers
-// labels for every candidate link. Candidates must contain the unlabeled
-// pool (test positives and sampled negatives); trainPos links are added
-// to the pool automatically. The oracle may be nil when Budget is 0.
-func (a *Aligner) Align(trainPos []Anchor, candidates []Anchor, oracle Oracle) (*Result, error) {
-	return a.AlignPrelabeled(trainPos, candidates, oracle, nil)
-}
-
-// AlignPrelabeled is Align with confidence-weighted labels from an
-// earlier panel run fixed into the pool before training: each weighted
-// label enters the problem the way an in-run oracle answer would
-// (fixed for the whole run, excluded from query selection and from
-// this run's budget), carrying WeightedLabel.Value() — the
-// trust-weighted soft label — as its target. Links absent from
-// candidates are added to the pool; links already in trainPos keep
-// their ground-truth status.
-//
-// The whole pool runs as one part (index 0, the full budget) through
-// the prepare and train halves every shard runs, on the aligner's
-// long-lived counter and extractor so repeated folds reuse the
-// attribute-only counts.
-func (a *Aligner) AlignPrelabeled(trainPos, candidates []Anchor, oracle Oracle, pre []WeightedLabel) (*Result, error) {
-	if len(trainPos) == 0 {
-		return nil, core.ErrNoPositives
-	}
-	oracle, panel, err := a.opts.wrapOracle(oracle)
-	if err != nil {
-		return nil, err
-	}
-	a.panel = panel
-	part := &partition.Part{
-		TrainPos: trainPos,
-		// Prelabeled links absent from candidates join the pool behind
-		// them (the part pipeline dedups the rest); the cap keeps the
-		// appends off the caller's array.
-		Candidates: candidates[:len(candidates):len(candidates)],
-		Budget:     a.opts.Budget,
-		Prelabeled: prelabels(trainPos, pre),
-	}
-	for _, l := range part.Prelabeled {
-		part.Candidates = append(part.Candidates, l.Link)
-	}
-	// The meta paths may only traverse *known* anchors: restrict the
-	// counter to the training positives before features are recomputed.
-	a.counter.SetAnchors(trainPos)
-	prep, err := partition.PrepareWith(a.extractor, part)
-	if err != nil {
-		return nil, err
-	}
-	res, err := prep.Train(part, a.train.Core, oracle)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{inner: res, links: prep.Links, part: part, lost: reconcileFixed(res, prep.Links, len(part.TrainPos))}, nil
-}

@@ -511,8 +511,9 @@ func defaultShape(b *testing.B) (pair *AlignedPair, anchors, negatives []Anchor)
 // votes of the first fold of the `default` shape (defaultShape: one
 // fold of ten labelled, the rest of the anchors and every negative as
 // candidates, ActiveIter-100 with the conflict strategy). K=1 is the
-// monolith's pool, 7,216 votes; K=4 is the votes of a four-part plan's
-// overlapping pools, in part order.
+// one-part pool, 7,216 votes; K=4 is the votes of a four-part plan's
+// overlapping pools, in part order. The merger is sized from the plan,
+// as the executors size theirs.
 func BenchmarkMerge(b *testing.B) {
 	pair, anchors, neg := defaultShape(b)
 	fold := len(anchors) / 10
@@ -554,7 +555,7 @@ func BenchmarkMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d/votes=%d", k, len(votes)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m := partition.NewMerger()
+				m := plan.NewMerger()
 				for _, v := range votes {
 					m.Add(v)
 				}

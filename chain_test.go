@@ -74,7 +74,7 @@ func TestChain(t *testing.T) {
 		// broke one-to-one where NewPartitioned(K=1) did not.
 		pinned("noisy-panel", 40, &OracleConfig{Honest: 2, Noisy: 3, FlipProb: 0.4, Replicas: 3, Seed: 5}, false),
 		pinned("adversarial-panel", 40, &OracleConfig{Adversarial: 3, Replicas: 3, Seed: 5}, false),
-		// The monolith with a budget under an honest panel and the truth.
+		// One part with a budget under an honest panel and the truth.
 		pinned("honest-panel", 20, honestConfig(), true),
 	}
 	n := 24
@@ -166,21 +166,15 @@ func randomRanges(rng *rand.Rand, n1 int) []snapshot.UserRange {
 func runChain(t *testing.T, c *chainCase) {
 	// Hop 1: train on every executor; an all-honest panel must align as
 	// the truth oracle does.
-	mono, sharded := trainEverywhere(t, c, c.opts)
+	sharded := trainEverywhere(t, c, c.opts)
 	if c.honest {
 		truthOpts := c.opts
 		truthOpts.OracleConfig = nil
-		tMono, tSharded := trainEverywhere(t, c, truthOpts)
-		if mono != nil && (!reflect.DeepEqual(mono.inner.Y, tMono.inner.Y) || !reflect.DeepEqual(mono.inner.Scores, tMono.inner.Scores) ||
-			mono.QueryCount() != tMono.QueryCount()) {
-			t.Error("monolithic: an honest panel aligns differently from the truth oracle")
-		}
-		sameSharded(t, "honest panel vs truth", sharded["partitioned"], tSharded["partitioned"])
+		sameSharded(t, "honest panel vs truth", sharded["partitioned"], trainEverywhere(t, c, truthOpts)["partitioned"])
 	}
 
-	// Hop 2: snapshot every result. Every artifact, the monolith's too, is
-	// byte-equal but for the facade label, and a split merges back to the
-	// parent.
+	// Hop 2: snapshot every result. Every artifact is byte-equal but for
+	// the facade label, and a split merges back to the parent.
 	snaps := map[string]*Snapshot{}
 	for name, res := range sharded {
 		facade := SnapshotDistributed
@@ -189,8 +183,8 @@ func runChain(t *testing.T, c *chainCase) {
 		}
 		snaps[name] = snapshotOf(t, c, facade, res, c.opts)
 	}
-	if mono != nil {
-		snaps["monolithic"] = snapshotOf(t, c, SnapshotMonolithic, mono, c.opts)
+	if c.opts.Partitions <= 1 {
+		snaps["monolithic"] = snapshotOf(t, c, SnapshotMonolithic, sharded["partitioned"], c.opts)
 	}
 	a := snaps["partitioned"]
 	aBytes := encodeMasked(t, a)
@@ -289,29 +283,12 @@ func runChain(t *testing.T, c *chainCase) {
 }
 
 // trainEverywhere runs one configuration on every executor, checks each
-// result's invariants, and checks the sharded executors against each
-// other. mono is nil when K > 1.
-func trainEverywhere(t *testing.T, c *chainCase, opts Options) (mono *Result, sharded map[string]*PartitionedResult) {
+// result's invariants, and checks the executors against each other.
+func trainEverywhere(t *testing.T, c *chainCase, opts Options) map[string]*PartitionedResult {
 	t.Helper()
 	newOracle := func() *chainOracle { return &chainOracle{truth: NewTruthOracle(c.pair), asked: map[Anchor]bool{}} }
 	cands := c.candidates()
-	if opts.Partitions <= 1 {
-		al, err := New(c.pair, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := newOracle()
-		if mono, err = al.Align(c.trainPos, cands, o); err != nil {
-			t.Fatal(err)
-		}
-		var queried []LabeledLink
-		for _, q := range mono.inner.Queried {
-			queried = append(queried, LabeledLink{Link: q.Link, Label: q.Label})
-		}
-		checkInvariants(t, c, "monolithic", opts, mono, mono.PredictedAnchors(), queried, mono.QueryCount(), o)
-		checkPanel(t, c, "monolithic", opts, al.Panel(), mono.QueryCount(), true)
-	}
-	sharded = map[string]*PartitionedResult{}
+	sharded := map[string]*PartitionedResult{}
 	sharded["planThenAlign"] = planThenAlign(t, c.pair, opts, c.trainPos, cands, NewTruthOracle(c.pair))
 	executors := []struct {
 		name string
@@ -333,8 +310,10 @@ func trainEverywhere(t *testing.T, c *chainCase, opts Options) (mono *Result, sh
 			t.Fatalf("%s: %v", ex.name, err)
 		}
 		sharded[ex.name] = res
-		checkInvariants(t, c, ex.name, opts, res, res.PredictedAnchors(), res.QueriedLabels(), res.QueryCount(), o)
-		checkPanel(t, c, ex.name, opts, sa.Panel(), res.QueryCount(), false)
+		checkInvariants(t, c, ex.name, opts, res, o)
+		// One part asks the panel once per query; overlapping parts may
+		// each ask a link they share.
+		checkPanel(t, c, ex.name, opts, sa.Panel(), res.QueryCount(), ex.name == "partitioned" && opts.Partitions <= 1)
 		sameSharded(t, ex.name, res, sharded["planThenAlign"])
 		rounds, shards := max(opts.Rounds, 1), len(res.ShardWeights)
 		if len(res.Reports) != rounds*shards {
@@ -353,15 +332,10 @@ func trainEverywhere(t *testing.T, c *chainCase, opts Options) (mono *Result, sh
 			}
 		}
 	}
-	if mono != nil {
-		if mono.QueryCount() != sharded["partitioned"].QueryCount() {
-			t.Errorf("monolithic spent %d queries, K=1 %d", mono.QueryCount(), sharded["partitioned"].QueryCount())
-		}
-		if sharded["partitioned"].Rejected != 0 && !c.contradicting {
-			t.Errorf("K=1 reconciliation rejected %d links", sharded["partitioned"].Rejected)
-		}
+	if opts.Partitions <= 1 && sharded["partitioned"].Rejected != 0 && !c.contradicting {
+		t.Errorf("K=1 reconciliation rejected %d links", sharded["partitioned"].Rejected)
 	}
-	return mono, sharded
+	return sharded
 }
 
 // planThenAlign is the in-process arm as a strict chain: plan completely,
@@ -449,20 +423,20 @@ func sameSharded(t *testing.T, name string, got, want *PartitionedResult) {
 // one-to-one anchors, the budget, and no oracle answer overruled — a NO
 // ends 0, and a fixed positive (training anchor or YES) ends 1 unless an
 // earlier one in (I, J) order that kept its 1 shares an endpoint.
-func checkInvariants(t *testing.T, c *chainCase, name string, opts Options, res AlignmentResult, predicted []Anchor, queried []LabeledLink, queries int, o *chainOracle) {
+func checkInvariants(t *testing.T, c *chainCase, name string, opts Options, res *PartitionedResult, o *chainOracle) {
 	t.Helper()
 	seenI, seenJ := map[int]bool{}, map[int]bool{}
-	for _, a := range predicted {
+	for _, a := range res.PredictedAnchors() {
 		if seenI[a.I] || seenJ[a.J] {
 			t.Errorf("%s: predicted anchors break one-to-one at (%d,%d)", name, a.I, a.J)
 		}
 		seenI[a.I], seenJ[a.J] = true, true
 	}
-	if queries > opts.Budget || len(o.asked) > opts.Budget {
+	if queries := res.QueryCount(); queries > opts.Budget || len(o.asked) > opts.Budget {
 		t.Errorf("%s: %d queries, %d links asked of the oracle, over budget %d", name, queries, len(o.asked), opts.Budget)
 	}
 	fixed := append([]Anchor(nil), c.trainPos...)
-	for _, q := range queried {
+	for _, q := range res.QueriedLabels() {
 		if q.Label == 1 {
 			fixed = append(fixed, q.Link)
 		} else if l, ok := res.Label(q.Link.I, q.Link.J); !ok || l != 0 {
@@ -506,29 +480,10 @@ func checkPanel(t *testing.T, c *chainCase, name string, opts Options, p *Oracle
 	}
 }
 
-// liveEntries is a result's read side as a snapshot persists it. A
-// monolith's labels come from its own Label (the training path's
-// reconcileFixed) while its artifact comes from the merge, so snapshotOf
-// checks the two against each other.
-func liveEntries(res AlignmentResult) []partition.Entry {
-	r, ok := res.(*Result)
-	if !ok {
-		return res.(*PartitionedResult).Entries()
-	}
-	var out []partition.Entry
-	for idx, l := range r.links {
-		e := partition.Entry{Link: l, Score: r.inner.Scores[idx], Queried: r.inner.QueriedAt(idx)}
-		e.Label, _ = r.Label(l.I, l.J)
-		e.HasScore = e.Score == e.Score
-		out = append(out, e)
-	}
-	return out
-}
-
 // snapshotOf freezes a result with its clock stamp pinned, round-trips it
 // through a file, and checks the served index answers what the live
 // result says.
-func snapshotOf(t *testing.T, c *chainCase, facade string, res AlignmentResult, opts Options) *Snapshot {
+func snapshotOf(t *testing.T, c *chainCase, facade string, res *PartitionedResult, opts Options) *Snapshot {
 	t.Helper()
 	snap, err := BuildSnapshot(facade, c.pair, res, opts)
 	if err != nil {
@@ -550,7 +505,7 @@ func snapshotOf(t *testing.T, c *chainCase, facade string, res AlignmentResult, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, matches := liveEntries(res), 0
+	live, matches := res.Entries(), 0
 	for _, e := range live {
 		p, ok := ix.PoolScore(int32(e.Link.I), int32(e.Link.J))
 		if !ok || p.Label != e.Label || p.Queried != e.Queried || p.HasScore != e.HasScore || (e.HasScore && p.Score != e.Score) {

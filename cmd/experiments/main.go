@@ -264,33 +264,24 @@ func runSaveSnapshot(stdout io.Writer, pre experiments.Preset, cfg experiments.D
 	}
 	oracle := activeiter.NewTruthOracle(pair)
 
-	var res activeiter.AlignmentResult
+	// One aligner under every facade; the label only decides where its
+	// parts run.
+	var sa *activeiter.Aligner
 	start := time.Now()
-	if proto.Facade == activeiter.SnapshotMonolithic {
-		a, err := activeiter.New(pair, opts)
-		if err != nil {
-			return err
-		}
-		if res, err = a.Align(trainPos, cands, oracle); err != nil {
-			return err
-		}
-	} else {
-		// Both sharded constructors return the one sharded aligner; the
-		// facade only decides where its shards run.
-		var sa *activeiter.PartitionedAligner
-		if proto.Facade == activeiter.SnapshotPartitioned {
-			sa, err = activeiter.NewPartitioned(pair, opts)
-		} else if cfg.WorkerCmd != "" {
-			sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewWorkerProcessTransport(cfg.WorkerCmd, cfg.WorkerArgs...))
-		} else {
-			sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewLoopbackTransport())
-		}
-		if err != nil {
-			return err
-		}
-		if res, err = sa.Align(trainPos, cands, oracle); err != nil {
-			return err
-		}
+	switch {
+	case proto.Facade != activeiter.SnapshotDistributed:
+		sa, err = activeiter.New(pair, opts)
+	case cfg.WorkerCmd != "":
+		sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewWorkerProcessTransport(cfg.WorkerCmd, cfg.WorkerArgs...))
+	default:
+		sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewLoopbackTransport())
+	}
+	if err != nil {
+		return err
+	}
+	res, err := sa.Align(trainPos, cands, oracle)
+	if err != nil {
+		return err
 	}
 	trained := time.Since(start)
 

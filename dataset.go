@@ -56,8 +56,9 @@ type Metrics struct {
 	TP, FP, TN, FN                  int
 }
 
-// AlignmentResult is the read-side contract shared by monolithic and
-// partitioned alignment results: final labels plus the oracle audit.
+// AlignmentResult is the read-side contract shared by a live alignment
+// (*PartitionedResult) and a served snapshot (*ServeIndex): final labels
+// plus the oracle audit.
 type AlignmentResult interface {
 	// Label returns the final label of link (i, j) and whether the link
 	// was part of the candidate pool.
@@ -66,8 +67,8 @@ type AlignmentResult interface {
 	WasQueried(i, j int) bool
 }
 
-// EvaluateAlignment scores a result (monolithic *Result or partitioned
-// *PartitionedResult) against labeled test pools. Queried links are
+// EvaluateAlignment scores a result (a live *PartitionedResult or a
+// loaded *ServeIndex) against labeled test pools. Queried links are
 // excluded, matching the paper's evaluation fairness rule (their labels
 // came from the oracle, not the model).
 func EvaluateAlignment(res AlignmentResult, testPos, testNeg []Anchor) Metrics {

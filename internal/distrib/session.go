@@ -368,7 +368,7 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 		attempts:    make([]int, k),
 		fellBack:    make([]bool, k),
 		results:     make([]*shardResult, k),
-		merger:      partition.NewMerger(),
+		merger:      plan.NewMerger(),
 		outstanding: k,
 		jitter:      rand.New(rand.NewSource(s.opts.Train.Seed ^ 0x5DEECE66D ^ int64(s.round))),
 	}

@@ -58,7 +58,11 @@ type PartReport struct {
 // anchors), so evaluation code treats both uniformly.
 type Result struct {
 	anchors []hetnet.Anchor
-	links   map[int64]linkRecord
+	recs    []linkRecord
+	// index maps a link key to its record in recs; a one-part merge
+	// leaves it to the first lookup (indexOnce).
+	index     map[int64]int32
+	indexOnce sync.Once
 
 	// Rejected counts positive predictions dropped by the global
 	// one-to-one greedy (cross-partition conflicts).
@@ -92,19 +96,49 @@ func (r *Result) PredictedAnchors() []hetnet.Anchor {
 // Label returns the final label of link (i, j) and whether the link was
 // part of any partition's candidate pool.
 func (r *Result) Label(i, j int) (float64, bool) {
-	rec, ok := r.links[hetnet.Key(i, j)]
+	rec, ok := r.record(i, j)
 	return rec.Label, ok
 }
 
 // Score returns the best per-partition raw score of link (i, j).
 func (r *Result) Score(i, j int) (float64, bool) {
-	rec := r.links[hetnet.Key(i, j)]
+	rec, _ := r.record(i, j)
 	return rec.Score, rec.HasScore
 }
 
 // WasQueried reports whether any partition labeled (i, j) by the oracle.
 func (r *Result) WasQueried(i, j int) bool {
-	return r.links[hetnet.Key(i, j)].Queried
+	rec, _ := r.record(i, j)
+	return rec.Queried
+}
+
+// record is link (i, j)'s merge record; the zero record when no
+// partition's pool held the link.
+func (r *Result) record(i, j int) (linkRecord, bool) {
+	r.indexOnce.Do(func() {
+		if r.index == nil {
+			r.index = make(map[int64]int32, len(r.recs))
+			for at, rec := range r.recs {
+				r.index[hetnet.Key(rec.Link.I, rec.Link.J)] = int32(at)
+			}
+		}
+	})
+	at, ok := r.index[hetnet.Key(i, j)]
+	if !ok {
+		return linkRecord{}, false
+	}
+	return r.recs[at], true
+}
+
+// Weights returns the learned feature weights of partition 0 (layout:
+// the run's feature set followed by the bias term) — the one model of a
+// single-partition run.
+func (r *Result) Weights() []float64 { return r.ShardWeights[0] }
+
+// Predictor builds an inductive scorer from Weights. threshold ≤ 0 uses
+// the paper's ½.
+func (r *Result) Predictor(threshold float64) (*core.Predictor, error) {
+	return core.NewPredictorFromWeights(r.Weights(), threshold)
 }
 
 // QueriedLabels returns every oracle-labeled pool link with its answer,
@@ -114,7 +148,7 @@ func (r *Result) WasQueried(i, j int) bool {
 // labels; AppendLabels dedups, so re-feeding old labels is harmless.
 func (r *Result) QueriedLabels() []LabeledLink {
 	out := []LabeledLink{}
-	for _, rec := range r.links {
+	for _, rec := range r.recs {
 		if rec.Queried {
 			out = append(out, LabeledLink{Link: rec.Link, Label: rec.answer})
 		}
@@ -142,8 +176,8 @@ type Entry struct {
 // Entries returns every pool link's merged record in canonical (I, J)
 // order — the full read side of the result, for persistence.
 func (r *Result) Entries() []Entry {
-	out := make([]Entry, 0, len(r.links))
-	for _, rec := range r.links {
+	out := make([]Entry, 0, len(r.recs))
+	for _, rec := range r.recs {
 		out = append(out, rec.Entry)
 	}
 	slices.SortFunc(out, func(a, b Entry) int { return compareLinks(a.Link, b.Link) })
@@ -409,13 +443,7 @@ func (pp *Prepared) X() *linalg.Dense { return pp.x }
 // pipeline and returns the reusable Prepared state. The counter's
 // anchors must already be restricted to part.TrainPos.
 func PreparePart(counter *metadiag.Counter, part *Part, features []schema.Named) (*Prepared, error) {
-	return PrepareWith(metadiag.NewExtractor(counter, features, true), part)
-}
-
-// PrepareWith is PreparePart on a caller-owned extractor, which it
-// recomputes against the counter's current anchors — for a caller that
-// keeps reading feature vectors from the extractor after training.
-func PrepareWith(ext *metadiag.Extractor, part *Part) (*Prepared, error) {
+	ext := metadiag.NewExtractor(counter, features, true)
 	if err := ext.Recompute(); err != nil {
 		return nil, err
 	}
@@ -482,9 +510,18 @@ func (pp *Prepared) Train(part *Part, cfg core.Config, oracle active.Oracle) (*c
 // merge resolves the per-partition predictions into one globally
 // one-to-one label assignment by streaming every pool link's vote
 // through a Merger (see merger.go for the precedence rules and the
-// greedy).
+// greedy). A single part votes once per link, so its votes need no
+// index to meet; its result builds one on the first lookup, as the
+// training loop's own result does.
 func merge(outs []partOutput) *Result {
-	m := NewMerger()
+	votes := 0
+	for _, out := range outs {
+		votes += len(out.links)
+	}
+	m, add := &Merger{recs: make([]linkRecord, 0, votes)}, (*Merger).addDistinct
+	if len(outs) > 1 {
+		m, add = newMerger(votes), (*Merger).Add
+	}
 	var reports []PartReport
 	weights := make(map[int][]float64, len(outs))
 	for _, out := range outs {
@@ -497,8 +534,8 @@ func merge(outs []partOutput) *Result {
 			Elapsed:    out.res.Elapsed,
 		})
 		weights[out.part.Index] = append([]float64(nil), out.res.W...)
-		for _, v := range PartVotes(out.part, out.links, out.res) {
-			m.Add(v)
+		for idx := range out.links {
+			add(m, partVote(out.part, out.links, out.res, idx))
 		}
 	}
 	res := m.Finish()
@@ -515,14 +552,19 @@ func merge(outs []partOutput) *Result {
 // coincide.
 func PartVotes(part *Part, links []hetnet.Anchor, res *core.Result) []Vote {
 	votes := make([]Vote, len(links))
-	for idx, l := range links {
-		votes[idx] = Vote{
-			Link:    l,
-			Label:   res.Y[idx],
-			Score:   res.Scores[idx],
-			Queried: res.QueriedAt(idx),
-			Fixed:   idx < len(part.TrainPos),
-		}
+	for idx := range links {
+		votes[idx] = partVote(part, links, res, idx)
 	}
 	return votes
+}
+
+// partVote is the vote of the pool link at idx.
+func partVote(part *Part, links []hetnet.Anchor, res *core.Result, idx int) Vote {
+	return Vote{
+		Link:    links[idx],
+		Label:   res.Y[idx],
+		Score:   res.Scores[idx],
+		Queried: res.QueriedAt(idx),
+		Fixed:   idx < len(part.TrainPos),
+	}
 }

@@ -40,7 +40,8 @@ type Vote struct {
 // A Merger is single-use and not safe for concurrent use; serialize
 // Add calls externally.
 type Merger struct {
-	links map[int64]linkRecord
+	index map[int64]int32 // link key → its record in recs
+	recs  []linkRecord    // one per link, in order of first vote
 }
 
 // linkRecord is one pool link's merge state: the read-side Entry plus
@@ -48,23 +49,52 @@ type Merger struct {
 type linkRecord struct {
 	Entry
 	answer float64 // the oracle's answer, when Entry.Queried (the last to arrive)
-	saidNo bool    // some shard's oracle answered NO
 	pos    float64 // best positive vote, when hasPos
 	hasPos bool
+	saidNo bool // some shard's oracle answered NO
 }
 
 // NewMerger returns an empty vote merger.
-func NewMerger() *Merger {
-	return &Merger{links: make(map[int64]linkRecord)}
+func NewMerger() *Merger { return newMerger(0) }
+
+// newMerger returns an empty merger with room for the given number of
+// votes, so that many distinct links never grow its storage.
+func newMerger(votes int) *Merger {
+	return &Merger{index: make(map[int64]int32, votes), recs: make([]linkRecord, 0, votes)}
+}
+
+// NewMerger returns an empty merger sized for the plan's votes: one per
+// link of every part's pool.
+func (p *Plan) NewMerger() *Merger {
+	votes := 0
+	for i := range p.Parts {
+		votes += len(p.Parts[i].TrainPos) + len(p.Parts[i].Candidates)
+	}
+	return newMerger(votes)
 }
 
 // Add folds one vote into the merge state.
 func (m *Merger) Add(v Vote) {
 	key := hetnet.Key(v.Link.I, v.Link.J)
-	r, ok := m.links[key]
+	at, ok := m.index[key]
 	if !ok {
-		r.Link = v.Link
+		at = int32(len(m.recs))
+		m.index[key] = at
+		m.recs = append(m.recs, linkRecord{Entry: Entry{Link: v.Link}})
 	}
+	m.recs[at].add(v)
+}
+
+// addDistinct is Add for a vote on a link no other vote names — one
+// part's pool holds each link once — and leaves the index to the
+// result's first lookup.
+func (m *Merger) addDistinct(v Vote) {
+	m.recs = append(m.recs, linkRecord{Entry: Entry{Link: v.Link}})
+	m.recs[len(m.recs)-1].add(v)
+}
+
+// add folds one vote into the link's record.
+func (r *linkRecord) add(v Vote) {
 	if !math.IsNaN(v.Score) && (!r.HasScore || v.Score > r.Score) {
 		r.Score, r.HasScore = v.Score, true
 	}
@@ -95,19 +125,18 @@ func (m *Merger) Add(v Vote) {
 			r.pos, r.hasPos = score, true
 		}
 	}
-	m.links[key] = r
 }
 
 // Finish resolves the accumulated votes and returns the merged result.
 // Reports and Elapsed are left for the caller to fill.
 func (m *Merger) Finish() *Result {
 	var cands []matching.Candidate
-	for _, r := range m.links {
+	for at, r := range m.recs {
 		// An oracle NO overrules inference — but never ground truth: a
 		// +Inf vote is a training anchor or queried positive, and a pure
 		// oracle cannot have answered the same link both ways.
 		if r.hasPos && (!r.saidNo || math.IsInf(r.pos, 1)) {
-			cands = append(cands, matching.Candidate{I: r.Link.I, J: r.Link.J, Score: r.pos})
+			cands = append(cands, matching.Candidate{I: r.Link.I, J: r.Link.J, Score: r.pos, Payload: at})
 		}
 	}
 	slices.SortFunc(cands, matching.Compare)
@@ -116,11 +145,8 @@ func (m *Merger) Finish() *Result {
 	anchors := make([]hetnet.Anchor, len(picks))
 	for k, c := range picks {
 		anchors[k] = hetnet.Anchor{I: c.I, J: c.J}
-		key := hetnet.Key(c.I, c.J)
-		r := m.links[key]
-		r.Label = 1
-		m.links[key] = r
+		m.recs[c.Payload].Label = 1
 	}
 	slices.SortFunc(anchors, compareLinks)
-	return &Result{anchors: anchors, links: m.links, Rejected: n - len(picks)}
+	return &Result{anchors: anchors, index: m.index, recs: m.recs, Rejected: n - len(picks)}
 }

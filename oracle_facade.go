@@ -54,11 +54,10 @@ func (o Options) wrapOracle(truth Oracle) (Oracle, *OraclePanel, error) {
 	return p, p, nil
 }
 
-// prelabels turns weighted labels into the fixed labels of the
-// aligner's single part, each carrying WeightedLabel.Value() as its
-// target. Links also present in trainPos are skipped — they are already
-// fixed ground truth — as are duplicate claims on one link (first
-// wins).
+// prelabels turns weighted labels into the fixed labels of a run, each
+// carrying WeightedLabel.Value() as its target. Links also present in
+// trainPos are skipped — they are already fixed ground truth — as are
+// duplicate claims on one link (first wins).
 func prelabels(trainPos []Anchor, pre []WeightedLabel) []LabeledLink {
 	if len(pre) == 0 {
 		return nil
@@ -80,8 +79,4 @@ func prelabels(trainPos []Anchor, pre []WeightedLabel) []LabeledLink {
 // Panel returns the labeler panel of the last Align call — its trust
 // scores, contradiction ledger and weighted labels. Nil when
 // Options.OracleConfig is unset or Align has not run.
-func (a *Aligner) Panel() *OraclePanel { return a.panel }
-
-// Panel returns the labeler panel of the last Align call (nil when
-// Options.OracleConfig is unset or Align has not run).
 func (sa *shardedAligner) Panel() *OraclePanel { return sa.panel }

@@ -19,7 +19,7 @@ func honestConfig() *OracleConfig {
 func TestHonestPanelBitIdenticalAligner(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	c := &chainCase{pair: pair, trainPos: trainPos, testPos: testPos, neg: neg, honest: true}
-	run := func(opts Options) *Result {
+	run := func(opts Options) *PartitionedResult {
 		al, err := New(pair, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +35,7 @@ func TestHonestPanelBitIdenticalAligner(t *testing.T) {
 	want := run(opts)
 	opts.OracleConfig = honestConfig()
 	got := run(opts)
-	if got.QueryCount() != want.QueryCount() || !reflect.DeepEqual(got.Raw().Y, want.Raw().Y) || !reflect.DeepEqual(got.Raw().Scores, want.Raw().Scores) {
+	if got.QueryCount() != want.QueryCount() || !reflect.DeepEqual(got.Entries(), want.Entries()) {
 		t.Error("an honest panel aligns differently from the truth oracle")
 	}
 }
@@ -63,7 +63,8 @@ func honestPanelSharded(t *testing.T, opts Options, tr ShardTransport) {
 
 // AlignPrelabeled fixes an earlier panel's weighted labels into the
 // pool: the links carry their panel labels, count as queried, and spend
-// none of this run's budget.
+// none of this run's budget — in one part, and in every part of a
+// sharded run, in process or over the wire alike.
 func TestAlignPrelabeledFixesPanelLabels(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	cands := append(append([]Anchor{}, testPos...), neg...)
@@ -84,24 +85,37 @@ func TestAlignPrelabeledFixesPanelLabels(t *testing.T) {
 		t.Fatalf("%d weighted labels for %d queries", len(pre), len(asked))
 	}
 
-	al, err := New(pair, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := al.AlignPrelabeled(trainPos, cands, nil, pre)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QueryCount() != 0 {
-		t.Fatalf("prelabeled links consumed budget: QueryCount = %d", res.QueryCount())
-	}
-	for _, wl := range pre {
-		if !res.WasQueried(wl.Link.I, wl.Link.J) {
-			t.Fatalf("prelabeled link (%d,%d) not flagged as queried", wl.Link.I, wl.Link.J)
+	results := map[string]*PartitionedResult{}
+	for _, run := range []struct {
+		name string
+		opts Options
+		tr   ShardTransport
+	}{
+		{"one part", Options{Seed: 1}, nil},
+		{"K=2", Options{Seed: 1, Partitions: 2}, nil},
+		{"K=2 loopback", Options{Seed: 1, Partitions: 2}, NewLoopbackTransport()},
+	} {
+		al, err := newSharded(pair, run.opts, run.tr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, ok := res.Label(wl.Link.I, wl.Link.J)
-		if !ok || got != truth.Label(wl.Link) {
-			t.Fatalf("prelabeled link (%d,%d): label %v, want ground truth %v", wl.Link.I, wl.Link.J, got, truth.Label(wl.Link))
+		res, err := al.AlignPrelabeled(trainPos, cands, nil, pre)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.QueryCount() != 0 {
+			t.Fatalf("%s: prelabeled links consumed budget: QueryCount = %d", run.name, res.QueryCount())
+		}
+		for _, wl := range pre {
+			if !res.WasQueried(wl.Link.I, wl.Link.J) {
+				t.Fatalf("%s: prelabeled link (%d,%d) not flagged as queried", run.name, wl.Link.I, wl.Link.J)
+			}
+			got, ok := res.Label(wl.Link.I, wl.Link.J)
+			if !ok || got != truth.Label(wl.Link) {
+				t.Fatalf("%s: prelabeled link (%d,%d): label %v, want ground truth %v", run.name, wl.Link.I, wl.Link.J, got, truth.Label(wl.Link))
+			}
+		}
+		results[run.name] = res
 	}
+	sameSharded(t, "prelabeled K=2 over loopback", results["K=2 loopback"], results["K=2"])
 }

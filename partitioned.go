@@ -9,28 +9,24 @@ import (
 	"github.com/activeiter/activeiter/internal/partition"
 )
 
-// PartitionedResult is a merged sharded alignment: the globally
-// one-to-one predicted anchors plus per-shard audit reports. It
-// satisfies the same read-side contract as Result (Label, WasQueried,
-// PredictedAnchors), so EvaluateAlignment scores both uniformly.
+// PartitionedResult is a completed alignment: the globally one-to-one
+// predicted anchors, every pool link's merged label, score and oracle
+// flag, each part's trained weights, and per-part audit reports.
 type PartitionedResult = partition.Result
 
 // PartitionReport is the audit trail of one shard's pipeline.
 type PartitionReport = partition.PartReport
 
-// shardedAligner is the one sharded driver behind NewPartitioned and
-// NewDistributed. It scales alignment past one monolithic training
-// loop: the candidate space is sharded into Options.Partitions
-// overlapping parts (seeded by coarse IsoRank-style similarity plus
-// training-anchor locality), the active-learning budget is split across
-// them proportionally to their candidate share, every part runs the
+// shardedAligner is the one aligner behind New, NewPartitioned and
+// NewDistributed. The candidate space is sharded into
+// Options.Partitions overlapping parts (seeded by coarse IsoRank-style
+// similarity plus training-anchor locality; ≤ 1 is the whole pool as
+// one part), the active-learning budget is split across them
+// proportionally to their candidate share, every part runs the
 // counter→extractor→training pipeline, and the per-part predictions
 // merge into one globally one-to-one result through the trainer's
-// score-greedy link selection (partition.Merger). The constructors differ only in where the parts run
-// (see open).
-//
-// With Options.Partitions ≤ 1 the result is identical to Aligner.Align
-// — the sharded pipeline is a strict generalization.
+// score-greedy link selection (partition.Merger). The constructors
+// differ only in where the parts run (see open).
 type shardedAligner struct {
 	pair      *AlignedPair
 	base      *metadiag.Counter
@@ -40,13 +36,14 @@ type shardedAligner struct {
 	planner   *partition.Planner     // lazy; only needed when Partitions > 1
 	panel     *OraclePanel
 	metrics   *DistributedMetrics
+	ext       *metadiag.Extractor // FeatureVector's, on a fork (restrict)
+	warmed    bool                // a base Warm succeeded; its layer is never evicted
 }
 
 // PartitionedAligner runs its shards concurrently in this process, on
 // forks of one base counter sharing its attribute-only count cache. It
-// is the sharded aligner NewDistributed also returns; its methods are
-// Align(trainPos, candidates, oracle), Panel() and Metrics() (nil
-// here: in-process runs cross no wire).
+// is the aligner New and NewDistributed also return; Metrics() is nil
+// here: in-process runs cross no wire.
 type PartitionedAligner = shardedAligner
 
 func newSharded(pair *AlignedPair, opts Options, transport ShardTransport) (*shardedAligner, error) {
@@ -61,19 +58,23 @@ func newSharded(pair *AlignedPair, opts Options, transport ShardTransport) (*sha
 	if err != nil {
 		return nil, err
 	}
-	return &shardedAligner{pair: pair, base: base, opts: opts, train: train, transport: transport}, nil
+	sa := &shardedAligner{pair: pair, base: base, opts: opts, train: train, transport: transport}
+	sa.restrict(nil)
+	return sa, nil
 }
 
-// NewPartitioned builds a sharded aligner over the pair whose shards
-// run in-process. The number of shards comes from Options.Partitions.
+// NewPartitioned is New.
 func NewPartitioned(pair *AlignedPair, opts Options) (*PartitionedAligner, error) {
-	return newSharded(pair, opts, nil)
+	return New(pair, opts)
 }
 
-// Align shards candidates into parts, trains every part on trainPos ∩
-// part, and reconciles. The oracle may be nil when Budget is 0.
-// Semantics match Aligner.Align: trainPos links join each part's pool
-// automatically, and the union of part pools covers every candidate.
+// Align trains on the labeled positive anchors trainPos and infers
+// labels for every candidate link. Candidates must contain the unlabeled
+// pool (test positives and sampled negatives); trainPos links are added
+// to the pool automatically. The oracle may be nil when Budget is 0.
+// The candidates are sharded into parts, every part trains on trainPos
+// ∩ part, and the parts reconcile; the union of part pools covers every
+// candidate.
 //
 // The run is max(Options.Rounds, 1) rounds over one stable plan: the
 // budget splits across the rounds and each round's oracle answers are
@@ -97,6 +98,18 @@ func NewPartitioned(pair *AlignedPair, opts Options) (*PartitionedAligner, error
 // unchanged). Supply an order-dependent oracle only with
 // Partitions ≤ 1.
 func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle Oracle) (*PartitionedResult, error) {
+	return sa.AlignPrelabeled(trainPos, candidates, oracle, nil)
+}
+
+// AlignPrelabeled is Align with confidence-weighted labels from an
+// earlier panel run fixed into the pool before training: each weighted
+// label enters the problem the way an in-run oracle answer would
+// (fixed for the whole run, excluded from query selection and from
+// this run's budget), carrying WeightedLabel.Value() — the
+// trust-weighted soft label — as its target, in every part whose pool
+// holds the link. Links absent from candidates are added to the pool;
+// links already in trainPos keep their ground-truth status.
+func (sa *shardedAligner) AlignPrelabeled(trainPos, candidates []Anchor, oracle Oracle, pre []WeightedLabel) (*PartitionedResult, error) {
 	if len(trainPos) == 0 {
 		return nil, core.ErrNoPositives
 	}
@@ -105,6 +118,15 @@ func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle O
 		return nil, err
 	}
 	sa.panel = panel
+	sa.restrict(trainPos)
+	labels := prelabels(trainPos, pre)
+	// Prelabeled links absent from candidates join the pool behind them
+	// (the part pipeline dedups the rest); the cap keeps the appends off
+	// the caller's array.
+	candidates = candidates[:len(candidates):len(candidates)]
+	for _, l := range labels {
+		candidates = append(candidates, l.Link)
+	}
 	// The executor opens before the plan exists and is told the parts the
 	// moment their training anchors are final: a worker session starts its
 	// workers, which install the counter seed, and the in-process arm
@@ -133,6 +155,7 @@ func (sa *shardedAligner) Align(trainPos []Anchor, candidates []Anchor, oracle O
 	if err != nil {
 		return nil, err
 	}
+	plan.AppendLabels(labels)
 	rounds := max(sa.opts.Rounds, 1)
 	var res *PartitionedResult
 	var reports []PartitionReport
@@ -173,12 +196,16 @@ type executor interface {
 func (sa *shardedAligner) open(shards int) (executor, error) {
 	if sa.transport == nil {
 		fe := &forkExecutor{sa: sa, warm: make(chan struct{})}
+		if sa.warmed {
+			close(fe.warm)
+			return fe, nil
+		}
 		// Everything a fork will not recount, evaluated beside the planner
 		// instead of inside the first parts to ask. An error here is the
 		// parts' to report: they ask for the same counts.
 		go func() {
 			defer close(fe.warm)
-			_ = sa.base.Warm(sa.train.Features)
+			sa.warmed = sa.base.Warm(sa.train.Features) == nil
 		}()
 		return fe, nil
 	}

@@ -6,6 +6,9 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"github.com/activeiter/activeiter/internal/metadiag"
+	"github.com/activeiter/activeiter/internal/partition"
 )
 
 func sortAnchors(in []Anchor) []Anchor {
@@ -19,29 +22,53 @@ func sortAnchors(in []Anchor) []Anchor {
 	return out
 }
 
-// Property: a PartitionedAligner with K=1 reproduces the monolithic
-// Aligner exactly — same predicted anchors, same labels, same oracle
-// audit — with and without active learning.
+// Property: one part reproduces the bare training loop exactly — the
+// whole pool through core.Train on a fresh counter gives the same
+// labels, scores, oracle audit and weights, and its positives are the
+// predicted anchors — with and without active learning.
 func TestPartitionedK1IdenticalToMonolithic(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	c := &chainCase{pair: pair, trainPos: trainPos, testPos: testPos, neg: neg}
 	for _, budget := range []int{0, 10} {
 		c.opts = Options{Budget: budget, Seed: 3, Partitions: 1}
-		mono, sharded := trainEverywhere(t, c, c.opts)
-		k1 := sharded["partitioned"]
-		if got, want := k1.PredictedAnchors(), sortAnchors(mono.PredictedAnchors()); !slices.Equal(got, want) {
-			t.Fatalf("budget %d: K=1 predicts %v, monolithic %v", budget, got, want)
+		k1 := trainEverywhere(t, c, c.opts)["partitioned"]
+
+		train, err := c.opts.resolve()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, l := range c.candidates() {
-			mLab, mOK := mono.Label(l.I, l.J)
-			pLab, pOK := k1.Label(l.I, l.J)
-			if mOK != pOK || mLab != pLab || mono.WasQueried(l.I, l.J) != k1.WasQueried(l.I, l.J) {
-				t.Fatalf("budget %d: link (%d,%d) = %v/%v queried %v vs monolithic %v/%v queried %v",
-					budget, l.I, l.J, pLab, pOK, k1.WasQueried(l.I, l.J), mLab, mOK, mono.WasQueried(l.I, l.J))
+		counter, err := metadiag.NewCounter(pair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter.SetAnchors(trainPos)
+		part := &partition.Part{TrainPos: trainPos, Candidates: c.candidates(), Budget: budget}
+		prep, err := partition.PreparePart(counter, part, train.Features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := prep.Train(part, train.Core, NewTruthOracle(pair))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var positives []Anchor
+		for idx, l := range prep.Links {
+			if mono.Y[idx] == 1 {
+				positives = append(positives, l)
+			}
+			lab, ok := k1.Label(l.I, l.J)
+			score, hasScore := k1.Score(l.I, l.J)
+			sameScore := hasScore == !math.IsNaN(mono.Scores[idx]) && (!hasScore || math.Float64bits(score) == math.Float64bits(mono.Scores[idx]))
+			if !ok || lab != mono.Y[idx] || k1.WasQueried(l.I, l.J) != mono.QueriedAt(idx) || !sameScore {
+				t.Fatalf("budget %d: link (%d,%d) = %v/%v score %v queried %v vs the training loop's %v score %v queried %v",
+					budget, l.I, l.J, lab, ok, score, k1.WasQueried(l.I, l.J), mono.Y[idx], mono.Scores[idx], mono.QueriedAt(idx))
 			}
 		}
-		if mm, pm := EvaluateAlignment(mono, testPos, neg), EvaluateAlignment(k1, testPos, neg); mm != pm {
-			t.Fatalf("budget %d: metrics diverge: %+v vs %+v", budget, pm, mm)
+		if got, want := k1.PredictedAnchors(), sortAnchors(positives); !slices.Equal(got, want) {
+			t.Fatalf("budget %d: K=1 predicts %v, the training loop %v", budget, got, want)
+		}
+		if len(k1.Entries()) != len(prep.Links) || k1.QueryCount() != mono.QueryCount() || !slices.Equal(k1.Weights(), mono.W) {
+			t.Fatalf("budget %d: pool, query count or weights diverge from the training loop", budget)
 		}
 	}
 }

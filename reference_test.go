@@ -11,11 +11,13 @@ import (
 	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/linalg"
+	"github.com/activeiter/activeiter/internal/partition"
 )
 
-// referenceReconcileFixed is reconcileFixed as it stood before it ran
-// matching.Greedy: its own endpoint maps over the fixed positives in
-// (I, J) order. Kept verbatim; reconcileFixed must return its losers.
+// referenceReconcileFixed is the monolithic aligner's reconcileFixed as
+// it stood before it ran matching.Greedy: its own endpoint maps over the
+// fixed positives in (I, J) order. Kept verbatim; the one-part merge
+// must label exactly its losers 0.
 func referenceReconcileFixed(res *core.Result, links []Anchor, trainPos int) map[int64]bool {
 	var fixed []Anchor
 	for idx, l := range links {
@@ -41,9 +43,11 @@ func referenceReconcileFixed(res *core.Result, links []Anchor, trainPos int) map
 
 // TestReconcileFixedMatchesReference trains small random pools whose
 // training anchors, prelabels and in-run oracle answers fix positives
-// that share endpoints, and checks reconcileFixed drops exactly the
-// links the endpoint-map loop drops. Some pool must lose a link, or the
-// equality proves nothing.
+// that share endpoints, merges each pool's votes as one part
+// (partition.PartVotes through the Merger), and checks the fixed
+// positives the merge labels 0 are exactly the links the endpoint-map
+// loop drops. Some pool must lose a link, or the equality proves
+// nothing.
 func TestReconcileFixedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	losing := 0
@@ -83,9 +87,22 @@ func TestReconcileFixedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := reconcileFixed(res, links, trainPos), referenceReconcileFixed(res, links, trainPos)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: lost %v, reference %v", trial, got, want)
+		m := partition.NewMerger()
+		for _, v := range partition.PartVotes(&partition.Part{TrainPos: links[:trainPos]}, links, res) {
+			m.Add(v)
+		}
+		merged := m.Finish()
+		var got map[int64]bool
+		for idx, l := range links {
+			if label, _ := merged.Label(l.I, l.J); label == 0 && res.Y[idx] == 1 && (idx < trainPos || res.QueriedAt(idx)) {
+				if got == nil {
+					got = make(map[int64]bool)
+				}
+				got[hetnet.Key(l.I, l.J)] = true
+			}
+		}
+		if want := referenceReconcileFixed(res, links, trainPos); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merge lost %v, reference %v", trial, got, want)
 		}
 		if len(got) > 0 {
 			losing++

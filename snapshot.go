@@ -36,19 +36,34 @@ const (
 	SnapshotDistributed = "distributed"
 )
 
-// BuildSnapshot freezes a completed alignment for serving. It accepts
-// the result of any facade — *Result from Aligner, *PartitionedResult
-// from PartitionedAligner or DistributedAligner — together with the
-// pair it was trained on and the Options that trained it (the source of
-// the recorded notation set and training configuration). facade is the
-// provenance label (SnapshotMonolithic, SnapshotPartitioned,
-// SnapshotDistributed); empty derives it from the result type, with
-// sharded results labeled "partitioned". A *Result is frozen as the
-// one-part merge it equals: its artifact is the one NewPartitioned with
-// Partitions 1 builds, byte for byte but for the facade label.
+// BuildSnapshot freezes a completed alignment for serving: the result
+// of any constructor's Align, together with the pair it was trained on
+// and the Options that trained it (the source of the recorded notation
+// set and training configuration). facade is the provenance label
+// (SnapshotMonolithic, SnapshotPartitioned, SnapshotDistributed); empty
+// derives it from Options.Partitions, ≤ 1 being "monolithic" and more
+// "partitioned".
 func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts Options) (*Snapshot, error) {
 	if pair == nil {
 		return nil, fmt.Errorf("activeiter: nil pair")
+	}
+	r, ok := res.(*PartitionedResult)
+	if !ok {
+		return nil, fmt.Errorf("activeiter: cannot snapshot a %T (want *PartitionedResult)", res)
+	}
+	switch facade {
+	case "":
+		facade = SnapshotPartitioned
+		if opts.Partitions <= 1 {
+			facade = SnapshotMonolithic
+		}
+	case SnapshotMonolithic:
+		if opts.Partitions > 1 {
+			return nil, fmt.Errorf("activeiter: facade %q cannot train %d partitions", facade, opts.Partitions)
+		}
+	case SnapshotPartitioned, SnapshotDistributed:
+	default:
+		return nil, fmt.Errorf("activeiter: unknown facade label %q", facade)
 	}
 	train, err := opts.resolve()
 	if err != nil {
@@ -60,6 +75,7 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 		// The layout the persisted weight vectors are parallel to: what
 		// Aligner.FeatureNames() reports (Names never reads the counter).
 		Notation:   metadiag.NewExtractor(nil, train.Features, true).Names(),
+		Facade:     facade,
 		Features:   cfg.FeatureSet,
 		Strategy:   cfg.Strategy,
 		Threshold:  0.5, // the paper's cutoff unless Options overrides it
@@ -71,28 +87,6 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 	}
 	if opts.Threshold != nil {
 		meta.Threshold = *opts.Threshold
-	}
-
-	var r *PartitionedResult
-	switch res := res.(type) {
-	case *Result:
-		if facade == "" {
-			facade = SnapshotMonolithic
-		}
-		if facade != SnapshotMonolithic {
-			return nil, fmt.Errorf("activeiter: facade %q cannot produce a monolithic *Result", facade)
-		}
-		r = res.merged()
-	case *PartitionedResult:
-		if facade == "" {
-			facade = SnapshotPartitioned
-		}
-		if facade != SnapshotPartitioned && facade != SnapshotDistributed {
-			return nil, fmt.Errorf("activeiter: facade %q cannot produce a sharded *PartitionedResult", facade)
-		}
-		r = res
-	default:
-		return nil, fmt.Errorf("activeiter: cannot snapshot a %T (want *Result or *PartitionedResult)", res)
 	}
 
 	var model snapshot.Model
@@ -119,7 +113,6 @@ func BuildSnapshot(facade string, pair *AlignedPair, res AlignmentResult, opts O
 	for _, l := range r.QueriedLabels() {
 		labels = append(labels, snapshot.QueriedLabel{I: int32(l.Link.I), J: int32(l.Link.J), Label: l.Label})
 	}
-	meta.Facade = facade
 	return snapshot.Build(pair, meta, model, pool, matches, labels, snapshot.DefaultTopK)
 }
 

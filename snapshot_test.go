@@ -20,10 +20,7 @@ func TestSnapshotRoundTripAllFacades(t *testing.T) {
 	for _, facade := range []string{SnapshotMonolithic, SnapshotPartitioned, SnapshotDistributed} {
 		t.Run(facade, func(t *testing.T) {
 			opts := Options{Budget: 10, Seed: 7, Partitions: 2}
-			var res interface {
-				AlignmentResult
-				PredictedAnchors() []Anchor
-			}
+			var res *PartitionedResult
 			switch facade {
 			case SnapshotMonolithic:
 				opts.Partitions = 0
@@ -77,9 +74,9 @@ func TestSnapshotRoundTripAllFacades(t *testing.T) {
 	}
 }
 
-// A monolith's artifact keeps every prelabel as its live result reads
-// it, soft labels included: the freeze's merge reconciles only YES
-// answers, so an earlier panel's 0.8 is served as 0.8, not as a 0.
+// A one-part artifact keeps every prelabel as its live result reads it,
+// soft labels included: the merge reconciles only YES answers, so an
+// earlier panel's 0.8 is served as 0.8, not as a 0.
 func TestSnapshotKeepsSoftPrelabels(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	c := &chainCase{pair: pair, trainPos: trainPos, testPos: testPos, neg: neg}
@@ -154,7 +151,7 @@ func TestSnapshotPredictorBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildSnapshotValidation covers facade/result mismatches.
+// TestBuildSnapshotValidation covers facade/options mismatches.
 func TestBuildSnapshotValidation(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	cands := append(append([]Anchor{}, testPos...), neg...)
@@ -166,8 +163,11 @@ func TestBuildSnapshotValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildSnapshot(SnapshotDistributed, pair, res, Options{}); err == nil {
-		t.Error("monolithic result accepted under a distributed facade label")
+	if _, err := BuildSnapshot(SnapshotMonolithic, pair, res, Options{Partitions: 2}); err == nil {
+		t.Error("a multi-part run accepted under the monolithic facade label")
+	}
+	if _, err := BuildSnapshot("sharded", pair, res, Options{}); err == nil {
+		t.Error("unknown facade label accepted")
 	}
 	if _, err := BuildSnapshot("", nil, res, Options{}); err == nil {
 		t.Error("nil pair accepted")
