@@ -35,7 +35,6 @@ package activeiter
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
@@ -155,21 +154,6 @@ type Options struct {
 	// afterwards re-runs only training on the shard it holds warm. 0 and
 	// 1 are the same run: one round, the single-shot dispatch.
 	Rounds int
-	// ShardRetries (DistributedAligner only) is how many times a failed
-	// shard is re-dispatched on a fresh connection — with capped
-	// exponential backoff — before the shard degrades to the in-process
-	// fallback. 0 means the default (2); negative disables retries.
-	ShardRetries int
-	// ShardTimeout (DistributedAligner only) bounds one shard attempt
-	// end to end; a worker hung past it converts into a retryable
-	// failure. 0 means the default (2 minutes); negative disables
-	// per-shard deadlines.
-	ShardTimeout time.Duration
-	// NoFallback (DistributedAligner only) disables graceful
-	// degradation: by default a shard that exhausts its transport
-	// retries runs in-process over a private loopback worker instead of
-	// aborting the run (see DistributedMetrics.Fallbacks).
-	NoFallback bool
 	// OracleConfig, when set, interposes a simulated labeler panel
 	// between the training loop and the oracle passed to Align: every
 	// query is replicated across OracleConfig.Replicas labelers drawn

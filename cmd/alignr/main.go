@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"github.com/activeiter/activeiter/internal/fleet"
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/snapshot"
 )
 
@@ -193,8 +194,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	router, err := fleet.NewRouter(cfg.backends, fleet.Options{
-		Timeout:        cfg.timeout,
-		Retries:        cfg.retries,
+		Retry:          retry.Policy{Attempts: cfg.retries, Timeout: cfg.timeout},
 		HedgeAfter:     cfg.hedgeAfter,
 		HealthInterval: cfg.healthInterval,
 	})

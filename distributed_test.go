@@ -168,14 +168,13 @@ func (unreachableTransport) Dial() (io.ReadWriteCloser, error) {
 	return nil, fmt.Errorf("dial: network unreachable")
 }
 
-// TestDistributedFallbackKnobs: with the transport fully down, the
-// default options degrade every shard to the in-process path and still
-// produce the partitioned reference alignment — and NoFallback turns
-// the same situation into a hard error.
-func TestDistributedFallbackKnobs(t *testing.T) {
+// TestDistributedFallsBackOverDeadTransport: with the transport fully
+// down, the default options degrade every shard to the in-process path
+// and still produce the partitioned reference alignment.
+func TestDistributedFallsBackOverDeadTransport(t *testing.T) {
 	pair, trainPos, testPos, neg := testFixture(t)
 	candidates := append(append([]Anchor{}, testPos...), neg...)
-	opts := Options{Budget: 10, Seed: 3, Partitions: 3, Workers: 2, ShardRetries: -1}
+	opts := Options{Budget: 10, Seed: 3, Partitions: 3, Workers: 2}
 	oracle := NewTruthOracle(pair)
 
 	ref, err := NewPartitioned(pair, opts)
@@ -199,53 +198,5 @@ func TestDistributedFallbackKnobs(t *testing.T) {
 	m := da.Metrics()
 	if m == nil || m.Fallbacks != opts.Partitions {
 		t.Errorf("Fallbacks = %+v, want %d degraded shards", m, opts.Partitions)
-	}
-
-	opts.NoFallback = true
-	da, err = NewDistributed(pair, opts, unreachableTransport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := da.Align(trainPos, candidates, oracle); err == nil {
-		t.Error("NoFallback over a dead transport should fail the run")
-	}
-	// The failed run's audit must be visible: non-nil, this run's (no
-	// fallbacks — the previous aligner's had three), with the attempts of
-	// the shard that exhausted its budget.
-	m = da.Metrics()
-	if m == nil {
-		t.Fatal("Metrics() is nil after a failed Align")
-	}
-	if m.Fallbacks != 0 || m.Retries != 0 {
-		t.Errorf("failed run under NoFallback and ShardRetries=-1 reports retries=%d fallbacks=%d", m.Retries, m.Fallbacks)
-	}
-	attempts := 0
-	for _, sm := range m.Shards {
-		attempts += sm.Attempts
-	}
-	if len(m.Shards) != opts.Partitions || attempts == 0 {
-		t.Errorf("failed run's per-shard audit: %+v, want %d shards with the failed attempts counted", m.Shards, opts.Partitions)
-	}
-
-	// One retry allowed: the abort comes after two attempts on some shard,
-	// and the retry is in the audit.
-	opts.ShardRetries = 1
-	da, err = NewDistributed(pair, opts, unreachableTransport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := da.Align(trainPos, candidates, oracle); err == nil {
-		t.Fatal("NoFallback over a dead transport should fail the run")
-	}
-	m = da.Metrics()
-	if m == nil || m.Retries == 0 {
-		t.Fatalf("failed run's retries are not visible: %+v", m)
-	}
-	exhausted := false
-	for _, sm := range m.Shards {
-		exhausted = exhausted || sm.Attempts == 2
-	}
-	if !exhausted {
-		t.Errorf("no shard shows the exhausted attempt count: %+v", m.Shards)
 	}
 }

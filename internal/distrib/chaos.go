@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/activeiter/activeiter/internal/retry"
 )
 
 // ErrInjected is the sentinel wrapped by every fault the ChaosTransport
@@ -15,49 +18,51 @@ import (
 // manufactured failure from a real one with errors.Is.
 var ErrInjected = errors.New("distrib: injected fault")
 
+// errDropped is the injected mid-frame drop.
+var errDropped = fmt.Errorf("%w: connection dropped mid-frame", ErrInjected)
+
 // ChaosOptions configures deterministic fault injection. All randomness
 // derives from Seed — two ChaosTransports with equal options inject the
-// same faults at the same byte offsets on the same dial sequence, which
-// is what lets the chaos property tests replay a failure exactly. No
-// wall clock is consulted for fault decisions; the only time-dependent
-// behavior is the artificial latency itself, and Sleep makes even that
-// injectable.
+// same faults at the same operations of the same shard Jobs, which is
+// what lets the chaos property tests replay a failure exactly. No wall
+// clock is consulted for fault decisions; the only time-dependent
+// behavior is the artificial latency itself.
 type ChaosOptions struct {
-	// Seed drives every fault decision. The per-connection RNG is
-	// derived from Seed and the dial ordinal, so concurrent dials do not
-	// race over one shared RNG stream.
+	// Seed drives every fault decision. A dial's refusal is drawn from
+	// Seed and the dial ordinal; a Job's fault plan from Seed, the Job's
+	// part index and how many Jobs that part has had on this transport —
+	// so which shard a scheduler hands a connection does not change
+	// whether a fault fires.
 	Seed int64
 	// RefuseRate is the probability that a Dial fails outright with a
 	// connection-refused error, before the inner transport is touched.
 	RefuseRate float64
-	// DropRate is the probability that a successful connection is doomed
-	// to die mid-frame: after a random number of I/O operations the next
+	// DropRate is the probability that a Job's connection is doomed to
+	// die mid-frame: after a random number of I/O operations the next
 	// write ships only a partial frame and errors, or the next read
 	// errors, exactly as a yanked cable would.
 	DropRate float64
-	// CorruptRate is the probability that a connection flips one payload
-	// byte at a random operation and then keeps going. The CRC-32C frame
-	// trailer must convert this into a detected ErrChecksum.
+	// CorruptRate is the probability that a Job's connection flips one
+	// payload byte at a random operation (or the first payload-carrying
+	// one after it) and then keeps going. The CRC-32C frame trailer must
+	// convert this into a detected ErrChecksum.
 	CorruptRate float64
 	// CrashRate is the probability that the connection's far side "dies"
 	// mid-shard: the underlying conn is hard-closed from under the
 	// stream after a random number of operations.
 	CrashRate float64
-	// MaxDelay, when positive, adds a per-connection artificial latency
-	// of up to MaxDelay (chosen once per conn, applied before every I/O
-	// operation) — the straggler generator for deadline tests.
+	// MaxDelay, when positive, adds a per-Job artificial latency of up to
+	// MaxDelay (chosen once per Job, applied before every I/O operation
+	// from it on) — the straggler generator for deadline tests.
 	MaxDelay time.Duration
-	// Sleep replaces time.Sleep for the artificial latency; nil uses
-	// time.Sleep. Tests pass a recorder or no-op to stay wall-clock
-	// free.
-	Sleep func(time.Duration)
 }
 
-// chaosMaxOps bounds the operation ordinal at which a doomed
-// connection's fault fires. One frame costs ~3 operations per side, so
-// the window covers the handshake, the job send, and the early response
-// stream — the interesting places to die.
-const chaosMaxOps = 64
+// chaosMaxOps bounds the operation ordinal, counted from a Job, at which
+// a doomed connection's fault fires. One frame costs ~3 operations per
+// side, so the window covers the job send and the early response stream
+// — the interesting places to die — and a small-budget Job, a few dozen
+// operations long, usually lives to see its fault.
+const chaosMaxOps = 32
 
 // ChaosStats counts what the transport actually injected, for tests and
 // smoke-run grepping. Read with Stats(); fields are totals since
@@ -77,18 +82,21 @@ type ChaosStats struct {
 // tests demand bit-identical results and no hangs under every fault
 // class at once.
 //
-// Each accepted dial draws one fault plan from a per-dial RNG: at most
-// one scripted fault per connection, firing at a random operation
-// ordinal. Per-connection (not per-operation) fault probabilities keep
-// the math honest: "30% drop rate" means 30% of connections die, not a
+// Each Job a connection carries draws one fault plan: at most one
+// scripted fault, firing at a random operation ordinal counted from the
+// Job. Per-Job (not per-operation) fault probabilities keep the math
+// honest: "30% drop rate" means 30% of shard attempts die, not a
 // compounding per-read coin that no multi-frame shard could ever
-// survive.
+// survive. The handshake before a connection's first Job is fault-free;
+// RefuseRate covers the dial.
 type ChaosTransport struct {
 	Inner Transport
 	Opts  ChaosOptions
 
-	dials atomic.Int64
-	stats struct {
+	dials  atomic.Int64
+	jobsMu sync.Mutex
+	jobs   map[int64]uint64 // Jobs carried so far, by part index
+	stats  struct {
 		refused, dropped, corrupted, crashed atomic.Int64
 	}
 }
@@ -112,20 +120,17 @@ func (t *ChaosTransport) ReportWorker(id string, ok bool) {
 	}
 }
 
-// splitmix64 is the per-dial seed mixer: a full-avalanche permutation,
-// so consecutive dial ordinals land on uncorrelated RNG streams.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
+// rng is the fault RNG for one draw: keyed by the seed and a key that
+// the mixer spreads over uncorrelated streams. Job keys are
+// part<<32|n; dial keys set the top bit, which no part index reaches.
+func (t *ChaosTransport) rng(key uint64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(retry.SplitMix64(uint64(t.Opts.Seed) + retry.SplitMix64(key)))))
 }
 
 // Dial implements Transport.
 func (t *ChaosTransport) Dial() (io.ReadWriteCloser, error) {
 	ord := t.dials.Add(1) - 1
-	rng := rand.New(rand.NewSource(int64(splitmix64(uint64(t.Opts.Seed) + splitmix64(uint64(ord))))))
-	if rng.Float64() < t.Opts.RefuseRate {
+	if t.rng(1<<63|uint64(ord)).Float64() < t.Opts.RefuseRate {
 		t.stats.refused.Add(1)
 		return nil, fmt.Errorf("%w: connection refused (dial %d)", ErrInjected, ord)
 	}
@@ -133,15 +138,7 @@ func (t *ChaosTransport) Dial() (io.ReadWriteCloser, error) {
 	if err != nil {
 		return nil, err
 	}
-	fc := &faultConn{
-		inner: inner,
-		plan:  t.buildPlan(rng),
-		stats: &t.stats,
-		sleep: t.Opts.Sleep,
-	}
-	if fc.sleep == nil {
-		fc.sleep = time.Sleep
-	}
+	fc := &faultConn{inner: inner, t: t}
 	// Only advertise deadline support when the inner conn really has it
 	// — the coordinator falls back to a watchdog timer otherwise, and a
 	// deadline method that silently no-ops would disarm that fallback.
@@ -159,7 +156,8 @@ const (
 	faultCrash
 )
 
-// faultPlan is one connection's scripted fate, drawn at dial time.
+// faultPlan is one Job's scripted fate on its connection. The zero plan
+// injects nothing.
 type faultPlan struct {
 	kind      int
 	failAfter int64         // operation ordinal the fault fires at (1-based)
@@ -167,10 +165,20 @@ type faultPlan struct {
 	delay     time.Duration // per-operation artificial latency
 }
 
-func (t *ChaosTransport) buildPlan(rng *rand.Rand) faultPlan {
+// jobPlan draws the plan of the next Job for the part: the n-th such Job
+// on this transport, whichever connection carries it.
+func (t *ChaosTransport) jobPlan(part int64) faultPlan {
+	t.jobsMu.Lock()
+	if t.jobs == nil {
+		t.jobs = make(map[int64]uint64)
+	}
+	n := t.jobs[part]
+	t.jobs[part]++
+	t.jobsMu.Unlock()
+	rng := t.rng(uint64(part)<<32 | n)
 	p := faultPlan{kind: faultNone, failAfter: int64(1 + rng.Intn(chaosMaxOps)), corruptAt: rng.Intn(1 << 16)}
 	// One draw picks the fault class from disjoint probability bands, so
-	// the configured rates are exact per-connection probabilities.
+	// the configured rates are exact per-Job probabilities.
 	r := rng.Float64()
 	switch {
 	case r < t.Opts.DropRate:
@@ -197,68 +205,101 @@ type deadlineConn interface {
 // deadlines; callers arm a watchdog timer instead.
 var errNoDeadline = errors.New("distrib: transport does not support deadlines")
 
-// faultConn wraps a worker connection with its scripted fault. I/O
-// operations (reads and writes jointly) are counted under a mutex; when
-// the count reaches the plan's ordinal the fault fires exactly once.
+// faultConn wraps a worker connection with its current Job's scripted
+// fault. I/O operations (reads and writes jointly) are counted from the
+// Job under a mutex; when the count reaches the plan's ordinal the fault
+// fires exactly once.
 type faultConn struct {
 	inner    io.ReadWriteCloser
-	plan     faultPlan
-	stats    *struct{ refused, dropped, corrupted, crashed atomic.Int64 }
-	sleep    func(time.Duration)
+	t        *ChaosTransport
 	deadline deadlineConn // nil when the inner conn has no deadline support
 
-	ops       atomic.Int64
+	mu         sync.Mutex
+	plan       faultPlan // the current Job's; zero before the first
+	ops        int64     // operations since the current Job's body
+	jobNext    bool      // the last write was a Job frame's header
+	corrupting bool      // the corruption fired and waits for a payload
+
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// tick advances the operation counter, applies latency, and fires the
-// scripted fault when its ordinal arrives. It reports whether this
-// operation should corrupt its payload, or the injected error.
-func (c *faultConn) tick() (corrupt bool, err error) {
-	op := c.ops.Add(1)
-	if c.plan.delay > 0 {
-		c.sleep(c.plan.delay)
+// watchJobs draws a new plan when p is the body of a Job frame. A frame
+// goes out as three writes — the 8-byte header, the body, the checksum
+// — and a Job's body opens with its part index.
+func (c *faultConn) watchJobs(p []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.jobNext {
+		c.jobNext = false
+		if part, n := binary.Varint(p); n > 0 {
+			c.plan, c.ops, c.corrupting = c.t.jobPlan(part), 0, false
+		}
+		return
 	}
-	if op != c.plan.failAfter {
-		return false, nil
+	c.jobNext = len(p) == 8 && [2]byte(p[4:6]) == codec.Magic && p[6] == codec.Version && FrameType(p[7]) == FrameJob
+}
+
+// tick advances the operation counter for an operation on size bytes,
+// applies latency, and fires the scripted fault when its ordinal
+// arrives. It reports the byte offset hint this operation should
+// corrupt at (-1: none), or the injected error. A corruption waits for
+// the first operation on more than a frame header's 8 bytes: it must hit
+// a payload byte, under the CRC, never a length prefix — a grown length
+// leaves the reader waiting for bytes that never come.
+func (c *faultConn) tick(size int) (corruptAt int, err error) {
+	c.mu.Lock()
+	c.ops++
+	op, plan := c.ops, c.plan
+	c.corrupting = c.corrupting || (op == plan.failAfter && plan.kind == faultCorrupt)
+	corrupt := c.corrupting && size > 8
+	if corrupt {
+		c.corrupting = false
 	}
-	switch c.plan.kind {
+	c.mu.Unlock()
+	time.Sleep(plan.delay)
+	stats := &c.t.stats
+	if corrupt {
+		stats.corrupted.Add(1)
+		return plan.corruptAt, nil
+	}
+	if op != plan.failAfter {
+		return -1, nil
+	}
+	switch plan.kind {
 	case faultDrop:
-		c.stats.dropped.Add(1)
-		return false, fmt.Errorf("%w: connection dropped mid-frame", ErrInjected)
+		stats.dropped.Add(1)
+		return -1, errDropped
 	case faultCrash:
-		c.stats.crashed.Add(1)
+		stats.crashed.Add(1)
 		// A crash is the far side dying, not a polite shutdown: hard-close
 		// the underlying conn so BOTH directions break, then surface the
 		// error on this operation too.
 		c.closeInner()
-		return false, fmt.Errorf("%w: worker crashed mid-shard", ErrInjected)
-	case faultCorrupt:
-		c.stats.corrupted.Add(1)
-		return true, nil
+		return -1, fmt.Errorf("%w: worker crashed mid-shard", ErrInjected)
 	}
-	return false, nil
+	return -1, nil
 }
 
 func (c *faultConn) Read(p []byte) (int, error) {
-	corrupt, err := c.tick()
+	corruptAt, err := c.tick(len(p))
 	if err != nil {
 		return 0, err
 	}
 	n, err := c.inner.Read(p)
-	if corrupt && n > 0 {
+	if corruptAt >= 0 && n > 0 {
 		// Flip one bit in the delivered bytes; XOR with a non-zero mask is
 		// guaranteed to change the byte, so the CRC check MUST trip.
-		p[c.plan.corruptAt%n] ^= 0x20
+		p[corruptAt%n] ^= 0x20
 	}
 	return n, err
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
-	corrupt, err := c.tick()
+	c.watchJobs(p)
+	corruptAt, err := c.tick(len(p))
 	if err != nil {
-		if errors.Is(err, ErrInjected) && c.plan.kind == faultDrop && len(p) > 1 {
+		if errors.Is(err, errDropped) && len(p) > 1 {
 			// A real drop is rarely frame-aligned: ship half the buffer so
 			// the peer is left holding a truncated frame.
 			n, _ := c.inner.Write(p[:len(p)/2])
@@ -266,9 +307,9 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		}
 		return 0, err
 	}
-	if corrupt && len(p) > 0 {
+	if corruptAt >= 0 && len(p) > 0 {
 		q := append([]byte(nil), p...)
-		q[c.plan.corruptAt%len(q)] ^= 0x20
+		q[corruptAt%len(q)] ^= 0x20
 		return c.inner.Write(q)
 	}
 	return c.inner.Write(p)

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"math/rand"
 	"os"
 	"testing"
 
@@ -16,8 +15,8 @@ func refusingFirstDial(t *testing.T, inner Transport) *ChaosTransport {
 	t.Helper()
 	const rate = 0.5
 	refused := func(seed int64, ord uint64) bool {
-		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + splitmix64(ord)))))
-		return rng.Float64() < rate
+		probe := &ChaosTransport{Opts: ChaosOptions{Seed: seed}}
+		return probe.rng(1<<63|ord).Float64() < rate
 	}
 search:
 	for seed := int64(1); seed < 1<<16; seed++ {

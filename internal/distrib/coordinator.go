@@ -11,6 +11,7 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
@@ -22,26 +23,20 @@ type Options struct {
 	// Workers caps concurrent worker connections; default
 	// min(shards, GOMAXPROCS).
 	Workers int
-	// Retries is how many times a failed shard is re-dispatched on a
-	// fresh connection before the run degrades (or aborts, with
-	// NoFallback); default 2. Negative disables retries.
-	Retries int
-	// ShardTimeout bounds one shard attempt end to end — job write,
-	// oracle round-trips, Done frame. A hung worker converts into a
-	// retryable error instead of stalling the run forever: conns with
-	// deadline support (TCP, loopback pipes) get read/write deadlines,
-	// anything else (subprocess stdio) gets a watchdog timer that
-	// force-closes the conn. Zero means defaultShardTimeout; negative
-	// disables deadlines.
-	ShardTimeout time.Duration
-	// NoFallback disables graceful degradation. By default a shard whose
-	// retry budget is exhausted — or that can never dispatch because the
-	// transport is down — runs in-process over a private loopback worker
-	// instead of aborting the run; the fallback shows up in
-	// Metrics.Fallbacks and the per-shard Fallback flag. Bit-parity is
-	// by construction: the loopback worker runs the identical
-	// partition.PreparePart+Train path as a remote one.
-	NoFallback bool
+	// Retry is the shard policy: Attempts tries per shard on the
+	// transport, each on a fresh connection after the first, and
+	// Timeout bounds each one end to end — connect and handshake, job
+	// write, oracle round-trips, Done frame. A hung worker converts into
+	// a failed try instead of stalling the run: conns with deadline
+	// support (TCP, loopback pipes) get read/write deadlines, anything
+	// else (subprocess stdio) a watchdog timer that force-closes the
+	// conn. A zero Timeout means defaultShardTimeout. A shard out of
+	// tries runs in-process over a private loopback worker — the
+	// identical partition.PreparePart+Train path, so the votes are
+	// bit-identical — and shows up in Metrics.Fallbacks and its
+	// ShardMetrics.Fallback flag; the round aborts only when that
+	// fallback fails too.
+	Retry retry.Policy
 	// Base, when set, is a warm counter over the run's pair whose
 	// anchor-free count layer becomes the warm-counter seed (the facade
 	// passes its planning counter, so the export is a cache read). Nil
@@ -87,7 +82,7 @@ type Metrics struct {
 	// shards re-spend oracle labels, and this is the audit of real
 	// labeling cost. Equals Result.QueryCount only on retry-free runs.
 	Queries int
-	Retries int // shard re-dispatches after failures
+	Retries int // shard re-dispatches after failed attempts
 	// CacheHits counts jobs a worker re-ran warm. CacheMisses counts jobs
 	// sent back to the connection that ran the shard last which the
 	// worker nevertheless prepared cold — an evicted entry, a drifted
@@ -163,22 +158,13 @@ type shardResult struct {
 	readBytes int64
 	cacheHit  bool       // the worker re-ran the shard warm (Done.Cached)
 	spans     []WireSpan // worker-side spans off the Done frame (tracing only)
+	expired   bool       // the watchdog closed the conn as the attempt finished
 }
 
-// Retry/deadline defaults.
-const (
-	// defaultShardTimeout is the per-attempt deadline when
-	// Options.ShardTimeout is zero — generous against real shard
-	// training, tight against a genuinely hung worker.
-	defaultShardTimeout = 2 * time.Minute
-	// retryBackoffBase/retryBackoffCap shape the capped exponential
-	// backoff between a shard's attempts: base×2ⁿ, jittered ±50%, capped.
-	// Backoff sleeps happen in the retrying worker slot, which is the
-	// point — a flapping transport must not be hammered full-speed by
-	// every slot at once.
-	retryBackoffBase = 10 * time.Millisecond
-	retryBackoffCap  = 1 * time.Second
-)
+// defaultShardTimeout is the per-attempt deadline when Options.Retry's
+// Timeout is zero — generous against real shard training, tight against
+// a genuinely hung worker.
+const defaultShardTimeout = 2 * time.Minute
 
 // armDeadline bounds every I/O on conn for the next d: conns with real
 // deadline support (net.Conn — TCP, loopback pipes) get read/write
@@ -187,22 +173,22 @@ const (
 // force-closes the conn, which surfaces as a closed-pipe error. Either
 // way a hung worker becomes a retryable shard failure instead of a
 // stalled run. The returned disarm must be called when the attempt
-// finishes; d ≤ 0 disables.
-func armDeadline(conn io.ReadWriteCloser, d time.Duration) (disarm func()) {
-	if d <= 0 {
-		return func() {}
-	}
+// finishes. It reports whether the watchdog fired first: then the conn
+// is closed even if every I/O of the attempt went through. A passed
+// deadline leaves the conn usable once cleared.
+func armDeadline(conn io.ReadWriteCloser, d time.Duration) (disarm func() (fired bool)) {
 	if dc, can := conn.(deadlineConn); can {
 		t := time.Now().Add(d)
 		if dc.SetReadDeadline(t) == nil && dc.SetWriteDeadline(t) == nil {
-			return func() {
+			return func() bool {
 				dc.SetReadDeadline(time.Time{})
 				dc.SetWriteDeadline(time.Time{})
+				return false
 			}
 		}
 	}
 	timer := time.AfterFunc(d, func() { conn.Close() })
-	return func() { timer.Stop() }
+	return func() bool { return !timer.Stop() }
 }
 
 // Run executes every shard of the plan on remote workers and merges

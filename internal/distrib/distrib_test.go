@@ -18,6 +18,7 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/partition"
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/schema"
 )
 
@@ -335,19 +336,43 @@ func TestCoordinatorRetriesFailedShards(t *testing.T) {
 }
 
 // TestCoordinatorAbortsAfterRetryBudget: a job workers always reject
-// (unknown strategy) must exhaust the shard's attempts and surface the
-// worker's error.
+// (unknown strategy) must exhaust the shard's attempts, fail its
+// in-process fallback the same way, and abort the round with the
+// worker's error and the attempt count. The aborted round still returns
+// its metrics, every shard listed with its final attempt count.
 func TestCoordinatorAbortsAfterRetryBudget(t *testing.T) {
 	fx := newDistFixture(t, 2, 0)
 	bad := fx.train
 	bad.Strategy = "bogus"
-	coord := &Coordinator{Transport: Loopback{}, Opts: Options{Train: bad, Workers: 1, Retries: 1}}
-	_, _, err := coord.Run(fx.pair, fx.plan, nil)
+	coord := &Coordinator{Transport: Loopback{}, Opts: Options{Train: bad, Workers: 1, Retry: retry.Policy{Attempts: 2}}}
+	res, m, err := coord.Run(fx.pair, fx.plan, nil)
 	if err == nil {
 		t.Fatal("run with an unresolvable strategy succeeded")
 	}
+	if res != nil {
+		t.Error("aborted run returned a non-nil result")
+	}
 	if !strings.Contains(err.Error(), "unknown strategy") {
 		t.Errorf("error does not carry the worker failure: %v", err)
+	}
+	// Two transport attempts, then the fallback.
+	if !strings.Contains(err.Error(), "after 3 attempts") {
+		t.Errorf("error %q does not carry the attempt count", err)
+	}
+	if m == nil {
+		t.Fatal("aborted run returned nil metrics")
+	}
+	if len(m.Shards) != fx.k {
+		t.Fatalf("aborted run lists %d shards, want %d", len(m.Shards), fx.k)
+	}
+	exhausted := 0
+	for _, sm := range m.Shards {
+		if sm.Attempts == 3 && sm.Fallback {
+			exhausted++
+		}
+	}
+	if exhausted == 0 || m.Retries == 0 || m.Fallbacks == 0 {
+		t.Errorf("no shard shows the exhausted attempts: retries %d, fallbacks %d, %+v", m.Retries, m.Fallbacks, m.Shards)
 	}
 }
 

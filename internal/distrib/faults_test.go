@@ -16,6 +16,7 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/oracle"
 	"github.com/activeiter/activeiter/internal/partition"
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
@@ -41,8 +42,9 @@ func TestChaosRunIsBitIdentical(t *testing.T) {
 			CrashRate:   0.10,
 			MaxDelay:    time.Millisecond,
 		}}
+		const workers = 2
 		coord := &Coordinator{Transport: chaos, Opts: Options{
-			Train: fx.train, Workers: 2, Retries: 4, ShardTimeout: 2 * time.Second,
+			Train: fx.train, Workers: workers, Retry: retry.Policy{Attempts: 5, Timeout: 2 * time.Second},
 		}}
 		res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
 		if err != nil {
@@ -52,8 +54,9 @@ func TestChaosRunIsBitIdentical(t *testing.T) {
 		s := chaos.Stats()
 		injected += s.Refused + s.Dropped + s.Corrupted + s.Crashed
 		recovered += int64(m.Retries + m.Fallbacks)
-		if s.Dials < int64(fx.k) {
-			t.Errorf("seed %d: only %d dials for %d shards", seed, s.Dials, fx.k)
+		// Every slot dialed; a seed whose Jobs all ran clean needs no more.
+		if want := int64(min(workers, fx.k)); s.Dials < want {
+			t.Errorf("seed %d: only %d dials for %d worker slots", seed, s.Dials, want)
 		}
 	}
 	// Individual seeds may draw lucky fault plans; across three seeds the
@@ -69,7 +72,7 @@ func TestChaosRunIsBitIdentical(t *testing.T) {
 
 // TestChaosDeterministicReplay: equal seeds inject equal faults and
 // produce equal results. Workers is pinned to 1 so the dial sequence —
-// which keys the per-connection fault plans — is scheduler-independent.
+// which keys the refusals — is scheduler-independent.
 func TestChaosDeterministicReplay(t *testing.T) {
 	fx := newDistFixture(t, 3, 12)
 	run := func() (ChaosStats, []hetnet.Anchor) {
@@ -77,7 +80,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 			Seed: 99, RefuseRate: 0.2, DropRate: 0.3, CorruptRate: 0.15, CrashRate: 0.1,
 		}}
 		coord := &Coordinator{Transport: chaos, Opts: Options{
-			Train: fx.train, Workers: 1, Retries: 4, ShardTimeout: 2 * time.Second,
+			Train: fx.train, Workers: 1, Retry: retry.Policy{Attempts: 5, Timeout: 2 * time.Second},
 		}}
 		res, _, err := coord.Run(fx.pair, fx.plan, fx.oracle)
 		if err != nil {
@@ -116,7 +119,7 @@ func TestShardAttemptsNeverOverlap(t *testing.T) {
 		}}
 		tr := telemetry.NewTracer("coordinator")
 		sess, err := NewSession(chaos, fx.pair, Options{
-			Train: fx.train, Workers: 2, Retries: 1, ShardTimeout: 2 * time.Second, Tracer: tr,
+			Train: fx.train, Workers: 2, Retry: retry.Policy{Attempts: 2, Timeout: 2 * time.Second}, Tracer: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +219,7 @@ func TestHungWorkerHitsDeadlineAndFallsBack(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord := &Coordinator{Transport: silentTransport{stripDeadlines: tc.strip}, Opts: Options{
-				Train: fx.train, Workers: 2, Retries: -1, ShardTimeout: 150 * time.Millisecond,
+				Train: fx.train, Workers: 2, Retry: retry.Policy{Attempts: 1, Timeout: 150 * time.Millisecond},
 			}}
 			start := time.Now()
 			res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
@@ -295,9 +298,12 @@ func (c *stragglerConn) Write(p []byte) (int, error) {
 	return c.ReadWriteCloser.Write(p)
 }
 
+// Close closes the inner conn before it wakes a stalled Read, so the
+// woken Read finds the conn closed rather than a frame that was waiting.
 func (c *stragglerConn) Close() error {
+	err := c.ReadWriteCloser.Close()
 	c.closeOnce.Do(func() { close(c.closed) })
-	return c.ReadWriteCloser.Close()
+	return err
 }
 
 // runStraggledSession runs a two-round session over tr and arms its
@@ -307,7 +313,7 @@ func (c *stragglerConn) Close() error {
 func runStraggledSession(t *testing.T, fx *distFixture, tr *stragglerTransport, timeout time.Duration) (*partition.Result, *Metrics, time.Duration) {
 	t.Helper()
 	plan := fx.freshPlan(t, 8)
-	sess, err := NewSession(tr, fx.pair, Options{Train: fx.train, Workers: 2, ShardTimeout: timeout})
+	sess, err := NewSession(tr, fx.pair, Options{Train: fx.train, Workers: 2, Retry: retry.Policy{Timeout: timeout}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +426,7 @@ func TestStragglerPastDeadlineIsRetried(t *testing.T) {
 		fx := newDistFixture(t, 2, 0)
 		tr := &stragglerTransport{inner: Loopback{}, delay: delay}
 		tr.armed.Store(true)
-		coord := &Coordinator{Transport: tr, Opts: Options{Train: fx.train, Workers: 2, ShardTimeout: timeout}}
+		coord := &Coordinator{Transport: tr, Opts: Options{Train: fx.train, Workers: 2, Retry: retry.Policy{Timeout: timeout}}}
 		start := time.Now()
 		res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
 		if err != nil {
@@ -438,6 +444,109 @@ func TestStragglerPastDeadlineIsRetried(t *testing.T) {
 		assertSameAlignment(t, res, want, fx.plan)
 		assertRetried(t, tr, m, elapsed)
 	})
+}
+
+// TestDisarmReportsFiredWatchdog: a disarm after the watchdog fired
+// says so (the conn is closed under the attempt); a disarm in time, or
+// one over real deadlines, does not.
+func TestDisarmReportsFiredWatchdog(t *testing.T) {
+	here, there := net.Pipe()
+	defer there.Close()
+	if armDeadline(noDeadlineConn{inner: here}, time.Minute)() {
+		t.Error("a disarm inside the deadline reported a firing")
+	}
+	disarm := armDeadline(here, time.Millisecond)
+	if _, err := here.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read past the conn deadline: %v", err)
+	}
+	if disarm() {
+		t.Error("a passed conn deadline reported a firing; clearing it leaves the conn usable")
+	}
+	disarm = armDeadline(noDeadlineConn{inner: here}, time.Millisecond)
+	there.Read(make([]byte, 1)) // returns once the watchdog has closed here
+	if !disarm() {
+		t.Error("a disarm after the watchdog closed the conn did not report the firing")
+	}
+}
+
+// lateCloseTransport dials loopback workers whose conns hide their
+// deadline methods and hold back the first read after a Job until the
+// conn is closed. That first Close is counted and otherwise ignored: it
+// comes too late to cut the stream, and the attempt goes on to commit —
+// the race of a watchdog firing as the Done frame arrives.
+type lateCloseTransport struct {
+	lateCloses atomic.Int64
+}
+
+func (tr *lateCloseTransport) Dial() (io.ReadWriteCloser, error) {
+	conn, err := Loopback{}.Dial()
+	if err != nil {
+		return nil, err
+	}
+	return &lateCloseConn{inner: conn, tr: tr, late: make(chan struct{})}, nil
+}
+
+type lateCloseConn struct {
+	inner   io.ReadWriteCloser
+	tr      *lateCloseTransport
+	jobSent atomic.Bool
+	stall   atomic.Bool   // the next read waits for the late Close
+	late    chan struct{} // closed by the first Close after a Job
+	once    sync.Once
+}
+
+func (c *lateCloseConn) Read(p []byte) (int, error) {
+	if c.stall.CompareAndSwap(true, false) {
+		<-c.late
+	}
+	return c.inner.Read(p)
+}
+
+func (c *lateCloseConn) Write(p []byte) (int, error) {
+	if len(p) == 8 && FrameType(p[7]) == FrameJob {
+		c.jobSent.Store(true)
+		c.stall.Store(true)
+	}
+	return c.inner.Write(p)
+}
+
+func (c *lateCloseConn) Close() error {
+	first := false
+	if c.jobSent.Load() {
+		c.once.Do(func() { first = true; close(c.late) })
+	}
+	if first {
+		c.tr.lateCloses.Add(1)
+		return nil
+	}
+	return c.inner.Close()
+}
+
+// TestWatchdogFiredAtCommitKeepsNoHome: an attempt that commits as its
+// watchdog fires keeps its votes and costs no retry, but its slot drops
+// the conn the watchdog closed, so the shard keeps no warm home there.
+func TestWatchdogFiredAtCommitKeepsNoHome(t *testing.T) {
+	fx := newDistFixture(t, 1, 0)
+	tr := &lateCloseTransport{}
+	sess, err := NewSession(tr, fx.pair, Options{Train: fx.train, Workers: 1, Retry: retry.Policy{Timeout: 100 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, m, err := sess.Run(fx.plan, fx.oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAlignment(t, res, fx.ref, fx.plan)
+	if n := tr.lateCloses.Load(); n != 1 {
+		t.Fatalf("%d late closes, want the watchdog's one", n)
+	}
+	if m.Retries != 0 || m.Fallbacks != 0 {
+		t.Errorf("the committed attempt cost %d retries, %d fallbacks", m.Retries, m.Fallbacks)
+	}
+	if len(sess.homes) != 0 || sess.slots[0].conn != nil {
+		t.Errorf("the slot kept the closed conn: homes %v, conn %v", sess.homes, sess.slots[0].conn)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -481,57 +590,45 @@ func TestFallbackWhenTransportDown(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// fail-path coverage: exhausted retries under NoFallback, and the
-// negative-Retries (disabled) semantics. Both must return non-nil
-// Metrics carrying the final attempt counts.
+// The policy's edges: one attempt means no retry, and a negative field
+// is refused before anything runs.
 // ---------------------------------------------------------------------
 
-func TestNoFallbackAbortsWithMetrics(t *testing.T) {
+func TestSingleAttemptDisablesRetry(t *testing.T) {
 	fx := newDistFixture(t, 2, 0)
 	coord := &Coordinator{Transport: downTransport{}, Opts: Options{
-		Train: fx.train, Workers: 1, Retries: 1, NoFallback: true,
+		Train: fx.train, Workers: 1, Retry: retry.Policy{Attempts: 1},
 	}}
 	res, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
-	if err == nil {
-		t.Fatal("expected an error with the transport down and NoFallback set")
+	if err != nil {
+		t.Fatalf("run failed instead of degrading: %v", err)
 	}
-	if res != nil {
-		t.Error("aborted run returned a non-nil result")
+	assertSameAlignment(t, res, fx.ref, fx.plan)
+	if m.Retries != 0 || m.Fallbacks != fx.k {
+		t.Errorf("Retries = %d, Fallbacks = %d; want 0 and %d", m.Retries, m.Fallbacks, fx.k)
 	}
-	if !strings.Contains(err.Error(), "after 2 attempts") {
-		t.Errorf("error %q does not carry the attempt count", err)
-	}
-	if m == nil {
-		t.Fatal("aborted run returned nil metrics")
-	}
-	failed := 0
 	for _, sm := range m.Shards {
-		if sm.Attempts == 2 { // retries+1 on the shard that exhausted its budget
-			failed++
+		if sm.Attempts != 2 || !sm.Fallback {
+			t.Errorf("shard %d: %d attempts, fallback %v; want the one transport attempt and the fallback", sm.Shard, sm.Attempts, sm.Fallback)
 		}
-		if sm.Fallback {
-			t.Errorf("shard %d marked Fallback under NoFallback", sm.Shard)
-		}
-	}
-	if failed == 0 {
-		t.Errorf("no shard shows the exhausted attempt count: %+v", m.Shards)
 	}
 }
 
-func TestNegativeRetriesDisablesRetry(t *testing.T) {
+// A zero Retry resolves to the one default policy; a negative field is
+// refused.
+func TestNewSessionRetryPolicy(t *testing.T) {
 	fx := newDistFixture(t, 2, 0)
-	coord := &Coordinator{Transport: downTransport{}, Opts: Options{
-		Train: fx.train, Workers: 1, Retries: -1, NoFallback: true,
-	}}
-	_, m, err := coord.Run(fx.pair, fx.plan, fx.oracle)
-	if err == nil {
-		t.Fatal("expected an error")
+	s, err := NewSession(Loopback{}, fx.pair, Options{Train: fx.train})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "after 1 attempts") {
-		t.Errorf("error %q should report a single attempt", err)
+	if want := (retry.Policy{Attempts: retry.DefaultAttempts, Timeout: defaultShardTimeout}); s.opts.Retry != want {
+		t.Errorf("zero Retry resolved to %+v, want %+v", s.opts.Retry, want)
 	}
-	if m.Retries != 0 {
-		t.Errorf("Retries = %d with retries disabled", m.Retries)
+	for _, p := range []retry.Policy{{Attempts: -1}, {Timeout: -time.Second}} {
+		if _, err := NewSession(Loopback{}, fx.pair, Options{Train: fx.train, Retry: p}); err == nil {
+			t.Errorf("NewSession accepted Retry %+v", p)
+		}
 	}
 }
 
@@ -542,11 +639,13 @@ func TestNegativeRetriesDisablesRetry(t *testing.T) {
 
 func TestHealthBoardQuarantine(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newHealthBoard(2, time.Minute, func() time.Time { return now })
+	b := newHealthBoard(func() time.Time { return now })
 
-	b.report("w1", false)
-	if b.quarantined("w1") {
-		t.Error("benched after a single failure (threshold 2)")
+	for i := 1; i < quarantineAfter; i++ {
+		b.report("w1", false)
+		if b.quarantined("w1") {
+			t.Errorf("benched after %d failures (threshold %d)", i, quarantineAfter)
+		}
 	}
 	b.report("w1", false)
 	if !b.quarantined("w1") {
@@ -556,7 +655,11 @@ func TestHealthBoardQuarantine(t *testing.T) {
 		t.Error("unknown worker reported quarantined")
 	}
 
-	now = now.Add(61 * time.Second)
+	now = now.Add(quarantineCooldown - time.Second)
+	if !b.quarantined("w1") {
+		t.Error("released before the cooldown expired")
+	}
+	now = now.Add(2 * time.Second)
 	if b.quarantined("w1") {
 		t.Error("still benched after the cooldown expired")
 	}
@@ -605,21 +708,23 @@ func TestTCPDialSkipsQuarantined(t *testing.T) {
 
 	t.Run("reported", func(t *testing.T) {
 		bad, good := listen(t).Addr().String(), listen(t).Addr().String()
-		tr := &TCP{Addrs: []string{bad, good}, QuarantineAfter: 1}
-		tr.ReportWorker(bad, false)
+		tr := &TCP{Addrs: []string{bad, good}}
+		for i := 0; i < quarantineAfter; i++ {
+			tr.ReportWorker(bad, false)
+		}
 		assertSkipped(t, tr, bad, good)
 	})
 
 	// The board fed by a session instead of by hand: one address accepts
 	// connections and hangs up (a crashed worker behind a live port), the
-	// other is a real worker. Two failed attempts on the bad address
-	// inside the session must bench it, and the session still converges
-	// on the healthy worker. The bad address is listed twice ahead of the
-	// good one, so the round robin sends the run's first two dials there
-	// whichever slots make them: the healthy worker is only reachable
-	// after both have failed, which makes the two failures certain —
-	// with one listing, a healthy slot could take the requeued shard
-	// before the other slot ever redialled.
+	// other is a real worker. quarantineAfter failed attempts on the bad
+	// address inside the session must bench it, and the session still
+	// converges on the healthy worker. The bad address is listed
+	// quarantineAfter times ahead of the good one, so the round robin
+	// sends the run's first dials there whichever slots make them: the
+	// healthy worker is only reachable after all of them have failed,
+	// which makes the failures certain — with one listing, a healthy slot
+	// could take the requeued shard before the other slot ever redialled.
 	t.Run("session-feeds-board", func(t *testing.T) {
 		badLn, goodLn := listen(t), listen(t)
 		go func() {
@@ -647,14 +752,18 @@ func TestTCPDialSkipsQuarantined(t *testing.T) {
 
 		fx := newDistFixture(t, 3, 12)
 		want, _, _ := runRoundsOnPlan(t, fx, Loopback{}, 2, 12, 2)
-		tr := &TCP{Addrs: []string{bad, bad, good}, QuarantineAfter: 2}
+		var addrs []string
+		for i := 0; i < quarantineAfter; i++ {
+			addrs = append(addrs, bad)
+		}
+		tr := &TCP{Addrs: append(addrs, good)}
 		res, _, cum := runRoundsOnPlan(t, fx, tr, 2, 12, 2)
 		assertSameAlignment(t, res, want, fx.plan)
-		if cum.Retries < 2 {
-			t.Errorf("Retries = %d, want the bad worker's two failed attempts", cum.Retries)
+		if cum.Retries < quarantineAfter {
+			t.Errorf("Retries = %d, want the bad worker's %d failed attempts", cum.Retries, quarantineAfter)
 		}
 		if !tr.board().quarantined(bad) {
-			t.Fatal("the session never benched the worker that failed QuarantineAfter attempts")
+			t.Fatal("the session never benched the worker that failed quarantineAfter attempts")
 		}
 		assertSkipped(t, tr, bad, good)
 	})
@@ -712,7 +821,7 @@ func TestSessionSurvivesChaos(t *testing.T) {
 	}}
 	plan := fx.freshPlan(t, 12)
 	sess, err := NewSession(chaos, fx.pair, Options{
-		Train: fx.train, Workers: 2, Retries: 4, ShardTimeout: 2 * time.Second,
+		Train: fx.train, Workers: 2, Retry: retry.Policy{Attempts: 5, Timeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -756,7 +865,7 @@ func TestChaosSessionWithNoisyPanel(t *testing.T) {
 		t.Helper()
 		plan := fx.freshPlan(t, 12)
 		sess, err := NewSession(transport, fx.pair, Options{
-			Train: fx.train, Workers: 2, Retries: 4, ShardTimeout: 2 * time.Second,
+			Train: fx.train, Workers: 2, Retry: retry.Policy{Attempts: 5, Timeout: 2 * time.Second},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -5,34 +5,31 @@ import (
 	"time"
 )
 
-// Health-scoring defaults for transports that quarantine flaky workers.
+// Health scoring for transports that quarantine flaky workers.
 const (
-	// defaultQuarantineAfter is how many CONSECUTIVE failures a worker
+	// quarantineAfter is how many CONSECUTIVE failures a worker
 	// accumulates before it is benched. One failure is routine (a
 	// retried shard lands elsewhere); a streak means the worker itself —
 	// not the shard — is the problem.
-	defaultQuarantineAfter = 3
-	// defaultQuarantineCooldown is how long a benched worker sits out
-	// before dials may route to it again. Long enough to ride out a
-	// restart, short enough that a recovered worker rejoins the same
-	// run.
-	defaultQuarantineCooldown = 30 * time.Second
+	quarantineAfter = 3
+	// quarantineCooldown is how long a benched worker sits out before
+	// dials may route to it again. Long enough to ride out a restart,
+	// short enough that a recovered worker rejoins the same run.
+	quarantineCooldown = 30 * time.Second
 )
 
 // healthBoard scores workers by outcome and quarantines repeat
-// offenders: a worker whose consecutive-failure streak reaches the
-// threshold is skipped by Dial for a cooldown period. One success wipes
-// the streak — the score is about *current* behavior, not history.
+// offenders: a worker whose consecutive-failure streak reaches
+// quarantineAfter is skipped by Dial for quarantineCooldown. One success
+// wipes the streak — the score is about *current* behavior, not history.
 //
 // The board is keyed by opaque worker IDs (the TCP transport uses the
 // address); the coordinator reports outcomes through the transport's
 // ReportWorker method after every shard attempt.
 type healthBoard struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time // injectable clock for deterministic tests
-	workers   map[string]*workerHealth
+	mu      sync.Mutex
+	now     func() time.Time // injectable clock for deterministic tests
+	workers map[string]*workerHealth
 }
 
 type workerHealth struct {
@@ -40,17 +37,8 @@ type workerHealth struct {
 	benchUntil time.Time // zero when not quarantined
 }
 
-func newHealthBoard(threshold int, cooldown time.Duration, now func() time.Time) *healthBoard {
-	if threshold <= 0 {
-		threshold = defaultQuarantineAfter
-	}
-	if cooldown <= 0 {
-		cooldown = defaultQuarantineCooldown
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &healthBoard{threshold: threshold, cooldown: cooldown, now: now, workers: make(map[string]*workerHealth)}
+func newHealthBoard(now func() time.Time) *healthBoard {
+	return &healthBoard{now: now, workers: make(map[string]*workerHealth)}
 }
 
 // report records one shard attempt's outcome for the worker.
@@ -71,14 +59,14 @@ func (b *healthBoard) report(id string, ok bool) {
 		return
 	}
 	w.streak++
-	if w.streak >= b.threshold {
-		if w.streak == b.threshold {
+	if w.streak >= quarantineAfter {
+		if w.streak == quarantineAfter {
 			// Counted once per quarantine event, not per failure while
 			// benched.
 			mQuarantines.Inc()
-			logger.Warn("worker quarantined", "worker", id, "streak", w.streak, "cooldown", b.cooldown)
+			logger.Warn("worker quarantined", "worker", id, "streak", w.streak, "cooldown", quarantineCooldown)
 		}
-		w.benchUntil = b.now().Add(b.cooldown)
+		w.benchUntil = b.now().Add(quarantineCooldown)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,10 +30,10 @@ import (
 // Every round rides one recovery ladder: a worker that no longer holds
 // the shard warm (restarted process, evicted cache entry, drifted pool)
 // prepares it cold; a failed attempt burns its connection and the shard
-// requeues — with backoff, for whichever slot is free — up to
-// Options.Retries; a shard out of retries runs in-process over a private
-// loopback worker (unless NoFallback); a straggler is waited for, or cut
-// off by ShardTimeout and retried. A shard has at most one attempt in
+// requeues — with backoff, for whichever slot is free — until it has
+// had Options.Retry's Attempts; a shard out of attempts runs in-process
+// over a private loopback worker; a straggler is waited for, or cut off
+// by the policy's Timeout and retried. A shard has at most one attempt in
 // flight, so each connection has one writer: its attempt's goroutine.
 // Whichever rung answers, the votes are identical — warm re-runs are
 // property-tested bit-equal to cold ones, and faulted runs to healthy
@@ -47,7 +46,7 @@ import (
 // not safe for concurrent Run calls.
 type Session struct {
 	transport Transport
-	opts      Options
+	opts      Options // Retry resolved
 	pair      *hetnet.AlignedPair
 
 	round int
@@ -108,13 +107,18 @@ func (slot *sessionSlot) track() string {
 
 // NewSession opens a sticky shard session for the pair over the
 // transport. Nothing is dialed yet: a slot connects on its first
-// dispatch, unless ConnectAhead started it earlier.
+// dispatch, unless ConnectAhead started it earlier. A negative field
+// in opts.Retry is an error.
 func NewSession(transport Transport, pair *hetnet.AlignedPair, opts Options) (*Session, error) {
 	if transport == nil {
 		return nil, fmt.Errorf("distrib: nil transport")
 	}
 	if pair == nil {
 		return nil, fmt.Errorf("distrib: nil pair")
+	}
+	var err error
+	if opts.Retry, err = opts.Retry.Resolve(defaultShardTimeout); err != nil {
+		return nil, fmt.Errorf("distrib: %w", err)
 	}
 	return &Session{
 		transport: transport,
@@ -169,18 +173,6 @@ func (s *Session) workerCap() int {
 		return s.opts.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// shardTimeout resolves Options.ShardTimeout; 0 means no deadline.
-func (s *Session) shardTimeout() time.Duration {
-	switch d := s.opts.ShardTimeout; {
-	case d == 0:
-		return defaultShardTimeout
-	case d < 0:
-		return 0
-	default:
-		return d
-	}
 }
 
 // growSlots makes sure the session has at least n slots.
@@ -263,7 +255,7 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	}
 	// One deadline spans the handshake, install confirmation included: a
 	// worker that never answers becomes a failed connect.
-	disarm := armDeadline(conn, s.shardTimeout())
+	disarm := armDeadline(conn, s.opts.Retry.Timeout)
 	defer disarm()
 	offered := time.Now()
 	n, err := handshake(conn, s.seedFP, s.seedBody)
@@ -340,12 +332,6 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 
 	k := len(plan.Parts)
 	s.growSlots(min(s.workerCap(), k))
-	retries := s.opts.Retries
-	if retries == 0 {
-		retries = 2
-	} else if retries < 0 {
-		retries = 0
-	}
 
 	tr := s.opts.Tracer
 	roundSpan := tr.Start(fmt.Sprintf("round %d", s.round), 0)
@@ -353,24 +339,21 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 	roundSpan.Annotate("shards", fmt.Sprintf("%d", k))
 
 	rr := &sessionRound{
-		s:            s,
-		plan:         plan,
-		oracle:       oracle,
-		seed:         partition.RoundSeed(s.opts.Train.Seed, s.round),
-		retries:      retries,
-		shardTimeout: s.shardTimeout(),
-		tracer:       tr,
-		roundSpan:    roundSpan.ID(),
-		// Worst-case enqueues per shard: the initial dispatch, one requeue
-		// per retry, one fallback dispatch — sized so no enqueue under the
-		// state mutex can ever block.
-		queue:       make(chan int, k*(retries+2)),
+		s:         s,
+		plan:      plan,
+		oracle:    oracle,
+		seed:      partition.RoundSeed(s.opts.Train.Seed, s.round),
+		tracer:    tr,
+		roundSpan: roundSpan.ID(),
+		// Worst-case enqueues per shard: one per transport attempt, one
+		// fallback dispatch — sized so no enqueue under the state mutex can
+		// ever block.
+		queue:       make(chan int, k*(s.opts.Retry.Attempts+1)),
 		attempts:    make([]int, k),
 		fellBack:    make([]bool, k),
 		results:     make([]*shardResult, k),
 		merger:      plan.NewMerger(),
 		outstanding: k,
-		jitter:      rand.New(rand.NewSource(s.opts.Train.Seed ^ 0x5DEECE66D ^ int64(s.round))),
 	}
 
 	// Sticky preference: a shard goes straight back to the slot that ran
@@ -422,12 +405,10 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 
 // sessionRound is the shared dispatch state of one Run.
 type sessionRound struct {
-	s            *Session
-	plan         *partition.Plan
-	oracle       active.Oracle
-	seed         int64 // this round's training seed
-	retries      int
-	shardTimeout time.Duration
+	s      *Session
+	plan   *partition.Plan
+	oracle active.Oracle
+	seed   int64 // this round's training seed; with the part index, it keys the backoff jitter
 
 	// tracer/roundSpan carry the round's trace context; a nil tracer (the
 	// default) makes every span call a no-op and keeps wire trace IDs
@@ -454,7 +435,6 @@ type sessionRound struct {
 	misses         int
 	totalRetries   int
 	totalFallbacks int
-	jitter         *rand.Rand // seeded backoff jitter, guarded by mu
 	err            error
 	closed         bool
 }
@@ -521,8 +501,7 @@ func (rr *sessionRound) slotLoop(slot *sessionSlot, held []int) {
 // attempt runs one dispatch of the plan's i-th part on the slot and
 // settles it: commit on success; on failure burn the connection and
 // requeue the shard (with backoff on its next dispatch) until its
-// attempt budget runs out, which degrades it to the in-process fallback
-// — or aborts the round under NoFallback.
+// attempt budget runs out, which degrades it to the in-process fallback.
 func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 	rr.mu.Lock()
 	if rr.err != nil {
@@ -533,19 +512,18 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 	rr.attempts[i]++
 	try := rr.attempts[i]
 	isFallback := rr.fellBack[i]
-	// A retry of a dead attempt backs off first (capped exponential +
-	// jitter, slept in the retrying slot) so a flapping transport is
-	// probed, not hammered by every slot at once.
-	var delay time.Duration
-	if try > 1 && !isFallback {
-		delay = retry.Backoff(retryBackoffBase, retryBackoffCap, try-1, rr.jitter.Float64())
-	}
 	rr.mu.Unlock()
-	time.Sleep(delay)
+	// A retry of a dead attempt backs off first (capped exponential +
+	// jitter keyed by the round's seed and the part, slept in the
+	// retrying slot) so a flapping transport is probed, not hammered by
+	// every slot at once.
+	partIndex := rr.plan.Parts[i].Index
+	if try > 1 && !isFallback {
+		time.Sleep(retry.Delay(try-1, retry.SplitMix64(uint64(rr.seed))^uint64(partIndex)))
+	}
 
 	// Each attempt renders on its shard's trace track; a fallback gets a
 	// suffixed one.
-	partIndex := rr.plan.Parts[i].Index
 	track := fmt.Sprintf("shard %d", partIndex)
 	if isFallback {
 		// Degradation ladder's last rung: the transport gave up on this
@@ -569,6 +547,11 @@ func (rr *sessionRound) attempt(slot *sessionSlot, i int) {
 		return
 	}
 	rr.commit(slot, i, sr)
+	if sr.expired {
+		// The watchdog closed the conn as the attempt finished: the votes
+		// stand, the connection and the shard's warm home do not.
+		rr.s.dropConn(slot)
+	}
 }
 
 // reportHealth attributes an attempt's outcome to its worker when both
@@ -614,7 +597,7 @@ func (rr *sessionRound) commit(slot *sessionSlot, i int, sr *shardResult) {
 
 // fail requeues the shard, degrades it to the in-process fallback when
 // its transport attempts are spent, or aborts the round when even the
-// fallback failed (or NoFallback forbids it).
+// fallback failed.
 func (rr *sessionRound) fail(i int, err error) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -622,14 +605,14 @@ func (rr *sessionRound) fail(i int, err error) {
 		// Another shard already aborted the round — nothing to recover.
 		return
 	}
-	if rr.attempts[i] <= rr.retries {
+	if rr.attempts[i] < rr.s.opts.Retry.Attempts {
 		rr.totalRetries++
 		logger.Debug("shard attempt failed, retrying",
 			"shard", rr.plan.Parts[i].Index, "attempt", rr.attempts[i], "err", err)
 		rr.queue <- i
 		return
 	}
-	if !rr.s.opts.NoFallback && !rr.fellBack[i] {
+	if !rr.fellBack[i] {
 		rr.fellBack[i] = true
 		rr.totalFallbacks++
 		rr.queue <- i
@@ -643,7 +626,7 @@ func (rr *sessionRound) fail(i int, err error) {
 // connected first when the slot has none — as the part's full Job, and
 // consumes the response stream to its Done frame. An error leaves the
 // connection in an unknown state; the caller burns it.
-func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt int) (*shardResult, error) {
+func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt int) (sr *shardResult, err error) {
 	part := &rr.plan.Parts[i]
 	// The attempt span is the wire-propagated parent: the worker's
 	// prepare/train/votes spans hang under it, so a retry's worker spans
@@ -662,8 +645,12 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	// The per-shard deadline spans the whole dispatch — the Job, the
 	// response stream — and is disarmed before the (persistent) connection
 	// moves on to its next shard.
-	disarm := armDeadline(slot.conn, rr.shardTimeout)
-	defer disarm()
+	disarm := armDeadline(slot.conn, rr.s.opts.Retry.Timeout)
+	defer func() {
+		if disarm() && err == nil {
+			sr.expired = true
+		}
+	}()
 	// A shard sent back to the slot that ran it last is expected warm; a
 	// cold Done from there is a cache miss.
 	rr.s.mu.Lock()
@@ -675,13 +662,13 @@ func (rr *sessionRound) runShard(slot *sessionSlot, i int, track string, attempt
 	ship := rr.tracer.Start("ship", sp.ID())
 	ship.SetTrack(track)
 	cw := &countingWriter{w: slot.conn}
-	err := WriteFrame(cw, FrameJob, job)
+	err = WriteFrame(cw, FrameJob, job)
 	ship.Annotate("bytes", fmt.Sprintf("%d", cw.n))
 	ship.End()
 	if err != nil {
 		return nil, err
 	}
-	sr := &shardResult{jobBytes: cw.n}
+	sr = &shardResult{jobBytes: cw.n}
 	env := &streamEnv{oracle: rr.oracle, oracleMu: &rr.s.oracleMu, queries: &rr.queries}
 	if err := collectShard(slot.conn, part.Index, env, sr); err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/activeiter/activeiter/internal/partition"
+	"github.com/activeiter/activeiter/internal/retry"
 )
 
 // runRoundsOnPlan drives a session the way the facade does: split the
@@ -282,7 +283,7 @@ func drainToDone(t *testing.T, conn io.ReadWriter) Done {
 // scripted mode also pins the recovery audit: flakyTransport keys its
 // faults by dial ordinal, so with one worker slot and K×m dead dials
 // every shard loses exactly m attempts under any dispatch order, and
-// Retries/Fallbacks must agree (m = 2 over a retry budget of 1 puts
+// Retries/Fallbacks must agree (m = 2 over a budget of 2 attempts puts
 // every shard through retry and then fallback).
 func TestSingleShotEqualsOneRoundSession(t *testing.T) {
 	inners := []struct {
@@ -309,14 +310,14 @@ func TestSingleShotEqualsOneRoundSession(t *testing.T) {
 			}{
 				{"healthy", Options{Train: fx.train, Workers: 2},
 					func(in Transport) Transport { return in }, true},
-				{"chaos", Options{Train: fx.train, Workers: 2, Retries: 4, ShardTimeout: 2 * time.Second},
+				{"chaos", Options{Train: fx.train, Workers: 2, Retry: retry.Policy{Attempts: 5, Timeout: 2 * time.Second}},
 					func(in Transport) Transport {
 						return &ChaosTransport{Inner: in, Opts: ChaosOptions{
 							Seed: 7, RefuseRate: 0.15, DropRate: 0.30, CorruptRate: 0.15, CrashRate: 0.10,
 							MaxDelay: time.Millisecond,
 						}}
 					}, false},
-				{"scripted", Options{Train: fx.train, Workers: 1, Retries: 1},
+				{"scripted", Options{Train: fx.train, Workers: 1, Retry: retry.Policy{Attempts: 2}},
 					func(in Transport) Transport { return &flakyTransport{inner: in, fails: 2 * k} }, true},
 			}
 			for _, in := range inners {

@@ -141,25 +141,17 @@ func (t *Exec) Dial() (io.ReadWriteCloser, error) {
 //
 // The transport scores worker health: the coordinator reports every
 // shard attempt's outcome through ReportWorker, and an address whose
-// consecutive-failure streak reaches QuarantineAfter is skipped by Dial
-// for Cooldown — a flapping worker stops eating retries while the
-// healthy ones carry the run. Quarantine yields to availability: when
-// every address is benched, Dial proceeds with the scheduled one anyway
-// rather than deadlocking the run.
+// consecutive-failure streak reaches quarantineAfter is skipped by Dial
+// for quarantineCooldown — a flapping worker stops eating retries while
+// the healthy ones carry the run. Quarantine yields to availability:
+// when every address is benched, Dial proceeds with the scheduled one
+// anyway rather than deadlocking the run.
 type TCP struct {
 	Addrs []string
-	// QuarantineAfter is the consecutive-failure streak that benches a
-	// worker; zero means defaultQuarantineAfter.
-	QuarantineAfter int
-	// Cooldown is how long a benched worker sits out; zero means
-	// defaultQuarantineCooldown.
-	Cooldown time.Duration
 
 	mu     sync.Mutex
 	next   int
 	health *healthBoard
-	// now is the quarantine clock, injectable by tests.
-	now func() time.Time
 }
 
 // NewTCP builds a TCP transport over the worker addresses.
@@ -172,7 +164,7 @@ func (t *TCP) board() *healthBoard {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.health == nil {
-		t.health = newHealthBoard(t.QuarantineAfter, t.Cooldown, t.now)
+		t.health = newHealthBoard(time.Now)
 	}
 	return t.health
 }
@@ -226,8 +218,8 @@ func (t *TCP) Dial() (io.ReadWriteCloser, error) {
 // port.
 //
 // The accept loop is hardened for long-lived workers: transient accept
-// errors (EMFILE, ECONNABORTED) back off exponentially (retry.Backoff:
-// 5 ms doubling to a 1 s cap, unjittered, reset by the next accept)
+// errors (EMFILE, ECONNABORTED) back off exponentially (retry.Delay,
+// reset by the next accept)
 // instead of killing the listener, and a panicking connection handler
 // takes down only its own connection.
 func ListenAndServe(addr string, ready chan<- string) error {
@@ -247,7 +239,7 @@ func ListenAndServe(addr string, ready chan<- string) error {
 				// Transient accept failure: one bad accept must not kill a
 				// worker serving other coordinators. Sleep and retry, capped.
 				failures++
-				backoff := retry.Backoff(5*time.Millisecond, time.Second, failures, 0.5)
+				backoff := retry.Delay(failures, 0)
 				logger.Warn("accept failed, retrying", "err", err, "backoff", backoff)
 				time.Sleep(backoff)
 				continue

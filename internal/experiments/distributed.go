@@ -7,6 +7,7 @@ import (
 
 	"github.com/activeiter/activeiter/internal/distrib"
 	"github.com/activeiter/activeiter/internal/partition"
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
@@ -203,7 +204,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 			Seed:       cfg.ChaosSeed,
 			RefuseRate: 0.10, DropRate: 0.30, CorruptRate: 0.10, CrashRate: 0.10,
 		}}
-		if err := runSession(mode, chaos, 1, distrib.Options{Retries: 4, ShardTimeout: 10 * time.Second}); err != nil {
+		if err := runSession(mode, chaos, 1, distrib.Options{Retry: retry.Policy{Attempts: 5, Timeout: 10 * time.Second}}); err != nil {
 			return nil, err
 		}
 		// The injector's totals ride on the point (tabulated as a table

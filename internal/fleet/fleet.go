@@ -15,7 +15,7 @@
 // DISCOVERED from each backend's /statusz shard block (a backend with
 // no shard block owns the full range), so resharding is a redeploy of
 // alignd processes, not a router config change. Per-request resilience
-// follows the distrib tier's discipline: bounded retries with
+// follows the distrib tier's retry.Policy: bounded attempts with
 // capped-jitter backoff across same-range replicas, optional hedged
 // reads, and health-gated candidate selection fed by a /readyz probe
 // loop.
@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"sort"
@@ -44,11 +43,10 @@ import (
 
 // Options configure a Router.
 type Options struct {
-	// Timeout bounds each backend request (default 5s).
-	Timeout time.Duration
-	// Retries is the attempt budget per proxied request across a
-	// range's replicas (default 3).
-	Retries int
+	// Retry is the per-request policy: Attempts across a range's
+	// replicas (default 3), Timeout bounding each backend request
+	// (default 5s).
+	Retry retry.Policy
 	// HedgeAfter, when > 0, launches a second attempt against another
 	// replica of the same range if the first has not answered within
 	// this delay; the first response wins.
@@ -59,11 +57,7 @@ type Options struct {
 }
 
 const (
-	defaultTimeout        = 5 * time.Second
-	defaultRetries        = 3
 	defaultHealthInterval = 2 * time.Second
-	retryBackoffBase      = 25 * time.Millisecond
-	retryBackoffCap       = 2 * time.Second
 	// resolveCacheMax bounds the token→index cache; eviction is whole-
 	// sale (the cache exists to absorb hot keys, not to be complete).
 	resolveCacheMax = 1 << 16
@@ -108,8 +102,9 @@ type Router struct {
 	opts     Options
 	metrics  *serve.Metrics
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// requests numbers proxied requests; the number keys a request's
+	// backoff jitter.
+	requests atomic.Uint64
 
 	// rotation spreads any-backend requests: each starts at the next
 	// ready replica, so net-2 reads do not all land on the first one.
@@ -127,16 +122,15 @@ type Router struct {
 
 // NewRouter builds a router over the backend base URLs. A bare
 // host:port gets an http:// scheme; a trailing slash is trimmed. Call
-// Refresh (or Start) before serving so the range table exists.
+// Refresh (or Start) before serving so the range table exists. A
+// negative field in opts.Retry is an error.
 func NewRouter(backendURLs []string, opts Options) (*Router, error) {
 	if len(backendURLs) == 0 {
 		return nil, fmt.Errorf("fleet: no backends")
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = defaultTimeout
-	}
-	if opts.Retries <= 0 {
-		opts.Retries = defaultRetries
+	var err error
+	if opts.Retry, err = opts.Retry.Resolve(5 * time.Second); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = defaultHealthInterval
@@ -146,10 +140,9 @@ func NewRouter(backendURLs []string, opts Options) (*Router, error) {
 	metrics := serve.NewMetrics()
 	reg := metrics.Registry()
 	r := &Router{
-		client:       &http.Client{Timeout: opts.Timeout},
+		client:       &http.Client{Timeout: opts.Retry.Timeout},
 		opts:         opts,
 		metrics:      metrics,
-		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 		resolveCache: make(map[string]int32),
 		stop:         make(chan struct{}),
 		cRetry:       reg.Counter("fleet_retries_total", "proxy attempts beyond the first"),
@@ -352,13 +345,6 @@ func (rt *Router) anyBackends() []*Backend {
 	return append(ready[start:len(ready):len(ready)], ready[:start]...)
 }
 
-func (rt *Router) backoff(attempt int) time.Duration {
-	rt.rngMu.Lock()
-	f := rt.rng.Float64()
-	rt.rngMu.Unlock()
-	return retry.Backoff(retryBackoffBase, retryBackoffCap, attempt, f)
-}
-
 // proxied is a captured backend response, replayable verbatim.
 type proxied struct {
 	status      int
@@ -438,16 +424,17 @@ func (rt *Router) tryBackends(cands []*Backend, method, pathAndQuery string, bod
 	var last *proxied
 	var lastFrom *Backend
 	var lastErr error
-	for attempt := 1; attempt <= rt.opts.Retries; attempt++ {
+	seq := rt.requests.Add(1)
+	for attempt := 1; attempt <= rt.opts.Retry.Attempts; attempt++ {
 		b := cands[(attempt-1)%len(cands)]
 		p, from, err := rt.fetchHedged(b, cands, method, pathAndQuery, body)
 		if !retryable(p, err) {
 			return p, from, nil
 		}
 		last, lastFrom, lastErr = p, from, err
-		if attempt < rt.opts.Retries {
+		if attempt < rt.opts.Retry.Attempts {
 			rt.cRetry.Inc()
-			time.Sleep(rt.backoff(attempt))
+			time.Sleep(retry.Delay(attempt, seq))
 		}
 	}
 	if last != nil {
@@ -797,7 +784,7 @@ func (rt *Router) reloadBackend(b *Backend) error {
 		return fmt.Errorf("reload answered %d: %s", p.status, strings.TrimSpace(string(p.body)))
 	}
 	// Poll the replica back to readiness before touching the next one.
-	deadline := time.Now().Add(rt.opts.Timeout)
+	deadline := time.Now().Add(rt.opts.Retry.Timeout)
 	for {
 		rp, err := rt.fetch(b, http.MethodGet, "/readyz", nil)
 		if err == nil && rp.status == http.StatusOK {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/serve"
 	"github.com/activeiter/activeiter/internal/snapshot"
 )
@@ -197,7 +198,7 @@ func TestRouterFailover(t *testing.T) {
 	live := backendServer(t, parent, dir, "live")
 	dead := backendServer(t, parent, dir, "dead")
 
-	rt, err := NewRouter([]string{dead.URL, live.URL}, Options{Retries: 3})
+	rt, err := NewRouter([]string{dead.URL, live.URL}, Options{Retry: retry.Policy{Attempts: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,6 +697,23 @@ func TestNewRouterSchemelessBackends(t *testing.T) {
 	for i, b := range r.backends {
 		if b.URL != want[i] {
 			t.Errorf("backend %d URL = %q, want %q", i, b.URL, want[i])
+		}
+	}
+}
+
+// A zero Retry resolves to the one default policy; a negative field is
+// refused.
+func TestNewRouterRetryPolicy(t *testing.T) {
+	r, err := NewRouter([]string{"127.0.0.1:7601"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (retry.Policy{Attempts: retry.DefaultAttempts, Timeout: 5 * time.Second}); r.opts.Retry != want || r.client.Timeout != want.Timeout {
+		t.Errorf("zero Retry resolved to %+v (client timeout %v), want %+v", r.opts.Retry, r.client.Timeout, want)
+	}
+	for _, p := range []retry.Policy{{Attempts: -1}, {Timeout: -time.Second}} {
+		if _, err := NewRouter([]string{"127.0.0.1:7601"}, Options{Retry: p}); err == nil {
+			t.Errorf("NewRouter accepted Retry %+v", p)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/serve"
 	"github.com/activeiter/activeiter/internal/snapshot"
 )
@@ -82,7 +83,7 @@ func FuzzRouter(f *testing.F) {
 	st := &serve.Store{}
 	st.Swap(ix)
 	mono := serve.NewHandler(st, nil, serve.HandlerOptions{})
-	_, rt := newFleet(f, parent, []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 14}}, Options{Retries: 1})
+	_, rt := newFleet(f, parent, []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 14}}, Options{Retry: retry.Policy{Attempts: 1}})
 	f.Fuzz(func(t *testing.T, method, path, query string, body []byte) {
 		if path == "/v1/rollout" || path == "/v1/reload" {
 			return

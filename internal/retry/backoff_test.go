@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-func TestBackoffBounds(t *testing.T) {
+func TestDelayBounds(t *testing.T) {
 	const base, cap = 10 * time.Millisecond, time.Second
 	cases := []struct {
 		name string
@@ -20,16 +20,60 @@ func TestBackoffBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, u := range []float64{0, 0.25, 0.5, 0.999999} {
-				got := Backoff(base, cap, tc.n, u)
-				lo, hi := tc.d/2, tc.d+tc.d/2
-				if got < lo || got >= hi {
-					t.Errorf("n=%d u=%v: %v outside [%v, %v)", tc.n, u, got, lo, hi)
+			lo, hi := tc.d/2, tc.d+tc.d/2
+			for key := uint64(0); key < 100; key++ {
+				if got := Delay(tc.n, key); got < lo || got >= hi {
+					t.Errorf("Delay(%d, %d) = %v outside [%v, %v)", tc.n, key, got, lo, hi)
 				}
 			}
-			if got := Backoff(base, cap, tc.n, 0.5); got != tc.d {
-				t.Errorf("n=%d u=0.5: %v, want the unjittered %v", tc.n, got, tc.d)
+		})
+	}
+}
+
+func TestDelayIsKeyed(t *testing.T) {
+	for _, n := range []int{1, 4, 9} {
+		seen := map[time.Duration]bool{}
+		for key := uint64(0); key < 100; key++ {
+			d := Delay(n, key)
+			if again := Delay(n, key); again != d {
+				t.Fatalf("Delay(%d, %d) = %v, then %v", n, key, d, again)
+			}
+			seen[d] = true
+		}
+		if len(seen) < 90 {
+			t.Errorf("retry %d: 100 keys give only %d distinct delays", n, len(seen))
+		}
+	}
+}
+
+func TestPolicyResolve(t *testing.T) {
+	const fallback = 5 * time.Second
+	cases := []struct {
+		name    string
+		in      Policy
+		want    Policy
+		wantErr bool
+	}{
+		{"zero takes the defaults", Policy{}, Policy{Attempts: DefaultAttempts, Timeout: fallback}, false},
+		{"set fields stay", Policy{Attempts: 1, Timeout: time.Second}, Policy{Attempts: 1, Timeout: time.Second}, false},
+		{"negative attempts", Policy{Attempts: -1}, Policy{}, true},
+		{"negative timeout", Policy{Timeout: -time.Second}, Policy{}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.in.Resolve(fallback)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("Resolve(%+v) accepted a negative field", tc.in)
+				}
+				return
+			}
+			if err != nil || got != tc.want {
+				t.Fatalf("Resolve(%+v) = %+v, %v; want %+v", tc.in, got, err, tc.want)
 			}
 		})
+	}
+	if DefaultAttempts != 3 {
+		t.Errorf("DefaultAttempts = %d, want 3", DefaultAttempts)
 	}
 }

@@ -209,14 +209,11 @@ func (sa *shardedAligner) open(shards int) (executor, error) {
 		}()
 		return fe, nil
 	}
-	// The session carries the fault-tolerance knobs (retries, deadlines,
-	// degradation) alongside the one training configuration.
+	// The session runs the default retry policy: three attempts per
+	// shard, two minutes each, then the in-process fallback.
 	sess, err := distrib.NewSession(sa.transport, sa.pair, distrib.Options{
-		Train:        sa.opts.trainConfig(),
-		Workers:      sa.opts.Workers,
-		Retries:      sa.opts.ShardRetries,
-		ShardTimeout: sa.opts.ShardTimeout,
-		NoFallback:   sa.opts.NoFallback,
+		Train:   sa.opts.trainConfig(),
+		Workers: sa.opts.Workers,
 		// Shared with planning, which runs beside the seed export: each
 		// count either of them needs is evaluated once, whoever asks first.
 		Base: sa.base,
