@@ -357,7 +357,11 @@ func planThenAlign(t *testing.T, pair *AlignedPair, opts Options, trainPos, cand
 		t.Fatal(err)
 	}
 	var planner *partition.Planner
-	plan, err := partition.PlanCached(base, &planner, trainPos, candidates, opts.Budget, partition.Config{K: opts.Partitions})
+	seeded, err := partition.SeedCached(base, &planner, trainPos, partition.Config{K: opts.Partitions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := seeded.Assign(candidates, opts.Budget)
 	if err != nil {
 		t.Fatal(err)
 	}

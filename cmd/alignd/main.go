@@ -8,15 +8,17 @@
 //	GET  /v1/match/{net}/{user}          matched partner (net 1 or 2; ID or index)
 //	GET  /v1/candidates/{net}/{user}?k=5 top-k ranked candidates
 //	POST /v1/score                       {"i","j"} pool lookup, or {"features"[,"shard"]} rescore
-//	POST /v1/reload                      atomic snapshot swap ({"path"} optional)
+//	POST /v1/reload                      re-open -snapshot and swap it in
 //	GET  /healthz                        liveness (always 200 while the process runs)
 //	GET  /readyz                         readiness (503 until a snapshot serves and the last reload succeeded)
 //	GET  /statusz                        provenance + per-endpoint QPS/latency
 //
-// Reload is zero-downtime: the new artifact is decoded and indexed off
-// to the side, then swapped in behind an atomic pointer; in-flight
-// requests finish on the generation they started on. SIGINT/SIGTERM
-// drain gracefully.
+// The artifact is loaded one way — at startup, in -check, on SIGHUP and
+// on POST /v1/reload (serve.Handler.Reload): decoded and indexed off to
+// the side, then swapped in behind an atomic pointer, so in-flight
+// requests finish on the generation they started on. To roll out a new
+// artifact, rename it over the -snapshot path and signal or POST.
+// SIGINT/SIGTERM drain gracefully.
 package main
 
 import (
@@ -47,19 +49,17 @@ func main() {
 
 // config is the parsed command line.
 type config struct {
-	snapshotPath    string
-	listen          string
-	pprofListen     string
-	defaultK        int
-	check           bool
-	allowReloadPath bool
-	readTimeout     time.Duration
-	writeTimeout    time.Duration
-	idleTimeout     time.Duration
-	hupReload       bool
-	syncListen      string
-	syncFrom        string
-	syncOnly        bool
+	snapshotPath string
+	listen       string
+	pprofListen  string
+	defaultK     int
+	check        bool
+	readTimeout  time.Duration
+	writeTimeout time.Duration
+	idleTimeout  time.Duration
+	syncListen   string
+	syncFrom     string
+	syncOnly     bool
 }
 
 // parseFlags validates the command line into a config. Errors are
@@ -73,11 +73,9 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&cfg.pprofListen, "pprof-listen", "", "serve net/http/pprof profiles on this separate address at /debug/pprof/ (off by default; keep it off the serving port so profiles are never exposed to query clients)")
 	fs.IntVar(&cfg.defaultK, "k", 10, "default candidate-list depth when a request has no ?k=")
 	fs.BoolVar(&cfg.check, "check", false, "load and validate the snapshot, print a summary, and exit without serving")
-	fs.BoolVar(&cfg.allowReloadPath, "allow-reload-path", false, "let /v1/reload bodies name an arbitrary artifact path (off by default: the endpoint is unauthenticated, so only -snapshot's path may be re-opened)")
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 10*time.Second, "HTTP read timeout per request (headers + body); a slow-loris client cannot pin a connection past it (0 disables)")
 	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "HTTP write timeout per response (0 disables)")
 	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 2*time.Minute, "HTTP keep-alive idle timeout (0 disables)")
-	fs.BoolVar(&cfg.hupReload, "hup-reload", true, "re-open -snapshot in place on SIGHUP (the file-swap idiom: rename the new artifact over the old path, signal the process)")
 	fs.StringVar(&cfg.syncListen, "sync-listen", "", "serve the current snapshot to reconciling peers over IBLT delta sync on this TCP address (off by default)")
 	fs.StringVar(&cfg.syncFrom, "sync-from", "", "before serving, reconcile -snapshot against this peer's sync listener and persist the result (a near-identical local artifact costs O(diff) bytes, not a re-download)")
 	fs.BoolVar(&cfg.syncOnly, "sync-only", false, "with -sync-from: exit after the artifact is synced instead of serving")
@@ -122,31 +120,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	snap, err := snapshot.OpenFile(cfg.snapshotPath)
-	if err != nil {
-		if errors.Is(err, snapshot.ErrVersionMismatch) {
-			return fmt.Errorf("open %s: %w (the artifact was written by a different release; re-export it or run a matching alignd)", cfg.snapshotPath, err)
-		}
-		return fmt.Errorf("open %s: %w", cfg.snapshotPath, err)
-	}
 	store := &serve.Store{}
-	ix, err := serve.NewIndex(snap)
+	handler := serve.NewHandler(store, nil, serve.HandlerOptions{
+		DefaultK:     cfg.defaultK,
+		SnapshotPath: cfg.snapshotPath,
+	})
+	ix, err := handler.Reload()
 	if err != nil {
-		return fmt.Errorf("index %s: %w", cfg.snapshotPath, err)
+		return err
 	}
-	store.Swap(ix)
 	u1, u2, matches, pool := ix.Counts()
 	fmt.Fprintf(stdout, "alignd: loaded %s: facade=%s nets=%s↔%s users=%d/%d matches=%d pool=%d top-k=%d\n",
 		cfg.snapshotPath, ix.Meta().Facade, ix.Meta().Net1, ix.Meta().Net2, u1, u2, matches, pool, ix.TopK())
 	if cfg.check {
 		return nil
 	}
-
-	handler := serve.NewHandler(store, nil, serve.HandlerOptions{
-		DefaultK:          cfg.defaultK,
-		SnapshotPath:      cfg.snapshotPath,
-		AllowPathOverride: cfg.allowReloadPath,
-	})
 
 	if cfg.pprofListen != "" {
 		addr, err := telemetry.ListenAndServeDebug(cfg.pprofListen, telemetry.PprofMux())
@@ -184,12 +172,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if cfg.hupReload {
-		hupCh := make(chan os.Signal, 1)
-		signal.Notify(hupCh, syscall.SIGHUP)
-		defer signal.Stop(hupCh)
-		go hupLoop(hupCh, handler, stdout)
-	}
+	// SIGHUP re-opens -snapshot in place: rename the new artifact over
+	// the path, then signal the process.
+	hupCh := make(chan os.Signal, 1)
+	signal.Notify(hupCh, syscall.SIGHUP)
+	defer signal.Stop(hupCh)
+	go hupLoop(hupCh, handler, stdout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "alignd: serving on %s\n", ln.Addr())
@@ -262,16 +250,16 @@ func serveSync(ln net.Listener, store *serve.Store, stderr io.Writer) {
 	}
 }
 
-// hupLoop re-opens the configured artifact on each SIGHUP and swaps it
-// in atomically; a bad artifact is reported and the old generation
-// keeps serving. Exits when the channel closes.
+// hupLoop reloads the configured artifact on each SIGHUP; a bad
+// artifact is reported and the old generation keeps serving. Exits
+// when the channel closes.
 func hupLoop(ch <-chan os.Signal, h *serve.Handler, stdout io.Writer) {
 	for range ch {
-		gen, err := h.ReloadConfigured()
+		ix, err := h.Reload()
 		if err != nil {
 			fmt.Fprintf(stdout, "alignd: SIGHUP reload failed: %v\n", err)
 			continue
 		}
-		fmt.Fprintf(stdout, "alignd: SIGHUP reloaded to generation %d\n", gen)
+		fmt.Fprintf(stdout, "alignd: SIGHUP reloaded to generation %d\n", ix.Generation)
 	}
 }

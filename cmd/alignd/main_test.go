@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,6 +97,8 @@ func TestFlagValidation(t *testing.T) {
 		{"negative idle timeout", []string{"-snapshot", good, "-idle-timeout", "-1m", "-check"}, "negative -idle-timeout"},
 		{"stray arguments", []string{"-snapshot", good, "stray"}, "unexpected arguments"},
 		{"unknown flag", []string{"-snapshot", good, "-frobnicate"}, "not defined"},
+		{"reload path is not a flag", []string{"-snapshot", good, "-allow-reload-path", "-check"}, "not defined: -allow-reload-path"},
+		{"SIGHUP reload is not a flag", []string{"-snapshot", good, "-hup-reload=false", "-check"}, "not defined: -hup-reload"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -252,17 +257,11 @@ func TestSyncFromUnreachable(t *testing.T) {
 func TestHupLoop(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFixture(t, dir)
-	snap, err := snapshot.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	store := &serve.Store{}
-	ix, err := serve.NewIndex(snap)
-	if err != nil {
+	handler := serve.NewHandler(store, nil, serve.HandlerOptions{SnapshotPath: path})
+	if _, err := handler.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	store.Swap(ix)
-	handler := serve.NewHandler(store, nil, serve.HandlerOptions{SnapshotPath: path})
 
 	ch := make(chan os.Signal, 2)
 	ch <- syscall.SIGHUP
@@ -289,5 +288,79 @@ func TestHupLoop(t *testing.T) {
 	}
 	if store.Current().Generation != 2 {
 		t.Errorf("generation disturbed by failed SIGHUP reload: %d", store.Current().Generation)
+	}
+}
+
+// TestOneLoadPath: a bad artifact fails with the same error text however
+// alignd meets it — at startup, in -check, on SIGHUP and through
+// POST /v1/reload (422) — and a failed reload keeps the old generation
+// serving.
+func TestOneLoadPath(t *testing.T) {
+	dir := t.TempDir()
+	good, err := os.ReadFile(writeFixture(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	versionBumped := append([]byte(nil), good...)
+	versionBumped[6] = snapshot.Version + 1 // version byte of the first frame
+	path := filepath.Join(dir, "served.snap")
+	install := func(raw []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		raw        []byte
+	}{
+		{"corrupt", "snapshot", []byte("definitely not frames")},
+		{"version mismatch", "different release", versionBumped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			install(tc.raw)
+			// An unusable -listen: were the artifact loaded, run would stop
+			// at the bind instead of serving.
+			startErr := run([]string{"-snapshot", path, "-listen", "256.256.256.256:http"}, new(bytes.Buffer), new(bytes.Buffer))
+			if startErr == nil || !strings.Contains(startErr.Error(), tc.want) {
+				t.Fatalf("startup error %v does not mention %q", startErr, tc.want)
+			}
+			want := startErr.Error()
+			if err := run([]string{"-snapshot", path, "-check"}, new(bytes.Buffer), new(bytes.Buffer)); err == nil || err.Error() != want {
+				t.Errorf("-check error %v, startup said %q", err, want)
+			}
+
+			install(good)
+			store := &serve.Store{}
+			handler := serve.NewHandler(store, nil, serve.HandlerOptions{SnapshotPath: path})
+			if _, err := handler.Reload(); err != nil {
+				t.Fatal(err)
+			}
+			install(tc.raw)
+			ch := make(chan os.Signal, 1)
+			ch <- syscall.SIGHUP
+			close(ch)
+			var stdout bytes.Buffer
+			hupLoop(ch, handler, &stdout)
+			if got, wantLine := stdout.String(), "alignd: SIGHUP reload failed: "+want+"\n"; got != wantLine {
+				t.Errorf("SIGHUP said %q, want %q", got, wantLine)
+			}
+
+			srv := httptest.NewServer(handler)
+			defer srv.Close()
+			resp, err := http.Post(srv.URL+"/v1/reload", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var answer map[string]string
+			err = json.NewDecoder(resp.Body).Decode(&answer)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || answer["error"] != want {
+				t.Errorf("POST /v1/reload = %d %v (%v), want 422 %q", resp.StatusCode, answer, err, want)
+			}
+			if gen := store.Current().Generation; gen != 1 {
+				t.Errorf("generation %d after failed reloads, want the boot load's 1", gen)
+			}
+		})
 	}
 }

@@ -72,11 +72,22 @@ type distFixture struct {
 // Planning is deterministic: the parts match fx.plan exactly.
 func (fx *distFixture) freshPlan(t testing.TB, budget int) *partition.Plan {
 	t.Helper()
-	plan, err := partition.BuildPlan(fx.base, fx.trainPos, fx.candidates, budget, partition.Config{K: fx.k})
+	plan, err := buildPlan(fx.base, fx.trainPos, fx.candidates, budget, partition.Config{K: fx.k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// buildPlan plans once from nothing: partition.SeedCached on an empty
+// planner cache, then Assign.
+func buildPlan(base *metadiag.Counter, trainPos, candidates []hetnet.Anchor, budget int, cfg partition.Config) (*partition.Plan, error) {
+	var pl *partition.Planner
+	s, err := partition.SeedCached(base, &pl, trainPos, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Assign(candidates, budget)
 }
 
 func newDistFixture(t testing.TB, k, budget int) *distFixture {
@@ -105,7 +116,7 @@ func newDistFixtureOn(t testing.TB, pair *hetnet.AlignedPair, k, budget int) *di
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := partition.BuildPlan(base, trainPos, candidates, budget, partition.Config{K: k})
+	plan, err := buildPlan(base, trainPos, candidates, budget, partition.Config{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,7 @@ type protocol struct {
 	base  *metadiag.Counter
 	truth active.Oracle
 
-	// planner is the partition.PlanCached cache; folds plan concurrently.
+	// planner is the partition.SeedCached cache; folds plan concurrently.
 	mu      sync.Mutex
 	planner *partition.Planner
 }
@@ -296,28 +296,18 @@ func (pr *protocol) maxBudget() int { return pr.pre.Budgets[len(pr.pre.Budgets)-
 // workers resolves Preset.Workers: 0 means serial.
 func (pr *protocol) workers() int { return max(pr.pre.Workers, 1) }
 
-// newBaseCounter builds and warms the dataset-wide shared counter: one
-// counting pass over the standard library's anchor-free diagrams caches
-// every attribute-only sub-diagram in the layer all forked counters
-// share, so the Lemma-2 covering-set reuse crosses fold and worker
-// boundaries instead of being rebuilt per cell. Anchor-dependent
-// diagrams are skipped — their counts would land in the base counter's
-// private layer, which forks never read (each fold recounts them
-// against its own training anchors anyway); their anchor-free
-// sub-patterns reach the shared layer on the first fold that needs
-// them.
+// newBaseCounter builds the dataset-wide shared counter and warms the
+// anchor-free layer of the standard library — every attribute-only
+// sub-diagram, in the layer all forked counters share — so the Lemma-2
+// covering-set reuse crosses fold and worker boundaries instead of
+// being rebuilt per cell.
 func newBaseCounter(pair *hetnet.AlignedPair) (*metadiag.Counter, error) {
 	base, err := metadiag.NewCounter(pair)
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range schema.StandardLibrary().All() {
-		if metadiag.UsesAnchor(n.D) {
-			continue
-		}
-		if _, err := base.Count(n.D); err != nil {
-			return nil, err
-		}
+	if err := base.Warm(schema.StandardLibrary().All()); err != nil {
+		return nil, err
 	}
 	return base, nil
 }
@@ -341,7 +331,11 @@ func (pr *protocol) folds(theta int, gamma float64, salt int) ([]eval.Split, err
 func (pr *protocol) plan(f *fold, budget, k int) (*partition.Plan, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	return partition.PlanCached(pr.base, &pr.planner, f.whole.TrainPos, f.whole.Candidates, budget, partition.Config{K: k})
+	s, err := partition.SeedCached(pr.base, &pr.planner, f.whole.TrainPos, partition.Config{K: k})
+	if err != nil {
+		return nil, err
+	}
+	return s.Assign(f.whole.Candidates, budget)
 }
 
 // run evaluates every fold of every cell, up to Preset.Workers folds at

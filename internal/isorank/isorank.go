@@ -27,33 +27,30 @@ import (
 	"github.com/activeiter/activeiter/internal/sparse"
 )
 
+// alpha weighs structural propagation against the attribute prior
+// (the IsoRank paper's favoured range); topM keeps only the M
+// best-scored counterparts per user when matching, bounding the
+// matching problem size.
+const (
+	alpha = 0.6
+	topM  = 10
+)
+
 // Config controls the similarity propagation.
 type Config struct {
-	// Alpha weighs structural propagation against the attribute prior;
-	// default 0.6 (the IsoRank paper's favoured range).
-	Alpha float64
 	// Iterations caps the power iteration; default 20.
 	Iterations int
 	// Tol stops early when the max entry change falls below it; default
 	// 1e-6.
 	Tol float64
-	// TopM keeps only the M best-scored counterparts per user when
-	// matching; default 10 (bounds the matching problem size).
-	TopM int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.6
-	}
 	if c.Iterations <= 0 {
 		c.Iterations = 20
 	}
 	if c.Tol <= 0 {
 		c.Tol = 1e-6
-	}
-	if c.TopM <= 0 {
-		c.TopM = 10
 	}
 	return c
 }
@@ -111,7 +108,7 @@ func Similarity(pair *hetnet.AlignedPair, cfg Config) (r *sparse.CSR, hasAttr bo
 		iters = it + 1
 		// R' = α · W1 R W2ᵀ + (1−α) H.
 		prop := sparse.MatMulParallel(sparse.MatMulParallel(w1, r), w2t)
-		next := sparse.Add(prop.Scale(cfg.Alpha), prior.Scale(1-cfg.Alpha))
+		next := sparse.Add(prop.Scale(alpha), prior.Scale(1-alpha))
 		next = renormalize(next)
 		delta := maxAbsDiff(next, r)
 		r = next
@@ -124,14 +121,13 @@ func Similarity(pair *hetnet.AlignedPair, cfg Config) (r *sparse.CSR, hasAttr bo
 
 // Align runs IsoRank over the pair. No anchor labels are consulted.
 func Align(pair *hetnet.AlignedPair, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	r, _, iters, err := Similarity(pair, cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	// Greedy one-to-one matching over the top-M candidates per user.
-	top := r.TopKPerRow(cfg.TopM)
+	top := r.TopKPerRow(topM)
 	var cands []matching.Candidate
 	top.Iterate(func(i, j int, v float64) {
 		cands = append(cands, matching.Candidate{I: i, J: j, Score: v})
@@ -176,8 +172,6 @@ func attributePrior(pair *hetnet.AlignedPair, n1, n2 int) (prior *sparse.CSR, ha
 	if err != nil {
 		return nil, false, err
 	}
-	// No anchors are used: clear them so path features cannot leak.
-	counter.SetAnchors(nil)
 	prox, err := counter.Proximity(schema.AttributeDiagram(hetnet.At, hetnet.Checkin))
 	if err != nil {
 		return nil, false, err

@@ -1,6 +1,7 @@
 package isorank
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/datagen"
@@ -45,6 +46,34 @@ func TestAlignRecoversAnchorsUnsupervised(t *testing.T) {
 	}
 	if res.Iterations == 0 {
 		t.Error("no iterations recorded")
+	}
+}
+
+// TestAlignReadsNoLabel: the unsupervised baseline returns the same
+// similarity and matches whether the pair carries its anchors or none.
+func TestAlignReadsNoLabel(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pair.Anchors) == 0 {
+		t.Fatal("fixture pair has no anchors")
+	}
+	unlabelled := *pair
+	unlabelled.Anchors = nil
+	with, err := Align(pair, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := Align(&unlabelled, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !with.Similarity.Equal(without.Similarity) {
+		t.Error("similarity depends on the pair's anchors")
+	}
+	if !slices.Equal(with.Matches, without.Matches) {
+		t.Errorf("matches depend on the pair's anchors: %d vs %d links", len(with.Matches), len(without.Matches))
 	}
 }
 

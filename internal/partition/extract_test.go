@@ -15,7 +15,7 @@ func shardPlan(t *testing.T) (*hetnet.AlignedPair, *metadiag.Counter, *Plan) {
 	t.Helper()
 	pair, trainPos, candidates := fixture(t)
 	base := newBase(t, pair)
-	plan, err := BuildPlan(base, trainPos, candidates, 20, Config{K: 3})
+	plan, err := buildPlan(base, trainPos, candidates, 20, Config{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,20 @@ func newBase(t *testing.T, pair *hetnet.AlignedPair) *metadiag.Counter {
 	return base
 }
 
+// buildPlan plans once from nothing: SeedCached on an empty planner
+// cache, then Assign.
+func buildPlan(base *metadiag.Counter, trainPos, candidates []hetnet.Anchor, budget int, cfg Config) (*Plan, error) {
+	var pl *Planner
+	s, err := SeedCached(base, &pl, trainPos, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Assign(candidates, budget)
+}
+
 func TestPlanK1IsMonolithic(t *testing.T) {
 	pair, trainPos, candidates := fixture(t)
-	plan, err := BuildPlan(newBase(t, pair), trainPos, candidates, 42, Config{K: 1})
+	plan, err := buildPlan(newBase(t, pair), trainPos, candidates, 42, Config{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +81,7 @@ func TestPlanK1IsMonolithic(t *testing.T) {
 func TestPlanCoverageBalanceAndBudget(t *testing.T) {
 	pair, trainPos, candidates := fixture(t)
 	const k, budget = 3, 50
-	plan, err := BuildPlan(newBase(t, pair), trainPos, candidates, budget, Config{K: k})
+	plan, err := buildPlan(newBase(t, pair), trainPos, candidates, budget, Config{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,17 +146,17 @@ func TestPlanCoverageBalanceAndBudget(t *testing.T) {
 func TestPlanValidation(t *testing.T) {
 	pair, trainPos, candidates := fixture(t)
 	base := newBase(t, pair)
-	if _, err := BuildPlan(nil, trainPos, candidates, 0, Config{K: 2}); err == nil {
+	if _, err := buildPlan(nil, trainPos, candidates, 0, Config{K: 2}); err == nil {
 		t.Error("nil base accepted")
 	}
-	if _, err := BuildPlan(base, nil, candidates, 0, Config{K: 2}); err == nil {
+	if _, err := buildPlan(base, nil, candidates, 0, Config{K: 2}); err == nil {
 		t.Error("empty training anchors accepted")
 	}
-	if _, err := BuildPlan(base, trainPos, candidates, -1, Config{K: 2}); err == nil {
+	if _, err := buildPlan(base, trainPos, candidates, -1, Config{K: 2}); err == nil {
 		t.Error("negative budget accepted")
 	}
 	// K above the anchor count clamps rather than failing.
-	plan, err := BuildPlan(base, trainPos[:2], candidates, 0, Config{K: 10})
+	plan, err := buildPlan(base, trainPos[:2], candidates, 0, Config{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestAlignMultiPartitionOneToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 12
-	plan, err := BuildPlan(base, trainPos, candidates, budget, Config{K: 3})
+	plan, err := buildPlan(base, trainPos, candidates, budget, Config{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +228,7 @@ func TestAlignConcurrentForksRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		plan, err := BuildPlan(base, trainPos, candidates, 0, Config{K: 4})
+		plan, err := buildPlan(base, trainPos, candidates, 0, Config{K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,12 +245,12 @@ func TestAlignConcurrentForksRace(t *testing.T) {
 // Regression: clusterAnchors drops empty groups, so it can return fewer
 // groups than requested — training anchors sharing one network-1
 // endpoint give farthest-point seeding no distinct seeds to pick.
-// BuildPlan used to index d1/d2/parts by the requested K and panic.
+// Planning used to index d1/d2/parts by the requested K and panic.
 func TestPlanDegenerateAnchorEndpoints(t *testing.T) {
 	pair, _, candidates := fixture(t)
 	// Five anchors, all incident to network-1 user 0: one seed location.
 	degenerate := []hetnet.Anchor{{I: 0, J: 0}, {I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}, {I: 0, J: 4}}
-	plan, err := BuildPlan(newBase(t, pair), degenerate, candidates, 10, Config{K: 4})
+	plan, err := buildPlan(newBase(t, pair), degenerate, candidates, 10, Config{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestSeededPartsAreThePlansParts(t *testing.T) {
 func TestRoundsRecountOnce(t *testing.T) {
 	pair, trainPos, candidates := fixture(t)
 	base := newBase(t, pair)
-	plan, err := BuildPlan(base, trainPos, candidates, 12, Config{K: 3})
+	plan, err := buildPlan(base, trainPos, candidates, 12, Config{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRoundsRecountOnce(t *testing.T) {
 func TestBegunPreparedIsWhatFinishTrains(t *testing.T) {
 	pair, trainPos, candidates := fixture(t)
 	base := newBase(t, pair)
-	plan, err := BuildPlan(base, trainPos, candidates, 6, Config{K: 1})
+	plan, err := buildPlan(base, trainPos, candidates, 6, Config{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBegunContract(t *testing.T) {
 	pair, trainPos, candidates := fixture(t)
 	base := newBase(t, pair)
 	opts := TrainOptions{Features: schema.StandardLibrary().All(), Core: core.Config{Seed: 7}, Workers: 1}
-	plan, err := BuildPlan(base, trainPos, candidates, 0, Config{K: 3})
+	plan, err := buildPlan(base, trainPos, candidates, 0, Config{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

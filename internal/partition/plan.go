@@ -193,27 +193,6 @@ func NewPlanner(base *metadiag.Counter) (*Planner, error) {
 	}, nil
 }
 
-// BuildPlan is the one-shot convenience wrapper: derive the planner
-// inputs and shard once. Callers planning repeatedly over the same pair
-// (per fold, per method, per K) should hold a Planner or use PlanCached.
-func BuildPlan(base *metadiag.Counter, trainPos, candidates []hetnet.Anchor, totalBudget int, cfg Config) (*Plan, error) {
-	var pl *Planner
-	return PlanCached(base, &pl, trainPos, candidates, totalBudget, cfg)
-}
-
-// PlanCached is BuildPlan with the planner kept in *cache across calls:
-// SeedCached, then Assign.
-func PlanCached(base *metadiag.Counter, cache **Planner, trainPos, candidates []hetnet.Anchor, totalBudget int, cfg Config) (*Plan, error) {
-	if err := validatePlanInputs(trainPos, totalBudget); err != nil {
-		return nil, err // a bad budget too, before any planner input is derived
-	}
-	s, err := SeedCached(base, cache, trainPos, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Assign(candidates, totalBudget)
-}
-
 // SeedCached is Planner.Seed on the planner kept in *cache: the
 // fold-independent inputs are derived on the first request that needs
 // them and reused by every later one. A K ≤ 1 request skips input
@@ -238,23 +217,9 @@ func SeedCached(base *metadiag.Counter, cache **Planner, trainPos []hetnet.Ancho
 	return (*cache).Seed(trainPos, cfg)
 }
 
-func validatePlanInputs(trainPos []hetnet.Anchor, totalBudget int) error {
-	if err := validateTrainPos(trainPos); err != nil {
-		return err
-	}
-	return validateBudget(totalBudget)
-}
-
 func validateTrainPos(trainPos []hetnet.Anchor) error {
 	if len(trainPos) == 0 {
 		return fmt.Errorf("partition: no training anchors to seed partitions with")
-	}
-	return nil
-}
-
-func validateBudget(totalBudget int) error {
-	if totalBudget < 0 {
-		return fmt.Errorf("partition: negative budget %d", totalBudget)
 	}
 	return nil
 }
@@ -282,9 +247,6 @@ func monolithicSeed(trainPos []hetnet.Anchor) *Seeded {
 // training anchor. Candidate order is preserved within each partition,
 // so a K=1 plan reproduces the monolithic pipeline exactly.
 func (pl *Planner) Plan(trainPos, candidates []hetnet.Anchor, totalBudget int, cfg Config) (*Plan, error) {
-	if err := validatePlanInputs(trainPos, totalBudget); err != nil {
-		return nil, err
-	}
 	s, err := pl.Seed(trainPos, cfg)
 	if err != nil {
 		return nil, err
@@ -330,8 +292,8 @@ func (pl *Planner) Seed(trainPos []hetnet.Anchor, cfg Config) (*Seeded, error) {
 // returned plan owns copies of the seeded parts, so one Seeded can be
 // assigned more than once.
 func (s *Seeded) Assign(candidates []hetnet.Anchor, totalBudget int) (*Plan, error) {
-	if err := validateBudget(totalBudget); err != nil {
-		return nil, err
+	if totalBudget < 0 {
+		return nil, fmt.Errorf("partition: negative budget %d", totalBudget)
 	}
 	parts := append([]Part(nil), s.Parts...)
 	if s.pl == nil {

@@ -27,16 +27,10 @@ type HandlerOptions struct {
 	// DefaultK is the candidate-list depth when a request has no ?k=;
 	// 0 means the snapshot's precomputed depth.
 	DefaultK int
-	// SnapshotPath is the artifact a parameterless /v1/reload re-opens
-	// with snapshot.OpenFile. Empty disables the endpoint (it answers
-	// 501).
+	// SnapshotPath is the one artifact Reload opens — at startup, on
+	// SIGHUP and on POST /v1/reload. Empty disables the endpoint (it
+	// answers 501).
 	SnapshotPath string
-	// AllowPathOverride lets a /v1/reload body name an arbitrary
-	// artifact path. Off by default: the endpoint is unauthenticated,
-	// and a client that can name any filesystem path can swap the
-	// served model (or grind the disk) on a server bound to all
-	// interfaces — so out of the box reload only re-opens SnapshotPath.
-	AllowPathOverride bool
 }
 
 // Handler is the alignd HTTP surface over a Store:
@@ -47,7 +41,7 @@ type HandlerOptions struct {
 //	GET  /v1/match/{net}/{user}        — O(1) matched-partner lookup
 //	GET  /v1/candidates/{net}/{user}   — top-k ranked candidates (?k= caps the list)
 //	POST /v1/score                     — pool-link lookup {"i","j"} or predictor rescore {"features",["shard"]}
-//	POST /v1/reload                    — atomic snapshot swap {"path"} (optional)
+//	POST /v1/reload                    — Reload: re-open SnapshotPath and swap it in
 //
 // {net} is 1 or 2; {user} is an external user ID or a numeric index.
 // Every JSON answer carries the serving generation, and each request
@@ -58,10 +52,11 @@ type Handler struct {
 	metrics *Metrics
 	opts    HandlerOptions
 
-	// Last reload outcome, for /readyz and /statusz: a failed reload
+	// Last Reload outcome, for /readyz and /statusz: a failed reload
 	// keeps the old generation serving (the swap never happens) but
 	// flips readiness so orchestrators stop routing new traffic to a
-	// replica whose artifact on disk is bad.
+	// replica whose artifact on disk is bad. Reload records and swaps
+	// under this lock.
 	reloadMu       sync.Mutex
 	lastReloadErr  string
 	lastReloadUnix int64
@@ -197,18 +192,6 @@ func (h *Handler) handleReady(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// recordReload notes a reload outcome for readyz/statusz.
-func (h *Handler) recordReload(err error) {
-	h.reloadMu.Lock()
-	defer h.reloadMu.Unlock()
-	h.lastReloadUnix = time.Now().Unix()
-	if err != nil {
-		h.lastReloadErr = err.Error()
-	} else {
-		h.lastReloadErr = ""
-	}
-}
-
 // StatusResponse is the statusz JSON shape. Exported, like
 // StatusSnapshot and StatusShard, because the alignr router decodes it
 // to discover the fleet's range table and each shard's format.
@@ -216,9 +199,9 @@ type StatusResponse struct {
 	Generation uint64          `json:"generation"`
 	UptimeSec  float64         `json:"uptime_sec"`
 	Snapshot   *StatusSnapshot `json:"snapshot,omitempty"`
-	// LastReloadError is the most recent /v1/reload failure (empty after
-	// a success); LastReloadUnix stamps the most recent attempt either
-	// way.
+	// LastReloadError is the most recent Reload failure (empty after a
+	// success); LastReloadUnix stamps the most recent Reload either way,
+	// the boot load included.
 	LastReloadError string           `json:"last_reload_error,omitempty"`
 	LastReloadUnix  int64            `json:"last_reload_unix,omitempty"`
 	Endpoints       []EndpointReport `json:"endpoints"`
@@ -514,8 +497,10 @@ func (h *Handler) handleScore(w http.ResponseWriter, r *http.Request) error {
 	}
 }
 
-// reloadRequest is the /v1/reload body; an empty body (or empty path)
-// re-opens the handler's configured snapshot path.
+// reloadRequest is the /v1/reload body. Path may only repeat the
+// configured SnapshotPath: the endpoint is unauthenticated, so a body
+// that could name any file could swap the served model for one of its
+// choosing.
 type reloadRequest struct {
 	Path string `json:"path"`
 }
@@ -541,54 +526,46 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 			return err
 		}
 	}
-	path := req.Path
-	if path == "" {
-		path = h.opts.SnapshotPath
+	if req.Path != "" && req.Path != h.opts.SnapshotPath {
+		return errf(http.StatusForbidden, "reload re-opens only the served artifact's path; rename the new artifact over it")
 	}
-	if path != h.opts.SnapshotPath && !h.opts.AllowPathOverride {
-		return errf(http.StatusForbidden, "reload path override is disabled (serve with -allow-reload-path to enable)")
-	}
-	ix, err := h.reloadPath(path)
+	ix, err := h.Reload()
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "%v", err)
 	}
 	_, _, matches, pool := ix.Counts()
-	return h.writeJSON(w, reloadResponse{Generation: ix.Generation, Path: path, Matches: matches, Pool: pool})
+	return h.writeJSON(w, reloadResponse{Generation: ix.Generation, Path: h.opts.SnapshotPath, Matches: matches, Pool: pool})
 }
 
-// reloadPath is the reload mechanism shared by the HTTP endpoint and
-// SIGHUP: decode and index off to the side, record the outcome for
-// readyz/statusz, and only swap on success — a corrupt or unindexable
-// artifact never reaches the store, so the old generation keeps
-// serving while the failure is visible until a reload succeeds.
-func (h *Handler) reloadPath(path string) (*Index, error) {
+// Reload is the one way an artifact reaches the store — alignd's
+// startup and -check, SIGHUP and POST /v1/reload all call it. It opens
+// SnapshotPath and indexes it off to the side, records the outcome for
+// /readyz and /statusz, and swaps the index in only on success: a
+// corrupt or unindexable artifact never reaches the store, so the old
+// generation keeps serving while the failure stays visible until a
+// reload succeeds.
+func (h *Handler) Reload() (*Index, error) {
+	path := h.opts.SnapshotPath
 	snap, err := snapshot.OpenFile(path)
+	var ix *Index
+	switch {
+	case errors.Is(err, snapshot.ErrVersionMismatch):
+		err = fmt.Errorf("open %s: %w (the artifact was written by a different release; re-export it or run a matching alignd)", path, err)
+	case err != nil:
+		err = fmt.Errorf("open %s: %w", path, err)
+	default:
+		if ix, err = NewIndex(snap); err != nil {
+			err = fmt.Errorf("index %s: %w", path, err)
+		}
+	}
+	h.reloadMu.Lock()
+	defer h.reloadMu.Unlock()
+	h.lastReloadUnix = time.Now().Unix()
 	if err != nil {
-		err = fmt.Errorf("reload %s: %w", path, err)
-		h.recordReload(err)
+		h.lastReloadErr = err.Error()
 		return nil, err
 	}
-	ix, err := NewIndex(snap)
-	if err != nil {
-		err = fmt.Errorf("reload %s: %w", path, err)
-		h.recordReload(err)
-		return nil, err
-	}
-	h.recordReload(nil)
+	h.lastReloadErr = ""
 	h.store.Swap(ix)
 	return ix, nil
-}
-
-// ReloadConfigured re-opens the handler's configured snapshot path and
-// swaps it in — the SIGHUP path, equivalent to a parameterless
-// POST /v1/reload. It returns the freshly served generation.
-func (h *Handler) ReloadConfigured() (uint64, error) {
-	if h.opts.SnapshotPath == "" {
-		return 0, fmt.Errorf("no snapshot path configured")
-	}
-	ix, err := h.reloadPath(h.opts.SnapshotPath)
-	if err != nil {
-		return 0, err
-	}
-	return ix.Generation, nil
 }

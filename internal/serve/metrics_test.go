@@ -12,7 +12,7 @@ import (
 // the exposition includes the traffic the scrape itself generated
 // counters for.
 func TestMetricszEndpoint(t *testing.T) {
-	srv, _, _, _ := newTestServer(t)
+	srv, _ := newTestServer(t)
 	defer srv.Close()
 	if _, err := http.Get(srv.URL + "/v1/match/1/0"); err != nil {
 		t.Fatal(err)

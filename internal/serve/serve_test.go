@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -196,32 +197,29 @@ func TestStoreSwapGenerations(t *testing.T) {
 	}
 }
 
-// newTestServer wires a handler over two on-disk snapshots so reload
-// works end to end.
-func newTestServer(t *testing.T) (*httptest.Server, *Store, string, string) {
+// newTestServer serves fixture A (marker 1, shift 0) from an on-disk
+// artifact, loaded through Reload the way alignd boots, and returns the
+// artifact's path: installFixture over it, then reload.
+func newTestServer(t *testing.T) (*httptest.Server, string) {
 	t.Helper()
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.snap")
-	pathB := filepath.Join(dir, "b.snap")
-	if err := fixtureSnapshot(t, 1.0, 0).WriteFile(pathA); err != nil {
+	path := filepath.Join(t.TempDir(), "a.snap")
+	installFixture(t, path, 1.0, 0)
+	h := NewHandler(&Store{}, nil, HandlerOptions{SnapshotPath: path})
+	if _, err := h.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fixtureSnapshot(t, 2.0, 1).WriteFile(pathB); err != nil {
-		t.Fatal(err)
-	}
-	st := &Store{}
-	ixA, err := NewIndex(fixtureSnapshot(t, 1.0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Swap(ixA)
-	h := NewHandler(st, nil, HandlerOptions{
-		SnapshotPath:      pathA,
-		AllowPathOverride: true,
-	})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	return srv, st, pathA, pathB
+	return srv, path
+}
+
+// installFixture writes a fixture over path the way a rollout does: a
+// temporary file renamed over the served path.
+func installFixture(t testing.TB, path string, marker float64, shift int) {
+	t.Helper()
+	if err := fixtureSnapshot(t, marker, shift).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func getJSON(t *testing.T, url string, into any) int {
@@ -255,7 +253,7 @@ func postJSON(t *testing.T, url string, body string, into any) int {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	srv, _, _, pathB := newTestServer(t)
+	srv, path := newTestServer(t)
 
 	if code := getJSON(t, srv.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz = %d", code)
@@ -315,10 +313,11 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("unknown endpoint = %d", code)
 	}
 
-	// Reload onto snapshot B shifts every match by one and bumps the
-	// generation.
+	// Snapshot B renamed over the served path: a reload shifts every
+	// match by one and bumps the generation.
+	installFixture(t, path, 2.0, 1)
 	var rel reloadResponse
-	if code := postJSON(t, srv.URL+"/v1/reload", fmt.Sprintf(`{"path":%q}`, pathB), &rel); code != http.StatusOK {
+	if code := postJSON(t, srv.URL+"/v1/reload", "", &rel); code != http.StatusOK {
 		t.Fatalf("reload = %d", code)
 	}
 	if rel.Generation != 2 {
@@ -333,7 +332,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Reload of a missing artifact must not disturb the served model —
 	// but it flips readiness (liveness stays green: the process is fine)
 	// and surfaces on statusz until a reload succeeds.
-	if code := postJSON(t, srv.URL+"/v1/reload", `{"path":"/nonexistent.snap"}`, nil); code != http.StatusUnprocessableEntity {
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, srv.URL+"/v1/reload", "", nil); code != http.StatusUnprocessableEntity {
 		t.Errorf("bad reload = %d", code)
 	}
 	if code := getJSON(t, srv.URL+"/v1/match/1/left-u2", &match); code != http.StatusOK || match.Generation != 2 {
@@ -353,12 +355,13 @@ func TestHTTPEndpoints(t *testing.T) {
 	if status.Generation != 2 || status.Snapshot == nil || status.Snapshot.Matches != fixtureUsers {
 		t.Errorf("statusz body = %+v", status)
 	}
-	if status.LastReloadError == "" || !strings.Contains(status.LastReloadError, "nonexistent") {
+	if !strings.Contains(status.LastReloadError, path) || !strings.Contains(status.LastReloadError, "no such file") {
 		t.Errorf("statusz last_reload_error = %q, want the failed reload's error", status.LastReloadError)
 	}
 
 	// A successful reload clears the readiness latch.
-	if code := postJSON(t, srv.URL+"/v1/reload", fmt.Sprintf(`{"path":%q}`, pathB), nil); code != http.StatusOK {
+	installFixture(t, path, 2.0, 1)
+	if code := postJSON(t, srv.URL+"/v1/reload", "", nil); code != http.StatusOK {
 		t.Fatalf("recovery reload = %d", code)
 	}
 	if code := getJSON(t, srv.URL+"/readyz", nil); code != http.StatusOK {
@@ -375,38 +378,30 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// Without AllowPathOverride a reload body may not point the server at
-// an arbitrary file — the endpoint is unauthenticated.
+// A reload body may not point the server at another file — the
+// endpoint is unauthenticated — and a refused body swaps nothing. An
+// empty body, {} and the configured path itself all re-open the
+// served artifact.
 func TestHTTPReloadPathOverrideForbidden(t *testing.T) {
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.snap")
-	pathB := filepath.Join(dir, "b.snap")
-	if err := fixtureSnapshot(t, 1.0, 0).WriteFile(pathA); err != nil {
-		t.Fatal(err)
-	}
-	if err := fixtureSnapshot(t, 2.0, 1).WriteFile(pathB); err != nil {
-		t.Fatal(err)
-	}
-	st := &Store{}
-	ix, err := NewIndex(fixtureSnapshot(t, 1.0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Swap(ix)
-	srv := httptest.NewServer(NewHandler(st, nil, HandlerOptions{SnapshotPath: pathA}))
-	defer srv.Close()
+	srv, path := newTestServer(t)
+	other := filepath.Join(filepath.Dir(path), "b.snap")
+	installFixture(t, other, 2.0, 1)
 
-	if code := postJSON(t, srv.URL+"/v1/reload", fmt.Sprintf(`{"path":%q}`, pathB), nil); code != http.StatusForbidden {
-		t.Errorf("foreign reload path = %d, want 403", code)
+	for _, body := range []string{fmt.Sprintf(`{"path":%q}`, other), `{"path":"/etc/hostname"}`} {
+		var answer map[string]string
+		if code := postJSON(t, srv.URL+"/v1/reload", body, &answer); code != http.StatusForbidden {
+			t.Errorf("reload %s = %d %v, want 403", body, code, answer)
+		}
 	}
-	// Re-opening the configured path stays allowed: parameterless and
-	// explicit-same-path both work.
-	var rel reloadResponse
-	if code := postJSON(t, srv.URL+"/v1/reload", "", &rel); code != http.StatusOK || rel.Path != pathA {
-		t.Errorf("parameterless reload = %d %+v", code, rel)
+	var status StatusResponse
+	if getJSON(t, srv.URL+"/statusz", &status); status.Generation != 1 || status.LastReloadError != "" {
+		t.Errorf("a refused reload moved the store: generation %d, last error %q", status.Generation, status.LastReloadError)
 	}
-	if code := postJSON(t, srv.URL+"/v1/reload", fmt.Sprintf(`{"path":%q}`, pathA), nil); code != http.StatusOK {
-		t.Errorf("same-path reload = %d", code)
+	for n, body := range []string{"", `{}`, fmt.Sprintf(`{"path":%q}`, path)} {
+		var rel reloadResponse
+		if code := postJSON(t, srv.URL+"/v1/reload", body, &rel); code != http.StatusOK || rel.Path != path || rel.Generation != uint64(n+2) {
+			t.Errorf("reload %q = %d %+v, want 200 at generation %d", body, code, rel, n+2)
+		}
 	}
 }
 
@@ -414,8 +409,8 @@ func TestHTTPReloadPathOverrideForbidden(t *testing.T) {
 // keeps the old generation serving, answers 422, drops readiness, and
 // surfaces the decode error on statusz.
 func TestHTTPReloadCorruptArtifact(t *testing.T) {
-	srv, _, pathA, _ := newTestServer(t)
-	if err := os.WriteFile(pathA, []byte("not a snapshot artifact"), 0o644); err != nil {
+	srv, path := newTestServer(t)
+	if err := os.WriteFile(path, []byte("not a snapshot artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code := postJSON(t, srv.URL+"/v1/reload", "", nil); code != http.StatusUnprocessableEntity {
@@ -444,7 +439,7 @@ func TestHTTPReloadCorruptArtifact(t *testing.T) {
 // MaxRequestBody and no further, and going over is a 413, not a decode
 // of however much the client cares to send.
 func TestHTTPRequestBodyBound(t *testing.T) {
-	srv, _, _, _ := newTestServer(t)
+	srv, _ := newTestServer(t)
 	pad := func(n int) string { return strings.Repeat(" ", n) }
 	for _, tc := range []struct {
 		name, path, body string
@@ -488,7 +483,7 @@ func TestHTTPEmptyStore(t *testing.T) {
 // uniform {"error": ...} body naming the bad value — not silently
 // served at the default depth.
 func TestHTTPCandidatesBadK(t *testing.T) {
-	srv, _, _, _ := newTestServer(t)
+	srv, _ := newTestServer(t)
 	for _, kq := range []string{"-1", "abc", "1.5", "", "0x10"} {
 		url := srv.URL + "/v1/candidates/1/left-u0?k=" + kq
 		resp, err := http.Get(url)
@@ -523,7 +518,7 @@ func TestHTTPCandidatesBadK(t *testing.T) {
 }
 
 func TestHTTPResolve(t *testing.T) {
-	srv, _, _, _ := newTestServer(t)
+	srv, _ := newTestServer(t)
 	var res resolveResponse
 	if code := getJSON(t, srv.URL+"/v1/resolve/1/left-u5", &res); code != http.StatusOK {
 		t.Fatalf("resolve = %d", code)
@@ -580,7 +575,7 @@ func TestHTTPStatusShardBlock(t *testing.T) {
 	}
 	// A whole-alignment artifact keeps the block absent. Decode into a
 	// fresh struct: omitempty would leave the stale pointer in place.
-	srvWhole, _, _, _ := newTestServer(t)
+	srvWhole, _ := newTestServer(t)
 	status = StatusResponse{}
 	if code := getJSON(t, srvWhole.URL+"/statusz", &status); code != http.StatusOK {
 		t.Fatal("statusz on whole artifact")
@@ -590,34 +585,65 @@ func TestHTTPStatusShardBlock(t *testing.T) {
 	}
 }
 
-func TestReloadConfigured(t *testing.T) {
-	srv, _, pathA, _ := newTestServer(t)
-	_ = srv
-	// Build a second handler around the same path to exercise the
-	// non-HTTP reload path directly.
+// TestReload drives the one load path without HTTP: each success swaps
+// in the next generation, and a corrupt or version-mismatched artifact
+// swaps nothing, flips readiness and says what is wrong.
+func TestReload(t *testing.T) {
+	if _, err := NewHandler(&Store{}, nil, HandlerOptions{}).Reload(); err == nil {
+		t.Error("Reload without a configured path succeeded")
+	}
+	path := filepath.Join(t.TempDir(), "a.snap")
+	installFixture(t, path, 1.0, 0)
 	st := &Store{}
-	ix, err := NewIndex(fixtureSnapshot(t, 1.0, 0))
+	h := NewHandler(st, nil, HandlerOptions{SnapshotPath: path})
+	ready := func() int {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return w.Code
+	}
+	for gen := uint64(1); gen <= 2; gen++ {
+		ix, err := h.Reload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Generation != gen || st.Current() != ix {
+			t.Errorf("reload %d served generation %d (returned %d)", gen, st.Current().Generation, ix.Generation)
+		}
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Swap(ix)
-	h := NewHandler(st, nil, HandlerOptions{SnapshotPath: pathA})
-	gen, err := h.ReloadConfigured()
-	if err != nil {
+	bumped := append([]byte(nil), raw...)
+	bumped[6] = snapshot.Version + 1 // version byte of the first frame
+	for _, bad := range []struct {
+		name, want string
+		raw        []byte
+	}{
+		{"corrupt", "open " + path, []byte("junk")},
+		{"version-bumped", "different release", bumped},
+	} {
+		if err := os.WriteFile(path, bad.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Reload(); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s artifact: Reload error %v, want one naming %q", bad.name, err, bad.want)
+		}
+		if st.Current().Generation != 2 {
+			t.Errorf("%s artifact disturbed the served generation: %d", bad.name, st.Current().Generation)
+		}
+		if code := ready(); code != http.StatusServiceUnavailable {
+			t.Errorf("readyz after a %s reload = %d, want 503", bad.name, code)
+		}
+	}
+	if _, err := h.Reload(); !errors.Is(err, snapshot.ErrVersionMismatch) {
+		t.Errorf("version-bumped artifact: %v is not ErrVersionMismatch", err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 {
-		t.Errorf("reload generation = %d, want 2", gen)
-	}
-	// A corrupt artifact keeps the old generation and reports the error.
-	if err := os.WriteFile(pathA, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.ReloadConfigured(); err == nil {
-		t.Error("corrupt ReloadConfigured succeeded")
-	}
-	if st.Current().Generation != 2 {
-		t.Error("corrupt ReloadConfigured disturbed the served generation")
+	if _, err := h.Reload(); err != nil || ready() != http.StatusOK {
+		t.Errorf("recovery reload: %v, readyz %d", err, ready())
 	}
 }
 

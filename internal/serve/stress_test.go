@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/activeiter/activeiter/internal/snapshot"
 )
 
 // markerOfShift ties the stress fixtures together: generation markers
@@ -121,16 +123,20 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 
 // TestHTTPConcurrentReload repeats the consistency property through the
 // full HTTP surface: concurrent clients against a live server while
-// /v1/reload alternates the artifact on disk. Every JSON response must
-// be wholly one generation.
+// the artifact on disk alternates — each fixture renamed over the
+// served path (WriteFile's temp + rename), then /v1/reload. Every JSON
+// response must be wholly one generation.
 func TestHTTPConcurrentReload(t *testing.T) {
-	srv, _, pathA, pathB := newTestServer(t)
-	paths := []string{pathA, pathB}
+	srv, path := newTestServer(t)
+	snaps := make([]*snapshot.Snapshot, len(stressGens))
+	for k, g := range stressGens {
+		snaps[k] = fixtureSnapshot(t, g.marker, g.shift)
+	}
 
 	// Generation 1 is snapshot A (marker 1.0, shift 0); each reload k
-	// (1-based) publishes generation k+1 serving paths[k%2]. Responses
-	// carry the generation, so the expected marker/shift is derivable
-	// from it alone: generation g serves stressGens[(g-1)%2].
+	// (1-based) publishes generation k+1 serving stressGens[k%2].
+	// Responses carry the generation, so the expected marker/shift is
+	// derivable from it alone: generation g serves stressGens[(g-1)%2].
 	const (
 		clients  = 6
 		requests = 120
@@ -143,8 +149,11 @@ func TestHTTPConcurrentReload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 1; k <= reloads; k++ {
-			body := fmt.Sprintf(`{"path":%q}`, paths[k%2])
-			resp, err := http.Post(srv.URL+"/v1/reload", "application/json", strings.NewReader(body))
+			if err := snaps[k%2].WriteFile(path); err != nil {
+				errs <- err
+				return
+			}
+			resp, err := http.Post(srv.URL+"/v1/reload", "application/json", strings.NewReader(`{}`))
 			if err != nil {
 				errs <- err
 				return

@@ -140,9 +140,9 @@ func (sa *shardedAligner) AlignPrelabeled(trainPos, candidates []Anchor, oracle 
 	// A failed round's audit is still the run's audit: Metrics must show
 	// the attempts and retries that led to the abort.
 	defer ex.close()
-	// This is partition.PlanCached taken in its two halves — same plan in,
-	// same alignment out is the property both executors are tested
-	// against. Repeated Align calls (cross-validation folds, retraining
+	// Planning is SeedCached then Assign, with the parts begun in
+	// between — same plan in, same alignment out is the property both
+	// executors are tested against. Repeated Align calls (cross-validation folds, retraining
 	// after new labels) reuse the cached planner's fold-independent inputs.
 	seeded, err := partition.SeedCached(sa.base, &sa.planner, trainPos, partition.Config{K: sa.opts.Partitions})
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 // overlap may show in what it returns.
 
 // TestEarlyStartEqualsPlanThenAlign: the facade's overlapped run returns
-// what PlanCached → partition.Align run in sequence returns — every
+// what SeedCached → Assign → partition.Align run in sequence returns — every
 // link's merged vote, the per-shard models, the oracle spend and the
 // anchors — across part counts, round counts and budgets. CI runs it
 // under -race: the warm, the planner and the parts share one counter.
