@@ -9,7 +9,7 @@
 //	activeiter -data pair.json -budget 100 -strategy conflict
 //
 // Worker mode turns the binary into a distributed-alignment shard
-// worker (see README §Distributed alignment): `-worker` speaks the wire
+// worker (see docs/ARCHITECTURE.md §Train): `-worker` speaks the wire
 // protocol on stdin/stdout for a coordinator that spawned it,
 // `-worker-listen addr` accepts coordinator TCP connections instead.
 package main

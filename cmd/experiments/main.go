@@ -78,10 +78,7 @@ func (o overrides) distributedConfig(workerCmd string) experiments.DistributedCo
 	if o.set["distrib-chaos"] {
 		cfg.ChaosSeed = o.distribChaos
 	}
-	if workerCmd != "" {
-		cfg.WorkerCmd = workerCmd
-		cfg.WorkerArgs = []string{"-worker"}
-	}
+	cfg.WorkerCmd = workerCmd
 	return cfg
 }
 
@@ -272,7 +269,7 @@ func runSaveSnapshot(stdout io.Writer, pre experiments.Preset, cfg experiments.D
 	case proto.Facade != activeiter.SnapshotDistributed:
 		sa, err = activeiter.New(pair, opts)
 	case cfg.WorkerCmd != "":
-		sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewWorkerProcessTransport(cfg.WorkerCmd, cfg.WorkerArgs...))
+		sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewWorkerProcessTransport(cfg.WorkerCmd, "-worker"))
 	default:
 		sa, err = activeiter.NewDistributed(pair, opts, activeiter.NewLoopbackTransport())
 	}

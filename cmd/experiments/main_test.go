@@ -135,9 +135,9 @@ func TestDistributedFlagValidation(t *testing.T) {
 		t.Errorf("unset -distrib-workers leaked %d into the config", got)
 	}
 
-	// The worker command implies -worker args for the spawned binary.
+	// The worker command reaches the config as given.
 	cfg := overrides{set: map[string]bool{}}.distributedConfig("/usr/bin/activeiter")
-	if cfg.WorkerCmd != "/usr/bin/activeiter" || len(cfg.WorkerArgs) != 1 || cfg.WorkerArgs[0] != "-worker" {
+	if cfg.WorkerCmd != "/usr/bin/activeiter" {
 		t.Errorf("worker command config = %+v", cfg)
 	}
 }

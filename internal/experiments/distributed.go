@@ -57,10 +57,9 @@ type DistributedConfig struct {
 	// (minimum 1).
 	Workers int
 	// WorkerCmd, when non-empty, adds a subprocess-transport run
-	// spawning this command (plus Args) per worker — typically a built
-	// `activeiter` binary invoked with -worker.
-	WorkerCmd  string
-	WorkerArgs []string
+	// spawning this command with -worker per worker — a built
+	// `activeiter` binary.
+	WorkerCmd string
 	// Rounds > 1 adds the sticky-session modes: the budget splits across
 	// this many retrain-after-labels rounds, each shard's later rounds
 	// re-run warm by the worker that prepared it — over loopback, and
@@ -179,7 +178,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 		return nil
 	}
 	subprocess := func() distrib.Transport {
-		return &distrib.Exec{Cmd: cfg.WorkerCmd, Args: cfg.WorkerArgs, Stderr: os.Stderr}
+		return &distrib.Exec{Cmd: cfg.WorkerCmd, Args: []string{"-worker"}, Stderr: os.Stderr}
 	}
 
 	if err := runSession("loopback", distrib.Loopback{}, 1, distrib.Options{}); err != nil {

@@ -431,7 +431,10 @@ func (rt *Router) tryBackends(cands []*Backend, method, pathAndQuery string, bod
 		if !retryable(p, err) {
 			return p, from, nil
 		}
-		last, lastFrom, lastErr = p, from, err
+		if p != nil {
+			last, lastFrom = p, from
+		}
+		lastErr = err
 		if attempt < rt.opts.Retry.Attempts {
 			rt.cRetry.Inc()
 			time.Sleep(retry.Delay(attempt, seq))

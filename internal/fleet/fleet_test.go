@@ -214,6 +214,43 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
+// TestRouterKeepsLastBackendAnswer: when every attempt fails, the
+// client gets the last answer a backend gave, even if a later attempt
+// failed in transport. Two replicas of one range, in owner order: the
+// first answers 503, the second refuses connections.
+func TestRouterKeepsLastBackendAnswer(t *testing.T) {
+	parent := randomSnapshot(t, rand.New(rand.NewSource(44)), 10, 10, 4)
+	dir := t.TempDir()
+	const busy = `{"error":"replica busy"}`
+	inner := backendHandler(t, parent, dir, "busy")
+	unavailable := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/score" {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, busy)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer unavailable.Close()
+	dead := backendServer(t, parent, dir, "dead")
+
+	rt, err := NewRouter([]string{unavailable.URL, dead.URL}, Options{Retry: retry.Policy{Attempts: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Refresh()
+	dead.Close() // refuses connections from here on
+	srv := httptest.NewServer(rt)
+	defer srv.Close()
+
+	p := parent.Pool[0]
+	r := do(t, srv.URL, http.MethodPost, "/v1/score", fmt.Sprintf(`{"i":%d,"j":%d}`, p.I, p.J))
+	if r.status != http.StatusServiceUnavailable || string(r.body) != busy {
+		t.Errorf("got %d %s, want the first replica's 503 %s", r.status, r.body, busy)
+	}
+}
+
 // TestRouterHedgedRead: a slow primary plus a fast replica and a tiny
 // hedge delay answer well before the slow replica would.
 func TestRouterHedgedRead(t *testing.T) {

@@ -165,9 +165,6 @@ type Config struct {
 	// Seed drives per-labeler noise, the colluders' fabricated target
 	// and the per-link replica choice.
 	Seed int64
-	// DistrustBelow is the trust score under which a labeler's votes
-	// stop counting toward confidence; 0 means the default (0.25).
-	DistrustBelow float64
 }
 
 // Validate rejects configurations that would be silently misread.
@@ -181,8 +178,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("oracle: flip probability %v outside [0, 1)", c.FlipProb)
 	case c.Replicas < 0:
 		return fmt.Errorf("oracle: negative replicas %d", c.Replicas)
-	case c.DistrustBelow < 0 || c.DistrustBelow >= 1:
-		return fmt.Errorf("oracle: distrust threshold %v outside [0, 1)", c.DistrustBelow)
 	}
 	return nil
 }
@@ -220,9 +215,5 @@ func (c Config) Build(truth active.Oracle) (*Panel, error) {
 	if truth == nil {
 		return nil, fmt.Errorf("oracle: nil ground-truth oracle behind the labeler pool")
 	}
-	return NewPanel(c.Pool(truth), PanelOptions{
-		Replicas:      c.Replicas,
-		Seed:          c.Seed,
-		DistrustBelow: c.DistrustBelow,
-	})
+	return NewPanel(c.Pool(truth), PanelOptions{Replicas: c.Replicas, Seed: c.Seed})
 }

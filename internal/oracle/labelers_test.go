@@ -26,7 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		{"flip prob 1", Config{Noisy: 2, FlipProb: 1}, false},
 		{"negative flip prob", Config{Noisy: 2, FlipProb: -0.1}, false},
 		{"negative replicas", Config{Honest: 2, Replicas: -1}, false},
-		{"distrust out of range", Config{Honest: 2, DistrustBelow: 1}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

@@ -15,9 +15,6 @@ type PanelOptions struct {
 	Replicas int
 	// Seed drives the deterministic per-link replica choice.
 	Seed int64
-	// DistrustBelow is the trust score under which a labeler's votes
-	// stop counting toward confidence; 0 means DefaultDistrustBelow.
-	DistrustBelow float64
 }
 
 // DefaultDistrustBelow is the trust cutoff under which a labeler's
@@ -108,7 +105,6 @@ type Panel struct {
 	labelers []Labeler
 	r        int // resolved replicas per query
 	seed     int64
-	distrust float64
 
 	mu             sync.Mutex
 	answered       map[int64]*vote
@@ -128,15 +124,10 @@ func NewPanel(pool []Labeler, opts PanelOptions) (*Panel, error) {
 	if r <= 0 || r > len(pool) {
 		r = len(pool)
 	}
-	distrust := opts.DistrustBelow
-	if distrust <= 0 {
-		distrust = DefaultDistrustBelow
-	}
 	p := &Panel{
 		labelers: pool,
 		r:        r,
 		seed:     opts.Seed,
-		distrust: distrust,
 		answered: make(map[int64]*vote),
 		stats:    make([]labelerStats, len(pool)),
 		yesByI:   make(map[int]int),
@@ -236,7 +227,7 @@ func (p *Panel) settle(v *vote) {
 		if v.answers[k] == 1 {
 			p.flagViolations(st.yesByI, st.yesByJ, v.link, p.labelers[li].ID(), st)
 		}
-		if trust := st.trust(); trust < p.distrust && !st.distrustLatch {
+		if trust := st.trust(); trust < DefaultDistrustBelow && !st.distrustLatch {
 			st.distrustLatch = true
 			mDistrusted.Inc()
 		}
@@ -304,7 +295,7 @@ func (p *Panel) TrustScores() []LabelerTrust {
 			Trust:          trust,
 			Votes:          int(st.agree + st.disagree - contradictionPenalty*float64(st.contradictions)),
 			Contradictions: st.contradictions,
-			Distrusted:     trust < p.distrust,
+			Distrusted:     trust < DefaultDistrustBelow,
 		}
 	}
 	return out
@@ -353,7 +344,7 @@ func (p *Panel) WeightedLabels() []WeightedLabel {
 	defer p.mu.Unlock()
 	weights := make([]float64, len(p.labelers))
 	for i := range p.stats {
-		if t := p.stats[i].trust(); t >= p.distrust {
+		if t := p.stats[i].trust(); t >= DefaultDistrustBelow {
 			weights[i] = t
 		}
 	}
