@@ -390,14 +390,22 @@ func decodeNode(d *framing.Dec) schema.TypedNode {
 // below 2^53 in practice (path multiplicities), so values normally pack
 // as uvarints; a flag byte keeps raw float64 as the general-case
 // fallback.
+//
+// An entry that carries a block (metadiag.SeedEntry.Matrix) is written
+// from the block's rows, decoded once each, to the bytes its compressed
+// arrays would give: the format does not depend on the layout. A block
+// holds integers in 0…255, so its values pack as uvarints unscanned.
 func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
-	ints, top := true, 0.0
-	for _, v := range e.Val {
-		if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
-			ints = false
-			break
+	ints, top := true, float64(math.MaxUint8)
+	if e.Matrix == nil {
+		top = 0
+		for _, v := range e.Val {
+			if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
+				ints = false
+				break
+			}
+			top = max(top, v)
 		}
-		top = max(top, v)
 	}
 	// One allocation for the whole segment: no row length or column gap
 	// exceeds Cols and no value exceeds top, which bounds every varint's
@@ -406,24 +414,38 @@ func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
 	if ints {
 		valWidth = uvarintLen(uint64(top))
 	}
+	nnz := e.NNZ()
 	b = slices.Grow(b, len(e.Key)+len(e.Source.Type)+len(e.Sink.Type)+5*binary.MaxVarintLen64+3+
-		(len(e.RowPtr)+len(e.ColIdx))*idxWidth+len(e.Val)*valWidth)
+		(e.Rows+1+nnz)*idxWidth+nnz*valWidth)
 	b = framing.AppendString(b, e.Key)
 	b = appendNode(b, e.Source)
 	b = appendNode(b, e.Sink)
 	b = framing.AppendVarint(b, int64(e.Rows))
 	b = framing.AppendVarint(b, int64(e.Cols))
+	// A block's value run is gathered as its rows are decoded.
+	var run []byte
+	var cols []int
+	var vals []float64
 	for r := 0; r < e.Rows; r++ {
-		lo, hi := e.RowPtr[r], e.RowPtr[r+1]
-		b = framing.AppendUvarint(b, uint64(hi-lo))
+		if e.Matrix != nil {
+			cols, vals = e.Matrix.AppendRow(r, cols[:0], vals[:0])
+			for _, v := range vals {
+				run = framing.AppendUvarint(run, uint64(v))
+			}
+		} else {
+			cols = e.ColIdx[e.RowPtr[r]:e.RowPtr[r+1]]
+		}
+		b = framing.AppendUvarint(b, uint64(len(cols)))
 		prev := 0
-		for k := lo; k < hi; k++ {
-			c := e.ColIdx[k]
+		for _, c := range cols {
 			b = framing.AppendUvarint(b, uint64(c-prev))
 			prev = c
 		}
 	}
 	b = framing.AppendBool(b, ints)
+	if e.Matrix != nil {
+		return append(b, run...)
+	}
 	if ints {
 		for _, v := range e.Val {
 			b = framing.AppendUvarint(b, uint64(v))

@@ -910,3 +910,60 @@ func BenchmarkSeedInstall(b *testing.B) {
 	resetSeedCache()
 	b.ReportMetric(float64(len(body)), "body-bytes")
 }
+
+// TestBlockSeedEncodesAsCSR: a counter holding attribute counts as
+// one-byte blocks exports them as blocks, and its seed encodes to the
+// bytes of the same seed with every block given as compressed arrays —
+// the wire format does not depend on the layout. A worker installs what
+// it decodes as compressed matrices, which re-export as arrays.
+func TestBlockSeedEncodesAsCSR(t *testing.T) {
+	feats, _ := ResolveFeatures(FeaturesFull)
+	pair := fixturePair(t)
+	base, err := metadiag.NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := base.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrays := *seed
+	arrays.Entries = slices.Clone(seed.Entries)
+	blocks := 0
+	for i := range arrays.Entries {
+		if e := &arrays.Entries[i]; e.Matrix != nil {
+			blocks++
+			_, _, e.RowPtr, e.ColIdx, e.Val = e.Matrix.Raw()
+			e.Matrix = nil
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("fixture: no exported count is a block")
+	}
+	body := (&WireSeed{Fingerprint: 7, Seed: *seed}).appendBody(nil)
+	if want := (&WireSeed{Fingerprint: 7, Seed: arrays}).appendBody(nil); !bytes.Equal(body, want) {
+		t.Fatalf("a seed with %d block entries encodes to %d bytes, with them as arrays to %d", blocks, len(body), len(want))
+	}
+	var ws WireSeed
+	if err := ws.decodeBody(body); err != nil {
+		t.Fatal(err)
+	}
+	resetSeedCache()
+	defer resetSeedCache()
+	installed, err := installSeed(&ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := installed.counter.ExportSeed(feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range again.Entries {
+		if e, w := &again.Entries[i], &seed.Entries[i]; e.Matrix != nil || e.Key != w.Key || e.NNZ() != w.NNZ() {
+			t.Fatalf("installed entry %q: block %v, %d entries; exported %q, %d entries", e.Key, e.Matrix != nil, e.NNZ(), w.Key, w.NNZ())
+		}
+	}
+	if again.NNZ() != seed.NNZ() {
+		t.Fatalf("installed seed holds %d entries, the export %d", again.NNZ(), seed.NNZ())
+	}
+}

@@ -21,6 +21,7 @@ package metadiag
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +88,8 @@ type sharedState struct {
 	adjCache map[string]*sparse.CSR // per (net, rel, orientation)
 
 	mu     sync.Mutex
-	counts map[string]*sparse.CSR // anchor-free counts, per notation
+	counts map[string]*sparse.CSR // anchor-free counts, per notation; see store
+	bytes  *countBytes
 	flight map[string]*inflight
 	// prox holds the proximity structure of each anchor-free count, keyed
 	// by the cached matrix it wraps: those counts never change, so their
@@ -96,6 +98,40 @@ type sharedState struct {
 	// terms holds the per-anchor marginal terms of each extractor layout
 	// that has recomputed on the family (anchorterms.go).
 	terms []*anchorTerms
+}
+
+// countBytes is a family's share of the count-bytes gauge. It is its own
+// allocation so that the finalizer returning the bytes when the family
+// is collected keeps none of the family's matrices alive.
+type countBytes struct{ csr, block int64 }
+
+func newCountBytes() *countBytes {
+	b := new(countBytes)
+	runtime.SetFinalizer(b, func(b *countBytes) {
+		mCountBytesCSR.Add(-b.csr)
+		mCountBytesBlock.Add(-b.block)
+	})
+	return b
+}
+
+// store files m under key in the shared layer; sh.mu must be held. A
+// matrix the layer does not yet hold under another key adds its bytes to
+// the gauge.
+func (sh *sharedState) store(key string, m *sparse.CSR) {
+	for _, held := range sh.counts {
+		if held == m {
+			sh.counts[key] = m
+			return
+		}
+	}
+	sh.counts[key] = m
+	if n := int64(m.Bytes()); m.Block() {
+		sh.bytes.block += n
+		mCountBytesBlock.Add(n)
+	} else {
+		sh.bytes.csr += n
+		mCountBytesCSR.Add(n)
+	}
 }
 
 // Counter evaluates diagram count matrices over an aligned network pair.
@@ -135,6 +171,7 @@ func NewCounter(pair *hetnet.AlignedPair) (*Counter, error) {
 		vocabs:     make(map[hetnet.NodeType]*vocabulary),
 		adjCache:   make(map[string]*sparse.CSR),
 		counts:     make(map[string]*sparse.CSR),
+		bytes:      newCountBytes(),
 		flight:     make(map[string]*inflight),
 		prox:       make(map[*sparse.CSR]*Proximity),
 	}
@@ -484,7 +521,11 @@ func (c *Counter) evalIn(d schema.Diagram, key string, mu *sync.Mutex, counts ma
 	f.m, f.err = c.compute(d)
 
 	mu.Lock()
-	if f.err == nil && (genPtr == nil || *genPtr == startGen) {
+	switch {
+	case f.err != nil:
+	case genPtr == nil:
+		c.sh.store(key, f.m)
+	case *genPtr == startGen:
 		counts[key] = f.m
 	}
 	delete(flights, key)
@@ -536,6 +577,9 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 		if ok {
 			return sparse.Chain(ja, jb), nil
 		}
+		if m, err := c.selfStacked(v); m != nil || err != nil {
+			return m, err
+		}
 		var acc *sparse.CSR
 		for _, p := range v.Parts {
 			pm, err := c.eval(p)
@@ -552,6 +596,30 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 	default:
 		return nil, fmt.Errorf("metadiag: cannot evaluate diagram type %T", d)
 	}
+}
+
+// selfStacked returns the count of a Parallel whose parts are all one
+// notation — {follow→ | follow→} — when that count is 0/1: A ⊙ A = A,
+// so the part's own matrix is the Parallel's, filed under both keys.
+// It returns nil when the parts differ or the count is not 0/1, and the
+// Parallel is then folded by Hadamard.
+func (c *Counter) selfStacked(d schema.Parallel) (*sparse.CSR, error) {
+	key := unwrap(d.Parts[0]).Notation()
+	for _, p := range d.Parts[1:] {
+		if unwrap(p).Notation() != key {
+			return nil, nil
+		}
+	}
+	m, err := c.eval(d.Parts[0])
+	if err != nil {
+		return nil, err
+	}
+	binary := true
+	m.Iterate(func(_, _ int, v float64) { binary = binary && v == 1 })
+	if !binary {
+		return nil, nil
+	}
+	return m, nil
 }
 
 // jointFactors returns the joint factors of a Parallel whose every part

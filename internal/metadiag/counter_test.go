@@ -3,8 +3,10 @@ package metadiag
 import (
 	"testing"
 
+	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/schema"
+	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 // buildTestPair constructs a small aligned pair with hand-checkable
@@ -336,5 +338,62 @@ func TestStandardLibraryCountsAll(t *testing.T) {
 		if r, cc := m.Dims(); r != 3 || cc != 3 {
 			t.Fatalf("%s: dims %dx%d, want 3x3", n.ID, r, cc)
 		}
+	}
+}
+
+// TestSelfStackedParallelIsItsPart: a Parallel of one notation stacked
+// on itself — {follow→ | follow→} in Ψ^f²(P1×P3) — over a 0/1 part is
+// that part, A ⊙ A = A, so the counter files the part's own matrix under
+// the Parallel's key instead of building a copy. The count Equals the
+// Hadamard product on a pair-built counter and on a counter seeded from
+// its export; a self-stacked count that is not 0/1 is still multiplied.
+func TestSelfStackedParallelIsItsPart(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, left3 := schema.FollowPath(1).Edges[0], schema.FollowPath(3).Edges[0]
+	if left.Notation() != left3.Notation() {
+		t.Fatal("fixture: P1 and P3 no longer start with the same edge")
+	}
+	self := schema.Par(left, left3)
+	c, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := c.Count(left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sparse.Hadamard(part, part)
+	got, err := c.Count(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != part || !got.Equal(want) {
+		t.Fatalf("pair-built: %v is not its part %v, or differs from the Hadamard product %v", got, part, want)
+	}
+	seed, err := c.ExportSeed([]schema.Named{{ID: "PSI_F2[P1,P3]", D: schema.FollowDiagram(1, 3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := NewSeededCounter(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := seeded.Count(self); err != nil || !got.Equal(want) {
+		t.Fatalf("seeded: %v, %v; want the Hadamard product %v", got, err, want)
+	}
+
+	p5 := schema.AttributePath(hetnet.At).AsDiagram()
+	m5, err := c.Count(p5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m5.Sum() == float64(m5.NNZ()) {
+		t.Fatal("fixture: P5 is 0/1 at tiny")
+	}
+	if sq, err := c.Count(schema.Par(p5, p5)); err != nil || sq == m5 || !sq.Equal(sparse.Hadamard(m5, m5)) {
+		t.Fatalf("P5 stacked on itself: %v, %v; want the Hadamard product", sq, err)
 	}
 }

@@ -14,13 +14,24 @@ import (
 // ships to workers. Source and Sink are the diagram's endpoint node
 // types: what Rows and Cols count. The slices alias the counter's cached
 // matrices on export (zero copy); installing validates them structurally
-// before trusting them.
+// before trusting them. A matrix the counter holds as a block
+// (sparse.CSR.Block) has no such slices: its entry carries it as Matrix,
+// with RowPtr, ColIdx and Val nil, and encodes and installs from it.
 type SeedEntry struct {
 	Key            string
 	Source, Sink   schema.TypedNode
 	Rows, Cols     int
 	RowPtr, ColIdx []int
 	Val            []float64
+	Matrix         *sparse.CSR // a block, on export only
+}
+
+// NNZ returns the entry's stored entries, in either form.
+func (e *SeedEntry) NNZ() int {
+	if e.Matrix != nil {
+		return e.Matrix.NNZ()
+	}
+	return len(e.Val)
 }
 
 // SeedRelation is one relation of the seed's schema.
@@ -56,7 +67,7 @@ type Seed struct {
 func (s *Seed) NNZ() int {
 	n := 0
 	for i := range s.Entries {
-		n += len(s.Entries[i].Val)
+		n += s.Entries[i].NNZ()
 	}
 	return n
 }
@@ -91,38 +102,49 @@ func collectSeedDiagrams(d schema.Diagram, counts, edges map[string]schema.Diagr
 }
 
 // countSorted counts every diagram of ds into the shared cache layer (or
-// finds it there) and packages the matrices as entries sorted by key.
-func (c *Counter) countSorted(ds map[string]schema.Diagram) ([]SeedEntry, error) {
+// finds it there) in key order and, when pack is set, packages the
+// matrices as entries sorted by key: zero-copy views of a compressed
+// matrix, a block as itself.
+func (c *Counter) countSorted(ds map[string]schema.Diagram, pack bool) ([]SeedEntry, error) {
 	keys := make([]string, 0, len(ds))
 	for k := range ds {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]SeedEntry, len(keys))
-	for n, k := range keys {
+	var out []SeedEntry
+	for _, k := range keys {
 		d := ds[k]
 		m, err := c.Count(d)
 		if err != nil {
 			return nil, fmt.Errorf("metadiag: warm %q: %w", k, err)
 		}
-		rows, cols, rowPtr, colIdx, val := m.Raw()
-		out[n] = SeedEntry{Key: k, Source: d.Source(), Sink: d.Sink(), Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+		if !pack {
+			continue
+		}
+		e := SeedEntry{Key: k, Source: d.Source(), Sink: d.Sink()}
+		if m.Block() {
+			e.Rows, e.Cols = m.Dims()
+			e.Matrix = m
+		} else {
+			e.Rows, e.Cols, e.RowPtr, e.ColIdx, e.Val = m.Raw()
+		}
+		out = append(out, e)
 	}
 	return out, nil
 }
 
 // warm evaluates the anchor-free layer feats read into the shared cache
 // (or finds it there): the traversed adjacencies and the counts of the
-// maximal anchor-free sub-diagrams.
-func (c *Counter) warm(feats []schema.Named) (adjacency, counts []SeedEntry, err error) {
+// maximal anchor-free sub-diagrams, packaged as entries when pack is set.
+func (c *Counter) warm(feats []schema.Named, pack bool) (adjacency, counts []SeedEntry, err error) {
 	ds, edges := make(map[string]schema.Diagram), make(map[string]schema.Diagram)
 	for _, f := range feats {
 		collectSeedDiagrams(f.D, ds, edges)
 	}
-	if adjacency, err = c.countSorted(edges); err != nil {
+	if adjacency, err = c.countSorted(edges, pack); err != nil {
 		return nil, nil, err
 	}
-	if counts, err = c.countSorted(ds); err != nil {
+	if counts, err = c.countSorted(ds, pack); err != nil {
 		return nil, nil, err
 	}
 	return adjacency, counts, nil
@@ -134,7 +156,7 @@ func (c *Counter) warm(feats []schema.Named) (adjacency, counts []SeedEntry, err
 // the background while other goroutines plan, fork and count against the
 // same counter: each matrix is evaluated once, by whoever asks first.
 func (c *Counter) Warm(feats []schema.Named) error {
-	_, _, err := c.warm(feats)
+	_, _, err := c.warm(feats, false)
 	return err
 }
 
@@ -144,7 +166,7 @@ func (c *Counter) Warm(feats []schema.Named) error {
 // edge, so a coordinator can export from a counter mid-plan without
 // coordination.
 func (c *Counter) ExportSeed(feats []schema.Named) (*Seed, error) {
-	adjacency, counts, err := c.warm(feats)
+	adjacency, counts, err := c.warm(feats, true)
 	if err != nil {
 		return nil, err
 	}
@@ -187,6 +209,7 @@ func NewSeededCounter(s *Seed) (*Counter, error) {
 			{Type: s.AnchorType, Net: schema.Net2}: s.N2,
 		},
 		counts: make(map[string]*sparse.CSR, len(s.Adjacency)+len(s.Entries)),
+		bytes:  newCountBytes(),
 		prox:   make(map[*sparse.CSR]*Proximity),
 	}
 	if err := sh.install(s.Adjacency); err != nil {
@@ -204,7 +227,8 @@ func NewSeededCounter(s *Seed) (*Counter, error) {
 // skipping keys already present (a resident matrix was derived locally
 // and is already correct). Each entry is structurally validated, and on
 // a seeded counter sized against the node types it names — a corrupt or
-// hostile seed fails here rather than deep inside a later multiply.
+// hostile seed fails here rather than deep inside a later multiply. A
+// block entry was exported in this process and is installed as it is.
 func (sh *sharedState) install(entries []SeedEntry) error {
 	for i := range entries {
 		e := &entries[i]
@@ -220,13 +244,18 @@ func (sh *sharedState) install(entries []SeedEntry) error {
 				}
 			}
 		}
-		m, err := sparse.FromRaw(e.Rows, e.Cols, e.RowPtr, e.ColIdx, e.Val)
-		if err != nil {
-			return fmt.Errorf("metadiag: seed entry %q: %w", e.Key, err)
+		m := e.Matrix
+		if m == nil {
+			var err error
+			if m, err = sparse.FromRaw(e.Rows, e.Cols, e.RowPtr, e.ColIdx, e.Val); err != nil {
+				return fmt.Errorf("metadiag: seed entry %q: %w", e.Key, err)
+			}
+		} else if r, c := m.Dims(); r != e.Rows || c != e.Cols {
+			return fmt.Errorf("metadiag: seed entry %q is %dx%d, its matrix %dx%d", e.Key, e.Rows, e.Cols, r, c)
 		}
 		sh.mu.Lock()
 		if _, ok := sh.counts[e.Key]; !ok {
-			sh.counts[e.Key] = m
+			sh.store(e.Key, m)
 		}
 		sh.mu.Unlock()
 	}

@@ -27,4 +27,11 @@ var (
 		"Anchor × stacking marginal terms per Recompute, by path.", telemetry.L("path", "read"))
 	mAnchorTermsBytes = telemetry.Default.Gauge("activeiter_metadiag_anchor_terms_bytes",
 		"Bytes of stored per-anchor marginal terms held by live counter families.")
+	// The shared count layer's bytes, by the layout each matrix is held
+	// in (sparse.CSR.Bytes): a matrix filed under several notations
+	// counts once.
+	mCountBytesCSR = telemetry.Default.Gauge("activeiter_metadiag_count_bytes",
+		"Bytes of the shared anchor-free count layer held by live counter families, by layout.", telemetry.L("layout", "csr"))
+	mCountBytesBlock = telemetry.Default.Gauge("activeiter_metadiag_count_bytes",
+		"Bytes of the shared anchor-free count layer held by live counter families, by layout.", telemetry.L("layout", "block"))
 )

@@ -594,12 +594,14 @@ func (pl *Planner) foldSimilarity(parts []Part) (simLeft, simRight []float64, se
 // straight from the cached count matrix — Proximity.ScoreMatrix would
 // materialize every score first, which at crawl scale means pushing
 // ~10⁸ entries through a builder only to throw almost all of them away.
+// Each row of the count is copied into scratch (CSR.AppendRow), so a
+// block stays a block.
 func truncatedScores(p *metadiag.Proximity, topM int) *sparse.CSR {
 	rows, cols := p.Counts.Dims()
-	var js []int
-	var scores []float64
+	var js, colIdx []int
+	var scores, vals []float64
 	return sparse.TopKRows(rows, cols, topM, func(i int) ([]int, []float64) {
-		colIdx, vals := p.Counts.RowSlice(i)
+		colIdx, vals = p.Counts.AppendRow(i, colIdx[:0], vals[:0])
 		js, scores = js[:0], scores[:0]
 		for k, j := range colIdx {
 			if denom := p.RowSums[i] + p.ColSums[j]; denom > 0 {

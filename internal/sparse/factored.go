@@ -20,9 +20,10 @@ import "fmt"
 // order. JointFactors rests on the same argument.
 
 // MatMulAt returns (x·y)(i, j) = Σₐ x(i,a)·y(a,j): one position probe
-// into y (CSR.position, as At) per entry of x's row i. It costs the row,
-// not the product — a thin left factor makes it a handful of probes. It
-// panics on an inner-dimension mismatch or an index out of range.
+// into y (CSR.position, as At; an index into a block) per entry of x's
+// row i. It costs the row, not the product — a thin left factor makes it
+// a handful of probes. It panics on an inner-dimension mismatch or an
+// index out of range.
 func MatMulAt(x, y *CSR, i, j int) float64 {
 	if x.cols != y.rows {
 		panic(fmt.Sprintf("sparse: MatMulAt dimension mismatch %dx%d · %dx%d", x.rows, x.cols, y.rows, y.cols))
@@ -31,9 +32,15 @@ func MatMulAt(x, y *CSR, i, j int) float64 {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %dx%d", i, j, x.rows, y.cols))
 	}
 	var s float64
-	for k := x.rowPtr[i]; k < x.rowPtr[i+1]; k++ {
-		if p := y.position(x.colIdx[k], j); p >= 0 {
-			s += x.val[k] * y.val[p]
+	var buf rowBuf
+	xc, xv := x.rowOf(i, &buf)
+	for k, a := range xc {
+		if y.block != nil {
+			if v := y.block[a*y.cols+j]; v != 0 {
+				s += xv[k] * float64(v)
+			}
+		} else if p := y.position(a, j); p >= 0 {
+			s += xv[k] * y.val[p]
 		}
 	}
 	return s
@@ -44,11 +51,11 @@ func MatMulAt(x, y *CSR, i, j int) float64 {
 // Hadamard(MatMul(x, y), d) return — from one walk of the product's
 // terms: each row of x·y is accumulated once (gemmWorkspace.accumulate,
 // unsorted, nothing emitted) and intersected with that row of every d,
-// by probing d's rank index from the row's live columns or, where d has
-// none or the shorter row, by testing d's entries against the
-// accumulator's marks. The walk is serial, so the sums do not depend on
-// GOMAXPROCS; callers with several products run them side by side. It
-// panics on a shape mismatch.
+// by probing d's rank index (indexing a block d) from the row's live
+// columns or, where d has none or the shorter row, by testing d's
+// entries against the accumulator's marks. The walk is serial, so the
+// sums do not depend on GOMAXPROCS; callers with several products run
+// them side by side. It panics on a shape mismatch.
 func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 	if x.cols != y.rows {
 		panic(fmt.Sprintf("sparse: MatMulMarginals dimension mismatch %dx%d · %dx%d", x.rows, x.cols, y.rows, y.cols))
@@ -66,15 +73,40 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 	}
 	w := getWorkspace(y.cols)
 	defer putWorkspace(w)
+	var buf rowBuf
 	for i := 0; i < x.rows; i++ {
-		if x.rowPtr[i] == x.rowPtr[i+1] {
+		if xc, _ := x.rowOf(i, &buf); len(xc) == 0 {
 			continue
 		}
 		w.accumulate(x, y, i)
 		for k, d := range ds {
-			lo, hi := d.rowPtr[i], d.rowPtr[i+1]
 			cs, rs := colSums[k], 0.0
-			if r := ranks[k]; r != nil && len(w.live) < hi-lo {
+			switch r := ranks[k]; {
+			case d.block != nil:
+				// The cells are read in the order d's compressed twin would
+				// read them — from the live columns where the twin has a rank
+				// index (rank.go's rule) and the longer row, along the row
+				// otherwise — so the sums are the twin's floats.
+				dr := d.blockRow(i)
+				if d.nnz*64 >= d.rows*d.cols && len(w.live) < d.rowNNZ[i] {
+					for _, j := range w.live {
+						if dv := dr[j]; dv != 0 {
+							v := w.acc[j] * float64(dv)
+							rs += v
+							cs[j] += v
+						}
+					}
+				} else {
+					for j, dv := range dr {
+						if dv != 0 && w.mark[j] == w.gen {
+							v := w.acc[j] * float64(dv)
+							rs += v
+							cs[j] += v
+						}
+					}
+				}
+			case r != nil && len(w.live) < d.rowPtr[i+1]-d.rowPtr[i]:
+				lo := d.rowPtr[i]
 				for _, j := range w.live {
 					if off := r.offset(i, j); off >= 0 {
 						v := w.acc[j] * d.val[lo+off]
@@ -82,8 +114,8 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 						cs[j] += v
 					}
 				}
-			} else {
-				for p := lo; p < hi; p++ {
+			default:
+				for p := d.rowPtr[i]; p < d.rowPtr[i+1]; p++ {
 					if j := d.colIdx[p]; w.mark[j] == w.gen {
 						v := w.acc[j] * d.val[p]
 						rs += v
@@ -111,15 +143,16 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 // terms in the order of preT's row a1 and then the column terms in the
 // order of post's row a2 — values only; the positions are those two
 // rows — so it must have len(ds)·(|preT row a1| + |post row a2|) slots.
-// Each d is probed at every (u, v) of the block, through its rank index
-// where it has one and by merging d's row with post's otherwise. It
-// panics on a shape mismatch.
+// Each d is probed at every (u, v) of the block, by indexing a block d,
+// through its rank index where it has one and by merging d's row with
+// post's otherwise. It panics on a shape mismatch.
 func AnchorTerms(preT, post *CSR, ds []*CSR, a1, a2 int, out []float64) {
 	if a1 < 0 || a1 >= preT.rows || a2 < 0 || a2 >= post.rows {
 		panic(fmt.Sprintf("sparse: AnchorTerms anchor (%d,%d) out of range %dx%d", a1, a2, preT.rows, post.rows))
 	}
-	us, pu := preT.colIdx[preT.rowPtr[a1]:preT.rowPtr[a1+1]], preT.val[preT.rowPtr[a1]:preT.rowPtr[a1+1]]
-	vs, pv := post.colIdx[post.rowPtr[a2]:post.rowPtr[a2+1]], post.val[post.rowPtr[a2]:post.rowPtr[a2+1]]
+	var bu, bv rowBuf
+	us, pu := preT.rowOf(a1, &bu)
+	vs, pv := post.rowOf(a2, &bv)
 	n := len(us) + len(vs)
 	if len(out) != len(ds)*n {
 		panic(fmt.Sprintf("sparse: AnchorTerms out has %d slots, want %d", len(out), len(ds)*n))
@@ -132,9 +165,17 @@ func AnchorTerms(preT, post *CSR, ds []*CSR, a1, a2 int, out []float64) {
 		rt, ct := out[k*n:k*n+len(us)], out[k*n+len(us):(k+1)*n]
 		r := d.rank()
 		for a, u := range us {
-			lo, hi := d.rowPtr[u], d.rowPtr[u+1]
 			var s float64
-			if r != nil {
+			if d.block != nil {
+				dr := d.blockRow(u)
+				for b, v := range vs {
+					if dv := dr[v]; dv != 0 {
+						s += pv[b] * float64(dv)
+						ct[b] += pu[a] * float64(dv)
+					}
+				}
+			} else if r != nil {
+				lo := d.rowPtr[u]
 				for b, v := range vs {
 					if off := r.offset(u, v); off >= 0 {
 						s += pv[b] * d.val[lo+off]
@@ -142,7 +183,7 @@ func AnchorTerms(preT, post *CSR, ds []*CSR, a1, a2 int, out []float64) {
 					}
 				}
 			} else {
-				for p, b := lo, 0; p < hi && b < len(vs); {
+				for p, b := d.rowPtr[u], 0; p < d.rowPtr[u+1] && b < len(vs); {
 					switch j := d.colIdx[p]; {
 					case j < vs[b]:
 						p++

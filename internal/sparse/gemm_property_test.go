@@ -25,9 +25,30 @@ func randCSR(rng *rand.Rand, r, c int, density float64) *CSR {
 }
 
 // checkWellFormed asserts CSR invariants: strictly increasing columns
-// per row and no stored zeros.
+// per row and no stored zeros — or, for a block, a byte per cell, no
+// compressed arrays, and nnz its non-zero cells.
 func checkWellFormed(t *testing.T, m *CSR) {
 	t.Helper()
+	if m.block != nil {
+		nz := 0
+		for i := 0; i < m.rows; i++ {
+			n := 0
+			for _, v := range m.blockRow(i) {
+				if v != 0 {
+					n++
+				}
+			}
+			if n != m.rowNNZ[i] {
+				t.Fatalf("block row %d: %d non-zero cells, rowNNZ says %d", i, n, m.rowNNZ[i])
+			}
+			nz += n
+		}
+		if len(m.block) != m.rows*m.cols || len(m.rowNNZ) != m.rows || m.rowPtr != nil || m.colIdx != nil || m.val != nil || nz != m.nnz {
+			t.Fatalf("block %dx%d: %d bytes, %d row counts, compressed arrays %v/%v/%v, nnz %d of %d non-zero cells",
+				m.rows, m.cols, len(m.block), len(m.rowNNZ), m.rowPtr != nil, m.colIdx != nil, m.val != nil, m.nnz, nz)
+		}
+		return
+	}
 	for i := 0; i < m.rows; i++ {
 		prev := -1
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {

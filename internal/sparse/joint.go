@@ -30,13 +30,16 @@ import (
 // joins first. The two forms add different partial sums, so they agree
 // bit for bit exactly when no sum rounds — integer-valued factors with
 // results below 2⁵³, which every count matrix is. It panics on a shape
-// mismatch.
+// mismatch. Its factors are adjacencies; a block among them is read in
+// its compressed form (CSR.compressed).
 func JointFactors(as, bts []*CSR) (ja, jb *CSR, ok bool) {
 	if len(as) == 0 || len(as) != len(bts) {
 		panic(fmt.Sprintf("sparse: JointFactors of %d left and %d right factors", len(as), len(bts)))
 	}
 	var separate float64
+	as, bts = slices.Clone(as), slices.Clone(bts)
 	for k := range as {
+		as[k], bts[k] = as[k].compressed(), bts[k].compressed()
 		if as[k].cols != bts[k].cols || as[k].rows != as[0].rows || bts[k].rows != bts[0].rows {
 			panic(fmt.Sprintf("sparse: JointFactors shape mismatch at pair %d: %dx%d · (%dx%d)ᵀ in a %dx%d stack",
 				k, as[k].rows, as[k].cols, bts[k].rows, bts[k].cols, as[0].rows, bts[0].rows))

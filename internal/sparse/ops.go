@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,12 @@ func MatMulParallel(a, b *CSR) *CSR { return matMul(a, b, runtime.GOMAXPROCS(0))
 // allocated once and written once, with no per-block slices and no
 // stitch copy. Only a product in which some sum cancelled to exactly
 // zero is touched again, to squeeze those entries out.
+//
+// A product of two counts that the symbolic pass shows at least ⅛ full
+// — rows·cols ≤ 8·nnz, where a byte per cell costs at most half of 16
+// bytes per entry — is built in the block layout instead (blockProduct),
+// unless some cell is not an integer in 0…255; then it is built
+// compressed after all.
 func matMul(a, b *CSR, workers int) *CSR {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("sparse: MatMul dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -42,6 +49,11 @@ func matMul(a, b *CSR, workers int) *CSR {
 	})
 	for i := 0; i < a.rows; i++ {
 		out.rowPtr[i+1] += out.rowPtr[i]
+	}
+	if nnz := out.rowPtr[a.rows]; nnz > 0 && a.rows*b.cols <= 8*nnz && integral(a) && integral(b) {
+		if blk := blockProduct(a, b, chunk); blk != nil {
+			return blk
+		}
 	}
 	out.colIdx = make([]int, out.rowPtr[a.rows])
 	out.val = make([]float64, out.rowPtr[a.rows])
@@ -71,6 +83,46 @@ func matMul(a, b *CSR, workers int) *CSR {
 	if tally.zeros.Load() {
 		out.dropZeros()
 	}
+	return out
+}
+
+// integral reports whether every stored value of m is a non-negative
+// integer, as every count and every block holds: the only operands whose
+// product can fit a block.
+func integral(m *CSR) bool {
+	for _, v := range m.val {
+		if v < 0 || v != math.Trunc(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// blockProduct is matMul's numeric pass in the block layout: every row
+// block sums its rows straight into the output's bytes
+// (gemmWorkspace.denseRow), with no bitset or sort. It returns nil
+// once some cell is not an integer in 0…255, which every block stops at.
+func blockProduct(a, b *CSR, chunk int) *CSR {
+	out := &CSR{rows: a.rows, cols: b.cols, block: make([]uint8, a.rows*b.cols), rowNNZ: make([]int, a.rows)}
+	var bad atomic.Bool
+	eachBlock(a.rows, chunk, func(lo, hi int) {
+		w := getWorkspace(b.cols)
+		defer putWorkspace(w)
+		for i := lo; i < hi && !bad.Load(); i++ {
+			var ok bool
+			if out.rowNNZ[i], ok = w.denseRow(a, b, i, out.blockRow(i)); !ok {
+				bad.Store(true)
+				return
+			}
+		}
+	})
+	if bad.Load() {
+		return nil
+	}
+	for _, n := range out.rowNNZ {
+		out.nnz += n
+	}
+	mBlockProducts.Inc()
 	return out
 }
 
@@ -164,10 +216,11 @@ func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []i
 // pair belongs to a matrix with a rank index, each entry of the shorter
 // row is one O(1) probe into it, so stacking a sparse count on a dense
 // one costs the sparse side; any other pair is intersected by a
-// two-pointer merge. Products commute, so both regimes store the same
-// floats. This is the general stacking: the shared attribute layer and
-// any diagram off the library's anchor shape go through it, while a
-// fold's anchor-path stackings are read through their factors
+// two-pointer merge. A longer row of a block is probed by indexing it.
+// Products commute, so every regime stores the same floats. The result
+// is compressed. This is the general stacking: the shared attribute
+// layer and any diagram off the library's anchor shape go through it,
+// while a fold's anchor-path stackings are read through their factors
 // (factored.go) and never built.
 func Hadamard(a, b *CSR) *CSR {
 	if a.rows != b.rows || a.cols != b.cols {
@@ -176,25 +229,37 @@ func Hadamard(a, b *CSR) *CSR {
 	out := &CSR{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
 	bound := 0
 	for i := 0; i < a.rows; i++ {
-		bound += min(a.rowPtr[i+1]-a.rowPtr[i], b.rowPtr[i+1]-b.rowPtr[i])
+		bound += min(a.RowNNZ(i), b.RowNNZ(i))
 	}
 	colIdx, val := make([]int, bound), make([]float64, bound)
 	n := 0
-	var merged, ranked int64
+	var merged, ranked, indexed int64
+	var ba, bb rowBuf
 	for i := 0; i < a.rows; i++ {
-		ac, av := a.RowSlice(i)
-		bc, bv := b.RowSlice(i)
 		// The shorter row probes, the longer one is probed.
-		sc, sv, lv, long := ac, av, bv, b
-		if len(bc) < len(ac) {
-			sc, sv, lv, long = bc, bv, av, a
+		short, long, bs := a, b, &ba
+		if b.RowNNZ(i) < a.RowNNZ(i) {
+			short, long, bs = b, a, &bb
 		}
+		sc, sv := short.rowOf(i, bs)
 		if len(sc) == 0 {
 			out.rowPtr[i+1] = n
 			continue
 		}
-		if r := long.rank(); r != nil {
+		if long.block != nil {
+			indexed++
+			lr := long.blockRow(i)
+			for ks, j := range sc {
+				if x := lr[j]; x != 0 {
+					if v := sv[ks] * float64(x); v != 0 {
+						colIdx[n], val[n] = j, v
+						n++
+					}
+				}
+			}
+		} else if r := long.rank(); r != nil {
 			ranked++
+			_, lv := long.rowOf(i, nil)
 			for ks, j := range sc {
 				if k := r.offset(i, j); k >= 0 {
 					if v := sv[ks] * lv[k]; v != 0 {
@@ -205,6 +270,8 @@ func Hadamard(a, b *CSR) *CSR {
 			}
 		} else {
 			merged++
+			ac, av := a.rowOf(i, &ba)
+			bc, bv := b.rowOf(i, &bb)
 			for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
 				switch ja, jb := ac[ka], bc[kb]; {
 				case ja == jb:
@@ -226,6 +293,7 @@ func Hadamard(a, b *CSR) *CSR {
 	out.colIdx, out.val = colIdx[:n], val[:n]
 	mHadamardMerge.Add(merged)
 	mHadamardRank.Add(ranked)
+	mHadamardBlock.Add(indexed)
 	return out
 }
 
@@ -238,8 +306,10 @@ func Add(a, b *CSR) *CSR {
 		panic(fmt.Sprintf("sparse: Add shape mismatch %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := &CSR{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
+	var ba, bb rowBuf
 	for i := 0; i < a.rows; i++ {
-		ac, bc := a.colIdx[a.rowPtr[i]:a.rowPtr[i+1]], b.colIdx[b.rowPtr[i]:b.rowPtr[i+1]]
+		ac, _ := a.rowOf(i, &ba)
+		bc, _ := b.rowOf(i, &bb)
 		shared := 0
 		for ka, kb := 0, 0; ka < len(ac) && kb < len(bc); {
 			switch ja, jb := ac[ka], bc[kb]; {
@@ -258,18 +328,18 @@ func Add(a, b *CSR) *CSR {
 	colIdx, val := make([]int, out.rowPtr[a.rows]), make([]float64, out.rowPtr[a.rows])
 	n, zeros := 0, false
 	for i := 0; i < a.rows; i++ {
-		ka, kb := a.rowPtr[i], b.rowPtr[i]
-		endA, endB := a.rowPtr[i+1], b.rowPtr[i+1]
-		for ka < endA || kb < endB {
+		ac, av := a.rowOf(i, &ba)
+		bc, bv := b.rowOf(i, &bb)
+		for ka, kb := 0, 0; ka < len(ac) || kb < len(bc); {
 			switch {
-			case kb >= endB || (ka < endA && a.colIdx[ka] < b.colIdx[kb]):
-				colIdx[n], val[n] = a.colIdx[ka], a.val[ka]
+			case kb >= len(bc) || (ka < len(ac) && ac[ka] < bc[kb]):
+				colIdx[n], val[n] = ac[ka], av[ka]
 				ka++
-			case ka >= endA || b.colIdx[kb] < a.colIdx[ka]:
-				colIdx[n], val[n] = b.colIdx[kb], b.val[kb]
+			case ka >= len(ac) || bc[kb] < ac[ka]:
+				colIdx[n], val[n] = bc[kb], bv[kb]
 				kb++
 			default:
-				colIdx[n], val[n] = a.colIdx[ka], a.val[ka]+b.val[kb]
+				colIdx[n], val[n] = ac[ka], av[ka]+bv[kb]
 				ka++
 				kb++
 			}
@@ -291,10 +361,12 @@ func (m *CSR) MulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch %dx%d · %d", m.rows, m.cols, len(x)))
 	}
 	out := make([]float64, m.rows)
+	var buf rowBuf
 	for i := 0; i < m.rows; i++ {
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * x[m.colIdx[k]]
+		cols, vals := m.rowOf(i, &buf)
+		for k, j := range cols {
+			s += vals[k] * x[j]
 		}
 		out[i] = s
 	}
@@ -307,13 +379,15 @@ func (m *CSR) TMulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("sparse: TMulVec dimension mismatch %dx%d ᵀ· %d", m.rows, m.cols, len(x)))
 	}
 	out := make([]float64, m.cols)
+	var buf rowBuf
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out[m.colIdx[k]] += m.val[k] * xi
+		cols, vals := m.rowOf(i, &buf)
+		for k, j := range cols {
+			out[j] += vals[k] * xi
 		}
 	}
 	return out
@@ -363,8 +437,12 @@ func Chain(ms ...*CSR) *CSR {
 // evaluated as one pass over a's stored column indices.
 func spgemmFlops(a, b *CSR) float64 {
 	var f float64
-	for _, k := range a.colIdx {
-		f += float64(b.rowPtr[k+1] - b.rowPtr[k])
+	var buf rowBuf
+	for i := 0; i < a.rows; i++ {
+		cols, _ := a.rowOf(i, &buf)
+		for _, k := range cols {
+			f += float64(b.RowNNZ(k))
+		}
 	}
 	return f
 }

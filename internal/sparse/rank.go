@@ -17,7 +17,7 @@ type rankIndex struct {
 }
 
 // rank returns m's rank index, building it on first call, or nil for a
-// matrix the rule excludes. What builds one is a kernel about to make
+// block, which is indexed directly, or a matrix the rule excludes. What builds one is a kernel about to make
 // many probes: the marginal walk and the per-anchor terms for every
 // count stacked on a product (MatMulMarginals, AnchorTerms — on the
 // training path the first users of an attribute count), Hadamard for
@@ -31,6 +31,9 @@ type rankIndex struct {
 // fold's thin pre∘anchor factor. A CSR is immutable, so the verdict and
 // the index are never invalidated; concurrent first users build it once.
 func (m *CSR) rank() *rankIndex {
+	if m.block != nil {
+		return nil
+	}
 	m.rankOnce.Do(func() {
 		if len(m.val) == 0 || m.cols > math.MaxUint32 || float64(len(m.val))*64 < float64(m.rows)*float64(m.cols) {
 			return
@@ -69,7 +72,7 @@ func (r *rankIndex) offset(i, j int) int {
 // or -1 — the point probe behind At and MatMulAt and so behind the
 // feature fill: rankIndex.offset where a probing kernel has left the
 // matrix an index, a binary search within the row otherwise. i and j
-// must be in range.
+// must be in range, and m compressed.
 func (m *CSR) position(i, j int) int {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	if r := m.rankIdx.Load(); r != nil {

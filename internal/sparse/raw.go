@@ -4,9 +4,11 @@ import "fmt"
 
 // Raw returns zero-copy views of the CSR internals — shape, row
 // pointers, column indices, values — for serialization. The slices
-// alias internal storage and must not be mutated.
+// alias internal storage and must not be mutated. A block has no such
+// arrays: they are built afresh, and counted as a materialisation.
 func (m *CSR) Raw() (rows, cols int, rowPtr, colIdx []int, val []float64) {
-	return m.rows, m.cols, m.rowPtr, m.colIdx, m.val
+	c := m.compressed()
+	return c.rows, c.cols, c.rowPtr, c.colIdx, c.val
 }
 
 // FromRaw builds a CSR directly from its component arrays, taking

@@ -37,6 +37,18 @@ var (
 		"Row pairs Hadamard intersected, by regime.", telemetry.L("regime", "merge"))
 	mHadamardRank = telemetry.Default.Counter("activeiter_hadamard_rows_total",
 		"Row pairs Hadamard intersected, by regime.", telemetry.L("regime", "rank"))
+	mHadamardBlock = telemetry.Default.Counter("activeiter_hadamard_rows_total",
+		"Row pairs Hadamard intersected, by regime.", telemetry.L("regime", "block"))
 	mRankBuilds = telemetry.Default.Counter("activeiter_rank_index_builds_total",
 		"Rank indexes built over count matrices (at most one per matrix).")
 )
+
+// mBlockProducts counts the products matMul built in the block layout.
+var mBlockProducts = telemetry.Default.Counter("activeiter_sparse_block_products_total",
+	"SpGEMM products built as one-byte dense blocks (at least 1/8 full, integer cells in 0..255).")
+
+// mBlockMaterializations counts the block-layout matrices read through a
+// path that needs compressed arrays (Raw, RowSlice, Scale, JointFactors):
+// each builds them afresh. No training path does.
+var mBlockMaterializations = telemetry.Default.Counter("activeiter_sparse_block_materializations_total",
+	"Block-layout count matrices rebuilt as compressed arrays for a reader that needs them.")

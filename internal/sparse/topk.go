@@ -115,7 +115,8 @@ func TopKRows(rows, cols, k int, row func(i int) (colIdx []int, val []float64)) 
 // shape. Used for candidate generation: keeping each user's k
 // best-scored counterparts.
 func (m *CSR) TopKPerRow(k int) *CSR {
-	return TopKRows(m.rows, m.cols, k, m.RowSlice)
+	var buf rowBuf
+	return TopKRows(m.rows, m.cols, k, func(i int) ([]int, []float64) { return m.rowOf(i, &buf) })
 }
 
 // MatMulTopK returns MatMulParallel(a, b).TopKPerRow(k) without ever

@@ -21,6 +21,9 @@ type gemmWorkspace struct {
 	live []int
 	bits []uint64
 	gen  int
+	// ra and rb take a block operand's rows: a's row i, and the row of b
+	// being read.
+	ra, rb rowBuf
 }
 
 var gemmPool = sync.Pool{New: func() any { return new(gemmWorkspace) }}
@@ -63,10 +66,21 @@ func (w *gemmWorkspace) accumulate(a, b *CSR, i int) (minJ, maxJ int) {
 	mark, acc := w.mark, w.acc
 	live, n := w.live[:cap(w.live)], 0
 	minJ, maxJ = b.cols, -1
-	for ka := a.rowPtr[i]; ka < a.rowPtr[i+1]; ka++ {
-		k, av := a.colIdx[ka], a.val[ka]
-		lo, hi := b.rowPtr[k], b.rowPtr[k+1]
-		bc, bv := b.colIdx[lo:hi], b.val[lo:hi]
+	ac, avs := a.rowOf(i, &w.ra)
+	rowPtr, colIdx, val := b.rowPtr, b.colIdx, b.val // nil rowPtr: b is a block
+	for ka, k := range ac {
+		av := avs[ka]
+		// b's row k, sliced here rather than through rowOf: a thin left
+		// factor makes this once per flop, and the call would cost more
+		// than the flop.
+		var bc []int
+		var bv []float64
+		if rowPtr != nil {
+			lo, hi := rowPtr[k], rowPtr[k+1]
+			bc, bv = colIdx[lo:hi], val[lo:hi]
+		} else {
+			bc, bv = b.rowOf(k, &w.rb)
+		}
 		for kb, j := range bc {
 			// Branch-free first touch: whether column j is new to the row
 			// is a coin toss the predictor loses, so the slot is written
@@ -94,9 +108,16 @@ func (w *gemmWorkspace) accumulate(a, b *CSR, i int) (minJ, maxJ int) {
 func (w *gemmWorkspace) countRow(a, b *CSR, i int) int {
 	w.gen++
 	gen, mark, n := w.gen, w.mark, 0
-	for ka := a.rowPtr[i]; ka < a.rowPtr[i+1]; ka++ {
-		k := a.colIdx[ka]
-		for _, j := range b.colIdx[b.rowPtr[k]:b.rowPtr[k+1]] {
+	ac, _ := a.rowOf(i, &w.ra)
+	rowPtr, colIdx := b.rowPtr, b.colIdx // nil rowPtr: b is a block
+	for _, k := range ac {
+		var bc []int
+		if rowPtr != nil {
+			bc = colIdx[rowPtr[k]:rowPtr[k+1]]
+		} else {
+			bc, _ = b.rowOf(k, &w.rb)
+		}
+		for _, j := range bc {
 			fresh := 0
 			if mark[j] != gen {
 				fresh = 1
@@ -106,6 +127,27 @@ func (w *gemmWorkspace) countRow(a, b *CSR, i int) int {
 		}
 	}
 	return n
+}
+
+// denseRow is the numeric half of a product row in the block layout: it
+// accumulates row i of a·b as mulRow does, so a cell holds the float the
+// compressed product stores, and writes the touched cells into row, the
+// output's zeroed bytes. It returns the row's non-zero cells, or ok
+// false, leaving row part written, at the first cell that is not an
+// integer in 0…255.
+func (w *gemmWorkspace) denseRow(a, b *CSR, i int, row []uint8) (nnz int, ok bool) {
+	w.accumulate(a, b, i)
+	for _, j := range w.live {
+		// NaN fails the range test, a fraction the round trip.
+		if v := w.acc[j]; !(v >= 0 && v <= math.MaxUint8) || float64(uint8(v)) != v {
+			return 0, false
+		}
+		row[j] = uint8(w.acc[j])
+		if row[j] != 0 {
+			nnz++
+		}
+	}
+	return nnz, true
 }
 
 // rowEmit names how mulRow wrote a row out: not at all (the row is
