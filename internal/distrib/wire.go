@@ -70,10 +70,10 @@ import (
 
 // Version is the wire protocol version. Bump it on any change to frame
 // payload shapes (or the set of frame types); readers reject every other
-// version. docs/WIRE.md keeps the version history: 11 retires the Cancel
-// frame — a shard has one attempt in flight, so there is no losing twin
-// to abandon — and leaves its type number unassigned.
-const Version = 11
+// version. docs/WIRE.md keeps the version history: 12 keys the Seed's
+// entries by canonical notation (schema.Canonical), so diagrams with one
+// count ship once.
+const Version = 12
 
 // maxFrameSize bounds a frame's declared length so a corrupt or hostile
 // length prefix cannot OOM the reader. The seed carries the pair's whole

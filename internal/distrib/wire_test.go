@@ -383,6 +383,17 @@ func TestWireV10Skew(t *testing.T) {
 	assertRefusedByReaderAt(t, 10, "hello", "job")
 }
 
+// TestWireV11Skew pins the v12 bump, both ways: a recorded v11 Seed —
+// its entries keyed by written rather than canonical notation, so a
+// mutual follow ships under two keys — and a recorded v11 Hello never
+// reach a v12 decoder, and a v11 reader refuses the v12 Hello and Seed.
+func TestWireV11Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v11_frame_seed.bin")
+	assertRecordedFrameRefused(t, "v11_frame_hello.bin")
+
+	assertRefusedByReaderAt(t, 11, "hello", "seed")
+}
+
 // TestWireDetectsCorruption is the integrity contract behind the chaos
 // tolerance story: flipping ANY payload byte of a frame must surface as
 // ErrChecksum, never as a silently different decoded value. Without the

@@ -8,10 +8,11 @@
 // whose (i,j) entry is the number of Ψ instances connecting u⁽¹⁾ᵢ and
 // u⁽²⁾ⱼ.
 //
-// Sub-diagram results are memoized by notation, which realizes the
-// paper's Lemma 2 covering-set reuse: when Ψₖ' is a sub-pattern of Ψₖ
-// (C(Ψₖ') ⊆ C(Ψₖ)), the computation of Ψₖ starts from the cached Ψₖ'
-// matrices rather than recounting. The cache is two-layered: anchor-free
+// Sub-diagram results are memoized by the notation of their canonical
+// form (schema.Canonical), so diagrams with one count share one entry.
+// This realizes the paper's Lemma 2 covering-set reuse: when Ψₖ' is a
+// sub-pattern of Ψₖ (C(Ψₖ') ⊆ C(Ψₖ)), the computation of Ψₖ starts from
+// the cached Ψₖ' matrices rather than recounting. The cache is two-layered: anchor-free
 // (attribute-only) counts live in a layer shared by every Fork of a
 // counter and survive anchor changes, while anchor-dependent counts live
 // in a per-counter layer that SetAnchors invalidates. Both layers are
@@ -114,16 +115,9 @@ func newCountBytes() *countBytes {
 	return b
 }
 
-// store files m under key in the shared layer; sh.mu must be held. A
-// matrix the layer does not yet hold under another key adds its bytes to
-// the gauge.
+// store files m under key in the shared layer and adds its bytes to the
+// gauge; sh.mu must be held.
 func (sh *sharedState) store(key string, m *sparse.CSR) {
-	for _, held := range sh.counts {
-		if held == m {
-			sh.counts[key] = m
-			return
-		}
-	}
 	sh.counts[key] = m
 	if n := int64(m.Bytes()); m.Block() {
 		sh.bytes.block += n
@@ -395,30 +389,6 @@ func (c *Counter) Count(d schema.Diagram) (*sparse.CSR, error) {
 	return c.eval(d)
 }
 
-// unwrap strips the wrappers that share their notation with their
-// content — a MetaPath with its Series form, a single-part Series or
-// Parallel with its part.
-func unwrap(d schema.Diagram) schema.Diagram {
-	for {
-		switch v := d.(type) {
-		case schema.MetaPath:
-			d = v.AsDiagram()
-			continue
-		case schema.Series:
-			if len(v.Parts) == 1 {
-				d = v.Parts[0]
-				continue
-			}
-		case schema.Parallel:
-			if len(v.Parts) == 1 {
-				d = v.Parts[0]
-				continue
-			}
-		}
-		return d
-	}
-}
-
 // reverse returns d read from its sink to its source — every edge
 // flipped, a Series' parts in reverse order — whose count is the
 // transpose of d's.
@@ -426,8 +396,6 @@ func reverse(d schema.Diagram) schema.Diagram {
 	switch v := d.(type) {
 	case schema.Edge:
 		return schema.Edge{Rel: v.Rel, From: v.To, To: v.From, Forward: !v.Forward}
-	case schema.MetaPath:
-		return reverse(v.AsDiagram())
 	case schema.Series:
 		parts := make([]schema.Diagram, len(v.Parts))
 		for i, p := range v.Parts {
@@ -449,9 +417,10 @@ func reverse(d schema.Diagram) schema.Diagram {
 // diagrams to the shared layer (reused across every fork and anchor
 // set), anchor-dependent ones to this counter's private layer.
 func (c *Counter) eval(d schema.Diagram) (*sparse.CSR, error) {
-	// Keyed under the unwrapped form, so the single-flight never waits on
-	// an entry registered by its own evaluation.
-	d = unwrap(d)
+	// Keyed under the canonical form: diagrams with one count share one
+	// entry, and the single-flight never waits on an entry registered by
+	// its own evaluation (a wrapper shares its part's key).
+	d = schema.Canonical(d)
 	key := d.Notation()
 	if UsesAnchor(d) {
 		return c.evalIn(d, key, &c.mu, c.counts, c.flight, &c.anchorGen)
@@ -534,16 +503,12 @@ func (c *Counter) evalIn(d schema.Diagram, key string, mu *sync.Mutex, counts ma
 	return f.m, f.err
 }
 
-// compute evaluates one diagram node, recursing through eval so every
-// sub-diagram passes the cache.
+// compute evaluates one canonical diagram node, recursing through eval
+// so every sub-diagram passes the cache.
 func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 	switch v := d.(type) {
 	case schema.Edge:
 		return c.adjacencyOriented(v)
-	case schema.MetaPath:
-		// Unreachable via eval (which normalizes paths), kept for direct
-		// callers.
-		return c.eval(v.AsDiagram())
 	case schema.Series:
 		// An anchor-free Series hands each joint-stackable part to Chain as
 		// its two joint factors, so the stack's own count is never built or
@@ -552,7 +517,7 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 		joint := !UsesAnchor(d)
 		parts := make([]*sparse.CSR, 0, len(v.Parts)+1)
 		for _, p := range v.Parts {
-			if par, ok := unwrap(p).(schema.Parallel); ok && joint {
+			if par, ok := p.(schema.Parallel); ok && joint {
 				ja, jb, ok, err := c.jointFactors(par)
 				if err != nil {
 					return nil, err
@@ -577,9 +542,6 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 		if ok {
 			return sparse.Chain(ja, jb), nil
 		}
-		if m, err := c.selfStacked(v); m != nil || err != nil {
-			return m, err
-		}
 		var acc *sparse.CSR
 		for _, p := range v.Parts {
 			pm, err := c.eval(p)
@@ -596,30 +558,6 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 	default:
 		return nil, fmt.Errorf("metadiag: cannot evaluate diagram type %T", d)
 	}
-}
-
-// selfStacked returns the count of a Parallel whose parts are all one
-// notation — {follow→ | follow→} — when that count is 0/1: A ⊙ A = A,
-// so the part's own matrix is the Parallel's, filed under both keys.
-// It returns nil when the parts differ or the count is not 0/1, and the
-// Parallel is then folded by Hadamard.
-func (c *Counter) selfStacked(d schema.Parallel) (*sparse.CSR, error) {
-	key := unwrap(d.Parts[0]).Notation()
-	for _, p := range d.Parts[1:] {
-		if unwrap(p).Notation() != key {
-			return nil, nil
-		}
-	}
-	m, err := c.eval(d.Parts[0])
-	if err != nil {
-		return nil, err
-	}
-	binary := true
-	m.Iterate(func(_, _ int, v float64) { binary = binary && v == 1 })
-	if !binary {
-		return nil, nil
-	}
-	return m, nil
 }
 
 // jointFactors returns the joint factors of a Parallel whose every part

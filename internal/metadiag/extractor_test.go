@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/schema"
 )
@@ -144,5 +145,49 @@ func TestExtractorRecomputeAfterAnchorChange(t *testing.T) {
 	}
 	if out2[0] != 0 {
 		t.Errorf("P1 feature after anchor restriction = %v, want 0", out2[0])
+	}
+}
+
+// TestExtractorProductsAreDistinctDiagrams: Recompute builds one product
+// per distinct canonical (head, post) pair of the factored features —
+// Ψ^f²[P1,P2] and Ψ^f²[P3,P4] are one mutual follow at each end and
+// share theirs — and no two of its products hold one x and one y.
+func TestExtractorProductsAreDistinctDiagrams(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lib := range []struct {
+		name string
+		lib  schema.Library
+	}{{"standard", schema.StandardLibrary()}, {"extended", schema.ExtendedLibrary()}} {
+		c, err := NewCounter(pair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feats := lib.lib.All()
+		e := NewExtractor(c, feats, true)
+		if err := e.Recompute(); err != nil {
+			t.Fatal(err)
+		}
+		distinct := make(map[[2]string]bool)
+		for _, f := range feats {
+			if head, post, _, ok := factorise(f.D); ok {
+				distinct[[2]string{schema.Canonical(head).Notation(), schema.Canonical(post).Notation()}] = true
+			}
+		}
+		if len(e.products) != len(distinct) {
+			t.Errorf("%s: %d products, %d distinct canonical (head, post) pairs", lib.name, len(e.products), len(distinct))
+		}
+		for a, pa := range e.products {
+			for _, pb := range e.products[a+1:] {
+				if pa.x.Equal(pb.x) && pa.y.Equal(pb.y) {
+					t.Errorf("%s: two products hold equal x and y (%s)", lib.name, pa.preD.Notation())
+				}
+			}
+		}
+		if lib.name == "standard" && len(e.products) != 9 {
+			t.Errorf("standard library: %d products, want 9", len(e.products))
+		}
 	}
 }

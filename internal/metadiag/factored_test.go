@@ -307,8 +307,9 @@ func TestFailedRecomputeLeavesNoProximities(t *testing.T) {
 // walked/stored split. Every Recompute of the standard library holds 28
 // proximities factored and 3 materialised and calls no Hadamard. On one
 // fold labelled three times, the first Recompute walks its products for
-// the 18 stackings' marginals, the second stores every anchor's terms
-// without walking, and the third reads them and stores nothing more.
+// the 17 distinct stackings' marginals (Ψ^{f²,a²}[P1,P2] and [P3,P4] are
+// one), the second stores every anchor's terms without walking, and the
+// third reads them and stores nothing more.
 func TestRecomputeCountsItsForms(t *testing.T) {
 	pair, err := datagen.Generate(datagen.Tiny())
 	if err != nil {
@@ -339,7 +340,7 @@ func TestRecomputeCountsItsForms(t *testing.T) {
 		return merge, rank
 	}
 	merge0, rank0 := scrape()
-	const fold, stackings = 10, 18
+	const fold, stackings = 10, 17
 	c.SetAnchors(pair.Anchors[:fold])
 	for n, want := range []struct {
 		walked, stored, read int64

@@ -13,7 +13,7 @@ import (
 // subDiagrams files d and every sub-diagram eval can reach from it under
 // the notation eval keys them by.
 func subDiagrams(d schema.Diagram, into map[string]schema.Diagram) {
-	d = unwrap(d)
+	d = schema.Canonical(d)
 	into[d.Notation()] = d
 	switch v := d.(type) {
 	case schema.Series:

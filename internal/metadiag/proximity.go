@@ -108,17 +108,17 @@ type factored struct {
 	preD schema.Diagram
 }
 
-// factorise reports whether d has the shape every anchor-dependent
-// library family has, and splits it: a Series[pre, anchor, post] with
-// one anchor-free part on each side of its one anchor edge (P1–P4,
-// Ψ^f²), alone or as the one anchor-using part of a two-part Parallel
-// (Ψ^{f,a}, Ψ^{f,a²}, Ψ^{f²,a²}), whose other part is returned as
-// stacked. head is Series[pre, anchor]. Any other shape — two anchor
+// factorise reports whether d's canonical form has the shape every
+// anchor-dependent library family has, and splits it: a Series[pre,
+// anchor, post] with one anchor-free part on each side of its one anchor
+// edge (P1–P4, Ψ^f²), alone or as the one anchor-using part of a
+// two-part Parallel (Ψ^{f,a}, Ψ^{f,a²}, Ψ^{f²,a²}), whose other part is
+// returned as stacked. head is Series[pre, anchor]. Any other shape — two anchor
 // edges, an anchor at either end, a longer prefix, a wider stack — is
 // counted materialised; like jointFactors, the choice reads the shape
 // alone, before anything is evaluated.
 func factorise(d schema.Diagram) (head, post, stacked schema.Diagram, ok bool) {
-	d = unwrap(d)
+	d = schema.Canonical(d)
 	if par, isPar := d.(schema.Parallel); isPar && len(par.Parts) == 2 {
 		d, stacked = par.Parts[0], par.Parts[1]
 		if UsesAnchor(stacked) {
@@ -127,13 +127,12 @@ func factorise(d schema.Diagram) (head, post, stacked schema.Diagram, ok bool) {
 		if UsesAnchor(stacked) {
 			return nil, nil, nil, false
 		}
-		d = unwrap(d)
 	}
 	s, isSeries := d.(schema.Series)
 	if !isSeries || len(s.Parts) != 3 || UsesAnchor(s.Parts[0]) || UsesAnchor(s.Parts[2]) {
 		return nil, nil, nil, false
 	}
-	if e, isEdge := unwrap(s.Parts[1]).(schema.Edge); !isEdge || e.Rel != schema.Anchor {
+	if e, isEdge := s.Parts[1].(schema.Edge); !isEdge || e.Rel != schema.Anchor {
 		return nil, nil, nil, false
 	}
 	return schema.Series{Parts: s.Parts[:2]}, s.Parts[2], stacked, true

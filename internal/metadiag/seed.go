@@ -73,14 +73,14 @@ func (s *Seed) NNZ() int {
 }
 
 // collectSeedDiagrams walks a diagram exactly as eval would — the same
-// wrapper normalization, the same notation keys — and records the
+// canonical form, the same notation keys — and records the
 // maximal anchor-free subtrees: an anchor-free node is recorded whole
 // (its own sub-diagrams are interior to the cached matrix), an
 // anchor-dependent Series/Parallel recurses into its parts. A subtree
 // that is a bare Edge — an adjacency the fork multiplies as it is —
 // goes to edges, every other to counts.
 func collectSeedDiagrams(d schema.Diagram, counts, edges map[string]schema.Diagram) {
-	d = unwrap(d)
+	d = schema.Canonical(d)
 	if !UsesAnchor(d) {
 		if _, isEdge := d.(schema.Edge); isEdge {
 			edges[d.Notation()] = d
@@ -212,10 +212,10 @@ func NewSeededCounter(s *Seed) (*Counter, error) {
 		bytes:  newCountBytes(),
 		prox:   make(map[*sparse.CSR]*Proximity),
 	}
-	if err := sh.install(s.Adjacency); err != nil {
+	if err := sh.install(s.Adjacency, true); err != nil {
 		return nil, err
 	}
-	if err := sh.install(s.Entries); err != nil {
+	if err := sh.install(s.Entries, false); err != nil {
 		return nil, err
 	}
 	c := &Counter{sh: sh, counts: make(map[string]*sparse.CSR), flight: make(map[string]*inflight)}
@@ -229,7 +229,10 @@ func NewSeededCounter(s *Seed) (*Counter, error) {
 // a seeded counter sized against the node types it names — a corrupt or
 // hostile seed fails here rather than deep inside a later multiply. A
 // block entry was exported in this process and is installed as it is.
-func (sh *sharedState) install(entries []SeedEntry) error {
+// Adjacency entries (edges set) must hold only 1s: schema.Canonical
+// keeps a repeated edge once, which is exact only for 0/1 edge counts,
+// and a seed's are the one edge matrices no Binarize built.
+func (sh *sharedState) install(entries []SeedEntry, edges bool) error {
 	for i := range entries {
 		e := &entries[i]
 		if sh.pair == nil {
@@ -253,6 +256,9 @@ func (sh *sharedState) install(entries []SeedEntry) error {
 		} else if r, c := m.Dims(); r != e.Rows || c != e.Cols {
 			return fmt.Errorf("metadiag: seed entry %q is %dx%d, its matrix %dx%d", e.Key, e.Rows, e.Cols, r, c)
 		}
+		if edges && !m.Binarize().Equal(m) {
+			return fmt.Errorf("metadiag: seed adjacency %q holds a value other than 1", e.Key)
+		}
 		sh.mu.Lock()
 		if _, ok := sh.counts[e.Key]; !ok {
 			sh.store(e.Key, m)
@@ -267,4 +273,4 @@ func (sh *sharedState) install(entries []SeedEntry) error {
 // pair's own. Entries whose keys no feature ever asks for are harmless
 // dead weight; entries a feature does ask for are trusted to be that
 // notation's true counts.
-func (c *Counter) SeedInto(s *Seed) error { return c.sh.install(s.Entries) }
+func (c *Counter) SeedInto(s *Seed) error { return c.sh.install(s.Entries, false) }

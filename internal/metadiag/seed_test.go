@@ -1,6 +1,7 @@
 package metadiag
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -307,5 +308,38 @@ func TestSeededCounterRefusesMisfiledMatrix(t *testing.T) {
 	}
 	if refused == 0 {
 		t.Fatal("no Count refused the misfiled adjacency")
+	}
+}
+
+// A seed's adjacencies are the one edge matrices no Binarize built, and
+// the counter keys a repeated edge once (schema.Canonical), which is
+// exact only for 0/1 edges: an adjacency entry holding a 2 is refused at
+// install, by its key.
+func TestSeededCounterRefusesNonBinaryAdjacency(t *testing.T) {
+	pair, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewCounter(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := base.ExportSeed(schema.StandardLibrary().All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *seed
+	bad.Adjacency = append([]SeedEntry(nil), seed.Adjacency...)
+	e := &bad.Adjacency[0]
+	if len(e.Val) == 0 {
+		t.Fatalf("fixture: adjacency %q is empty", e.Key)
+	}
+	e.Val = append([]float64(nil), e.Val...) // the export aliases the counter's matrix
+	e.Val[len(e.Val)-1] = 2
+	if _, err := NewSeededCounter(&bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", e.Key)) {
+		t.Fatalf("adjacency %q holding a 2 installed: %v", e.Key, err)
+	}
+	if _, err := NewSeededCounter(seed); err != nil {
+		t.Fatalf("the exported seed no longer installs: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
@@ -198,6 +199,65 @@ func (d Parallel) Notation() string {
 		parts[i] = p.Notation()
 	}
 	return "{" + strings.Join(parts, " | ") + "}"
+}
+
+// Canonical returns the one form that every diagram with d's count
+// shares, so that its notation can key that count:
+//   - a MetaPath becomes its Series, and a one-part Series or Parallel
+//     its part — the same pattern written with a wrapper;
+//   - nested Parallels are flattened and a Parallel's parts are sorted
+//     by their canonical notation, because a Parallel counts as the
+//     Hadamard product of its parts, which commutes and associates over
+//     the exact integer counts;
+//   - an Edge a Parallel repeats is kept once: an edge's count is 0/1
+//     (adjacencies are binarized, anchors are distinct pairs), and
+//     A ⊙ A = A only for 0/1 A, so any other repeated part stays.
+//
+// A Series keeps its grouping and only its parts are canonicalised:
+// regrouping a product leaves the count but not the shape a counter
+// reads to choose how to evaluate it.
+func Canonical(d Diagram) Diagram {
+	switch v := d.(type) {
+	case MetaPath:
+		return Canonical(v.toSeries())
+	case Series:
+		if len(v.Parts) == 1 {
+			return Canonical(v.Parts[0])
+		}
+		parts := make([]Diagram, len(v.Parts))
+		for i, p := range v.Parts {
+			parts[i] = Canonical(p)
+		}
+		return Series{Parts: parts}
+	case Parallel:
+		type keyed struct {
+			key string
+			d   Diagram
+		}
+		var parts []keyed
+		for _, p := range v.Parts {
+			p = Canonical(p)
+			inner, nested := p.(Parallel)
+			if !nested {
+				inner.Parts = []Diagram{p}
+			}
+			for _, q := range inner.Parts {
+				parts = append(parts, keyed{q.Notation(), q})
+			}
+		}
+		slices.SortStableFunc(parts, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+		var out Parallel
+		for i, p := range parts {
+			if _, isEdge := p.d.(Edge); !isEdge || i == 0 || p.key != parts[i-1].key {
+				out.Parts = append(out.Parts, p.d)
+			}
+		}
+		if len(out.Parts) == 1 {
+			return out.Parts[0]
+		}
+		return out
+	}
+	return d
 }
 
 // MetaPath is a diagram that is a pure path: a sequence of edges. It is

@@ -1,13 +1,16 @@
 package schema
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzParsePath exercises the meta path DSL parser with arbitrary
-// inputs: it must never panic, and accepted inputs must round-trip
-// through Notation → ParsePath to an identical path.
+// inputs: it must never panic, accepted inputs must round-trip through
+// Notation → ParsePath to an identical path, and their canonical form
+// keeps the path's endpoints and Validate verdict and is its own
+// canonical form.
 func FuzzParsePath(f *testing.F) {
 	seeds := []string{
 		"user(1) -follow-> user(1) <-anchor-> user(2) <-follow- user(2)",
@@ -53,6 +56,17 @@ func FuzzParsePath(f *testing.F) {
 		}
 		if p2.Notation() != p.Notation() {
 			t.Fatalf("round trip changed path: %q vs %q", p2.Notation(), p.Notation())
+		}
+		c := Canonical(p)
+		if c.Source() != p.Source() || c.Sink() != p.Sink() {
+			t.Fatalf("canonical form of %q runs %s→%s, the path %s→%s", p.Notation(), c.Source(), c.Sink(), p.Source(), p.Sink())
+		}
+		sch := SocialSchema()
+		if pe, ce := p.Validate(sch), c.Validate(sch); (pe == nil) != (ce == nil) {
+			t.Fatalf("canonical form of %q changed the Validate verdict: %v, then %v", p.Notation(), pe, ce)
+		}
+		if !reflect.DeepEqual(Canonical(c), c) {
+			t.Fatalf("Canonical is not idempotent on %q", c.Notation())
 		}
 	})
 }

@@ -161,14 +161,18 @@ func attrPathSemantics(rel hetnet.LinkType) string {
 
 // StandardLibrary builds the paper's complete feature set: 6 meta paths
 // and 25 meta diagrams (6 Ψ^f² pairs + 1 Ψ^a² + 8 Ψ^{f,a} + 4 Ψ^{f,a²} +
-// 6 Ψ^{f²,a²}), 31 features in total.
+// 6 Ψ^{f²,a²}), 31 features in total and 29 distinct counts: Ψ^f²[P1,P2]
+// and [P3,P4] are one pattern (Canonical), and so are Ψ^{f²,a²}[P1,P2]
+// and [P3,P4].
 func StandardLibrary() Library {
 	return NewLibrary(hetnet.At, hetnet.Checkin)
 }
 
 // ExtendedLibrary adds the word attribute the paper's data model
 // carries but its evaluation does not use: P7 (common word) and the
-// diagram families over all three attribute relations — 58 features.
+// diagram families over all three attribute relations — 58 features,
+// 54 distinct counts (Ψ^f²'s equal pair, and Ψ^{f²,a²}'s per attribute
+// pair).
 func ExtendedLibrary() Library {
 	return NewLibrary(hetnet.At, hetnet.Checkin, hetnet.Contains)
 }
