@@ -1,12 +1,15 @@
 package activeiter
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/distrib"
+	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
 // workerEnv re-executes this test binary as a wire worker so the
@@ -14,12 +17,25 @@ import (
 // without a prebuilt binary.
 const workerEnv = "ACTIVEITER_FACADE_TEST_WORKER"
 
+// workerMetricsEnv names a directory that such a worker writes its
+// process's metrics into, as <pid>.prom, when its connection ends: what
+// a test reads of the far side of the wire.
+const workerMetricsEnv = "ACTIVEITER_FACADE_TEST_WORKER_METRICS"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
 		err := ServeWorker(struct {
 			io.Reader
 			io.Writer
 		}{os.Stdin, os.Stdout})
+		if dir := os.Getenv(workerMetricsEnv); dir != "" {
+			var prom bytes.Buffer
+			if werr := telemetry.Default.WriteProm(&prom); werr != nil {
+				err = werr
+			} else if werr := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%d.prom", os.Getpid())), prom.Bytes(), 0o644); werr != nil {
+				err = werr
+			}
+		}
 		if err != nil && err != io.EOF {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)

@@ -86,7 +86,7 @@ func TestSeedEntryRejectsHugeCounts(t *testing.T) {
 	b = framing.AppendString(b, "k")
 	b = framing.AppendVarint(b, 1<<40) // rows
 	b = framing.AppendVarint(b, 1)     // cols
-	if _, err := decodeSeedEntry(b); err == nil {
+	if _, err := decodeSeedEntry(b, true); err == nil {
 		t.Fatal("absurd row count accepted")
 	}
 	b = nil
@@ -94,7 +94,7 @@ func TestSeedEntryRejectsHugeCounts(t *testing.T) {
 	b = framing.AppendVarint(b, 1) // rows
 	b = framing.AppendVarint(b, 1) // cols
 	b = framing.AppendUvarint(b, 1<<40)
-	if _, err := decodeSeedEntry(b); err == nil {
+	if _, err := decodeSeedEntry(b, true); err == nil {
 		t.Fatal("absurd row length accepted")
 	}
 }
@@ -165,7 +165,7 @@ func TestSeedEntryRoundTrip(t *testing.T) {
 		{"empty", metadiag.SeedEntry{Key: "", Rows: 2, Cols: 2,
 			RowPtr: []int{0, 0, 0}, ColIdx: nil, Val: nil}},
 	} {
-		got, err := decodeSeedEntry(appendSeedEntry(nil, &tc.e))
+		got, err := decodeSeedEntry(appendSeedEntry(nil, &tc.e), true)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

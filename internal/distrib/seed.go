@@ -43,6 +43,7 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
+	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 // WireSeed is the warm-counter seed body: the metadiag.Seed of the run's
@@ -227,9 +228,10 @@ func newSeedEntry(counter *metadiag.Counter, seed *metadiag.Seed) *seedEntry {
 
 // DefaultSeedCacheSize bounds the process-wide installed-seed cache. A
 // seed holds the full anchor-free count layer of one feature library —
-// tens of megabytes of decoded matrices at the bench's default scale,
-// growing with the pair — so the bound is tiny; a worker normally serves
-// one pair at a time and an eviction only costs a re-ship.
+// megabytes of decoded matrices at the bench's default scale, even with
+// the attribute counts as one-byte blocks, growing with the pair — so
+// the bound is tiny; a worker normally serves one pair at a time and an
+// eviction only costs a re-ship.
 const DefaultSeedCacheSize = 2
 
 // The installed-seed cache is process-global, not per-connection:
@@ -478,16 +480,19 @@ func seedTruncated(what string) error {
 	return fmt.Errorf("%w: %s", framing.ErrTruncated, what)
 }
 
-// decodeSeedEntry is the inverse; structural trust is deferred to
-// sparse.FromRaw inside the install (shape, monotone rowPtr, in-range
-// strictly-increasing columns), so only allocation bounds are enforced
-// here. A seed is millions of mostly one-byte varints, so the segment is
-// walked with a local cursor instead of a framing.Dec call per value,
-// and twice: a counting pass over the index section finds every row's
-// length — and so the exact column count — before the column array is
-// made, so nothing is grown and nothing allocated is larger than the
-// bytes that were actually there to fill it.
-func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
+// decodeSeedEntry is the inverse. A seed is millions of mostly one-byte
+// varints, so the segment is walked with a local cursor instead of a
+// framing.Dec call per value. A counting pass over the index section
+// finds the entry's stored entries before anything is made, so nothing
+// allocated is larger than the bytes that were there to fill it, and
+// the layout is chosen up front: a count entry (count set) of integer
+// values whose shape meets sparse.BlockShape is written straight into a
+// block (decodeBlock), every column validated before its cell is
+// written; any other entry, or one holding a value no block cell can,
+// is decoded into compressed arrays, whose structural trust is deferred
+// to sparse.FromRaw inside the install. Adjacency entries stay
+// compressed, as a counter's own edges are.
+func decodeSeedEntry(seg []byte, count bool) (metadiag.SeedEntry, error) {
 	var e metadiag.SeedEntry
 	d := framing.NewDec(seg)
 	e.Key = d.String()
@@ -506,7 +511,6 @@ func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 
 	// Counting pass: read each row's length, step over that many column
 	// varints by their terminator bytes (high bit clear).
-	rowPtr := make([]int, e.Rows+1)
 	p, nnz := 0, 0
 	for r := 0; r < e.Rows; r++ {
 		if p == len(b) {
@@ -531,19 +535,43 @@ func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 			}
 		}
 		nnz += int(n)
-		rowPtr[r+1] = nnz
 	}
-	values := p
 
-	// Decode pass: the counting pass proved every varint below ends inside
-	// b, so only an overlong one can still fail.
-	colIdx := make([]int, nnz)
+	// Values: a strict flag byte, then nnz uvarints or nnz packed floats.
+	if p == len(b) {
+		return e, seedTruncated("seed value flag")
+	}
+	if b[p] > 1 {
+		return e, fmt.Errorf("framing: bool byte %d", b[p])
+	}
+	ints := b[p] == 1
+	values := p + 1
+	width := 8
+	if ints {
+		width = 1
+	}
+	if nnz > (len(b)-values)/width {
+		return e, seedTruncated("seed values")
+	}
+	if count && ints && sparse.BlockShape(e.Rows, e.Cols, nnz) {
+		m, err := decodeBlock(b, values, e.Rows, e.Cols)
+		if m != nil || err != nil {
+			e.Matrix = m
+			return e, err
+		}
+	}
+
+	// Compressed pass: the counting pass proved every varint of the index
+	// section ends inside b, so only an overlong one can still fail.
+	rowPtr, colIdx := make([]int, e.Rows+1), make([]int, nnz)
 	p = 0
 	for r := 0; r < e.Rows; r++ {
-		for b[p] >= 0x80 { // the row length, already read
-			p++
-		}
+		n := uint64(b[p])
 		p++
+		if n >= 0x80 {
+			n, p = uvarintAt(b, p-1)
+		}
+		rowPtr[r+1] = rowPtr[r] + int(n)
 		prev := 0
 		for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
 			gap := uint64(b[p])
@@ -557,24 +585,7 @@ func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 			colIdx[k] = prev
 		}
 	}
-
-	// Values: a strict flag byte, then nnz uvarints or nnz packed floats.
 	p = values
-	if p == len(b) {
-		return e, seedTruncated("seed value flag")
-	}
-	if b[p] > 1 {
-		return e, fmt.Errorf("framing: bool byte %d", b[p])
-	}
-	ints := b[p] == 1
-	p++
-	width := 8
-	if ints {
-		width = 1
-	}
-	if nnz > (len(b)-p)/width {
-		return e, seedTruncated("seed values")
-	}
 	val := make([]float64, nnz)
 	if ints {
 		for k := range val {
@@ -597,10 +608,79 @@ func decodeSeedEntry(seg []byte) (metadiag.SeedEntry, error) {
 		}
 	}
 	if p != len(b) {
-		return e, fmt.Errorf("framing: %d trailing bytes after seed entry", len(b)-p)
+		return e, seedTrailing(len(b) - p)
 	}
 	e.RowPtr, e.ColIdx, e.Val = rowPtr, colIdx, val
 	return e, nil
+}
+
+// decodeBlock is decodeSeedEntry's block pass over a rows×cols count
+// entry that meets sparse.BlockShape: it walks the index section of b
+// again from its start and the value run from q in step, and writes
+// each value into its cell. A column is checked before its cell is
+// written — strictly increasing within its row and below cols, what
+// sparse.FromRaw checks of compressed arrays — so a hostile index is
+// refused here. A value that fails sparse.BlockCell, or an explicit
+// zero, which no block can store, returns nil and no error: the entry
+// is decoded compressed instead, as matMul builds such a product.
+func decodeBlock(b []byte, q, rows, cols int) (*sparse.CSR, error) {
+	cells := make([]uint8, rows*cols)
+	p := 0
+	for r := 0; r < rows; r++ {
+		// The counting pass proved the row length ends inside b.
+		n := uint64(b[p])
+		p++
+		if n >= 0x80 {
+			n, p = uvarintAt(b, p-1)
+		}
+		row := cells[r*cols : (r+1)*cols]
+		// The entry's column is at + gap and must lie in [lo, cols): the
+		// first gap is the column itself, every later one is ≥ 1.
+		at, lo := 0, 0
+		for ; n > 0; n-- {
+			gap := uint64(b[p])
+			p++
+			if gap >= 0x80 {
+				if gap, p = uvarintAt(b, p-1); p < 0 {
+					return nil, seedTruncated("seed column gap")
+				}
+			}
+			if gap-uint64(lo-at) >= uint64(cols-lo) {
+				return nil, fmt.Errorf("seed row %d: column out of order or range %d", r, cols)
+			}
+			at += int(gap)
+			lo = at + 1
+			if q == len(b) {
+				return nil, seedTruncated("seed values")
+			}
+			v := b[q]
+			q++
+			if v >= 0x80 {
+				var wide uint64
+				if wide, q = uvarintAt(b, q-1); q < 0 {
+					return nil, seedTruncated("seed values")
+				}
+				if !sparse.BlockCell(float64(wide)) {
+					return nil, nil
+				}
+				v = uint8(wide)
+			}
+			if v == 0 {
+				return nil, nil
+			}
+			row[at] = v
+		}
+	}
+	if q != len(b) {
+		return nil, seedTrailing(len(b) - q)
+	}
+	return sparse.FromBlock(rows, cols, cells)
+}
+
+// seedTrailing is the error of a seed segment with bytes past its value
+// run.
+func seedTrailing(n int) error {
+	return fmt.Errorf("framing: %d trailing bytes after seed entry", n)
 }
 
 // WireSeed body: the fingerprint, the seed's dimensions and schema, then
@@ -709,7 +789,7 @@ func (ws *WireSeed) decodeBody(body []byte) error {
 	}
 	errs := make([]error, len(segs))
 	metadiag.FanOut(len(segs), func(i int) {
-		*ws.entry(i), errs[i] = decodeSeedEntry(segs[i])
+		*ws.entry(i), errs[i] = decodeSeedEntry(segs[i], i >= adj)
 	})
 	for i, err := range errs {
 		if err != nil {

@@ -19,6 +19,7 @@ import (
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
+	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 // resetSeedCache empties the process-wide seed cache, as a freshly
@@ -67,9 +68,26 @@ func randomSeedEntry(rng *rand.Rand, maxRows, maxCols int) metadiag.SeedEntry {
 	return e
 }
 
-// sameSeedEntry compares two decoded entries; a nil and an empty array
-// are the same array.
+// asArrays returns e with a block entry's cells read out row by row into
+// compressed arrays, as the encoder reads them, and its Matrix dropped:
+// entries of either layout then compare as arrays.
+func asArrays(e metadiag.SeedEntry) metadiag.SeedEntry {
+	if e.Matrix == nil {
+		return e
+	}
+	e.RowPtr, e.ColIdx, e.Val = make([]int, e.Rows+1), nil, nil
+	for r := 0; r < e.Rows; r++ {
+		e.ColIdx, e.Val = e.Matrix.AppendRow(r, e.ColIdx, e.Val)
+		e.RowPtr[r+1] = len(e.Val)
+	}
+	e.Matrix = nil
+	return e
+}
+
+// sameSeedEntry compares two decoded entries, whatever their layouts; a
+// nil and an empty array are the same array.
 func sameSeedEntry(a, b metadiag.SeedEntry) bool {
+	a, b = asArrays(a), asArrays(b)
 	sameVals := slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
 		return math.Float64bits(x) == math.Float64bits(y)
 	})
@@ -78,10 +96,12 @@ func sameSeedEntry(a, b metadiag.SeedEntry) bool {
 }
 
 // TestSeedDecodeMatchesReference holds the two-pass decoder to the one
-// it replaced: equal output on every valid segment, and an error from
-// both on every truncated prefix of one.
+// it replaced: equal content on every valid segment, whichever layout a
+// count entry decodes to, and an error from both on every truncated
+// prefix of one.
 func TestSeedDecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	layouts := map[bool]int{}
 	for trial := 0; trial < 300; trial++ {
 		// Every third matrix is small enough to walk all its prefixes.
 		small := trial%3 == 0
@@ -90,7 +110,7 @@ func TestSeedDecodeMatchesReference(t *testing.T) {
 			e = randomSeedEntry(rng, 6, 200)
 		}
 		seg := appendSeedEntry(nil, &e)
-		got, err := decodeSeedEntry(seg)
+		got, err := decodeSeedEntry(seg, true)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -101,53 +121,142 @@ func TestSeedDecodeMatchesReference(t *testing.T) {
 		if !sameSeedEntry(got, want) || !sameSeedEntry(got, e) {
 			t.Fatalf("trial %d: decoded entry differs from the reference decoder's or from the input", trial)
 		}
-		if cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
+		layouts[got.Matrix != nil]++
+		if got.Matrix == nil && (cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val)) {
 			t.Fatalf("trial %d: arrays not exactly sized: colIdx %d/%d, val %d/%d",
 				trial, len(got.ColIdx), cap(got.ColIdx), len(got.Val), cap(got.Val))
 		}
 		for cut := 0; small && cut < len(seg); cut++ {
-			_, gerr := decodeSeedEntry(seg[:cut:cut])
+			_, gerr := decodeSeedEntry(seg[:cut:cut], true)
 			_, werr := referenceDecodeSeedEntry(seg[:cut:cut])
 			if gerr == nil || werr == nil {
 				t.Fatalf("trial %d: truncation at %d/%d accepted (new %v, reference %v)", trial, cut, len(seg), gerr, werr)
 			}
 		}
 	}
+	if layouts[true] == 0 || layouts[false] == 0 {
+		t.Fatalf("decoded %d blocks and %d compressed entries: the trials do not reach both layouts", layouts[true], layouts[false])
+	}
 }
 
 // TestSeedEntryDecodeAllocs: decoding one entry allocates the key, the
-// three arrays and nothing that grows with the matrix — it used to be
-// one reallocation per doubling of the column array.
+// three arrays — or a block's cells and row counts — and nothing that
+// grows with the matrix: it used to be one reallocation per doubling of
+// the column array.
 func TestSeedEntryDecodeAllocs(t *testing.T) {
-	e := metadiag.SeedEntry{Key: "Ψ", Rows: 1000, Cols: 4000, RowPtr: make([]int, 1001)}
-	for r := 0; r < e.Rows; r++ {
-		for c := r % 7; c < e.Cols && len(e.ColIdx) < (r+1)*100; c += 31 {
-			e.ColIdx = append(e.ColIdx, c)
-			e.Val = append(e.Val, float64(c%300))
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		step       int // every step-th column of a row is stored
+		block      bool
+	}{
+		{"compressed", 1000, 4000, 31, false},
+		{"block", 400, 500, 2, true},
+	} {
+		e := metadiag.SeedEntry{Key: "Ψ", Rows: tc.rows, Cols: tc.cols, RowPtr: make([]int, tc.rows+1)}
+		for r := 0; r < e.Rows; r++ {
+			for c := r % 7; c < e.Cols && len(e.ColIdx) < (r+1)*100; c += tc.step {
+				e.ColIdx = append(e.ColIdx, c)
+				e.Val = append(e.Val, float64(1+c%255))
+			}
+			e.RowPtr[r+1] = len(e.ColIdx)
 		}
-		e.RowPtr[r+1] = len(e.ColIdx)
-	}
-	if len(e.ColIdx) != 100_000 {
-		t.Fatalf("fixture has %d entries, want 100000", len(e.ColIdx))
-	}
-	seg := appendSeedEntry(nil, &e)
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := decodeSeedEntry(seg); err != nil {
-			t.Fatal(err)
+		seg := appendSeedEntry(nil, &e)
+		got, err := decodeSeedEntry(seg, true)
+		if err != nil || (got.Matrix != nil) != tc.block {
+			t.Fatalf("%s fixture: decoded as a block %v, err %v; want a block %v", tc.name, got.Matrix != nil, err, tc.block)
 		}
-	})
-	if allocs > 6 {
-		t.Errorf("decodeSeedEntry allocated %.0f objects for a 100k-entry matrix, want ≤ 6", allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := decodeSeedEntry(seg, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 6 {
+			t.Errorf("decodeSeedEntry allocated %.0f objects for a %d-entry %s matrix, want ≤ 6", allocs, len(e.Val), tc.name)
+		}
+	}
+}
+
+// TestSeedEntryDecodeLayout: a count entry that meets the block rule
+// decodes to a block when every value fits a cell and to compressed
+// arrays otherwise, an adjacency entry always to arrays, and hostile
+// input on the block path is refused without a panic — the block pass
+// checks each column before it writes the cell. An entry whose rows·cols
+// overflows is never a block, and its declared shape fails the install.
+func TestSeedEntryDecodeLayout(t *testing.T) {
+	// A rows×cols user(1)→user(2) entry whose row r stores the columns
+	// colsOf[r], valued vals in order.
+	entry := func(rows, cols int, colsOf [][]int, vals ...float64) metadiag.SeedEntry {
+		e := metadiag.SeedEntry{Key: "Ψ", Source: schema.User1(), Sink: schema.User2(), Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+		for r := 0; r < rows; r++ {
+			if r < len(colsOf) {
+				e.ColIdx = append(e.ColIdx, colsOf[r]...)
+			}
+			e.RowPtr[r+1] = len(e.ColIdx)
+		}
+		e.Val = vals
+		return e
+	}
+	cols := [][]int{{0, 2}, {1}, {3}}
+	const (
+		block = iota
+		compressed
+		refused
+	)
+	for _, tc := range []struct {
+		name   string
+		e      metadiag.SeedEntry
+		count  bool
+		want   int
+		refuse bool // the install refuses what the decoder accepted
+	}{
+		{"one-byte values", entry(3, 4, cols, 1, 2, 127, 3), true, block, false},
+		{"values 128–255", entry(3, 4, cols, 128, 200, 255, 1), true, block, false},
+		{"a value over 255", entry(3, 4, cols, 1, 256, 3, 4), true, compressed, false},
+		{"an explicit zero", entry(3, 4, cols, 1, 0, 3, 4), true, compressed, false},
+		{"an adjacency", entry(3, 4, cols, 1, 1, 1, 1), false, compressed, false},
+		{"under ⅛ full", entry(3, 4, [][]int{{1}}, 5), true, compressed, false},
+		{"a column at Cols", entry(3, 4, [][]int{{0, 2}, {4}, {3}}, 1, 2, 3, 4), true, refused, false},
+		{"a column past Cols", entry(3, 4, [][]int{{0, 2}, {1}, {9}}, 1, 2, 3, 4), true, refused, false},
+		{"a repeated column", entry(3, 4, [][]int{{2, 2}, {1}, {3}}, 1, 2, 3, 4), true, refused, false},
+		{"a decreasing column", entry(3, 4, [][]int{{2, 1}, {1}, {3}}, 1, 2, 3, 4), true, refused, false},
+		{"rows·cols overflows", entry(4, 1<<62+1, [][]int{{0}, {0}, {0}, {0}}, 1, 1, 1, 1), true, compressed, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := decodeSeedEntry(appendSeedEntry(nil, &tc.e), tc.count)
+			switch {
+			case tc.want == refused:
+				if err == nil {
+					t.Fatalf("accepted (block %v)", got.Matrix != nil)
+				}
+				return
+			case err != nil:
+				t.Fatal(err)
+			case (got.Matrix != nil) != (tc.want == block):
+				t.Fatalf("decoded as a block %v, want %v", got.Matrix != nil, tc.want == block)
+			case !sameSeedEntry(got, tc.e):
+				t.Fatal("decoded entry differs from the input")
+			}
+			seed := &metadiag.Seed{AnchorType: hetnet.User, N1: 3, N2: 4, Entries: []metadiag.SeedEntry{got}}
+			if _, err := metadiag.NewSeededCounter(seed); (err != nil) != tc.refuse {
+				t.Fatalf("install: %v, want refused %v", err, tc.refuse)
+			}
+		})
 	}
 }
 
 // FuzzSeedBody: the seed body decoder reads bytes a socket delivered. It
 // must never panic, never allocate more than a fixed multiple of what it
 // was given (every declared count is checked against the bytes that
-// remain before anything is sized by it), what it accepts must be a fixed
-// point of decode → encode → decode, and its entry decoder must agree
-// with the reference decoder on every input. The v8 golden's body is in
-// the seed corpus.
+// remain before anything is sized by it, and a block is at most 8 bytes
+// per stored entry), what it accepts must be a fixed point of decode →
+// encode → decode, and its entry decoder must agree with the reference
+// decoder on every input: the only input it may refuse that the
+// reference accepts is one whose arrays sparse.FromRaw refuses — the
+// block pass checks columns as it writes — and a block it accepts must
+// hold the reference's arrays cell for cell. The golden's body, a
+// block-qualifying entry and one holding a value over 255 are in the
+// seed corpus.
 func FuzzSeedBody(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "frame_seed.golden"))
 	if err != nil {
@@ -163,13 +272,17 @@ func FuzzSeedBody(f *testing.F) {
 		e := randomSeedEntry(rng, 6, 200)
 		f.Add(appendSeedEntry(nil, &e))
 	}
+	for _, top := range []float64{255, 256} {
+		e := metadiag.SeedEntry{Key: "Ψ", Rows: 2, Cols: 3, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, 2, 1}, Val: []float64{1, top, 7}}
+		f.Add(appendSeedEntry(nil, &e))
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var ws WireSeed
 		derr := ws.decodeBody(data)
-		got, gerr := decodeSeedEntry(data)
+		got, gerr := decodeSeedEntry(data, true)
 		runtime.ReadMemStats(&after)
 		// Worst case is a body of one-byte segments: a SeedEntry header,
 		// a slice header, an error slot and a wrapped error per input byte.
@@ -177,10 +290,28 @@ func FuzzSeedBody(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
 		want, werr := referenceDecodeSeedEntry(data)
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("entry decoder verdicts differ: new %v, reference %v", gerr, werr)
-		}
-		if gerr == nil && !sameSeedEntry(got, want) {
+		switch {
+		case werr != nil:
+			if gerr == nil {
+				t.Fatalf("entry decoder accepts what the reference refuses: %v", werr)
+			}
+		case gerr != nil:
+			if _, err := sparse.FromRaw(want.Rows, want.Cols, want.RowPtr, want.ColIdx, want.Val); err == nil {
+				t.Fatalf("entry decoder refuses an entry the reference decodes to valid arrays: %v", gerr)
+			}
+		case got.Matrix != nil:
+			m, err := sparse.FromRaw(want.Rows, want.Cols, want.RowPtr, want.ColIdx, want.Val)
+			if err != nil || !sameSeedEntry(got, want) {
+				t.Fatalf("decoded block differs from the reference's arrays (FromRaw: %v)", err)
+			}
+			for i := 0; i < want.Rows; i++ {
+				for j := 0; j < want.Cols; j++ {
+					if got.Matrix.At(i, j) != m.At(i, j) {
+						t.Fatalf("cell (%d, %d): block %v, reference %v", i, j, got.Matrix.At(i, j), m.At(i, j))
+					}
+				}
+			}
+		case !sameSeedEntry(got, want):
 			t.Fatal("entry decoders accept the input and disagree on its content")
 		}
 		if derr == nil {
@@ -914,8 +1045,11 @@ func BenchmarkSeedInstall(b *testing.B) {
 // TestBlockSeedEncodesAsCSR: a counter holding attribute counts as
 // one-byte blocks exports them as blocks, and its seed encodes to the
 // bytes of the same seed with every block given as compressed arrays —
-// the wire format does not depend on the layout. A worker installs what
-// it decodes as compressed matrices, which re-export as arrays.
+// the wire format does not depend on the layout. A worker decodes each
+// entry to the layout the exporter held it in: the exported blocks come
+// back from the wire as blocks Equal to them, every other entry as
+// arrays, and the counter installed from them re-exports to the same
+// bytes.
 func TestBlockSeedEncodesAsCSR(t *testing.T) {
 	feats, _ := ResolveFeatures(FeaturesFull)
 	pair := fixturePair(t)
@@ -948,6 +1082,16 @@ func TestBlockSeedEncodesAsCSR(t *testing.T) {
 	if err := ws.decodeBody(body); err != nil {
 		t.Fatal(err)
 	}
+	for i := range ws.Entries {
+		if e, w := &ws.Entries[i], &seed.Entries[i]; (e.Matrix != nil) != (w.Matrix != nil) || w.Matrix != nil && !e.Matrix.Equal(w.Matrix) {
+			t.Fatalf("entry %q decodes as a block %v, exported as a block %v (or unequal)", e.Key, e.Matrix != nil, w.Matrix != nil)
+		}
+	}
+	for _, e := range ws.Adjacency {
+		if e.Matrix != nil {
+			t.Fatalf("adjacency %q decodes as a block", e.Key)
+		}
+	}
 	resetSeedCache()
 	defer resetSeedCache()
 	installed, err := installSeed(&ws)
@@ -958,12 +1102,7 @@ func TestBlockSeedEncodesAsCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range again.Entries {
-		if e, w := &again.Entries[i], &seed.Entries[i]; e.Matrix != nil || e.Key != w.Key || e.NNZ() != w.NNZ() {
-			t.Fatalf("installed entry %q: block %v, %d entries; exported %q, %d entries", e.Key, e.Matrix != nil, e.NNZ(), w.Key, w.NNZ())
-		}
-	}
-	if again.NNZ() != seed.NNZ() {
-		t.Fatalf("installed seed holds %d entries, the export %d", again.NNZ(), seed.NNZ())
+	if got := (&WireSeed{Fingerprint: 7, Seed: *again}).appendBody(nil); !bytes.Equal(got, body) {
+		t.Fatalf("the installed counter re-exports to %d bytes, the seed it was installed from is %d", len(got), len(body))
 	}
 }

@@ -107,7 +107,7 @@ func (t *anchorTerms) transposes(c *Counter) []*sparse.CSR {
 		t.preT = make([]*sparse.CSR, len(t.pre))
 		for q, pre := range t.pre {
 			var err error
-			if t.preT[q], err = c.eval(reverse(t.preD[q])); err != nil {
+			if t.preT[q], err = c.eval(newNode(reverse(t.preD[q]))); err != nil {
 				t.preT[q] = pre.T()
 			}
 		}

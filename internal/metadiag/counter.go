@@ -386,7 +386,48 @@ func (c *Counter) Count(d schema.Diagram) (*sparse.CSR, error) {
 	if err := d.Validate(c.sh.sch); err != nil {
 		return nil, err
 	}
-	return c.eval(d)
+	return c.eval(newNode(d))
+}
+
+// node is a diagram as the counter evaluates it: its canonical form
+// (schema.Canonical), the notation its count is keyed under and whether
+// it traverses an anchor edge, all found once, when the node is built.
+// The nodes of its parts — the parts of a canonical diagram are
+// canonical — are built the first time a miss evaluates them. So a
+// diagram evaluated again and again, as an Extractor's features are on
+// every Recompute, is neither canonicalised nor rendered again.
+type node struct {
+	d      schema.Diagram
+	key    string
+	anchor bool
+
+	partsOnce sync.Once
+	parts     []*node
+}
+
+// newNode canonicalises d and builds its node.
+func newNode(d schema.Diagram) *node { return canonicalNode(schema.Canonical(d)) }
+
+// canonicalNode builds the node of d, which is already canonical.
+func canonicalNode(d schema.Diagram) *node {
+	return &node{d: d, key: d.Notation(), anchor: UsesAnchor(d)}
+}
+
+// subNodes returns the nodes of a Series' or Parallel's parts, in order.
+func (n *node) subNodes() []*node {
+	n.partsOnce.Do(func() {
+		var parts []schema.Diagram
+		switch v := n.d.(type) {
+		case schema.Series:
+			parts = v.Parts
+		case schema.Parallel:
+			parts = v.Parts
+		}
+		for _, p := range parts {
+			n.parts = append(n.parts, canonicalNode(p))
+		}
+	})
+	return n.parts
 }
 
 // reverse returns d read from its sink to its source — every edge
@@ -413,22 +454,20 @@ func reverse(d schema.Diagram) schema.Diagram {
 	}
 }
 
-// eval routes a sub-diagram to the appropriate cache layer: anchor-free
+// eval routes a node to the appropriate cache layer: anchor-free
 // diagrams to the shared layer (reused across every fork and anchor
-// set), anchor-dependent ones to this counter's private layer.
-func (c *Counter) eval(d schema.Diagram) (*sparse.CSR, error) {
-	// Keyed under the canonical form: diagrams with one count share one
-	// entry, and the single-flight never waits on an entry registered by
-	// its own evaluation (a wrapper shares its part's key).
-	d = schema.Canonical(d)
-	key := d.Notation()
-	if UsesAnchor(d) {
-		return c.evalIn(d, key, &c.mu, c.counts, c.flight, &c.anchorGen)
+// set), anchor-dependent ones to this counter's private layer. Keyed
+// under the canonical form, diagrams with one count share one entry,
+// and the single-flight never waits on an entry registered by its own
+// evaluation (a wrapper shares its part's key).
+func (c *Counter) eval(n *node) (*sparse.CSR, error) {
+	if n.anchor {
+		return c.evalIn(n, &c.mu, c.counts, c.flight, &c.anchorGen)
 	}
 	if c.sh.pair == nil {
-		return c.seeded(d, key)
+		return c.seeded(n)
 	}
-	return c.evalIn(d, key, &c.sh.mu, c.sh.counts, c.sh.flight, nil)
+	return c.evalIn(n, &c.sh.mu, c.sh.counts, c.sh.flight, nil)
 }
 
 // seeded answers an anchor-free diagram on a counter built from a seed.
@@ -437,29 +476,30 @@ func (c *Counter) eval(d schema.Diagram) (*sparse.CSR, error) {
 // recount from, and never a zero matrix. The shape is checked against
 // the diagram's own endpoints, so a seed that filed a matrix under the
 // wrong notation fails here instead of inside the multiply that reads it.
-func (c *Counter) seeded(d schema.Diagram, key string) (*sparse.CSR, error) {
+func (c *Counter) seeded(n *node) (*sparse.CSR, error) {
 	c.sh.mu.Lock()
-	m, ok := c.sh.counts[key]
+	m, ok := c.sh.counts[n.key]
 	c.sh.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("metadiag: seed holds no matrix for %q", key)
+		return nil, fmt.Errorf("metadiag: seed holds no matrix for %q", n.key)
 	}
-	if r, cl := m.Dims(); r != c.sh.dims[d.Source()] || cl != c.sh.dims[d.Sink()] {
+	if src, snk := n.d.Source(), n.d.Sink(); m.Rows() != c.sh.dims[src] || m.Cols() != c.sh.dims[snk] {
 		return nil, fmt.Errorf("metadiag: seed matrix %q is %dx%d, its endpoints %s and %s are %d and %d",
-			key, r, cl, d.Source(), d.Sink(), c.sh.dims[d.Source()], c.sh.dims[d.Sink()])
+			n.key, m.Rows(), m.Cols(), src, snk, c.sh.dims[src], c.sh.dims[snk])
 	}
 	c.hits.Add(1)
 	mCacheHits.Inc()
 	return m, nil
 }
 
-// evalIn answers key from one cache layer with per-notation
+// evalIn answers n.key from one cache layer with per-notation
 // single-flight: the first caller computes, concurrent callers for the
 // same notation wait and share the result. genPtr, when non-nil, is read
 // under mu and the result is only cached if the generation is unchanged
 // at store time (SetAnchors bumps it, so a racing stale evaluation is
 // returned to its caller but never poisons the fresh cache).
-func (c *Counter) evalIn(d schema.Diagram, key string, mu *sync.Mutex, counts map[string]*sparse.CSR, flights map[string]*inflight, genPtr *int) (*sparse.CSR, error) {
+func (c *Counter) evalIn(n *node, mu *sync.Mutex, counts map[string]*sparse.CSR, flights map[string]*inflight, genPtr *int) (*sparse.CSR, error) {
+	key := n.key
 	mu.Lock()
 	if m, ok := counts[key]; ok {
 		mu.Unlock()
@@ -487,7 +527,7 @@ func (c *Counter) evalIn(d schema.Diagram, key string, mu *sync.Mutex, counts ma
 
 	c.evals.Add(1)
 	mCacheMisses.Inc()
-	f.m, f.err = c.compute(d)
+	f.m, f.err = c.compute(n)
 
 	mu.Lock()
 	switch {
@@ -503,10 +543,10 @@ func (c *Counter) evalIn(d schema.Diagram, key string, mu *sync.Mutex, counts ma
 	return f.m, f.err
 }
 
-// compute evaluates one canonical diagram node, recursing through eval
-// so every sub-diagram passes the cache.
-func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
-	switch v := d.(type) {
+// compute evaluates one node, recursing through eval so every
+// sub-diagram passes the cache.
+func (c *Counter) compute(n *node) (*sparse.CSR, error) {
+	switch v := n.d.(type) {
 	case schema.Edge:
 		return c.adjacencyOriented(v)
 	case schema.Series:
@@ -514,10 +554,10 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 		// its two joint factors, so the stack's own count is never built or
 		// cached; one that traverses an anchor keeps the stack in the shared
 		// layer, where SetAnchors does not reach it.
-		joint := !UsesAnchor(d)
+		joint := !n.anchor
 		parts := make([]*sparse.CSR, 0, len(v.Parts)+1)
-		for _, p := range v.Parts {
-			if par, ok := p.(schema.Parallel); ok && joint {
+		for _, p := range n.subNodes() {
+			if par, ok := p.d.(schema.Parallel); ok && joint {
 				ja, jb, ok, err := c.jointFactors(par)
 				if err != nil {
 					return nil, err
@@ -543,7 +583,7 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 			return sparse.Chain(ja, jb), nil
 		}
 		var acc *sparse.CSR
-		for _, p := range v.Parts {
+		for _, p := range n.subNodes() {
 			pm, err := c.eval(p)
 			if err != nil {
 				return nil, err
@@ -556,7 +596,7 @@ func (c *Counter) compute(d schema.Diagram) (*sparse.CSR, error) {
 		}
 		return acc, nil
 	default:
-		return nil, fmt.Errorf("metadiag: cannot evaluate diagram type %T", d)
+		return nil, fmt.Errorf("metadiag: cannot evaluate diagram type %T", n.d)
 	}
 }
 

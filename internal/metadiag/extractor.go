@@ -30,6 +30,7 @@ import (
 type Extractor struct {
 	counter *Counter
 	feats   []schema.Named
+	forms   []featureForm // feats in canonical form, from the first Recompute on
 	bias    bool
 
 	// What Recompute leaves, nil until it has succeeded: every feature's
@@ -174,14 +175,21 @@ func (e *Extractor) Names() []string {
 // family has labelled twice before are read from its stored terms, and
 // the distinct products are walked side by side, each serially, for the
 // rest — every sum is of integers, so none depends on GOMAXPROCS or on
-// which anchors were stored. It needs no candidate pool. On an error the
-// extractor is left with no proximities at all — never the previous
-// anchor set's.
+// which anchors were stored. It needs no candidate pool. The first call
+// puts every feature in canonical form and keys it, once for the
+// extractor's life. On an error the extractor is left with no
+// proximities at all — never the previous anchor set's.
 func (e *Extractor) Recompute() error {
 	e.prox, e.products, e.counts = nil, nil, nil
+	if e.forms == nil {
+		e.forms = make([]featureForm, len(e.feats))
+		for k, f := range e.feats {
+			e.forms[k] = newFeatureForm(f.D)
+		}
+	}
 	mats, facs := make([]*Proximity, len(e.feats)), make([]*factored, len(e.feats))
 	errs := make([]error, len(e.feats))
-	FanOut(len(e.feats), func(k int) { mats[k], facs[k], errs[k] = e.counter.form(e.feats[k].D) })
+	FanOut(len(e.feats), func(k int) { mats[k], facs[k], errs[k] = e.counter.form(&e.forms[k]) })
 	for k, err := range errs {
 		if err != nil {
 			return fmt.Errorf("metadiag: feature %s: %w", e.feats[k].ID, err)

@@ -64,11 +64,19 @@ func (p *Proximity) ScoreMatrix() *sparse.CSR {
 // count was derived here or installed by SeedInto. Anchor-dependent
 // structures are built per call.
 func (c *Counter) Proximity(d schema.Diagram) (*Proximity, error) {
-	counts, err := c.Count(d)
+	if err := d.Validate(c.sh.sch); err != nil {
+		return nil, err
+	}
+	return c.proximity(newNode(d))
+}
+
+// proximity is Proximity of a node whose diagram is valid.
+func (c *Counter) proximity(n *node) (*Proximity, error) {
+	counts, err := c.eval(n)
 	if err != nil {
 		return nil, err
 	}
-	if UsesAnchor(d) {
+	if n.anchor {
 		return NewProximity(counts), nil
 	}
 	sh := c.sh
@@ -138,31 +146,55 @@ func factorise(d schema.Diagram) (head, post, stacked schema.Diagram, ok bool) {
 	return schema.Series{Parts: s.Parts[:2]}, s.Parts[2], stacked, true
 }
 
-// form evaluates d in the form its shape selects: the factors of a
-// diagram factorise accepts, Proximity's materialised structure for any
-// other. Exactly one of the two is non-nil on success.
-func (c *Counter) form(d schema.Diagram) (*Proximity, *factored, error) {
+// featureForm is one feature's diagram as Recompute evaluates it, put
+// in canonical form once per Extractor: the nodes of the split factorise
+// finds — pre, head = Series[pre, anchor], post and the stacked part,
+// nil when nothing is stacked — or, for any other shape, the whole
+// diagram's node. d is the diagram as given, which every evaluation
+// validates against its counter's schema.
+type featureForm struct {
+	d                        schema.Diagram
+	whole                    *node
+	pre, head, post, stacked *node
+}
+
+func newFeatureForm(d schema.Diagram) featureForm {
 	head, post, stacked, ok := factorise(d)
 	if !ok {
-		p, err := c.Proximity(d)
+		return featureForm{d: d, whole: newNode(d)}
+	}
+	// factorise splits d's canonical form, so every piece is canonical.
+	f := featureForm{d: d, pre: canonicalNode(head.(schema.Series).Parts[0]), head: canonicalNode(head), post: canonicalNode(post)}
+	if stacked != nil {
+		f.stacked = canonicalNode(stacked)
+	}
+	return f
+}
+
+// form evaluates a feature in the form its shape selects: the factors of
+// a diagram factorise accepts, Proximity's materialised structure for
+// any other. Exactly one of the two is non-nil on success.
+func (c *Counter) form(ff *featureForm) (*Proximity, *factored, error) {
+	if err := ff.d.Validate(c.sh.sch); err != nil {
+		return nil, nil, err
+	}
+	if ff.whole != nil {
+		p, err := c.proximity(ff.whole)
 		return p, nil, err
 	}
-	if err := d.Validate(c.sh.sch); err != nil {
-		return nil, nil, err
-	}
-	f := &factored{preD: head.(schema.Series).Parts[0]}
+	f := &factored{preD: ff.pre.d}
 	var err error
-	if f.pre, err = c.eval(f.preD); err != nil {
+	if f.pre, err = c.eval(ff.pre); err != nil {
 		return nil, nil, err
 	}
-	if f.x, err = c.eval(head); err != nil {
+	if f.x, err = c.eval(ff.head); err != nil {
 		return nil, nil, err
 	}
-	if f.y, err = c.eval(post); err != nil {
+	if f.y, err = c.eval(ff.post); err != nil {
 		return nil, nil, err
 	}
-	if stacked != nil {
-		if f.d, err = c.eval(stacked); err != nil {
+	if ff.stacked != nil {
+		if f.d, err = c.eval(ff.stacked); err != nil {
 			return nil, nil, err
 		}
 	}

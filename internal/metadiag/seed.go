@@ -14,16 +14,18 @@ import (
 // ships to workers. Source and Sink are the diagram's endpoint node
 // types: what Rows and Cols count. The slices alias the counter's cached
 // matrices on export (zero copy); installing validates them structurally
-// before trusting them. A matrix the counter holds as a block
-// (sparse.CSR.Block) has no such slices: its entry carries it as Matrix,
-// with RowPtr, ColIdx and Val nil, and encodes and installs from it.
+// before trusting them. A matrix held as a block (sparse.CSR.Block) has
+// no such slices: its entry carries it as Matrix, with RowPtr, ColIdx
+// and Val nil — on export, when the counter holds it so, and on decode,
+// when a seed decoder wrote the shipped entry straight into a block —
+// and encodes and installs from it.
 type SeedEntry struct {
 	Key            string
 	Source, Sink   schema.TypedNode
 	Rows, Cols     int
 	RowPtr, ColIdx []int
 	Val            []float64
-	Matrix         *sparse.CSR // a block, on export only
+	Matrix         *sparse.CSR // a block, exported or decoded
 }
 
 // NNZ returns the entry's stored entries, in either form.
@@ -184,8 +186,9 @@ func (c *Counter) ExportSeed(feats []schema.Named) (*Seed, error) {
 // NewSeededCounter builds a network-free counter whose shared layer is
 // exactly the seed: the schema from its relations, the anchor matrix's
 // shape from its two node counts, every adjacency and count matrix
-// installed under its notation. The seed is treated as hostile: each
-// matrix is structurally validated (sparse.FromRaw), and every matrix
+// installed under its notation. The seed is treated as hostile. Each
+// compressed matrix is structurally validated (sparse.FromRaw); a block
+// arrives built, by a decoder that validated its columns. Every matrix
 // must agree on the size of every node type it touches — the anchor
 // type's two sizes being the declared N1 and N2 — so a seed that installs
 // cannot make a later multiply meet mismatched shapes. The anchor set
@@ -228,7 +231,9 @@ func NewSeededCounter(s *Seed) (*Counter, error) {
 // and is already correct). Each entry is structurally validated, and on
 // a seeded counter sized against the node types it names — a corrupt or
 // hostile seed fails here rather than deep inside a later multiply. A
-// block entry was exported in this process and is installed as it is.
+// block entry is installed as it is, its shape checked against the
+// entry's: a block is built either by this process's counter or by a
+// seed decoder that checked every column before writing its cell.
 // Adjacency entries (edges set) must hold only 1s: schema.Canonical
 // keeps a repeated edge once, which is exact only for 0/1 edge counts,
 // and a seed's are the one edge matrices no Binarize built.

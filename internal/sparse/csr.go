@@ -12,8 +12,9 @@
 // and val. The block one stores every cell of the matrix as one byte,
 // row-major, and nothing else: a product whose symbolic pass shows it at
 // least ⅛ full and whose values are all integers in 0…255 — the
-// attribute counts — is built that way (matMul), at most half the bytes
-// of its compressed form. Every method and kernel accepts both layouts
+// attribute counts — is built that way (matMul; a worker's seed decoder
+// builds such a count through FromBlock), at most half the bytes of its
+// compressed form. Every method and kernel accepts both layouts
 // and returns the same floats for both.
 package sparse
 

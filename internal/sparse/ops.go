@@ -29,11 +29,9 @@ func MatMulParallel(a, b *CSR) *CSR { return matMul(a, b, runtime.GOMAXPROCS(0))
 // stitch copy. Only a product in which some sum cancelled to exactly
 // zero is touched again, to squeeze those entries out.
 //
-// A product of two counts that the symbolic pass shows at least ⅛ full
-// — rows·cols ≤ 8·nnz, where a byte per cell costs at most half of 16
-// bytes per entry — is built in the block layout instead (blockProduct),
-// unless some cell is not an integer in 0…255; then it is built
-// compressed after all.
+// A product of two counts whose symbolic pass meets BlockShape is built
+// in the block layout instead (blockProduct), unless some cell fails
+// BlockCell; then it is built compressed after all.
 func matMul(a, b *CSR, workers int) *CSR {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("sparse: MatMul dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -50,7 +48,7 @@ func matMul(a, b *CSR, workers int) *CSR {
 	for i := 0; i < a.rows; i++ {
 		out.rowPtr[i+1] += out.rowPtr[i]
 	}
-	if nnz := out.rowPtr[a.rows]; nnz > 0 && a.rows*b.cols <= 8*nnz && integral(a) && integral(b) {
+	if BlockShape(a.rows, b.cols, out.rowPtr[a.rows]) && integral(a) && integral(b) {
 		if blk := blockProduct(a, b, chunk); blk != nil {
 			return blk
 		}
@@ -101,7 +99,7 @@ func integral(m *CSR) bool {
 // blockProduct is matMul's numeric pass in the block layout: every row
 // block sums its rows straight into the output's bytes
 // (gemmWorkspace.denseRow), with no bitset or sort. It returns nil
-// once some cell is not an integer in 0…255, which every block stops at.
+// once some cell fails BlockCell, which every block stops at.
 func blockProduct(a, b *CSR, chunk int) *CSR {
 	out := &CSR{rows: a.rows, cols: b.cols, block: make([]uint8, a.rows*b.cols), rowNNZ: make([]int, a.rows)}
 	var bad atomic.Bool

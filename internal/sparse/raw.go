@@ -1,6 +1,11 @@
 package sparse
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Raw returns zero-copy views of the CSR internals — shape, row
 // pointers, column indices, values — for serialization. The slices
@@ -47,4 +52,63 @@ func FromRaw(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) 
 		}
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+}
+
+// BlockShape is the shape half of the block layout's rule: a rows×cols
+// matrix of nnz stored entries is a block when it is at least ⅛ full —
+// rows·cols ≤ 8·nnz, where a byte per cell costs at most half of 16
+// bytes per compressed entry. A product rows·cols that overflows is
+// never a block. matMul and the seed decoder both ask here.
+func BlockShape(rows, cols, nnz int) bool {
+	if rows < 0 || cols < 0 || nnz <= 0 {
+		return false
+	}
+	hi, lo := bits.Mul64(uint64(rows), uint64(cols))
+	return hi == 0 && lo <= 8*uint64(nnz)
+}
+
+// BlockCell is the value half of the rule: v is an integer in 0…255,
+// as every cell of a block is. NaN fails it.
+func BlockCell(v float64) bool {
+	return v >= 0 && v <= math.MaxUint8 && float64(uint8(v)) == v
+}
+
+// FromBlock builds a block-layout CSR over cells, taking ownership of
+// the slice (no copy): v(i, j) is cells[i·cols+j], and a zero cell is no
+// entry. It counts every row's non-zero cells. cells must hold exactly
+// rows·cols bytes.
+func FromBlock(rows, cols int, cells []uint8) (*CSR, error) {
+	if rows < 0 || cols < 0 {
+		return nil, fmt.Errorf("sparse: FromBlock negative shape %dx%d", rows, cols)
+	}
+	if hi, lo := bits.Mul64(uint64(rows), uint64(cols)); hi != 0 || lo != uint64(len(cells)) {
+		return nil, fmt.Errorf("sparse: FromBlock %d cells for a %dx%d block", len(cells), rows, cols)
+	}
+	if cells == nil {
+		cells = []uint8{} // a nil block is the compressed layout
+	}
+	m := &CSR{rows: rows, cols: cols, block: cells, rowNNZ: make([]int, rows)}
+	for i := range m.rowNNZ {
+		m.rowNNZ[i] = nonZeroBytes(m.blockRow(i))
+		m.nnz += m.rowNNZ[i]
+	}
+	return m, nil
+}
+
+// nonZeroBytes counts the non-zero bytes of b, eight at a time: adding
+// 0x7f to a byte's low seven bits carries into its high bit exactly when
+// they are not all zero, and or-ing in the byte itself catches a high
+// bit of its own.
+func nonZeroBytes(b []uint8) int {
+	const low, high = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	n := 0
+	for len(b) >= 8 {
+		w := binary.LittleEndian.Uint64(b)
+		n += bits.OnesCount64(((w & low) + low | w) & high)
+		b = b[8:]
+	}
+	for _, v := range b {
+		n += int((uint(v) + 255) >> 8)
+	}
+	return n
 }

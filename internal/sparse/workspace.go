@@ -133,13 +133,12 @@ func (w *gemmWorkspace) countRow(a, b *CSR, i int) int {
 // accumulates row i of a·b as mulRow does, so a cell holds the float the
 // compressed product stores, and writes the touched cells into row, the
 // output's zeroed bytes. It returns the row's non-zero cells, or ok
-// false, leaving row part written, at the first cell that is not an
-// integer in 0…255.
+// false, leaving row part written, at the first cell that fails
+// BlockCell.
 func (w *gemmWorkspace) denseRow(a, b *CSR, i int, row []uint8) (nnz int, ok bool) {
 	w.accumulate(a, b, i)
 	for _, j := range w.live {
-		// NaN fails the range test, a fraction the round trip.
-		if v := w.acc[j]; !(v >= 0 && v <= math.MaxUint8) || float64(uint8(v)) != v {
+		if !BlockCell(w.acc[j]) {
 			return 0, false
 		}
 		row[j] = uint8(w.acc[j])
