@@ -277,17 +277,17 @@ func (sa *shardedAligner) FeatureVector(i, j int) ([]float64, error) {
 // into Align as the candidate pool. trainPos are the known anchors (the
 // paths may traverse them, and they are excluded from the proposals).
 func (sa *shardedAligner) CandidatePairs(trainPos []Anchor, perUser int) ([]Anchor, error) {
-	return sa.restrict(trainPos).Candidates(sa.train.Features, perUser)
+	sa.restrict(trainPos)
+	return sa.ext.Candidates(perUser)
 }
 
 // restrict points FeatureVector at a fresh fork of the base counter
 // restricted to anchors, counted on first use — so no anchor-dependent
-// count is ever read from the base itself — and returns the fork.
-func (sa *shardedAligner) restrict(anchors []Anchor) *metadiag.Counter {
+// count is ever read from the base itself.
+func (sa *shardedAligner) restrict(anchors []Anchor) {
 	fork := sa.base.Fork()
 	fork.SetAnchors(anchors)
 	sa.ext = metadiag.NewExtractor(fork, sa.train.Features, true)
-	return fork
 }
 
 // Predictor is an inductive scorer over feature vectors, detached from

@@ -674,3 +674,27 @@ func benchProblem(b *testing.B, pair *AlignedPair, nTrain int) (core.Problem, Or
 	}
 	return core.Problem{Links: links, X: x, LabeledPos: labeled}, NewTruthOracle(pair)
 }
+
+// BenchmarkCandidatePairs is the facade's proposal path on the
+// `default` shape (defaultShape): one aligner whose base has counted the
+// attribute layer once, proposing k = 5 counterparts per user for the
+// first fold's anchors — a fresh fork, its Recompute and the scoring of
+// every connected pair, each iteration.
+func BenchmarkCandidatePairs(b *testing.B) {
+	pair, anchors, _ := defaultShape(b)
+	trainPos := anchors[:len(anchors)/10]
+	aligner, err := New(pair, Options{Seed: 101})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := aligner.CandidatePairs(trainPos, 5); err != nil { // warms the base
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := aligner.CandidatePairs(trainPos, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

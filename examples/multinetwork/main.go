@@ -49,9 +49,8 @@ func main() {
 			log.Fatal(err)
 		}
 		counter.SetAnchors(train)
-		lib := schema.StandardLibrary()
-		ext := metadiag.NewExtractor(counter, lib.All(), true)
-		cands, err := counter.Candidates(lib.All(), 4)
+		ext := metadiag.NewExtractor(counter, schema.StandardLibrary().All(), true)
+		cands, err := ext.Candidates(4)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -424,8 +424,12 @@ func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
 	b = appendNode(b, e.Sink)
 	b = framing.AppendVarint(b, int64(e.Rows))
 	b = framing.AppendVarint(b, int64(e.Cols))
-	// A block's value run is gathered as its rows are decoded.
+	// A block's value run is gathered as its rows are decoded, into one
+	// buffer: a value ≤ 255 is at most two uvarint bytes.
 	var run []byte
+	if e.Matrix != nil {
+		run = make([]byte, 0, 2*nnz)
+	}
 	var cols []int
 	var vals []float64
 	for r := 0; r < e.Rows; r++ {

@@ -183,6 +183,7 @@ func TestSeedEntryDecodeAllocs(t *testing.T) {
 // input on the block path is refused without a panic — the block pass
 // checks each column before it writes the cell. An entry whose rows·cols
 // overflows is never a block, and its declared shape fails the install.
+// Bytes after the value run are refused on either path.
 func TestSeedEntryDecodeLayout(t *testing.T) {
 	// A rows×cols user(1)→user(2) entry whose row r stores the columns
 	// colsOf[r], valued vals in order.
@@ -202,6 +203,7 @@ func TestSeedEntryDecodeLayout(t *testing.T) {
 		block = iota
 		compressed
 		refused
+		trailing // refused for the bytes after its value run
 	)
 	for _, tc := range []struct {
 		name   string
@@ -210,6 +212,8 @@ func TestSeedEntryDecodeLayout(t *testing.T) {
 		want   int
 		refuse bool // the install refuses what the decoder accepted
 	}{
+		{"a block with trailing bytes", entry(3, 4, cols, 1, 2, 127, 3), true, trailing, false},
+		{"compressed with trailing bytes", entry(3, 4, cols, 1, 256, 3, 4), true, trailing, false},
 		{"one-byte values", entry(3, 4, cols, 1, 2, 127, 3), true, block, false},
 		{"values 128–255", entry(3, 4, cols, 128, 200, 255, 1), true, block, false},
 		{"a value over 255", entry(3, 4, cols, 1, 256, 3, 4), true, compressed, false},
@@ -223,8 +227,17 @@ func TestSeedEntryDecodeLayout(t *testing.T) {
 		{"rows·cols overflows", entry(4, 1<<62+1, [][]int{{0}, {0}, {0}, {0}}, 1, 1, 1, 1), true, compressed, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := decodeSeedEntry(appendSeedEntry(nil, &tc.e), tc.count)
+			seg := appendSeedEntry(nil, &tc.e)
+			if tc.want == trailing {
+				seg = append(seg, 1, 2)
+			}
+			got, err := decodeSeedEntry(seg, tc.count)
 			switch {
+			case tc.want == trailing:
+				if err == nil || !strings.Contains(err.Error(), "2 trailing bytes") {
+					t.Fatalf("err %v, want the trailing-bytes refusal", err)
+				}
+				return
 			case tc.want == refused:
 				if err == nil {
 					t.Fatalf("accepted (block %v)", got.Matrix != nil)
@@ -275,6 +288,7 @@ func FuzzSeedBody(f *testing.F) {
 	for _, top := range []float64{255, 256} {
 		e := metadiag.SeedEntry{Key: "Ψ", Rows: 2, Cols: 3, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, 2, 1}, Val: []float64{1, top, 7}}
 		f.Add(appendSeedEntry(nil, &e))
+		f.Add(append(appendSeedEntry(nil, &e), 1, 2)) // trailing bytes, on the block path and off it
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

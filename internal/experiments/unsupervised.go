@@ -50,9 +50,8 @@ func RunUnsupervisedComparison(pre Preset) (*Table, error) {
 	// Supervised runs over diagram-proposed candidates.
 	counter := pr.base.Fork()
 	counter.SetAnchors(train)
-	lib := schema.StandardLibrary()
-	ext := metadiag.NewExtractor(counter, lib.All(), true)
-	cands, err := counter.Candidates(lib.All(), 5)
+	ext := metadiag.NewExtractor(counter, schema.StandardLibrary().All(), true)
+	cands, err := ext.Candidates(5)
 	if err != nil {
 		return nil, err
 	}

@@ -176,7 +176,7 @@ func attributePrior(pair *hetnet.AlignedPair, n1, n2 int) (prior *sparse.CSR, ha
 	if err != nil {
 		return nil, false, err
 	}
-	sm := prox.ScoreMatrix()
+	sm := prox.ScoreMatrix(n2) // k = n2 keeps every score
 	if sm.NNZ() == 0 {
 		// Uniform prior: every pair equally likely.
 		b := sparse.NewBuilder(n1, n2)

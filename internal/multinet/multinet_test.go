@@ -194,7 +194,7 @@ func TestEndToEndTripleAlignment(t *testing.T) {
 		}
 		counter.SetAnchors(train)
 		ext := metadiag.NewExtractor(counter, schema.StandardLibrary().All(), true)
-		cands, err := counter.Candidates(schema.StandardLibrary().All(), 4)
+		cands, err := ext.Candidates(4)
 		if err != nil {
 			t.Fatal(err)
 		}

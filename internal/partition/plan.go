@@ -179,7 +179,7 @@ func NewPlanner(base *metadiag.Counter) (*Planner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: coarse similarity prior: %w", err)
 	}
-	prior := truncatedScores(prox, coarseTopM)
+	prior := prox.ScoreMatrix(coarseTopM)
 	if prior.NNZ() == 0 {
 		prior = nil
 	} else if s := prior.Sum(); s > 0 {
@@ -588,29 +588,6 @@ func (pl *Planner) foldSimilarity(parts []Part) (simLeft, simRight []float64, se
 		}
 	}
 	return simLeft, simRight, true
-}
-
-// truncatedScores builds the top-M-per-row proximity score matrix
-// straight from the cached count matrix — Proximity.ScoreMatrix would
-// materialize every score first, which at crawl scale means pushing
-// ~10⁸ entries through a builder only to throw almost all of them away.
-// Each row of the count is copied into scratch (CSR.AppendRow), so a
-// block stays a block.
-func truncatedScores(p *metadiag.Proximity, topM int) *sparse.CSR {
-	rows, cols := p.Counts.Dims()
-	var js, colIdx []int
-	var scores, vals []float64
-	return sparse.TopKRows(rows, cols, topM, func(i int) ([]int, []float64) {
-		colIdx, vals = p.Counts.AppendRow(i, colIdx[:0], vals[:0])
-		js, scores = js[:0], scores[:0]
-		for k, j := range colIdx {
-			if denom := p.RowSums[i] + p.ColSums[j]; denom > 0 {
-				js = append(js, j)
-				scores = append(scores, 2*vals[k]/denom)
-			}
-		}
-		return js, scores
-	})
 }
 
 // invHop maps a BFS distance to a (0,1] affinity; unreachable → 0.
