@@ -565,6 +565,41 @@ func BenchmarkMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanner is the fold-independent half of planning plus one
+// plan, on the first fold of the `default` shape (defaultShape): each
+// iteration derives a fresh partition.Planner from a base counter whose
+// Ψ^a² count is already cached — the count is shared with the parts'
+// pipelines, so it is not the planner's — and plans K = 4 parts, which
+// runs the coarse similarity seeding once.
+func BenchmarkPlanner(b *testing.B) {
+	pair, anchors, neg := defaultShape(b)
+	fold := len(anchors) / 10
+	trainPos := anchors[:fold]
+	candidates := append(append([]Anchor(nil), anchors[fold:]...), neg...)
+	base, err := metadiag.NewCounter(pair)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := base.Count(schema.AttributeDiagram(hetnet.At, hetnet.Checkin)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		planner, err := partition.NewPlanner(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := planner.Plan(trainPos, candidates, 100, partition.Config{K: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !plan.SimilaritySeeded {
+			b.Fatal("plan lost its similarity seed")
+		}
+	}
+}
+
 // BenchmarkWarmRecount is the anchor layer's share of one warm fold on
 // the `default`-shaped pair of `go run ./bench` (bench/config.go, seed
 // 101): SetAnchors(fold) → Recompute → FeatureMatrix(pool) on a counter

@@ -139,6 +139,59 @@ func TestSeedDecodeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBlockEntryEncodesFromBytes: a block entry, written straight from
+// its bytes, is the segment of the same matrix given as arrays, and
+// every segment is as long as layoutSeedEntry measured — on random
+// counts, and on rows that reach each varint width: values ≥ 128, gaps
+// of two and three bytes, a cell in a row's last partial word.
+func TestBlockEntryEncodesFromBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	check := func(name string, rows, cols int, cells []uint8) {
+		t.Helper()
+		m, err := sparse.FromBlock(rows, cols, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := metadiag.SeedEntry{Key: "Ψ", Source: schema.User1(), Sink: schema.User2(), Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+		for r := 0; r < rows; r++ {
+			for c, v := range cells[r*cols : (r+1)*cols] {
+				if v != 0 {
+					e.ColIdx, e.Val = append(e.ColIdx, c), append(e.Val, float64(v))
+				}
+			}
+			e.RowPtr[r+1] = len(e.ColIdx)
+		}
+		blk := e
+		blk.RowPtr, blk.ColIdx, blk.Val, blk.Matrix = nil, nil, nil, m
+		got, want := appendSeedEntry(nil, &blk), appendSeedEntry(nil, &e)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: block segment differs from the arrays' segment", name)
+		}
+		if l := layoutSeedEntry(&blk); l.size() != len(got) {
+			t.Fatalf("%s: measured %d bytes, wrote %d", name, l.size(), len(got))
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := rng.Intn(12), 1+rng.Intn(70)
+		cells := make([]uint8, rows*cols)
+		density := rng.Float64()
+		for i := range cells {
+			if rng.Float64() < density {
+				cells[i] = uint8(1 + rng.Intn(255))
+			}
+		}
+		check(fmt.Sprintf("trial %d", trial), rows, cols, cells)
+	}
+	const wide = 20011
+	cells := make([]uint8, 2*wide)
+	for _, c := range []int{0, 7, 8, 135, 16600, wide - 1} {
+		cells[c] = uint8(c%250 + 1)
+		cells[wide+c] = 255
+	}
+	cells[wide+3] = 128
+	check("wide", 2, wide, cells)
+}
+
 // TestSeedEntryDecodeAllocs: decoding one entry allocates the key, the
 // three arrays — or a block's cells and row counts — and nothing that
 // grows with the matrix: it used to be one reallocation per doubling of

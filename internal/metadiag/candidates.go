@@ -80,6 +80,8 @@ func (e *Extractor) totals() *sparse.CSR {
 				pairs(e.counts[f.stack], i)
 			}
 		}
+		// In column order the selection copies the row straight through.
+		slices.Sort(js)
 		for _, j := range js {
 			e.fill(i, j, scores, cells)
 			sum := 0.0

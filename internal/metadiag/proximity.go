@@ -45,25 +45,17 @@ func (p *Proximity) Score(i, j int) float64 {
 }
 
 // ScoreMatrix builds the proximity score matrix keeping the k best
-// scores of each row (sparse.TopKRows: ties to the smaller column);
-// k ≥ the column count keeps every score, the count's pattern. Each row
-// of the count is copied into scratch (CSR.AppendRow), so a block stays
-// a block, and nothing wider than k is built: the scores of a crawl-scale
-// count are pushed through the selection only, never through a builder.
+// scores of each row (sparse.CSR.TopKScores: ties to the smaller
+// column); k ≥ the column count keeps every score, the count's pattern.
+// Each count is scored where it is stored — a block's rows straight off
+// their bytes — and pushed through the selection only: nothing wider
+// than k is built.
 func (p *Proximity) ScoreMatrix(k int) *sparse.CSR {
-	rows, cols := p.Counts.Dims()
-	var js, colIdx []int
-	var scores, vals []float64
-	return sparse.TopKRows(rows, cols, k, func(i int) ([]int, []float64) {
-		colIdx, vals = p.Counts.AppendRow(i, colIdx[:0], vals[:0])
-		js, scores = js[:0], scores[:0]
-		for n, j := range colIdx {
-			if denom := p.RowSums[i] + p.ColSums[j]; denom > 0 {
-				js = append(js, j)
-				scores = append(scores, 2*vals[n]/denom)
-			}
+	return p.Counts.TopKScores(k, func(i, j int, v float64) float64 {
+		if denom := p.RowSums[i] + p.ColSums[j]; denom > 0 {
+			return 2 * v / denom
 		}
-		return js, scores
+		return 0
 	})
 }
 

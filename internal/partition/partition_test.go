@@ -438,29 +438,68 @@ func TestPlanFingerprintStable(t *testing.T) {
 	}
 }
 
+// defaultShape is the `default` pair of `go run ./bench`
+// (bench/config.go): PaperShape's networks at ten and six posts per
+// user, seed 101.
+func defaultShape() datagen.Config {
+	cfg := datagen.PaperShape()
+	cfg.Seed, cfg.PostsPerUser1, cfg.PostsPerUser2 = 101, 10, 6
+	return cfg
+}
+
 // TestSimilarityMatchesUnfusedPropagation recomputes the planner's
 // coarse similarity the long way — full products, then TopKPerRow — and
-// requires the fused MatMulTopK propagation to equal it bit for bit.
+// requires the fused MatMulTopK propagation to equal it bit for bit, on
+// the small preset and on the benchmark's `default` shape, whose
+// untruncated products are about half full.
 func TestSimilarityMatchesUnfusedPropagation(t *testing.T) {
-	pair, err := datagen.Generate(datagen.Small())
+	for _, cfg := range []datagen.Config{datagen.Small(), defaultShape()} {
+		pair, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := NewPlanner(newBase(t, pair))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.prior == nil {
+			t.Fatal("fixture carries no attribute prior")
+		}
+		want := pl.prior
+		for it := 0; it < coarseIters; it++ {
+			prop := sparse.MatMulParallel(pl.w1, want).TopKPerRow(coarseTopM)
+			prop = sparse.MatMulParallel(prop, pl.w2.T()).TopKPerRow(coarseTopM)
+			want = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
+			want = want.Scale(1 / want.Sum())
+		}
+		if got := pl.similarity(); !got.Equal(want) {
+			t.Fatalf("fused similarity differs from the unfused propagation of %d rounds", coarseIters)
+		}
+	}
+}
+
+// BenchmarkSimilarity times the coarse similarity seeding alone —
+// Planner.similarity on a planner whose inputs are derived — on the
+// `default` shape. Run it with -cpu 1 for the single-threaded cost.
+func BenchmarkSimilarity(b *testing.B) {
+	pair, err := datagen.Generate(defaultShape())
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	pl, err := NewPlanner(newBase(t, pair))
+	base, err := metadiag.NewCounter(pair)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	if pl.prior == nil {
-		t.Fatal("fixture carries no attribute prior")
+	pl, err := NewPlanner(base)
+	if err != nil {
+		b.Fatal(err)
 	}
-	want := pl.prior
-	for it := 0; it < coarseIters; it++ {
-		prop := sparse.MatMulParallel(pl.w1, want).TopKPerRow(coarseTopM)
-		prop = sparse.MatMulParallel(prop, pl.w2.T()).TopKPerRow(coarseTopM)
-		want = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
-		want = want.Scale(1 / want.Sum())
-	}
-	if got := pl.similarity(); !got.Equal(want) {
-		t.Fatalf("fused similarity differs from the unfused propagation of %d rounds", coarseIters)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := &Planner{base: base, w1: pl.w1, w2: pl.w2, prior: pl.prior}
+		if fresh.similarity() == nil {
+			b.Fatal("no similarity")
+		}
 	}
 }

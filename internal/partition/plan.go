@@ -511,15 +511,16 @@ const (
 // similarity returns the propagated, truncated coarse similarity,
 // computed once per planner: coarseIters rounds of
 // R ← α·W1·R·W2ᵀ + (1−α)·H with H the truncated Ψ^a² prior, every
-// product truncated to coarseTopM entries per row. nil when the pair
-// carries no joint attribute evidence.
+// product truncated to coarseTopM entries per row and R normalized to
+// sum 1. nil when the pair carries no joint attribute evidence.
 func (pl *Planner) similarity() *sparse.CSR {
 	if pl.prior == nil {
 		return nil
 	}
 	pl.simOnce.Do(func() {
 		r := pl.prior
-		w2t := pl.w2.T()
+		w2t := symmetricTranspose(pl.w2)
+		prior := pl.prior.Scale(1 - coarseAlpha)
 		for it := 0; it < coarseIters; it++ {
 			// Truncate between the two products too: without it the second
 			// SpGEMM's output is near-dense (every neighbor of a neighbor),
@@ -528,7 +529,7 @@ func (pl *Planner) similarity() *sparse.CSR {
 			// accumulator, so neither near-dense product is ever stored.
 			prop := sparse.MatMulTopK(pl.w1, r, coarseTopM)
 			prop = sparse.MatMulTopK(prop, w2t, coarseTopM)
-			r = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
+			r = blendTopK(prop, prior)
 			if s := r.Sum(); s > 0 {
 				r = r.Scale(1 / s)
 			}
@@ -536,6 +537,54 @@ func (pl *Planner) similarity() *sparse.CSR {
 		pl.sim = r
 	})
 	return pl.sim
+}
+
+// blendTopK is sparse.Add(prop.Scale(coarseAlpha), prior).TopKPerRow(
+// coarseTopM) in one row pass: each row of the two is merged by column,
+// every cell the float Add gives — α·p, the scaled prior's h, or their
+// sum — and offered to the selection in column order.
+func blendTopK(prop, prior *sparse.CSR) *sparse.CSR {
+	rows, cols := prop.Dims()
+	var js []int
+	var vs []float64
+	return sparse.TopKRows(rows, cols, coarseTopM, func(i int) ([]int, []float64) {
+		pc, pv := prop.RowSlice(i)
+		hc, hv := prior.RowSlice(i)
+		js, vs = js[:0], vs[:0]
+		for a, b := 0, 0; a < len(pc) || b < len(hc); {
+			switch {
+			case b == len(hc) || (a < len(pc) && pc[a] < hc[b]):
+				js, vs = append(js, pc[a]), append(vs, pv[a]*coarseAlpha)
+				a++
+			case a == len(pc) || hc[b] < pc[a]:
+				js, vs = append(js, hc[b]), append(vs, hv[b])
+				b++
+			default:
+				js, vs = append(js, pc[a]), append(vs, pv[a]*coarseAlpha+hv[b])
+				a++
+				b++
+			}
+		}
+		return js, vs
+	})
+}
+
+// symmetricTranspose returns wᵀ for a row-normalized operator over a
+// symmetric pattern (isorank.NormalizedUndirected): the pattern is its
+// own transpose and cell (i, j) of wᵀ is w's (j, i), 1/deg(j) — so the
+// transpose is w's pattern with each column's value, written in one
+// pass instead of CSR.T's scatter. The index arrays are shared, read-only.
+func symmetricTranspose(w *sparse.CSR) *sparse.CSR {
+	rows, cols, rowPtr, colIdx, val := w.Raw()
+	out := make([]float64, len(val))
+	for k, j := range colIdx {
+		out[k] = val[rowPtr[j]]
+	}
+	t, err := sparse.FromRaw(cols, rows, rowPtr, colIdx, out)
+	if err != nil {
+		panic(fmt.Sprintf("partition: transpose of the follow operator: %v", err))
+	}
+	return t
 }
 
 // foldSimilarity folds the propagated similarity mass onto the anchor

@@ -170,43 +170,6 @@ func (m *CSR) dropZeros() {
 	m.colIdx, m.val = m.colIdx[:n], m.val[:n]
 }
 
-// rowBlocks assembles a rows×cols matrix from a row kernel whose output
-// size is not known up front: kernel(lo, hi, rowLen) returns the
-// concatenated entries of rows [lo, hi) and their per-row counts in
-// rowLen (length hi-lo). Blocks are cut as for MatMulParallel and
-// stitched in order.
-func rowBlocks(rows, cols int, kernel func(lo, hi int, rowLen []int) (colIdx []int, val []float64)) *CSR {
-	out := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
-	rowLen := make([]int, rows)
-	if chunk := blockRows(rows, runtime.GOMAXPROCS(0)); chunk >= rows {
-		out.colIdx, out.val = kernel(0, rows, rowLen)
-	} else {
-		type block struct {
-			colIdx []int
-			val    []float64
-		}
-		blocks := make([]block, (rows+chunk-1)/chunk)
-		eachBlock(rows, chunk, func(lo, hi int) {
-			blk := &blocks[lo/chunk]
-			blk.colIdx, blk.val = kernel(lo, hi, rowLen[lo:hi])
-		})
-		total := 0
-		for _, blk := range blocks {
-			total += len(blk.val)
-		}
-		out.colIdx = make([]int, 0, total)
-		out.val = make([]float64, 0, total)
-		for _, blk := range blocks {
-			out.colIdx = append(out.colIdx, blk.colIdx...)
-			out.val = append(out.val, blk.val...)
-		}
-	}
-	for i, n := range rowLen {
-		out.rowPtr[i+1] = out.rowPtr[i] + n
-	}
-	return out
-}
-
 // Hadamard returns the elementwise product a ⊙ b. Shapes must match. The
 // result stores entries only where both inputs are non-zero — exactly the
 // "both path patterns present" semantics of meta diagram stacking. The

@@ -95,20 +95,33 @@ func FromBlock(rows, cols int, cells []uint8) (*CSR, error) {
 	return m, nil
 }
 
-// nonZeroBytes counts the non-zero bytes of b, eight at a time: adding
-// 0x7f to a byte's low seven bits carries into its high bit exactly when
-// they are not all zero, and or-ing in the byte itself catches a high
-// bit of its own.
+// nonZeroBytes counts the non-zero bytes of b, eight at a time.
 func nonZeroBytes(b []uint8) int {
-	const low, high = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
 	n := 0
-	for len(b) >= 8 {
-		w := binary.LittleEndian.Uint64(b)
-		n += bits.OnesCount64(((w & low) + low | w) & high)
-		b = b[8:]
-	}
-	for _, v := range b {
-		n += int((uint(v) + 255) >> 8)
+	for base := 0; base < len(b); base += 8 {
+		nz, _ := NonZeroMask(b, base)
+		n += bits.OnesCount64(nz)
 	}
 	return n
+}
+
+// NonZeroMask reads the eight bytes of a block row from base (fewer at
+// the row's end) and returns two masks holding the high bit of a byte:
+// nz of every non-zero byte, high of every byte ≥ 128. Adding 0x7f to a
+// byte's low seven bits carries into its high bit exactly when they are
+// not all zero, and or-ing in the byte itself catches a high bit of its
+// own. Walking a row by nz — cell base + TrailingZeros64(nz)/8, then
+// nz &= nz-1 — visits its non-zero cells in column order with no branch
+// on a zero cell.
+func NonZeroMask(row []uint8, base int) (nz, high uint64) {
+	const lowBits, highBits = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	var w uint64
+	if base+8 <= len(row) {
+		w = binary.LittleEndian.Uint64(row[base:])
+	} else {
+		for p, v := range row[base:] {
+			w |= uint64(v) << (8 * p)
+		}
+	}
+	return ((w & lowBits) + lowBits | w) & highBits, w & highBits
 }

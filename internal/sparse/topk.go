@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"slices"
 )
 
@@ -11,74 +13,130 @@ type topEntry struct {
 	v float64
 }
 
-// rowTopK is the one top-k selection every truncating kernel shares: a
-// bounded min-heap over a row's entries whose root is the worst entry
-// still kept. An entry ranks above another when its value is larger,
-// ties going to the smaller column; zeros and NaN are never kept (±Inf
-// rank like any other value). Offering a row costs O(n·log k) with no
-// allocation after the first k entries; k must be positive.
+// rowTopK is the one top-k selection every truncating kernel shares. An
+// entry ranks above another when its value is larger, ties going to the
+// smaller column; zeros and NaN are never kept (±Inf rank like any
+// other value). A row is offered in increasing column order, so an
+// entry that ties a kept value ranks below it: top holds the k largest
+// values offered so far, descending, and an entry is a candidate only
+// when its value exceeds top's last once top is full — one comparison
+// turns away the rest of a near-dense row. Every candidate is recorded
+// in column order, and emit keeps those above the k-th value plus, of
+// its ties, as many as top holds, smallest columns first: the row's
+// top k, already in column order. k must be positive.
 type rowTopK struct {
 	k    int
-	heap []topEntry
+	top  []float64
+	cand []topEntry
 }
 
-// worse reports whether a ranks below b.
-func (a topEntry) worse(b topEntry) bool {
-	return a.v < b.v || (a.v == b.v && a.j > b.j)
+// threshold is the k-th value held; once full, an entry must exceed it
+// to be a candidate.
+func (s *rowTopK) threshold() float64 { return s.top[s.k-1] }
+
+// full reports whether top holds k values.
+func (s *rowTopK) full() bool { return len(s.top) == s.k }
+
+// add considers entry (j, v) of the current row; j exceeds every column
+// added before it. whole says the row has at most k entries, so every
+// entry that is neither zero nor NaN is kept with no ranking at all.
+// Such entries never enter top, and emit keeps every candidate of a
+// row whose top is empty.
+func (s *rowTopK) add(j int, v float64, whole bool) {
+	if whole {
+		s.keep(j, v)
+	} else if !s.full() || v > s.threshold() {
+		s.offer(j, v)
+	}
 }
 
-// offer considers entry (j, v) of the current row.
+// keep is add's half for a whole row.
+func (s *rowTopK) keep(j int, v float64) {
+	if v != 0 && v == v {
+		s.cand = append(s.cand, topEntry{j: j, v: v})
+	}
+}
+
+// offer is add's ranked half, for an entry the caller has found above
+// the threshold (or with top not yet full): it becomes a candidate and
+// its value takes its place in top.
 func (s *rowTopK) offer(j int, v float64) {
-	e := topEntry{j: j, v: v}
-	if v == 0 || v != v || (len(s.heap) == s.k && !s.heap[0].worse(e)) {
+	n := len(s.top)
+	if v == 0 || v != v {
 		return
 	}
-	h := s.heap
-	if len(h) < s.k {
-		// Sift up from a new leaf.
-		h = append(h, e)
-		c := len(h) - 1
-		for c > 0 {
-			p := (c - 1) / 2
-			if !e.worse(h[p]) {
-				break
-			}
-			h[c] = h[p]
-			c = p
-		}
-		h[c] = e
-		s.heap = h
-		return
+	s.cand = append(s.cand, topEntry{j: j, v: v})
+	top := s.top
+	if n < s.k {
+		top = append(top, v)
+		s.top = top
+	} else {
+		n-- // v displaces the k-th value
 	}
-	// Replace the root (the worst kept entry) and sift down.
-	p := 0
-	for {
-		c := 2*p + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].worse(h[c]) {
-			c++
-		}
-		if !h[c].worse(e) {
-			break
-		}
-		h[p] = h[c]
-		p = c
+	for ; n > 0 && top[n-1] < v; n-- {
+		top[n] = top[n-1]
 	}
-	h[p] = e
+	top[n] = v
 }
 
-// emit appends the kept entries to colIdx/val in increasing column
+// addRow adds a row given in increasing column order.
+func (s *rowTopK) addRow(cols []int, vals []float64) {
+	whole := len(cols) <= s.k
+	for p, j := range cols {
+		s.add(j, vals[p], whole)
+	}
+}
+
+// addSet adds the cells of sum whose bits are set in words lo…hi of
+// set, in column order, zeroing every cell and word it reads: the row
+// gemmWorkspace.sumRow left.
+func (s *rowTopK) addSet(sum []float64, set []uint64, lo, hi int, whole bool) {
+	// The threshold lives in locals between offers: open while fewer than
+	// k values are held and every cell is a candidate.
+	thr, open := 0.0, true
+	for wi := lo; wi <= hi; wi++ {
+		word := set[wi]
+		set[wi] = 0
+		for base := wi << 6; word != 0; word &= word - 1 {
+			j := base + bits.TrailingZeros64(word)
+			v := sum[j]
+			sum[j] = 0
+			if whole {
+				s.keep(j, v)
+			} else if open || v > thr {
+				s.offer(j, v)
+				if open = !s.full(); !open {
+					thr = s.threshold()
+				}
+			}
+		}
+	}
+}
+
+// emit appends the row's selection to colIdx/val in increasing column
 // order and clears the selection for the next row.
 func (s *rowTopK) emit(colIdx []int, val []float64) ([]int, []float64) {
-	h := s.heap
-	slices.SortFunc(h, func(a, b topEntry) int { return a.j - b.j })
-	for _, e := range h {
-		colIdx = append(colIdx, e.j)
-		val = append(val, e.v)
+	if n := len(s.top); n == 0 {
+		for _, e := range s.cand {
+			colIdx, val = append(colIdx, e.j), append(val, e.v)
+		}
+	} else {
+		t, ties := s.top[n-1], 0
+		for p := n - 1; p >= 0 && s.top[p] == t; p-- {
+			ties++
+		}
+		for _, e := range s.cand {
+			switch {
+			case e.v > t:
+			case e.v == t && ties > 0:
+				ties--
+			default:
+				continue
+			}
+			colIdx, val = append(colIdx, e.j), append(val, e.v)
+		}
 	}
-	s.heap = h[:0]
+	s.top, s.cand = s.top[:0], s.cand[:0]
 	return colIdx, val
 }
 
@@ -86,22 +144,44 @@ func (s *rowTopK) emit(colIdx []int, val []float64) ([]int, []float64) {
 // largest-valued of the entries row(i) yields (ties broken toward
 // smaller column indices; zeros and NaN never kept). row may yield a
 // row's columns in any order, each at most once, and may reuse the
-// returned slices between calls. k ≤ 0 returns an empty matrix. For
-// callers that score a row on the fly and want only the best of it
-// stored — the selection runs per row, nothing wider than k is built.
+// returned slices between calls. A row yielded in increasing column
+// order goes straight to the selection and, when it has at most k
+// entries, is copied through; any other row is sorted by column first.
+// k ≤ 0 returns an empty matrix. For callers that score a row on the
+// fly and want only the best of it stored — the selection runs per
+// row, nothing wider than k is built. A k below cols bounds the result
+// at rows·k entries, and the output is allocated at that size once.
 func TopKRows(rows, cols, k int, row func(i int) (colIdx []int, val []float64)) *CSR {
 	out := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
 	if k <= 0 {
 		return out
 	}
+	if k < cols {
+		out.colIdx, out.val = make([]int, 0, rows*k), make([]float64, 0, rows*k)
+	}
 	sel := rowTopK{k: min(k, cols)}
+	var sorted []topEntry
 	for i := 0; i < rows; i++ {
 		js, vs := row(i)
+		ascending := true
 		for p, j := range js {
 			if uint(j) >= uint(cols) {
 				panic(fmt.Sprintf("sparse: TopKRows row %d yields column %d outside %dx%d", i, j, rows, cols))
 			}
-			sel.offer(j, vs[p])
+			ascending = ascending && (p == 0 || js[p-1] < j)
+		}
+		if ascending {
+			sel.addRow(js, vs)
+		} else {
+			sorted = sorted[:0]
+			for p, j := range js {
+				sorted = append(sorted, topEntry{j: j, v: vs[p]})
+			}
+			slices.SortFunc(sorted, func(a, b topEntry) int { return a.j - b.j })
+			whole := len(sorted) <= sel.k
+			for _, e := range sorted {
+				sel.add(e.j, e.v, whole)
+			}
 		}
 		out.colIdx, out.val = sel.emit(out.colIdx, out.val)
 		out.rowPtr[i+1] = len(out.val)
@@ -116,16 +196,70 @@ func TopKRows(rows, cols, k int, row func(i int) (colIdx []int, val []float64)) 
 // best-scored counterparts.
 func (m *CSR) TopKPerRow(k int) *CSR {
 	var buf rowBuf
-	return TopKRows(m.rows, m.cols, k, func(i int) ([]int, []float64) { return m.rowOf(i, &buf) })
+	return m.topK(k, func(i int, sel *rowTopK) {
+		sel.addRow(m.rowOf(i, &buf))
+	})
+}
+
+// TopKScores returns the matrix whose row i keeps the k best of
+// score(i, j, v) over m's stored entries (i, j, v), ranked and cut as
+// TopKPerRow ranks and cuts; a score of zero or NaN is never kept. A
+// block's rows are scored straight off its bytes, never widened.
+func (m *CSR) TopKScores(k int, score func(i, j int, v float64) float64) *CSR {
+	return m.topK(k, func(i int, sel *rowTopK) {
+		whole := m.RowNNZ(i) <= sel.k
+		if m.block == nil {
+			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+				j := m.colIdx[p]
+				sel.add(j, score(i, j, m.val[p]), whole)
+			}
+			return
+		}
+		row := m.blockRow(i)
+		for base := 0; base < len(row); base += 8 {
+			nz, _ := NonZeroMask(row, base)
+			for ; nz != 0; nz &= nz - 1 {
+				j := base + bits.TrailingZeros64(nz)>>3
+				sel.add(j, score(i, j, float64(row[j])), whole)
+			}
+		}
+	})
+}
+
+// topK runs the selection over every row of m: row(i, sel) adds row i's
+// entries in increasing column order. The output is sized once, to
+// min(rows·k, nnz).
+func (m *CSR) topK(k int, row func(i int, sel *rowTopK)) *CSR {
+	out := &CSR{rows: m.rows, cols: m.cols, rowPtr: make([]int, m.rows+1)}
+	if k <= 0 {
+		return out
+	}
+	k = min(k, m.cols)
+	size := m.NNZ()
+	if k < m.cols {
+		size = min(size, m.rows*k)
+	}
+	out.colIdx, out.val = make([]int, 0, size), make([]float64, 0, size)
+	sel := rowTopK{k: k}
+	for i := 0; i < m.rows; i++ {
+		row(i, &sel)
+		out.colIdx, out.val = sel.emit(out.colIdx, out.val)
+		out.rowPtr[i+1] = len(out.val)
+	}
+	return out
 }
 
 // MatMulTopK returns MatMulParallel(a, b).TopKPerRow(k) without ever
-// building a·b: each row is accumulated in the pooled Gustavson
-// workspace and its k best live columns are selected straight off the
-// accumulator, so a near-dense product row costs its flops plus
-// O(live·log k) and stores at most k entries. Rows are split across
-// GOMAXPROCS workers like MatMulParallel's. It panics on
-// inner-dimension mismatch.
+// building a·b. Each row is summed into a zeroed dense accumulator and a
+// column bitset (gemmWorkspace.sumRow) — the floats accumulate gives,
+// without its per-flop liveness bookkeeping — and the set bits are
+// walked in column order, each cell read, zeroed and offered to the
+// selection, whose threshold turns most of a near-dense row away with
+// one comparison. Row i stores at most min(k, its flops) entries; those
+// bounds size the output once, every row is written at its bound's
+// offset by the worker that owns it (rows are split across GOMAXPROCS
+// workers like MatMulParallel's), and one in-place pass closes the gaps
+// short rows leave. It panics on inner-dimension mismatch.
 func MatMulTopK(a, b *CSR, k int) *CSR {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("sparse: MatMulTopK dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -133,23 +267,43 @@ func MatMulTopK(a, b *CSR, k int) *CSR {
 	if k <= 0 {
 		return Zero(a.rows, b.cols)
 	}
-	return rowBlocks(a.rows, b.cols, func(lo, hi int, rowLen []int) (colIdx []int, val []float64) {
+	k = min(k, b.cols)
+	out := &CSR{rows: a.rows, cols: b.cols, rowPtr: make([]int, a.rows+1)}
+	var buf rowBuf
+	for i := 0; i < a.rows; i++ {
+		ac, _ := a.rowOf(i, &buf)
+		flops := 0
+		for _, c := range ac {
+			if flops += b.RowNNZ(c); flops > k {
+				break
+			}
+		}
+		out.rowPtr[i+1] = out.rowPtr[i] + min(k, flops)
+	}
+	colIdx, val := make([]int, out.rowPtr[a.rows]), make([]float64, out.rowPtr[a.rows])
+	rowLen := make([]int, a.rows)
+	eachBlock(a.rows, blockRows(a.rows, runtime.GOMAXPROCS(0)), func(lo, hi int) {
 		w := getWorkspace(b.cols)
 		defer putWorkspace(w)
-		sel := rowTopK{k: min(k, b.cols)}
+		sel := rowTopK{k: k}
 		for i := lo; i < hi; i++ {
-			w.accumulate(a, b, i)
-			for _, j := range w.live {
-				// Once the selection is full most of a near-dense row ranks
-				// below its root: turn those away here, without the call.
-				if e := (topEntry{j: j, v: w.acc[j]}); len(sel.heap) < sel.k || sel.heap[0].worse(e) {
-					sel.offer(e.j, e.v)
-				}
-			}
-			n := len(val)
-			colIdx, val = sel.emit(colIdx, val)
-			rowLen[i-lo] = len(val) - n
+			p, q := out.rowPtr[i], out.rowPtr[i+1]
+			first, last := w.sumRow(a, b, i)
+			// A row bounded below k by its flops fits whole.
+			sel.addSet(w.sum, w.bits, first, last, q-p < k)
+			got, _ := sel.emit(colIdx[p:p:q], val[p:p:q])
+			rowLen[i] = len(got)
 		}
-		return colIdx, val
 	})
+	n := 0
+	for i, m := range rowLen {
+		p := out.rowPtr[i]
+		copy(colIdx[n:n+m], colIdx[p:p+m])
+		copy(val[n:n+m], val[p:p+m])
+		out.rowPtr[i] = n
+		n += m
+	}
+	out.rowPtr[a.rows] = n
+	out.colIdx, out.val = colIdx[:n], val[:n]
+	return out
 }

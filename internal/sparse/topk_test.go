@@ -91,7 +91,9 @@ func TestTopKPerRowProperty(t *testing.T) {
 // referenceTopKPerRow is TopKPerRow as it stood before the typed
 // selection: copy each row, sort.Slice it by (value desc, column asc),
 // cut at k, re-sort by column. Kept here as the reference the kernel is
-// checked against; defined only for rows without NaN.
+// checked against; defined only for rows without NaN. Rows are read
+// through rowOf, so a block operand — a product of small non-negative
+// integers is built as one — is read like any other.
 func referenceTopKPerRow(m *CSR, k int) *CSR {
 	out := &CSR{rows: m.rows, cols: m.cols, rowPtr: make([]int, m.rows+1)}
 	if k <= 0 {
@@ -102,10 +104,12 @@ func referenceTopKPerRow(m *CSR, k int) *CSR {
 		v float64
 	}
 	var buf []entry
+	var rb rowBuf
 	for i := 0; i < m.rows; i++ {
 		buf = buf[:0]
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			buf = append(buf, entry{j: m.colIdx[p], v: m.val[p]})
+		cols, vals := m.rowOf(i, &rb)
+		for p, j := range cols {
+			buf = append(buf, entry{j: j, v: vals[p]})
 		}
 		sort.Slice(buf, func(a, b int) bool {
 			if buf[a].v != buf[b].v {
@@ -168,6 +172,129 @@ func TestMatMulTopKProperty(t *testing.T) {
 			for _, k := range []int{-3, 0, 1, 2, 5, 16, sh[2] - 1, sh[2], sh[2] + 7, math.MaxInt} {
 				checkTopKAgainstReference(t, a, b, k)
 			}
+		}
+	}
+
+	// Near-dense rows at the planner's k: at least 40 % of every
+	// product row is live, so the selection trims many times per row —
+	// on tied small integers and on real values alike.
+	for _, vals := range []func() float64{nil, rng.Float64} {
+		a, b := randCSR(rng, 90, 30, 0.5), randCSR(rng, 30, 200, 0.5)
+		if vals != nil {
+			a, b = valuedCSR(rng, 90, 30, 0.5, vals), valuedCSR(rng, 30, 200, 0.5, vals)
+		}
+		prod := MatMulParallel(a, b)
+		for i := 0; i < prod.Rows(); i++ {
+			if live := prod.RowNNZ(i); 10*live < 4*prod.Cols() {
+				t.Fatalf("near-dense fixture row %d has %d of %d cells live", i, live, prod.Cols())
+			}
+		}
+		checkTopKAgainstReference(t, a, b, 16)
+	}
+
+	// Ties straddling the threshold: row 0 of b holds ten 5s, twenty 3s
+	// and ten 1s in shuffled columns, so the 16th best is a 3 and only
+	// the six smallest-column 3s make the cut; row 1 doubles it through
+	// a second path, so the tie is also one a sum produces.
+	tie := NewBuilder(2, 40)
+	for n, j := range rng.Perm(40) {
+		v := []float64{5, 3, 3, 1}[n/10]
+		tie.Add(0, j, v)
+		tie.Add(1, j, v)
+	}
+	b := tie.Build()
+	a := FromDense(3, 2, []float64{1, 0, 1, 1, 0, 2})
+	for _, k := range []int{1, 10, 11, 15, 16, 29, 30, 31} {
+		checkTopKAgainstReference(t, a, b, k)
+	}
+
+	// Fewer than k eligible cells: the two paths of row 0 cancel on two
+	// of the four columns they touch, row 1 has three cells, row 2 none.
+	a = FromDense(3, 2, []float64{1, 1, 0, 1, 0, 0})
+	b = FromDense(2, 5, []float64{2, 3, 0, 1, 0, -2, -3, 4, 0, 0})
+	checkTopKAgainstReference(t, a, b, 16)
+	if got := MatMulTopK(a, b, 16); got.RowNNZ(0) != 2 || got.RowNNZ(2) != 0 {
+		t.Fatalf("cancelled cells kept: %v", got.ToDense())
+	}
+
+	// A block left operand, and a block on both sides: rows are decoded
+	// from bytes and the product itself may be a block.
+	for _, d := range []float64{0.2, 0.7} {
+		ab := blockOf(countCSR(rng, 80, 25, d, blockVals))
+		bc := randCSR(rng, 25, 60, d)
+		bb := blockOf(countCSR(rng, 25, 60, d, blockVals))
+		for _, k := range []int{1, 5, 16, 60} {
+			checkTopKAgainstReference(t, ab, bc, k)
+			checkTopKAgainstReference(t, ab, bb, k)
+		}
+	}
+}
+
+// valuedCSR is randCSR with values drawn from vals.
+func valuedCSR(rng *rand.Rand, r, c int, density float64, vals func() float64) *CSR {
+	b := NewBuilder(r, c)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			if rng.Float64() < density {
+				b.Add(i, j, vals())
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestTopKScoresMatchesScoredReference: TopKScores equals scoring every
+// stored entry into a matrix and truncating it with the reference, for
+// either layout and every k regime, scores that vanish included.
+func TestTopKScoresMatchesScoredReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	score := func(i, j int, v float64) float64 {
+		if (i+j)%7 == 0 {
+			return 0 // dropped, as a zero-denominator proximity is
+		}
+		return v / float64(1+(i*j)%5)
+	}
+	for _, d := range []float64{0.05, 0.4, 0.9} {
+		c := countCSR(rng, 50, 70, d, blockVals)
+		scored := NewBuilder(50, 70)
+		c.Iterate(func(i, j int, v float64) {
+			if s := score(i, j, v); s != 0 {
+				scored.Add(i, j, s)
+			}
+		})
+		ref := scored.Build()
+		for _, m := range []*CSR{c, blockOf(c)} {
+			for _, k := range []int{0, 1, 3, 16, 69, 70, 1000} {
+				got := m.TopKScores(k, score)
+				checkWellFormed(t, got)
+				if want := referenceTopKPerRow(ref, k); !got.Equal(want) {
+					t.Fatalf("density %v block=%v k=%d: TopKScores differs from the scored reference", d, m.Block(), k)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKRowsOrderFree: a row yielded in shuffled column order selects
+// and emits exactly what the same row in column order does, whether or
+// not it is cut.
+func TestTopKRowsOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m := randCSR(rng, 40, 50, 0.6)
+	var buf rowBuf
+	var js []int
+	var vs []float64
+	shuffled := func(i int) ([]int, []float64) {
+		cols, vals := m.rowOf(i, &buf)
+		js, vs = append(js[:0], cols...), append(vs[:0], vals...)
+		rng.Shuffle(len(js), func(a, b int) { js[a], js[b] = js[b], js[a]; vs[a], vs[b] = vs[b], vs[a] })
+		return js, vs
+	}
+	for _, k := range []int{1, 4, 16, 30, 50, 60} {
+		got := TopKRows(40, 50, k, shuffled)
+		checkWellFormed(t, got)
+		if want := referenceTopKPerRow(m, k); !got.Equal(want) {
+			t.Fatalf("k=%d: shuffled rows select differently", k)
 		}
 	}
 }

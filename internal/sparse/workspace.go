@@ -11,12 +11,15 @@ import (
 // a dense accumulator, a generation-stamped liveness mark, the list of
 // live columns for the current row, and a one-bit-per-column set that
 // mulRow emits a row through. The set is all-zero between rows: a row
-// sets its bits and clears every word it reads back. Workspaces are
+// sets its bits and clears every word it reads back. sum is a second
+// dense accumulator, all +0 between rows, that sumRow fills and its
+// reader zeroes cell by cell as it reads. Workspaces are
 // pooled so repeated products — diagram counting evaluates hundreds of
 // chained products per fold — stop re-allocating O(cols) buffers on
 // every multiply.
 type gemmWorkspace struct {
 	acc  []float64
+	sum  []float64
 	mark []int
 	live []int
 	bits []uint64
@@ -100,6 +103,51 @@ func (w *gemmWorkspace) accumulate(a, b *CSR, i int) (minJ, maxJ int) {
 	}
 	w.live = live[:n]
 	return minJ, maxJ
+}
+
+// sumRow adds row i of a·b into w.sum and sets the bit of every column
+// it touches in w.bits, returning the span [lo, hi] of words that may
+// hold set bits (lo > hi for an untouched row). The caller reads the row
+// back and restores both invariants: every cell and word it reads is
+// zeroed. A cell's terms are added in accumulate's order onto +0, the
+// sum accumulate's first touch starts from, so every cell holds the
+// float accumulate gives — without accumulate's per-flop liveness
+// stamps and live list.
+func (w *gemmWorkspace) sumRow(a, b *CSR, i int) (lo, hi int) {
+	if len(w.sum) < b.cols {
+		w.sum = make([]float64, b.cols)
+	}
+	minJ, maxJ := b.cols, -1
+	ac, avs := a.rowOf(i, &w.ra)
+	for ka, k := range ac {
+		// b's row k, sliced here rather than through rowOf when b is
+		// compressed: the call would cost more than the row's flops.
+		var bc []int
+		var bv []float64
+		if b.block == nil {
+			lo, hi := b.rowPtr[k], b.rowPtr[k+1]
+			bc, bv = b.colIdx[lo:hi], b.val[lo:hi]
+		} else {
+			bc, bv = b.rowOf(k, &w.rb)
+		}
+		if len(bc) > 0 {
+			addScaled(w.sum, w.bits, avs[ka], bc, bv)
+			// Rows hold their columns in increasing order.
+			minJ, maxJ = min(minJ, bc[0]), max(maxJ, bc[len(bc)-1])
+		}
+	}
+	return minJ >> 6, maxJ >> 6
+}
+
+// addScaled adds av·bv[p] into sum[bc[p]] and sets bit bc[p] of set,
+// for every p: the terms one row of b gives sumRow. Its loop reads
+// locals only, so every operand stays in a register.
+func addScaled(sum []float64, set []uint64, av float64, bc []int, bv []float64) {
+	bv = bv[:len(bc)]
+	for p, j := range bc {
+		sum[j] += av * bv[p]
+		set[j>>6] |= 1 << (j & 63)
+	}
 }
 
 // countRow is the symbolic half of a product row: accumulate's
