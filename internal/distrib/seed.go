@@ -396,110 +396,52 @@ func decodeNode(d *framing.Dec) schema.TypedNode {
 // An entry that carries a block (metadiag.SeedEntry.Matrix) is written
 // straight from the block's bytes to the bytes its compressed arrays
 // would give: the format does not depend on the layout. A block holds
-// integers in 1…255, so its values pack as one- or two-byte uvarints.
+// integers in 1…255, so its values pack as uvarints unscanned.
 func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
-	return writeSeedEntry(b, e, layoutSeedEntry(e))
-}
-
-// seedLayout is the byte count of one entry's segment, known before it
-// is written: the head (key, endpoint nodes, shape), the index section,
-// the value flag byte and the value run.
-type seedLayout struct {
-	head, index, values int
-	ints                bool
-}
-
-func (l seedLayout) size() int { return l.head + l.index + 1 + l.values }
-
-// layoutSeedEntry measures e's segment.
-func layoutSeedEntry(e *metadiag.SeedEntry) seedLayout {
-	str := func(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-	zig := func(v int) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
-	l := seedLayout{
-		head: str(e.Key) + str(string(e.Source.Type)) + 1 + str(string(e.Sink.Type)) + 1 + zig(e.Rows) + zig(e.Cols),
-		ints: true,
-	}
-	if e.Matrix != nil {
-		for r := 0; r < e.Rows; r++ {
-			l.index += uvarintLen(uint64(e.Matrix.RowNNZ(r)))
-			// Per word of eight cells: a one-byte gap and value each, a
-			// second value byte for every cell ≥ 128, and what the gap to
-			// the word's first cell — the only one that can exceed 7 —
-			// takes beyond one byte.
-			row, prev := e.Matrix.BlockRow(r), 0
-			for base := 0; base < len(row); base += 8 {
-				nz, high := sparse.NonZeroMask(row, base)
-				if nz == 0 {
-					continue
-				}
-				n := bits.OnesCount64(nz)
-				first := base + bits.TrailingZeros64(nz)>>3
-				l.index += n + uvarintLen(uint64(first-prev)) - 1
-				l.values += n + bits.OnesCount64(high)
-				prev = base + (63-bits.LeadingZeros64(nz))>>3
+	ints, top := true, float64(math.MaxUint8)
+	if e.Matrix == nil {
+		top = 0
+		for _, v := range e.Val {
+			if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
+				ints = false
+				break
 			}
-		}
-		return l
-	}
-	for r := 0; r < e.Rows; r++ {
-		cols := e.ColIdx[e.RowPtr[r]:e.RowPtr[r+1]]
-		l.index += uvarintLen(uint64(len(cols)))
-		prev := 0
-		for _, c := range cols {
-			l.index += uvarintLen(uint64(c - prev))
-			prev = c
+			top = max(top, v)
 		}
 	}
-	for _, v := range e.Val {
-		if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
-			l.ints = false
-			break
-		}
-		l.values += uvarintLen(uint64(v))
+	// One allocation for the whole segment: no row length or column gap
+	// exceeds Cols and no value exceeds top, which bounds every varint's
+	// width. A matrix that breaks those rules only outgrows the hint.
+	idxWidth, valWidth := uvarintLen(uint64(e.Cols)), 8
+	if ints {
+		valWidth = uvarintLen(uint64(top))
 	}
-	if !l.ints {
-		l.values = 8 * len(e.Val)
-	}
-	return l
-}
-
-// writeSeedEntry appends e's segment, l.size() bytes, to b.
-func writeSeedEntry(b []byte, e *metadiag.SeedEntry, l seedLayout) []byte {
-	b = slices.Grow(b, l.size())
+	nnz := e.NNZ()
+	b = slices.Grow(b, len(e.Key)+len(e.Source.Type)+len(e.Sink.Type)+5*binary.MaxVarintLen64+3+
+		(e.Rows+1+nnz)*idxWidth+nnz*valWidth)
 	b = framing.AppendString(b, e.Key)
 	b = appendNode(b, e.Source)
 	b = appendNode(b, e.Sink)
 	b = framing.AppendVarint(b, int64(e.Rows))
 	b = framing.AppendVarint(b, int64(e.Cols))
 	if e.Matrix != nil {
-		// The index section and the value run are written side by side,
-		// from one walk over the cells.
-		at := len(b)
-		b = b[:at+l.index+1+l.values]
-		idx, vals := b[at:at+l.index], b[at+l.index+1:]
-		b[at+l.index] = 1
-		p, q := 0, 0
 		for r := 0; r < e.Rows; r++ {
-			p += binary.PutUvarint(idx[p:], uint64(e.Matrix.RowNNZ(r)))
+			b = framing.AppendUvarint(b, uint64(e.Matrix.RowNNZ(r)))
 			row, prev := e.Matrix.BlockRow(r), 0
 			for base := 0; base < len(row); base += 8 {
-				nz, _ := sparse.NonZeroMask(row, base)
-				for ; nz != 0; nz &= nz - 1 {
+				for nz := sparse.NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
 					c := base + bits.TrailingZeros64(nz)>>3
-					if g := c - prev; g < 0x80 {
-						idx[p] = byte(g)
-						p++
-					} else {
-						p += binary.PutUvarint(idx[p:], uint64(g))
-					}
-					if v := row[c]; v < 0x80 {
-						vals[q] = v
-						q++
-					} else {
-						vals[q], vals[q+1] = v|0x80, 1
-						q += 2
-					}
+					b = framing.AppendUvarint(b, uint64(c-prev))
 					prev = c
+				}
+			}
+		}
+		b = framing.AppendBool(b, true)
+		for r := 0; r < e.Rows; r++ {
+			row := e.Matrix.BlockRow(r)
+			for base := 0; base < len(row); base += 8 {
+				for nz := sparse.NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
+					b = framing.AppendUvarint(b, uint64(row[base+bits.TrailingZeros64(nz)>>3]))
 				}
 			}
 		}
@@ -514,8 +456,8 @@ func writeSeedEntry(b []byte, e *metadiag.SeedEntry, l seedLayout) []byte {
 			prev = c
 		}
 	}
-	b = framing.AppendBool(b, l.ints)
-	if l.ints {
+	b = framing.AppendBool(b, ints)
+	if ints {
 		for _, v := range e.Val {
 			b = framing.AppendUvarint(b, uint64(v))
 		}
@@ -770,28 +712,18 @@ func (ws *WireSeed) appendBody(b []byte) []byte {
 	}
 	b = framing.AppendUvarint(b, uint64(len(ws.Adjacency)))
 	b = framing.AppendUvarint(b, uint64(len(ws.Entries)))
-	// Every segment is measured first, so the body is allocated once and
-	// each segment is written in place, behind its length, in parallel.
-	n := len(ws.Adjacency) + len(ws.Entries)
-	layouts := make([]seedLayout, n)
-	metadiag.FanOut(n, func(i int) { layouts[i] = layoutSeedEntry(ws.entry(i)) })
+	segs := make([][]byte, len(ws.Adjacency)+len(ws.Entries))
+	metadiag.FanOut(len(segs), func(i int) {
+		segs[i] = appendSeedEntry(nil, ws.entry(i))
+	})
 	rest := 2 * binary.MaxVarintLen64 // the trace tail
-	for _, l := range layouts {
-		rest += binary.MaxVarintLen64 + l.size()
+	for _, seg := range segs {
+		rest += binary.MaxVarintLen64 + len(seg)
 	}
 	b = slices.Grow(b, rest)
-	at := make([]int, n)
-	for i, l := range layouts {
-		b = framing.AppendUvarint(b, uint64(l.size()))
-		at[i] = len(b)
-		b = b[:at[i]+l.size()]
+	for _, seg := range segs {
+		b = framing.AppendBytes(b, seg)
 	}
-	metadiag.FanOut(n, func(i int) {
-		size := layouts[i].size()
-		if seg := writeSeedEntry(b[at[i]:at[i]:at[i]+size], ws.entry(i), layouts[i]); len(seg) != size {
-			panic(fmt.Sprintf("distrib: seed entry %d wrote %d bytes, measured %d", i, len(seg), size))
-		}
-	})
 	b = framing.AppendUvarint(b, ws.TraceID)
 	b = framing.AppendUvarint(b, ws.SpanID)
 	return b

@@ -80,7 +80,7 @@ func (e *Extractor) totals() *sparse.CSR {
 				pairs(e.counts[f.stack], i)
 			}
 		}
-		// In column order the selection copies the row straight through.
+		// TopKRows takes a row in column order.
 		slices.Sort(js)
 		for _, j := range js {
 			e.fill(i, j, scores, cells)

@@ -278,24 +278,6 @@ func TestBlockLayoutMatchesCSR(t *testing.T) {
 	}
 }
 
-// TestBlockSumsMatchCSR: a block's row, column and total sums, taken
-// eight bytes at a time, equal its compressed twin's, on shapes that
-// empty the 16-bit lanes mid-matrix (more than 256 rows, more than 128
-// words a row), leave columns past the last whole word, and hold bytes
-// up to 255.
-func TestBlockSumsMatchCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, sh := range [][2]int{{1, 1}, {3, 7}, {9, 8}, {300, 13}, {520, 1030}, {2, 2050}} {
-		for _, d := range []float64{0.05, 0.6, 1} {
-			c := countCSR(rng, sh[0], sh[1], d, []float64{1, 7, 128, 255})
-			b := blockOf(c)
-			if !sameBits(b.RowSums(), c.RowSums()) || !sameBits(b.ColSums(), c.ColSums()) || b.Sum() != c.Sum() {
-				t.Fatalf("%dx%d at density %v: block sums differ from the compressed twin's", sh[0], sh[1], d)
-			}
-		}
-	}
-}
-
 // pattern is m's structure: one wherever m stores an entry, so a
 // product of patterns stores the cells a symbolic pass touches.
 func pattern(m *CSR) *CSR { return m.Binarize() }

@@ -19,7 +19,6 @@
 package sparse
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -317,7 +316,11 @@ func (m *CSR) RowSums() []float64 {
 	if m.block != nil {
 		// Integer sums: exactly the floats an in-order float sum gives.
 		for i := range out {
-			out[i] = float64(byteSum(m.blockRow(i)))
+			s := 0
+			for _, v := range m.blockRow(i) {
+				s += int(v)
+			}
+			out[i] = float64(s)
 		}
 		return out
 	}
@@ -336,7 +339,13 @@ func (m *CSR) RowSums() []float64 {
 func (m *CSR) ColSums() []float64 {
 	out := make([]float64, m.cols)
 	if m.block != nil {
-		for j, s := range columnByteSums(m.block, m.rows, m.cols) {
+		sums := make([]int, m.cols)
+		for i := 0; i < m.rows; i++ {
+			for j, v := range m.blockRow(i) {
+				sums[j] += int(v)
+			}
+		}
+		for j, s := range sums {
 			out[j] = float64(s)
 		}
 		return out
@@ -350,7 +359,11 @@ func (m *CSR) ColSums() []float64 {
 // Sum returns the sum of all stored values.
 func (m *CSR) Sum() float64 {
 	if m.block != nil {
-		return float64(byteSum(m.block))
+		s := 0
+		for _, v := range m.block {
+			s += int(v)
+		}
+		return float64(s)
 	}
 	var s float64
 	for _, v := range m.val {
@@ -430,67 +443,4 @@ func (m *CSR) Equal(b *CSR) bool {
 // String summarizes the matrix shape and density.
 func (m *CSR) String() string {
 	return fmt.Sprintf("CSR(%dx%d, nnz=%d)", m.rows, m.cols, m.NNZ())
-}
-
-// evenBytes selects the even bytes of a word: w&evenBytes and
-// w>>8&evenBytes spread its eight bytes over four 16-bit lanes each.
-const evenBytes = 0x00ff00ff00ff00ff
-
-// laneSum adds the four 16-bit lanes of x.
-func laneSum(x uint64) int {
-	return int(x&0xffff + x>>16&0xffff + x>>32&0xffff + x>>48)
-}
-
-// byteSum returns the sum of the bytes of b, eight at a time: each word
-// adds its byte pairs into four 16-bit lanes, which hold the pairs of up
-// to 128 words (128·510 < 2^16) before they are added up.
-func byteSum(b []uint8) int {
-	s, base := 0, 0
-	for base+8 <= len(b) {
-		var lanes uint64
-		for end := min(base+8*128, len(b)&^7); base < end; base += 8 {
-			w := binary.LittleEndian.Uint64(b[base:])
-			lanes += w&evenBytes + w>>8&evenBytes
-		}
-		s += laneSum(lanes)
-	}
-	for _, v := range b[base:] {
-		s += int(v)
-	}
-	return s
-}
-
-// columnByteSums returns the column sums of a rows×cols block, eight
-// columns at a time: column 8w+2l of a row adds into 16-bit lane l of
-// even[w], column 8w+2l+1 into lane l of odd[w], and the lanes, which
-// hold up to 257 rows of bytes, are emptied into the sums every 256.
-func columnByteSums(block []uint8, rows, cols int) []int {
-	sums := make([]int, cols)
-	words := cols / 8
-	even, odd := make([]uint64, words), make([]uint64, words)
-	flush := func() {
-		for w := range even {
-			for l := 0; l < 4; l++ {
-				sums[8*w+2*l] += int(even[w] >> (16 * l) & 0xffff)
-				sums[8*w+2*l+1] += int(odd[w] >> (16 * l) & 0xffff)
-			}
-			even[w], odd[w] = 0, 0
-		}
-	}
-	for i := 0; i < rows; i++ {
-		row := block[i*cols : (i+1)*cols]
-		for w := range even {
-			x := binary.LittleEndian.Uint64(row[8*w:])
-			even[w] += x & evenBytes
-			odd[w] += x >> 8 & evenBytes
-		}
-		for j := 8 * words; j < cols; j++ {
-			sums[j] += int(row[j])
-		}
-		if i%256 == 255 {
-			flush()
-		}
-	}
-	flush()
-	return sums
 }

@@ -99,21 +99,19 @@ func FromBlock(rows, cols int, cells []uint8) (*CSR, error) {
 func nonZeroBytes(b []uint8) int {
 	n := 0
 	for base := 0; base < len(b); base += 8 {
-		nz, _ := NonZeroMask(b, base)
-		n += bits.OnesCount64(nz)
+		n += bits.OnesCount64(NonZeroMask(b, base))
 	}
 	return n
 }
 
 // NonZeroMask reads the eight bytes of a block row from base (fewer at
-// the row's end) and returns two masks holding the high bit of a byte:
-// nz of every non-zero byte, high of every byte ≥ 128. Adding 0x7f to a
-// byte's low seven bits carries into its high bit exactly when they are
-// not all zero, and or-ing in the byte itself catches a high bit of its
-// own. Walking a row by nz — cell base + TrailingZeros64(nz)/8, then
-// nz &= nz-1 — visits its non-zero cells in column order with no branch
-// on a zero cell.
-func NonZeroMask(row []uint8, base int) (nz, high uint64) {
+// the row's end) and returns the mask holding the high bit of each
+// non-zero byte. Adding 0x7f to a byte's low seven bits carries into its
+// high bit exactly when they are not all zero, and or-ing in the byte
+// itself catches a high bit of its own. Walking a row by the mask —
+// cell base + TrailingZeros64(nz)/8, then nz &= nz-1 — visits its
+// non-zero cells in column order with no branch on a zero cell.
+func NonZeroMask(row []uint8, base int) uint64 {
 	const lowBits, highBits = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
 	var w uint64
 	if base+8 <= len(row) {
@@ -123,5 +121,5 @@ func NonZeroMask(row []uint8, base int) (nz, high uint64) {
 			w |= uint64(v) << (8 * p)
 		}
 	}
-	return ((w & lowBits) + lowBits | w) & highBits, w & highBits
+	return ((w & lowBits) + lowBits | w) & highBits
 }

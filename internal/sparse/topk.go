@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"slices"
 )
 
 // topEntry is one (column, value) entry of a row under selection.
@@ -142,15 +141,14 @@ func (s *rowTopK) emit(colIdx []int, val []float64) ([]int, []float64) {
 
 // TopKRows builds a rows×cols matrix whose row i keeps the k
 // largest-valued of the entries row(i) yields (ties broken toward
-// smaller column indices; zeros and NaN never kept). row may yield a
-// row's columns in any order, each at most once, and may reuse the
-// returned slices between calls. A row yielded in increasing column
-// order goes straight to the selection and, when it has at most k
-// entries, is copied through; any other row is sorted by column first.
-// k ≤ 0 returns an empty matrix. For callers that score a row on the
-// fly and want only the best of it stored — the selection runs per
-// row, nothing wider than k is built. A k below cols bounds the result
-// at rows·k entries, and the output is allocated at that size once.
+// smaller column indices; zeros and NaN never kept). row must yield a
+// row's columns in strictly increasing order, and may reuse the
+// returned slices between calls; a row with at most k entries is copied
+// through. k ≤ 0 returns an empty matrix. For callers that score a row
+// on the fly and want only the best of it stored — the selection runs
+// per row, nothing wider than k is built. A k below cols bounds the
+// result at rows·k entries, and the output is allocated at that size
+// once. It panics on a column outside [0, cols) or out of order.
 func TopKRows(rows, cols, k int, row func(i int) (colIdx []int, val []float64)) *CSR {
 	out := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
 	if k <= 0 {
@@ -160,29 +158,17 @@ func TopKRows(rows, cols, k int, row func(i int) (colIdx []int, val []float64)) 
 		out.colIdx, out.val = make([]int, 0, rows*k), make([]float64, 0, rows*k)
 	}
 	sel := rowTopK{k: min(k, cols)}
-	var sorted []topEntry
 	for i := 0; i < rows; i++ {
 		js, vs := row(i)
-		ascending := true
 		for p, j := range js {
 			if uint(j) >= uint(cols) {
 				panic(fmt.Sprintf("sparse: TopKRows row %d yields column %d outside %dx%d", i, j, rows, cols))
 			}
-			ascending = ascending && (p == 0 || js[p-1] < j)
-		}
-		if ascending {
-			sel.addRow(js, vs)
-		} else {
-			sorted = sorted[:0]
-			for p, j := range js {
-				sorted = append(sorted, topEntry{j: j, v: vs[p]})
-			}
-			slices.SortFunc(sorted, func(a, b topEntry) int { return a.j - b.j })
-			whole := len(sorted) <= sel.k
-			for _, e := range sorted {
-				sel.add(e.j, e.v, whole)
+			if p > 0 && js[p-1] >= j {
+				panic(fmt.Sprintf("sparse: TopKRows row %d yields column %d after %d", i, j, js[p-1]))
 			}
 		}
+		sel.addRow(js, vs)
 		out.colIdx, out.val = sel.emit(out.colIdx, out.val)
 		out.rowPtr[i+1] = len(out.val)
 	}
@@ -217,8 +203,7 @@ func (m *CSR) TopKScores(k int, score func(i, j int, v float64) float64) *CSR {
 		}
 		row := m.blockRow(i)
 		for base := 0; base < len(row); base += 8 {
-			nz, _ := NonZeroMask(row, base)
-			for ; nz != 0; nz &= nz - 1 {
+			for nz := NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
 				j := base + bits.TrailingZeros64(nz)>>3
 				sel.add(j, score(i, j, float64(row[j])), whole)
 			}
