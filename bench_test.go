@@ -122,13 +122,11 @@ func benchCSR(rng *rand.Rand, r, c int, density float64, val func() float64) *sp
 }
 
 // BenchmarkSpGEMM times a product of two 2 % dense squares, serial and
-// parallel, and one product from each side of the row-emission rule at
-// the `default` preset's scale: "dense-output" is shaped like P5 — a
-// user×location check-in matrix times a location×user one, whose output
-// is more than half full, so every row leaves through the column bitset
-// — and "thin-anchor" is a follow matrix times a partial anchor
-// matching, whose few entries per row scatter across the width and are
-// sorted.
+// parallel, and two products at the `default` preset's scale:
+// "dense-output" is shaped like P5 — a user×location check-in matrix
+// times a location×user one, whose output is more than half full — and
+// "thin-anchor" is a follow matrix times a partial anchor matching,
+// whose few entries per row scatter across the width.
 func BenchmarkSpGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	one := func() float64 { return 1 }

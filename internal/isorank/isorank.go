@@ -82,10 +82,11 @@ func Similarity(pair *hetnet.AlignedPair, cfg Config) (r *sparse.CSR, hasAttr bo
 		return nil, false, 0, fmt.Errorf("isorank: empty user sets %d/%d", n1, n2)
 	}
 
-	// Symmetrized, degree-normalized follow operators: W = (A ∨ Aᵀ) with
-	// rows scaled by 1/degree. Propagation is then R ← α·W1ᵀ? We use
-	// R ← α · W1 · R · W2ᵀ with W the *column*-normalized undirected
-	// adjacency, which realizes the neighbor-average recurrence.
+	// Symmetrized follow operators, W = A ∨ Aᵀ with rows scaled to sum 1
+	// (NormalizedUndirected). R ← α · W1 · R · W2ᵀ averages R over
+	// N(i)×N(j): every term is divided by deg(i)·deg(j), the degrees of
+	// the pair being updated, where the recurrence above divides by those
+	// of its neighbours.
 	w1, err := NormalizedUndirected(pair.G1)
 	if err != nil {
 		return nil, false, 0, err
@@ -103,7 +104,7 @@ func Similarity(pair *hetnet.AlignedPair, cfg Config) (r *sparse.CSR, hasAttr bo
 	}
 
 	r = prior
-	w2t := w2.T()
+	w2t := SymmetricTranspose(w2)
 	for it := 0; it < cfg.Iterations; it++ {
 		iters = it + 1
 		// R' = α · W1 R W2ᵀ + (1−α) H.
@@ -163,6 +164,24 @@ func NormalizedUndirected(g *hetnet.Network) (*sparse.CSR, error) {
 		}
 	}
 	return sparse.FromRaw(rows, cols, rowPtr, colIdx, val)
+}
+
+// SymmetricTranspose returns wᵀ for an operator NormalizedUndirected
+// built: the pattern is its own transpose and cell (i, j) of wᵀ is w's
+// (j, i), 1/deg(j) — so the transpose is w's pattern with each column's
+// value, written in one pass instead of CSR.T's scatter. The index
+// arrays are shared, read-only.
+func SymmetricTranspose(w *sparse.CSR) *sparse.CSR {
+	rows, cols, rowPtr, colIdx, val := w.Raw()
+	out := make([]float64, len(val))
+	for k, j := range colIdx {
+		out[k] = val[rowPtr[j]]
+	}
+	t, err := sparse.FromRaw(cols, rows, rowPtr, colIdx, out)
+	if err != nil {
+		panic(fmt.Sprintf("isorank: transpose of a follow operator: %v", err))
+	}
+	return t
 }
 
 // attributePrior builds the Ψ^a² proximity prior, falling back to a

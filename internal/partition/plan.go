@@ -519,7 +519,7 @@ func (pl *Planner) similarity() *sparse.CSR {
 	}
 	pl.simOnce.Do(func() {
 		r := pl.prior
-		w2t := symmetricTranspose(pl.w2)
+		w2t := isorank.SymmetricTranspose(pl.w2)
 		prior := pl.prior.Scale(1 - coarseAlpha)
 		for it := 0; it < coarseIters; it++ {
 			// Truncate between the two products too: without it the second
@@ -567,24 +567,6 @@ func blendTopK(prop, prior *sparse.CSR) *sparse.CSR {
 		}
 		return js, vs
 	})
-}
-
-// symmetricTranspose returns wᵀ for a row-normalized operator over a
-// symmetric pattern (isorank.NormalizedUndirected): the pattern is its
-// own transpose and cell (i, j) of wᵀ is w's (j, i), 1/deg(j) — so the
-// transpose is w's pattern with each column's value, written in one
-// pass instead of CSR.T's scatter. The index arrays are shared, read-only.
-func symmetricTranspose(w *sparse.CSR) *sparse.CSR {
-	rows, cols, rowPtr, colIdx, val := w.Raw()
-	out := make([]float64, len(val))
-	for k, j := range colIdx {
-		out[k] = val[rowPtr[j]]
-	}
-	t, err := sparse.FromRaw(cols, rows, rowPtr, colIdx, out)
-	if err != nil {
-		panic(fmt.Sprintf("partition: transpose of the follow operator: %v", err))
-	}
-	return t
 }
 
 // foldSimilarity folds the propagated similarity mass onto the anchor

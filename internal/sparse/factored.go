@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // The kernels below read a stacked count (x·y) ⊙ d through its factors,
 // the way MatMulTopK reads a product's top entries without the product:
@@ -49,13 +52,15 @@ func MatMulAt(x, y *CSR, i, j int) float64 {
 // MatMulMarginals returns, for every d of ds, the row sums and the
 // column sums of (x·y) ⊙ d — what RowSums and ColSums of
 // Hadamard(MatMul(x, y), d) return — from one walk of the product's
-// terms: each row of x·y is accumulated once (gemmWorkspace.accumulate,
-// unsorted, nothing emitted) and intersected with that row of every d,
-// by probing d's rank index (indexing a block d) from the row's live
-// columns or, where d has none or the shorter row, by testing d's
-// entries against the accumulator's marks. The walk is serial, so the
-// sums do not depend on GOMAXPROCS; callers with several products run
-// them side by side. It panics on a shape mismatch.
+// terms: each row of x·y is summed once (gemmWorkspace.sumRow, nothing
+// emitted) and intersected with that row of every d, by probing d's
+// rank index (indexing a block d) from the row's columns, popped from
+// its column bits, or, where d has none or the shorter row, by testing
+// d's entries against those bits. Every regime reads the cells in
+// column order, so all of them add the same terms in the same order.
+// The walk is serial, so the sums do not depend on GOMAXPROCS; callers
+// with several products run them side by side. It panics on a shape
+// mismatch.
 func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 	if x.cols != y.rows {
 		panic(fmt.Sprintf("sparse: MatMulMarginals dimension mismatch %dx%d · %dx%d", x.rows, x.cols, y.rows, y.cols))
@@ -73,51 +78,60 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 	}
 	w := getWorkspace(y.cols)
 	defer putWorkspace(w)
-	var buf rowBuf
+	sum, set := w.sum, w.bits
+	// touched takes each row's columns, popped from its bits once for
+	// every d to walk; the bits stay set for the regimes that test them,
+	// and the row's cells and words are zeroed after the last d.
+	touched := make([]int, 0, y.cols)
 	for i := 0; i < x.rows; i++ {
-		if xc, _ := x.rowOf(i, &buf); len(xc) == 0 {
+		lo, hi := w.sumRow(x, y, i)
+		if lo > hi {
 			continue
 		}
-		w.accumulate(x, y, i)
+		touched = touched[:0]
+		for wi := lo; wi <= hi; wi++ {
+			for word, base := set[wi], wi<<6; word != 0; word &= word - 1 {
+				touched = append(touched, base+bits.TrailingZeros64(word))
+			}
+		}
 		for k, d := range ds {
 			cs, rs := colSums[k], 0.0
 			switch r := ranks[k]; {
 			case d.block != nil:
-				// The cells are read in the order d's compressed twin would
-				// read them — from the live columns where the twin has a rank
-				// index (rank.go's rule) and the longer row, along the row
-				// otherwise — so the sums are the twin's floats.
+				// From the touched columns where d's compressed twin would
+				// have a rank index (rank.go's rule) and the longer row,
+				// along the row otherwise.
 				dr := d.blockRow(i)
-				if d.nnz*64 >= d.rows*d.cols && len(w.live) < d.rowNNZ[i] {
-					for _, j := range w.live {
+				if d.nnz*64 >= d.rows*d.cols && len(touched) < d.rowNNZ[i] {
+					for _, j := range touched {
 						if dv := dr[j]; dv != 0 {
-							v := w.acc[j] * float64(dv)
+							v := sum[j] * float64(dv)
 							rs += v
 							cs[j] += v
 						}
 					}
 				} else {
 					for j, dv := range dr {
-						if dv != 0 && w.mark[j] == w.gen {
-							v := w.acc[j] * float64(dv)
+						if dv != 0 && set[j>>6]&(1<<(j&63)) != 0 {
+							v := sum[j] * float64(dv)
 							rs += v
 							cs[j] += v
 						}
 					}
 				}
-			case r != nil && len(w.live) < d.rowPtr[i+1]-d.rowPtr[i]:
-				lo := d.rowPtr[i]
-				for _, j := range w.live {
+			case r != nil && len(touched) < d.rowPtr[i+1]-d.rowPtr[i]:
+				p := d.rowPtr[i]
+				for _, j := range touched {
 					if off := r.offset(i, j); off >= 0 {
-						v := w.acc[j] * d.val[lo+off]
+						v := sum[j] * d.val[p+off]
 						rs += v
 						cs[j] += v
 					}
 				}
 			default:
 				for p := d.rowPtr[i]; p < d.rowPtr[i+1]; p++ {
-					if j := d.colIdx[p]; w.mark[j] == w.gen {
-						v := w.acc[j] * d.val[p]
+					if j := d.colIdx[p]; set[j>>6]&(1<<(j&63)) != 0 {
+						v := sum[j] * d.val[p]
 						rs += v
 						cs[j] += v
 					}
@@ -125,6 +139,10 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 			}
 			rowSums[k][i] = rs
 		}
+		for _, j := range touched {
+			sum[j] = 0
+		}
+		clear(set[lo : hi+1])
 	}
 	mMarginalFlops.Add(int64(spgemmFlops(x, y)))
 	return rowSums, colSums

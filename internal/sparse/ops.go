@@ -55,30 +55,18 @@ func matMul(a, b *CSR, workers int) *CSR {
 	}
 	out.colIdx = make([]int, out.rowPtr[a.rows])
 	out.val = make([]float64, out.rowPtr[a.rows])
-	// The numeric pass tallies rows by how they were emitted, per block,
-	// and the product adds its tallies to the counters once.
-	var tally struct {
-		zeros          atomic.Bool
-		bitset, sorted atomic.Int64
-	}
+	var zeros atomic.Bool
 	eachBlock(a.rows, chunk, func(lo, hi int) {
 		w := getWorkspace(b.cols)
 		defer putWorkspace(w)
-		var rows [3]int64
 		for i := lo; i < hi; i++ {
 			p, q := out.rowPtr[i], out.rowPtr[i+1]
-			zeros, emit := w.mulRow(a, b, i, out.colIdx[p:q], out.val[p:q])
-			if zeros {
-				tally.zeros.Store(true)
+			if w.mulRow(a, b, i, out.colIdx[p:q], out.val[p:q]) {
+				zeros.Store(true)
 			}
-			rows[emit]++
 		}
-		tally.bitset.Add(rows[emitBitset])
-		tally.sorted.Add(rows[emitSorted])
 	})
-	mSpgemmRowsBitset.Add(tally.bitset.Load())
-	mSpgemmRowsSorted.Add(tally.sorted.Load())
-	if tally.zeros.Load() {
+	if zeros.Load() {
 		out.dropZeros()
 	}
 	return out
@@ -97,9 +85,9 @@ func integral(m *CSR) bool {
 }
 
 // blockProduct is matMul's numeric pass in the block layout: every row
-// block sums its rows straight into the output's bytes
-// (gemmWorkspace.denseRow), with no bitset or sort. It returns nil
-// once some cell fails BlockCell, which every block stops at.
+// block writes its rows' cells straight into the output's bytes
+// (gemmWorkspace.denseRow). It returns nil once some cell fails
+// BlockCell, which every block stops at.
 func blockProduct(a, b *CSR, chunk int) *CSR {
 	out := &CSR{rows: a.rows, cols: b.cols, block: make([]uint8, a.rows*b.cols), rowNNZ: make([]int, a.rows)}
 	var bad atomic.Bool

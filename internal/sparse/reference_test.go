@@ -15,21 +15,36 @@ import (
 // them entry for entry (same columns, same floats, same order).
 
 // referenceMulRows computes rows [lo, hi) of a·b by growing its output
-// with append, one row at a time. It orders each row with slices.Sort,
-// so it shares no emission code with the kernel.
+// with append, one row at a time. It sums into its own dense array,
+// collects the touched columns behind seen flags and orders them with
+// slices.Sort, so it shares no accumulation or emission code with the
+// kernel. Its cells add their terms as the kernel's do — a's
+// row, then b's — onto +0.
 func referenceMulRows(a, b *CSR, lo, hi int, rowLen []int) (colIdx []int, val []float64) {
-	w := getWorkspace(b.cols)
-	defer putWorkspace(w)
+	acc, seen := make([]float64, b.cols), make([]bool, b.cols)
+	var touched []int
 	for i := lo; i < hi; i++ {
-		w.accumulate(a, b, i)
-		slices.Sort(w.live)
+		touched = touched[:0]
+		ac, av := a.AppendRow(i, nil, nil)
+		for p, k := range ac {
+			bc, bv := b.AppendRow(k, nil, nil)
+			for q, j := range bc {
+				if !seen[j] {
+					seen[j] = true
+					touched = append(touched, j)
+				}
+				acc[j] += av[p] * bv[q]
+			}
+		}
+		slices.Sort(touched)
 		n := 0
-		for _, j := range w.live {
-			if w.acc[j] != 0 {
+		for _, j := range touched {
+			if acc[j] != 0 {
 				colIdx = append(colIdx, j)
-				val = append(val, w.acc[j])
+				val = append(val, acc[j])
 				n++
 			}
+			acc[j], seen[j] = 0, false
 		}
 		rowLen[i-lo] = n
 	}
@@ -190,12 +205,11 @@ func checkMatMulAgainstReference(t *testing.T, a, b *CSR) {
 // ±{1..4} — ties, exact cancellation, empty rows and columns — at
 // GOMAXPROCS 4 so products of 64 rows or more take the parallel path.
 // Widths of 63 to 129 columns put rows' first and last columns on and
-// around 64-column word boundaries, and a wide, ≤ 1 % dense sweep sends
-// rows through the sorted emission as well as the bitset.
+// around 64-column word boundaries, and a wide, ≤ 1 % dense sweep gives
+// thin rows scattered over many words.
 func TestMatMulMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(18))
-	bitset0, sorted0 := mSpgemmRowsBitset.Value(), mSpgemmRowsSorted.Value()
 	shapes := [][3]int{{0, 3, 4}, {4, 0, 3}, {4, 3, 0}, {1, 1, 1}, {3, 5, 4}, {17, 9, 23}, {63, 20, 40},
 		{64, 64, 64}, {70, 1, 70}, {128, 40, 8}, {200, 30, 300}, {257, 90, 31},
 		{40, 12, 63}, {40, 12, 64}, {40, 12, 65}, {70, 6, 127}, {70, 6, 128}, {70, 6, 129}}
@@ -232,9 +246,6 @@ func TestMatMulMatchesReference(t *testing.T) {
 	}
 	if !sawCancel {
 		t.Fatal("fixture lost its cancelling products")
-	}
-	if bitset, sorted := mSpgemmRowsBitset.Value()-bitset0, mSpgemmRowsSorted.Value()-sorted0; bitset == 0 || sorted == 0 {
-		t.Errorf("the sweep emitted %d rows through the bitset and %d sorted; it must reach both", bitset, sorted)
 	}
 }
 
@@ -302,17 +313,21 @@ func TestMatMulCancelledRowsCompact(t *testing.T) {
 
 // TestMatMulAllocatesOnlyItsOutput bounds a product's allocations by
 // its output — the matrix header, rowPtr, colIdx and val — plus the two
-// pass closures and the numeric pass's tally, plus a workspace when the
-// pool had none to lend (its header, accumulator, mark, live list and
-// column bitset). The append-grown kernel made 55 on this pair.
+// pass closures and the numeric pass's zero flag, plus a workspace when
+// the pool had none to lend (its header, accumulator and column bitset).
+// The append-grown kernel made 55 on this pair. Its product of counts
+// is built as a block; halving a keeps the product compressed, so both
+// numeric passes are bounded.
 func TestMatMulAllocatesOnlyItsOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := abs(randCSR(rng, 300, 200, 0.05))
 	b := abs(randCSR(rng, 200, 400, 0.05))
-	const output, passes, workspace = 4, 3, 5
-	for name, mul := range map[string]func(a, b *CSR) *CSR{"MatMul": MatMul, "MatMulParallel": MatMulParallel} {
-		if n := testing.AllocsPerRun(20, func() { mul(a, b) }); n > output+passes+workspace {
-			t.Errorf("%s allocates %.1f objects per product, want at most %d", name, n, output+passes+workspace)
+	const output, passes, workspace = 4, 3, 3
+	for _, left := range []*CSR{a, a.Scale(0.5)} {
+		for name, mul := range map[string]func(a, b *CSR) *CSR{"MatMul": MatMul, "MatMulParallel": MatMulParallel} {
+			if n := testing.AllocsPerRun(20, func() { mul(left, b) }); n > output+passes+workspace {
+				t.Errorf("%s (block %v) allocates %.1f objects per product, want at most %d", name, mul(left, b).block != nil, n, output+passes+workspace)
+			}
 		}
 	}
 }
@@ -552,8 +567,8 @@ func TestAddMatchesReference(t *testing.T) {
 
 // matMulFuzzSeeds is FuzzMatMul's seed corpus: (seed, rows, inner,
 // cols, density, wide). A wide case spreads 64× the columns at 1/64 of
-// the density, which is what sends thin rows through the sorted
-// emission; the rest stay within four words and emit through the bitset.
+// the density: thin rows scattered over many words, which a uint8 width
+// cannot reach otherwise.
 var matMulFuzzSeeds = []struct {
 	seed                       int64
 	rows, inner, cols, density uint8
@@ -585,17 +600,4 @@ func FuzzMatMul(f *testing.F) {
 		a, b := matMulFuzzCase(seed, rows, inner, cols, density, wide)
 		checkMatMulAgainstReference(t, a, b)
 	})
-}
-
-// TestFuzzMatMulCorpusReachesBothRegimes keeps the seed corpus honest:
-// it must emit rows through the column bitset and by sorting.
-func TestFuzzMatMulCorpusReachesBothRegimes(t *testing.T) {
-	bitset0, sorted0 := mSpgemmRowsBitset.Value(), mSpgemmRowsSorted.Value()
-	for _, s := range matMulFuzzSeeds {
-		a, b := matMulFuzzCase(s.seed, s.rows, s.inner, s.cols, s.density, s.wide)
-		MatMul(a, b)
-	}
-	if bitset, sorted := mSpgemmRowsBitset.Value()-bitset0, mSpgemmRowsSorted.Value()-sorted0; bitset == 0 || sorted == 0 {
-		t.Errorf("seed corpus emitted %d rows through the bitset and %d sorted; it must reach both", bitset, sorted)
-	}
 }

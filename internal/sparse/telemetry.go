@@ -18,17 +18,6 @@ var mSpgemmFlops = telemetry.Default.Counter("activeiter_spgemm_flops_total",
 var mMarginalFlops = telemetry.Default.Counter("activeiter_marginal_walk_flops_total",
 	"Gustavson multiply-adds of anchor-path products walked for their stacked marginals, never built.")
 
-// How MatMul and MatMulParallel wrote each non-empty product row out:
-// through the workspace's column bitset, or by sorting the row's live
-// columns (a row whose span covers more than two 64-column words per
-// live column). A product tallies its rows locally and adds once.
-var (
-	mSpgemmRowsBitset = telemetry.Default.Counter("activeiter_spgemm_rows_total",
-		"Non-empty SpGEMM product rows written out, by emission.", telemetry.L("emit", "bitset"))
-	mSpgemmRowsSorted = telemetry.Default.Counter("activeiter_spgemm_rows_total",
-		"Non-empty SpGEMM product rows written out, by emission.", telemetry.L("emit", "sorted"))
-)
-
 // Which regime intersected each non-empty row pair of every Hadamard,
 // and how many rank indexes were built for the probing one. Hadamard
 // tallies its rows locally and adds once per call.

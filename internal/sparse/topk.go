@@ -236,11 +236,10 @@ func (m *CSR) topK(k int, row func(i int, sel *rowTopK)) *CSR {
 
 // MatMulTopK returns MatMulParallel(a, b).TopKPerRow(k) without ever
 // building a·b. Each row is summed into a zeroed dense accumulator and a
-// column bitset (gemmWorkspace.sumRow) — the floats accumulate gives,
-// without its per-flop liveness bookkeeping — and the set bits are
-// walked in column order, each cell read, zeroed and offered to the
-// selection, whose threshold turns most of a near-dense row away with
-// one comparison. Row i stores at most min(k, its flops) entries; those
+// column bitset (gemmWorkspace.sumRow) — the floats MatMul stores —
+// and the set bits are walked in column order, each cell read, zeroed
+// and offered to the selection, whose threshold turns most of a
+// near-dense row away with one comparison. Row i stores at most min(k, its flops) entries; those
 // bounds size the output once, every row is written at its bound's
 // offset by the worker that owns it (rows are split across GOMAXPROCS
 // workers like MatMulParallel's), and one in-place pass closes the gaps
