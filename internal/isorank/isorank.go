@@ -68,12 +68,10 @@ type Result struct {
 
 // Similarity runs the IsoRank power iteration and returns the converged
 // |U¹|×|U²| similarity matrix without the matching step — Align's first
-// half. The partitioned planner does not call it: it runs its own
-// truncated recurrence over NormalizedUndirected's operators
-// (partition.Planner.similarity). hasAttr reports whether the pair
-// carried any joint attribute evidence: when false the returned matrix
-// was propagated from the dense uniform prior, which is dense in
-// |U¹|×|U²| and so too costly at scale.
+// half. hasAttr reports whether the pair carried any joint attribute
+// evidence: when false the returned matrix was propagated from the
+// dense uniform prior, which is dense in |U¹|×|U²| and so too costly at
+// scale.
 func Similarity(pair *hetnet.AlignedPair, cfg Config) (r *sparse.CSR, hasAttr bool, iters int, err error) {
 	cfg = cfg.withDefaults()
 	n1 := pair.G1.NodeCount(hetnet.User)
@@ -143,9 +141,7 @@ func Align(pair *hetnet.AlignedPair, cfg Config) (*Result, error) {
 
 // NormalizedUndirected returns the symmetrized follow adjacency with
 // rows scaled to sum 1 (isolated users keep empty rows) — the neighbor-
-// average propagation operator of the IsoRank recurrence. Shared with
-// the partition planner's coarse-similarity seed so both propagate with
-// identical semantics.
+// average propagation operator of the IsoRank recurrence.
 func NormalizedUndirected(g *hetnet.Network) (*sparse.CSR, error) {
 	adj, err := g.Adjacency(hetnet.Follow)
 	if err != nil {
@@ -195,7 +191,7 @@ func attributePrior(pair *hetnet.AlignedPair, n1, n2 int) (prior *sparse.CSR, ha
 	if err != nil {
 		return nil, false, err
 	}
-	sm := prox.ScoreMatrix(n2) // k = n2 keeps every score
+	sm := prox.ScoreMatrix()
 	if sm.NNZ() == 0 {
 		// Uniform prior: every pair equally likely.
 		b := sparse.NewBuilder(n1, n2)

@@ -27,7 +27,7 @@ func TestProximityDefinition(t *testing.T) {
 	if got := prox.Score(2, 2); got != 0 {
 		t.Errorf("Score(2,2) = %v, want 0 (no instances)", got)
 	}
-	sm := prox.ScoreMatrix(prox.Counts.Cols())
+	sm := prox.ScoreMatrix()
 	if got := sm.At(1, 2); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("ScoreMatrix(1,2) = %v, want 0.5", got)
 	}
@@ -45,7 +45,7 @@ func TestProximityBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm := prox.ScoreMatrix(prox.Counts.Cols())
+		sm := prox.ScoreMatrix()
 		sm.Iterate(func(i, j int, v float64) {
 			if v < 0 || v > 1+1e-12 {
 				t.Errorf("%s: score(%d,%d) = %v outside [0,1]", n.ID, i, j, v)

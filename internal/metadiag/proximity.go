@@ -44,14 +44,11 @@ func (p *Proximity) Score(i, j int) float64 {
 	return 2 * cnt / denom
 }
 
-// ScoreMatrix builds the proximity score matrix keeping the k best
-// scores of each row (sparse.CSR.TopKScores: ties to the smaller
-// column); k ≥ the column count keeps every score, the count's pattern.
-// Each count is scored where it is stored — a block's rows straight off
-// their bytes — and pushed through the selection only: nothing wider
-// than k is built.
-func (p *Proximity) ScoreMatrix(k int) *sparse.CSR {
-	return p.Counts.TopKScores(k, func(i, j int, v float64) float64 {
+// ScoreMatrix builds the proximity score matrix: s_Φₖ at every stored
+// count, in the count's pattern (sparse.CSR.Scored). Each count is
+// scored where it is stored — a block's rows straight off their bytes.
+func (p *Proximity) ScoreMatrix() *sparse.CSR {
+	return p.Counts.Scored(func(i, j int, v float64) float64 {
 		if denom := p.RowSums[i] + p.ColSums[j]; denom > 0 {
 			return 2 * v / denom
 		}

@@ -12,9 +12,9 @@ import (
 	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/isorank"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
-	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 // fixture generates the tiny pair and a train/candidate split shaped
@@ -363,7 +363,7 @@ func TestMergeVotesOracleNegativeWins(t *testing.T) {
 
 // planFingerprint hashes everything a Plan decides: every part's index,
 // training anchors, candidates in order and budget, plus the overlap
-// count and the similarity-seeded flag.
+// count.
 func planFingerprint(p *Plan) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -386,24 +386,19 @@ func planFingerprint(p *Plan) uint64 {
 		put(part.Budget)
 	}
 	put(p.Overlapped)
-	if p.SimilaritySeeded {
-		put(1)
-	} else {
-		put(0)
-	}
 	return h.Sum64()
 }
 
-// TestPlanFingerprintStable pins Plan output bit for bit across kernel
-// changes underneath the planner's coarse-similarity seed. The constants
-// were captured on the commit before the planner moved from
-// MatMulParallel(...).TopKPerRow(...) to the fused sparse.MatMulTopK.
+// TestPlanFingerprintStable pins Plan output bit for bit. The constants
+// were captured from the locality-only path while an IsoRank-style
+// similarity blend still sat beside it (switched off), so they also
+// show that removing the blend left locality planning unchanged.
 func TestPlanFingerprintStable(t *testing.T) {
 	want := map[[2]int64]uint64{
-		{7, 2}:  0xaf2e1fe972e51ce0,
-		{7, 4}:  0x7c0f82c6481b16cc,
-		{11, 2}: 0x528d5db702e7b6f1,
-		{11, 4}: 0xefb556fc2fe1d9bb,
+		{7, 2}:  0xe426ba1cf60bce6e,
+		{7, 4}:  0x1a052e0792ce4f1f,
+		{11, 2}: 0x61828a0169c52731,
+		{11, 4}: 0x9a49036aa5c51f71,
 	}
 	for _, seed := range []int64{7, 11} {
 		cfg := datagen.Small()
@@ -428,8 +423,8 @@ func TestPlanFingerprintStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !plan.SimilaritySeeded || len(plan.Parts) != k {
-				t.Fatalf("seed %d K=%d: fixture lost its signal (seeded=%v, parts=%d)", seed, k, plan.SimilaritySeeded, len(plan.Parts))
+			if len(plan.Parts) != k {
+				t.Fatalf("seed %d K=%d: fixture lost its signal (parts=%d)", seed, k, len(plan.Parts))
 			}
 			if got := planFingerprint(plan); got != want[[2]int64{seed, int64(k)}] {
 				t.Errorf("seed %d K=%d: plan fingerprint %#x, want %#x", seed, k, got, want[[2]int64{seed, int64(k)}])
@@ -447,59 +442,67 @@ func defaultShape() datagen.Config {
 	return cfg
 }
 
-// TestSimilarityMatchesUnfusedPropagation recomputes the planner's
-// coarse similarity the long way — full products, then TopKPerRow — and
-// requires the fused MatMulTopK propagation to equal it bit for bit, on
-// the small preset and on the benchmark's `default` shape, whose
-// untruncated products are about half full.
-func TestSimilarityMatchesUnfusedPropagation(t *testing.T) {
-	for _, cfg := range []datagen.Config{datagen.Small(), defaultShape()} {
+// TestUndirectedNeighborsMatchIsoRankPattern pins the planner's
+// neighbour lists to the pattern of isorank.NormalizedUndirected, the
+// symmetrized operator they were once read from: on the small preset,
+// on the benchmark's `default` shape, and on a hand-built network with
+// a self-loop, reciprocal edges, a duplicate edge and isolated users.
+func TestUndirectedNeighborsMatchIsoRankPattern(t *testing.T) {
+	hand := hetnet.NewSocialNetwork("hand")
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		hand.AddNode(hetnet.User, id)
+	}
+	// d and f stay isolated; b follows itself; a and c follow each other.
+	for _, e := range [][2]int{{0, 2}, {2, 0}, {1, 1}, {1, 0}, {4, 1}, {4, 1}, {2, 4}} {
+		if err := hand.AddLink(hetnet.Follow, e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nets := map[string]*hetnet.Network{"hand": hand}
+	for name, cfg := range map[string]datagen.Config{"small": datagen.Small(), "default": defaultShape()} {
 		pair, err := datagen.Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := NewPlanner(newBase(t, pair))
+		nets[name+"/G1"], nets[name+"/G2"] = pair.G1, pair.G2
+	}
+	for name, g := range nets {
+		got, err := undirectedNeighbors(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.prior == nil {
-			t.Fatal("fixture carries no attribute prior")
+		norm, err := isorank.NormalizedUndirected(g)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := pl.prior
-		for it := 0; it < coarseIters; it++ {
-			prop := sparse.MatMulParallel(pl.w1, want).TopKPerRow(coarseTopM)
-			prop = sparse.MatMulParallel(prop, pl.w2.T()).TopKPerRow(coarseTopM)
-			want = sparse.Add(prop.Scale(coarseAlpha), pl.prior.Scale(1-coarseAlpha)).TopKPerRow(coarseTopM)
-			want = want.Scale(1 / want.Sum())
+		if len(got) != norm.Rows() {
+			t.Fatalf("%s: %d neighbour lists for %d users", name, len(got), norm.Rows())
 		}
-		if got := pl.similarity(); !got.Equal(want) {
-			t.Fatalf("fused similarity differs from the unfused propagation of %d rounds", coarseIters)
+		for i, adj := range got {
+			want, _ := norm.RowSlice(i)
+			if len(adj) != len(want) {
+				t.Fatalf("%s user %d: neighbours %v, want %v", name, i, adj, want)
+			}
+			for n, j := range adj {
+				if int(j) != want[n] {
+					t.Fatalf("%s user %d: neighbours %v, want %v", name, i, adj, want)
+				}
+			}
 		}
 	}
 }
 
-// BenchmarkSimilarity times the coarse similarity seeding alone —
-// Planner.similarity on a planner whose inputs are derived — on the
-// `default` shape. Run it with -cpu 1 for the single-threaded cost.
-func BenchmarkSimilarity(b *testing.B) {
-	pair, err := datagen.Generate(defaultShape())
-	if err != nil {
-		b.Fatal(err)
+// TestNewPlannerEvaluatesNoDiagram: planning reads the follow graphs
+// alone, so deriving a planner leaves its base counter's statistics as
+// they were.
+func TestNewPlannerEvaluatesNoDiagram(t *testing.T) {
+	pair, _, _ := fixture(t)
+	base := newBase(t, pair)
+	before := base.Stats()
+	if _, err := NewPlanner(base); err != nil {
+		t.Fatal(err)
 	}
-	base, err := metadiag.NewCounter(pair)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := NewPlanner(base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fresh := &Planner{base: base, w1: pl.w1, w2: pl.w2, prior: pl.prior}
-		if fresh.similarity() == nil {
-			b.Fatal("no similarity")
-		}
+	if after := base.Stats(); after != before {
+		t.Fatalf("NewPlanner moved the base counter's stats from %+v to %+v", before, after)
 	}
 }

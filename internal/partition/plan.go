@@ -12,17 +12,10 @@
 // — so the candidate space can be cut along neighborhood boundaries and
 // each shard aligned independently, as long as a global reconciliation
 // restores the one-to-one constraint across shard borders. Partitions
-// are seeded two ways at once:
-//
-//   - training-anchor locality: the labeled anchors are clustered by
-//     farthest-point seeding over the follow graph, and every candidate
-//     gravitates to the partition whose anchors are closest (BFS hops on
-//     both networks), and
-//   - coarse IsoRank-style similarity: a few truncated power-iteration
-//     rounds of the isorank recurrence (counted on the shared base
-//     counter's attribute prior) give every user a soft affinity to each
-//     anchor cluster, which places candidates whose graph neighborhoods
-//     are uninformative (sparse followers, isolated users).
+// are seeded by training-anchor locality alone: the labeled anchors are
+// clustered by farthest-point seeding over the follow graph, and every
+// candidate gravitates to the partition whose anchors are closest (BFS
+// hops on both networks).
 //
 // A candidate whose second-best partition affinity is within
 // Config.Overlap of its best joins both shards — the overlap is what
@@ -51,13 +44,9 @@ package partition
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
-	"github.com/activeiter/activeiter/internal/isorank"
 	"github.com/activeiter/activeiter/internal/metadiag"
-	"github.com/activeiter/activeiter/internal/schema"
-	"github.com/activeiter/activeiter/internal/sparse"
 )
 
 // Config controls partition planning. The zero value of every field gets
@@ -103,10 +92,6 @@ type Plan struct {
 	Parts []Part
 	// Overlapped counts candidates assigned to two partitions.
 	Overlapped int
-	// SimilaritySeeded reports whether the coarse similarity signal was
-	// available (pairs without joint attribute evidence fall back to
-	// locality-only affinity rather than paying for a dense prior).
-	SimilaritySeeded bool
 }
 
 // Candidates returns the total candidate assignments across parts
@@ -126,11 +111,7 @@ func (p *Plan) Candidates() int {
 // the affinity scan. Anchor and candidate slices are shared (read-only)
 // with the receiver.
 func (p *Plan) WithBudget(totalBudget int) *Plan {
-	out := &Plan{
-		Parts:            make([]Part, len(p.Parts)),
-		Overlapped:       p.Overlapped,
-		SimilaritySeeded: p.SimilaritySeeded,
-	}
+	out := &Plan{Parts: make([]Part, len(p.Parts)), Overlapped: p.Overlapped}
 	copy(out.Parts, p.Parts)
 	for i := range out.Parts {
 		out.Parts[i].Budget = 0
@@ -139,58 +120,32 @@ func (p *Plan) WithBudget(totalBudget int) *Plan {
 	return out
 }
 
-// Planner caches the plan inputs that do not depend on the training
-// fold: the symmetrized follow graphs of both networks, their
-// row-normalized propagation operators, and the truncated coarse
-// similarity propagation. One planner shards any number of folds,
-// methods, and partition counts over the same pair without re-deriving
-// them — the dominant planning cost at crawl scale. Safe for concurrent
-// Plan calls.
+// Planner caches the plan input that does not depend on the training
+// fold: the undirected follow neighbours of every user on both
+// networks. One planner shards any number of folds, methods, and
+// partition counts over the same pair without re-deriving them. Safe
+// for concurrent Plan calls.
 type Planner struct {
-	base       *metadiag.Counter
 	adj1, adj2 [][]int32
-	w1, w2     *sparse.CSR
-	prior      *sparse.CSR // truncated Ψ^a² scores; nil = no attribute evidence
-
-	simOnce sync.Once
-	sim     *sparse.CSR // propagated similarity, built by the first plan that reads it
 }
 
-// NewPlanner derives the fold-independent plan inputs from the base
-// counter. The Ψ^a² prior is counted on the counter's SHARED
-// attribute-only layer, so the per-partition pipelines that follow
-// reuse the count for free. A pair without joint attribute evidence is
-// not an error — such planners seed by locality alone — but a counting
-// failure is.
+// NewPlanner derives the fold-independent plan input from the base
+// counter's pair. It evaluates no diagram: planning reads the follow
+// graphs alone.
 func NewPlanner(base *metadiag.Counter) (*Planner, error) {
 	if base == nil {
 		return nil, fmt.Errorf("partition: nil base counter")
 	}
 	pair := base.Pair()
-	adj1, w1, err := undirectedNeighbors(pair.G1)
+	adj1, err := undirectedNeighbors(pair.G1)
 	if err != nil {
 		return nil, err
 	}
-	adj2, w2, err := undirectedNeighbors(pair.G2)
+	adj2, err := undirectedNeighbors(pair.G2)
 	if err != nil {
 		return nil, err
 	}
-	prox, err := base.Proximity(schema.AttributeDiagram(hetnet.At, hetnet.Checkin))
-	if err != nil {
-		return nil, fmt.Errorf("partition: coarse similarity prior: %w", err)
-	}
-	prior := prox.ScoreMatrix(coarseTopM)
-	if prior.NNZ() == 0 {
-		prior = nil
-	} else if s := prior.Sum(); s > 0 {
-		prior = prior.Scale(1 / s)
-	}
-	return &Planner{
-		base: base,
-		adj1: adj1, adj2: adj2,
-		w1: w1, w2: w2,
-		prior: prior,
-	}, nil
+	return &Planner{adj1: adj1, adj2: adj2}, nil
 }
 
 // SeedCached is Planner.Seed on the planner kept in *cache: the
@@ -286,8 +241,7 @@ func (pl *Planner) Seed(trainPos []hetnet.Anchor, cfg Config) (*Seeded, error) {
 
 // Assign completes the plan: every candidate goes to the partition whose
 // anchors it has the highest affinity to — BFS hop locality on both
-// networks blended with the coarse similarity folded onto the anchor
-// groups — and to the runner-up too when that is within cfg.Overlap of
+// networks — and to the runner-up too when that is within cfg.Overlap of
 // the best; totalBudget is then split proportionally to shard size. The
 // returned plan owns copies of the seeded parts, so one Seeded can be
 // assigned more than once.
@@ -316,21 +270,12 @@ func (s *Seeded) Assign(candidates []hetnet.Anchor, totalBudget int) (*Plan, err
 		d2[p] = multiSourceBFS(pl.adj2, src2)
 	}
 
-	simLeft, simRight, seeded := pl.foldSimilarity(parts)
-
 	overlapped := 0
-	wLoc := localityWeight
-	if !seeded {
-		wLoc = 1 // locality is the only signal
-	}
 	for ci, c := range candidates {
 		best, second := -1, -1
 		var bestAff, secondAff float64
 		for p := 0; p < k; p++ {
-			aff := wLoc * (invHop(d1[p], c.I) + invHop(d2[p], c.J)) / 2
-			if seeded {
-				aff += (1 - wLoc) * (simAt(simLeft, c.I, p, k) + simAt(simRight, c.J, p, k)) / 2
-			}
+			aff := (invHop(d1[p], c.I) + invHop(d2[p], c.J)) / 2
 			if best == -1 || aff > bestAff {
 				second, secondAff = best, bestAff
 				best, bestAff = p, aff
@@ -339,7 +284,7 @@ func (s *Seeded) Assign(candidates []hetnet.Anchor, totalBudget int) (*Plan, err
 			}
 		}
 		if bestAff == 0 {
-			// No signal at all (isolated endpoints, no similarity mass):
+			// No signal at all (both endpoints unreachable from every part):
 			// spread deterministically so coverage is preserved.
 			best = ci % k
 		}
@@ -351,30 +296,44 @@ func (s *Seeded) Assign(candidates []hetnet.Anchor, totalBudget int) (*Plan, err
 	}
 
 	splitBudget(parts, totalBudget)
-	return &Plan{Parts: parts, Overlapped: overlapped, SimilaritySeeded: seeded}, nil
+	return &Plan{Parts: parts, Overlapped: overlapped}, nil
 }
 
-// undirectedNeighbors materializes the symmetrized follow adjacency of a
-// network twice over: the row-normalized propagation operator shared
-// with isorank (so the coarse-similarity seed propagates with identical
-// semantics to the IsoRank scorer it mirrors) and neighbor lists for BFS
-// derived from the operator's pattern.
-func undirectedNeighbors(g *hetnet.Network) ([][]int32, *sparse.CSR, error) {
-	norm, err := isorank.NormalizedUndirected(g)
+// undirectedNeighbors returns every user's follow neighbours in either
+// direction, in increasing order: row i of the follow adjacency A
+// merged with row i of Aᵀ, a user both hold listed once — the pattern
+// of A + Aᵀ. Every list is a window of one allocation.
+func undirectedNeighbors(g *hetnet.Network) ([][]int32, error) {
+	adj, err := g.Adjacency(hetnet.Follow)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out := make([][]int32, norm.Rows())
-	flat := make([]int32, 0, norm.NNZ()) // every list a window of one allocation
+	adjT := adj.T()
+	out := make([][]int32, adj.Rows())
+	flat := make([]int32, 0, 2*adj.NNZ())
+	var fwd, bwd []int
+	var vals []float64
 	for i := range out {
-		cols, _ := norm.RowSlice(i)
+		fwd, vals = adj.AppendRow(i, fwd[:0], vals[:0])
+		bwd, vals = adjT.AppendRow(i, bwd[:0], vals[:0])
 		lo := len(flat)
-		for _, j := range cols {
-			flat = append(flat, int32(j))
+		for a, b := 0, 0; a < len(fwd) || b < len(bwd); {
+			switch {
+			case b == len(bwd) || (a < len(fwd) && fwd[a] < bwd[b]):
+				flat = append(flat, int32(fwd[a]))
+				a++
+			case a == len(fwd) || bwd[b] < fwd[a]:
+				flat = append(flat, int32(bwd[b]))
+				b++
+			default:
+				flat = append(flat, int32(fwd[a]))
+				a++
+				b++
+			}
 		}
 		out[i] = flat[lo:len(flat):len(flat)]
 	}
-	return out, norm, nil
+	return out, nil
 }
 
 // multiSourceBFS returns hop distances from the source set; -1 marks
@@ -493,149 +452,12 @@ func clusterAnchors(trainPos []hetnet.Anchor, adj1 [][]int32, k int) [][]int {
 	return out
 }
 
-// coarseAlpha, coarseTopM and coarseIters bound the similarity seed:
-// the IsoRank recurrence weight, the per-row truncation that keeps every
-// propagation product linear in the user count, and the number of
-// propagation rounds (a planner needs coarse mass on anchor groups, not a
-// converged similarity — the fine-grained signal comes from
-// per-partition training, and every extra round costs two crawl-scale
-// SpGEMMs). localityWeight blends BFS anchor-locality against that
-// similarity in the candidate affinity.
-const (
-	coarseAlpha    = 0.6
-	coarseTopM     = 16
-	coarseIters    = 2
-	localityWeight = 0.7
-)
-
-// similarity returns the propagated, truncated coarse similarity,
-// computed once per planner: coarseIters rounds of
-// R ← α·W1·R·W2ᵀ + (1−α)·H with H the truncated Ψ^a² prior, every
-// product truncated to coarseTopM entries per row and R normalized to
-// sum 1. nil when the pair carries no joint attribute evidence.
-func (pl *Planner) similarity() *sparse.CSR {
-	if pl.prior == nil {
-		return nil
-	}
-	pl.simOnce.Do(func() {
-		r := pl.prior
-		w2t := isorank.SymmetricTranspose(pl.w2)
-		prior := pl.prior.Scale(1 - coarseAlpha)
-		for it := 0; it < coarseIters; it++ {
-			// Truncate between the two products too: without it the second
-			// SpGEMM's output is near-dense (every neighbor of a neighbor),
-			// which at crawl scale costs tens of seconds per iteration. The
-			// fused kernel selects each row's top entries off the SpGEMM
-			// accumulator, so neither near-dense product is ever stored.
-			prop := sparse.MatMulTopK(pl.w1, r, coarseTopM)
-			prop = sparse.MatMulTopK(prop, w2t, coarseTopM)
-			r = blendTopK(prop, prior)
-			if s := r.Sum(); s > 0 {
-				r = r.Scale(1 / s)
-			}
-		}
-		pl.sim = r
-	})
-	return pl.sim
-}
-
-// blendTopK is sparse.Add(prop.Scale(coarseAlpha), prior).TopKPerRow(
-// coarseTopM) in one row pass: each row of the two is merged by column,
-// every cell the float Add gives — α·p, the scaled prior's h, or their
-// sum — and offered to the selection in column order.
-func blendTopK(prop, prior *sparse.CSR) *sparse.CSR {
-	rows, cols := prop.Dims()
-	var js []int
-	var vs []float64
-	return sparse.TopKRows(rows, cols, coarseTopM, func(i int) ([]int, []float64) {
-		pc, pv := prop.RowSlice(i)
-		hc, hv := prior.RowSlice(i)
-		js, vs = js[:0], vs[:0]
-		for a, b := 0, 0; a < len(pc) || b < len(hc); {
-			switch {
-			case b == len(hc) || (a < len(pc) && pc[a] < hc[b]):
-				js, vs = append(js, pc[a]), append(vs, pv[a]*coarseAlpha)
-				a++
-			case a == len(pc) || hc[b] < pc[a]:
-				js, vs = append(js, hc[b]), append(vs, hv[b])
-				b++
-			default:
-				js, vs = append(js, pc[a]), append(vs, pv[a]*coarseAlpha+hv[b])
-				a++
-				b++
-			}
-		}
-		return js, vs
-	})
-}
-
-// foldSimilarity folds the propagated similarity mass onto the anchor
-// groups: simLeft[u*k+p] accumulates the similarity of network-1 user u
-// to partition p's network-2 anchor endpoints (symmetrically for
-// simRight). Both are normalized to [0,1] by their global maxima.
-// seeded=false when the pair carries no joint attribute evidence — the
-// caller then uses locality alone.
-func (pl *Planner) foldSimilarity(parts []Part) (simLeft, simRight []float64, seeded bool) {
-	r := pl.similarity()
-	if r == nil {
-		return nil, nil, false
-	}
-	n1 := pl.base.Pair().G1.NodeCount(hetnet.User)
-	n2 := pl.base.Pair().G2.NodeCount(hetnet.User)
-	k := len(parts)
-	groupOfI := make(map[int]int)
-	groupOfJ := make(map[int]int)
-	for p := range parts {
-		for _, a := range parts[p].TrainPos {
-			groupOfI[a.I] = p
-			groupOfJ[a.J] = p
-		}
-	}
-	simLeft = make([]float64, n1*k)
-	simRight = make([]float64, n2*k)
-	var maxL, maxR float64
-	r.Iterate(func(u, v int, val float64) {
-		if p, ok := groupOfJ[v]; ok {
-			simLeft[u*k+p] += val
-			if simLeft[u*k+p] > maxL {
-				maxL = simLeft[u*k+p]
-			}
-		}
-		if p, ok := groupOfI[u]; ok {
-			simRight[v*k+p] += val
-			if simRight[v*k+p] > maxR {
-				maxR = simRight[v*k+p]
-			}
-		}
-	})
-	if maxL > 0 {
-		for i := range simLeft {
-			simLeft[i] /= maxL
-		}
-	}
-	if maxR > 0 {
-		for i := range simRight {
-			simRight[i] /= maxR
-		}
-	}
-	return simLeft, simRight, true
-}
-
 // invHop maps a BFS distance to a (0,1] affinity; unreachable → 0.
 func invHop(dist []int, u int) float64 {
 	if u < 0 || u >= len(dist) || dist[u] < 0 {
 		return 0
 	}
 	return 1 / float64(1+dist[u])
-}
-
-// simAt reads the folded similarity of user u to partition p.
-func simAt(sim []float64, u, p, k int) float64 {
-	idx := u*k + p
-	if sim == nil || idx < 0 || idx >= len(sim) {
-		return 0
-	}
-	return sim[idx]
 }
 
 // splitBudget distributes the oracle budget proportionally to shard

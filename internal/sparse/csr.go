@@ -20,6 +20,7 @@ package sparse
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -305,6 +306,38 @@ func (m *CSR) Scale(alpha float64) *CSR {
 	}
 	for i := range out.val {
 		out.val[i] *= alpha
+	}
+	return out
+}
+
+// Scored returns the matrix holding score(i, j, v) at every stored
+// entry (i, j, v) of m, in m's pattern, with a score of zero or NaN
+// dropped (±Inf is kept). A block's rows are scored straight off their
+// bytes, never widened; the output is compressed, sized once to m's
+// entry count.
+func (m *CSR) Scored(score func(i, j int, v float64) float64) *CSR {
+	nnz := m.NNZ()
+	out := &CSR{rows: m.rows, cols: m.cols, rowPtr: make([]int, m.rows+1), colIdx: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
+	put := func(i, j int, v float64) {
+		if s := score(i, j, v); s != 0 && s == s {
+			out.colIdx, out.val = append(out.colIdx, j), append(out.val, s)
+		}
+	}
+	for i := 0; i < m.rows; i++ {
+		if m.block == nil {
+			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+				put(i, m.colIdx[p], m.val[p])
+			}
+		} else {
+			row := m.blockRow(i)
+			for base := 0; base < len(row); base += 8 {
+				for nz := NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
+					j := base + bits.TrailingZeros64(nz)>>3
+					put(i, j, float64(row[j]))
+				}
+			}
+		}
+		out.rowPtr[i+1] = len(out.val)
 	}
 	return out
 }

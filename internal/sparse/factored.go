@@ -6,9 +6,9 @@ import (
 )
 
 // The kernels below read a stacked count (x·y) ⊙ d through its factors,
-// the way MatMulTopK reads a product's top entries without the product:
-// MatMulAt one cell, MatMulMarginals the row and column sums, and
-// AnchorTerms one anchor's share of those sums when x = pre·A.
+// never building the product: MatMulAt one cell, MatMulMarginals the
+// row and column sums, and AnchorTerms one anchor's share of those sums
+// when x = pre·A.
 // Hadamard(MatMulParallel(x, y), d) stays the general path and is their
 // reference.
 //
@@ -53,11 +53,12 @@ func MatMulAt(x, y *CSR, i, j int) float64 {
 // column sums of (x·y) ⊙ d — what RowSums and ColSums of
 // Hadamard(MatMul(x, y), d) return — from one walk of the product's
 // terms: each row of x·y is summed once (gemmWorkspace.sumRow, nothing
-// emitted) and intersected with that row of every d, by probing d's
-// rank index (indexing a block d) from the row's columns, popped from
-// its column bits, or, where d has none or the shorter row, by testing
-// d's entries against those bits. Every regime reads the cells in
-// column order, so all of them add the same terms in the same order.
+// emitted) and intersected with that row of every d: by indexing a
+// block d, or probing d's rank index, from the row's columns, popped
+// from its column bits, or, where a compressed d has no index or the
+// shorter row, by testing d's entries against those bits. Every regime
+// reads the cells in column order, so all of them add the same terms in
+// the same order.
 // The walk is serial, so the sums do not depend on GOMAXPROCS; callers
 // with several products run them side by side. It panics on a shape
 // mismatch.
@@ -80,7 +81,7 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 	defer putWorkspace(w)
 	sum, set := w.sum, w.bits
 	// touched takes each row's columns, popped from its bits once for
-	// every d to walk; the bits stay set for the regimes that test them,
+	// every d to walk; the bits stay set for the regime that tests them,
 	// and the row's cells and words are zeroed after the last d.
 	touched := make([]int, 0, y.cols)
 	for i := 0; i < x.rows; i++ {
@@ -98,25 +99,14 @@ func MatMulMarginals(x, y *CSR, ds []*CSR) (rowSums, colSums [][]float64) {
 			cs, rs := colSums[k], 0.0
 			switch r := ranks[k]; {
 			case d.block != nil:
-				// From the touched columns where d's compressed twin would
-				// have a rank index (rank.go's rule) and the longer row,
-				// along the row otherwise.
+				// Indexed at the touched columns, which are never more
+				// than the row's cells.
 				dr := d.blockRow(i)
-				if d.nnz*64 >= d.rows*d.cols && len(touched) < d.rowNNZ[i] {
-					for _, j := range touched {
-						if dv := dr[j]; dv != 0 {
-							v := sum[j] * float64(dv)
-							rs += v
-							cs[j] += v
-						}
-					}
-				} else {
-					for j, dv := range dr {
-						if dv != 0 && set[j>>6]&(1<<(j&63)) != 0 {
-							v := sum[j] * float64(dv)
-							rs += v
-							cs[j] += v
-						}
+				for _, j := range touched {
+					if dv := dr[j]; dv != 0 {
+						v := sum[j] * float64(dv)
+						rs += v
+						cs[j] += v
 					}
 				}
 			case r != nil && len(touched) < d.rowPtr[i+1]-d.rowPtr[i]:

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"math/bits"
-	"runtime"
-)
+import "fmt"
 
 // topEntry is one (column, value) entry of a row under selection.
 type topEntry struct {
@@ -36,27 +32,17 @@ func (s *rowTopK) threshold() float64 { return s.top[s.k-1] }
 // full reports whether top holds k values.
 func (s *rowTopK) full() bool { return len(s.top) == s.k }
 
-// add considers entry (j, v) of the current row; j exceeds every column
-// added before it. whole says the row has at most k entries, so every
-// entry that is neither zero nor NaN is kept with no ranking at all.
-// Such entries never enter top, and emit keeps every candidate of a
-// row whose top is empty.
-func (s *rowTopK) add(j int, v float64, whole bool) {
-	if whole {
-		s.keep(j, v)
-	} else if !s.full() || v > s.threshold() {
-		s.offer(j, v)
-	}
-}
-
-// keep is add's half for a whole row.
+// keep is addRow's half for a row of at most k entries: every entry
+// that is neither zero nor NaN is kept with no ranking at all. Such
+// entries never enter top, and emit keeps every candidate of a row
+// whose top is empty.
 func (s *rowTopK) keep(j int, v float64) {
 	if v != 0 && v == v {
 		s.cand = append(s.cand, topEntry{j: j, v: v})
 	}
 }
 
-// offer is add's ranked half, for an entry the caller has found above
+// offer is addRow's ranked half, for an entry the caller has found above
 // the threshold (or with top not yet full): it becomes a candidate and
 // its value takes its place in top.
 func (s *rowTopK) offer(j int, v float64) {
@@ -82,32 +68,10 @@ func (s *rowTopK) offer(j int, v float64) {
 func (s *rowTopK) addRow(cols []int, vals []float64) {
 	whole := len(cols) <= s.k
 	for p, j := range cols {
-		s.add(j, vals[p], whole)
-	}
-}
-
-// addSet adds the cells of sum whose bits are set in words lo…hi of
-// set, in column order, zeroing every cell and word it reads: the row
-// gemmWorkspace.sumRow left.
-func (s *rowTopK) addSet(sum []float64, set []uint64, lo, hi int, whole bool) {
-	// The threshold lives in locals between offers: open while fewer than
-	// k values are held and every cell is a candidate.
-	thr, open := 0.0, true
-	for wi := lo; wi <= hi; wi++ {
-		word := set[wi]
-		set[wi] = 0
-		for base := wi << 6; word != 0; word &= word - 1 {
-			j := base + bits.TrailingZeros64(word)
-			v := sum[j]
-			sum[j] = 0
-			if whole {
-				s.keep(j, v)
-			} else if open || v > thr {
-				s.offer(j, v)
-				if open = !s.full(); !open {
-					thr = s.threshold()
-				}
-			}
+		if v := vals[p]; whole {
+			s.keep(j, v)
+		} else if !s.full() || v > s.threshold() {
+			s.offer(j, v)
 		}
 	}
 }
@@ -179,42 +143,9 @@ func TopKRows(rows, cols, k int, row func(i int) (colIdx []int, val []float64)) 
 // entries in each row (ties broken toward smaller column indices; NaN
 // entries are never kept). k ≤ 0 returns an empty matrix of the same
 // shape. Used for candidate generation: keeping each user's k
-// best-scored counterparts.
-func (m *CSR) TopKPerRow(k int) *CSR {
-	var buf rowBuf
-	return m.topK(k, func(i int, sel *rowTopK) {
-		sel.addRow(m.rowOf(i, &buf))
-	})
-}
-
-// TopKScores returns the matrix whose row i keeps the k best of
-// score(i, j, v) over m's stored entries (i, j, v), ranked and cut as
-// TopKPerRow ranks and cuts; a score of zero or NaN is never kept. A
-// block's rows are scored straight off its bytes, never widened.
-func (m *CSR) TopKScores(k int, score func(i, j int, v float64) float64) *CSR {
-	return m.topK(k, func(i int, sel *rowTopK) {
-		whole := m.RowNNZ(i) <= sel.k
-		if m.block == nil {
-			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				j := m.colIdx[p]
-				sel.add(j, score(i, j, m.val[p]), whole)
-			}
-			return
-		}
-		row := m.blockRow(i)
-		for base := 0; base < len(row); base += 8 {
-			for nz := NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
-				j := base + bits.TrailingZeros64(nz)>>3
-				sel.add(j, score(i, j, float64(row[j])), whole)
-			}
-		}
-	})
-}
-
-// topK runs the selection over every row of m: row(i, sel) adds row i's
-// entries in increasing column order. The output is sized once, to
+// best-scored counterparts. The output is sized once, to
 // min(rows·k, nnz).
-func (m *CSR) topK(k int, row func(i int, sel *rowTopK)) *CSR {
+func (m *CSR) TopKPerRow(k int) *CSR {
 	out := &CSR{rows: m.rows, cols: m.cols, rowPtr: make([]int, m.rows+1)}
 	if k <= 0 {
 		return out
@@ -226,68 +157,11 @@ func (m *CSR) topK(k int, row func(i int, sel *rowTopK)) *CSR {
 	}
 	out.colIdx, out.val = make([]int, 0, size), make([]float64, 0, size)
 	sel := rowTopK{k: k}
+	var buf rowBuf
 	for i := 0; i < m.rows; i++ {
-		row(i, &sel)
+		sel.addRow(m.rowOf(i, &buf))
 		out.colIdx, out.val = sel.emit(out.colIdx, out.val)
 		out.rowPtr[i+1] = len(out.val)
 	}
-	return out
-}
-
-// MatMulTopK returns MatMulParallel(a, b).TopKPerRow(k) without ever
-// building a·b. Each row is summed into a zeroed dense accumulator and a
-// column bitset (gemmWorkspace.sumRow) — the floats MatMul stores —
-// and the set bits are walked in column order, each cell read, zeroed
-// and offered to the selection, whose threshold turns most of a
-// near-dense row away with one comparison. Row i stores at most min(k, its flops) entries; those
-// bounds size the output once, every row is written at its bound's
-// offset by the worker that owns it (rows are split across GOMAXPROCS
-// workers like MatMulParallel's), and one in-place pass closes the gaps
-// short rows leave. It panics on inner-dimension mismatch.
-func MatMulTopK(a, b *CSR, k int) *CSR {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("sparse: MatMulTopK dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if k <= 0 {
-		return Zero(a.rows, b.cols)
-	}
-	k = min(k, b.cols)
-	out := &CSR{rows: a.rows, cols: b.cols, rowPtr: make([]int, a.rows+1)}
-	var buf rowBuf
-	for i := 0; i < a.rows; i++ {
-		ac, _ := a.rowOf(i, &buf)
-		flops := 0
-		for _, c := range ac {
-			if flops += b.RowNNZ(c); flops > k {
-				break
-			}
-		}
-		out.rowPtr[i+1] = out.rowPtr[i] + min(k, flops)
-	}
-	colIdx, val := make([]int, out.rowPtr[a.rows]), make([]float64, out.rowPtr[a.rows])
-	rowLen := make([]int, a.rows)
-	eachBlock(a.rows, blockRows(a.rows, runtime.GOMAXPROCS(0)), func(lo, hi int) {
-		w := getWorkspace(b.cols)
-		defer putWorkspace(w)
-		sel := rowTopK{k: k}
-		for i := lo; i < hi; i++ {
-			p, q := out.rowPtr[i], out.rowPtr[i+1]
-			first, last := w.sumRow(a, b, i)
-			// A row bounded below k by its flops fits whole.
-			sel.addSet(w.sum, w.bits, first, last, q-p < k)
-			got, _ := sel.emit(colIdx[p:p:q], val[p:p:q])
-			rowLen[i] = len(got)
-		}
-	})
-	n := 0
-	for i, m := range rowLen {
-		p := out.rowPtr[i]
-		copy(colIdx[n:n+m], colIdx[p:p+m])
-		copy(val[n:n+m], val[p:p+m])
-		out.rowPtr[i] = n
-		n += m
-	}
-	out.rowPtr[a.rows] = n
-	out.colIdx, out.val = colIdx[:n], val[:n]
 	return out
 }

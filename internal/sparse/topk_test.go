@@ -3,7 +3,6 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -132,36 +131,23 @@ func referenceTopKPerRow(m *CSR, k int) *CSR {
 }
 
 // checkTopKAgainstReference asserts, for one operand pair and one k,
-// that the typed TopKPerRow equals the reference on a, b and a·b, and
-// that the fused kernel equals the unfused product followed by the
-// reference truncation.
+// that TopKPerRow equals the reference on a, b and a·b.
 func checkTopKAgainstReference(t *testing.T, a, b *CSR, k int) {
 	t.Helper()
-	for _, m := range []*CSR{a, b} {
-		if got, want := m.TopKPerRow(k), referenceTopKPerRow(m, k); !got.Equal(want) {
+	for _, m := range []*CSR{a, b, MatMulParallel(a, b)} {
+		got := m.TopKPerRow(k)
+		checkWellFormed(t, got)
+		if want := referenceTopKPerRow(m, k); !got.Equal(want) {
 			t.Fatalf("%v k=%d: TopKPerRow differs from reference\n got %v\nwant %v", m, k, got.ToDense(), want.ToDense())
 		}
 	}
-	prod := MatMulParallel(a, b)
-	want := referenceTopKPerRow(prod, k)
-	if got := prod.TopKPerRow(k); !got.Equal(want) {
-		t.Fatalf("%v·%v k=%d: TopKPerRow of the product differs from reference", a, b, k)
-	}
-	got := MatMulTopK(a, b, k)
-	checkWellFormed(t, got)
-	if !got.Equal(want) {
-		t.Fatalf("%v·%v k=%d: MatMulTopK differs from MatMulParallel(...).TopKPerRow(k)", a, b, k)
-	}
 }
 
-// TestMatMulTopKProperty sweeps shapes either side of the 64-row
-// serial/parallel switch, densities from mostly-empty rows to near
-// dense, and every k regime. randCSR draws values from ±{1..4}, so
+// TestTopKPerRowOfProductsMatchesReference sweeps shapes, densities
+// from mostly-empty rows to near dense, and every k regime over random
+// operands and their products. randCSR draws values from ±{1..4}, so
 // products tie and cancel to exactly zero constantly.
-func TestMatMulTopKProperty(t *testing.T) {
-	// The row-parallel path needs more than one P; force it so the
-	// sweep (and -race) covers it on a one-core box too.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+func TestTopKPerRowOfProductsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 4}, {17, 9, 23}, {63, 20, 40}, {64, 64, 64}, {70, 1, 70}, {130, 40, 8}, {257, 33, 90}}
 	densities := []float64{0.01, 0.1, 0.5, 0.95}
@@ -175,9 +161,9 @@ func TestMatMulTopKProperty(t *testing.T) {
 		}
 	}
 
-	// Near-dense rows at the planner's k: at least 40 % of every
-	// product row is live, so the selection trims many times per row —
-	// on tied small integers and on real values alike.
+	// Near-dense rows at k = 16: at least 40 % of every product row is
+	// live, so the selection trims many times per row — on tied small
+	// integers and on real values alike.
 	for _, vals := range []func() float64{nil, rng.Float64} {
 		a, b := randCSR(rng, 90, 30, 0.5), randCSR(rng, 30, 200, 0.5)
 		if vals != nil {
@@ -213,7 +199,7 @@ func TestMatMulTopKProperty(t *testing.T) {
 	a = FromDense(3, 2, []float64{1, 1, 0, 1, 0, 0})
 	b = FromDense(2, 5, []float64{2, 3, 0, 1, 0, -2, -3, 4, 0, 0})
 	checkTopKAgainstReference(t, a, b, 16)
-	if got := MatMulTopK(a, b, 16); got.RowNNZ(0) != 2 || got.RowNNZ(2) != 0 {
+	if got := MatMulParallel(a, b).TopKPerRow(16); got.RowNNZ(0) != 2 || got.RowNNZ(2) != 0 {
 		t.Fatalf("cancelled cells kept: %v", got.ToDense())
 	}
 
@@ -243,14 +229,17 @@ func valuedCSR(rng *rand.Rand, r, c int, density float64, vals func() float64) *
 	return b.Build()
 }
 
-// TestTopKScoresMatchesScoredReference: TopKScores equals scoring every
-// stored entry into a matrix and truncating it with the reference, for
-// either layout and every k regime, scores that vanish included.
-func TestTopKScoresMatchesScoredReference(t *testing.T) {
+// TestScoredMatchesScoredReference: Scored equals scoring every stored
+// entry into a matrix through a Builder, for either layout, scores that
+// vanish or are NaN dropped.
+func TestScoredMatchesScoredReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	score := func(i, j int, v float64) float64 {
-		if (i+j)%7 == 0 {
+		switch {
+		case (i+j)%7 == 0:
 			return 0 // dropped, as a zero-denominator proximity is
+		case (i+j)%11 == 0:
+			return math.NaN()
 		}
 		return v / float64(1+(i*j)%5)
 	}
@@ -258,38 +247,19 @@ func TestTopKScoresMatchesScoredReference(t *testing.T) {
 		c := countCSR(rng, 50, 70, d, blockVals)
 		scored := NewBuilder(50, 70)
 		c.Iterate(func(i, j int, v float64) {
-			if s := score(i, j, v); s != 0 {
+			if s := score(i, j, v); s != 0 && s == s {
 				scored.Add(i, j, s)
 			}
 		})
-		ref := scored.Build()
+		want := scored.Build()
 		for _, m := range []*CSR{c, blockOf(c)} {
-			for _, k := range []int{0, 1, 3, 16, 69, 70, 1000} {
-				got := m.TopKScores(k, score)
-				checkWellFormed(t, got)
-				if want := referenceTopKPerRow(ref, k); !got.Equal(want) {
-					t.Fatalf("density %v block=%v k=%d: TopKScores differs from the scored reference", d, m.Block(), k)
-				}
+			got := m.Scored(score)
+			checkWellFormed(t, got)
+			if !got.Equal(want) {
+				t.Fatalf("density %v block=%v: Scored differs from the scored reference", d, m.Block())
 			}
 		}
 	}
-}
-
-func TestMatMulTopKDegenerate(t *testing.T) {
-	// Zero-width and zero-height operands, and an all-empty product.
-	for _, dims := range [][3]int{{0, 0, 0}, {0, 3, 4}, {4, 0, 3}, {4, 3, 0}, {80, 5, 6}} {
-		a, b := Zero(dims[0], dims[1]), Zero(dims[1], dims[2])
-		got := MatMulTopK(a, b, 3)
-		if r, c := got.Dims(); r != dims[0] || c != dims[2] || got.NNZ() != 0 {
-			t.Errorf("dims %v: got %v, want empty %dx%d", dims, got, dims[0], dims[2])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("inner-dimension mismatch must panic")
-		}
-	}()
-	MatMulTopK(Zero(2, 3), Zero(2, 3), 1)
 }
 
 func TestTopKRowsRejectsOutOfRangeColumn(t *testing.T) {
@@ -326,7 +296,6 @@ func TestTopKNeverSelectsNaN(t *testing.T) {
 		inf, 5, -inf, nan, 0, 7,
 		nan, nan, nan, 0, 0, 0,
 	})
-	one := FromDense(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1})
 	cases := []struct {
 		k    int
 		want []float64
@@ -349,28 +318,5 @@ func TestTopKNeverSelectsNaN(t *testing.T) {
 		if got := m.TopKPerRow(tc.k); !got.Equal(want) {
 			t.Errorf("TopKPerRow(%d) = %v, want %v", tc.k, got.ToDense(), tc.want)
 		}
-		// one·m accumulates every entry of m unchanged, NaN included.
-		if got := MatMulTopK(one, m, tc.k); !got.Equal(want) {
-			t.Errorf("MatMulTopK(I, m, %d) = %v, want %v", tc.k, got.ToDense(), tc.want)
-		}
 	}
-}
-
-// FuzzMatMulTopK derives two random operands from the fuzzed shape,
-// density and seed and checks the fused kernel and the typed
-// TopKPerRow against the reference.
-func FuzzMatMulTopK(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(4), uint8(5), uint8(128), int16(2))
-	f.Add(int64(2), uint8(70), uint8(9), uint8(30), uint8(40), int16(16))
-	f.Add(int64(3), uint8(200), uint8(1), uint8(200), uint8(250), int16(1))
-	f.Add(int64(4), uint8(64), uint8(64), uint8(64), uint8(5), int16(-1))
-	f.Add(int64(5), uint8(0), uint8(7), uint8(0), uint8(255), int16(300))
-	f.Fuzz(func(t *testing.T, seed int64, rows, inner, cols, density uint8, k int16) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		rng := rand.New(rand.NewSource(seed))
-		d := float64(density) / 255
-		a := randCSR(rng, int(rows), int(inner), d)
-		b := randCSR(rng, int(inner), int(cols), d)
-		checkTopKAgainstReference(t, a, b, int(k))
-	})
 }

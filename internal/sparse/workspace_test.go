@@ -11,9 +11,9 @@ import (
 // the pooled row accumulator on one goroutine at GOMAXPROCS 1, so each
 // kernel takes the workspace the one before it returned: a compressed
 // product, a block product that bails on a cell above 255 and is built
-// compressed instead, one that stays a block, MatMulTopK,
-// MatMulMarginals and a wide, ≤ 1 % dense product. Every kernel runs
-// straight after every other. A cell or word some reader leaves set
+// compressed instead, one that stays a block, MatMulMarginals and a
+// wide, ≤ 1 % dense product. Every kernel runs straight after every
+// other. A cell or word some reader leaves set
 // surfaces as a wrong sum or a stray column further on, so each result
 // is checked against a reference that shares no workspace.
 func TestEveryReaderLeavesTheWorkspaceZeroed(t *testing.T) {
@@ -48,10 +48,6 @@ func TestEveryReaderLeavesTheWorkspaceZeroed(t *testing.T) {
 	ca, cb := countCSR(rng, 40, 20, 0.5, []float64{1, 2}), countCSR(rng, 20, 200, 0.5, []float64{1, 2})
 	wantC := referenceMatMul(ca, cb)
 
-	ta, tb := abs(randCSR(rng, 60, 30, 0.2)), abs(randCSR(rng, 30, 500, 0.1))
-	const k = 5
-	wantT := referenceTopKPerRow(referenceMatMul(ta, tb), k)
-
 	x, y := abs(randCSR(rng, 50, 30, 0.2)), abs(randCSR(rng, 30, 300, 0.1))
 	stacks := []*CSR{randCSR(rng, 50, 300, 0.3), randCSR(rng, 50, 300, 0.02), countCSR(rng, 50, 300, 0.9, []float64{1, 3})}
 	ds := []*CSR{stacks[0], stacks[1], stacks[2], blockOf(stacks[2])}
@@ -79,7 +75,6 @@ func TestEveryReaderLeavesTheWorkspaceZeroed(t *testing.T) {
 			got := MatMul(ca, cb)
 			return got.block != nil && got.Equal(wantC)
 		}},
-		{"MatMulTopK", func() bool { return MatMulTopK(ta, tb, k).Equal(wantT) }},
 		{"MatMulMarginals", func() bool {
 			rows, cols := MatMulMarginals(x, y, ds)
 			for s := range ds {

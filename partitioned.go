@@ -19,9 +19,9 @@ type PartitionReport = partition.PartReport
 
 // shardedAligner is the one aligner behind New, NewPartitioned and
 // NewDistributed. The candidate space is sharded into
-// Options.Partitions overlapping parts (seeded by coarse IsoRank-style
-// similarity plus training-anchor locality; ≤ 1 is the whole pool as
-// one part), the active-learning budget is split across them
+// Options.Partitions overlapping parts (seeded by training-anchor
+// locality on both follow graphs; ≤ 1 is the whole pool as one part),
+// the active-learning budget is split across them
 // proportionally to their candidate share, every part runs the
 // counter→extractor→training pipeline, and the per-part predictions
 // merge into one globally one-to-one result through the trainer's
