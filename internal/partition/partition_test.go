@@ -467,28 +467,30 @@ func TestUndirectedNeighborsMatchIsoRankPattern(t *testing.T) {
 		nets[name+"/G1"], nets[name+"/G2"] = pair.G1, pair.G2
 	}
 	for name, g := range nets {
-		got, err := undirectedNeighbors(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		norm, err := isorank.NormalizedUndirected(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != norm.Rows() {
-			t.Fatalf("%s: %d neighbour lists for %d users", name, len(got), norm.Rows())
-		}
-		for i, adj := range got {
-			want, _ := norm.RowSlice(i)
-			if len(adj) != len(want) {
-				t.Fatalf("%s user %d: neighbours %v, want %v", name, i, adj, want)
+		t.Run(name, func(t *testing.T) {
+			got, err := undirectedNeighbors(g)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for n, j := range adj {
-				if int(j) != want[n] {
-					t.Fatalf("%s user %d: neighbours %v, want %v", name, i, adj, want)
+			norm, err := isorank.NormalizedUndirected(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != norm.Rows() {
+				t.Fatalf("%d neighbour lists for %d users", len(got), norm.Rows())
+			}
+			for i, adj := range got {
+				want, _ := norm.RowSlice(i)
+				if len(adj) != len(want) {
+					t.Fatalf("user %d: neighbours %v, want %v", i, adj, want)
+				}
+				for n, j := range adj {
+					if int(j) != want[n] {
+						t.Fatalf("user %d: neighbours %v, want %v", i, adj, want)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

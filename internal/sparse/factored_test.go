@@ -43,16 +43,17 @@ func checkFactoredAgainstReference(t *testing.T, x, y *CSR, ds []*CSR) {
 }
 
 // factoredFuzzCase derives the operands of one fuzz input: small-integer
-// x, y and three stacked counts — one at the fuzzed density, one at a
-// sixteenth of it, one empty — so the marginal walk meets counts with
-// and without a rank index, longer and shorter than the product's rows.
+// x, y and four stacked counts — one at the fuzzed density, one at a
+// sixteenth of it, one empty, and a block at the fuzzed density — so the
+// marginal walk meets counts with and without a rank index, longer and
+// shorter than the product's rows, and the block layout.
 func factoredFuzzCase(seed int64, rows, inner, cols, density, stackDensity uint8) (x, y *CSR, ds []*CSR) {
 	rng := rand.New(rand.NewSource(seed))
 	r, c := int(rows)%48, int(cols)%160
 	x = randCSR(rng, r, int(inner)%48, float64(density)/255)
 	y = randCSR(rng, int(inner)%48, c, float64(density)/255)
 	sd := float64(stackDensity) / 255
-	return x, y, []*CSR{randCSR(rng, r, c, sd), randCSR(rng, r, c, sd/16), Zero(r, c)}
+	return x, y, []*CSR{randCSR(rng, r, c, sd), randCSR(rng, r, c, sd/16), Zero(r, c), blockOf(countCSR(rng, r, c, sd, blockVals))}
 }
 
 var factoredFuzzSeeds = [][6]int{

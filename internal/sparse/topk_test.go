@@ -229,37 +229,64 @@ func valuedCSR(rng *rand.Rand, r, c int, density float64, vals func() float64) *
 	return b.Build()
 }
 
+// scoredFixture scores a count by its cell and value: cells on every
+// seventh anti-diagonal score zero and every eleventh NaN, so both are
+// dropped, and the rest divide the count by a small cell-dependent
+// integer.
+func scoredFixture(i, j int, v float64) float64 {
+	switch {
+	case (i+j)%7 == 0:
+		return 0 // dropped, as a zero-denominator proximity is
+	case (i+j)%11 == 0:
+		return math.NaN()
+	}
+	return v / float64(1+(i*j)%5)
+}
+
+// checkScoredAgainstReference requires Scored, on the count c and on its
+// block twin, to equal scoring every stored entry of c into a matrix
+// through a Builder.
+func checkScoredAgainstReference(t *testing.T, c *CSR) {
+	t.Helper()
+	r, cols := c.Dims()
+	scored := NewBuilder(r, cols)
+	c.Iterate(func(i, j int, v float64) {
+		if s := scoredFixture(i, j, v); s != 0 && s == s {
+			scored.Add(i, j, s)
+		}
+	})
+	want := scored.Build()
+	for _, m := range []*CSR{c, blockOf(c)} {
+		got := m.Scored(scoredFixture)
+		checkWellFormed(t, got)
+		if !got.Equal(want) {
+			t.Fatalf("%v block=%v: Scored differs from the scored reference", c, m.Block())
+		}
+	}
+}
+
 // TestScoredMatchesScoredReference: Scored equals scoring every stored
 // entry into a matrix through a Builder, for either layout, scores that
 // vanish or are NaN dropped.
 func TestScoredMatchesScoredReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	score := func(i, j int, v float64) float64 {
-		switch {
-		case (i+j)%7 == 0:
-			return 0 // dropped, as a zero-denominator proximity is
-		case (i+j)%11 == 0:
-			return math.NaN()
-		}
-		return v / float64(1+(i*j)%5)
-	}
 	for _, d := range []float64{0.05, 0.4, 0.9} {
-		c := countCSR(rng, 50, 70, d, blockVals)
-		scored := NewBuilder(50, 70)
-		c.Iterate(func(i, j int, v float64) {
-			if s := score(i, j, v); s != 0 && s == s {
-				scored.Add(i, j, s)
-			}
-		})
-		want := scored.Build()
-		for _, m := range []*CSR{c, blockOf(c)} {
-			got := m.Scored(score)
-			checkWellFormed(t, got)
-			if !got.Equal(want) {
-				t.Fatalf("density %v block=%v: Scored differs from the scored reference", d, m.Block())
-			}
-		}
+		checkScoredAgainstReference(t, countCSR(rng, 50, 70, d, blockVals))
 	}
+}
+
+// FuzzScored checks Scored on a count derived from the fuzzed shape,
+// density and seed, in either layout, against the scored reference.
+func FuzzScored(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(5), uint8(128))
+	f.Add(int64(2), uint8(50), uint8(70), uint8(240))
+	f.Add(int64(3), uint8(1), uint8(200), uint8(20))
+	f.Add(int64(4), uint8(0), uint8(9), uint8(100))
+	f.Add(int64(5), uint8(17), uint8(0), uint8(100))
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, density uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		checkScoredAgainstReference(t, countCSR(rng, int(rows)%96, int(cols), float64(density)/255, blockVals))
+	})
 }
 
 func TestTopKRowsRejectsOutOfRangeColumn(t *testing.T) {
