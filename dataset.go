@@ -72,21 +72,7 @@ type AlignmentResult interface {
 // excluded, matching the paper's evaluation fairness rule (their labels
 // came from the oracle, not the model).
 func EvaluateAlignment(res AlignmentResult, testPos, testNeg []Anchor) Metrics {
-	var c eval.Confusion
-	score := func(links []Anchor, truth float64) {
-		for _, l := range links {
-			if res.WasQueried(l.I, l.J) {
-				continue
-			}
-			pred, ok := res.Label(l.I, l.J)
-			if !ok {
-				pred = 0 // links outside the pool are predicted negative
-			}
-			c.Add(pred, truth)
-		}
-	}
-	score(testPos, 1)
-	score(testNeg, 0)
+	c := eval.ScoreTest(testPos, testNeg, res.Label, res.WasQueried)
 	return Metrics{
 		F1: c.F1(), Precision: c.Precision(), Recall: c.Recall(), Accuracy: c.Accuracy(),
 		TP: c.TP, FP: c.FP, TN: c.TN, FN: c.FN,

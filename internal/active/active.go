@@ -66,29 +66,6 @@ func (o *CountingOracle) Queries() int {
 	return int(o.queries.Load())
 }
 
-// NoisyOracle wraps an oracle and flips each answer independently with
-// probability FlipProb — a model of imperfect human labelers. Answers
-// are deterministic per link (repeated queries agree), driven by Seed.
-type NoisyOracle struct {
-	Inner    Oracle
-	FlipProb float64
-	Seed     int64
-}
-
-// Label implements Oracle.
-func (o *NoisyOracle) Label(a hetnet.Anchor) float64 {
-	truth := o.Inner.Label(a)
-	// Per-link deterministic noise: hash the link with the seed.
-	h := uint64(hetnet.Key(a.I, a.J)) ^ uint64(o.Seed)*0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	if float64(h%1_000_000)/1_000_000 < o.FlipProb {
-		return 1 - truth
-	}
-	return truth
-}
-
 // State is the view of the training loop's pool a strategy chooses
 // queries from. Links, Scores and Labels are the loop's live pool-wide
 // buffers — every candidate link, its current score ŷ and its label y —

@@ -53,6 +53,10 @@ func TestTruthOracle(t *testing.T) {
 	}
 }
 
+type constOracle float64
+
+func (c constOracle) Label(hetnet.Anchor) float64 { return float64(c) }
+
 // CountingOracle is shared across concurrent per-partition training
 // pipelines; its counter must not race. Run under -race.
 func TestCountingOracleConcurrent(t *testing.T) {

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/activeiter/activeiter/internal/linalg"
+	"github.com/activeiter/activeiter/internal/matching"
 )
 
 // Predictor scores previously unseen candidate links with a trained
@@ -16,23 +16,13 @@ type Predictor struct {
 	threshold float64
 }
 
-// NewPredictor wraps a trained result. threshold ≤ 0 uses the paper's ½.
-func NewPredictor(res *Result, threshold float64) (*Predictor, error) {
-	if res == nil || len(res.W) == 0 {
-		return nil, fmt.Errorf("core: predictor needs a trained result")
-	}
-	return NewPredictorFromWeights(res.W, threshold)
-}
-
 // NewPredictorFromWeights builds a predictor straight from a persisted
 // weight vector — the reload path of a serving process, which holds a
-// snapshot's weights but no Result. threshold ≤ 0 uses the paper's ½.
+// snapshot's weights but no Result. threshold is the decision boundary
+// as given: 0 and negative boundaries are real ones, not "unset".
 func NewPredictorFromWeights(w []float64, threshold float64) (*Predictor, error) {
 	if len(w) == 0 {
 		return nil, fmt.Errorf("core: predictor needs a non-empty weight vector")
-	}
-	if threshold <= 0 {
-		threshold = 0.5
 	}
 	return &Predictor{w: linalg.Vector(w).Clone(), threshold: threshold}, nil
 }
@@ -41,9 +31,9 @@ func NewPredictorFromWeights(w []float64, threshold float64) (*Predictor, error)
 // dimension mismatch.
 func (p *Predictor) Score(x linalg.Vector) float64 { return p.w.Dot(x) }
 
-// Predict returns the thresholded label in {0, 1}. Note this ignores the
-// one-to-one constraint — for batch inference over a candidate pool use
-// PredictBatch, which enforces it.
+// Predict returns 1 when x scores above the threshold, 0 otherwise. A
+// single vector has no competitors, so the one-to-one constraint does
+// not apply; PredictBatch enforces it over a candidate pool.
 func (p *Predictor) Predict(x linalg.Vector) float64 {
 	if p.Score(x) > p.threshold {
 		return 1
@@ -52,9 +42,12 @@ func (p *Predictor) Predict(x linalg.Vector) float64 {
 }
 
 // PredictBatch scores every row of x and returns both the raw scores and
-// the constraint-respecting labels obtained by greedy one-to-one
-// selection over the given endpoints (endpoints[k] = {i, j} of row k).
-// Pass nil endpoints to skip the constraint.
+// the labels. With endpoints (endpoints[k] = {i, j} of row k) the labels
+// are training's one-to-one selection, matching.Greedy at the
+// threshold: a row is 1 when its finite score is above the threshold and
+// no higher-ranked pick holds either endpoint, ties ranked by (i, j),
+// then by row. Pass nil endpoints to skip the constraint: every row
+// scoring above the threshold is 1.
 func (p *Predictor) PredictBatch(x *linalg.Dense, endpoints [][2]int) (scores []float64, labels []float64, err error) {
 	n, d := x.Dims()
 	if d != len(p.w) {
@@ -73,33 +66,12 @@ func (p *Predictor) PredictBatch(x *linalg.Dense, endpoints [][2]int) (scores []
 		}
 		return scores, labels, nil
 	}
-	type cand struct {
-		k int
-		s float64
-	}
-	order := make([]cand, 0, n)
+	cands := make([]matching.Candidate, n)
 	for k, s := range scores {
-		if s > p.threshold {
-			order = append(order, cand{k: k, s: s})
-		}
+		cands[k] = matching.Candidate{I: endpoints[k][0], J: endpoints[k][1], Score: s, Payload: k}
 	}
-	// Greedy one-to-one, same semantics as training step (1-2).
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].s != order[b].s {
-			return order[a].s > order[b].s
-		}
-		return order[a].k < order[b].k
-	})
-	usedI := make(map[int]bool)
-	usedJ := make(map[int]bool)
-	for _, c := range order {
-		i, j := endpoints[c.k][0], endpoints[c.k][1]
-		if usedI[i] || usedJ[j] {
-			continue
-		}
-		usedI[i] = true
-		usedJ[j] = true
-		labels[c.k] = 1
+	for _, c := range matching.Greedy(cands, p.threshold, nil) {
+		labels[c.Payload] = 1
 	}
 	return scores, labels, nil
 }

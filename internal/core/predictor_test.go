@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/linalg"
+	"github.com/activeiter/activeiter/internal/matching"
 )
 
 func trainedResult(t *testing.T) *Result {
@@ -18,7 +22,7 @@ func trainedResult(t *testing.T) *Result {
 
 func TestPredictorScoresNewLinks(t *testing.T) {
 	res := trainedResult(t)
-	pred, err := NewPredictor(res, 0)
+	pred, err := NewPredictorFromWeights(res.W, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,7 @@ func TestPredictorScoresNewLinks(t *testing.T) {
 
 func TestPredictorBatchConstraint(t *testing.T) {
 	res := trainedResult(t)
-	pred, err := NewPredictor(res, 0)
+	pred, err := NewPredictorFromWeights(res.W, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +78,11 @@ func TestPredictorBatchConstraint(t *testing.T) {
 }
 
 func TestPredictorValidation(t *testing.T) {
-	if _, err := NewPredictor(nil, 0); err == nil {
-		t.Error("nil result should fail")
+	if _, err := NewPredictorFromWeights(nil, 0.5); err == nil {
+		t.Error("empty weights should fail")
 	}
 	res := trainedResult(t)
-	pred, err := NewPredictor(res, 0)
+	pred, err := NewPredictorFromWeights(res.W, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +97,54 @@ func TestPredictorValidation(t *testing.T) {
 
 func TestPredictorCustomThreshold(t *testing.T) {
 	res := trainedResult(t)
-	strict, err := NewPredictor(res, 0.99)
+	strict, err := NewPredictorFromWeights(res.W, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With a near-1 threshold even positive profiles may be rejected;
 	// the important property is monotonicity vs the default threshold.
-	loose, err := NewPredictor(res, 0.1)
+	loose, err := NewPredictorFromWeights(res.W, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pos := linalg.Vector{1, 1}
 	if strict.Predict(pos) == 1 && loose.Predict(pos) == 0 {
 		t.Error("stricter threshold accepted what looser rejected")
+	}
+}
+
+// PredictBatch's constrained labels are training's selection: over
+// random rows — score ties that share an endpoint, ±Inf, NaN, scores
+// at the threshold and duplicate links — the rows it labels 1 are
+// exactly the rows matching.Greedy picks.
+func TestPredictBatchPicksGreedys(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	values := []float64{0.2, 0.5, 0.6, 0.6, 0.9, 0.9, math.Inf(1), math.Inf(-1), math.NaN()}
+	pred, err := NewPredictorFromWeights([]float64{1}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(12)
+		x := linalg.NewDense(n, 1)
+		endpoints := make([][2]int, n)
+		cands := make([]matching.Candidate, n)
+		for k := range endpoints {
+			s := values[rng.Intn(len(values))]
+			x.Set(k, 0, s)
+			endpoints[k] = [2]int{rng.Intn(4), rng.Intn(4)}
+			cands[k] = matching.Candidate{I: endpoints[k][0], J: endpoints[k][1], Score: s, Payload: k}
+		}
+		_, labels, err := pred.PredictBatch(x, endpoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, n)
+		for _, c := range matching.Greedy(cands, 0.5, nil) {
+			want[c.Payload] = 1
+		}
+		if !slices.Equal(labels, want) {
+			t.Fatalf("trial %d: rows %v, endpoints %v: labels %v, Greedy's %v", trial, x.Col(0), endpoints, labels, want)
+		}
 	}
 }

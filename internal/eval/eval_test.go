@@ -286,3 +286,31 @@ func TestKFoldDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreTest: queried links are left out, a link outside the pool
+// counts as predicted 0, and the rest land in the cell their label and
+// truth name.
+func TestScoreTest(t *testing.T) {
+	labels := map[hetnet.Anchor]float64{
+		{I: 0, J: 0}: 1, // true positive
+		{I: 1, J: 1}: 0, // false negative
+		{I: 2, J: 2}: 1, // queried: left out
+		{I: 3, J: 4}: 1, // false positive
+		{I: 4, J: 3}: 0, // true negative
+	}
+	label := func(i, j int) (float64, bool) {
+		l, ok := labels[hetnet.Anchor{I: i, J: j}]
+		if !ok {
+			return 1, false // an unknown link's label is not read
+		}
+		return l, true
+	}
+	queried := func(i, j int) bool { return i == 2 && j == 2 }
+	pos := []hetnet.Anchor{{I: 0, J: 0}, {I: 1, J: 1}, {I: 2, J: 2}, {I: 5, J: 5}}
+	neg := []hetnet.Anchor{{I: 3, J: 4}, {I: 4, J: 3}, {I: 5, J: 6}}
+	got := ScoreTest(pos, neg, label, queried)
+	// (5,5) and (5,6) are outside the pool: one more FN and one more TN.
+	if want := (Confusion{TP: 1, FP: 1, TN: 2, FN: 2}); got != want {
+		t.Errorf("ScoreTest = %+v, want %+v", got, want)
+	}
+}

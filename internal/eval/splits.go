@@ -50,6 +50,31 @@ type Split struct {
 	TestPos, TestNeg []hetnet.Anchor
 }
 
+// ScoreTest scores a trained model on test pools: the confusion matrix
+// of its final labels over testPos (truth 1) and testNeg (truth 0).
+// label returns a link's final label and whether the link was in the
+// candidate pool; a link outside it is predicted 0. Links the oracle
+// labelled during training (queried) are left out: their labels were
+// given, not predicted (Section IV-B-3).
+func ScoreTest(testPos, testNeg []hetnet.Anchor, label func(i, j int) (float64, bool), queried func(i, j int) bool) Confusion {
+	var c Confusion
+	add := func(links []hetnet.Anchor, truth float64) {
+		for _, l := range links {
+			if queried(l.I, l.J) {
+				continue
+			}
+			pred, ok := label(l.I, l.J)
+			if !ok {
+				pred = 0
+			}
+			c.Add(pred, truth)
+		}
+	}
+	add(testPos, 1)
+	add(testNeg, 0)
+	return c
+}
+
 // KFoldSplits rotates k folds over the positive and negative pools:
 // split f trains on fold f and tests on the others. sampleRatio ∈ (0,1]
 // keeps that fraction of the training fold (the paper's γ), preserving

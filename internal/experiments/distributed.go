@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/activeiter/activeiter/internal/distrib"
+	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/retry"
 	"github.com/activeiter/activeiter/internal/telemetry"
@@ -107,7 +108,7 @@ func RunDistributedPoints(pre Preset, cfg DistributedConfig) ([]DistributedPoint
 	}
 	train := distrib.TrainConfig{FeatureSet: distrib.FeaturesFull, Strategy: distrib.StrategyConflict, Seed: pre.Seed}
 	score := func(p *DistributedPoint, res *partition.Result) {
-		conf := scoreTest(f.split, res.Label, res.WasQueried)
+		conf := eval.ScoreTest(f.split.TestPos, f.split.TestNeg, res.Label, res.WasQueried)
 		p.F1, p.Precision, p.Recall = conf.F1(), conf.Precision(), conf.Recall()
 		p.Rejected = res.Rejected
 	}

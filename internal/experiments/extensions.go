@@ -3,49 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/activeiter/activeiter/internal/active"
-	"github.com/activeiter/activeiter/internal/core"
 	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/schema"
 )
-
-// RunOracleNoiseAblation measures ActiveIter's robustness to labeler
-// error: the oracle flips each answer with probability p. The paper
-// assumes a perfect oracle; this quantifies how fast the active-learning
-// advantage decays when humans err.
-func RunOracleNoiseAblation(pre Preset) (*Table, error) {
-	pr, err := newProtocol(pre)
-	if err != nil {
-		return nil, err
-	}
-	budget := pr.maxBudget()
-	var variants []variant
-	for _, p := range []float64{0, 0.1, 0.3} {
-		v := variant{name: fmt.Sprintf("p=%.1f", p), cfg: core.Config{Budget: budget, Strategy: active.Conflict{}}}
-		if p > 0 {
-			v.oracle = func() (active.Oracle, error) {
-				return &active.NoisyOracle{Inner: pr.truth, FlipProb: p, Seed: pre.Seed}, nil
-			}
-		}
-		variants = append(variants, v)
-	}
-	outs, err := pr.runFixed(1100, variants)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Oracle-noise ablation — ActiveIter-%d with flip probability p (θ=%d, γ=%.0f%%, preset %q)",
-			budget, pre.FixedTheta, pre.FixedGamma*100, pre.Name),
-		ColHeader: "flip prob",
-		Cols:      []string{"F1", "Precision", "Recall"},
-	}
-	sec := Section{Name: fmt.Sprintf("ActiveIter-%d", budget)}
-	for vi, v := range variants {
-		sec.Rows = append(sec.Rows, TableRow{Label: v.name, Cells: metricCells(summarize(outs[vi]), eval.MetricF1, eval.MetricPrecision, eval.MetricRecall)})
-	}
-	t.Sections = []Section{sec}
-	return t, nil
-}
 
 // RunWordFeatureAblation measures whether the word attribute — present
 // in the paper's schema but unused in its evaluation — adds signal: the

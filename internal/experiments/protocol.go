@@ -516,7 +516,7 @@ func (f *fold) run(v variant) (outcome, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{conf: scoreTest(f.split, res.LabelOf, res.WasQueried), oracle: oracle, elapsed: res.Elapsed, res: res}, nil
+		return outcome{conf: eval.ScoreTest(f.split.TestPos, f.split.TestNeg, res.LabelOf, res.WasQueried), oracle: oracle, elapsed: res.Elapsed, res: res}, nil
 	}
 	b, err := f.begin(v.feats)
 	if err != nil {
@@ -526,7 +526,7 @@ func (f *fold) run(v variant) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	return outcome{conf: scoreTest(f.split, res.Label, res.WasQueried), oracle: oracle, elapsed: res.Elapsed}, nil
+	return outcome{conf: eval.ScoreTest(f.split.TestPos, f.split.TestNeg, res.Label, res.WasQueried), oracle: oracle, elapsed: res.Elapsed}, nil
 }
 
 // runSVM trains the supervised baseline on the fold's labelled rows —
@@ -562,23 +562,4 @@ func (f *fold) runSVM(v variant, seed int64) (outcome, error) {
 		conf.Add(model.Predict(x.RowView(r)), truth)
 	}
 	return outcome{conf: conf}, nil
-}
-
-// scoreTest scores a trained model on a split's test links. Links the
-// oracle labelled during training are left out: their labels were
-// given, not predicted (Section IV-B-3).
-func scoreTest(split eval.Split, label func(i, j int) (float64, bool), queried func(i, j int) bool) eval.Confusion {
-	var conf eval.Confusion
-	add := func(links []hetnet.Anchor, truth float64) {
-		for _, l := range links {
-			if queried(l.I, l.J) {
-				continue
-			}
-			lab, _ := label(l.I, l.J)
-			conf.Add(lab, truth)
-		}
-	}
-	add(split.TestPos, 1)
-	add(split.TestNeg, 0)
-	return conf
 }

@@ -45,7 +45,6 @@ func Registry() []Experiment {
 		{"ablation-features", "ablation: diagram families", false, plain(RunFeatureAblation)},
 		{"ablation-query", "ablation: query strategies", true, plain(RunQueryAblation)},
 		{"ablation-matching", "ablation: greedy vs Hungarian selection", false, plain(RunMatchingAblation)},
-		{"ablation-noise", "ablation: one noisy labeller", false, plain(RunOracleNoiseAblation)},
 		{"ablation-words", "ablation: word attribute", false, plain(RunWordFeatureAblation)},
 		{"oracle-noise", "ablation: labeller panels", false, plain(RunOracleNoiseMatrix)},
 		{"unsupervised", "ablation: IsoRank baseline", false, plain(RunUnsupervisedComparison)},

@@ -6,6 +6,7 @@ import (
 
 	"github.com/activeiter/activeiter/internal/active"
 	"github.com/activeiter/activeiter/internal/core"
+	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/partition"
 	"github.com/activeiter/activeiter/internal/schema"
 )
@@ -63,7 +64,7 @@ func RunScalabilityPoints(pre Preset, ks []int) ([]ScalabilityPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scalability K=%d: %w", k, err)
 		}
-		conf := scoreTest(f.split, res.Label, res.WasQueried)
+		conf := eval.ScoreTest(f.split.TestPos, f.split.TestNeg, res.Label, res.WasQueried)
 		points = append(points, ScalabilityPoint{
 			Partitions: len(plan.Parts),
 			Workers:    train.Workers,

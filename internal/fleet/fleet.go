@@ -419,7 +419,7 @@ func retryable(p *proxied, err error) bool {
 // second return value names the backend whose response was used.
 func (rt *Router) tryBackends(cands []*Backend, method, pathAndQuery string, body []byte) (*proxied, *Backend, error) {
 	if len(cands) == 0 {
-		return nil, nil, errf(http.StatusServiceUnavailable, "no ready backend for %s", pathAndQuery)
+		return nil, nil, serve.Errorf(http.StatusServiceUnavailable, "no ready backend for %s", pathAndQuery)
 	}
 	var last *proxied
 	var lastFrom *Backend
@@ -443,7 +443,7 @@ func (rt *Router) tryBackends(cands []*Backend, method, pathAndQuery string, bod
 	if last != nil {
 		return last, lastFrom, nil
 	}
-	return nil, nil, errf(http.StatusBadGateway, "every backend failed for %s: %v", pathAndQuery, lastErr)
+	return nil, nil, serve.Errorf(http.StatusBadGateway, "every backend failed for %s: %v", pathAndQuery, lastErr)
 }
 
 // fetchHedged races the primary against one delayed hedge on another
@@ -495,32 +495,12 @@ func (rt *Router) fetchHedged(primary *Backend, cands []*Backend, method, pathAn
 	return r.p, r.from, r.err
 }
 
-// errf mirrors the alignd error shape so router-origin errors read
-// like backend ones.
-func errf(status int, format string, args ...any) *routeError {
-	return &routeError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-type routeError struct {
-	status int
-	msg    string
-}
-
-func (e *routeError) Error() string { return e.msg }
-
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	endpoint, err := rt.route(w, r)
-	if err != nil {
-		if _, written := err.(errAlreadyWritten); !written {
-			re, ok := err.(*routeError)
-			if !ok {
-				re = errf(http.StatusInternalServerError, "%v", err)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(re.status)
-			json.NewEncoder(w).Encode(map[string]string{"error": re.msg})
-		}
+	if _, written := err.(errAlreadyWritten); err != nil && !written {
+		// Router-origin errors read like backend ones.
+		serve.WriteError(w, err)
 	}
 	rt.metrics.Observe(endpoint, time.Since(start), err != nil)
 }
@@ -531,7 +511,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) (string, error) 
 	case "/healthz", "/readyz", "/statusz", "/metricsz":
 		// The router's own documents are GET-only, as alignd's are.
 		if name := path[1:]; r.Method != http.MethodGet {
-			return name, errf(http.StatusMethodNotAllowed, "%s is GET", name)
+			return name, serve.Errorf(http.StatusMethodNotAllowed, "%s is GET", name)
 		}
 	}
 	switch {
@@ -557,7 +537,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) (string, error) 
 	case strings.HasPrefix(path, "/v1/resolve/"):
 		return "resolve", rt.proxyAny(w, r, nil)
 	default:
-		return "unknown", errf(http.StatusNotFound, "no such endpoint %q", path)
+		return "unknown", serve.Errorf(http.StatusNotFound, "no such endpoint %q", path)
 	}
 }
 
@@ -566,7 +546,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) (string, error) 
 func (rt *Router) handleReady(w http.ResponseWriter) error {
 	entries, users1, complete := rt.table()
 	if !complete {
-		return errf(http.StatusServiceUnavailable, "range table incomplete: %d ranges over %d users", len(entries), users1)
+		return serve.Errorf(http.StatusServiceUnavailable, "range table incomplete: %d ranges over %d users", len(entries), users1)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ready")
@@ -746,7 +726,7 @@ type rolloutResponse struct {
 // down at once.
 func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
-		return errf(http.StatusMethodNotAllowed, "rollout is POST")
+		return serve.Errorf(http.StatusMethodNotAllowed, "rollout is POST")
 	}
 	rt.cRollout.Inc()
 	ordered := make([]*Backend, 0, len(rt.backends))

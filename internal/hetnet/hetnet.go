@@ -263,6 +263,44 @@ func (g *Network) Adjacency(lt LinkType) (*sparse.CSR, error) {
 	return m, nil
 }
 
+// UndirectedNeighbors returns every node's lt-neighbours in either
+// direction, in increasing order: row i of the adjacency A merged with
+// row i of Aᵀ, a node both hold listed once — the pattern of A + Aᵀ.
+// Every list is a window of one allocation. lt must link a node type
+// to itself, as Follow does.
+func (g *Network) UndirectedNeighbors(lt LinkType) ([][]int32, error) {
+	adj, err := g.Adjacency(lt)
+	if err != nil {
+		return nil, err
+	}
+	adjT := adj.T()
+	out := make([][]int32, adj.Rows())
+	flat := make([]int32, 0, 2*adj.NNZ())
+	var fwd, bwd []int
+	var vals []float64
+	for i := range out {
+		fwd, vals = adj.AppendRow(i, fwd[:0], vals[:0])
+		bwd, vals = adjT.AppendRow(i, bwd[:0], vals[:0])
+		lo := len(flat)
+		for a, b := 0, 0; a < len(fwd) || b < len(bwd); {
+			switch {
+			case b == len(bwd) || (a < len(fwd) && fwd[a] < bwd[b]):
+				flat = append(flat, int32(fwd[a]))
+				a++
+			case a == len(fwd) || bwd[b] < fwd[a]:
+				flat = append(flat, int32(bwd[b]))
+				b++
+			default:
+				flat = append(flat, int32(fwd[a]))
+				a++
+				b++
+			}
+		}
+		out[i] = flat[lo:len(flat):len(flat)]
+	}
+	return out, nil
+}
+
 // Links calls fn(from, to) for every edge of type lt in insertion order.
 func (g *Network) Links(lt LinkType, fn func(from, to int)) {
 	t, ok := g.links[lt]

@@ -141,25 +141,31 @@ func Align(pair *hetnet.AlignedPair, cfg Config) (*Result, error) {
 
 // NormalizedUndirected returns the symmetrized follow adjacency with
 // rows scaled to sum 1 (isolated users keep empty rows) — the neighbor-
-// average propagation operator of the IsoRank recurrence.
+// average propagation operator of the IsoRank recurrence. Its pattern is
+// the undirected follow lists the planner reads
+// (hetnet.Network.UndirectedNeighbors): one row per user, each entry
+// 1/len(list).
 func NormalizedUndirected(g *hetnet.Network) (*sparse.CSR, error) {
-	adj, err := g.Adjacency(hetnet.Follow)
+	nbrs, err := g.UndirectedNeighbors(hetnet.Follow)
 	if err != nil {
 		return nil, err
 	}
-	// The pattern of A + Aᵀ is the symmetrized graph; a row's entry count
-	// is its user's degree, so the operator reuses the pattern and only
-	// the values are written, each 1/degree.
-	rows, cols, rowPtr, colIdx, _ := sparse.Add(adj, adj.T()).Raw()
-	val := make([]float64, len(colIdx))
-	for i := 0; i < rows; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		w := 1 / float64(hi-lo)
-		for k := lo; k < hi; k++ {
-			val[k] = w
-		}
+	nnz := 0
+	for _, l := range nbrs {
+		nnz += len(l)
 	}
-	return sparse.FromRaw(rows, cols, rowPtr, colIdx, val)
+	rowPtr := make([]int, 1, len(nbrs)+1)
+	colIdx := make([]int, 0, nnz)
+	val := make([]float64, 0, nnz)
+	for _, l := range nbrs {
+		w := 1 / float64(len(l))
+		for _, j := range l {
+			colIdx = append(colIdx, int(j))
+			val = append(val, w)
+		}
+		rowPtr = append(rowPtr, len(colIdx))
+	}
+	return sparse.FromRaw(len(nbrs), len(nbrs), rowPtr, colIdx, val)
 }
 
 // SymmetricTranspose returns wᵀ for an operator NormalizedUndirected

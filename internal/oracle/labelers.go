@@ -71,9 +71,9 @@ func (h *Honest) ID() string { return h.Name }
 func (h *Honest) Label(a hetnet.Anchor) float64 { return h.Truth.Label(a) }
 
 // Flipper errs independently: it flips the true answer with probability
-// FlipProb, deterministically per (link, Seed) — the NoisyOracle model
-// with a per-labeler seed, so two flippers in one pool err on different
-// links.
+// FlipProb, deterministically per (link, Seed): the one noisy-labeler
+// model. Each labeler has its own seed, so two flippers in one pool err
+// on different links.
 type Flipper struct {
 	Name     string
 	Truth    active.Oracle

@@ -75,6 +75,17 @@ func TestFlipperFlipRate(t *testing.T) {
 	}
 }
 
+func TestFlipperZeroNoisePassesTruthThrough(t *testing.T) {
+	for _, truth := range []constTruth{0, 1} {
+		f := &Flipper{Name: "noisy-0", Truth: truth, FlipProb: 0, Seed: 1}
+		for i := 0; i < 1000; i++ {
+			if got := f.Label(hetnet.Anchor{I: i, J: i}); got != float64(truth) {
+				t.Fatalf("FlipProb 0: Label(%d,%d) = %v, want the truth %v", i, i, got, float64(truth))
+			}
+		}
+	}
+}
+
 func TestFlipperDeterministicPerLink(t *testing.T) {
 	f := &Flipper{Name: "noisy-0", Truth: constTruth(1), FlipProb: 0.5, Seed: 9}
 	a := hetnet.Anchor{I: 3, J: 7}

@@ -7,7 +7,7 @@ import (
 )
 
 // Statistical properties of the panel, tolerance-banded like
-// TestNoisyOracleFlipRate: majority vote must beat a single labeler,
+// TestFlipperFlipRate: majority vote must beat a single labeler,
 // and trust must separate honest labelers from adversaries.
 
 // errRate counts how often an oracle diverges from constant truth 1

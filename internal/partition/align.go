@@ -138,6 +138,9 @@ func (r *Result) Weights() []float64 { return r.ShardWeights[0] }
 // Predictor builds an inductive scorer from Weights. threshold ≤ 0 uses
 // the paper's ½.
 func (r *Result) Predictor(threshold float64) (*core.Predictor, error) {
+	if threshold <= 0 {
+		threshold = 0.5
+	}
 	return core.NewPredictorFromWeights(r.Weights(), threshold)
 }
 
@@ -228,8 +231,8 @@ type partOutput struct {
 // Begin, then Finish. The oracle may be nil when the
 // total budget is zero. Oracle calls are serialized but arrive in
 // nondeterministic order across partitions; every oracle in this module
-// answers as a pure function of the link (TruthOracle, hash-seeded
-// NoisyOracle), which keeps multi-partition runs reproducible — an
+// answers as a pure function of the link (TruthOracle, the hash-seeded
+// oracle.Flipper), which keeps multi-partition runs reproducible — an
 // oracle whose answers depend on CALL ORDER would not be.
 func Align(base *metadiag.Counter, plan *Plan, opts TrainOptions, oracle active.Oracle) (*Result, error) {
 	if plan == nil {

@@ -12,7 +12,6 @@ import (
 	"github.com/activeiter/activeiter/internal/datagen"
 	"github.com/activeiter/activeiter/internal/eval"
 	"github.com/activeiter/activeiter/internal/hetnet"
-	"github.com/activeiter/activeiter/internal/isorank"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
 )
@@ -430,67 +429,6 @@ func TestPlanFingerprintStable(t *testing.T) {
 				t.Errorf("seed %d K=%d: plan fingerprint %#x, want %#x", seed, k, got, want[[2]int64{seed, int64(k)}])
 			}
 		}
-	}
-}
-
-// defaultShape is the `default` pair of `go run ./bench`
-// (bench/config.go): PaperShape's networks at ten and six posts per
-// user, seed 101.
-func defaultShape() datagen.Config {
-	cfg := datagen.PaperShape()
-	cfg.Seed, cfg.PostsPerUser1, cfg.PostsPerUser2 = 101, 10, 6
-	return cfg
-}
-
-// TestUndirectedNeighborsMatchIsoRankPattern pins the planner's
-// neighbour lists to the pattern of isorank.NormalizedUndirected, the
-// symmetrized operator they were once read from: on the small preset,
-// on the benchmark's `default` shape, and on a hand-built network with
-// a self-loop, reciprocal edges, a duplicate edge and isolated users.
-func TestUndirectedNeighborsMatchIsoRankPattern(t *testing.T) {
-	hand := hetnet.NewSocialNetwork("hand")
-	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
-		hand.AddNode(hetnet.User, id)
-	}
-	// d and f stay isolated; b follows itself; a and c follow each other.
-	for _, e := range [][2]int{{0, 2}, {2, 0}, {1, 1}, {1, 0}, {4, 1}, {4, 1}, {2, 4}} {
-		if err := hand.AddLink(hetnet.Follow, e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nets := map[string]*hetnet.Network{"hand": hand}
-	for name, cfg := range map[string]datagen.Config{"small": datagen.Small(), "default": defaultShape()} {
-		pair, err := datagen.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nets[name+"/G1"], nets[name+"/G2"] = pair.G1, pair.G2
-	}
-	for name, g := range nets {
-		t.Run(name, func(t *testing.T) {
-			got, err := undirectedNeighbors(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			norm, err := isorank.NormalizedUndirected(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != norm.Rows() {
-				t.Fatalf("%d neighbour lists for %d users", len(got), norm.Rows())
-			}
-			for i, adj := range got {
-				want, _ := norm.RowSlice(i)
-				if len(adj) != len(want) {
-					t.Fatalf("user %d: neighbours %v, want %v", i, adj, want)
-				}
-				for n, j := range adj {
-					if int(j) != want[n] {
-						t.Fatalf("user %d: neighbours %v, want %v", i, adj, want)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -137,11 +137,11 @@ func NewPlanner(base *metadiag.Counter) (*Planner, error) {
 		return nil, fmt.Errorf("partition: nil base counter")
 	}
 	pair := base.Pair()
-	adj1, err := undirectedNeighbors(pair.G1)
+	adj1, err := pair.G1.UndirectedNeighbors(hetnet.Follow)
 	if err != nil {
 		return nil, err
 	}
-	adj2, err := undirectedNeighbors(pair.G2)
+	adj2, err := pair.G2.UndirectedNeighbors(hetnet.Follow)
 	if err != nil {
 		return nil, err
 	}
@@ -297,43 +297,6 @@ func (s *Seeded) Assign(candidates []hetnet.Anchor, totalBudget int) (*Plan, err
 
 	splitBudget(parts, totalBudget)
 	return &Plan{Parts: parts, Overlapped: overlapped}, nil
-}
-
-// undirectedNeighbors returns every user's follow neighbours in either
-// direction, in increasing order: row i of the follow adjacency A
-// merged with row i of Aᵀ, a user both hold listed once — the pattern
-// of A + Aᵀ. Every list is a window of one allocation.
-func undirectedNeighbors(g *hetnet.Network) ([][]int32, error) {
-	adj, err := g.Adjacency(hetnet.Follow)
-	if err != nil {
-		return nil, err
-	}
-	adjT := adj.T()
-	out := make([][]int32, adj.Rows())
-	flat := make([]int32, 0, 2*adj.NNZ())
-	var fwd, bwd []int
-	var vals []float64
-	for i := range out {
-		fwd, vals = adj.AppendRow(i, fwd[:0], vals[:0])
-		bwd, vals = adjT.AppendRow(i, bwd[:0], vals[:0])
-		lo := len(flat)
-		for a, b := 0, 0; a < len(fwd) || b < len(bwd); {
-			switch {
-			case b == len(bwd) || (a < len(fwd) && fwd[a] < bwd[b]):
-				flat = append(flat, int32(fwd[a]))
-				a++
-			case a == len(fwd) || bwd[b] < fwd[a]:
-				flat = append(flat, int32(bwd[b]))
-				b++
-			default:
-				flat = append(flat, int32(fwd[a]))
-				a++
-				b++
-			}
-		}
-		out[i] = flat[lo:len(flat):len(flat)]
-	}
-	return out, nil
 }
 
 // multiSourceBFS returns hop distances from the source set; -1 marks

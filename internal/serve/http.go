@@ -75,7 +75,8 @@ func NewHandler(store *Store, metrics *Metrics, opts HandlerOptions) *Handler {
 // figures).
 func (h *Handler) Metrics() *Metrics { return h.metrics }
 
-// httpError is the uniform JSON error shape.
+// httpError is an error with the HTTP status WriteError answers it
+// with.
 type httpError struct {
 	status int
 	msg    string
@@ -83,24 +84,32 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-func errf(status int, format string, args ...any) *httpError {
+// Errorf returns an error that WriteError answers with status and the
+// formatted message.
+func Errorf(status int, format string, args ...any) error {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// WriteError writes err as the uniform JSON error body,
+// {"error": message}, under the status Errorf gave it; any other error
+// is a 500. alignd and alignr answer every error through it.
+func WriteError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	if he, ok := err.(*httpError); ok {
+		status = he.status
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	endpoint, err := h.route(w, r)
-	isErr := err != nil
 	if err != nil {
-		he, ok := err.(*httpError)
-		if !ok {
-			he = errf(http.StatusInternalServerError, "%v", err)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(he.status)
-		json.NewEncoder(w).Encode(map[string]string{"error": he.msg})
+		WriteError(w, err)
 	}
-	h.metrics.Observe(endpoint, time.Since(start), isErr)
+	h.metrics.Observe(endpoint, time.Since(start), err != nil)
 }
 
 // route dispatches one request and returns the endpoint label to
@@ -128,7 +137,7 @@ func (h *Handler) route(w http.ResponseWriter, r *http.Request) (string, error) 
 	case strings.HasPrefix(path, "/v1/resolve/"):
 		return "resolve", h.handleResolve(w, r, strings.TrimPrefix(path, "/v1/resolve/"))
 	default:
-		return "unknown", errf(http.StatusNotFound, "no such endpoint %q", path)
+		return "unknown", Errorf(http.StatusNotFound, "no such endpoint %q", path)
 	}
 }
 
@@ -136,7 +145,7 @@ func (h *Handler) route(w http.ResponseWriter, r *http.Request) (string, error) 
 func (h *Handler) current() (*Index, error) {
 	ix := h.store.Current()
 	if ix == nil {
-		return nil, errf(http.StatusServiceUnavailable, "no snapshot loaded")
+		return nil, Errorf(http.StatusServiceUnavailable, "no snapshot loaded")
 	}
 	return ix, nil
 }
@@ -146,10 +155,10 @@ func readJSON(w http.ResponseWriter, r *http.Request, what string, into any) err
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(into)
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		return errf(http.StatusRequestEntityTooLarge, "%s request body is over %d bytes", what, tooBig.Limit)
+		return Errorf(http.StatusRequestEntityTooLarge, "%s request body is over %d bytes", what, tooBig.Limit)
 	}
 	if err != nil {
-		return errf(http.StatusBadRequest, "bad %s request: %v", what, err)
+		return Errorf(http.StatusBadRequest, "bad %s request: %v", what, err)
 	}
 	return nil
 }
@@ -165,7 +174,7 @@ func (h *Handler) writeJSON(w http.ResponseWriter, v any) error {
 // readyz's business, not a reason to kill the process.
 func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodGet {
-		return errf(http.StatusMethodNotAllowed, "healthz is GET")
+		return Errorf(http.StatusMethodNotAllowed, "healthz is GET")
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
@@ -176,16 +185,16 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) error {
 // (if any) succeeded. Load balancers key traffic off this.
 func (h *Handler) handleReady(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodGet {
-		return errf(http.StatusMethodNotAllowed, "readyz is GET")
+		return Errorf(http.StatusMethodNotAllowed, "readyz is GET")
 	}
 	if h.store.Current() == nil {
-		return errf(http.StatusServiceUnavailable, "no snapshot loaded")
+		return Errorf(http.StatusServiceUnavailable, "no snapshot loaded")
 	}
 	h.reloadMu.Lock()
 	reloadErr := h.lastReloadErr
 	h.reloadMu.Unlock()
 	if reloadErr != "" {
-		return errf(http.StatusServiceUnavailable, "last reload failed: %s", reloadErr)
+		return Errorf(http.StatusServiceUnavailable, "last reload failed: %s", reloadErr)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ready")
@@ -244,7 +253,7 @@ type StatusShard struct {
 // per-endpoint counters plus the process-wide telemetry registry.
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodGet {
-		return errf(http.StatusMethodNotAllowed, "metricsz is GET")
+		return Errorf(http.StatusMethodNotAllowed, "metricsz is GET")
 	}
 	w.Header().Set("Content-Type", telemetry.PromContentType)
 	return h.metrics.WriteProm(w)
@@ -252,7 +261,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 
 func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodGet {
-		return errf(http.StatusMethodNotAllowed, "statusz is GET")
+		return Errorf(http.StatusMethodNotAllowed, "statusz is GET")
 	}
 	resp := StatusResponse{UptimeSec: h.metrics.Uptime().Seconds(), Endpoints: h.metrics.Report()}
 	h.reloadMu.Lock()
@@ -296,15 +305,15 @@ func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) error {
 func parseNetUser(ix *Index, tail string) (int, int32, error) {
 	parts := strings.SplitN(tail, "/", 2)
 	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
-		return 0, 0, errf(http.StatusBadRequest, "path must be /v1/.../{net}/{user}")
+		return 0, 0, Errorf(http.StatusBadRequest, "path must be /v1/.../{net}/{user}")
 	}
 	net, err := strconv.Atoi(parts[0])
 	if err != nil || (net != 1 && net != 2) {
-		return 0, 0, errf(http.StatusBadRequest, "net must be 1 or 2, got %q", parts[0])
+		return 0, 0, Errorf(http.StatusBadRequest, "net must be 1 or 2, got %q", parts[0])
 	}
 	user, ok := ix.ResolveUser(net, parts[1])
 	if !ok {
-		return 0, 0, errf(http.StatusNotFound, "unknown user %q on net %d", parts[1], net)
+		return 0, 0, Errorf(http.StatusNotFound, "unknown user %q on net %d", parts[1], net)
 	}
 	return net, user, nil
 }
@@ -335,7 +344,7 @@ type candidatesResponse struct {
 
 func (h *Handler) handleLookup(w http.ResponseWriter, r *http.Request, tail string, candidates bool) error {
 	if r.Method != http.MethodGet {
-		return errf(http.StatusMethodNotAllowed, "lookup endpoints are GET")
+		return Errorf(http.StatusMethodNotAllowed, "lookup endpoints are GET")
 	}
 	ix, err := h.current()
 	if err != nil {
@@ -353,7 +362,7 @@ func (h *Handler) handleLookup(w http.ResponseWriter, r *http.Request, tail stri
 				// Explicit rejection, not a silent fall back to the default
 				// depth: a client that sent k=-3 or k=1e3 would otherwise
 				// read a differently sized answer with no hint why.
-				return errf(http.StatusBadRequest, "bad k %q: must be a non-negative integer", kq)
+				return Errorf(http.StatusBadRequest, "bad k %q: must be a non-negative integer", kq)
 			}
 		}
 		items := ix.CandidatesFor(net, user, k)
@@ -368,7 +377,7 @@ func (h *Handler) handleLookup(w http.ResponseWriter, r *http.Request, tail stri
 	}
 	m, ok := ix.MatchFor(net, user)
 	if !ok {
-		return errf(http.StatusNotFound, "no matched partner for user %d on net %d (generation %d)", user, net, ix.Generation)
+		return Errorf(http.StatusNotFound, "no matched partner for user %d on net %d (generation %d)", user, net, ix.Generation)
 	}
 	resp := matchResponse{Generation: ix.Generation, Net: net, User: ix.UserID(net, user), Index: user}
 	resp.Match = &struct {
@@ -394,7 +403,7 @@ type resolveResponse struct {
 
 func (h *Handler) handleResolve(w http.ResponseWriter, r *http.Request, tail string) error {
 	if r.Method != http.MethodGet {
-		return errf(http.StatusMethodNotAllowed, "resolve is GET")
+		return Errorf(http.StatusMethodNotAllowed, "resolve is GET")
 	}
 	ix, err := h.current()
 	if err != nil {
@@ -458,7 +467,7 @@ type scoreResponse struct {
 
 func (h *Handler) handleScore(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
-		return errf(http.StatusMethodNotAllowed, "score is POST")
+		return Errorf(http.StatusMethodNotAllowed, "score is POST")
 	}
 	ix, err := h.current()
 	if err != nil {
@@ -472,7 +481,7 @@ func (h *Handler) handleScore(w http.ResponseWriter, r *http.Request) error {
 	case req.poolLookup():
 		p, ok := ix.PoolScore(*req.I, *req.J)
 		if !ok {
-			return errf(http.StatusNotFound, "link (%d,%d) not in the candidate pool", *req.I, *req.J)
+			return Errorf(http.StatusNotFound, "link (%d,%d) not in the candidate pool", *req.I, *req.J)
 		}
 		return h.writeJSON(w, scoreResponse{
 			Generation: ix.Generation, Source: "pool",
@@ -485,7 +494,7 @@ func (h *Handler) handleScore(w http.ResponseWriter, r *http.Request) error {
 		}
 		score, label, err := ix.Rescore(shard, req.Features)
 		if err != nil {
-			return errf(http.StatusBadRequest, "%v", err)
+			return Errorf(http.StatusBadRequest, "%v", err)
 		}
 		resp := scoreResponse{Generation: ix.Generation, Source: "predictor", Score: score, HasScore: true, Label: label}
 		if req.Shard != nil {
@@ -493,7 +502,7 @@ func (h *Handler) handleScore(w http.ResponseWriter, r *http.Request) error {
 		}
 		return h.writeJSON(w, resp)
 	default:
-		return errf(http.StatusBadRequest, `score wants {"i","j"} (pool lookup) or {"features"[,"shard"]} (rescore), not both`)
+		return Errorf(http.StatusBadRequest, `score wants {"i","j"} (pool lookup) or {"features"[,"shard"]} (rescore), not both`)
 	}
 }
 
@@ -515,10 +524,10 @@ type reloadResponse struct {
 
 func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
-		return errf(http.StatusMethodNotAllowed, "reload is POST")
+		return Errorf(http.StatusMethodNotAllowed, "reload is POST")
 	}
 	if h.opts.SnapshotPath == "" {
-		return errf(http.StatusNotImplemented, "reload is not configured")
+		return Errorf(http.StatusNotImplemented, "reload is not configured")
 	}
 	var req reloadRequest
 	if r.ContentLength != 0 {
@@ -527,11 +536,11 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	if req.Path != "" && req.Path != h.opts.SnapshotPath {
-		return errf(http.StatusForbidden, "reload re-opens only the served artifact's path; rename the new artifact over it")
+		return Errorf(http.StatusForbidden, "reload re-opens only the served artifact's path; rename the new artifact over it")
 	}
 	ix, err := h.Reload()
 	if err != nil {
-		return errf(http.StatusUnprocessableEntity, "%v", err)
+		return Errorf(http.StatusUnprocessableEntity, "%v", err)
 	}
 	_, _, matches, pool := ix.Counts()
 	return h.writeJSON(w, reloadResponse{Generation: ix.Generation, Path: h.opts.SnapshotPath, Matches: matches, Pool: pool})

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // rankIndex answers "where in row i is column j stored" in O(1): per row
 // a bitset over the columns and, per 64-column word, the number of the
@@ -17,25 +14,21 @@ type rankIndex struct {
 }
 
 // rank returns m's rank index, building it on first call, or nil for a
-// block, which is indexed directly, or a matrix the rule excludes. What builds one is a kernel about to make
-// many probes: the marginal walk and the per-anchor terms for every
-// count stacked on a product (MatMulMarginals, AnchorTerms — on the
-// training path the first users of an attribute count), Hadamard for
-// the longer side of a stacking. The
-// point probes below — At, MatMulAt — read an index that exists and
+// block, which is indexed directly, or a matrix rankShape excludes. What
+// builds one is a kernel about to make many probes: the marginal walk
+// and the per-anchor terms for every count stacked on a product
+// (MatMulMarginals, AnchorTerms — on the training path the first users
+// of an attribute count), Hadamard for the longer side of a stacking.
+// The point probes below — At, MatMulAt — read an index that exists and
 // never build one, since a single lookup does not pay for a pass over
-// the matrix. The rule reads the matrix alone: an index pays for
-// its words when the matrix stores at least one entry per 64-column word
-// on average, nnz·64 ≥ rows·cols — true of the attribute counts every
-// fold stacks on (57 % dense), false of a sparse follow adjacency or a
-// fold's thin pre∘anchor factor. A CSR is immutable, so the verdict and
-// the index are never invalidated; concurrent first users build it once.
+// the matrix. A CSR is immutable, so the verdict and the index are never
+// invalidated; concurrent first users build it once.
 func (m *CSR) rank() *rankIndex {
 	if m.block != nil {
 		return nil
 	}
 	m.rankOnce.Do(func() {
-		if len(m.val) == 0 || m.cols > math.MaxUint32 || float64(len(m.val))*64 < float64(m.rows)*float64(m.cols) {
+		if !rankShape(m.rows, m.cols, len(m.val)) {
 			return
 		}
 		words := (m.cols + 63) / 64

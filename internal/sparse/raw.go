@@ -54,6 +54,20 @@ func FromRaw(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) 
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
 }
 
+// The layout ladder, by a matrix's fill nnz/(rows·cols): below 1⁄64 it
+// is compressed (colIdx/val) and nothing more; from 1⁄64 up to ⅛ it is
+// compressed and a kernel about to probe it many times ranks it (a
+// rankIndex, rankShape); from ⅛ a matrix whose cells are integers in
+// 0…255 is a block, a byte per cell (BlockShape, BlockCell).
+
+// rankShape is the rank index's rule: a compressed rows×cols matrix of
+// nnz stored entries pays for an index's ⌈cols/64⌉ words per row when
+// it stores at least one entry per 64-column word on average,
+// nnz·64 ≥ rows·cols, and its columns fit the index's uint32 counts.
+func rankShape(rows, cols, nnz int) bool {
+	return nnz > 0 && cols <= math.MaxUint32 && float64(nnz)*64 >= float64(rows)*float64(cols)
+}
+
 // BlockShape is the shape half of the block layout's rule: a rows×cols
 // matrix of nnz stored entries is a block when it is at least ⅛ full —
 // rows·cols ≤ 8·nnz, where a byte per cell costs at most half of 16

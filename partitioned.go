@@ -92,8 +92,8 @@ func NewPartitioned(pair *AlignedPair, opts Options) (*PartitionedAligner, error
 // Reproducibility: with Partitions > 1 oracle queries arrive in
 // nondeterministic order across the concurrent shard pipelines. Runs
 // remain identical for a fixed Seed as long as the oracle answers as a
-// pure function of the queried link — true of NewTruthOracle, the
-// hash-seeded NoisyOracle and the Options.OracleConfig panel (whose
+// pure function of the queried link — true of NewTruthOracle and of
+// the Options.OracleConfig panel and its hash-seeded flippers (whose
 // verdicts therefore also survive session retries and later rounds
 // unchanged). Supply an order-dependent oracle only with
 // Partitions ≤ 1.

@@ -173,3 +173,51 @@ func TestBuildSnapshotValidation(t *testing.T) {
 		t.Error("nil pair accepted")
 	}
 }
+
+// TestSnapshotServesExplicitZeroThreshold: an explicit Threshold of 0 is
+// a real boundary. The snapshot records it, and the served index labels
+// against it, so a vector scoring 0.3 rescores as label 1, not against ½.
+func TestSnapshotServesExplicitZeroThreshold(t *testing.T) {
+	pair, trainPos, testPos, neg := testFixture(t)
+	cands := append(append([]Anchor{}, testPos...), neg...)
+	opts := Options{Seed: 3, Threshold: Ptr(0.0)}
+	a, err := New(pair, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Align(trainPos, cands, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := BuildSnapshot("", pair, res, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Meta.Threshold != 0 {
+		t.Fatalf("Meta.Threshold = %v, want 0", snap.Meta.Threshold)
+	}
+	ix, err := NewServeIndex(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.ShardWeights[0]
+	k := len(w) - 1 // the bias
+	for k >= 0 && w[k] == 0 {
+		k--
+	}
+	if k < 0 {
+		t.Fatal("trained weights are all zero")
+	}
+	x := make([]float64, len(w))
+	x[k] = 0.3 / w[k]
+	score, label, err := ix.Rescore(-1, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if score <= 0 || score >= 0.5 {
+		t.Fatalf("vector scores %v, want ≈ 0.3", score)
+	}
+	if label != 1 {
+		t.Errorf("score %v under threshold 0 rescored as label %v, want 1", score, label)
+	}
+}
