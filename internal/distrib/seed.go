@@ -86,28 +86,29 @@ func seedFingerprint(pair *hetnet.AlignedPair, featureSet string) uint64 {
 	return 1
 }
 
-// buildSeed exports the pair's warm-counter seed and pre-encodes its
-// frame body once per run. base, when non-nil, must be a counter over
-// pair (the facade hands over its own, shared with planning); nil
-// cold-counts — still once per run, not once per shard×worker. The
-// counter the seed came from is returned as installed: it is what this
-// process's seed cache now holds under fp, and what the session hands
-// back to seedCacheEvict when it closes.
-func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig, traceID uint64) (fp uint64, body []byte, installed *metadiag.Counter, err error) {
+// exportSeed exports the pair's warm-counter seed, once per run. base,
+// when non-nil, must be a counter over pair (the facade hands over its
+// own, shared with planning); nil cold-counts — still once per run, not
+// once per shard×worker. The counter the seed came from is returned as
+// installed: it is what this process's seed cache now holds under the
+// seed's fingerprint, and what the session hands back to seedCacheEvict
+// when it closes. The run encodes the seed's frame body once
+// (WireSeed.appendBody) and every connection ships those bytes.
+func exportSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig, traceID uint64) (ws *WireSeed, installed *metadiag.Counter, err error) {
 	feats, err := ResolveFeatures(cfg.FeatureSet)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, nil, err
 	}
 	if base == nil {
 		if base, err = metadiag.NewCounter(pair); err != nil {
-			return 0, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	seed, err := base.ExportSeed(feats)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, nil, err
 	}
-	ws := &WireSeed{
+	ws = &WireSeed{
 		Fingerprint: seedFingerprint(pair, cfg.FeatureSet),
 		Seed:        *seed,
 		// The body is encoded once per run and shared by every connection,
@@ -124,7 +125,7 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 	// but it keeps the whole count layer alive, which is why Session.Close
 	// takes the entry out again.
 	seedCachePut(ws.Fingerprint, newSeedEntry(base, seed))
-	return ws.Fingerprint, ws.appendBody(nil), base, nil
+	return ws, base, nil
 }
 
 // handshake opens a freshly dialed worker connection: the coordinator's
@@ -295,7 +296,7 @@ func seedForget(fp uint64) {
 	seedLRU = slices.DeleteFunc(seedLRU, func(f uint64) bool { return f == fp })
 }
 
-// seedCacheEvict removes the entry buildSeed pre-installed under fp, if
+// seedCacheEvict removes the entry exportSeed pre-installed under fp, if
 // it is still the resident one. The comparison is on the counter: an
 // entry some later session (or a shipped install) put there in the
 // meantime is theirs to keep. A concurrent session on the same pair
@@ -385,29 +386,34 @@ func decodeNode(d *framing.Dec) schema.TypedNode {
 	return n
 }
 
+// The layout byte of a seed segment, after its shape.
+const (
+	seedArrays byte = iota // compressed: column-index deltas, then values
+	seedCells              // a block: its Rows·Cols cells, row-major
+)
+
 // appendSeedEntry encodes one matrix as a self-contained segment: key,
-// endpoint node types, shape, per-row column-index deltas (uvarint row
-// length, first column absolute, then gaps — strictly increasing columns
-// make every gap ≥ 1), then the value run. Counts are exact non-negative integers
-// below 2^53 in practice (path multiplicities), so values normally pack
-// as uvarints; a flag byte keeps raw float64 as the general-case
-// fallback.
-//
-// An entry that carries a block (metadiag.SeedEntry.Matrix) is written
-// straight from the block's bytes to the bytes its compressed arrays
-// would give: the format does not depend on the layout. A block holds
-// integers in 1…255, so its values pack as uvarints unscanned.
+// endpoint node types, shape, then a layout byte and the matrix in that
+// layout. A block (metadiag.SeedEntry.Matrix) is its cells, copied as
+// they are: a worker installs the layout the exporter held. Every other
+// matrix is compressed: per-row column-index deltas (uvarint row length,
+// first column absolute, then gaps — strictly increasing columns make
+// every gap ≥ 1), then the value run. Counts are exact non-negative
+// integers below 2^53 in practice (path multiplicities), so values
+// normally pack as uvarints; a flag byte keeps raw float64 as the
+// general-case fallback.
 func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
-	ints, top := true, float64(math.MaxUint8)
-	if e.Matrix == nil {
-		top = 0
-		for _, v := range e.Val {
-			if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
-				ints = false
-				break
-			}
-			top = max(top, v)
+	head := appendSeedHead(make([]byte, 0, 64), e)
+	if cells := blockCells(e); cells != nil {
+		return append(append(slices.Grow(b, len(head)+len(cells)), head...), cells...)
+	}
+	ints, top := true, 0.0
+	for _, v := range e.Val {
+		if v != math.Trunc(v) || v < 0 || v >= 1<<53 {
+			ints = false
+			break
 		}
+		top = max(top, v)
 	}
 	// One allocation for the whole segment: no row length or column gap
 	// exceeds Cols and no value exceeds top, which bounds every varint's
@@ -416,37 +422,8 @@ func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
 	if ints {
 		valWidth = uvarintLen(uint64(top))
 	}
-	nnz := e.NNZ()
-	b = slices.Grow(b, len(e.Key)+len(e.Source.Type)+len(e.Sink.Type)+5*binary.MaxVarintLen64+3+
-		(e.Rows+1+nnz)*idxWidth+nnz*valWidth)
-	b = framing.AppendString(b, e.Key)
-	b = appendNode(b, e.Source)
-	b = appendNode(b, e.Sink)
-	b = framing.AppendVarint(b, int64(e.Rows))
-	b = framing.AppendVarint(b, int64(e.Cols))
-	if e.Matrix != nil {
-		for r := 0; r < e.Rows; r++ {
-			b = framing.AppendUvarint(b, uint64(e.Matrix.RowNNZ(r)))
-			row, prev := e.Matrix.BlockRow(r), 0
-			for base := 0; base < len(row); base += 8 {
-				for nz := sparse.NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
-					c := base + bits.TrailingZeros64(nz)>>3
-					b = framing.AppendUvarint(b, uint64(c-prev))
-					prev = c
-				}
-			}
-		}
-		b = framing.AppendBool(b, true)
-		for r := 0; r < e.Rows; r++ {
-			row := e.Matrix.BlockRow(r)
-			for base := 0; base < len(row); base += 8 {
-				for nz := sparse.NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
-					b = framing.AppendUvarint(b, uint64(row[base+bits.TrailingZeros64(nz)>>3]))
-				}
-			}
-		}
-		return b
-	}
+	b = slices.Grow(b, len(head)+1+(e.Rows+1+len(e.Val))*idxWidth+len(e.Val)*valWidth)
+	b = append(b, head...)
 	for r := 0; r < e.Rows; r++ {
 		cols := e.ColIdx[e.RowPtr[r]:e.RowPtr[r+1]]
 		b = framing.AppendUvarint(b, uint64(len(cols)))
@@ -469,6 +446,29 @@ func appendSeedEntry(b []byte, e *metadiag.SeedEntry) []byte {
 	return b
 }
 
+// appendSeedHead writes a segment's key, endpoint node types, shape and
+// layout byte.
+func appendSeedHead(b []byte, e *metadiag.SeedEntry) []byte {
+	b = framing.AppendString(b, e.Key)
+	b = appendNode(b, e.Source)
+	b = appendNode(b, e.Sink)
+	b = framing.AppendVarint(b, int64(e.Rows))
+	b = framing.AppendVarint(b, int64(e.Cols))
+	if e.Matrix != nil {
+		return append(b, seedCells)
+	}
+	return append(b, seedArrays)
+}
+
+// blockCells returns the cells a block entry ships, nil for a
+// compressed one.
+func blockCells(e *metadiag.SeedEntry) []byte {
+	if e.Matrix == nil {
+		return nil
+	}
+	return e.Matrix.BlockCells()
+}
+
 // uvarintLen is the encoded size of v in bytes.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
@@ -489,18 +489,21 @@ func seedTruncated(what string) error {
 	return fmt.Errorf("%w: %s", framing.ErrTruncated, what)
 }
 
-// decodeSeedEntry is the inverse. A seed is millions of mostly one-byte
-// varints, so the segment is walked with a local cursor instead of a
-// framing.Dec call per value. A counting pass over the index section
-// finds the entry's stored entries before anything is made, so nothing
-// allocated is larger than the bytes that were there to fill it, and
-// the layout is chosen up front: a count entry (count set) of integer
-// values whose shape meets sparse.BlockShape is written straight into a
-// block (decodeBlock), every column validated before its cell is
-// written; any other entry, or one holding a value no block cell can,
-// is decoded into compressed arrays, whose structural trust is deferred
-// to sparse.FromRaw inside the install. Adjacency entries stay
-// compressed, as a counter's own edges are.
+// decodeSeedEntry is the inverse; an entry comes back in the layout it
+// shipped in. A block's cells are the rest of the segment, exactly
+// Rows·Cols bytes, and alias it: the segment is a view of a frame body
+// that belongs to the decoder alone, and no kernel writes a block's
+// cells. Every byte is a valid cell and zero is no entry, so only the
+// shape is checked — the cell count through bits.Mul64 (sparse.FromBlock)
+// and the fill against sparse.BlockShape, which every block a counter
+// builds meets. Only a count entry (count set) may be a block: a
+// counter's edges are compressed. A compressed entry is millions of
+// mostly one-byte varints, so it is walked with a local cursor instead
+// of a framing.Dec call per value. A counting pass over the index
+// section finds the entry's stored entries before anything is made, so
+// nothing allocated is larger than the bytes that were there to fill it;
+// the arrays' structural trust is deferred to sparse.FromRaw inside the
+// install.
 func decodeSeedEntry(seg []byte, count bool) (metadiag.SeedEntry, error) {
 	var e metadiag.SeedEntry
 	d := framing.NewDec(seg)
@@ -509,14 +512,32 @@ func decodeSeedEntry(seg []byte, count bool) (metadiag.SeedEntry, error) {
 	e.Sink = decodeNode(d)
 	e.Rows = d.Int()
 	e.Cols = d.Int()
+	layout := d.Byte()
 	if d.Err() == nil && (e.Rows < 0 || e.Rows > d.Remaining()) {
-		// Each row costs at least its 1-byte length.
+		// Each row costs at least a byte: its length, or a block's cells
+		// (a block without columns is empty, and no block is empty).
 		d.Fail("seed row count")
 	}
 	if d.Err() != nil {
 		return e, d.Err()
 	}
 	b := seg[len(seg)-d.Remaining():]
+	switch {
+	case layout == seedCells && count:
+		m, err := sparse.FromBlock(e.Rows, e.Cols, b[:len(b):len(b)])
+		if err != nil {
+			return e, fmt.Errorf("seed block: %w", err)
+		}
+		if !sparse.BlockShape(e.Rows, e.Cols, m.NNZ()) {
+			return e, fmt.Errorf("seed block %dx%d holds %d entries, under ⅛ full", e.Rows, e.Cols, m.NNZ())
+		}
+		e.Matrix = m
+		return e, nil
+	case layout == seedCells:
+		return e, fmt.Errorf("seed adjacency %q shipped as a block", e.Key)
+	case layout != seedArrays:
+		return e, fmt.Errorf("seed layout byte %d", layout)
+	}
 
 	// Counting pass: read each row's length, step over that many column
 	// varints by their terminator bytes (high bit clear).
@@ -561,13 +582,6 @@ func decodeSeedEntry(seg []byte, count bool) (metadiag.SeedEntry, error) {
 	}
 	if nnz > (len(b)-values)/width {
 		return e, seedTruncated("seed values")
-	}
-	if count && ints && sparse.BlockShape(e.Rows, e.Cols, nnz) {
-		m, err := decodeBlock(b, values, e.Rows, e.Cols)
-		if m != nil || err != nil {
-			e.Matrix = m
-			return e, err
-		}
 	}
 
 	// Compressed pass: the counting pass proved every varint of the index
@@ -617,79 +631,10 @@ func decodeSeedEntry(seg []byte, count bool) (metadiag.SeedEntry, error) {
 		}
 	}
 	if p != len(b) {
-		return e, seedTrailing(len(b) - p)
+		return e, fmt.Errorf("framing: %d trailing bytes after seed entry", len(b)-p)
 	}
 	e.RowPtr, e.ColIdx, e.Val = rowPtr, colIdx, val
 	return e, nil
-}
-
-// decodeBlock is decodeSeedEntry's block pass over a rows×cols count
-// entry that meets sparse.BlockShape: it walks the index section of b
-// again from its start and the value run from q in step, and writes
-// each value into its cell. A column is checked before its cell is
-// written — strictly increasing within its row and below cols, what
-// sparse.FromRaw checks of compressed arrays — so a hostile index is
-// refused here. A value that fails sparse.BlockCell, or an explicit
-// zero, which no block can store, returns nil and no error: the entry
-// is decoded compressed instead, as matMul builds such a product.
-func decodeBlock(b []byte, q, rows, cols int) (*sparse.CSR, error) {
-	cells := make([]uint8, rows*cols)
-	p := 0
-	for r := 0; r < rows; r++ {
-		// The counting pass proved the row length ends inside b.
-		n := uint64(b[p])
-		p++
-		if n >= 0x80 {
-			n, p = uvarintAt(b, p-1)
-		}
-		row := cells[r*cols : (r+1)*cols]
-		// The entry's column is at + gap and must lie in [lo, cols): the
-		// first gap is the column itself, every later one is ≥ 1.
-		at, lo := 0, 0
-		for ; n > 0; n-- {
-			gap := uint64(b[p])
-			p++
-			if gap >= 0x80 {
-				if gap, p = uvarintAt(b, p-1); p < 0 {
-					return nil, seedTruncated("seed column gap")
-				}
-			}
-			if gap-uint64(lo-at) >= uint64(cols-lo) {
-				return nil, fmt.Errorf("seed row %d: column out of order or range %d", r, cols)
-			}
-			at += int(gap)
-			lo = at + 1
-			if q == len(b) {
-				return nil, seedTruncated("seed values")
-			}
-			v := b[q]
-			q++
-			if v >= 0x80 {
-				var wide uint64
-				if wide, q = uvarintAt(b, q-1); q < 0 {
-					return nil, seedTruncated("seed values")
-				}
-				if !sparse.BlockCell(float64(wide)) {
-					return nil, nil
-				}
-				v = uint8(wide)
-			}
-			if v == 0 {
-				return nil, nil
-			}
-			row[at] = v
-		}
-	}
-	if q != len(b) {
-		return nil, seedTrailing(len(b) - q)
-	}
-	return sparse.FromBlock(rows, cols, cells)
-}
-
-// seedTrailing is the error of a seed segment with bytes past its value
-// run.
-func seedTrailing(n int) error {
-	return fmt.Errorf("framing: %d trailing bytes after seed entry", n)
 }
 
 // WireSeed body: the fingerprint, the seed's dimensions and schema, then
@@ -712,17 +657,25 @@ func (ws *WireSeed) appendBody(b []byte) []byte {
 	}
 	b = framing.AppendUvarint(b, uint64(len(ws.Adjacency)))
 	b = framing.AppendUvarint(b, uint64(len(ws.Entries)))
+	// A compressed segment is encoded on its own, in parallel; a block's
+	// is its head here and its cells are copied once, into the body.
 	segs := make([][]byte, len(ws.Adjacency)+len(ws.Entries))
 	metadiag.FanOut(len(segs), func(i int) {
-		segs[i] = appendSeedEntry(nil, ws.entry(i))
+		if e := ws.entry(i); e.Matrix != nil {
+			segs[i] = appendSeedHead(nil, e)
+		} else {
+			segs[i] = appendSeedEntry(nil, e)
+		}
 	})
 	rest := 2 * binary.MaxVarintLen64 // the trace tail
-	for _, seg := range segs {
-		rest += binary.MaxVarintLen64 + len(seg)
+	for i, seg := range segs {
+		rest += binary.MaxVarintLen64 + len(seg) + len(blockCells(ws.entry(i)))
 	}
 	b = slices.Grow(b, rest)
-	for _, seg := range segs {
-		b = framing.AppendBytes(b, seg)
+	for i, seg := range segs {
+		cells := blockCells(ws.entry(i))
+		b = framing.AppendUvarint(b, uint64(len(seg)+len(cells)))
+		b = append(append(b, seg...), cells...)
 	}
 	b = framing.AppendUvarint(b, ws.TraceID)
 	b = framing.AppendUvarint(b, ws.SpanID)

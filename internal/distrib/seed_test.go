@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/activeiter/activeiter/internal/datagen"
+	"github.com/activeiter/activeiter/internal/framing"
 	"github.com/activeiter/activeiter/internal/hetnet"
 	"github.com/activeiter/activeiter/internal/metadiag"
 	"github.com/activeiter/activeiter/internal/schema"
@@ -29,6 +30,17 @@ func resetSeedCache() {
 	seedCache = map[uint64]*seedEntry{}
 	seedLRU = nil
 	seedMu.Unlock()
+}
+
+// buildSeed is what a session's first connection does to its seed,
+// without the spans: export it (exportSeed, which pre-installs the
+// counter in this process's seed cache) and encode its frame body.
+func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig, traceID uint64) (fp uint64, body []byte, installed *metadiag.Counter, err error) {
+	ws, installed, err := exportSeed(pair, base, cfg, traceID)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return ws.Fingerprint, ws.appendBody(nil), installed, nil
 }
 
 // randomSeedEntry draws a CSR matrix with the shapes the codec has to
@@ -95,40 +107,89 @@ func sameSeedEntry(a, b metadiag.SeedEntry) bool {
 		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) && sameVals
 }
 
+// randomBlockEntry draws a count the way a counter holds one at least ⅛
+// full: a rows×cols block of cells in 0…255, filled until it meets
+// sparse.BlockShape.
+func randomBlockEntry(t testing.TB, rng *rand.Rand, maxRows, maxCols int) metadiag.SeedEntry {
+	rows, cols := 1+rng.Intn(maxRows), 1+rng.Intn(maxCols)
+	cells := make([]uint8, rows*cols)
+	density, nnz := 0.1+0.9*rng.Float64(), 0
+	for nnz == 0 || !sparse.BlockShape(rows, cols, nnz) {
+		if c := rng.Intn(len(cells)); cells[c] == 0 && rng.Float64() < density {
+			cells[c] = uint8(1 + rng.Intn(255))
+			nnz++
+		}
+	}
+	m, err := sparse.FromBlock(rows, cols, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return metadiag.SeedEntry{Key: "Ψb", Source: schema.User1(), Sink: schema.LocationT(), Rows: rows, Cols: cols, Matrix: m}
+}
+
+// seedHead is a seed segment's bytes up to and including its layout
+// byte, for a user(1)→user(2) entry keyed "Ψ".
+func seedHead(rows, cols int, layout byte) []byte {
+	b := framing.AppendString(nil, "Ψ")
+	b = appendNode(b, schema.User1())
+	b = appendNode(b, schema.User2())
+	b = framing.AppendVarint(b, int64(rows))
+	b = framing.AppendVarint(b, int64(cols))
+	return append(b, layout)
+}
+
+// aliases reports whether the block m's cells are the last bytes of
+// seg, where its segment carries them.
+func aliases(m *sparse.CSR, seg []byte) bool {
+	cells := m.BlockCells()
+	return len(cells) > 0 && len(cells) <= len(seg) && &cells[0] == &seg[len(seg)-len(cells)]
+}
+
 // TestSeedDecodeMatchesReference holds the two-pass decoder to the one
-// it replaced: equal content on every valid segment, whichever layout a
-// count entry decodes to, and an error from both on every truncated
-// prefix of one.
+// it replaced: equal content on every valid segment of either layout —
+// a block comes back a block, compressed arrays come back arrays — and
+// an error from both on every truncated prefix of one.
 func TestSeedDecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	layouts := map[bool]int{}
 	for trial := 0; trial < 300; trial++ {
 		// Every third matrix is small enough to walk all its prefixes.
 		small := trial%3 == 0
-		e := randomSeedEntry(rng, 40, 5000)
-		if small {
+		var e metadiag.SeedEntry
+		switch {
+		case trial%4 == 1:
+			e = randomBlockEntry(t, rng, 40, 300)
+		case trial%4 == 3:
+			e = randomBlockEntry(t, rng, 6, 40)
+			small = true
+		case small:
 			e = randomSeedEntry(rng, 6, 200)
+		default:
+			e = randomSeedEntry(rng, 40, 5000)
 		}
 		seg := appendSeedEntry(nil, &e)
 		got, err := decodeSeedEntry(seg, true)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := referenceDecodeSeedEntry(seg)
+		want, block, err := referenceDecodeSeedEntry(seg)
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
 		if !sameSeedEntry(got, want) || !sameSeedEntry(got, e) {
 			t.Fatalf("trial %d: decoded entry differs from the reference decoder's or from the input", trial)
 		}
-		layouts[got.Matrix != nil]++
+		if held := e.Matrix != nil; (got.Matrix != nil) != held || block != held {
+			t.Fatalf("trial %d: exported as a block %v, shipped as one %v, decoded as one %v", trial, held, block, got.Matrix != nil)
+		}
+		layouts[block]++
 		if got.Matrix == nil && (cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val)) {
 			t.Fatalf("trial %d: arrays not exactly sized: colIdx %d/%d, val %d/%d",
 				trial, len(got.ColIdx), cap(got.ColIdx), len(got.Val), cap(got.Val))
 		}
 		for cut := 0; small && cut < len(seg); cut++ {
 			_, gerr := decodeSeedEntry(seg[:cut:cut], true)
-			_, werr := referenceDecodeSeedEntry(seg[:cut:cut])
+			_, _, werr := referenceDecodeSeedEntry(seg[:cut:cut])
 			if gerr == nil || werr == nil {
 				t.Fatalf("trial %d: truncation at %d/%d accepted (new %v, reference %v)", trial, cut, len(seg), gerr, werr)
 			}
@@ -139,11 +200,10 @@ func TestSeedDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBlockEntryEncodesFromBytes: a block entry, written straight from
-// its bytes, is the segment of the same matrix given as arrays — on
-// random counts, and on rows that reach each varint width: values
-// ≥ 128, gaps of two and three bytes, a cell in a row's last partial
-// word.
+// TestBlockEntryEncodesFromBytes: a block entry's segment is its header,
+// layout byte 1 and exactly its cells, copied as they are — on random
+// counts, and on rows wide enough to need multi-byte column counts — and
+// decodes to a block Equal to it whose cells are the segment's own.
 func TestBlockEntryEncodesFromBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	check := func(name string, rows, cols int, cells []uint8) {
@@ -152,20 +212,17 @@ func TestBlockEntryEncodesFromBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := metadiag.SeedEntry{Key: "Ψ", Source: schema.User1(), Sink: schema.User2(), Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-		for r := 0; r < rows; r++ {
-			for c, v := range cells[r*cols : (r+1)*cols] {
-				if v != 0 {
-					e.ColIdx, e.Val = append(e.ColIdx, c), append(e.Val, float64(v))
-				}
-			}
-			e.RowPtr[r+1] = len(e.ColIdx)
+		e := metadiag.SeedEntry{Key: "Ψ", Source: schema.User1(), Sink: schema.User2(), Rows: rows, Cols: cols, Matrix: m}
+		seg := appendSeedEntry(nil, &e)
+		if want := append(seedHead(rows, cols, seedCells), cells...); !bytes.Equal(seg, want) {
+			t.Fatalf("%s: block segment is not its header, layout 1 and its cells", name)
 		}
-		blk := e
-		blk.RowPtr, blk.ColIdx, blk.Val, blk.Matrix = nil, nil, nil, m
-		got, want := appendSeedEntry(nil, &blk), appendSeedEntry(nil, &e)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: block segment differs from the arrays' segment", name)
+		if !sparse.BlockShape(rows, cols, m.NNZ()) {
+			return // shipped, but no decoder takes a block under ⅛ full
+		}
+		got, err := decodeSeedEntry(seg, true)
+		if err != nil || got.Matrix == nil || !got.Matrix.Equal(m) || !aliases(got.Matrix, seg) {
+			t.Fatalf("%s: decoded %v (block %v, err %v): want an Equal block on the segment's bytes", name, got.Matrix, got.Matrix != nil, err)
 		}
 	}
 	for trial := 0; trial < 50; trial++ {
@@ -181,59 +238,72 @@ func TestBlockEntryEncodesFromBytes(t *testing.T) {
 	}
 	const wide = 20011
 	cells := make([]uint8, 2*wide)
-	for _, c := range []int{0, 7, 8, 135, 16600, wide - 1} {
-		cells[c] = uint8(c%250 + 1)
-		cells[wide+c] = 255
+	for c := range cells {
+		cells[c] = uint8(c%255 + 1)
 	}
-	cells[wide+3] = 128
+	cells[wide+3] = 0
 	check("wide", 2, wide, cells)
 }
 
-// TestSeedEntryDecodeAllocs: decoding one entry allocates the key, the
-// three arrays — or a block's cells and row counts — and nothing that
-// grows with the matrix: it used to be one reallocation per doubling of
-// the column array.
+// TestSeedEntryDecodeAllocs: decoding a compressed entry allocates the
+// key and its three arrays, nothing that grows with the matrix — it used
+// to be one reallocation per doubling of the column array — and decoding
+// a block allocates O(Rows) bytes, its row counts, never a cell: the
+// cells are the segment's.
 func TestSeedEntryDecodeAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		rows, cols int
-		step       int // every step-th column of a row is stored
-		block      bool
-	}{
-		{"compressed", 1000, 4000, 31, false},
-		{"block", 400, 500, 2, true},
-	} {
-		e := metadiag.SeedEntry{Key: "Ψ", Rows: tc.rows, Cols: tc.cols, RowPtr: make([]int, tc.rows+1)}
-		for r := 0; r < e.Rows; r++ {
-			for c := r % 7; c < e.Cols && len(e.ColIdx) < (r+1)*100; c += tc.step {
-				e.ColIdx = append(e.ColIdx, c)
-				e.Val = append(e.Val, float64(1+c%255))
-			}
-			e.RowPtr[r+1] = len(e.ColIdx)
+	e := metadiag.SeedEntry{Key: "Ψ", Rows: 1000, Cols: 4000, RowPtr: make([]int, 1001)}
+	for r := 0; r < e.Rows; r++ {
+		for c := r % 7; c < e.Cols && len(e.ColIdx) < (r+1)*100; c += 31 {
+			e.ColIdx = append(e.ColIdx, c)
+			e.Val = append(e.Val, float64(1+c%255))
 		}
-		seg := appendSeedEntry(nil, &e)
-		got, err := decodeSeedEntry(seg, true)
-		if err != nil || (got.Matrix != nil) != tc.block {
-			t.Fatalf("%s fixture: decoded as a block %v, err %v; want a block %v", tc.name, got.Matrix != nil, err, tc.block)
+		e.RowPtr[r+1] = len(e.ColIdx)
+	}
+	seg := appendSeedEntry(nil, &e)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := decodeSeedEntry(seg, true); err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := decodeSeedEntry(seg, true); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 6 {
-			t.Errorf("decodeSeedEntry allocated %.0f objects for a %d-entry %s matrix, want ≤ 6", allocs, len(e.Val), tc.name)
+	})
+	if allocs > 6 {
+		t.Errorf("decodeSeedEntry allocated %.0f objects for a %d-entry compressed matrix, want ≤ 6", allocs, len(e.Val))
+	}
+
+	const rows, cols = 400, 500
+	cells := make([]uint8, rows*cols)
+	for c := range cells {
+		cells[c] = uint8(c % 3)
+	}
+	m, err := sparse.FromBlock(rows, cols, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg = appendSeedEntry(nil, &metadiag.SeedEntry{Key: "Ψ", Rows: rows, Cols: cols, Matrix: m})
+	if got, err := decodeSeedEntry(seg, true); err != nil || got.Matrix == nil {
+		t.Fatalf("block fixture: decoded as a block %v, err %v", got.Matrix != nil, err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := decodeSeedEntry(seg, true); err != nil {
+			t.Fatal(err)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(16*rows+4096); perRun > limit {
+		t.Errorf("decoding a %dx%d block allocated %d bytes, want ≤ %d (O(rows); its cells are %d bytes)", rows, cols, perRun, limit, rows*cols)
 	}
 }
 
-// TestSeedEntryDecodeLayout: a count entry that meets the block rule
-// decodes to a block when every value fits a cell and to compressed
-// arrays otherwise, an adjacency entry always to arrays, and hostile
-// input on the block path is refused without a panic — the block pass
-// checks each column before it writes the cell. An entry whose rows·cols
-// overflows is never a block, and its declared shape fails the install.
-// Bytes after the value run are refused on either path.
+// TestSeedEntryDecodeLayout: an entry decodes to the layout it shipped
+// in. A block (layout 1) comes back Equal to the export, its cells lying
+// inside the segment, and installs; a compressed count (layout 0) stays
+// compressed even at least ⅛ full, and an adjacency stays compressed.
+// Hostile layout-1 input is refused without a panic: cells short of or
+// past Rows·Cols, a Rows·Cols that overflows, a block under ⅛ full, an
+// adjacency shipped as a block, an unknown layout byte, no columns under
+// a huge row count. Bytes after a compressed value run are refused too.
 func TestSeedEntryDecodeLayout(t *testing.T) {
 	// A rows×cols user(1)→user(2) entry whose row r stores the columns
 	// colsOf[r], valued vals in order.
@@ -248,78 +318,85 @@ func TestSeedEntryDecodeLayout(t *testing.T) {
 		e.Val = vals
 		return e
 	}
-	cols := [][]int{{0, 2}, {1}, {3}}
+	cells := []uint8{1, 0, 2, 0, 0, 127, 0, 0, 0, 0, 0, 255}
+	m, err := sparse.FromBlock(3, 4, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := metadiag.SeedEntry{Key: "Ψ", Source: schema.User1(), Sink: schema.User2(), Rows: 3, Cols: 4, Matrix: m}
+	good := appendSeedEntry(nil, &blk)
+	with := func(seg []byte, extra ...byte) []byte { return append(slices.Clip(seg), extra...) }
+
 	const (
 		block = iota
 		compressed
 		refused
-		trailing // refused for the bytes after its value run
 	)
 	for _, tc := range []struct {
-		name   string
-		e      metadiag.SeedEntry
-		count  bool
-		want   int
-		refuse bool // the install refuses what the decoder accepted
+		name  string
+		seg   []byte
+		count bool
+		want  int
+		msg   string // a refusal's error names this
 	}{
-		{"a block with trailing bytes", entry(3, 4, cols, 1, 2, 127, 3), true, trailing, false},
-		{"compressed with trailing bytes", entry(3, 4, cols, 1, 256, 3, 4), true, trailing, false},
-		{"one-byte values", entry(3, 4, cols, 1, 2, 127, 3), true, block, false},
-		{"values 128–255", entry(3, 4, cols, 128, 200, 255, 1), true, block, false},
-		{"a value over 255", entry(3, 4, cols, 1, 256, 3, 4), true, compressed, false},
-		{"an explicit zero", entry(3, 4, cols, 1, 0, 3, 4), true, compressed, false},
-		{"an adjacency", entry(3, 4, cols, 1, 1, 1, 1), false, compressed, false},
-		{"under ⅛ full", entry(3, 4, [][]int{{1}}, 5), true, compressed, false},
-		{"a column at Cols", entry(3, 4, [][]int{{0, 2}, {4}, {3}}, 1, 2, 3, 4), true, refused, false},
-		{"a column past Cols", entry(3, 4, [][]int{{0, 2}, {1}, {9}}, 1, 2, 3, 4), true, refused, false},
-		{"a repeated column", entry(3, 4, [][]int{{2, 2}, {1}, {3}}, 1, 2, 3, 4), true, refused, false},
-		{"a decreasing column", entry(3, 4, [][]int{{2, 1}, {1}, {3}}, 1, 2, 3, 4), true, refused, false},
-		{"rows·cols overflows", entry(4, 1<<62+1, [][]int{{0}, {0}, {0}, {0}}, 1, 1, 1, 1), true, compressed, true},
+		{"a block", good, true, block, ""},
+		{"a compressed count ⅛ full", appendSeedEntry(nil, ptr(entry(3, 4, [][]int{{0, 2}, {1}, {3}}, 1, 2, 127, 3))), true, compressed, ""},
+		{"a value over 255", appendSeedEntry(nil, ptr(entry(3, 4, [][]int{{0, 2}, {1}, {3}}, 1, 256, 3, 4))), true, compressed, ""},
+		{"an adjacency", appendSeedEntry(nil, ptr(entry(3, 4, [][]int{{0, 2}, {1}, {3}}, 1, 1, 1, 1))), false, compressed, ""},
+		{"compressed with trailing bytes", with(appendSeedEntry(nil, ptr(entry(3, 4, [][]int{{0}}, 5))), 1, 2), true, refused, "2 trailing bytes"},
+		{"short cells", good[:len(good)-1], true, refused, "cells for a 3x4 block"},
+		{"long cells", with(good, 0), true, refused, "cells for a 3x4 block"},
+		{"rows·cols overflows", append(seedHead(4, 1<<62+1, seedCells), 1, 1, 1, 1), true, refused, "cells for a 4x4611686018427387905 block"},
+		{"a block under ⅛ full", append(seedHead(3, 4, seedCells), 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0), true, refused, "under ⅛ full"},
+		{"an adjacency as a block", good, false, refused, "shipped as a block"},
+		{"an unknown layout byte", append(seedHead(3, 4, 2), cells...), true, refused, "layout byte 2"},
+		{"no columns, a huge row count", seedHead(1<<40, 0, seedCells), true, refused, "seed row count"},
+		{"no columns, one row", seedHead(1, 0, seedCells), true, refused, "seed row count"},
+		{"no rows", seedHead(0, 4, seedCells), true, refused, "under ⅛ full"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seg := appendSeedEntry(nil, &tc.e)
-			if tc.want == trailing {
-				seg = append(seg, 1, 2)
-			}
-			got, err := decodeSeedEntry(seg, tc.count)
+			got, err := decodeSeedEntry(tc.seg, tc.count)
 			switch {
-			case tc.want == trailing:
-				if err == nil || !strings.Contains(err.Error(), "2 trailing bytes") {
-					t.Fatalf("err %v, want the trailing-bytes refusal", err)
-				}
-				return
 			case tc.want == refused:
-				if err == nil {
-					t.Fatalf("accepted (block %v)", got.Matrix != nil)
+				if err == nil || !strings.Contains(err.Error(), tc.msg) {
+					t.Fatalf("err %v, want a refusal naming %q", err, tc.msg)
 				}
 				return
 			case err != nil:
 				t.Fatal(err)
 			case (got.Matrix != nil) != (tc.want == block):
 				t.Fatalf("decoded as a block %v, want %v", got.Matrix != nil, tc.want == block)
-			case !sameSeedEntry(got, tc.e):
-				t.Fatal("decoded entry differs from the input")
+			case tc.want == block && (!got.Matrix.Equal(m) || !aliases(got.Matrix, tc.seg)):
+				t.Fatal("decoded block differs from the export, or its cells are not the segment's")
+			}
+			want, _, err := referenceDecodeSeedEntry(tc.seg)
+			if err != nil || !sameSeedEntry(got, want) {
+				t.Fatalf("decoded entry differs from the reference's (%v)", err)
 			}
 			seed := &metadiag.Seed{AnchorType: hetnet.User, N1: 3, N2: 4, Entries: []metadiag.SeedEntry{got}}
-			if _, err := metadiag.NewSeededCounter(seed); (err != nil) != tc.refuse {
-				t.Fatalf("install: %v, want refused %v", err, tc.refuse)
+			if _, err := metadiag.NewSeededCounter(seed); err != nil {
+				t.Fatalf("install: %v", err)
 			}
 		})
 	}
 }
 
+func ptr[T any](v T) *T { return &v }
+
 // FuzzSeedBody: the seed body decoder reads bytes a socket delivered. It
 // must never panic, never allocate more than a fixed multiple of what it
 // was given (every declared count is checked against the bytes that
-// remain before anything is sized by it, and a block is at most 8 bytes
-// per stored entry), what it accepts must be a fixed point of decode →
-// encode → decode, and its entry decoder must agree with the reference
-// decoder on every input: the only input it may refuse that the
-// reference accepts is one whose arrays sparse.FromRaw refuses — the
-// block pass checks columns as it writes — and a block it accepts must
-// hold the reference's arrays cell for cell. The golden's body, a
-// block-qualifying entry and one holding a value over 255 are in the
-// seed corpus.
+// remain before anything is sized by it, and a block's cells are the
+// input's own), what it accepts must be a fixed point of decode → encode
+// → decode, and its entry decoder must agree with the reference decoder
+// on every input: it may refuse what the reference accepts only where
+// the reference's arrays fail sparse.FromRaw or a block is under ⅛ full
+// (sparse.BlockShape), and a block it accepts must hold the reference's
+// cells. The golden's body, compressed entries with values at and past
+// 255, trailing bytes, and layout-1 entries — a valid block, short and
+// long cells, an overflowing Rows·Cols, a block under ⅛ full, an unknown
+// layout byte, no columns under a huge row count, and a body whose
+// adjacency ships as a block — are in the seed corpus.
 func FuzzSeedBody(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "frame_seed.golden"))
 	if err != nil {
@@ -338,8 +415,18 @@ func FuzzSeedBody(f *testing.F) {
 	for _, top := range []float64{255, 256} {
 		e := metadiag.SeedEntry{Key: "Ψ", Rows: 2, Cols: 3, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, 2, 1}, Val: []float64{1, top, 7}}
 		f.Add(appendSeedEntry(nil, &e))
-		f.Add(append(appendSeedEntry(nil, &e), 1, 2)) // trailing bytes, on the block path and off it
+		f.Add(append(appendSeedEntry(nil, &e), 1, 2))
 	}
+	valid := append(seedHead(2, 3, seedCells), 1, 0, 7, 0, 255, 3)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(slices.Clip(valid), 4))
+	f.Add(append(seedHead(4, 1<<62+1, seedCells), 1, 1, 1, 1))
+	f.Add(append(seedHead(3, 4, seedCells), 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0))
+	f.Add(append(seedHead(2, 3, 2), 1, 0, 7, 0, 255, 3))
+	f.Add(seedHead(1<<40, 0, seedCells))
+	adj := randomBlockEntry(f, rng, 4, 4)
+	f.Add((&WireSeed{Fingerprint: 1, Seed: metadiag.Seed{Adjacency: []metadiag.SeedEntry{adj}}}).appendBody(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -353,28 +440,21 @@ func FuzzSeedBody(f *testing.F) {
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(512*len(data)+1<<16); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
-		want, werr := referenceDecodeSeedEntry(data)
+		want, block, werr := referenceDecodeSeedEntry(data)
 		switch {
 		case werr != nil:
 			if gerr == nil {
 				t.Fatalf("entry decoder accepts what the reference refuses: %v", werr)
 			}
 		case gerr != nil:
+			if block && !sparse.BlockShape(want.Rows, want.Cols, len(want.Val)) {
+				return
+			}
 			if _, err := sparse.FromRaw(want.Rows, want.Cols, want.RowPtr, want.ColIdx, want.Val); err == nil {
 				t.Fatalf("entry decoder refuses an entry the reference decodes to valid arrays: %v", gerr)
 			}
-		case got.Matrix != nil:
-			m, err := sparse.FromRaw(want.Rows, want.Cols, want.RowPtr, want.ColIdx, want.Val)
-			if err != nil || !sameSeedEntry(got, want) {
-				t.Fatalf("decoded block differs from the reference's arrays (FromRaw: %v)", err)
-			}
-			for i := 0; i < want.Rows; i++ {
-				for j := 0; j < want.Cols; j++ {
-					if got.Matrix.At(i, j) != m.At(i, j) {
-						t.Fatalf("cell (%d, %d): block %v, reference %v", i, j, got.Matrix.At(i, j), m.At(i, j))
-					}
-				}
-			}
+		case (got.Matrix != nil) != block:
+			t.Fatalf("shipped as a block %v, decoded as one %v", block, got.Matrix != nil)
 		case !sameSeedEntry(got, want):
 			t.Fatal("entry decoders accept the input and disagree on its content")
 		}
@@ -1106,15 +1186,14 @@ func BenchmarkSeedInstall(b *testing.B) {
 	b.ReportMetric(float64(len(body)), "body-bytes")
 }
 
-// TestBlockSeedEncodesAsCSR: a counter holding attribute counts as
-// one-byte blocks exports them as blocks, and its seed encodes to the
-// bytes of the same seed with every block given as compressed arrays —
-// the wire format does not depend on the layout. A worker decodes each
-// entry to the layout the exporter held it in: the exported blocks come
-// back from the wire as blocks Equal to them, every other entry as
-// arrays, and the counter installed from them re-exports to the same
-// bytes.
-func TestBlockSeedEncodesAsCSR(t *testing.T) {
+// TestBlockSeedShipsAsCells: a counter holding attribute counts as
+// one-byte blocks exports them as blocks, ships each as its cells and
+// every other entry compressed, and a worker decodes each entry to the
+// layout the exporter held it in: the exported blocks come back as
+// blocks Equal to them whose cells are the body's own bytes, every other
+// count and every adjacency as arrays, and the counter installed from
+// them re-exports to the same bytes.
+func TestBlockSeedShipsAsCells(t *testing.T) {
 	feats, _ := ResolveFeatures(FeaturesFull)
 	pair := fixturePair(t)
 	base, err := metadiag.NewCounter(pair)
@@ -1125,30 +1204,30 @@ func TestBlockSeedEncodesAsCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrays := *seed
-	arrays.Entries = slices.Clone(seed.Entries)
 	blocks := 0
-	for i := range arrays.Entries {
-		if e := &arrays.Entries[i]; e.Matrix != nil {
+	for _, e := range seed.Entries {
+		if e.Matrix != nil {
 			blocks++
-			_, _, e.RowPtr, e.ColIdx, e.Val = e.Matrix.Raw()
-			e.Matrix = nil
 		}
 	}
 	if blocks == 0 {
 		t.Fatal("fixture: no exported count is a block")
 	}
 	body := (&WireSeed{Fingerprint: 7, Seed: *seed}).appendBody(nil)
-	if want := (&WireSeed{Fingerprint: 7, Seed: arrays}).appendBody(nil); !bytes.Equal(body, want) {
-		t.Fatalf("a seed with %d block entries encodes to %d bytes, with them as arrays to %d", blocks, len(body), len(want))
-	}
 	var ws WireSeed
 	if err := ws.decodeBody(body); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ws.Entries {
-		if e, w := &ws.Entries[i], &seed.Entries[i]; (e.Matrix != nil) != (w.Matrix != nil) || w.Matrix != nil && !e.Matrix.Equal(w.Matrix) {
+		e, w := &ws.Entries[i], &seed.Entries[i]
+		if (e.Matrix != nil) != (w.Matrix != nil) || !sameSeedEntry(*e, *w) {
 			t.Fatalf("entry %q decodes as a block %v, exported as a block %v (or unequal)", e.Key, e.Matrix != nil, w.Matrix != nil)
+		}
+		if e.Matrix != nil && !bytes.Contains(body, e.Matrix.BlockCells()) {
+			t.Fatalf("block %q: its cells are not in the body", e.Key)
+		}
+		if e.Matrix != nil && (&e.Matrix.BlockCells()[0] == &w.Matrix.BlockCells()[0] || !e.Matrix.Equal(w.Matrix)) {
+			t.Fatalf("block %q: decoded as the exporter's own storage, or unequal to it", e.Key)
 		}
 	}
 	for _, e := range ws.Adjacency {
@@ -1168,5 +1247,51 @@ func TestBlockSeedEncodesAsCSR(t *testing.T) {
 	}
 	if got := (&WireSeed{Fingerprint: 7, Seed: *again}).appendBody(nil); !bytes.Equal(got, body) {
 		t.Fatalf("the installed counter re-exports to %d bytes, the seed it was installed from is %d", len(got), len(body))
+	}
+}
+
+// TestParallelExportIsTheSerialExport: ExportSeed counts the seed's
+// diagrams in parallel, so fresh counters exporting at GOMAXPROCS 2 —
+// while another goroutine counts the same diagrams through every
+// feature — must encode to the bytes a GOMAXPROCS 1 export does. Run it
+// under -race.
+func TestParallelExportIsTheSerialExport(t *testing.T) {
+	feats, _ := ResolveFeatures(FeaturesFull)
+	tiny, err := datagen.Generate(datagen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range []*hetnet.AlignedPair{fixturePair(t), tiny} {
+		export := func(procs int, contend bool) []byte {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			c, err := metadiag.NewCounter(pair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			if contend {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, f := range feats {
+						if _, err := c.Count(f.D); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			seed, err := c.ExportSeed(feats)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return (&WireSeed{Fingerprint: 1, Seed: *seed}).appendBody(nil)
+		}
+		want := export(1, false)
+		for i := 0; i < 3; i++ {
+			if got := export(2, true); !bytes.Equal(got, want) {
+				t.Fatalf("parallel export %d encodes to %d bytes unlike the serial export's %d", i, len(got), len(want))
+			}
+		}
 	}
 }

@@ -219,14 +219,26 @@ func (s *Session) ConnectAhead(shards int) {
 // connection offers (and may ship) the same body — and a build that failed
 // here would fail the same way anywhere else (the in-process fallback
 // worker needs the same seed), so it is not retried.
-func (s *Session) ensureSeed() error {
+//
+// The build records a "seed export" and a "seed encode" span under
+// parent on track: the connect span of the connection that built it, or
+// the round span when Run did.
+func (s *Session) ensureSeed(parent uint64, track string) error {
 	s.seedOnce.Do(func() {
-		fp, body, base, err := buildSeed(s.pair, s.opts.Base, s.opts.Train, s.opts.Tracer.TraceID())
+		tr := s.opts.Tracer
+		sp := tr.Start("seed export", parent)
+		sp.SetTrack(track)
+		ws, base, err := exportSeed(s.pair, s.opts.Base, s.opts.Train, tr.TraceID())
+		sp.End()
 		if err != nil {
 			s.seedErr = fmt.Errorf("distrib: seed: %w", err)
 			return
 		}
-		s.seedFP, s.seedBody, s.seedBase = fp, body, base
+		sp = tr.Start("seed encode", parent)
+		sp.SetTrack(track)
+		s.seedFP, s.seedBody, s.seedBase = ws.Fingerprint, ws.appendBody(nil), base
+		sp.Annotate("bytes", fmt.Sprintf("%d", len(s.seedBody)))
+		sp.End()
 	})
 	return s.seedErr
 }
@@ -249,7 +261,7 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	// first connection to get this far, while the workers are still
 	// starting. A build failure is the coordinator's, not this worker's:
 	// the connection goes back unjudged and the slot stays cold.
-	if err := s.ensureSeed(); err != nil {
+	if err := s.ensureSeed(sp.ID(), slot.track()); err != nil {
 		s.dropConn(slot)
 		return err
 	}
@@ -258,7 +270,8 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	disarm := armDeadline(conn, s.opts.Retry.Timeout)
 	defer disarm()
 	offered := time.Now()
-	n, err := handshake(conn, s.seedFP, s.seedBody)
+	clock := &writeClock{ReadWriter: conn}
+	n, err := handshake(clock, s.seedFP, s.seedBody)
 	s.seedBytes.Add(n)
 	sp.Annotate("bytes", fmt.Sprintf("%d", n))
 	// Offer to the worker's last Hello: the worker's start-up where the
@@ -270,10 +283,26 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	if n > 0 {
 		s.seedShips.Add(1)
 		sp.Annotate("seed", "ship")
+		// Offer to the body's last byte written; the rest of the handshake
+		// is the worker's decode, install and answer.
+		sp.Annotate("ship_ms", fmt.Sprintf("%.1f", clock.last.Sub(offered).Seconds()*1e3))
 	} else {
 		sp.Annotate("seed", "hit")
 	}
 	return nil
+}
+
+// writeClock is a connection that keeps the time its last Write
+// returned.
+type writeClock struct {
+	io.ReadWriter
+	last time.Time
+}
+
+func (w *writeClock) Write(p []byte) (int, error) {
+	n, err := w.ReadWriter.Write(p)
+	w.last = time.Now()
+	return n, err
 }
 
 // dropConn closes a slot's connection and forgets the shards homed on
@@ -323,19 +352,19 @@ func (s *Session) Run(plan *partition.Plan, oracle active.Oracle) (*partition.Re
 	}
 	start := time.Now()
 
+	tr := s.opts.Tracer
+	roundSpan := tr.Start(fmt.Sprintf("round %d", s.round), 0)
+	defer roundSpan.End()
+
 	// Before any slot runs: a build that nothing ahead of the round has
 	// done yet belongs to no shard attempt's deadline — and a failed one
 	// spends no attempt at all.
-	if err := s.ensureSeed(); err != nil {
+	if err := s.ensureSeed(roundSpan.ID(), ""); err != nil {
 		return nil, nil, err
 	}
 
 	k := len(plan.Parts)
 	s.growSlots(min(s.workerCap(), k))
-
-	tr := s.opts.Tracer
-	roundSpan := tr.Start(fmt.Sprintf("round %d", s.round), 0)
-	defer roundSpan.End()
 	roundSpan.Annotate("shards", fmt.Sprintf("%d", k))
 
 	rr := &sessionRound{

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,4 +176,72 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}
 	assertSameAlignment(t, resOff, fx.ref, fx.plan)
 	assertSameAlignment(t, resOn, resOff, fx.plan)
+}
+
+// TestSeedBuildTraced: the session's seed build is two spans, "seed
+// export" and "seed encode", under the span that built it — the connect
+// span of the connection that got there first when the session connects
+// ahead, the round span when Run builds it — and every connect that
+// shipped the body carries ship_ms (the offer to the body's last byte
+// written) no later than its handshake_ms.
+func TestSeedBuildTraced(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil || testing.Short() {
+		t.Skip("needs the test binary as a worker process")
+	}
+	fx := newDistFixture(t, 2, 8)
+	for _, ahead := range []bool{true, false} {
+		tr := telemetry.NewTracer("coordinator")
+		exec := &Exec{Cmd: exe, Env: append(os.Environ(), workerEnv+"=1"), Stderr: os.Stderr}
+		sess, err := NewSession(exec, fx.pair, Options{Train: fx.train, Workers: 2, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ahead {
+			// Let the connects, not the round, reach the build first.
+			sess.ConnectAhead(fx.k)
+			for _, slot := range sess.slots {
+				slot.await()
+			}
+		}
+		_, _, err = sess.Run(fx.freshPlan(t, 8), fx.oracle)
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, _ := spanIndex(tr.Spans())
+		builder := coord["round 0"][0]
+		if ahead {
+			builder = telemetry.SpanData{}
+			for _, c := range coord["connect"] {
+				if c.ID == coord["seed export"][0].Parent {
+					builder = c
+				}
+			}
+		}
+		for _, name := range []string{"seed export", "seed encode"} {
+			if got := coord[name]; len(got) != 1 || got[0].Parent == 0 || got[0].Parent != builder.ID || got[0].Track != builder.Track {
+				t.Fatalf("ahead %v: %d %q spans, want one under the %q span %#x on its track", ahead, len(got), name, builder.Name, builder.ID)
+			}
+		}
+		ships := 0
+		for _, c := range coord["connect"] {
+			arg := map[string]string{}
+			for _, l := range c.Args {
+				arg[l.Key] = l.Value
+			}
+			if arg["seed"] != "ship" {
+				continue
+			}
+			ships++
+			ship, err1 := strconv.ParseFloat(arg["ship_ms"], 64)
+			hs, err2 := strconv.ParseFloat(arg["handshake_ms"], 64)
+			if err1 != nil || err2 != nil || ship > hs {
+				t.Errorf("ahead %v: connect that shipped has ship_ms %q, handshake_ms %q", ahead, arg["ship_ms"], arg["handshake_ms"])
+			}
+		}
+		if ships == 0 {
+			t.Errorf("ahead %v: no connect shipped the seed", ahead)
+		}
+	}
 }

@@ -70,10 +70,10 @@ import (
 
 // Version is the wire protocol version. Bump it on any change to frame
 // payload shapes (or the set of frame types); readers reject every other
-// version. docs/WIRE.md keeps the version history: 12 keys the Seed's
-// entries by canonical notation (schema.Canonical), so diagrams with one
-// count ship once.
-const Version = 12
+// version. docs/WIRE.md keeps the version history: 13 ships a Seed
+// count held as a one-byte block as its cells, after a layout byte every
+// seed segment carries, so a worker installs the layout the exporter held.
+const Version = 13
 
 // maxFrameSize bounds a frame's declared length so a corrupt or hostile
 // length prefix cannot OOM the reader. The seed carries the pair's whole

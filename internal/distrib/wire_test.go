@@ -394,6 +394,17 @@ func TestWireV11Skew(t *testing.T) {
 	assertRefusedByReaderAt(t, 11, "hello", "seed")
 }
 
+// TestWireV12Skew pins the v13 bump, both ways: a recorded v12 Seed —
+// its block counts walked into index and value runs, with no layout byte
+// — and a recorded v12 Hello never reach a v13 decoder, and a v12 reader
+// refuses the v13 Hello and Seed.
+func TestWireV12Skew(t *testing.T) {
+	assertRecordedFrameRefused(t, "v12_frame_seed.bin")
+	assertRecordedFrameRefused(t, "v12_frame_hello.bin")
+
+	assertRefusedByReaderAt(t, 12, "hello", "seed")
+}
+
 // TestWireDetectsCorruption is the integrity contract behind the chaos
 // tolerance story: flipping ANY payload byte of a frame must surface as
 // ErrChecksum, never as a silently different decoded value. Without the

@@ -724,9 +724,21 @@ type rolloutResponse struct {
 // ones one at a time, each polled back to readiness before the next —
 // a rolling restart that never takes two healthy replicas of a range
 // down at once.
+//
+// The body is alignd's reload body, read the way alignd reads it before
+// any backend is touched: one alignd refuses is refused here with
+// alignd's status and message. A path is always refused — each backend
+// re-opens its own artifact, so no one path names them all.
 func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return serve.Errorf(http.StatusMethodNotAllowed, "rollout is POST")
+	}
+	path, err := serve.ParseReloadRequest(w, r)
+	if err != nil {
+		return err
+	}
+	if path != "" {
+		return serve.ErrReloadPath
 	}
 	rt.cRollout.Inc()
 	ordered := make([]*Backend, 0, len(rt.backends))

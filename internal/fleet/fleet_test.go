@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -328,6 +329,53 @@ func TestRouterRollout(t *testing.T) {
 		}
 		if match.Generation != 2 {
 			t.Errorf("post-rollout generation = %d, want 2", match.Generation)
+		}
+	}
+}
+
+// TestRouterReadsTheReloadBody: alignr reads a reload body the way
+// alignd does before it touches a backend. A malformed body, one naming
+// a path and one over serve.MaxRequestBody get alignd's status and body
+// bytes, and no backend reloads; an empty body still rolls out.
+func TestRouterReadsTheReloadBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	parent := randomSnapshot(t, rng, 12, 12, 4)
+	fleetSrv, rt := newFleet(t, parent, []snapshot.UserRange{{Lo: 0, Hi: 6}, {Lo: 6, Hi: 12}}, Options{})
+	generations := func() []uint64 {
+		var gens []uint64
+		for _, b := range rt.backends {
+			var st struct {
+				Generation uint64 `json:"generation"`
+			}
+			if r := do(t, b.URL, http.MethodGet, "/statusz", ""); json.Unmarshal(r.body, &st) != nil {
+				t.Fatalf("backend %s /statusz: %d %s", b.URL, r.status, r.body)
+			}
+			gens = append(gens, st.Generation)
+		}
+		return gens
+	}
+	before := generations()
+	for _, body := range []string{`{"i":0`, `{"path":"/etc/hostname"}`, `[1,2]`, `{"path":` + strings.Repeat(" ", serve.MaxRequestBody) + `""}`} {
+		want := do(t, rt.backends[0].URL, http.MethodPost, "/v1/reload", body)
+		for _, path := range []string{"/v1/reload", "/v1/rollout"} {
+			got := do(t, fleetSrv.URL, http.MethodPost, path, body)
+			if got.status != want.status || got.contentType != want.contentType || !bytes.Equal(got.body, want.body) {
+				t.Errorf("%s %.40q: alignr %d %s, alignd %d %s", path, body, got.status, got.body, want.status, want.body)
+			}
+		}
+		if want.status == http.StatusOK {
+			t.Fatalf("alignd reloaded for %.40q", body)
+		}
+	}
+	if after := generations(); !slices.Equal(after, before) {
+		t.Fatalf("backend generations %v → %v: a refused body reloaded a backend", before, after)
+	}
+	if r := do(t, fleetSrv.URL, http.MethodPost, "/v1/reload", ""); r.status != http.StatusOK {
+		t.Fatalf("empty-body rollout = %d %s", r.status, r.body)
+	}
+	for i, g := range generations() {
+		if g != before[i]+1 {
+			t.Errorf("backend %d at generation %d after an empty-body rollout, want %d", i, g, before[i]+1)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package metadiag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
@@ -17,8 +18,8 @@ import (
 // before trusting them. A matrix held as a block (sparse.CSR.Block) has
 // no such slices: its entry carries it as Matrix, with RowPtr, ColIdx
 // and Val nil — on export, when the counter holds it so, and on decode,
-// when a seed decoder wrote the shipped entry straight into a block —
-// and encodes and installs from it.
+// when the entry shipped as a block's cells — and encodes and installs
+// from it.
 type SeedEntry struct {
 	Key            string
 	Source, Sink   schema.TypedNode
@@ -104,25 +105,28 @@ func collectSeedDiagrams(d schema.Diagram, counts, edges map[string]schema.Diagr
 }
 
 // countSorted counts every diagram of ds into the shared cache layer (or
-// finds it there) in key order and, when pack is set, packages the
-// matrices as entries sorted by key: zero-copy views of a compressed
-// matrix, a block as itself.
+// finds it there) and, when pack is set, packages the matrices as
+// entries sorted by key: zero-copy views of a compressed matrix, a block
+// as itself. The diagrams are counted in parallel (FanOut): each is
+// single-flighted and its count is integers, so the matrices are the
+// ones a serial count builds; errors are reported in key order.
 func (c *Counter) countSorted(ds map[string]schema.Diagram, pack bool) ([]SeedEntry, error) {
 	keys := make([]string, 0, len(ds))
 	for k := range ds {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	ms, errs := make([]*sparse.CSR, len(keys)), make([]error, len(keys))
+	FanOut(len(keys), func(i int) { ms[i], errs[i] = c.Count(ds[keys[i]]) })
 	var out []SeedEntry
-	for _, k := range keys {
-		d := ds[k]
-		m, err := c.Count(d)
-		if err != nil {
-			return nil, fmt.Errorf("metadiag: warm %q: %w", k, err)
+	for i, k := range keys {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("metadiag: warm %q: %w", k, errs[i])
 		}
 		if !pack {
 			continue
 		}
+		d, m := ds[k], ms[i]
 		e := SeedEntry{Key: k, Source: d.Source(), Sink: d.Sink()}
 		if m.Block() {
 			e.Rows, e.Cols = m.Dims()
@@ -188,7 +192,7 @@ func (c *Counter) ExportSeed(feats []schema.Named) (*Seed, error) {
 // shape from its two node counts, every adjacency and count matrix
 // installed under its notation. The seed is treated as hostile. Each
 // compressed matrix is structurally validated (sparse.FromRaw); a block
-// arrives built, by a decoder that validated its columns. Every matrix
+// arrives built, and any bytes are valid cells. Every matrix
 // must agree on the size of every node type it touches — the anchor
 // type's two sizes being the declared N1 and N2 — so a seed that installs
 // cannot make a later multiply meet mismatched shapes. The anchor set
@@ -232,8 +236,7 @@ func NewSeededCounter(s *Seed) (*Counter, error) {
 // a seeded counter sized against the node types it names — a corrupt or
 // hostile seed fails here rather than deep inside a later multiply. A
 // block entry is installed as it is, its shape checked against the
-// entry's: a block is built either by this process's counter or by a
-// seed decoder that checked every column before writing its cell.
+// entry's: every byte of a block is a valid cell, whoever built it.
 // Adjacency entries (edges set) must hold only 1s: schema.Canonical
 // keeps a repeated edge once, which is exact only for 0/1 edge counts,
 // and a seed's are the one edge matrices no Binarize built.
@@ -261,8 +264,12 @@ func (sh *sharedState) install(entries []SeedEntry, edges bool) error {
 		} else if r, c := m.Dims(); r != e.Rows || c != e.Cols {
 			return fmt.Errorf("metadiag: seed entry %q is %dx%d, its matrix %dx%d", e.Key, e.Rows, e.Cols, r, c)
 		}
-		if edges && !m.Binarize().Equal(m) {
-			return fmt.Errorf("metadiag: seed adjacency %q holds a value other than 1", e.Key)
+		if edges {
+			// A view of a compressed matrix's values (no decoder ships an
+			// adjacency as a block).
+			if _, _, _, _, val := m.Raw(); slices.ContainsFunc(val, func(v float64) bool { return v != 1 }) {
+				return fmt.Errorf("metadiag: seed adjacency %q holds a value other than 1", e.Key)
+			}
 		}
 		sh.mu.Lock()
 		if _, ok := sh.counts[e.Key]; !ok {

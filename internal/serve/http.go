@@ -514,6 +514,22 @@ type reloadRequest struct {
 	Path string `json:"path"`
 }
 
+// ParseReloadRequest reads a /v1/reload body — empty, or a JSON
+// {"path"} — and returns the path it names, as alignd and alignr both do
+// before they reload anything: a body over MaxRequestBody is a 413, any
+// other that does not decode a 400 "bad reload request: …".
+func ParseReloadRequest(w http.ResponseWriter, r *http.Request) (path string, err error) {
+	var req reloadRequest
+	if r.ContentLength != 0 {
+		err = readJSON(w, r, "reload", &req)
+	}
+	return req.Path, err
+}
+
+// ErrReloadPath is the 403 of a reload body naming a path the daemon
+// does not serve.
+var ErrReloadPath = Errorf(http.StatusForbidden, "reload re-opens only the served artifact's path; rename the new artifact over it")
+
 // reloadResponse reports the freshly served generation.
 type reloadResponse struct {
 	Generation uint64 `json:"generation"`
@@ -529,14 +545,12 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) error {
 	if h.opts.SnapshotPath == "" {
 		return Errorf(http.StatusNotImplemented, "reload is not configured")
 	}
-	var req reloadRequest
-	if r.ContentLength != 0 {
-		if err := readJSON(w, r, "reload", &req); err != nil {
-			return err
-		}
+	path, err := ParseReloadRequest(w, r)
+	if err != nil {
+		return err
 	}
-	if req.Path != "" && req.Path != h.opts.SnapshotPath {
-		return Errorf(http.StatusForbidden, "reload re-opens only the served artifact's path; rename the new artifact over it")
+	if path != "" && path != h.opts.SnapshotPath {
+		return ErrReloadPath
 	}
 	ix, err := h.Reload()
 	if err != nil {

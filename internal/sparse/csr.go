@@ -83,18 +83,15 @@ func (m *CSR) Bytes() int {
 // blockRow returns row i of a block-layout matrix.
 func (m *CSR) blockRow(i int) []uint8 { return m.block[i*m.cols : (i+1)*m.cols] }
 
-// BlockRow returns row i of a block-layout matrix, one byte per column:
-// a view of its storage, which must not be mutated, for a codec that
-// writes a block straight from its bytes. It panics on a compressed
+// BlockCells returns a block-layout matrix's rows·cols cells, row-major,
+// one byte per cell: a view of its storage, which must not be mutated,
+// for a codec that ships a block as its bytes. It panics on a compressed
 // matrix.
-func (m *CSR) BlockRow(i int) []uint8 {
+func (m *CSR) BlockCells() []uint8 {
 	if m.block == nil {
-		panic("sparse: BlockRow of a compressed matrix")
+		panic("sparse: BlockCells of a compressed matrix")
 	}
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("sparse: row %d out of range %d", i, m.rows))
-	}
-	return m.blockRow(i)
+	return m.block
 }
 
 // rowBuf is scratch that a block row is decoded into. It only ever holds
@@ -331,7 +328,7 @@ func (m *CSR) Scored(score func(i, j int, v float64) float64) *CSR {
 		} else {
 			row := m.blockRow(i)
 			for base := 0; base < len(row); base += 8 {
-				for nz := NonZeroMask(row, base); nz != 0; nz &= nz - 1 {
+				for nz := nonZeroMask(row, base); nz != 0; nz &= nz - 1 {
 					j := base + bits.TrailingZeros64(nz)>>3
 					put(i, j, float64(row[j]))
 				}
