@@ -321,39 +321,57 @@ func BenchmarkGreedySelection(b *testing.B) {
 // users, 165 of them labelled (65 in L⁺, 100 queried) and left out of
 // Unlabeled, 190 of the rest inferred positive as a partial matching
 // spread over the users, the others unlabeled negatives — and each
-// strategy picks k = 5 of it.
+// strategy picks k = 5 of it. Positives score in [0.5, 1). In the `wide`
+// pool negatives score in [0, 0.7), so about a fifth of them clear the
+// weakest positive + Margin and the conflict rule builds its tables; in
+// the `bounded` pool they score in [0, 0.5), none does, and the rule is
+// skipped — the round a warm fold almost always sees.
 func BenchmarkQuerySelection(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
 	const users1, users2, n, labelled, positives = 1045, 1078, 7216, 165, 190
 	const every = (n - labelled) / positives // unlabeled links per inferred positive
-	st := &active.State{}
-	left, right := rng.Perm(users1), rng.Perm(users2)
-	for idx := 0; idx < n; idx++ {
-		l, score, label := Anchor{I: rng.Intn(users1), J: rng.Intn(users2)}, 0.7*rng.Float64(), 0.0
-		switch u := idx - labelled; {
-		case u < 0:
-			label = float64(idx % 2)
-		case u%every == 0 && u/every < positives:
-			// The inferred positives take distinct users on both sides.
-			p := u / every
-			l, score, label = Anchor{I: left[p], J: right[p]}, 0.5+0.5*rng.Float64(), 1
-		}
-		st.Links = append(st.Links, l)
-		st.Scores = append(st.Scores, score)
-		st.Labels = append(st.Labels, label)
-		if idx >= labelled {
-			st.Unlabeled = append(st.Unlabeled, idx)
-		}
-	}
-	for _, s := range []active.Strategy{active.Conflict{CloseTol: 0.05}, active.Uncertainty{}, active.Random{}} {
-		b.Run(s.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := s.Select(st, 5, rng); len(got) != 5 {
-					b.Fatalf("selected %d links", len(got))
-				}
+	pool := func(negatives float64) *active.State {
+		rng := rand.New(rand.NewSource(7))
+		st := &active.State{}
+		left, right := rng.Perm(users1), rng.Perm(users2)
+		for idx := 0; idx < n; idx++ {
+			l, score, label := Anchor{I: rng.Intn(users1), J: rng.Intn(users2)}, negatives*rng.Float64(), 0.0
+			switch u := idx - labelled; {
+			case u < 0:
+				label = float64(idx % 2)
+			case u%every == 0 && u/every < positives:
+				// The inferred positives take distinct users on both sides.
+				p := u / every
+				l, score, label = Anchor{I: left[p], J: right[p]}, 0.5+0.5*rng.Float64(), 1
 			}
-		})
+			st.Links = append(st.Links, l)
+			st.Scores = append(st.Scores, score)
+			st.Labels = append(st.Labels, label)
+			if idx >= labelled {
+				st.Unlabeled = append(st.Unlabeled, idx)
+			}
+		}
+		return st
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range []struct {
+		name       string
+		negatives  float64
+		strategies []active.Strategy
+	}{
+		{"wide", 0.7, []active.Strategy{active.Conflict{CloseTol: 0.05}, active.Uncertainty{}, active.Random{}}},
+		{"bounded", 0.5, []active.Strategy{active.Conflict{CloseTol: 0.05}}},
+	} {
+		st := pool(p.negatives)
+		for _, s := range p.strategies {
+			b.Run(p.name+"/"+s.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if got := s.Select(st, 5, rng); len(got) != 5 {
+						b.Fatalf("selected %d links", len(got))
+					}
+				}
+			})
+		}
 	}
 }
 

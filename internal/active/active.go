@@ -12,6 +12,7 @@ package active
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -123,67 +124,47 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 	if margin <= 0 {
 		margin = closeTol
 	}
-	// Inferred positives form a partial matching: at most one per
-	// endpoint. The two tables hold 1 + the pool index of the positive at
-	// an endpoint, 0 for none.
-	tables := conflictTables.Get().(*[2]matching.EndpointTable[int])
-	defer func() {
-		tables[0].Clear()
-		tables[1].Clear()
-		conflictTables.Put(tables)
-	}()
-	posAtI, posAtJ := &tables[0], &tables[1]
+	// A negative l qualifies only against a weak blocker l″ with
+	// 0 < ŷ_l″ and ŷ_l − ŷ_l″ ≥ Margin. Float subtraction is monotone in
+	// the subtrahend, so ŷ_l − ŷ_l″ ≤ ŷ_l − ŷ_min for the weakest inferred
+	// positive ŷ_min scoring above 0: a negative with ŷ_l − ŷ_min short of
+	// Margin (or NaN) cannot qualify. With no such positive ŷ_min is +Inf
+	// and nothing can.
+	floor := math.Inf(1)
 	for _, idx := range st.Unlabeled {
-		if st.Labels[idx] == 1 {
-			posAtI.Set(st.Links[idx].I, idx+1)
-			posAtJ.Set(st.Links[idx].J, idx+1)
+		if y := st.Scores[idx]; st.Labels[idx] == 1 && y > 0 && y < floor {
+			floor = y
 		}
 	}
-	type cand struct {
-		pos  int
-		gain float64 // ŷ_l − ŷ_l″, the sort key
-	}
-	var cands []cand
 	// negatives keeps the k best-scored negatives seen, the fill's pool:
 	// at most len(out) of them are conflict picks, so the rest cover
-	// whatever the conflict rule leaves of the budget.
+	// whatever the conflict rule leaves of the budget. reach collects the
+	// positions of the negatives that clear the bound.
+	sc := conflictScratch.Get().(*selectScratch)
+	defer conflictScratch.Put(sc)
 	var negatives worstFirst
+	reach := sc.reach[:0]
 	for pos, idx := range st.Unlabeled {
 		if st.Labels[idx] != 0 {
 			continue
 		}
-		// A negative that does not outrank the worst kept one is turned
-		// away here, before the call.
 		yl := st.Scores[idx]
-		if e := (ranked{pos: pos, key: yl}); len(negatives) < k || len(negatives) > 0 && negatives[0].below(e) {
-			negatives.offer(e, k)
+		// Positions only grow, so a number not above the worst kept
+		// number ranks after it; anything else goes to ranked.below.
+		if len(negatives) < k || len(negatives) > 0 && !(yl <= negatives[0].key) {
+			negatives.offer(ranked{pos: pos, key: yl}, k)
 		}
-		// Both a near-tie blocker l′ and a weak blocker l″ are needed: one
-		// positive at each endpoint, and not the same one.
-		l := st.Links[idx]
-		atI := posAtI.Get(l.I) - 1
-		if atI < 0 {
-			continue
+		if yl-floor >= margin {
+			reach = append(reach, pos)
 		}
-		atJ := posAtJ.Get(l.J) - 1
-		if atJ < 0 || atI == atJ {
-			continue
-		}
-		bestGain, found := 0.0, false
-		for _, pair := range [2][2]int{{atI, atJ}, {atJ, atI}} {
-			yp, yw := st.Scores[pair[0]], st.Scores[pair[1]]
-			if yw <= 0 {
-				continue
-			}
-			if absF(yp-yl) <= closeTol && yl-yw >= margin {
-				if g := yl - yw; !found || g > bestGain {
-					bestGain, found = g, true
-				}
-			}
-		}
-		if found {
-			cands = append(cands, cand{pos: pos, gain: bestGain})
-		}
+	}
+	sc.reach = reach
+	var cands []conflictCand
+	if len(reach) == 0 {
+		mScansSkipped.Add(1)
+	} else {
+		mScansBuilt.Add(1)
+		cands = admit(st, reach, &sc.tables, closeTol, margin)
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].gain != cands[b].gain {
@@ -215,9 +196,75 @@ func (c Conflict) Select(st *State, k int, rng *rand.Rand) []int {
 	return out
 }
 
-// conflictTables keeps Conflict.Select's two endpoint tables between
-// calls, cleared, so a round reuses the storage an earlier one grew.
-var conflictTables = sync.Pool{New: func() any { return new([2]matching.EndpointTable[int]) }}
+// conflictCand is a negative the conflict rule admitted: its position in
+// State.Unlabeled and its gain ŷ_l − ŷ_l″, the sort key.
+type conflictCand struct {
+	pos  int
+	gain float64
+}
+
+// admit applies the conflict rule to the negatives at the given
+// positions of st.Unlabeled and returns those it admits, in the order
+// given. It fills the two endpoint tables, empty on entry, and leaves
+// them empty again.
+func admit(st *State, positions []int, tables *[2]matching.EndpointTable[int], closeTol, margin float64) []conflictCand {
+	// Inferred positives form a partial matching: at most one per
+	// endpoint. The two tables hold 1 + the pool index of the positive at
+	// an endpoint, 0 for none.
+	posAtI, posAtJ := &tables[0], &tables[1]
+	defer func() {
+		posAtI.Clear()
+		posAtJ.Clear()
+	}()
+	for _, idx := range st.Unlabeled {
+		if st.Labels[idx] == 1 {
+			posAtI.Set(st.Links[idx].I, idx+1)
+			posAtJ.Set(st.Links[idx].J, idx+1)
+		}
+	}
+	var cands []conflictCand
+	for _, pos := range positions {
+		idx := st.Unlabeled[pos]
+		yl := st.Scores[idx]
+		// Both a near-tie blocker l′ and a weak blocker l″ are needed: one
+		// positive at each endpoint, and not the same one.
+		l := st.Links[idx]
+		atI := posAtI.Get(l.I) - 1
+		if atI < 0 {
+			continue
+		}
+		atJ := posAtJ.Get(l.J) - 1
+		if atJ < 0 || atI == atJ {
+			continue
+		}
+		bestGain, found := 0.0, false
+		for _, pair := range [2][2]int{{atI, atJ}, {atJ, atI}} {
+			yp, yw := st.Scores[pair[0]], st.Scores[pair[1]]
+			if yw <= 0 {
+				continue
+			}
+			if absF(yp-yl) <= closeTol && yl-yw >= margin {
+				if g := yl - yw; !found || g > bestGain {
+					bestGain, found = g, true
+				}
+			}
+		}
+		if found {
+			cands = append(cands, conflictCand{pos: pos, gain: bestGain})
+		}
+	}
+	return cands
+}
+
+// selectScratch is the storage Conflict.Select keeps between calls, so a
+// round reuses what an earlier one grew: the positions that cleared the
+// bound, and the two endpoint tables, cleared.
+type selectScratch struct {
+	reach  []int
+	tables [2]matching.EndpointTable[int]
+}
+
+var conflictScratch = sync.Pool{New: func() any { return new(selectScratch) }}
 
 // ranked is one link under selection: its position in State.Unlabeled
 // and the key it is ranked by.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/activeiter/activeiter/internal/hetnet"
+	"github.com/activeiter/activeiter/internal/telemetry"
 )
 
 // everyLink lists every link of st as unlabeled, so a position into
@@ -246,6 +247,93 @@ func TestConflictSelectMatchesReference(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("the conflict rule admitted no link in the whole sweep; it compared two fills")
 	}
+
+	// The bound's edges, on a triangle: l′ = (0, 1) and l″ = (2, 3) are
+	// inferred positives and l = (0, 3) the negative between them. Select
+	// builds its endpoint tables exactly when some negative clears the
+	// weakest positive scoring above 0 by Margin.
+	nan := math.NaN()
+	triangle := func(yp, yw, yl float64, labels ...float64) *State {
+		return everyLink(&State{
+			Links:  []hetnet.Anchor{{I: 0, J: 1}, {I: 2, J: 3}, {I: 0, J: 3}},
+			Scores: []float64{yp, yw, yl},
+			Labels: append(labels, 0),
+		})
+	}
+	// plus adds a link on endpoints of its own.
+	plus := func(st *State, score, label float64) *State {
+		st.Links = append(st.Links, hetnet.Anchor{I: 5, J: 5})
+		st.Scores = append(st.Scores, score)
+		st.Labels = append(st.Labels, label)
+		return everyLink(st)
+	}
+	scans := func(tables string) *telemetry.Counter {
+		return telemetry.Default.Counter("activeiter_query_conflict_scans_total", "", telemetry.L("tables", tables))
+	}
+	skipped, built := scans("skipped"), scans("built")
+	for _, tc := range []struct {
+		name     string
+		st       *State
+		k        int
+		admitted int
+		built    bool
+	}{
+		{"no inferred positive", triangle(0.58, 0.20, 0.60, 0, 0), 2, 0, false},
+		{"every positive at most 0", triangle(0, -0.3, 0.60, 1, 1), 2, 0, false},
+		{"NaN weak positive", triangle(0.58, nan, 0.60, 1, 1), 2, 0, false},
+		{"NaN stray positive", plus(triangle(0.58, 0.20, 0.60, 1, 1), nan, 1), 2, 1, true},
+		{"k = 0", conflictState(), 0, 1, true},
+		// 0.054 − 0.004 is 0.05, but 0.004 + 0.05 rounds above 0.054: a
+		// bound tested as ŷ_l ≥ ŷ_min + Margin would skip the rule, and
+		// the fill would pick the better-scored stray negative instead.
+		{"difference clears, sum does not", plus(triangle(0.06, 0.004, 0.054, 1, 1), 0.5, 0), 1, 1, true},
+		// 0.35 − 0.3 rounds below 0.05, though 0.35 ≥ 0.3 + 0.05.
+		{"sum clears, difference does not", triangle(0.36, 0.3, 0.35, 1, 1), 1, 0, false},
+	} {
+		want, byRule := referenceConflictSelect(Conflict{}, tc.st, tc.k)
+		if byRule != tc.admitted {
+			t.Fatalf("%s: the reference admitted %d links, want %d", tc.name, byRule, tc.admitted)
+		}
+		wasSkipped, wasBuilt := skipped.Value(), built.Value()
+		if got := (Conflict{}).Select(tc.st, tc.k, nil); !sameIndices(got, want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, got, want)
+		}
+		wantBuilt := int64(0)
+		if tc.built {
+			wantBuilt = 1
+		}
+		if b, s := built.Value()-wasBuilt, skipped.Value()-wasSkipped; b != wantBuilt || s != 1-wantBuilt {
+			t.Fatalf("%s: tables built %d times and skipped %d times in one Select, want built=%v", tc.name, b, s, tc.built)
+		}
+	}
+}
+
+// FuzzConflictSelect: on links over a few endpoints, scored on a grid
+// that holds NaN, ±Inf and the pairs that round across the bound, with
+// any labels, Select picks what referenceConflictSelect picks, in order.
+func FuzzConflictSelect(f *testing.F) {
+	// Each link is three bytes: its endpoints, then its label (low bit)
+	// and its score (the rest, into grid).
+	f.Add(uint8(0), uint8(1), []byte{0, 1, 0x0b, 2, 3, 0x05, 0, 3, 0x08})
+	f.Add(uint8(1), uint8(4), []byte{0, 0, 0x21, 1, 1, 0x1b, 2, 2, 0x0d, 1, 2, 0x1c, 0, 3, 0x18, 3, 3, 0x1c})
+	f.Add(uint8(2), uint8(3), []byte{0, 1, 0x25, 2, 3, 0x27, 0, 3, 0x26, 4, 4, 0x28})
+	grid := []float64{-0.1, 0, 0.004, 0.05, 0.054, 0.06, 0.2, 0.25, 0.3, 0.35, 0.36,
+		0.5, 0.55, 0.58, 0.6, 0.62, 0.9, 1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	configs := []Conflict{{}, {CloseTol: 0.1}, {CloseTol: 0.05, Margin: 0.2}}
+	f.Fuzz(func(t *testing.T, cfg, k uint8, data []byte) {
+		st := &State{}
+		for ; len(data) >= 3 && len(st.Links) < 64; data = data[3:] {
+			st.Links = append(st.Links, hetnet.Anchor{I: int(data[0] % 6), J: int(data[1] % 6)})
+			st.Labels = append(st.Labels, float64(data[2]&1))
+			st.Scores = append(st.Scores, grid[int(data[2]>>1)%len(grid)])
+		}
+		everyLink(st)
+		c, budget := configs[int(cfg)%len(configs)], int(k)%(len(st.Links)+3)
+		want, _ := referenceConflictSelect(c, st, budget)
+		if got := c.Select(st, budget, nil); !sameIndices(got, want) {
+			t.Fatalf("%+v k=%d, links %v scores %v labels %v:\n got  %v\n want %v", c, budget, st.Links, st.Scores, st.Labels, got, want)
+		}
+	})
 }
 
 // gradedState draws n unlabeled links whose scores sit on a short grid

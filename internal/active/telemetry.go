@@ -11,3 +11,13 @@ var (
 	mPicksFill = telemetry.Default.Counter("activeiter_query_picks_total",
 		"Links the conflict strategy picked for the oracle, by source.", telemetry.L("source", "fill"))
 )
+
+// Whether Conflict.Select built its endpoint tables: only when some
+// negative cleared the weakest inferred positive + Margin, the one way
+// the rule can admit it. Select adds once per call.
+var (
+	mScansSkipped = telemetry.Default.Counter("activeiter_query_conflict_scans_total",
+		"Conflict strategy selections, by whether the endpoint tables were built.", telemetry.L("tables", "skipped"))
+	mScansBuilt = telemetry.Default.Counter("activeiter_query_conflict_scans_total",
+		"Conflict strategy selections, by whether the endpoint tables were built.", telemetry.L("tables", "built"))
+)

@@ -171,9 +171,15 @@ func Train(p Problem, cfg Config) (*Result, error) {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	// Row blocks are the unit of every parallel step, the compression
+	// first: the caller and the helper each take blocks as they come free.
+	blocks := make([][]matching.Candidate, (n+blockRows-1)/blockRows)
+	h := startHelper(len(blocks))
+	defer h.stop()
+
 	// Every product of the loop — XᵀX here, Xᵀy per solve, X·w per
 	// iteration — walks the design matrix's non-zeros, compressed once.
-	xnz := linalg.Compress(p.X)
+	xnz := linalg.CompressBlocks(p.X, blockRows, h.do)
 	ridge, err := linalg.NewRidgeCompressed(xnz, cfg.C)
 	if err != nil {
 		return nil, err
@@ -274,7 +280,6 @@ func Train(p Problem, cfg Config) (*Result, error) {
 	// concatenated, which is the unlabeled pool minus candidates it never
 	// reads.
 	threshold := *cfg.Threshold
-	blocks := make([][]matching.Candidate, (n+blockRows-1)/blockRows)
 	scoreBlock := func(b int) {
 		lo, hi := b*blockRows, min(n, (b+1)*blockRows)
 		xnz.MulVecRowsInto(scores, w, lo, hi)
@@ -292,8 +297,6 @@ func Train(p Problem, cfg Config) (*Result, error) {
 		}
 		blocks[b] = sel
 	}
-	h := startHelper(len(blocks))
-	defer h.stop()
 
 	// internalConverge runs step (1) to a label fixpoint.
 	internalConverge := func(trace *RoundTrace) {

@@ -134,7 +134,7 @@ func TestSeedShipInstallAck(t *testing.T) {
 	}
 	resetSeedCache()
 	c1, _ := workerDial(t)
-	n, err := handshake(c1, fp, body)
+	n, err := handshake(c1, fp, bodyOf(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSeedShipInstallAck(t *testing.T) {
 		t.Fatal("seed not resident when the handshake returned")
 	}
 	c2, _ := workerDial(t)
-	if n, err := handshake(c2, fp, body); err != nil || n != 0 {
+	if n, err := handshake(c2, fp, bodyOf(body)); err != nil || n != 0 {
 		t.Fatalf("warm cache: %d seed bytes, err %v; want a hit", n, err)
 	}
 }

@@ -92,8 +92,9 @@ func seedFingerprint(pair *hetnet.AlignedPair, featureSet string) uint64 {
 // once per shard×worker. The counter the seed came from is returned as
 // installed: it is what this process's seed cache now holds under the
 // seed's fingerprint, and what the session hands back to seedCacheEvict
-// when it closes. The run encodes the seed's frame body once
-// (WireSeed.appendBody) and every connection ships those bytes.
+// when it closes. The session encodes the seed's frame body at most once
+// (WireSeed.appendBody), on the first miss, and every connection that
+// ships sends those bytes.
 func exportSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig, traceID uint64) (ws *WireSeed, installed *metadiag.Counter, err error) {
 	feats, err := ResolveFeatures(cfg.FeatureSet)
 	if err != nil {
@@ -111,9 +112,10 @@ func exportSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfi
 	ws = &WireSeed{
 		Fingerprint: seedFingerprint(pair, cfg.FeatureSet),
 		Seed:        *seed,
-		// The body is encoded once per run and shared by every connection,
-		// so the seed carries the run's trace ID with no per-connection
-		// span: the worker correlates its install log by trace ID.
+		// The body is encoded at most once per run and shared by every
+		// connection that ships it, so the seed carries the run's trace ID
+		// with no per-connection span: the worker correlates its install
+		// log by trace ID.
 		TraceID: traceID,
 	}
 	// Pre-install the warm counter into this process's seed cache:
@@ -130,12 +132,13 @@ func exportSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfi
 
 // handshake opens a freshly dialed worker connection: the coordinator's
 // Hello offers the seed named fp, and the worker's Hello names the seed
-// it holds for the connection. On 0 — a miss — the pre-encoded body
-// (written through the codec directly, so a run encodes its seed exactly
-// once) ships, and the handshake waits for the worker's second Hello.
+// it holds for the connection. On 0 — a miss — the body ships (written
+// through the codec directly; body is called only then, so a session
+// encodes its seed at most once and only when some worker lacks it), and
+// the handshake waits for the worker's second Hello.
 // Returns the Seed frame bytes written, 0 unless the body shipped. An
 // error leaves the connection in an unknown state — the caller burns it.
-func handshake(conn io.ReadWriter, fp uint64, body []byte) (shipped int64, err error) {
+func handshake(conn io.ReadWriter, fp uint64, body func() []byte) (shipped int64, err error) {
 	if err := WriteFrame(conn, FrameHello, &Hello{Role: "coordinator", SeedFP: fp}); err != nil {
 		return 0, err
 	}
@@ -147,7 +150,7 @@ func handshake(conn io.ReadWriter, fp uint64, body []byte) (shipped int64, err e
 		return 0, fmt.Errorf("distrib: worker holds seed %016x, offered %016x", h.SeedFP, fp)
 	}
 	cw := &countingWriter{w: conn}
-	if err := codec.WriteFrame(cw, byte(FrameSeed), body); err != nil {
+	if err := codec.WriteFrame(cw, byte(FrameSeed), body()); err != nil {
 		return cw.n, fmt.Errorf("distrib: %w", err)
 	}
 	// Block until the worker confirms the install. Writing the body only

@@ -32,9 +32,10 @@ func resetSeedCache() {
 	seedMu.Unlock()
 }
 
-// buildSeed is what a session's first connection does to its seed,
-// without the spans: export it (exportSeed, which pre-installs the
-// counter in this process's seed cache) and encode its frame body.
+// buildSeed is what a session does to its seed, without the spans:
+// export it (exportSeed, which pre-installs the counter in this process's
+// seed cache) and encode its frame body, which a session leaves to the
+// first handshake that misses.
 func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig, traceID uint64) (fp uint64, body []byte, installed *metadiag.Counter, err error) {
 	ws, installed, err := exportSeed(pair, base, cfg, traceID)
 	if err != nil {
@@ -42,6 +43,9 @@ func buildSeed(pair *hetnet.AlignedPair, base *metadiag.Counter, cfg TrainConfig
 	}
 	return ws.Fingerprint, ws.appendBody(nil), installed, nil
 }
+
+// bodyOf hands handshake a body encoded ahead.
+func bodyOf(body []byte) func() []byte { return func() []byte { return body } }
 
 // randomSeedEntry draws a CSR matrix with the shapes the codec has to
 // tell apart: empty rows, an empty matrix, wide column gaps, and one of
@@ -687,7 +691,7 @@ func TestInstallRefusesBadSeed(t *testing.T) {
 			const fp = 0xbad5eed
 			body := (&WireSeed{Fingerprint: fp, Seed: *tc.seed()}).appendBody(nil)
 			c, served := workerDial(t)
-			n, err := handshake(c, fp, body)
+			n, err := handshake(c, fp, bodyOf(body))
 			if err == nil || n == 0 || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("handshake: %d seed bytes, err %v; want a shipped body and a remote error containing %q", n, err, tc.want)
 			}
@@ -806,7 +810,7 @@ func dialSeeded(t *testing.T, pair *hetnet.AlignedPair, cfg TrainConfig) *seeded
 		t.Fatal(err)
 	}
 	c, served := workerDial(t)
-	if _, err := handshake(c, fp, body); err != nil {
+	if _, err := handshake(c, fp, bodyOf(body)); err != nil {
 		t.Fatal(err)
 	}
 	return &seededWorker{Conn: c, fp: fp, served: served}
@@ -972,7 +976,7 @@ func TestConcurrentSeedOffersShipOnce(t *testing.T) {
 			wg.Add(1)
 			go func(c net.Conn) {
 				defer wg.Done()
-				shipped, err := handshake(c, fp, body)
+				shipped, err := handshake(c, fp, bodyOf(body))
 				if err != nil {
 					t.Errorf("handshake: %v", err)
 				}

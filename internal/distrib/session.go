@@ -58,16 +58,20 @@ type Session struct {
 	homes map[int]int
 	cum   Metrics
 
-	// seedFP/seedBody are built once (ensureSeed); every connection's
+	// seedFP/seedWire are built once (ensureSeed); every connection's
 	// Hello offers the same seed, again after a redial. seedBase is the
 	// counter that build pre-installed in this process's seed cache.
 	// seedErr is the build's failure: no job can ship without a seed, so
-	// it is every Run's error.
-	seedOnce sync.Once
-	seedFP   uint64
-	seedBody []byte
-	seedBase *metadiag.Counter
-	seedErr  error
+	// it is every Run's error. seedBody is seedWire encoded, once, by the
+	// first handshake that misses (seedBodyFor): a session whose workers
+	// share this process never ships, so it never encodes.
+	seedOnce     sync.Once
+	seedFP       uint64
+	seedWire     *WireSeed
+	seedBase     *metadiag.Counter
+	seedErr      error
+	seedBodyOnce sync.Once
+	seedBody     []byte
 	// seedBytes/seedShips audit the seed ships no round has reported
 	// yet: connections are made inside rounds and ahead of them, and the
 	// next round to finish takes what has accumulated.
@@ -213,16 +217,16 @@ func (s *Session) ConnectAhead(shards int) {
 	}
 }
 
-// ensureSeed exports and encodes the session's seed, once, and reports
-// that build's error ever after. The seed is a property of the pair and
-// training config, both fixed for the session's lifetime, so every
-// connection offers (and may ship) the same body — and a build that failed
-// here would fail the same way anywhere else (the in-process fallback
-// worker needs the same seed), so it is not retried.
+// ensureSeed exports the session's seed, once, and reports that build's
+// error ever after. The seed is a property of the pair and training
+// config, both fixed for the session's lifetime, so every connection
+// offers (and may ship) the same body — and a build that failed here would
+// fail the same way anywhere else (the in-process fallback worker needs
+// the same seed), so it is not retried.
 //
-// The build records a "seed export" and a "seed encode" span under
-// parent on track: the connect span of the connection that built it, or
-// the round span when Run did.
+// The build records a "seed export" span under parent on track: the
+// connect span of the connection that built it, or the round span when
+// Run did.
 func (s *Session) ensureSeed(parent uint64, track string) error {
 	s.seedOnce.Do(func() {
 		tr := s.opts.Tracer
@@ -234,13 +238,26 @@ func (s *Session) ensureSeed(parent uint64, track string) error {
 			s.seedErr = fmt.Errorf("distrib: seed: %w", err)
 			return
 		}
-		sp = tr.Start("seed encode", parent)
-		sp.SetTrack(track)
-		s.seedFP, s.seedBody, s.seedBase = ws.Fingerprint, ws.appendBody(nil), base
-		sp.Annotate("bytes", fmt.Sprintf("%d", len(s.seedBody)))
-		sp.End()
+		s.seedFP, s.seedWire, s.seedBase = ws.Fingerprint, ws, base
 	})
 	return s.seedErr
+}
+
+// seedBodyFor returns the seed's frame body, encoding it on the first
+// call: from the handshake of the first connection whose worker misses.
+// The encode records a "seed encode" span under that connection's connect
+// span, on its track.
+func (s *Session) seedBodyFor(parent uint64, track string) func() []byte {
+	return func() []byte {
+		s.seedBodyOnce.Do(func() {
+			enc := s.opts.Tracer.Start("seed encode", parent)
+			enc.SetTrack(track)
+			s.seedBody = s.seedWire.appendBody(nil)
+			enc.Annotate("bytes", fmt.Sprintf("%d", len(s.seedBody)))
+			enc.End()
+		})
+		return s.seedBody
+	}
 }
 
 // connect gives the slot a live connection: dialed and handshaken, the
@@ -271,7 +288,7 @@ func (s *Session) connect(slot *sessionSlot, parent uint64) error {
 	defer disarm()
 	offered := time.Now()
 	clock := &writeClock{ReadWriter: conn}
-	n, err := handshake(clock, s.seedFP, s.seedBody)
+	n, err := handshake(clock, s.seedFP, s.seedBodyFor(sp.ID(), slot.track()))
 	s.seedBytes.Add(n)
 	sp.Annotate("bytes", fmt.Sprintf("%d", n))
 	// Offer to the worker's last Hello: the worker's start-up where the

@@ -178,12 +178,13 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	assertSameAlignment(t, resOn, resOff, fx.plan)
 }
 
-// TestSeedBuildTraced: the session's seed build is two spans, "seed
-// export" and "seed encode", under the span that built it — the connect
-// span of the connection that got there first when the session connects
-// ahead, the round span when Run builds it — and every connect that
-// shipped the body carries ship_ms (the offer to the body's last byte
-// written) no later than its handshake_ms.
+// TestSeedBuildTraced: the session's seed export is one "seed export"
+// span under the span that built it — the connect span of the connection
+// that got there first when the session connects ahead, the round span
+// when Run builds it. Its encode is one "seed encode" span under the
+// connect span of the connection whose worker missed first, which
+// shipped the body. Every connect that shipped carries ship_ms (the
+// offer to the body's last byte written) no later than its handshake_ms.
 func TestSeedBuildTraced(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil || testing.Short() {
@@ -219,12 +220,14 @@ func TestSeedBuildTraced(t *testing.T) {
 				}
 			}
 		}
-		for _, name := range []string{"seed export", "seed encode"} {
-			if got := coord[name]; len(got) != 1 || got[0].Parent == 0 || got[0].Parent != builder.ID || got[0].Track != builder.Track {
-				t.Fatalf("ahead %v: %d %q spans, want one under the %q span %#x on its track", ahead, len(got), name, builder.Name, builder.ID)
-			}
+		if got := coord["seed export"]; len(got) != 1 || got[0].Parent == 0 || got[0].Parent != builder.ID || got[0].Track != builder.Track {
+			t.Fatalf("ahead %v: %d seed export spans, want one under the %q span %#x on its track", ahead, len(got), builder.Name, builder.ID)
 		}
-		ships := 0
+		encodes := coord["seed encode"]
+		if len(encodes) != 1 {
+			t.Fatalf("ahead %v: %d seed encode spans, want 1", ahead, len(encodes))
+		}
+		ships, encoder := 0, false
 		for _, c := range coord["connect"] {
 			arg := map[string]string{}
 			for _, l := range c.Args {
@@ -234,6 +237,7 @@ func TestSeedBuildTraced(t *testing.T) {
 				continue
 			}
 			ships++
+			encoder = encoder || encodes[0].Parent == c.ID && encodes[0].Track == c.Track
 			ship, err1 := strconv.ParseFloat(arg["ship_ms"], 64)
 			hs, err2 := strconv.ParseFloat(arg["handshake_ms"], 64)
 			if err1 != nil || err2 != nil || ship > hs {
@@ -243,5 +247,36 @@ func TestSeedBuildTraced(t *testing.T) {
 		if ships == 0 {
 			t.Errorf("ahead %v: no connect shipped the seed", ahead)
 		}
+		if !encoder {
+			t.Errorf("ahead %v: the seed encode span is not under a connect that shipped, on its track", ahead)
+		}
+	}
+}
+
+// TestLoopbackSessionEncodesNoSeed: every offer of a session whose
+// workers share its process hits the counter the export pre-installed,
+// so the session never encodes the seed's body: after Run it holds none,
+// and its trace has a "seed export" span but no "seed encode".
+func TestLoopbackSessionEncodesNoSeed(t *testing.T) {
+	fx := newDistFixture(t, 2, 8)
+	tr := telemetry.NewTracer("coordinator")
+	sess, err := NewSession(Loopback{}, fx.pair, Options{Train: fx.train, Workers: 2, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, m, err := sess.Run(fx.freshPlan(t, 8), fx.oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || m.SeedShips != 0 {
+		t.Fatalf("loopback round: result %v, %d seed ships", res, m.SeedShips)
+	}
+	if sess.seedBody != nil {
+		t.Errorf("the session holds a %d-byte seed body no connection shipped", len(sess.seedBody))
+	}
+	spans, _ := spanIndex(tr.Spans())
+	if len(spans["seed export"]) != 1 || len(spans["seed encode"]) != 0 {
+		t.Errorf("%d seed export and %d seed encode spans, want 1 and 0", len(spans["seed export"]), len(spans["seed encode"]))
 	}
 }

@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Compressed is a read-only row-compressed copy of a Dense matrix: each
@@ -27,34 +28,68 @@ type Compressed struct {
 
 // Compress copies the non-zero cells of x.
 func Compress(x *Dense) *Compressed {
+	return CompressBlocks(x, max(x.rows, 1), func(n int, run func(block int)) {
+		for b := 0; b < n; b++ {
+			run(b)
+		}
+	})
+}
+
+// CompressBlocks is Compress over blocks of the given number of rows.
+// forEach must run run(0), …, run(n−1), each once, in any order and on
+// any goroutines, and return when all are done. It is called twice: to
+// count each block's non-zero cells, then to copy them to the block's
+// offset. The result is Compress's, whatever the blocks and the schedule.
+func CompressBlocks(x *Dense, rows int, forEach func(n int, run func(block int))) *Compressed {
 	if x.cols > math.MaxInt32 || len(x.data) > math.MaxInt32 {
 		panic(fmt.Sprintf("linalg: Compress of a %dx%d matrix", x.rows, x.cols))
 	}
-	nnz, finite := 0, true
-	for _, v := range x.data {
-		if v != 0 {
-			nnz++
-			finite = finite && v-v == 0
-		}
+	if rows < 1 {
+		panic(fmt.Sprintf("linalg: Compress in blocks of %d rows", rows))
 	}
-	if !finite {
-		nnz = len(x.data)
+	n := (x.rows + rows - 1) / rows
+	span := func(b int) (lo, hi int) { return b * rows, min(x.rows, (b+1)*rows) }
+	off, finite := make([]int, n+1), make([]bool, n)
+	forEach(n, func(b int) {
+		lo, hi := span(b)
+		count, ok := 0, true
+		for _, v := range x.data[lo*x.cols : hi*x.cols] {
+			if v != 0 {
+				count++
+				ok = ok && v-v == 0
+			}
+		}
+		off[b+1], finite[b] = count, ok
+	})
+	// One non-finite cell anywhere keeps every cell of the matrix. The
+	// counts become each block's offset.
+	keepAll := slices.Contains(finite, false)
+	for b := 0; b < n; b++ {
+		if keepAll {
+			lo, hi := span(b)
+			off[b+1] = (hi - lo) * x.cols
+		}
+		off[b+1] += off[b]
 	}
 	c := &Compressed{
 		rows: x.rows, cols: x.cols,
 		rowPtr: make([]int32, x.rows+1),
-		col:    make([]int32, 0, nnz),
-		val:    make([]float64, 0, nnz),
+		col:    make([]int32, off[n]),
+		val:    make([]float64, off[n]),
 	}
-	for i := 0; i < x.rows; i++ {
-		for j, v := range x.data[i*x.cols : (i+1)*x.cols] {
-			if v != 0 || !finite {
-				c.col = append(c.col, int32(j))
-				c.val = append(c.val, v)
+	forEach(n, func(b int) {
+		lo, hi := span(b)
+		k := off[b]
+		for i := lo; i < hi; i++ {
+			for j, v := range x.data[i*x.cols : (i+1)*x.cols] {
+				if v != 0 || keepAll {
+					c.col[k], c.val[k] = int32(j), v
+					k++
+				}
 			}
+			c.rowPtr[i+1] = int32(k)
 		}
-		c.rowPtr[i+1] = int32(len(c.val))
-	}
+	})
 	return c
 }
 

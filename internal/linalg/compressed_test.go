@@ -3,6 +3,8 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -88,6 +90,79 @@ func TestCompressedMatchesDenseKernels(t *testing.T) {
 					y := randomVector(rng, sh[0], operand)
 					if got, want := c.TMulVec(y), x.TMulVec(y); !bitsEqual(got, want) {
 						t.Fatalf("%dx%d density %v: Xᵀ·%v = %v, dense %v", sh[0], sh[1], density, y, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameCompressed reports whether a and b store the same cells, bit for
+// bit, in the same places.
+func sameCompressed(a, b *Compressed) bool {
+	return a.rows == b.rows && a.cols == b.cols && slices.Equal(a.rowPtr, b.rowPtr) &&
+		slices.Equal(a.col, b.col) && bitsEqual(a.val, b.val)
+}
+
+// TestCompressBlocksMatchesCompress: compressed in blocks of any height,
+// with the blocks run last first or on goroutines of their own, a
+// matrix stores what Compress stores and its kernels return the Dense
+// kernels' floats. Rows at the block edges are empty, and a non-finite
+// cell in a later block keeps every cell of every block.
+func TestCompressBlocksMatchesCompress(t *testing.T) {
+	reversed := func(n int, run func(int)) {
+		for b := n - 1; b >= 0; b-- {
+			run(b)
+		}
+	}
+	concurrent := func(n int, run func(int)) {
+		var wg sync.WaitGroup
+		for b := 0; b < n; b++ {
+			wg.Add(1)
+			go func(b int) {
+				defer wg.Done()
+				run(b)
+			}(b)
+		}
+		wg.Wait()
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, sh := range [][2]int{{0, 3}, {7, 0}, {9, 1}, {40, 7}, {200, 32}} {
+		for _, height := range []int{1, 3, 4, 7} {
+			blocks := (sh[0] + height - 1) / height
+			for _, nonFinite := range []float64{0, math.Inf(-1), math.NaN()} {
+				x := sparseDense(rng, sh[0], sh[1], 0.3, nil)
+				for b := 0; b < blocks; b++ {
+					// Empty the first row of every block and the last of
+					// every other one.
+					clear(x.RowView(b * height))
+					if last := min(sh[0], (b+1)*height) - 1; b%2 == 1 {
+						clear(x.RowView(last))
+					}
+				}
+				if nonFinite != 0 && blocks >= 3 && sh[1] > 0 {
+					x.Set(sh[0]-1-rng.Intn(height), rng.Intn(sh[1]), nonFinite)
+				}
+				want := Compress(x)
+				if nonFinite != 0 && blocks >= 3 && sh[1] > 0 && len(want.val) != sh[0]*sh[1] {
+					t.Fatalf("%dx%d with a %v cell stored %d of %d cells", sh[0], sh[1], nonFinite, len(want.val), sh[0]*sh[1])
+				}
+				for name, forEach := range map[string]func(int, func(int)){"reversed": reversed, "concurrent": concurrent} {
+					got := CompressBlocks(x, height, forEach)
+					if !sameCompressed(got, want) {
+						t.Fatalf("%dx%d in blocks of %d, %s, cell %v: stored %v at %v, rows %v; Compress %v at %v, rows %v",
+							sh[0], sh[1], height, name, nonFinite, got.val, got.col, got.rowPtr, want.val, want.col, want.rowPtr)
+					}
+					w := randomVector(rng, sh[1], nil)
+					if g, d := got.MulVecInto(make(Vector, sh[0]), w), x.MulVecInto(make(Vector, sh[0]), w); !bitsEqual(g, d) {
+						t.Fatalf("%dx%d in blocks of %d: X·w = %v, dense %v", sh[0], sh[1], height, g, d)
+					}
+					y := randomVector(rng, sh[0], nil)
+					if g, d := got.TMulVec(y), x.TMulVec(y); !bitsEqual(g, d) {
+						t.Fatalf("%dx%d in blocks of %d: Xᵀ·y = %v, dense %v", sh[0], sh[1], height, g, d)
+					}
+					if g, d := got.Gram(), x.Gram(); !bitsEqual(g.data, d.data) {
+						t.Fatalf("%dx%d in blocks of %d: Gram differs", sh[0], sh[1], height)
 					}
 				}
 			}
