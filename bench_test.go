@@ -202,6 +202,27 @@ func BenchmarkDiagramCounting(b *testing.B) {
 			}
 		}
 	})
+	// cold-default is mono_cold's count path: a fresh counter warming the
+	// library's anchor-free layer on the `default`-shaped pair, whose
+	// networks already hold their adjacencies from an earlier counter.
+	b.Run("cold-default", func(b *testing.B) {
+		pair, _, _ := defaultShape(b)
+		warm := func() {
+			counter, err := metadiag.NewCounter(pair)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := counter.Warm(lib.All()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			warm()
+		}
+	})
 	b.Run("warm-lemma2-cache", func(b *testing.B) {
 		b.ReportAllocs()
 		counter, err := metadiag.NewCounter(pair)

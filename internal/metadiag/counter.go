@@ -34,20 +34,33 @@ import (
 // vocabulary is a joint index space for one shared attribute type,
 // merging the attribute values of both networks by external ID. Two
 // posts in different networks "share an attribute" exactly when their
-// attribute nodes carry the same external ID.
+// attribute nodes carry the same external ID. The joint index of a
+// value is the order of its first sighting, the first network's values
+// before the second's; remap[k] maps network k+1's node index of the
+// type to it.
 type vocabulary struct {
-	ids   []string
-	index map[string]int
+	size  int
+	remap [2][]int
 }
 
-func (v *vocabulary) intern(id string) int {
-	if idx, ok := v.index[id]; ok {
-		return idx
+// newVocabulary interns the values of type t of g1, then of g2.
+func newVocabulary(t hetnet.NodeType, g1, g2 *hetnet.Network) *vocabulary {
+	v := &vocabulary{}
+	index := make(map[string]int)
+	for k, g := range [2]*hetnet.Network{g1, g2} {
+		v.remap[k] = make([]int, g.NodeCount(t))
+		for i := range v.remap[k] {
+			id := g.NodeID(t, i)
+			j, ok := index[id]
+			if !ok {
+				j = len(index)
+				index[id] = j
+			}
+			v.remap[k][i] = j
+		}
 	}
-	idx := len(v.ids)
-	v.ids = append(v.ids, id)
-	v.index[id] = idx
-	return idx
+	v.size = len(index)
+	return v
 }
 
 // Stats reports cache behaviour of a Counter, used by the Lemma-2
@@ -170,14 +183,7 @@ func NewCounter(pair *hetnet.AlignedPair) (*Counter, error) {
 		prox:       make(map[*sparse.CSR]*Proximity),
 	}
 	for _, t := range hetnet.AttributeTypes {
-		v := &vocabulary{index: make(map[string]int)}
-		for i := 0; i < pair.G1.NodeCount(t); i++ {
-			v.intern(pair.G1.NodeID(t, i))
-		}
-		for i := 0; i < pair.G2.NodeCount(t); i++ {
-			v.intern(pair.G2.NodeID(t, i))
-		}
-		sh.vocabs[t] = v
+		sh.vocabs[t] = newVocabulary(t, pair.G1, pair.G2)
 	}
 	c := &Counter{
 		sh:     sh,
@@ -248,7 +254,7 @@ func (c *Counter) anchorMatrix() *sparse.CSR {
 // VocabSize returns the joint vocabulary size of attribute type t.
 func (c *Counter) VocabSize(t hetnet.NodeType) int {
 	if v, ok := c.sh.vocabs[t]; ok {
-		return len(v.ids)
+		return v.size
 	}
 	return 0
 }
@@ -274,33 +280,24 @@ func (c *Counter) adjacency(ref schema.NetworkRef, rel hetnet.LinkType) (*sparse
 		return m, nil
 	}
 	g := c.net(ref)
-	srcType, dstType, ok := g.LinkEndpoints(rel)
+	_, dstType, ok := g.LinkEndpoints(rel)
 	if !ok {
 		return nil, fmt.Errorf("metadiag: relation %q not declared in %q", rel, g.Name())
 	}
+	m, err := g.Adjacency(rel)
+	if err != nil {
+		return nil, err
+	}
 	if vocab, shared := c.sh.vocabs[dstType]; shared {
-		// Attribute association: remap destination indices onto the joint
-		// vocabulary so both networks' matrices share a column space.
-		b := sparse.NewBuilder(g.NodeCount(srcType), len(vocab.ids))
-		var buildErr error
-		g.Links(rel, func(from, to int) {
-			id := g.NodeID(dstType, to)
-			j, ok := vocab.index[id]
-			if !ok {
-				buildErr = fmt.Errorf("metadiag: attribute %q of type %s missing from joint vocabulary", id, dstType)
-				return
-			}
-			b.Add(from, j, 1)
-		})
-		if buildErr != nil {
-			return nil, buildErr
+		// Attribute association: rename the network's value columns into
+		// the joint vocabulary so both networks' matrices share a column
+		// space.
+		side := 0
+		if ref != schema.Net1 {
+			side = 1
 		}
-		m = b.Build().Binarize()
-	} else {
-		var err error
-		m, err = g.Adjacency(rel)
-		if err != nil {
-			return nil, err
+		if m, err = sparse.FromRemap(m, vocab.size, vocab.remap[side]); err != nil {
+			return nil, fmt.Errorf("metadiag: %s of %q: %w", rel, g.Name(), err)
 		}
 	}
 	return c.storeAdjacency(key, m), nil

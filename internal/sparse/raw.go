@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 )
 
 // Raw returns zero-copy views of the CSR internals — shape, row
@@ -52,6 +53,69 @@ func FromRaw(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) 
 		}
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
+}
+
+// FromRemap builds the cols-wide matrix whose row i holds m's row i
+// with every stored column j renamed remap[j]: the same values, a row
+// re-sorted only where the renaming breaks its column order. It joins
+// matrices kept over different index spaces of one node type, as the
+// counter's attribute adjacencies join both networks' values in one
+// vocabulary. A stored column the remap does not cover, one it renames
+// outside [0, cols), and two columns of one row renamed to one column
+// are refused: a remap renames, it never merges. m is left as it is;
+// the result owns fresh arrays.
+func FromRemap(m *CSR, cols int, remap []int) (*CSR, error) {
+	if cols < 0 {
+		return nil, fmt.Errorf("sparse: FromRemap negative width %d", cols)
+	}
+	nnz := m.NNZ()
+	out := &CSR{rows: m.rows, cols: cols, rowPtr: make([]int, m.rows+1), colIdx: make([]int, nnz), val: make([]float64, nnz)}
+	var buf rowBuf
+	var sorter *rowSorter
+	k := 0
+	for i := 0; i < m.rows; i++ {
+		lo, ordered := k, true
+		js, vs := m.rowOf(i, &buf)
+		for p, j := range js {
+			if j >= len(remap) {
+				return nil, fmt.Errorf("sparse: FromRemap row %d column %d is past the remap's %d columns", i, j, len(remap))
+			}
+			c := remap[j]
+			if c < 0 || c >= cols {
+				return nil, fmt.Errorf("sparse: FromRemap renames column %d to %d, out of range %d", j, c, cols)
+			}
+			ordered = ordered && (k == lo || out.colIdx[k-1] < c)
+			out.colIdx[k], out.val[k] = c, vs[p]
+			k++
+		}
+		if !ordered {
+			if sorter == nil {
+				sorter = new(rowSorter)
+			}
+			sorter.cols, sorter.vals = out.colIdx[lo:k], out.val[lo:k]
+			sort.Sort(sorter)
+			for p := lo + 1; p < k; p++ {
+				if out.colIdx[p] == out.colIdx[p-1] {
+					return nil, fmt.Errorf("sparse: FromRemap row %d has two columns renamed to %d", i, out.colIdx[p])
+				}
+			}
+		}
+		out.rowPtr[i+1] = k
+	}
+	return out, nil
+}
+
+// rowSorter orders one row's columns, carrying their values along.
+type rowSorter struct {
+	cols []int
+	vals []float64
+}
+
+func (s *rowSorter) Len() int           { return len(s.cols) }
+func (s *rowSorter) Less(a, b int) bool { return s.cols[a] < s.cols[b] }
+func (s *rowSorter) Swap(a, b int) {
+	s.cols[a], s.cols[b] = s.cols[b], s.cols[a]
+	s.vals[a], s.vals[b] = s.vals[b], s.vals[a]
 }
 
 // The layout ladder, by a matrix's fill nnz/(rows·cols): below 1⁄64 it
@@ -109,10 +173,21 @@ func FromBlock(rows, cols int, cells []uint8) (*CSR, error) {
 	return m, nil
 }
 
-// nonZeroBytes counts the non-zero bytes of b, eight at a time.
+// nonZeroBytes counts the non-zero bytes of b. Four whole words a turn
+// go to four separate sums, so their masks overlap in the pipeline; the
+// at most 31 bytes left go a word at a time.
 func nonZeroBytes(b []uint8) int {
-	n := 0
-	for base := 0; base < len(b); base += 8 {
+	var n0, n1, n2, n3 int
+	base := 0
+	for ; base+32 <= len(b); base += 32 {
+		q := b[base : base+32 : base+32]
+		n0 += bits.OnesCount64(wordMask(binary.LittleEndian.Uint64(q)))
+		n1 += bits.OnesCount64(wordMask(binary.LittleEndian.Uint64(q[8:])))
+		n2 += bits.OnesCount64(wordMask(binary.LittleEndian.Uint64(q[16:])))
+		n3 += bits.OnesCount64(wordMask(binary.LittleEndian.Uint64(q[24:])))
+	}
+	n := n0 + n1 + n2 + n3
+	for ; base < len(b); base += 8 {
 		n += bits.OnesCount64(nonZeroMask(b, base))
 	}
 	return n
@@ -120,20 +195,25 @@ func nonZeroBytes(b []uint8) int {
 
 // nonZeroMask reads the eight bytes of a block row from base (fewer at
 // the row's end) and returns the mask holding the high bit of each
-// non-zero byte. Adding 0x7f to a byte's low seven bits carries into its
-// high bit exactly when they are not all zero, and or-ing in the byte
-// itself catches a high bit of its own. Walking a row by the mask —
-// cell base + TrailingZeros64(nz)/8, then nz &= nz-1 — visits its
-// non-zero cells in column order with no branch on a zero cell.
+// non-zero byte (wordMask). Walking a row by the mask — cell
+// base + TrailingZeros64(nz)/8, then nz &= nz-1 — visits its non-zero
+// cells in column order with no branch on a zero cell.
 func nonZeroMask(row []uint8, base int) uint64 {
-	const lowBits, highBits = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
-	var w uint64
 	if base+8 <= len(row) {
-		w = binary.LittleEndian.Uint64(row[base:])
-	} else {
-		for p, v := range row[base:] {
-			w |= uint64(v) << (8 * p)
-		}
+		return wordMask(binary.LittleEndian.Uint64(row[base:]))
 	}
+	var w uint64
+	for p, v := range row[base:] {
+		w |= uint64(v) << (8 * p)
+	}
+	return wordMask(w)
+}
+
+// wordMask returns the high bit of each non-zero byte of w. Adding 0x7f
+// to a byte's low seven bits carries into its high bit exactly when
+// they are not all zero, and or-ing in the byte itself catches a high
+// bit of its own.
+func wordMask(w uint64) uint64 {
+	const lowBits, highBits = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
 	return ((w & lowBits) + lowBits | w) & highBits
 }
